@@ -251,6 +251,53 @@ func TestAPISurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A crash mount reports its phases on the simulated clock and how the
+	// VAM scan's region sweep read the name table, in the mount report and
+	// again in Stats().Recovery; a scrub reports its name-table pass.
+	dc, _, err := NewDisk(DefaultGeometry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc, err := Format(dc, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vc.Create("crashed.txt", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := vc.Force(); err != nil {
+		t.Fatal(err)
+	}
+	vc.Crash()
+	dc.Revive()
+	v9, rep9, err := Mount(dc, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep9.VAMReconstructed || rep9.SweepPages == 0 || rep9.SweepChunks == 0 || rep9.SweepFallbacks != 0 {
+		t.Fatalf("crash mount sweep counters = %+v", rep9.MountStats)
+	}
+	if rep9.ReplayElapsed <= 0 || rep9.RedoElapsed <= 0 || rep9.VAMElapsed <= 0 ||
+		rep9.ReplayElapsed+rep9.RedoElapsed+rep9.VAMElapsed > rep9.Elapsed {
+		t.Fatalf("crash mount phases = replay %v, redo %v, scan %v of %v",
+			rep9.ReplayElapsed, rep9.RedoElapsed, rep9.VAMElapsed, rep9.Elapsed)
+	}
+	var rc RecoveryStats = v9.Stats().Recovery
+	if !rc.Ran || rc.Elapsed != rep9.ReplayElapsed || rc.RedoElapsed != rep9.RedoElapsed || rc.ScanElapsed != rep9.VAMElapsed ||
+		rc.SweepPages != rep9.SweepPages || rc.SweepChunks != rep9.SweepChunks || rc.SweepFallbacks != rep9.SweepFallbacks {
+		t.Fatalf("Stats().Recovery = %+v, mount report = %+v", rc, rep9.MountStats)
+	}
+	var scs ScrubStats
+	if scs, err = v9.Scrub(); err != nil {
+		t.Fatal(err)
+	}
+	if scs.NTElapsed <= 0 || scs.NTElapsed >= scs.Elapsed {
+		t.Fatalf("scrub name-table pass %v of %v", scs.NTElapsed, scs.Elapsed)
+	}
+	if err := v9.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
 	// Salvage: the direct destructive entry still recovers the file.
 	v7, sst, err := Salvage(d, Config{})
 	if err != nil {

@@ -384,15 +384,16 @@ func run(img string, jsonOut bool, args []string) error {
 				SpareExhausted  bool          `json:"spare_exhausted"`
 				Problems        []string      `json:"problems"`
 				ElapsedSim      time.Duration `json:"elapsed_sim_ns"`
+				NTElapsedSim    time.Duration `json:"nt_elapsed_sim_ns"`
 			}{st.NTPagesChecked, st.LeadersChecked, st.LogRecords, st.SectorsChecked,
 				st.Repaired(), st.NTRepaired, st.LeadersRepaired, st.RootsRepaired,
 				st.LogRepaired, st.Retired, st.NTLost, st.SpareExhausted,
-				jsonProblems(st.Problems), st.Elapsed}); err != nil {
+				jsonProblems(st.Problems), st.Elapsed, st.NTElapsed}); err != nil {
 				return err
 			}
 		} else {
-			fmt.Printf("scrubbed %d name-table pages, %d leaders, %d log records (%d sectors) in %v simulated\n",
-				st.NTPagesChecked, st.LeadersChecked, st.LogRecords, st.SectorsChecked, st.Elapsed.Round(1e6))
+			fmt.Printf("scrubbed %d name-table pages, %d leaders, %d log records (%d sectors) in %v simulated (name-table pass %v)\n",
+				st.NTPagesChecked, st.LeadersChecked, st.LogRecords, st.SectorsChecked, st.Elapsed.Round(1e6), st.NTElapsed.Round(1e6))
 			fmt.Printf("repaired %d copies (%d NT, %d leaders, %d roots, %d log), retired %d sectors\n",
 				st.Repaired(), st.NTRepaired, st.LeadersRepaired, st.RootsRepaired, st.LogRepaired, st.Retired)
 			if st.NTLost > 0 {
@@ -474,6 +475,9 @@ func run(img string, jsonOut bool, args []string) error {
 				how, rc.Records, rc.Images, rc.Repaired, rc.TornRecords,
 				rc.TailDiscarded, rc.GapBreaks, rc.SectorsRead,
 				rc.Elapsed.Round(time.Millisecond))
+			fmt.Printf("recovery phases (simulated): replay %v, redo write-back %v, VAM scan %v (%d pages swept in %d chunk reads, %d per-page fallbacks)\n",
+				rc.Elapsed.Round(time.Millisecond), rc.RedoElapsed.Round(time.Millisecond),
+				rc.ScanElapsed.Round(time.Millisecond), rc.SweepPages, rc.SweepChunks, rc.SweepFallbacks)
 		}
 		fmt.Printf("faults: %d read retries (%d recovered), %d scrub passes, %d copies repaired, %d sectors retired\n",
 			st.Faults.ReadRetries, st.Faults.RetriedOK, st.Faults.Scrubs, st.Faults.Repaired, st.Faults.Retired)

@@ -184,7 +184,7 @@ func TestCLIScrubAndSalvage(t *testing.T) {
 			t.Fatalf("scrub: %v", err)
 		}
 	})
-	if !bytes.Contains(out, []byte("repaired 0 copies")) {
+	if !bytes.Contains(out, []byte("repaired 0 copies")) || !bytes.Contains(out, []byte("(name-table pass ")) {
 		t.Fatalf("scrub output: %q", out)
 	}
 
@@ -243,11 +243,16 @@ func TestCLIJSONAndExitCodes(t *testing.T) {
 		}
 	})
 	var sr struct {
-		NTPagesChecked int `json:"nt_pages_checked"`
-		NTLost         int `json:"nt_lost"`
+		NTPagesChecked int   `json:"nt_pages_checked"`
+		NTLost         int   `json:"nt_lost"`
+		ElapsedSim     int64 `json:"elapsed_sim_ns"`
+		NTElapsedSim   int64 `json:"nt_elapsed_sim_ns"`
 	}
 	if err := json.Unmarshal(out, &sr); err != nil {
 		t.Fatalf("scrub JSON: %v\n%s", err, out)
+	}
+	if sr.NTElapsedSim <= 0 || sr.NTElapsedSim >= sr.ElapsedSim {
+		t.Fatalf("scrub report's name-table pass time %d not inside the pass's %d", sr.NTElapsedSim, sr.ElapsedSim)
 	}
 	if sr.NTPagesChecked == 0 || sr.NTLost != 0 {
 		t.Fatalf("unexpected scrub report: %+v", sr)
@@ -366,7 +371,7 @@ func TestStatsCommand(t *testing.T) {
 			t.Fatalf("stats: %v", err)
 		}
 	})
-	for _, want := range []string{"ops:", "cache:", "commit:", "commit deadline:", "(fixed)", "disk:", "recovery: clean shutdown", "faults:"} {
+	for _, want := range []string{"ops:", "cache:", "commit:", "commit deadline:", "(fixed)", "disk:", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "faults:"} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
 		}

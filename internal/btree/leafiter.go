@@ -2,41 +2,54 @@ package btree
 
 import "fmt"
 
-// ForEachLeaf walks the leaf chain left to right, handing each leaf's page
-// bytes to fn until fn returns false or the chain ends. The buffer is a
-// private copy that fn may retain and decode from any goroutine — this is
-// the fan-out point for parallel mount-time scans: one goroutine drives the
-// chain (so pager reads happen in deterministic order) while workers decode
-// the handed-off pages with LeafEntries.
-func (t *Tree) ForEachLeaf(fn func(page []byte) bool) error {
+// LeafChain returns, in chain order, the ids of the leaf pages reachable
+// from the leftmost leaf. Pages are resolved through get instead of the
+// pager: the caller has already read the table in device order (the
+// mount-time region sweep) and the walk touches only memory. get returns
+// nil for a page it does not hold; that, a page of the wrong kind, or a
+// chain longer than pages (a cycle) is ErrCorrupt. A leaf no chain link
+// reaches — a stale image of a page the tree no longer uses — is never
+// listed, so it can contribute nothing to a rebuild.
+func (t *Tree) LeafChain(pages int, get func(id uint32) []byte) ([]uint32, error) {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, leaf, err := t.descend(nil)
-	if err != nil {
-		return err
+	id, height := t.root, t.height
+	t.mu.RUnlock()
+	load := func(id uint32, kind byte) (node, error) {
+		var buf []byte
+		if id != 0 {
+			buf = get(id)
+		}
+		if len(buf) < hdrSize || buf[offKind] != kind {
+			return node{}, fmt.Errorf("%w: page %d missing or of the wrong kind in the leaf walk", ErrCorrupt, id)
+		}
+		return node{id: id, data: buf}, nil
 	}
-	for {
-		if !fn(leaf.data) {
-			return nil
-		}
-		next := leaf.link()
-		if next == 0 {
-			return nil
-		}
-		leaf, err = t.load(next)
+	for level := height; level > 1; level-- {
+		n, err := load(id, kindInternal)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if leaf.kind() != kindLeaf {
-			return fmt.Errorf("%w: leaf chain reached non-leaf page %d", ErrCorrupt, leaf.id)
-		}
+		id = n.link()
 	}
+	var chain []uint32
+	for id != 0 {
+		if len(chain) >= pages {
+			return nil, fmt.Errorf("%w: leaf chain does not end", ErrCorrupt)
+		}
+		leaf, err := load(id, kindLeaf)
+		if err != nil {
+			return nil, err
+		}
+		chain = append(chain, id)
+		id = leaf.link()
+	}
+	return chain, nil
 }
 
-// LeafEntries decodes the cells of a leaf page buffer (as handed to a
-// ForEachLeaf callback) in slot order. It touches only the buffer — no
-// pager, no tree state — so any number of goroutines may decode different
-// pages concurrently. The key and value slices alias the buffer.
+// LeafEntries decodes the cells of a leaf page buffer in slot order. It
+// touches only the buffer — no pager, no tree state — so any number of
+// goroutines may decode different pages concurrently. The key and value
+// slices alias the buffer.
 func LeafEntries(page []byte, fn func(key, value []byte) bool) error {
 	n := node{data: page}
 	if n.kind() != kindLeaf {

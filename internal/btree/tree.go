@@ -35,7 +35,7 @@ const (
 // keys are ordered lexicographically. The zero Tree is not usable; obtain
 // one from Create or Open.
 //
-// Concurrency: readers (Get, Has, Scan, Len, Check, ForEachLeaf) take mu
+// Concurrency: readers (Get, Has, Scan, Len, Check, LeafChain) take mu
 // for reading and may run in parallel; mutators (Put, Delete) take it
 // exclusively. The lock also covers the Pager calls the tree makes, so a
 // Pager shared only through its Tree needs no locking of its own.

@@ -195,6 +195,20 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	return p.cur, nil
 }
 
+// admit caches a page the mount-time region sweep read and verified, exactly
+// as the miss that would otherwise have fetched it: counted, traced, and
+// subject to the same eviction. A page already cached is left alone.
+func (c *ntCache) admit(id uint32, data []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.pages[id]; ok {
+		return
+	}
+	c.misses.Add(1)
+	c.v.traceCache(false, id)
+	c.insert(newNTPage(id, data))
+}
+
 // overlayNT applies the in-memory replayed sector images of page id (set
 // only by MountReadOnly) over a home copy. buf may be nil for an unreadable
 // home copy, in which case the page is reconstructed only when the overlay
@@ -315,7 +329,11 @@ func (c *ntCache) insert(p *ntPage) {
 	if len(c.pages) <= c.cap {
 		return
 	}
-	committed := c.v.log.Committed()
+	// A read-only mount has no log and therefore nothing pending.
+	var committed uint64
+	if c.v.log != nil {
+		committed = c.v.log.Committed()
+	}
 	var victim *ntPage
 	for _, q := range c.pages {
 		if q.dirty || q.pendingLog(committed) || q.inLog() || q == p {
@@ -362,7 +380,8 @@ func (c *ntCache) flushThird(third int) (int, error) {
 	defer c.mu.Unlock()
 	committed := c.v.log.Committed()
 	n := 0
-	for _, p := range c.pages {
+	for _, id := range sortedKeys(c.pages) { // ascending home-write order
+		p := c.pages[id]
 		for j := 0; j < NTPageSectors; j++ {
 			if p.lastThird[j] != third {
 				continue
@@ -422,7 +441,8 @@ func (c *ntCache) writeHome(id uint32, data []byte) error {
 func (c *ntCache) flushAll() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, p := range c.pages {
+	for _, id := range sortedKeys(c.pages) { // ascending home-write order
+		p := c.pages[id]
 		if !p.dirty {
 			continue
 		}

@@ -84,10 +84,10 @@ type Config struct {
 	// exclusively. It is the baseline the concurrent read path is
 	// benchmarked against; see DESIGN.md "Concurrency model".
 	SerialMonitor bool
-	// MountWorkers sets the fan-out for the mount-time name-table scan
-	// and log-replay image application. 0 or 1 runs them sequentially
-	// (the legacy path); larger values divide the decode CPU across
-	// that many workers while keeping disk reads in chain order.
+	// MountWorkers sets the fan-out of the entry decode in the mount-time
+	// name-table scan. 0 or 1 decodes on one worker; larger values divide
+	// the decode CPU across that many. The scan's disk reads and the
+	// write-back of replayed images are one sequential sweep at any width.
 	MountWorkers int
 	// DataCachePages is the file-data buffer cache capacity in 512-byte
 	// sectors. Zero means 2048 (1 MB); negative disables the data cache,

@@ -85,6 +85,7 @@ func mountReadOnly(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 			ms.LogTornRecords = rs.TornRecords
 			ms.LogTailDiscarded = rs.TailDiscarded
 			ms.LogGapBreaks = rs.GapBreaks
+			ms.ReplayElapsed = rs.Elapsed
 			recovered = rs
 		}
 	} else {
@@ -102,7 +103,8 @@ func mountReadOnly(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	// only consulted by Verify, never saved.
 	ms.VAMReconstructed = true
 	scanStart := v.clk.Now()
-	owners, err := v.scanForRebuild(true)
+	owners, sw, err := v.scanForRebuild(true)
+	ms.noteSweep(sw)
 	if err != nil {
 		return nil, ms, err
 	}

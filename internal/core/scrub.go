@@ -39,6 +39,8 @@ type ScrubStats struct {
 	SpareExhausted bool
 	Problems       []string
 	Elapsed        time.Duration
+	// NTElapsed is the part of Elapsed the name-table pass took.
+	NTElapsed time.Duration
 }
 
 // Repaired sums all copy rewrites of the pass.
@@ -233,26 +235,37 @@ func (v *Volume) scrubRoots(st *ScrubStats) {
 }
 
 // scrubNameTable cross-checks both home copies of every name-table page on
-// the shared parscan pool (one chunk per page, ScrubWorkers wide, work
-// stealing across pages whose repairs run long). Results merge per page in
-// page order, so the problem report is deterministic at any worker count.
-// Single-copy volumes have nothing to cross-check.
+// the shared parscan pool, one chunk per ntSweepPages-page run, ScrubWorkers
+// wide: a chunk reads its run of copy A and then of copy B as two sequential
+// transfers (sweepNT) and compares them in memory, so a healthy table costs
+// two reads per run instead of two per page; only a page that reads damaged
+// or whose copies disagree is re-examined and repaired on its own
+// (scrubNTPage). Results merge per chunk in page order, so the problem
+// report is deterministic at any worker count. Single-copy volumes have
+// nothing to cross-check.
 func (v *Volume) scrubNameTable(st *ScrubStats) error {
 	if v.cfg.SingleCopyNT {
 		return nil
 	}
+	start := v.clk.Now()
 	ids := v.lay.ntPages
-	parts := make([]ScrubStats, ids)
-	if _, err := parscan.Run(v.cfg.scrubWorkers(), ids, func(_ *parscan.Worker, c int) error {
-		v.scrubNTPage(uint32(c), &parts[c])
+	parts := make([]ScrubStats, (ids+ntSweepPages-1)/ntSweepPages)
+	_, err := parscan.Run(v.cfg.scrubWorkers(), len(parts), func(_ *parscan.Worker, c int) error {
+		part := &parts[c]
+		lo, hi := c*ntSweepPages, (c+1)*ntSweepPages
+		if hi > ids {
+			hi = ids
+		}
+		part.NTPagesChecked += hi - lo
+		part.SectorsChecked += 2 * NTPageSectors * (hi - lo)
+		v.sweepNT(lo, hi, true, func(uint32, []byte) {}, func(id uint32) { v.scrubNTPage(id, part) })
 		return nil
-	}); err != nil {
-		return err
-	}
+	})
 	for i := range parts {
 		st.merge(parts[i])
 	}
-	return nil
+	st.NTElapsed = v.clk.Now() - start
+	return err
 }
 
 // ntCopyOK validates one home copy of a name-table page.
@@ -260,24 +273,16 @@ func ntCopyOK(buf []byte, err error) bool {
 	return err == nil && (crcOK(buf) || isVirgin(buf))
 }
 
-// scrubNTPage audits one page: optimistic read of both copies outside the
-// cache lock; on any anomaly, re-examine and repair under it, so no
-// concurrent home write can interleave with the repair.
+// scrubNTPage re-examines one page the sweep's optimistic, unlocked read
+// found damaged or inconsistent, and repairs it — under the cache lock, so
+// no concurrent home write can interleave with the repair.
 func (v *Volume) scrubNTPage(id uint32, st *ScrubStats) {
-	st.NTPagesChecked++
-	st.SectorsChecked += 2 * NTPageSectors
 	addrA, addrB := v.lay.ntPageAddrs(id)
-	bufA, errA := v.readSectorsRetry(addrA, NTPageSectors)
-	bufB, errB := v.readSectorsRetry(addrB, NTPageSectors)
-	v.cpu.Charge(2 * csumCost)
-	if ntCopyOK(bufA, errA) && ntCopyOK(bufB, errB) && bytes.Equal(bufA, bufB) {
-		return
-	}
 	c := v.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	bufA, errA = v.readSectorsRetry(addrA, NTPageSectors)
-	bufB, errB = v.readSectorsRetry(addrB, NTPageSectors)
+	bufA, errA := v.readSectorsRetry(addrA, NTPageSectors)
+	bufB, errB := v.readSectorsRetry(addrB, NTPageSectors)
 	okA, okB := ntCopyOK(bufA, errA), ntCopyOK(bufB, errB)
 	repair := func(addr int, good []byte) {
 		if v.repairSectors(addr, good, st) == nil {

@@ -98,6 +98,15 @@ type RecoveryStats struct {
 	GapBreaks     int // replay stops at a missing record
 	SectorsRead   int
 	Elapsed       time.Duration // replay sim time
+	// The mount's other phases on the sim clock, and how the VAM scan read
+	// the name table (see MountStats): redo write-back of the replayed
+	// images, the scan, and its region sweep's verified pages, chunk
+	// transfers and per-page fallbacks.
+	RedoElapsed    time.Duration
+	ScanElapsed    time.Duration
+	SweepPages     int
+	SweepChunks    int
+	SweepFallbacks int
 }
 type SpanStats struct {
 	Count   int64

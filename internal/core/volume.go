@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/intentq"
 	"repro/internal/obs"
+	"repro/internal/parscan"
 	"repro/internal/sim"
 	"repro/internal/vam"
 	"repro/internal/wal"
@@ -55,6 +57,22 @@ type MountStats struct {
 	// to rebuild the allocation map (the paper's ~20 s on a Dorado).
 	VAMElapsed time.Duration
 	Elapsed    time.Duration
+	// The rest of the per-phase split of Elapsed, on the simulated clock:
+	// ReplayElapsed is reading and parsing the log, RedoElapsed writing the
+	// replayed name-table and leader images home (zero read-only). The
+	// Sweep counters say how the VAMElapsed scan read the name table: pages
+	// taken verified from sequential chunk transfers, chunk transfers
+	// issued, and pages that fell back to the per-page dual-copy read.
+	ReplayElapsed  time.Duration
+	RedoElapsed    time.Duration
+	SweepPages     int
+	SweepChunks    int
+	SweepFallbacks int
+}
+
+// noteSweep records what the VAM scan's region sweep did.
+func (ms *MountStats) noteSweep(sw ntSweepStats) {
+	ms.SweepPages, ms.SweepChunks, ms.SweepFallbacks = sw.Pages, sw.Chunks, sw.Fallbacks
 }
 
 // OpStats counts logical file-system operations for the benchmark tables.
@@ -363,8 +381,8 @@ func (v *Volume) flushLeaders(third int) (int, error) {
 	v.lmu.Lock()
 	defer v.lmu.Unlock()
 	n := 0
-	for addr, t := range v.leaderThird {
-		if t != third {
+	for _, addr := range sortedKeys(v.leaderThird) {
+		if v.leaderThird[addr] != third {
 			continue
 		}
 		data, ok := v.pendingLeaders[addr]
@@ -562,9 +580,12 @@ func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	if err != nil {
 		return nil, ms, err
 	}
+	redoStart := v.clk.Now()
 	if err := v.applyNTImages(ntImages); err != nil {
 		return nil, ms, err
 	}
+	ms.RedoElapsed = v.clk.Now() - redoStart
+	ms.ReplayElapsed = rs.Elapsed
 	ms.LogRecords = rs.Records
 	ms.LogImagesApplied = rs.Images
 	ms.LogRepaired = rs.Repaired
@@ -600,7 +621,9 @@ func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	var leaderOwners map[int]uint64
 	if ms.VAMReconstructed || needScan {
 		scanStart := v.clk.Now()
-		leaderOwners, err = v.scanForRebuild(ms.VAMReconstructed)
+		var sw ntSweepStats
+		leaderOwners, sw, err = v.scanForRebuild(ms.VAMReconstructed)
+		ms.noteSweep(sw)
 		if err != nil {
 			return nil, ms, err
 		}
@@ -618,7 +641,9 @@ func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	}
 
 	// Apply surviving leader images whose file still owns the sector.
-	for addr, img := range leaderImages {
+	redoStart = v.clk.Now()
+	for _, addr := range sortedKeys(leaderImages) {
+		img := leaderImages[addr]
 		uid, ok := leaderUID(img)
 		if !ok {
 			continue
@@ -629,6 +654,7 @@ func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 			}
 		}
 	}
+	ms.RedoElapsed += v.clk.Now() - redoStart
 
 	// Point of no return: every replayed image (name-table pages, VAM
 	// rebase, leaders) is written home — fence them, then reset the log.
@@ -679,6 +705,12 @@ func (v *Volume) noteRecovery(rs wal.RecoveryStats, ms MountStats) {
 		GapBreaks:     rs.GapBreaks,
 		SectorsRead:   rs.SectorsRead,
 		Elapsed:       rs.Elapsed,
+
+		RedoElapsed:    ms.RedoElapsed,
+		ScanElapsed:    ms.VAMElapsed,
+		SweepPages:     ms.SweepPages,
+		SweepChunks:    ms.SweepChunks,
+		SweepFallbacks: ms.SweepFallbacks,
 	}
 	v.obs.tracer.Record(obs.Event{
 		Time: v.clk.Now(), Kind: obs.EvRecovery, Op: v.Health().String(),
@@ -699,82 +731,83 @@ func (v *Volume) finishMount() {
 	}
 }
 
-// applyNTImages writes the surviving name-table images home. With
-// MountWorkers > 1 the writes fan out over a worker pool, each worker
-// sweeping a contiguous chunk of the sorted targets (pFSCK-style); the
-// simulated device still serializes the transfers, so on the virtual clock
-// the win is structural, but a real controller with command queuing would
-// overlap them. Sequential mode preserves the exact single-sweep order.
+// sortedKeys lists m's keys in ascending order. Home writes driven from a
+// map go out in address order through it, not in Go's randomized map order,
+// so the same run costs the same simulated time every time.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// applyNTImages writes the surviving name-table sector images home in sweep
+// order: every image of copy A in ascending address order, then every image
+// of copy B, adjacent sectors merged into one transfer. The arm crosses the
+// gap between the copies once instead of once per image. Copy A of a page
+// still lands before its copy B (scrub's "A is the newer image" rule), and
+// the whole pass is pure redo: a crash anywhere in it leaves the log intact
+// and the next mount writes the same images over whatever subset landed.
 func (v *Volume) applyNTImages(ntImages map[uint64][]byte) error {
-	ntTargets := make([]uint64, 0, len(ntImages))
-	for tgt := range ntImages {
-		ntTargets = append(ntTargets, tgt)
+	type run struct {
+		first uint64 // target of the first sector; targets are offsets into a copy
+		data  []byte
 	}
-	sort.Slice(ntTargets, func(i, j int) bool { return ntTargets[i] < ntTargets[j] })
-	writeOne := func(tgt uint64) error {
-		id := uint32(tgt / NTPageSectors)
-		sub := int(tgt % NTPageSectors)
-		a, b := v.lay.ntPageAddrs(id)
-		if err := v.writeSectors(a+sub, ntImages[tgt]); err != nil {
-			return err
+	var runs []run
+	for _, tgt := range sortedKeys(ntImages) {
+		if n := len(runs); n > 0 {
+			last := &runs[n-1]
+			sectors := len(last.data) / disk.SectorSize
+			if tgt == last.first+uint64(sectors) && sectors < MaxTransferSectors {
+				last.data = append(last.data, ntImages[tgt]...)
+				continue
+			}
 		}
-		if !v.cfg.SingleCopyNT {
-			if err := v.writeSectors(b+sub, ntImages[tgt]); err != nil {
+		runs = append(runs, run{first: tgt, data: append([]byte(nil), ntImages[tgt]...)})
+	}
+	bases := []int{v.lay.ntA}
+	if !v.cfg.SingleCopyNT {
+		bases = append(bases, v.lay.ntB)
+	}
+	for _, base := range bases {
+		for _, r := range runs {
+			if err := v.writeSectors(base+int(r.first), r.data); err != nil {
 				return err
 			}
-		}
-		return nil
-	}
-	workers := v.cfg.mountWorkers()
-	if workers <= 1 || len(ntTargets) < 2*workers {
-		for _, tgt := range ntTargets {
-			if err := writeOne(tgt); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	chunk := (len(ntTargets) + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(ntTargets) {
-			hi = len(ntTargets)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for _, tgt := range ntTargets[lo:hi] {
-				if err := writeOne(tgt); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-// scanForRebuild walks the whole name table once, optionally rebuilding the
+// scanResult is what decoding one leaf contributes to a rebuild scan.
+type scanResult struct {
+	leaders []leaderRef
+	runs    []alloc.Run
+}
+
+// leaderRef names the file owning a leader sector.
+type leaderRef struct {
+	addr int
+	uid  uint64
+}
+
+// scanForRebuild reads the whole name table once, optionally rebuilding the
 // VAM, and always returning the leader-sector ownership map. "Since the
 // file name table is a compact structure with a great deal of locality, it
-// can be processed quickly." With MountWorkers > 1 the walk is pipelined:
-// one goroutine drives the leaf chain (so page reads keep their exact
-// sequential disk order) while workers decode the entries, and the decode
-// CPU — the bulk of the paper's ~20 s — is charged divided by the worker
-// count.
-func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, error) {
+// can be processed quickly" — provided it is read the way it is laid out.
+// Following the leaf chain through the page cache reads copy A and then copy
+// B of one page at a time, a long seek each way; instead the allocated
+// prefix of each copy is swept in device order (sweepNT), the leaves the
+// chain reaches are picked out in memory by following their links from the
+// leftmost leaf (so a stale leaf image no link reaches contributes
+// nothing), and their entries are decoded on MountWorkers workers straight
+// from the sweep's buffers. Results merge in chain order, so the rebuilt
+// state is the same at every width; the decode CPU — the bulk of the
+// paper's ~20 s — is charged divided across the workers. Swept pages enter
+// the page cache as the misses they replace would have.
+func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, error) {
 	if rebuildVAM {
 		v.vm = vam.New(v.lay.total)
 		v.vm.MarkFree(v.lay.dataLo, v.lay.total-v.lay.dataLo)
@@ -783,102 +816,73 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, error) {
 			v.vm.MarkAllocated(metaLo, metaHi-metaLo)
 		}
 	}
-	if workers := v.cfg.mountWorkers(); workers > 1 {
-		return v.scanForRebuildParallel(rebuildVAM, workers)
-	}
-	owners := make(map[int]uint64)
-	err := v.nt.Scan(nil, func(k, val []byte) bool {
-		name, ver, ok := splitKey(k)
-		if !ok {
-			return true
-		}
-		e, err := decodeEntry(name, ver, val)
-		if err != nil {
-			return true
-		}
-		v.cpu.Charge(sim.CostBTreeOp / 4)
-		if len(e.Runs) > 0 {
-			owners[int(e.Runs[0].Start)] = e.UID
-		}
-		if rebuildVAM {
-			for _, r := range e.Runs {
-				v.vm.MarkAllocated(int(r.Start), int(r.Len))
+	n := v.nt.AllocatedPages()
+	pages := make([][]byte, n)
+	var lost error
+	sw := v.sweepNT(0, n, !v.cfg.ReadOneCopy && !v.cfg.SingleCopyNT,
+		func(id uint32, page []byte) {
+			pages[id] = page
+			v.cache.admit(id, page)
+		},
+		func(id uint32) {
+			// Damage: the cache's own miss path reads both copies with
+			// retries (charging the health budget during recovery) and
+			// serves whichever survives. A page lost in both copies fails
+			// the mount only if the leaf walk below needs it.
+			page, err := v.cache.Read(id)
+			if err != nil && lost == nil {
+				lost = err
 			}
+			pages[id] = page
+		})
+	chain, err := v.nt.LeafChain(n, func(id uint32) []byte {
+		if int(id) >= n {
+			return nil
 		}
-		return true
+		return pages[id]
 	})
-	return owners, err
-}
-
-// scanResult is one worker's share of a parallel rebuild scan.
-type scanResult struct {
-	owners map[int]uint64
-	runs   []alloc.Run
-	cpu    time.Duration
-}
-
-// scanForRebuildParallel is the pFSCK-style fan-out: the calling goroutine
-// reads leaf pages in chain order (identical disk timing to the sequential
-// scan) and hands each page to a decode worker. Workers accumulate results
-// and CPU cost privately; the merge is order-independent (owner entries are
-// keyed by unique leader addresses, the VAM is a bitmap), so the rebuilt
-// state is byte-identical to the sequential scan's, while the decode CPU is
-// charged as elapsed/workers.
-func (v *Volume) scanForRebuildParallel(rebuildVAM bool, workers int) (map[int]uint64, error) {
-	pageCh := make(chan []byte, workers*2)
-	results := make([]scanResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(res *scanResult) {
-			defer wg.Done()
-			res.owners = make(map[int]uint64)
-			for page := range pageCh {
-				btree.LeafEntries(page, func(k, val []byte) bool {
-					name, ver, ok := splitKey(k)
-					if !ok {
-						return true
-					}
-					e, err := decodeEntry(name, ver, val)
-					if err != nil {
-						return true
-					}
-					res.cpu += sim.CostBTreeOp / 4
-					if len(e.Runs) > 0 {
-						res.owners[int(e.Runs[0].Start)] = e.UID
-					}
-					if rebuildVAM {
-						res.runs = append(res.runs, e.Runs...)
-					}
-					return true
-				})
-			}
-		}(&results[w])
-	}
-	err := v.nt.ForEachLeaf(func(page []byte) bool {
-		pageCh <- page
-		return true
-	})
-	close(pageCh)
-	wg.Wait()
 	if err != nil {
-		return nil, err
+		if lost != nil {
+			err = fmt.Errorf("%w (%v)", err, lost)
+		}
+		return nil, sw, err
+	}
+	parts := make([]scanResult, len(chain))
+	ps, err := parscan.Run(v.cfg.mountWorkers(), len(chain), func(w *parscan.Worker, c int) error {
+		res := &parts[c]
+		return btree.LeafEntries(pages[chain[c]], func(k, val []byte) bool {
+			name, ver, ok := splitKey(k)
+			if !ok {
+				return true
+			}
+			e, err := decodeEntry(name, ver, val)
+			if err != nil {
+				return true
+			}
+			w.Charge(sim.CostBTreeOp / 4)
+			if len(e.Runs) > 0 {
+				res.leaders = append(res.leaders, leaderRef{int(e.Runs[0].Start), e.UID})
+			}
+			if rebuildVAM {
+				res.runs = append(res.runs, e.Runs...)
+			}
+			return true
+		})
+	})
+	if err != nil {
+		return nil, sw, err
 	}
 	owners := make(map[int]uint64)
-	var cpuTotal time.Duration
-	for _, res := range results {
-		for addr, uid := range res.owners {
-			owners[addr] = uid
+	for _, res := range parts {
+		for _, l := range res.leaders {
+			owners[l.addr] = l.uid
 		}
-		if rebuildVAM {
-			for _, r := range res.runs {
-				v.vm.MarkAllocated(int(r.Start), int(r.Len))
-			}
+		for _, r := range res.runs {
+			v.vm.MarkAllocated(int(r.Start), int(r.Len))
 		}
-		cpuTotal += res.cpu
 	}
-	v.cpu.Charge(cpuTotal / time.Duration(workers))
-	return owners, nil
+	v.cpu.Charge(ps.BalancedCPU())
+	return owners, sw, nil
 }
 
 // startTicker launches the group-commit goroutine when running on a real
@@ -1048,8 +1052,8 @@ func (v *Volume) Shutdown() error {
 		return err
 	}
 	v.lmu.Lock()
-	for addr, data := range v.pendingLeaders {
-		if err := v.writeSectors(addr, data); err != nil {
+	for _, addr := range sortedKeys(v.pendingLeaders) {
+		if err := v.writeSectors(addr, v.pendingLeaders[addr]); err != nil {
 			v.lmu.Unlock()
 			return err
 		}
@@ -1114,8 +1118,8 @@ func (v *Volume) DropCaches() error {
 		return err
 	}
 	v.lmu.Lock()
-	for addr, data := range v.pendingLeaders {
-		if err := v.writeSectors(addr, data); err != nil {
+	for _, addr := range sortedKeys(v.pendingLeaders) {
+		if err := v.writeSectors(addr, v.pendingLeaders[addr]); err != nil {
 			v.lmu.Unlock()
 			return err
 		}

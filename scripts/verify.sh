@@ -21,7 +21,9 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache ./internal/intentq ./internal/crashtest ./internal/server ./internal/wire ./client
-go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss'
+# ...plus the read-count gate that keeps the name-table passes of mount
+# and scrub sequential (two reads per 16-page run, not two per page).
+go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts'
 go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders'
 # Seeded write-fault sweep (PR 7): retries/remaps/hung-I/O absorption and
 # the health FSM's graceful-degradation contract, plus the concurrent
@@ -66,7 +68,7 @@ go run ./cmd/soak -clients 2000 -conns 16 -duration 5s -rate 5 -json /dev/null
 # Verify problems at widths 1/2/8, salvage crash/resume across widths,
 # and a wide Verify racing concurrent readers.
 go test -race ./internal/parscan -count=1
-go test -race ./internal/core -count=1 -run 'TestVerifyProblemsDeterministic|TestVerifyDuplicateOwnerDeterministic|TestVerifyUnderDecay|TestVerifyParallelWithReaders|TestParallelSalvageMatchesSequential'
+go test -race ./internal/core -count=1 -run 'TestVerifyProblemsDeterministic|TestVerifyDuplicateOwnerDeterministic|TestVerifyUnderDecay|TestVerifyParallelWithReaders|TestParallelSalvageMatchesSequential|TestSweepRebuildMatchesChainWalk|TestScrubSweepMatchesPerPage'
 # Bounded pfsck smoke (small volume, widths 1 and 4): runs both passes
 # through the pool and asserts identical output at both widths; the full
 # 1/2/4/8/16 curve is the benchtab -pfsck-json path.
