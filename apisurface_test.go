@@ -22,6 +22,7 @@ var (
 	_ IntentStats
 	_ SpanStats
 	_ DiskStats
+	_ DiskRegionStats
 	_ ScrubStats
 	_ SalvageStats
 	_ VolumeFaultStats
@@ -108,6 +109,15 @@ func TestAPISurface(t *testing.T) {
 	_ = Config{AsyncApply: true, AdaptiveCommit: true, CommitFloor: 1, IntentQueueDepth: 1}
 	if ds.Ops == 0 {
 		t.Fatalf("disk counters empty: %+v", ds)
+	}
+	// The per-region split of the same activity, and the home-write I/O
+	// count beside the sector count.
+	var regions []DiskRegionStats = st.DiskRegions
+	if len(regions) != 5 || regions[0].Region != "log" || regions[0].Write.Ops == 0 || regions[0].Write.Busy <= 0 {
+		t.Fatalf("disk regions = %+v", regions)
+	}
+	if cs.HomeWriteOps > cs.HomeWrites {
+		t.Fatalf("home writes: %d I/Os carried %d sectors", cs.HomeWriteOps, cs.HomeWrites)
 	}
 	_ = cm
 	_ = fs

@@ -78,6 +78,10 @@ type (
 	SpanStats = core.SpanStats
 	// DiskStats is the raw device activity snapshot.
 	DiskStats = disk.Stats
+	// DiskRegionStats is the device activity that landed in one region of
+	// the volume layout (log, either name-table copy, VAM + root, data);
+	// see Stats.DiskRegions.
+	DiskRegionStats = core.DiskRegionStats
 	// ScrubStats reports one online scrub pass (copies repaired, sectors
 	// retired).
 	ScrubStats = core.ScrubStats

@@ -437,8 +437,8 @@ func run(img string, jsonOut bool, args []string) error {
 		fmt.Printf("ops: %d creates, %d opens, %d deletes, %d reads, %d writes, %d lists, %d touches\n",
 			st.Ops.Creates, st.Ops.Opens, st.Ops.Deletes, st.Ops.Reads,
 			st.Ops.Writes, st.Ops.Lists, st.Ops.Touches)
-		fmt.Printf("cache: %d hits, %d misses, %d home writes\n",
-			st.Cache.Hits, st.Cache.Misses, st.Cache.HomeWrites)
+		fmt.Printf("cache: %d hits, %d misses, %d sectors written home in %d I/Os\n",
+			st.Cache.Hits, st.Cache.Misses, st.Cache.HomeWrites, st.Cache.HomeWriteOps)
 		if dc := st.Cache.Data; dc.Capacity > 0 {
 			fmt.Printf("data cache: %d/%d frames, %d hits, %d misses, %d read-ahead sectors, %d/%d coalesced reads/writes, %d invalidated, %d evicted\n",
 				dc.Size, dc.Capacity, dc.Hits, dc.Misses, dc.ReadAheadSectors,
@@ -466,6 +466,13 @@ func run(img string, jsonOut bool, args []string) error {
 		fmt.Printf("disk: %d ops (%d reads, %d writes), %d/%d sectors read/written, busy %v simulated\n",
 			st.Disk.Ops, st.Disk.Reads, st.Disk.Writes, st.Disk.SectorsRead,
 			st.Disk.SectorsWritten, st.Disk.BusyTime().Round(time.Millisecond))
+		fmt.Print("disk by region (I/Os/sectors/simulated busy, read | write):")
+		for _, r := range st.DiskRegions {
+			fmt.Printf(" %s %d/%d/%v | %d/%d/%v;", r.Region,
+				r.Read.Ops, r.Read.Sectors, r.Read.Busy.Round(time.Millisecond),
+				r.Write.Ops, r.Write.Sectors, r.Write.Busy.Round(time.Millisecond))
+		}
+		fmt.Println()
 		if rc := st.Recovery; rc.Ran {
 			how := "log replayed"
 			if rc.CleanShutdown {

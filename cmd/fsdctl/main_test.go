@@ -371,7 +371,7 @@ func TestStatsCommand(t *testing.T) {
 			t.Fatalf("stats: %v", err)
 		}
 	})
-	for _, want := range []string{"ops:", "cache:", "commit:", "commit deadline:", "(fixed)", "disk:", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "faults:"} {
+	for _, want := range []string{"ops:", "cache:", "commit:", "sectors written home in", "commit deadline:", "(fixed)", "disk:", "disk by region", "nt-a", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "faults:"} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
 		}
@@ -394,6 +394,15 @@ func TestStatsCommand(t *testing.T) {
 	// always costs device reads.
 	if st.Disk.Ops == 0 || st.Disk.Reads == 0 {
 		t.Fatalf("stats -json disk counters empty: %+v", st.Disk)
+	}
+	// The per-region split covers the device ops (all but the root and
+	// salvage-checkpoint reads that precede the volume and its observer).
+	var regionOps int64
+	for _, r := range st.DiskRegions {
+		regionOps += r.Read.Ops + r.Write.Ops
+	}
+	if len(st.DiskRegions) != 5 || regionOps == 0 || regionOps > int64(st.Disk.Ops) {
+		t.Fatalf("stats -json regions cover %d of %d ops: %+v", regionOps, st.Disk.Ops, st.DiskRegions)
 	}
 
 	// -async mounts through the intent queue with the adaptive controller:

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,19 +88,29 @@ type ntCache struct {
 	// home-write disk I/O (flushThird, flushAll): a Stats snapshot must
 	// never block behind a flush in flight.
 	hits, misses atomic.Int64
-	homeWrites   atomic.Int64
+	homeWrites   atomic.Int64 // sectors, both copies counted
+	homeWriteOps atomic.Int64 // disk requests that carried them
+
+	// due and runBuf are the flush paths' scratch, reused from flush to
+	// flush; touched only under mu.
+	due    []ntImage
+	runBuf []byte
 }
 
 func newNTCache(v *Volume, capacity int) *ntCache {
-	return &ntCache{v: v, pages: make(map[uint32]*ntPage), cap: capacity}
+	return &ntCache{
+		v: v, pages: make(map[uint32]*ntPage), cap: capacity,
+		runBuf: make([]byte, 0, MaxTransferSectors*disk.SectorSize),
+	}
 }
 
 // stats snapshots the cache counters without taking c.mu.
 func (c *ntCache) stats() CacheStats {
 	return CacheStats{
-		Hits:       int(c.hits.Load()),
-		Misses:     int(c.misses.Load()),
-		HomeWrites: int(c.homeWrites.Load()),
+		Hits:         int(c.hits.Load()),
+		Misses:       int(c.misses.Load()),
+		HomeWrites:   int(c.homeWrites.Load()),
+		HomeWriteOps: int(c.homeWriteOps.Load()),
 	}
 }
 
@@ -374,66 +386,39 @@ func (c *ntCache) onLogged(target uint64, third int, data []byte) {
 // flushThird writes home every sector whose newest logged image is in the
 // division about to be overwritten. It writes from the logged snapshot, not
 // the possibly newer cache contents, so the home copies never reflect
-// updates the log has not yet committed.
+// updates the log has not yet committed. The due sectors go out as one
+// writeNTHome sweep; their marks clear only once both copies are written, so
+// a failed flush is redone whole by the next crossing.
 func (c *ntCache) flushThird(third int) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.due = c.due[:0]
+	for _, p := range c.pages {
+		for j, t := range p.lastThird {
+			if t == third {
+				c.due = append(c.due, ntImage{
+					first: uint64(p.id)*NTPageSectors + uint64(j),
+					data:  p.logged[j*disk.SectorSize : (j+1)*disk.SectorSize],
+				})
+			}
+		}
+	}
+	if err := c.writeDue(); err != nil {
+		return 0, err
+	}
 	committed := c.v.log.Committed()
-	n := 0
-	for _, id := range sortedKeys(c.pages) { // ascending home-write order
-		p := c.pages[id]
-		for j := 0; j < NTPageSectors; j++ {
-			if p.lastThird[j] != third {
-				continue
+	for _, p := range c.pages {
+		for j, t := range p.lastThird {
+			if t == third {
+				p.lastThird[j] = -1
 			}
-			if err := c.writeHomeSector(p.id, j, p.logged[j*disk.SectorSize:(j+1)*disk.SectorSize]); err != nil {
-				return n, err
-			}
-			n++
-			p.lastThird[j] = -1
 		}
 		if !p.pendingLog(committed) && !p.inLog() && p.logged != nil && bytes.Equal(p.logged, p.cur) {
 			p.dirty = false
 			p.logged = nil
 		}
 	}
-	return n, nil
-}
-
-// writeHomeSector writes one sector of a page to both home copies. The
-// caller holds c.mu.
-func (c *ntCache) writeHomeSector(id uint32, sub int, data []byte) error {
-	addrA, addrB := c.v.lay.ntPageAddrs(id)
-	if err := c.v.writeSectors(addrA+sub, data); err != nil {
-		return err
-	}
-	c.homeWrites.Add(1)
-	if c.v.cfg.SingleCopyNT {
-		return nil
-	}
-	if err := c.v.writeSectors(addrB+sub, data); err != nil {
-		return err
-	}
-	c.homeWrites.Add(1)
-	return nil
-}
-
-// writeHome writes a page image to both home copies (two operations with
-// independent failure modes). The caller holds c.mu.
-func (c *ntCache) writeHome(id uint32, data []byte) error {
-	addrA, addrB := c.v.lay.ntPageAddrs(id)
-	if err := c.v.writeSectors(addrA, data); err != nil {
-		return err
-	}
-	c.homeWrites.Add(1)
-	if c.v.cfg.SingleCopyNT {
-		return nil
-	}
-	if err := c.v.writeSectors(addrB, data); err != nil {
-		return err
-	}
-	c.homeWrites.Add(1)
-	return nil
+	return len(c.due), nil
 }
 
 // flushAll writes home every dirty page; the caller must have forced the
@@ -441,13 +426,18 @@ func (c *ntCache) writeHome(id uint32, data []byte) error {
 func (c *ntCache) flushAll() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range sortedKeys(c.pages) { // ascending home-write order
-		p := c.pages[id]
+	c.due = c.due[:0]
+	for _, p := range c.pages {
+		if p.dirty {
+			c.due = append(c.due, ntImage{first: uint64(p.id) * NTPageSectors, data: p.cur})
+		}
+	}
+	if err := c.writeDue(); err != nil {
+		return err
+	}
+	for _, p := range c.pages {
 		if !p.dirty {
 			continue
-		}
-		if err := c.writeHome(p.id, p.cur); err != nil {
-			return err
 		}
 		p.dirty = false
 		p.pendingSeq = 0
@@ -457,6 +447,64 @@ func (c *ntCache) flushAll() error {
 		p.logged = nil
 	}
 	return nil
+}
+
+// writeDue sweeps c.due home in ascending order and counts what went out.
+// The caller holds c.mu, which is what makes due and runBuf safe to reuse.
+func (c *ntCache) writeDue() error {
+	slices.SortFunc(c.due, func(a, b ntImage) int { return cmp.Compare(a.first, b.first) })
+	ios, sectors, err := c.v.writeNTHome(c.due, c.runBuf)
+	clear(c.due) // keeps its length; drops the page buffers it pinned
+	c.homeWriteOps.Add(int64(ios))
+	c.homeWrites.Add(int64(sectors))
+	return err
+}
+
+// ntImage is a run of whole name-table sectors bound for home. first is the
+// offset of its first sector into a copy — the WAL's KindNameTable target.
+type ntImage struct {
+	first uint64
+	data  []byte
+}
+
+// writeNTHome is the one name-table home-write path: third-crossing flushes,
+// whole-cache flushes and the recovery redo all come through it. imgs must
+// be sorted by first and must not overlap. Physically adjacent images merge
+// into requests of at most MaxTransferSectors (assembled in buf, whose
+// capacity must cover one such request), and every request goes to copy A in
+// ascending address order before any goes to copy B, so the arm crosses the
+// gap between the copies once per flush instead of once per sector. Copy A
+// of a sector still lands before its copy B (scrub's "A is the newer image"
+// rule). It returns the requests and sectors written; on an error the caller
+// must treat every image as unwritten and redo the whole sweep.
+func (v *Volume) writeNTHome(imgs []ntImage, buf []byte) (ios, sectors int, err error) {
+	bases := []int{v.lay.ntA, v.lay.ntB}
+	if v.cfg.SingleCopyNT {
+		bases = bases[:1]
+	}
+	for _, base := range bases {
+		for i := 0; i < len(imgs); {
+			run, next := imgs[i].data, i+1
+			for ; next < len(imgs); next++ {
+				im := imgs[next]
+				if im.first != imgs[i].first+uint64(len(run)/disk.SectorSize) ||
+					len(run)+len(im.data) > MaxTransferSectors*disk.SectorSize {
+					break
+				}
+				if next == i+1 {
+					run = append(buf[:0], run...)
+				}
+				run = append(run, im.data...)
+			}
+			if err := v.writeSectors(base+int(imgs[i].first), run); err != nil {
+				return ios, sectors, err
+			}
+			ios++
+			sectors += len(run) / disk.SectorSize
+			i = next
+		}
+	}
+	return ios, sectors, nil
 }
 
 // dropAll empties the cache (after crash recovery rewrites home pages).

@@ -375,6 +375,23 @@ func (l layout) metaRange(addr int) bool {
 	return false
 }
 
+// region sorts addr into the log, either name-table copy, the VAM save area
+// and boot pages, or file data.
+func (l layout) region(addr int) int {
+	switch {
+	case addr < 4 || addr >= l.vamBase && addr < l.vamBase+l.vamSectors:
+		return regionVAMRoot
+	case addr < l.logBase || addr >= l.vamBase:
+		return regionData
+	case addr < l.ntA:
+		return regionLog
+	case addr < l.ntA+l.ntPages*NTPageSectors:
+		return regionNTA
+	default:
+		return regionNTB
+	}
+}
+
 // ntPageAddrs returns the home sector addresses of both copies of name-table
 // page id (copies are equal when the volume runs single-copy).
 func (l layout) ntPageAddrs(id uint32) (a, b int) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/disk"
@@ -13,10 +14,12 @@ import (
 type CacheStats struct {
 	Hits       int
 	Misses     int
-	HomeWrites int // sectors/pages written home (third flushes, shutdown)
+	HomeWrites int // sectors written home, both copies counted (third flushes, shutdown)
 	// Data holds the file-data buffer cache counters (internal/bufcache).
 	// All zero when the volume runs with the data cache disabled.
 	Data DataCacheStats
+	// HomeWriteOps is the number of disk requests that carried HomeWrites.
+	HomeWriteOps int
 }
 
 // DataCacheStats counts file-data buffer cache activity: per-sector hits and
@@ -143,6 +146,26 @@ type Stats struct {
 	// LockWait is the distribution of sim-time waits to acquire the
 	// volume monitor on the explicit-force path (ns).
 	LockWait obs.HistSnapshot
+	// DiskRegions splits the device activity by where on the platter it
+	// landed, one element per region in layout order.
+	DiskRegions []DiskRegionStats
+}
+
+// DiskRegionStats is the device activity that started in one region of the
+// volume layout: "log", "nt-a", "nt-b" (the two name-table copies),
+// "vam+root" (the VAM save area and the boot pages) or "data".
+type DiskRegionStats struct {
+	Region string
+	Read   DiskRegionIO
+	Write  DiskRegionIO
+}
+
+// DiskRegionIO counts one direction of one region. Busy is seek + rotation
+// + transfer (+ injected stall) on the sim clock.
+type DiskRegionIO struct {
+	Ops     int64
+	Sectors int64
+	Busy    time.Duration
 }
 
 // Span names, one per public Volume operation wrapped by v.span.
@@ -188,6 +211,24 @@ type volObs struct {
 	// hooks need no nil checks.
 	applyLag   *obs.Histogram
 	queueDepth obs.Gauge
+
+	// regions accumulates disk ops by layout region and direction
+	// (0 read, 1 write); fed by observeDiskOp under the device mutex.
+	regions [len(diskRegionNames)][2]struct{ ops, sectors, busy atomic.Int64 }
+}
+
+// The regions layout.region sorts disk addresses into, and their names.
+const (
+	regionLog = iota
+	regionNTA
+	regionNTB
+	regionVAMRoot
+	regionData
+)
+
+var diskRegionNames = [...]string{
+	regionLog: "log", regionNTA: "nt-a", regionNTB: "nt-b",
+	regionVAMRoot: "vam+root", regionData: "data",
 }
 
 func newVolObs() *volObs {
@@ -323,6 +364,14 @@ func (v *Volume) traceScrub(action string, n int) {
 func (v *Volume) observeDiskOp(e disk.OpEvent) {
 	total := e.Elapsed()
 	v.obs.diskOpTime.ObserveDuration(total)
+	dir := 0
+	if e.Write {
+		dir = 1
+	}
+	r := &v.obs.regions[v.lay.region(e.Addr)][dir]
+	r.ops.Add(1)
+	r.sectors.Add(int64(e.Sectors))
+	r.busy.Add(int64(total))
 	// The per-op I/O deadline: an operation that held the device this
 	// long (a hung-I/O stall, on this simulated drive) is classified as a
 	// fault instead of silently delaying the commit pipeline. A
@@ -408,6 +457,14 @@ func (v *Volume) Stats() Stats {
 			ApplyLag:    v.obs.applyLag.Snapshot(),
 			ApplierBusy: v.apCPU.Busy(),
 		}
+	}
+	for i, name := range diskRegionNames {
+		r := &v.obs.regions[i]
+		s.DiskRegions = append(s.DiskRegions, DiskRegionStats{
+			Region: name,
+			Read:   DiskRegionIO{r[0].ops.Load(), r[0].sectors.Load(), time.Duration(r[0].busy.Load())},
+			Write:  DiskRegionIO{r[1].ops.Load(), r[1].sectors.Load(), time.Duration(r[1].busy.Load())},
+		})
 	}
 	for name, sm := range v.obs.spans {
 		if c := sm.count.Load(); c > 0 {

@@ -376,26 +376,34 @@ func (v *Volume) freeOnCommit(runs []alloc.Run) {
 	v.vmMu.Unlock()
 }
 
-// flushLeaders writes home pending leader pages last logged in third.
+// allThirds makes flushLeaders write every pending leader.
+const allThirds = -1
+
+// flushLeaders writes home, in ascending address order, the pending leader
+// pages last logged in third (allThirds: every pending leader, logged or
+// not) and forgets them. It returns how many it wrote.
 func (v *Volume) flushLeaders(third int) (int, error) {
 	v.lmu.Lock()
 	defer v.lmu.Unlock()
+	var addrs []int
+	if third == allThirds {
+		addrs = sortedKeys(v.pendingLeaders)
+	} else {
+		addrs = sortedKeys(v.leaderThird)
+	}
 	n := 0
-	for _, addr := range sortedKeys(v.leaderThird) {
-		if v.leaderThird[addr] != third {
+	for _, addr := range addrs {
+		if third != allThirds && v.leaderThird[addr] != third {
 			continue
 		}
-		data, ok := v.pendingLeaders[addr]
-		if !ok {
-			delete(v.leaderThird, addr)
-			continue
+		if data, ok := v.pendingLeaders[addr]; ok {
+			if err := v.writeSectors(addr, data); err != nil {
+				return n, err
+			}
+			delete(v.pendingLeaders, addr)
+			n++
 		}
-		if err := v.writeSectors(addr, data); err != nil {
-			return n, err
-		}
-		delete(v.pendingLeaders, addr)
 		delete(v.leaderThird, addr)
-		n++
 	}
 	return n, nil
 }
@@ -743,42 +751,17 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// applyNTImages writes the surviving name-table sector images home in sweep
-// order: every image of copy A in ascending address order, then every image
-// of copy B, adjacent sectors merged into one transfer. The arm crosses the
-// gap between the copies once instead of once per image. Copy A of a page
-// still lands before its copy B (scrub's "A is the newer image" rule), and
-// the whole pass is pure redo: a crash anywhere in it leaves the log intact
-// and the next mount writes the same images over whatever subset landed.
+// applyNTImages writes the surviving name-table sector images home through
+// writeNTHome, the steady-state flushes' sweep. The whole pass is pure redo:
+// a crash anywhere in it leaves the log intact and the next mount writes the
+// same images over whatever subset landed.
 func (v *Volume) applyNTImages(ntImages map[uint64][]byte) error {
-	type run struct {
-		first uint64 // target of the first sector; targets are offsets into a copy
-		data  []byte
-	}
-	var runs []run
+	imgs := make([]ntImage, 0, len(ntImages))
 	for _, tgt := range sortedKeys(ntImages) {
-		if n := len(runs); n > 0 {
-			last := &runs[n-1]
-			sectors := len(last.data) / disk.SectorSize
-			if tgt == last.first+uint64(sectors) && sectors < MaxTransferSectors {
-				last.data = append(last.data, ntImages[tgt]...)
-				continue
-			}
-		}
-		runs = append(runs, run{first: tgt, data: append([]byte(nil), ntImages[tgt]...)})
+		imgs = append(imgs, ntImage{first: tgt, data: ntImages[tgt]})
 	}
-	bases := []int{v.lay.ntA}
-	if !v.cfg.SingleCopyNT {
-		bases = append(bases, v.lay.ntB)
-	}
-	for _, base := range bases {
-		for _, r := range runs {
-			if err := v.writeSectors(base+int(r.first), r.data); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	_, _, err := v.writeNTHome(imgs, make([]byte, 0, MaxTransferSectors*disk.SectorSize))
+	return err
 }
 
 // scanResult is what decoding one leaf contributes to a rebuild scan.
@@ -1051,16 +1034,9 @@ func (v *Volume) Shutdown() error {
 	if err := v.cache.flushAll(); err != nil {
 		return err
 	}
-	v.lmu.Lock()
-	for _, addr := range sortedKeys(v.pendingLeaders) {
-		if err := v.writeSectors(addr, v.pendingLeaders[addr]); err != nil {
-			v.lmu.Unlock()
-			return err
-		}
+	if _, err := v.flushLeaders(allThirds); err != nil {
+		return err
 	}
-	v.pendingLeaders = make(map[int][]byte)
-	v.leaderThird = make(map[int]int)
-	v.lmu.Unlock()
 	if err := v.vm.SaveWith(v.writeSectors, v.lay.vamBase); err != nil {
 		return err
 	}
@@ -1117,16 +1093,9 @@ func (v *Volume) DropCaches() error {
 	if err := v.cache.flushAll(); err != nil {
 		return err
 	}
-	v.lmu.Lock()
-	for _, addr := range sortedKeys(v.pendingLeaders) {
-		if err := v.writeSectors(addr, v.pendingLeaders[addr]); err != nil {
-			v.lmu.Unlock()
-			return err
-		}
-		delete(v.pendingLeaders, addr)
-		delete(v.leaderThird, addr)
+	if _, err := v.flushLeaders(allThirds); err != nil {
+		return err
 	}
-	v.lmu.Unlock()
 	v.cache.dropAll()
 	if v.dataCache != nil {
 		v.dataCache.DropAll()

@@ -47,6 +47,11 @@ type Config struct {
 	// to read-only — mutations refused after demotion count as
 	// MediaLosses, never as violations, and every state must still mount.
 	WriteDecay float64
+	// LogSectors overrides the workload volume's log size (0 keeps the
+	// explorer's 4+3*200). The smallest legal log, 4+3*83, wraps every few
+	// operations, so third-crossing home-write sweeps — and crash points
+	// inside and between their copy-A and copy-B passes — fill the trace.
+	LogSectors int
 	// Async runs the workload (and the recovery mounts) with the
 	// asynchronous metadata pipeline enabled. The workload drains the
 	// intent queue after every operation so the journal trace stays a pure
@@ -99,6 +104,10 @@ type Result struct {
 	GapBreaks     int             `json:"gap_breaks"`
 	RecoveryTimes []time.Duration `json:"-"`       // virtual mount times, one per state
 	Elapsed       time.Duration   `json:"elapsed"` // wall clock
+
+	// ThirdCrossings is how many times the workload's log entered a new
+	// third (each one a name-table home-write sweep inside the trace).
+	ThirdCrossings int `json:"third_crossings"`
 
 	// Nested-mode (depth 2) aggregates.
 	InnerStatesTotal   int             `json:"inner_states_total,omitempty"` // summed inner enumeration sizes
@@ -190,18 +199,22 @@ func wlPayload(rng *rand.Rand, n int) []byte {
 
 // buildWorkload runs the scripted op sequence against a write-back disk and
 // returns the frozen base image, the journal trace, the final open epoch,
-// and the oracle plan.
-func buildWorkload(seed int64, nops int, async bool) (*disk.Disk, []disk.JournaledWrite, int, []fileExp, error) {
+// the oracle plan, and how many third crossings the log made.
+func buildWorkload(seed int64, nops int, async bool, logSectors int) (*disk.Disk, []disk.JournaledWrite, int, []fileExp, int, error) {
 	rng := rand.New(rand.NewSource(seed))
 	clk := sim.NewVirtualClock()
 	d, err := disk.New(disk.SmallGeometry, disk.DefaultParams, clk)
 	if err != nil {
-		return nil, nil, 0, nil, err
+		return nil, nil, 0, nil, 0, err
 	}
 	cfg := explorerConfig(async)
+	if logSectors > 0 {
+		// Only Format reads it: mounts take the layout from the root page.
+		cfg.LogSectors = logSectors
+	}
 	v, err := core.Format(d, cfg)
 	if err != nil {
-		return nil, nil, 0, nil, err
+		return nil, nil, 0, nil, 0, err
 	}
 	// Freeze the platter at the freshly formatted state; everything the
 	// workload writes stays in the window.
@@ -222,7 +235,7 @@ func buildWorkload(seed int64, nops int, async bool) (*disk.Disk, []disk.Journal
 			pi := live[j]
 			live = append(live[:j], live[j+1:]...)
 			if err := v.Delete(plan[pi].name, 1); err != nil {
-				return nil, nil, 0, nil, fmt.Errorf("workload delete %s: %w", plan[pi].name, err)
+				return nil, nil, 0, nil, 0, fmt.Errorf("workload delete %s: %w", plan[pi].name, err)
 			}
 			plan[pi].deleted = true
 		} else {
@@ -234,7 +247,7 @@ func buildWorkload(seed int64, nops int, async bool) (*disk.Disk, []disk.Journal
 				data = wlPayload(rng, 200+rng.Intn(3300))
 			}
 			if _, err := v.Create(name, data); err != nil {
-				return nil, nil, 0, nil, fmt.Errorf("workload create %s: %w", name, err)
+				return nil, nil, 0, nil, 0, fmt.Errorf("workload create %s: %w", name, err)
 			}
 			plan = append(plan, fileExp{name: name, data: data})
 			live = append(live, len(plan)-1)
@@ -242,13 +255,13 @@ func buildWorkload(seed int64, nops int, async bool) (*disk.Disk, []disk.Journal
 		// Async mode: drain after every op so applier progress — and with
 		// it the write journal — is a deterministic function of the seed.
 		if err := v.DrainIntents(); err != nil {
-			return nil, nil, 0, nil, fmt.Errorf("workload drain: %w", err)
+			return nil, nil, 0, nil, 0, fmt.Errorf("workload drain: %w", err)
 		}
 		// Acknowledge every few ops, but leave an unacknowledged tail so
 		// the may-exist arm of the oracle is exercised too.
 		if i%4 == 3 && i < nops-6 && !longStretch {
 			if err := v.WaitCommitted(v.CommitSeq()); err != nil {
-				return nil, nil, 0, nil, fmt.Errorf("workload commit: %w", err)
+				return nil, nil, 0, nil, 0, fmt.Errorf("workload commit: %w", err)
 			}
 			ack := d.SyncedEpoch()
 			for k := range plan {
@@ -263,10 +276,11 @@ func buildWorkload(seed int64, nops int, async bool) (*disk.Disk, []disk.Journal
 	}
 	trace := d.Trace()
 	epochs := d.SyncedEpoch()
+	crossings := v.Stats().Commit.ThirdCrossings
 	// Crash (not Halt directly): it also closes the intent queue so no
 	// applier goroutine outlives the frozen base image.
 	v.Crash()
-	return d, trace, epochs, plan, nil
+	return d, trace, epochs, plan, crossings, nil
 }
 
 type stateResult struct {
@@ -408,7 +422,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	wallStart := time.Now()
-	base, trace, epochs, plan, err := buildWorkload(cfg.Seed, cfg.Ops, cfg.Async)
+	base, trace, epochs, plan, crossings, err := buildWorkload(cfg.Seed, cfg.Ops, cfg.Async, cfg.LogSectors)
 	if err != nil {
 		return nil, err
 	}
@@ -419,6 +433,8 @@ func Run(cfg Config) (*Result, error) {
 		Epochs:       epochs,
 		TracedWrites: len(trace),
 		StatesTotal:  len(states),
+
+		ThirdCrossings: crossings,
 	}
 	for i := range plan {
 		acked := plan[i].createAck > 0 && !plan[i].deleted ||

@@ -86,7 +86,7 @@ type Stats struct {
 	MinRecordSectors int
 	MaxRecordSectors int
 	ThirdCrossings   int
-	HomeFlushes      int // pages pushed home at third crossings
+	HomeFlushes      int // items the FlushHook pushed home at third crossings (core: name-table sectors + leaders + VAM sectors)
 }
 
 // Config parameterizes the log.

@@ -20,10 +20,15 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 go vet ./...
 go build ./...
 go test ./...
+# The benchmark is its own module, so the line above skips it: its smoke
+# test and TestBenchmarkJSON (BENCHMARK.json == the metric catalogue).
+(cd benchmarks && go test ./...)
 go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache ./internal/intentq ./internal/crashtest ./internal/server ./internal/wire ./client
 # ...plus the read-count gate that keeps the name-table passes of mount
-# and scrub sequential (two reads per 16-page run, not two per page).
-go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts'
+# and scrub sequential (two reads per 16-page run, not two per page) and
+# the write-count gate that keeps name-table write-back a sweep (copy A
+# ascending and coalesced, then copy B — not A,B,A,B a sector at a time).
+go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep'
 go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders'
 # Seeded write-fault sweep (PR 7): retries/remaps/hung-I/O absorption and
 # the health FSM's graceful-degradation contract, plus the concurrent
