@@ -10,9 +10,18 @@
 // an entry in that connection's server-side table — so all operations on a
 // handle ride the connection that opened it; stateless operations
 // round-robin across the pool.
+//
+// Buffers: request frames are built in, and reply frames read (through a
+// buffered reader) into, pooled wire.Frames. A request's frame is recycled
+// once written. A reply's is recycled by the reader goroutine at once,
+// unless it carries read data: that reply goes to its waiter still holding
+// the frame, ReadAt copies the data out — the one copy on this side — and
+// then recycles it. A reply nobody collects (its caller gave up) keeps its
+// frame until the collector takes both.
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -81,7 +90,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		if tc, ok := nc.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		cn := &conn{cl: c, nc: nc, pending: map[uint32]chan *wire.Reply{}}
+		cn := &conn{cl: c, nc: nc, pending: map[uint32]chan *reply{}}
 		c.conns = append(c.conns, cn)
 		go cn.readLoop()
 	}
@@ -149,9 +158,17 @@ type conn struct {
 	wmu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
-	pending map[uint32]chan *wire.Reply
+	pending map[uint32]chan *reply
 	nextID  uint32
 	err     error // set once the connection is dead
+}
+
+// reply is a decoded reply on its way to its waiter. frame is non-nil when
+// Data aliases it: the waiter owns the frame and releases it once it has
+// copied the data out.
+type reply struct {
+	wire.Reply
+	frame *wire.Frame
 }
 
 // close fails the connection: every pending waiter gets err.
@@ -161,7 +178,7 @@ func (cn *conn) close(err error) {
 		cn.err = err
 	}
 	waiters := cn.pending
-	cn.pending = map[uint32]chan *wire.Reply{}
+	cn.pending = map[uint32]chan *reply{}
 	cn.mu.Unlock()
 	cn.nc.Close()
 	for _, ch := range waiters {
@@ -170,8 +187,9 @@ func (cn *conn) close(err error) {
 }
 
 func (cn *conn) readLoop() {
+	r := bufio.NewReader(cn.nc)
 	for {
-		body, err := wire.ReadFrame(cn.nc, cn.cl.opts.MaxFrame)
+		f, err := wire.ReadFramePooled(r, cn.cl.opts.MaxFrame)
 		if err != nil {
 			if !cn.cl.closed.Load() && err != io.EOF {
 				cn.cl.proto.Add(1)
@@ -179,11 +197,17 @@ func (cn *conn) readLoop() {
 			cn.close(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
-		p, err := wire.DecodeReply(body)
+		p := new(reply)
+		p.Reply, err = wire.DecodeReply(f.B)
 		if err != nil {
 			cn.cl.proto.Add(1)
 			cn.close(fmt.Errorf("client: undecodable reply: %w", err))
 			return
+		}
+		if len(p.Data) > 0 {
+			p.frame = f
+		} else {
+			f.Release() // nothing else of a reply aliases its frame
 		}
 		cn.mu.Lock()
 		ch, ok := cn.pending[p.ID]
@@ -195,20 +219,20 @@ func (cn *conn) readLoop() {
 			cn.close(fmt.Errorf("client: reply for unknown request %d", p.ID))
 			return
 		}
-		ch <- &p
+		ch <- p
 	}
 }
 
 // roundTrip sends q on cn and waits for its reply, honoring ctx. The
 // request id is assigned here.
-func (cn *conn) roundTrip(ctx context.Context, q *wire.Request) (*wire.Reply, error) {
+func (cn *conn) roundTrip(ctx context.Context, q *wire.Request) (*reply, error) {
 	if cn.cl.closed.Load() {
 		return nil, cedarfs.ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ch := make(chan *wire.Reply, 1)
+	ch := make(chan *reply, 1)
 	cn.mu.Lock()
 	if cn.err != nil {
 		err := cn.err
@@ -220,10 +244,12 @@ func (cn *conn) roundTrip(ctx context.Context, q *wire.Request) (*wire.Reply, er
 	cn.pending[q.ID] = ch
 	cn.mu.Unlock()
 
-	frame := wire.AppendRequest(nil, q)
+	f := wire.NewFrame(len(q.Data) + len(q.Name) + len(q.Name2) + frameSlack)
+	f.B = wire.AppendRequest(f.B, q)
 	cn.wmu.Lock()
-	err := wire.WriteFrame(cn.nc, frame)
+	err := wire.WriteFrame(cn.nc, f.B)
 	cn.wmu.Unlock()
+	f.Release()
 	if err != nil {
 		cn.close(fmt.Errorf("client: write failed: %w", err))
 		return nil, err
@@ -413,6 +439,9 @@ func (h *remoteHandle) ReadAt(ctx context.Context, p []byte, off int64) (int, er
 			return read, err
 		}
 		n := copy(p[read:], rep.Data)
+		if rep.frame != nil {
+			rep.frame.Release()
+		}
 		read += n
 		if n < want {
 			// The server answers a read at/past EOF, or one it could only

@@ -24,6 +24,11 @@ import (
 //   - Wire-stable errors: failures map onto the numbered error registry
 //     (ErrCode), so errors.Is(err, ErrNotFound) holds identically for the
 //     local adapter and for a client talking to a server across the wire.
+//   - Borrowed buffers: the data passed to Create and the p passed to
+//     WriteAt are the caller's again the moment the call returns — an
+//     implementation copies what it keeps (the server passes slices of a
+//     frame it recycles for the next request) — and ReadAt fills the
+//     caller's p and keeps no reference to it.
 //   - Explicit durability: mutations are acknowledged when the volume
 //     accepts them (group commit pending); acks carry the commit sequence,
 //     and durability is a separate explicit step — Force returns the

@@ -35,11 +35,17 @@ const (
 	offLink      = 6
 )
 
-// node wraps a page buffer with slotted-page accessors. The buffer is always
-// a private copy when the node will be modified.
+// node wraps a page buffer with slotted-page accessors. The buffer is either
+// the pager's own page (a view: read-only) or a private copy (clone, newNode)
+// that a mutation changes and then stores.
 type node struct {
 	id   uint32
 	data []byte
+}
+
+// clone returns n over a private copy of its page.
+func (n node) clone() node {
+	return node{id: n.id, data: append([]byte(nil), n.data...)}
 }
 
 func newNode(id uint32, size int, kind byte) node {

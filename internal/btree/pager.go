@@ -24,17 +24,30 @@ import (
 // is reserved for the tree's meta page; the tree allocates the rest itself
 // via a free list threaded through the meta page, so page allocation is
 // captured by whatever mechanism the Pager uses to persist writes.
+//
+// Buffer ownership — a read borrows, only a mutation copies:
+//
+//   - Read lends the pager's own page. The tree walks it in place and
+//     never writes to it; a node it is about to change is copied first.
+//     The pager must leave the bytes unchanged until the next Write of the
+//     same id, and the tree issues that Write only under its exclusive
+//     lock, so a page borrowed under the read lock is stable for the whole
+//     operation — even if the pager evicts it meanwhile (the slice keeps
+//     the memory alive).
+//   - Write gives the buffer away. The pager may keep data as the page
+//     (the FSD cache does), stamp its reserved bytes, or copy it (MemPager,
+//     CFS); the tree does not touch data once Write has been called.
 type Pager interface {
 	// PageSize returns the fixed page size in bytes.
 	PageSize() int
 	// NumPages returns the number of pages in the space.
 	NumPages() int
-	// Read returns the contents of page id. The returned slice is owned
-	// by the caller only until the next call on the Pager; callers that
-	// retain data must copy it.
+	// Read returns the contents of page id: read-only for the caller,
+	// unchanged until the next Write of id.
 	Read(id uint32) ([]byte, error)
-	// Write replaces the contents of page id. The Pager may buffer, log,
-	// or write through, but a subsequent Read must observe the data.
+	// Write replaces the contents of page id and takes ownership of data.
+	// The Pager may buffer, log, or write through, but a subsequent Read
+	// must observe the data.
 	Write(id uint32, data []byte) error
 }
 

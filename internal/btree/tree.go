@@ -121,17 +121,29 @@ func (t *Tree) writeMeta() error {
 	return t.p.Write(0, buf)
 }
 
-// load reads page id into a private copy wrapped as a node.
-func (t *Tree) load(id uint32) (node, error) {
+// view wraps the pager's own copy of page id as a node, without copying.
+// Every read-only walk uses views: the page stays unchanged for as long as
+// the tree lock is held (see Pager.Read), and a view is never written to.
+func (t *Tree) view(id uint32) (node, error) {
 	buf, err := t.p.Read(id)
 	if err != nil {
 		return node{}, err
 	}
-	cp := make([]byte, len(buf))
-	copy(cp, buf)
-	return node{id: id, data: cp}, nil
+	return node{id: id, data: buf}, nil
 }
 
+// load reads page id into a private copy: the node a mutation is about to
+// change.
+func (t *Tree) load(id uint32) (node, error) {
+	n, err := t.view(id)
+	if err != nil {
+		return node{}, err
+	}
+	return n.clone(), nil
+}
+
+// store hands n's buffer to the pager, which may keep it (see Pager.Write):
+// n must not be touched afterwards.
 func (t *Tree) store(n node) error { return t.p.Write(n.id, n.data) }
 
 // alloc returns a fresh page id, popping the free list first.
@@ -172,50 +184,47 @@ type pathEl struct {
 	idx int
 }
 
-// descend walks from the root to the leaf responsible for key, returning the
-// internal-node path and the leaf.
-func (t *Tree) descend(key []byte) ([]pathEl, node, error) {
-	var path []pathEl
+// descend walks from the root to the leaf responsible for key and returns a
+// view of it. A mutation that may split passes path to collect the internal
+// pages visited; read-only walks pass nil and record nothing.
+func (t *Tree) descend(key []byte, path *[]pathEl) (node, error) {
 	id := t.root
 	for level := t.height; level > 1; level-- {
-		n, err := t.load(id)
+		n, err := t.view(id)
 		if err != nil {
-			return nil, node{}, err
+			return node{}, err
 		}
 		if n.kind() != kindInternal {
-			return nil, node{}, fmt.Errorf("%w: page %d expected internal", ErrCorrupt, id)
+			return node{}, fmt.Errorf("%w: page %d expected internal", ErrCorrupt, id)
 		}
 		idx, _ := n.search(key)
-		path = append(path, pathEl{id: id, idx: idx})
+		if path != nil {
+			*path = append(*path, pathEl{id: id, idx: idx})
+		}
 		if idx < 0 {
 			id = n.link()
 		} else {
 			id = n.child(idx)
 		}
 		if id == 0 {
-			return nil, node{}, fmt.Errorf("%w: nil child under page %d", ErrCorrupt, n.id)
+			return node{}, fmt.Errorf("%w: nil child under page %d", ErrCorrupt, n.id)
 		}
 	}
-	leaf, err := t.load(id)
+	leaf, err := t.view(id)
 	if err != nil {
-		return nil, node{}, err
+		return node{}, err
 	}
 	if leaf.kind() != kindLeaf {
-		return nil, node{}, fmt.Errorf("%w: page %d expected leaf", ErrCorrupt, id)
+		return node{}, fmt.Errorf("%w: page %d expected leaf", ErrCorrupt, id)
 	}
-	return path, leaf, nil
+	return leaf, nil
 }
 
-// Get returns the value stored under key, or ErrNotFound.
+// Get returns a copy of the value stored under key, or ErrNotFound.
 func (t *Tree) Get(key []byte) ([]byte, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.get(key)
-}
-
-// get is Get's body; the caller holds mu (either mode).
-func (t *Tree) get(key []byte) ([]byte, error) {
-	_, leaf, err := t.descend(key)
+	leaf, err := t.descend(key, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -223,22 +232,20 @@ func (t *Tree) get(key []byte) ([]byte, error) {
 	if !found {
 		return nil, ErrNotFound
 	}
-	// leaf.data is a private copy, so the value may be returned directly.
-	return leaf.value(idx), nil
+	// The leaf is the pager's page: the value is the one thing copied out.
+	return append([]byte(nil), leaf.value(idx)...), nil
 }
 
 // Has reports whether key is present.
 func (t *Tree) Has(key []byte) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, err := t.get(key)
-	if err == nil {
-		return true, nil
+	leaf, err := t.descend(key, nil)
+	if err != nil {
+		return false, err
 	}
-	if err == ErrNotFound {
-		return false, nil
-	}
-	return false, err
+	_, found := leaf.search(key)
+	return found, nil
 }
 
 // Put inserts or replaces the value under key.
@@ -251,10 +258,16 @@ func (t *Tree) Put(key, value []byte) error {
 	if leafCellSize(key, value) > MaxCell(t.p.PageSize()) {
 		return ErrTooLarge
 	}
-	path, leaf, err := t.descend(key)
+	// The internal levels are walked in place; only the leaf, which is
+	// about to change, is copied. A tree deeper than pathBuf (name tables
+	// are three or four levels) merely makes the append allocate.
+	var pathBuf [8]pathEl
+	path := pathBuf[:0]
+	leaf, err := t.descend(key, &path)
 	if err != nil {
 		return err
 	}
+	leaf = leaf.clone()
 	idx, found := leaf.search(key)
 	if found {
 		leaf.deleteSlot(idx)
@@ -266,18 +279,20 @@ func (t *Tree) Put(key, value []byte) error {
 	return t.splitLeafAndInsert(path, leaf, idx, key, value)
 }
 
-// kvPair is a materialized leaf cell used during splits.
+// kvPair is a leaf cell gathered for a split; k and v alias the page (or
+// the caller's arguments) they came from.
 type kvPair struct{ k, v []byte }
 
 // splitLeafAndInsert repacks the leaf plus the new cell into two pages and
-// propagates the new separator up the path.
+// propagates the new separator up the path. leaf is the caller's private
+// copy and is only read here, so the gathered cells alias it.
 func (t *Tree) splitLeafAndInsert(path []pathEl, leaf node, idx int, key, value []byte) error {
 	cells := make([]kvPair, 0, leaf.nslots()+1)
 	for i := 0; i < leaf.nslots(); i++ {
 		if i == idx {
 			cells = append(cells, kvPair{k: key, v: value})
 		}
-		cells = append(cells, kvPair{k: append([]byte(nil), leaf.key(i)...), v: append([]byte(nil), leaf.value(i)...)})
+		cells = append(cells, kvPair{k: leaf.key(i), v: leaf.value(i)})
 	}
 	if idx == leaf.nslots() {
 		cells = append(cells, kvPair{k: key, v: value})
@@ -315,6 +330,8 @@ func (t *Tree) splitLeafAndInsert(path []pathEl, leaf node, idx int, key, value 
 	}
 	right.setLink(leaf.link())
 	left.setLink(rightID)
+	// Taken before the stores: a stored page belongs to the pager.
+	sep := cells[splitAt].k
 	// Write the new right page before the left page that points at it;
 	// under a non-atomic pager a crash between the two leaves garbage
 	// rather than a dangling pointer. (Under the logged pager the batch
@@ -325,14 +342,14 @@ func (t *Tree) splitLeafAndInsert(path []pathEl, leaf node, idx int, key, value 
 	if err := t.store(left); err != nil {
 		return err
 	}
-	sep := append([]byte(nil), right.key(0)...)
 	if err := t.insertSeparator(path, sep, rightID); err != nil {
 		return err
 	}
 	return t.writeMeta()
 }
 
-// icell is a materialized internal cell used during splits.
+// icell is an internal cell gathered for a split; k aliases the page it
+// came from.
 type icell struct {
 	k     []byte
 	child uint32
@@ -359,7 +376,7 @@ func (t *Tree) insertSeparator(path []pathEl, sep []byte, right uint32) error {
 			if i == at {
 				cells = append(cells, icell{k: sep, child: right})
 			}
-			cells = append(cells, icell{k: append([]byte(nil), n.key(i)...), child: n.child(i)})
+			cells = append(cells, icell{k: n.key(i), child: n.child(i)})
 		}
 		if at == n.nslots() {
 			cells = append(cells, icell{k: sep, child: right})
@@ -385,7 +402,8 @@ func (t *Tree) insertSeparator(path []pathEl, sep []byte, right uint32) error {
 		if err := t.store(left); err != nil {
 			return err
 		}
-		sep = append([]byte(nil), cells[mid].k...)
+		// cells alias n, the private copy that was never stored.
+		sep = cells[mid].k
 		right = rightID
 	}
 	// The root itself split: grow the tree.
@@ -410,7 +428,7 @@ func (t *Tree) insertSeparator(path []pathEl, sep []byte, right uint32) error {
 func (t *Tree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, leaf, err := t.descend(key)
+	leaf, err := t.descend(key, nil)
 	if err != nil {
 		return err
 	}
@@ -418,13 +436,14 @@ func (t *Tree) Delete(key []byte) error {
 	if !found {
 		return ErrNotFound
 	}
+	leaf = leaf.clone()
 	leaf.deleteSlot(idx)
 	return t.store(leaf)
 }
 
 // Scan calls fn for every entry with key >= start in ascending order until
 // fn returns false or the tree is exhausted. The key and value slices are
-// only valid during the callback.
+// the pager's own page: valid only during the callback, and read-only.
 func (t *Tree) Scan(start []byte, fn func(key, value []byte) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -433,7 +452,7 @@ func (t *Tree) Scan(start []byte, fn func(key, value []byte) bool) error {
 
 // scan is Scan's body; the caller holds mu (either mode).
 func (t *Tree) scan(start []byte, fn func(key, value []byte) bool) error {
-	_, leaf, err := t.descend(start)
+	leaf, err := t.descend(start, nil)
 	if err != nil {
 		return err
 	}
@@ -448,7 +467,7 @@ func (t *Tree) scan(start []byte, fn func(key, value []byte) bool) error {
 		if next == 0 {
 			return nil
 		}
-		leaf, err = t.load(next)
+		leaf, err = t.view(next)
 		if err != nil {
 			return err
 		}
@@ -479,7 +498,7 @@ func (t *Tree) Check() error {
 	var prevKey []byte
 	var walk func(id uint32, depth uint32, lo, hi []byte) error
 	walk = func(id uint32, depth uint32, lo, hi []byte) error {
-		n, err := t.load(id)
+		n, err := t.view(id)
 		if err != nil {
 			return err
 		}
@@ -504,7 +523,7 @@ func (t *Tree) Check() error {
 				if prevKey != nil && bytes.Compare(prevKey, k) >= 0 {
 					return fmt.Errorf("%w: global key order violated at page %d", ErrCorrupt, id)
 				}
-				prevKey = append(prevKey[:0], k...)
+				prevKey = k
 			}
 			return nil
 		}
@@ -519,15 +538,15 @@ func (t *Tree) Check() error {
 				cid = n.link()
 			} else {
 				cid = n.child(i)
-				childLo = append([]byte(nil), n.key(i)...)
+				childLo = n.key(i)
 			}
 			if i+1 < n.nslots() {
-				childHi = append([]byte(nil), n.key(i+1)...)
+				childHi = n.key(i + 1)
 			} else {
 				childHi = hi
 			}
 			if i < 0 && n.nslots() > 0 {
-				childHi = append([]byte(nil), n.key(0)...)
+				childHi = n.key(0)
 			}
 			if err := walk(cid, depth+1, childLo, childHi); err != nil {
 				return err

@@ -20,13 +20,20 @@
 // on-platter image — what the crash-state explorer's oracle inspects — is
 // byte-identical with the cache on or off.
 //
+// Buffers: the cache owns every frame, in one slab allocated by New, and
+// never lends one out. A hit copies frame → the caller's buffer, a fill
+// copies the caller's buffer → frame, both under the shard lock, so no
+// caller ever holds a pointer into the slab and a frame may be reused the
+// moment its shard lock is released. Nothing on the hit, fill or eviction
+// path allocates.
+//
 // Concurrency: lookups run under the volume's shared read monitor, so the
-// hit path takes no cache-global mutex — only a shard read-lock for the map
-// lookup and the frame's own lock for the copy. Mutations (write-through
-// updates, invalidations) take the affected shard locks plus a global
-// generation bump that aborts concurrent fills racing the mutation (a fill
-// holds no locks across its disk read, so without the generation check a
-// slow fill could install pre-write data over a newer write).
+// hit path takes no cache-global mutex — only the lock of the shard the
+// sector maps to, held for one 512-byte copy and a list splice. Mutations
+// (write-through updates, invalidations) take the affected shard locks plus
+// a global generation bump that aborts concurrent fills racing the mutation
+// (a fill holds no locks across its disk read, so without the generation
+// check a slow fill could install pre-write data over a newer write).
 package bufcache
 
 import (
@@ -64,19 +71,84 @@ type Stats struct {
 	Capacity         int   // frame capacity
 }
 
-// frame is one cached sector. Its lock guards only the payload bytes; the
-// LRU tick is atomic so the hit path can touch it lock-free.
+// frame is one cached sector: a slab slot, linked into its shard's LRU list
+// while it holds a sector and into the shard's free chain (through next)
+// while it does not. Links are slab indices, so the slab holds no pointers
+// and the collector never scans it.
 type frame struct {
-	mu   sync.RWMutex
-	data [SectorSize]byte
-	tick atomic.Int64
+	addr       int
+	prev, next int32
+	data       [SectorSize]byte
 }
 
-// shard is one slice of the address space. The shard lock guards the map
-// only, never the frame payloads.
+// none terminates the frame lists.
+const none int32 = -1
+
+// shard is one slice of the address space and of the slab. Its lock guards
+// the index, the lists and the payload bytes of its frames.
 type shard struct {
-	mu     sync.RWMutex
-	frames map[int]*frame
+	mu     sync.Mutex
+	index  map[int]int32 // sector address -> slot in frames
+	frames []frame
+	// head is the most and tail the least recently touched resident frame.
+	// Every touch moves a frame to the head, so the tail is the frame a
+	// scan for the oldest touch would find: replacement is exact LRU
+	// within the shard, at the cost of a splice instead of a scan.
+	head, tail int32
+	free       int32
+}
+
+// unlink takes resident frame i out of the LRU list.
+func (s *shard) unlink(i int32) {
+	f := &s.frames[i]
+	if f.prev == none {
+		s.head = f.next
+	} else {
+		s.frames[f.prev].next = f.next
+	}
+	if f.next == none {
+		s.tail = f.prev
+	} else {
+		s.frames[f.next].prev = f.prev
+	}
+}
+
+// pushFront makes frame i the most recently touched.
+func (s *shard) pushFront(i int32) {
+	f := &s.frames[i]
+	f.prev, f.next = none, s.head
+	if s.head == none {
+		s.tail = i
+	} else {
+		s.frames[s.head].prev = i
+	}
+	s.head = i
+}
+
+// touch records a use of resident frame i.
+func (s *shard) touch(i int32) {
+	if s.head != i {
+		s.unlink(i)
+		s.pushFront(i)
+	}
+}
+
+// release drops resident frame i back onto the free chain.
+func (s *shard) release(i int32) {
+	s.unlink(i)
+	delete(s.index, s.frames[i].addr)
+	s.frames[i].next = s.free
+	s.free = i
+}
+
+// reset empties the shard: every frame onto the free chain.
+func (s *shard) reset() {
+	clear(s.index)
+	s.head, s.tail, s.free = none, none, none
+	for i := len(s.frames) - 1; i >= 0; i-- {
+		s.frames[i].next = s.free
+		s.free = int32(i)
+	}
 }
 
 // stream is one entry of the sequential-access table: the address the next
@@ -89,13 +161,10 @@ type stream struct {
 // Cache is a sector-addressed write-through LRU cache. The zero value is
 // not usable; call New.
 type Cache struct {
-	shards      [numShards]shard
-	capacity    int
-	perShardCap int
+	shards   [numShards]shard
+	capacity int
 
-	// tick is the global LRU clock: every touch stamps the frame with a
-	// unique, monotonically increasing value, so the per-shard LRU victim
-	// (minimum tick) is deterministic regardless of map iteration order.
+	// tick orders the stream table's entries (NoteFill).
 	tick atomic.Int64
 	// gen is bumped by every mutation (write-through update, invalidation,
 	// drop) before the mutation touches any shard. A fill captures gen
@@ -123,12 +192,14 @@ func New(capacity int) *Cache {
 	if capacity < numShards {
 		capacity = numShards
 	}
-	c := &Cache{
-		capacity:    capacity,
-		perShardCap: (capacity + numShards - 1) / numShards,
-	}
+	c := &Cache{capacity: capacity}
+	perShard := (capacity + numShards - 1) / numShards
+	slab := make([]frame, perShard*numShards)
 	for i := range c.shards {
-		c.shards[i].frames = make(map[int]*frame)
+		s := &c.shards[i]
+		s.index = make(map[int]int32, perShard)
+		s.frames = slab[i*perShard : (i+1)*perShard]
+		s.reset()
 	}
 	for i := range c.streams {
 		c.streams[i].next = -1
@@ -145,28 +216,43 @@ func (c *Cache) shardFor(addr int) *shard {
 	return &c.shards[addr&(numShards-1)]
 }
 
-// GetRange returns the cached contents of [addr, addr+n) if every sector is
-// resident, in one freshly allocated buffer. A partial hit returns false
-// and counts as a full miss — the caller refetches the whole range in one
-// disk request, which is cheaper than stitching a short cached prefix to a
-// second short disk read.
-func (c *Cache) GetRange(addr, n int) ([]byte, bool) {
-	buf := make([]byte, n*SectorSize)
-	for i := 0; i < n; i++ {
-		s := c.shardFor(addr + i)
-		s.mu.RLock()
-		f := s.frames[addr+i]
-		s.mu.RUnlock()
-		if f == nil {
-			c.misses.Add(int64(n))
-			return nil, false
+// GetRangeInto copies the cached sectors starting at addr into dst — one or
+// more buffers of whole sectors, filled in order — if every one of them is
+// resident. A partial hit returns false and counts as a full miss — the
+// caller refetches the whole range in one disk request, which is cheaper
+// than stitching a short cached prefix to a second short disk read — and
+// leaves dst partly overwritten.
+func (c *Cache) GetRangeInto(addr int, dst ...[]byte) bool {
+	n := 0
+	for _, d := range dst {
+		n += len(d) / SectorSize
+	}
+	a := addr
+	for _, d := range dst {
+		for ; len(d) >= SectorSize; d, a = d[SectorSize:], a+1 {
+			s := c.shardFor(a)
+			s.mu.Lock()
+			i, ok := s.index[a]
+			if !ok {
+				s.mu.Unlock()
+				c.misses.Add(int64(n))
+				return false
+			}
+			copy(d, s.frames[i].data[:])
+			s.touch(i)
+			s.mu.Unlock()
 		}
-		f.mu.RLock()
-		copy(buf[i*SectorSize:], f.data[:])
-		f.mu.RUnlock()
-		f.tick.Store(c.tick.Add(1))
 	}
 	c.hits.Add(int64(n))
+	return true
+}
+
+// GetRange is GetRangeInto a freshly allocated buffer of n sectors.
+func (c *Cache) GetRange(addr, n int) ([]byte, bool) {
+	buf := make([]byte, n*SectorSize)
+	if !c.GetRangeInto(addr, buf) {
+		return nil, false
+	}
 	return buf, true
 }
 
@@ -176,53 +262,39 @@ func (c *Cache) GetRange(addr, n int) ([]byte, bool) {
 func (c *Cache) Gen() uint64 { return c.gen.Load() }
 
 // PutRange installs len(data)/SectorSize sectors read from the disk at
-// addr, evicting LRU frames as needed. The install is abandoned (returning
-// false) as soon as the cache's generation differs from gen, so a fill
-// whose disk read raced a write-through update or an invalidation cannot
-// resurrect stale bytes.
+// addr, copying them into frames: a free one while the shard has any, else
+// the shard's least recently touched, which is evicted. The install is
+// abandoned (returning false) as soon as the cache's generation differs from
+// gen, so a fill whose disk read raced a write-through update or an
+// invalidation cannot resurrect stale bytes.
 func (c *Cache) PutRange(addr int, data []byte, gen uint64) bool {
-	n := len(data) / SectorSize
-	for i := 0; i < n; i++ {
-		s := c.shardFor(addr + i)
+	for ; len(data) >= SectorSize; data, addr = data[SectorSize:], addr+1 {
+		s := c.shardFor(addr)
 		s.mu.Lock()
 		if c.gen.Load() != gen {
 			s.mu.Unlock()
 			return false
 		}
-		f := s.frames[addr+i]
-		if f == nil {
-			f = &frame{}
-			if len(s.frames) >= c.perShardCap {
-				c.evictLocked(s)
+		i, ok := s.index[addr]
+		if ok {
+			s.unlink(i)
+		} else {
+			if s.free == none {
+				s.release(s.tail)
+				c.evicted.Add(1)
+			} else {
+				c.size.Add(1)
 			}
-			s.frames[addr+i] = f
-			c.size.Add(1)
+			i = s.free
+			s.free = s.frames[i].next
+			s.frames[i].addr = addr
+			s.index[addr] = i
 		}
-		f.mu.Lock()
-		copy(f.data[:], data[i*SectorSize:(i+1)*SectorSize])
-		f.mu.Unlock()
-		f.tick.Store(c.tick.Add(1))
+		copy(s.frames[i].data[:], data)
+		s.pushFront(i)
 		s.mu.Unlock()
 	}
 	return true
-}
-
-// evictLocked removes the shard's least-recently-used frame. The caller
-// holds the shard lock. Ticks are globally unique, so the minimum is a
-// deterministic victim regardless of map iteration order.
-func (c *Cache) evictLocked(s *shard) {
-	victim := -1
-	var oldest int64
-	for a, f := range s.frames {
-		if t := f.tick.Load(); victim < 0 || t < oldest {
-			victim, oldest = a, t
-		}
-	}
-	if victim >= 0 {
-		delete(s.frames, victim)
-		c.size.Add(-1)
-		c.evicted.Add(1)
-	}
 }
 
 // Update is the write-through hook: the caller has already written data to
@@ -236,11 +308,9 @@ func (c *Cache) Update(addr int, data []byte) {
 	for i := 0; i < n; i++ {
 		s := c.shardFor(addr + i)
 		s.mu.Lock()
-		if f := s.frames[addr+i]; f != nil {
-			f.mu.Lock()
-			copy(f.data[:], data[i*SectorSize:(i+1)*SectorSize])
-			f.mu.Unlock()
-			f.tick.Store(c.tick.Add(1))
+		if f, ok := s.index[addr+i]; ok {
+			copy(s.frames[f].data[:], data[i*SectorSize:(i+1)*SectorSize])
+			s.touch(f)
 		}
 		s.mu.Unlock()
 	}
@@ -254,8 +324,8 @@ func (c *Cache) Invalidate(addr, n int) {
 	for i := 0; i < n; i++ {
 		s := c.shardFor(addr + i)
 		s.mu.Lock()
-		if _, ok := s.frames[addr+i]; ok {
-			delete(s.frames, addr+i)
+		if f, ok := s.index[addr+i]; ok {
+			s.release(f)
 			c.size.Add(-1)
 			c.invalidated.Add(1)
 		}
@@ -269,8 +339,8 @@ func (c *Cache) DropAll() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n := len(s.frames)
-		s.frames = make(map[int]*frame)
+		n := len(s.index)
+		s.reset()
 		s.mu.Unlock()
 		c.size.Add(int64(-n))
 		c.invalidated.Add(int64(n))

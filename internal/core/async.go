@@ -333,7 +333,8 @@ func (v *Volume) applyStep(st intentStep) (bool, error) {
 // name, and the B-tree/cache work rides the intent queue.
 
 func (v *Volume) createClassAsync(name string, data []byte, class Class, linkTarget string) (*File, error) {
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.beginMutate(); err != nil {
 		return nil, err
 	}
@@ -449,7 +450,8 @@ func (v *Volume) createClassAsync(name string, data []byte, class Class, linkTar
 }
 
 func (v *Volume) touchAsync(name string, version uint32) error {
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.beginMutate(); err != nil {
 		return err
 	}
@@ -472,7 +474,8 @@ func (v *Volume) touchAsync(name string, version uint32) error {
 }
 
 func (v *Volume) setKeepAsync(name string, keep uint16) error {
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.beginMutate(); err != nil {
 		return err
 	}
@@ -494,7 +497,8 @@ func (v *Volume) setKeepAsync(name string, keep uint16) error {
 }
 
 func (v *Volume) deleteAsync(name string, version uint32) error {
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.beginMutate(); err != nil {
 		return err
 	}
@@ -533,7 +537,8 @@ func (v *Volume) deleteAsync(name string, version uint32) error {
 }
 
 func (v *Volume) renameAsync(oldName, newName string) error {
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.beginMutate(); err != nil {
 		return err
 	}
@@ -587,7 +592,8 @@ func (v *Volume) renameAsync(oldName, newName string) error {
 
 func (f *File) extendAsync(morePages int) error {
 	v := f.v
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.beginMutate(); err != nil {
 		return err
 	}
@@ -649,7 +655,8 @@ func (f *File) extendAsync(morePages int) error {
 
 func (f *File) contractAsync(newPages int) error {
 	v := f.v
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.beginMutate(); err != nil {
 		return err
 	}
@@ -716,7 +723,8 @@ func (f *File) contractAsync(newPages int) error {
 
 func (f *File) setByteSizeAsync(n uint64) error {
 	v := f.v
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.beginMutate(); err != nil {
 		return err
 	}

@@ -30,17 +30,13 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if want == 0 {
 		return 0, nil
 	}
-	firstPage := int(off / disk.SectorSize)
-	lastPage := int((off + want - 1) / disk.SectorSize)
-	buf, err := f.ReadPages(firstPage, lastPage-firstPage+1)
-	if err != nil {
+	if err := f.readInto(p[:want], off); err != nil {
 		return 0, err
 	}
-	n := copy(p, buf[off-int64(firstPage)*disk.SectorSize:][:want])
-	if int64(n) < int64(len(p)) {
-		return n, io.EOF
+	if want < int64(len(p)) {
+		return int(want), io.EOF
 	}
-	return n, nil
+	return int(want), nil
 }
 
 // WriteAt writes p at byte offset off within the file's allocated pages,
@@ -66,9 +62,8 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	headPartial := off%disk.SectorSize != 0
 	tailPartial := end%disk.SectorSize != 0
 	if headPartial || (tailPartial && int64(lastPage)*disk.SectorSize < f.Size()) {
-		old, err := f.ReadPages(firstPage, span)
-		if err == nil {
-			copy(buf, old)
+		if err := f.readInto(buf, int64(firstPage)*disk.SectorSize); err != nil {
+			clear(buf) // unreadable: the write goes over zeroes
 		}
 	}
 	copy(buf[off-int64(firstPage)*disk.SectorSize:], p)

@@ -125,13 +125,12 @@ func stampCRC(p []byte) {
 	binary.BigEndian.PutUint32(p[ntCRCOff:], pageCRC(p))
 }
 
+// pageCRC is the IEEE CRC of the page with its CRC field read as zero.
 func pageCRC(p []byte) uint32 {
 	var z [4]byte
-	h := crc32.NewIEEE()
-	h.Write(p[:ntCRCOff])
-	h.Write(z[:])
-	h.Write(p[ntCRCOff+4:])
-	return h.Sum32()
+	crc := crc32.Update(0, crc32.IEEETable, p[:ntCRCOff])
+	crc = crc32.Update(crc, crc32.IEEETable, z[:])
+	return crc32.Update(crc, crc32.IEEETable, p[ntCRCOff+4:])
 }
 
 func crcOK(p []byte) bool {
@@ -149,7 +148,8 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 		c.v.traceCache(true, id)
 		c.seq++
 		p.lruSeq = c.seq
-		c.v.cpu.Charge(0) // navigation cost charged by callers per op
+		// The tree walks p.cur in place (btree.Pager lends pages), so this
+		// check is also what catches a caller writing through a view.
 		if !crcOK(p.cur) && !isVirgin(p.cur) {
 			return nil, fmt.Errorf("core: wild store detected in cached name-table page %d", id)
 		}
@@ -267,10 +267,13 @@ func isVirgin(p []byte) bool {
 // the changed sectors for the next group commit. Logging is sector-granular
 // — the paper logs 512-byte "physical pages", so a small property update
 // inside a 2 KB name-table page produces a one- or two-page log record, not
-// four. Nothing touches the home copies here.
-func (c *ntCache) Write(id uint32, data []byte) error {
-	if len(data) != NTPageSize {
-		return fmt.Errorf("core: name-table write of %d bytes", len(data))
+// four. Nothing touches the home copies here. The cache keeps data as the
+// page (btree.Pager.Write gives the buffer away): it is stamped here and
+// never written again, so readers borrowing it and the log images cut from
+// it stay valid without a copy.
+func (c *ntCache) Write(id uint32, fresh []byte) error {
+	if len(fresh) != NTPageSize {
+		return fmt.Errorf("core: name-table write of %d bytes", len(fresh))
 	}
 	if c.v.log == nil {
 		// Read-only mount: mutations are refused far above this, so a
@@ -292,8 +295,6 @@ func (c *ntCache) Write(id uint32, data []byte) error {
 		p = newNTPage(id, make([]byte, NTPageSize))
 		c.insert(p)
 	}
-	fresh := make([]byte, NTPageSize)
-	copy(fresh, data)
 	stampCRC(fresh)
 	c.v.cpu.Charge(csumCost)
 	var images []wal.PageImage

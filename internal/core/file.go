@@ -320,7 +320,8 @@ func (v *Volume) applyKeepLocked(name string, newest uint32, keep uint16) error 
 // the run table, are in the (cached) name table.
 func (v *Volume) Open(name string, version uint32) (_ *File, err error) {
 	defer v.span("open")(&err)
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.begin(); err != nil {
 		return nil, err
 	}
@@ -359,7 +360,8 @@ func (v *Volume) Open(name string, version uint32) (_ *File, err error) {
 // Stat returns a file's entry without opening it; version 0 = newest.
 func (v *Volume) Stat(name string, version uint32) (_ *Entry, err error) {
 	defer v.span("stat")(&err)
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.begin(); err != nil {
 		return nil, err
 	}
@@ -471,7 +473,8 @@ func (v *Volume) deleteLocked(name string, version uint32) error {
 // already available in the file name table."
 func (v *Volume) List(prefix string, fn func(Entry) bool) (err error) {
 	defer v.span("list")(&err)
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.begin(); err != nil {
 		return err
 	}
@@ -503,153 +506,180 @@ func (v *Volume) List(prefix string, fn func(Entry) bool) (err error) {
 	return err
 }
 
-// ReadPages reads n data pages starting at logical page `page`. The first
-// access to a file verifies the leader by piggybacking its read onto the
-// data transfer: "the leader page is the previous physical page on the
-// disk... it usually costs only the transfer time for a page".
-func (f *File) ReadPages(page, n int) (_ []byte, err error) {
-	v := f.v
-	defer v.span("read")(&err)
-	defer v.rlock()()
-	if err := v.begin(); err != nil {
+// ReadPages reads n data pages starting at logical page `page` into a new
+// buffer; see readInto.
+func (f *File) ReadPages(page, n int) ([]byte, error) {
+	out := make([]byte, max(n, 0)*disk.SectorSize)
+	if err := f.readInto(out, int64(page)*disk.SectorSize); err != nil {
 		return nil, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if page < 0 || n <= 0 || page+n > f.e.Pages() {
-		return nil, fmt.Errorf("core: read [%d,%d) outside %q!%d (%d pages)", page, page+n, f.e.Name, f.e.Version, f.e.Pages())
-	}
-	v.ops.reads.Add(1)
-	if v.dataCache != nil {
-		return f.readPagesCached(page, n)
-	}
-	out := make([]byte, 0, n*disk.SectorSize)
-	remaining := n
-	cur := page
-	for remaining > 0 {
-		addr, cnt, err := f.e.ContiguousFrom(cur, remaining)
-		if err != nil {
-			return nil, err
-		}
-		if cnt > MaxTransferSectors {
-			cnt = MaxTransferSectors
-		}
-		leaderAddr, _ := f.e.LeaderAddr()
-		if !f.leaderVerified && cur == page && addr == leaderAddr+1 {
-			// Piggyback the leader read on the first data access.
-			buf, err := v.readSectorsRetry(addr-1, cnt+1)
-			if err != nil {
-				return nil, err
-			}
-			if lerr := f.verifyLeaderBuf(buf[:disk.SectorSize]); lerr != nil {
-				return nil, lerr
-			}
-			out = append(out, buf[disk.SectorSize:]...)
-		} else {
-			buf, err := v.readSectorsRetry(addr, cnt)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, buf...)
-		}
-		v.cpu.Charge(time.Duration(cnt) * sim.CostPerSectorCopy)
-		cur += cnt
-		remaining -= cnt
 	}
 	return out, nil
 }
 
-// readPagesCached is the buffer-cache read path: each chunk is looked up in
-// the data cache first; misses are filled by a single clustered transfer
-// that merges physically adjacent runs (Entry.PhysContiguousFrom) and, when
-// the miss continues a detected sequential stream, extends through the
-// contiguous stretch by up to the read-ahead budget. Fills are write-through
-// partners of WritePages' Update calls and are guarded against concurrent
-// invalidation by the cache generation counter. The caller holds the monitor
-// in read mode and f.mu, and has validated [page, page+n).
-func (f *File) readPagesCached(page, n int) ([]byte, error) {
+// readWindow maps the sectors of a read onto the caller's buffer p, which
+// holds the file's bytes from offset off on. A sector the window covers
+// whole is read straight into p; the first or the last sector, when the
+// window covers only part of it, goes through a scratch sector that settle
+// copies from.
+type readWindow struct {
+	p    []byte
+	off  int64
+	edge [2][disk.SectorSize]byte
+}
+
+// place returns, in order, the destinations of sectors [cur, cur+cnt) —
+// consecutive entries of a GetRangeInto or ReadSectorsInto scatter list. Any
+// of the three may be empty. (They are results, not stores into a list the
+// caller passes, so that the window can stay on the caller's stack.)
+func (w *readWindow) place(cur, cnt int) (first, whole, last []byte) {
+	lo, hi := int64(cur)*disk.SectorSize, int64(cur+cnt)*disk.SectorSize
+	if lo < w.off {
+		first = w.edge[0][:]
+		lo += disk.SectorSize
+	}
+	// A partial last sector — unless it is the partial first one again.
+	if hi > w.off+int64(len(w.p)) && hi-disk.SectorSize >= w.off {
+		last = w.edge[1][:]
+		hi -= disk.SectorSize
+	}
+	if hi > lo {
+		whole = w.p[lo-w.off : hi-w.off]
+	}
+	return first, whole, last
+}
+
+// settle copies what the window covers of the scratch sectors place handed
+// out for [cur, cur+cnt) into p; each copy stops at the end of p.
+func (w *readWindow) settle(cur, cnt int) {
+	if lo := int64(cur) * disk.SectorSize; lo < w.off {
+		copy(w.p, w.edge[0][w.off-lo:])
+	}
+	if last := int64(cur+cnt-1) * disk.SectorSize; last+disk.SectorSize > w.off+int64(len(w.p)) && last >= w.off {
+		copy(w.p[last-w.off:], w.edge[1][:])
+	}
+}
+
+// readInto fills p with the file's bytes from byte offset off on; the pages
+// holding them must be allocated. It is the one read path: ReadPages and
+// ReadAt are windows onto it. Whole sectors travel platter → p (or, on a
+// data-cache hit, frame → p) with no buffer in between; a miss then copies
+// them p → frame to fill the cache.
+//
+// The first access to a file verifies the leader by piggybacking its read
+// onto the data transfer: "the leader page is the previous physical page on
+// the disk... it usually costs only the transfer time for a page".
+//
+// With the data cache on, each chunk is looked up there first; misses are
+// filled by a single clustered transfer that merges physically adjacent runs
+// (Entry.PhysContiguousFrom) and, when the miss continues a detected
+// sequential stream, extends through the contiguous stretch by up to the
+// read-ahead budget. Fills are write-through partners of WritePages' Update
+// calls and are guarded against concurrent invalidation by the cache
+// generation counter.
+func (f *File) readInto(p []byte, off int64) (err error) {
 	v := f.v
-	dc := v.dataCache
+	defer v.spanEnd("read", v.clk.Now(), &err)
+	v.rlock()
+	defer v.runlock()
+	if err := v.begin(); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	pages := f.e.Pages()
-	out := make([]byte, 0, n*disk.SectorSize)
-	remaining := n
-	cur := page
-	for remaining > 0 {
-		want := remaining
-		if want > MaxTransferSectors {
-			want = MaxTransferSectors
+	page := int(off / disk.SectorSize)
+	n := int((off+int64(len(p))+disk.SectorSize-1)/disk.SectorSize) - page
+	if off < 0 || n <= 0 || page+n > pages {
+		return fmt.Errorf("core: read [%d,%d) outside %q!%d (%d pages)", page, page+n, f.e.Name, f.e.Version, pages)
+	}
+	v.ops.reads.Add(1)
+	dc := v.dataCache
+	leaderAddr, _ := f.e.LeaderAddr()
+	w := readWindow{p: p, off: off}
+	for cur, remaining := page, n; remaining > 0; {
+		var addr, cnt, merged int
+		if dc != nil {
+			addr, cnt, merged, err = f.e.PhysContiguousFrom(cur, min(remaining, MaxTransferSectors))
+		} else {
+			addr, cnt, err = f.e.ContiguousFrom(cur, remaining)
+			cnt = min(cnt, MaxTransferSectors)
 		}
-		addr, cnt, merged, err := f.e.PhysContiguousFrom(cur, want)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		leaderAddr, _ := f.e.LeaderAddr()
+		// segs is the transfer's scatter list — leader, first-sector
+		// scratch, p, last-sector scratch, read-ahead — with the entries
+		// this chunk has no use for left empty.
+		var segs [5][]byte
+		segs[1], segs[2], segs[3] = w.place(cur, cnt)
 		needLeader := !f.leaderVerified && cur == page && addr == leaderAddr+1
-		if !needLeader {
-			if buf, ok := dc.GetRange(addr, cnt); ok {
-				v.traceData(true, addr, cnt)
-				out = append(out, buf...)
-				v.cpu.Charge(time.Duration(cnt) * sim.CostPerSectorCopy)
-				cur += cnt
-				remaining -= cnt
-				continue
-			}
-			v.traceData(false, addr, cnt)
-		}
-		// Miss: cluster the fetch. If this miss continues a sequential
-		// stream, extend it through the physically contiguous stretch by
-		// up to the read-ahead budget — never past the transfer cap or
-		// the end of the file.
 		fetch := cnt
-		if ra := v.cfg.readAhead(); ra > 0 && dc.Sequential(addr) {
-			max := cnt + ra
-			if max > MaxTransferSectors {
-				max = MaxTransferSectors
+		var gen uint64
+		if dc != nil {
+			if !needLeader {
+				if dc.GetRangeInto(addr, segs[1:4]...) {
+					v.traceData(true, addr, cnt)
+					w.settle(cur, cnt)
+					v.cpu.Charge(time.Duration(cnt) * sim.CostPerSectorCopy)
+					cur += cnt
+					remaining -= cnt
+					continue
+				}
+				v.traceData(false, addr, cnt)
 			}
-			if left := pages - cur; max > left {
-				max = left
-			}
-			if max > cnt {
-				if _, stretch, m, err := f.e.PhysContiguousFrom(cur, max); err == nil && stretch > fetch {
-					fetch = stretch
-					merged = m
+			// Miss: cluster the fetch. If this miss continues a sequential
+			// stream, extend it through the physically contiguous stretch
+			// by up to the read-ahead budget — never past the transfer cap
+			// or the end of the file.
+			if ra := v.cfg.readAhead(); ra > 0 && dc.Sequential(addr) {
+				limit := min(cnt+ra, MaxTransferSectors, pages-cur)
+				if limit > cnt {
+					if _, stretch, m, err := f.e.PhysContiguousFrom(cur, limit); err == nil && stretch > fetch {
+						fetch = stretch
+						merged = m
+						segs[4] = make([]byte, (fetch-cnt)*disk.SectorSize)
+					}
 				}
 			}
+			gen = dc.Gen()
 		}
-		gen := dc.Gen()
-		var buf []byte
 		if needLeader {
 			// Piggyback the leader read on the first data access.
-			raw, err := v.readSectorsRetry(addr-1, fetch+1)
-			if err != nil {
-				return nil, err
+			var leader [disk.SectorSize]byte
+			segs[0] = leader[:]
+			if err := v.readSectorsRetryInto(addr-1, segs[:]...); err != nil {
+				return err
 			}
-			if lerr := f.verifyLeaderBuf(raw[:disk.SectorSize]); lerr != nil {
-				return nil, lerr
+			if lerr := f.verifyLeaderBuf(leader[:]); lerr != nil {
+				return lerr
 			}
-			buf = raw[disk.SectorSize:]
-		} else {
-			buf, err = v.readSectorsRetry(addr, fetch)
-			if err != nil {
-				return nil, err
+		} else if err := v.readSectorsRetryInto(addr, segs[1:]...); err != nil {
+			return err
+		}
+		if dc != nil {
+			at := addr
+			for _, seg := range segs[1:] {
+				if !dc.PutRange(at, seg, gen) {
+					break
+				}
+				at += len(seg) / disk.SectorSize
+			}
+			dc.NoteFill(addr, fetch)
+			if fetch > cnt {
+				dc.NoteReadAhead(fetch - cnt)
+				v.traceReadAhead(addr, fetch-cnt)
+			}
+			if merged > 0 {
+				dc.NoteCoalescedRead()
+				v.traceCoalesce("read", addr, fetch, merged)
 			}
 		}
-		dc.PutRange(addr, buf, gen)
-		dc.NoteFill(addr, fetch)
-		if fetch > cnt {
-			dc.NoteReadAhead(fetch - cnt)
-			v.traceReadAhead(addr, fetch-cnt)
-		}
-		if merged > 0 {
-			dc.NoteCoalescedRead()
-			v.traceCoalesce("read", addr, fetch, merged)
-		}
-		out = append(out, buf[:cnt*disk.SectorSize]...)
+		w.settle(cur, cnt)
 		v.cpu.Charge(time.Duration(fetch) * sim.CostPerSectorCopy)
 		cur += cnt
 		remaining -= cnt
 	}
-	return out, nil
+	return nil
 }
 
 // verifyLeaderBuf checks a freshly read leader page; the caller holds the
@@ -690,7 +720,8 @@ func (f *File) ReadAll() ([]byte, error) {
 func (f *File) WritePages(page int, data []byte) (err error) {
 	v := f.v
 	defer v.span("write")(&err)
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if err := v.beginMutate(); err != nil {
 		return err
 	}

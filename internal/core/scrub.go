@@ -114,13 +114,26 @@ func (v *Volume) faultStats() FaultStats {
 // in steady state they only count: a scrub retrying damage it is about to
 // repair must not demote the volume for doing its job.
 func (v *Volume) readSectorsRetry(addr, n int) ([]byte, error) {
-	buf, err := v.d.ReadSectors(addr, n)
+	buf := make([]byte, n*disk.SectorSize)
+	if err := v.readSectorsRetryInto(addr, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// readSectorsRetryInto is readSectorsRetry into the caller's buffers (see
+// disk.ReadSectorsInto); on an error they are partly overwritten.
+func (v *Volume) readSectorsRetryInto(addr int, dst ...[]byte) error {
+	err := v.d.ReadSectorsInto(addr, dst...)
+	if err == nil {
+		return nil
+	}
 	var de *disk.DamagedError
 	retried := 0
 	for tries := 0; err != nil && errors.As(err, &de) && tries < v.cfg.readRetries(); tries++ {
 		v.faults.retries.Add(1)
 		retried++
-		buf, err = v.d.ReadSectors(addr, n)
+		err = v.d.ReadSectorsInto(addr, dst...)
 		if err == nil {
 			v.faults.retriedOK.Add(1)
 		}
@@ -128,7 +141,7 @@ func (v *Volume) readSectorsRetry(addr, n int) ([]byte, error) {
 	if retried > 0 && v.recovering.Load() {
 		v.chargeBudget(int64(retried)*weightRetry, "recovery read retries")
 	}
-	return buf, err
+	return err
 }
 
 // repairSectors rewrites sectors from a known-good image, retiring to a
@@ -329,7 +342,7 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 		ver  uint32
 	}
 	var refs []lref
-	unlock := v.rlock()
+	v.rlock()
 	err := v.nt.Scan(nil, func(k, _ []byte) bool {
 		name, ver, ok := splitKey(k)
 		if !ok {
@@ -338,7 +351,7 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 		refs = append(refs, lref{name, ver})
 		return true
 	})
-	unlock()
+	v.runlock()
 	if err != nil {
 		return err
 	}
@@ -370,8 +383,8 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 }
 
 func (v *Volume) scrubLeader(name string, ver uint32, st *ScrubStats) error {
-	unlock := v.rlock()
-	defer unlock()
+	v.rlock()
+	defer v.runlock()
 	e, err := v.statLocked(name, ver)
 	if err != nil {
 		return nil // deleted since the snapshot

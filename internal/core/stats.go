@@ -275,22 +275,28 @@ func newVolObs() *volObs {
 // CPU or advances time, so wrapped and unwrapped operations take identical
 // simulated time.
 func (v *Volume) span(name string) func(*error) {
-	sm := v.obs.spans[name]
 	start := v.clk.Now()
-	return func(errp *error) {
-		d := v.clk.Now() - start
-		sm.count.Inc()
-		ok := *errp == nil
-		if !ok {
-			sm.errs.Inc()
-		}
-		sm.lat.ObserveDuration(d)
-		if v.obs.tracer.Enabled() {
-			v.obs.tracer.Emit(obs.Event{
-				Time: v.clk.Now(), Kind: obs.EvOpSpan,
-				Op: name, OK: ok, A: int64(d),
-			})
-		}
+	return func(errp *error) { v.spanEnd(name, start, errp) }
+}
+
+// spanEnd is span without the closure, for the operations that must not
+// allocate one:
+//
+//	defer v.spanEnd("read", v.clk.Now(), &err)
+func (v *Volume) spanEnd(name string, start time.Duration, errp *error) {
+	sm := v.obs.spans[name]
+	d := v.clk.Now() - start
+	sm.count.Inc()
+	ok := *errp == nil
+	if !ok {
+		sm.errs.Inc()
+	}
+	sm.lat.ObserveDuration(d)
+	if v.obs.tracer.Enabled() {
+		v.obs.tracer.Emit(obs.Event{
+			Time: v.clk.Now(), Kind: obs.EvOpSpan,
+			Op: name, OK: ok, A: int64(d),
+		})
 	}
 }
 

@@ -243,16 +243,23 @@ func (v *Volume) opsSnapshot() OpStats {
 	}
 }
 
-// rlock acquires the monitor for a read-path operation and returns the
-// matching unlock. Under Config.SerialMonitor reads take the monitor
-// exclusively, reproducing the paper's fully serialized volume.
-func (v *Volume) rlock() func() {
+// rlock acquires the monitor for a read-path operation; runlock releases
+// it. Under Config.SerialMonitor reads take the monitor exclusively,
+// reproducing the paper's fully serialized volume.
+func (v *Volume) rlock() {
 	if v.cfg.SerialMonitor {
 		v.mu.Lock()
-		return v.mu.Unlock
+	} else {
+		v.mu.RLock()
 	}
-	v.mu.RLock()
-	return v.mu.RUnlock
+}
+
+func (v *Volume) runlock() {
+	if v.cfg.SerialMonitor {
+		v.mu.Unlock()
+	} else {
+		v.mu.RUnlock()
+	}
 }
 
 // newVolume wires up the common structure.
@@ -923,8 +930,8 @@ func (v *Volume) startTicker() {
 func (v *Volume) Force() (err error) {
 	defer v.span("force")(&err)
 	before := v.clk.Now()
-	unlock := v.rlock()
-	defer unlock()
+	v.rlock()
+	defer v.runlock()
 	wait := v.clk.Now() - before
 	v.obs.lockWait.ObserveDuration(wait)
 	if v.obs.tracer.Enabled() {
@@ -994,7 +1001,8 @@ func (v *Volume) WaitCommitted(seq uint64) error {
 // Tick gives the group-commit engine a chance to run; simulations call it
 // when virtual time passes without file-system activity.
 func (v *Volume) Tick() error {
-	defer v.rlock()()
+	v.rlock()
+	defer v.runlock()
 	if v.closed.Load() {
 		return ErrClosed
 	}

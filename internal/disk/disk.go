@@ -601,24 +601,47 @@ func (d *Disk) writeSector(addr int, buf []byte) {
 	}
 }
 
-// ReadSectors reads n sectors starting at addr into a new buffer. The whole
-// run is transferred in one operation (one I/O). Label fields are ignored —
-// this is the path a label-free (FSD-style) system uses.
-func (d *Disk) ReadSectors(addr, n int) (_ []byte, err error) {
+// ReadSectorsInto reads consecutive sectors starting at addr into dst — one
+// or more caller-owned buffers of whole sectors, filled in order — as one
+// operation (one I/O), however many buffers share it: a caller that wants
+// the middle of a transfer in one place and its edges in another still pays
+// for a single request. Label fields are ignored — this is the path a
+// label-free (FSD-style) system uses. On an error dst is partly overwritten.
+func (d *Disk) ReadSectorsInto(addr int, dst ...[]byte) (err error) {
+	n := 0
+	for _, b := range dst {
+		if len(b)%SectorSize != 0 {
+			return fmt.Errorf("disk: read into a buffer of %d bytes, not whole sectors", len(b))
+		}
+		n += len(b) / SectorSize
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err = d.beginOp(addr, n, false); err != nil {
-		return nil, err
+		return err
 	}
 	defer d.endOp(&err)
 	d.motion(addr)
-	buf := make([]byte, n*SectorSize)
-	for i := 0; i < n; i++ {
-		d.transferOne(addr + i)
-		d.cnt.sectorsRead.Add(1)
-		if err := d.readSector(addr+i, buf[i*SectorSize:(i+1)*SectorSize]); err != nil {
-			return nil, err
+	for _, b := range dst {
+		for ; len(b) > 0; b, addr = b[SectorSize:], addr+1 {
+			d.transferOne(addr)
+			d.cnt.sectorsRead.Add(1)
+			if err := d.readSector(addr, b[:SectorSize]); err != nil {
+				return err
+			}
 		}
+	}
+	return nil
+}
+
+// ReadSectors is ReadSectorsInto a new buffer of n sectors.
+func (d *Disk) ReadSectors(addr, n int) ([]byte, error) {
+	if n < 0 {
+		return nil, ErrOutOfRange
+	}
+	buf := make([]byte, n*SectorSize)
+	if err := d.ReadSectorsInto(addr, buf); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }

@@ -12,7 +12,14 @@
 // parks in its own goroutine and replies out of order when the commit
 // lands, so a durability wait never stalls the pipeline of requests
 // behind it (that is the point of the pipelined group commit). A dedicated
-// writer goroutine per session serializes reply frames.
+// writer goroutine per session serializes reply frames, and sends every
+// reply queued at a wake-up in one write.
+//
+// Buffers: requests are read (through a buffered reader) into pooled
+// wire.Frames and replies are built in them. A request's frame is recycled
+// as soon as its call returns — the FS keeps nothing of q.Data, by the
+// cedarfs.FS contract — and a reply's once the writer has sent it. A read's
+// payload is produced by ReadAt directly in the reply frame.
 //
 // Backpressure: when the volume runs the asynchronous metadata pipeline,
 // the session loop consults the intent-queue depth before executing a
@@ -23,6 +30,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -220,7 +228,7 @@ type session struct {
 	handles map[uint32]cedarfs.Handle
 	nextH   uint32
 
-	replies chan []byte // framed replies; closed by the request loop
+	replies chan *wire.Frame // framed replies; closed by the request loop
 	wg      sync.WaitGroup
 }
 
@@ -233,19 +241,13 @@ func (s *Server) serveSession(c net.Conn) {
 		conn:    c,
 		ctx:     ctx,
 		handles: map[uint32]cedarfs.Handle{},
-		replies: make(chan []byte, 64),
+		replies: make(chan *wire.Frame, 64),
 	}
 	// Writer goroutine: the single owner of the connection's write side.
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		for frame := range sess.replies {
-			if err := wire.WriteFrame(c, frame); err != nil {
-				// Reply undeliverable: kill the read side too; the
-				// request loop will exit and drain.
-				c.Close()
-			}
-		}
+		sess.writeLoop()
 	}()
 	sess.loop()
 	// The connection is done (client went away, or Close killed it):
@@ -272,13 +274,53 @@ func (s *Server) serveSession(c net.Conn) {
 	s.mu.Unlock()
 }
 
+// writeLoop sends the queued replies until the channel closes. Each wake-up
+// drains whatever is queued into one buffered write and flushes when the
+// queue is empty — it never waits for a reply that is not there yet. A
+// frame larger than the buffer is written through to the socket, not staged.
+func (sess *session) writeLoop() {
+	w := bufio.NewWriter(sess.conn)
+	for f := range sess.replies {
+		err := sess.writeReply(w, f)
+	queued:
+		for err == nil {
+			select {
+			case f, ok := <-sess.replies:
+				if !ok {
+					break queued
+				}
+				err = sess.writeReply(w, f)
+			default:
+				break queued
+			}
+		}
+		if err == nil {
+			err = w.Flush()
+		}
+		if err != nil {
+			// Replies undeliverable: kill the read side too; the request
+			// loop will exit, and the frames still queued are drained
+			// here unsent (every write after the first error fails fast).
+			sess.conn.Close()
+		}
+	}
+}
+
+// writeReply writes one reply frame and recycles it.
+func (sess *session) writeReply(w *bufio.Writer, f *wire.Frame) error {
+	_, err := w.Write(f.B)
+	f.Release()
+	return err
+}
+
 // loop reads and executes requests until the connection dies or a frame is
 // malformed (a session that cannot be parsed cannot be trusted to stay in
 // sync, so it is dropped).
 func (sess *session) loop() {
 	s := sess.srv
+	r := bufio.NewReader(sess.conn)
 	for {
-		body, err := wire.ReadFrame(sess.conn, s.cfg.MaxFrame)
+		f, err := wire.ReadFramePooled(r, s.cfg.MaxFrame)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) &&
 				!errors.Is(err, io.ErrUnexpectedEOF) {
@@ -286,37 +328,46 @@ func (sess *session) loop() {
 			}
 			return
 		}
-		q, err := wire.DecodeRequest(body)
+		q, err := wire.DecodeRequest(f.B)
 		if err != nil {
 			s.protoErrors.Add(1)
 			return
 		}
 		s.requests.Add(1)
-		if q.Op == wire.OpWaitCommitted {
-			// A sequence above the ack watermark was never handed out by
-			// this server and can never commit; parking on it would hold
-			// the wait (and session teardown) forever. Reject it up front.
-			if q.Seq > s.commitSeq() {
-				sess.send(sess.reply(&q, fmt.Errorf("%w: wait for unissued commit seq %d", cedarfs.ErrBadRequest, q.Seq), nil))
-				continue
-			}
-			// Park the durability wait off the pipeline: requests behind
-			// it keep executing, the reply goes out when the commit
-			// lands. The session context unparks it if the connection
-			// dies first.
-			sess.wg.Add(1)
-			go func(q wire.Request) {
-				defer sess.wg.Done()
-				err := s.fs.WaitCommitted(sess.ctx, q.Seq)
-				sess.send(sess.reply(&q, err, func(*wire.Reply) {}))
-			}(q)
-			continue
-		}
-		if mutates(q.Op) {
-			sess.stallForBackpressure()
-		}
-		sess.send(sess.execute(&q))
+		sess.dispatch(&q)
+		// q.Data was the only view into the frame, and the call it was
+		// passed to has returned: the next request may have the buffer.
+		f.Release()
 	}
+}
+
+// dispatch executes q and queues its reply, or parks it if it must wait.
+func (sess *session) dispatch(q *wire.Request) {
+	s := sess.srv
+	if q.Op == wire.OpWaitCommitted {
+		// A sequence above the ack watermark was never handed out by
+		// this server and can never commit; parking on it would hold
+		// the wait (and session teardown) forever. Reject it up front.
+		if q.Seq > s.commitSeq() {
+			sess.send(sess.reply(q, fmt.Errorf("%w: wait for unissued commit seq %d", cedarfs.ErrBadRequest, q.Seq), nil))
+			return
+		}
+		// Park the durability wait off the pipeline: requests behind
+		// it keep executing, the reply goes out when the commit
+		// lands. The session context unparks it if the connection
+		// dies first.
+		sess.wg.Add(1)
+		go func(q wire.Request) {
+			defer sess.wg.Done()
+			err := s.fs.WaitCommitted(sess.ctx, q.Seq)
+			sess.send(sess.reply(&q, err, func(*wire.Reply) {}))
+		}(*q)
+		return
+	}
+	if mutates(q.Op) {
+		sess.stallForBackpressure()
+	}
+	sess.send(sess.execute(q))
 }
 
 // mutates reports whether an op feeds the intent queue.
@@ -346,8 +397,9 @@ func (sess *session) stallForBackpressure() {
 	}
 }
 
-// send queues a framed reply for the writer goroutine.
-func (sess *session) send(frame []byte) {
+// send queues a framed reply for the writer goroutine, which owns it from
+// here on.
+func (sess *session) send(frame *wire.Frame) {
 	// The replies channel is only closed after loop() returns and the
 	// wait-group drains, and both senders hold either the loop or a
 	// wait-group slot, so this send cannot race the close.
@@ -356,7 +408,12 @@ func (sess *session) send(frame []byte) {
 
 // reply frames a success or error reply for q; fill populates the
 // op-specific payload on success.
-func (sess *session) reply(q *wire.Request, err error, fill func(*wire.Reply)) []byte {
+func (sess *session) reply(q *wire.Request, err error, fill func(*wire.Reply)) *wire.Frame {
+	return sess.replyIn(wire.NewFrame(0), q, err, fill)
+}
+
+// replyIn is reply into a frame the caller already holds.
+func (sess *session) replyIn(f *wire.Frame, q *wire.Request, err error, fill func(*wire.Reply)) *wire.Frame {
 	p := wire.Reply{ID: q.ID, Op: q.Op}
 	if err != nil {
 		sess.srv.errorsN.Add(1)
@@ -366,7 +423,8 @@ func (sess *session) reply(q *wire.Request, err error, fill func(*wire.Reply)) [
 		p.CommitSeq = sess.srv.commitSeq()
 		fill(&p)
 	}
-	return wire.AppendReply(nil, &p)
+	f.B = wire.AppendReply(f.B[:0], &p)
+	return f
 }
 
 // commitSeq samples the ack watermark carried on every success reply.
@@ -382,7 +440,7 @@ func (s *Server) commitSeq() uint64 {
 }
 
 // execute runs one request against the FS and frames the reply.
-func (sess *session) execute(q *wire.Request) []byte {
+func (sess *session) execute(q *wire.Request) *wire.Frame {
 	s := sess.srv
 	ctx := sess.ctx
 	switch q.Op {
@@ -406,8 +464,11 @@ func (sess *session) execute(q *wire.Request) []byte {
 		if int(q.N) > s.maxFrame()-64 {
 			return sess.reply(q, fmt.Errorf("%w: read of %d bytes exceeds frame limit", cedarfs.ErrBadRequest, q.N), nil)
 		}
-		buf := make([]byte, q.N)
-		n, err := h.ReadAt(ctx, buf, int64(q.Off))
+		// The reply frame comes first and ReadAt fills its payload region:
+		// the bytes are produced where they will be sent from.
+		f := wire.NewFrame(wire.ReadReplyLen(int(q.N)))
+		frame, payload := wire.AppendReadReply(f.B, q.ID, int(q.N))
+		n, err := h.ReadAt(ctx, payload, int64(q.Off))
 		if err == io.EOF && n > 0 {
 			err = nil // partial read at end of file: success, short data
 		}
@@ -417,7 +478,11 @@ func (sess *session) execute(q *wire.Request) []byte {
 			err = nil
 			n = 0
 		}
-		return sess.reply(q, err, func(p *wire.Reply) { p.Data = buf[:n] })
+		if err != nil {
+			return sess.replyIn(f, q, err, nil)
+		}
+		f.B = wire.FinishReadReply(frame, s.commitSeq(), int(q.N), n)
+		return f
 	case wire.OpWrite:
 		h, err := sess.handle(q.Handle)
 		if err != nil {

@@ -48,6 +48,11 @@
 //
 //	name string | u32 version | u8 class | u16 keep | u64 byteSize |
 //	u32 pages | linkTarget string
+//
+// Buffers: a decoded message borrows its frame — Request.Data and Reply.Data
+// alias the body handed to the decoder, everything else is copied out — so
+// the body must outlive the Data. Frames themselves are recycled through
+// Frame (frame.go).
 package wire
 
 import (
@@ -55,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	cedarfs "repro"
 )
@@ -257,14 +263,15 @@ func (r *reader) str() string {
 	return s
 }
 
+// bytes returns a length-prefixed byte string as a view of the frame body,
+// capped so that appending to it cannot reach the bytes behind it.
 func (r *reader) bytes() []byte {
 	n := int(r.u32())
 	if r.err != nil || n > len(r.b)-r.off {
 		r.fail()
 		return nil
 	}
-	p := make([]byte, n)
-	copy(p, r.b[r.off:])
+	p := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
 	return p
 }
@@ -367,7 +374,8 @@ func AppendRequest(b []byte, q *Request) []byte {
 	return b
 }
 
-// DecodeRequest decodes one frame body (without the length prefix).
+// DecodeRequest decodes one frame body (without the length prefix). The
+// request's Data aliases body.
 func DecodeRequest(body []byte) (Request, error) {
 	var q Request
 	r := &reader{b: body}
@@ -416,10 +424,7 @@ func DecodeRequest(body []byte) (Request, error) {
 // AppendReply appends the frame (length prefix included) for p to b.
 func AppendReply(b []byte, p *Reply) []byte {
 	start := len(b)
-	b = appendU32(b, 0)
-	b = appendU32(b, p.ID)
-	b = append(b, byte(p.Op))
-	b = appendU16(b, p.Code)
+	b = appendReplyHead(b, p.ID, p.Op, p.Code)
 	if p.Code != 0 {
 		b = appendString(b, p.Msg)
 		binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-HeaderLen))
@@ -451,7 +456,53 @@ func AppendReply(b []byte, p *Reply) []byte {
 	return b
 }
 
-// DecodeReply decodes one frame body (without the length prefix).
+// appendReplyHead appends what every reply frame starts with: the length
+// prefix (zero, for the caller to patch), the request id, the op, the code.
+func appendReplyHead(b []byte, id uint32, op Op, code uint16) []byte {
+	b = appendU32(b, 0)
+	b = appendU32(b, id)
+	b = append(b, byte(op))
+	return appendU16(b, code)
+}
+
+// readReplyHead is the length of a successful OpRead reply up to its
+// payload: reply head, commitSeq, payload length.
+const readReplyHead = HeaderLen + 4 + 1 + 2 + 8 + 4
+
+// ReadReplyLen returns the length of a successful OpRead reply frame
+// carrying n bytes.
+func ReadReplyLen(n int) int { return readReplyHead + n }
+
+// AppendReadReply appends the frame of a successful OpRead reply to request
+// id whose payload — up to n bytes — the caller produces in place: it
+// returns the extended buffer and, within it, the n-byte payload region to
+// fill (ReadAt straight into it, say). FinishReadReply completes the frame.
+// The bytes are those AppendReply writes for the same reply; the point is
+// that the payload is never copied into the frame.
+func AppendReadReply(b []byte, id uint32, n int) (frame, payload []byte) {
+	b = appendReplyHead(b, id, OpRead, 0)
+	b = appendU64(b, 0)
+	b = appendU32(b, 0)
+	b = slices.Grow(b, n)
+	b = b[:len(b)+n]
+	return b, b[len(b)-n:]
+}
+
+// FinishReadReply completes the frame AppendReadReply(_, _, n) left at the
+// end of b, of whose payload region the first got bytes were filled: it
+// stamps commitSeq, trims the unfilled rest and patches the lengths.
+func FinishReadReply(b []byte, commitSeq uint64, n, got int) []byte {
+	start := len(b) - ReadReplyLen(n)
+	b = b[:start+ReadReplyLen(got)]
+	head := b[start:]
+	binary.BigEndian.PutUint32(head, uint32(len(head)-HeaderLen))
+	binary.BigEndian.PutUint64(head[readReplyHead-12:], commitSeq)
+	binary.BigEndian.PutUint32(head[readReplyHead-4:], uint32(got))
+	return b
+}
+
+// DecodeReply decodes one frame body (without the length prefix). The
+// reply's Data aliases body.
 func DecodeReply(body []byte) (Reply, error) {
 	var p Reply
 	r := &reader{b: body}
@@ -507,22 +558,13 @@ func WriteFrame(w io.Writer, frame []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame body from r, enforcing max (0 means MaxFrame).
+// ReadFrame reads one frame body from r, enforcing max (0 means MaxFrame),
+// into a buffer that is the caller's to keep: a pooled frame that is never
+// released.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	if max <= 0 {
-		max = MaxFrame
-	}
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	f, err := ReadFramePooled(r, max)
+	if err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > max {
-		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooBig, n, max)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
+	return f.B, nil
 }

@@ -23,12 +23,24 @@ go test ./...
 # The benchmark is its own module, so the line above skips it: its smoke
 # test and TestBenchmarkJSON (BENCHMARK.json == the metric catalogue).
 (cd benchmarks && go test ./...)
-go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache ./internal/intentq ./internal/crashtest ./internal/server ./internal/wire ./client
+# (internal/btree is on the list because its readers walk the pager's pages
+# in place, beside mutators that copy.)
+go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache ./internal/btree ./internal/intentq ./internal/crashtest ./internal/server ./internal/wire ./client
 # ...plus the read-count gate that keeps the name-table passes of mount
 # and scrub sequential (two reads per 16-page run, not two per page) and
 # the write-count gate that keeps name-table write-back a sweep (copy A
 # ascending and coalesced, then copy B — not A,B,A,B a sector at a time).
 go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep'
+# The allocation gates of the borrowed-buffer read path (a lookup allocates
+# its result, a cached read and a cache fill nothing, a read's round trip a
+# fixed handful of small objects whatever its payload) and the proof that the
+# data cache's O(1) replacement evicts what the min-tick scan did. Without
+# -race: the detector makes sync.Pool drop frames, and those gates skip.
+go test ./internal/btree ./internal/bufcache ./internal/core ./internal/wire ./internal/server -count=1 -run 'TestGetAllocs|TestScanAllocs|TestHitAndFillAllocs|TestExactLRUEquivalence|TestCachedReadAtAllocs|TestDecodeAliasesFrame|TestReadFramePooledSteadyState|TestReadRoundTripAllocs'
+# Per-layer wall-clock benches (perf-ledger item c), one iteration each: they
+# must keep compiling and running; their numbers are read with -benchtime
+# left alone.
+go test ./internal/btree ./internal/bufcache ./internal/core ./internal/wire ./internal/server -run xxx -bench . -benchtime 1x
 go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders'
 # Seeded write-fault sweep (PR 7): retries/remaps/hung-I/O absorption and
 # the health FSM's graceful-degradation contract, plus the concurrent
