@@ -473,6 +473,12 @@ func run(img string, jsonOut bool, args []string) error {
 				r.Write.Ops, r.Write.Sectors, r.Write.Busy.Round(time.Millisecond))
 		}
 		fmt.Println()
+		// How growing files were placed and what became of the sectors read
+		// ahead: concurrent streams interleaving show as extensions
+		// elsewhere, a window too large for the cache as read-ahead wasted.
+		fmt.Printf("streams: %d/%d extensions in place/elsewhere; read-ahead %d sectors, %d used, %d wasted; %d promotions\n",
+			st.Alloc.ExtendsInPlace, st.Alloc.ExtendsElsewhere, st.Cache.Data.ReadAheadSectors,
+			st.Cache.Data.ReadAheadUsed, st.Cache.Data.ReadAheadWasted, st.Cache.Data.Promotions)
 		if rc := st.Recovery; rc.Ran {
 			how := "log replayed"
 			if rc.CleanShutdown {

@@ -371,7 +371,7 @@ func TestStatsCommand(t *testing.T) {
 			t.Fatalf("stats: %v", err)
 		}
 	})
-	for _, want := range []string{"ops:", "cache:", "commit:", "sectors written home in", "commit deadline:", "(fixed)", "disk:", "disk by region", "nt-a", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "faults:"} {
+	for _, want := range []string{"ops:", "cache:", "commit:", "sectors written home in", "commit deadline:", "(fixed)", "disk:", "disk by region", "nt-a", "streams: 0/0 extensions in place/elsewhere; read-ahead", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "faults:"} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
 		}
@@ -389,6 +389,11 @@ func TestStatsCommand(t *testing.T) {
 	var st cedarfs.Stats
 	if err := json.Unmarshal(out, &st); err != nil {
 		t.Fatalf("stats -json does not decode into cedarfs.Stats: %v\n%s", err, out)
+	}
+	for _, want := range []string{`"Alloc":`, `"ExtendsInPlace":`, `"ReadAheadUsed":`, `"ReadAheadWasted":`, `"Promotions":`} {
+		if !bytes.Contains(out, []byte(want)) {
+			t.Fatalf("stats -json missing %s:\n%s", want, out)
+		}
 	}
 	// A fresh mount has no logical operations yet, but opening the image
 	// always costs device reads.

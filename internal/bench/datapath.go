@@ -20,12 +20,13 @@ import (
 //	cache+ra   buffer cache with sequential read-ahead (the full design)
 //
 // — each run three workloads on an identical volume: a sequential scan of a
-// large Extend-grown file (many short physically adjacent runs, the paper's
-// observation that files are "usually extended a little at a time"), random
-// single-page reads over the same file, and a repeated whole-file re-read of
-// a small hot file. The headline numbers are disk read requests per
-// sequential scan (clustering merges adjacent runs into full transfers) and
-// the re-read hit rate (write-through caching makes the second read free).
+// large Extend-grown file (the paper's observation that files are "usually
+// extended a little at a time"; the allocator lengthens its run in place, so
+// it is one ascending stretch), random single-page reads over the same file,
+// and a repeated whole-file re-read of a small hot file. The headline numbers
+// are disk read requests per sequential scan (a stream's request carries a
+// window beyond the 8 pages asked for) and the re-read hit rate
+// (write-through caching makes the second read free).
 
 // DataPathResult is one (config, workload) cell.
 type DataPathResult struct {
@@ -55,7 +56,7 @@ type DataPathReport struct {
 }
 
 const (
-	dpBigPages  = 400 // sequential/random target: Extend-grown, many runs
+	dpBigPages  = 400 // sequential/random target: grown by Extend, 8 pages at a time
 	dpHotPages  = 96  // re-read target: small hot file
 	dpSeqChunk  = 8   // pages per sequential ReadPages call
 	dpRereads   = 16  // whole-file re-reads of the hot file
@@ -79,9 +80,8 @@ func dpConfig(name string) (core.Config, error) {
 	return cfg, nil
 }
 
-// dpEnv builds the two target files: "big" grown 8 pages at a time so its
-// run table holds ~50 short physically adjacent runs, and "hot" created in
-// one piece.
+// dpEnv builds the two target files: "big" grown 8 pages at a time, and
+// "hot" created in one piece.
 func dpEnv(cfgName string) (fsdEnv, *core.File, *core.File, error) {
 	cfg, err := dpConfig(cfgName)
 	if err != nil {
@@ -212,9 +212,9 @@ func dataPathRun(cfgName string) ([]DataPathResult, error) {
 // DataPathReportRun runs the full ablation grid.
 func DataPathReportRun() (DataPathReport, error) {
 	rep := DataPathReport{
-		Model: "sequential scan of an Extend-grown file: no-cache issues one read per " +
-			"run; clustering merges physically adjacent runs into full transfers; " +
-			"read-ahead fills the cache ahead of the 8-page demand reads. " +
+		Model: "sequential scan of an Extend-grown file, which is one ascending run: " +
+			"no-cache and cache issue one read per 8-page call; read-ahead carries " +
+			"the stream window beyond each demand read, into cache frames. " +
 			"re-read: write-through cache serves repeat reads without I/O.",
 	}
 	var seqBase, seqFull DataPathResult

@@ -118,7 +118,10 @@ func (n node) cellSize(i int) int {
 }
 
 // leafCellSize returns the encoded size of a prospective leaf cell.
-func leafCellSize(key, value []byte) int { return 4 + len(key) + len(value) }
+func leafCellSize(key, value []byte) int { return leafCellLen(len(key), len(value)) }
+
+// leafCellLen is leafCellSize from the lengths alone.
+func leafCellLen(keyLen, valueLen int) int { return 4 + keyLen + valueLen }
 
 // internalCellSize returns the encoded size of a prospective internal cell.
 func internalCellSize(key []byte) int { return 6 + len(key) }

@@ -53,6 +53,11 @@ type Tree struct {
 // accepts. Three maximal cells must fit in a page so splits always succeed.
 func MaxCell(ps int) int { return (ps - hdrSize - 3*slotSize) / 3 }
 
+// Fits reports whether Put accepts a key of keyLen bytes with a value of
+// valueLen bytes in a tree over pages of size ps, for callers that must know
+// before they commit to the update.
+func Fits(ps, keyLen, valueLen int) bool { return leafCellLen(keyLen, valueLen) <= MaxCell(ps) }
+
 // Create initializes an empty tree in the pager, overwriting pages 0 and 1.
 func Create(p Pager) (*Tree, error) {
 	if p.NumPages() < 2 {
@@ -255,7 +260,7 @@ func (t *Tree) Put(key, value []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("btree: empty key")
 	}
-	if leafCellSize(key, value) > MaxCell(t.p.PageSize()) {
+	if !Fits(t.p.PageSize(), len(key), len(value)) {
 		return ErrTooLarge
 	}
 	// The internal levels are walked in place; only the leaf, which is

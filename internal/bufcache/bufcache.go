@@ -8,9 +8,10 @@
 //
 //   - caching: recently read (and written-through) sectors are served from
 //     memory with no disk request at all;
-//   - read-ahead: a miss that continues a detected sequential stream
-//     fetches the rest of the physically contiguous stretch — up to the
-//     controller's transfer cap — in one request;
+//   - read-ahead: the request that serves a sequential reader's miss goes on
+//     through the physically contiguous stretch, straight into frames the
+//     reader's next chunks then hit (the reader is detected per file handle,
+//     in core; the cache supplies the frames, Reserve and Commit);
 //   - clustering: callers use the cache's presence as the signal to merge
 //     physically adjacent allocation runs into single transfers (the
 //     cross-run coalescing in core/file.go).
@@ -20,12 +21,18 @@
 // on-platter image — what the crash-state explorer's oracle inspects — is
 // byte-identical with the cache on or off.
 //
-// Buffers: the cache owns every frame, in one slab allocated by New, and
-// never lends one out. A hit copies frame → the caller's buffer, a fill
-// copies the caller's buffer → frame, both under the shard lock, so no
-// caller ever holds a pointer into the slab and a frame may be reused the
-// moment its shard lock is released. Nothing on the hit, fill or eviction
-// path allocates.
+// Buffers: the cache owns every frame, in one slab allocated by New. A hit
+// copies frame → the caller's buffer and a demand fill copies the caller's
+// buffer → frame, both under the shard lock. The one loan is a read-ahead's:
+// Reserve takes frames out of circulation — in no list, under no address —
+// for the device to fill, and Commit gives them addresses or sets them free,
+// so no pointer into the slab outlives the disk request it was lent to.
+// Nothing on the hit, fill, reservation or eviction path allocates.
+//
+// Replacement is segmented LRU, per shard: a fill enters the probation
+// list, a second reference moves a frame to the protected list, and victims
+// come from probation's cold end first, so data read once — a scan many times
+// the cache — passes through probation without disturbing what is re-read.
 //
 // Concurrency: lookups run under the volume's shared read monitor, so the
 // hit path takes no cache-global mutex — only the lock of the shard the
@@ -49,9 +56,13 @@ const SectorSize = 512
 // a shard lock. Must be a power of two.
 const numShards = 16
 
-// numStreams is the size of the sequential-access detection table; one
-// entry tracks one concurrent sequential reader.
-const numStreams = 8
+// protectedShare is the part of each shard's frames, as a fraction 1/n, the
+// protected list may hold; the rest is the least probation ever has. A half
+// each: the protected half is what a re-read working set can count on
+// whatever streams past it, the probation half is what read-ahead windows
+// have to survive in until their readers arrive (core's stream window is
+// sized against it, DESIGN §12).
+const protectedShare = 2
 
 // Stats is a snapshot of the cache counters. Hits and Misses count sectors
 // requested through GetRange (a partially cached range counts entirely as a
@@ -62,27 +73,45 @@ const numStreams = 8
 type Stats struct {
 	Hits             int64 // sectors served from memory
 	Misses           int64 // sectors that went to the disk
-	ReadAheadSectors int64 // sectors fetched beyond the request by read-ahead
+	ReadAheadSectors int64 // sectors read beyond the request, into lent frames (Commit)
+	ReadAheadUsed    int64 // of those, frames a reader then hit
+	ReadAheadWasted  int64 // of those, frames evicted or invalidated unread
+	Promotions       int64 // frames moved to the protected list by a re-reference
 	CoalescedReads   int64 // read requests that merged adjacent runs
 	CoalescedWrites  int64 // write requests that merged adjacent runs
 	Invalidated      int64 // frames dropped by invalidation (frees, damage)
-	Evicted          int64 // frames dropped by LRU replacement
+	Evicted          int64 // frames dropped by replacement
 	Size             int   // frames resident now
 	Capacity         int   // frame capacity
 }
 
-// frame is one cached sector: a slab slot, linked into its shard's LRU list
-// while it holds a sector and into the shard's free chain (through next)
-// while it does not. Links are slab indices, so the slab holds no pointers
-// and the collector never scans it.
+// frame is one cached sector: a slab slot, linked into one of its shard's
+// two lists while it holds a sector, into the shard's free chain (through
+// next) while it does not, and into nothing while it is reserved. Links are
+// slab indices, so the slab holds no pointers and the collector never scans
+// it.
 type frame struct {
 	addr       int
 	prev, next int32
+	flags      uint8
 	data       [SectorSize]byte
 }
 
+const (
+	// fProtected: the frame is on the protected list, not probation.
+	fProtected uint8 = 1 << iota
+	// fAhead: read-ahead put the sector here and no reader has used it yet.
+	fAhead
+	// fReserved: lent to a read-ahead in flight (Reserve … Commit).
+	fReserved
+)
+
 // none terminates the frame lists.
 const none int32 = -1
+
+// list is one replacement list: head is the most and tail the least
+// recently placed frame.
+type list struct{ head, tail int32 }
 
 // shard is one slice of the address space and of the slab. Its lock guards
 // the index, the lists and the payload bytes of its frames.
@@ -90,82 +119,151 @@ type shard struct {
 	mu     sync.Mutex
 	index  map[int]int32 // sector address -> slot in frames
 	frames []frame
-	// head is the most and tail the least recently touched resident frame.
-	// Every touch moves a frame to the head, so the tail is the frame a
-	// scan for the oldest touch would find: replacement is exact LRU
-	// within the shard, at the cost of a splice instead of a scan.
-	head, tail int32
-	free       int32
+	// lists[0] is probation, lists[fProtected] the protected list, which
+	// holds nProtected frames and at most maxProtected.
+	lists                    [2]list
+	nProtected, maxProtected int
+	free                     int32
 }
 
-// unlink takes resident frame i out of the LRU list.
+// unlink takes resident frame i out of its list.
 func (s *shard) unlink(i int32) {
 	f := &s.frames[i]
+	l := &s.lists[f.flags&fProtected]
 	if f.prev == none {
-		s.head = f.next
+		l.head = f.next
 	} else {
 		s.frames[f.prev].next = f.next
 	}
 	if f.next == none {
-		s.tail = f.prev
+		l.tail = f.prev
 	} else {
 		s.frames[f.next].prev = f.prev
 	}
 }
 
-// pushFront makes frame i the most recently touched.
+// pushFront puts frame i at the head of the list its fProtected flag names.
 func (s *shard) pushFront(i int32) {
 	f := &s.frames[i]
-	f.prev, f.next = none, s.head
-	if s.head == none {
-		s.tail = i
+	l := &s.lists[f.flags&fProtected]
+	f.prev, f.next = none, l.head
+	if l.head == none {
+		l.tail = i
 	} else {
-		s.frames[s.head].prev = i
+		s.frames[l.head].prev = i
 	}
-	s.head = i
+	l.head = i
 }
 
-// touch records a use of resident frame i.
-func (s *shard) touch(i int32) {
-	if s.head != i {
-		s.unlink(i)
-		s.pushFront(i)
+// hit records a reader's use of resident frame i. The first use of a sector
+// read ahead is the reference its fill stood in for: the frame stays where
+// the fill put it. Any other use is a re-reference and moves the frame to
+// the head of the protected list, whose coldest frame goes back to the head
+// of probation when that makes it too long.
+func (s *shard) hit(c *Cache, i int32) {
+	f := &s.frames[i]
+	if f.flags&fAhead != 0 {
+		f.flags &^= fAhead
+		c.aheadUsed.Add(1)
+		return
 	}
-}
-
-// release drops resident frame i back onto the free chain.
-func (s *shard) release(i int32) {
+	if f.flags&fProtected != 0 {
+		if s.lists[fProtected].head != i {
+			s.unlink(i)
+			s.pushFront(i)
+		}
+		return
+	}
 	s.unlink(i)
-	delete(s.index, s.frames[i].addr)
+	f.flags |= fProtected
+	s.pushFront(i)
+	c.promotions.Add(1)
+	if s.nProtected++; s.nProtected > s.maxProtected {
+		d := s.lists[fProtected].tail
+		s.unlink(d)
+		s.frames[d].flags &^= fProtected
+		s.pushFront(d)
+		s.nProtected--
+	}
+}
+
+// drop takes resident frame i out of its list and the index; the frame is
+// then in nothing, as one from the free chain is once popped.
+func (s *shard) drop(c *Cache, i int32) {
+	f := &s.frames[i]
+	s.unlink(i)
+	delete(s.index, f.addr)
+	if f.flags&fProtected != 0 {
+		s.nProtected--
+	}
+	if f.flags&fAhead != 0 {
+		c.aheadWasted.Add(1)
+	}
+	c.size.Add(-1)
+}
+
+// setFree pushes frame i, which is in nothing, onto the free chain.
+func (s *shard) setFree(i int32) {
+	s.frames[i].flags = 0
 	s.frames[i].next = s.free
 	s.free = i
 }
 
-// reset empties the shard: every frame onto the free chain.
-func (s *shard) reset() {
+// take returns a frame to fill, in nothing: a free one while the shard has
+// any, else the coldest frame of probation, which is evicted, else — unless
+// the frame is for read-ahead, which may not displace what readers came back
+// for — the coldest protected one. It returns none when every candidate is
+// out on reservation.
+func (s *shard) take(c *Cache, ahead bool) int32 {
+	if i := s.free; i != none {
+		s.free = s.frames[i].next
+		return i
+	}
+	i := s.lists[0].tail
+	if i == none && !ahead {
+		i = s.lists[fProtected].tail
+	}
+	if i != none {
+		s.drop(c, i)
+		c.evicted.Add(1)
+	}
+	return i
+}
+
+// install makes frame i, from take, the resident frame of addr, at the head
+// of probation.
+func (s *shard) install(c *Cache, i int32, addr int, flags uint8) {
+	s.frames[i].addr = addr
+	s.frames[i].flags = flags
+	s.index[addr] = i
+	s.pushFront(i)
+	c.size.Add(1)
+}
+
+// reset empties the shard: every frame not out on reservation onto the free
+// chain.
+func (s *shard) reset(c *Cache) {
+	for _, i := range s.index {
+		if s.frames[i].flags&fAhead != 0 {
+			c.aheadWasted.Add(1)
+		}
+	}
 	clear(s.index)
-	s.head, s.tail, s.free = none, none, none
+	s.lists = [2]list{{none, none}, {none, none}}
+	s.nProtected, s.free = 0, none
 	for i := len(s.frames) - 1; i >= 0; i-- {
-		s.frames[i].next = s.free
-		s.free = int32(i)
+		if s.frames[i].flags&fReserved == 0 {
+			s.setFree(int32(i))
+		}
 	}
 }
 
-// stream is one entry of the sequential-access table: the address the next
-// miss of this stream is expected at, if the accesses are sequential.
-type stream struct {
-	next int
-	tick int64
-}
-
-// Cache is a sector-addressed write-through LRU cache. The zero value is
-// not usable; call New.
+// Cache is a sector-addressed write-through cache. The zero value is not
+// usable; call New.
 type Cache struct {
 	shards   [numShards]shard
 	capacity int
 
-	// tick orders the stream table's entries (NoteFill).
-	tick atomic.Int64
 	// gen is bumped by every mutation (write-through update, invalidation,
 	// drop) before the mutation touches any shard. A fill captures gen
 	// before its disk read and installs frames only while gen is unchanged,
@@ -173,12 +271,12 @@ type Cache struct {
 	gen  atomic.Uint64
 	size atomic.Int64
 
-	smu     sync.Mutex
-	streams [numStreams]stream
-
 	hits        atomic.Int64
 	misses      atomic.Int64
 	readAhead   atomic.Int64
+	aheadUsed   atomic.Int64
+	aheadWasted atomic.Int64
+	promotions  atomic.Int64
 	coalescedR  atomic.Int64
 	coalescedW  atomic.Int64
 	invalidated atomic.Int64
@@ -199,10 +297,8 @@ func New(capacity int) *Cache {
 		s := &c.shards[i]
 		s.index = make(map[int]int32, perShard)
 		s.frames = slab[i*perShard : (i+1)*perShard]
-		s.reset()
-	}
-	for i := range c.streams {
-		c.streams[i].next = -1
+		s.maxProtected = perShard / protectedShare
+		s.reset(c)
 	}
 	return c
 }
@@ -239,7 +335,7 @@ func (c *Cache) GetRangeInto(addr int, dst ...[]byte) bool {
 				return false
 			}
 			copy(d, s.frames[i].data[:])
-			s.touch(i)
+			s.hit(c, i)
 			s.mu.Unlock()
 		}
 	}
@@ -257,16 +353,16 @@ func (c *Cache) GetRange(addr, n int) ([]byte, bool) {
 }
 
 // Gen returns the mutation generation. Capture it before the disk read of a
-// fill and pass it to PutRange: the fill installs nothing if any mutation
-// landed in between.
+// fill and pass it to PutRange and Commit: the fill installs nothing if any
+// mutation landed in between.
 func (c *Cache) Gen() uint64 { return c.gen.Load() }
 
-// PutRange installs len(data)/SectorSize sectors read from the disk at
-// addr, copying them into frames: a free one while the shard has any, else
-// the shard's least recently touched, which is evicted. The install is
-// abandoned (returning false) as soon as the cache's generation differs from
-// gen, so a fill whose disk read raced a write-through update or an
-// invalidation cannot resurrect stale bytes.
+// PutRange installs len(data)/SectorSize sectors a reader asked for, read
+// from the disk at addr, copying them into frames (see take for which) at
+// the head of probation; a sector already resident only has its bytes
+// refreshed. The install is abandoned (returning false) as soon as the
+// cache's generation differs from gen, so a fill whose disk read raced a
+// write-through update or an invalidation cannot resurrect stale bytes.
 func (c *Cache) PutRange(addr int, data []byte, gen uint64) bool {
 	for ; len(data) >= SectorSize; data, addr = data[SectorSize:], addr+1 {
 		s := c.shardFor(addr)
@@ -276,32 +372,77 @@ func (c *Cache) PutRange(addr int, data []byte, gen uint64) bool {
 			return false
 		}
 		i, ok := s.index[addr]
-		if ok {
-			s.unlink(i)
-		} else {
-			if s.free == none {
-				s.release(s.tail)
-				c.evicted.Add(1)
-			} else {
-				c.size.Add(1)
+		if !ok {
+			if i = s.take(c, false); i != none {
+				s.install(c, i, addr, 0)
 			}
-			i = s.free
-			s.free = s.frames[i].next
-			s.frames[i].addr = addr
-			s.index[addr] = i
 		}
-		copy(s.frames[i].data[:], data)
-		s.pushFront(i)
+		if i != none {
+			copy(s.frames[i].data[:], data)
+		}
 		s.mu.Unlock()
 	}
 	return true
 }
 
+// Reserve lends out frames for a read-ahead of sectors [addr, addr+len(bufs)):
+// it stores each frame's payload buffer in bufs — entries of the scatter list
+// of the disk request about to be issued, so the device fills the frames with
+// no copy in between — and its slot in slots (as long as bufs), for Commit.
+// It returns how many sectors, from addr on, it found frames for; the read
+// must stop there. It stops at a sector that is resident already — what lies
+// beyond was most likely read ahead before — and when a shard has no frame
+// to give: frames come from the free chains and the cold end of probation
+// only.
+func (c *Cache) Reserve(addr int, bufs [][]byte, slots []int32) int {
+	for k := range bufs {
+		s := c.shardFor(addr + k)
+		s.mu.Lock()
+		i := none
+		if _, resident := s.index[addr+k]; !resident {
+			i = s.take(c, true)
+		}
+		if i != none {
+			s.frames[i].flags = fReserved
+			bufs[k] = s.frames[i].data[:]
+			slots[k] = i
+		}
+		s.mu.Unlock()
+		if i == none {
+			return k
+		}
+	}
+	return len(bufs)
+}
+
+// Commit ends the loan Reserve(addr, …, slots) made. If the read succeeded
+// (ok) and no mutation has landed since gen was captured, the frames become
+// the resident, not yet used, frames of sectors addr onward, at the head of
+// probation; otherwise — and for a sector that became resident meanwhile —
+// they are set free.
+func (c *Cache) Commit(addr int, slots []int32, gen uint64, ok bool) {
+	if ok {
+		c.readAhead.Add(int64(len(slots)))
+	}
+	for k, i := range slots {
+		s := c.shardFor(addr + k)
+		s.mu.Lock()
+		_, resident := s.index[addr+k]
+		if ok = ok && c.gen.Load() == gen; ok && !resident {
+			s.install(c, i, addr+k, fAhead)
+		} else {
+			s.setFree(i)
+		}
+		s.mu.Unlock()
+	}
+}
+
 // Update is the write-through hook: the caller has already written data to
 // the disk at addr, and any resident frames must reflect it. Frames not
-// resident are left absent (no write-allocate: a pure writer should not
-// evict a reader's working set). The generation bump precedes the shard
-// sweep, so a concurrent fill that read pre-write bytes aborts.
+// resident are left absent (no write-allocate), and resident ones stay where
+// they are in their lists: a pure writer should not evict a reader's working
+// set, nor decide what is worth keeping. The generation bump precedes the
+// shard sweep, so a concurrent fill that read pre-write bytes aborts.
 func (c *Cache) Update(addr int, data []byte) {
 	c.gen.Add(1)
 	n := len(data) / SectorSize
@@ -310,7 +451,6 @@ func (c *Cache) Update(addr int, data []byte) {
 		s.mu.Lock()
 		if f, ok := s.index[addr+i]; ok {
 			copy(s.frames[f].data[:], data[i*SectorSize:(i+1)*SectorSize])
-			s.touch(f)
 		}
 		s.mu.Unlock()
 	}
@@ -325,8 +465,8 @@ func (c *Cache) Invalidate(addr, n int) {
 		s := c.shardFor(addr + i)
 		s.mu.Lock()
 		if f, ok := s.index[addr+i]; ok {
-			s.release(f)
-			c.size.Add(-1)
+			s.drop(c, f)
+			s.setFree(f)
 			c.invalidated.Add(1)
 		}
 		s.mu.Unlock()
@@ -340,56 +480,12 @@ func (c *Cache) DropAll() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		n := len(s.index)
-		s.reset()
+		s.reset(c)
 		s.mu.Unlock()
 		c.size.Add(int64(-n))
 		c.invalidated.Add(int64(n))
 	}
-	c.smu.Lock()
-	for i := range c.streams {
-		c.streams[i].next = -1
-	}
-	c.smu.Unlock()
 }
-
-// Sequential reports whether a miss at addr continues a detected sequential
-// stream — i.e. some earlier fill ended exactly where this one begins. It
-// is consulted on the miss path only, so the small table mutex never sits
-// on the hit path.
-func (c *Cache) Sequential(addr int) bool {
-	c.smu.Lock()
-	defer c.smu.Unlock()
-	for i := range c.streams {
-		if c.streams[i].next == addr {
-			return true
-		}
-	}
-	return false
-}
-
-// NoteFill teaches the stream table that a fill covered [addr, addr+n): a
-// follow-up miss at addr+n is sequential. An existing stream expecting addr
-// advances; otherwise the least-recently-advanced entry is repurposed.
-func (c *Cache) NoteFill(addr, n int) {
-	tick := c.tick.Add(1)
-	c.smu.Lock()
-	defer c.smu.Unlock()
-	victim := 0
-	for i := range c.streams {
-		if c.streams[i].next == addr {
-			c.streams[i].next = addr + n
-			c.streams[i].tick = tick
-			return
-		}
-		if c.streams[i].tick < c.streams[victim].tick {
-			victim = i
-		}
-	}
-	c.streams[victim] = stream{next: addr + n, tick: tick}
-}
-
-// NoteReadAhead records n sectors fetched beyond the request.
-func (c *Cache) NoteReadAhead(n int) { c.readAhead.Add(int64(n)) }
 
 // NoteCoalescedRead records a read request that merged adjacent runs.
 func (c *Cache) NoteCoalescedRead() { c.coalescedR.Add(1) }
@@ -404,6 +500,9 @@ func (c *Cache) Stats() Stats {
 		Hits:             c.hits.Load(),
 		Misses:           c.misses.Load(),
 		ReadAheadSectors: c.readAhead.Load(),
+		ReadAheadUsed:    c.aheadUsed.Load(),
+		ReadAheadWasted:  c.aheadWasted.Load(),
+		Promotions:       c.promotions.Load(),
 		CoalescedReads:   c.coalescedR.Load(),
 		CoalescedWrites:  c.coalescedW.Load(),
 		Invalidated:      c.invalidated.Load(),

@@ -97,7 +97,7 @@ func TestStaleFillAborted(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
+func TestEviction(t *testing.T) {
 	// Capacity numShards means one frame per shard: a second fill of the
 	// same shard must evict the older one.
 	c := New(numShards)
@@ -114,39 +114,100 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestSequentialDetection(t *testing.T) {
-	c := New(256)
-	if c.Sequential(40) {
-		t.Fatal("cold table claims sequential")
-	}
-	c.NoteFill(40, 8)
-	if !c.Sequential(48) {
-		t.Fatal("miss at fill end not detected as sequential")
-	}
-	if c.Sequential(49) {
-		t.Fatal("non-adjacent miss detected as sequential")
-	}
-	c.NoteFill(48, 8) // stream advances
-	if !c.Sequential(56) {
-		t.Fatal("advanced stream lost")
-	}
-}
-
 func TestDropAll(t *testing.T) {
 	c := New(64)
 	fill(c, 0, 1, 2, 3)
-	c.NoteFill(0, 3)
 	c.DropAll()
 	if st := c.Stats(); st.Size != 0 {
 		t.Fatalf("size = %d after DropAll", st.Size)
 	}
-	if c.Sequential(3) {
-		t.Fatal("stream table survived DropAll")
+	if _, ok := c.GetRange(0, 1); ok {
+		t.Fatal("a frame survived DropAll")
 	}
 }
 
-// TestConcurrentFillUpdateInvalidate hammers the cache from readers,
-// write-through updaters, and invalidators; run under -race. The invariant
+// reserve lends n frames for sectors addr onward and fills them with b.
+func reserve(t *testing.T, c *Cache, addr, n int, b byte) []int32 {
+	t.Helper()
+	bufs, slots := make([][]byte, n), make([]int32, n)
+	if got := c.Reserve(addr, bufs, slots); got != n {
+		t.Fatalf("Reserve(%d, %d) lent %d frames", addr, n, got)
+	}
+	for _, buf := range bufs {
+		copy(buf, sector(b))
+	}
+	return slots
+}
+
+// TestReserveCommit: reserved frames are under no address until Commit gives
+// them one; a failed read, a mutation since gen, and a sector that became
+// resident meanwhile all send them back to the free chain instead.
+func TestReserveCommit(t *testing.T) {
+	c := New(64)
+	gen := c.Gen()
+	slots := reserve(t, c, 200, 4, 9)
+	if _, ok := c.GetRange(200, 1); ok {
+		t.Fatal("a reserved frame is visible before Commit")
+	}
+	c.Commit(200, slots, gen, true)
+	if got, ok := c.GetRange(200, 4); !ok || got[0] != 9 || got[4*SectorSize-1] != 9 {
+		t.Fatal("committed read-ahead not resident")
+	}
+	if st := c.Stats(); st.Size != 4 || st.ReadAheadUsed != 4 {
+		t.Fatalf("size %d used %d, want 4 and 4", st.Size, st.ReadAheadUsed)
+	}
+
+	c.Commit(300, reserve(t, c, 300, 2, 1), gen, false) // the read failed
+	gen = c.Gen()
+	slots = reserve(t, c, 310, 2, 2)
+	c.Invalidate(0, 1) // a mutation lands while the read is in flight
+	c.Commit(310, slots, gen, true)
+	gen = c.Gen()
+	slots = reserve(t, c, 320, 2, 3)
+	fill(c, 320, 7) // a demand fill got there first
+	c.Commit(320, slots, gen, true)
+	for _, a := range []int{300, 301, 310, 311} {
+		if _, ok := c.GetRange(a, 1); ok {
+			t.Fatalf("sector %d resident after an abandoned read-ahead", a)
+		}
+	}
+	if got, _ := c.GetRange(320, 2); got == nil || got[0] != 7 || got[SectorSize] != 3 {
+		t.Fatal("want the resident sector kept and the one after it installed")
+	}
+	// Every frame is accounted for: the whole capacity can still be filled.
+	c.DropAll()
+	for a := 0; a < 64; a++ {
+		fill(c, a, 1)
+	}
+	if st := c.Stats(); st.Size != 64 || st.Evicted != 0 {
+		t.Fatalf("after abandoned loans: size %d evicted %d, want 64 and 0", st.Size, st.Evicted)
+	}
+}
+
+// TestDropAllSparesReservedFrames: a frame out on loan is not handed to
+// anybody else by DropAll, and comes back once its read is over.
+func TestDropAllSparesReservedFrames(t *testing.T) {
+	c := New(numShards) // one frame per shard
+	gen := c.Gen()
+	slots := reserve(t, c, 0, 1, 5)
+	c.DropAll()
+	fill(c, numShards, 1) // same shard: its only frame is out
+	if _, ok := c.GetRange(numShards, 1); ok {
+		t.Fatal("a demand fill was given a frame that is out on loan")
+	}
+	c.Commit(0, slots, gen, true) // stale: DropAll bumped the generation
+	if _, ok := c.GetRange(0, 1); ok {
+		t.Fatal("a read-ahead that raced DropAll was installed")
+	}
+	fill(c, numShards, 2)
+	if _, ok := c.GetRange(numShards, 1); !ok {
+		t.Fatal("the frame did not come back after Commit")
+	}
+}
+
+// TestConcurrentFillUpdateInvalidate hammers the cache from readers, demand
+// and read-ahead fillers, write-through updaters, invalidators and the
+// occasional DropAll; run under -race. The invariant
 // checked is that a reader never observes a torn sector: every sector is
 // filled and updated with uniform bytes, so any mixed-byte read is a tear.
 func TestConcurrentFillUpdateInvalidate(t *testing.T) {
@@ -158,11 +219,24 @@ func TestConcurrentFillUpdateInvalidate(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 400; i++ {
+			bufs, slots := make([][]byte, 3), make([]int32, 3)
+			for i := 0; i < 500; i++ {
 				addr := (w*13 + i*7) % addrs
-				switch i % 4 {
+				switch i % 5 {
 				case 0:
 					c.PutRange(addr, sector(byte(i)), c.Gen())
+				case 4:
+					// A read-ahead: the "device" fills the lent frames with
+					// no lock held, as a disk request does.
+					gen := c.Gen()
+					k := c.Reserve(addr, bufs, slots)
+					for _, buf := range bufs[:k] {
+						copy(buf, sector(byte(i)))
+					}
+					if i%50 == 4 {
+						c.DropAll()
+					}
+					c.Commit(addr, slots[:k], gen, i%3 != 0)
 				case 1:
 					c.Update(addr, sector(byte(i)))
 				case 2:

@@ -377,12 +377,11 @@ func (v *Volume) createClassAsync(name string, data []byte, class Class, linkTar
 			return nil, err
 		}
 	}
-	freeRuns := func() {
-		if e.Runs != nil {
-			v.vmMu.Lock()
-			v.al.FreeNow(e.Runs)
-			v.vmMu.Unlock()
-		}
+	// The applier cannot refuse an entry (see entryFits): a link target or
+	// a fragmented allocation too long for a cell fails here.
+	if err := entryFits(e); err != nil {
+		v.freeNow(e.Runs)
+		return nil, err
 	}
 	it := &intent{op: "create"}
 	it.steps = append(it.steps, intentStep{op: stepPut, key: entryKey(name, e.Version), val: encodeEntry(e)})
@@ -394,7 +393,7 @@ func (v *Volume) createClassAsync(name string, data []byte, class Class, linkTar
 			// before the entry's images can stage — preserving the force's
 			// data-before-record barrier.
 			if err := v.writeLeaderAndData(e, leader, data); err != nil {
-				freeRuns()
+				v.freeNow(e.Runs)
 				return nil, err
 			}
 		} else {
@@ -427,7 +426,7 @@ func (v *Volume) createClassAsync(name string, data []byte, class Class, linkTar
 			return true
 		})
 		if err != nil {
-			freeRuns()
+			v.freeNow(e.Runs)
 			return nil, err
 		}
 		for _, de := range doomed {
@@ -443,7 +442,7 @@ func (v *Volume) createClassAsync(name string, data []byte, class Class, linkTar
 	}
 	v.ops.creates.Add(1)
 	if _, err := v.enqueueIntent(it, name); err != nil {
-		freeRuns()
+		v.freeNow(e.Runs)
 		return nil, err
 	}
 	return &File{v: v, e: *e, leaderVerified: true}, nil
@@ -610,14 +609,10 @@ func (f *File) extendAsync(morePages int) error {
 	if err := v.waitName(f.e.Name); err != nil {
 		return err
 	}
-	v.vmMu.Lock()
-	runs, err := v.al.Alloc(morePages)
-	v.vmMu.Unlock()
+	e, grown, err := v.grow(&f.e, morePages)
 	if err != nil {
 		return err
 	}
-	e := f.e
-	e.Runs = append(append([]alloc.Run(nil), e.Runs...), runs...)
 	// Refresh the leader's run-table image eagerly (reads of this handle
 	// verify against the pending copy) and stage it through the intent so
 	// the log sees it in order with the entry update.
@@ -637,16 +632,14 @@ func (f *File) extendAsync(morePages int) error {
 		steps: []intentStep{
 			{op: stepPutIfPresent, key: entryKey(e.Name, e.Version), val: encodeEntry(&e)},
 		},
-		abortSteps: []intentStep{{op: stepFree, runs: runs}},
+		abortSteps: []intentStep{{op: stepFree, runs: grown}},
 	}
 	if haveLeader {
 		it.steps = append(it.steps, intentStep{op: stepLeader, addr: leaderAddr, page: leader})
 		it.abortSteps = append(it.abortSteps, intentStep{op: stepCancelLeader, addr: leaderAddr})
 	}
 	if _, err := v.enqueueIntent(it, e.Name); err != nil {
-		v.vmMu.Lock()
-		v.al.FreeNow(runs)
-		v.vmMu.Unlock()
+		v.freeNow(grown)
 		return err
 	}
 	f.e = e

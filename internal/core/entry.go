@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/alloc"
+	"repro/internal/btree"
 )
 
 // Class distinguishes the three kinds of file name table entries the paper
@@ -199,7 +200,7 @@ func splitKey(k []byte) (name string, version uint32, ok bool) {
 //
 // Name and version live in the key, not the value.
 func encodeEntry(e *Entry) []byte {
-	buf := make([]byte, 0, 37+8*len(e.Runs)+len(e.LinkTarget))
+	buf := make([]byte, 0, entrySize(e))
 	var tmp [8]byte
 	put16 := func(v uint16) {
 		binary.BigEndian.PutUint16(tmp[:2], v)
@@ -227,6 +228,20 @@ func encodeEntry(e *Entry) []byte {
 	put16(uint16(len(e.LinkTarget)))
 	buf = append(buf, e.LinkTarget...)
 	return buf
+}
+
+// entrySize is len(encodeEntry(e)).
+func entrySize(e *Entry) int { return 39 + 8*len(e.Runs) + len(e.LinkTarget) }
+
+// entryFits reports, as btree.ErrTooLarge, an entry the name table would
+// refuse. Whatever lengthens a run table checks it while it can still fail
+// the one call that asked: on an asynchronous volume a Put refused in the
+// applier takes the whole volume read-only.
+func entryFits(e *Entry) error {
+	if !btree.Fits(NTPageSize, len(e.Name)+5, entrySize(e)) {
+		return fmt.Errorf("core: %q!%d with %d runs: %w", e.Name, e.Version, len(e.Runs), btree.ErrTooLarge)
+	}
+	return nil
 }
 
 func decodeEntry(name string, version uint32, buf []byte) (*Entry, error) {

@@ -13,9 +13,16 @@ import (
 	"repro/internal/wal"
 )
 
-// MaxTransferSectors bounds a single disk request, as the real controller
-// did; long reads and writes are issued in chunks of this many sectors.
+// MaxTransferSectors bounds a demand transfer — the sectors of one disk
+// request that a caller asked for — as the real controller bounded a
+// request; long reads and writes are issued in chunks of this many sectors.
 const MaxTransferSectors = 64
+
+// streamWindow bounds what a read request carries beyond that: the sectors a
+// detected sequential reader has not asked for yet, read into data-cache
+// frames by the request that serves its current chunk. See DESIGN §12 for
+// the size.
+const streamWindow = 128
 
 // File is an open-file handle. Handles are invalidated by deleting the file;
 // using a stale handle after the delete commits reads reallocated pages.
@@ -32,6 +39,9 @@ type File struct {
 	mu             sync.Mutex
 	e              Entry
 	leaderVerified bool
+	// seqNext is the logical page after the last one read through this
+	// handle (0 on a fresh one); readInto detects a sequential reader by it.
+	seqNext int
 }
 
 // Entry returns a copy of the file's name-table entry as of open time.
@@ -174,11 +184,7 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 		}
 	}
 	if err := v.putEntryLocked(e); err != nil {
-		if e.Runs != nil {
-			v.vmMu.Lock()
-			v.al.FreeNow(e.Runs)
-			v.vmMu.Unlock()
-		}
+		v.freeNow(e.Runs)
 		return nil, err
 	}
 	v.ops.creates.Add(1)
@@ -571,9 +577,9 @@ func (w *readWindow) settle(cur, cnt int) {
 //
 // With the data cache on, each chunk is looked up there first; misses are
 // filled by a single clustered transfer that merges physically adjacent runs
-// (Entry.PhysContiguousFrom) and, when the miss continues a detected
-// sequential stream, extends through the contiguous stretch by up to the
-// read-ahead budget. Fills are write-through partners of WritePages' Update
+// (Entry.PhysContiguousFrom) and, when the handle is reading sequentially,
+// goes on through the contiguous stretch by up to the read-ahead budget,
+// platter → frame. Fills are write-through partners of WritePages' Update
 // calls and are guarded against concurrent invalidation by the cache
 // generation counter.
 func (f *File) readInto(p []byte, off int64) (err error) {
@@ -596,6 +602,12 @@ func (f *File) readInto(p []byte, off int64) (err error) {
 	dc := v.dataCache
 	leaderAddr, _ := f.e.LeaderAddr()
 	w := readWindow{p: p, off: off}
+	// segs is a transfer's scatter list — leader, first-sector scratch, p,
+	// last-sector scratch, then one cache frame per sector read ahead, of
+	// which slots holds the cache's handles — with the entries a chunk has
+	// no use for left empty or out of the slice it passes on.
+	var segs [4 + streamWindow][]byte
+	var slots [streamWindow]int32
 	for cur, remaining := page, n; remaining > 0; {
 		var addr, cnt, merged int
 		if dc != nil {
@@ -607,15 +619,18 @@ func (f *File) readInto(p []byte, off int64) (err error) {
 		if err != nil {
 			return err
 		}
-		// segs is the transfer's scatter list — leader, first-sector
-		// scratch, p, last-sector scratch, read-ahead — with the entries
-		// this chunk has no use for left empty.
-		var segs [5][]byte
 		segs[1], segs[2], segs[3] = w.place(cur, cnt)
 		needLeader := !f.leaderVerified && cur == page && addr == leaderAddr+1
-		fetch := cnt
+		ahead := 0
 		var gen uint64
 		if dc != nil {
+			// A sequential reader's next step: the chunk starts where the
+			// handle's last one ended — or, on a fresh handle, at the start
+			// of the file and asks for all a demand transfer gives, as a
+			// reader that means to go on does and one after a header
+			// does not.
+			stream := cur == f.seqNext && (cur > 0 || cnt == MaxTransferSectors)
+			f.seqNext = cur + cnt
 			if !needLeader {
 				if dc.GetRangeInto(addr, segs[1:4]...) {
 					v.traceData(true, addr, cnt)
@@ -627,55 +642,58 @@ func (f *File) readInto(p []byte, off int64) (err error) {
 				}
 				v.traceData(false, addr, cnt)
 			}
-			// Miss: cluster the fetch. If this miss continues a sequential
-			// stream, extend it through the physically contiguous stretch
-			// by up to the read-ahead budget — never past the transfer cap
-			// or the end of the file.
-			if ra := v.cfg.readAhead(); ra > 0 && dc.Sequential(addr) {
-				limit := min(cnt+ra, MaxTransferSectors, pages-cur)
-				if limit > cnt {
-					if _, stretch, m, err := f.e.PhysContiguousFrom(cur, limit); err == nil && stretch > fetch {
-						fetch = stretch
-						merged = m
-						segs[4] = make([]byte, (fetch-cnt)*disk.SectorSize)
-					}
+			// Miss: cluster the fetch. If it is a sequential reader's next
+			// step, the same request goes on through the physically
+			// contiguous stretch by up to the read-ahead budget — never
+			// past the end of the file — into frames the cache lends, so
+			// that the reader's next chunks are hits, not requests that
+			// each wait for the platter to come round again.
+			if ra := v.cfg.readAhead(); ra > 0 && stream && pages-cur > cnt {
+				if _, stretch, m, err := f.e.PhysContiguousFrom(cur, min(cnt+ra, pages-cur)); err == nil && stretch > cnt {
+					ahead = dc.Reserve(addr+cnt, segs[4:4+stretch-cnt], slots[:])
+					merged = m
 				}
 			}
 			gen = dc.Gen()
 		}
+		var rerr error
 		if needLeader {
 			// Piggyback the leader read on the first data access.
 			var leader [disk.SectorSize]byte
 			segs[0] = leader[:]
-			if err := v.readSectorsRetryInto(addr-1, segs[:]...); err != nil {
-				return err
+			if rerr = v.readSectorsRetryInto(addr-1, segs[:4+ahead]...); rerr == nil {
+				rerr = f.verifyLeaderBuf(leader[:])
 			}
-			if lerr := f.verifyLeaderBuf(leader[:]); lerr != nil {
-				return lerr
-			}
-		} else if err := v.readSectorsRetryInto(addr, segs[1:]...); err != nil {
-			return err
+		} else {
+			rerr = v.readSectorsRetryInto(addr, segs[1:4+ahead]...)
+		}
+		if ahead > 0 {
+			dc.Commit(addr+cnt, slots[:ahead], gen, rerr == nil)
+		}
+		if rerr != nil {
+			return rerr
 		}
 		if dc != nil {
 			at := addr
-			for _, seg := range segs[1:] {
+			for _, seg := range segs[1:4] {
 				if !dc.PutRange(at, seg, gen) {
 					break
 				}
 				at += len(seg) / disk.SectorSize
 			}
-			dc.NoteFill(addr, fetch)
-			if fetch > cnt {
-				dc.NoteReadAhead(fetch - cnt)
-				v.traceReadAhead(addr, fetch-cnt)
+			if ahead > 0 {
+				v.traceReadAhead(addr, ahead)
 			}
 			if merged > 0 {
 				dc.NoteCoalescedRead()
-				v.traceCoalesce("read", addr, fetch, merged)
+				v.traceCoalesce("read", addr, cnt+ahead, merged)
 			}
 		}
 		w.settle(cur, cnt)
-		v.cpu.Charge(time.Duration(fetch) * sim.CostPerSectorCopy)
+		// The CPU copied the chunk (platter → p is the device's doing, p →
+		// frame the fill's); what was read ahead it has not touched, and
+		// pays for when a hit delivers it.
+		v.cpu.Charge(time.Duration(cnt) * sim.CostPerSectorCopy)
 		cur += cnt
 		remaining -= cnt
 	}
@@ -812,22 +830,45 @@ func (f *File) Extend(morePages int) (err error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	v.vmMu.Lock()
-	runs, err := v.al.Alloc(morePages)
-	v.vmMu.Unlock()
+	e, grown, err := v.grow(&f.e, morePages)
 	if err != nil {
 		return err
 	}
-	e := f.e
-	e.Runs = append(append([]alloc.Run(nil), e.Runs...), runs...)
 	if err := v.putEntryLocked(&e); err != nil {
-		v.vmMu.Lock()
-		v.al.FreeNow(runs)
-		v.vmMu.Unlock()
+		v.freeNow(grown)
 		return err
 	}
 	f.e = e
 	return v.stageLeader(&e)
+}
+
+// grow allocates morePages further pages behind e — in place when the
+// allocator can, see alloc.Extend — and returns the grown entry and the pages
+// added to it. It is the validation step of Extend on both the staged and the
+// asynchronous path: an entry whose run table has grown past what a
+// name-table cell holds (a file extended piecemeal between other growing
+// files) fails here, with its new pages freed again, instead of in the Put.
+func (v *Volume) grow(e *Entry, morePages int) (Entry, []alloc.Run, error) {
+	v.vmMu.Lock()
+	grown, err := v.al.Extend(e.Runs, morePages)
+	v.vmMu.Unlock()
+	if err != nil {
+		return Entry{}, nil, err
+	}
+	ne := *e
+	ne.Runs = alloc.Join(e.Runs, grown)
+	if err := entryFits(&ne); err != nil {
+		v.freeNow(grown)
+		return Entry{}, nil, err
+	}
+	return ne, grown, nil
+}
+
+// freeNow returns runs nothing durable refers to yet to the allocator.
+func (v *Volume) freeNow(runs []alloc.Run) {
+	v.vmMu.Lock()
+	v.al.FreeNow(runs)
+	v.vmMu.Unlock()
 }
 
 // Contract trims the file to newPages data pages; the freed tail becomes

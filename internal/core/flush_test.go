@@ -167,7 +167,7 @@ func TestReadOneCopyConfig(t *testing.T) {
 }
 
 // newTestVolumeWith formats a small test volume with a custom config.
-func newTestVolumeWith(t *testing.T, cfg Config) (*Volume, *disk.Disk, *sim.VirtualClock) {
+func newTestVolumeWith(t testing.TB, cfg Config) (*Volume, *disk.Disk, *sim.VirtualClock) {
 	t.Helper()
 	clk := sim.NewVirtualClock()
 	d, err := disk.New(disk.SmallGeometry, disk.DefaultParams, clk)

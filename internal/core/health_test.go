@@ -114,7 +114,7 @@ func TestSpareExhaustionTransitionsReadOnly(t *testing.T) {
 	if err := v.Shutdown(); err != nil {
 		t.Fatalf("Shutdown of read-only volume: %v", err)
 	}
-	root, err := readRoot(d)
+	root, err := readRoot(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

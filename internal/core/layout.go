@@ -95,11 +95,13 @@ type Config struct {
 	// the paper-reproduction benches measure). See internal/bufcache.
 	DataCachePages int
 	// ReadAhead caps the sectors fetched beyond a sequential miss: when a
-	// read continues a detected sequential stream, the fetch is extended
-	// through the physically contiguous stretch by up to this many extra
-	// sectors (never past MaxTransferSectors per request). Zero means the
-	// full transfer cap; negative disables read-ahead while keeping the
-	// cache.
+	// handle's read starts where its last one ended (or is a fresh handle's
+	// full-transfer read of the start of the file) and misses the data
+	// cache, the request goes on through the physically contiguous stretch
+	// by up to this many extra sectors, into the cache. Zero means the
+	// stream window (128 sectors, less in a data cache under 2048); a
+	// positive value gets no more than that; negative disables read-ahead
+	// while keeping the cache.
 	ReadAhead int
 	// ReadRetries bounds the in-place retries after a damaged-sector read
 	// error before the error surfaces (transient faults clear on retry;
@@ -231,10 +233,14 @@ func (c Config) readAhead() int {
 	if c.ReadAhead < 0 {
 		return 0
 	}
-	if c.ReadAhead == 0 {
-		return MaxTransferSectors
+	ra := streamWindow
+	if c.ReadAhead > 0 {
+		ra = min(ra, c.ReadAhead)
 	}
-	return c.ReadAhead
+	// A window must survive in the probation half of the cache until its
+	// reader arrives, beside other readers' windows: in a cache whose half
+	// is too small to hold eight it shrinks.
+	return min(ra, c.dataCachePages()/2/8)
 }
 
 func (c Config) readRetries() int {

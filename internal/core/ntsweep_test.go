@@ -197,7 +197,7 @@ func quiesced(t *testing.T, fill func(v *Volume)) *disk.Disk {
 func TestSweepDamageFallsBackPerPage(t *testing.T) {
 	d := quiesced(t, func(v *Volume) { churn(t, v, rand.New(rand.NewSource(5))) })
 	lay := func() layout {
-		root, err := readRoot(d)
+		root, err := readRoot(d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func TestSweepIgnoresUnreachableLeaf(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	root, err := readRoot(d)
+	root, err := readRoot(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func scrambled(n int, seed int64) []byte {
 }
 
 // newDataVolume formats a small volume with the given DataCachePages and
-// returns it with a fragmented file of `pages` pages holding want.
+// returns it with an Extend-grown file of `pages` pages holding want.
 func newDataVolume(tb testing.TB, cachePages, pages int) (*Volume, *File, []byte) {
 	tb.Helper()
 	d, err := disk.New(disk.SmallGeometry, disk.DefaultParams, sim.NewVirtualClock())

@@ -32,7 +32,7 @@ func MountReadOnly(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 func mountReadOnly(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	var ms MountStats
 	start := d.Clock().Now()
-	root, err := readRoot(d)
+	root, err := readRoot(d, cfg.readRetries())
 	if err != nil {
 		return nil, ms, err
 	}

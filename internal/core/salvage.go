@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/btree"
 	"repro/internal/disk"
 	"repro/internal/parscan"
@@ -675,12 +674,7 @@ func (r *salvageRun) rebuild() error {
 		// Unreadable data sectors become bad blocks: never allocated.
 		v.vm.MarkAllocated(bad, 1)
 	}
-	v.al, err = alloc.New(v.vm, alloc.Config{
-		Lo:             lay.dataLo,
-		Hi:             lay.dataHi,
-		SmallThreshold: cfg.smallThreshold(),
-		SmallFraction:  (lay.boundary - lay.dataLo) * 100 / (lay.dataHi - lay.dataLo),
-	})
+	v.al, err = newAllocator(v.vm, lay, cfg)
 	if err != nil {
 		return err
 	}
@@ -846,12 +840,7 @@ func (r *salvageRun) resumeFinalize() error {
 	if err != nil {
 		return err
 	}
-	v.al, err = alloc.New(v.vm, alloc.Config{
-		Lo:             lay.dataLo,
-		Hi:             lay.dataHi,
-		SmallThreshold: cfg.smallThreshold(),
-		SmallFraction:  (lay.boundary - lay.dataLo) * 100 / (lay.dataHi - lay.dataLo),
-	})
+	v.al, err = newAllocator(v.vm, lay, cfg)
 	if err != nil {
 		return err
 	}
@@ -885,7 +874,7 @@ func Salvage(d *disk.Disk, cfg Config) (*Volume, SalvageStats, error) {
 	var lay layout
 	uidChunk := uint64(1)
 	formatted := clk.Now()
-	if root, err := readRoot(d); err == nil {
+	if root, err := readRoot(d, cfg.readRetries()); err == nil {
 		lay = root.layout
 		cfg.LogVAM = root.logVAM
 		uidChunk = root.uidChunk

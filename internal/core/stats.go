@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/disk"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -23,8 +24,8 @@ type CacheStats struct {
 }
 
 // DataCacheStats counts file-data buffer cache activity: per-sector hits and
-// misses, sectors fetched ahead of demand, clustered transfers that merged
-// run boundaries, and frame turnover.
+// misses, sectors fetched ahead of demand and what became of them, clustered
+// transfers that merged run boundaries, and frame turnover.
 type DataCacheStats struct {
 	Hits             int // sectors served from cache
 	Misses           int // sectors that went to disk
@@ -32,10 +33,23 @@ type DataCacheStats struct {
 	CoalescedReads   int // read transfers that crossed run boundaries
 	CoalescedWrites  int // write transfers that crossed run boundaries
 	Invalidated      int // frames dropped by delete/contract/damage
-	Evicted          int // frames evicted by LRU pressure
+	Evicted          int // frames evicted by replacement
 	Size             int // frames currently resident
 	Capacity         int // frame capacity
+	// ReadAheadUsed and ReadAheadWasted split the sectors read ahead by their
+	// fate: hit by a reader, or evicted or invalidated before any reader
+	// came (the rest are still resident, unread). A wasted share that grows
+	// says the stream window is too large for the cache's probation half.
+	ReadAheadUsed   int
+	ReadAheadWasted int
+	// Promotions counts frames a second reference moved to the protected
+	// list: the re-read working set the replacement policy shields from
+	// read-once traffic.
+	Promotions int
 }
+
+// AllocStats counts how the growth of files was placed; see alloc.Stats.
+type AllocStats = alloc.Stats
 
 // CommitStats reports group-commit activity: the WAL counters plus the
 // batching distributions measured by the observability layer. The paper's
@@ -125,6 +139,7 @@ type SpanStats struct {
 type Stats struct {
 	Ops    OpStats
 	Cache  CacheStats
+	Alloc  AllocStats
 	Commit CommitStats
 	Intent IntentStats
 	Disk   disk.Stats
@@ -381,8 +396,9 @@ func (v *Volume) observeDiskOp(e disk.OpEvent) {
 	// The per-op I/O deadline: an operation that held the device this
 	// long (a hung-I/O stall, on this simulated drive) is classified as a
 	// fault instead of silently delaying the commit pipeline. A
-	// legitimate op is bounded by MaxTransferSectors and never comes
-	// close to the default 1 s deadline.
+	// legitimate op is bounded by a demand transfer plus a stream window
+	// (MaxTransferSectors + streamWindow sectors, under 100 ms of
+	// transfer) and never comes close to the default 1 s deadline.
 	if t := v.cfg.opTimeout(); t > 0 && total >= t {
 		v.noteHungOp(total)
 	}
@@ -420,6 +436,7 @@ func (v *Volume) Stats() Stats {
 	s := Stats{
 		Ops:          v.opsSnapshot(),
 		Cache:        v.cacheStats(),
+		Alloc:        v.allocStats(),
 		Disk:         v.d.Stats(),
 		Faults:       v.faultStats(),
 		Health:       v.Health(),
@@ -499,9 +516,21 @@ func (v *Volume) cacheStats() CacheStats {
 			Evicted:          int(bs.Evicted),
 			Size:             bs.Size,
 			Capacity:         bs.Capacity,
+			ReadAheadUsed:    int(bs.ReadAheadUsed),
+			ReadAheadWasted:  int(bs.ReadAheadWasted),
+			Promotions:       int(bs.Promotions),
 		}
 	}
 	return cs
+}
+
+// allocStats reads the allocator's placement counters; a read-only mount
+// has no allocator.
+func (v *Volume) allocStats() AllocStats {
+	if v.al == nil {
+		return AllocStats{}
+	}
+	return v.al.Stats()
 }
 
 // SpanNames returns the instrumented operation names in a stable order.

@@ -432,9 +432,12 @@ func (v *Volume) writeRoot(r rootPage) error {
 	return v.d.Sync()
 }
 
-func readRoot(d *disk.Disk) (rootPage, error) {
+// readRoot returns the first of the root page's two copies that reads —
+// after up to retries in-place retries of a transient fault each — and
+// decodes.
+func readRoot(d *disk.Disk, retries int) (rootPage, error) {
 	for _, addr := range []int{0, 2} {
-		buf, err := d.ReadSectors(addr, 1)
+		buf, _, err := disk.ReadSectorsRetry(d, addr, 1, retries)
 		if err != nil {
 			continue
 		}
@@ -443,6 +446,17 @@ func readRoot(d *disk.Disk) (rootPage, error) {
 		}
 	}
 	return rootPage{}, ErrRootLost
+}
+
+// newAllocator returns the run allocator over the layout's data region, its
+// areas split where the layout says.
+func newAllocator(vm *vam.VAM, lay layout, cfg Config) (*alloc.Allocator, error) {
+	return alloc.New(vm, alloc.Config{
+		Lo:             lay.dataLo,
+		Hi:             lay.dataHi,
+		SmallThreshold: cfg.smallThreshold(),
+		Boundary:       lay.boundary,
+	})
 }
 
 // Format initializes an FSD volume on d and returns it mounted. Everything
@@ -471,12 +485,7 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 	if metaHi > metaLo {
 		v.vm.MarkAllocated(metaLo, metaHi-metaLo)
 	}
-	v.al, err = alloc.New(v.vm, alloc.Config{
-		Lo:             lay.dataLo,
-		Hi:             lay.dataHi,
-		SmallThreshold: cfg.smallThreshold(),
-		SmallFraction:  (lay.boundary - lay.dataLo) * 100 / (lay.dataHi - lay.dataLo),
-	})
+	v.al, err = newAllocator(v.vm, lay, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +534,7 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	var ms MountStats
 	start := d.Clock().Now()
-	root, err := readRoot(d)
+	root, err := readRoot(d, cfg.readRetries())
 	if err != nil {
 		return nil, ms, err
 	}
@@ -682,12 +691,7 @@ func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 		return nil, ms, err
 	}
 
-	v.al, err = alloc.New(v.vm, alloc.Config{
-		Lo:             lay.dataLo,
-		Hi:             lay.dataHi,
-		SmallThreshold: cfg.smallThreshold(),
-		SmallFraction:  (lay.boundary - lay.dataLo) * 100 / (lay.dataHi - lay.dataLo),
-	})
+	v.al, err = newAllocator(v.vm, lay, cfg)
 	if err != nil {
 		return nil, ms, err
 	}
@@ -1048,7 +1052,7 @@ func (v *Volume) Shutdown() error {
 	if err := v.vm.SaveWith(v.writeSectors, v.lay.vamBase); err != nil {
 		return err
 	}
-	root, err := readRoot(v.d)
+	root, err := readRoot(v.d, v.cfg.readRetries())
 	if err != nil {
 		return err
 	}
@@ -1119,7 +1123,7 @@ func (v *Volume) LogRegion() (base, size int) {
 // LogRegionOf reads a volume's root page and returns its log region without
 // mounting (cmd/logdump uses it on crashed images).
 func LogRegionOf(d *disk.Disk) (base, size int, err error) {
-	root, err := readRoot(d)
+	root, err := readRoot(d, Config{}.readRetries())
 	if err != nil {
 		return 0, 0, err
 	}

@@ -468,9 +468,11 @@ func TestFindRunMatchesReference(t *testing.T) {
 	}
 }
 
-func BenchmarkFindRunSparse(b *testing.B) {
-	// The soak shape: a mostly-allocated 600k-page volume with scattered
-	// free fragments and the free tail at the end.
+// BenchmarkFindRun is the allocator's search in both directions over the
+// soak shape: a mostly-allocated 600k-page volume with scattered free
+// fragments in its lower half and the free tail at the end. Upward is a small
+// create's or an extension's first fit, downward a sized big create's.
+func BenchmarkFindRun(b *testing.B) {
 	n := 600_000
 	v := New(n)
 	rng := rand.New(rand.NewSource(1))
@@ -478,8 +480,17 @@ func BenchmarkFindRunSparse(b *testing.B) {
 		v.MarkFree(rng.Intn(n/2), 1+rng.Intn(3))
 	}
 	v.MarkFree(n-5000, 5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.FindRun(8, 0, n, 1)
+	for _, dir := range []struct {
+		name string
+		dir  int
+	}{{"up", 1}, {"down", -1}} {
+		b.Run(dir.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, l := v.FindRun(8, 0, n, dir.dir); l != 8 {
+					b.Fatal("no run found")
+				}
+			}
+		})
 	}
 }

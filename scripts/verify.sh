@@ -33,14 +33,22 @@ go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache
 go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep'
 # The allocation gates of the borrowed-buffer read path (a lookup allocates
 # its result, a cached read and a cache fill nothing, a read's round trip a
-# fixed handful of small objects whatever its payload) and the proof that the
-# data cache's O(1) replacement evicts what the min-tick scan did. Without
-# -race: the detector makes sync.Pool drop frames, and those gates skip.
-go test ./internal/btree ./internal/bufcache ./internal/core ./internal/wire ./internal/server -count=1 -run 'TestGetAllocs|TestScanAllocs|TestHitAndFillAllocs|TestExactLRUEquivalence|TestCachedReadAtAllocs|TestDecodeAliasesFrame|TestReadFramePooledSteadyState|TestReadRoundTripAllocs'
+# fixed handful of small objects whatever its payload, a read-ahead I/O
+# nothing) and the proof that the data cache's O(1) lists evict what the
+# two-segment reference model does. Without -race: the detector makes
+# sync.Pool drop frames, and those gates skip.
+go test ./internal/btree ./internal/bufcache ./internal/core ./internal/wire ./internal/server -count=1 -run 'TestGetAllocs|TestScanAllocs|TestHitAndFillAllocs|TestExactLRUEquivalence|TestCachedReadAtAllocs|TestReadAheadAllocs|TestDecodeAliasesFrame|TestReadFramePooledSteadyState|TestReadRoundTripAllocs'
+# The streamed-file gates: growth placed in place then ascending (allocator
+# cases; one data run through LocalFS, staged and async; 16 MB in two runs;
+# the run-table limit failing one writer, not the volume), the read shape
+# (a request per chunk-plus-window, inside its stretch, none for a random
+# reader; a fill raced by a write installs nothing), and scan-resistant
+# replacement.
+go test ./internal/alloc ./internal/bufcache ./internal/core . -count=1 -run 'TestExtend|TestScanResistance|TestReserveCommit|TestDropAllSparesReservedFrames|TestStreamedReadShape|TestReadAheadPaysBetweenReaders|TestRandomReadsDoNotReadAhead|TestReadAheadStaysInsideItsStretch|TestStreamFillRacedByWrite|TestStreamedFileIsOneAscendingRun|TestLongStreamKeepsTwoRuns|TestRunTableLimitFailsOneWriter'
 # Per-layer wall-clock benches (perf-ledger item c), one iteration each: they
 # must keep compiling and running; their numbers are read with -benchtime
 # left alone.
-go test ./internal/btree ./internal/bufcache ./internal/core ./internal/wire ./internal/server -run xxx -bench . -benchtime 1x
+go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./internal/core ./internal/wire ./internal/server -run xxx -bench . -benchtime 1x
 go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders'
 # Seeded write-fault sweep (PR 7): retries/remaps/hung-I/O absorption and
 # the health FSM's graceful-degradation contract, plus the concurrent
@@ -64,6 +72,10 @@ go run ./cmd/fsdctl crashcheck -nested -depth 2 -seed 1 -states 30 -inner 4
 # Re-entrant recovery under the race detector: mount-scheduled scrub
 # racing a workload, and the composed-fault recovery tests.
 go test -race ./internal/core -count=1 -run 'TestMountWhileScrubHammer|TestMountUnderComposedFaults|TestSalvageCrashResume'
+# ...and the composed-fault mount on a hundred fresh seeds: with a fifth of
+# all reads failing once, both copies of the root page fault on about one
+# mount in thirty, and the root read has to retry like every other read.
+go test ./internal/core -count=100 -run 'TestMountUnderComposedFaults$'
 # Live-counter table reproduction (Tables 2/3/4/5 from Volume.Stats()):
 # one shared volume, a few seconds; asserts nothing here — the shape
 # checks live in go test ./cmd/benchtab — but must run to completion.
