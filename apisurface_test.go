@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -35,8 +36,8 @@ var (
 )
 
 // TestAPISurface exercises every exported name in cedarfs.go: the
-// constructors, the redesigned Mount/Stats APIs, the trace hooks, the
-// deprecated wrappers, and the error and class constants.
+// constructors, the redesigned Mount/Stats APIs, the trace hooks, and the
+// error and class constants.
 func TestAPISurface(t *testing.T) {
 	// NewVolume: the one-call constructor.
 	vol, err := NewVolume()
@@ -106,7 +107,7 @@ func TestAPISurface(t *testing.T) {
 	// Config knobs for the data cache and the async pipeline are part of
 	// the surface.
 	_ = Config{DataCachePages: -1, ReadAhead: -1}
-	_ = Config{AsyncApply: true, AdaptiveCommit: true, CommitFloor: 1, IntentQueueDepth: 1}
+	_ = Config{AsyncApply: true, AdaptiveCommit: true}
 	if ds.Ops == 0 {
 		t.Fatalf("disk counters empty: %+v", ds)
 	}
@@ -217,18 +218,6 @@ func TestAPISurface(t *testing.T) {
 		t.Fatalf("healthy mount ran salvage: %+v", rep5.Salvage)
 	}
 	if err := v5.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Deprecated wrappers route to the same ladder.
-	if _, ms, err := MountReadOnly(d, Config{}); err != nil || !ms.ReadOnly {
-		t.Fatalf("MountReadOnly = %+v, %v", ms, err)
-	}
-	v6, ms6, ss, err := MountOrSalvage(d, Config{})
-	if err != nil || ss != nil || ms6.ReadOnly {
-		t.Fatalf("MountOrSalvage = %+v, %v, %v", ms6, ss, err)
-	}
-	if err := v6.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -439,5 +428,17 @@ func TestExitCodes(t *testing.T) {
 		if got := ExitCode(c.err); got != c.want {
 			t.Errorf("ExitCode(%v) = %d, want %d", c.err, got, c.want)
 		}
+	}
+}
+
+// TestConfigKnobBudget holds Config at the number of knobs it has. Every
+// field doubles the configurations the tests and benchmarks would have to
+// cover, and three of the last 26 had no setter anywhere.
+func TestConfigKnobBudget(t *testing.T) {
+	const budget = 23
+	if n := reflect.TypeOf(Config{}).NumField(); n != budget {
+		t.Fatalf("Config has %d fields, the budget is %d: before adding a knob, argue in DESIGN.md (§13, \"Knobs\") "+
+			"which two callers need different values — one value in use is a constant — and what it replaces; "+
+			"after removing one, lower the budget", n, budget)
 	}
 }

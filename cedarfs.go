@@ -198,13 +198,6 @@ func ReadOnly() MountOption { return core.ReadOnly() }
 // mount and then to the destructive salvage sweep when recovery fails.
 func AllowSalvage() MountOption { return core.AllowSalvage() }
 
-// MountReadOnly attaches to a volume without writing anything.
-//
-// Deprecated: use Mount(d, cfg, ReadOnly()).
-func MountReadOnly(d *Disk, cfg Config) (*Volume, MountStats, error) {
-	return core.MountReadOnly(d, cfg)
-}
-
 // Salvage rebuilds a volume whose name table is lost in both copies by
 // scanning the data region for leader pages. Last-ditch recovery; see
 // Volume.Scrub for the maintenance pass that makes it unnecessary. Prefer
@@ -212,12 +205,3 @@ func MountReadOnly(d *Disk, cfg Config) (*Volume, MountStats, error) {
 // first; Salvage remains the direct entry for tooling that has already
 // decided to sweep.
 func Salvage(d *Disk, cfg Config) (*Volume, SalvageStats, error) { return core.Salvage(d, cfg) }
-
-// MountOrSalvage mounts the volume, degrading first to a read-only mount and
-// then to a salvage scan when normal recovery fails.
-//
-// Deprecated: use Mount(d, cfg, AllowSalvage()); the MountReport carries
-// the SalvageStats pointer.
-func MountOrSalvage(d *Disk, cfg Config) (*Volume, MountStats, *SalvageStats, error) {
-	return core.MountOrSalvage(d, cfg)
-}

@@ -36,6 +36,9 @@ func newLocalFS(cfg cedarfs.Config) fstest.Factory {
 		fs := cedarfs.NewLocalFS(vol)
 		t.Cleanup(func() {
 			fs.Close()
+			if vs, err := vol.Verify(); err != nil || len(vs.Problems) != 0 {
+				t.Errorf("verify: %v, %v", vs.Problems, err)
+			}
 			if err := vol.Shutdown(); err != nil {
 				t.Errorf("shutdown: %v", err)
 			}

@@ -339,8 +339,10 @@ func (t *Tree) splitLeafAndInsert(path []pathEl, leaf node, idx int, key, value 
 	sep := cells[splitAt].k
 	// Write the new right page before the left page that points at it;
 	// under a non-atomic pager a crash between the two leaves garbage
-	// rather than a dangling pointer. (Under the logged pager the batch
-	// is atomic anyway.)
+	// rather than a dangling pointer. (Under FSD's logged pager the order
+	// is moot: each Write stages its own log images, but the operation
+	// doing the Put holds one WAL group across all of them, so no force —
+	// and no crash — can take the pages of a split apart.)
 	if err := t.store(right); err != nil {
 		return err
 	}

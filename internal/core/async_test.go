@@ -366,9 +366,8 @@ func TestAsyncStatsExposure(t *testing.T) {
 	}
 	// Format-time staging already trained the controller; the deadline
 	// must be inside [floor, ceiling].
-	cfg := asyncConfig()
-	if d := st.Commit.ForceDeadline; d < cfg.commitFloor() || d > 500*time.Millisecond {
-		t.Fatalf("ForceDeadline = %v, want within [%v, 500ms]", d, cfg.commitFloor())
+	if d := st.Commit.ForceDeadline; d < commitFloor || d > 500*time.Millisecond {
+		t.Fatalf("ForceDeadline = %v, want within [%v, 500ms]", d, commitFloor)
 	}
 	for i := 0; i < 20; i++ {
 		if _, err := v.Create(fmt.Sprintf("s/f%02d", i), payload(64, byte(i))); err != nil {

@@ -82,51 +82,45 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 // operation, logged like any other metadata update; no data pages move.
 // It fails if any version of newName already exists.
 func (v *Volume) Rename(oldName, newName string) error {
-	if v.async() {
-		return v.renameAsync(oldName, newName)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.beginMutate(); err != nil {
-		return err
-	}
-	if err := ValidateName(newName); err != nil {
-		return err
-	}
-	if hi, err := v.highestVersionLocked(newName); err != nil {
-		return err
-	} else if hi != 0 {
-		return fmt.Errorf("%w: %q", ErrExists, newName)
-	}
-	var versions []uint32
-	prefix := namePrefix(oldName)
-	err := v.nt.Scan(prefix, func(k, _ []byte) bool {
-		n, ver, ok := splitKey(k)
-		if !ok || n != oldName {
-			return false
+	return v.mutate("rename", nil, [2]string{oldName, newName}, func(it *intent) error {
+		if err := ValidateName(newName); err != nil {
+			return err
 		}
-		versions = append(versions, ver)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if len(versions) == 0 {
-		return fmt.Errorf("%w: %q", ErrNotFound, oldName)
-	}
-	for _, ver := range versions {
-		e, err := v.statLocked(oldName, ver)
+		if hi, err := v.highestVersionLocked(newName); err != nil {
+			return err
+		} else if hi != 0 {
+			return fmt.Errorf("%w: %q", ErrExists, newName)
+		}
+		var versions []uint32
+		err := v.nt.Scan(namePrefix(oldName), func(k, _ []byte) bool {
+			n, ver, ok := splitKey(k)
+			if !ok || n != oldName {
+				return false
+			}
+			versions = append(versions, ver)
+			return true
+		})
 		if err != nil {
 			return err
 		}
-		e.Name = newName
-		if err := v.putEntryLocked(e); err != nil {
-			return err
+		if len(versions) == 0 {
+			return fmt.Errorf("%w: %q", ErrNotFound, oldName)
 		}
-		if err := v.nt.Delete(entryKey(oldName, ver)); err != nil {
-			return err
+		for _, ver := range versions {
+			e, err := v.statLocked(oldName, ver)
+			if err != nil {
+				return err
+			}
+			e.Name = newName
+			if err := entryFits(e); err != nil {
+				return err
+			}
+			// A moved version costs its lookup, its put and two page
+			// checksums; the delete of the old key rides free.
+			it.put(e)
+			it.add(intentStep{op: stepDelete, key: entryKey(oldName, ver)})
+			v.cpu.Charge(2 * csumCost)
 		}
-		v.cpu.Charge(2 * csumCost)
-	}
-	return nil
+		return nil
+	})
 }

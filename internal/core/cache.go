@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -200,7 +201,12 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 		}
 	}
 	if data == nil {
-		return nil, fmt.Errorf("core: name-table page %d unreadable in all copies (A: %v)", id, errA)
+		// %w: a device fault on copy A stays visible to errors.As, which is
+		// how the intent applier tells a fault worth retrying from a bug.
+		if errA == nil {
+			errA = errors.New("checksum mismatch")
+		}
+		return nil, fmt.Errorf("core: name-table page %d unreadable in all copies (A: %w)", id, errA)
 	}
 	p := newNTPage(id, data)
 	c.insert(p)
@@ -222,7 +228,7 @@ func (c *ntCache) admit(id uint32, data []byte) {
 }
 
 // overlayNT applies the in-memory replayed sector images of page id (set
-// only by MountReadOnly) over a home copy. buf may be nil for an unreadable
+// only by a read-only mount) over a home copy. buf may be nil for an unreadable
 // home copy, in which case the page is reconstructed only when the overlay
 // covers all of it. It returns buf unchanged when there is nothing to apply.
 func (v *Volume) overlayNT(id uint32, buf []byte) []byte {

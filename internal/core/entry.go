@@ -7,7 +7,7 @@
 // Updates go to cached pages and are captured by the redo log
 // (internal/wal); the group-commit daemon forces the log when its deadline
 // expires — the paper's fixed half second by default, a load-adaptive
-// deadline between Config.CommitFloor and that ceiling with
+// deadline between the 5 ms floor and that ceiling with
 // Config.AdaptiveCommit, or at every update with Config.Synchronous.
 // Each file also has a leader page used only for software checking.
 package core
@@ -242,6 +242,15 @@ func entryFits(e *Entry) error {
 		return fmt.Errorf("core: %q!%d with %d runs: %w", e.Name, e.Version, len(e.Runs), btree.ErrTooLarge)
 	}
 	return nil
+}
+
+// entryUID is the uid of an encoded entry, 0 (no file's) if buf is too short
+// to hold one.
+func entryUID(buf []byte) uint64 {
+	if len(buf) < 11 {
+		return 0
+	}
+	return binary.BigEndian.Uint64(buf[3:])
 }
 
 func decodeEntry(name string, version uint32, buf []byte) (*Entry, error) {

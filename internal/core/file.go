@@ -10,7 +10,6 @@ import (
 	"repro/internal/btree"
 	"repro/internal/disk"
 	"repro/internal/sim"
-	"repro/internal/wal"
 )
 
 // MaxTransferSectors bounds a demand transfer — the sectors of one disk
@@ -106,14 +105,6 @@ func (v *Volume) statLocked(name string, version uint32) (*Entry, error) {
 	return decodeEntry(name, version, val)
 }
 
-// putEntryLocked writes an entry into the name table. The caller holds the
-// monitor; the B-tree's own write lock serializes the update, so read-mode
-// holders (a cached-file open refreshing LastUsed) may call it too.
-func (v *Volume) putEntryLocked(e *Entry) error {
-	v.cpu.Charge(sim.CostBTreeOp)
-	return v.nt.Put(entryKey(e.Name, e.Version), encodeEntry(e))
-}
-
 // Create makes a new version of name holding data and returns an open
 // handle. The create costs one synchronous I/O in the common case: the
 // combined write of the leader page and the data ("a file create typically
@@ -139,79 +130,95 @@ func (v *Volume) CreateLink(name, target string) (*Entry, error) {
 	return &f.e, nil
 }
 
-func (v *Volume) createClass(name string, data []byte, class Class, linkTarget string) (_ *File, err error) {
-	defer v.span("create")(&err)
-	if v.async() {
-		return v.createClassAsync(name, data, class, linkTarget)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.beginMutate(); err != nil {
-		return nil, err
-	}
-	if err := ValidateName(name); err != nil {
-		return nil, err
-	}
-	highest, err := v.highestVersionLocked(name)
-	if err != nil {
-		return nil, err
-	}
-	var keep uint16
-	if highest > 0 {
-		if prev, err := v.statLocked(name, highest); err == nil {
-			keep = prev.Keep
+func (v *Volume) createClass(name string, data []byte, class Class, linkTarget string) (*File, error) {
+	var f *File
+	err := v.mutate("create", nil, [2]string{name}, func(it *intent) (err error) {
+		if err := ValidateName(name); err != nil {
+			return err
 		}
-	}
-	v.cpu.Charge(sim.CostFileCreate)
-	e := &Entry{
-		Name:       name,
-		Version:    highest + 1,
-		Class:      class,
-		Keep:       keep,
-		UID:        v.nextUID(),
-		ByteSize:   uint64(len(data)),
-		CreateTime: v.clk.Now(),
-		LastUsed:   v.clk.Now(),
-		LinkTarget: linkTarget,
-	}
-	if class != SymLink {
-		pages := 1 + (len(data)+disk.SectorSize-1)/disk.SectorSize // leader + data
-		v.vmMu.Lock()
-		e.Runs, err = v.al.Alloc(pages)
-		v.vmMu.Unlock()
+		highest, err := v.highestVersionLocked(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-	}
-	if err := v.putEntryLocked(e); err != nil {
-		v.freeNow(e.Runs)
-		return nil, err
-	}
-	v.ops.creates.Add(1)
-	if class != SymLink {
-		leader := encodeLeader(e)
+		var keep uint16
+		if highest > 0 {
+			if prev, err := v.statLocked(name, highest); err == nil {
+				keep = prev.Keep
+			}
+		}
+		v.cpu.Charge(sim.CostFileCreate)
+		e := &Entry{
+			Name:       name,
+			Version:    highest + 1,
+			Class:      class,
+			Keep:       keep,
+			UID:        v.nextUID(),
+			ByteSize:   uint64(len(data)),
+			CreateTime: v.clk.Now(),
+			LastUsed:   v.clk.Now(),
+			LinkTarget: linkTarget,
+		}
+		if class != SymLink {
+			pages := 1 + (len(data)+disk.SectorSize-1)/disk.SectorSize // leader + data
+			v.vmMu.Lock()
+			e.Runs, err = v.al.Alloc(pages)
+			v.vmMu.Unlock()
+			if err != nil {
+				return err
+			}
+			// Nothing refers to the pages until the intent is handed off.
+			defer func() {
+				if err != nil {
+					v.freeNow(e.Runs)
+				}
+			}()
+		}
+		// Apply cannot refuse an entry (see entryFits): a link target or a
+		// fragmented allocation too long for a cell fails here.
+		if err := entryFits(e); err != nil {
+			return err
+		}
+		// The data write stays on the caller, ahead of the entry: the pages
+		// are on the platter before the entry's images can stage — the order
+		// the force's data-before-record barrier assumes — and a write that
+		// fails leaves no entry over pages that were never written.
 		if len(data) > 0 {
-			if err := v.writeLeaderAndData(e, leader, data); err != nil {
-				return nil, err
-			}
-		} else {
-			// Empty file: the leader write is deferred — logged now,
-			// written home by a later piggyback or third flush.
-			addr, _ := e.LeaderAddr()
-			v.lmu.Lock()
-			v.pendingLeaders[addr] = leader
-			v.lmu.Unlock()
-			if _, err := v.log.Append(wal.PageImage{Kind: wal.KindLeader, Target: uint64(addr), Data: leader}); err != nil {
-				return nil, err
+			if err := v.writeLeaderAndData(e, encodeLeader(e), data); err != nil {
+				return err
 			}
 		}
-	}
-	if keep > 0 {
-		if err := v.applyKeepLocked(name, e.Version, keep); err != nil {
-			return nil, err
+		it.put(e)
+		if len(data) == 0 {
+			// Empty file: the leader write is deferred — logged with the
+			// entry, written home by a later piggyback or third flush.
+			it.leader(e)
 		}
-	}
-	return &File{v: v, e: *e, leaderVerified: true}, nil
+		if keep > 0 && uint32(keep) < e.Version {
+			// Resolve the versions the keep count no longer covers here,
+			// under the monitor; apply then replays pure redo steps. Trimming
+			// one costs its lookup and its delete.
+			cutoff := e.Version - uint32(keep)
+			err := v.nt.Scan(namePrefix(name), func(k, val []byte) bool {
+				n, ver, ok := splitKey(k)
+				if !ok || n != name {
+					return false
+				}
+				if ver <= cutoff {
+					if de, derr := decodeEntry(n, ver, val); derr == nil {
+						it.remove(de, 2)
+					}
+				}
+				return true
+			})
+			if err != nil {
+				return err
+			}
+		}
+		v.ops.creates.Add(1)
+		f = &File{v: v, e: *e, leaderVerified: true}
+		return nil
+	})
+	return f, err
 }
 
 // writeLeaderAndData writes the leader and the file contents. The leader and
@@ -291,35 +298,6 @@ func (v *Volume) writeLeaderAndData(e *Entry, leader, data []byte) error {
 	return nil
 }
 
-// applyKeepLocked deletes versions older than newest-keep+1.
-func (v *Volume) applyKeepLocked(name string, newest uint32, keep uint16) error {
-	if uint32(keep) >= newest {
-		return nil
-	}
-	cutoff := newest - uint32(keep) // delete versions <= cutoff
-	var doomed []uint32
-	prefix := namePrefix(name)
-	err := v.nt.Scan(prefix, func(k, _ []byte) bool {
-		n, ver, ok := splitKey(k)
-		if !ok || n != name {
-			return false
-		}
-		if ver <= cutoff {
-			doomed = append(doomed, ver)
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	for _, ver := range doomed {
-		if err := v.deleteLocked(name, ver); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Open returns a handle on a file; version 0 opens the newest. Opening a
 // cached file updates its last-used time — the canonical group-commit
 // hot-spot update. Open normally costs no I/O: all properties, including
@@ -345,18 +323,12 @@ func (v *Volume) Open(name string, version uint32) (_ *File, err error) {
 	}
 	v.ops.opens.Add(1)
 	if e.Class == Cached {
+		// The refresh is a read-modify-write step, so it can neither
+		// resurrect a concurrently deleted entry nor clobber a newer update.
 		e.LastUsed = v.clk.Now()
-		if v.async() {
-			// The refresh rides the queue as a read-modify-write step, so
-			// it can neither resurrect a concurrently deleted entry nor
-			// clobber a newer queued update.
-			it := &intent{op: "open-touch", steps: []intentStep{
-				{op: stepTouch, key: entryKey(e.Name, e.Version), t: e.LastUsed},
-			}}
-			if _, err := v.enqueueIntent(it, e.Name); err != nil {
-				return nil, err
-			}
-		} else if err := v.putEntryLocked(e); err != nil {
+		it := newIntent("open-touch", [2]string{e.Name})
+		it.add(intentStep{op: stepTouch, cost: 1, key: entryKey(e.Name, e.Version), t: e.LastUsed})
+		if err := v.submit(it); err != nil {
 			return nil, err
 		}
 	}
@@ -379,98 +351,45 @@ func (v *Volume) Stat(name string, version uint32) (_ *Entry, err error) {
 
 // Touch updates a file's last-used time (the property update the paper uses
 // as its one-page log record example).
-func (v *Volume) Touch(name string, version uint32) (err error) {
-	defer v.span("touch")(&err)
-	if v.async() {
-		return v.touchAsync(name, version)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.beginMutate(); err != nil {
-		return err
-	}
-	e, err := v.statLocked(name, version)
-	if err != nil {
-		return err
-	}
-	e.LastUsed = v.clk.Now()
-	v.ops.touches.Add(1)
-	return v.putEntryLocked(e)
+func (v *Volume) Touch(name string, version uint32) error {
+	return v.mutate("touch", nil, [2]string{name}, func(it *intent) error {
+		e, err := v.statLocked(name, version)
+		if err != nil {
+			return err
+		}
+		e.LastUsed = v.clk.Now()
+		v.ops.touches.Add(1)
+		it.put(e)
+		return nil
+	})
 }
 
 // SetKeep sets the keep count on the newest version of name; it takes
 // effect at the next create.
-func (v *Volume) SetKeep(name string, keep uint16) (err error) {
-	defer v.span("setkeep")(&err)
-	if v.async() {
-		return v.setKeepAsync(name, keep)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.beginMutate(); err != nil {
-		return err
-	}
-	e, err := v.statLocked(name, 0)
-	if err != nil {
-		return err
-	}
-	e.Keep = keep
-	return v.putEntryLocked(e)
+func (v *Volume) SetKeep(name string, keep uint16) error {
+	return v.mutate("setkeep", nil, [2]string{name}, func(it *intent) error {
+		e, err := v.statLocked(name, 0)
+		if err != nil {
+			return err
+		}
+		e.Keep = keep
+		it.put(e)
+		return nil
+	})
 }
 
 // Delete removes a file version (0 = newest). Its pages become allocatable
 // when the deletion commits — at the next log force.
-func (v *Volume) Delete(name string, version uint32) (err error) {
-	defer v.span("delete")(&err)
-	if v.async() {
-		return v.deleteAsync(name, version)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.beginMutate(); err != nil {
-		return err
-	}
-	if version == 0 {
-		var err error
-		version, err = v.highestVersionLocked(name)
+func (v *Volume) Delete(name string, version uint32) error {
+	return v.mutate("delete", nil, [2]string{name}, func(it *intent) error {
+		e, err := v.statLocked(name, version)
 		if err != nil {
 			return err
 		}
-		if version == 0 {
-			return fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
-	}
-	v.ops.deletes.Add(1)
-	return v.deleteLocked(name, version)
-}
-
-func (v *Volume) deleteLocked(name string, version uint32) error {
-	e, err := v.statLocked(name, version)
-	if err != nil {
-		return err
-	}
-	v.cpu.Charge(sim.CostBTreeOp)
-	if err := v.nt.Delete(entryKey(name, version)); err != nil {
-		return err
-	}
-	if len(e.Runs) > 0 {
-		// Defer the free to the commit of the batch carrying this
-		// deletion (freeOnCommit tags it after the Delete staged its
-		// images above).
-		v.freeOnCommit(e.Runs)
-		// Drop cached data frames: the sectors may be reallocated to
-		// another file after the commit, and a stale hit would serve the
-		// deleted file's bytes.
-		v.invalidateData(e.Runs)
-		// Cancel any deferred leader write: the sectors may be
-		// reallocated after the commit.
-		addr, _ := e.LeaderAddr()
-		v.lmu.Lock()
-		delete(v.pendingLeaders, addr)
-		delete(v.leaderThird, addr)
-		v.lmu.Unlock()
-	}
-	return nil
+		v.ops.deletes.Add(1)
+		it.remove(e, 1)
+		return nil
+	})
 }
 
 // List calls fn for every entry whose name starts with prefix, in name then
@@ -621,6 +540,14 @@ func (f *File) readInto(p []byte, off int64) (err error) {
 		}
 		segs[1], segs[2], segs[3] = w.place(cur, cnt)
 		needLeader := !f.leaderVerified && cur == page && addr == leaderAddr+1
+		if needLeader {
+			// The check sets the leader against this handle's entry, and an
+			// intent of the handle's own that has yet to apply (an Extend)
+			// has yet to stage the leader image that goes with it.
+			if err := v.waitName(f.e.Name); err != nil {
+				return err
+			}
+		}
 		ahead := 0
 		var gen uint64
 		if dc != nil {
@@ -786,10 +713,14 @@ func (f *File) WritePages(page int, data []byte) (err error) {
 			}
 			// A concurrent third-crossing flush may have written the
 			// same leader bytes home meanwhile — benign; deleting an
-			// already-removed entry is a no-op.
+			// already-removed entry is a no-op. A newer image registered
+			// meanwhile (an Extend of this file applying behind the write)
+			// is not the one that went home, and stays.
 			v.lmu.Lock()
-			delete(v.pendingLeaders, leaderAddr)
-			delete(v.leaderThird, leaderAddr)
+			if now := v.pendingLeaders[leaderAddr]; len(now) > 0 && &now[0] == &pending[0] {
+				delete(v.pendingLeaders, leaderAddr)
+				delete(v.leaderThird, leaderAddr)
+			}
 			v.lmu.Unlock()
 			f.leaderVerified = true
 		} else {
@@ -814,54 +745,31 @@ func (f *File) WritePages(page int, data []byte) (err error) {
 	return nil
 }
 
-// Extend grows the file by morePages data pages, allocating new runs and
-// updating the name-table entry (a logged metadata operation, no
-// synchronous I/O).
-func (f *File) Extend(morePages int) (err error) {
+// Extend grows the file by morePages data pages — in place when the
+// allocator can, see alloc.Extend — and updates the name-table entry (a
+// logged metadata operation, no synchronous I/O).
+func (f *File) Extend(morePages int) error {
 	v := f.v
-	defer v.span("extend")(&err)
-	if v.async() {
-		return f.extendAsync(morePages)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.beginMutate(); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	e, grown, err := v.grow(&f.e, morePages)
-	if err != nil {
-		return err
-	}
-	if err := v.putEntryLocked(&e); err != nil {
-		v.freeNow(grown)
-		return err
-	}
-	f.e = e
-	return v.stageLeader(&e)
-}
-
-// grow allocates morePages further pages behind e — in place when the
-// allocator can, see alloc.Extend — and returns the grown entry and the pages
-// added to it. It is the validation step of Extend on both the staged and the
-// asynchronous path: an entry whose run table has grown past what a
-// name-table cell holds (a file extended piecemeal between other growing
-// files) fails here, with its new pages freed again, instead of in the Put.
-func (v *Volume) grow(e *Entry, morePages int) (Entry, []alloc.Run, error) {
-	v.vmMu.Lock()
-	grown, err := v.al.Extend(e.Runs, morePages)
-	v.vmMu.Unlock()
-	if err != nil {
-		return Entry{}, nil, err
-	}
-	ne := *e
-	ne.Runs = alloc.Join(e.Runs, grown)
-	if err := entryFits(&ne); err != nil {
-		v.freeNow(grown)
-		return Entry{}, nil, err
-	}
-	return ne, grown, nil
+	return v.mutate("extend", f, [2]string{}, func(it *intent) error {
+		v.vmMu.Lock()
+		grown, err := v.al.Extend(f.e.Runs, morePages)
+		v.vmMu.Unlock()
+		if err != nil {
+			return err
+		}
+		e := f.e
+		e.Runs = alloc.Join(f.e.Runs, grown)
+		// A run table grown past what a name-table cell holds (a file
+		// extended piecemeal between other growing files) fails here, with
+		// its new pages freed again, instead of in the Put.
+		if err := entryFits(&e); err != nil {
+			v.freeNow(grown)
+			return err
+		}
+		it.update(&e)
+		it.leader(&e)
+		return nil
+	})
 }
 
 // freeNow returns runs nothing durable refers to yet to the allocator.
@@ -873,73 +781,47 @@ func (v *Volume) freeNow(runs []alloc.Run) {
 
 // Contract trims the file to newPages data pages; the freed tail becomes
 // allocatable at the next commit.
-func (f *File) Contract(newPages int) (err error) {
-	v := f.v
-	defer v.span("contract")(&err)
-	if v.async() {
-		return f.contractAsync(newPages)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.beginMutate(); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if newPages < 0 || newPages > f.e.Pages() {
-		return fmt.Errorf("core: contract to %d pages of %d", newPages, f.e.Pages())
-	}
-	keepSectors := newPages + 1 // leader stays
-	e := f.e
-	var kept []alloc.Run
-	var freed []alloc.Run
-	for _, r := range e.Runs {
-		if keepSectors >= int(r.Len) {
-			kept = append(kept, r)
-			keepSectors -= int(r.Len)
-		} else if keepSectors > 0 {
-			kept = append(kept, alloc.Run{Start: r.Start, Len: uint32(keepSectors)})
-			freed = append(freed, alloc.Run{Start: r.Start + uint32(keepSectors), Len: r.Len - uint32(keepSectors)})
-			keepSectors = 0
-		} else {
-			freed = append(freed, r)
+func (f *File) Contract(newPages int) error {
+	return f.v.mutate("contract", f, [2]string{}, func(it *intent) error {
+		if newPages < 0 || newPages > f.e.Pages() {
+			return fmt.Errorf("core: contract to %d pages of %d", newPages, f.e.Pages())
 		}
-	}
-	e.Runs = kept
-	if e.ByteSize > uint64(newPages*disk.SectorSize) {
-		e.ByteSize = uint64(newPages * disk.SectorSize)
-	}
-	if err := v.putEntryLocked(&e); err != nil {
-		return err
-	}
-	v.freeOnCommit(freed)
-	v.invalidateData(freed)
-	f.e = e
-	return v.stageLeader(&e)
+		keepSectors := newPages + 1 // leader stays
+		e := f.e
+		var kept []alloc.Run
+		var freed []alloc.Run
+		for _, r := range e.Runs {
+			if keepSectors >= int(r.Len) {
+				kept = append(kept, r)
+				keepSectors -= int(r.Len)
+			} else if keepSectors > 0 {
+				kept = append(kept, alloc.Run{Start: r.Start, Len: uint32(keepSectors)})
+				freed = append(freed, alloc.Run{Start: r.Start + uint32(keepSectors), Len: r.Len - uint32(keepSectors)})
+				keepSectors = 0
+			} else {
+				freed = append(freed, r)
+			}
+		}
+		e.Runs = kept
+		if e.ByteSize > uint64(newPages*disk.SectorSize) {
+			e.ByteSize = uint64(newPages * disk.SectorSize)
+		}
+		it.update(&e)
+		it.add(intentStep{op: stepFree, runs: freed})
+		it.leader(&e)
+		return nil
+	})
 }
 
 // SetByteSize records a new byte size (within the allocated pages).
-func (f *File) SetByteSize(n uint64) (err error) {
-	v := f.v
-	defer v.span("setbytesize")(&err)
-	if v.async() {
-		return f.setByteSizeAsync(n)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if err := v.beginMutate(); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n > uint64(f.e.Pages())*disk.SectorSize {
-		return fmt.Errorf("core: byte size %d exceeds %d allocated pages", n, f.e.Pages())
-	}
-	e := f.e
-	e.ByteSize = n
-	if err := v.putEntryLocked(&e); err != nil {
-		return err
-	}
-	f.e = e
-	return nil
+func (f *File) SetByteSize(n uint64) error {
+	return f.v.mutate("setbytesize", f, [2]string{}, func(it *intent) error {
+		if n > uint64(f.e.Pages())*disk.SectorSize {
+			return fmt.Errorf("core: byte size %d exceeds %d allocated pages", n, f.e.Pages())
+		}
+		e := f.e
+		e.ByteSize = n
+		it.update(&e)
+		return nil
+	})
 }

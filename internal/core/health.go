@@ -22,7 +22,7 @@ import (
 // immediate scrub pass to re-duplicate what the faults degraded. ReadOnly
 // means durability can no longer be promised: mutations fail with
 // ErrReadOnly while reads keep serving from whatever redundancy remains,
-// the same contract as a MountReadOnly degraded mount. Offline means the
+// the same contract as a degraded read-only mount. Offline means the
 // device itself is gone and even reads cannot be served.
 //
 // Transitions are one-way (a volume never self-promotes back to Healthy;
@@ -196,7 +196,7 @@ func (v *Volume) noteReadFault(retried int, err error) {
 	}
 }
 
-// noteHungOp classifies one disk operation that exceeded Config.OpTimeout:
+// noteHungOp classifies one disk operation that exceeded opTimeout:
 // the op did complete (the simulated device never wedges forever), but a
 // real stalled drive would have held the commit pipeline for this long, so
 // it burns budget like a serious fault.

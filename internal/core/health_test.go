@@ -149,7 +149,7 @@ func TestScrubSpareExhaustionFlagged(t *testing.T) {
 }
 
 // TestHungIOClassifiedAgainstDeadline: operations stalled past
-// Config.OpTimeout count as faults and burn the error budget; the volume
+// the I/O deadline (opTimeout) count as faults and burn the error budget; the volume
 // degrades instead of silently absorbing multi-second commits. Reads are
 // never stalled by the injector, so they keep serving.
 func TestHungIOClassifiedAgainstDeadline(t *testing.T) {

@@ -34,22 +34,17 @@ type Config struct {
 	Synchronous bool
 	// AdaptiveCommit replaces the fixed force deadline with the WAL's
 	// load-aware controller: the deadline tracks the observed staging
-	// rate and force latency between CommitFloor and the
-	// GroupCommitInterval ceiling. See wal.Config.Adaptive.
+	// rate and force latency between 5 ms and the GroupCommitInterval
+	// ceiling. See wal.Config.Adaptive.
 	AdaptiveCommit bool
-	// CommitFloor is the shortest deadline the adaptive controller may
-	// pick. Zero means 5ms. Ignored unless AdaptiveCommit.
-	CommitFloor time.Duration
 	// AsyncApply enables the asynchronous metadata pipeline: mutations
 	// validate under the shared monitor, enqueue a typed intent into the
 	// per-volume ordered queue (internal/intentq), and return; a
 	// background applier performs the B-tree updates and WAL staging.
 	// WaitCommitted remains the only durability promise. See DESIGN.md
-	// §13.
+	// §13. The queue holds at most 512 unapplied intents; mutations block
+	// (backpressure) at the cap.
 	AsyncApply bool
-	// IntentQueueDepth bounds the unapplied intents when AsyncApply is
-	// on; mutations block (backpressure) at the cap. Zero means 512.
-	IntentQueueDepth int
 	// LogSectors is the size of the log region including its anchor
 	// pages. Zero means 2404 sectors (three 800-sector thirds, ~1.2 MB).
 	LogSectors int
@@ -115,14 +110,6 @@ type Config struct {
 	// retirement). Applies to every metadata, WAL, and data write site.
 	// Zero means 2; negative disables retrying.
 	WriteRetries int
-	// OpTimeout is the per-operation I/O deadline: a disk operation that
-	// consumes more simulated time than this (a hung-I/O latency spike) is
-	// classified as a fault and charged to the health error budget, rather
-	// than silently stalling the commit pipeline. The operation itself
-	// still completes — the simulated device always returns — so nothing
-	// blocks past the deadline; the classification is what drives the
-	// health FSM. Zero means 1s; negative disables the deadline.
-	OpTimeout time.Duration
 	// ErrorBudget is the write-fault escalation budget of the health FSM:
 	// retries, remaps, and hung ops accumulate weighted points, and at
 	// ErrorBudget points the volume leaves Healthy for Degraded (scrub is
@@ -163,19 +150,17 @@ func (c Config) interval() time.Duration {
 	return c.GroupCommitInterval
 }
 
-func (c Config) commitFloor() time.Duration {
-	if c.CommitFloor <= 0 {
-		return 5 * time.Millisecond
-	}
-	return c.CommitFloor
-}
+// commitFloor is the shortest deadline the adaptive commit controller may
+// pick.
+const commitFloor = 5 * time.Millisecond
 
-func (c Config) intentQueueDepth() int {
-	if c.IntentQueueDepth <= 0 {
-		return 512
-	}
-	return c.IntentQueueDepth
-}
+// opTimeout is the per-operation I/O deadline: a disk operation that
+// consumes more simulated time than this (a hung-I/O latency spike) is
+// classified as a fault and charged to the health error budget, rather than
+// silently stalling the commit pipeline. The operation itself still
+// completes — the simulated device always returns — so nothing blocks past
+// the deadline; the classification is what drives the health FSM.
+const opTimeout = time.Second
 
 // walConfig translates the volume config into the log's. Synchronous wins
 // over AdaptiveCommit: a zero interval means force-per-append and leaves the
@@ -185,7 +170,7 @@ func (c Config) walConfig() wal.Config {
 		Interval:     c.interval(),
 		Thirds:       c.Thirds,
 		Adaptive:     c.AdaptiveCommit && !c.Synchronous,
-		Floor:        c.commitFloor(),
+		Floor:        commitFloor,
 		WriteRetries: c.WriteRetries,
 		ReadRetries:  c.ReadRetries,
 	}
@@ -261,16 +246,6 @@ func (c Config) writeRetries() int {
 		return 2
 	}
 	return c.WriteRetries
-}
-
-func (c Config) opTimeout() time.Duration {
-	if c.OpTimeout < 0 {
-		return 0
-	}
-	if c.OpTimeout == 0 {
-		return time.Second
-	}
-	return c.OpTimeout
 }
 
 func (c Config) errorBudget() int {

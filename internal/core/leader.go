@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/disk"
-	"repro/internal/wal"
 )
 
 // Leader pages (Section 5.2). Every file's first physical page is a leader
@@ -148,25 +147,6 @@ func decodeLeaderEntry(buf []byte) (e *Entry, totalRuns int, ok bool) {
 		return nil, 0, false
 	}
 	return e, totalRuns, true
-}
-
-// stageLeader re-encodes e's leader page after a run-table change (Extend,
-// Contract) and stages it like an empty create does: registered as the
-// pending in-memory image so reads verify against it immediately, and
-// appended to the log so recovery writes it home. Without this refresh the
-// cross-check would flag every extended file as corrupt once the original
-// (create-time) leader reached the platter.
-func (v *Volume) stageLeader(e *Entry) error {
-	addr, ok := e.LeaderAddr()
-	if !ok {
-		return nil
-	}
-	leader := encodeLeader(e)
-	v.lmu.Lock()
-	v.pendingLeaders[addr] = leader
-	v.lmu.Unlock()
-	_, err := v.log.Append(wal.PageImage{Kind: wal.KindLeader, Target: uint64(addr), Data: leader})
-	return err
 }
 
 // verifyLeader cross-checks a leader page against the name-table entry. A

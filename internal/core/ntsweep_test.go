@@ -267,9 +267,9 @@ func TestSweepReadOnlyOverlay(t *testing.T) {
 	d.Revive()
 	written := d.Stats().SectorsWritten
 
-	ro, ms, err := MountReadOnly(d, cfg)
+	ro, ms, err := Mount(d, cfg, ReadOnly())
 	if err != nil {
-		t.Fatalf("MountReadOnly: %v", err)
+		t.Fatalf("read-only mount: %v", err)
 	}
 	if ms.LogImagesApplied == 0 || ms.SweepPages <= cfg.CacheSize || ms.SweepFallbacks != 0 {
 		t.Fatalf("read-only mount did not sweep an overlaid table larger than the cache: %+v", ms)

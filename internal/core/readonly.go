@@ -8,13 +8,6 @@ import (
 	"repro/internal/wal"
 )
 
-// MountReadOnly mounts the volume read-only.
-//
-// Deprecated: use Mount(d, cfg, ReadOnly()).
-func MountReadOnly(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
-	return mountReadOnly(d, cfg)
-}
-
 // mountReadOnly is the degraded mount between a failed writable mount and the
 // destructive Salvage sweep: it replays the log entirely in memory and
 // refuses every mutation, so it works even when the log region or both

@@ -52,9 +52,9 @@ func TestMountReadOnlyServesCommittedState(t *testing.T) {
 	d, cfg, want := newCrashedVolume(t)
 	before := d.Stats().SectorsWritten
 
-	v, ms, err := MountReadOnly(d, cfg)
+	v, ms, err := Mount(d, cfg, ReadOnly())
 	if err != nil {
-		t.Fatalf("MountReadOnly: %v", err)
+		t.Fatalf("read-only mount: %v", err)
 	}
 	if !ms.ReadOnly || !v.ReadOnly() {
 		t.Fatal("read-only mount not flagged")
@@ -170,7 +170,7 @@ func TestMountReadOnlyDegradesWhenLogLost(t *testing.T) {
 		t.Fatal("writable mount with both anchors lost must fail")
 	}
 
-	rv, ms, err := MountReadOnly(d, cfg)
+	rv, ms, err := Mount(d, cfg, ReadOnly())
 	if err != nil {
 		t.Fatalf("read-only mount with dead log: %v", err)
 	}
@@ -210,11 +210,11 @@ func TestMountOrSalvageReadOnlyRung(t *testing.T) {
 	d.CorruptSectors(lay.logBase, 1)
 	d.CorruptSectors(lay.logBase+2, 1)
 
-	mv, ms, ss, err := MountOrSalvage(d, cfg)
+	mv, ms, err := Mount(d, cfg, AllowSalvage())
 	if err != nil {
-		t.Fatalf("MountOrSalvage: %v", err)
+		t.Fatalf("mount with AllowSalvage: %v", err)
 	}
-	if ss != nil {
+	if ms.Salvage != nil {
 		t.Fatal("salvage ran although the read-only rung suffices")
 	}
 	if !ms.ReadOnly {

@@ -946,13 +946,3 @@ func Salvage(d *disk.Disk, cfg Config) (*Volume, SalvageStats, error) {
 	v.finishMount()
 	return v, st, nil
 }
-
-// MountOrSalvage mounts the volume, degrading to a read-only mount and then
-// the destructive salvage sweep when normal recovery fails.
-//
-// Deprecated: use Mount(d, cfg, AllowSalvage()); the returned MountReport
-// carries the SalvageStats pointer.
-func MountOrSalvage(d *disk.Disk, cfg Config) (*Volume, MountStats, *SalvageStats, error) {
-	v, rep, err := Mount(d, cfg, AllowSalvage())
-	return v, rep.MountStats, rep.Salvage, err
-}

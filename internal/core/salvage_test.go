@@ -238,11 +238,11 @@ func TestMountOrSalvage(t *testing.T) {
 	if err := v.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	v2, _, ss, err := MountOrSalvage(d, testConfig())
+	v2, rep, err := Mount(d, testConfig(), AllowSalvage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss != nil {
+	if rep.Salvage != nil {
 		t.Fatal("healthy volume took the salvage path")
 	}
 	if err := v2.Shutdown(); err != nil {
@@ -250,11 +250,11 @@ func TestMountOrSalvage(t *testing.T) {
 	}
 
 	destroyNameTable(d, v)
-	v3, _, ss3, err := MountOrSalvage(d, testConfig())
+	v3, rep3, err := Mount(d, testConfig(), AllowSalvage())
 	if err != nil {
-		t.Fatalf("MountOrSalvage on destroyed name table: %v", err)
+		t.Fatalf("mount with AllowSalvage on destroyed name table: %v", err)
 	}
-	if ss3 == nil || ss3.FilesRecovered < len(files) {
+	if ss3 := rep3.Salvage; ss3 == nil || ss3.FilesRecovered < len(files) {
 		t.Fatalf("salvage stats %+v, want >= %d files", ss3, len(files))
 	}
 	for name, want := range files {

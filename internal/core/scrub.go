@@ -77,7 +77,7 @@ type FaultStats struct {
 	Retired      int // sectors remapped to spares (cumulative)
 	WriteRetries int // writes retried after a damaged-sector error
 	WriteRemaps  int // sectors the write path retired to spares
-	HungOps      int // disk operations that exceeded Config.OpTimeout
+	HungOps      int // disk operations that exceeded the 1 s I/O deadline
 	// ErrorBudget is the weighted fault total driving the health FSM
 	// (retry=1, remap=4, hung op=8; see Config.ErrorBudget).
 	ErrorBudget int

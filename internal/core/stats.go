@@ -186,7 +186,7 @@ type DiskRegionIO struct {
 // Span names, one per public Volume operation wrapped by v.span.
 var spanNames = []string{
 	"create", "open", "stat", "touch", "setkeep", "delete", "list",
-	"read", "write", "extend", "contract", "setbytesize", "force",
+	"read", "write", "extend", "contract", "setbytesize", "rename", "force",
 	"scrub", "verify",
 }
 
@@ -398,8 +398,8 @@ func (v *Volume) observeDiskOp(e disk.OpEvent) {
 	// fault instead of silently delaying the commit pipeline. A
 	// legitimate op is bounded by a demand transfer plus a stream window
 	// (MaxTransferSectors + streamWindow sectors, under 100 ms of
-	// transfer) and never comes close to the default 1 s deadline.
-	if t := v.cfg.opTimeout(); t > 0 && total >= t {
+	// transfer) and never comes close to the 1 s deadline.
+	if total >= opTimeout {
 		v.noteHungOp(total)
 	}
 	if v.obs.tracer.Enabled() {

@@ -36,10 +36,10 @@ var (
 // MountStats reports what mounting had to do.
 type MountStats struct {
 	CleanShutdown bool
-	// ReadOnly marks a degraded MountReadOnly: the log was replayed in
+	// ReadOnly marks a degraded read-only mount: the log was replayed in
 	// memory (or skipped, see LogUnavailable) and nothing was written.
 	ReadOnly bool
-	// LogUnavailable is set by MountReadOnly when the log could not be
+	// LogUnavailable is set by a read-only mount when the log could not be
 	// opened or replayed; the volume serves the last flushed home state.
 	LogUnavailable   bool
 	LogRecords       int
@@ -102,19 +102,22 @@ type taggedFree struct {
 //
 //   - mu, a readers-writer lock, is the monitor. Lookups (Open, Stat, List,
 //     ReadPages, Verify) share it; name-space mutations (Create, Delete,
-//     Touch, Rename, Extend, ...) and lifecycle ops take it exclusively.
-//     With Config.SerialMonitor everything takes it exclusively — the
-//     paper-faithful baseline.
+//     Touch, Rename, Extend, ...) and lifecycle ops take it exclusively —
+//     with Config.AsyncApply the mutations share it too and serialize per
+//     name instead (see mutate). With Config.SerialMonitor everything takes
+//     it exclusively — the paper-faithful baseline.
 //   - each File handle has its own lock for its entry snapshot.
 //   - lmu guards the deferred-leader maps, which the read path (leader
 //     verification) shares with the force path (third flushes).
 //   - vmMu guards the allocation map, the allocator, and the deferred
 //     frees, shared between operations and the commit callback.
 //
-// Lock order: mu → File.mu → (B-tree → cache) → lmu/vmMu. The log's force
-// path (forceMu inside the WAL) acquires cache/lmu/vmMu through its
-// callbacks and never mu, so a force in flight blocks neither readers nor
-// staging writers.
+// Lock order: mu → File.mu → name stripes → WAL group (shared) → (B-tree →
+// cache) → lmu/vmMu → the log's staging lock. The log's force path (forceMu
+// inside the WAL) takes the group exclusively while it cuts the batch, then
+// acquires cache/lmu/vmMu through its callbacks and never mu, so a force in
+// flight blocks neither readers nor staging writers — it waits only for the
+// operations that are mid-apply.
 type Volume struct {
 	d   *disk.Disk
 	clk sim.Clock
@@ -137,7 +140,7 @@ type Volume struct {
 	// salvage always see the platter, not the cache.
 	dataCache *bufcache.Cache
 
-	// readOnly marks a degraded MountReadOnly volume: mutations fail with
+	// readOnly marks a degraded read-only mount: mutations fail with
 	// ErrReadOnly and nothing — log, name table, roots, VAM — is written.
 	readOnly bool
 	// ntOverride holds the log's replayed name-table sector images
@@ -174,8 +177,11 @@ type Volume struct {
 	// applier is quiescent whenever exclusive holders inspect the tree.
 	// apCPU is the applier's detached CPU: its work accumulates in
 	// Stats().Intent.ApplierBusy without advancing the simulated clock.
-	q     *intentq.Queue
-	apCPU *sim.CPU
+	// apGroup, the applier goroutine's own, says it holds the WAL group of
+	// an intent it has yet to finish.
+	q       *intentq.Queue
+	apCPU   *sim.CPU
+	apGroup bool
 
 	closed atomic.Bool
 	// ready marks the volume fully wired (set at the end of Format, mount,
@@ -901,7 +907,7 @@ func (v *Volume) startTicker() {
 	// floor, so the poll has to keep up with the floor, not the ceiling.
 	period := interval
 	if v.cfg.AdaptiveCommit {
-		period = v.cfg.commitFloor()
+		period = commitFloor
 	}
 	tick := period / sim.RealTimeScale
 	if tick < time.Millisecond {
@@ -1189,5 +1195,5 @@ func (v *Volume) beginMutate() error {
 	return v.begin()
 }
 
-// ReadOnly reports whether the volume was mounted by MountReadOnly.
+// ReadOnly reports whether the volume was mounted with the ReadOnly option.
 func (v *Volume) ReadOnly() bool { return v.readOnly }

@@ -54,9 +54,17 @@ type Config struct {
 	LogSectors int
 	// Async runs the workload (and the recovery mounts) with the
 	// asynchronous metadata pipeline enabled. The workload drains the
-	// intent queue after every operation so the journal trace stays a pure
-	// function of the seed; the deep-unapplied-queue crash is covered by a
-	// dedicated core test, while this mode proves the acked/unacked
+	// intent queue after every operation, and that is about the journal,
+	// not about atomicity: entries carry clk.Now() and the applier's
+	// name-table reads advance the shared virtual clock, so without the
+	// drain how far the applier has got when the next operation stamps its
+	// entry — and with it the bytes of the trace — depends on goroutine
+	// scheduling, and (Seed, StateID) would stop reproducing. What the
+	// explorer cannot see is a force in the middle of an intent: its only
+	// forces are the workload's scripted WaitCommitteds, between
+	// operations, drained or not. That cut is core's TestCut* tests (a
+	// force from log.OnAppend), the deep unapplied queue
+	// TestAsyncDeepQueueCrash; this mode proves the acked/unacked
 	// durability contract is unchanged by the pipeline.
 	Async bool
 	// Nested enables depth-2 exploration: for every executed crash state,
@@ -253,7 +261,9 @@ func buildWorkload(seed int64, nops int, async bool, logSectors int) (*disk.Disk
 			live = append(live, len(plan)-1)
 		}
 		// Async mode: drain after every op so applier progress — and with
-		// it the write journal — is a deterministic function of the seed.
+		// it the clock the next entry is stamped with, and the write
+		// journal — is a deterministic function of the seed (see
+		// Config.Async; TestAsyncTraceDeterministic fails without it).
 		if err := v.DrainIntents(); err != nil {
 			return nil, nil, 0, nil, 0, fmt.Errorf("workload drain: %w", err)
 		}

@@ -127,7 +127,11 @@ func TestSmallLogSweepBoundaries(t *testing.T) {
 
 // TestAsyncTraceDeterministic: with the per-op drain, the async workload's
 // journal trace is a pure function of the seed, so (seed, state-id) repro
-// stays valid in async mode.
+// stays valid in async mode. It is what the drain is for: take the drain out
+// and two identical runs differ within the first few dozen writes, because
+// the entries' timestamps come from a clock the applier's reads advance. The
+// drain hides nothing from the oracle that it could otherwise see — the
+// explorer's forces sit between operations either way.
 func TestAsyncTraceDeterministic(t *testing.T) {
 	_, ta, ea, _, _, err := buildWorkload(11, 60, true, 0)
 	if err != nil {

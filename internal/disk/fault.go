@@ -245,7 +245,7 @@ func (d *Disk) injectWrite(addr int) error {
 
 // injectHang rolls the per-operation hung-I/O spike and charges the stall to
 // the simulated clock. Must hold d.mu. The operation itself still completes;
-// a host-side deadline (core's Config.OpTimeout) is what turns the latency
+// a host-side deadline (core's opTimeout) is what turns the latency
 // into a fault classification.
 func (d *Disk) injectHang() {
 	in := d.inj

@@ -18,7 +18,9 @@ import (
 )
 
 // Factory builds a fresh FS over a fresh volume for one subtest. The
-// factory owns volume lifecycle (register cleanup with t.Cleanup).
+// factory owns volume lifecycle (register cleanup with t.Cleanup) and, with
+// it, the last word on every subtest: the volume must Verify clean before it
+// is shut down.
 type Factory func(t *testing.T) cedarfs.FS
 
 // Run executes the conformance suite against factories' FS.
@@ -33,6 +35,7 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("Durability", func(t *testing.T) { testDurability(t, mk(t)) })
 	t.Run("ContextCancel", func(t *testing.T) { testContextCancel(t, mk(t)) })
 	t.Run("HandleClose", func(t *testing.T) { testHandleClose(t, mk(t)) })
+	t.Run("StaleHandle", func(t *testing.T) { testStaleHandle(t, mk(t)) })
 	t.Run("Stats", func(t *testing.T) { testStats(t, mk(t)) })
 	t.Run("Concurrent", func(t *testing.T) { testConcurrent(t, mk(t)) })
 }
@@ -344,6 +347,67 @@ func testHandleClose(t *testing.T, fs cedarfs.FS) {
 	// Double close is idempotent.
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// testStaleHandle: a handle that outlives its file must not bring the file
+// back, nor touch whatever took its place. Growing the file through it —
+// which would touch only pages the growth itself allocates — is refused with
+// ErrNotFound, whether the volume applies updates on the spot or queues
+// them; the name stays gone, the file that inherited the deleted one's pages
+// is untouched, and so is a new file created under the deleted one's very
+// name and version.
+func testStaleHandle(t *testing.T, fs cedarfs.FS) {
+	h, err := fs.Create(bg, "stale/doomed", bytes.Repeat([]byte{'d'}, 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if err := fs.Delete(bg, "stale/doomed", 0); err != nil {
+		t.Fatal(err)
+	}
+	// Committed, the deletion frees its pages for the next create.
+	if _, err := fs.Force(bg); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{'h'}, 3000)
+	heir, err := fs.Create(bg, "stale/heir", want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer heir.Close()
+	// An append at the end of the allocation: Extend, a write into the new
+	// pages, SetByteSize.
+	end := int64(h.Info().Pages) * 512
+	grow := func(when string) {
+		t.Helper()
+		if _, _, err := h.WriteAt(bg, bytes.Repeat([]byte{'x'}, 2000), end); !errors.Is(err, cedarfs.ErrNotFound) {
+			t.Fatalf("write through the stale handle %s = %v, want ErrNotFound", when, err)
+		}
+		if _, err := fs.Force(bg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grow("after the delete")
+	if fi, err := fs.Stat(bg, "stale/doomed", 0); !errors.Is(err, cedarfs.ErrNotFound) {
+		t.Fatalf("stat of the deleted file after a stale-handle write = %+v, %v; want ErrNotFound", fi, err)
+	}
+	// The same name and version again, another file.
+	again, err := fs.Create(bg, "stale/doomed", []byte("second life"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	grow("after the name was created again")
+	if fi, err := fs.Stat(bg, "stale/doomed", 0); err != nil || fi.Version != 1 || fi.ByteSize != 11 || fi.Pages != 1 {
+		t.Fatalf("stat of the new file after a stale-handle write = %+v, %v; want version 1, 11 bytes, 1 page", fi, err)
+	}
+	if fis, err := fs.List(bg, "stale/"); err != nil || len(fis) != 2 {
+		t.Fatalf("list = %+v, %v; want stale/doomed and stale/heir", fis, err)
+	}
+	got := make([]byte, len(want))
+	if n, err := heir.ReadAt(bg, got, 0); (err != nil && err != io.EOF) || !bytes.Equal(got[:n], want) {
+		t.Fatalf("the heir's data changed under it: %d bytes, %v", n, err)
 	}
 }
 

@@ -39,6 +39,9 @@ func startServer(t *testing.T, cfg cedarfs.Config, scfg server.Config) (string, 
 	t.Cleanup(func() {
 		srv.Close()
 		fs.Close()
+		if vs, err := vol.Verify(); err != nil || len(vs.Problems) != 0 {
+			t.Errorf("verify: %v, %v", vs.Problems, err)
+		}
 		if err := vol.Shutdown(); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}

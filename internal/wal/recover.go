@@ -80,7 +80,7 @@ func (l *Log) Recover(apply Applier) (RecoveryStats, error) {
 // written, and the log remains exactly as the crash left it, so replay can
 // run again after a second crash and reproduce the same images. Writable
 // mounts call it, write every replayed image home, issue a disk barrier,
-// and only then call CompleteRecovery; MountReadOnly calls it alone.
+// and only then call CompleteRecovery; a read-only mount calls it alone.
 func (l *Log) Replay(apply Applier) (RecoveryStats, error) {
 	// Replay owns the write path (forceMu) — nothing may force while the
 	// log is being read. Recovery runs before the volume admits

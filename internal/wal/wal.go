@@ -61,6 +61,7 @@ var (
 	ErrAnchorLost   = errors.New("wal: both anchor copies unreadable")
 	ErrBatchTooBig  = errors.New("wal: single update batch exceeds log capacity")
 	ErrImageCorrupt = errors.New("wal: both copies of a logged page are damaged")
+	ErrAborted      = errors.New("wal: an operation was aborted part-way; the log forces nothing more")
 )
 
 // PageImage is one 512-byte page staged for logging.
@@ -140,6 +141,11 @@ type Config struct {
 // callback (FlushHook, OnLogged, OnCommit, PreStage) is invoked under
 // forceMu but never under l.mu, so callbacks may call Append.
 //
+// An operation that stages more than one image brackets them with Begin and
+// End (the group, see Begin): the capture waits for every open group to end,
+// so a batch — and therefore a crash — holds all of an operation's images or
+// none of them.
+//
 // Each captured batch carries a commit sequence number. Append returns the
 // sequence of the batch it staged into; WaitCommitted(seq) blocks (forcing
 // if necessary) until that batch is durable. Sequence numbers advance even
@@ -215,6 +221,14 @@ type Log struct {
 	// committedSeq is the newest durable batch sequence (0 = none yet).
 	// Written under forceMu; read lock-free by Committed().
 	committedSeq atomic.Uint64
+
+	// group is the operation bracket: Begin holds it shared until End, the
+	// force takes it exclusively while it cuts the pending batch. open counts
+	// the groups open now; with Interval == 0 it is what tells Append that the
+	// force it owes will be paid by an End.
+	group   sync.RWMutex
+	open    atomic.Int32
+	aborted atomic.Bool // set by Abort: the pending batch holds part of an operation
 
 	// forceMu serializes force execution and owns the write-path state
 	// below (plus all callback invocations).
@@ -420,8 +434,12 @@ func (l *Log) PendingImages() int {
 // number the images are durable. Within a batch, a later image of the same
 // (kind, target) replaces the earlier one — this is where group commit
 // absorbs hot-spot writes. If the configured interval is zero the batch is
-// forced before returning (the synchronous ablation); otherwise Append never
-// blocks behind log I/O, even while a force is writing records.
+// forced before returning (the synchronous ablation) — unless a group is
+// open, whose End forces instead: a force waits for the groups to end, so
+// one from inside a group would wait for itself. (Whose group is immaterial:
+// an Append made outside any, while another goroutine's is open, rides that
+// group's force.) Otherwise Append never blocks behind log I/O, even while a
+// force is writing records.
 func (l *Log) Append(images ...PageImage) (uint64, error) {
 	seq, err := l.stage(images)
 	if err != nil {
@@ -430,10 +448,46 @@ func (l *Log) Append(images ...PageImage) (uint64, error) {
 	if l.OnAppend != nil {
 		l.OnAppend(len(images), seq)
 	}
-	if l.cfg.Interval == 0 {
+	if l.cfg.Interval == 0 && l.open.Load() == 0 {
 		return seq, l.Force()
 	}
 	return seq, nil
+}
+
+// Begin opens a group: the images appended from here to the matching End
+// belong to one operation, and no force captures some of them without the
+// rest. Groups of different goroutines run side by side; they do not nest —
+// a second Begin on a goroutine that holds one parks behind a waiting force
+// (sync.RWMutex admits no reader past a waiting writer), which waits for the
+// first. For the same reason nothing inside a group may wait for a force.
+func (l *Log) Begin() {
+	l.group.RLock()
+	l.open.Add(1)
+}
+
+// End closes the group. With Interval == 0 it pays the force the group's
+// Appends left to it, so a synchronous log forces once per operation.
+func (l *Log) End() error {
+	l.leave()
+	if l.cfg.Interval == 0 {
+		return l.Force()
+	}
+	return nil
+}
+
+// Abort closes a group whose operation failed part-way. What the group
+// staged stays in the pending batch, so from here on every force — one
+// already waiting for this group included — fails with ErrAborted: the log
+// stays as the last force left it, and replay yields the state before the
+// operation. (core demotes the volume to read-only with it.)
+func (l *Log) Abort() {
+	l.aborted.Store(true)
+	l.leave()
+}
+
+func (l *Log) leave() {
+	l.open.Add(-1)
+	l.group.RUnlock()
 }
 
 // ewmaShift is the smoothing factor of the controller's moving averages:
@@ -614,9 +668,19 @@ type ForceEvent struct {
 
 // forceLocked is the force body; the caller holds forceMu.
 func (l *Log) forceLocked() error {
+	// The capture — PreStage's images and the swap of the pending batch —
+	// waits for the open groups and keeps new ones out, so the batch is cut
+	// between operations, never inside one. The record writes below run with
+	// the bracket released.
+	l.group.Lock()
+	if l.aborted.Load() {
+		l.group.Unlock()
+		return ErrAborted
+	}
 	if l.PreStage != nil {
 		if extra := l.PreStage(); len(extra) > 0 {
 			if _, err := l.stage(extra); err != nil {
+				l.group.Unlock()
 				return err
 			}
 		}
@@ -634,6 +698,7 @@ func (l *Log) forceLocked() error {
 		l.stats.Forces++
 	}
 	l.mu.Unlock()
+	l.group.Unlock()
 
 	// Record writing happens outside l.mu: new appends stage into the
 	// next batch while these records hit the disk.

@@ -16,6 +16,12 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 # different, live API.)
 ! grep -rnE --include='*.go' '\.RecoverDry\(|(v|vol)\.(Ops|CacheStats|FaultStats)\(' . \
 	|| { echo "verify: deprecated accessor resurfaced (use Stats() / Replay)"; exit 1; }
+# Likewise the mount wrappers (Mount takes ReadOnly() / AllowSalvage()) and
+# the second implementation every mutation once had: there is one path,
+# core's mutate, and a *Async twin beside it is the fork coming back. (Whole
+# identifiers only: TestMountOrSalvage is a test of Mount.)
+! grep -rnE --include='*.go' '(^|[^[:alnum:]_])(MountReadOnly|MountOrSalvage|(create|touch|setKeep|delete|rename|extend|contract|setByteSize)(Class)?Async)\(' . \
+	|| { echo "verify: a deleted wrapper or *Async mutation twin resurfaced (use Mount options / core's mutate)"; exit 1; }
 
 go vet ./...
 go build ./...
@@ -30,7 +36,10 @@ go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache
 # and scrub sequential (two reads per 16-page run, not two per page) and
 # the write-count gate that keeps name-table write-back a sweep (copy A
 # ascending and coalesced, then copy B — not A,B,A,B a sector at a time).
-go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep'
+# ...and the cut sweep: a force, then the plug, at each of the first 400
+# Appends of a run of creates, staged and async — every cut must leave a
+# mountable, verifiable prefix (0 bad; 208 before the WAL group).
+go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep|TestCutSweepCreateRun'
 # The allocation gates of the borrowed-buffer read path (a lookup allocates
 # its result, a cached read and a cache fill nothing, a read's round trip a
 # fixed handful of small objects whatever its payload, a read-ahead I/O
@@ -50,6 +59,11 @@ go test ./internal/alloc ./internal/bufcache ./internal/core . -count=1 -run 'Te
 # left alone.
 go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./internal/core ./internal/wire ./internal/server -run xxx -bench . -benchtime 1x
 go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders'
+# One atomic group per operation (ISSUE 17), under the detector and uncached:
+# the WAL bracket itself, a force cutting into rename / create under keep /
+# empty create / a split-inducing create run, the group held across the
+# applier's in-place retry, and its abort on a fatal one.
+go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroup|TestAbortStopsForces|TestCut|TestFatalApplyAbortsGroup|TestFailedDataWriteLeavesNoEntry|TestStaleHandleOpsRefused'
 # Seeded write-fault sweep (PR 7): retries/remaps/hung-I/O absorption and
 # the health FSM's graceful-degradation contract, plus the concurrent
 # health-transition hammer under the race detector.
