@@ -252,7 +252,7 @@ func TestAPISurface(t *testing.T) {
 
 	// A crash mount reports its phases on the simulated clock and how the
 	// VAM scan's region sweep read the name table, in the mount report and
-	// again in Stats().Recovery; a scrub reports its name-table pass.
+	// again in Stats().Recovery; a scrub reports its name-table and leader passes.
 	dc, _, err := NewDisk(DefaultGeometry)
 	if err != nil {
 		t.Fatal(err)
@@ -290,8 +290,8 @@ func TestAPISurface(t *testing.T) {
 	if scs, err = v9.Scrub(); err != nil {
 		t.Fatal(err)
 	}
-	if scs.NTElapsed <= 0 || scs.NTElapsed >= scs.Elapsed {
-		t.Fatalf("scrub name-table pass %v of %v", scs.NTElapsed, scs.Elapsed)
+	if scs.NTElapsed <= 0 || scs.LeaderElapsed <= 0 || scs.NTElapsed+scs.LeaderElapsed >= scs.Elapsed {
+		t.Fatalf("scrub name-table pass %v and leader pass %v of %v", scs.NTElapsed, scs.LeaderElapsed, scs.Elapsed)
 	}
 	if err := v9.Shutdown(); err != nil {
 		t.Fatal(err)

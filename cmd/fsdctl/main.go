@@ -370,30 +370,31 @@ func run(img string, jsonOut bool, args []string) error {
 		}
 		if jsonOut {
 			if err := emitJSON(struct {
-				NTPagesChecked  int           `json:"nt_pages_checked"`
-				LeadersChecked  int           `json:"leaders_checked"`
-				LogRecords      int           `json:"log_records"`
-				SectorsChecked  int           `json:"sectors_checked"`
-				Repaired        int           `json:"repaired"`
-				NTRepaired      int           `json:"nt_repaired"`
-				LeadersRepaired int           `json:"leaders_repaired"`
-				RootsRepaired   int           `json:"roots_repaired"`
-				LogRepaired     int           `json:"log_repaired"`
-				Retired         int           `json:"retired"`
-				NTLost          int           `json:"nt_lost"`
-				SpareExhausted  bool          `json:"spare_exhausted"`
-				Problems        []string      `json:"problems"`
-				ElapsedSim      time.Duration `json:"elapsed_sim_ns"`
-				NTElapsedSim    time.Duration `json:"nt_elapsed_sim_ns"`
+				NTPagesChecked   int           `json:"nt_pages_checked"`
+				LeadersChecked   int           `json:"leaders_checked"`
+				LogRecords       int           `json:"log_records"`
+				SectorsChecked   int           `json:"sectors_checked"`
+				Repaired         int           `json:"repaired"`
+				NTRepaired       int           `json:"nt_repaired"`
+				LeadersRepaired  int           `json:"leaders_repaired"`
+				RootsRepaired    int           `json:"roots_repaired"`
+				LogRepaired      int           `json:"log_repaired"`
+				Retired          int           `json:"retired"`
+				NTLost           int           `json:"nt_lost"`
+				SpareExhausted   bool          `json:"spare_exhausted"`
+				Problems         []string      `json:"problems"`
+				ElapsedSim       time.Duration `json:"elapsed_sim_ns"`
+				NTElapsedSim     time.Duration `json:"nt_elapsed_sim_ns"`
+				LeaderElapsedSim time.Duration `json:"leader_elapsed_sim_ns"`
 			}{st.NTPagesChecked, st.LeadersChecked, st.LogRecords, st.SectorsChecked,
 				st.Repaired(), st.NTRepaired, st.LeadersRepaired, st.RootsRepaired,
 				st.LogRepaired, st.Retired, st.NTLost, st.SpareExhausted,
-				jsonProblems(st.Problems), st.Elapsed, st.NTElapsed}); err != nil {
+				jsonProblems(st.Problems), st.Elapsed, st.NTElapsed, st.LeaderElapsed}); err != nil {
 				return err
 			}
 		} else {
-			fmt.Printf("scrubbed %d name-table pages, %d leaders, %d log records (%d sectors) in %v simulated (name-table pass %v)\n",
-				st.NTPagesChecked, st.LeadersChecked, st.LogRecords, st.SectorsChecked, st.Elapsed.Round(1e6), st.NTElapsed.Round(1e6))
+			fmt.Printf("scrubbed %d name-table pages, %d leaders, %d log records (%d sectors) in %v simulated (name-table pass %v, leader pass %v)\n",
+				st.NTPagesChecked, st.LeadersChecked, st.LogRecords, st.SectorsChecked, st.Elapsed.Round(1e6), st.NTElapsed.Round(1e6), st.LeaderElapsed.Round(1e6))
 			fmt.Printf("repaired %d copies (%d NT, %d leaders, %d roots, %d log), retired %d sectors\n",
 				st.Repaired(), st.NTRepaired, st.LeadersRepaired, st.RootsRepaired, st.LogRepaired, st.Retired)
 			if st.NTLost > 0 {

@@ -184,7 +184,7 @@ func TestCLIScrubAndSalvage(t *testing.T) {
 			t.Fatalf("scrub: %v", err)
 		}
 	})
-	if !bytes.Contains(out, []byte("repaired 0 copies")) || !bytes.Contains(out, []byte("(name-table pass ")) {
+	if !bytes.Contains(out, []byte("repaired 0 copies")) || !bytes.Contains(out, []byte("(name-table pass ")) || !bytes.Contains(out, []byte(", leader pass ")) {
 		t.Fatalf("scrub output: %q", out)
 	}
 
@@ -243,16 +243,18 @@ func TestCLIJSONAndExitCodes(t *testing.T) {
 		}
 	})
 	var sr struct {
-		NTPagesChecked int   `json:"nt_pages_checked"`
-		NTLost         int   `json:"nt_lost"`
-		ElapsedSim     int64 `json:"elapsed_sim_ns"`
-		NTElapsedSim   int64 `json:"nt_elapsed_sim_ns"`
+		NTPagesChecked   int   `json:"nt_pages_checked"`
+		NTLost           int   `json:"nt_lost"`
+		ElapsedSim       int64 `json:"elapsed_sim_ns"`
+		NTElapsedSim     int64 `json:"nt_elapsed_sim_ns"`
+		LeaderElapsedSim int64 `json:"leader_elapsed_sim_ns"`
 	}
 	if err := json.Unmarshal(out, &sr); err != nil {
 		t.Fatalf("scrub JSON: %v\n%s", err, out)
 	}
-	if sr.NTElapsedSim <= 0 || sr.NTElapsedSim >= sr.ElapsedSim {
-		t.Fatalf("scrub report's name-table pass time %d not inside the pass's %d", sr.NTElapsedSim, sr.ElapsedSim)
+	if sr.NTElapsedSim <= 0 || sr.LeaderElapsedSim <= 0 || sr.NTElapsedSim+sr.LeaderElapsedSim >= sr.ElapsedSim {
+		t.Fatalf("scrub report's name-table pass time %d and leader pass time %d not inside the pass's %d",
+			sr.NTElapsedSim, sr.LeaderElapsedSim, sr.ElapsedSim)
 	}
 	if sr.NTPagesChecked == 0 || sr.NTLost != 0 {
 		t.Fatalf("unexpected scrub report: %+v", sr)

@@ -118,18 +118,18 @@ type Config struct {
 	// ReadOnly, where mutations return ErrReadOnly but reads keep serving.
 	// Zero means 64; negative disables automatic health transitions.
 	ErrorBudget int
-	// ScrubWorkers sets the fan-out of the name-table pass of Scrub.
-	// 0 or 1 scrubs sequentially.
+	// ScrubWorkers sets the width of the pool that checks the leaders
+	// Scrub's one driver has read. 0 or 1 checks them sequentially.
 	ScrubWorkers int
 	// ScrubInterval, when positive on a real-clock volume, starts a
 	// background goroutine running a full Scrub pass at that period.
 	// Virtual-clock volumes scrub via explicit Scrub() calls.
 	ScrubInterval time.Duration
 	// CheckWorkers sets the worker-pool width of the check-and-repair
-	// scans: Verify's entry walk and leader cross-check, and Salvage's
-	// whole-disk sweep. 0 or 1 runs them sequentially. The result of
-	// every scan is identical at any width — parallelism changes only
-	// elapsed time.
+	// scans: Verify's entry walk and leader cross-check, and the decode
+	// of Salvage's whole-disk sweep. 0 or 1 runs them sequentially. The
+	// result of every scan is identical at any width — parallelism
+	// changes only elapsed time.
 	CheckWorkers int
 }
 

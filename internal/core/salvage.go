@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/btree"
@@ -221,6 +220,7 @@ type salvageRun struct {
 	damaged  []int
 	seen     map[int]bool // leader addresses already in cands
 	manifest []uint32
+	flushed  int  // manifest entries this run's last flush left on the platter
 	hasMan   bool // a distinct copy-B region exists to hold the manifest
 
 	entries []salvageCand // claiming winners
@@ -258,6 +258,11 @@ func (r *salvageRun) manifestCapacity() int {
 // checkpoint describing a valid prefix of the (append-only) manifest. The
 // two checkpoint copies are separated by a barrier too — otherwise one torn
 // epoch could destroy both and un-mark the volume mid-destruction.
+//
+// The manifest is append-only, so only its tail goes out — from the sector
+// holding the first entry added since this run's last flush (all of it the
+// first time: a resumed run's loadManifest may have rewritten entries) —
+// under a CRC of the whole. Rewriting it all was quadratic in the candidates.
 func (r *salvageRun) flush(phase salvagePhase, cursor int) error {
 	ck := salvageCheckpoint{phase: phase, cursor: cursor}
 	if r.hasMan && len(r.manifest) <= r.manifestCapacity() {
@@ -266,14 +271,17 @@ func (r *salvageRun) flush(phase salvagePhase, cursor int) error {
 		if pad := len(data) % disk.SectorSize; pad != 0 {
 			data = append(data, make([]byte, disk.SectorSize-pad)...)
 		}
-		for off := 0; off < len(data)/disk.SectorSize; off += MaxTransferSectors {
-			n := MaxTransferSectors
-			if rem := len(data)/disk.SectorSize - off; n > rem {
-				n = rem
+		if len(r.manifest) > r.flushed {
+			for off := 4 * r.flushed / disk.SectorSize; off < len(data)/disk.SectorSize; off += MaxTransferSectors {
+				n := MaxTransferSectors
+				if rem := len(data)/disk.SectorSize - off; n > rem {
+					n = rem
+				}
+				if err := r.v.writeSectors(r.lay.ntB+off, data[off*disk.SectorSize:(off+n)*disk.SectorSize]); err != nil {
+					return err
+				}
 			}
-			if err := r.v.writeSectors(r.lay.ntB+off, data[off*disk.SectorSize:(off+n)*disk.SectorSize]); err != nil {
-				return err
-			}
+			r.flushed = len(r.manifest)
 		}
 		if err := r.d.Sync(); err != nil {
 			return err
@@ -355,8 +363,7 @@ func (r *salvageRun) loadManifest(ck salvageCheckpoint) bool {
 }
 
 // sweepChunk is one read unit of the sweep's chunk table: the same
-// (addr, n) sequence the original sequential loop produced, precomputed so
-// a worker pool can pull chunks while the merger consumes them in order.
+// (addr, n) sequence the original sequential loop produced.
 type sweepChunk struct {
 	addr, n int
 }
@@ -392,7 +399,7 @@ func (r *salvageRun) sweepChunks(from int) []sweepChunk {
 
 // sweepChunkResult is what one swept chunk contributes, in address order
 // within the chunk: unreadable sectors and structurally valid candidate
-// leaders. The merger folds results strictly in chunk order, so the
+// leaders. The driver folds results strictly in chunk order, so the
 // manifest, the stats, and the checkpoint cursor are identical at every
 // worker count.
 type sweepChunkResult struct {
@@ -401,9 +408,7 @@ type sweepChunkResult struct {
 }
 
 // readChunkData reads one sweep chunk, falling back to single sectors when
-// damage aborts the bulk transfer so one bad sector costs one sector. The
-// damaged list is returned rather than recorded: the caller may be a pool
-// worker, and global state belongs to the merger.
+// damage aborts the bulk transfer so one bad sector costs one sector.
 func (r *salvageRun) readChunkData(addr, n int) (buf []byte, damaged []int, err error) {
 	buf, err = r.read(addr, n)
 	if err == nil {
@@ -429,12 +434,7 @@ func (r *salvageRun) readChunkData(addr, n int) (buf []byte, damaged []int, err 
 
 // sweepChunkScan decodes one chunk's sectors into its result slot,
 // charging the decode cost to the worker.
-func (r *salvageRun) sweepChunkScan(w *parscan.Worker, ch sweepChunk, res *sweepChunkResult) error {
-	buf, damaged, err := r.readChunkData(ch.addr, ch.n)
-	if err != nil {
-		return err
-	}
-	res.damaged = damaged
+func sweepChunkScan(w *parscan.Worker, ch sweepChunk, buf []byte, res *sweepChunkResult) {
 	cpu := time.Duration(ch.n) * sim.CostLabelInterpret
 	for i := 0; i < ch.n; i++ {
 		sec := buf[i*disk.SectorSize : (i+1)*disk.SectorSize]
@@ -449,26 +449,26 @@ func (r *salvageRun) sweepChunkScan(w *parscan.Worker, ch sweepChunk, res *sweep
 		res.cands = append(res.cands, salvageCand{e, total})
 	}
 	w.Charge(cpu)
-	for range damaged {
-		w.Fault()
-	}
-	return nil
 }
+
+// sweepCheckpointChunks is the sweep's checkpoint interval (1 MB of data
+// region): what the driver reads, hands to the pool, merges and makes durable.
+const sweepCheckpointChunks = 32
 
 // sweep is phase 1: one pass of the data region looking for leader pages.
 // A candidate must decode, and its first run must start at its own
 // address — a leader names itself as the file's first page, which rejects
 // byte-for-byte copies of leaders living inside file data.
 //
-// The pass is parallel across Config.CheckWorkers: stealing workers read
-// and decode chunks, while this goroutine — the merger — folds finished
-// results strictly in chunk order. Everything order-dependent stays with
-// the merger: the seen-address dedup, the append-only manifest, the stats,
-// and the periodic flush. The checkpoint cursor therefore advances only
-// past the fully-merged contiguous prefix, which preserves the PR 8
-// resume contract exactly: a crash mid-sweep resumes from a cursor whose
-// manifest prefix describes every sector before it, never a sector some
-// straggler worker hadn't finished.
+// The disk has one arm, so the pass has one reader (DESIGN §17): this
+// goroutine reads a checkpoint interval's chunks in ascending order, the
+// damaged-sector fallback included, and only then do Config.CheckWorkers
+// workers decode the buffers. Results fold here, in chunk order, into the
+// seen-address dedup, the append-only manifest and the stats, and the
+// interval ends in a flush: the checkpoint cursor never passes a sector that
+// has not been swept and merged (the PR 8 resume contract), and the virtual
+// clock — a function of the Go scheduler while two reading workers dragged
+// the arm between their halves of the disk — repeats at every width.
 func (r *salvageRun) sweep(from int) error {
 	lay, st, v := r.lay, r.st, r.v
 	// The first checkpoint precedes any destructive write (the manifest
@@ -481,72 +481,57 @@ func (r *salvageRun) sweep(from int) error {
 	chunks := r.sweepChunks(from)
 	st.Workers = r.cfg.checkWorkers()
 
-	results := make([]sweepChunkResult, len(chunks))
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	done := make([]bool, len(chunks))
-	failedAt := len(chunks) // lowest chunk index that failed
-
-	pool := parscan.Start(st.Workers, len(chunks), func(w *parscan.Worker, c int) error {
-		err := r.sweepChunkScan(w, chunks[c], &results[c])
-		mu.Lock()
-		if err != nil && c < failedAt {
-			failedAt = c
+	// The pool's CPU critical path — each interval's balanced share, at one
+	// worker the sequential total — goes on the clock after the last read.
+	var balanced time.Duration
+	for len(chunks) > 0 {
+		part := chunks
+		if len(part) > sweepCheckpointChunks {
+			part = part[:sweepCheckpointChunks]
 		}
-		done[c] = true
-		cond.Broadcast()
-		mu.Unlock()
-		return err
-	})
-
-	merged := 0
-	for c := range chunks {
-		mu.Lock()
-		for !done[c] && failedAt > c {
-			cond.Wait()
-		}
-		failed := failedAt <= c
-		mu.Unlock()
-		if failed {
-			break
-		}
-		ch, res := chunks[c], &results[c]
-		st.SectorsScanned += ch.n
-		for _, bad := range res.damaged {
-			st.DamagedSectors++
-			r.damaged = append(r.damaged, bad)
-			r.manifest = append(r.manifest, uint32(bad)|salvageDamagedBit)
-		}
-		for _, cand := range res.cands {
-			addr := int(cand.e.Runs[0].Start)
-			if r.seen[addr] {
-				continue
+		chunks = chunks[len(part):]
+		bufs := make([][]byte, len(part))
+		results := make([]sweepChunkResult, len(part))
+		for c, ch := range part {
+			var err error
+			if bufs[c], results[c].damaged, err = r.readChunkData(ch.addr, ch.n); err != nil {
+				return err
 			}
-			r.seen[addr] = true
-			st.CandidateLeaders++
-			r.cands = append(r.cands, cand)
-			r.manifest = append(r.manifest, uint32(addr))
 		}
-		if merged++; merged%32 == 0 {
-			if err := r.flush(salvageSweep, ch.addr+ch.n); err != nil {
-				pool.Cancel()
-				pool.Wait()
+		ps, _ := parscan.Run(st.Workers, len(part), func(w *parscan.Worker, c int) error {
+			sweepChunkScan(w, part[c], bufs[c], &results[c])
+			return nil
+		})
+		balanced += ps.BalancedCPU()
+		st.SweepCPU += ps.TotalCPU()
+		st.Steals += ps.Steals()
+		for c, ch := range part {
+			st.SectorsScanned += ch.n
+			for _, bad := range results[c].damaged {
+				st.DamagedSectors++
+				r.damaged = append(r.damaged, bad)
+				r.manifest = append(r.manifest, uint32(bad)|salvageDamagedBit)
+			}
+			for _, cand := range results[c].cands {
+				addr := int(cand.e.Runs[0].Start)
+				if r.seen[addr] {
+					continue
+				}
+				r.seen[addr] = true
+				st.CandidateLeaders++
+				r.cands = append(r.cands, cand)
+				r.manifest = append(r.manifest, uint32(addr))
+			}
+		}
+		if len(part) == sweepCheckpointChunks {
+			last := part[len(part)-1]
+			if err := r.flush(salvageSweep, last.addr+last.n); err != nil {
 				return err
 			}
 		}
 	}
-
-	stats, err := pool.Wait()
-	// The merger, not the workers, charges the pool's CPU critical path —
-	// the balanced share, which is deterministic and at one worker equals
-	// the sequential total.
-	v.cpu.Charge(stats.BalancedCPU())
-	st.SweepCPU = stats.TotalCPU()
-	st.Steals = stats.Steals()
+	v.cpu.Charge(balanced)
 	st.SweepElapsed = v.clk.Now() - sweepStart
-	if err != nil {
-		return err
-	}
 	return r.flush(salvageSweep, lay.total)
 }
 

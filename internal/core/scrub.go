@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/parscan"
+	"repro/internal/sim"
 )
 
 // The online scrubber: the active half of the paper's cheap-redundancy
@@ -39,8 +39,10 @@ type ScrubStats struct {
 	SpareExhausted bool
 	Problems       []string
 	Elapsed        time.Duration
-	// NTElapsed is the part of Elapsed the name-table pass took.
-	NTElapsed time.Duration
+	// NTElapsed is the part of Elapsed the name-table pass took, and
+	// LeaderElapsed the part the leader pass took.
+	NTElapsed     time.Duration
+	LeaderElapsed time.Duration
 }
 
 // Repaired sums all copy rewrites of the pass.
@@ -50,22 +52,6 @@ func (st ScrubStats) Repaired() int {
 
 func (st *ScrubStats) addProblem(format string, args ...interface{}) {
 	st.Problems = append(st.Problems, fmt.Sprintf(format, args...))
-}
-
-// merge folds a worker's private stats into st.
-func (st *ScrubStats) merge(o ScrubStats) {
-	st.NTPagesChecked += o.NTPagesChecked
-	st.NTRepaired += o.NTRepaired
-	st.NTLost += o.NTLost
-	st.LeadersChecked += o.LeadersChecked
-	st.LeadersRepaired += o.LeadersRepaired
-	st.RootsRepaired += o.RootsRepaired
-	st.LogRecords += o.LogRecords
-	st.LogRepaired += o.LogRepaired
-	st.Retired += o.Retired
-	st.SectorsChecked += o.SectorsChecked
-	st.SpareExhausted = st.SpareExhausted || o.SpareExhausted
-	st.Problems = append(st.Problems, o.Problems...)
 }
 
 // FaultStats aggregates the volume's media-fault handling activity.
@@ -174,9 +160,10 @@ func (v *Volume) repairSectors(addr int, data []byte, st *ScrubStats) error {
 }
 
 // Scrub runs one full scrub pass online: operations continue while it runs
-// (the name-table pass serializes only against home writes of the page in
-// hand, the leader pass shares the monitor). Concurrent Scrub calls
-// serialize behind scrubMu.
+// (the name-table pass serializes only against home writes of a page it has
+// to repair, the leader pass shares the monitor for its snapshot and for a
+// leader it has to re-examine). Concurrent Scrub calls serialize behind
+// scrubMu.
 func (v *Volume) Scrub() (_ ScrubStats, err error) {
 	defer v.span("scrub")(&err)
 	v.scrubMu.Lock()
@@ -247,38 +234,38 @@ func (v *Volume) scrubRoots(st *ScrubStats) {
 	}
 }
 
-// scrubNameTable cross-checks both home copies of every name-table page on
-// the shared parscan pool, one chunk per ntSweepPages-page run, ScrubWorkers
-// wide: a chunk reads its run of copy A and then of copy B as two sequential
-// transfers (sweepNT) and compares them in memory, so a healthy table costs
-// two reads per run instead of two per page; only a page that reads damaged
-// or whose copies disagree is re-examined and repaired on its own
-// (scrubNTPage). Results merge per chunk in page order, so the problem
-// report is deterministic at any worker count. Single-copy volumes have
-// nothing to cross-check.
+// ntScrubStretch is how much of the name table the scrub sweeps from copy A
+// before it turns to copy B. The copies sit a long seek apart, and sweepNT
+// holds a stretch's copy A in memory until copy B has been compared with it.
+// At 512 pages that is a 1 MB buffer, and the two long seeks (≈ 0.14 s with
+// their rotational waits) add 8 % to the stretch's 1.8 s of transfer; at one
+// 16-page request — what the pass used to issue — they add half, and the
+// whole table in one stretch would buffer 8 MB to save the last 5 %.
+const ntScrubStretch = 32 * ntSweepPages
+
+// scrubNameTable cross-checks both home copies of every name-table page, a
+// stretch at a time: sweepNT reads the stretch's copy A and then its copy B
+// in sequential 16-page transfers and compares them in memory; only a page
+// that reads damaged or whose copies disagree is re-examined and repaired on
+// its own (scrubNTPage). One goroutine drives the pass in page order, so the
+// problem report is the same at every ScrubWorkers setting. Single-copy
+// volumes have nothing to cross-check.
 func (v *Volume) scrubNameTable(st *ScrubStats) error {
 	if v.cfg.SingleCopyNT {
 		return nil
 	}
 	start := v.clk.Now()
-	ids := v.lay.ntPages
-	parts := make([]ScrubStats, (ids+ntSweepPages-1)/ntSweepPages)
-	_, err := parscan.Run(v.cfg.scrubWorkers(), len(parts), func(_ *parscan.Worker, c int) error {
-		part := &parts[c]
-		lo, hi := c*ntSweepPages, (c+1)*ntSweepPages
-		if hi > ids {
-			hi = ids
+	for lo := 0; lo < v.lay.ntPages; lo += ntScrubStretch {
+		hi := lo + ntScrubStretch
+		if hi > v.lay.ntPages {
+			hi = v.lay.ntPages
 		}
-		part.NTPagesChecked += hi - lo
-		part.SectorsChecked += 2 * NTPageSectors * (hi - lo)
-		v.sweepNT(lo, hi, true, func(uint32, []byte) {}, func(id uint32) { v.scrubNTPage(id, part) })
-		return nil
-	})
-	for i := range parts {
-		st.merge(parts[i])
+		st.NTPagesChecked += hi - lo
+		st.SectorsChecked += 2 * NTPageSectors * (hi - lo)
+		v.sweepNT(lo, hi, true, func(uint32, []byte) {}, func(id uint32) { v.scrubNTPage(id, st) })
 	}
 	st.NTElapsed = v.clk.Now() - start
-	return err
+	return nil
 }
 
 // ntCopyOK validates one home copy of a name-table page.
@@ -320,10 +307,17 @@ func (v *Volume) scrubNTPage(id uint32, st *ScrubStats) {
 		// committed state and can rebuild both copies. (Writing it home
 		// keeps the WAL discipline: every cached byte not yet committed
 		// is excluded by the pendingLog check.)
-		if p, ok := c.pages[id]; ok && !p.pendingLog(v.log.Committed()) {
+		p, cached := c.pages[id]
+		switch {
+		case cached && !p.pendingLog(v.log.Committed()):
 			repair(addrA, p.cur)
 			repair(addrB, p.cur)
-		} else {
+		case cached:
+			// Not lost: home writes are sector-granular, so under live
+			// traffic a page's home copies are a mix of sector generations,
+			// failing the page CRC, until its other sectors come due. The
+			// cache holds the page and the log its images.
+		default:
 			st.NTLost++
 			st.addProblem("name-table page %d: no readable copy (salvage required)", id)
 		}
@@ -332,56 +326,80 @@ func (v *Volume) scrubNTPage(id uint32, st *ScrubStats) {
 
 // scrubLeaders verifies every file's leader page against its name-table
 // entry and rebuilds decayed, rotten, or stale leaders from the entry (the
-// name table is authoritative: doubly stored and logged). The snapshot pass
-// shares the monitor; each leader is then checked and, if need be, repaired
-// under a fresh shared hold, so Create/Delete (exclusive holders) never
-// race a repair.
+// name table is authoritative: doubly stored and logged). Like the
+// name-table pass it is optimistic first and locked only where it must be.
+// One scan under a shared hold of the monitor snapshots every entry with a
+// home leader; sweepLeaders reads those leaders in address order with no
+// lock held and checks them against the snapshot on the ScrubWorkers pool.
+// A leader that verifies is done: agreeing with an entry the table held a
+// moment ago calls for no repair, whatever has happened to the file since.
+// One that fails to read or to verify — damaged, or its file rewritten,
+// extended or deleted since the snapshot — goes down scrubLeader, which
+// looks the entry up afresh under the monitor: nothing is ever repaired
+// from the snapshot. Suspects are re-examined, and reported, in address
+// order.
 func (v *Volume) scrubLeaders(st *ScrubStats) error {
-	type lref struct {
-		name string
-		ver  uint32
-	}
-	var refs []lref
+	start := v.clk.Now()
+	defer func() { st.LeaderElapsed = v.clk.Now() - start }()
+	var refs []leaderCheck
+	decoded := 0
 	v.rlock()
-	err := v.nt.Scan(nil, func(k, _ []byte) bool {
+	err := v.nt.Scan(nil, func(k, val []byte) bool {
 		name, ver, ok := splitKey(k)
 		if !ok {
 			return true
 		}
-		refs = append(refs, lref{name, ver})
+		e, err := decodeEntry(name, ver, val)
+		if err != nil {
+			return true // Verify's to report; there is no leader to find
+		}
+		decoded++
+		if addr, has := e.LeaderAddr(); has {
+			refs = append(refs, leaderCheck{addr: addr, e: e})
+		}
 		return true
 	})
 	v.runlock()
 	if err != nil {
 		return err
 	}
-	// The leader walk joins the NT fanout on the same pool: chunks of
-	// refs pulled by stealing workers, per-chunk stats merged in chunk
-	// order so repairs and problems report deterministically.
-	const chunkRefs = 32
-	chunks := (len(refs) + chunkRefs - 1) / chunkRefs
-	parts := make([]ScrubStats, chunks)
-	_, perr := parscan.Run(v.cfg.scrubWorkers(), chunks, func(_ *parscan.Worker, c int) error {
-		lo, hi := c*chunkRefs, (c+1)*chunkRefs
-		if hi > len(refs) {
-			hi = len(refs)
+	// Leaders not home yet are verified from memory on access.
+	home := refs[:0]
+	v.lmu.Lock()
+	for _, ref := range refs {
+		if _, pending := v.pendingLeaders[ref.addr]; !pending {
+			home = append(home, ref)
 		}
-		for _, ref := range refs[lo:hi] {
-			if v.closed.Load() {
-				return nil
-			}
-			if err := v.scrubLeader(ref.name, ref.ver, &parts[c]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	for i := range parts {
-		st.merge(parts[i])
 	}
-	return perr
+	v.lmu.Unlock()
+	errs, ps := sweepLeaders(home, v.cfg.scrubWorkers(), func(addr int) ([]byte, error) {
+		if v.closed.Load() {
+			return nil, ErrClosed
+		}
+		return v.d.ReadSectors(addr, 1)
+	})
+	// The scan's decodes and the pool's checksums, priced as Verify prices
+	// them, in one lump after the reads.
+	v.cpu.Charge(time.Duration(decoded)*sim.CostBTreeOp/4 + ps.TotalCPU())
+	for i, ref := range home {
+		if errs[i] == nil {
+			st.LeadersChecked++
+			st.SectorsChecked++
+			continue
+		}
+		if v.closed.Load() {
+			return nil
+		}
+		if err := v.scrubLeader(ref.e.Name, ref.e.Version, st); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
+// scrubLeader is the leader pass's locked path, for a leader the sweep could
+// not vouch for: a shared hold of the monitor, so Create/Delete (exclusive
+// holders) never race the repair, a fresh lookup, and a re-read with retries.
 func (v *Volume) scrubLeader(name string, ver uint32, st *ScrubStats) error {
 	v.rlock()
 	defer v.runlock()

@@ -124,11 +124,7 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 	probs := make([][]string, len(raw))
 	owners := parscan.NewOwnerTable(v.lay.total)
 	counts := make([]VerifyStats, (len(raw)+verifyChunk-1)/verifyChunk)
-	type leaderRef struct {
-		idx  int // entry index
-		addr int
-	}
-	leaderRefs := make([][]leaderRef, len(counts))
+	leaderRefs := make([][]leaderCheck, len(counts))
 	checkStart := v.clk.Now()
 
 	chunkRange := func(c int) (lo, hi int) {
@@ -196,6 +192,7 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 					continue
 				}
 				w.Charge(time.Duration(r.Len) * sim.CostChecksumPage)
+				v.vmMu.Lock()
 				for p := int(r.Start); p < int(r.Start)+int(r.Len); p++ {
 					if v.lay.metaRange(p) {
 						addProblem(i, "%s!%d: page %d inside metadata", ve.name, ve.ver, p)
@@ -206,14 +203,12 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 						addProblem(i, "%s!%d: page %d also owned by %s!%d", ve.name, ve.ver, p, prev.name, prev.ver)
 						break
 					}
-					v.vmMu.Lock()
-					free := v.vm.IsFree(p)
-					v.vmMu.Unlock()
-					if free {
+					if v.vm.IsFree(p) {
 						addProblem(i, "%s!%d: page %d owned but marked free", ve.name, ve.ver, p)
 						break
 					}
 				}
+				v.vmMu.Unlock()
 			}
 			if e.ByteSize > uint64(e.Pages())*512 {
 				addProblem(i, "%s!%d: byte size %d exceeds %d pages", ve.name, ve.ver, e.ByteSize, e.Pages())
@@ -240,7 +235,7 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 				}
 				continue
 			}
-			leaderRefs[c] = append(leaderRefs[c], leaderRef{idx: i, addr: addr})
+			leaderRefs[c] = append(leaderRefs[c], leaderCheck{addr: addr, e: e, idx: i})
 		}
 		return nil
 	})
@@ -257,46 +252,25 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 	st.Steals += claimStats.Steals() + checkStats.Steals()
 	st.CheckElapsed = v.clk.Now() - checkStart
 
-	// Phase 3: the leader sweep. A single driver reads every home leader
-	// in ascending address order — the head moves once across the disk,
-	// and a damaged sector's retries charge the health budget exactly once
-	// however many workers are checking — then the pool verifies the
-	// images against their entries.
+	// Phase 3: the leader sweep — every home leader read by this goroutine
+	// in ascending address order, so a damaged sector's retries charge the
+	// health budget exactly once however many workers are checking, then
+	// verified against its entry on the pool.
 	leaderStart := v.clk.Now()
-	var refs []leaderRef
+	var refs []leaderCheck
 	for _, lr := range leaderRefs {
 		refs = append(refs, lr...)
 	}
-	sort.Slice(refs, func(a, b int) bool { return refs[a].addr < refs[b].addr })
-	bufs := make([][]byte, len(refs))
-	for j, ref := range refs {
-		buf, retried, rerr := disk.ReadSectorsRetry(v.d, ref.addr, 1, v.cfg.readRetries())
+	errs, leaderStats := sweepLeaders(refs, st.Workers, func(addr int) ([]byte, error) {
+		buf, retried, rerr := disk.ReadSectorsRetry(v.d, addr, 1, v.cfg.readRetries())
 		v.noteReadFault(retried, rerr)
-		if rerr != nil {
-			ve := raw[ref.idx]
-			probs[ref.idx] = append(probs[ref.idx], fmt.Sprintf("%s!%d: leader unreadable: %v", ve.name, ve.ver, rerr))
-			continue
-		}
-		bufs[j] = buf
-	}
-	leaderChunks := (len(refs) + verifyChunk - 1) / verifyChunk
-	leaderStats, _ := parscan.Run(st.Workers, leaderChunks, func(w *parscan.Worker, c int) error {
-		lo := c * verifyChunk
-		hi := lo + verifyChunk
-		if hi > len(refs) {
-			hi = len(refs)
-		}
-		for j := lo; j < hi; j++ {
-			if bufs[j] == nil {
-				continue
-			}
-			w.Charge(sim.CostChecksumPage)
-			if err := verifyLeader(bufs[j], raw[refs[j].idx].e); err != nil {
-				probs[refs[j].idx] = append(probs[refs[j].idx], fmt.Sprintf("%v", err))
-			}
-		}
-		return nil
+		return buf, rerr
 	})
+	for j, ref := range refs {
+		if errs[j] != nil {
+			probs[ref.idx] = append(probs[ref.idx], errs[j].Error())
+		}
+	}
 	v.cpu.Charge(leaderStats.BalancedCPU())
 	st.CheckCPU += leaderStats.TotalCPU()
 	st.Steals += leaderStats.Steals()
@@ -308,4 +282,49 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 	}
 	st.Elapsed = v.clk.Now() - start
 	return st, nil
+}
+
+// leaderCheck is one home leader queued for sweepLeaders: its sector, the
+// entry it must agree with, and a slot for the caller's own index.
+type leaderCheck struct {
+	addr int
+	e    *Entry
+	idx  int
+}
+
+// sweepLeaders is the one way a check pass reads leader pages (Verify's
+// phase 3, Scrub's leader pass). The disk has one arm, so the pass has one
+// reader: refs are sorted by address in place and the calling goroutine
+// reads every sector in that order with no processor time charged in
+// between — the head crosses the disk once, where a reader in name order, or
+// workers sharing the arm, pay a long seek per leader. Only then does a pool
+// verify the images against their entries, charging the checksums to the
+// returned stats for the caller to put on the clock. errs[i] says what is
+// wrong with (the sorted) refs[i], nil if it read and verified. read is the
+// caller's fault policy: Verify retries in place and charges the health
+// budget, Scrub reads once and leaves the rest to its locked repair path.
+func sweepLeaders(refs []leaderCheck, workers int, read func(addr int) ([]byte, error)) (errs []error, _ parscan.Stats) {
+	sort.Slice(refs, func(a, b int) bool { return refs[a].addr < refs[b].addr })
+	errs = make([]error, len(refs))
+	bufs := make([][]byte, len(refs))
+	for j, ref := range refs {
+		if bufs[j], errs[j] = read(ref.addr); errs[j] != nil {
+			errs[j] = fmt.Errorf("%s!%d: leader unreadable: %w", ref.e.Name, ref.e.Version, errs[j])
+		}
+	}
+	stats, _ := parscan.Run(workers, (len(refs)+verifyChunk-1)/verifyChunk, func(w *parscan.Worker, c int) error {
+		lo := c * verifyChunk
+		hi := lo + verifyChunk
+		if hi > len(refs) {
+			hi = len(refs)
+		}
+		for j := lo; j < hi; j++ {
+			if errs[j] == nil {
+				w.Charge(sim.CostChecksumPage)
+				errs[j] = verifyLeader(bufs[j], refs[j].e)
+			}
+		}
+		return nil
+	})
+	return errs, stats
 }

@@ -5,15 +5,17 @@
 // queues with work stealing, and the results merge back in chunk order,
 // so the output is identical at every worker count.
 //
-// The pool deliberately knows nothing about disks or volumes. A chunk is
-// just an index; the chunk function does whatever reading and checking
-// the caller needs and records its findings into caller-owned per-chunk
-// slots. Determinism then falls out of two rules the callers follow:
+// The pool knows nothing about disks or volumes, and its callers keep it
+// that way: a chunk is just an index into buffers the pass's one driver has
+// already read, in address order, and the chunk function only checks them
+// and records its findings into caller-owned per-chunk slots — the disk has
+// one arm, so a pass has one reader (DESIGN §17). Determinism then falls
+// out of two rules the callers follow:
 //
 //   - results are merged in chunk order, never in completion order;
-//   - anything order-dependent (dedup against earlier finds, checkpoint
-//     cursors, problem lists) is done by the single merging goroutine
-//     over that ordered stream, not by the workers.
+//   - anything order-dependent (device reads, dedup against earlier finds,
+//     checkpoint cursors, problem lists) is done by the single driving
+//     goroutine, not by the workers.
 //
 // CPU cost is accumulated per worker through Worker.Charge rather than
 // charged to the simulated CPU directly: charging would advance the
@@ -127,14 +129,12 @@ type interval struct {
 	lo, hi int
 }
 
-// Pool is a running parallel scan. Start launches it; Wait collects it.
-type Pool struct {
-	workers int
-	fn      func(w *Worker, chunk int) error
+// pool is one running scan.
+type pool struct {
+	fn func(w *Worker, chunk int) error
 
 	mu        sync.Mutex
 	intervals []interval
-	stopped   bool
 
 	errMu    sync.Mutex
 	errChunk int
@@ -144,33 +144,32 @@ type Pool struct {
 	stats Stats
 }
 
-// Start launches workers goroutines executing fn once for every chunk in
-// [0, chunks). Chunks are dealt as contiguous per-worker intervals; a
-// worker that drains its own interval steals the tail half of the largest
-// remaining one, so a slow region (decayed sectors paying retries, say)
-// does not leave the rest of the pool idle. fn may be called from any
-// worker concurrently with any other chunk; an error stops the pool and
-// Wait returns the error of the lowest-numbered failing chunk, so the
-// error surface is deterministic too.
-func Start(workers, chunks int, fn func(w *Worker, chunk int) error) *Pool {
+// Run executes fn once for every chunk in [0, chunks) on workers goroutines
+// and returns when all of them have stopped. Chunks are dealt as contiguous
+// per-worker intervals; a worker that drains its own interval steals the
+// tail half of the largest remaining one, so a slow region does not leave
+// the rest of the pool idle. fn may be called from any worker concurrently
+// with any other chunk; an error stops the pool and Run returns the error of
+// the lowest-numbered failing chunk, so the error surface is deterministic
+// too.
+//
+// Run is the only entry: a pool cannot be started and left running beside
+// its caller, which is what let a pass hand its device reads to the workers.
+func Run(workers, chunks int, fn func(w *Worker, chunk int) error) (Stats, error) {
 	if workers < 1 {
 		workers = 1
 	}
 	if workers > chunks && chunks > 0 {
 		workers = chunks
 	}
-	p := &Pool{
-		workers:   workers,
+	p := &pool{
 		fn:        fn,
 		intervals: make([]interval, workers),
 		errChunk:  -1,
 	}
 	p.stats = Stats{Workers: workers, PerWorker: make([]WorkerStats, workers)}
 	// Deal [0, chunks) as equal contiguous intervals.
-	per := 0
-	if workers > 0 {
-		per = (chunks + workers - 1) / workers
-	}
+	per := (chunks + workers - 1) / workers
 	for i := range p.intervals {
 		lo := i * per
 		hi := lo + per
@@ -186,23 +185,16 @@ func Start(workers, chunks int, fn func(w *Worker, chunk int) error) *Pool {
 		p.wg.Add(1)
 		go p.run(i)
 	}
-	return p
-}
-
-// Run executes the scan and waits for it: Start + Wait.
-func Run(workers, chunks int, fn func(w *Worker, chunk int) error) (Stats, error) {
-	return Start(workers, chunks, fn).Wait()
+	p.wg.Wait()
+	return p.stats, p.err
 }
 
 // next hands worker id its next chunk: the head of its own interval, or a
 // stolen tail half of the largest remaining interval. ok=false means the
-// scan is over (drained or stopped).
-func (p *Pool) next(id int) (chunk int, stolen, ok bool) {
+// scan is over (drained, or retracted by a failure).
+func (p *pool) next(id int) (chunk int, stolen, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.stopped {
-		return 0, false, false
-	}
 	own := &p.intervals[id]
 	if own.lo < own.hi {
 		chunk = own.lo
@@ -235,7 +227,7 @@ func (p *Pool) next(id int) (chunk int, stolen, ok bool) {
 // them could fail with a lower index, so the pool converges on the true
 // lowest failing chunk no matter which worker hit an error first — the
 // error surface is deterministic, not a scheduling accident.
-func (p *Pool) fail(chunk int, err error) {
+func (p *pool) fail(chunk int, err error) {
 	p.errMu.Lock()
 	if p.errChunk < 0 || chunk < p.errChunk {
 		p.errChunk, p.err = chunk, err
@@ -253,7 +245,7 @@ func (p *Pool) fail(chunk int, err error) {
 	p.mu.Unlock()
 }
 
-func (p *Pool) run(id int) {
+func (p *pool) run(id int) {
 	defer p.wg.Done()
 	w := &Worker{id: id}
 	for {
@@ -273,21 +265,4 @@ func (p *Pool) run(id int) {
 	p.mu.Lock()
 	p.stats.merge(id, w.stats)
 	p.mu.Unlock()
-}
-
-// Cancel stops handing out new chunks; in-flight chunk functions finish.
-// The merging goroutine uses it when its own (ordered) work fails.
-func (p *Pool) Cancel() {
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
-}
-
-// Wait blocks until every worker has stopped and returns the merged stats
-// and the deterministic first error (by chunk order, not completion order).
-func (p *Pool) Wait() (Stats, error) {
-	p.wg.Wait()
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.stats, p.err
 }

@@ -112,33 +112,6 @@ func TestPoolErrorStopsWork(t *testing.T) {
 	}
 }
 
-// TestPoolCancel checks that Cancel stops the pool from the outside (the
-// merger's escape hatch) and Wait still returns.
-func TestPoolCancel(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	p := Start(2, 1000, func(w *Worker, c int) error {
-		once.Do(func() { close(started) })
-		<-release // hold in-flight chunks until Cancel has landed
-		return nil
-	})
-	<-started
-	p.Cancel()
-	close(release)
-	st, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, w := range st.PerWorker {
-		total += w.Chunks
-	}
-	if total >= 1000 {
-		t.Fatal("cancel did not stop the pool early")
-	}
-}
-
 // TestPoolAccounting checks Charge/Fault accumulate per worker and the
 // stats helpers fold them correctly; at one worker MaxCPU == TotalCPU.
 func TestPoolAccounting(t *testing.T) {

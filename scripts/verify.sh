@@ -22,6 +22,12 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 # identifiers only: TestMountOrSalvage is a test of Mount.)
 ! grep -rnE --include='*.go' '(^|[^[:alnum:]_])(MountReadOnly|MountOrSalvage|(create|touch|setKeep|delete|rename|extend|contract|setByteSize)(Class)?Async)\(' . \
 	|| { echo "verify: a deleted wrapper or *Async mutation twin resurfaced (use Mount options / core's mutate)"; exit 1; }
+# And the pool that could be started and left running beside its caller: it
+# is how a check pass came to hand its device reads to the workers. A pass
+# has one reader (DESIGN §17); parscan.Run over buffers already read is the
+# only shape.
+! grep -rnE --include='*.go' 'parscan\.Start\(' . \
+	|| { echo "verify: parscan.Start resurfaced (one driver reads in address order, parscan.Run checks the buffers)"; exit 1; }
 
 go vet ./...
 go build ./...
@@ -39,7 +45,12 @@ go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache
 # ...and the cut sweep: a force, then the plug, at each of the first 400
 # Appends of a run of creates, staged and async — every cut must leave a
 # mountable, verifiable prefix (0 bad; 208 before the WAL group).
-go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep|TestCutSweepCreateRun'
+# ...and the one-arm gates: a clean scrub's leader reads strictly ascending
+# with a handful of long seeks at widths 1/2/8, planted leader damage still
+# repaired, scrub and salvage costing the same simulated time on every run
+# at widths 2 and 8, and a salvage checkpoint writing the manifest's tail,
+# not the manifest.
+go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep|TestCutSweepCreateRun|TestScrubLeaderSweepAscending|TestScrubLeaderSweepPlantedDamage|TestCheckPassSimTimeRepeats|TestSalvageManifestAppendOnly'
 # The allocation gates of the borrowed-buffer read path (a lookup allocates
 # its result, a cached read and a cache fill nothing, a read's round trip a
 # fixed handful of small objects whatever its payload, a read-ahead I/O
@@ -56,9 +67,13 @@ go test ./internal/btree ./internal/bufcache ./internal/core ./internal/wire ./i
 go test ./internal/alloc ./internal/bufcache ./internal/core . -count=1 -run 'TestExtend|TestScanResistance|TestReserveCommit|TestDropAllSparesReservedFrames|TestStreamedReadShape|TestReadAheadPaysBetweenReaders|TestRandomReadsDoNotReadAhead|TestReadAheadStaysInsideItsStretch|TestStreamFillRacedByWrite|TestStreamedFileIsOneAscendingRun|TestLongStreamKeepsTwoRuns|TestRunTableLimitFailsOneWriter'
 # Per-layer wall-clock benches (perf-ledger item c), one iteration each: they
 # must keep compiling and running; their numbers are read with -benchtime
-# left alone.
+# left alone. (core's include BenchmarkStream256K and BenchmarkScrubPass,
+# which reports a clean scrub's simulated cost as sim-s/scrub.)
 go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./internal/core ./internal/wire ./internal/server -run xxx -bench . -benchtime 1x
-go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders'
+# (...UnderChurn: scrub's optimistic leader sweep against files deleted,
+# recreated in place and extended under it — nothing repaired, nothing
+# reported; ...SimTimeRepeats again because the detector reschedules.)
+go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders|TestScrubLeaderSweepUnderChurn|TestCheckPassSimTimeRepeats'
 # One atomic group per operation (ISSUE 17), under the detector and uncached:
 # the WAL bracket itself, a force cutting into rename / create under keep /
 # empty create / a split-inducing create run, the group held across the
