@@ -437,22 +437,24 @@ func (c *Cache) Commit(addr int, slots []int32, gen uint64, ok bool) {
 	}
 }
 
-// Update is the write-through hook: the caller has already written data to
-// the disk at addr, and any resident frames must reflect it. Frames not
+// Update is the write-through hook: the caller has already written data —
+// the gather list of its transfer, whole sectors in order — to the disk at
+// addr, and any resident frames must reflect it. Frames not
 // resident are left absent (no write-allocate), and resident ones stay where
 // they are in their lists: a pure writer should not evict a reader's working
 // set, nor decide what is worth keeping. The generation bump precedes the
 // shard sweep, so a concurrent fill that read pre-write bytes aborts.
-func (c *Cache) Update(addr int, data []byte) {
+func (c *Cache) Update(addr int, data ...[]byte) {
 	c.gen.Add(1)
-	n := len(data) / SectorSize
-	for i := 0; i < n; i++ {
-		s := c.shardFor(addr + i)
-		s.mu.Lock()
-		if f, ok := s.index[addr+i]; ok {
-			copy(s.frames[f].data[:], data[i*SectorSize:(i+1)*SectorSize])
+	for _, b := range data {
+		for ; len(b) >= SectorSize; b, addr = b[SectorSize:], addr+1 {
+			s := c.shardFor(addr)
+			s.mu.Lock()
+			if f, ok := s.index[addr]; ok {
+				copy(s.frames[f].data[:], b)
+			}
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/disk"
 )
 
 // Byte-granular convenience I/O over the page operations, and rename —
@@ -41,8 +39,9 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt writes p at byte offset off within the file's allocated pages,
 // extending the recorded byte size if the write grows the file (but never
-// past the allocation — use Extend first). Partial first/last pages are
-// read-modify-written.
+// past the allocation — use Extend first). Whole pages go out straight from
+// p, which is the caller's again on return; a partial first or last page is
+// read-modify-written through a scratch sector (see writeFrom).
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("core: negative offset")
@@ -50,28 +49,11 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	end := off + int64(len(p))
-	if end > int64(f.Pages())*disk.SectorSize {
-		return 0, fmt.Errorf("core: write [%d,%d) beyond %d allocated pages (Extend first)", off, end, f.Pages())
-	}
-	firstPage := int(off / disk.SectorSize)
-	lastPage := int((end - 1) / disk.SectorSize)
-	span := lastPage - firstPage + 1
-	buf := make([]byte, span*disk.SectorSize)
-	// Read-modify-write only the partial edge pages that hold live data.
-	headPartial := off%disk.SectorSize != 0
-	tailPartial := end%disk.SectorSize != 0
-	if headPartial || (tailPartial && int64(lastPage)*disk.SectorSize < f.Size()) {
-		if err := f.readInto(buf, int64(firstPage)*disk.SectorSize); err != nil {
-			clear(buf) // unreadable: the write goes over zeroes
-		}
-	}
-	copy(buf[off-int64(firstPage)*disk.SectorSize:], p)
-	if err := f.WritePages(firstPage, buf); err != nil {
+	if err := f.writeFrom(p, off); err != nil {
 		return 0, err
 	}
-	if end > f.Size() {
-		if err := f.SetByteSize(uint64(end)); err != nil {
+	if end := off + int64(len(p)); end > f.Size() {
+		if err := f.setByteSize(uint64(end), true); err != nil {
 			return len(p), err
 		}
 	}

@@ -225,74 +225,42 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 // the first data chunk go out as one clustered transfer — the paper's "a
 // file create typically does one I/O synchronously" — with the chunk no
 // longer truncated at the leader boundary: a full MaxTransferSectors of data
-// rides along with the leader, matching the WritePages joined write.
+// rides along with the leader, matching writeFrom's piggybacked write.
 // Physically adjacent runs of a fragmented allocation are merged into single
 // stretches, so the request count depends on the physical layout, not the
-// run-table shape.
+// run-table shape. Like writeFrom it lends data: whole sectors go out
+// straight from it, the zero-padded last one through the window's scratch.
 func (v *Volume) writeLeaderAndData(e *Entry, leader, data []byte) error {
 	pages := (len(data) + disk.SectorSize - 1) / disk.SectorSize
-	padded := make([]byte, pages*disk.SectorSize)
-	copy(padded, data)
+	w := ioWindow{p: data}
+	copy(w.edge[1][:], data[len(data)/disk.SectorSize*disk.SectorSize:])
 	v.cpu.Charge(time.Duration(pages+1) * sim.CostPerSectorCopy)
-	type stretch struct{ start, n int }
-	var stretches []stretch
-	for _, r := range e.Runs {
-		if k := len(stretches) - 1; k >= 0 && stretches[k].start+stretches[k].n == int(r.Start) {
-			stretches[k].n += int(r.Len)
-		} else {
-			stretches = append(stretches, stretch{int(r.Start), int(r.Len)})
-		}
-	}
 	written := 0 // data sectors written so far
-	for si, s := range stretches {
-		addr, n := s.start, s.n
-		if si == 0 {
-			// The stretch begins with the leader page; join it with the
-			// first data chunk.
+	for i := 0; i < len(e.Runs) && written < pages; {
+		// One stretch: runs i..j-1, each beginning where the last ended.
+		addr, n := int(e.Runs[i].Start), int(e.Runs[i].Len)
+		j := i + 1
+		for ; j < len(e.Runs) && int(e.Runs[j].Start) == addr+n; j++ {
+			n += int(e.Runs[j].Len)
+		}
+		var lead []byte
+		if i == 0 {
+			// The stretch begins with the leader page, which rides ahead of
+			// the first data chunk (or alone, if the stretch ends with it).
+			lead = leader
 			addr++
 			n--
-			head := n
-			if head > MaxTransferSectors {
-				head = MaxTransferSectors
-			}
-			if head > pages-written {
-				head = pages - written
-			}
-			joined := make([]byte, 0, (1+head)*disk.SectorSize)
-			joined = append(joined, leader...)
-			joined = append(joined, padded[written*disk.SectorSize:(written+head)*disk.SectorSize]...)
-			if err := v.writeSectors(addr-1, joined); err != nil {
-				return err
-			}
-			if v.dataCache != nil && head > 0 {
-				v.dataCache.Update(addr, padded[written*disk.SectorSize:(written+head)*disk.SectorSize])
-			}
-			written += head
-			addr += head
-			n -= head
 		}
-		for n > 0 && written < pages {
-			chunk := n
-			if chunk > MaxTransferSectors {
-				chunk = MaxTransferSectors
-			}
-			if chunk > pages-written {
-				chunk = pages - written
-			}
-			buf := padded[written*disk.SectorSize : (written+chunk)*disk.SectorSize]
-			if err := v.writeSectors(addr, buf); err != nil {
+		for ; (n > 0 || lead != nil) && written < pages; lead = nil {
+			chunk := min(n, MaxTransferSectors, pages-written)
+			if err := v.writeChunk(&w, lead, addr, written, chunk); err != nil {
 				return err
-			}
-			if v.dataCache != nil {
-				v.dataCache.Update(addr, buf)
 			}
 			written += chunk
 			addr += chunk
 			n -= chunk
 		}
-		if written >= pages {
-			break
-		}
+		i = j
 	}
 	v.ops.writes.Add(1)
 	return nil
@@ -441,22 +409,24 @@ func (f *File) ReadPages(page, n int) ([]byte, error) {
 	return out, nil
 }
 
-// readWindow maps the sectors of a read onto the caller's buffer p, which
-// holds the file's bytes from offset off on. A sector the window covers
-// whole is read straight into p; the first or the last sector, when the
-// window covers only part of it, goes through a scratch sector that settle
-// copies from.
-type readWindow struct {
+// ioWindow maps the sectors of a transfer onto the caller's buffer p, which
+// holds — or, for a write, supplies — the file's bytes from offset off on. A
+// sector the window covers whole travels straight between the platter and p;
+// the first or the last sector, when the window covers only part of it, goes
+// through a scratch sector: a read copies from it (settle), a write patches
+// it first (File.patchEdges).
+type ioWindow struct {
 	p    []byte
 	off  int64
 	edge [2][disk.SectorSize]byte
 }
 
-// place returns, in order, the destinations of sectors [cur, cur+cnt) —
-// consecutive entries of a GetRangeInto or ReadSectorsInto scatter list. Any
-// of the three may be empty. (They are results, not stores into a list the
-// caller passes, so that the window can stay on the caller's stack.)
-func (w *readWindow) place(cur, cnt int) (first, whole, last []byte) {
+// place returns, in order, the buffers of sectors [cur, cur+cnt) —
+// consecutive entries of a GetRangeInto or ReadSectorsInto scatter list, or
+// of a write's gather list. Any of the three may be empty. (They are results,
+// not stores into a list the caller passes, so that the window can stay on
+// the caller's stack.)
+func (w *ioWindow) place(cur, cnt int) (first, whole, last []byte) {
 	lo, hi := int64(cur)*disk.SectorSize, int64(cur+cnt)*disk.SectorSize
 	if lo < w.off {
 		first = w.edge[0][:]
@@ -475,7 +445,7 @@ func (w *readWindow) place(cur, cnt int) (first, whole, last []byte) {
 
 // settle copies what the window covers of the scratch sectors place handed
 // out for [cur, cur+cnt) into p; each copy stops at the end of p.
-func (w *readWindow) settle(cur, cnt int) {
+func (w *ioWindow) settle(cur, cnt int) {
 	if lo := int64(cur) * disk.SectorSize; lo < w.off {
 		copy(w.p, w.edge[0][w.off-lo:])
 	}
@@ -511,6 +481,13 @@ func (f *File) readInto(p []byte, off int64) (err error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.readLocked(p, off)
+}
+
+// readLocked is readInto under the shared monitor and f.mu, which its caller
+// holds: a read's own, or a write's look at a sector it covers part of.
+func (f *File) readLocked(p []byte, off int64) (err error) {
+	v := f.v
 	pages := f.e.Pages()
 	page := int(off / disk.SectorSize)
 	n := int((off+int64(len(p))+disk.SectorSize-1)/disk.SectorSize) - page
@@ -520,7 +497,7 @@ func (f *File) readInto(p []byte, off int64) (err error) {
 	v.ops.reads.Add(1)
 	dc := v.dataCache
 	leaderAddr, _ := f.e.LeaderAddr()
-	w := readWindow{p: p, off: off}
+	w := ioWindow{p: p, off: off}
 	// segs is a transfer's scatter list — leader, first-sector scratch, p,
 	// last-sector scratch, then one cache frame per sector read ahead, of
 	// which slots holds the cache's handles — with the entries a chunk has
@@ -656,15 +633,31 @@ func (f *File) ReadAll() ([]byte, error) {
 	return buf[:f.Size()], nil
 }
 
-// WritePages overwrites n = len(data)/512 data pages starting at `page`.
+// WritePages overwrites n = len(data)/512 data pages starting at `page`; see
+// writeFrom.
+func (f *File) WritePages(page int, data []byte) error {
+	if len(data)%disk.SectorSize != 0 {
+		return fmt.Errorf("core: write of %d bytes not page-aligned", len(data))
+	}
+	return f.writeFrom(data, int64(page)*disk.SectorSize)
+}
+
+// writeFrom writes p at byte offset off, inside the allocated pages. It is
+// the one data write path: WritePages and WriteAt are windows onto it. The
+// write lends p: every sector p covers whole goes platter-ward straight from
+// it, in one gather per transfer (disk.WriteSectorsFrom) with the pending
+// leader page ahead of it and a partly covered last sector behind, and the
+// data cache's resident frames are refreshed from the same slices. Nothing
+// keeps p: the platter and the frames copy.
+//
 // If the file's leader page is still pending, the write to page 0 carries
 // it along for free. Data writes share the monitor: they touch no
 // name-table state, and the deferred-leader maps are guarded by their own
 // lock. (A delete of the same file takes the monitor exclusively, so a
 // handle's pages cannot be freed mid-write.)
-func (f *File) WritePages(page int, data []byte) (err error) {
+func (f *File) writeFrom(p []byte, off int64) (err error) {
 	v := f.v
-	defer v.span("write")(&err)
+	defer v.spanEnd("write", v.clk.Now(), &err)
 	v.rlock()
 	defer v.runlock()
 	if err := v.beginMutate(); err != nil {
@@ -672,45 +665,37 @@ func (f *File) WritePages(page int, data []byte) (err error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(data)%disk.SectorSize != 0 {
-		return fmt.Errorf("core: write of %d bytes not page-aligned", len(data))
-	}
-	n := len(data) / disk.SectorSize
-	if page < 0 || n <= 0 || page+n > f.e.Pages() {
-		return fmt.Errorf("core: write [%d,%d) outside %q!%d", page, page+n, f.e.Name, f.e.Version)
+	page := int(off / disk.SectorSize)
+	n := int((off+int64(len(p))+disk.SectorSize-1)/disk.SectorSize) - page
+	if off < 0 || len(p) == 0 || page+n > f.e.Pages() {
+		return fmt.Errorf("core: write [%d,%d) outside %q!%d (%d pages; Extend first)", page, page+n, f.e.Name, f.e.Version, f.e.Pages())
 	}
 	v.ops.writes.Add(1)
-	written := 0
-	cur := page
-	for written < n {
-		want := n - written
-		if want > MaxTransferSectors {
-			want = MaxTransferSectors
-		}
+	w := ioWindow{p: p, off: off}
+	f.patchEdges(&w)
+	leaderAddr, _ := f.e.LeaderAddr()
+	for cur, remaining := page, n; remaining > 0; {
 		var addr, cnt, merged int
-		var err error
 		if v.dataCache != nil {
 			// Cluster across physically adjacent runs, as the read path
 			// does, so a fragmented file still writes in few transfers.
-			addr, cnt, merged, err = f.e.PhysContiguousFrom(cur, want)
+			addr, cnt, merged, err = f.e.PhysContiguousFrom(cur, min(remaining, MaxTransferSectors))
 		} else {
-			addr, cnt, err = f.e.ContiguousFrom(cur, want)
+			addr, cnt, err = f.e.ContiguousFrom(cur, min(remaining, MaxTransferSectors))
 		}
 		if err != nil {
 			return err
 		}
-		chunk := data[written*disk.SectorSize : (written+cnt)*disk.SectorSize]
-		leaderAddr, _ := f.e.LeaderAddr()
-		v.lmu.Lock()
-		pending, havePending := v.pendingLeaders[leaderAddr]
-		v.lmu.Unlock()
-		if havePending && cur == page && addr == leaderAddr+1 {
-			joined := make([]byte, 0, len(chunk)+disk.SectorSize)
-			joined = append(joined, pending...)
-			joined = append(joined, chunk...)
-			if err := v.writeSectors(addr-1, joined); err != nil {
-				return err
-			}
+		var pending []byte
+		if cur == page && addr == leaderAddr+1 {
+			v.lmu.Lock()
+			pending = v.pendingLeaders[leaderAddr]
+			v.lmu.Unlock()
+		}
+		if err := v.writeChunk(&w, pending, addr, cur, cnt); err != nil {
+			return err
+		}
+		if pending != nil {
 			// A concurrent third-crossing flush may have written the
 			// same leader bytes home meanwhile — benign; deleting an
 			// already-removed entry is a no-op. A newer image registered
@@ -723,26 +708,70 @@ func (f *File) WritePages(page int, data []byte) (err error) {
 			}
 			v.lmu.Unlock()
 			f.leaderVerified = true
-		} else {
-			if err := v.writeSectors(addr, chunk); err != nil {
-				return err
-			}
 		}
-		if v.dataCache != nil {
-			// Write-through: refresh any cached frames so later reads see
-			// the new bytes. The disk write above already happened, so
-			// durability does not depend on the cache at all.
-			v.dataCache.Update(addr, chunk)
-			if merged > 0 {
-				v.dataCache.NoteCoalescedWrite()
-				v.traceCoalesce("write", addr, cnt, merged)
-			}
+		if merged > 0 {
+			v.dataCache.NoteCoalescedWrite()
+			v.traceCoalesce("write", addr, cnt, merged)
 		}
 		v.cpu.Charge(time.Duration(cnt) * sim.CostPerSectorCopy)
 		cur += cnt
-		written += cnt
+		remaining -= cnt
 	}
 	return nil
+}
+
+// patchEdges makes the window's scratch sectors what a write of w.p puts on
+// the platter: for the first and the last sector, where p covers only part
+// of it, what the sector holds now with p's bytes over that. Only a sector
+// that begins inside the file's byte size holds anything — one at or beyond
+// it is zeroes around p's bytes, and costs no read. The caller holds what
+// readLocked needs.
+func (f *File) patchEdges(w *ioWindow) {
+	size, end := int64(f.e.ByteSize), w.off+int64(len(w.p))
+	if lo := w.off / disk.SectorSize * disk.SectorSize; lo < w.off {
+		if lo < size {
+			f.readEdge(w.edge[0][:], lo)
+		}
+		copy(w.edge[0][w.off-lo:], w.p)
+	}
+	if lo := end / disk.SectorSize * disk.SectorSize; lo < end && lo >= w.off {
+		if lo < size {
+			f.readEdge(w.edge[1][:], lo)
+		}
+		copy(w.edge[1][:], w.p[lo-w.off:])
+	}
+}
+
+// readEdge reads the sector at byte offset lo into dst for patchEdges, or
+// leaves dst zeroed if it cannot be read (the write goes over zeroes). It is
+// not a reader's step: the handle's sequential position stays where its reads
+// left it, and the look reads nothing ahead.
+func (f *File) readEdge(dst []byte, lo int64) {
+	next := f.seqNext
+	f.seqNext = -1
+	if f.readLocked(dst, lo) != nil {
+		clear(dst)
+	}
+	f.seqNext = next
+}
+
+// writeChunk writes sectors [cur, cur+cnt) of the window w to addr as one
+// transfer — led, when lead is not nil, by that page at addr-1 — and then
+// refreshes the data cache's resident frames from the same slices (write-
+// through: the disk write has happened, so durability does not depend on the
+// cache at all; frames not resident stay absent).
+func (v *Volume) writeChunk(w *ioWindow, lead []byte, addr, cur, cnt int) error {
+	first, whole, last := w.place(cur, cnt)
+	var err error
+	if lead != nil {
+		err = v.writeSectorsFrom(addr-1, lead, first, whole, last)
+	} else {
+		err = v.writeSectorsFrom(addr, first, whole, last)
+	}
+	if err == nil && v.dataCache != nil && cnt > 0 {
+		v.dataCache.Update(addr, first, whole, last)
+	}
+	return err
 }
 
 // Extend grows the file by morePages data pages — in place when the
@@ -814,8 +843,17 @@ func (f *File) Contract(newPages int) error {
 }
 
 // SetByteSize records a new byte size (within the allocated pages).
-func (f *File) SetByteSize(n uint64) error {
+func (f *File) SetByteSize(n uint64) error { return f.setByteSize(n, false) }
+
+// setByteSize is SetByteSize; growOnly makes it the size update of a write,
+// which leaves a file that is already that long alone. That is decided here,
+// under the handle lock: of two writes racing on one handle, the one that
+// ends lower must not land last and shrink the file under the other's bytes.
+func (f *File) setByteSize(n uint64, growOnly bool) error {
 	return f.v.mutate("setbytesize", f, [2]string{}, func(it *intent) error {
+		if growOnly && n <= f.e.ByteSize {
+			return nil
+		}
 		if n > uint64(f.e.Pages())*disk.SectorSize {
 			return fmt.Errorf("core: byte size %d exceeds %d allocated pages", n, f.e.Pages())
 		}

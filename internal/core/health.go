@@ -205,18 +205,23 @@ func (v *Volume) noteHungOp(elapsed time.Duration) {
 	v.chargeBudget(weightHung, "hung I/O")
 }
 
-// writeSectors is the volume's one write path to the device: bounded
+// writeSectorsFrom is the volume's one write path to the device: bounded
 // in-place retries absorb transient write faults, persistent bad-on-write
 // sectors are retired to spares via Remap, and whatever happens is fed to
 // the health FSM. Every metadata/data write site in core goes through it
 // (the WAL applies the same policy internally and reports through
-// OnWriteFault).
-func (v *Volume) writeSectors(addr int, data []byte) error {
-	retried, remapped, err := disk.WriteSectorsRetry(v.d, addr, data, v.cfg.writeRetries())
+// OnWriteFault). src is a gather list, as disk.WriteSectorsFrom takes.
+func (v *Volume) writeSectorsFrom(addr int, src ...[]byte) error {
+	retried, remapped, err := disk.WriteSectorsRetryFrom(v.d, addr, v.cfg.writeRetries(), src...)
 	if retried > 0 || remapped > 0 || err != nil {
 		v.noteWriteFault(retried, remapped, err)
 	}
 	return err
+}
+
+// writeSectors is writeSectorsFrom one buffer.
+func (v *Volume) writeSectors(addr int, data []byte) error {
+	return v.writeSectorsFrom(addr, data)
 }
 
 // healthErr translates the current state into the error a mutation (or,

@@ -195,6 +195,9 @@ func (v *Volume) mutate(op string, f *File, names [2]string, build func(it *inte
 	if err := build(it); err != nil {
 		return err
 	}
+	if len(it.steps) == 0 {
+		return nil // build found nothing to change
+	}
 	if err := v.submit(it); err != nil {
 		return err
 	}

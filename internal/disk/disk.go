@@ -557,6 +557,19 @@ func (d *Disk) endOp(errp *error) {
 	})
 }
 
+// countSectors returns how many sectors the buffers of a scatter or gather
+// list hold between them; each must hold whole sectors.
+func countSectors(bufs [][]byte) (int, error) {
+	n := 0
+	for _, b := range bufs {
+		if len(b)%SectorSize != 0 {
+			return 0, fmt.Errorf("disk: transfer buffer of %d bytes, not whole sectors", len(b))
+		}
+		n += len(b) / SectorSize
+	}
+	return n, nil
+}
+
 // readSector copies the stored contents of addr into buf. Must hold d.mu.
 func (d *Disk) readSector(addr int, buf []byte) error {
 	if d.wb != nil {
@@ -608,12 +621,9 @@ func (d *Disk) writeSector(addr int, buf []byte) {
 // for a single request. Label fields are ignored — this is the path a
 // label-free (FSD-style) system uses. On an error dst is partly overwritten.
 func (d *Disk) ReadSectorsInto(addr int, dst ...[]byte) (err error) {
-	n := 0
-	for _, b := range dst {
-		if len(b)%SectorSize != 0 {
-			return fmt.Errorf("disk: read into a buffer of %d bytes, not whole sectors", len(b))
-		}
-		n += len(b) / SectorSize
+	n, err := countSectors(dst)
+	if err != nil {
+		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -646,11 +656,21 @@ func (d *Disk) ReadSectors(addr, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteSectors writes len(data)/SectorSize sectors starting at addr in one
-// operation. Labels are left untouched. If a write fault is injected the
-// prefix persists per the weak-atomic property and the error is ErrHalted.
+// WriteSectorsFrom writes consecutive sectors starting at addr from src — one
+// or more caller-owned buffers of whole sectors, taken in order — as one
+// operation (one I/O), however many buffers share it: the twin of
+// ReadSectorsInto, for a caller whose leader page, payload and zero-padded
+// tail live in three places. The platter (and the write-back journal) copies
+// what it is given, so src is the caller's again on return. Labels are left
+// untouched. If a write fault is injected the prefix persists per the
+// weak-atomic property and the error is ErrHalted.
+func (d *Disk) WriteSectorsFrom(addr int, src ...[]byte) error {
+	return d.writeCommon(addr, src, 0, nil)
+}
+
+// WriteSectors is WriteSectorsFrom one buffer.
 func (d *Disk) WriteSectors(addr int, data []byte) error {
-	return d.writeCommon(addr, data, nil, nil)
+	return d.WriteSectorsFrom(addr, data)
 }
 
 // VerifyRead reads n=len(want) sectors, checking each sector's label before
@@ -734,7 +754,7 @@ func (d *Disk) VerifyWrite(addr int, want []Label, data []byte) (err error) {
 	}
 	// Write pass: wait for the first sector to come around again.
 	d.realign(addr)
-	return d.writeLocked(addr, data, nil)
+	return d.writeLocked(addr, n, [][]byte{data}, 0, nil)
 }
 
 // WriteLabels rewrites only the labels of n consecutive sectors (claiming
@@ -753,7 +773,7 @@ func (d *Disk) WriteLabels(addr int, labs []Label) (err error) {
 			d.transferOne(addr + i)
 			d.cnt.sectorsWritten.Add(1)
 		}
-		d.journalWrite(addr, nil, labs)
+		d.journalWrite(addr, 0, nil, 0, labs)
 		return nil
 	}
 	d.injectHang()
@@ -783,28 +803,31 @@ func (d *Disk) WriteLabelsData(addr int, labs []Label, data []byte) error {
 	if len(data) != len(labs)*SectorSize {
 		return fmt.Errorf("disk: WriteLabelsData data length %d != %d sectors", len(data), len(labs))
 	}
-	return d.writeCommon(addr, data, labs, nil)
+	return d.writeCommon(addr, [][]byte{data}, 0, labs)
 }
 
-// writeCommon is the shared full-operation write path.
-func (d *Disk) writeCommon(addr int, data []byte, labs []Label, _ interface{}) (err error) {
+// writeCommon is the shared full-operation write path: the sectors of the
+// gather list src after its first skip (a retry resuming behind the prefix
+// an interrupted write persisted) go to addr on.
+func (d *Disk) writeCommon(addr int, src [][]byte, skip int, labs []Label) (err error) {
+	n, err := countSectors(src)
+	if err != nil {
+		return err
+	}
+	n -= skip
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(data)%SectorSize != 0 {
-		return fmt.Errorf("disk: write length %d not sector-aligned", len(data))
-	}
-	n := len(data) / SectorSize
 	if err = d.beginOp(addr, n, true); err != nil {
 		return err
 	}
 	defer d.endOp(&err)
 	d.motion(addr)
-	return d.writeLocked(addr, data, labs)
+	return d.writeLocked(addr, n, src, skip, labs)
 }
 
-// writeLocked transfers a write already positioned at addr. Must hold d.mu.
-func (d *Disk) writeLocked(addr int, data []byte, labs []Label) error {
-	n := len(data) / SectorSize
+// writeLocked transfers a write of n sectors — those of src after its first
+// skip — already positioned at addr. Must hold d.mu.
+func (d *Disk) writeLocked(addr, n int, src [][]byte, skip int, labs []Label) error {
 	if d.wb != nil {
 		// Buffered writes land in the drive cache; the write-fault model,
 		// like the read-side one, applies only to platter transfers.
@@ -812,25 +835,31 @@ func (d *Disk) writeLocked(addr int, data []byte, labs []Label) error {
 			d.transferOne(addr + i)
 			d.cnt.sectorsWritten.Add(1)
 		}
-		d.journalWrite(addr, data, labs)
+		d.journalWrite(addr, n, src, skip, labs)
 		return nil
 	}
 	d.injectHang()
 	fault := d.takeFault(addr, n)
-	for i := 0; i < n; i++ {
-		d.transferOne(addr + i)
-		if fault != nil && i >= fault.Persist {
-			return d.applyFault(addr, fault)
-		}
-		if d.inj != nil {
-			if err := d.injectWrite(addr + i); err != nil {
-				return err
+	i := -skip
+	for _, b := range src {
+		for ; len(b) > 0; b, i = b[SectorSize:], i+1 {
+			if i < 0 {
+				continue
 			}
-		}
-		d.cnt.sectorsWritten.Add(1)
-		d.writeSector(addr+i, data[i*SectorSize:(i+1)*SectorSize])
-		if labs != nil {
-			d.labels[addr+i] = labs[i]
+			d.transferOne(addr + i)
+			if fault != nil && i >= fault.Persist {
+				return d.applyFault(addr, fault)
+			}
+			if d.inj != nil {
+				if err := d.injectWrite(addr + i); err != nil {
+					return err
+				}
+			}
+			d.cnt.sectorsWritten.Add(1)
+			d.writeSector(addr+i, b[:SectorSize])
+			if labs != nil {
+				d.labels[addr+i] = labs[i]
+			}
 		}
 	}
 	return nil

@@ -2,27 +2,6 @@ package disk
 
 import "errors"
 
-// WriteSectorsRetry writes data at addr like WriteSectors, but absorbs the
-// write-side fault model. A failed write persists the prefix of the run
-// (sectors before the failing one are on the platter), so the retry resumes
-// at the failing sector rather than re-running the whole transfer: a long
-// run needs only per-sector luck, not end-to-end luck, and every fault that
-// makes progress resets the in-place retry budget (retries is per sector,
-// not per run).
-//
-// A failing sector that reads as damaged is probed with one single-sector
-// rewrite before a spare is spent: a transient failure over media that
-// merely held old damage (a decayed sector being rewritten) clears under
-// the probe, while a bad-on-write or stuck defect either fails it or stays
-// damaged behind an apparent success — only then is the sector retired
-// with Remap. The remap loop is bounded by the spare pool (ErrNoSpares
-// ends it).
-//
-// It returns how many in-place retries and how many remaps were spent, so
-// callers can charge an error budget, plus the final error: nil on success,
-// the last DamagedError when the retry budget ran out, ErrNoSpares when the
-// pool is exhausted, or the original error for non-media failures (ErrHalted,
-// out of range), which are never retried.
 // ReadSectorsRetry reads a run of sectors like ReadSectors, but retries a
 // media-damage failure in place up to retries times — the read-side analogue
 // of WriteSectorsRetry, for transient faults that clear on a re-read. It
@@ -66,10 +45,37 @@ func ReadSectorsRetry(d *Disk, addr, n, retries int) (data []byte, retried int, 
 	return buf, retried, nil
 }
 
-func WriteSectorsRetry(d *Disk, addr int, data []byte, retries int) (retried, remapped int, err error) {
+// WriteSectorsRetryFrom writes the gather list src at addr like
+// WriteSectorsFrom, but absorbs the write-side fault model. A failed write
+// persists the prefix of the run (sectors before the failing one are on the
+// platter), so the retry resumes at the failing sector — wherever in the
+// list it lies — rather than re-running the whole transfer: a long run
+// needs only per-sector luck, not end-to-end luck, and every fault that
+// makes progress resets the in-place retry budget (retries is per sector,
+// not per run).
+//
+// A failing sector that reads as damaged is probed with one single-sector
+// rewrite before a spare is spent: a transient failure over media that
+// merely held old damage (a decayed sector being rewritten) clears under
+// the probe, while a bad-on-write or stuck defect either fails it or stays
+// damaged behind an apparent success — only then is the sector retired
+// with Remap. The remap loop is bounded by the spare pool (ErrNoSpares
+// ends it).
+//
+// It returns how many in-place retries and how many remaps were spent, so
+// callers can charge an error budget, plus the final error: nil on success,
+// the last DamagedError when the retry budget ran out, ErrNoSpares when the
+// pool is exhausted, or the original error for non-media failures (ErrHalted,
+// out of range), which are never retried.
+func WriteSectorsRetryFrom(d *Disk, addr, retries int, src ...[]byte) (retried, remapped int, err error) {
+	n, err := countSectors(src)
+	if err != nil {
+		return
+	}
+	done := 0 // sectors of src on the platter
 	tries := 0
 	for {
-		err = d.WriteSectors(addr, data)
+		err = d.writeCommon(addr+done, src, done, nil)
 		if err == nil {
 			return
 		}
@@ -77,27 +83,25 @@ func WriteSectorsRetry(d *Disk, addr int, data []byte, retries int) (retried, re
 		if !errors.As(err, &de) {
 			return
 		}
-		if de.Addr > addr && de.Addr < addr+len(data)/SectorSize {
+		if at := de.Addr - addr; at > done && at < n {
 			// The prefix persisted: resume at the failing sector. Progress
 			// restores the in-place budget.
-			data = data[(de.Addr-addr)*SectorSize:]
-			addr = de.Addr
+			done = at
 			tries = 0
 		}
 		if d.IsDamaged(de.Addr) {
 			// Damaged could mean a defect born under this write — or old
 			// damage the write was about to clear, hit by an unrelated
 			// transient fault. One single-sector probe tells them apart.
-			perr := d.WriteSectors(de.Addr, data[:SectorSize])
+			perr := d.WriteSectors(de.Addr, sectorOf(src, done))
 			retried++
 			if perr == nil && !d.IsDamaged(de.Addr) {
 				// Cleared: transient over stale damage, no spare needed.
-				if len(data) == SectorSize {
+				done++
+				if done == n {
 					err = nil
 					return
 				}
-				data = data[SectorSize:]
-				addr++
 				tries = 0
 				continue
 			}
@@ -117,4 +121,21 @@ func WriteSectorsRetry(d *Disk, addr int, data []byte, retries int) (retried, re
 		tries++
 		retried++
 	}
+}
+
+// WriteSectorsRetry is WriteSectorsRetryFrom one buffer.
+func WriteSectorsRetry(d *Disk, addr int, data []byte, retries int) (retried, remapped int, err error) {
+	return WriteSectorsRetryFrom(d, addr, retries, data)
+}
+
+// sectorOf returns sector i of the gather list src.
+func sectorOf(src [][]byte, i int) []byte {
+	for _, b := range src {
+		k := len(b) / SectorSize
+		if i < k {
+			return b[i*SectorSize : (i+1)*SectorSize]
+		}
+		i -= k
+	}
+	return nil
 }

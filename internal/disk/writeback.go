@@ -130,19 +130,26 @@ func (d *Disk) FlushWriteBack() error {
 	return nil
 }
 
-// journalWrite buffers one write operation. Must hold d.mu; the caller has
-// already charged device time for the transfer.
-func (d *Disk) journalWrite(addr int, data []byte, labs []Label) {
+// journalWrite buffers one write operation: the n data sectors src holds
+// after its first skip (none for a label-only write), copied into the
+// journal's own buffer, and labs. Must hold d.mu; the caller has already
+// charged device time for the transfer.
+func (d *Disk) journalWrite(addr, n int, src [][]byte, skip int, labs []Label) {
 	w := JournaledWrite{Seq: len(d.wb.journal), Epoch: d.wb.epoch, Addr: addr}
-	if data != nil {
-		w.Data = append([]byte(nil), data...)
+	if n > 0 {
+		w.Data = make([]byte, 0, n*SectorSize)
+		skip *= SectorSize
+		for _, b := range src {
+			drop := min(skip, len(b))
+			w.Data = append(w.Data, b[drop:]...)
+			skip -= drop
+		}
 	}
 	if labs != nil {
 		w.Labels = append([]Label(nil), labs...)
 	}
 	d.wb.journal = append(d.wb.journal, w)
-	n := w.Sectors()
-	for i := 0; i < n; i++ {
+	for i, n := 0, w.Sectors(); i < n; i++ {
 		ov := d.wb.overlay[addr+i]
 		if w.Data != nil {
 			ov.data = w.Data[i*SectorSize : (i+1)*SectorSize]

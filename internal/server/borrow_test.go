@@ -373,6 +373,56 @@ func TestReadRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// TestWriteRoundTripAllocs is the same gate for the way down, end to end: a
+// write inside the byte size of a file on a real volume — client, both
+// codecs, server, LocalFS, core, the data cache, the simulated disk —
+// allocates a small fixed number of small objects, the same for 1 KB as for
+// 64 KB. The payload is encoded into a recycled frame, received into one,
+// and goes from there to the platter and the cache's frames; nothing on the
+// way makes a buffer its size.
+func TestWriteRoundTripAllocs(t *testing.T) {
+	if allocgate.RaceEnabled {
+		t.Skip("the race detector makes sync.Pool drop frames")
+	}
+	d, err := disk.New(disk.SmallGeometry, disk.DefaultParams, sim.NewVirtualClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, err := cedarfs.Format(d, cedarfs.Config{AsyncApply: true, AdaptiveCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vol.Shutdown()
+	cl := servePipe(t, cedarfs.NewLocalFS(vol), 1)
+	ctx := context.Background()
+	h, err := cl.Create(ctx, "fast/allocs", make([]byte, 128<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perOp := func(n int) (allocs float64, bytes uint64) {
+		buf := make([]byte, n)
+		write := func() {
+			if got, _, err := h.WriteAt(ctx, buf, 4096); got != n || err != nil {
+				t.Fatalf("WriteAt: %d, %v", got, err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			write() // warm the frame pools
+		}
+		return testing.AllocsPerRun(200, write), allocgate.BytesPerRun(200, write)
+	}
+	smallN, smallB := perOp(1 << 10)
+	largeN, largeB := perOp(64 << 10)
+	t.Logf("1 KB write: %v allocs, %d B; 64 KB write: %v allocs, %d B", smallN, smallB, largeN, largeB)
+	const maxAllocs, maxBytes = 12, 1024
+	if smallN > maxAllocs || largeN > maxAllocs {
+		t.Errorf("allocs per write round trip: %v (1 KB), %v (64 KB); want <= %d", smallN, largeN, maxAllocs)
+	}
+	if smallB > maxBytes || largeB > maxBytes {
+		t.Errorf("bytes allocated per write round trip: %d (1 KB), %d (64 KB); want <= %d whatever the payload", smallB, largeB, maxBytes)
+	}
+}
+
 func benchReadRoundTrip(b *testing.B, n int) {
 	cl := servePipe(b, patternFS{}, 1)
 	ctx := context.Background()

@@ -170,7 +170,8 @@ type Log struct {
 	// cache uses it to tag dirty pages so the FlushHook can find "pages
 	// most recently logged into this third", and snapshots exactly the
 	// logged bytes — the cache contents may already be newer, because
-	// staging continues while a force is writing.
+	// staging continues while a force is writing. data is lent for the
+	// call: the log stages a later image in the same buffer.
 	OnLogged func(kind uint8, target uint64, third int, data []byte)
 	// PreStage, when set, is invoked at the start of every Force; the
 	// images it returns join the batch. The VAM-logging extension uses
@@ -200,12 +201,21 @@ type Log struct {
 	// Called without l.mu held.
 	OnReadFault func(retried int, err error)
 
-	// mu guards the staging state only: pending, pendingIdx, openSeq,
-	// lastForce, stats, and the adaptive-controller EWMAs. It is never
-	// held across disk I/O or callbacks.
+	// mu guards the staging state only: pending, pendingIdx, free, spare,
+	// openSeq, lastForce, stats, and the adaptive-controller EWMAs. It is
+	// never held across disk I/O or callbacks.
+	//
+	// The Data of a pending image is a sector the log owns: stage copies the
+	// caller's bytes into one drawn from free (or, for an image that replaces
+	// one of the same batch, into that image's own), and a force puts the
+	// sectors of a record back once the record's OnLogged calls have
+	// returned. spare is the emptied slice of the last batch forced, which
+	// the next capture makes the pending one.
 	mu         sync.Mutex
 	pending    []PageImage
 	pendingIdx map[imageKey]int
+	free       [][]byte
+	spare      []PageImage
 	openSeq    uint64 // sequence number of the batch currently staging
 	lastForce  time.Duration
 	stats      Stats
@@ -238,7 +248,16 @@ type Log struct {
 	writeOff   int       // sector offset within the record area
 	curThird   int       // division currently being filled
 	thirdFirst [8]uint64 // first record number written into each division
+	// recBuf is where writeRecord assembles a record. One buffer serves every
+	// record: the disk (its write-back journal included) copies what it is
+	// given, and forceMu admits one writeRecord at a time.
+	recBuf []byte
 }
+
+// freeImagesMax bounds the free list (at 512 KB): more than a steady load
+// keeps pending between two forces, so that one burst's sectors are not held
+// for ever after.
+const freeImagesMax = 1024
 
 func (l *Log) thirds() int {
 	if l.cfg.Thirds == 0 {
@@ -520,18 +539,31 @@ func (l *Log) stage(images []PageImage) (uint64, error) {
 		}
 		l.stats.ImagesStaged++
 		k := imageKey{im.Kind, im.Target}
-		cp := make([]byte, disk.SectorSize)
+		if i, ok := l.pendingIdx[k]; ok {
+			copy(l.pending[i].Data, im.Data)
+			l.stats.ImagesElided++
+			continue
+		}
+		var cp []byte
+		if n := len(l.free); n > 0 {
+			cp, l.free = l.free[n-1], l.free[:n-1]
+		} else {
+			cp = make([]byte, disk.SectorSize)
+		}
 		copy(cp, im.Data)
 		im.Data = cp
-		if i, ok := l.pendingIdx[k]; ok {
-			l.pending[i] = im
-			l.stats.ImagesElided++
-		} else {
-			l.pendingIdx[k] = len(l.pending)
-			l.pending = append(l.pending, im)
-		}
+		l.pendingIdx[k] = len(l.pending)
+		l.pending = append(l.pending, im)
 	}
 	return l.openSeq, nil
+}
+
+// recycle puts a staged sector nothing refers to any more on the free list.
+// Caller holds l.mu.
+func (l *Log) recycle(sector []byte) {
+	if len(l.free) < freeImagesMax {
+		l.free = append(l.free, sector)
+	}
 }
 
 // Seq returns the sequence number covering everything staged so far: once
@@ -690,8 +722,8 @@ func (l *Log) forceLocked() error {
 	batch := l.pending
 	seq := l.openSeq
 	l.openSeq++
-	l.pending = nil
-	l.pendingIdx = make(map[imageKey]int)
+	l.pending, l.spare = l.spare, nil
+	clear(l.pendingIdx)
 	prevForce := l.lastForce
 	l.lastForce = l.clk.Now()
 	if len(batch) > 0 {
@@ -701,7 +733,14 @@ func (l *Log) forceLocked() error {
 	l.group.Unlock()
 
 	// Record writing happens outside l.mu: new appends stage into the
-	// next batch while these records hit the disk.
+	// next batch while these records hit the disk. Whichever way the force
+	// ends, what is left of the batch has by then been copied back into the
+	// pending one (restoreBatch) or written, and its slice is free.
+	defer func(whole []PageImage) {
+		l.mu.Lock()
+		l.spare = whole[:0]
+		l.mu.Unlock()
+	}(batch)
 	wrote := len(batch) > 0
 	if wrote {
 		// Barrier: file data and leader pages written for the operations
@@ -823,19 +862,22 @@ func (l *Log) writeRecord(batch []PageImage) (int, error) {
 		l.thirdFirst[l.curThird] = l.recordNum
 	}
 
-	buf := make([]byte, recLen*disk.SectorSize)
-	hdr := l.encodeHeader(images, endOfBatch)
-	copy(buf[0*disk.SectorSize:], hdr) // header
-	copy(buf[2*disk.SectorSize:], hdr) // header copy (sector 1 stays blank)
-	for i, im := range images {        // first data copies
-		copy(buf[(3+i)*disk.SectorSize:], im.Data)
+	// Assemble in the log's one record buffer, every sector of the record
+	// written here: the last record's bytes are still in it.
+	if l.recBuf == nil {
+		l.recBuf = make([]byte, (5+2*MaxImagesPerRecord)*disk.SectorSize)
 	}
-	endPg := l.encodeEnd()
-	copy(buf[(3+n)*disk.SectorSize:], endPg) // end page
-	for i, im := range images {              // second data copies
-		copy(buf[(4+n+i)*disk.SectorSize:], im.Data)
+	buf := l.recBuf[:recLen*disk.SectorSize]
+	sector := func(i int) []byte { return buf[i*disk.SectorSize : (i+1)*disk.SectorSize] }
+	l.encodeHeader(sector(0), images, endOfBatch)
+	clear(sector(1)) // blank
+	copy(sector(2), sector(0))
+	l.encodeEnd(sector(3 + n))
+	copy(sector(4+2*n), sector(3+n))
+	for i, im := range images {
+		copy(sector(3+i), im.Data)
+		copy(sector(4+n+i), im.Data)
 	}
-	copy(buf[(4+2*n)*disk.SectorSize:], endPg) // end copy
 
 	addr := l.base + anchorSectors + l.writeOff
 	if err := l.writeData(addr, buf); err != nil {
@@ -859,19 +901,26 @@ func (l *Log) writeRecord(batch []PageImage) (int, error) {
 			l.OnLogged(im.Kind, im.Target, l.curThird, im.Data)
 		}
 	}
+	l.mu.Lock()
+	for _, im := range images {
+		l.recycle(im.Data)
+	}
+	l.mu.Unlock()
 	return n, nil
 }
 
 // restoreBatch returns the images a failed force could not write to the
 // pending batch, so a write fault never drops a staged update. An image
 // whose key has been re-staged since the batch was captured is discarded —
-// the pending copy is newer.
+// the pending copy is newer — and its sector goes back to the free list; the
+// sectors of the images put back stay theirs.
 func (l *Log) restoreBatch(batch []PageImage) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, im := range batch {
 		k := imageKey{im.Kind, im.Target}
 		if _, ok := l.pendingIdx[k]; ok {
+			l.recycle(im.Data)
 			continue
 		}
 		l.pendingIdx[k] = len(l.pending)
@@ -925,8 +974,9 @@ func (l *Log) enterThird(t int) error {
 	return l.writeAnchor(a)
 }
 
-func (l *Log) encodeHeader(images []PageImage, endOfBatch bool) []byte {
-	buf := make([]byte, disk.SectorSize)
+// encodeHeader makes the sector buf the header page of the next record.
+func (l *Log) encodeHeader(buf []byte, images []PageImage, endOfBatch bool) {
+	clear(buf)
 	binary.BigEndian.PutUint32(buf[0:], recMagic)
 	binary.BigEndian.PutUint64(buf[4:], l.recordNum)
 	binary.BigEndian.PutUint32(buf[12:], l.bootCount)
@@ -942,15 +992,14 @@ func (l *Log) encodeHeader(images []PageImage, endOfBatch bool) []byte {
 		binary.BigEndian.PutUint32(buf[off+5:], crc32.ChecksumIEEE(im.Data))
 	}
 	binary.BigEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[hdrFixed:]))
-	return buf
 }
 
-func (l *Log) encodeEnd() []byte {
-	buf := make([]byte, disk.SectorSize)
+// encodeEnd makes the sector buf the end page of the next record.
+func (l *Log) encodeEnd(buf []byte) {
+	clear(buf)
 	binary.BigEndian.PutUint32(buf[0:], recMagic+1)
 	binary.BigEndian.PutUint64(buf[4:], l.recordNum)
 	binary.BigEndian.PutUint32(buf[12:], l.bootCount)
-	return buf
 }
 
 type header struct {

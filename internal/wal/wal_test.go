@@ -17,16 +17,16 @@ const (
 	logSize = 4 + 3*200 // anchors + three 200-sector thirds
 )
 
-func newTestLog(t *testing.T, cfg Config) (*Log, *disk.Disk, *sim.VirtualClock) {
-	t.Helper()
+func newTestLog(tb testing.TB, cfg Config) (*Log, *disk.Disk, *sim.VirtualClock) {
+	tb.Helper()
 	clk := sim.NewVirtualClock()
 	d, err := disk.New(disk.SmallGeometry, disk.DefaultParams, clk)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	l, err := Format(d, logBase, logSize, clk, cfg)
 	if err != nil {
-		t.Fatalf("Format: %v", err)
+		tb.Fatalf("Format: %v", err)
 	}
 	return l, d, clk
 }

@@ -29,6 +29,12 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 ! grep -rnE --include='*.go' 'parscan\.Start\(' . \
 	|| { echo "verify: parscan.Start resurfaced (one driver reads in address order, parscan.Run checks the buffers)"; exit 1; }
 
+# And the staging buffers of the data write path: a write lends its caller's
+# buffer to the disk as a gather list (DESIGN §18), and a payload-sized copy
+# on the way down is how it came to allocate 30 KB per operation.
+! grep -rnE --include='*.go' '(^|[^[:alnum:]_])(joined|padded)[[:space:]]*:=' internal/core \
+	|| { echo "verify: a joined/padded staging buffer resurfaced in internal/core (pass a gather list to writeSectorsFrom)"; exit 1; }
+
 go vet ./...
 go build ./...
 go test ./...
@@ -57,7 +63,13 @@ go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep
 # nothing) and the proof that the data cache's O(1) lists evict what the
 # two-segment reference model does. Without -race: the detector makes
 # sync.Pool drop frames, and those gates skip.
-go test ./internal/btree ./internal/bufcache ./internal/core ./internal/wire ./internal/server -count=1 -run 'TestGetAllocs|TestScanAllocs|TestHitAndFillAllocs|TestExactLRUEquivalence|TestCachedReadAtAllocs|TestReadAheadAllocs|TestDecodeAliasesFrame|TestReadFramePooledSteadyState|TestReadRoundTripAllocs'
+# ...and the gates of the way down (a write lends, only the platter and a
+# cache frame copy): a 32 KB WriteAt allocates nothing, reads at most its two
+# edge sectors and keeps nothing of its caller's buffer; a gather write is
+# one transfer and resumes at the failing sector; a warm append+force makes
+# no record buffer and no image copy; a write's round trip allocates a fixed
+# handful of small objects whatever its payload.
+go test ./internal/btree ./internal/bufcache ./internal/core ./internal/wire ./internal/server ./internal/wal ./internal/disk -count=1 -run 'TestGetAllocs|TestScanAllocs|TestHitAndFillAllocs|TestExactLRUEquivalence|TestCachedReadAtAllocs|TestReadAheadAllocs|TestDecodeAliasesFrame|TestReadFramePooledSteadyState|TestReadRoundTripAllocs|TestWriteAtAllocs|TestWriteAtEdgeReads|TestWriteAtDoesNotRetainCallerBuffer|TestGatherWriteIsOneTransfer|TestForceAllocs|TestStagedImagesSurviveReuse|TestWriteRoundTripAllocs'
 # The streamed-file gates: growth placed in place then ascending (allocator
 # cases; one data run through LocalFS, staged and async; 16 MB in two runs;
 # the run-table limit failing one writer, not the volume), the read shape
@@ -68,8 +80,10 @@ go test ./internal/alloc ./internal/bufcache ./internal/core . -count=1 -run 'Te
 # Per-layer wall-clock benches (perf-ledger item c), one iteration each: they
 # must keep compiling and running; their numbers are read with -benchtime
 # left alone. (core's include BenchmarkStream256K and BenchmarkScrubPass,
-# which reports a clean scrub's simulated cost as sim-s/scrub.)
-go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./internal/core ./internal/wire ./internal/server -run xxx -bench . -benchtime 1x
+# which reports a clean scrub's simulated cost as sim-s/scrub; the write rows
+# are core's BenchmarkWriteAt32K and BenchmarkCreate500B, wal's
+# BenchmarkAppendForce16 and disk's BenchmarkGatherWrite.)
+go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./internal/core ./internal/wire ./internal/server ./internal/wal ./internal/disk -run xxx -bench . -benchtime 1x
 # (...UnderChurn: scrub's optimistic leader sweep against files deleted,
 # recreated in place and extended under it — nothing repaired, nothing
 # reported; ...SimTimeRepeats again because the detector reschedules.)
@@ -77,8 +91,10 @@ go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders|Test
 # One atomic group per operation (ISSUE 17), under the detector and uncached:
 # the WAL bracket itself, a force cutting into rename / create under keep /
 # empty create / a split-inducing create run, the group held across the
-# applier's in-place retry, and its abort on a fatal one.
-go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroup|TestAbortStopsForces|TestCut|TestFatalApplyAbortsGroup|TestFailedDataWriteLeavesNoEntry|TestStaleHandleOpsRefused'
+# applier's in-place retry, and its abort on a fatal one. (...NeverShrinks:
+# two writers on one handle, staged and async — the size update of a write
+# only grows the file.)
+go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroup|TestAbortStopsForces|TestCut|TestFatalApplyAbortsGroup|TestFailedDataWriteLeavesNoEntry|TestStaleHandleOpsRefused|TestConcurrentWriteAtNeverShrinks'
 # Seeded write-fault sweep (PR 7): retries/remaps/hung-I/O absorption and
 # the health FSM's graceful-degradation contract, plus the concurrent
 # health-transition hammer under the race detector.
