@@ -115,6 +115,17 @@ func jsonProblems(p []string) []string {
 	return p
 }
 
+// timelines renders a check pass's two timelines (DESIGN §17): what the arm
+// did, what the pool of k workers did, how much of the pool's share ran beside
+// the arm and so cost nothing, and what the pass took.
+func timelines(arm, pool time.Duration, k int, hidden, elapsed time.Duration) string {
+	return fmt.Sprintf("arm %.1f s · pool %.1f s / %d · hidden %.1f s · elapsed %.1f s",
+		arm.Seconds(), pool.Seconds(), k, hidden.Seconds(), elapsed.Seconds())
+}
+
+// salvageContract is what a salvaged volume is (DESIGN §9).
+const salvageContract = "note: leaders record the name and size a file was created with, so after salvage deleted versions are back, renames undone and keep counts zero"
+
 func emitJSON(v any) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -176,9 +187,13 @@ func run(img string, jsonOut bool, args []string) error {
 				SweepSim         time.Duration `json:"sweep_sim_ns"`
 				RebuildSim       time.Duration `json:"rebuild_sim_ns"`
 				FinalizeSim      time.Duration `json:"finalize_sim_ns"`
+				SweepArmSim      time.Duration `json:"sweep_arm_sim_ns"`
+				SweepPoolSim     time.Duration `json:"sweep_pool_sim_ns"`
+				SweepHiddenSim   time.Duration `json:"sweep_hidden_sim_ns"`
 			}{st.SectorsScanned, st.DamagedSectors, st.FilesRecovered,
 				st.FilesPartial, st.ConflictsDropped, st.Workers, jsonProblems(st.Problems),
-				st.Elapsed, st.SweepElapsed, st.RebuildElapsed, st.FinalizeElapsed}); err != nil {
+				st.Elapsed, st.SweepElapsed, st.RebuildElapsed, st.FinalizeElapsed,
+				st.SweepArm, st.SweepCPU, st.SweepHidden}); err != nil {
 				return err
 			}
 		} else {
@@ -186,8 +201,10 @@ func run(img string, jsonOut bool, args []string) error {
 				st.SectorsScanned, st.DamagedSectors, st.Elapsed.Round(1e6), st.Workers)
 			fmt.Printf("phases: sweep %v, rebuild %v, finalize %v\n",
 				st.SweepElapsed.Round(1e6), st.RebuildElapsed.Round(1e6), st.FinalizeElapsed.Round(1e6))
+			fmt.Println("sweep:", timelines(st.SweepArm, st.SweepCPU, st.Workers, st.SweepHidden, st.SweepElapsed))
 			fmt.Printf("recovered %d files (%d truncated, %d stale leaders dropped)\n",
 				st.FilesRecovered, st.FilesPartial, st.ConflictsDropped)
+			fmt.Println(salvageContract)
 			for _, p := range st.Problems {
 				fmt.Printf("PROBLEM: %s\n", p)
 			}
@@ -338,9 +355,13 @@ func run(img string, jsonOut bool, args []string) error {
 				WalkSim        time.Duration `json:"walk_sim_ns"`
 				CheckSim       time.Duration `json:"check_sim_ns"`
 				LeaderSim      time.Duration `json:"leader_sim_ns"`
+				ArmSim         time.Duration `json:"arm_sim_ns"`
+				PoolSim        time.Duration `json:"pool_sim_ns"`
+				HiddenSim      time.Duration `json:"hidden_sim_ns"`
 			}{st.Entries, st.Leaders, st.LeadersPending, st.Symlinks,
 				len(st.Problems) == 0, st.Workers, jsonProblems(st.Problems),
-				st.Elapsed, st.WalkElapsed, st.CheckElapsed, st.LeaderElapsed}); err != nil {
+				st.Elapsed, st.WalkElapsed, st.CheckElapsed, st.LeaderElapsed,
+				st.Arm, st.CheckCPU, st.Hidden}); err != nil {
 				return err
 			}
 		} else {
@@ -348,6 +369,7 @@ func run(img string, jsonOut bool, args []string) error {
 				st.Entries, st.Leaders, st.LeadersPending, st.Elapsed.Round(1e6), st.Workers)
 			fmt.Printf("phases: walk %v, check %v, leaders %v\n",
 				st.WalkElapsed.Round(1e6), st.CheckElapsed.Round(1e6), st.LeaderElapsed.Round(1e6))
+			fmt.Println(timelines(st.Arm, st.CheckCPU, st.Workers, st.Hidden, st.Elapsed))
 			if len(st.Problems) == 0 {
 				fmt.Println("volume consistent")
 			} else {
@@ -386,15 +408,20 @@ func run(img string, jsonOut bool, args []string) error {
 				ElapsedSim       time.Duration `json:"elapsed_sim_ns"`
 				NTElapsedSim     time.Duration `json:"nt_elapsed_sim_ns"`
 				LeaderElapsedSim time.Duration `json:"leader_elapsed_sim_ns"`
+				NTArmSim         time.Duration `json:"nt_arm_sim_ns"`
+				NTPoolSim        time.Duration `json:"nt_pool_sim_ns"`
+				NTHiddenSim      time.Duration `json:"nt_hidden_sim_ns"`
 			}{st.NTPagesChecked, st.LeadersChecked, st.LogRecords, st.SectorsChecked,
 				st.Repaired(), st.NTRepaired, st.LeadersRepaired, st.RootsRepaired,
 				st.LogRepaired, st.Retired, st.NTLost, st.SpareExhausted,
-				jsonProblems(st.Problems), st.Elapsed, st.NTElapsed, st.LeaderElapsed}); err != nil {
+				jsonProblems(st.Problems), st.Elapsed, st.NTElapsed, st.LeaderElapsed,
+				st.NTArm, st.NTCPU, st.NTHidden}); err != nil {
 				return err
 			}
 		} else {
 			fmt.Printf("scrubbed %d name-table pages, %d leaders, %d log records (%d sectors) in %v simulated (name-table pass %v, leader pass %v)\n",
 				st.NTPagesChecked, st.LeadersChecked, st.LogRecords, st.SectorsChecked, st.Elapsed.Round(1e6), st.NTElapsed.Round(1e6), st.LeaderElapsed.Round(1e6))
+			fmt.Println("name-table pass:", timelines(st.NTArm, st.NTCPU, 1, st.NTHidden, st.NTElapsed))
 			fmt.Printf("repaired %d copies (%d NT, %d leaders, %d roots, %d log), retired %d sectors\n",
 				st.Repaired(), st.NTRepaired, st.LeadersRepaired, st.RootsRepaired, st.LogRepaired, st.Retired)
 			if st.NTLost > 0 {

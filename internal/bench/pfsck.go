@@ -20,15 +20,11 @@ import (
 // verify_speedup_8 and salvage_sweep_speedup_8 among them — are ratios of
 // measured_s. They repeat exactly: one driver issues a pass's device reads in
 // address order at every width (DESIGN §17), the workers only check buffers,
-// and the coordinator lump-charges the pool's balanced critical path, so a
-// run costs disk + cpu/k whatever the scheduler did.
-//
-// modelled_s is a formula, kept beside the measurement and labelled as such:
-// the bound max(disk, cpu/k) a pass would reach if it overlapped its check
-// CPU with its one device sweep, with disk = elapsed(1) - cpu(1) and cpu(1)
-// the pool's own accounting (CheckCPU / SweepCPU) from the sequential run.
-// No pass overlaps the two today; the gap between the columns is what a
-// pipelined driver could still win.
+// and the pool's balanced critical path runs on the clock's lane beside the
+// driver's next read, so a stretch of a pass costs max(arm, cpu/k) whatever
+// the scheduler did. There is no formula column: the arm_s / pool_s / hidden_s
+// beside each point are the run's own two timelines (the pass's stats), and
+// the bound max(arm, pool/k) lives on as a test (TestPFsckShape).
 //
 // Correctness is asserted, not sampled: every width must produce
 // byte-identical Problems / VerifyStats counts and byte-identical
@@ -39,7 +35,9 @@ type PFsckRun struct {
 	Workers   int     `json:"workers"`
 	MeasuredS float64 `json:"measured_s"` // simulated elapsed of the run as executed
 	Speedup   float64 `json:"speedup"`    // measured, vs the 1-worker run
-	ModelledS float64 `json:"modelled_s"` // max(disk, cpu/k): a bound, not a run
+	ArmS      float64 `json:"arm_s"`      // the device's busy time over the pass
+	PoolS     float64 `json:"pool_s"`     // the pool's CPU, all workers summed
+	HiddenS   float64 `json:"hidden_s"`   // pool time that ran beside the arm and cost nothing
 	Steals    int     `json:"steals"`
 }
 
@@ -51,6 +49,7 @@ type PFsckReport struct {
 
 	VerifyDiskS    float64    `json:"verify_disk_s"`
 	VerifyCPUS     float64    `json:"verify_cpu_s"`
+	VerifyWalkS    float64    `json:"verify_walk_s"` // the name-table walk: serial, nothing runs beside it
 	Verify         []PFsckRun `json:"verify"`
 	VerifySpeedup8 float64    `json:"verify_speedup_8"`
 
@@ -61,8 +60,8 @@ type PFsckReport struct {
 	SalvageSpeedup8 float64    `json:"salvage_sweep_speedup_8"`
 }
 
-const pfsckModel = "measured_s and every speedup: simulated elapsed of the run as executed (disk + cpu/k; one driver reads, workers check); " +
-	"modelled_s: max(disk, cpu/k) from the sequential run's split, the bound if check CPU overlapped the device sweep; " +
+const pfsckModel = "measured_s and every speedup: simulated elapsed of the run as executed — one driver reads stretch i+1 while the pool checks stretch i, so a stretch costs max(arm, cpu/k); " +
+	"arm_s, pool_s, hidden_s: the run's own two timelines, from the pass's stats (measured_s = arm_s + pool_s/k - hidden_s, plus Verify's walk CPU); verify_disk_s / sweep_disk_s and the cpu_s beside them are the 1-worker run's arm_s and pool_s, verify_walk_s its name-table walk, which nothing runs beside; " +
 	"identical Problems/stats asserted at every width"
 
 // pfsckNormalize zeroes the SalvageStats fields legitimately dependent on
@@ -71,21 +70,13 @@ func pfsckNormalize(st core.SalvageStats) core.SalvageStats {
 	st.Elapsed = 0
 	st.SweepElapsed = 0
 	st.SweepCPU = 0
+	st.SweepArm = 0
+	st.SweepHidden = 0
 	st.RebuildElapsed = 0
 	st.FinalizeElapsed = 0
 	st.Steals = 0
 	st.Workers = 0
 	return st
-}
-
-func pfsckModelElapsed(diskS, cpuS float64, k int) float64 {
-	if k <= 1 {
-		return diskS + cpuS
-	}
-	if p := cpuS / float64(k); p > diskS {
-		return p
-	}
-	return diskS
 }
 
 // pfsckAppend adds a run to its curve, with its measured speedup over the
@@ -99,7 +90,7 @@ func pfsckAppend(curve []PFsckRun, run PFsckRun) []PFsckRun {
 }
 
 // pfsckRun populates one image and sweeps both passes over widths. The
-// first width must be 1: it is the baseline the model and the determinism
+// first width must be 1: it is the baseline the speedups and the determinism
 // oracle are anchored to.
 func pfsckRun(totalBytes int64, maxFile int, widths []int) (PFsckReport, error) {
 	rep := PFsckReport{Model: pfsckModel}
@@ -141,13 +132,14 @@ func pfsckRun(totalBytes int64, maxFile int, widths []int) (PFsckReport, error) 
 			verifySig = sig
 			rep.Entries = st.Entries
 			rep.VerifyCPUS = st.CheckCPU.Seconds()
-			rep.VerifyDiskS = st.Elapsed.Seconds() - rep.VerifyCPUS
+			rep.VerifyDiskS = st.Arm.Seconds()
+			rep.VerifyWalkS = st.WalkElapsed.Seconds()
 		} else if sig != verifySig {
 			return rep, fmt.Errorf("pfsck: verify output diverges at workers=%d:\n got %s\nwant %s", k, sig, verifySig)
 		}
 		rep.Verify = pfsckAppend(rep.Verify, PFsckRun{
 			Workers: k, MeasuredS: st.Elapsed.Seconds(), Steals: st.Steals,
-			ModelledS: pfsckModelElapsed(rep.VerifyDiskS, rep.VerifyCPUS, k),
+			ArmS: st.Arm.Seconds(), PoolS: st.CheckCPU.Seconds(), HiddenS: st.Hidden.Seconds(),
 		})
 		if k == 8 {
 			rep.VerifySpeedup8 = rep.Verify[i].Speedup
@@ -175,13 +167,13 @@ func pfsckRun(totalBytes int64, maxFile int, widths []int) (PFsckReport, error) 
 			salvageSig = sig
 			rep.SweepSectors = st.SectorsScanned
 			rep.SweepCPUS = st.SweepCPU.Seconds()
-			rep.SweepDiskS = st.SweepElapsed.Seconds() - rep.SweepCPUS
+			rep.SweepDiskS = st.SweepArm.Seconds()
 		} else if sig != salvageSig {
 			return rep, fmt.Errorf("pfsck: salvage output diverges at workers=%d:\n got %s\nwant %s", k, sig, salvageSig)
 		}
 		rep.Salvage = pfsckAppend(rep.Salvage, PFsckRun{
 			Workers: k, MeasuredS: st.SweepElapsed.Seconds(), Steals: st.Steals,
-			ModelledS: pfsckModelElapsed(rep.SweepDiskS, rep.SweepCPUS, k),
+			ArmS: st.SweepArm.Seconds(), PoolS: st.SweepCPU.Seconds(), HiddenS: st.SweepHidden.Seconds(),
 		})
 		if k == 8 {
 			rep.SalvageSpeedup8 = rep.Salvage[i].Speedup
@@ -223,7 +215,7 @@ func PFsck() (Table, error) {
 	t := Table{
 		ID:     "PFsck",
 		Title:  "Parallel check & repair: Verify and salvage sweep vs pool width (smoke)",
-		Header: []string{"Workers", "Verify (s)", "Speedup", "modelled (s)", "Sweep (s)", "Speedup", "modelled (s)"},
+		Header: []string{"Workers", "Verify (s)", "Speedup", "hidden (s)", "Sweep (s)", "Speedup", "hidden (s)"},
 		Notes: []string{
 			fmt.Sprintf("%d files, %d entries; full curve in BENCH_pfsck.json", rep.Files, rep.Entries),
 			rep.Model,
@@ -235,10 +227,10 @@ func PFsck() (Table, error) {
 			fmt.Sprint(vr.Workers),
 			fmt.Sprintf("%.1f", vr.MeasuredS),
 			fmt.Sprintf("%.2fx", vr.Speedup),
-			fmt.Sprintf("%.1f", vr.ModelledS),
+			fmt.Sprintf("%.1f", vr.HiddenS),
 			fmt.Sprintf("%.1f", sr.MeasuredS),
 			fmt.Sprintf("%.2fx", sr.Speedup),
-			fmt.Sprintf("%.1f", sr.ModelledS),
+			fmt.Sprintf("%.1f", sr.HiddenS),
 		})
 	}
 	return t, nil

@@ -30,6 +30,7 @@ import (
 // RobustnessReport is what BENCH_robustness.json holds. Elapsed times are
 // simulated (virtual-clock) values, like every other table.
 type RobustnessReport struct {
+	Model           string  `json:"model"`
 	Files           int     `json:"files"`
 	DecayedSectors  int     `json:"decayed_sectors"`
 	StuckSectors    int     `json:"stuck_sectors"`
@@ -46,6 +47,10 @@ type RobustnessReport struct {
 	SalvageSpeedup  float64 `json:"scavenge_over_salvage"`
 }
 
+const robustnessModel = "simulated elapsed of each pass as executed, one worker; " +
+	"FSD's salvage sweep reads checkpoint interval i+1 while it decodes interval i, so an interval costs max(arm, decode) (DESIGN §17); " +
+	"the CFS scavenger, the paper's baseline, is left as the paper describes it — serial: each track of labels is read, then interpreted"
+
 // robustnessPopulate fills a volume with the shared file population: about
 // 40 MB across a few hundred files, the same mix for FSD and CFS.
 func robustnessPopulate(t workload.Target) (int, error) {
@@ -55,7 +60,7 @@ func robustnessPopulate(t workload.Target) (int, error) {
 
 // RobustnessReportRun runs both stages and the CFS baseline.
 func RobustnessReportRun() (RobustnessReport, error) {
-	var rep RobustnessReport
+	rep := RobustnessReport{Model: robustnessModel}
 
 	fe, err := newFSD(fsdBenchConfig())
 	if err != nil {

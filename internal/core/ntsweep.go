@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"time"
+
+	"repro/internal/parscan"
 )
 
 // ntSweepPages is how many name-table pages one sweep transfer carries: a
@@ -14,6 +16,15 @@ type ntSweepStats struct {
 	Pages     int // pages handed over verified, straight from the chunk buffers
 	Chunks    int // sequential chunk transfers issued, both copies together
 	Fallbacks int // pages sent down the per-page dual-copy path
+}
+
+// ntSweepSet is one of the sweep's two buffer sets: a chunk of copy B (read
+// only to be compared, so the buffer is reused) and the verdict on each of the
+// chunk's pages — the verified image, or nil for a suspect.
+type ntSweepSet struct {
+	b     []byte
+	bRead bool
+	pages [ntSweepPages][]byte
 }
 
 // sweepNT reads name-table pages [lo, hi) in device order: the whole range
@@ -28,10 +39,13 @@ type ntSweepStats struct {
 // dual-copy path with its retries and repairs — damage costs per-page reads
 // only where the damage is.
 //
-// No processor time is charged between the transfers of a copy, so the run
-// stays sequential on the virtual clock (a driver that checks one buffer
-// while the next transfer is in flight); the checksum cost of every page
-// checked is charged in one lump at the end.
+// The driver checks one buffer while the next transfer is in flight
+// (parscan.Overlap, a chunk per stretch): once a chunk's last copy is in, its
+// checksums go to the clock's lane and this goroutine issues the next
+// transfer, so the run stays sequential on the virtual clock and the
+// checksums cost elapsed time only where they outlast a transfer. verified
+// and suspect are called from this goroutine, in page order, a chunk behind
+// the reads.
 func (v *Volume) sweepNT(lo, hi int, both bool, verified func(id uint32, page []byte), suspect func(id uint32)) ntSweepStats {
 	var st ntSweepStats
 	span := func(c int) (first, n int) {
@@ -42,53 +56,73 @@ func (v *Volume) sweepNT(lo, hi int, both bool, verified func(id uint32, page []
 		}
 		return first, n
 	}
-	read := func(base, first, n int) []byte {
+	read := func(base, first int, dst []byte) bool {
 		st.Chunks++
-		buf, err := v.d.ReadSectors(base+first*NTPageSectors, n*NTPageSectors)
-		if err != nil {
-			return nil
-		}
-		return buf
+		return v.d.ReadSectorsInto(base+first*NTPageSectors, dst) == nil
 	}
+	// Copy A's buffers are not reused: verified may keep its pages.
 	runsA := make([][]byte, (hi-lo+ntSweepPages-1)/ntSweepPages)
-	for c := range runsA {
+	readA := func(c int) {
 		first, n := span(c)
-		runsA[c] = read(v.lay.ntA, first, n)
+		if buf := make([]byte, n*NTPageSize); read(v.lay.ntA, first, buf) {
+			runsA[c] = buf
+		}
 	}
-	copies, checked := 1, 0
+	var sets [2]ntSweepSet
+	copies := 1
 	if both {
 		copies = 2
-	}
-	for c, a := range runsA {
-		first, n := span(c)
-		runsA[c] = nil
-		var b []byte
-		if a != nil && both {
-			b = read(v.lay.ntB, first, n)
+		for c := range runsA {
+			readA(c)
 		}
-		for i := 0; i < n; i++ {
-			id := uint32(first + i)
-			if a == nil || (both && b == nil) {
-				st.Fallbacks++
-				suspect(id)
-				continue
-			}
-			checked++
-			page := v.overlayNT(id, a[i*NTPageSize:(i+1)*NTPageSize])
-			ok := crcOK(page) || isVirgin(page)
-			if ok && both {
-				// Equal to a valid page is valid: no second CRC needed.
-				ok = bytes.Equal(page, v.overlayNT(id, b[i*NTPageSize:(i+1)*NTPageSize]))
-			}
-			if !ok {
-				st.Fallbacks++
-				suspect(id)
-				continue
-			}
-			st.Pages++
-			verified(id, page)
+		for i := range sets {
+			sets[i].b = make([]byte, ntSweepPages*NTPageSize)
 		}
 	}
-	v.cpu.Charge(time.Duration(copies*checked) * csumCost)
+	_ = parscan.Overlap(v.cpu.NewLane(), 1, len(runsA),
+		func(c int) (int, error) {
+			first, n := span(c)
+			if s := &sets[c%2]; !both {
+				readA(c)
+			} else if runsA[c] != nil {
+				s.bRead = read(v.lay.ntB, first, s.b[:n*NTPageSize])
+			}
+			return 1, nil
+		},
+		func(c int, w *parscan.Worker, _ int) {
+			s, a := &sets[c%2], runsA[c]
+			first, n := span(c)
+			clear(s.pages[:])
+			if a == nil || (both && !s.bRead) {
+				return
+			}
+			w.Charge(time.Duration(copies*n) * csumCost)
+			for i := 0; i < n; i++ {
+				id := uint32(first + i)
+				page := v.overlayNT(id, a[i*NTPageSize:(i+1)*NTPageSize])
+				ok := crcOK(page) || isVirgin(page)
+				if ok && both {
+					// Equal to a valid page is valid: no second CRC needed.
+					ok = bytes.Equal(page, v.overlayNT(id, s.b[i*NTPageSize:(i+1)*NTPageSize]))
+				}
+				if ok {
+					s.pages[i] = page
+				}
+			}
+		},
+		func(c int, _ parscan.Stats) error {
+			first, n := span(c)
+			for i, page := range sets[c%2].pages[:n] {
+				if page == nil {
+					st.Fallbacks++
+					suspect(uint32(first + i))
+					continue
+				}
+				st.Pages++
+				verified(uint32(first+i), page)
+			}
+			runsA[c] = nil
+			return nil
+		})
 	return st
 }

@@ -122,10 +122,13 @@ func TestScrubLeaderSweepPlantedDamage(t *testing.T) {
 }
 
 // TestCheckPassSimTimeRepeats: the determinism contract covers virtual time
-// at every width. Five scrubs and five salvages of clones of one image take
-// exactly the same simulated time, at width 2 and at width 8 — which holds
-// only while no pool worker touches the device, since two goroutines sharing
-// the arm make every seek a scheduling accident.
+// at every width. Five Verifies, five scrubs and five salvages of clones of
+// one image take exactly the same simulated time, at widths 1, 2 and 8 —
+// which holds only while no pool worker touches the device, since two
+// goroutines sharing the arm make every seek a scheduling accident, and only
+// while the overlapped passes put on the clock what the lane computes from
+// the device order and the balanced CPU, not what the pool's goroutines
+// happened to take.
 func TestCheckPassSimTimeRepeats(t *testing.T) {
 	v, d := spreadImage(t, testConfig(), 240)
 	if err := v.Shutdown(); err != nil {
@@ -133,15 +136,20 @@ func TestCheckPassSimTimeRepeats(t *testing.T) {
 	}
 	clean := cloneDisk(d)
 	destroyNameTable(d, v)
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		cfg := testConfig()
 		cfg.ScrubWorkers, cfg.CheckWorkers = workers, workers
-		var scrub, sweep, salvage []time.Duration
+		var verify, scrub, sweep, salvage []time.Duration
 		for run := 0; run < 5; run++ {
 			mv, _, err := Mount(cloneDisk(clean), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			vs, err := mv.Verify()
+			if err != nil {
+				t.Fatal(err)
+			}
+			verify = append(verify, vs.Elapsed)
 			st, err := mv.Scrub()
 			if err != nil {
 				t.Fatal(err)
@@ -157,11 +165,11 @@ func TestCheckPassSimTimeRepeats(t *testing.T) {
 			salvage = append(salvage, sst.Elapsed)
 			sv.Crash()
 		}
-		for _, series := range [][]time.Duration{scrub, sweep, salvage} {
+		for _, series := range [][]time.Duration{verify, scrub, sweep, salvage} {
 			for _, got := range series[1:] {
 				if got != series[0] {
-					t.Fatalf("workers=%d: simulated time differs between runs of one image:\nscrub         %v\nsalvage sweep %v\nsalvage       %v",
-						workers, scrub, sweep, salvage)
+					t.Fatalf("workers=%d: simulated time differs between runs of one image:\nverify        %v\nscrub         %v\nsalvage sweep %v\nsalvage       %v",
+						workers, verify, scrub, sweep, salvage)
 				}
 			}
 		}

@@ -90,6 +90,8 @@ func normalizeSalvageStats(st SalvageStats) SalvageStats {
 	st.Elapsed = 0
 	st.SweepElapsed = 0
 	st.SweepCPU = 0
+	st.SweepArm = 0
+	st.SweepHidden = 0
 	st.RebuildElapsed = 0
 	st.FinalizeElapsed = 0
 	st.Steals = 0

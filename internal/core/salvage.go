@@ -70,6 +70,14 @@ type SalvageStats struct {
 	SweepCPU        time.Duration // total worker CPU spent decoding the sweep
 	RebuildElapsed  time.Duration // resolve + rebuild (single applier)
 	FinalizeElapsed time.Duration
+
+	// The sweep's two timelines (DESIGN §17): SweepArm is the device's busy
+	// time over the sweep (reads and checkpoint writes), SweepCPU / Workers
+	// the pool's, and SweepHidden how much of the pool's share cost no
+	// elapsed time because the arm was reading the next interval meanwhile:
+	// SweepElapsed = SweepArm + SweepCPU/Workers - SweepHidden.
+	SweepArm    time.Duration
+	SweepHidden time.Duration
 }
 
 func (st *SalvageStats) addProblem(format string, args ...interface{}) {
@@ -228,6 +236,10 @@ type salvageRun struct {
 
 	uidChunk  uint64
 	formatted time.Duration
+
+	// onScan, when a test sets it, is called by every chunk function of the
+	// sweep with its interval's index, on the pool's goroutine.
+	onScan func(interval int)
 }
 
 // read is the salvage read path: bounded retries, transient faults charged
@@ -236,17 +248,27 @@ type salvageRun struct {
 // normal input — damaged sectors become bad blocks — and are not charged;
 // only a halted device escalates.
 func (r *salvageRun) read(addr, n int) ([]byte, error) {
-	buf, retried, err := disk.ReadSectorsRetry(r.d, addr, n, r.cfg.readRetries())
+	buf := make([]byte, n*disk.SectorSize)
+	if err := r.readInto(addr, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// readInto is read into the caller's buffer of whole sectors; on an error
+// the buffer is partly overwritten.
+func (r *salvageRun) readInto(addr int, dst []byte) error {
+	retried, err := disk.ReadSectorsRetryInto(r.d, addr, r.cfg.readRetries(), dst)
 	if err != nil {
 		if errors.Is(err, disk.ErrHalted) {
 			r.v.degradeTo(HealthOffline, "device halted")
 		}
-		return buf, err
+		return err
 	}
 	if retried > 0 {
 		r.v.noteReadFault(retried, nil)
 	}
-	return buf, nil
+	return nil
 }
 
 func (r *salvageRun) manifestCapacity() int {
@@ -362,39 +384,54 @@ func (r *salvageRun) loadManifest(ck salvageCheckpoint) bool {
 	return true
 }
 
-// sweepChunk is one read unit of the sweep's chunk table: the same
-// (addr, n) sequence the original sequential loop produced.
+// sweepChunk is one read unit of the sweep: a transfer of up to
+// MaxTransferSectors.
 type sweepChunk struct {
 	addr, n int
 }
 
-// sweepChunks lists the data-region chunks from the cursor on: transfers
-// of up to MaxTransferSectors, clamped at the metadata range (which the
-// sweep skips) and the end of the volume.
-func (r *salvageRun) sweepChunks(from int) []sweepChunk {
-	lay := r.lay
+// sweepCursor walks the data region in sweep chunks from a start address on:
+// transfers of up to MaxTransferSectors, clamped at the metadata range (which
+// the sweep skips) and the end of the volume. It is a value: a copy counts
+// ahead without moving the original.
+type sweepCursor struct {
+	lay  layout
+	addr int
+}
+
+// next returns the chunk at the cursor and moves past it; ok=false at the end
+// of the volume.
+func (c *sweepCursor) next() (ch sweepChunk, ok bool) {
+	lay := c.lay
 	metaLo, metaHi := lay.logBase, lay.vamBase+lay.vamSectors
-	addr := from
-	if addr < lay.dataLo {
-		addr = lay.dataLo
+	if c.addr < lay.dataLo {
+		c.addr = lay.dataLo
 	}
-	var chunks []sweepChunk
-	for addr < lay.total {
-		if addr >= metaLo && addr < metaHi {
-			addr = metaHi
-			continue
-		}
-		n := MaxTransferSectors
-		if addr < metaLo && addr+n > metaLo {
-			n = metaLo - addr
-		}
-		if addr+n > lay.total {
-			n = lay.total - addr
-		}
-		chunks = append(chunks, sweepChunk{addr, n})
-		addr += n
+	if c.addr >= metaLo && c.addr < metaHi {
+		c.addr = metaHi
 	}
-	return chunks
+	if c.addr >= lay.total {
+		return sweepChunk{}, false
+	}
+	n := MaxTransferSectors
+	if c.addr < metaLo && c.addr+n > metaLo {
+		n = metaLo - c.addr
+	}
+	if c.addr+n > lay.total {
+		n = lay.total - c.addr
+	}
+	ch = sweepChunk{c.addr, n}
+	c.addr += n
+	return ch, true
+}
+
+// intervals counts the checkpoint intervals from the cursor to the end.
+func (c sweepCursor) intervals() int {
+	chunks := 0
+	for _, ok := c.next(); ok; _, ok = c.next() {
+		chunks++
+	}
+	return (chunks + sweepCheckpointChunks - 1) / sweepCheckpointChunks
 }
 
 // sweepChunkResult is what one swept chunk contributes, in address order
@@ -407,29 +444,77 @@ type sweepChunkResult struct {
 	cands   []salvageCand
 }
 
-// readChunkData reads one sweep chunk, falling back to single sectors when
-// damage aborts the bulk transfer so one bad sector costs one sector.
-func (r *salvageRun) readChunkData(addr, n int) (buf []byte, damaged []int, err error) {
-	buf, err = r.read(addr, n)
-	if err == nil {
-		return buf, nil, nil
+// sweepCheckpointChunks is the sweep's checkpoint interval (1 MB of data
+// region): what the driver reads, hands to the pool, merges and makes durable.
+const sweepCheckpointChunks = 32
+
+// sweepSet is one of the sweep's two buffer sets: an interval's chunks, the
+// sectors read for them (chunk c at c*MaxTransferSectors sectors) and the
+// result slots the pool fills. The driver owns a set while it reads into it
+// and again from the merge on; in between it is the pool's (parscan.Overlap).
+// The whole sweep reads through these two megabytes.
+type sweepSet struct {
+	part    []sweepChunk
+	buf     []byte
+	results []sweepChunkResult
+}
+
+func newSweepSet() sweepSet {
+	return sweepSet{
+		part:    make([]sweepChunk, 0, sweepCheckpointChunks),
+		buf:     make([]byte, sweepCheckpointChunks*MaxTransferSectors*disk.SectorSize),
+		results: make([]sweepChunkResult, sweepCheckpointChunks),
 	}
-	if errors.Is(err, disk.ErrHalted) {
-		return nil, nil, err
+}
+
+// chunkBuf is the part of the set's buffer chunk c was read into.
+func (s *sweepSet) chunkBuf(c int) []byte {
+	off := c * MaxTransferSectors * disk.SectorSize
+	return s.buf[off : off+s.part[c].n*disk.SectorSize]
+}
+
+// readChunk reads one sweep chunk into buf. A bulk transfer that damage
+// aborts is re-read a sector at a time into the same buffer, so one bad sector
+// costs one sector; a sector that stays unreadable is zeroed (the buffer held
+// another interval a moment ago) and listed in res. Only a halted device is an
+// error.
+func (r *salvageRun) readChunk(ch sweepChunk, buf []byte, res *sweepChunkResult) error {
+	err := r.readInto(ch.addr, buf)
+	if err == nil || errors.Is(err, disk.ErrHalted) {
+		return err
 	}
-	buf = make([]byte, 0, n*disk.SectorSize)
-	for i := 0; i < n; i++ {
-		one, rerr := r.read(addr+i, 1)
-		if rerr != nil {
-			if errors.Is(rerr, disk.ErrHalted) {
-				return nil, nil, rerr
+	for i := 0; i < ch.n; i++ {
+		sec := buf[i*disk.SectorSize : (i+1)*disk.SectorSize]
+		if err := r.readInto(ch.addr+i, sec); err != nil {
+			if errors.Is(err, disk.ErrHalted) {
+				return err
 			}
-			damaged = append(damaged, addr+i)
-			one = make([]byte, disk.SectorSize)
+			res.damaged = append(res.damaged, ch.addr+i)
+			clear(sec)
 		}
-		buf = append(buf, one...)
 	}
-	return buf, damaged, nil
+	return nil
+}
+
+// readInterval is the driver's half of an interval: the next
+// sweepCheckpointChunks chunks from the cursor, read in ascending order into
+// the set, whose result slots it empties for the pool.
+func (r *salvageRun) readInterval(cur *sweepCursor, s *sweepSet) (chunks int, err error) {
+	s.part = s.part[:0]
+	for len(s.part) < sweepCheckpointChunks {
+		ch, ok := cur.next()
+		if !ok {
+			break
+		}
+		c := len(s.part)
+		s.part = append(s.part, ch)
+		res := &s.results[c]
+		res.damaged, res.cands = res.damaged[:0], res.cands[:0]
+		if err := r.readChunk(ch, s.chunkBuf(c), res); err != nil {
+			return 0, err
+		}
+	}
+	return len(s.part), nil
 }
 
 // sweepChunkScan decodes one chunk's sectors into its result slot,
@@ -451,9 +536,37 @@ func sweepChunkScan(w *parscan.Worker, ch sweepChunk, buf []byte, res *sweepChun
 	w.Charge(cpu)
 }
 
-// sweepCheckpointChunks is the sweep's checkpoint interval (1 MB of data
-// region): what the driver reads, hands to the pool, merges and makes durable.
-const sweepCheckpointChunks = 32
+// mergeInterval is the driver's other half: fold a checked interval's results,
+// in chunk order, into the seen-address dedup, the append-only manifest and
+// the stats, and — a full interval — make them durable.
+func (r *salvageRun) mergeInterval(s *sweepSet, ps parscan.Stats) error {
+	st := r.st
+	st.SweepCPU += ps.TotalCPU()
+	st.Steals += ps.Steals()
+	for c, ch := range s.part {
+		st.SectorsScanned += ch.n
+		for _, bad := range s.results[c].damaged {
+			st.DamagedSectors++
+			r.damaged = append(r.damaged, bad)
+			r.manifest = append(r.manifest, uint32(bad)|salvageDamagedBit)
+		}
+		for _, cand := range s.results[c].cands {
+			addr := int(cand.e.Runs[0].Start)
+			if r.seen[addr] {
+				continue
+			}
+			r.seen[addr] = true
+			st.CandidateLeaders++
+			r.cands = append(r.cands, cand)
+			r.manifest = append(r.manifest, uint32(addr))
+		}
+	}
+	if len(s.part) < sweepCheckpointChunks {
+		return nil // the tail: sweep's closing flush covers it
+	}
+	last := s.part[len(s.part)-1]
+	return r.flush(salvageSweep, last.addr+last.n)
+}
 
 // sweep is phase 1: one pass of the data region looking for leader pages.
 // A candidate must decode, and its first run must start at its own
@@ -462,77 +575,47 @@ const sweepCheckpointChunks = 32
 //
 // The disk has one arm, so the pass has one reader (DESIGN §17): this
 // goroutine reads a checkpoint interval's chunks in ascending order, the
-// damaged-sector fallback included, and only then do Config.CheckWorkers
-// workers decode the buffers. Results fold here, in chunk order, into the
-// seen-address dedup, the append-only manifest and the stats, and the
-// interval ends in a flush: the checkpoint cursor never passes a sector that
-// has not been swept and merged (the PR 8 resume contract), and the virtual
-// clock — a function of the Go scheduler while two reading workers dragged
-// the arm between their halves of the disk — repeats at every width.
+// damaged-sector fallback included, and while Config.CheckWorkers workers
+// decode that interval it reads the next one into the other buffer set
+// (parscan.Overlap). Results fold here, in chunk order, and the interval ends
+// in a flush — written after the next interval's read was issued, but
+// covering only what is swept and merged: the checkpoint cursor never passes
+// a sector that has not been (the PR 8 resume contract; a crash re-reads at
+// most the two intervals in hand). The pool's balanced share of each interval
+// runs on the clock's lane beside the next read, so an interval costs the
+// larger of the two, and the virtual clock — a function of the Go scheduler
+// while two reading workers dragged the arm between their halves of the
+// disk — repeats at every width.
 func (r *salvageRun) sweep(from int) error {
-	lay, st, v := r.lay, r.st, r.v
+	st, v := r.st, r.v
 	// The first checkpoint precedes any destructive write (the manifest
 	// overwrites name-table copy B): once it lands, plain mounts refuse
 	// the volume until salvage finishes.
 	if err := r.flush(salvageSweep, from); err != nil {
 		return err
 	}
-	sweepStart := v.clk.Now()
-	chunks := r.sweepChunks(from)
+	sweepStart, armStart := v.clk.Now(), r.d.Stats().BusyTime()
 	st.Workers = r.cfg.checkWorkers()
-
-	// The pool's CPU critical path — each interval's balanced share, at one
-	// worker the sequential total — goes on the clock after the last read.
-	var balanced time.Duration
-	for len(chunks) > 0 {
-		part := chunks
-		if len(part) > sweepCheckpointChunks {
-			part = part[:sweepCheckpointChunks]
-		}
-		chunks = chunks[len(part):]
-		bufs := make([][]byte, len(part))
-		results := make([]sweepChunkResult, len(part))
-		for c, ch := range part {
-			var err error
-			if bufs[c], results[c].damaged, err = r.readChunkData(ch.addr, ch.n); err != nil {
-				return err
+	lane := v.cpu.NewLane()
+	cur := sweepCursor{lay: r.lay, addr: from}
+	sets := [2]sweepSet{newSweepSet(), newSweepSet()}
+	err := parscan.Overlap(lane, st.Workers, cur.intervals(),
+		func(i int) (int, error) { return r.readInterval(&cur, &sets[i%2]) },
+		func(i int, w *parscan.Worker, c int) {
+			if r.onScan != nil {
+				r.onScan(i)
 			}
-		}
-		ps, _ := parscan.Run(st.Workers, len(part), func(w *parscan.Worker, c int) error {
-			sweepChunkScan(w, part[c], bufs[c], &results[c])
-			return nil
-		})
-		balanced += ps.BalancedCPU()
-		st.SweepCPU += ps.TotalCPU()
-		st.Steals += ps.Steals()
-		for c, ch := range part {
-			st.SectorsScanned += ch.n
-			for _, bad := range results[c].damaged {
-				st.DamagedSectors++
-				r.damaged = append(r.damaged, bad)
-				r.manifest = append(r.manifest, uint32(bad)|salvageDamagedBit)
-			}
-			for _, cand := range results[c].cands {
-				addr := int(cand.e.Runs[0].Start)
-				if r.seen[addr] {
-					continue
-				}
-				r.seen[addr] = true
-				st.CandidateLeaders++
-				r.cands = append(r.cands, cand)
-				r.manifest = append(r.manifest, uint32(addr))
-			}
-		}
-		if len(part) == sweepCheckpointChunks {
-			last := part[len(part)-1]
-			if err := r.flush(salvageSweep, last.addr+last.n); err != nil {
-				return err
-			}
-		}
+			s := &sets[i%2]
+			sweepChunkScan(w, s.part[c], s.chunkBuf(c), &s.results[c])
+		},
+		func(i int, ps parscan.Stats) error { return r.mergeInterval(&sets[i%2], ps) })
+	if err != nil {
+		return err
 	}
-	v.cpu.Charge(balanced)
 	st.SweepElapsed = v.clk.Now() - sweepStart
-	return r.flush(salvageSweep, lay.total)
+	st.SweepArm = r.d.Stats().BusyTime() - armStart
+	st.SweepHidden = lane.Hidden()
+	return r.flush(salvageSweep, r.lay.total)
 }
 
 // resolve turns candidates into claimed entries. Highest UID wins a
@@ -832,6 +915,33 @@ func (r *salvageRun) resumeFinalize() error {
 	return r.finalize()
 }
 
+// newSalvageRun sets a salvage up: the layout from the volume root page when
+// either replica survives, else recomputed from the geometry and cfg, and an
+// unmounted volume over it.
+func newSalvageRun(d *disk.Disk, cfg Config, st *SalvageStats) (*salvageRun, error) {
+	var lay layout
+	uidChunk := uint64(1)
+	formatted := d.Clock().Now()
+	if root, err := readRoot(d, cfg.readRetries()); err == nil {
+		lay = root.layout
+		cfg.LogVAM = root.logVAM
+		uidChunk = root.uidChunk
+		formatted = root.formatted
+	} else {
+		lay, err = computeLayout(d.Geometry(), cfg)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return &salvageRun{
+		v: newVolume(d, cfg, lay), d: d, lay: lay, cfg: cfg, st: st,
+		seen:      make(map[int]bool),
+		hasMan:    lay.ntB != lay.ntA,
+		uidChunk:  uidChunk,
+		formatted: formatted,
+	}, nil
+}
+
 // Salvage rebuilds a volume whose name table is lost in both copies: it
 // scans the whole data region for leader pages, reconstructs an entry from
 // each (newest incarnation wins any page-ownership conflict), re-creates an
@@ -855,29 +965,11 @@ func Salvage(d *disk.Disk, cfg Config) (*Volume, SalvageStats, error) {
 	var st SalvageStats
 	clk := d.Clock()
 	start := clk.Now()
-
-	var lay layout
-	uidChunk := uint64(1)
-	formatted := clk.Now()
-	if root, err := readRoot(d, cfg.readRetries()); err == nil {
-		lay = root.layout
-		cfg.LogVAM = root.logVAM
-		uidChunk = root.uidChunk
-		formatted = root.formatted
-	} else {
-		lay, err = computeLayout(d.Geometry(), cfg)
-		if err != nil {
-			return nil, st, err
-		}
+	r, err := newSalvageRun(d, cfg, &st)
+	if err != nil {
+		return nil, st, err
 	}
-	v := newVolume(d, cfg, lay)
-	r := &salvageRun{
-		v: v, d: d, lay: lay, cfg: cfg, st: &st,
-		seen:      make(map[int]bool),
-		hasMan:    lay.ntB != lay.ntA,
-		uidChunk:  uidChunk,
-		formatted: formatted,
-	}
+	v, lay := r.v, r.lay
 
 	entry := salvageSweep
 	sweepFrom := lay.dataLo

@@ -43,6 +43,15 @@ type ScrubStats struct {
 	// LeaderElapsed the part the leader pass took.
 	NTElapsed     time.Duration
 	LeaderElapsed time.Duration
+	// The name-table pass's two timelines (DESIGN §17): NTArm is the device's
+	// busy time over the pass, NTCPU the processor's — the checksums of the
+	// pages compared, on one worker: the driver's partner — and NTHidden how
+	// much of NTCPU cost no elapsed time because the next transfer was in
+	// flight meanwhile. Taken from the volume's counters around the pass, so
+	// under live traffic NTArm and NTCPU include the foreground's share.
+	NTArm    time.Duration
+	NTCPU    time.Duration
+	NTHidden time.Duration
 }
 
 // Repaired sums all copy rewrites of the pass.
@@ -187,9 +196,14 @@ func (v *Volume) Scrub() (_ ScrubStats, err error) {
 	st.LogRepaired = ls.Repaired
 	st.SectorsChecked += ls.SectorsChecked
 	st.Problems = append(st.Problems, ls.Problems...)
+	// The clock moves by the arm's time, the foreground's charges and what a
+	// join waits for the lane, and nothing else: what the lane hid is the rest.
+	arm, cpu := v.d.Stats().BusyTime(), v.cpu.Busy()
 	if err := v.scrubNameTable(&st); err != nil {
 		return st, err
 	}
+	st.NTArm, st.NTCPU = v.d.Stats().BusyTime()-arm, v.cpu.Busy()-cpu
+	st.NTHidden = st.NTArm + st.NTCPU - st.NTElapsed
 	if err := v.scrubLeaders(&st); err != nil {
 		return st, err
 	}
@@ -245,11 +259,11 @@ const ntScrubStretch = 32 * ntSweepPages
 
 // scrubNameTable cross-checks both home copies of every name-table page, a
 // stretch at a time: sweepNT reads the stretch's copy A and then its copy B
-// in sequential 16-page transfers and compares them in memory; only a page
-// that reads damaged or whose copies disagree is re-examined and repaired on
-// its own (scrubNTPage). One goroutine drives the pass in page order, so the
-// problem report is the same at every ScrubWorkers setting. Single-copy
-// volumes have nothing to cross-check.
+// in sequential 16-page transfers and compares them in memory, a chunk behind
+// the transfer in flight; only a page that reads damaged or whose copies
+// disagree is re-examined and repaired on its own (scrubNTPage). One goroutine
+// drives the pass in page order, so the problem report is the same at every
+// ScrubWorkers setting. Single-copy volumes have nothing to cross-check.
 func (v *Volume) scrubNameTable(st *ScrubStats) error {
 	if v.cfg.SingleCopyNT {
 		return nil

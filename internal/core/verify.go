@@ -31,9 +31,16 @@ type VerifyStats struct {
 	Workers       int
 	Steals        int
 	WalkElapsed   time.Duration // name-table walk + entry snapshot
-	CheckElapsed  time.Duration // parallel decode + cross-check phases
-	LeaderElapsed time.Duration // leader sweep (ordered reads + checks)
+	CheckElapsed  time.Duration // claim pass, then cross-check beside the leader reads
+	LeaderElapsed time.Duration // leader images verified, after both have finished
 	CheckCPU      time.Duration // total worker CPU across all phases
+
+	// The pass's two timelines (DESIGN §17): Arm is the device's busy time
+	// over the pass (the walk's page reads and the leader sweep), CheckCPU /
+	// Workers the pool's, and Hidden how much of the pool's share cost no
+	// elapsed time because the arm was sweeping the leaders meanwhile.
+	Arm    time.Duration
+	Hidden time.Duration
 }
 
 // verifyChunk is the per-entry granularity the pool schedules over: big
@@ -60,14 +67,19 @@ type vEntry struct {
 //
 //  1. Walk: snapshot every (key, entry) pair from the name table in key
 //     order — the only phase that needs the B-tree itself.
-//  2. Check: a worker pool decodes entries and claims every data page
-//     into a striped owner table (lowest entry index wins a collision),
-//     then cross-checks runs against the metadata range, the owner
-//     table, and the VAM, and byte sizes against page counts.
-//  3. Leaders: a single driver reads every home leader page in ascending
-//     disk order — one sequential sweep instead of per-worker seek
-//     thrash, and media faults charge the health budget exactly once —
-//     and the pool checks the images against their entries.
+//  2. Claim: a worker pool decodes entries, claims every data page into a
+//     striped owner table (lowest entry index wins a collision) and sorts
+//     the leaders into home (on the disk) and deferred (still in memory).
+//  3. Check beside the leader sweep: the pool cross-checks runs against the
+//     metadata range, the owner table, and the VAM, byte sizes against
+//     page counts and deferred leaders against their images — while this
+//     goroutine, the pass's one reader, reads every home leader page in
+//     ascending disk order: one sequential sweep instead of per-worker
+//     seek thrash, and media faults charge the health budget exactly once.
+//  4. Leaders: the pool checks the images read against their entries.
+//
+// Phases 2 to 4 run on parscan.Overlap, the pool's share on the clock's
+// lane: phase 3 costs the larger of the cross-check and the sweep.
 //
 // Problems are accumulated per entry and emitted grouped by entry in key
 // order, so the report is byte-identical at every worker count.
@@ -87,7 +99,7 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 	if err := v.DrainIntents(); err != nil {
 		return st, err
 	}
-	start := v.clk.Now()
+	start, armStart := v.clk.Now(), v.d.Stats().BusyTime()
 	st.Workers = v.cfg.checkWorkers()
 	if err := v.nt.Check(); err != nil {
 		return st, fmt.Errorf("core: name table structure: %w", err)
@@ -117,29 +129,22 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 	}
 	st.WalkElapsed = v.clk.Now() - start
 
-	// Phase 2: parallel claim + cross-check over entry chunks. Problems
-	// land in per-entry slots — each entry belongs to exactly one chunk,
-	// so no two workers write the same slot — and are concatenated in
-	// entry order afterwards.
+	// Phases 2-4 work over entry chunks. Problems land in per-entry slots —
+	// each entry belongs to exactly one chunk, so no two workers write the
+	// same slot — and are concatenated in entry order afterwards.
 	probs := make([][]string, len(raw))
 	owners := parscan.NewOwnerTable(v.lay.total)
-	counts := make([]VerifyStats, (len(raw)+verifyChunk-1)/verifyChunk)
-	leaderRefs := make([][]leaderCheck, len(counts))
+	nchunks := verifyChunks(len(raw))
+	counts := make([]VerifyStats, nchunks)
+	home := make([][]leaderCheck, nchunks) // per chunk: leaders to read from the disk
+	deferred := make([][]byte, len(raw))   // per entry: the image of a leader not home yet
 	checkStart := v.clk.Now()
 
-	chunkRange := func(c int) (lo, hi int) {
-		lo = c * verifyChunk
-		hi = lo + verifyChunk
-		if hi > len(raw) {
-			hi = len(raw)
-		}
-		return
-	}
-
-	// Pass 2a: decode bookkeeping + page claims. Claims must all land
-	// before any worker reads the owner table, so this pass is a barrier.
-	claimStats, _ := parscan.Run(st.Workers, len(counts), func(w *parscan.Worker, c int) error {
-		lo, hi := chunkRange(c)
+	// Phase 2: decode bookkeeping, page claims, and which leaders the sweep
+	// has to read. Claims must all land before any worker reads the owner
+	// table, so this pass is a barrier.
+	claim := func(w *parscan.Worker, c int) {
+		lo, hi := verifyChunkRange(c, len(raw))
 		for i := lo; i < hi; i++ {
 			ve := raw[i]
 			w.Charge(sim.CostBTreeOp / 4)
@@ -148,7 +153,7 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 			}
 			for _, r := range ve.e.Runs {
 				if int(r.Start)+int(r.Len) > v.lay.total || r.Len == 0 {
-					continue // reported in pass 2b
+					continue // reported by the cross-check
 				}
 				for p := int(r.Start); p < int(r.Start)+int(r.Len); p++ {
 					if !v.lay.metaRange(p) {
@@ -156,14 +161,29 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 					}
 				}
 			}
+			addr, has := ve.e.LeaderAddr()
+			if !has || ve.e.Class == SymLink {
+				continue
+			}
+			v.lmu.Lock()
+			img, pending := v.pendingLeaders[addr]
+			if pending {
+				img = append(make([]byte, 0, len(img)), img...)
+			}
+			v.lmu.Unlock()
+			if pending {
+				deferred[i] = img
+			} else {
+				home[c] = append(home[c], leaderCheck{addr: addr, e: ve.e, idx: i})
+			}
 		}
-		return nil
-	})
+	}
 
-	// Pass 2b: the cross-check proper, reading the now-complete owner
-	// table. Same chunking, so problems stay with their entries.
-	checkStats, _ := parscan.Run(st.Workers, len(counts), func(w *parscan.Worker, c int) error {
-		lo, hi := chunkRange(c)
+	// Phase 3, the pool's half: the cross-check proper, reading the
+	// now-complete owner table. Same chunking, so problems stay with their
+	// entries.
+	crossCheck := func(w *parscan.Worker, c int) {
+		lo, hi := verifyChunkRange(c, len(raw))
 		part := &counts[c]
 		addProblem := func(i int, format string, args ...interface{}) {
 			probs[i] = append(probs[i], fmt.Sprintf(format, args...))
@@ -213,68 +233,81 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 			if e.ByteSize > uint64(e.Pages())*512 {
 				addProblem(i, "%s!%d: byte size %d exceeds %d pages", ve.name, ve.ver, e.ByteSize, e.Pages())
 			}
-			// Leader cross-check: deferred leaders are verified from the
-			// in-memory image here; home leaders queue for the ordered
-			// disk sweep in phase 3.
-			addr, has := e.LeaderAddr()
-			if !has {
+			// Leader cross-check: a deferred leader is verified from its
+			// in-memory image here; a home leader is on the sweep's list.
+			if _, has := e.LeaderAddr(); !has {
 				continue
 			}
 			part.Leaders++
-			v.lmu.Lock()
-			pending, okp := v.pendingLeaders[addr]
-			if okp {
-				pending = append([]byte(nil), pending...)
-			}
-			v.lmu.Unlock()
-			if okp {
+			if img := deferred[i]; img != nil {
 				part.LeadersPending++
 				w.Charge(sim.CostChecksumPage)
-				if err := verifyLeader(pending, e); err != nil {
+				if err := verifyLeader(img, e); err != nil {
 					addProblem(i, "%v", err)
 				}
-				continue
 			}
-			leaderRefs[c] = append(leaderRefs[c], leaderCheck{addr: addr, e: e, idx: i})
 		}
-		return nil
-	})
+	}
+
+	// Phase 3, the driver's half: every home leader read by this goroutine
+	// in ascending address order, so a damaged sector's retries charge the
+	// health budget exactly once however many workers are checking.
+	var refs []leaderCheck
+	var images [][]byte
+	var errs []error
+	sweep := func() {
+		for _, lr := range home {
+			refs = append(refs, lr...)
+		}
+		images, errs = readLeaders(refs, func(addr int) ([]byte, error) {
+			buf, retried, rerr := disk.ReadSectorsRetry(v.d, addr, 1, v.cfg.readRetries())
+			v.noteReadFault(retried, rerr)
+			return buf, rerr
+		})
+	}
+
+	lane := v.cpu.NewLane()
+	const phaseClaim, phaseCheck, phaseLeaders = 0, 1, 2
+	_ = parscan.Overlap(lane, st.Workers, 3,
+		func(phase int) (int, error) {
+			if phase < phaseLeaders {
+				return nchunks, nil
+			}
+			sweep() // beside the cross-check
+			return verifyChunks(len(refs)), nil
+		},
+		func(phase int, w *parscan.Worker, c int) {
+			switch phase {
+			case phaseClaim:
+				claim(w, c)
+			case phaseCheck:
+				crossCheck(w, c)
+			case phaseLeaders:
+				checkLeaders(w, c, refs, images, errs)
+			}
+		},
+		func(phase int, ps parscan.Stats) error {
+			st.CheckCPU += ps.TotalCPU()
+			st.Steals += ps.Steals()
+			if phase == phaseCheck {
+				st.CheckElapsed = v.clk.Now() - checkStart
+			}
+			return nil
+		})
+	st.LeaderElapsed = v.clk.Now() - checkStart - st.CheckElapsed
 	for _, part := range counts {
 		st.Entries += part.Entries
 		st.Symlinks += part.Symlinks
 		st.Leaders += part.Leaders
 		st.LeadersPending += part.LeadersPending
 	}
-	// Charge the pool's CPU critical path — the balanced share, which is
-	// deterministic and at one worker equals the sequential total.
-	v.cpu.Charge(claimStats.BalancedCPU() + checkStats.BalancedCPU())
-	st.CheckCPU += claimStats.TotalCPU() + checkStats.TotalCPU()
-	st.Steals += claimStats.Steals() + checkStats.Steals()
-	st.CheckElapsed = v.clk.Now() - checkStart
-
-	// Phase 3: the leader sweep — every home leader read by this goroutine
-	// in ascending address order, so a damaged sector's retries charge the
-	// health budget exactly once however many workers are checking, then
-	// verified against its entry on the pool.
-	leaderStart := v.clk.Now()
-	var refs []leaderCheck
-	for _, lr := range leaderRefs {
-		refs = append(refs, lr...)
-	}
-	errs, leaderStats := sweepLeaders(refs, st.Workers, func(addr int) ([]byte, error) {
-		buf, retried, rerr := disk.ReadSectorsRetry(v.d, addr, 1, v.cfg.readRetries())
-		v.noteReadFault(retried, rerr)
-		return buf, rerr
-	})
 	for j, ref := range refs {
 		if errs[j] != nil {
 			probs[ref.idx] = append(probs[ref.idx], errs[j].Error())
 		}
 	}
-	v.cpu.Charge(leaderStats.BalancedCPU())
-	st.CheckCPU += leaderStats.TotalCPU()
-	st.Steals += leaderStats.Steals()
-	st.LeaderElapsed = v.clk.Now() - leaderStart
+	st.Arm = v.d.Stats().BusyTime() - armStart
+	st.Hidden = lane.Hidden()
 
 	// Canonical merge: per-entry problem groups concatenated in key order.
 	for _, ps := range probs {
@@ -292,38 +325,56 @@ type leaderCheck struct {
 	idx  int
 }
 
-// sweepLeaders is the one way a check pass reads leader pages (Verify's
-// phase 3, Scrub's leader pass). The disk has one arm, so the pass has one
-// reader: refs are sorted by address in place and the calling goroutine
-// reads every sector in that order with no processor time charged in
-// between — the head crosses the disk once, where a reader in name order, or
-// workers sharing the arm, pay a long seek per leader. Only then does a pool
-// verify the images against their entries, charging the checksums to the
-// returned stats for the caller to put on the clock. errs[i] says what is
-// wrong with (the sorted) refs[i], nil if it read and verified. read is the
-// caller's fault policy: Verify retries in place and charges the health
-// budget, Scrub reads once and leaves the rest to its locked repair path.
-func sweepLeaders(refs []leaderCheck, workers int, read func(addr int) ([]byte, error)) (errs []error, _ parscan.Stats) {
+// The one way a check pass reads leader pages (Verify's phases 3 and 4,
+// Scrub's leader pass). The disk has one arm, so the pass has one reader:
+// readLeaders sorts refs by address in place and the calling goroutine reads
+// every sector in that order with no processor time charged in between — the
+// head crosses the disk once, where a reader in name order, or workers
+// sharing the arm, pay a long seek per leader. errs[i] says what is wrong
+// with (the sorted) refs[i], nil if it read. read is the caller's fault
+// policy: Verify retries in place and charges the health budget, Scrub reads
+// once and leaves the rest to its locked repair path.
+func readLeaders(refs []leaderCheck, read func(addr int) ([]byte, error)) (images [][]byte, errs []error) {
 	sort.Slice(refs, func(a, b int) bool { return refs[a].addr < refs[b].addr })
 	errs = make([]error, len(refs))
-	bufs := make([][]byte, len(refs))
+	images = make([][]byte, len(refs))
 	for j, ref := range refs {
-		if bufs[j], errs[j] = read(ref.addr); errs[j] != nil {
+		if images[j], errs[j] = read(ref.addr); errs[j] != nil {
 			errs[j] = fmt.Errorf("%s!%d: leader unreadable: %w", ref.e.Name, ref.e.Version, errs[j])
 		}
 	}
-	stats, _ := parscan.Run(workers, (len(refs)+verifyChunk-1)/verifyChunk, func(w *parscan.Worker, c int) error {
-		lo := c * verifyChunk
-		hi := lo + verifyChunk
-		if hi > len(refs) {
-			hi = len(refs)
+	return images, errs
+}
+
+// verifyChunks is how many pool chunks n entries (or leader images) make,
+// and verifyChunkRange the items [lo, hi) of chunk c.
+func verifyChunks(n int) int { return (n + verifyChunk - 1) / verifyChunk }
+
+func verifyChunkRange(c, n int) (lo, hi int) {
+	lo = c * verifyChunk
+	return lo, min(lo+verifyChunk, n)
+}
+
+// checkLeaders is the pool's chunk function over what readLeaders read: each
+// image that read is verified against its entry, the checksum charged to the
+// worker and the verdict left in errs.
+func checkLeaders(w *parscan.Worker, c int, refs []leaderCheck, images [][]byte, errs []error) {
+	lo, hi := verifyChunkRange(c, len(refs))
+	for j := lo; j < hi; j++ {
+		if errs[j] == nil {
+			w.Charge(sim.CostChecksumPage)
+			errs[j] = verifyLeader(images[j], refs[j].e)
 		}
-		for j := lo; j < hi; j++ {
-			if errs[j] == nil {
-				w.Charge(sim.CostChecksumPage)
-				errs[j] = verifyLeader(bufs[j], refs[j].e)
-			}
-		}
+	}
+}
+
+// sweepLeaders is the two in sequence, for a pass with nothing to do beside
+// the reads: the returned stats carry the checksums for the caller to put on
+// the clock.
+func sweepLeaders(refs []leaderCheck, workers int, read func(addr int) ([]byte, error)) (errs []error, _ parscan.Stats) {
+	images, errs := readLeaders(refs, read)
+	stats, _ := parscan.Run(workers, verifyChunks(len(refs)), func(w *parscan.Worker, c int) error {
+		checkLeaders(w, c, refs, images, errs)
 		return nil
 	})
 	return errs, stats

@@ -10,13 +10,24 @@ import "errors"
 // when the budget ran out, or the original error for non-media failures
 // (ErrHalted, out of range), which are never retried.
 func ReadSectorsRetry(d *Disk, addr, n, retries int) (data []byte, retried int, err error) {
-	data, err = d.ReadSectors(addr, n)
-	if err == nil {
-		return
+	if n < 0 {
+		return nil, 0, ErrOutOfRange
 	}
+	data = make([]byte, n*SectorSize)
+	if retried, err = ReadSectorsRetryInto(d, addr, retries, data); err != nil {
+		return nil, retried, err
+	}
+	return data, retried, nil
+}
+
+// ReadSectorsRetryInto is ReadSectorsRetry into the caller's buffer of whole
+// sectors, for a sweep that reads a volume through two buffers instead of
+// allocating the volume. On an error dst is partly overwritten.
+func ReadSectorsRetryInto(d *Disk, addr, retries int, dst []byte) (retried int, err error) {
+	err = d.ReadSectorsInto(addr, dst)
 	var de *DamagedError
-	if !errors.As(err, &de) {
-		return
+	if err == nil || !errors.As(err, &de) {
+		return 0, err
 	}
 	// One damaged sector fails the whole bulk transfer, and re-running the
 	// full run makes every healthy sector face the fault model again just
@@ -25,24 +36,20 @@ func ReadSectorsRetry(d *Disk, addr, n, retries int) (data []byte, retried int, 
 	// sector instead, the read-side analogue of the write path's prefix
 	// resume: each sector is read once plus its own in-place budget, so a
 	// long run needs only per-sector luck, not end-to-end luck.
-	buf := make([]byte, n*SectorSize)
-	for i := 0; i < n; i++ {
+	for i := 0; i < len(dst)/SectorSize; i++ {
+		sec := dst[i*SectorSize : (i+1)*SectorSize]
 		for tries := 0; ; tries++ {
-			s, rerr := d.ReadSectors(addr+i, 1)
+			rerr := d.ReadSectorsInto(addr+i, sec)
 			if rerr == nil {
-				copy(buf[i*SectorSize:], s)
 				break
 			}
-			if !errors.As(rerr, &de) {
-				return nil, retried, rerr
-			}
-			if tries >= retries {
-				return nil, retried, rerr
+			if !errors.As(rerr, &de) || tries >= retries {
+				return retried, rerr
 			}
 			retried++
 		}
 	}
-	return buf, retried, nil
+	return retried, nil
 }
 
 // WriteSectorsRetryFrom writes the gather list src at addr like

@@ -19,9 +19,12 @@
 //
 // CPU cost is accumulated per worker through Worker.Charge rather than
 // charged to the simulated CPU directly: charging would advance the
-// virtual clock once per worker for the same wall-clock instant. The
-// caller charges the pool's critical path (BalancedCPU) in one lump,
-// which degenerates to the exact sequential total at one worker.
+// virtual clock once per worker for the same wall-clock instant. What goes
+// on the clock is the pool's critical path (BalancedCPU), which degenerates
+// to the exact sequential total at one worker — and for a pass that has
+// device work to do meanwhile, Overlap puts it on the clock's lane, beside
+// the driver's next read, so the pass pays the larger of the two and not
+// their sum.
 package parscan
 
 import (
@@ -155,6 +158,8 @@ type pool struct {
 //
 // Run is the only entry: a pool cannot be started and left running beside
 // its caller, which is what let a pass hand its device reads to the workers.
+// (Overlap runs it beside the caller's next read, and is back only when it
+// is.)
 func Run(workers, chunks int, fn func(w *Worker, chunk int) error) (Stats, error) {
 	if workers < 1 {
 		workers = 1

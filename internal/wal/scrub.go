@@ -15,12 +15,63 @@ type LogScrubStats struct {
 	Problems       []string
 }
 
+// logRuns is the audit's view of the record area: aligned runs of
+// transferSectors, each read from the device once, whole, as the walk reaches
+// it. The walk is ascending, so the reads are; only the runs under the record
+// in hand are kept. A run that failed to read is remembered as such, and its
+// sectors are then read one at a time, as every sector used to be.
+type logRuns struct {
+	d    *disk.Disk
+	base int            // device address of area offset 0
+	area int            // sectors in the record area
+	runs map[int][]byte // by run index; nil: the read failed
+}
+
+// load makes the runs covering area offsets [lo, hi) present, reading the
+// missing ones in ascending order, and forgets the runs below lo's.
+func (r *logRuns) load(lo, hi int) {
+	first := lo / transferSectors
+	for w := range r.runs {
+		if w < first || w*transferSectors >= hi {
+			delete(r.runs, w)
+		}
+	}
+	for w := first; w*transferSectors < hi && w*transferSectors < r.area; w++ {
+		if _, ok := r.runs[w]; ok {
+			continue
+		}
+		n := min(transferSectors, r.area-w*transferSectors)
+		buf, err := r.d.ReadSectors(r.base+w*transferSectors, n)
+		if err != nil {
+			buf = nil
+		}
+		r.runs[w] = buf
+	}
+}
+
+// sector returns the loaded image of the sector at device address addr, or
+// nil if its run is not loaded or failed to read.
+func (r *logRuns) sector(addr int) []byte {
+	off := addr - r.base
+	buf := r.runs[off/transferSectors]
+	i := off % transferSectors
+	if (i+1)*disk.SectorSize > len(buf) { // not loaded, failed, or past the area's end
+		return nil
+	}
+	return buf[i*disk.SectorSize : (i+1)*disk.SectorSize]
+}
+
 // ScrubCopies audits every dual-copy structure in the live log — the anchor
 // pair and, for each valid record, its header pair, page-image pairs, and
 // end-page pair — rewriting a decayed or corrupt copy from its surviving
 // twin. This is the active counterpart of recovery's passive copy fallback:
 // a latent error that eats one copy between crashes is repaired here, before
 // the second copy can decay too.
+//
+// The records are read as they lie — in ascending runs of a full transfer,
+// the copies compared in memory (logRuns). A sector is read on its own only
+// where that did not settle it: its run failed to read, or its image in the
+// run does not check out.
 //
 // write overrides the sector-write primitive (the file system passes its
 // retry/remap repair path); nil means a plain device write. The force lock
@@ -45,9 +96,14 @@ func (l *Log) ScrubCopies(write func(addr int, data []byte) error) (LogScrubStat
 	boot := l.bootCount
 	area := l.thirdLen() * l.thirds()
 
-	// readValid reads one sector and validates it with check; it returns
-	// the raw bytes so a twin can be repaired from them.
+	runs := logRuns{d: l.d, base: l.base + anchorSectors, area: area, runs: make(map[int][]byte)}
+	// readValid validates one sector with check, from its run if that
+	// settles it and from the device otherwise; it returns the raw bytes so
+	// a twin can be repaired from them.
 	readValid := func(addr int, check func([]byte) bool) ([]byte, bool) {
+		if buf := runs.sector(addr); buf != nil && check(buf) {
+			return buf, true
+		}
 		buf, err := l.d.ReadSectors(addr, 1)
 		if err != nil || !check(buf) {
 			return nil, false
@@ -83,6 +139,7 @@ func (l *Log) ScrubCopies(write func(addr int, data []byte) error) (LogScrubStat
 			h, ok := decodeHeader(buf)
 			return ok && h.recordNum == rec && h.bootCount == boot
 		}
+		runs.load(off, off+3)
 		hBuf, hOK := readValid(addr, checkHdr)
 		cBuf, cOK := readValid(addr+2, checkHdr)
 		st.SectorsChecked += 2
@@ -105,6 +162,7 @@ func (l *Log) ScrubCopies(write func(addr int, data []byte) error) (LogScrubStat
 		if off+recLen > area {
 			break
 		}
+		runs.load(off, off+recLen)
 		// Validate the end pair before repairing a copy-only header: a
 		// header found only at the copy position can be a mirage from the
 		// next third's first record (see Recover).

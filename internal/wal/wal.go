@@ -48,6 +48,10 @@ const (
 // MaxImagesPerRecord bounds a single record at 5+2*39 = 83 sectors.
 const MaxImagesPerRecord = 39
 
+// transferSectors is a full controller request (core's MaxTransferSectors):
+// the unit Format erases in and ScrubCopies reads in.
+const transferSectors = 64
+
 const (
 	anchorSectors = 4 // anchor at +0, copy at +2; +1 and +3 unused
 	recMagic      = 0x10C0FFEE
@@ -409,7 +413,7 @@ func Format(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, erro
 	// (the salvage path) restarts boot and record counters at 1, so any
 	// stale record left beyond the new session's tail could splice onto it
 	// during a later recovery; zeroing leaves nothing that checksums.
-	const eraseChunk = 64
+	const eraseChunk = transferSectors
 	zero := make([]byte, eraseChunk*disk.SectorSize)
 	area := l.thirdLen() * l.thirds()
 	for off := 0; off < area; off += eraseChunk {

@@ -29,6 +29,15 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 ! grep -rnE --include='*.go' 'parscan\.Start\(' . \
 	|| { echo "verify: parscan.Start resurfaced (one driver reads in address order, parscan.Run checks the buffers)"; exit 1; }
 
+# And the lump: a check pass that reads a stretch and only then puts the pool's
+# balanced CPU on the clock pays device plus pool where the overlapped pass
+# pays the larger of the two. The three passes go through parscan.Overlap,
+# which hands BalancedCPU to the clock's lane (DESIGN §17); their files have
+# no call of it to make, and one — charged at once or summed up for later —
+# is the sequential path coming back by copy-paste.
+! grep -nE 'BalancedCPU\(' internal/core/salvage.go internal/core/verify.go internal/core/ntsweep.go \
+	|| { echo "verify: a check pass takes BalancedCPU() into its own hands again (run it through parscan.Overlap)"; exit 1; }
+
 # And the staging buffers of the data write path: a write lends its caller's
 # buffer to the disk as a gather list (DESIGN §18), and a payload-sized copy
 # on the way down is how it came to allocate 30 KB per operation.
@@ -54,9 +63,16 @@ go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache
 # ...and the one-arm gates: a clean scrub's leader reads strictly ascending
 # with a handful of long seeks at widths 1/2/8, planted leader damage still
 # repaired, scrub and salvage costing the same simulated time on every run
-# at widths 2 and 8, and a salvage checkpoint writing the manifest's tail,
-# not the manifest.
-go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep|TestCutSweepCreateRun|TestScrubLeaderSweepAscending|TestScrubLeaderSweepPlantedDamage|TestCheckPassSimTimeRepeats|TestSalvageManifestAppendOnly'
+# at widths 1, 2 and 8 (Verify too), and a salvage checkpoint writing the
+# manifest's tail, not the manifest.
+# ...and the two-timelines gates: the salvage sweep reading interval i+1 while
+# the pool decodes interval i (observed in flight together; the checkpoint of
+# i written after the read of i+1 and covering only what is merged), Verify
+# costing walk + claim + max(check, leader sweep) + images, the sweep's
+# allocation independent of the volume's size, the lane itself, the log audit
+# reading in runs, and the pfsck report's points inside max(arm, pool/k).
+go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep|TestCutSweepCreateRun|TestScrubLeaderSweepAscending|TestScrubLeaderSweepPlantedDamage|TestCheckPassSimTimeRepeats|TestSalvageManifestAppendOnly|TestSweepOverlapsDecode|TestVerifyOverlapsLeaderSweep|TestSalvageCrashWhileDecodeInFlight|TestSweepAllocsBounded'
+go test ./internal/sim ./internal/wal ./internal/bench -count=1 -run 'TestLane|TestScrubCopiesReadsInRuns|TestPFsckShape'
 # The allocation gates of the borrowed-buffer read path (a lookup allocates
 # its result, a cached read and a cache fill nothing, a read's round trip a
 # fixed handful of small objects whatever its payload, a read-ahead I/O
@@ -86,8 +102,12 @@ go test ./internal/alloc ./internal/bufcache ./internal/core . -count=1 -run 'Te
 go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./internal/core ./internal/wire ./internal/server ./internal/wal ./internal/disk -run xxx -bench . -benchtime 1x
 # (...UnderChurn: scrub's optimistic leader sweep against files deleted,
 # recreated in place and extended under it — nothing repaired, nothing
-# reported; ...SimTimeRepeats again because the detector reschedules.)
-go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders|TestScrubLeaderSweepUnderChurn|TestCheckPassSimTimeRepeats'
+# reported; ...SimTimeRepeats again because the detector reschedules;
+# ...CrashWhileDecodeInFlight: the device halted during the read of interval
+# i+1 with the decode of interval i running, at every interval and widths
+# 1/2/8 — no goroutine outlives the sweep, the cursor covers nothing unmerged,
+# a resume at another width rebuilds the same platters.)
+go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders|TestScrubLeaderSweepUnderChurn|TestCheckPassSimTimeRepeats|TestSalvageCrashWhileDecodeInFlight'
 # One atomic group per operation (ISSUE 17), under the detector and uncached:
 # the WAL bracket itself, a force cutting into rename / create under keep /
 # empty create / a split-inducing create run, the group held across the
@@ -141,9 +161,10 @@ go run ./cmd/soak -clients 2000 -conns 16 -duration 5s -rate 5 -json /dev/null
 # parscan pool itself plus the determinism goldens — byte-identical
 # Verify problems at widths 1/2/8, salvage crash/resume across widths,
 # and a wide Verify racing concurrent readers.
-go test -race ./internal/parscan -count=1
+go test -race ./internal/parscan ./internal/sim -count=1
 go test -race ./internal/core -count=1 -run 'TestVerifyProblemsDeterministic|TestVerifyDuplicateOwnerDeterministic|TestVerifyUnderDecay|TestVerifyParallelWithReaders|TestParallelSalvageMatchesSequential|TestSweepRebuildMatchesChainWalk|TestScrubSweepMatchesPerPage'
 # Bounded pfsck smoke (small volume, widths 1 and 4): runs both passes
 # through the pool and asserts identical output at both widths; the full
-# 1/2/4/8/16 curve is the benchtab -pfsck-json path.
+# 1/2/4/8/16 curve is the benchtab -pfsck-json path. (No formula column:
+# each point carries its run's arm / pool / hidden.)
 go run ./cmd/benchtab -table pfsck
