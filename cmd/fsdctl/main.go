@@ -23,9 +23,9 @@
 //
 // The -json flag switches verify/fsck, scrub, salvage, stats, and crashcheck
 // to machine-readable JSON on stdout. The -workers flag sets the pool width
-// of the parallel check-and-repair passes (fsck/verify, scrub, salvage);
-// the default is GOMAXPROCS, and any width produces identical output —
-// parallelism changes only elapsed time. Exit codes are 0 (success), 1
+// of the parallel check-and-repair passes (the mount's scan, fsck/verify,
+// scrub, salvage); the default is GOMAXPROCS, and any width produces
+// identical output — parallelism changes only elapsed time. Exit codes are 0 (success), 1
 // (operational error), 2 (usage error), and 3 (the volume mounted but
 // inconsistencies, losses, or oracle violations were found).
 //
@@ -67,10 +67,10 @@ var (
 // flag; a package variable so tests can flip it per run().
 var mountAsync bool
 
-// mountWorkers is the check-and-repair pool width for fsck/verify, scrub,
-// and salvage (the -workers flag; 0 means GOMAXPROCS). Every scan's output
-// is identical at any width — parallelism changes only elapsed time — so a
-// machine-sized default is always safe.
+// mountWorkers is the check-and-repair pool width for the mount's
+// name-table scan, fsck/verify, scrub and salvage (the -workers flag; 0 means
+// GOMAXPROCS). Every scan's output is identical at any width — parallelism
+// changes only elapsed time — so a machine-sized default is always safe.
 var mountWorkers int
 
 func cliWorkers() int {
@@ -87,6 +87,7 @@ func cliConfig() cedarfs.Config {
 		AdaptiveCommit: mountAsync,
 		CheckWorkers:   cliWorkers(),
 		ScrubWorkers:   cliWorkers(),
+		MountWorkers:   cliWorkers(),
 	}
 }
 
@@ -94,7 +95,7 @@ func main() {
 	img := flag.String("img", "cedar.img", "disk image file")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (verify/fsck, scrub, salvage, stats, crashcheck)")
 	flag.BoolVar(&mountAsync, "async", false, "mount with the asynchronous intent queue and adaptive group commit")
-	flag.IntVar(&mountWorkers, "workers", 0, "check/repair pool width for fsck/verify, scrub, salvage (0 = GOMAXPROCS)")
+	flag.IntVar(&mountWorkers, "workers", 0, "check/repair pool width for the mount scan, fsck/verify, scrub, salvage (0 = GOMAXPROCS)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -516,9 +517,10 @@ func run(img string, jsonOut bool, args []string) error {
 				how, rc.Records, rc.Images, rc.Repaired, rc.TornRecords,
 				rc.TailDiscarded, rc.GapBreaks, rc.SectorsRead,
 				rc.Elapsed.Round(time.Millisecond))
-			fmt.Printf("recovery phases (simulated): replay %v, redo write-back %v, VAM scan %v (%d pages swept in %d chunk reads, %d per-page fallbacks)\n",
+			fmt.Printf("recovery phases (simulated): replay %v, redo write-back %v, VAM scan %v (%d pages swept in %d chunk reads, %d per-page fallbacks, %d stale leaves decoded and dropped; %s)\n",
 				rc.Elapsed.Round(time.Millisecond), rc.RedoElapsed.Round(time.Millisecond),
-				rc.ScanElapsed.Round(time.Millisecond), rc.SweepPages, rc.SweepChunks, rc.SweepFallbacks)
+				rc.ScanElapsed.Round(time.Millisecond), rc.SweepPages, rc.SweepChunks, rc.SweepFallbacks, rc.SweepStaleLeaves,
+				timelines(rc.ScanArm, rc.ScanCPU, cliWorkers(), rc.ScanHidden, rc.ScanElapsed))
 		}
 		fmt.Printf("faults: %d read retries (%d recovered), %d scrub passes, %d copies repaired, %d sectors retired\n",
 			st.Faults.ReadRetries, st.Faults.RetriedOK, st.Faults.Scrubs, st.Faults.Repaired, st.Faults.Retired)

@@ -373,7 +373,7 @@ func TestStatsCommand(t *testing.T) {
 			t.Fatalf("stats: %v", err)
 		}
 	})
-	for _, want := range []string{"ops:", "cache:", "commit:", "sectors written home in", "commit deadline:", "(fixed)", "disk:", "disk by region", "nt-a", "streams: 0/0 extensions in place/elsewhere; read-ahead", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "faults:"} {
+	for _, want := range []string{"ops:", "cache:", "commit:", "sectors written home in", "commit deadline:", "(fixed)", "disk:", "disk by region", "nt-a", "streams: 0/0 extensions in place/elsewhere; read-ahead", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "stale leaves decoded and dropped; arm ", "· hidden ", "faults:"} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
 		}
@@ -392,7 +392,8 @@ func TestStatsCommand(t *testing.T) {
 	if err := json.Unmarshal(out, &st); err != nil {
 		t.Fatalf("stats -json does not decode into cedarfs.Stats: %v\n%s", err, out)
 	}
-	for _, want := range []string{`"Alloc":`, `"ExtendsInPlace":`, `"ReadAheadUsed":`, `"ReadAheadWasted":`, `"Promotions":`} {
+	for _, want := range []string{`"Alloc":`, `"ExtendsInPlace":`, `"ReadAheadUsed":`, `"ReadAheadWasted":`, `"Promotions":`,
+		`"scan_arm_sim_ns":`, `"scan_pool_sim_ns":`, `"scan_hidden_sim_ns":`, `"sweep_stale_leaves":`} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Fatalf("stats -json missing %s:\n%s", want, out)
 		}

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -23,7 +24,7 @@ func main() {
 	img := flag.String("img", "cedar.img", "disk image file")
 	verbose := flag.Bool("v", false, "print every image target")
 	flag.Parse()
-	if err := run(*img, *verbose); err != nil {
+	if err := run(os.Stdout, *img, *verbose); err != nil {
 		fmt.Fprintf(os.Stderr, "logdump: %v\n", err)
 		os.Exit(1)
 	}
@@ -42,7 +43,7 @@ func kindName(k uint8) string {
 	}
 }
 
-func run(img string, verbose bool) error {
+func run(w io.Writer, img string, verbose bool) error {
 	d, err := disk.LoadImage(img, disk.DefaultParams, sim.NewVirtualClock())
 	if err != nil {
 		return err
@@ -55,29 +56,29 @@ func run(img string, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("log region: sectors [%d, %d), %d divisions of %d sectors\n",
+	fmt.Fprintf(w, "log region: sectors [%d, %d), %d divisions of %d sectors\n",
 		base, base+size, info.Thirds, info.ThirdLen)
-	fmt.Printf("anchor: boot %d, oldest record %d at offset %d\n",
+	fmt.Fprintf(w, "anchor: boot %d, oldest record %d at offset %d\n",
 		info.BootCount, info.AnchorRecord, info.AnchorOffset)
-	fmt.Printf("%d valid records:\n", len(info.Records))
+	fmt.Fprintf(w, "%d valid records:\n", len(info.Records))
 	totalImages := 0
 	for _, r := range info.Records {
 		mark := " "
 		if r.EndOfBatch {
 			mark = "*"
 		}
-		fmt.Printf("  rec %4d @%5d  %2d images, %2d sectors %s\n",
+		fmt.Fprintf(w, "  rec %4d @%5d  %2d images, %2d sectors %s\n",
 			r.RecordNum, r.Offset, r.Images, r.Sectors, mark)
 		totalImages += r.Images
 		if verbose {
 			for _, t := range r.Targets {
-				fmt.Printf("        %s %d\n", kindName(t.Kind), t.Target)
+				fmt.Fprintf(w, "        %s %d\n", kindName(t.Kind), t.Target)
 			}
 		}
 	}
-	fmt.Printf("total: %d images; * marks batch (force) boundaries\n", totalImages)
+	fmt.Fprintf(w, "total: %d images; * marks batch (force) boundaries\n", totalImages)
 	if info.PartialTail > 0 {
-		fmt.Printf("WARNING: %d trailing records belong to an unterminated batch and will be discarded by recovery\n", info.PartialTail)
+		fmt.Fprintf(w, "WARNING: %d trailing records belong to an unterminated batch and will be discarded by recovery\n", info.PartialTail)
 	}
 	return nil
 }

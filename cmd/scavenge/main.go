@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -25,13 +26,13 @@ import (
 func main() {
 	mb := flag.Int("mb", 60, "megabytes of files to populate before the crash")
 	flag.Parse()
-	if err := run(int64(*mb) << 20); err != nil {
+	if err := run(os.Stdout, int64(*mb)<<20); err != nil {
 		fmt.Fprintf(os.Stderr, "scavenge: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(bytes int64) error {
+func run(w io.Writer, bytes int64) error {
 	// FSD side.
 	clk := sim.NewVirtualClock()
 	d, err := disk.New(disk.DefaultGeometry, disk.DefaultParams, clk)
@@ -47,14 +48,14 @@ func run(bytes int64) error {
 		return err
 	}
 	fv.Force()
-	fmt.Printf("populated FSD volume with %d files (%d MB), crashing...\n", len(names), bytes>>20)
+	fmt.Fprintf(w, "populated FSD volume with %d files (%d MB), crashing...\n", len(names), bytes>>20)
 	fv.Crash()
 	d.Revive()
 	_, ms, err := core.Mount(d, core.Config{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("FSD recovery: %.1f s simulated (%d log records replayed, VAM rebuilt in %.1f s)\n",
+	fmt.Fprintf(w, "FSD recovery: %.1f s simulated (%d log records replayed, VAM rebuilt in %.1f s)\n",
 		ms.Elapsed.Seconds(), ms.LogRecords, ms.VAMElapsed.Seconds())
 
 	// CFS side.
@@ -70,7 +71,7 @@ func run(bytes int64) error {
 	if _, err := workload.PopulateVolume(workload.CFSTarget{V: cv}, rand.New(rand.NewSource(1)), bytes, 192*1024); err != nil {
 		return err
 	}
-	fmt.Println("populated CFS volume identically, crashing...")
+	fmt.Fprintln(w, "populated CFS volume identically, crashing...")
 	cv.Crash()
 	d2.Revive()
 	if _, err := cfs.Mount(d2, cfs.Config{}); err != cfs.ErrNeedScavenge {
@@ -80,9 +81,9 @@ func run(bytes int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("CFS scavenge: %.0f s simulated (%d sectors scanned, %d files recovered)\n",
+	fmt.Fprintf(w, "CFS scavenge: %.0f s simulated (%d sectors scanned, %d files recovered)\n",
 		st.Elapsed.Seconds(), st.SectorsScanned, st.FilesRecovered)
-	fmt.Printf("\nspeedup: %.0fx — \"users do not like their machines being unavailable for an hour or more\"\n",
+	fmt.Fprintf(w, "\nspeedup: %.0fx — \"users do not like their machines being unavailable for an hour or more\"\n",
 		st.Elapsed.Seconds()/ms.Elapsed.Seconds())
 	return nil
 }

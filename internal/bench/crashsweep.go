@@ -19,9 +19,13 @@ import (
 // those images, the systematic version of the paper's observed 1–25 s
 // post-crash recovery window.
 
+// recoveryClock is the clock line the crash-sweep reports carry.
+const recoveryClock = "recovery_*_s: simulated seconds, the recovery mount's Elapsed on the virtual clock; *_per_sec and elapsed_wall_s: wall clock"
+
 // CrashSweepReport is what BENCH_crashsweep.json holds. Recovery times are
 // simulated (virtual-clock) values; StatesPerSec is wall clock.
 type CrashSweepReport struct {
+	Clock         string  `json:"clock"`
 	Seed          int64   `json:"seed"`
 	Ops           int     `json:"ops"`
 	AckedOps      int     `json:"acked_ops"`
@@ -56,6 +60,7 @@ func CrashSweepReportRun() (CrashSweepReport, error) {
 	}
 	rmin, rmed, rmax := res.RecoverySummary()
 	rep = CrashSweepReport{
+		Clock:         recoveryClock,
 		Seed:          res.Seed,
 		Ops:           res.Ops,
 		AckedOps:      res.AckedOps,

@@ -22,6 +22,7 @@ import (
 // simulated (virtual-clock) values; StatesPerSec is wall clock and counts
 // inner mounts.
 type NestedCrashReport struct {
+	Clock            string  `json:"clock"`
 	Seed             int64   `json:"seed"`
 	Depth            int     `json:"depth"`
 	Ops              int     `json:"ops"`
@@ -72,6 +73,7 @@ func NestedCrashReportRun(outerStates int) (NestedCrashReport, error) {
 	rmin, rmed, rmax := res.RecoverySummary()
 	nmin, nmed, nmax := res.RecoveryOfRecoverySummary()
 	rep = NestedCrashReport{
+		Clock:            recoveryClock,
 		Seed:             res.Seed,
 		Depth:            2,
 		Ops:              res.Ops,

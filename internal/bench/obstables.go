@@ -23,6 +23,7 @@ import (
 // TablesReport is the JSON form of the live-counter table reproduction
 // (recorded as BENCH_tables.json at the repo root).
 type TablesReport struct {
+	Clock    string         `json:"clock"`
 	IOs      []IORow        `json:"ios_per_operation"`
 	Batching BatchingReport `json:"group_commit_batching"`
 	Timings  []TimingRow    `json:"operation_timings"`
@@ -97,7 +98,7 @@ func spanWindow(before, after core.Stats, name string) (int, float64) {
 }
 
 func computeTables() (TablesReport, error) {
-	var rep TablesReport
+	rep := TablesReport{Clock: "every *_ms: simulated milliseconds on the virtual clock (span histograms and the analytical model); everything else: counts and ratios of counts"}
 	fe, err := newFSD(fsdBenchConfig())
 	if err != nil {
 		return rep, err

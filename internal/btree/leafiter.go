@@ -46,13 +46,17 @@ func (t *Tree) LeafChain(pages int, get func(id uint32) []byte) ([]uint32, error
 	return chain, nil
 }
 
+// IsLeaf reports whether a page buffer holds a leaf: what LeafEntries
+// accepts, for a caller sorting pages it has read itself.
+func IsLeaf(page []byte) bool { return len(page) >= hdrSize && page[offKind] == kindLeaf }
+
 // LeafEntries decodes the cells of a leaf page buffer in slot order. It
 // touches only the buffer — no pager, no tree state — so any number of
 // goroutines may decode different pages concurrently. The key and value
 // slices alias the buffer.
 func LeafEntries(page []byte, fn func(key, value []byte) bool) error {
 	n := node{data: page}
-	if n.kind() != kindLeaf {
+	if !IsLeaf(page) {
 		return fmt.Errorf("%w: LeafEntries on non-leaf page", ErrCorrupt)
 	}
 	for i := 0; i < n.nslots(); i++ {

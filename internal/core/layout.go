@@ -79,10 +79,14 @@ type Config struct {
 	// exclusively. It is the baseline the concurrent read path is
 	// benchmarked against; see DESIGN.md "Concurrency model".
 	SerialMonitor bool
-	// MountWorkers sets the fan-out of the entry decode in the mount-time
-	// name-table scan. 0 or 1 decodes on one worker; larger values divide
-	// the decode CPU across that many. The scan's disk reads and the
-	// write-back of replayed images are one sequential sweep at any width.
+	// MountWorkers sets the width of the pool that checks and decodes the
+	// name table behind the arm in the mount-time scan: checksums, copy
+	// compares and the leaf decode of each chunk run while the transfers
+	// after it are in flight, so the scan costs the larger of its device time
+	// and this pool's share. 0 or 1 means one worker (it still runs beside
+	// the arm); larger values divide the CPU across that many. The scan's
+	// disk reads and the write-back of replayed images are one sequential
+	// sweep at any width, and what the mount rebuilds is identical.
 	MountWorkers int
 	// DataCachePages is the file-data buffer cache capacity in 512-byte
 	// sectors. Zero means 2048 (1 MB); negative disables the data cache,

@@ -14,6 +14,7 @@ type MountOption func(*mountOptions)
 type mountOptions struct {
 	readOnly     bool
 	allowSalvage bool
+	onVolume     func(v *Volume) // a test's way in: called with the volume as soon as it exists
 }
 
 // ReadOnly mounts the volume in the degraded read-only mode: the log is
@@ -55,11 +56,11 @@ func Mount(d *disk.Disk, cfg Config, opts ...MountOption) (*Volume, MountReport,
 	}
 	var rep MountReport
 	if o.readOnly {
-		v, ms, err := mountReadOnly(d, cfg)
+		v, ms, err := mountReadOnly(d, cfg, o)
 		rep.MountStats = ms
 		return v, rep, err
 	}
-	v, ms, err := mountWritable(d, cfg)
+	v, ms, err := mountWritable(d, cfg, o)
 	rep.MountStats = ms
 	if err == nil || !o.allowSalvage {
 		return v, rep, err
@@ -67,7 +68,7 @@ func Mount(d *disk.Disk, cfg Config, opts ...MountOption) (*Volume, MountReport,
 	// A volume mid-salvage skips the read-only rung (which would refuse it
 	// for the same reason) and resumes the salvage directly.
 	if !errors.Is(err, ErrSalvageInProgress) {
-		if rv, rms, rerr := mountReadOnly(d, cfg); rerr == nil {
+		if rv, rms, rerr := mountReadOnly(d, cfg, o); rerr == nil {
 			rep.MountStats = rms
 			return rv, rep, nil
 		}

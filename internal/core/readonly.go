@@ -22,7 +22,7 @@ import (
 // step further and serves the last flushed home state — stale but internally
 // consistent, because home flushes are barriered behind the log's anchor
 // advance. MountStats.LogUnavailable reports that case.
-func mountReadOnly(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
+func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStats, error) {
 	var ms MountStats
 	start := d.Clock().Now()
 	root, err := readRoot(d, cfg.readRetries())
@@ -38,6 +38,9 @@ func mountReadOnly(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	cfg.LogVAM = root.logVAM
 	v := newVolume(d, cfg, lay)
 	v.readOnly = true
+	if o.onVolume != nil {
+		o.onVolume(v)
+	}
 	ms.CleanShutdown = root.clean
 	ms.ReadOnly = true
 	// The uid chunk is not advanced on disk (nothing is written); bump it

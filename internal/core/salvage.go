@@ -599,7 +599,7 @@ func (r *salvageRun) sweep(from int) error {
 	lane := v.cpu.NewLane()
 	cur := sweepCursor{lay: r.lay, addr: from}
 	sets := [2]sweepSet{newSweepSet(), newSweepSet()}
-	err := parscan.Overlap(lane, st.Workers, cur.intervals(),
+	err := parscan.Overlap(lane, st.Workers, cur.intervals(), 1,
 		func(i int) (int, error) { return r.readInterval(&cur, &sets[i%2]) },
 		func(i int, w *parscan.Worker, c int) {
 			if r.onScan != nil {

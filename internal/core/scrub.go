@@ -45,9 +45,9 @@ type ScrubStats struct {
 	LeaderElapsed time.Duration
 	// The name-table pass's two timelines (DESIGN §17): NTArm is the device's
 	// busy time over the pass, NTCPU the processor's — the checksums of the
-	// pages compared, on one worker: the driver's partner — and NTHidden how
-	// much of NTCPU cost no elapsed time because the next transfer was in
-	// flight meanwhile. Taken from the volume's counters around the pass, so
+	// pages compared, as the ScrubWorkers pool's balanced share — and NTHidden
+	// how much of NTCPU cost no elapsed time because a transfer was in flight
+	// meanwhile. Taken from the volume's counters around the pass, so
 	// under live traffic NTArm and NTCPU include the foreground's share.
 	NTArm    time.Duration
 	NTCPU    time.Duration
@@ -250,25 +250,27 @@ func (v *Volume) scrubRoots(st *ScrubStats) {
 
 // ntScrubStretch is how much of the name table the scrub sweeps from copy A
 // before it turns to copy B. The copies sit a long seek apart, and sweepNT
-// holds a stretch's copy A in memory until copy B has been compared with it.
-// At 512 pages that is a 1 MB buffer, and the two long seeks (≈ 0.14 s with
+// holds both copies of a stretch in memory until its last transfer is in.
+// At 512 pages that is 2 MB of buffers, and the two long seeks (≈ 0.14 s with
 // their rotational waits) add 8 % to the stretch's 1.8 s of transfer; at one
 // 16-page request — what the pass used to issue — they add half, and the
-// whole table in one stretch would buffer 8 MB to save the last 5 %.
+// whole table in one stretch would buffer 16 MB to save the last 5 %.
 const ntScrubStretch = 32 * ntSweepPages
 
 // scrubNameTable cross-checks both home copies of every name-table page, a
 // stretch at a time: sweepNT reads the stretch's copy A and then its copy B
-// in sequential 16-page transfers and compares them in memory, a chunk behind
-// the transfer in flight; only a page that reads damaged or whose copies
-// disagree is re-examined and repaired on its own (scrubNTPage). One goroutine
-// drives the pass in page order, so the problem report is the same at every
-// ScrubWorkers setting. Single-copy volumes have nothing to cross-check.
+// in sequential 16-page transfers and the ScrubWorkers pool checks and
+// compares them in memory behind the transfers; only a page that reads
+// damaged or whose copies disagree is re-examined and repaired on its own
+// (scrubNTPage), once the stretch is in. One goroutine drives the pass in page
+// order, so the problem report is the same at every ScrubWorkers setting.
+// Single-copy volumes have nothing to cross-check.
 func (v *Volume) scrubNameTable(st *ScrubStats) error {
 	if v.cfg.SingleCopyNT {
 		return nil
 	}
 	start := v.clk.Now()
+	var bufs [][]byte // the pass keeps no page: one stretch's buffers serve the next
 	for lo := 0; lo < v.lay.ntPages; lo += ntScrubStretch {
 		hi := lo + ntScrubStretch
 		if hi > v.lay.ntPages {
@@ -276,7 +278,7 @@ func (v *Volume) scrubNameTable(st *ScrubStats) error {
 		}
 		st.NTPagesChecked += hi - lo
 		st.SectorsChecked += 2 * NTPageSectors * (hi - lo)
-		v.sweepNT(lo, hi, true, func(uint32, []byte) {}, func(id uint32) { v.scrubNTPage(id, st) })
+		v.sweepNT(lo, hi, true, v.cfg.scrubWorkers(), &bufs, nil, func(uint32, []byte) {}, func(id uint32) { v.scrubNTPage(id, st) })
 	}
 	st.NTElapsed = v.clk.Now() - start
 	return nil
@@ -386,15 +388,16 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 		}
 	}
 	v.lmu.Unlock()
-	errs, ps := sweepLeaders(home, v.cfg.scrubWorkers(), func(addr int) ([]byte, error) {
+	// The scan's decodes, priced as Verify prices them: in the foreground,
+	// because the refs must exist before the arm moves. The checksums run
+	// behind the reads, on the lane.
+	v.cpu.Charge(time.Duration(decoded) * sim.CostBTreeOp / 4)
+	errs := sweepLeaders(v.cpu.NewLane(), home, v.cfg.scrubWorkers(), func(addr int) ([]byte, error) {
 		if v.closed.Load() {
 			return nil, ErrClosed
 		}
 		return v.d.ReadSectors(addr, 1)
 	})
-	// The scan's decodes and the pool's checksums, priced as Verify prices
-	// them, in one lump after the reads.
-	v.cpu.Charge(time.Duration(decoded)*sim.CostBTreeOp/4 + ps.TotalCPU())
 	for i, ref := range home {
 		if errs[i] == nil {
 			st.LeadersChecked++

@@ -124,6 +124,12 @@ type RecoveryStats struct {
 	SweepPages     int
 	SweepChunks    int
 	SweepFallbacks int
+	// The scan's two timelines and what its speculative decode cost
+	// (MountStats' fields of the same names; the JSON keys are fsdctl's).
+	ScanArm          time.Duration `json:"scan_arm_sim_ns"`
+	ScanCPU          time.Duration `json:"scan_pool_sim_ns"`
+	ScanHidden       time.Duration `json:"scan_hidden_sim_ns"`
+	SweepStaleLeaves int           `json:"sweep_stale_leaves"`
 }
 type SpanStats struct {
 	Count   int64

@@ -259,7 +259,9 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 		for _, lr := range home {
 			refs = append(refs, lr...)
 		}
-		images, errs = readLeaders(refs, func(addr int) ([]byte, error) {
+		sortLeaders(refs)
+		images, errs = make([][]byte, len(refs)), make([]error, len(refs))
+		readLeaders(refs, images, errs, func(addr int) ([]byte, error) {
 			buf, retried, rerr := disk.ReadSectorsRetry(v.d, addr, 1, v.cfg.readRetries())
 			v.noteReadFault(retried, rerr)
 			return buf, rerr
@@ -268,7 +270,7 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 
 	lane := v.cpu.NewLane()
 	const phaseClaim, phaseCheck, phaseLeaders = 0, 1, 2
-	_ = parscan.Overlap(lane, st.Workers, 3,
+	_ = parscan.Overlap(lane, st.Workers, 3, 1,
 		func(phase int) (int, error) {
 			if phase < phaseLeaders {
 				return nchunks, nil
@@ -327,23 +329,23 @@ type leaderCheck struct {
 
 // The one way a check pass reads leader pages (Verify's phases 3 and 4,
 // Scrub's leader pass). The disk has one arm, so the pass has one reader:
-// readLeaders sorts refs by address in place and the calling goroutine reads
-// every sector in that order with no processor time charged in between — the
-// head crosses the disk once, where a reader in name order, or workers
-// sharing the arm, pay a long seek per leader. errs[i] says what is wrong
-// with (the sorted) refs[i], nil if it read. read is the caller's fault
-// policy: Verify retries in place and charges the health budget, Scrub reads
-// once and leaves the rest to its locked repair path.
-func readLeaders(refs []leaderCheck, read func(addr int) ([]byte, error)) (images [][]byte, errs []error) {
+// the calling goroutine sorts refs by address (sortLeaders) and readLeaders
+// reads them — all, or a stretch of them — in that order with no processor
+// time charged in between: the head crosses the disk once, where a reader in
+// name order, or workers sharing the arm, pay a long seek per leader. errs[j]
+// says what is wrong with (the sorted) refs[j], nil if it read. read is the
+// caller's fault policy: Verify retries in place and charges the health
+// budget, Scrub reads once and leaves the rest to its locked repair path.
+func sortLeaders(refs []leaderCheck) {
 	sort.Slice(refs, func(a, b int) bool { return refs[a].addr < refs[b].addr })
-	errs = make([]error, len(refs))
-	images = make([][]byte, len(refs))
+}
+
+func readLeaders(refs []leaderCheck, images [][]byte, errs []error, read func(addr int) ([]byte, error)) {
 	for j, ref := range refs {
 		if images[j], errs[j] = read(ref.addr); errs[j] != nil {
 			errs[j] = fmt.Errorf("%s!%d: leader unreadable: %w", ref.e.Name, ref.e.Version, errs[j])
 		}
 	}
-	return images, errs
 }
 
 // verifyChunks is how many pool chunks n entries (or leader images) make,
@@ -368,14 +370,24 @@ func checkLeaders(w *parscan.Worker, c int, refs []leaderCheck, images [][]byte,
 	}
 }
 
-// sweepLeaders is the two in sequence, for a pass with nothing to do beside
-// the reads: the returned stats carry the checksums for the caller to put on
-// the clock.
-func sweepLeaders(refs []leaderCheck, workers int, read func(addr int) ([]byte, error)) (errs []error, _ parscan.Stats) {
-	images, errs := readLeaders(refs, read)
-	stats, _ := parscan.Run(workers, verifyChunks(len(refs)), func(w *parscan.Worker, c int) error {
-		checkLeaders(w, c, refs, images, errs)
-		return nil
-	})
-	return errs, stats
+// sweepLeaders is the two as one overlapped pass, for a pass with nothing
+// else to do beside the reads (parscan.Overlap): the sorted refs go by in
+// stretches of one chunk, and while the pool checks stretch i the caller is
+// reading stretch i+1 — the checksums ride the lane.
+func sweepLeaders(lane *sim.Lane, refs []leaderCheck, workers int, read func(addr int) ([]byte, error)) (errs []error) {
+	sortLeaders(refs)
+	images, errs := make([][]byte, len(refs)), make([]error, len(refs))
+	_ = parscan.Overlap(lane, workers, verifyChunks(len(refs)), 1,
+		func(i int) (int, error) {
+			lo, hi := verifyChunkRange(i, len(refs))
+			readLeaders(refs[lo:hi], images[lo:hi], errs[lo:hi], read)
+			return 1, nil
+		},
+		func(i int, w *parscan.Worker, _ int) { checkLeaders(w, i, refs, images, errs) },
+		func(i int, _ parscan.Stats) error {
+			lo, hi := verifyChunkRange(i, len(refs))
+			clear(images[lo:hi])
+			return nil
+		})
+	return errs
 }

@@ -68,11 +68,25 @@ type MountStats struct {
 	SweepPages     int
 	SweepChunks    int
 	SweepFallbacks int
+	// The scan's two timelines (DESIGN §17): ScanArm is the device's busy
+	// time over the scan (the sweep's transfers and any per-page fallback),
+	// ScanCPU / MountWorkers the pool's share (checksums, copy compares and
+	// the leaf decode), and ScanHidden how much of that share cost no
+	// elapsed time because it ran while a transfer was in flight — on an
+	// undamaged volume VAMElapsed = ScanArm + ScanCPU/MountWorkers -
+	// ScanHidden. SweepStaleLeaves counts the leaf-kind pages the pool
+	// decoded before their reachability was known and no chain link reached:
+	// what the speculation cost, at a page's decode each.
+	ScanArm          time.Duration
+	ScanCPU          time.Duration
+	ScanHidden       time.Duration
+	SweepStaleLeaves int
 }
 
-// noteSweep records what the VAM scan's region sweep did.
+// noteSweep records what the VAM scan and its region sweep did.
 func (ms *MountStats) noteSweep(sw ntSweepStats) {
 	ms.SweepPages, ms.SweepChunks, ms.SweepFallbacks = sw.Pages, sw.Chunks, sw.Fallbacks
+	ms.ScanArm, ms.ScanCPU, ms.ScanHidden, ms.SweepStaleLeaves = sw.Arm, sw.CPU, sw.Hidden, sw.StaleLeaves
 }
 
 // OpStats counts logical file-system operations for the benchmark tables.
@@ -147,6 +161,9 @@ type Volume struct {
 	// (keyed like wal KindNameTable targets) when the volume is mounted
 	// read-only; the cache overlays them on the stale home copies.
 	ntOverride map[uint64][]byte
+	// onSweep, when a test sets it, is called by every chunk function of the
+	// name-table sweep with its stretch's index.
+	onSweep func(stretch int)
 
 	uidNext atomic.Uint64
 
@@ -537,7 +554,7 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 // Behavioural Config fields (commit interval, cache size, mount workers)
 // apply; layout fields come from the volume root page. This is the default
 // path of Mount.
-func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
+func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStats, error) {
 	var ms MountStats
 	start := d.Clock().Now()
 	root, err := readRoot(d, cfg.readRetries())
@@ -558,6 +575,9 @@ func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	// non-LogVAM volume has no valid save-area base to apply deltas to).
 	cfg.LogVAM = root.logVAM
 	v := newVolume(d, cfg, lay)
+	if o.onVolume != nil {
+		o.onVolume(v)
+	}
 	v.recovering.Store(true)
 	wasClean := root.clean
 	ms.CleanShutdown = wasClean
@@ -736,6 +756,11 @@ func (v *Volume) noteRecovery(rs wal.RecoveryStats, ms MountStats) {
 		SweepPages:     ms.SweepPages,
 		SweepChunks:    ms.SweepChunks,
 		SweepFallbacks: ms.SweepFallbacks,
+
+		ScanArm:          ms.ScanArm,
+		ScanCPU:          ms.ScanCPU,
+		ScanHidden:       ms.ScanHidden,
+		SweepStaleLeaves: ms.SweepStaleLeaves,
 	}
 	v.obs.tracer.Record(obs.Event{
 		Time: v.clk.Now(), Kind: obs.EvRecovery, Op: v.Health().String(),
@@ -785,6 +810,7 @@ func (v *Volume) applyNTImages(ntImages map[uint64][]byte) error {
 type scanResult struct {
 	leaders []leaderRef
 	runs    []alloc.Run
+	decoded bool
 }
 
 // leaderRef names the file owning a leader sector.
@@ -793,20 +819,55 @@ type leaderRef struct {
 	uid  uint64
 }
 
+// decodeLeaf fills res from the entries of one leaf page and returns the
+// decode's modelled processor cost, for the caller to charge where it runs.
+// It touches nothing but the page and res.
+func decodeLeaf(page []byte, withRuns bool, res *scanResult) time.Duration {
+	entries := 0
+	*res = scanResult{decoded: true}
+	_ = btree.LeafEntries(page, func(k, val []byte) bool { // page is leaf-kind: no error to have
+		name, ver, ok := splitKey(k)
+		if !ok {
+			return true
+		}
+		e, err := decodeEntry(name, ver, val)
+		if err != nil {
+			return true
+		}
+		entries++
+		if len(e.Runs) > 0 {
+			res.leaders = append(res.leaders, leaderRef{int(e.Runs[0].Start), e.UID})
+		}
+		if withRuns {
+			res.runs = append(res.runs, e.Runs...)
+		}
+		return true
+	})
+	return time.Duration(entries) * sim.CostBTreeOp / 4
+}
+
 // scanForRebuild reads the whole name table once, optionally rebuilding the
 // VAM, and always returning the leader-sector ownership map. "Since the
 // file name table is a compact structure with a great deal of locality, it
 // can be processed quickly" — provided it is read the way it is laid out.
 // Following the leaf chain through the page cache reads copy A and then copy
 // B of one page at a time, a long seek each way; instead the allocated
-// prefix of each copy is swept in device order (sweepNT), the leaves the
-// chain reaches are picked out in memory by following their links from the
-// leftmost leaf (so a stale leaf image no link reaches contributes
-// nothing), and their entries are decoded on MountWorkers workers straight
-// from the sweep's buffers. Results merge in chain order, so the rebuilt
-// state is the same at every width; the decode CPU — the bulk of the
-// paper's ~20 s — is charged divided across the workers. Swept pages enter
-// the page cache as the misses they replace would have.
+// prefix of each copy is swept in device order (sweepNT), and while the arm
+// is still streaming the copies in, the sweep's pool — MountWorkers wide —
+// decodes every leaf-kind page whose CRC held into a per-page result, before
+// anyone knows whether the page is reachable or agrees with its other copy.
+// The decode — the bulk of the paper's ~20 s — therefore runs beside the
+// transfers, and the scan costs the larger of the two (DESIGN §17).
+//
+// What the speculation may not do is decide anything. Once both copies are
+// in, the leaves the chain reaches are picked out in memory by following
+// their links from the leftmost leaf, and only their results are merged, in
+// chain order: a stale leaf image no link reaches was decoded and is dropped
+// (its decode is paid for and counted, StaleLeaves); a page that went suspect
+// loses its result and, if the chain needs it, is decoded again here, from
+// whichever copy the per-page path served, on the foreground's clock. The
+// rebuilt state is the same at every width. Swept pages enter the page cache
+// as the misses they replace would have.
 func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, error) {
 	if rebuildVAM {
 		v.vm = vam.New(v.lay.total)
@@ -818,8 +879,15 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 	}
 	n := v.nt.AllocatedPages()
 	pages := make([][]byte, n)
+	parts := make([]scanResult, n)
 	var lost error
-	sw := v.sweepNT(0, n, !v.cfg.ReadOneCopy && !v.cfg.SingleCopyNT,
+	armStart := v.d.Stats().BusyTime()
+	sw := v.sweepNT(0, n, !v.cfg.ReadOneCopy && !v.cfg.SingleCopyNT, v.cfg.mountWorkers(), nil,
+		func(w *parscan.Worker, id uint32, page []byte) {
+			if btree.IsLeaf(page) {
+				w.Charge(decodeLeaf(page, rebuildVAM, &parts[id]))
+			}
+		},
 		func(id uint32, page []byte) {
 			pages[id] = page
 			v.cache.admit(id, page)
@@ -828,13 +896,21 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 			// Damage: the cache's own miss path reads both copies with
 			// retries (charging the health budget during recovery) and
 			// serves whichever survives. A page lost in both copies fails
-			// the mount only if the leaf walk below needs it.
+			// the mount only if the leaf walk below needs it. What the pool
+			// made of copy A is not the survivor's to answer for.
+			parts[id] = scanResult{}
 			page, err := v.cache.Read(id)
 			if err != nil && lost == nil {
 				lost = err
 			}
 			pages[id] = page
 		})
+	stale := 0 // pages the pool decoded, less those the chain goes on to reach
+	for i := range parts {
+		if parts[i].decoded {
+			stale++
+		}
+	}
 	chain, err := v.nt.LeafChain(n, func(id uint32) []byte {
 		if int(id) >= n {
 			return nil
@@ -847,33 +923,14 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 		}
 		return nil, sw, err
 	}
-	parts := make([]scanResult, len(chain))
-	ps, err := parscan.Run(v.cfg.mountWorkers(), len(chain), func(w *parscan.Worker, c int) error {
-		res := &parts[c]
-		return btree.LeafEntries(pages[chain[c]], func(k, val []byte) bool {
-			name, ver, ok := splitKey(k)
-			if !ok {
-				return true
-			}
-			e, err := decodeEntry(name, ver, val)
-			if err != nil {
-				return true
-			}
-			w.Charge(sim.CostBTreeOp / 4)
-			if len(e.Runs) > 0 {
-				res.leaders = append(res.leaders, leaderRef{int(e.Runs[0].Start), e.UID})
-			}
-			if rebuildVAM {
-				res.runs = append(res.runs, e.Runs...)
-			}
-			return true
-		})
-	})
-	if err != nil {
-		return nil, sw, err
-	}
 	owners := make(map[int]uint64)
-	for _, res := range parts {
+	for _, id := range chain {
+		res := &parts[id]
+		if res.decoded {
+			stale--
+		} else {
+			v.cpu.Charge(decodeLeaf(pages[id], rebuildVAM, res))
+		}
 		for _, l := range res.leaders {
 			owners[l.addr] = l.uid
 		}
@@ -881,7 +938,8 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 			v.vm.MarkAllocated(int(r.Start), int(r.Len))
 		}
 	}
-	v.cpu.Charge(ps.BalancedCPU())
+	sw.StaleLeaves = stale
+	sw.Arm = v.d.Stats().BusyTime() - armStart
 	return owners, sw, nil
 }
 

@@ -37,6 +37,17 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 # is the sequential path coming back by copy-paste.
 ! grep -nE 'BalancedCPU\(' internal/core/salvage.go internal/core/verify.go internal/core/ntsweep.go \
 	|| { echo "verify: a check pass takes BalancedCPU() into its own hands again (run it through parscan.Overlap)"; exit 1; }
+# The same lump under its other name: scrub's leader pass charged the pool's
+# TotalCPU() after the reads, and the mount's scan ran a pool of its own after
+# the sweep. Neither file has a pool total to read any more.
+! grep -nE 'TotalCPU\(' internal/core/scrub.go internal/core/volume.go \
+	|| { echo "verify: scrub or mount reads a pool's TotalCPU() again (the checks ride parscan.Overlap's lane)"; exit 1; }
+# And the decode after the sweep: scanForRebuild hands its per-page work to
+# sweepNT's pool, which runs it behind the arm. A pool run of its own in there,
+# or a pool total put on the clock, is that phase coming back by copy-paste.
+! awk '/^func \(v \*Volume\) scanForRebuild\(/,/^}/' internal/core/volume.go \
+	| grep -nE 'parscan\.Run\(|Charge\([^)]*(Balanced|Total|Max)CPU' \
+	|| { echo "verify: scanForRebuild runs a pool after the sweep again (pass the per-page work to sweepNT)"; exit 1; }
 
 # And the staging buffers of the data write path: a write lends its caller's
 # buffer to the disk as a gather list (DESIGN §18), and a payload-sized copy
@@ -71,7 +82,14 @@ go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache
 # costing walk + claim + max(check, leader sweep) + images, the sweep's
 # allocation independent of the volume's size, the lane itself, the log audit
 # reading in runs, and the pfsck report's points inside max(arm, pool/k).
-go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep|TestCutSweepCreateRun|TestScrubLeaderSweepAscending|TestScrubLeaderSweepPlantedDamage|TestCheckPassSimTimeRepeats|TestSalvageManifestAppendOnly|TestSweepOverlapsDecode|TestVerifyOverlapsLeaderSweep|TestSalvageCrashWhileDecodeInFlight|TestSweepAllocsBounded'
+# ...and the decode-behind-the-arm gates: the crash mount decoding chunk c
+# while the arm reads the chunks after it (observed in flight together, the
+# device's view unchanged, the scan costing max(arm, pool) give or take a
+# chunk), the rebuilt state equal at every width and to the chain walk, a
+# speculative decode never deciding anything, a halt mid-scan leaving nothing
+# running and the log replayable, and the scan's allocation two region copies
+# and a result per page at any width.
+go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep|TestCutSweepCreateRun|TestScrubLeaderSweepAscending|TestScrubLeaderSweepPlantedDamage|TestCheckPassSimTimeRepeats|TestSalvageManifestAppendOnly|TestSweepOverlapsDecode|TestVerifyOverlapsLeaderSweep|TestSalvageCrashWhileDecodeInFlight|TestSweepAllocsBounded|TestMountScanDecodesBehindTheArm|TestMountScanSimTimeRepeats|TestMountRebuildIdenticalAcrossWidths|TestSpeculativeDecodeDiscardsSuspect|TestMountCrashWhileDecodeInFlight|TestMountScanAllocsBounded'
 go test ./internal/sim ./internal/wal ./internal/bench -count=1 -run 'TestLane|TestScrubCopiesReadsInRuns|TestPFsckShape'
 # The allocation gates of the borrowed-buffer read path (a lookup allocates
 # its result, a cached read and a cache fill nothing, a read's round trip a
@@ -98,7 +116,8 @@ go test ./internal/alloc ./internal/bufcache ./internal/core . -count=1 -run 'Te
 # left alone. (core's include BenchmarkStream256K and BenchmarkScrubPass,
 # which reports a clean scrub's simulated cost as sim-s/scrub; the write rows
 # are core's BenchmarkWriteAt32K and BenchmarkCreate500B, wal's
-# BenchmarkAppendForce16 and disk's BenchmarkGatherWrite.)
+# BenchmarkAppendForce16 and disk's BenchmarkGatherWrite; the crash mount's is
+# core's BenchmarkMountScan: sim-s/op and hidden-s/op at widths 1, 2 and 8.)
 go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./internal/core ./internal/wire ./internal/server ./internal/wal ./internal/disk -run xxx -bench . -benchtime 1x
 # (...UnderChurn: scrub's optimistic leader sweep against files deleted,
 # recreated in place and extended under it — nothing repaired, nothing
@@ -107,7 +126,10 @@ go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./i
 # i+1 with the decode of interval i running, at every interval and widths
 # 1/2/8 — no goroutine outlives the sweep, the cursor covers nothing unmerged,
 # a resume at another width rebuilds the same platters.)
-go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders|TestScrubLeaderSweepUnderChurn|TestCheckPassSimTimeRepeats|TestSalvageCrashWhileDecodeInFlight'
+# (...and the mount's twins: TestMountCrashWhileDecodeInFlight halts the device
+# under each stretch's decode; TestMountScanSimTimeRepeats, five times over.)
+go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders|TestScrubLeaderSweepUnderChurn|TestCheckPassSimTimeRepeats|TestSalvageCrashWhileDecodeInFlight|TestMountCrashWhileDecodeInFlight'
+go test -race ./internal/core -count=5 -run 'TestMountScanSimTimeRepeats'
 # One atomic group per operation (ISSUE 17), under the detector and uncached:
 # the WAL bracket itself, a force cutting into rename / create under keep /
 # empty create / a split-inducing create run, the group held across the
