@@ -439,82 +439,3 @@ func BenchmarkTableGen_ModelValidation(b *testing.B) {
 		}
 	}
 }
-
-// ---- Concurrent volume: split monitor vs the paper's single monitor ----
-
-// benchConcurrentMixed drives a mixed open/read/create workload from
-// `workers` goroutines and reports simulated throughput under the given
-// monitor discipline. The CPU runs detached (processor work overlaps up to
-// the worker count in split mode, not at all under the single monitor);
-// the simulated disk serializes transfers in both, so the speedup is pure
-// CPU overlap — see internal/bench/concurrency.go for the model.
-func benchConcurrentMixed(b *testing.B, serial bool, workers int) {
-	clk := sim.NewVirtualClock()
-	d, err := disk.New(disk.DefaultGeometry, disk.DefaultParams, clk)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v, err := core.Format(d, core.Config{NTPages: 4096, SerialMonitor: serial})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const shared = 64
-	data := workload.Payload(2048, 3)
-	for i := 0; i < shared; i++ {
-		if _, err := v.Create(fmt.Sprintf("shared/f%03d", i), data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := v.Force(); err != nil {
-		b.Fatal(err)
-	}
-	v.CPU().SetDetached(true)
-	v.CPU().ResetBusy()
-	start := clk.Now()
-	b.ResetTimer()
-	perWorker := (b.N + workers - 1) / workers
-	done := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for i := 0; i < perWorker; i++ {
-				k := (w*19 + i*3) % shared
-				var err error
-				switch i % 5 {
-				case 0, 1, 2: // open
-					_, err = v.Open(fmt.Sprintf("shared/f%03d", k), 0)
-				case 3: // whole-file read
-					var f *core.File
-					if f, err = v.Open(fmt.Sprintf("shared/f%03d", k), 0); err == nil {
-						_, err = f.ReadAll()
-					}
-				case 4: // small create
-					_, err = v.Create(fmt.Sprintf("priv/w%d-%07d", w, i), data[:512])
-				}
-				if err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-done; err != nil {
-			b.Fatal(err)
-		}
-	}
-	overlap := int64(workers)
-	if serial {
-		overlap = 1
-	}
-	elapsed := (clk.Now() - start).Milliseconds() + v.CPU().Busy().Milliseconds()/overlap
-	b.ReportMetric(float64(elapsed)/float64(perWorker*workers), "sim-ms/op")
-}
-
-func BenchmarkConcurrent_MixedOps_SerialMonitor(b *testing.B) {
-	benchConcurrentMixed(b, true, 8)
-}
-
-func BenchmarkConcurrent_MixedOps_SplitMonitor8(b *testing.B) {
-	benchConcurrentMixed(b, false, 8)
-}

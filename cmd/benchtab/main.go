@@ -23,14 +23,12 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: hw, 1-5, gc, model, recovery, concurrency, robustness, crashsweep, nestedcrash, pfsck, datapath, faultpath, tables, ablations, all")
-	concJSON := flag.String("concurrency-json", "", "also write the concurrency report to this path (e.g. BENCH_concurrency.json)")
+	table := flag.String("table", "all", "which table to regenerate: hw, 1-5, gc, model, recovery, robustness, crashsweep, nestedcrash, pfsck, datapath, faultpath, tables, ablations, all")
 	dataJSON := flag.String("datapath-json", "", "also write the data-path cache report to this path (e.g. BENCH_datapath.json)")
 	tablesJSON := flag.String("tables-json", "", "also write the live-counter tables report to this path (e.g. BENCH_tables.json)")
 	robJSON := flag.String("robustness-json", "", "also write the robustness report to this path (e.g. BENCH_robustness.json)")
 	sweepJSON := flag.String("crashsweep-json", "", "also write the crash-sweep report to this path (e.g. BENCH_crashsweep.json)")
 	nestedJSON := flag.String("nestedcrash-json", "", "also write the depth-2 nested-crash report to this path (e.g. BENCH_nestedcrash.json)")
-	asyncJSON := flag.String("async-json", "", "also write the async-pipeline report to this path (e.g. BENCH_async.json)")
 	faultJSON := flag.String("faultpath-json", "", "also write the write-fault-path report to this path (e.g. BENCH_faultpath.json)")
 	pfsckJSON := flag.String("pfsck-json", "", "also write the parallel check & repair report to this path (e.g. BENCH_pfsck.json)")
 	flag.Parse()
@@ -50,8 +48,6 @@ func main() {
 		{"model", bench.ModelValidation},
 		{"recovery", bench.Recovery},
 		{"recovery", bench.RecoveryScaling},
-		{"concurrency", bench.Concurrency},
-		{"async", bench.Async},
 		{"faultpath", bench.FaultPath},
 		{"robustness", bench.Robustness},
 		{"crashsweep", bench.CrashSweep},
@@ -90,14 +86,6 @@ func main() {
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "benchtab: unknown table %q\n", *table)
 		os.Exit(2)
-	}
-	if *concJSON != "" {
-		rep, err := bench.WriteConcurrencyJSON(*concJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: concurrency json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s (8-worker speedup %.2fx)\n", *concJSON, rep.Speedup8)
 	}
 	if *dataJSON != "" {
 		rep, err := bench.WriteDataPathJSON(*dataJSON)
@@ -141,15 +129,6 @@ func main() {
 		}
 		fmt.Printf("\nwrote %s (%d outer / %d inner states, %d depth-2 violations, max recovery-of-recovery %.2f s)\n",
 			*nestedJSON, rep.OuterStates, rep.InnerStates, rep.Violations, rep.RecRecMaxS)
-	}
-	if *asyncJSON != "" {
-		rep, err := bench.WriteAsyncJSON(*asyncJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: async json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s (async-adaptive vs staged-fixed at 8 workers %.2fx)\n",
-			*asyncJSON, rep.Speedup8)
 	}
 	if *pfsckJSON != "" {
 		rep, err := bench.WritePFsckJSON(*pfsckJSON)

@@ -46,7 +46,26 @@ func main() {
 	}
 }
 
+// run listens on addr and serves until SIGINT or SIGTERM.
 func run(addr, geometry string, async, adaptive bool, sessions, bp int, statsEvery time.Duration) error {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	stop := make(chan struct{})
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		fmt.Fprintf(os.Stderr, "fsdserver: %v, shutting down\n", <-sigc)
+		close(stop)
+	}()
+	return serve(l, stop, geometry, async, adaptive, sessions, bp, statsEvery)
+}
+
+// serve formats a fresh volume, serves it on l until stop is closed or the
+// listener fails, and then shuts the volume down cleanly. It closes l.
+func serve(l net.Listener, stop <-chan struct{}, geometry string, async, adaptive bool, sessions, bp int, statsEvery time.Duration) error {
+	defer l.Close()
 	g := disk.DefaultGeometry
 	switch geometry {
 	case "default":
@@ -65,11 +84,6 @@ func run(addr, geometry string, async, adaptive bool, sessions, bp int, statsEve
 	}
 	fs := cedarfs.NewLocalFS(vol)
 	srv := server.New(fs, server.Config{MaxSessions: sessions, BackpressureDepth: bp})
-
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(os.Stderr, "fsdserver: serving %s volume on %s (async=%v adaptive=%v)\n",
 		geometry, l.Addr(), async, adaptive)
 
@@ -88,11 +102,8 @@ func run(addr, geometry string, async, adaptive bool, sessions, bp int, statsEve
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
-	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "fsdserver: %v, shutting down\n", sig)
+	case <-stop:
 	case err := <-errc:
 		if err != nil {
 			return err

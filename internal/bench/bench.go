@@ -6,8 +6,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"repro/internal/cfs"
@@ -80,6 +82,18 @@ func ratio(a, b float64) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%.2f", a/b)
+}
+
+// writeJSON records a report at path (a BENCH_*.json at the repo root):
+// indented, newline-terminated, so successive runs diff line by line. Each
+// report type carries a top-level "clock" key saying which of its numbers
+// are simulated time, wall-clock time or counts.
+func writeJSON(path string, rep any) error {
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // fsdEnv is a fresh full-size FSD volume.

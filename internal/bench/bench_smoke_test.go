@@ -265,35 +265,6 @@ func TestRecoveryScalingShape(t *testing.T) {
 	}
 }
 
-func TestConcurrencySpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	rep, err := ConcurrencyReportRun()
-	if err != nil {
-		t.Fatalf("ConcurrencyReportRun: %v", err)
-	}
-	if rep.Speedup8 < 2 {
-		t.Errorf("8-worker speedup %.2fx, want >= 2x over the single monitor", rep.Speedup8)
-	}
-	// One worker should be no slower than the serialized baseline (same
-	// work, no overlap to exploit).
-	if len(rep.Runs) == 0 || rep.Runs[0].Workers != 1 {
-		t.Fatalf("runs: %+v", rep.Runs)
-	}
-	if r := rep.Runs[0].Throughput / rep.Baseline.Throughput; r < 0.85 {
-		t.Errorf("1-worker split monitor at %.2fx of baseline, want ~1x", r)
-	}
-	// Throughput must rise with workers.
-	for i := 1; i < len(rep.Runs); i++ {
-		if rep.Runs[i].Throughput <= rep.Runs[i-1].Throughput {
-			t.Errorf("throughput not monotone: %d workers %.0f <= %d workers %.0f",
-				rep.Runs[i].Workers, rep.Runs[i].Throughput,
-				rep.Runs[i-1].Workers, rep.Runs[i-1].Throughput)
-		}
-	}
-}
-
 func TestRobustnessShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-volume experiment")

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/crashtest"
 )
@@ -119,9 +117,5 @@ func WriteCrashSweepJSON(path string) (CrashSweepReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return rep, err
-	}
-	return rep, os.WriteFile(path, append(buf, '\n'), 0o644)
+	return rep, writeJSON(path, rep)
 }

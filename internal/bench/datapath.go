@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/core"
@@ -45,6 +43,7 @@ type DataPathResult struct {
 
 // DataPathReport is what BENCH_datapath.json holds.
 type DataPathReport struct {
+	Clock   string           `json:"clock"`
 	Model   string           `json:"model"`
 	Results []DataPathResult `json:"results"`
 	// SeqReadReduction is the sequential-scan disk-request ratio of the
@@ -212,6 +211,8 @@ func dataPathRun(cfgName string) ([]DataPathResult, error) {
 // DataPathReportRun runs the full ablation grid.
 func DataPathReportRun() (DataPathReport, error) {
 	rep := DataPathReport{
+		Clock: "disk_time_ms: simulated milliseconds of device time on the virtual clock; " +
+			"everything else: counts and ratios of counts",
 		Model: "sequential scan of an Extend-grown file, which is one ascending run: " +
 			"no-cache and cache issue one read per 8-page call; read-ahead carries " +
 			"the stream window beyond each demand read, into cache frames. " +
@@ -249,11 +250,7 @@ func WriteDataPathJSON(path string) (DataPathReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return rep, err
-	}
-	return rep, os.WriteFile(path, append(buf, '\n'), 0o644)
+	return rep, writeJSON(path, rep)
 }
 
 // DataPath renders the experiment as a benchtab table.

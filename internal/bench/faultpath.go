@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/disk"
@@ -26,7 +24,7 @@ type FaultPathResult struct {
 	TransientPct float64 `json:"transient_pct"` // headline write-fault rate, percent
 	HungIO       bool    `json:"hung_io"`
 	Ops          int     `json:"ops"`
-	ElapsedMS    float64 `json:"elapsed_ms"` // virtual disk time
+	ElapsedMS    float64 `json:"elapsed_ms"` // simulated: device time plus CPU charges
 	Throughput   float64 `json:"throughput_ops_per_sec"`
 	WriteRetries int     `json:"write_retries"`
 	WriteRemaps  int     `json:"write_remaps"`
@@ -38,6 +36,7 @@ type FaultPathResult struct {
 
 // FaultPathReport is what BENCH_faultpath.json holds.
 type FaultPathReport struct {
+	Clock string            `json:"clock"`
 	Model string            `json:"model"`
 	Cells []FaultPathResult `json:"cells"`
 }
@@ -110,9 +109,10 @@ func faultPathRun(mode string, rate float64, hung bool) (FaultPathResult, error)
 // FaultPathReportRun runs the rate x hung-I/O grid.
 func FaultPathReportRun() (FaultPathReport, error) {
 	rep := FaultPathReport{
+		Clock: "elapsed_ms and throughput_ops_per_sec: simulated, the virtual clock over " +
+			"the run (device time plus CPU charges); everything else: counts and ratios of counts",
 		Model: "seeded injector: transient write errors at the headline rate, " +
-			"bad-on-write at rate/10, hung ops stall 1.5s against the 1s deadline; " +
-			"virtual disk time only (detached CPU)",
+			"bad-on-write at rate/10, hung ops stall 1.5s against the 1s deadline",
 	}
 	cells := []struct {
 		mode string
@@ -150,11 +150,7 @@ func WriteFaultPathJSON(path string) (FaultPathReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return rep, err
-	}
-	return rep, os.WriteFile(path, append(buf, '\n'), 0o644)
+	return rep, writeJSON(path, rep)
 }
 
 // FaultPath renders the sweep as a benchtab table.

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/crashtest"
 )
@@ -138,9 +136,5 @@ func WriteNestedCrashJSON(path string) (NestedCrashReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return rep, err
-	}
-	return rep, os.WriteFile(path, append(buf, '\n'), 0o644)
+	return rep, writeJSON(path, rep)
 }

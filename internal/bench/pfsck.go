@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -43,6 +41,7 @@ type PFsckRun struct {
 
 // PFsckReport is what BENCH_pfsck.json holds.
 type PFsckReport struct {
+	Clock   string `json:"clock"`
 	Model   string `json:"model"`
 	Files   int    `json:"files"`
 	Entries int    `json:"entries"`
@@ -93,7 +92,11 @@ func pfsckAppend(curve []PFsckRun, run PFsckRun) []PFsckRun {
 // first width must be 1: it is the baseline the speedups and the determinism
 // oracle are anchored to.
 func pfsckRun(totalBytes int64, maxFile int, widths []int) (PFsckReport, error) {
-	rep := PFsckReport{Model: pfsckModel}
+	rep := PFsckReport{
+		Clock: "every *_s and speedup: simulated seconds on the virtual clock; files, entries, sweep_sectors: counts; " +
+			"steals: a count the real scheduler decides, so it varies run to run",
+		Model: pfsckModel,
+	}
 	if len(widths) == 0 || widths[0] != 1 {
 		return rep, fmt.Errorf("pfsck: widths must start with the 1-worker baseline")
 	}
@@ -197,11 +200,7 @@ func WritePFsckJSON(path string) (PFsckReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return rep, err
-	}
-	return rep, os.WriteFile(path, append(buf, '\n'), 0o644)
+	return rep, writeJSON(path, rep)
 }
 
 // PFsck renders a bounded smoke of the experiment as a benchtab table: a

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/cfs"
 	"repro/internal/core"
@@ -30,6 +28,7 @@ import (
 // RobustnessReport is what BENCH_robustness.json holds. Elapsed times are
 // simulated (virtual-clock) values, like every other table.
 type RobustnessReport struct {
+	Clock           string  `json:"clock"`
 	Model           string  `json:"model"`
 	Files           int     `json:"files"`
 	DecayedSectors  int     `json:"decayed_sectors"`
@@ -60,7 +59,10 @@ func robustnessPopulate(t workload.Target) (int, error) {
 
 // RobustnessReportRun runs both stages and the CFS baseline.
 func RobustnessReportRun() (RobustnessReport, error) {
-	rep := RobustnessReport{Model: robustnessModel}
+	rep := RobustnessReport{
+		Clock: "every *_s and scrub_mb_per_s: simulated, the virtual clock; everything else: counts and ratios of counts",
+		Model: robustnessModel,
+	}
 
 	fe, err := newFSD(fsdBenchConfig())
 	if err != nil {
@@ -139,11 +141,7 @@ func WriteRobustnessJSON(path string) (RobustnessReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return rep, err
-	}
-	return rep, os.WriteFile(path, append(buf, '\n'), 0o644)
+	return rep, writeJSON(path, rep)
 }
 
 // Robustness renders the experiment as a benchtab table.

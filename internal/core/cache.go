@@ -171,7 +171,7 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	okA := bufA != nil && (crcOK(bufA) || isVirgin(bufA))
 	var bufB []byte
 	okB := false
-	if !c.v.cfg.ReadOneCopy && !c.v.cfg.SingleCopyNT {
+	if !c.v.cfg.SingleCopyNT {
 		var errB error
 		bufB, errB = c.v.readSectorsRetry(addrB, NTPageSectors)
 		if errB != nil {
@@ -189,16 +189,6 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 		data = bufA
 	case okB:
 		data = bufB
-	case c.v.cfg.ReadOneCopy && !c.v.cfg.SingleCopyNT:
-		// One-copy read mode falls back to the replica on damage.
-		bufB, errB := c.v.readSectorsRetry(addrB, NTPageSectors)
-		if errB != nil {
-			bufB = nil
-		}
-		bufB = c.v.overlayNT(id, bufB)
-		if bufB != nil && (crcOK(bufB) || isVirgin(bufB)) {
-			data = bufB
-		}
 	}
 	if data == nil {
 		// %w: a device fault on copy A stays visible to errors.As, which is

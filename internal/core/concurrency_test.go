@@ -28,131 +28,124 @@ func newTestVolumeCfg(t *testing.T, cfg Config) (*Volume, *disk.Disk, *sim.Virtu
 
 // TestConcurrentMixedOps runs the full operation mix — opens, reads, stats,
 // lists, creates, writes, deletes, touches, forces, commit waits — from
-// many goroutines, in both monitor modes, and then audits the volume. Under
+// many goroutines, and then audits the volume. Under
 // `go test -race ./internal/core` this is the main proof that the split
 // monitor (shared read path, per-handle locks, lmu/vmMu side locks) has no
 // data races.
 func TestConcurrentMixedOps(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"SplitMonitor", false}, {"SerialMonitor", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := testConfig()
-			cfg.SerialMonitor = mode.serial
-			v, _, _ := newTestVolumeCfg(t, cfg)
+	t.Run("SplitMonitor", func(t *testing.T) {
+		v, _, _ := newTestVolumeCfg(t, testConfig())
 
-			// Shared read-mostly population.
-			const shared = 24
-			sharedData := make([][]byte, shared)
-			for i := 0; i < shared; i++ {
-				sharedData[i] = payload(300+7*i, byte(i))
-				if _, err := v.Create(fmt.Sprintf("shared/f%03d", i), sharedData[i]); err != nil {
-					t.Fatalf("populate: %v", err)
-				}
+		// Shared read-mostly population.
+		const shared = 24
+		sharedData := make([][]byte, shared)
+		for i := 0; i < shared; i++ {
+			sharedData[i] = payload(300+7*i, byte(i))
+			if _, err := v.Create(fmt.Sprintf("shared/f%03d", i), sharedData[i]); err != nil {
+				t.Fatalf("populate: %v", err)
 			}
+		}
 
-			const workers = 8
-			const iters = 60
-			var wg sync.WaitGroup
-			errs := make(chan error, workers)
-			for w := 0; w < workers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < iters; i++ {
-						k := (w*13 + i) % shared
-						switch i % 6 {
-						case 0: // open + read a shared file
-							f, err := v.Open(fmt.Sprintf("shared/f%03d", k), 0)
-							if err != nil {
-								errs <- fmt.Errorf("w%d open: %w", w, err)
-								return
-							}
-							got, err := f.ReadAll()
-							if err != nil || !bytes.Equal(got, sharedData[k]) {
-								errs <- fmt.Errorf("w%d read shared/f%03d: %v", w, k, err)
-								return
-							}
-						case 1: // stat + list
-							if _, err := v.Stat(fmt.Sprintf("shared/f%03d", k), 0); err != nil {
-								errs <- fmt.Errorf("w%d stat: %w", w, err)
-								return
-							}
-							n := 0
-							if err := v.List("shared/", func(Entry) bool { n++; return n < 10 }); err != nil {
-								errs <- fmt.Errorf("w%d list: %w", w, err)
-								return
-							}
-						case 2: // private create + readback
-							name := fmt.Sprintf("priv/w%d-%03d", w, i)
-							data := payload(128+i, byte(w*16+i))
-							f, err := v.Create(name, data)
-							if err != nil {
-								errs <- fmt.Errorf("w%d create: %w", w, err)
-								return
-							}
-							got, err := f.ReadAll()
-							if err != nil || !bytes.Equal(got, data) {
-								errs <- fmt.Errorf("w%d readback: %v", w, err)
-								return
-							}
-						case 3: // overwrite a private page
-							name := fmt.Sprintf("priv/w%d-%03d", w, i-1)
-							if f, err := v.Open(name, 0); err == nil && f.Pages() > 0 {
-								buf := payload(disk.SectorSize, byte(i))
-								if err := f.WritePages(0, buf); err != nil {
-									errs <- fmt.Errorf("w%d write: %w", w, err)
-									return
-								}
-							}
-						case 4: // delete an older private file
-							name := fmt.Sprintf("priv/w%d-%03d", w, i-2)
-							if _, err := v.Stat(name, 0); err == nil {
-								if err := v.Delete(name, 0); err != nil {
-									errs <- fmt.Errorf("w%d delete: %w", w, err)
-									return
-								}
-							}
-						case 5: // touch + commit wait
-							if err := v.Touch(fmt.Sprintf("shared/f%03d", k), 0); err != nil {
-								errs <- fmt.Errorf("w%d touch: %w", w, err)
-								return
-							}
-							if err := v.WaitCommitted(v.CommitSeq()); err != nil {
-								errs <- fmt.Errorf("w%d wait: %w", w, err)
+		const workers = 8
+		const iters = 60
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < iters; i++ {
+					k := (w*13 + i) % shared
+					switch i % 6 {
+					case 0: // open + read a shared file
+						f, err := v.Open(fmt.Sprintf("shared/f%03d", k), 0)
+						if err != nil {
+							errs <- fmt.Errorf("w%d open: %w", w, err)
+							return
+						}
+						got, err := f.ReadAll()
+						if err != nil || !bytes.Equal(got, sharedData[k]) {
+							errs <- fmt.Errorf("w%d read shared/f%03d: %v", w, k, err)
+							return
+						}
+					case 1: // stat + list
+						if _, err := v.Stat(fmt.Sprintf("shared/f%03d", k), 0); err != nil {
+							errs <- fmt.Errorf("w%d stat: %w", w, err)
+							return
+						}
+						n := 0
+						if err := v.List("shared/", func(Entry) bool { n++; return n < 10 }); err != nil {
+							errs <- fmt.Errorf("w%d list: %w", w, err)
+							return
+						}
+					case 2: // private create + readback
+						name := fmt.Sprintf("priv/w%d-%03d", w, i)
+						data := payload(128+i, byte(w*16+i))
+						f, err := v.Create(name, data)
+						if err != nil {
+							errs <- fmt.Errorf("w%d create: %w", w, err)
+							return
+						}
+						got, err := f.ReadAll()
+						if err != nil || !bytes.Equal(got, data) {
+							errs <- fmt.Errorf("w%d readback: %v", w, err)
+							return
+						}
+					case 3: // overwrite a private page
+						name := fmt.Sprintf("priv/w%d-%03d", w, i-1)
+						if f, err := v.Open(name, 0); err == nil && f.Pages() > 0 {
+							buf := payload(disk.SectorSize, byte(i))
+							if err := f.WritePages(0, buf); err != nil {
+								errs <- fmt.Errorf("w%d write: %w", w, err)
 								return
 							}
 						}
+					case 4: // delete an older private file
+						name := fmt.Sprintf("priv/w%d-%03d", w, i-2)
+						if _, err := v.Stat(name, 0); err == nil {
+							if err := v.Delete(name, 0); err != nil {
+								errs <- fmt.Errorf("w%d delete: %w", w, err)
+								return
+							}
+						}
+					case 5: // touch + commit wait
+						if err := v.Touch(fmt.Sprintf("shared/f%03d", k), 0); err != nil {
+							errs <- fmt.Errorf("w%d touch: %w", w, err)
+							return
+						}
+						if err := v.WaitCommitted(v.CommitSeq()); err != nil {
+							errs <- fmt.Errorf("w%d wait: %w", w, err)
+							return
+						}
 					}
-					errs <- nil
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				if err != nil {
-					t.Fatal(err)
 				}
-			}
-
-			st, err := v.Verify()
+				errs <- nil
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
 			if err != nil {
-				t.Fatalf("Verify: %v", err)
+				t.Fatal(err)
 			}
-			if len(st.Problems) != 0 {
-				t.Fatalf("Verify problems: %v", st.Problems)
-			}
-			ops := v.Stats().Ops
-			if ops.Opens == 0 || ops.Creates == 0 || ops.Deletes == 0 || ops.Reads == 0 {
-				t.Fatalf("op counters incomplete: %+v", ops)
-			}
-			if err := v.Shutdown(); err != nil {
-				t.Fatalf("Shutdown: %v", err)
-			}
-		})
-	}
+		}
+
+		st, err := v.Verify()
+		if err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+		if len(st.Problems) != 0 {
+			t.Fatalf("Verify problems: %v", st.Problems)
+		}
+		ops := v.Stats().Ops
+		if ops.Opens == 0 || ops.Creates == 0 || ops.Deletes == 0 || ops.Reads == 0 {
+			t.Fatalf("op counters incomplete: %+v", ops)
+		}
+		if err := v.Shutdown(); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	})
 }
 
 // TestWaitCommittedDurability is the pipelined commit's fsync contract:

@@ -272,8 +272,8 @@ func (v *Volume) writeLeaderAndData(e *Entry, leader, data []byte) error {
 // the run table, are in the (cached) name table.
 func (v *Volume) Open(name string, version uint32) (_ *File, err error) {
 	defer v.span("open")(&err)
-	v.rlock()
-	defer v.runlock()
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	if err := v.begin(); err != nil {
 		return nil, err
 	}
@@ -306,8 +306,8 @@ func (v *Volume) Open(name string, version uint32) (_ *File, err error) {
 // Stat returns a file's entry without opening it; version 0 = newest.
 func (v *Volume) Stat(name string, version uint32) (_ *Entry, err error) {
 	defer v.span("stat")(&err)
-	v.rlock()
-	defer v.runlock()
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	if err := v.begin(); err != nil {
 		return nil, err
 	}
@@ -366,8 +366,8 @@ func (v *Volume) Delete(name string, version uint32) error {
 // already available in the file name table."
 func (v *Volume) List(prefix string, fn func(Entry) bool) (err error) {
 	defer v.span("list")(&err)
-	v.rlock()
-	defer v.runlock()
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	if err := v.begin(); err != nil {
 		return err
 	}
@@ -474,8 +474,8 @@ func (w *ioWindow) settle(cur, cnt int) {
 func (f *File) readInto(p []byte, off int64) (err error) {
 	v := f.v
 	defer v.spanEnd("read", v.clk.Now(), &err)
-	v.rlock()
-	defer v.runlock()
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	if err := v.begin(); err != nil {
 		return err
 	}
@@ -658,8 +658,8 @@ func (f *File) WritePages(page int, data []byte) error {
 func (f *File) writeFrom(p []byte, off int64) (err error) {
 	v := f.v
 	defer v.spanEnd("write", v.clk.Now(), &err)
-	v.rlock()
-	defer v.runlock()
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	if err := v.beginMutate(); err != nil {
 		return err
 	}

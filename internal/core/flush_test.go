@@ -119,53 +119,6 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-func TestReadOneCopyConfig(t *testing.T) {
-	cfg := testConfig()
-	cfg.ReadOneCopy = true
-	v, d, _ := newTestVolumeWith(t, cfg)
-	for i := 0; i < 30; i++ {
-		if _, err := v.Create(fmt.Sprintf("oc/f%02d", i), payload(80, byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := v.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	before := d.Stats()
-	count := 0
-	if err := v.List("oc/", func(Entry) bool { count++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	oneCopyReads := d.Stats().Sub(before).Reads
-	if count != 30 {
-		t.Fatalf("listed %d", count)
-	}
-	// Compare against the both-copies default.
-	v2, d2, _ := newTestVolume(t)
-	for i := 0; i < 30; i++ {
-		if _, err := v2.Create(fmt.Sprintf("oc/f%02d", i), payload(80, byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v2.DropCaches()
-	before = d2.Stats()
-	v2.List("oc/", func(Entry) bool { return true })
-	bothReads := d2.Stats().Sub(before).Reads
-	if oneCopyReads*2 != bothReads {
-		t.Fatalf("one-copy list %d reads, both-copies %d; want exactly half", oneCopyReads, bothReads)
-	}
-	// One-copy mode still falls back to the replica on damage.
-	v.Shutdown()
-	d.CorruptSectors(v.lay.ntA, NTPageSectors) // smash the whole meta page copy A
-	v3, _, err := Mount(d, cfg)
-	if err != nil {
-		t.Fatalf("mount with damaged copy A in one-copy mode: %v", err)
-	}
-	if _, err := v3.Open("oc/f05", 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // newTestVolumeWith formats a small test volume with a custom config.
 func newTestVolumeWith(t testing.TB, cfg Config) (*Volume, *disk.Disk, *sim.VirtualClock) {
 	t.Helper()

@@ -164,8 +164,8 @@ func (v *Volume) async() bool { return v.q != nil }
 func (v *Volume) mutate(op string, f *File, names [2]string, build func(it *intent) error) (err error) {
 	defer v.spanEnd(op, v.clk.Now(), &err)
 	if v.async() {
-		v.rlock()
-		defer v.runlock()
+		v.mu.RLock()
+		defer v.mu.RUnlock()
 	} else {
 		v.mu.Lock()
 		defer v.mu.Unlock()

@@ -56,9 +56,6 @@ type Config struct {
 	// DoubleWriteNT controls whether the name table is stored twice
 	// (the paper's design). Disable only for the ablation benchmark.
 	SingleCopyNT bool
-	// ReadOneCopy, when set, reads only the primary name-table copy on a
-	// cache miss instead of reading and cross-checking both (ablation).
-	ReadOneCopy bool
 	// SmallThreshold is the small-file cutoff in pages for the split
 	// allocator. Zero means 8 pages (4,000 bytes, the paper's statistic).
 	SmallThreshold int
@@ -74,11 +71,6 @@ type Config struct {
 	// twenty five seconds to about two seconds" by skipping the
 	// name-table scan.
 	LogVAM bool
-	// SerialMonitor restores the paper's single-monitor discipline:
-	// every operation, including reads, takes the volume lock
-	// exclusively. It is the baseline the concurrent read path is
-	// benchmarked against; see DESIGN.md "Concurrency model".
-	SerialMonitor bool
 	// MountWorkers sets the width of the pool that checks and decodes the
 	// name table behind the arm in the mount-time scan: checksums, copy
 	// compares and the leaf decode of each chunk run while the transfers

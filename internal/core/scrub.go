@@ -359,7 +359,7 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 	defer func() { st.LeaderElapsed = v.clk.Now() - start }()
 	var refs []leaderCheck
 	decoded := 0
-	v.rlock()
+	v.mu.RLock()
 	err := v.nt.Scan(nil, func(k, val []byte) bool {
 		name, ver, ok := splitKey(k)
 		if !ok {
@@ -375,7 +375,7 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 		}
 		return true
 	})
-	v.runlock()
+	v.mu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -418,8 +418,8 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 // not vouch for: a shared hold of the monitor, so Create/Delete (exclusive
 // holders) never race the repair, a fresh lookup, and a re-read with retries.
 func (v *Volume) scrubLeader(name string, ver uint32, st *ScrubStats) error {
-	v.rlock()
-	defer v.runlock()
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	e, err := v.statLocked(name, ver)
 	if err != nil {
 		return nil // deleted since the snapshot

@@ -118,8 +118,7 @@ type taggedFree struct {
 //     ReadPages, Verify) share it; name-space mutations (Create, Delete,
 //     Touch, Rename, Extend, ...) and lifecycle ops take it exclusively —
 //     with Config.AsyncApply the mutations share it too and serialize per
-//     name instead (see mutate). With Config.SerialMonitor everything takes
-//     it exclusively — the paper-faithful baseline.
+//     name instead (see mutate).
 //   - each File handle has its own lock for its entry snapshot.
 //   - lmu guards the deferred-leader maps, which the read path (leader
 //     verification) shares with the force path (third flushes).
@@ -263,25 +262,6 @@ func (v *Volume) opsSnapshot() OpStats {
 		Reads:   int(v.ops.reads.Load()),
 		Writes:  int(v.ops.writes.Load()),
 		Touches: int(v.ops.touches.Load()),
-	}
-}
-
-// rlock acquires the monitor for a read-path operation; runlock releases
-// it. Under Config.SerialMonitor reads take the monitor exclusively,
-// reproducing the paper's fully serialized volume.
-func (v *Volume) rlock() {
-	if v.cfg.SerialMonitor {
-		v.mu.Lock()
-	} else {
-		v.mu.RLock()
-	}
-}
-
-func (v *Volume) runlock() {
-	if v.cfg.SerialMonitor {
-		v.mu.Unlock()
-	} else {
-		v.mu.RUnlock()
 	}
 }
 
@@ -882,7 +862,7 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 	parts := make([]scanResult, n)
 	var lost error
 	armStart := v.d.Stats().BusyTime()
-	sw := v.sweepNT(0, n, !v.cfg.ReadOneCopy && !v.cfg.SingleCopyNT, v.cfg.mountWorkers(), nil,
+	sw := v.sweepNT(0, n, !v.cfg.SingleCopyNT, v.cfg.mountWorkers(), nil,
 		func(w *parscan.Worker, id uint32, page []byte) {
 			if btree.IsLeaf(page) {
 				w.Charge(decodeLeaf(page, rebuildVAM, &parts[id]))
@@ -998,8 +978,8 @@ func (v *Volume) startTicker() {
 func (v *Volume) Force() (err error) {
 	defer v.span("force")(&err)
 	before := v.clk.Now()
-	v.rlock()
-	defer v.runlock()
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	wait := v.clk.Now() - before
 	v.obs.lockWait.ObserveDuration(wait)
 	if v.obs.tracer.Enabled() {
@@ -1069,8 +1049,8 @@ func (v *Volume) WaitCommitted(seq uint64) error {
 // Tick gives the group-commit engine a chance to run; simulations call it
 // when virtual time passes without file-system activity.
 func (v *Volume) Tick() error {
-	v.rlock()
-	defer v.runlock()
+	v.mu.RLock()
+	defer v.mu.RUnlock()
 	if v.closed.Load() {
 		return ErrClosed
 	}

@@ -36,7 +36,6 @@ import (
 type WorkerStats struct {
 	Chunks int           // chunks this worker executed
 	Steals int           // chunks it took from another worker's interval
-	Faults int           // media faults it observed (caller-defined)
 	CPU    time.Duration // processor cost accumulated via Charge
 }
 
@@ -54,21 +53,6 @@ func (s Stats) TotalCPU() time.Duration {
 		t += w.CPU
 	}
 	return t
-}
-
-// MaxCPU is the busiest worker's processor cost as observed — a load
-// balance diagnostic. It is NOT the virtual-time critical path: simulated
-// CPU charges consume no real time, so the real scheduler is free to let
-// one goroutine drain most of the queue, and the observed maximum is both
-// pessimistic and nondeterministic. Use BalancedCPU for clock charges.
-func (s Stats) MaxCPU() time.Duration {
-	var m time.Duration
-	for _, w := range s.PerWorker {
-		if w.CPU > m {
-			m = w.CPU
-		}
-	}
-	return m
 }
 
 // BalancedCPU is the pool's modeled CPU critical path in virtual time:
@@ -93,28 +77,10 @@ func (s Stats) Steals() int {
 	return n
 }
 
-// Faults sums the observed-fault count across workers.
-func (s Stats) Faults() int {
-	n := 0
-	for _, w := range s.PerWorker {
-		n += w.Faults
-	}
-	return n
-}
-
-// merge folds a finished worker's accounting into the run stats.
-func (s *Stats) merge(id int, w WorkerStats) {
-	s.PerWorker[id] = w
-}
-
 // Worker is the per-goroutine context handed to the chunk function.
 type Worker struct {
-	id    int
 	stats WorkerStats
 }
-
-// ID is the worker's index in [0, workers).
-func (w *Worker) ID() int { return w.id }
 
 // Charge accumulates processor cost privately; the pool owner charges the
 // simulated CPU once, from the merged stats.
@@ -123,9 +89,6 @@ func (w *Worker) Charge(d time.Duration) {
 		w.stats.CPU += d
 	}
 }
-
-// Fault counts one observed media fault against this worker.
-func (w *Worker) Fault() { w.stats.Faults++ }
 
 // interval is one worker's remaining contiguous chunk range [lo, hi).
 type interval struct {
@@ -252,7 +215,7 @@ func (p *pool) fail(chunk int, err error) {
 
 func (p *pool) run(id int) {
 	defer p.wg.Done()
-	w := &Worker{id: id}
+	w := &Worker{}
 	for {
 		chunk, stolen, ok := p.next(id)
 		if !ok {
@@ -268,6 +231,6 @@ func (p *pool) run(id int) {
 		}
 	}
 	p.mu.Lock()
-	p.stats.merge(id, w.stats)
+	p.stats.PerWorker[id] = w.stats
 	p.mu.Unlock()
 }

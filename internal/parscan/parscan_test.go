@@ -112,27 +112,27 @@ func TestPoolErrorStopsWork(t *testing.T) {
 	}
 }
 
-// TestPoolAccounting checks Charge/Fault accumulate per worker and the
-// stats helpers fold them correctly; at one worker MaxCPU == TotalCPU.
+// TestPoolAccounting checks Charge accumulates per worker and the stats
+// helpers fold it correctly: TotalCPU is the same at any width, and
+// BalancedCPU is TotalCPU at one worker and its rounded-up share at more.
 func TestPoolAccounting(t *testing.T) {
-	st, err := Run(1, 10, func(w *Worker, c int) error {
-		w.Charge(3 * time.Millisecond)
-		if c%2 == 0 {
-			w.Fault()
+	for _, tc := range []struct {
+		workers  int
+		balanced time.Duration
+	}{{1, 30 * time.Millisecond}, {4, 7500 * time.Microsecond}, {7, 30*time.Millisecond/7 + 1}} {
+		st, err := Run(tc.workers, 10, func(w *Worker, c int) error {
+			w.Charge(3 * time.Millisecond)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := st.TotalCPU(), 30*time.Millisecond; got != want {
-		t.Fatalf("TotalCPU = %v, want %v", got, want)
-	}
-	if st.MaxCPU() != st.TotalCPU() {
-		t.Fatalf("one worker: MaxCPU %v != TotalCPU %v", st.MaxCPU(), st.TotalCPU())
-	}
-	if got := st.Faults(); got != 5 {
-		t.Fatalf("Faults = %d, want 5", got)
+		if got, want := st.TotalCPU(), 30*time.Millisecond; got != want {
+			t.Fatalf("workers=%d: TotalCPU = %v, want %v", tc.workers, got, want)
+		}
+		if got := st.BalancedCPU(); got != tc.balanced {
+			t.Fatalf("workers=%d: BalancedCPU = %v, want %v", tc.workers, got, tc.balanced)
+		}
 	}
 }
 

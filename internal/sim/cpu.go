@@ -27,8 +27,8 @@ type CPU struct {
 // SetDetached switches the CPU to overlap mode: charges accumulate in the
 // busy counter but do not advance the clock, modelling a pipeline where the
 // processor works concurrently with the device (4.2 BSD's asynchronous
-// delayed writes in Table 5, and the concurrent-volume benchmark's
-// multi-worker CPU model).
+// delayed writes in Table 5, and the intent-queue applier, a second actor
+// whose work is reported rather than added to the caller's timeline).
 func (c *CPU) SetDetached(v bool) {
 	c.detached.Store(v)
 }

@@ -55,6 +55,19 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 ! grep -rnE --include='*.go' '(^|[^[:alnum:]_])(joined|padded)[[:space:]]*:=' internal/core \
 	|| { echo "verify: a joined/padded staging buffer resurfaced in internal/core (pass a gather list to writeSectorsFrom)"; exit 1; }
 
+# Measured or deleted: the two Config knobs only a formula benchmark and a
+# test set, the remote-file cache no product path used, and the two harnesses
+# that published a modelled elapsed (disk + cpu/k) as a result. (Whole
+# identifiers only.)
+! grep -rnwE --include='*.go' 'SerialMonitor|ReadOneCopy|fscache|ConcurrencyReportRun|AsyncReportRun' . \
+	|| { echo "verify: a deleted knob, package or formula harness resurfaced (publish a measured run, DESIGN §13)"; exit 1; }
+# A detached CPU takes its charges off the clock. Two actors may do that: the
+# intent-queue applier, a real second actor, and Table 5's 4.2 BSD
+# delayed-write row, the paper's own model. Anywhere else it is a formula
+# harness coming back.
+! grep -rn --include='*.go' 'SetDetached(' . | grep -vE '^\./(internal/sim/|internal/core/intent\.go:|internal/bench/tables\.go:)' \
+	|| { echo "verify: SetDetached outside the intent applier and Table 5 (measure on the clock instead)"; exit 1; }
+
 go vet ./...
 go build ./...
 go test ./...
@@ -91,6 +104,11 @@ go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache
 # and a result per page at any width.
 go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep|TestCutSweepCreateRun|TestScrubLeaderSweepAscending|TestScrubLeaderSweepPlantedDamage|TestCheckPassSimTimeRepeats|TestSalvageManifestAppendOnly|TestSweepOverlapsDecode|TestVerifyOverlapsLeaderSweep|TestSalvageCrashWhileDecodeInFlight|TestSweepAllocsBounded|TestMountScanDecodesBehindTheArm|TestMountScanSimTimeRepeats|TestMountRebuildIdenticalAcrossWidths|TestSpeculativeDecodeDiscardsSuspect|TestMountCrashWhileDecodeInFlight|TestMountScanAllocsBounded'
 go test ./internal/sim ./internal/wal ./internal/bench -count=1 -run 'TestLane|TestScrubCopiesReadsInRuns|TestPFsckShape'
+# Every committed BENCH_*.json names its clock, and the two binaries that once
+# had no test: a half-second soak against the in-process server (work done,
+# no errors, a healthy volume, a clock key), and fsdserver on a loopback
+# listener driven by the client and stopped with a clean shutdown.
+go test . ./cmd/soak ./cmd/fsdserver -count=1 -run 'TestBenchFilesNameTheirClock|TestSoakInProcess|TestServe'
 # The allocation gates of the borrowed-buffer read path (a lookup allocates
 # its result, a cached read and a cache fill nothing, a read's round trip a
 # fixed handful of small objects whatever its payload, a read-ahead I/O
