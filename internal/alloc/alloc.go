@@ -9,6 +9,12 @@
 // areas are only hints; when the preferred area has no space the other area
 // is used, so allocation never fails while free pages exist.
 //
+// A layout whose metadata sits at the boundary (FSD's default, the log and
+// name table on the central cylinders) sets SmallFromBoundary: small files
+// then fill first-fit downward from the boundary, the highest hole that
+// holds them first, so they land beside the metadata a small create
+// alternates with instead of at the far edge of their area.
+//
 // That rule is for a file whose size is known when it is created (Alloc). A
 // file that grows (Extend) is an append-only writer and gets an append-only
 // extent: the pages directly behind its last run while they are free, so
@@ -47,6 +53,11 @@ type Config struct {
 	// the central metadata — names the page, which a percentage only
 	// approximates.
 	Boundary int
+	// SmallFromBoundary says the metadata sits at the boundary, above the
+	// small-file area: small files are placed in the highest hole below the
+	// boundary that holds them, taking its top pages, instead of the
+	// lowest. The zero value keeps the small area filling upward from Lo.
+	SmallFromBoundary bool
 	// MaxRuns bounds the number of extents per allocation so run tables
 	// stay small enough for a name-table entry. Zero means 16.
 	MaxRuns int
@@ -129,9 +140,12 @@ func (a *Allocator) Alloc(pages int) ([]Run, error) {
 	// Preference order of (lo, hi, dir) windows.
 	type window struct{ lo, hi, dir int }
 	var order []window
-	if small {
+	switch {
+	case small && a.cfg.SmallFromBoundary:
+		order = []window{{a.cfg.Lo, b, -1}, {b, a.cfg.Hi, 1}}
+	case small:
 		order = []window{{a.cfg.Lo, b, 1}, {b, a.cfg.Hi, 1}}
-	} else {
+	default:
 		order = []window{{b, a.cfg.Hi, -1}, {a.cfg.Lo, b, -1}}
 	}
 	var runs []Run

@@ -272,9 +272,12 @@ func (c Config) checkWorkers() int {
 // at the front; the log and both name-table copies sit together near the
 // centre cylinders ("the file name table is preallocated to sectors near the
 // central cylinder... this reduces disk head motion"); the VAM save area
-// follows them; the rest is data, with small files growing up toward the
-// metadata from below and big files growing down from the top, so both
-// converge on the centre.
+// follows them; the rest is data. Small files fill the area below the
+// metadata downward from it, first fit from the top, so a small create and
+// the log force and name-table write it alternates with stay a few cylinders
+// apart; big files grow down from the top of the disk toward the metadata.
+// Under EdgePlacement the metadata sits at the front and the small area
+// fills upward from just behind it.
 type layout struct {
 	rootA, rootB int // volume root page and its replica
 	logBase      int
@@ -330,14 +333,28 @@ func computeLayout(g disk.Geometry, cfg Config) (layout, error) {
 		l.boundary = l.dataLo + (l.dataHi-l.dataLo)/2
 	} else {
 		// Data surrounds the central metadata; the allocator boundary
-		// sits at the metadata start so small files fill the low half
-		// and big files the high half, both converging on the centre.
+		// sits at the metadata start so small files fill the low half,
+		// from the centre down, and big files the high half.
 		l.boundary = l.logBase
 	}
 	if l.dataHi-l.dataLo <= metaSectors {
 		return l, errors.New("core: no data space left")
 	}
 	return l, nil
+}
+
+// smallFromBoundary reports whether the metadata sits at the allocator
+// boundary, on top of the small-file area, so that small files fill that
+// area from its top (the centre layout) rather than from dataLo.
+func (l layout) smallFromBoundary() bool { return l.boundary == l.logBase }
+
+// smallOrigin is the page where the small-file area's first fit starts: the
+// page below the metadata on the centre layout, dataLo under EdgePlacement.
+func (l layout) smallOrigin() int {
+	if l.smallFromBoundary() {
+		return l.boundary - 1
+	}
+	return l.dataLo
 }
 
 // metaRange reports whether addr falls in any metadata region (for the I/O

@@ -452,13 +452,15 @@ func readRoot(d *disk.Disk, retries int) (rootPage, error) {
 }
 
 // newAllocator returns the run allocator over the layout's data region, its
-// areas split where the layout says.
+// areas split where the layout says. Where the split is the central metadata
+// the small-file area fills from that end, beside the log and name table.
 func newAllocator(vm *vam.VAM, lay layout, cfg Config) (*alloc.Allocator, error) {
 	return alloc.New(vm, alloc.Config{
-		Lo:             lay.dataLo,
-		Hi:             lay.dataHi,
-		SmallThreshold: cfg.smallThreshold(),
-		Boundary:       lay.boundary,
+		Lo:                lay.dataLo,
+		Hi:                lay.dataHi,
+		SmallThreshold:    cfg.smallThreshold(),
+		Boundary:          lay.boundary,
+		SmallFromBoundary: lay.smallFromBoundary(),
 	})
 }
 
@@ -1175,11 +1177,12 @@ func LogRegionOf(d *disk.Disk) (base, size int, err error) {
 }
 
 // ModelInfo reports the layout facts the analytical model's scripts need:
-// the cylinder distances from the active data area to the name table and
+// the cylinder distances from the active data area — where a fresh volume's
+// small files land, the small area's metadata end — to the name table and
 // the log.
 func (v *Volume) ModelInfo() (dataToNTCyl, dataToLogCyl int) {
 	g := v.d.Geometry()
-	dataCyl := g.Cylinder(v.lay.dataLo)
+	dataCyl := g.Cylinder(v.lay.smallOrigin())
 	nt := g.Cylinder(v.lay.ntA) - dataCyl
 	if nt < 0 {
 		nt = -nt

@@ -142,7 +142,9 @@ func (v *VAM) Commit() {
 // words and swallowing fully free ones in one step — because this runs
 // under the allocator lock on every create and extend; a bit-at-a-time
 // scan of the default 600k-page volume was the file server's throughput
-// ceiling under the 10k-client soak.
+// ceiling under the 10k-client soak. Each direction walks from its own end
+// and stops at the first fit; only a search that finds none passes over the
+// whole window, for the largest-run fallback (ties keep the run met first).
 func (v *VAM) FindRun(want, lo, hi, dir int) (start, length int) {
 	if lo < 0 {
 		lo = 0
@@ -156,38 +158,20 @@ func (v *VAM) FindRun(want, lo, hi, dir int) (start, length int) {
 	if want < 1 {
 		want = 1
 	}
-	// One ascending scan serves both directions. Upward (dir >= 0) wants
-	// the lowest run of length >= want and can return the moment a run
-	// grows that long. Downward (dir < 0) wants the top `want` pages of
-	// the highest qualifying run, so every qualifying run it passes
-	// replaces the candidate (later = higher); ties in the largest-run
-	// fallback also keep the later (higher) run, matching the old
-	// top-down scan's first-from-the-top behavior.
+	if dir < 0 {
+		return v.findRunDown(want, lo, hi)
+	}
 	bestStart, bestLen := 0, 0 // largest-run fallback
-	candStart := -1            // dir < 0: top-want window of the highest qualifying run
 	runStart, runLen := -1, 0
 	closeRun := func() {
-		if runStart < 0 {
-			return
-		}
-		if runLen >= want {
-			candStart = runStart + runLen - want
-		} else if runLen > bestLen || (dir < 0 && runLen == bestLen) {
+		if runStart >= 0 && runLen > bestLen {
 			bestStart, bestLen = runStart, runLen
 		}
 		runStart, runLen = -1, 0
 	}
 	w0, w1 := lo/64, (hi-1)/64
 	for wi := w0; wi <= w1; wi++ {
-		word := v.free[wi]
-		if wi == w0 {
-			word &^= 1<<(lo%64) - 1
-		}
-		if wi == w1 {
-			if rem := hi % 64; rem != 0 {
-				word &= 1<<rem - 1
-			}
-		}
+		word := v.window(wi, lo, hi)
 		base := wi * 64
 		if word == 0 {
 			closeRun()
@@ -200,7 +184,7 @@ func (v *VAM) FindRun(want, lo, hi, dir int) (start, length int) {
 				closeRun()
 				runStart, runLen = base, 64
 			}
-			if dir >= 0 && runLen >= want {
+			if runLen >= want {
 				return runStart, want
 			}
 			continue
@@ -216,7 +200,7 @@ func (v *VAM) FindRun(want, lo, hi, dir int) (start, length int) {
 				closeRun()
 				runStart, runLen = segStart, ones
 			}
-			if dir >= 0 && runLen >= want {
+			if runLen >= want {
 				return runStart, want
 			}
 			if tz+ones >= 64 {
@@ -227,10 +211,77 @@ func (v *VAM) FindRun(want, lo, hi, dir int) (start, length int) {
 		}
 	}
 	closeRun()
-	if candStart >= 0 {
-		return candStart, want
-	}
 	return bestStart, bestLen
+}
+
+// findRunDown is FindRun for dir < 0: the top want pages of the highest run
+// of at least want free pages in [lo, hi). It walks the words from hi down,
+// growing the current run [runLo, runTop) downward, and returns the moment
+// the run holds want pages — its top is fixed by then.
+func (v *VAM) findRunDown(want, lo, hi int) (start, length int) {
+	bestStart, bestLen := 0, 0 // largest-run fallback
+	runLo, runTop := -1, -1
+	closeRun := func() {
+		if runLo >= 0 && runTop-runLo > bestLen {
+			bestStart, bestLen = runLo, runTop-runLo
+		}
+		runLo, runTop = -1, -1
+	}
+	w0, w1 := lo/64, (hi-1)/64
+	for wi := w1; wi >= w0; wi-- {
+		word := v.window(wi, lo, hi)
+		base := wi * 64
+		if word == 0 {
+			closeRun()
+			continue
+		}
+		if word == ^uint64(0) {
+			if runLo != base+64 {
+				closeRun()
+				runTop = base + 64
+			}
+			runLo = base
+			if runTop-runLo >= want {
+				return runTop - want, want
+			}
+			continue
+		}
+		// Mixed word: walk its free segments high to low.
+		for word != 0 {
+			lz := bits.LeadingZeros64(word)
+			ones := bits.LeadingZeros64(^(word << uint(lz)))
+			segTop := base + 64 - lz
+			if runLo != segTop {
+				closeRun()
+				runTop = segTop
+			}
+			runLo = segTop - ones
+			if runTop-runLo >= want {
+				return runTop - want, want
+			}
+			if lz+ones >= 64 {
+				word = 0
+			} else {
+				word &^= (1<<uint(ones) - 1) << uint(64-lz-ones)
+			}
+		}
+	}
+	closeRun()
+	return bestStart, bestLen
+}
+
+// window returns free-bitmap word wi with the bits outside [lo, hi) cleared.
+func (v *VAM) window(wi, lo, hi int) uint64 {
+	word := v.free[wi]
+	if wi == lo/64 {
+		word &^= 1<<(lo%64) - 1
+	}
+	if wi == (hi-1)/64 {
+		if rem := hi % 64; rem != 0 {
+			word &= 1<<rem - 1
+		}
+	}
+	return word
 }
 
 // Save layout: one header sector then ceil(n/4096) bitmap sectors.

@@ -468,11 +468,23 @@ func TestFindRunMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkFindRun is the allocator's search in both directions over the
-// soak shape: a mostly-allocated 600k-page volume with scattered free
-// fragments in its lower half and the free tail at the end. Upward is a small
-// create's or an extension's first fit, downward a sized big create's.
-func BenchmarkFindRun(b *testing.B) {
+// findRunCase is one search of BenchmarkFindRun: a bitmap, a window and a
+// direction, each of which holds a run of 8.
+type findRunCase struct {
+	name   string
+	v      *VAM
+	lo, hi int
+	dir    int
+}
+
+// findRunCases are the allocator's searches in both directions over the soak
+// shape: a mostly-allocated 600k-page volume with scattered free fragments in
+// its lower half and the free tail at the end. Upward is an extension's first
+// fit, downward a sized big create's. "small-area" is a small create's search
+// on the centre layout: downward through the ≈ 300k pages below the metadata,
+// whose top 20k are packed small files with the holes of deleted ones among
+// them and whose rest is free.
+func findRunCases() []findRunCase {
 	n := 600_000
 	v := New(n)
 	rng := rand.New(rand.NewSource(1))
@@ -480,14 +492,36 @@ func BenchmarkFindRun(b *testing.B) {
 		v.MarkFree(rng.Intn(n/2), 1+rng.Intn(3))
 	}
 	v.MarkFree(n-5000, 5000)
-	for _, dir := range []struct {
-		name string
-		dir  int
-	}{{"up", 1}, {"down", -1}} {
-		b.Run(dir.name, func(b *testing.B) {
+
+	const boundary = 300_000
+	small := New(n)
+	small.MarkFree(4, boundary-20_000-4)
+	for k := 0; k < 2000; k++ {
+		small.MarkFree(boundary-20_000+rng.Intn(20_000-4), 1+rng.Intn(4))
+	}
+	return []findRunCase{
+		{"up", v, 0, n, 1},
+		{"down", v, 0, n, -1},
+		{"small-area", small, 4, boundary, -1},
+	}
+}
+
+// TestFindRunAllocatesNothing: the search runs under the allocator lock on
+// every create and extend, and allocates nothing in either direction.
+func TestFindRunAllocatesNothing(t *testing.T) {
+	for _, c := range findRunCases() {
+		if a := testing.AllocsPerRun(20, func() { c.v.FindRun(8, c.lo, c.hi, c.dir) }); a != 0 {
+			t.Errorf("%s: FindRun allocates %.0f objects per call", c.name, a)
+		}
+	}
+}
+
+func BenchmarkFindRun(b *testing.B) {
+	for _, c := range findRunCases() {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, l := v.FindRun(8, 0, n, dir.dir); l != 8 {
+				if _, l := c.v.FindRun(8, c.lo, c.hi, c.dir); l != 8 {
 					b.Fatal("no run found")
 				}
 			}

@@ -129,13 +129,24 @@ go test ./internal/btree ./internal/bufcache ./internal/core ./internal/wire ./i
 # reader; a fill raced by a write installs nothing), and scan-resistant
 # replacement.
 go test ./internal/alloc ./internal/bufcache ./internal/core . -count=1 -run 'TestExtend|TestScanResistance|TestReserveCommit|TestDropAllSparesReservedFrames|TestStreamedReadShape|TestReadAheadPaysBetweenReaders|TestRandomReadsDoNotReadAhead|TestReadAheadStaysInsideItsStretch|TestStreamFillRacedByWrite|TestStreamedFileIsOneAscendingRun|TestLongStreamKeepsTwoRuns|TestRunTableLimitFailsOneWriter'
+# The small-file placement gates: on the centre layout small files fill their
+# area from the metadata down (allocator cases: packed below the boundary, the
+# nearest hole reused, a full area spilling upward; the zero value still the
+# lowest fit, page for page), 200 small creates within a cylinder of the log
+# and EdgePlacement's ascending from dataLo, the §6 model's data cylinder where
+# the first small create lands, CFS placing exactly as the zero-value rule,
+# and the word-at-a-time FindRun against its bit-at-a-time reference,
+# allocating nothing in either direction.
+go test ./internal/alloc ./internal/vam ./internal/core ./internal/cfs -count=1 -run 'TestSmallAllocFillsDownFromBoundary|TestSmallAllocReusesHoleNearBoundary|TestSmallAllocFromBoundarySpillsToBigArea|TestSmallFirstFitOrigin|TestFindRunMatchesReference|TestFindRunAllocatesNothing|TestSmallCreatesBesideMetadata|TestModelInfoFollowsFirstSmallCreate|TestCreatePlacementIsZeroValueRule'
 # Per-layer wall-clock benches (perf-ledger item c), one iteration each: they
 # must keep compiling and running; their numbers are read with -benchtime
 # left alone. (core's include BenchmarkStream256K and BenchmarkScrubPass,
 # which reports a clean scrub's simulated cost as sim-s/scrub; the write rows
 # are core's BenchmarkWriteAt32K and BenchmarkCreate500B, wal's
 # BenchmarkAppendForce16 and disk's BenchmarkGatherWrite; the crash mount's is
-# core's BenchmarkMountScan: sim-s/op and hidden-s/op at widths 1, 2 and 8.)
+# core's BenchmarkMountScan: sim-s/op and hidden-s/op at widths 1, 2 and 8;
+# vam's BenchmarkFindRun/small-area is a small create's downward search below
+# the log.)
 go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./internal/core ./internal/wire ./internal/server ./internal/wal ./internal/disk -run xxx -bench . -benchtime 1x
 # (...UnderChurn: scrub's optimistic leader sweep against files deleted,
 # recreated in place and extended under it — nothing repaired, nothing
