@@ -24,6 +24,7 @@ var (
 	_ SpanStats
 	_ DiskStats
 	_ DiskRegionStats
+	_ DiskRegionIO
 	_ ScrubStats
 	_ SalvageStats
 	_ VolumeFaultStats
@@ -116,6 +117,15 @@ func TestAPISurface(t *testing.T) {
 	var regions []DiskRegionStats = st.DiskRegions
 	if len(regions) != 5 || regions[0].Region != "log" || regions[0].Write.Ops == 0 || regions[0].Write.Busy <= 0 {
 		t.Fatalf("disk regions = %+v", regions)
+	}
+	// Busy splits into the timing model's steps: seek, rotational wait and
+	// transfer (no stall is injected here).
+	for _, r := range regions {
+		for _, io := range []DiskRegionIO{r.Read, r.Write} {
+			if io.Busy != io.Seek+io.Rotation+io.Transfer || io.Ops > 0 && io.Transfer <= 0 {
+				t.Fatalf("region %s: busy %v != seek %v + rotation %v + transfer %v", r.Region, io.Busy, io.Seek, io.Rotation, io.Transfer)
+			}
+		}
 	}
 	if cs.HomeWriteOps > cs.HomeWrites {
 		t.Fatalf("home writes: %d I/Os carried %d sectors", cs.HomeWriteOps, cs.HomeWrites)

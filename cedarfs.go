@@ -82,6 +82,9 @@ type (
 	// the volume layout (log, either name-table copy, VAM + root, data);
 	// see Stats.DiskRegions.
 	DiskRegionStats = core.DiskRegionStats
+	// DiskRegionIO is one direction of one region: I/Os, sectors, and the
+	// simulated busy time split into seek, rotational wait and transfer.
+	DiskRegionIO = core.DiskRegionIO
 	// ScrubStats reports one online scrub pass (copies repaired, sectors
 	// retired).
 	ScrubStats = core.ScrubStats

@@ -495,11 +495,11 @@ func run(img string, jsonOut bool, args []string) error {
 		fmt.Printf("disk: %d ops (%d reads, %d writes), %d/%d sectors read/written, busy %v simulated\n",
 			st.Disk.Ops, st.Disk.Reads, st.Disk.Writes, st.Disk.SectorsRead,
 			st.Disk.SectorsWritten, st.Disk.BusyTime().Round(time.Millisecond))
-		fmt.Print("disk by region (I/Os/sectors/simulated busy, read | write):")
+		fmt.Print("disk by region (I/Os/sectors/simulated busy and its rotational wait, read | write):")
 		for _, r := range st.DiskRegions {
-			fmt.Printf(" %s %d/%d/%v | %d/%d/%v;", r.Region,
-				r.Read.Ops, r.Read.Sectors, r.Read.Busy.Round(time.Millisecond),
-				r.Write.Ops, r.Write.Sectors, r.Write.Busy.Round(time.Millisecond))
+			fmt.Printf(" %s %d/%d/%v rot %v | %d/%d/%v rot %v;", r.Region,
+				r.Read.Ops, r.Read.Sectors, r.Read.Busy.Round(time.Millisecond), r.Read.Rotation.Round(time.Millisecond),
+				r.Write.Ops, r.Write.Sectors, r.Write.Busy.Round(time.Millisecond), r.Write.Rotation.Round(time.Millisecond))
 		}
 		fmt.Println()
 		// How growing files were placed and what became of the sectors read

@@ -373,7 +373,7 @@ func TestStatsCommand(t *testing.T) {
 			t.Fatalf("stats: %v", err)
 		}
 	})
-	for _, want := range []string{"ops:", "cache:", "commit:", "sectors written home in", "commit deadline:", "(fixed)", "disk:", "disk by region", "nt-a", "streams: 0/0 extensions in place/elsewhere; read-ahead", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "stale leaves decoded and dropped; arm ", "· hidden ", "faults:"} {
+	for _, want := range []string{"ops:", "cache:", "commit:", "sectors written home in", "commit deadline:", "(fixed)", "disk:", "disk by region (I/Os/sectors/simulated busy and its rotational wait", "nt-a", " rot ", "streams: 0/0 extensions in place/elsewhere; read-ahead", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "stale leaves decoded and dropped; arm ", "· hidden ", "faults:"} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
 		}
@@ -393,7 +393,8 @@ func TestStatsCommand(t *testing.T) {
 		t.Fatalf("stats -json does not decode into cedarfs.Stats: %v\n%s", err, out)
 	}
 	for _, want := range []string{`"Alloc":`, `"ExtendsInPlace":`, `"ReadAheadUsed":`, `"ReadAheadWasted":`, `"Promotions":`,
-		`"scan_arm_sim_ns":`, `"scan_pool_sim_ns":`, `"scan_hidden_sim_ns":`, `"sweep_stale_leaves":`} {
+		`"scan_arm_sim_ns":`, `"scan_pool_sim_ns":`, `"scan_hidden_sim_ns":`, `"sweep_stale_leaves":`,
+		`"Seek":`, `"Rotation":`, `"Transfer":`} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Fatalf("stats -json missing %s:\n%s", want, out)
 		}
@@ -408,6 +409,12 @@ func TestStatsCommand(t *testing.T) {
 	var regionOps int64
 	for _, r := range st.DiskRegions {
 		regionOps += r.Read.Ops + r.Write.Ops
+		for _, io := range []cedarfs.DiskRegionIO{r.Read, r.Write} {
+			if io.Busy < io.Seek+io.Rotation+io.Transfer || io.Ops > 0 && io.Transfer <= 0 {
+				t.Fatalf("stats -json region %s: busy %v is not seek %v + rotation %v + transfer %v (+ stall)",
+					r.Region, io.Busy, io.Seek, io.Rotation, io.Transfer)
+			}
+		}
 	}
 	if len(st.DiskRegions) != 5 || regionOps == 0 || regionOps > int64(st.Disk.Ops) {
 		t.Fatalf("stats -json regions cover %d of %d ops: %+v", regionOps, st.Disk.Ops, st.DiskRegions)

@@ -92,9 +92,12 @@ type ntCache struct {
 	homeWrites   atomic.Int64 // sectors, both copies counted
 	homeWriteOps atomic.Int64 // disk requests that carried them
 
-	// due and runBuf are the flush paths' scratch, reused from flush to
-	// flush; touched only under mu.
+	// due, reqs and runBuf are the home-write paths' scratch, reused from
+	// flush to flush: the images due, the requests they merge into (put in
+	// issue order by issueByPosition) and the one request being assembled.
+	// Touched only under mu.
 	due    []ntImage
+	reqs   []homeReq
 	runBuf []byte
 }
 
@@ -140,7 +143,9 @@ func crcOK(p []byte) bool {
 
 // Read implements btree.Pager. On a miss both home copies are read and
 // checked, per the paper ("when a page is read, both copies are read and
-// checked"), unless the volume is configured to read one.
+// checked"): copy A, then at once copy B, whose skew (copyBSkew) has its
+// first sector arrive under the head as the seek from copy A ends. A
+// single-copy volume reads its one copy.
 func (c *ntCache) Read(id uint32) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -446,11 +451,11 @@ func (c *ntCache) flushAll() error {
 	return nil
 }
 
-// writeDue sweeps c.due home in ascending order and counts what went out.
-// The caller holds c.mu, which is what makes due and runBuf safe to reuse.
+// writeDue sweeps c.due home and counts what went out. The caller holds
+// c.mu, which is what makes the scratch safe to reuse.
 func (c *ntCache) writeDue() error {
 	slices.SortFunc(c.due, func(a, b ntImage) int { return cmp.Compare(a.first, b.first) })
-	ios, sectors, err := c.v.writeNTHome(c.due, c.runBuf)
+	ios, sectors, err := c.writeNTHome(c.due)
 	clear(c.due) // keeps its length; drops the page buffers it pinned
 	c.homeWriteOps.Add(int64(ios))
 	c.homeWrites.Add(int64(sectors))
@@ -464,44 +469,96 @@ type ntImage struct {
 	data  []byte
 }
 
+// homeReq is one home-write request: sectors from addr on, carrying the
+// images [lo, hi) of its sweep (writeNTHome) or the pending leader at addr
+// (flushLeaders).
+type homeReq struct{ addr, lo, hi int }
+
 // writeNTHome is the one name-table home-write path: third-crossing flushes,
-// whole-cache flushes and the recovery redo all come through it. imgs must
-// be sorted by first and must not overlap. Physically adjacent images merge
-// into requests of at most MaxTransferSectors (assembled in buf, whose
-// capacity must cover one such request), and every request goes to copy A in
-// ascending address order before any goes to copy B, so the arm crosses the
-// gap between the copies once per flush instead of once per sector. Copy A
-// of a sector still lands before its copy B (scrub's "A is the newer image"
-// rule). It returns the requests and sectors written; on an error the caller
-// must treat every image as unwritten and redo the whole sweep.
-func (v *Volume) writeNTHome(imgs []ntImage, buf []byte) (ios, sectors int, err error) {
-	bases := []int{v.lay.ntA, v.lay.ntB}
-	if v.cfg.SingleCopyNT {
-		bases = bases[:1]
+// whole-cache flushes and the recovery redo all come through it, holding
+// c.mu. imgs must be sorted by first and must not overlap. Physically
+// adjacent images merge into requests of at most MaxTransferSectors, and
+// every request goes to copy A before any goes to copy B, so the arm crosses
+// the gap between the copies once per flush instead of once per sector; copy
+// A of a sector still lands before its copy B (scrub's "A is the newer
+// image" rule). Within a copy issueByPosition orders the requests: cylinders
+// ascending, and inside one the request the head reaches soonest next. A
+// merged request is assembled in runBuf just before it is issued. It returns
+// the requests and sectors written; on an error the caller must treat every
+// image as unwritten and redo the whole sweep.
+func (c *ntCache) writeNTHome(imgs []ntImage) (ios, sectors int, err error) {
+	bases := [2]int{c.v.lay.ntA, c.v.lay.ntB}
+	copies := 2
+	if c.v.cfg.SingleCopyNT {
+		copies = 1
 	}
-	for _, base := range bases {
+	for _, base := range bases[:copies] {
+		c.reqs = c.reqs[:0]
 		for i := 0; i < len(imgs); {
-			run, next := imgs[i].data, i+1
+			n, next := len(imgs[i].data), i+1
 			for ; next < len(imgs); next++ {
 				im := imgs[next]
-				if im.first != imgs[i].first+uint64(len(run)/disk.SectorSize) ||
-					len(run)+len(im.data) > MaxTransferSectors*disk.SectorSize {
+				if im.first != imgs[i].first+uint64(n/disk.SectorSize) ||
+					n+len(im.data) > MaxTransferSectors*disk.SectorSize {
 					break
 				}
-				if next == i+1 {
-					run = append(buf[:0], run...)
-				}
-				run = append(run, im.data...)
+				n += len(im.data)
 			}
-			if err := v.writeSectors(base+int(imgs[i].first), run); err != nil {
-				return ios, sectors, err
+			c.reqs = append(c.reqs, homeReq{addr: base + int(imgs[i].first), lo: i, hi: next})
+			i = next
+		}
+		err := c.v.issueByPosition(c.reqs, func(r homeReq) error {
+			run := imgs[r.lo].data
+			if r.hi > r.lo+1 {
+				run = c.runBuf[:0]
+				for _, im := range imgs[r.lo:r.hi] {
+					run = append(run, im.data...)
+				}
+			}
+			if err := c.v.writeSectors(r.addr, run); err != nil {
+				return err
 			}
 			ios++
 			sectors += len(run) / disk.SectorSize
-			i = next
+			return nil
+		})
+		if err != nil {
+			return ios, sectors, err
 		}
 	}
 	return ios, sectors, nil
+}
+
+// issueByPosition issues reqs, sorted by address, in the order that keeps a
+// home write one sweep and spares it rotation: cylinder by cylinder in
+// ascending order, and inside a cylinder next the request the head reaches
+// soonest (disk.PositionTime; the lower address on a tie), since inside a
+// cylinder a track change costs nothing and a sector passed costs a
+// revolution. It leaves reqs in issue order and stops at the first error.
+func (v *Volume) issueByPosition(reqs []homeReq, issue func(homeReq) error) error {
+	g := v.d.Geometry()
+	for lo := 0; lo < len(reqs); {
+		cyl, hi := g.Cylinder(reqs[lo].addr), lo+1
+		for hi < len(reqs) && g.Cylinder(reqs[hi].addr) == cyl {
+			hi++
+		}
+		for k := lo; k < hi; k++ {
+			best, soonest := k, v.d.PositionTime(reqs[k].addr)
+			for j := k + 1; j < hi; j++ {
+				if t := v.d.PositionTime(reqs[j].addr); t < soonest {
+					best, soonest = j, t
+				}
+			}
+			r := reqs[best]
+			copy(reqs[k+1:best+1], reqs[k:best])
+			reqs[k] = r
+			if err := issue(r); err != nil {
+				return err
+			}
+		}
+		lo = hi
+	}
+	return nil
 }
 
 // dropAll empties the cache (after crash recovery rewrites home pages).

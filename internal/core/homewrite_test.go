@@ -37,29 +37,56 @@ func newSmallLogVolume(t *testing.T) (*Volume, *disk.Disk) {
 	return v, d
 }
 
-// ntWrite is one observed write request to a name-table copy.
+// ntWrite is one observed write request to a name-table copy, with what the
+// head's positioning depended on when it was issued.
 type ntWrite struct {
 	copyB   bool
 	first   int // sector offset into the copy
 	sectors int
+	addr    int
+	start   time.Duration // clock when the request was issued
+	seek    time.Duration // its seek to its first sector's cylinder
 }
 
 // recordNTWrites chains a recorder in front of the volume's disk observer;
 // while *on is set, every write that starts in a name-table copy is appended
-// to *out.
+// to *out. The observer runs at the end of an operation, so the issue time
+// is the clock less the operation's device time, and the seek to the first
+// sector is the operation's seek less the settles of the cylinder boundaries
+// its transfer crossed.
 func recordNTWrites(v *Volume, d *disk.Disk, on *bool, out *[]ntWrite) {
-	ntSectors := v.lay.ntPages * NTPageSectors
+	g, settle := d.Geometry(), d.Params().SeekTime(1)
+	ntEnd := v.lay.ntB + v.lay.ntPages*NTPageSectors
 	d.SetOpObserver(func(e disk.OpEvent) {
 		v.observeDiskOp(e)
-		if !*on || !e.Write || e.Addr < v.lay.ntA || e.Addr >= v.lay.ntA+2*ntSectors {
+		if !*on || !e.Write || e.Addr < v.lay.ntA || e.Addr >= ntEnd {
 			return
 		}
-		w := ntWrite{first: e.Addr - v.lay.ntA, sectors: e.Sectors}
+		crossed := g.Cylinder(e.Addr+e.Sectors-1) - g.Cylinder(e.Addr)
+		w := ntWrite{
+			first: e.Addr - v.lay.ntA, sectors: e.Sectors, addr: e.Addr,
+			start: v.clk.Now() - e.Elapsed(), seek: e.Seek - time.Duration(crossed)*settle,
+		}
 		if e.Addr >= v.lay.ntB {
 			w.copyB, w.first = true, e.Addr-v.lay.ntB
 		}
 		*out = append(*out, w)
 	})
+}
+
+// positionAt is the timing model's seek plus rotational wait for a request
+// at addr in w's cylinder, had it been issued instead of w: w's seek, then
+// the wait for addr's slot. It is written out here, not taken from the disk,
+// so the ordering rule is checked against the model rather than against the
+// code under test.
+func (w ntWrite) positionAt(d *disk.Disk, addr int) time.Duration {
+	g, p := d.Geometry(), d.Params()
+	rev := p.Revolution()
+	wait := time.Duration(g.RotationalSlot(addr))*p.SectorTime(g) - (w.start+w.seek)%rev
+	if wait < 0 {
+		wait += rev
+	}
+	return w.seek + wait
 }
 
 // dueImages lists, in target order, what a flush of third must write home:
@@ -85,11 +112,13 @@ func dueImages(c *ntCache, third int) []ntImage {
 }
 
 // checkSweep holds the writes one flush issued to the rules of writeNTHome:
-// every copy-A request before every copy-B request, ascending within a copy,
-// one request per maximal run of adjacent images (split only at
-// MaxTransferSectors), both copies covering exactly the expected images. It
-// returns the number of runs.
-func checkSweep(t *testing.T, what string, want []ntImage, got []ntWrite) int {
+// every copy-A request before every copy-B request; in each copy exactly one
+// request per maximal run of adjacent images (split only at
+// MaxTransferSectors), so both copies cover exactly the expected images;
+// cylinders non-decreasing within a copy; and inside a cylinder each request
+// the one the head reached soonest among those still to go (the lower
+// address on a tie). It returns the number of runs.
+func checkSweep(t *testing.T, what string, d *disk.Disk, want []ntImage, got []ntWrite) int {
 	t.Helper()
 	type run struct{ first, sectors int }
 	var runs []run
@@ -104,11 +133,30 @@ func checkSweep(t *testing.T, what string, want []ntImage, got []ntWrite) int {
 	if len(got) != 2*len(runs) {
 		t.Fatalf("%s: %d name-table writes for %d runs of adjacent sectors, want %d", what, len(got), len(runs), 2*len(runs))
 	}
-	for i, w := range got {
-		r := runs[i%len(runs)]
-		if w.copyB != (i >= len(runs)) || w.first != r.first || w.sectors != r.sectors {
-			t.Fatalf("%s: write %d = %+v, want copyB=%v of run %+v (A sweep ascending, then B sweep ascending)",
-				what, i, w, i >= len(runs), r)
+	g := d.Geometry()
+	for c, ws := range [][]ntWrite{got[:len(runs)], got[len(runs):]} {
+		issued := make([]run, len(ws))
+		for i, w := range ws {
+			if w.copyB != (c == 1) {
+				t.Fatalf("%s: write %d = %+v went to the wrong copy (all of copy A first, then copy B)", what, c*len(runs)+i, w)
+			}
+			issued[i] = run{w.first, w.sectors}
+			if i > 0 && g.Cylinder(w.addr) < g.Cylinder(ws[i-1].addr) {
+				t.Fatalf("%s: copy %c went back from cylinder %d to %d", what, 'A'+c, g.Cylinder(ws[i-1].addr), g.Cylinder(w.addr))
+			}
+			for _, o := range ws[i+1:] {
+				if g.Cylinder(o.addr) != g.Cylinder(w.addr) {
+					break
+				}
+				if mine, theirs := w.positionAt(d, w.addr), w.positionAt(d, o.addr); theirs < mine || theirs == mine && o.addr < w.addr {
+					t.Fatalf("%s: copy %c issued sector %d (head there in %v) while sector %d of the same cylinder was %v away",
+						what, 'A'+c, w.addr, mine, o.addr, theirs)
+				}
+			}
+		}
+		slices.SortFunc(issued, func(a, b run) int { return cmp.Compare(a.first, b.first) })
+		if !slices.Equal(issued, runs) {
+			t.Fatalf("%s: copy %c requests %v, want one per run of adjacent sectors %v", what, 'A'+c, issued, runs)
 		}
 	}
 	return len(runs)
@@ -178,9 +226,10 @@ func (m *crashModel) run(t *testing.T, v *Volume, maxSteps int) error {
 
 // TestHomeWriteSweep is the gate that keeps name-table write-back a sweep:
 // at every third crossing of a small-log volume the due sectors go to copy
-// A in one ascending pass of coalesced requests and then to copy B — never
-// A,B,A,B one sector at a time — and nothing but the due sectors goes. The
-// same holds for flushAll at page granularity.
+// A in one pass of coalesced requests — cylinders ascending, and inside a
+// cylinder the request the head reaches soonest next — and then to copy B,
+// never A,B,A,B one sector at a time, and nothing but the due sectors goes.
+// The same holds for flushAll at page granularity.
 func TestHomeWriteSweep(t *testing.T) {
 	v, d := newSmallLogVolume(t)
 	var on bool
@@ -199,7 +248,7 @@ func TestHomeWriteSweep(t *testing.T) {
 			return n, err
 		}
 		what := fmt.Sprintf("crossing %d into third %d", crossings, third)
-		r := checkSweep(t, what, want, got)
+		r := checkSweep(t, what, d, want, got)
 		checkHome(t, what, v, d, want)
 		if after := v.Stats().Cache; after.HomeWrites-before.HomeWrites != 2*len(want) || after.HomeWriteOps-before.HomeWriteOps != 2*r {
 			t.Fatalf("%s: counters moved by %d sectors in %d I/Os, want %d in %d", what,
@@ -245,7 +294,7 @@ func TestHomeWriteSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	on = false
-	if r := checkSweep(t, "flushAll", want, got); len(want) < 8 || r >= len(want) {
+	if r := checkSweep(t, "flushAll", d, want, got); len(want) < 8 || r >= len(want) {
 		t.Fatalf("flushAll wrote %d dirty pages in %d runs per copy; want several pages, some of them neighbours", len(want), r)
 	}
 	checkHome(t, "flushAll", v, d, want)
@@ -388,7 +437,7 @@ func TestHomeWriteFaultRedo(t *testing.T) {
 				if rerr != nil || n != len(want) {
 					t.Fatalf("redo flushed %d of %d sectors: %v", n, len(want), rerr)
 				}
-				checkSweep(t, "redo", want, got)
+				checkSweep(t, "redo", d, want, got)
 				checkHome(t, "redo", v, d, want)
 				if len(dueImages(v.cache, third)) != 0 {
 					t.Fatal("redo left marks set")

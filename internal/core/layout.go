@@ -53,8 +53,8 @@ type Config struct {
 	// NTPages is the name-table capacity in 2 KB pages per copy. Zero
 	// means 2048 (4 MB per copy, roughly 20k files).
 	NTPages int
-	// DoubleWriteNT controls whether the name table is stored twice
-	// (the paper's design). Disable only for the ablation benchmark.
+	// SingleCopyNT stores the name table once instead of twice (twice is
+	// the paper's design). Set only for the ablation benchmark.
 	SingleCopyNT bool
 	// SmallThreshold is the small-file cutoff in pages for the split
 	// allocator. Zero means 8 pages (4,000 bytes, the paper's statistic).
@@ -269,8 +269,9 @@ func (c Config) checkWorkers() int {
 }
 
 // layout describes where everything lives on the volume. The boot pages sit
-// at the front; the log and both name-table copies sit together near the
-// centre cylinders ("the file name table is preallocated to sectors near the
+// at the front; the log, then name-table copy A, then — a rotational skew of
+// a few sectors further on (copyBSkew) — copy B sit near the centre
+// cylinders ("the file name table is preallocated to sectors near the
 // central cylinder... this reduces disk head motion"); the VAM save area
 // follows them; the rest is data. Small files fill the area below the
 // metadata downward from it, first fit from the top, so a small create and
@@ -292,19 +293,22 @@ type layout struct {
 	total        int
 }
 
-func computeLayout(g disk.Geometry, cfg Config) (layout, error) {
+// computeLayout places everything on a drive of geometry g and timing p. It
+// is a pure function of its arguments: Format records the result in the root
+// page, and Salvage recomputes it only when both root replicas are lost.
+func computeLayout(g disk.Geometry, p disk.Params, cfg Config) (layout, error) {
 	var l layout
 	l.total = g.Sectors()
 	l.rootA, l.rootB = 0, 2
 	l.logSize = cfg.logSectors()
 	l.ntPages = cfg.ntPages()
 	ntSectors := l.ntPages * NTPageSectors
-	copies := 2
+	copies, skew := 2, copyBSkew(g, p, ntSectors)
 	if cfg.SingleCopyNT {
-		copies = 1
+		copies, skew = 1, 0
 	}
 	l.vamSectors = vam.SaveSectors(l.total)
-	metaSectors := l.logSize + copies*ntSectors + l.vamSectors
+	metaSectors := l.logSize + copies*ntSectors + skew + l.vamSectors
 
 	start := l.total / 2 // centre cylinders
 	if cfg.EdgePlacement {
@@ -318,12 +322,11 @@ func computeLayout(g disk.Geometry, cfg Config) (layout, error) {
 	}
 	l.logBase = start
 	l.ntA = l.logBase + l.logSize
-	if cfg.SingleCopyNT {
-		l.ntB = l.ntA
-	} else {
-		l.ntB = l.ntA + ntSectors
+	l.ntB = l.ntA
+	if !cfg.SingleCopyNT {
+		l.ntB += ntSectors + skew
 	}
-	l.vamBase = l.ntA + copies*ntSectors
+	l.vamBase = l.ntB + ntSectors
 	metaEnd := l.vamBase + l.vamSectors
 
 	l.dataLo = 4
@@ -341,6 +344,33 @@ func computeLayout(g disk.Geometry, cfg Config) (layout, error) {
 		return l, errors.New("core: no data space left")
 	}
 	return l, nil
+}
+
+// copyBSkew is how many sectors past the end of copy A copy B starts. A
+// name-table miss reads a page's copy A and then at once its copy B, which
+// lies ntSectors+skew further on: the skew is the smallest gap at which copy
+// B's first sector of the page comes under the head just as the seek from
+// copy A ends — after the page's transfer and the longest seek that can
+// separate one page's two copies, the head waits less than a sector. With
+// no skew the wait is whatever ntSectors mod SectorsPerTrack leaves, most of
+// a revolution on an unlucky table size. It is the rotational half of the
+// locality the paper's timing scripts assume ("rotational and radial").
+func copyBSkew(g disk.Geometry, p disk.Params, ntSectors int) int {
+	secT, rev := p.SectorTime(g), p.Revolution()
+	cylSectors := g.SectorsPerTrack * g.TracksPerCylinder
+	for skew := 0; skew < g.SectorsPerTrack; skew++ {
+		off := ntSectors + skew
+		seek := p.SeekTime((off + cylSectors - 1) / cylSectors)
+		arrive := NTPageSectors*secT + seek
+		wait := (time.Duration(off%g.SectorsPerTrack)*secT - arrive) % rev
+		if wait < 0 {
+			wait += rev
+		}
+		if wait < secT {
+			return skew
+		}
+	}
+	return 0
 }
 
 // smallFromBoundary reports whether the metadata sits at the allocator

@@ -423,11 +423,11 @@ func TestScrubSweepMatchesPerPage(t *testing.T) {
 		var st ScrubStats
 		pass(v, &st)
 		st.NTElapsed = 0
-		region, err := d.ReadSectors(v.lay.ntA, 2*v.lay.ntPages*NTPageSectors)
+		region, err := d.ReadSectors(v.lay.ntA, v.lay.vamBase-v.lay.ntA) // both copies and the skew between them
 		if err != nil {
 			// Pages lost in both copies stay unreadable; compare sector-wise.
 			region = nil
-			for s := 0; s < 2*v.lay.ntPages*NTPageSectors; s++ {
+			for s := 0; s < v.lay.vamBase-v.lay.ntA; s++ {
 				buf, err := d.ReadSectors(v.lay.ntA+s, 1)
 				if err != nil {
 					buf = bytes.Repeat([]byte{0xEE}, disk.SectorSize)

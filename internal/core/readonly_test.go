@@ -160,7 +160,7 @@ func TestMountReadOnlyDegradesWhenLogLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Now both log anchor copies rot. A writable mount cannot recover.
-	lay, err := computeLayout(d.Geometry(), cfg)
+	lay, err := computeLayout(d.Geometry(), d.Params(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestMountOrSalvageReadOnlyRung(t *testing.T) {
 	if err := v.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	lay, err := computeLayout(d.Geometry(), cfg)
+	lay, err := computeLayout(d.Geometry(), d.Params(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -928,7 +928,7 @@ func newSalvageRun(d *disk.Disk, cfg Config, st *SalvageStats) (*salvageRun, err
 		uidChunk = root.uidChunk
 		formatted = root.formatted
 	} else {
-		lay, err = computeLayout(d.Geometry(), cfg)
+		lay, err = computeLayout(d.Geometry(), d.Params(), cfg)
 		if err != nil {
 			return nil, err
 		}

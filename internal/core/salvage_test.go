@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/disk"
+	"repro/internal/sim"
 )
 
 // destroyNameTable damages every sector of both name-table home copies.
@@ -265,5 +266,58 @@ func TestMountOrSalvage(t *testing.T) {
 		if got, err := f.ReadAll(); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s wrong after salvage: %v", name, err)
 		}
+	}
+}
+
+// TestSalvageLayoutWithoutRoot: with both root replicas gone, Salvage
+// recomputes the layout from the drive's geometry and timing and the config.
+// That must land every region where Format put it — copy B's rotational skew
+// included — or the rebuild would write a name table the next mount does not
+// find. On fsdbench's drive (DefaultGeometry, 4,096-page table) the skew is 12
+// sectors; a single-copy table has none.
+func TestSalvageLayoutWithoutRoot(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		geom disk.Geometry
+		cfg  Config
+		skew int
+	}{
+		{"test", disk.SmallGeometry, testConfig(), 16},
+		{"single-copy", disk.SmallGeometry, Config{NTPages: 256, SingleCopyNT: true}, 0},
+		{"fsdbench", disk.DefaultGeometry, Config{NTPages: 4096}, 12},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := disk.New(c.geom, disk.DefaultParams, sim.NewVirtualClock())
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := Format(d, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantB := v.lay.ntA
+			if !c.cfg.SingleCopyNT {
+				wantB += v.lay.ntPages*NTPageSectors + c.skew
+			}
+			if v.lay.ntB != wantB || v.lay.vamBase != v.lay.ntB+v.lay.ntPages*NTPageSectors {
+				t.Fatalf("copy A at %d, copy B at %d, VAM at %d: want copy B at %d (skew %d) and the VAM right after it",
+					v.lay.ntA, v.lay.ntB, v.lay.vamBase, wantB, c.skew)
+			}
+			if err := v.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			d.CorruptSectors(v.lay.rootA, 1)
+			d.CorruptSectors(v.lay.rootB, 1)
+			if _, err := readRoot(d, 0); err == nil {
+				t.Fatal("a root replica survived")
+			}
+			r, err := newSalvageRun(d, c.cfg, &SalvageStats{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.lay != v.lay {
+				t.Fatalf("salvage recomputed layout\n%+v\nFormat wrote\n%+v", r.lay, v.lay)
+			}
+		})
 	}
 }

@@ -181,12 +181,16 @@ type DiskRegionStats struct {
 	Write  DiskRegionIO
 }
 
-// DiskRegionIO counts one direction of one region. Busy is seek + rotation
-// + transfer (+ injected stall) on the sim clock.
+// DiskRegionIO counts one direction of one region. Busy is Seek + Rotation
+// + Transfer (+ injected stall) on the sim clock; Rotation is the time the
+// head spent waiting for a sector to come round.
 type DiskRegionIO struct {
-	Ops     int64
-	Sectors int64
-	Busy    time.Duration
+	Ops      int64
+	Sectors  int64
+	Busy     time.Duration
+	Seek     time.Duration
+	Rotation time.Duration
+	Transfer time.Duration
 }
 
 // Span names, one per public Volume operation wrapped by v.span.
@@ -235,7 +239,7 @@ type volObs struct {
 
 	// regions accumulates disk ops by layout region and direction
 	// (0 read, 1 write); fed by observeDiskOp under the device mutex.
-	regions [len(diskRegionNames)][2]struct{ ops, sectors, busy atomic.Int64 }
+	regions [len(diskRegionNames)][2]regionIO
 }
 
 // The regions layout.region sorts disk addresses into, and their names.
@@ -250,6 +254,26 @@ const (
 var diskRegionNames = [...]string{
 	regionLog: "log", regionNTA: "nt-a", regionNTB: "nt-b",
 	regionVAMRoot: "vam+root", regionData: "data",
+}
+
+// regionIO is the accumulator behind one DiskRegionIO (times in ns).
+type regionIO struct{ ops, sectors, busy, seek, rot, transfer atomic.Int64 }
+
+func (r *regionIO) add(e disk.OpEvent) {
+	r.ops.Add(1)
+	r.sectors.Add(int64(e.Sectors))
+	r.busy.Add(int64(e.Elapsed()))
+	r.seek.Add(int64(e.Seek))
+	r.rot.Add(int64(e.Rot))
+	r.transfer.Add(int64(e.Transfer))
+}
+
+func (r *regionIO) snapshot() DiskRegionIO {
+	return DiskRegionIO{
+		Ops: r.ops.Load(), Sectors: r.sectors.Load(), Busy: time.Duration(r.busy.Load()),
+		Seek: time.Duration(r.seek.Load()), Rotation: time.Duration(r.rot.Load()),
+		Transfer: time.Duration(r.transfer.Load()),
+	}
 }
 
 func newVolObs() *volObs {
@@ -395,10 +419,7 @@ func (v *Volume) observeDiskOp(e disk.OpEvent) {
 	if e.Write {
 		dir = 1
 	}
-	r := &v.obs.regions[v.lay.region(e.Addr)][dir]
-	r.ops.Add(1)
-	r.sectors.Add(int64(e.Sectors))
-	r.busy.Add(int64(total))
+	v.obs.regions[v.lay.region(e.Addr)][dir].add(e)
 	// The per-op I/O deadline: an operation that held the device this
 	// long (a hung-I/O stall, on this simulated drive) is classified as a
 	// fault instead of silently delaying the commit pipeline. A
@@ -490,9 +511,7 @@ func (v *Volume) Stats() Stats {
 	for i, name := range diskRegionNames {
 		r := &v.obs.regions[i]
 		s.DiskRegions = append(s.DiskRegions, DiskRegionStats{
-			Region: name,
-			Read:   DiskRegionIO{r[0].ops.Load(), r[0].sectors.Load(), time.Duration(r[0].busy.Load())},
-			Write:  DiskRegionIO{r[1].ops.Load(), r[1].sectors.Load(), time.Duration(r[1].busy.Load())},
+			Region: name, Read: r[0].snapshot(), Write: r[1].snapshot(),
 		})
 	}
 	for name, sm := range v.obs.spans {

@@ -166,13 +166,15 @@ type Volume struct {
 
 	uidNext atomic.Uint64
 
-	// lmu guards pendingLeaders and leaderThird. pendingLeaders holds
-	// leader pages created but not yet written to their home sector; the
-	// write piggybacks on the file's next data write, or happens when the
-	// leader's log third is overwritten.
+	// lmu guards pendingLeaders, leaderThird and leaderReqs. pendingLeaders
+	// holds leader pages created but not yet written to their home sector;
+	// the write piggybacks on the file's next data write, or happens when
+	// the leader's log third is overwritten. leaderReqs is flushLeaders'
+	// scratch.
 	lmu            sync.Mutex
 	pendingLeaders map[int][]byte
 	leaderThird    map[int]int
+	leaderReqs     []homeReq
 
 	// vmMu guards vm, al, vamDirty, and pendingFrees. The VAM's Tracker
 	// callback runs inside vm mutations, so it relies on the caller
@@ -389,33 +391,43 @@ func (v *Volume) freeOnCommit(runs []alloc.Run) {
 // allThirds makes flushLeaders write every pending leader.
 const allThirds = -1
 
-// flushLeaders writes home, in ascending address order, the pending leader
-// pages last logged in third (allThirds: every pending leader, logged or
-// not) and forgets them. It returns how many it wrote.
+// flushLeaders writes home the pending leader pages last logged in third
+// (allThirds: every pending leader, logged or not) and forgets them, in the
+// name table's home-write order (issueByPosition). It returns how many it
+// wrote.
 func (v *Volume) flushLeaders(third int) (int, error) {
 	v.lmu.Lock()
 	defer v.lmu.Unlock()
-	var addrs []int
+	reqs := v.leaderReqs[:0]
 	if third == allThirds {
-		addrs = sortedKeys(v.pendingLeaders)
+		for addr := range v.pendingLeaders {
+			reqs = append(reqs, homeReq{addr: addr})
+		}
 	} else {
-		addrs = sortedKeys(v.leaderThird)
-	}
-	n := 0
-	for _, addr := range addrs {
-		if third != allThirds && v.leaderThird[addr] != third {
-			continue
-		}
-		if data, ok := v.pendingLeaders[addr]; ok {
-			if err := v.writeSectors(addr, data); err != nil {
-				return n, err
+		for addr, t := range v.leaderThird {
+			if t != third {
+				continue
 			}
-			delete(v.pendingLeaders, addr)
-			n++
+			if _, ok := v.pendingLeaders[addr]; ok {
+				reqs = append(reqs, homeReq{addr: addr})
+			} else {
+				delete(v.leaderThird, addr)
+			}
 		}
-		delete(v.leaderThird, addr)
 	}
-	return n, nil
+	slices.SortFunc(reqs, func(a, b homeReq) int { return cmp.Compare(a.addr, b.addr) })
+	v.leaderReqs = reqs
+	n := 0
+	err := v.issueByPosition(reqs, func(r homeReq) error {
+		if err := v.writeSectors(r.addr, v.pendingLeaders[r.addr]); err != nil {
+			return err
+		}
+		delete(v.pendingLeaders, r.addr)
+		delete(v.leaderThird, r.addr)
+		n++
+		return nil
+	})
+	return n, err
 }
 
 func (v *Volume) writeRoot(r rootPage) error {
@@ -467,7 +479,7 @@ func newAllocator(vm *vam.VAM, lay layout, cfg Config) (*alloc.Allocator, error)
 // Format initializes an FSD volume on d and returns it mounted. Everything
 // on the device is considered garbage.
 func Format(d *disk.Disk, cfg Config) (*Volume, error) {
-	lay, err := computeLayout(d.Geometry(), cfg)
+	lay, err := computeLayout(d.Geometry(), d.Params(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -784,7 +796,9 @@ func (v *Volume) applyNTImages(ntImages map[uint64][]byte) error {
 	for _, tgt := range sortedKeys(ntImages) {
 		imgs = append(imgs, ntImage{first: tgt, data: ntImages[tgt]})
 	}
-	_, _, err := v.writeNTHome(imgs, make([]byte, 0, MaxTransferSectors*disk.SectorSize))
+	v.cache.mu.Lock()
+	defer v.cache.mu.Unlock()
+	_, _, err := v.cache.writeNTHome(imgs)
 	return err
 }
 

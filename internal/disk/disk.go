@@ -412,9 +412,32 @@ func (d *Disk) checkRange(addr, n int) error {
 	return nil
 }
 
-// motion charges seek and rotational time to position the head at addr,
-// assuming the previous sector transferred (if any) ended at prevEnd.
-// It must be called with d.mu held. It returns the per-sector transfer time.
+// PositionTime returns the seek plus rotational wait a request starting at
+// addr would pay if it were issued now: the positioning steps of the timing
+// model, without the transfer. It is a query — it advances no clock, moves
+// no arm and counts nothing — for a caller choosing which of several
+// requests to issue next.
+func (d *Disk) PositionTime(addr int) time.Duration {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st := d.par.SeekTime(d.geom.Cylinder(addr) - d.curCyl)
+	return st + d.rotWait(d.clk.Now()+st, addr)
+}
+
+// rotWait is how long a head that is ready at time at waits for the slot of
+// addr to come under it.
+func (d *Disk) rotWait(at time.Duration, addr int) time.Duration {
+	rev := d.par.Revolution()
+	pos := at % rev // angular position expressed as time into the revolution
+	wait := time.Duration(d.geom.RotationalSlot(addr))*d.par.SectorTime(d.geom) - pos
+	if wait < 0 {
+		wait += rev
+	}
+	return wait
+}
+
+// motion charges seek and rotational time to position the head at addr.
+// It must be called with d.mu held.
 func (d *Disk) motion(addr int) {
 	cyl := d.geom.Cylinder(addr)
 	dist := cyl - d.curCyl
@@ -432,23 +455,7 @@ func (d *Disk) motion(addr int) {
 		d.clk.Advance(st)
 		d.curCyl = cyl
 	}
-	// Rotational wait until the target slot is under the head.
-	secT := d.par.SectorTime(d.geom)
-	rev := d.par.Revolution()
-	now := d.clk.Now()
-	pos := now % rev // angular position expressed as time into the revolution
-	target := time.Duration(d.geom.RotationalSlot(addr)) * secT
-	wait := target - pos
-	if wait < 0 {
-		wait += rev
-	}
-	if wait > 0 {
-		d.cnt.rotTime.Add(int64(wait))
-		if wait >= rev*3/4 {
-			d.cnt.lostRevs.Add(1)
-		}
-		d.clk.Advance(wait)
-	}
+	d.realign(addr)
 }
 
 // transferOne charges the transfer time of one sector and advances the arm
@@ -481,18 +488,9 @@ func (d *Disk) transferOne(addr int) {
 
 // realign waits for the rotational slot of addr. Must hold d.mu.
 func (d *Disk) realign(addr int) {
-	secT := d.par.SectorTime(d.geom)
-	rev := d.par.Revolution()
-	now := d.clk.Now()
-	pos := now % rev
-	target := time.Duration(d.geom.RotationalSlot(addr)) * secT
-	wait := target - pos
-	if wait < 0 {
-		wait += rev
-	}
-	if wait > 0 {
+	if wait := d.rotWait(d.clk.Now(), addr); wait > 0 {
 		d.cnt.rotTime.Add(int64(wait))
-		if wait >= rev*3/4 {
+		if wait >= d.par.Revolution()*3/4 {
 			d.cnt.lostRevs.Add(1)
 		}
 		d.clk.Advance(wait)

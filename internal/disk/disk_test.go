@@ -514,6 +514,33 @@ func TestQuickRotationalWaitBounded(t *testing.T) {
 	}
 }
 
+// TestPositionTimeIsTheNextOpsPositioning: PositionTime is a pure query — no
+// clock, arm or counter moves — and it is exactly the seek plus rotational
+// wait the next operation at that address then pays.
+func TestPositionTimeIsTheNextOpsPositioning(t *testing.T) {
+	f := func(from, to uint16, pre uint16) bool {
+		d, clk := newTestDisk(t)
+		if _, err := d.ReadSectors(int(from)%SmallGeometry.Sectors(), 1); err != nil {
+			return false
+		}
+		clk.Advance(time.Duration(pre) * time.Microsecond)
+		addr := int(to) % SmallGeometry.Sectors()
+		now, st := clk.Now(), d.Stats()
+		got := d.PositionTime(addr)
+		if clk.Now() != now || d.Stats() != st || d.PositionTime(addr) != got {
+			return false
+		}
+		if err := d.WriteSectors(addr, make([]byte, SectorSize)); err != nil {
+			return false
+		}
+		paid := d.Stats().Sub(st)
+		return got == paid.SeekTime+paid.RotTime && got < DefaultParams.SeekTime(SmallGeometry.Cylinders)+DefaultParams.Revolution()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReadLabelsAndAccessors(t *testing.T) {
 	d, clk := newTestDisk(t)
 	if d.Params() != DefaultParams {

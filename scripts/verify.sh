@@ -80,7 +80,8 @@ go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache
 # ...plus the read-count gate that keeps the name-table passes of mount
 # and scrub sequential (two reads per 16-page run, not two per page) and
 # the write-count gate that keeps name-table write-back a sweep (copy A
-# ascending and coalesced, then copy B — not A,B,A,B a sector at a time).
+# coalesced, cylinders ascending, then copy B — not A,B,A,B a sector at a
+# time).
 # ...and the cut sweep: a force, then the plug, at each of the first 400
 # Appends of a run of creates, staged and async — every cut must leave a
 # mountable, verifiable prefix (0 bad; 208 before the WAL group).
@@ -138,6 +139,15 @@ go test ./internal/alloc ./internal/bufcache ./internal/core . -count=1 -run 'Te
 # and the word-at-a-time FindRun against its bit-at-a-time reference,
 # allocating nothing in either direction.
 go test ./internal/alloc ./internal/vam ./internal/core ./internal/cfs -count=1 -run 'TestSmallAllocFillsDownFromBoundary|TestSmallAllocReusesHoleNearBoundary|TestSmallAllocFromBoundarySpillsToBigArea|TestSmallFirstFitOrigin|TestFindRunMatchesReference|TestFindRunAllocatesNothing|TestSmallCreatesBesideMetadata|TestModelInfoFollowsFirstSmallCreate|TestCreatePlacementIsZeroValueRule'
+# The rotation-aware name-table gates: the disk's positioning query moves
+# nothing and prices the next request exactly; home write-back goes A before
+# B, the same coalesced requests, cylinders ascending and, inside a cylinder,
+# the request the head reaches soonest (a flush and its fault redo); a
+# cylinder's worth of due sectors costs at most one revolution of rotation
+# and less than ascending order; a flush allocates nothing; every name-table
+# miss's copy-B read waits less than a sector for rotation; and salvage
+# without a root recomputes Format's skewed layout.
+go test ./internal/disk ./internal/core -count=1 -run 'TestPositionTimeIsTheNextOpsPositioning|TestHomeWriteSweep|TestHomeWriteFaultRedo|TestHomeWriteRotationalOrder|TestHomeWriteSweepAllocs|TestNTMissSecondCopyNoWait|TestSalvageLayoutWithoutRoot'
 # Per-layer wall-clock benches (perf-ledger item c), one iteration each: they
 # must keep compiling and running; their numbers are read with -benchtime
 # left alone. (core's include BenchmarkStream256K and BenchmarkScrubPass,
@@ -146,7 +156,8 @@ go test ./internal/alloc ./internal/vam ./internal/core ./internal/cfs -count=1 
 # BenchmarkAppendForce16 and disk's BenchmarkGatherWrite; the crash mount's is
 # core's BenchmarkMountScan: sim-s/op and hidden-s/op at widths 1, 2 and 8;
 # vam's BenchmarkFindRun/small-area is a small create's downward search below
-# the log.)
+# the log; core's BenchmarkHomeWriteSweep is one third-crossing flush of 64
+# scattered due sectors, in sim-ms/flush and rot-ms/req.)
 go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./internal/core ./internal/wire ./internal/server ./internal/wal ./internal/disk -run xxx -bench . -benchtime 1x
 # (...UnderChurn: scrub's optimistic leader sweep against files deleted,
 # recreated in place and extended under it — nothing repaired, nothing
