@@ -9,23 +9,24 @@
 //	benchtab -table gc       # the group-commit statistics (5.4)
 //	benchtab -table model    # the analytical-model validation (6)
 //	benchtab -table recovery # recovery comparison (7)
-//	benchtab -table tables   # Tables 2/3/4/5 from the live observability counters
 //	benchtab -table ablations
+//	benchtab -table 2 -tables-json BENCH_tables.json # also record hw, 1-5, gc, model, recovery
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: hw, 1-5, gc, model, recovery, robustness, crashsweep, nestedcrash, pfsck, datapath, faultpath, tables, ablations, all")
+	table := flag.String("table", "all", "which table to regenerate: hw, 1-5, gc, model, recovery, robustness, crashsweep, nestedcrash, pfsck, datapath, faultpath, ablations, all")
 	dataJSON := flag.String("datapath-json", "", "also write the data-path cache report to this path (e.g. BENCH_datapath.json)")
-	tablesJSON := flag.String("tables-json", "", "also write the live-counter tables report to this path (e.g. BENCH_tables.json)")
+	tablesJSON := flag.String("tables-json", "", "also write the paper's tables (hw, 1-5, gc, model, recovery) to this path (e.g. BENCH_tables.json)")
 	robJSON := flag.String("robustness-json", "", "also write the robustness report to this path (e.g. BENCH_robustness.json)")
 	sweepJSON := flag.String("crashsweep-json", "", "also write the crash-sweep report to this path (e.g. BENCH_crashsweep.json)")
 	nestedJSON := flag.String("nestedcrash-json", "", "also write the depth-2 nested-crash report to this path (e.g. BENCH_nestedcrash.json)")
@@ -37,7 +38,8 @@ func main() {
 		name string
 		fn   func() (bench.Table, error)
 	}
-	all := []gen{
+	// The paper's own tables come first; -tables-json records them.
+	paper := []gen{
 		{"hw", bench.Hardware},
 		{"1", bench.Table1},
 		{"2", bench.Table2},
@@ -48,15 +50,14 @@ func main() {
 		{"model", bench.ModelValidation},
 		{"recovery", bench.Recovery},
 		{"recovery", bench.RecoveryScaling},
+	}
+	extra := []gen{
 		{"faultpath", bench.FaultPath},
 		{"robustness", bench.Robustness},
 		{"crashsweep", bench.CrashSweep},
 		{"nestedcrash", bench.NestedCrash},
 		{"pfsck", bench.PFsck},
 		{"datapath", bench.DataPath},
-		{"tables", bench.TablesIOs},
-		{"tables", bench.TablesBatching},
-		{"tables", bench.TablesTimings},
 	}
 	ablations := []gen{
 		{"ablations", bench.AblationCommitInterval},
@@ -68,24 +69,38 @@ func main() {
 		{"ablations", bench.AblationLogSize},
 	}
 
-	want := strings.ToLower(*table)
-	ran := 0
-	out := func(format string, args ...interface{}) { fmt.Printf(format, args...) }
-	for _, g := range append(all, ablations...) {
-		if want != "all" && want != g.name {
-			continue
-		}
+	run := func(g gen) bench.Table {
 		t, err := g.fn()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", g.name, err)
 			os.Exit(1)
 		}
-		t.Print(out)
+		return t
+	}
+	want := strings.ToLower(*table)
+	ran := 0
+	out := func(format string, args ...interface{}) { fmt.Printf(format, args...) }
+	for _, g := range slices.Concat(paper, extra, ablations) {
+		if want != "all" && want != g.name {
+			continue
+		}
+		run(g).Print(out)
 		ran++
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "benchtab: unknown table %q\n", *table)
 		os.Exit(2)
+	}
+	if *tablesJSON != "" {
+		tabs := make([]bench.Table, len(paper))
+		for i, g := range paper {
+			tabs[i] = run(g)
+		}
+		if err := bench.WriteTablesJSON(*tablesJSON, tabs); err != nil {
+			fmt.Fprintf(os.Stderr, "benchtab: tables json: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("\nwrote %s (%d paper tables)\n", *tablesJSON, len(tabs))
 	}
 	if *dataJSON != "" {
 		rep, err := bench.WriteDataPathJSON(*dataJSON)
@@ -103,14 +118,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("\nwrote %s (salvage %.1fx faster than scavenge)\n", *robJSON, rep.SalvageSpeedup)
-	}
-	if *tablesJSON != "" {
-		rep, err := bench.WriteTablesJSON(*tablesJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: tables json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s (bulk-delete batching factor %.2fx)\n", *tablesJSON, rep.Batching.BatchingFactor)
 	}
 	if *sweepJSON != "" {
 		rep, err := bench.WriteCrashSweepJSON(*sweepJSON)

@@ -1,85 +1,64 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
 )
 
-// TestTablesGolden renders the three live-counter tables exactly as
-// `benchtab -table tables` prints them and checks the output structure plus
-// the headline claims: zero-I/O warm opens, a bulk-delete batching factor of
-// at least 2x (the paper reports 2.98x), and model predictions near the
-// span-measured timings. The three generators share one memoized run, so
-// this costs a single volume.
-func TestTablesGolden(t *testing.T) {
-	var buf bytes.Buffer
-	out := func(format string, args ...interface{}) { fmt.Fprintf(&buf, format, args...) }
-	for _, fn := range []func() (bench.Table, error){
-		bench.TablesIOs, bench.TablesBatching, bench.TablesTimings,
-	} {
+// TestTablesJSONRoundTrip: a TablesRecord written by WriteTablesJSON reads
+// back as the tables benchtab printed, under a named clock, and the committed
+// BENCH_tables.json is such a record of exactly the paper's tables, in
+// benchtab's order.
+func TestTablesJSONRoundTrip(t *testing.T) {
+	var tabs []bench.Table
+	for _, fn := range []func() (bench.Table, error){bench.Hardware, bench.Table1} {
 		tb, err := fn()
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.Print(out)
+		tabs = append(tabs, tb)
 	}
-	text := buf.String()
-	for _, want := range []string{
-		"=== T2: Disk I/Os per operation, from live counters (Table 2) ===",
-		"Operation", "I/Os per op", "meta I/Os per op",
-		"open (warm name table)",
-		"small create (600 B)",
-		"delete",
-		"=== T3: Group-commit batching on a bulk delete, from live counters (Table 3) ===",
-		"batching factor (staged / logged)", "2.98",
-		"=== T4/5: Model vs span-measured operation timings (Tables 4 and 5) ===",
-		"FSD open", "FSD small create", "FSD small delete", "Error %",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("tables output missing %q:\n%s", want, text)
-		}
-	}
-
-	// The JSON report backs the same run; verify the recorded claims.
 	path := filepath.Join(t.TempDir(), "tables.json")
-	rep, err := bench.WriteTablesJSON(path)
-	if err != nil {
+	if err := bench.WriteTablesJSON(path, tabs); err != nil {
 		t.Fatal(err)
 	}
+	got := readTablesRecord(t, path)
+	if got.Clock == "" {
+		t.Fatal("record names no clock")
+	}
+	if !reflect.DeepEqual(got.Tables, tabs) {
+		t.Fatalf("tables do not round-trip:\n got %+v\nwant %+v", got.Tables, tabs)
+	}
+
+	committed := readTablesRecord(t, filepath.Join("..", "..", "BENCH_tables.json"))
+	var ids []string
+	for _, tb := range committed.Tables {
+		ids = append(ids, tb.ID)
+		if len(tb.Rows) == 0 {
+			t.Errorf("committed %s has no rows", tb.ID)
+		}
+	}
+	want := []string{"Hardware", "Table 1", "Table 2", "Table 3", "Table 4", "Table 5", "GC", "Model", "Recovery", "RecoveryScaling"}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("BENCH_tables.json holds %q, want the paper's tables %q (regenerate with -tables-json)", ids, want)
+	}
+}
+
+func readTablesRecord(t *testing.T, path string) bench.TablesRecord {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded bench.TablesReport
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatalf("tables json does not round-trip: %v", err)
+	var rec bench.TablesRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
-	if decoded.Batching.BatchingFactor != rep.Batching.BatchingFactor {
-		t.Fatalf("json batching %v != returned %v", decoded.Batching.BatchingFactor, rep.Batching.BatchingFactor)
-	}
-	if rep.Batching.BatchingFactor < 2 {
-		t.Fatalf("bulk-delete batching factor %.2f < 2 (paper: 2.98)", rep.Batching.BatchingFactor)
-	}
-	for _, r := range rep.IOs {
-		if r.Operation == "open (warm name table)" && r.IOsPerOp != 0 {
-			t.Fatalf("warm open took %.2f I/Os per op, want 0", r.IOsPerOp)
-		}
-	}
-	for _, r := range rep.Timings {
-		e := r.ErrorPct
-		if e < 0 {
-			e = -e
-		}
-		if e > 15 {
-			t.Fatalf("%s: model error %.1f%% (model %.1f ms vs measured %.1f ms)",
-				r.Operation, r.ErrorPct, r.ModelMs, r.MeasuredMs)
-		}
-	}
+	return rec
 }

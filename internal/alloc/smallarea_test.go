@@ -21,6 +21,9 @@ func newCentreAllocator(t *testing.T, pages int) (*Allocator, *vam.VAM) {
 	return a, v
 }
 
+// TestSmallAllocFillsDownFromBoundary: with SmallFromBoundary, successive
+// small files are packed below the boundary, each ending where the last
+// began, while a big file still comes from the top of the region.
 func TestSmallAllocFillsDownFromBoundary(t *testing.T) {
 	a, _ := newCentreAllocator(t, 10000)
 	b := a.Config().boundary()
@@ -48,6 +51,8 @@ func TestSmallAllocFillsDownFromBoundary(t *testing.T) {
 	}
 }
 
+// TestSmallAllocReusesHoleNearBoundary: of two freed holes, the next small
+// file takes the top of the one nearest the boundary.
 func TestSmallAllocReusesHoleNearBoundary(t *testing.T) {
 	a, v := newCentreAllocator(t, 10000)
 	var files [][]Run
@@ -73,6 +78,8 @@ func TestSmallAllocReusesHoleNearBoundary(t *testing.T) {
 	}
 }
 
+// TestSmallAllocFromBoundarySpillsToBigArea: with the small area full, a
+// small file spills upward, to the first fit above the boundary.
 func TestSmallAllocFromBoundarySpillsToBigArea(t *testing.T) {
 	a, v := newCentreAllocator(t, 1000)
 	b := a.Config().boundary()

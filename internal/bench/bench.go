@@ -22,11 +22,27 @@ import (
 
 // Table is one reproduced table or measured claim.
 type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	ID     string     `json:"id"`
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
+	Notes  []string   `json:"notes,omitempty"`
+}
+
+// TablesRecord is BENCH_tables.json: the paper's own tables — the hardware,
+// Tables 1–5, group commit (§5.4), the model (§6) and recovery (§7) — exactly
+// as benchtab prints them.
+type TablesRecord struct {
+	Clock  string  `json:"clock"`
+	Tables []Table `json:"tables"`
+}
+
+// tablesClock names the clock of every number in a TablesRecord.
+const tablesClock = "our times are simulated on the virtual clock (ms or s, as the header or cell says; Table 5's percentages are shares of simulated elapsed time); Hardware lists the simulated drive's parameters; paper columns are the paper's published figures; everything else is a count or a ratio of counts"
+
+// WriteTablesJSON records tabs at path (BENCH_tables.json at the repo root).
+func WriteTablesJSON(path string, tabs []Table) error {
+	return writeJSON(path, TablesRecord{Clock: tablesClock, Tables: tabs})
 }
 
 // Print writes the table in aligned plain text.

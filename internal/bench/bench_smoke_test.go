@@ -2,8 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"testing"
+	"time"
 )
 
 // get parses a numeric cell.
@@ -168,8 +170,20 @@ func TestGroupCommitShape(t *testing.T) {
 	if v := get(t, byName["smallest possible record (1 image, sectors)"][2]); v != 7 {
 		t.Errorf("smallest record %v sectors, want 7", v)
 	}
+	// Batching: each logged image absorbs at least two staged ones on the
+	// back-to-back bulk update.
+	var staged, logged int
+	if _, err := fmt.Sscanf(byName["images staged / images logged"][2], "%d / %d", &staged, &logged); err != nil {
+		t.Fatalf("images staged / images logged: %v", err)
+	}
+	if logged == 0 || staged < 2*logged {
+		t.Errorf("images staged / logged = %d / %d, want a factor of at least 2", staged, logged)
+	}
 }
 
+// TestModelValidationShape holds §6's model to the measurement: the three
+// FSD rows within 15 %, the CFS and large-create rows within 25 % (the paper
+// claims 5 %).
 func TestModelValidationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-volume experiment")
@@ -180,6 +194,50 @@ func TestModelValidationShape(t *testing.T) {
 	}
 	if worst := MaxErrorPct(tab); worst > 25 {
 		t.Errorf("worst model error %.1f%%, want <= 25%% (paper claims 5%%)", worst)
+	}
+	for _, r := range tab.Rows {
+		switch r[0] {
+		case "FSD open", "FSD small create", "FSD small delete":
+			if e := math.Abs(get(t, r[3])); e > 15 {
+				t.Errorf("%s: model %s ms vs measured %s ms, error %s%%, want within 15%%", r[0], r[1], r[2], r[3])
+			}
+		}
+	}
+}
+
+// TestSpansMeasureTheClock: the span histograms measure the same simulated
+// time the stopwatch harness does. Over 200 creates, opens and deletes on one
+// volume, each operation's span latency sum equals the virtual clock's advance
+// exactly, so a table may read either.
+func TestSpansMeasureTheClock(t *testing.T) {
+	fe, err := newFSD(fsdBenchConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	name := func(i int) string { return fmt.Sprintf("sp/c%04d", i) }
+	for _, op := range []struct {
+		span string
+		fn   func(i int) error
+	}{
+		{"create", func(i int) error { _, err := fe.v.Create(name(i), []byte{1}); return err }},
+		{"open", func(i int) error { _, err := fe.v.Open(name(i), 0); return err }},
+		{"delete", func(i int) error { return fe.v.Delete(name(i), 0) }},
+	} {
+		before, start := fe.v.Stats(), fe.clk.Now()
+		for i := 0; i < n; i++ {
+			if err := op.fn(i); err != nil {
+				t.Fatalf("%s %d: %v", op.span, i, err)
+			}
+		}
+		after, elapsed := fe.v.Stats(), fe.clk.Now()-start
+		a, b := after.Spans[op.span], before.Spans[op.span]
+		if elapsed <= 0 || a.Count-b.Count != n {
+			t.Fatalf("%s: %d spans for %d operations over %v", op.span, a.Count-b.Count, n, elapsed)
+		}
+		if sum := time.Duration(a.Latency.Sum - b.Latency.Sum); sum != elapsed {
+			t.Errorf("%s: spans sum to %v, the clock advanced %v", op.span, sum, elapsed)
+		}
 	}
 }
 

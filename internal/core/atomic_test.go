@@ -215,10 +215,11 @@ func TestCutEmptyCreateIsAtomic(t *testing.T) {
 
 // TestCutSweepCreateRun cuts a run of 300 empty creates — two images each,
 // entry and leader, and a B-tree split every couple of dozen — at every one
-// of its first 400 Appends. The survivors must be a prefix of the run that
-// holds every create completed before the cut, the volume must mount, and
-// Verify must be clean. (Before the group: 208 of the 400 cuts were not —
-// entries without their leader image, splits without their parent page.)
+// of its first 400 Appends, staged and async. The survivors must be a prefix
+// of the run that holds every create completed before the cut, the volume
+// must mount, and Verify must be clean. (Before the group: 208 of the 400
+// cuts were not — entries without their leader image, splits without their
+// parent page.)
 func TestCutSweepCreateRun(t *testing.T) {
 	const creates = 300
 	stride := 1

@@ -387,6 +387,19 @@ func (l layout) smallOrigin() int {
 	return l.dataLo
 }
 
+// emptyVAM is the allocation map of the layout with no files on it: the data
+// region free, the metadata (log, name-table copies, VAM save area)
+// allocated. Format starts from it; every rebuild marks the name table's runs
+// over it.
+func (l layout) emptyVAM() *vam.VAM {
+	vm := vam.New(l.total)
+	vm.MarkFree(l.dataLo, l.total-l.dataLo)
+	if metaHi := l.vamBase + l.vamSectors; metaHi > l.logBase {
+		vm.MarkAllocated(l.logBase, metaHi-l.logBase)
+	}
+	return vm
+}
+
 // metaRange reports whether addr falls in any metadata region (for the I/O
 // classifier).
 func (l layout) metaRange(addr int) bool {

@@ -47,8 +47,8 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	// in memory only so any internal allocation stays unique this session.
 	v.uidNext.Store((root.uidChunk + 1) << 32)
 
-	leaderImages := make(map[int][]byte)
-	ntImages := make(map[uint64][]byte)
+	// The VAM images go unused: the map is rebuilt by the scan below.
+	imgs := newReplayed()
 	var recovered wal.RecoveryStats
 	lg, lerr := wal.Open(d, lay.logBase, lay.logSize, v.clk, wal.Config{
 		Interval:    cfg.interval(),
@@ -59,36 +59,19 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 		// Replay reads feed the health budget even read-only, so a mount
 		// that limps through decayed media reports Degraded in Stats().
 		lg.OnReadFault = v.noteReadFault
-		rs, rerr := lg.Replay(func(kind uint8, target uint64, data []byte) error {
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			switch kind {
-			case wal.KindNameTable:
-				ntImages[target] = cp
-			case wal.KindLeader:
-				leaderImages[int(target)] = cp
-			}
-			return nil
-		})
+		rs, rerr := imgs.replay(lg)
 		if rerr != nil {
 			ms.LogUnavailable = true
-			leaderImages = make(map[int][]byte)
-			ntImages = make(map[uint64][]byte)
+			imgs = newReplayed()
 		} else {
-			ms.LogRecords = rs.Records
-			ms.LogImagesApplied = rs.Images
-			ms.LogRepaired = rs.Repaired
-			ms.LogTornRecords = rs.TornRecords
-			ms.LogTailDiscarded = rs.TailDiscarded
-			ms.LogGapBreaks = rs.GapBreaks
-			ms.ReplayElapsed = rs.Elapsed
+			ms.noteReplay(rs)
 			recovered = rs
 		}
 	} else {
 		ms.LogUnavailable = true
 	}
 
-	v.ntOverride = ntImages
+	v.ntOverride = imgs.nt
 	v.cache = newNTCache(v, cfg.cacheSize())
 	v.nt, err = btree.Open(v.cache)
 	if err != nil {
@@ -109,7 +92,7 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	// Replayed leader images whose file still owns the sector are served
 	// from the pending map, exactly where the read path's leader
 	// verification looks first.
-	for addr, img := range leaderImages {
+	for addr, img := range imgs.leaders {
 		uid, ok := leaderUID(img)
 		if !ok {
 			continue

@@ -727,12 +727,7 @@ func (r *salvageRun) rebuild() error {
 		return err
 	}
 
-	metaLo, metaHi := lay.logBase, lay.vamBase+lay.vamSectors
-	v.vm = vam.New(lay.total)
-	v.vm.MarkFree(lay.dataLo, lay.total-lay.dataLo)
-	if metaHi > metaLo {
-		v.vm.MarkAllocated(metaLo, metaHi-metaLo)
-	}
+	v.vm = lay.emptyVAM()
 	for _, c := range r.entries {
 		for _, run := range c.e.Runs {
 			v.vm.MarkAllocated(int(run.Start), int(run.Len))
@@ -880,12 +875,7 @@ func (r *salvageRun) resumeFinalize() error {
 	if err != nil {
 		return fmt.Errorf("core: salvage resume: rebuilt name table unreadable: %w", err)
 	}
-	metaLo, metaHi := lay.logBase, lay.vamBase+lay.vamSectors
-	v.vm = vam.New(lay.total)
-	v.vm.MarkFree(lay.dataLo, lay.total-lay.dataLo)
-	if metaHi > metaLo {
-		v.vm.MarkAllocated(metaLo, metaHi-metaLo)
-	}
+	v.vm = lay.emptyVAM()
 	err = v.nt.Scan(nil, func(k, val []byte) bool {
 		name, ver, ok := splitKey(k)
 		if !ok {

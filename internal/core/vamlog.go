@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/disk"
 	"repro/internal/vam"
 	"repro/internal/wal"
@@ -58,11 +56,7 @@ func (v *Volume) enableVAMLogging() {
 		if len(v.vamDirty) == 0 {
 			return nil
 		}
-		idxs := make([]int, 0, len(v.vamDirty))
-		for s := range v.vamDirty {
-			idxs = append(idxs, s)
-		}
-		sort.Ints(idxs)
+		idxs := sortedKeys(v.vamDirty)
 		images := make([]wal.PageImage, 0, len(idxs))
 		for _, s := range idxs {
 			buf := make([]byte, disk.SectorSize)
@@ -95,10 +89,12 @@ func (v *Volume) onVAMLogged(target uint64, third int, data []byte) {
 }
 
 // flushVAMSectors writes home logged bitmap sectors whose third is being
-// overwritten.
+// overwritten, in address order: a map-ordered flush would seek differently
+// on every run.
 func (v *Volume) flushVAMSectors(third int) (int, error) {
 	n := 0
-	for idx, s := range v.vamSectors {
+	for _, idx := range sortedKeys(v.vamSectors) {
+		s := v.vamSectors[idx]
 		if s.third != third {
 			continue
 		}
@@ -115,12 +111,7 @@ func (v *Volume) flushVAMSectors(third int) (int, error) {
 // area and loads the result. It returns (vam, true) on success; on any
 // damage the caller falls back to reconstruction.
 func (v *Volume) recoverVAMFromLog(images map[int][]byte) (*vam.VAM, bool) {
-	idxs := make([]int, 0, len(images))
-	for s := range images {
-		idxs = append(idxs, s)
-	}
-	sort.Ints(idxs)
-	for _, s := range idxs {
+	for _, s := range sortedKeys(images) {
 		if err := v.writeSectors(v.lay.vamBase+1+s, images[s]); err != nil {
 			return nil, false
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/disk"
 	"repro/internal/sim"
@@ -233,6 +234,64 @@ func TestVAMLogSurvivesLogWrap(t *testing.T) {
 	}
 	if got := v2.VAM().FreeCount(); got != want {
 		t.Fatalf("FreeCount after wrapped recovery %d != %d", got, want)
+	}
+}
+
+// TestVAMLogSimTimeRepeats: the same workload on a VAM-logging volume costs
+// the same simulated time and the same disk activity on every run. Creating
+// and deleting large files dirties several bitmap sectors in one third, and
+// small-file churn then wraps the log over it, so a third crossing writes
+// several logged sectors home at once — in map order they would seek
+// differently from run to run.
+func TestVAMLogSimTimeRepeats(t *testing.T) {
+	run := func() (time.Duration, disk.Stats) {
+		v, d, clk := newVAMLogVolume(t)
+		force := func() {
+			if err := v.Force(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		churn := func(tag string) {
+			for i := 0; i < 300; i++ {
+				if _, err := v.Create(fmt.Sprintf("vl/%s%04d", tag, i), payload(500, byte(i))); err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 {
+					if err := v.Delete(fmt.Sprintf("vl/%s%04d", tag, i-1), 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i%10 == 9 {
+					force()
+				}
+			}
+		}
+		const big = 5
+		for i := 0; i < big; i++ {
+			if _, err := v.Create(fmt.Sprintf("vl/big%d", i), payload(1_500_000, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		force()
+		churn("a")
+		for i := 0; i < big; i++ {
+			if err := v.Delete(fmt.Sprintf("vl/big%d", i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		force()
+		force() // carry the deletes' shadow-merge deltas
+		churn("b")
+		if v.Log().Stats().ThirdCrossings == 0 {
+			t.Fatal("workload did not wrap the log; test is vacuous")
+		}
+		return clk.Now(), d.Stats()
+	}
+	clk0, st0 := run()
+	for r := 1; r < 4; r++ {
+		if clk, st := run(); clk != clk0 || st != st0 {
+			t.Fatalf("run %d: clock %v, disk %+v\nrun 0: clock %v, disk %+v", r, clk, st, clk0, st0)
+		}
 	}
 }
 

@@ -89,6 +89,42 @@ func (ms *MountStats) noteSweep(sw ntSweepStats) {
 	ms.ScanArm, ms.ScanCPU, ms.ScanHidden, ms.SweepStaleLeaves = sw.Arm, sw.CPU, sw.Hidden, sw.StaleLeaves
 }
 
+// noteReplay records what the log replay found.
+func (ms *MountStats) noteReplay(rs wal.RecoveryStats) {
+	ms.LogRecords, ms.LogImagesApplied, ms.LogRepaired = rs.Records, rs.Images, rs.Repaired
+	ms.LogTornRecords, ms.LogTailDiscarded, ms.LogGapBreaks = rs.TornRecords, rs.TailDiscarded, rs.GapBreaks
+	ms.ReplayElapsed = rs.Elapsed
+}
+
+// replayed holds the newest image of every target a log replay returned, by
+// kind: last writer wins, so only each page's final image is used.
+type replayed struct {
+	nt      map[uint64][]byte
+	leaders map[int][]byte
+	vam     map[int][]byte
+}
+
+func newReplayed() replayed {
+	return replayed{nt: make(map[uint64][]byte), leaders: make(map[int][]byte), vam: make(map[int][]byte)}
+}
+
+// replay runs lg's replay, copying every image into its kind's map.
+func (r replayed) replay(lg *wal.Log) (wal.RecoveryStats, error) {
+	return lg.Replay(func(kind uint8, target uint64, data []byte) error {
+		cp := make([]byte, len(data))
+		copy(cp, data)
+		switch kind {
+		case wal.KindNameTable:
+			r.nt[target] = cp
+		case wal.KindLeader:
+			r.leaders[int(target)] = cp
+		case wal.KindVAM:
+			r.vam[int(target)] = cp
+		}
+		return nil
+	})
+}
+
 // OpStats counts logical file-system operations for the benchmark tables.
 type OpStats struct {
 	Creates, Opens, Deletes, Lists, Reads, Writes, Touches int
@@ -495,13 +531,7 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 	}
 	v.cache = newNTCache(v, cfg.cacheSize())
 
-	// Free-page map: data region free, metadata allocated.
-	v.vm = vam.New(lay.total)
-	v.vm.MarkFree(lay.dataLo, lay.total-lay.dataLo)
-	metaLo, metaHi := lay.logBase, lay.vamBase+lay.vamSectors
-	if metaHi > metaLo {
-		v.vm.MarkAllocated(metaLo, metaHi-metaLo)
-	}
+	v.vm = lay.emptyVAM()
 	v.al, err = newAllocator(v.vm, lay, cfg)
 	if err != nil {
 		return nil, err
@@ -605,37 +635,17 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	// rather than a write per logged image. Leader images are additionally
 	// validated against the post-replay name table, so a leader image of a
 	// since-deleted file can never stomp a reallocated page.
-	leaderImages := make(map[int][]byte)
-	ntImages := make(map[uint64][]byte)
-	vamImages := make(map[int][]byte)
-	rs, err := v.log.Replay(func(kind uint8, target uint64, data []byte) error {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		switch kind {
-		case wal.KindNameTable:
-			ntImages[target] = cp
-		case wal.KindLeader:
-			leaderImages[int(target)] = cp
-		case wal.KindVAM:
-			vamImages[int(target)] = cp
-		}
-		return nil
-	})
+	imgs := newReplayed()
+	rs, err := imgs.replay(v.log)
 	if err != nil {
 		return nil, ms, err
 	}
 	redoStart := v.clk.Now()
-	if err := v.applyNTImages(ntImages); err != nil {
+	if err := v.applyNTImages(imgs.nt); err != nil {
 		return nil, ms, err
 	}
 	ms.RedoElapsed = v.clk.Now() - redoStart
-	ms.ReplayElapsed = rs.Elapsed
-	ms.LogRecords = rs.Records
-	ms.LogImagesApplied = rs.Images
-	ms.LogRepaired = rs.Repaired
-	ms.LogTornRecords = rs.TornRecords
-	ms.LogTailDiscarded = rs.TailDiscarded
-	ms.LogGapBreaks = rs.GapBreaks
+	ms.noteReplay(rs)
 
 	v.nt, err = btree.Open(v.cache)
 	if err != nil {
@@ -647,14 +657,14 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	// volume, per the paper) — unless VAM logging is on, in which case
 	// the replayed sector images over the save-area base reproduce the
 	// committed map directly ("about two seconds").
-	needScan := len(leaderImages) > 0
+	needScan := len(imgs.leaders) > 0
 	if wasClean {
 		v.vm, err = vam.Load(d, lay.vamBase, lay.total)
 		if err != nil {
 			ms.VAMReconstructed = true
 		}
 	} else if cfg.LogVAM {
-		if vm, ok := v.recoverVAMFromLog(vamImages); ok {
+		if vm, ok := v.recoverVAMFromLog(imgs.vam); ok {
 			v.vm = vm
 		} else {
 			ms.VAMReconstructed = true
@@ -686,8 +696,8 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 
 	// Apply surviving leader images whose file still owns the sector.
 	redoStart = v.clk.Now()
-	for _, addr := range sortedKeys(leaderImages) {
-		img := leaderImages[addr]
+	for _, addr := range sortedKeys(imgs.leaders) {
+		img := imgs.leaders[addr]
 		uid, ok := leaderUID(img)
 		if !ok {
 			continue
@@ -866,12 +876,7 @@ func decodeLeaf(page []byte, withRuns bool, res *scanResult) time.Duration {
 // as the misses they replace would have.
 func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, error) {
 	if rebuildVAM {
-		v.vm = vam.New(v.lay.total)
-		v.vm.MarkFree(v.lay.dataLo, v.lay.total-v.lay.dataLo)
-		metaLo, metaHi := v.lay.logBase, v.lay.vamBase+v.lay.vamSectors
-		if metaHi > metaLo {
-			v.vm.MarkAllocated(metaLo, metaHi-metaLo)
-		}
+		v.vm = v.lay.emptyVAM()
 	}
 	n := v.nt.AllocatedPages()
 	pages := make([][]byte, n)

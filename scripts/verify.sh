@@ -70,6 +70,9 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 
 go vet ./...
 go build ./...
+# Every test runs once, here — the gates included (what each one holds is in
+# its doc comment). What follows runs a test only again: under -race, many
+# times over (-count > 1), or as a go run smoke.
 go test ./...
 # The benchmark is its own module, so the line above skips it: its smoke
 # test and TestBenchmarkJSON (BENCHMARK.json == the metric catalogue).
@@ -77,77 +80,6 @@ go test ./...
 # (internal/btree is on the list because its readers walk the pager's pages
 # in place, beside mutators that copy.)
 go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache ./internal/btree ./internal/intentq ./internal/crashtest ./internal/server ./internal/wire ./client
-# ...plus the read-count gate that keeps the name-table passes of mount
-# and scrub sequential (two reads per 16-page run, not two per page) and
-# the write-count gate that keeps name-table write-back a sweep (copy A
-# coalesced, cylinders ascending, then copy B — not A,B,A,B a sector at a
-# time).
-# ...and the cut sweep: a force, then the plug, at each of the first 400
-# Appends of a run of creates, staged and async — every cut must leave a
-# mountable, verifiable prefix (0 bad; 208 before the WAL group).
-# ...and the one-arm gates: a clean scrub's leader reads strictly ascending
-# with a handful of long seeks at widths 1/2/8, planted leader damage still
-# repaired, scrub and salvage costing the same simulated time on every run
-# at widths 1, 2 and 8 (Verify too), and a salvage checkpoint writing the
-# manifest's tail, not the manifest.
-# ...and the two-timelines gates: the salvage sweep reading interval i+1 while
-# the pool decodes interval i (observed in flight together; the checkpoint of
-# i written after the read of i+1 and covering only what is merged), Verify
-# costing walk + claim + max(check, leader sweep) + images, the sweep's
-# allocation independent of the volume's size, the lane itself, the log audit
-# reading in runs, and the pfsck report's points inside max(arm, pool/k).
-# ...and the decode-behind-the-arm gates: the crash mount decoding chunk c
-# while the arm reads the chunks after it (observed in flight together, the
-# device's view unchanged, the scan costing max(arm, pool) give or take a
-# chunk), the rebuilt state equal at every width and to the chain walk, a
-# speculative decode never deciding anything, a halt mid-scan leaving nothing
-# running and the log replayable, and the scan's allocation two region copies
-# and a result per page at any width.
-go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTSweepReadCounts|TestHomeWriteSweep|TestCutSweepCreateRun|TestScrubLeaderSweepAscending|TestScrubLeaderSweepPlantedDamage|TestCheckPassSimTimeRepeats|TestSalvageManifestAppendOnly|TestSweepOverlapsDecode|TestVerifyOverlapsLeaderSweep|TestSalvageCrashWhileDecodeInFlight|TestSweepAllocsBounded|TestMountScanDecodesBehindTheArm|TestMountScanSimTimeRepeats|TestMountRebuildIdenticalAcrossWidths|TestSpeculativeDecodeDiscardsSuspect|TestMountCrashWhileDecodeInFlight|TestMountScanAllocsBounded'
-go test ./internal/sim ./internal/wal ./internal/bench -count=1 -run 'TestLane|TestScrubCopiesReadsInRuns|TestPFsckShape'
-# Every committed BENCH_*.json names its clock, and the two binaries that once
-# had no test: a half-second soak against the in-process server (work done,
-# no errors, a healthy volume, a clock key), and fsdserver on a loopback
-# listener driven by the client and stopped with a clean shutdown.
-go test . ./cmd/soak ./cmd/fsdserver -count=1 -run 'TestBenchFilesNameTheirClock|TestSoakInProcess|TestServe'
-# The allocation gates of the borrowed-buffer read path (a lookup allocates
-# its result, a cached read and a cache fill nothing, a read's round trip a
-# fixed handful of small objects whatever its payload, a read-ahead I/O
-# nothing) and the proof that the data cache's O(1) lists evict what the
-# two-segment reference model does. Without -race: the detector makes
-# sync.Pool drop frames, and those gates skip.
-# ...and the gates of the way down (a write lends, only the platter and a
-# cache frame copy): a 32 KB WriteAt allocates nothing, reads at most its two
-# edge sectors and keeps nothing of its caller's buffer; a gather write is
-# one transfer and resumes at the failing sector; a warm append+force makes
-# no record buffer and no image copy; a write's round trip allocates a fixed
-# handful of small objects whatever its payload.
-go test ./internal/btree ./internal/bufcache ./internal/core ./internal/wire ./internal/server ./internal/wal ./internal/disk -count=1 -run 'TestGetAllocs|TestScanAllocs|TestHitAndFillAllocs|TestExactLRUEquivalence|TestCachedReadAtAllocs|TestReadAheadAllocs|TestDecodeAliasesFrame|TestReadFramePooledSteadyState|TestReadRoundTripAllocs|TestWriteAtAllocs|TestWriteAtEdgeReads|TestWriteAtDoesNotRetainCallerBuffer|TestGatherWriteIsOneTransfer|TestForceAllocs|TestStagedImagesSurviveReuse|TestWriteRoundTripAllocs'
-# The streamed-file gates: growth placed in place then ascending (allocator
-# cases; one data run through LocalFS, staged and async; 16 MB in two runs;
-# the run-table limit failing one writer, not the volume), the read shape
-# (a request per chunk-plus-window, inside its stretch, none for a random
-# reader; a fill raced by a write installs nothing), and scan-resistant
-# replacement.
-go test ./internal/alloc ./internal/bufcache ./internal/core . -count=1 -run 'TestExtend|TestScanResistance|TestReserveCommit|TestDropAllSparesReservedFrames|TestStreamedReadShape|TestReadAheadPaysBetweenReaders|TestRandomReadsDoNotReadAhead|TestReadAheadStaysInsideItsStretch|TestStreamFillRacedByWrite|TestStreamedFileIsOneAscendingRun|TestLongStreamKeepsTwoRuns|TestRunTableLimitFailsOneWriter'
-# The small-file placement gates: on the centre layout small files fill their
-# area from the metadata down (allocator cases: packed below the boundary, the
-# nearest hole reused, a full area spilling upward; the zero value still the
-# lowest fit, page for page), 200 small creates within a cylinder of the log
-# and EdgePlacement's ascending from dataLo, the §6 model's data cylinder where
-# the first small create lands, CFS placing exactly as the zero-value rule,
-# and the word-at-a-time FindRun against its bit-at-a-time reference,
-# allocating nothing in either direction.
-go test ./internal/alloc ./internal/vam ./internal/core ./internal/cfs -count=1 -run 'TestSmallAllocFillsDownFromBoundary|TestSmallAllocReusesHoleNearBoundary|TestSmallAllocFromBoundarySpillsToBigArea|TestSmallFirstFitOrigin|TestFindRunMatchesReference|TestFindRunAllocatesNothing|TestSmallCreatesBesideMetadata|TestModelInfoFollowsFirstSmallCreate|TestCreatePlacementIsZeroValueRule'
-# The rotation-aware name-table gates: the disk's positioning query moves
-# nothing and prices the next request exactly; home write-back goes A before
-# B, the same coalesced requests, cylinders ascending and, inside a cylinder,
-# the request the head reaches soonest (a flush and its fault redo); a
-# cylinder's worth of due sectors costs at most one revolution of rotation
-# and less than ascending order; a flush allocates nothing; every name-table
-# miss's copy-B read waits less than a sector for rotation; and salvage
-# without a root recomputes Format's skewed layout.
-go test ./internal/disk ./internal/core -count=1 -run 'TestPositionTimeIsTheNextOpsPositioning|TestHomeWriteSweep|TestHomeWriteFaultRedo|TestHomeWriteRotationalOrder|TestHomeWriteSweepAllocs|TestNTMissSecondCopyNoWait|TestSalvageLayoutWithoutRoot'
 # Per-layer wall-clock benches (perf-ledger item c), one iteration each: they
 # must keep compiling and running; their numbers are read with -benchtime
 # left alone. (core's include BenchmarkStream256K and BenchmarkScrubPass,
@@ -177,10 +109,7 @@ go test -race ./internal/core -count=5 -run 'TestMountScanSimTimeRepeats'
 # two writers on one handle, staged and async — the size update of a write
 # only grows the file.)
 go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroup|TestAbortStopsForces|TestCut|TestFatalApplyAbortsGroup|TestFailedDataWriteLeavesNoEntry|TestStaleHandleOpsRefused|TestConcurrentWriteAtNeverShrinks'
-# Seeded write-fault sweep (PR 7): retries/remaps/hung-I/O absorption and
-# the health FSM's graceful-degradation contract, plus the concurrent
-# health-transition hammer under the race detector.
-go test ./internal/core -count=1 -run 'TestWriteFaultsGracefulDegradation|TestSpareExhaustionTransitionsReadOnly|TestHungIOClassifiedAgainstDeadline|TestIntentFatalFailsOverReadOnly'
+# The concurrent health-transition hammer under the race detector.
 go test -race ./internal/core -count=1 -run 'TestHealthTransitionHammer'
 # Bounded deterministic crash-state sweep: fixed seed, strided sample of
 # the full enumeration (the complete 1000+-state sweep runs in the bench
@@ -203,18 +132,11 @@ go test -race ./internal/core -count=1 -run 'TestMountWhileScrubHammer|TestMount
 # all reads failing once, both copies of the root page fault on about one
 # mount in thirty, and the root read has to retry like every other read.
 go test ./internal/core -count=100 -run 'TestMountUnderComposedFaults$'
-# Live-counter table reproduction (Tables 2/3/4/5 from Volume.Stats()):
-# one shared volume, a few seconds; asserts nothing here — the shape
-# checks live in go test ./cmd/benchtab — but must run to completion.
-go run ./cmd/benchtab -table tables
 # Data-path cache ablation smoke (cache on/off x read-ahead on/off over
 # sequential/random/re-read workloads); a few seconds on small windows.
 go run ./cmd/benchtab -table datapath
 # Write-fault-path sweep smoke (retry/remap/hung absorption cost grid).
 go run ./cmd/benchtab -table faultpath
-# Loopback server smoke: an in-process listener, the real client, and the
-# shared FS conformance suite through actual sockets (both commit modes).
-go test ./internal/server -count=1 -run 'TestRemoteConformance'
 # Mini-soak: 2000 concurrent simulated clients for 5 seconds against an
 # in-process server; exits nonzero on any protocol error or if the volume
 # leaves the healthy state.
