@@ -1,7 +1,9 @@
 // Logdump prints the contents of an FSD volume's metadata log from a disk
 // image, read-only — records, their batch boundaries, and per-image
 // targets. Run it against a crashed image (fsdctl crash) to see exactly
-// what recovery will replay.
+// what recovery will replay: wal.Inspect walks the log with replay's own
+// walker, reader and stopping rule, in the division count the log's anchor
+// records, so the listing ends where replay ends.
 //
 // Usage:
 //
@@ -52,7 +54,7 @@ func run(w io.Writer, img string, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	info, err := wal.Inspect(d, base, size, wal.Config{})
+	info, err := wal.Inspect(d, base, size)
 	if err != nil {
 		return err
 	}

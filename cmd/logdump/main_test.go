@@ -54,7 +54,7 @@ func TestLogdumpNamesTheRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := wal.Inspect(d, base, size, wal.Config{})
+	info, err := wal.Inspect(d, base, size)
 	if err != nil || len(info.Records) == 0 {
 		t.Fatalf("the crashed image holds %d log records (%v); the test needs some", len(info.Records), err)
 	}

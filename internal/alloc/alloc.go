@@ -282,39 +282,3 @@ func Pages(runs []Run) int {
 	}
 	return n
 }
-
-// Fragmentation statistics for the ablation benchmarks.
-
-// LargestFreeRun returns the size of the largest contiguous free run in the
-// allocator's region.
-func (a *Allocator) LargestFreeRun() int {
-	_, l := a.v.FindRun(a.cfg.Hi-a.cfg.Lo+1, a.cfg.Lo, a.cfg.Hi, 1)
-	return l
-}
-
-// FreeRunHistogram buckets the free runs in the region by size; bucket i
-// counts runs of length >= 1<<i and < 1<<(i+1).
-func (a *Allocator) FreeRunHistogram() []int {
-	hist := make([]int, 24)
-	runLen := 0
-	flush := func() {
-		if runLen == 0 {
-			return
-		}
-		b := 0
-		for 1<<(b+1) <= runLen {
-			b++
-		}
-		hist[b]++
-		runLen = 0
-	}
-	for i := a.cfg.Lo; i < a.cfg.Hi; i++ {
-		if a.v.IsFree(i) {
-			runLen++
-		} else {
-			flush()
-		}
-	}
-	flush()
-	return hist
-}

@@ -194,20 +194,8 @@ func TestSmallBigSeparationReducesFragmentation(t *testing.T) {
 	v.Commit()
 	// The largest free run should be big-file sized, not shredded by
 	// small files.
-	if lr := a.LargestFreeRun(); lr < 100 {
+	if _, lr := v.FindRun(pages+1, 0, pages, 1); lr < 100 { // no fit: the largest run
 		t.Fatalf("largest free run %d after freeing big files; areas failed to prevent fragmentation", lr)
-	}
-}
-
-func TestFreeRunHistogram(t *testing.T) {
-	a, v := newTestAllocator(t, 1000)
-	v.MarkAllocated(0, 1000)
-	v.MarkFree(0, 1)   // bucket 0 (len 1)
-	v.MarkFree(10, 3)  // bucket 1 (len 2-3)
-	v.MarkFree(100, 9) // bucket 3 (len 8-15)
-	h := a.FreeRunHistogram()
-	if h[0] != 1 || h[1] != 1 || h[3] != 1 {
-		t.Fatalf("histogram = %v", h[:5])
 	}
 }
 

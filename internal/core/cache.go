@@ -176,7 +176,7 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	okA := bufA != nil && (crcOK(bufA) || isVirgin(bufA))
 	var bufB []byte
 	okB := false
-	if !c.v.cfg.SingleCopyNT {
+	if c.v.twoCopies() {
 		var errB error
 		bufB, errB = c.v.readSectorsRetry(addrB, NTPageSectors)
 		if errB != nil {
@@ -488,9 +488,9 @@ type homeReq struct{ addr, lo, hi int }
 // image as unwritten and redo the whole sweep.
 func (c *ntCache) writeNTHome(imgs []ntImage) (ios, sectors int, err error) {
 	bases := [2]int{c.v.lay.ntA, c.v.lay.ntB}
-	copies := 2
-	if c.v.cfg.SingleCopyNT {
-		copies = 1
+	copies := 1
+	if c.v.twoCopies() {
+		copies = 2
 	}
 	for _, base := range bases[:copies] {
 		c.reqs = c.reqs[:0]

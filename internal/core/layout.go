@@ -48,13 +48,16 @@ type Config struct {
 	// LogSectors is the size of the log region including its anchor
 	// pages. Zero means 2404 sectors (three 800-sector thirds, ~1.2 MB).
 	LogSectors int
-	// Thirds is the number of log divisions (the paper uses 3).
+	// Thirds is the number of log divisions (the paper uses 3). Like
+	// LogSectors it is fixed at Format, which records it in the log's anchor;
+	// a mount takes the count from there.
 	Thirds int
 	// NTPages is the name-table capacity in 2 KB pages per copy. Zero
 	// means 2048 (4 MB per copy, roughly 20k files).
 	NTPages int
 	// SingleCopyNT stores the name table once instead of twice (twice is
-	// the paper's design). Set only for the ablation benchmark.
+	// the paper's design). Set only for the ablation benchmark. Fixed at
+	// Format: the layout records the copies, and a mount follows it.
 	SingleCopyNT bool
 	// SmallThreshold is the small-file cutoff in pages for the split
 	// allocator. Zero means 8 pages (4,000 bytes, the paper's statistic).

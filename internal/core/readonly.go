@@ -52,7 +52,6 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	var recovered wal.RecoveryStats
 	lg, lerr := wal.Open(d, lay.logBase, lay.logSize, v.clk, wal.Config{
 		Interval:    cfg.interval(),
-		Thirds:      cfg.Thirds,
 		ReadRetries: cfg.ReadRetries,
 	})
 	if lerr == nil {

@@ -706,9 +706,7 @@ func (r *salvageRun) rebuild() error {
 		return err
 	}
 	v.cache = newNTCache(v, cfg.cacheSize())
-	if r.hasMan {
-		v.cfg.SingleCopyNT = true
-	}
+	v.copyAOnly = r.hasMan
 	ntSectors := lay.ntPages * NTPageSectors
 	zero := make([]byte, MaxTransferSectors*disk.SectorSize)
 	zeroRegion := func(base int) error {
@@ -801,10 +799,10 @@ func (r *salvageRun) finalize() error {
 	} else if err := vam.InvalidateWith(v.writeSectors, lay.vamBase); err != nil {
 		return err
 	}
-	if !cfg.SingleCopyNT && lay.ntB != lay.ntA {
+	if lay.ntB != lay.ntA {
 		// Mirror copy A over the manifest so both name-table copies agree
 		// again, then restore two-copy operation.
-		v.cfg.SingleCopyNT = false
+		v.copyAOnly = false
 		ntSectors := lay.ntPages * NTPageSectors
 		for off := 0; off < ntSectors; off += MaxTransferSectors {
 			n := MaxTransferSectors
@@ -865,11 +863,9 @@ func (r *salvageRun) resumeFinalize() error {
 		return err
 	}
 	v.cache = newNTCache(v, cfg.cacheSize())
-	if lay.ntB != lay.ntA {
-		// Copy B still holds the manifest (or a torn mirror); trust copy A
-		// alone until finalize mirrors it.
-		v.cfg.SingleCopyNT = true
-	}
+	// Copy B still holds the manifest (or a torn mirror); trust copy A alone
+	// until finalize mirrors it.
+	v.copyAOnly = lay.ntB != lay.ntA
 	v.hookLog()
 	v.nt, err = btree.Open(v.cache)
 	if err != nil {

@@ -266,7 +266,7 @@ const ntScrubStretch = 32 * ntSweepPages
 // order, so the problem report is the same at every ScrubWorkers setting.
 // Single-copy volumes have nothing to cross-check.
 func (v *Volume) scrubNameTable(st *ScrubStats) error {
-	if v.cfg.SingleCopyNT {
+	if !v.twoCopies() {
 		return nil
 	}
 	start := v.clk.Now()

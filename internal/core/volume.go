@@ -199,6 +199,10 @@ type Volume struct {
 	// onSweep, when a test sets it, is called by every chunk function of the
 	// name-table sweep with its stretch's index.
 	onSweep func(stretch int)
+	// copyAOnly is set while copy B of the name table holds salvage's
+	// manifest (or a torn mirror of copy A): reads and writes use copy A
+	// alone until salvage's finalize mirrors it over copy B.
+	copyAOnly bool
 
 	uidNext atomic.Uint64
 
@@ -302,6 +306,11 @@ func (v *Volume) opsSnapshot() OpStats {
 		Touches: int(v.ops.touches.Load()),
 	}
 }
+
+// twoCopies reports whether name-table I/O goes to both copies: the layout
+// has two (a single-copy volume puts copy B on copy A), and copy B does not
+// hold a salvage manifest.
+func (v *Volume) twoCopies() bool { return v.lay.ntB != v.lay.ntA && !v.copyAOnly }
 
 // newVolume wires up the common structure.
 func newVolume(d *disk.Disk, cfg Config, lay layout) *Volume {
@@ -883,7 +892,7 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 	parts := make([]scanResult, n)
 	var lost error
 	armStart := v.d.Stats().BusyTime()
-	sw := v.sweepNT(0, n, !v.cfg.SingleCopyNT, v.cfg.mountWorkers(), nil,
+	sw := v.sweepNT(0, n, v.twoCopies(), v.cfg.mountWorkers(), nil,
 		func(w *parscan.Worker, id uint32, page []byte) {
 			if btree.IsLeaf(page) {
 				w.Charge(decodeLeaf(page, rebuildVAM, &parts[id]))

@@ -84,17 +84,6 @@ func CFSOpen(e Env) Mix {
 	}}}
 }
 
-// ReadPage: one verified data-page read — identical in both systems ("the
-// disk hardware is the same"). The 41 ms row of Table 2.
-func ReadPage(e Env) Mix {
-	return Mix{{Weight: 1, S: Script{
-		CPU(sim.CostSyscall + sim.CostPerSectorCopy),
-		AvgSeek(e.G),
-		Latency(),
-		Transfer(1),
-	}}}
-}
-
 // CFSSmallCreate follows the paper's Section 6 script, extended past step 3
 // with the remaining operations of the create, mirroring internal/cfs:
 //

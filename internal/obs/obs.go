@@ -11,7 +11,6 @@ package obs
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -96,18 +95,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration as nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Reset zeroes the histogram. Like disk.ResetStats, call it only at a quiet
-// point: observations racing the reset can be partially lost.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.min.Store(math.MaxInt64)
-	h.max.Store(0)
-}
-
 // Snapshot returns a consistent-enough copy of the histogram state.
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{
@@ -182,72 +169,4 @@ func (s HistSnapshot) Sub(o HistSnapshot) HistSnapshot {
 	out.Count -= o.Count
 	out.Sum -= o.Sum
 	return out
-}
-
-// Registry is an ordered collection of named metrics, for tooling that wants
-// to enumerate everything a component exposes. Construction is locked;
-// the returned metrics are used lock-free.
-type Registry struct {
-	mu    sync.Mutex
-	order []string
-	items map[string]interface{}
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{items: make(map[string]interface{})}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.items[name]; ok {
-		return m.(*Counter)
-	}
-	c := &Counter{}
-	r.items[name] = c
-	r.order = append(r.order, name)
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.items[name]; ok {
-		return m.(*Gauge)
-	}
-	g := &Gauge{}
-	r.items[name] = g
-	r.order = append(r.order, name)
-	return g
-}
-
-// Histogram returns the named histogram, creating it with bounds on first
-// use (later calls ignore bounds).
-func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.items[name]; ok {
-		return m.(*Histogram)
-	}
-	h := NewHistogram(bounds...)
-	r.items[name] = h
-	r.order = append(r.order, name)
-	return h
-}
-
-// Each calls fn for every metric in registration order.
-func (r *Registry) Each(fn func(name string, metric interface{})) {
-	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	items := make([]interface{}, len(names))
-	for i, n := range names {
-		items[i] = r.items[n]
-	}
-	r.mu.Unlock()
-	for i, n := range names {
-		fn(n, items[i])
-	}
 }

@@ -216,11 +216,3 @@ func (t *Tracer) Events() []Event {
 	out = append(out, t.ring[:t.next]...)
 	return out
 }
-
-// ResetEvents discards buffered events (the enabled state is unchanged).
-func (t *Tracer) ResetEvents() {
-	t.mu.Lock()
-	t.next = 0
-	t.wrapped = false
-	t.mu.Unlock()
-}

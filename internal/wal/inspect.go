@@ -1,10 +1,12 @@
 package wal
 
-// Read-only log inspection for diagnostics (cmd/logdump). Unlike Recover it
-// applies nothing and resets nothing, so it can be run against a live image
-// without consuming the log.
+// Read-only log inspection for diagnostics (cmd/logdump). It applies nothing
+// and resets nothing, so it can be run against a live image without consuming
+// the log.
 
 import (
+	"math"
+
 	"repro/internal/disk"
 	"repro/internal/sim"
 )
@@ -38,76 +40,40 @@ type LogInfo struct {
 	PartialTail int
 }
 
-// Inspect walks the log region read-only and reports every valid record
-// reachable from the anchor.
-func Inspect(d *disk.Disk, base, size int, cfg Config) (LogInfo, error) {
-	clk := sim.NewVirtualClock()
-	l := &Log{d: d, base: base, size: size, clk: clk, cfg: cfg}
-	a, err := l.readAnchor()
+// Inspect walks the log region read-only and reports the records replay
+// would read, in order, stopping where replay stops: it shares replay's walk,
+// reader and stopping rule. The division count is the one the anchor records.
+func Inspect(d *disk.Disk, base, size int) (LogInfo, error) {
+	l, err := Open(d, base, size, sim.NewVirtualClock(), Config{})
 	if err != nil {
 		return LogInfo{}, err
 	}
-	info := LogInfo{
-		BootCount:    a.bootCount,
-		AnchorOffset: int(a.offset),
-		AnchorRecord: a.recordNum,
-		Thirds:       l.thirds(),
-		ThirdLen:     l.thirdLen(),
-	}
-	off := int(a.offset)
-	rec := a.recordNum
-	area := l.thirdLen() * l.thirds()
-	read := 0
-	skipped := false
-	batchLen := 0
-	for read < area+l.thirdLen() {
-		h, ok, viaCopy := l.readHeader(off, rec, a.bootCount)
-		read += 2
-		if !ok {
-			if skipped || off%l.thirdLen() == 0 {
-				break
-			}
-			skipped = true
-			off = ((off/l.thirdLen() + 1) % l.thirds()) * l.thirdLen()
-			continue
+	var info LogInfo
+	a, _, err := l.walk(&bodyReader{l: l}, math.MaxUint64, func(rec *record) bool {
+		if !rec.complete() {
+			return false
 		}
-		recLen := 5 + 2*h.n
-		if off+recLen > area {
-			break
-		}
-		if !l.readEnd(off, h.n, rec, a.bootCount, &RecoveryStats{}) {
-			if viaCopy && !skipped && off%l.thirdLen() != 0 {
-				skipped = true
-				off = ((off/l.thirdLen() + 1) % l.thirds()) * l.thirdLen()
-				continue
-			}
-			break
-		}
-		skipped = false
 		ri := RecordInfo{
-			Offset:     off,
-			RecordNum:  h.recordNum,
-			BootCount:  h.bootCount,
-			Images:     h.n,
-			Sectors:    recLen,
-			EndOfBatch: h.endOfBatch,
+			Offset:     rec.off,
+			RecordNum:  rec.h.recordNum,
+			BootCount:  rec.h.bootCount,
+			Images:     rec.h.n,
+			Sectors:    5 + 2*rec.h.n,
+			EndOfBatch: rec.h.endOfBatch,
 		}
-		for _, dsc := range h.descs {
+		for _, dsc := range rec.h.descs {
 			ri.Targets = append(ri.Targets, ImageRef{Kind: dsc.Kind, Target: dsc.Target})
 		}
 		info.Records = append(info.Records, ri)
-		if h.endOfBatch {
-			batchLen = 0
-		} else {
-			batchLen++
+		if info.PartialTail++; rec.h.endOfBatch {
+			info.PartialTail = 0
 		}
-		read += recLen - 2
-		rec++
-		off += recLen
-		if off >= area {
-			off = 0
-		}
+		return true
+	})
+	if err != nil {
+		return LogInfo{}, err
 	}
-	info.PartialTail = batchLen
+	info.BootCount, info.AnchorOffset, info.AnchorRecord = a.bootCount, int(a.offset), a.recordNum
+	info.Thirds, info.ThirdLen = l.divs, l.thirdLen()
 	return info, nil
 }

@@ -100,8 +100,10 @@ type Config struct {
 	// (the synchronous ablation). When Adaptive is set it is the ceiling
 	// of the adaptive controller instead of a fixed period.
 	Interval time.Duration
-	// Thirds overrides the number of log divisions; the paper uses 3.
-	// Valid values are 2..8. Zero means 3.
+	// Thirds is the number of divisions Format lays the log out in; the
+	// paper uses 3. Valid values are 2..8. Zero means 3. Format records it
+	// in the anchor, and Open and Inspect take it from there — the log's
+	// shape is the volume's, not the mount's — so only Format reads it.
 	Thirds int
 	// Adaptive enables the load-aware force deadline: instead of forcing
 	// on a fixed Interval, the log tracks the per-image staging rate and
@@ -158,6 +160,7 @@ type Log struct {
 	d    *disk.Disk
 	base int // first sector of the region
 	size int // total sectors including anchors
+	divs int // division count, as the anchor records it
 	clk  sim.Clock
 	cfg  Config
 
@@ -263,35 +266,16 @@ type Log struct {
 // for ever after.
 const freeImagesMax = 1024
 
-func (l *Log) thirds() int {
-	if l.cfg.Thirds == 0 {
-		return 3
-	}
-	return l.cfg.Thirds
-}
-
-// writeRetries returns the in-place retry budget for log writes.
-func (l *Log) writeRetries() int {
+// retries returns an in-place retry budget as Config sets it: zero means 2,
+// negative none.
+func retries(n int) int {
 	switch {
-	case l.cfg.WriteRetries < 0:
+	case n < 0:
 		return 0
-	case l.cfg.WriteRetries == 0:
+	case n == 0:
 		return 2
-	default:
-		return l.cfg.WriteRetries
 	}
-}
-
-// readRetries returns the in-place retry budget for log reads.
-func (l *Log) readRetries() int {
-	switch {
-	case l.cfg.ReadRetries < 0:
-		return 0
-	case l.cfg.ReadRetries == 0:
-		return 2
-	default:
-		return l.cfg.ReadRetries
-	}
+	return n
 }
 
 // readData reads a run of log sectors with the bounded-retry policy,
@@ -299,7 +283,7 @@ func (l *Log) readRetries() int {
 // (anchors, headers, record bodies, image copies) goes through here, so a
 // transient fault never breaks a replay that a re-read could save.
 func (l *Log) readData(addr, n int) ([]byte, error) {
-	buf, retried, err := disk.ReadSectorsRetry(l.d, addr, n, l.readRetries())
+	buf, retried, err := disk.ReadSectorsRetry(l.d, addr, n, retries(l.cfg.ReadRetries))
 	if (retried > 0 || err != nil) && l.OnReadFault != nil {
 		l.OnReadFault(retried, err)
 	}
@@ -311,7 +295,7 @@ func (l *Log) readData(addr, n int) ([]byte, error) {
 // Every log write (anchors, record area, format erase) goes through here, so
 // a marginal sector never fails a commit that a retry or a spare could save.
 func (l *Log) writeData(addr int, data []byte) error {
-	retried, remapped, err := disk.WriteSectorsRetry(l.d, addr, data, l.writeRetries())
+	retried, remapped, err := disk.WriteSectorsRetry(l.d, addr, data, retries(l.cfg.WriteRetries))
 	if (retried > 0 || remapped > 0 || err != nil) && l.OnWriteFault != nil {
 		l.OnWriteFault(retried, remapped, err)
 	}
@@ -322,7 +306,7 @@ func (l *Log) writeData(addr int, data []byte) error {
 func (l *Log) recArea() int { return l.size - anchorSectors }
 
 // thirdLen returns the sector length of one division.
-func (l *Log) thirdLen() int { return l.recArea() / l.thirds() }
+func (l *Log) thirdLen() int { return l.recArea() / l.divs }
 
 // MinSize returns the smallest legal log region for a given division count:
 // each division must hold the largest record.
@@ -333,11 +317,16 @@ func MinSize(thirds int) int {
 	return anchorSectors + thirds*(5+2*MaxImagesPerRecord)
 }
 
-// anchor is the replicated pointer in log pages 0 and 2.
+// anchor is the replicated pointer in log pages 0 and 2. It also records the
+// log's division count, in the top byte of the record-number field (record
+// numbers restart at 1 with every boot and never reach 2^56), under the
+// anchor's checksum. An anchor written before the count was recorded has a
+// zero there, which reads as the paper's 3.
 type anchor struct {
 	bootCount uint32
 	offset    uint32 // record-area offset of the first valid record
 	recordNum uint64 // its record number
+	thirds    int
 }
 
 func encodeAnchor(a anchor) []byte {
@@ -346,6 +335,7 @@ func encodeAnchor(a anchor) []byte {
 	binary.BigEndian.PutUint32(buf[4:], a.bootCount)
 	binary.BigEndian.PutUint32(buf[8:], a.offset)
 	binary.BigEndian.PutUint64(buf[12:], a.recordNum)
+	buf[12] = byte(a.thirds) // over the record number's top byte
 	binary.BigEndian.PutUint32(buf[20:], crc32.ChecksumIEEE(buf[:20]))
 	return buf
 }
@@ -357,11 +347,16 @@ func decodeAnchor(buf []byte) (anchor, bool) {
 	if binary.BigEndian.Uint32(buf[20:]) != crc32.ChecksumIEEE(buf[:20]) {
 		return anchor{}, false
 	}
-	return anchor{
+	a := anchor{
 		bootCount: binary.BigEndian.Uint32(buf[4:]),
 		offset:    binary.BigEndian.Uint32(buf[8:]),
-		recordNum: binary.BigEndian.Uint64(buf[12:]),
-	}, true
+		recordNum: binary.BigEndian.Uint64(buf[12:]) & (1<<56 - 1),
+		thirds:    int(buf[12]),
+	}
+	if a.thirds == 0 {
+		a.thirds = 3
+	}
+	return a, true
 }
 
 // writeAnchor writes both anchor copies (two operations: the copies must
@@ -371,6 +366,7 @@ func decodeAnchor(buf []byte) (anchor, bool) {
 // the anchor itself must be durable before the third it releases is
 // overwritten.
 func (l *Log) writeAnchor(a anchor) error {
+	a.thirds = l.divs
 	buf := encodeAnchor(a)
 	if err := l.d.Sync(); err != nil {
 		return err
@@ -398,11 +394,18 @@ func (l *Log) readAnchor() (anchor, error) {
 	return anchor{}, ErrAnchorLost
 }
 
-// Format initializes an empty log in [base, base+size) with boot count 1.
+// Format initializes an empty log in [base, base+size) with boot count 1,
+// divided into cfg.Thirds divisions; the anchor records the count.
 func Format(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, error) {
-	l := &Log{d: d, base: base, size: size, clk: clk, cfg: cfg}
-	if size < MinSize(l.thirds()) {
-		return nil, fmt.Errorf("wal: log of %d sectors too small (min %d)", size, MinSize(l.thirds()))
+	l := &Log{d: d, base: base, size: size, divs: cfg.Thirds, clk: clk, cfg: cfg}
+	if l.divs == 0 {
+		l.divs = 3
+	}
+	if l.divs < 2 || l.divs > len(l.thirdFirst) {
+		return nil, fmt.Errorf("wal: %d log divisions (want 2..%d)", l.divs, len(l.thirdFirst))
+	}
+	if size < MinSize(l.divs) {
+		return nil, fmt.Errorf("wal: log of %d sectors too small (min %d)", size, MinSize(l.divs))
 	}
 	l.bootCount = 1
 	l.recordNum = 1
@@ -415,7 +418,7 @@ func Format(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, erro
 	// during a later recovery; zeroing leaves nothing that checksums.
 	const eraseChunk = transferSectors
 	zero := make([]byte, eraseChunk*disk.SectorSize)
-	area := l.thirdLen() * l.thirds()
+	area := l.thirdLen() * l.divs
 	for off := 0; off < area; off += eraseChunk {
 		n := eraseChunk
 		if off+n > area {
@@ -847,7 +850,7 @@ func (l *Log) writeRecord(batch []PageImage) (int, error) {
 			n--
 			recLen -= 2
 		} else {
-			next := (l.curThird + 1) % l.thirds()
+			next := (l.curThird + 1) % l.divs
 			if err := l.enterThird(next); err != nil {
 				return 0, err
 			}
@@ -959,7 +962,7 @@ func (l *Log) enterThird(t int) error {
 	// the start of t.
 	l.thirdFirst[t] = 0
 	best := -1
-	for c := 0; c < l.thirds(); c++ {
+	for c := 0; c < l.divs; c++ {
 		if c == t || l.thirdFirst[c] == 0 {
 			continue
 		}
@@ -1042,7 +1045,7 @@ func decodeHeader(buf []byte) (header, bool) {
 	return h, true
 }
 
-func (l *Log) validEnd(buf []byte, rec uint64, boot uint32) bool {
+func validEnd(buf []byte, rec uint64, boot uint32) bool {
 	return binary.BigEndian.Uint32(buf[0:]) == recMagic+1 &&
 		binary.BigEndian.Uint64(buf[4:]) == rec &&
 		binary.BigEndian.Uint32(buf[12:]) == boot

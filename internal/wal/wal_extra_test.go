@@ -90,7 +90,7 @@ func TestAlternativeDivisionCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := newCollect()
-		rs, err := lr.Recover(c.apply)
+		rs, err := recoverLog(lr, c.apply)
 		if err != nil {
 			t.Fatalf("thirds=%d recover: %v", k, err)
 		}
@@ -194,7 +194,7 @@ func TestCrashBetweenFlushAndAnchor(t *testing.T) {
 	for k, v := range flushed {
 		recon[k] = v
 	}
-	if _, err := lr.Recover(func(kind uint8, target uint64, data []byte) error {
+	if _, err := recoverLog(lr, func(kind uint8, target uint64, data []byte) error {
 		cp := make([]byte, len(data))
 		copy(cp, data)
 		recon[imageKey{kind, target}] = cp
@@ -414,7 +414,7 @@ func tornAnchorEpisode(t *testing.T, target int) {
 		t.Fatalf("Open: %v", err)
 	}
 	c1 := newCollect()
-	if _, err := lr.Recover(c1.apply); !errors.Is(err, disk.ErrHalted) {
+	if _, err := recoverLog(lr, c1.apply); !errors.Is(err, disk.ErrHalted) {
 		t.Fatalf("recovery with torn anchor write: %v, want ErrHalted", err)
 	}
 	if c1.last[imageKey{KindLeader, 5}] == nil {
@@ -476,7 +476,7 @@ func TestInspectMatchesWrites(t *testing.T) {
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Inspect(d, logBase, logSize, Config{})
+	info, err := Inspect(d, logBase, logSize)
 	if err != nil {
 		t.Fatalf("Inspect: %v", err)
 	}
@@ -498,7 +498,7 @@ func TestInspectMatchesWrites(t *testing.T) {
 		t.Fatalf("PartialTail = %d on a clean log", info.PartialTail)
 	}
 	// Inspect is read-only: a second inspection sees the same thing.
-	info2, err := Inspect(d, logBase, logSize, Config{})
+	info2, err := Inspect(d, logBase, logSize)
 	if err != nil || len(info2.Records) != 3 {
 		t.Fatal("Inspect consumed the log")
 	}
@@ -524,7 +524,7 @@ func TestInspectReportsPartialTail(t *testing.T) {
 		t.Fatalf("force: %v", err)
 	}
 	d.Revive()
-	info, err := Inspect(d, logBase, logSize, Config{})
+	info, err := Inspect(d, logBase, logSize)
 	if err != nil {
 		t.Fatal(err)
 	}

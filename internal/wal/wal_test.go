@@ -56,6 +56,16 @@ func (c *collectApplier) apply(kind uint8, target uint64, data []byte) error {
 	return nil
 }
 
+// recoverLog replays l through apply and then resets it, as a writable mount
+// does once the replayed images are home.
+func recoverLog(l *Log, apply Applier) (RecoveryStats, error) {
+	rs, err := l.Replay(apply)
+	if err != nil {
+		return rs, err
+	}
+	return rs, l.CompleteRecovery()
+}
+
 func reopen(t *testing.T, d *disk.Disk, clk sim.Clock, cfg Config) (*Log, *collectApplier, RecoveryStats) {
 	t.Helper()
 	l, err := Open(d, logBase, logSize, clk, cfg)
@@ -63,7 +73,7 @@ func reopen(t *testing.T, d *disk.Disk, clk sim.Clock, cfg Config) (*Log, *colle
 		t.Fatalf("Open: %v", err)
 	}
 	c := newCollect()
-	rs, err := l.Recover(c.apply)
+	rs, err := recoverLog(l, c.apply)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -506,7 +516,7 @@ func TestQuickRecoveryMatchesLastCommitted(t *testing.T) {
 		for k, v := range home {
 			recon[k] = v
 		}
-		if _, err := lr.Recover(func(kind uint8, target uint64, data []byte) error {
+		if _, err := recoverLog(lr, func(kind uint8, target uint64, data []byte) error {
 			cp := make([]byte, len(data))
 			copy(cp, data)
 			recon[imageKey{kind, target}] = cp

@@ -29,6 +29,17 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 ! grep -rnE --include='*.go' 'parscan\.Start\(' . \
 	|| { echo "verify: parscan.Start resurfaced (one driver reads in address order, parscan.Run checks the buffers)"; exit 1; }
 
+# One log walker (DESIGN §3.3): replay, the copy audit and Inspect read the
+# records through wal's walk, the one function that decodes a record header or
+# validates an end page. A call anywhere else in the package is a second record
+# loop coming back by copy-paste — the three there were had drifted apart — and
+# so is Log.Recover, the one-step replay a mount must not use.
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/(decodeHeader|validEnd)\(/ && !/^func (decodeHeader|validEnd)\(/ && fn !~ /^func \(l \*Log\) walk\(/ { print FILENAME ":" FNR ": " $0 }' internal/wal/*.go | grep . \
+	|| { echo "verify: a record header or end page is decoded outside wal's walk (read the log through walk)"; exit 1; }
+! grep -rnE '\.Recover\(' internal/wal \
+	|| { echo "verify: Log.Recover resurfaced (Replay, the home writes, then CompleteRecovery)"; exit 1; }
+
 # And the lump: a check pass that reads a stretch and only then puts the pool's
 # balanced CPU on the clock pays device plus pool where the overlapped pass
 # pays the larger of the two. The three passes go through parscan.Overlap,
