@@ -230,12 +230,18 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 // stretches, so the request count depends on the physical layout, not the
 // run-table shape. Like writeFrom it lends data: whole sectors go out
 // straight from it, the zero-padded last one through the window's scratch.
+//
+// The CPU copies a chunk before its request goes out. The first chunk's copy,
+// the leader's with it, is charged ahead of the first request, as a lone
+// chunk's always was; every later chunk is copied while the disk writes the
+// one before it, so its copy is charged behind that request and hides under
+// its transfer (DESIGN §12, "Pipelined chunks").
 func (v *Volume) writeLeaderAndData(e *Entry, leader, data []byte) error {
 	pages := (len(data) + disk.SectorSize - 1) / disk.SectorSize
 	w := ioWindow{p: data}
 	copy(w.edge[1][:], data[len(data)/disk.SectorSize*disk.SectorSize:])
-	v.cpu.Charge(time.Duration(pages+1) * sim.CostPerSectorCopy)
 	written := 0 // data sectors written so far
+	prev := -1   // sectors of the request last issued; -1 before the first
 	for i := 0; i < len(e.Runs) && written < pages; {
 		// One stretch: runs i..j-1, each beginning where the last ended.
 		addr, n := int(e.Runs[i].Start), int(e.Runs[i].Len)
@@ -253,8 +259,17 @@ func (v *Volume) writeLeaderAndData(e *Entry, leader, data []byte) error {
 		}
 		for ; (n > 0 || lead != nil) && written < pages; lead = nil {
 			chunk := min(n, MaxTransferSectors, pages-written)
+			if prev < 0 {
+				v.copied(chunk+1, 0)
+			} else {
+				v.copied(chunk, prev)
+			}
 			if err := v.writeChunk(&w, lead, addr, written, chunk); err != nil {
 				return err
+			}
+			prev = chunk
+			if lead != nil {
+				prev++
 			}
 			written += chunk
 			addr += chunk
@@ -471,6 +486,12 @@ func (w *ioWindow) settle(cur, cnt int) {
 // platter → frame. Fills are write-through partners of WritePages' Update
 // calls and are guarded against concurrent invalidation by the cache
 // generation counter.
+//
+// A chunk read from the platter is settled, filled into the cache and copied
+// only once the next chunk's request has gone out: the CPU moves one chunk's
+// bytes while the disk transfers the next, as the Dorado's FSD did, and the
+// copy hides under that request's transfer (DESIGN §12, "Pipelined chunks").
+// The last chunk, and one followed by a cache hit, is copied in the open.
 func (f *File) readInto(p []byte, off int64) (err error) {
 	v := f.v
 	defer v.spanEnd("read", v.clk.Now(), &err)
@@ -504,6 +525,8 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 	// no use for left empty or out of the slice it passes on.
 	var segs [4 + streamWindow][]byte
 	var slots [streamWindow]int32
+	var held heldChunk
+	defer f.release(&w, &held, 0)
 	for cur, remaining := page, n; remaining > 0; {
 		var addr, cnt, merged int
 		if dc != nil {
@@ -538,8 +561,9 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 			if !needLeader {
 				if dc.GetRangeInto(addr, segs[1:4]...) {
 					v.traceData(true, addr, cnt)
+					f.release(&w, &held, 0)
 					w.settle(cur, cnt)
-					v.cpu.Charge(time.Duration(cnt) * sim.CostPerSectorCopy)
+					v.copied(cnt, 0)
 					cur += cnt
 					remaining -= cnt
 					continue
@@ -561,10 +585,12 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 			gen = dc.Gen()
 		}
 		var rerr error
+		sectors := cnt + ahead // the request's transfer
 		if needLeader {
 			// Piggyback the leader read on the first data access.
 			var leader [disk.SectorSize]byte
 			segs[0] = leader[:]
+			sectors++
 			if rerr = v.readSectorsRetryInto(addr-1, segs[:4+ahead]...); rerr == nil {
 				rerr = f.verifyLeaderBuf(leader[:])
 			}
@@ -577,31 +603,64 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 		if rerr != nil {
 			return rerr
 		}
-		if dc != nil {
-			at := addr
-			for _, seg := range segs[1:4] {
-				if !dc.PutRange(at, seg, gen) {
-					break
-				}
-				at += len(seg) / disk.SectorSize
-			}
-			if ahead > 0 {
-				v.traceReadAhead(addr, ahead)
-			}
-			if merged > 0 {
-				dc.NoteCoalescedRead()
-				v.traceCoalesce("read", addr, cnt+ahead, merged)
-			}
+		// The chunk before this one was copied while this request ran.
+		f.release(&w, &held, sectors)
+		if ahead > 0 {
+			v.traceReadAhead(addr, ahead)
 		}
-		w.settle(cur, cnt)
-		// The CPU copied the chunk (platter → p is the device's doing, p →
-		// frame the fill's); what was read ahead it has not touched, and
-		// pays for when a hit delivers it.
-		v.cpu.Charge(time.Duration(cnt) * sim.CostPerSectorCopy)
+		if merged > 0 {
+			dc.NoteCoalescedRead()
+			v.traceCoalesce("read", addr, cnt+ahead, merged)
+		}
+		held = heldChunk{cur: cur, cnt: cnt, addr: addr, segs: [3][]byte(segs[1:4]), gen: gen}
 		cur += cnt
 		remaining -= cnt
 	}
 	return nil
+}
+
+// heldChunk is a chunk readLocked has read from the platter and not yet
+// settled, filled into the cache or copied; cnt 0 is none.
+type heldChunk struct {
+	cur, cnt, addr int
+	segs           [3][]byte // where its sectors landed: the window's place
+	gen            uint64    // the data cache's generation before the read
+}
+
+// release finishes the held chunk's CPU side, if there is one: it fills the
+// data cache with the chunk's sectors, settles the window's scratch sectors
+// into p and charges the copy — which ran while the disk transferred `under`
+// sectors of this read's next request, 0 if none was in flight.
+func (f *File) release(w *ioWindow, h *heldChunk, under int) {
+	if h.cnt == 0 {
+		return
+	}
+	if dc := f.v.dataCache; dc != nil {
+		at := h.addr
+		for _, seg := range h.segs {
+			if !dc.PutRange(at, seg, h.gen) {
+				break
+			}
+			at += len(seg) / disk.SectorSize
+		}
+	}
+	w.settle(h.cur, h.cnt)
+	// The CPU copied the chunk (platter → p is the device's doing, p →
+	// frame the fill's); what was read ahead it has not touched, and pays
+	// for when a hit delivers it.
+	f.v.copied(h.cnt, under)
+	h.cnt = 0
+}
+
+// copied charges the CPU's copy of n sectors between a device buffer and a
+// caller's — the one place this package charges sim.CostPerSectorCopy. The
+// copy ran while the disk transferred `under` sectors of the same call's
+// neighbouring request: the part of it that fits in that transfer is busy
+// time off the clock, the rest advances the clock (sim.CPU.ChargeOverlapped).
+// under is 0 where the copy had no transfer of its call beside it.
+func (v *Volume) copied(n, under int) {
+	secT := v.d.Params().SectorTime(v.d.Geometry())
+	v.cpu.ChargeOverlapped(time.Duration(n)*sim.CostPerSectorCopy, time.Duration(under)*secT)
 }
 
 // verifyLeaderBuf checks a freshly read leader page; the caller holds the
@@ -674,6 +733,10 @@ func (f *File) writeFrom(p []byte, off int64) (err error) {
 	w := ioWindow{p: p, off: off}
 	f.patchEdges(&w)
 	leaderAddr, _ := f.e.LeaderAddr()
+	// held is the chunk written last, whose copy is charged behind the next
+	// request, as a read's is (DESIGN §12): the last one's in the open.
+	held := 0
+	defer func() { v.copied(held, 0) }()
 	for cur, remaining := page, n; remaining > 0; {
 		var addr, cnt, merged int
 		if v.dataCache != nil {
@@ -695,6 +758,8 @@ func (f *File) writeFrom(p []byte, off int64) (err error) {
 		if err := v.writeChunk(&w, pending, addr, cur, cnt); err != nil {
 			return err
 		}
+		v.copied(held, cnt+len(pending)/disk.SectorSize)
+		held = cnt
 		if pending != nil {
 			// A concurrent third-crossing flush may have written the
 			// same leader bytes home meanwhile — benign; deleting an
@@ -713,7 +778,6 @@ func (f *File) writeFrom(p []byte, off int64) (err error) {
 			v.dataCache.NoteCoalescedWrite()
 			v.traceCoalesce("write", addr, cnt, merged)
 		}
-		v.cpu.Charge(time.Duration(cnt) * sim.CostPerSectorCopy)
 		cur += cnt
 		remaining -= cnt
 	}

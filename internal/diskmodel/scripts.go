@@ -164,23 +164,30 @@ func CFSSmallDelete(e Env) Mix {
 
 // FSDLargeCreate models creating a file of `pages` data pages: one
 // contiguous big-area allocation written in controller-sized chunks of
-// maxXfer sectors, plus the create's fixed CPU work. Consecutive chunks are
-// contiguous on disk, so each chunk's rotational wait is what remains after
-// the per-chunk CPU time has rotated past.
+// maxXfer data sectors (the leader rides ahead of the first), plus the
+// create's fixed CPU work. Only the first chunk's copy, and the leader's, is
+// paid before the first transfer; every later chunk is copied while the one
+// before it transfers, and only what of its copy outlasts that transfer is
+// paid on top. Consecutive chunks are contiguous on disk, so each chunk's
+// rotational wait is what remains after that remainder has rotated past.
 func FSDLargeCreate(e Env, pages, maxXfer int) Mix {
+	secT := e.P.SectorTime(e.G)
+	first := min(pages, maxXfer)
 	s := Script{
 		CPU(sim.CostSyscall + sim.CostFileCreate + 2*sim.CostBTreeOp + sim.CostChecksumPage),
-		CPU(time.Duration(pages+1) * sim.CostPerSectorCopy),
+		CPU(time.Duration(first+1) * sim.CostPerSectorCopy),
 		Seek(0),
 		Latency(),
+		Transfer(first + 1),
 	}
-	remaining := pages + 1 // leader rides the first chunk
-	for remaining > 0 {
-		n := remaining
-		if n > maxXfer {
-			n = maxXfer
+	prev := first + 1
+	for remaining := pages - first; remaining > 0; {
+		n := min(remaining, maxXfer)
+		if over := time.Duration(n)*sim.CostPerSectorCopy - time.Duration(prev)*secT; over > 0 {
+			s = append(s, CPU(over))
 		}
 		s = append(s, AlignAfter(0), Transfer(n))
+		prev = n
 		remaining -= n
 	}
 	return Mix{{Weight: 1, S: s}}

@@ -47,6 +47,22 @@ func (c *CPU) Charge(d time.Duration) {
 	}
 }
 
+// ChargeOverlapped records d of work the processor did while the device was
+// busy for `beside` on the same caller's behalf: all of d counts as busy, but
+// only the part of it longer than beside advances the clock — the rest ran in
+// the device's time. beside must be time the caller's own device request took,
+// not anyone else's; that is what keeps the clock a sum of the callers'
+// timelines.
+func (c *CPU) ChargeOverlapped(d, beside time.Duration) {
+	if d <= 0 {
+		return
+	}
+	c.busy.Add(int64(d))
+	if !c.detached.Load() {
+		c.clk.Advance(d - beside)
+	}
+}
+
 // Busy returns the total CPU time charged so far.
 func (c *CPU) Busy() time.Duration {
 	return time.Duration(c.busy.Load())

@@ -89,6 +89,31 @@ func TestCPUDetached(t *testing.T) {
 	}
 }
 
+// TestCPUChargeOverlapped: an overlapped charge is busy in full and puts on
+// the clock only what outlasts the device time beside it — nothing when it
+// fits, the remainder when it does not, and nothing at all when detached.
+func TestCPUChargeOverlapped(t *testing.T) {
+	clk := NewVirtualClock()
+	cpu := NewCPU(clk)
+	cpu.ChargeOverlapped(4*time.Millisecond, 10*time.Millisecond)
+	if clk.Now() != 0 || cpu.Busy() != 4*time.Millisecond {
+		t.Fatalf("fitting charge: clock %v, busy %v; want 0, 4ms", clk.Now(), cpu.Busy())
+	}
+	cpu.ChargeOverlapped(10*time.Millisecond, 3*time.Millisecond)
+	if clk.Now() != 7*time.Millisecond || cpu.Busy() != 14*time.Millisecond {
+		t.Fatalf("longer charge: clock %v, busy %v; want 7ms, 14ms", clk.Now(), cpu.Busy())
+	}
+	cpu.ChargeOverlapped(2*time.Millisecond, 0)
+	if clk.Now() != 9*time.Millisecond {
+		t.Fatalf("charge beside nothing: clock %v, want 9ms (a plain Charge)", clk.Now())
+	}
+	cpu.SetDetached(true)
+	cpu.ChargeOverlapped(5*time.Millisecond, 0)
+	if clk.Now() != 9*time.Millisecond || cpu.Busy() != 21*time.Millisecond {
+		t.Fatalf("detached: clock %v, busy %v; want 9ms, 21ms", clk.Now(), cpu.Busy())
+	}
+}
+
 func TestCPUNegativeChargeIgnored(t *testing.T) {
 	clk := NewVirtualClock()
 	cpu := NewCPU(clk)

@@ -60,6 +60,14 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 	| grep -nE 'parscan\.Run\(|Charge\([^)]*(Balanced|Total|Max)CPU' \
 	|| { echo "verify: scanForRebuild runs a pool after the sweep again (pass the per-page work to sweepNT)"; exit 1; }
 
+# One copy charge on the data path (DESIGN §12, "Pipelined chunks"): core
+# charges the CPU's copy of a sector only through Volume.copied, which hides
+# it under the same call's next transfer and puts the rest on the clock. A
+# CostPerSectorCopy anywhere else in the package is a serial copy coming back.
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/CostPerSectorCopy/ && !/^[[:space:]]*\/\// && fn !~ /^func \(v \*Volume\) copied\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: CostPerSectorCopy charged outside Volume.copied (charge a data copy through copied)"; exit 1; }
+
 # And the staging buffers of the data write path: a write lends its caller's
 # buffer to the disk as a gather list (DESIGN §18), and a payload-sized copy
 # on the way down is how it came to allocate 30 KB per operation.
@@ -120,6 +128,10 @@ go test -race ./internal/core -count=5 -run 'TestMountScanSimTimeRepeats'
 # two writers on one handle, staged and async — the size update of a write
 # only grows the file.)
 go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroup|TestAbortStopsForces|TestCut|TestFatalApplyAbortsGroup|TestFailedDataWriteLeavesNoEntry|TestStaleHandleOpsRefused|TestConcurrentWriteAtNeverShrinks'
+# Pipelined chunks under eight goroutines, again and again under the
+# detector: every copy still on the CPU, and no copy hidden under a transfer
+# that was not its own call's.
+go test -race ./internal/core -count=5 -run 'TestPipelinedCopiesUnderConcurrency'
 # The concurrent health-transition hammer under the race detector.
 go test -race ./internal/core -count=1 -run 'TestHealthTransitionHammer'
 # Bounded deterministic crash-state sweep: fixed seed, strided sample of
