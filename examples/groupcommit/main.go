@@ -23,19 +23,16 @@ func main() {
 		"interval", "meta I/Os", "total I/O", "forces", "staged", "elided")
 
 	var syncMeta, syncTotal int
-	for _, iv := range []time.Duration{0, 100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second} {
+	for _, iv := range []time.Duration{-1, 100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second} {
 		clk := sim.NewVirtualClock()
 		d, err := disk.New(disk.DefaultGeometry, disk.DefaultParams, clk)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := core.Config{NTPages: 4096}
+		cfg := core.Config{NTPages: 4096, GroupCommitInterval: iv}
 		label := iv.String()
-		if iv == 0 {
-			cfg.Synchronous = true
+		if iv < 0 {
 			label = "sync"
-		} else {
-			cfg.GroupCommitInterval = iv
 		}
 		v, err := core.Format(d, cfg)
 		if err != nil {
@@ -55,7 +52,7 @@ func main() {
 		ds := d.Stats()
 		ls := v.Log().Stats()
 		meta := ds.OpsByClass[disk.ClassMeta]
-		if iv == 0 {
+		if iv < 0 {
 			syncMeta, syncTotal = meta, ds.Ops
 		}
 		fmt.Printf("%-10s  %9d  %9d  %7d  %8d  %8d\n",

@@ -19,13 +19,9 @@ func AblationCommitInterval() (Table, error) {
 		Title:  "Group-commit interval vs bulk-update I/O",
 		Header: []string{"Interval", "Metadata I/Os", "Total I/Os", "Log forces", "Images elided"},
 	}
-	for _, iv := range []time.Duration{0, 100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second} {
+	for _, iv := range []time.Duration{-1, 100 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second} {
 		cfg := fsdBenchConfig()
-		if iv == 0 {
-			cfg.Synchronous = true
-		} else {
-			cfg.GroupCommitInterval = iv
-		}
+		cfg.GroupCommitInterval = iv
 		fe, err := newFSD(cfg)
 		if err != nil {
 			return Table{}, err
@@ -43,7 +39,7 @@ func AblationCommitInterval() (Table, error) {
 		ds := fe.d.Stats()
 		ls := fe.v.Log().Stats()
 		label := iv.String()
-		if iv == 0 {
+		if iv < 0 {
 			label = "sync"
 		}
 		t.Rows = append(t.Rows, []string{

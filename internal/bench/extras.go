@@ -53,7 +53,7 @@ func GroupCommit() (Table, error) {
 	}
 	gcfg := fsdBenchConfig()
 	scfg := fsdBenchConfig()
-	scfg.Synchronous = true
+	scfg.GroupCommitInterval = -1
 	gMeta, gTotal, gws, err := run(gcfg)
 	if err != nil {
 		return Table{}, err

@@ -5,10 +5,11 @@
 // that CFS kept in separate header sectors) lives in the file name table, a
 // B+tree of 2 KB pages stored twice near the volume's centre cylinders.
 // Updates go to cached pages and are captured by the redo log
-// (internal/wal); the group-commit daemon forces the log when its deadline
-// expires — the paper's fixed half second by default, a load-adaptive
-// deadline between the 5 ms floor and that ceiling with
-// Config.AdaptiveCommit, or at every update with Config.Synchronous.
+// (internal/wal); group commit forces the log at the first operation
+// boundary (or Tick) after its deadline expires — the paper's fixed half
+// second by default, a load-adaptive deadline between the 5 ms floor and
+// that ceiling with Config.AdaptiveCommit, or at every update with a
+// negative Config.GroupCommitInterval.
 // Each file also has a leader page used only for software checking.
 package core
 

@@ -255,8 +255,8 @@ func (v *Volume) failApply(why string) {
 }
 
 // startIntentQueue launches the per-volume intent queue and its applier.
-// Called at the end of Format/mountWritable when Config.AsyncApply is set;
-// read-only mounts never start one. The applier's CPU is permanently
+// Called by goLive, the epilogue of every bring-up, when Config.AsyncApply
+// is set; read-only mounts never start one. The applier's CPU is permanently
 // detached: its work accumulates in ApplierBusy without advancing the
 // simulated clock, modelling a core dedicated to the pipeline.
 func (v *Volume) startIntentQueue() {

@@ -24,14 +24,12 @@ const NTPageSize = NTPageSectors * disk.SectorSize
 // point everywhere.
 type Config struct {
 	// GroupCommitInterval is the log force deadline. Zero means the
-	// paper's half second. With AdaptiveCommit it is the ceiling the
-	// adaptive controller works under rather than a fixed period; use
-	// Synchronous to force at every update instead.
+	// paper's half second; negative disables group commit, so every
+	// metadata update forces the log immediately (the ablation baseline,
+	// under which AdaptiveCommit has nothing to adapt). With AdaptiveCommit
+	// it is the ceiling the adaptive controller works under rather than a
+	// fixed period.
 	GroupCommitInterval time.Duration
-	// Synchronous disables group commit: every metadata update forces
-	// the log immediately (the ablation baseline). It overrides
-	// AdaptiveCommit.
-	Synchronous bool
 	// AdaptiveCommit replaces the fixed force deadline with the WAL's
 	// load-aware controller: the deadline tracks the observed staging
 	// rate and force latency between 5 ms and the GroupCommitInterval
@@ -120,9 +118,10 @@ type Config struct {
 	// ScrubWorkers sets the width of the pool that checks the leaders
 	// Scrub's one driver has read. 0 or 1 checks them sequentially.
 	ScrubWorkers int
-	// ScrubInterval, when positive on a real-clock volume, starts a
-	// background goroutine running a full Scrub pass at that period.
-	// Virtual-clock volumes scrub via explicit Scrub() calls.
+	// ScrubInterval has no effect: a volume scrubs on an explicit Scrub
+	// call or the health FSM's scheduled pass.
+	//
+	// Deprecated: no effect.
 	ScrubInterval time.Duration
 	// CheckWorkers sets the worker-pool width of the check-and-repair
 	// scans: Verify's entry walk and leader cross-check, and the decode
@@ -139,11 +138,12 @@ func (c Config) mountWorkers() int {
 	return c.MountWorkers
 }
 
+// interval is the log's force deadline; 0 forces at every update.
 func (c Config) interval() time.Duration {
-	if c.Synchronous {
+	switch {
+	case c.GroupCommitInterval < 0:
 		return 0
-	}
-	if c.GroupCommitInterval == 0 {
+	case c.GroupCommitInterval == 0:
 		return 500 * time.Millisecond
 	}
 	return c.GroupCommitInterval
@@ -161,14 +161,12 @@ const commitFloor = 5 * time.Millisecond
 // the deadline; the classification is what drives the health FSM.
 const opTimeout = time.Second
 
-// walConfig translates the volume config into the log's. Synchronous wins
-// over AdaptiveCommit: a zero interval means force-per-append and leaves the
-// controller off.
+// walConfig translates the volume config into the log's.
 func (c Config) walConfig() wal.Config {
 	return wal.Config{
 		Interval:     c.interval(),
 		Thirds:       c.Thirds,
-		Adaptive:     c.AdaptiveCommit && !c.Synchronous,
+		Adaptive:     c.AdaptiveCommit,
 		Floor:        commitFloor,
 		WriteRetries: c.WriteRetries,
 		ReadRetries:  c.ReadRetries,

@@ -25,22 +25,11 @@ import (
 func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStats, error) {
 	var ms MountStats
 	start := d.Clock().Now()
-	root, err := readRoot(d, cfg.readRetries())
+	v, root, err := openVolume(d, cfg, o, true)
 	if err != nil {
 		return nil, ms, err
 	}
 	lay := root.layout
-	if ck, ok := readSalvageCheckpoint(d, lay); ok {
-		// A half-salvaged name table is not safe to serve even read-only:
-		// copy B may hold the salvage manifest and copy A a partial tree.
-		return nil, ms, fmt.Errorf("core: interrupted salvage (phase %s): %w", ck.phase, ErrSalvageInProgress)
-	}
-	cfg.LogVAM = root.logVAM
-	v := newVolume(d, cfg, lay)
-	v.readOnly = true
-	if o.onVolume != nil {
-		o.onVolume(v)
-	}
 	ms.CleanShutdown = root.clean
 	ms.ReadOnly = true
 	// The uid chunk is not advanced on disk (nothing is written); bump it
@@ -71,7 +60,6 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	}
 
 	v.ntOverride = imgs.nt
-	v.cache = newNTCache(v, cfg.cacheSize())
 	v.nt, err = btree.Open(v.cache)
 	if err != nil {
 		return nil, ms, fmt.Errorf("core: name table unreadable in read-only mount: %w", err)
@@ -102,6 +90,6 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	}
 	ms.Elapsed = v.clk.Now() - start
 	v.noteRecovery(recovered, ms)
-	v.finishMount()
+	v.goLive()
 	return v, ms, nil
 }

@@ -700,12 +700,9 @@ func (r *salvageRun) rebuild() error {
 	if err := r.flush(salvageRebuild, lay.total); err != nil {
 		return err
 	}
-	var err error
-	v.log, err = wal.Format(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())
-	if err != nil {
+	if err := v.useLog(wal.Format(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())); err != nil {
 		return err
 	}
-	v.cache = newNTCache(v, cfg.cacheSize())
 	v.copyAOnly = r.hasMan
 	ntSectors := lay.ntPages * NTPageSectors
 	zero := make([]byte, MaxTransferSectors*disk.SectorSize)
@@ -735,11 +732,11 @@ func (r *salvageRun) rebuild() error {
 		// Unreadable data sectors become bad blocks: never allocated.
 		v.vm.MarkAllocated(bad, 1)
 	}
+	var err error
 	v.al, err = newAllocator(v.vm, lay, cfg)
 	if err != nil {
 		return err
 	}
-	v.hookLog()
 
 	v.nt, err = btree.Create(v.cache)
 	if err != nil {
@@ -840,13 +837,7 @@ func (r *salvageRun) finalize() error {
 	if err := clearSalvageCheckpoint(v.writeSectors, lay); err != nil {
 		return err
 	}
-	if err := r.d.Sync(); err != nil {
-		return err
-	}
-	if cfg.LogVAM {
-		v.enableVAMLogging()
-	}
-	return nil
+	return r.d.Sync()
 }
 
 // resumeFinalize handles a crash after the rebuilt tree was complete in
@@ -857,16 +848,13 @@ func (r *salvageRun) finalize() error {
 // is absorbed by the write path's retry/remap policy.
 func (r *salvageRun) resumeFinalize() error {
 	v, d, lay, cfg, st := r.v, r.d, r.lay, r.cfg, r.st
-	var err error
-	v.log, err = wal.Format(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())
-	if err != nil {
+	if err := v.useLog(wal.Format(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())); err != nil {
 		return err
 	}
-	v.cache = newNTCache(v, cfg.cacheSize())
 	// Copy B still holds the manifest (or a torn mirror); trust copy A alone
 	// until finalize mirrors it.
 	v.copyAOnly = lay.ntB != lay.ntA
-	v.hookLog()
+	var err error
 	v.nt, err = btree.Open(v.cache)
 	if err != nil {
 		return fmt.Errorf("core: salvage resume: rebuilt name table unreadable: %w", err)
@@ -908,9 +896,9 @@ func newSalvageRun(d *disk.Disk, cfg Config, st *SalvageStats) (*salvageRun, err
 	var lay layout
 	uidChunk := uint64(1)
 	formatted := d.Clock().Now()
-	if root, err := readRoot(d, cfg.readRetries()); err == nil {
+	root, cfg, err := rootConfig(d, cfg)
+	if err == nil {
 		lay = root.layout
-		cfg.LogVAM = root.logVAM
 		uidChunk = root.uidChunk
 		formatted = root.formatted
 	} else {
@@ -1005,7 +993,6 @@ func Salvage(d *disk.Disk, cfg Config) (*Volume, SalvageStats, error) {
 	}
 
 	st.Elapsed = clk.Now() - start
-	v.startTicker()
-	v.finishMount()
+	v.goLive()
 	return v, st, nil
 }

@@ -447,32 +447,3 @@ func (v *Volume) scrubLeader(name string, ver uint32, st *ScrubStats) error {
 	st.LeadersRepaired++
 	return nil
 }
-
-// startScrubber launches the periodic background scrub on real-clock
-// volumes when ScrubInterval is set. It shares the ticker's stop channel.
-func (v *Volume) startScrubber(stop chan struct{}) {
-	interval := v.cfg.ScrubInterval
-	if interval <= 0 {
-		return
-	}
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if v.closed.Load() {
-					return
-				}
-				// Background pass: errors surface through FaultStats
-				// problems on the next explicit Scrub; a closed volume
-				// just ends the loop.
-				if _, err := v.Scrub(); errors.Is(err, ErrClosed) {
-					return
-				}
-			case <-stop:
-				return
-			}
-		}
-	}()
-}

@@ -493,7 +493,7 @@ func (v *Volume) Stats() Stats {
 		if ws.ImagesLogged > 0 {
 			s.Commit.BatchingFactor = float64(ws.ImagesStaged) / float64(ws.ImagesLogged)
 		}
-		s.Commit.Adaptive = v.cfg.AdaptiveCommit && !v.cfg.Synchronous
+		s.Commit.Adaptive = v.log.Adaptive()
 		s.Commit.ForceDeadline = v.log.Deadline()
 	}
 	if v.q != nil {

@@ -86,7 +86,7 @@ type vEntry struct {
 func (v *Volume) Verify() (_ VerifyStats, err error) {
 	defer v.span("verify")(&err)
 	// Exclusive: a whole-volume audit wants a quiescent name table. Log
-	// forces (WaitCommitted, the ticker's in-flight tick) can still run,
+	// forces (WaitCommitted from another goroutine) can still run,
 	// so the shared maps they touch are locked at their use sites below.
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -248,7 +248,7 @@ type Volume struct {
 	// racing a half-wired mount would dereference nil structure.
 	ready atomic.Bool
 	// recovering marks the writable mount's recovery window — from wiring
-	// the volume to finishMount. Non-log reads that needed in-place retries
+	// the volume to goLive. Non-log reads that needed in-place retries
 	// inside it (name-table cache fills, the VAM/leader rebuild scan)
 	// charge the error budget like the WAL's own replay reads do, so a
 	// mount that limped through decayed media lands Degraded instead of
@@ -276,10 +276,6 @@ type Volume struct {
 	health    atomic.Int32
 	healthMu  sync.Mutex
 	healthWhy string
-
-	// stopTicker stops the real-time group-commit and background-scrub
-	// goroutines, if any.
-	stopTicker chan struct{}
 }
 
 // CPU returns the simulated CPU the volume charges.
@@ -312,7 +308,7 @@ func (v *Volume) opsSnapshot() OpStats {
 // hold a salvage manifest.
 func (v *Volume) twoCopies() bool { return v.lay.ntB != v.lay.ntA && !v.copyAOnly }
 
-// newVolume wires up the common structure.
+// newVolume wires up the common structure, the name-table cache included.
 func newVolume(d *disk.Disk, cfg Config, lay layout) *Volume {
 	v := &Volume{
 		d:              d,
@@ -324,6 +320,7 @@ func newVolume(d *disk.Disk, cfg Config, lay layout) *Volume {
 		leaderThird:    make(map[int]int),
 		obs:            newVolObs(),
 	}
+	v.cache = newNTCache(v, cfg.cacheSize())
 	d.SetClassifier(func(addr int) disk.Class {
 		if lay.metaRange(addr) {
 			return disk.ClassMeta
@@ -358,10 +355,52 @@ func (v *Volume) invalidateData(runs []alloc.Run) {
 	}
 }
 
-// hookLog installs the WAL callbacks. Mount installs them before replay, so
-// recovery-time faults — retried replay reads, anchor-reset write retries —
-// reach the health FSM like any runtime fault.
-func (v *Volume) hookLog() {
+// rootConfig reads the volume root page and takes from it, once, what belongs
+// to the volume rather than to the mount: the VAM-logging mode is recorded at
+// format, and a mount honours it whatever its Config says (a non-LogVAM volume
+// has no valid save-area base to apply deltas to).
+func rootConfig(d *disk.Disk, cfg Config) (rootPage, Config, error) {
+	root, err := readRoot(d, cfg.readRetries())
+	if err == nil {
+		cfg.LogVAM = root.logVAM
+	}
+	return root, cfg, err
+}
+
+// openVolume is the prologue of both mounts: it reads the root, refuses a
+// volume whose salvage was interrupted, and builds the volume the root
+// describes.
+func openVolume(d *disk.Disk, cfg Config, o mountOptions, readOnly bool) (*Volume, rootPage, error) {
+	root, cfg, err := rootConfig(d, cfg)
+	if err != nil {
+		return nil, root, err
+	}
+	// A valid salvage checkpoint means a salvage pass was interrupted
+	// mid-rebuild: the name-table regions are in an intermediate state no
+	// ordinary replay can repair and not safe to serve even read-only (copy B
+	// may hold the salvage manifest and copy A a partial tree). Only resuming
+	// the salvage (Mount with AllowSalvage, or Salvage directly) makes the
+	// volume whole.
+	if ck, ok := readSalvageCheckpoint(d, root.layout); ok {
+		return nil, root, fmt.Errorf("core: interrupted salvage (phase %s): %w",
+			ck.phase, ErrSalvageInProgress)
+	}
+	v := newVolume(d, cfg, root.layout)
+	v.readOnly = readOnly
+	if o.onVolume != nil {
+		o.onVolume(v)
+	}
+	return v, root, nil
+}
+
+// useLog makes lg, as returned with err by wal.Format or wal.Open, the
+// volume's log and installs its callbacks, so the log's own faults reach the
+// health FSM like any runtime fault.
+func (v *Volume) useLog(lg *wal.Log, err error) error {
+	if err != nil {
+		return err
+	}
+	v.log = lg
 	v.log.OnForce = v.observeForce
 	// The WAL runs the same bounded-retry + remap policy as core's own
 	// write sites; its outcomes feed the same health FSM.
@@ -417,6 +456,7 @@ func (v *Volume) hookLog() {
 		v.pendingFrees = kept
 		v.vmMu.Unlock()
 	}
+	return nil
 }
 
 // freeOnCommit defers runs until the log batch holding the caller's staged
@@ -529,8 +569,7 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 		return nil, err
 	}
 	v := newVolume(d, cfg, lay)
-	v.log, err = wal.Format(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())
-	if err != nil {
+	if err := v.useLog(wal.Format(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())); err != nil {
 		return nil, err
 	}
 	// A format over a previously salvaged-then-interrupted volume must not
@@ -538,14 +577,12 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 	if err := clearSalvageCheckpoint(v.writeSectors, lay); err != nil {
 		return nil, err
 	}
-	v.cache = newNTCache(v, cfg.cacheSize())
 
 	v.vm = lay.emptyVAM()
 	v.al, err = newAllocator(v.vm, lay, cfg)
 	if err != nil {
 		return nil, err
 	}
-	v.hookLog()
 
 	// Build the empty name table through the logged cache, then force
 	// and flush so the home copies exist.
@@ -569,16 +606,11 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 		if err := v.vm.SaveWith(v.writeSectors, lay.vamBase); err != nil {
 			return nil, err
 		}
-		v.enableVAMLogging()
 	}
 	// Format-time activity should not pollute measurements.
 	v.log.ResetStats()
 	v.d.ResetStats()
-	if cfg.AsyncApply {
-		v.startIntentQueue()
-	}
-	v.startTicker()
-	v.finishMount()
+	v.goLive()
 	return v, nil
 }
 
@@ -590,27 +622,11 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStats, error) {
 	var ms MountStats
 	start := d.Clock().Now()
-	root, err := readRoot(d, cfg.readRetries())
+	v, root, err := openVolume(d, cfg, o, false)
 	if err != nil {
 		return nil, ms, err
 	}
 	lay := root.layout
-	// A valid salvage checkpoint means a salvage pass was interrupted
-	// mid-rebuild: the name-table regions are in an intermediate state no
-	// ordinary replay can repair, and only resuming the salvage (Mount with
-	// AllowSalvage, or Salvage directly) makes the volume whole.
-	if ck, ok := readSalvageCheckpoint(d, lay); ok {
-		return nil, ms, fmt.Errorf("core: interrupted salvage (phase %s): %w",
-			ck.phase, ErrSalvageInProgress)
-	}
-	// The VAM-logging mode is a property of the volume, recorded at
-	// format: honour it regardless of what the mount config says (a
-	// non-LogVAM volume has no valid save-area base to apply deltas to).
-	cfg.LogVAM = root.logVAM
-	v := newVolume(d, cfg, lay)
-	if o.onVolume != nil {
-		o.onVolume(v)
-	}
 	v.recovering.Store(true)
 	wasClean := root.clean
 	ms.CleanShutdown = wasClean
@@ -623,14 +639,11 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	}
 	v.uidNext.Store(root.uidChunk << 32)
 
-	v.log, err = wal.Open(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())
-	if err != nil {
+	// Callbacks go in before replay: a retried replay read or a faulted
+	// anchor write must charge the health budget too.
+	if err := v.useLog(wal.Open(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())); err != nil {
 		return nil, ms, err
 	}
-	v.cache = newNTCache(v, cfg.cacheSize())
-	// Callbacks go in before replay: a retried replay read or a faulted
-	// anchor write must charge the health budget like any runtime fault.
-	v.hookLog()
 
 	// Replay — without resetting the log. The reset (CompleteRecovery) is
 	// deferred until every replayed image is durably home: the whole
@@ -672,7 +685,7 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 		if err != nil {
 			ms.VAMReconstructed = true
 		}
-	} else if cfg.LogVAM {
+	} else if v.cfg.LogVAM {
 		if vm, ok := v.recoverVAMFromLog(imgs.vam); ok {
 			v.vm = vm
 		} else {
@@ -692,7 +705,7 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 		}
 		ms.VAMElapsed = v.clk.Now() - scanStart
 	}
-	if cfg.LogVAM {
+	if v.cfg.LogVAM {
 		// Rebase: a fresh full save becomes the foundation for the next
 		// run's logged deltas; the stamp stays valid because the log
 		// keeps the area consistent from here on.
@@ -734,17 +747,10 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	if err != nil {
 		return nil, ms, err
 	}
-	if cfg.LogVAM {
-		v.enableVAMLogging()
-	}
 	ms.Elapsed = v.clk.Now() - start
 	v.noteRecovery(rs, ms)
-	if cfg.AsyncApply {
-		v.startIntentQueue()
-	}
 	v.recovering.Store(false)
-	v.startTicker()
-	v.finishMount()
+	v.goLive()
 	return v, ms, nil
 }
 
@@ -781,6 +787,22 @@ func (v *Volume) noteRecovery(rs wal.RecoveryStats, ms MountStats) {
 		A:  int64(rs.Records), B: int64(rs.Images),
 		C: int64(rs.TornRecords + rs.GapBreaks), D: int64(rs.Elapsed),
 	})
+}
+
+// goLive is the epilogue of every bring-up — Format, both mounts and Salvage.
+// A writable volume turns VAM logging on if its root records it and, under
+// AsyncApply, starts the intent queue; a read-only one has no log to stage
+// into and starts neither. Then the volume is ready.
+func (v *Volume) goLive() {
+	if !v.readOnly {
+		if v.cfg.LogVAM {
+			v.enableVAMLogging()
+		}
+		if v.cfg.AsyncApply {
+			v.startIntentQueue()
+		}
+	}
+	v.finishMount()
 }
 
 // finishMount marks the volume fully wired and runs any repair work that was
@@ -953,54 +975,6 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 	return owners, sw, nil
 }
 
-// startTicker launches the group-commit goroutine when running on a real
-// clock, plus the background scrubber if configured. On a virtual clock
-// forcing is driven by MaybeForce at operation boundaries, which observes
-// the same half-second deadline, and scrubbing by explicit Scrub calls.
-func (v *Volume) startTicker() {
-	if _, ok := v.clk.(*sim.RealClock); !ok {
-		return
-	}
-	interval := v.cfg.interval()
-	if interval == 0 && v.cfg.ScrubInterval <= 0 {
-		return
-	}
-	stop := make(chan struct{})
-	v.stopTicker = stop
-	v.startScrubber(stop)
-	if interval == 0 {
-		return
-	}
-	// With the adaptive controller the force deadline can shrink to the
-	// floor, so the poll has to keep up with the floor, not the ceiling.
-	period := interval
-	if v.cfg.AdaptiveCommit {
-		period = commitFloor
-	}
-	tick := period / sim.RealTimeScale
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	go func() {
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				// Shared mode: forcing runs concurrently with
-				// operations; the read lock only fences Shutdown.
-				v.mu.RLock()
-				if !v.closed.Load() {
-					v.log.MaybeForce()
-				}
-				v.mu.RUnlock()
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
 // Force makes all buffered metadata updates durable now ("clients may force
 // the log"). The sim-time wait to acquire the monitor is recorded in the
 // LockWait histogram — commit-path lock contention is the cost the split
@@ -1098,9 +1072,6 @@ func (v *Volume) Shutdown() error {
 	if v.closed.Load() {
 		return ErrClosed
 	}
-	if v.stopTicker != nil {
-		close(v.stopTicker)
-	}
 	if v.readOnly || v.Health() >= HealthReadOnly {
 		// A degraded mount wrote nothing and must leave the volume
 		// exactly as found — including the unclean root stamp, so the
@@ -1143,10 +1114,6 @@ func (v *Volume) Shutdown() error {
 func (v *Volume) Crash() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.stopTicker != nil {
-		close(v.stopTicker)
-		v.stopTicker = nil
-	}
 	// A crash abandons unapplied intents: nothing they promised was acked
 	// (acks come only from WaitCommitted), so dropping them wholesale is
 	// exactly the atomicity the durability contract allows.

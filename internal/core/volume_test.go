@@ -507,6 +507,27 @@ func TestUnforcedCreateLostAtCrashButConsistent(t *testing.T) {
 	}
 }
 
+// TestNegativeIntervalForcesEveryUpdate: a negative GroupCommitInterval is
+// the synchronous ablation — every create forces the log once, even with
+// AdaptiveCommit set, whose controller then has no deadline to adapt and is
+// reported off.
+func TestNegativeIntervalForcesEveryUpdate(t *testing.T) {
+	cfg := testConfig()
+	cfg.GroupCommitInterval, cfg.AdaptiveCommit = -1, true
+	v, _, _ := newTestVolumeWith(t, cfg)
+	for i := 1; i <= 5; i++ {
+		if _, err := v.Create(fmt.Sprintf("sync/f%d", i), payload(100, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Log().Stats().Forces; got != i {
+			t.Fatalf("after %d creates the log forced %d times, want %d", i, got, i)
+		}
+	}
+	if c := v.Stats().Commit; c.Adaptive || c.ForceDeadline != 0 {
+		t.Fatalf("Commit.Adaptive = %v, ForceDeadline = %v; want false, 0", c.Adaptive, c.ForceDeadline)
+	}
+}
+
 func TestGroupCommitWindowIsHalfSecond(t *testing.T) {
 	v, d, clk := newTestVolume(t)
 	if _, err := v.Create("a", payload(10, 1)); err != nil {

@@ -5,13 +5,12 @@
 //
 // All timing results in the reproduction (Tables 2 and 5 of the paper, the
 // recovery times, the analytical-model validation) are measured against a
-// Clock. Using VirtualClock makes every benchmark bit-for-bit reproducible;
-// RealClock exists for interactive use where the group-commit daemon runs on
-// a wall-clock ticker.
+// Clock. VirtualClock is the only implementation, so every benchmark is
+// bit-for-bit reproducible; group commit is driven at operation boundaries
+// (MaybeForce, Tick), not by a wall-clock ticker.
 package sim
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -21,8 +20,7 @@ import (
 type Clock interface {
 	// Now returns the current simulated time since the epoch.
 	Now() time.Duration
-	// Advance moves simulated time forward by d. On a RealClock this
-	// blocks for d of wall time so that relative pacing is preserved.
+	// Advance moves simulated time forward by d.
 	Advance(d time.Duration)
 }
 
@@ -61,38 +59,3 @@ func (c *VirtualClock) Set(t time.Duration) {
 		}
 	}
 }
-
-// RealClock is a Clock backed by the wall clock. Advance sleeps, so the
-// simulated device appears to take real time; this is only useful for the
-// interactive CLI and is never used in tests or benchmarks.
-type RealClock struct {
-	epoch time.Time
-	once  sync.Once
-}
-
-// NewRealClock returns a RealClock whose epoch is the time of the first call
-// to Now or Advance.
-func NewRealClock() *RealClock { return &RealClock{} }
-
-func (c *RealClock) init() { c.once.Do(func() { c.epoch = time.Now() }) }
-
-// Now implements Clock.
-func (c *RealClock) Now() time.Duration {
-	c.init()
-	return time.Since(c.epoch)
-}
-
-// Advance implements Clock by sleeping. The sleep is scaled down by
-// RealTimeScale so that a simulated hour-long scavenge does not take a real
-// hour in the CLI.
-func (c *RealClock) Advance(d time.Duration) {
-	c.init()
-	if d <= 0 {
-		return
-	}
-	time.Sleep(d / RealTimeScale)
-}
-
-// RealTimeScale divides simulated durations when a RealClock sleeps. A scale
-// of 1000 renders a simulated hour as 3.6 wall seconds.
-const RealTimeScale = 1000

@@ -123,22 +123,6 @@ func TestCPUNegativeChargeIgnored(t *testing.T) {
 	}
 }
 
-func TestRealClockMonotonic(t *testing.T) {
-	c := NewRealClock()
-	a := c.Now()
-	b := c.Now()
-	if b < a {
-		t.Fatal("real clock went backward")
-	}
-	// Advance sleeps scaled down; a simulated millisecond should return
-	// almost immediately.
-	start := time.Now()
-	c.Advance(time.Millisecond)
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("scaled advance slept too long")
-	}
-}
-
 // Property: any sequence of advances sums exactly.
 func TestQuickAdvanceSums(t *testing.T) {
 	f := func(steps []uint16) bool {

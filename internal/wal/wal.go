@@ -525,7 +525,7 @@ const ewmaShift = 3
 func (l *Log) stage(images []PageImage) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.cfg.Adaptive && len(images) > 0 {
+	if l.Adaptive() && len(images) > 0 {
 		now := l.clk.Now()
 		if l.lastStage > 0 && now >= l.lastStage {
 			gap := (now - l.lastStage) / time.Duration(len(images))
@@ -630,7 +630,7 @@ func (l *Log) targetImages() int {
 // preserving the paper's behaviour on an idle or cold log. Caller holds
 // l.mu.
 func (l *Log) deadlineLocked() time.Duration {
-	if !l.cfg.Adaptive || l.cfg.Interval == 0 {
+	if !l.Adaptive() {
 		return l.cfg.Interval
 	}
 	if l.ewmaGap == 0 {
@@ -649,6 +649,10 @@ func (l *Log) deadlineLocked() time.Duration {
 	return d
 }
 
+// Adaptive reports whether the adaptive controller sets the force deadline:
+// Config.Adaptive, on a log that does not force at every Append.
+func (l *Log) Adaptive() bool { return l.cfg.Adaptive && l.cfg.Interval != 0 }
+
 // Deadline returns the force deadline currently in effect: Interval in fixed
 // mode, the adaptive controller's choice in adaptive mode, 0 in synchronous
 // mode.
@@ -661,13 +665,12 @@ func (l *Log) Deadline() time.Duration {
 // MaybeForce forces the log if the force deadline has elapsed since the last
 // force — or, in adaptive mode, as soon as a full record's worth of images
 // is pending (forcing then costs no extra record overhead). The file system
-// calls it at operation boundaries when running on a virtual clock; under a
-// real clock a ticker goroutine calls it.
+// calls it at operation boundaries and from an idle Tick.
 func (l *Log) MaybeForce() error {
 	l.mu.Lock()
 	due := len(l.pending) > 0 &&
 		(l.clk.Now()-l.lastForce >= l.deadlineLocked() ||
-			(l.cfg.Adaptive && len(l.pending) >= MaxImagesPerRecord))
+			(l.Adaptive() && len(l.pending) >= MaxImagesPerRecord))
 	l.mu.Unlock()
 	if !due {
 		return nil
@@ -790,7 +793,7 @@ func (l *Log) forceLocked() error {
 	}
 	l.committedSeq.Store(seq)
 	dur := l.clk.Now() - start
-	if wrote && l.cfg.Adaptive {
+	if wrote && l.Adaptive() {
 		l.mu.Lock()
 		if l.ewmaForce == 0 {
 			l.ewmaForce = dur

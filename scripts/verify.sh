@@ -80,6 +80,23 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 # identifiers only.)
 ! grep -rnwE --include='*.go' 'SerialMonitor|ReadOneCopy|fscache|ConcurrencyReportRun|AsyncReportRun' . \
 	|| { echo "verify: a deleted knob, package or formula harness resurfaced (publish a measured run, DESIGN §13)"; exit 1; }
+# One clock and one bring-up (DESIGN §3.1, §15). The wall-clock Clock and the
+# ticker goroutines it drove (group commit, periodic scrub) were never built
+# by any binary, example or benchmark; group commit runs at operation
+# boundaries on the virtual clock. The synchronous baseline is a negative
+# GroupCommitInterval, not a field of its own. (Whole identifiers only: the
+# unixfs and diskmodel comments that say "Synchronous" are prose.)
+! grep -rnwE --include='*.go' 'RealClock|NewRealClock|RealTimeScale|startTicker|startScrubber|stopTicker' . \
+	|| { echo "verify: the wall-clock ticker resurfaced (drive group commit with MaybeForce/Tick on the virtual clock)"; exit 1; }
+! grep -rnE --include='*.go' '\.Synchronous([^[:alnum:]_]|$)|(^|[^[:alnum:]_])Synchronous[[:space:]]*:[[:space:]]*(true|false)|^[[:space:]]*Synchronous[[:space:]]+bool' . \
+	|| { echo "verify: a Synchronous config field resurfaced (use a negative GroupCommitInterval)"; exit 1; }
+# Format, both mounts and Salvage end in goLive, the one epilogue that starts
+# the intent queue and marks the volume ready. A call of either anywhere else
+# is a bring-up path wiring itself by hand again — how Salvage came to return
+# an AsyncApply volume with no queue.
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/(startIntentQueue|finishMount)\(/ && !/^[[:space:]]*\/\// && !/^func / && fn !~ /^func \(v \*Volume\) goLive\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: startIntentQueue or finishMount called outside goLive (end the bring-up in goLive)"; exit 1; }
 # A detached CPU takes its charges off the clock. Two actors may do that: the
 # intent-queue applier, a real second actor, and Table 5's 4.2 BSD
 # delayed-write row, the paper's own model. Anywhere else it is a formula
