@@ -1,15 +1,13 @@
 // Package bench regenerates every table and measured claim of the paper's
-// evaluation. Each exported function runs the relevant experiment on
-// full-size (300 MB) simulated volumes and returns a Table carrying both
-// the paper's reported numbers and ours, so cmd/benchtab can print a
-// side-by-side comparison and EXPERIMENTS.md can record it.
+// evaluation on full-size (300 MB) simulated volumes. Records is the one
+// list of what it regenerates: each entry runs its experiment once, and
+// cmd/benchtab prints the report's tables and writes the report as a
+// BENCH_*.json at the repo root from that run.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"repro/internal/cfs"
@@ -27,22 +25,6 @@ type Table struct {
 	Header []string   `json:"header"`
 	Rows   [][]string `json:"rows"`
 	Notes  []string   `json:"notes,omitempty"`
-}
-
-// TablesRecord is BENCH_tables.json: the paper's own tables — the hardware,
-// Tables 1–5, group commit (§5.4), the model (§6) and recovery (§7) — exactly
-// as benchtab prints them.
-type TablesRecord struct {
-	Clock  string  `json:"clock"`
-	Tables []Table `json:"tables"`
-}
-
-// tablesClock names the clock of every number in a TablesRecord.
-const tablesClock = "our times are simulated on the virtual clock (ms or s, as the header or cell says; Table 5's percentages are shares of simulated elapsed time); Hardware lists the simulated drive's parameters; paper columns are the paper's published figures; everything else is a count or a ratio of counts"
-
-// WriteTablesJSON records tabs at path (BENCH_tables.json at the repo root).
-func WriteTablesJSON(path string, tabs []Table) error {
-	return writeJSON(path, TablesRecord{Clock: tablesClock, Tables: tabs})
 }
 
 // Print writes the table in aligned plain text.
@@ -98,18 +80,6 @@ func ratio(a, b float64) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%.2f", a/b)
-}
-
-// writeJSON records a report at path (a BENCH_*.json at the repo root):
-// indented, newline-terminated, so successive runs diff line by line. Each
-// report type carries a top-level "clock" key saying which of its numbers
-// are simulated time, wall-clock time or counts.
-func writeJSON(path string, rep any) error {
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // fsdEnv is a fresh full-size FSD volume.

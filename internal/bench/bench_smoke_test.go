@@ -26,13 +26,8 @@ func TestTable1Static(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	tab, err := Table2()
-	if err != nil {
-		t.Fatalf("Table2: %v", err)
-	}
+	t.Parallel()
+	tab := table(t, "tables", "Table 2")
 	byName := map[string][]string{}
 	for _, r := range tab.Rows {
 		byName[r[0]] = r
@@ -65,13 +60,8 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	tab, err := Table3()
-	if err != nil {
-		t.Fatalf("Table3: %v", err)
-	}
+	t.Parallel()
+	tab := table(t, "tables", "Table 3")
 	byName := map[string][]string{}
 	for _, r := range tab.Rows {
 		byName[r[0]] = r
@@ -98,13 +88,8 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	tab, err := Table4()
-	if err != nil {
-		t.Fatalf("Table4: %v", err)
-	}
+	t.Parallel()
+	tab := table(t, "tables", "Table 4")
 	byName := map[string][]string{}
 	for _, r := range tab.Rows {
 		byName[r[0]] = r
@@ -124,13 +109,8 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	tab, err := Table5()
-	if err != nil {
-		t.Fatalf("Table5: %v", err)
-	}
+	t.Parallel()
+	tab := table(t, "tables", "Table 5")
 	read, write := tab.Rows[0], tab.Rows[1]
 	// FSD delivers much more bandwidth than 4.2 BSD (79-80 vs 47).
 	if get(t, read[4]) <= get(t, read[8]) {
@@ -158,13 +138,8 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestGroupCommitShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	tab, err := GroupCommit()
-	if err != nil {
-		t.Fatalf("GroupCommit: %v", err)
-	}
+	t.Parallel()
+	tab := table(t, "tables", "GC")
 	byName := map[string][]string{}
 	for _, r := range tab.Rows {
 		byName[r[0]] = r
@@ -194,13 +169,8 @@ func TestGroupCommitShape(t *testing.T) {
 // large create's script pays only its first chunk's copy up front and hides
 // the rest under the transfers, as the data path does.
 func TestModelValidationShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	tab, err := ModelValidation()
-	if err != nil {
-		t.Fatalf("ModelValidation: %v", err)
-	}
+	t.Parallel()
+	tab := table(t, "tables", "Model")
 	if worst := MaxErrorPct(tab); worst > 25 {
 		t.Errorf("worst model error %.1f%%, want <= 25%% (paper claims 5%%)", worst)
 	}
@@ -251,13 +221,8 @@ func TestSpansMeasureTheClock(t *testing.T) {
 }
 
 func TestRecoveryShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	tab, err := Recovery()
-	if err != nil {
-		t.Fatalf("Recovery: %v", err)
-	}
+	t.Parallel()
+	tab := table(t, "tables", "Recovery")
 	// Row order: FSD, VAM, fsck, scavenge.
 	var fsd, fsck, scav float64
 	for _, r := range tab.Rows {
@@ -286,13 +251,8 @@ func TestRecoveryShape(t *testing.T) {
 }
 
 func TestVAMLoggingAblationShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	tab, err := AblationVAMLogging()
-	if err != nil {
-		t.Fatalf("AblationVAMLogging: %v", err)
-	}
+	t.Parallel()
+	tab := table(t, "ablations", "Ablation/vamlog")
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows: %v", tab.Rows)
 	}
@@ -306,13 +266,8 @@ func TestVAMLoggingAblationShape(t *testing.T) {
 }
 
 func TestRecoveryScalingShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	tab, err := RecoveryScaling()
-	if err != nil {
-		t.Fatalf("RecoveryScaling: %v", err)
-	}
+	t.Parallel()
+	tab := table(t, "tables", "RecoveryScaling")
 	var prev float64
 	for i, r := range tab.Rows {
 		rec := get(t, r[2])
@@ -333,13 +288,8 @@ func TestRecoveryScalingShape(t *testing.T) {
 }
 
 func TestRobustnessShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-volume experiment")
-	}
-	rep, err := RobustnessReportRun()
-	if err != nil {
-		t.Fatalf("RobustnessReportRun: %v", err)
-	}
+	t.Parallel()
+	rep := runOnce[RobustnessReport](t, "robustness")
 	// Every decayed duplicate must be healed (the run itself errors on
 	// NTLost/problems) and every stuck defect retired to a spare.
 	if rep.ScrubRepaired < rep.DecayedSectors/2 {
@@ -362,13 +312,8 @@ func TestRobustnessShape(t *testing.T) {
 }
 
 func TestCrashSweepShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full crash-state enumeration")
-	}
-	rep, err := CrashSweepReportRun()
-	if err != nil {
-		t.Fatalf("CrashSweepReportRun: %v", err)
-	}
+	t.Parallel()
+	rep := runOnce[CrashSweepReport](t, "crashsweep")
 	// The run itself errors on mount failures or oracle violations, so
 	// here we only check the sweep's shape and the recovery-time claim.
 	if rep.States < 1000 {
@@ -395,17 +340,10 @@ func TestCrashSweepShape(t *testing.T) {
 }
 
 func TestNestedCrashShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("depth-2 exploration")
-	}
-	// A reduced outer sample keeps the smoke fast; the acceptance run
-	// (300 outer states) is the benchtab -nestedcrash-json path.
-	rep, err := NestedCrashReportRun(40)
-	if err != nil {
-		t.Fatalf("NestedCrashReportRun: %v", err)
-	}
-	if rep.OuterStates != 40 {
-		t.Errorf("explored %d outer states, want 40", rep.OuterStates)
+	t.Parallel()
+	rep := runOnce[NestedCrashReport](t, "nestedcrash")
+	if rep.OuterStates != 300 {
+		t.Errorf("explored %d outer states, want 300", rep.OuterStates)
 	}
 	if rep.InnerStates == 0 || rep.InnerStatesTotal < rep.InnerStates {
 		t.Errorf("inner states wrong: %d of %d", rep.InnerStates, rep.InnerStatesTotal)

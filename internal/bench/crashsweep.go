@@ -84,13 +84,9 @@ func CrashSweepReportRun() (CrashSweepReport, error) {
 	return rep, nil
 }
 
-// CrashSweep renders the exploration as a table.
-func CrashSweep() (Table, error) {
-	rep, err := CrashSweepReportRun()
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
+// Render is the exploration as benchtab prints it.
+func (rep CrashSweepReport) Render() []Table {
+	return []Table{{
 		ID:     "Crash sweep",
 		Title:  "Systematic crash-state exploration with the durability oracle",
 		Header: []string{"Metric", "Value"},
@@ -106,16 +102,5 @@ func CrashSweep() (Table, error) {
 			"every crash image mounts and satisfies the durability oracle",
 			fmt.Sprintf("recovery stays inside the paper's observed 1-25 s window (max %.2f s)", rep.RecoveryMaxS),
 		},
-	}
-	return t, nil
-}
-
-// WriteCrashSweepJSON runs the sweep and records it at path
-// (BENCH_crashsweep.json at the repo root).
-func WriteCrashSweepJSON(path string) (CrashSweepReport, error) {
-	rep, err := CrashSweepReportRun()
-	if err != nil {
-		return rep, err
-	}
-	return rep, writeJSON(path, rep)
+	}}
 }

@@ -243,22 +243,8 @@ func DataPathReportRun() (DataPathReport, error) {
 	return rep, nil
 }
 
-// WriteDataPathJSON runs the experiment and records it at path
-// (BENCH_datapath.json at the repo root).
-func WriteDataPathJSON(path string) (DataPathReport, error) {
-	rep, err := DataPathReportRun()
-	if err != nil {
-		return rep, err
-	}
-	return rep, writeJSON(path, rep)
-}
-
-// DataPath renders the experiment as a benchtab table.
-func DataPath() (Table, error) {
-	rep, err := DataPathReportRun()
-	if err != nil {
-		return Table{}, err
-	}
+// Render is the experiment as benchtab prints it.
+func (rep DataPathReport) Render() []Table {
 	t := Table{
 		ID:     "DataPath",
 		Title:  "File-data buffer cache: clustered transfers + sequential read-ahead vs the raw per-run path",
@@ -277,5 +263,5 @@ func DataPath() (Table, error) {
 		fmt.Sprintf("re-read hit rate (cache+ra, first pass warms in-window): %.0f%%", rep.RereadHitRate*100),
 		rep.Model,
 	)
-	return t, nil
+	return []Table{t}
 }

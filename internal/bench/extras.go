@@ -139,7 +139,7 @@ type walStats struct{ records, min, max, sectors, staged, logged int }
 // replay (+ VAM reconstruction), CFS scavenge, and BSD fsck on comparably
 // full 300 MB volumes.
 func Recovery() (Table, error) {
-	fsdRec, cfsScav, fsdVAM, err := recoveryTimes()
+	rec, err := recoveryTimes()
 	if err != nil {
 		return Table{}, err
 	}
@@ -162,10 +162,10 @@ func Recovery() (Table, error) {
 		Title:  "Crash recovery on a moderately full 300 MB volume (7)",
 		Header: []string{"System", "Paper", "Ours"},
 		Rows: [][]string{
-			{"FSD (log replay + VAM rebuild)", "1 - 25 s", fmt.Sprintf("%.1f s", fsdRec.Seconds())},
-			{"  of which VAM reconstruction", "~20 s", fmt.Sprintf("%.1f s", fsdVAM.Seconds())},
+			{"FSD (log replay + VAM rebuild)", "1 - 25 s", fmt.Sprintf("%.1f s", rec.fsd.Seconds())},
+			{"  of which VAM reconstruction", "~20 s", fmt.Sprintf("%.1f s", rec.fsdVAM.Seconds())},
 			{"4.3 BSD fsck (VAX-11/785)", "~420 s", fmt.Sprintf("%.0f s (%d inodes)", fst.Elapsed.Seconds(), fst.InodesChecked)},
-			{"CFS scavenge", "3600+ s", fmt.Sprintf("%.0f s", cfsScav.Seconds())},
+			{"CFS scavenge", "3600+ s", fmt.Sprintf("%.0f s", rec.cfsScav.Seconds())},
 		},
 	}
 	return t, nil

@@ -143,22 +143,8 @@ func FaultPathReportRun() (FaultPathReport, error) {
 	return rep, nil
 }
 
-// WriteFaultPathJSON runs the sweep and records it at path
-// (BENCH_faultpath.json at the repo root).
-func WriteFaultPathJSON(path string) (FaultPathReport, error) {
-	rep, err := FaultPathReportRun()
-	if err != nil {
-		return rep, err
-	}
-	return rep, writeJSON(path, rep)
-}
-
-// FaultPath renders the sweep as a benchtab table.
-func FaultPath() (Table, error) {
-	rep, err := FaultPathReportRun()
-	if err != nil {
-		return Table{}, err
-	}
+// Render is the sweep as benchtab prints it.
+func (rep FaultPathReport) Render() []Table {
 	t := Table{
 		ID:    "FaultPath",
 		Title: "Write-fault absorption cost (bounded retries + spare remap + hung-I/O deadline)",
@@ -177,5 +163,5 @@ func FaultPath() (Table, error) {
 		"workload: 240 committed 2 KB creates; error budget raised so the FSM never demotes mid-sweep",
 		rep.Model,
 	)
-	return t, nil
+	return []Table{t}
 }

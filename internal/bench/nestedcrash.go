@@ -46,19 +46,15 @@ type NestedCrashReport struct {
 	ElapsedS         float64 `json:"elapsed_wall_s"`
 }
 
-// NestedCrashReportRun runs the depth-2 exploration over a bounded outer
-// sample. outerStates bounds the outer images explored (0 means the
-// acceptance default of 300); every outer image gets the default inner
-// sample per barrier epoch of its recovery.
-func NestedCrashReportRun(outerStates int) (NestedCrashReport, error) {
+// NestedCrashReportRun runs the depth-2 exploration over a bounded sample
+// of 300 outer images; every outer image gets the default inner sample per
+// barrier epoch of its recovery.
+func NestedCrashReportRun() (NestedCrashReport, error) {
 	var rep NestedCrashReport
-	if outerStates == 0 {
-		outerStates = 300
-	}
 	res, err := crashtest.Run(crashtest.Config{
 		Seed:      1,
 		StateID:   -1,
-		MaxStates: outerStates,
+		MaxStates: 300,
 		Nested:    true,
 	})
 	if err != nil {
@@ -101,13 +97,9 @@ func NestedCrashReportRun(outerStates int) (NestedCrashReport, error) {
 	return rep, nil
 }
 
-// NestedCrash renders the depth-2 exploration as a table.
-func NestedCrash() (Table, error) {
-	rep, err := NestedCrashReportRun(0)
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
+// Render is the depth-2 exploration as benchtab prints it.
+func (rep NestedCrashReport) Render() []Table {
+	return []Table{{
 		ID:     "Nested crash",
 		Title:  "Depth-2 crash exploration: recovery crashed and recovered again",
 		Header: []string{"Metric", "Value"},
@@ -125,16 +117,5 @@ func NestedCrash() (Table, error) {
 			"every depth-2 image mounts; acked ops survive the double crash; the second recovery reproduces the first one's decisions",
 			fmt.Sprintf("recovery-of-recovery stays inside the paper's observed 1-25 s window (max %.2f s)", rep.RecRecMaxS),
 		},
-	}
-	return t, nil
-}
-
-// WriteNestedCrashJSON runs the depth-2 sweep and records it at path
-// (BENCH_nestedcrash.json at the repo root).
-func WriteNestedCrashJSON(path string) (NestedCrashReport, error) {
-	rep, err := NestedCrashReportRun(0)
-	if err != nil {
-		return rep, err
-	}
-	return rep, writeJSON(path, rep)
+	}}
 }

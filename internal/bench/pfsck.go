@@ -88,24 +88,23 @@ func pfsckAppend(curve []PFsckRun, run PFsckRun) []PFsckRun {
 	return append(curve, run)
 }
 
-// pfsckRun populates one image and sweeps both passes over widths. The
-// first width must be 1: it is the baseline the speedups and the determinism
-// oracle are anchored to.
-func pfsckRun(totalBytes int64, maxFile int, widths []int) (PFsckReport, error) {
+// PFsckReportRun is the experiment: a large seeded image (a few thousand
+// files in the workload's mixed size distribution, where the per-page
+// cross-check CPU dominates the ordered device sweeps) swept at widths 1..16.
+// The 1-worker run is the baseline the speedups and the determinism oracle
+// are anchored to.
+func PFsckReportRun() (PFsckReport, error) {
 	rep := PFsckReport{
 		Clock: "every *_s and speedup: simulated seconds on the virtual clock; files, entries, sweep_sectors: counts; " +
 			"steals: a count the real scheduler decides, so it varies run to run",
 		Model: pfsckModel,
 	}
-	if len(widths) == 0 || widths[0] != 1 {
-		return rep, fmt.Errorf("pfsck: widths must start with the 1-worker baseline")
-	}
-
+	widths := []int{1, 2, 4, 8, 16}
 	fe, err := newFSD(fsdBenchConfig())
 	if err != nil {
 		return rep, err
 	}
-	names, err := workload.PopulateVolume(fe.t, newRng(23), totalBytes, maxFile)
+	names, err := workload.PopulateVolume(fe.t, newRng(23), 60_000_000, 64*1024)
 	if err != nil {
 		return rep, err
 	}
@@ -185,38 +184,14 @@ func pfsckRun(totalBytes int64, maxFile int, widths []int) (PFsckReport, error) 
 	return rep, nil
 }
 
-// PFsckReportRun is the full experiment: a large seeded image (a few
-// thousand files in the workload's mixed size distribution, where the
-// per-page cross-check CPU dominates the ordered device sweeps) swept at
-// widths 1..16.
-func PFsckReportRun() (PFsckReport, error) {
-	return pfsckRun(60_000_000, 64*1024, []int{1, 2, 4, 8, 16})
-}
-
-// WritePFsckJSON runs the experiment and records it at path
-// (BENCH_pfsck.json at the repo root).
-func WritePFsckJSON(path string) (PFsckReport, error) {
-	rep, err := PFsckReportRun()
-	if err != nil {
-		return rep, err
-	}
-	return rep, writeJSON(path, rep)
-}
-
-// PFsck renders a bounded smoke of the experiment as a benchtab table: a
-// small population and two widths, enough to exercise the parallel paths
-// and the determinism assertions in CI without the full curve's cost.
-func PFsck() (Table, error) {
-	rep, err := pfsckRun(6_000_000, 64*1024, []int{1, 4})
-	if err != nil {
-		return Table{}, err
-	}
+// Render is the experiment as benchtab prints it.
+func (rep PFsckReport) Render() []Table {
 	t := Table{
 		ID:     "PFsck",
-		Title:  "Parallel check & repair: Verify and salvage sweep vs pool width (smoke)",
+		Title:  "Parallel check & repair: Verify and salvage sweep vs pool width",
 		Header: []string{"Workers", "Verify (s)", "Speedup", "hidden (s)", "Sweep (s)", "Speedup", "hidden (s)"},
 		Notes: []string{
-			fmt.Sprintf("%d files, %d entries; full curve in BENCH_pfsck.json", rep.Files, rep.Entries),
+			fmt.Sprintf("%d files, %d entries", rep.Files, rep.Entries),
 			rep.Model,
 		},
 	}
@@ -232,5 +207,5 @@ func PFsck() (Table, error) {
 			fmt.Sprintf("%.1f", sr.HiddenS),
 		})
 	}
-	return t, nil
+	return []Table{t}
 }

@@ -134,23 +134,9 @@ func RobustnessReportRun() (RobustnessReport, error) {
 	return rep, nil
 }
 
-// WriteRobustnessJSON runs the experiment and records it at path
-// (BENCH_robustness.json at the repo root).
-func WriteRobustnessJSON(path string) (RobustnessReport, error) {
-	rep, err := RobustnessReportRun()
-	if err != nil {
-		return rep, err
-	}
-	return rep, writeJSON(path, rep)
-}
-
-// Robustness renders the experiment as a benchtab table.
-func Robustness() (Table, error) {
-	rep, err := RobustnessReportRun()
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
+// Render is the experiment as benchtab prints it.
+func (rep RobustnessReport) Render() []Table {
+	return []Table{{
 		ID:     "Robustness",
 		Title:  "Online scrub and salvage mount vs the CFS scavenger (full 300 MB volume)",
 		Header: []string{"Stage", "Sectors", "Repaired/recovered", "Elapsed (s)", "Rate"},
@@ -183,6 +169,5 @@ func Robustness() (Table, error) {
 			fmt.Sprintf("salvage is %.1fx faster than the label scavenge it replaces (paper: scavenge \"takes over an hour\")",
 				rep.SalvageSpeedup),
 		},
-	}
-	return t, nil
+	}}
 }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -196,11 +198,11 @@ func Table2() (Table, error) {
 	res["Large delete"] = pair{fd.Seconds() * 1000, cd.Seconds() * 1000}
 
 	// Crash recovery on moderately full volumes.
-	fsdRec, cfsRec, _, err := recoveryTimes()
+	rec, err := recoveryTimes()
 	if err != nil {
 		return Table{}, err
 	}
-	res["Crash recovery"] = pair{fsdRec.Seconds() * 1000, cfsRec.Seconds() * 1000}
+	res["Crash recovery"] = pair{rec.fsd.Seconds() * 1000, rec.cfsScav.Seconds() * 1000}
 
 	paper := map[string][2]string{
 		"Small create":   {"264", "70"},
@@ -236,44 +238,46 @@ func Table2() (Table, error) {
 	return t, nil
 }
 
+// recoveryResult is the crash-recovery experiment: FSD mount-with-recovery,
+// its VAM reconstruction portion, and the CFS scavenge.
+type recoveryResult struct{ fsd, fsdVAM, cfsScav time.Duration }
+
 // recoveryTimes builds moderately full FSD and CFS volumes, crashes them,
-// and measures FSD mount-with-recovery, CFS scavenge, and the FSD VAM
-// reconstruction portion.
-func recoveryTimes() (fsdRec, cfsScav, fsdVAM timeDuration, err error) {
+// and measures both recoveries. Table 2's last row and the Recovery table
+// both report it, so it runs once per process.
+var recoveryTimes = sync.OnceValues(func() (recoveryResult, error) {
 	fe, err := newFSD(fsdBenchConfig())
 	if err != nil {
-		return 0, 0, 0, err
+		return recoveryResult{}, err
 	}
 	if _, err := populate(fe.t, 11); err != nil {
-		return 0, 0, 0, err
+		return recoveryResult{}, err
 	}
 	if err := fe.v.Force(); err != nil {
-		return 0, 0, 0, err
+		return recoveryResult{}, err
 	}
 	fe.v.Crash()
 	fe.d.Revive()
 	_, ms2, err := core.Mount(fe.d, fsdBenchConfig())
 	if err != nil {
-		return 0, 0, 0, err
+		return recoveryResult{}, err
 	}
 
 	ce, err := newCFS()
 	if err != nil {
-		return 0, 0, 0, err
+		return recoveryResult{}, err
 	}
 	if _, err := populate(ce.t, 11); err != nil {
-		return 0, 0, 0, err
+		return recoveryResult{}, err
 	}
 	ce.v.Crash()
 	ce.d.Revive()
 	_, sst, err := cfsScavenge(ce.d)
 	if err != nil {
-		return 0, 0, 0, err
+		return recoveryResult{}, err
 	}
-	return ms2.Elapsed, sst, ms2.VAMElapsed, nil
-}
-
-type timeDuration = timeDur
+	return recoveryResult{fsd: ms2.Elapsed, fsdVAM: ms2.VAMElapsed, cfsScav: sst}, nil
+})
 
 // smallFileIOs counts the disk I/Os of the paper's three small-file
 // benchmarks on one volume, in directory dir: 100 small creates (with the

@@ -104,6 +104,16 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 ! grep -rn --include='*.go' 'SetDetached(' . | grep -vE '^\./(internal/sim/|internal/core/intent\.go:|internal/bench/tables\.go:)' \
 	|| { echo "verify: SetDetached outside the intent applier and Table 5 (measure on the clock instead)"; exit 1; }
 
+# One record registry (DESIGN §11): bench.Records runs each BENCH file's
+# experiment once, benchtab prints and writes it from that run (-json DIR),
+# and go test ./internal/bench compares it with the committed file. A flag or
+# a writer of its own for one record is a hand-kept list coming back. (Whole
+# identifiers only: -json itself is the one flag.)
+! grep -rnE --include='*.go' '"[[:alnum:]]+-json"' cmd/benchtab \
+	|| { echo "verify: a per-record -<name>-json flag resurfaced in benchtab (register the record in bench.Records)"; exit 1; }
+! grep -rnwE --include='*.go' 'func Write[[:alnum:]]+JSON' internal/bench \
+	|| { echo "verify: a per-record Write<Name>JSON resurfaced in internal/bench (Record.Write writes every record)"; exit 1; }
+
 go vet ./...
 go build ./...
 # Every test runs once, here — the gates included (what each one holds is in
@@ -162,8 +172,8 @@ go run ./cmd/fsdctl crashcheck -seed 1 -states 100 -async
 # mount must absorb or demote, never corrupt.
 go run ./cmd/fsdctl crashcheck -seed 13 -states 60 -decay 0.001 -writedecay 0.01
 # Bounded nested (depth-2) sweep: crash each state's recovery at its own
-# barrier epochs and recover again; the full 300-outer-state acceptance run
-# is the benchtab -nestedcrash-json path.
+# barrier epochs and recover again; the full 300-outer-state run is
+# BENCH_nestedcrash.json, which go test ./internal/bench regenerates.
 go run ./cmd/fsdctl crashcheck -nested -depth 2 -seed 1 -states 30 -inner 4
 # Re-entrant recovery under the race detector: mount-scheduled scrub
 # racing a workload, and the composed-fault recovery tests.
@@ -172,11 +182,6 @@ go test -race ./internal/core -count=1 -run 'TestMountWhileScrubHammer|TestMount
 # all reads failing once, both copies of the root page fault on about one
 # mount in thirty, and the root read has to retry like every other read.
 go test ./internal/core -count=100 -run 'TestMountUnderComposedFaults$'
-# Data-path cache ablation smoke (cache on/off x read-ahead on/off over
-# sequential/random/re-read workloads); a few seconds on small windows.
-go run ./cmd/benchtab -table datapath
-# Write-fault-path sweep smoke (retry/remap/hung absorption cost grid).
-go run ./cmd/benchtab -table faultpath
 # Mini-soak: 2000 concurrent simulated clients for 5 seconds against an
 # in-process server; exits nonzero on any protocol error or if the volume
 # leaves the healthy state.
@@ -187,8 +192,3 @@ go run ./cmd/soak -clients 2000 -conns 16 -duration 5s -rate 5 -json /dev/null
 # and a wide Verify racing concurrent readers.
 go test -race ./internal/parscan ./internal/sim -count=1
 go test -race ./internal/core -count=1 -run 'TestVerifyProblemsDeterministic|TestVerifyDuplicateOwnerDeterministic|TestVerifyUnderDecay|TestVerifyParallelWithReaders|TestParallelSalvageMatchesSequential|TestSweepRebuildMatchesChainWalk|TestScrubSweepMatchesPerPage'
-# Bounded pfsck smoke (small volume, widths 1 and 4): runs both passes
-# through the pool and asserts identical output at both widths; the full
-# 1/2/4/8/16 curve is the benchtab -pfsck-json path. (No formula column:
-# each point carries its run's arm / pool / hidden.)
-go run ./cmd/benchtab -table pfsck
