@@ -53,6 +53,11 @@ func TestAPISurface(t *testing.T) {
 	if e := f.Entry(); e.Class != Local {
 		t.Fatalf("class = %v, want Local (%v, %v also exported)", e.Class, SymLink, Cached)
 	}
+	// The create's data is held in the data cache until a force writes it
+	// ahead of the record; force it, so the reads below go to the disk.
+	if err := vol.Force(); err != nil {
+		t.Fatal(err)
+	}
 	f2, err := vol.Open("probe.txt", 0)
 	if err != nil {
 		t.Fatal(err)

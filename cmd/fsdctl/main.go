@@ -482,6 +482,8 @@ func run(img string, jsonOut bool, args []string) error {
 		}
 		fmt.Printf("commit deadline: %v (%s)\n",
 			st.Commit.ForceDeadline.Round(100*time.Microsecond), mode)
+		fmt.Printf("held writes: %d sectors in %d requests written by forces, %d writes out at once at the hold cap\n",
+			st.Commit.HeldSectors, st.Commit.HeldRequests, st.Commit.HeldWriteThrough)
 		if iq := st.Intent; iq.Enabled {
 			fmt.Printf("intent queue: depth %d (max %d), %d enqueued, %d applied, %d reader waits, applier busy %v\n",
 				iq.Depth, iq.MaxDepth, iq.Enqueued, iq.Applied, iq.ReaderWaits,

@@ -53,11 +53,15 @@ func IsLeaf(page []byte) bool { return len(page) >= hdrSize && page[offKind] == 
 // LeafEntries decodes the cells of a leaf page buffer in slot order. It
 // touches only the buffer — no pager, no tree state — so any number of
 // goroutines may decode different pages concurrently. The key and value
-// slices alias the buffer.
+// slices alias the buffer. The page is validated first: a malformed one is
+// ErrCorrupt, with fn never called.
 func LeafEntries(page []byte, fn func(key, value []byte) bool) error {
 	n := node{data: page}
 	if !IsLeaf(page) {
 		return fmt.Errorf("%w: LeafEntries on non-leaf page", ErrCorrupt)
+	}
+	if err := n.validate(); err != nil {
+		return err
 	}
 	for i := 0; i < n.nslots(); i++ {
 		if !fn(n.key(i), n.value(i)) {

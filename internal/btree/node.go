@@ -240,18 +240,29 @@ func (n node) ensureSpace(size int) bool {
 	return false
 }
 
-// validate performs structural checks used by tests and the corruption
-// detector: slot offsets in range, keys strictly ascending.
+// validate performs the structural checks of a leaf or internal page: slot
+// array and cell area inside the page and apart, every cell whole inside the
+// page, keys strictly ascending. A page that passes can be walked by every
+// accessor without an index going out of range.
 func (n node) validate() error {
-	if n.kind() != kindLeaf && n.kind() != kindInternal {
+	if len(n.data) < hdrSize {
+		return fmt.Errorf("%w: page %d is %d bytes", ErrCorrupt, n.id, len(n.data))
+	}
+	cellHdr := 6
+	switch n.kind() {
+	case kindLeaf:
+		cellHdr = 4
+	case kindInternal:
+	default:
 		return fmt.Errorf("%w: page %d has kind %d", ErrCorrupt, n.id, n.kind())
 	}
-	if hdrSize+n.nslots()*slotSize > n.cellStart() {
+	slotsEnd := hdrSize + n.nslots()*slotSize
+	if slotsEnd > n.cellStart() || n.cellStart() > len(n.data) {
 		return fmt.Errorf("%w: page %d slot array overlaps cells", ErrCorrupt, n.id)
 	}
 	for i := 0; i < n.nslots(); i++ {
 		off := n.slotOffset(i)
-		if off < hdrSize || off >= len(n.data) {
+		if off < slotsEnd || off+cellHdr > len(n.data) || off+n.cellSize(i) > len(n.data) {
 			return fmt.Errorf("%w: page %d slot %d offset %d", ErrCorrupt, n.id, i, off)
 		}
 		if i > 0 && bytes.Compare(n.key(i-1), n.key(i)) >= 0 {
@@ -259,4 +270,18 @@ func (n node) validate() error {
 		}
 	}
 	return nil
+}
+
+// CheckPage validates page id as it enters a tree from a medium: a leaf or
+// internal page must pass validate, so that no accessor can index outside
+// it; a page of any other kind is checked by the walk that meets it, which
+// expects a kind. It costs host time only. A pager over a medium calls it
+// once per page, where the page enters its cache (LeafEntries, which
+// decodes pages no pager holds, runs the same check), so that a malformed
+// page is ErrCorrupt and not a panic.
+func CheckPage(id uint32, page []byte) error {
+	if len(page) > offKind && page[offKind] != kindLeaf && page[offKind] != kindInternal {
+		return nil
+	}
+	return node{id: id, data: page}.validate()
 }

@@ -16,23 +16,29 @@
 //     physically adjacent allocation runs into single transfers (the
 //     cross-run coalescing in core/file.go).
 //
-// Durability is untouched: the cache is strictly write-through. Every write
-// reaches the disk before (and regardless of) any cache state, so the
-// on-platter image — what the crash-state explorer's oracle inspects — is
-// byte-identical with the cache on or off.
+// Durability: the cache is write-through for every page a forced commit
+// already names — such a write reaches the disk before (and regardless of)
+// any cache state. A write to fresh pages, which no forced commit names yet,
+// may instead be held: Hold puts its bytes into frames that reads hit and
+// replacement never takes, and the caller writes them to the disk before the
+// commit that names them, then hands them back with Release. Held frames are
+// the write's one copy; at most half the capacity is held at once.
 //
 // Buffers: the cache owns every frame, in one slab allocated by New. A hit
 // copies frame → the caller's buffer and a demand fill copies the caller's
 // buffer → frame, both under the shard lock. The one loan is a read-ahead's:
 // Reserve takes frames out of circulation — in no list, under no address —
 // for the device to fill, and Commit gives them addresses or sets them free,
-// so no pointer into the slab outlives the disk request it was lent to.
-// Nothing on the hit, fill, reservation or eviction path allocates.
+// so no pointer into the slab outlives the disk request it was lent to. A
+// held frame is lent the same way to the holder's own write of it
+// (HeldRange), until Release. Nothing on the hit, fill, reservation, hold
+// or eviction path allocates.
 //
 // Replacement is segmented LRU, per shard: a fill enters the probation
 // list, a second reference moves a frame to the protected list, and victims
 // come from probation's cold end first, so data read once — a scan many times
 // the cache — passes through probation without disturbing what is re-read.
+// Held frames are in neither list: replacement never takes them.
 //
 // Concurrency: lookups run under the volume's shared read monitor, so the
 // hit path takes no cache-global mutex — only the lock of the shard the
@@ -44,6 +50,7 @@
 package bufcache
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -81,13 +88,14 @@ type Stats struct {
 	CoalescedWrites  int64 // write requests that merged adjacent runs
 	Invalidated      int64 // frames dropped by invalidation (frees, damage)
 	Evicted          int64 // frames dropped by replacement
-	Size             int   // frames resident now
+	Size             int   // frames resident now, held ones included
+	Held             int   // frames held now (Hold … Release)
 	Capacity         int   // frame capacity
 }
 
 // frame is one cached sector: a slab slot, linked into one of its shard's
 // two lists while it holds a sector, into the shard's free chain (through
-// next) while it does not, and into nothing while it is reserved. Links are
+// next) while it does not, and into nothing while it is reserved or held. Links are
 // slab indices, so the slab holds no pointers and the collector never scans
 // it.
 type frame struct {
@@ -104,6 +112,10 @@ const (
 	fAhead
 	// fReserved: lent to a read-ahead in flight (Reserve … Commit).
 	fReserved
+	// fHeld: resident and indexed, so reads hit it, but in neither list, so
+	// replacement never takes it: it holds a write that has not reached the
+	// disk yet (Hold … Release).
+	fHeld
 )
 
 // none terminates the frame lists.
@@ -162,6 +174,9 @@ func (s *shard) pushFront(i int32) {
 // of probation when that makes it too long.
 func (s *shard) hit(c *Cache, i int32) {
 	f := &s.frames[i]
+	if f.flags&fHeld != 0 {
+		return
+	}
 	if f.flags&fAhead != 0 {
 		f.flags &^= fAhead
 		c.aheadUsed.Add(1)
@@ -187,11 +202,16 @@ func (s *shard) hit(c *Cache, i int32) {
 	}
 }
 
-// drop takes resident frame i out of its list and the index; the frame is
-// then in nothing, as one from the free chain is once popped.
+// drop takes resident frame i out of its list, if it is in one, and the
+// index; the frame is then in nothing, as one from the free chain is once
+// popped.
 func (s *shard) drop(c *Cache, i int32) {
 	f := &s.frames[i]
-	s.unlink(i)
+	if f.flags&fHeld != 0 {
+		c.held.Add(-1)
+	} else {
+		s.unlink(i)
+	}
 	delete(s.index, f.addr)
 	if f.flags&fProtected != 0 {
 		s.nProtected--
@@ -240,22 +260,29 @@ func (s *shard) install(c *Cache, i int32, addr int, flags uint8) {
 	c.size.Add(1)
 }
 
-// reset empties the shard: every frame not out on reservation onto the free
-// chain.
-func (s *shard) reset(c *Cache) {
-	for _, i := range s.index {
+// reset empties the shard but for its held frames, which stay resident:
+// every other frame not out on reservation goes onto the free chain. It
+// returns how many resident frames it dropped.
+func (s *shard) reset(c *Cache) int {
+	dropped := 0
+	for a, i := range s.index {
+		if s.frames[i].flags&fHeld != 0 {
+			continue
+		}
 		if s.frames[i].flags&fAhead != 0 {
 			c.aheadWasted.Add(1)
 		}
+		delete(s.index, a)
+		dropped++
 	}
-	clear(s.index)
 	s.lists = [2]list{{none, none}, {none, none}}
 	s.nProtected, s.free = 0, none
 	for i := len(s.frames) - 1; i >= 0; i-- {
-		if s.frames[i].flags&fReserved == 0 {
+		if s.frames[i].flags&(fReserved|fHeld) == 0 {
 			s.setFree(int32(i))
 		}
 	}
+	return dropped
 }
 
 // Cache is a sector-addressed write-through cache. The zero value is not
@@ -263,6 +290,9 @@ func (s *shard) reset(c *Cache) {
 type Cache struct {
 	shards   [numShards]shard
 	capacity int
+	// holdCap bounds the held frames: half the capacity, so that a burst of
+	// fresh writes never takes more than half of what readers have.
+	holdCap int64
 
 	// gen is bumped by every mutation (write-through update, invalidation,
 	// drop) before the mutation touches any shard. A fill captures gen
@@ -270,6 +300,7 @@ type Cache struct {
 	// so a fill racing a write can never install stale data.
 	gen  atomic.Uint64
 	size atomic.Int64
+	held atomic.Int64
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -290,7 +321,7 @@ func New(capacity int) *Cache {
 	if capacity < numShards {
 		capacity = numShards
 	}
-	c := &Cache{capacity: capacity}
+	c := &Cache{capacity: capacity, holdCap: int64(capacity / 2)}
 	perShard := (capacity + numShards - 1) / numShards
 	slab := make([]frame, perShard*numShards)
 	for i := range c.shards {
@@ -360,7 +391,7 @@ func (c *Cache) Gen() uint64 { return c.gen.Load() }
 // PutRange installs len(data)/SectorSize sectors a reader asked for, read
 // from the disk at addr, copying them into frames (see take for which) at
 // the head of probation; a sector already resident only has its bytes
-// refreshed. The install is abandoned (returning false) as soon as the
+// refreshed, and a held one is left alone: its frame is newer than the disk. The install is abandoned (returning false) as soon as the
 // cache's generation differs from gen, so a fill whose disk read raced a
 // write-through update or an invalidation cannot resurrect stale bytes.
 func (c *Cache) PutRange(addr int, data []byte, gen uint64) bool {
@@ -377,7 +408,7 @@ func (c *Cache) PutRange(addr int, data []byte, gen uint64) bool {
 				s.install(c, i, addr, 0)
 			}
 		}
-		if i != none {
+		if i != none && s.frames[i].flags&fHeld == 0 {
 			copy(s.frames[i].data[:], data)
 		}
 		s.mu.Unlock()
@@ -458,15 +489,24 @@ func (c *Cache) Update(addr int, data ...[]byte) {
 	}
 }
 
-// Invalidate drops any frames covering [addr, addr+n): the sectors were
-// freed, damaged, or rewritten outside the data path, and the next read
-// must see the disk.
-func (c *Cache) Invalidate(addr, n int) {
+// Invalidate drops any frames covering [addr, addr+n), held ones included:
+// the sectors were freed, or rewritten outside the data path, and the next
+// read must see the disk. A held frame dropped here is a write that never
+// goes out. Callers serialize it with Hold and Release.
+func (c *Cache) Invalidate(addr, n int) { c.invalidate(addr, n, false) }
+
+// Damaged drops the frames covering [addr, addr+n) that are not held: the
+// platter changed behind the file system's back, so the next read must see
+// it — except where a frame holds a write still to come, which puts the
+// sector right again.
+func (c *Cache) Damaged(addr, n int) { c.invalidate(addr, n, true) }
+
+func (c *Cache) invalidate(addr, n int, keepHeld bool) {
 	c.gen.Add(1)
 	for i := 0; i < n; i++ {
 		s := c.shardFor(addr + i)
 		s.mu.Lock()
-		if f, ok := s.index[addr+i]; ok {
+		if f, ok := s.index[addr+i]; ok && !(keepHeld && s.frames[f].flags&fHeld != 0) {
 			s.drop(c, f)
 			s.setFree(f)
 			c.invalidated.Add(1)
@@ -475,18 +515,182 @@ func (c *Cache) Invalidate(addr, n int) {
 	}
 }
 
-// DropAll empties the cache (DropCaches, measurement harnesses).
+// DropAll empties the cache but for its held frames (DropCaches,
+// measurement harnesses).
 func (c *Cache) DropAll() {
 	c.gen.Add(1)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n := len(s.index)
-		s.reset(c)
+		n := s.reset(c)
 		s.mu.Unlock()
 		c.size.Add(int64(-n))
 		c.invalidated.Add(int64(n))
 	}
+}
+
+// Hold puts a write the caller keeps from the disk for now into held
+// frames: data — the gather list of the transfer it stands in for, whole
+// sectors in order — for sectors addr onward. Reads hit held frames,
+// replacement never takes them, and a resident frame of one of the sectors
+// is held in place. Frames come from the free chains and the cold end of
+// probation, never the protected list. Hold returns false, holding none of
+// the sectors, when the held frames would pass half the capacity — counting
+// every sector of the write, held already or not — or a shard has no frame
+// to give; the caller then writes to the disk at once and calls Update over
+// every sector, which puts the new bytes into a frame an earlier Hold held
+// among them. Hold, Release, Invalidate and such an Update of held sectors
+// must not run concurrently with each other: the caller serializes them.
+func (c *Cache) Hold(addr int, data ...[]byte) bool {
+	n := 0
+	for _, b := range data {
+		n += len(b) / SectorSize
+	}
+	// Sectors already held count as new: a rewrite of held sectors near the
+	// cap goes out at once a little early, and the cap costs no lookups.
+	if c.held.Load()+int64(n) > c.holdCap {
+		return false
+	}
+	c.gen.Add(1)
+	added := int64(0)
+	for k := 0; k < min(n, numShards); k++ {
+		s := c.shardFor(addr + k)
+		s.mu.Lock()
+		for j := k; j < n; j += numShards {
+			a := addr + j
+			i, ok := s.index[a]
+			if !ok || s.frames[i].flags&fHeld == 0 {
+				if ok {
+					s.drop(c, i) // held in place
+				} else if i = s.take(c, true); i == none {
+					s.mu.Unlock()
+					c.size.Add(added)
+					c.held.Add(added)
+					c.invalidate(addr, n, false)
+					return false
+				}
+				s.frames[i].addr = a
+				s.frames[i].flags = fHeld
+				s.index[a] = i
+				added++
+			}
+			copy(s.frames[i].data[:], sectorOf(data, j))
+		}
+		s.mu.Unlock()
+	}
+	c.size.Add(added)
+	c.held.Add(added)
+	return true
+}
+
+// sectorOf returns sector j of the gather list data.
+func sectorOf(data [][]byte, j int) []byte {
+	for _, b := range data {
+		if k := len(b) / SectorSize; j >= k {
+			j -= k
+		} else {
+			return b[j*SectorSize : (j+1)*SectorSize]
+		}
+	}
+	return nil
+}
+
+// Holding reports whether any sector is held.
+func (c *Cache) Holding() bool { return c.held.Load() > 0 }
+
+// HeldRun reports whether sector addr is held, and for how many sectors
+// from addr on, at most n, the answer is the same.
+func (c *Cache) HeldRun(addr, n int) (held bool, k int) {
+	for ; k < n; k++ {
+		s := c.shardFor(addr + k)
+		s.mu.Lock()
+		i, ok := s.index[addr+k]
+		h := ok && s.frames[i].flags&fHeld != 0
+		s.mu.Unlock()
+		if k == 0 {
+			held = h
+		} else if h != held {
+			break
+		}
+	}
+	return held, k
+}
+
+// HeldAny reports whether any sector of [addr, addr+n) is held.
+func (c *Cache) HeldAny(addr, n int) bool {
+	if !c.Holding() {
+		return false
+	}
+	held, k := c.HeldRun(addr, n)
+	return held || k < n
+}
+
+// HeldInto copies sector addr into dst if it is held, and reports whether
+// it was.
+func (c *Cache) HeldInto(addr int, dst []byte) bool {
+	s := c.shardFor(addr)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := s.index[addr]
+	if ok = ok && s.frames[i].flags&fHeld != 0; ok {
+		copy(dst, s.frames[i].data[:])
+	}
+	return ok
+}
+
+// Sector is a held sector: its address and its frame's payload. Data is
+// the frame itself: it stays valid, and its bytes unchanged by anyone but
+// the holder, until the sector is released or invalidated.
+type Sector struct {
+	Addr int
+	Data []byte
+}
+
+// HeldRange appends the held sectors among [addr, addr+n) to dst, in
+// address order.
+func (c *Cache) HeldRange(addr, n int, dst []Sector) []Sector {
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	for k := 0; k < min(n, numShards); k++ {
+		s := c.shardFor(addr + k)
+		s.mu.Lock()
+		for j := k; j < n; j += numShards {
+			dst[base+j] = Sector{}
+			if i, ok := s.index[addr+j]; ok && s.frames[i].flags&fHeld != 0 {
+				dst[base+j] = Sector{Addr: addr + j, Data: s.frames[i].data[:]}
+			}
+		}
+		s.mu.Unlock()
+	}
+	w := base
+	for _, h := range dst[base:] {
+		if h.Data != nil {
+			dst[w] = h
+			w++
+		}
+	}
+	return dst[:w]
+}
+
+// Release hands back the held frames of sectors [addr, addr+n), which the
+// caller has now written to the disk: they go free, as a write-through
+// write's sectors are never cached (no write-allocate).
+func (c *Cache) Release(addr, n int) {
+	released := int64(0)
+	for k := 0; k < min(n, numShards); k++ {
+		s := c.shardFor(addr + k)
+		s.mu.Lock()
+		for a := addr + k; a < addr+n; a += numShards {
+			if i, ok := s.index[a]; ok && s.frames[i].flags&fHeld != 0 {
+				delete(s.index, a)
+				s.setFree(i)
+				released++
+			}
+		}
+		s.mu.Unlock()
+	}
+	c.held.Add(-released)
+	c.size.Add(-released)
 }
 
 // NoteCoalescedRead records a read request that merged adjacent runs.
@@ -510,6 +714,7 @@ func (c *Cache) Stats() Stats {
 		Invalidated:      c.invalidated.Load(),
 		Evicted:          c.evicted.Load(),
 		Size:             int(c.size.Load()),
+		Held:             int(c.held.Load()),
 		Capacity:         c.capacity,
 	}
 }

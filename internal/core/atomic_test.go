@@ -397,6 +397,9 @@ func TestFatalApplyAbortsGroup(t *testing.T) {
 func TestFailedDataWriteLeavesNoEntry(t *testing.T) {
 	cfg := testConfig()
 	cfg.WriteRetries = -1 // the first failed write is final
+	// The paper's raw path, where the create writes its data itself; with
+	// a data cache the force writes it (TestHeldWriteFailsAtForce).
+	cfg.DataCachePages = -1
 	v, d, _ := newTestVolumeWith(t, cfg)
 	if _, err := v.Create("kept", payload(900, 1)); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/btree"
 	"repro/internal/disk"
 	"repro/internal/wal"
 )
@@ -164,6 +165,35 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	c.misses.Add(1)
 	c.v.traceCache(false, id)
 	addrA, addrB := c.v.lay.ntPageAddrs(id)
+	// Each copy has its in-place retries. When neither copy checks out and
+	// a read failed, the pair is read once more: a transient fault clears
+	// on a later pass, and copy A may read fine after copy B's attempts.
+	data, errA, failed := c.readCopies(id, addrA, addrB)
+	if data == nil && failed {
+		data, errA, _ = c.readCopies(id, addrA, addrB)
+	}
+	if data == nil {
+		// %w: a device fault on copy A stays visible to errors.As, which is
+		// how the intent applier tells a fault worth retrying from a bug.
+		if errA == nil {
+			errA = errors.New("checksum mismatch")
+		}
+		return nil, fmt.Errorf("core: name-table page %d unreadable in all copies (A: %w)", id, errA)
+	}
+	// The page enters the tree here, checked once: a malformed one is an
+	// error for the caller, never a panic in the tree's walk.
+	if err := btree.CheckPage(id, data); err != nil {
+		return nil, fmt.Errorf("core: name-table page %d: %w", id, err)
+	}
+	p := newNTPage(id, data)
+	c.insert(p)
+	return p.cur, nil
+}
+
+// readCopies reads both home copies of page id, each with its in-place
+// retries, and returns the first that checks out — nil if neither does —
+// with copy A's read error, and whether a read of either copy failed.
+func (c *ntCache) readCopies(id uint32, addrA, addrB int) (data []byte, errA error, failed bool) {
 	bufA, errA := c.v.readSectorsRetry(addrA, NTPageSectors)
 	if errA != nil {
 		bufA = nil
@@ -175,9 +205,9 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	bufA = c.v.overlayNT(id, bufA)
 	okA := bufA != nil && (crcOK(bufA) || isVirgin(bufA))
 	var bufB []byte
+	var errB error
 	okB := false
 	if c.v.twoCopies() {
-		var errB error
 		bufB, errB = c.v.readSectorsRetry(addrB, NTPageSectors)
 		if errB != nil {
 			bufB = nil
@@ -188,33 +218,23 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	} else {
 		c.v.cpu.Charge(csumCost)
 	}
-	var data []byte
 	switch {
 	case okA:
 		data = bufA
 	case okB:
 		data = bufB
 	}
-	if data == nil {
-		// %w: a device fault on copy A stays visible to errors.As, which is
-		// how the intent applier tells a fault worth retrying from a bug.
-		if errA == nil {
-			errA = errors.New("checksum mismatch")
-		}
-		return nil, fmt.Errorf("core: name-table page %d unreadable in all copies (A: %w)", id, errA)
-	}
-	p := newNTPage(id, data)
-	c.insert(p)
-	return p.cur, nil
+	return data, errA, errA != nil || errB != nil
 }
 
 // admit caches a page the mount-time region sweep read and verified, exactly
 // as the miss that would otherwise have fetched it: counted, traced, and
-// subject to the same eviction. A page already cached is left alone.
+// subject to the same eviction. A page already cached is left alone, and a
+// malformed one out: the miss that meets it reports it (Read).
 func (c *ntCache) admit(id uint32, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.pages[id]; ok {
+	if _, ok := c.pages[id]; ok || btree.CheckPage(id, data) != nil {
 		return
 	}
 	c.misses.Add(1)
@@ -529,12 +549,14 @@ func (c *ntCache) writeNTHome(imgs []ntImage) (ios, sectors int, err error) {
 	return ios, sectors, nil
 }
 
-// issueByPosition issues reqs, sorted by address, in the order that keeps a
-// home write one sweep and spares it rotation: cylinder by cylinder in
-// ascending order, and inside a cylinder next the request the head reaches
-// soonest (disk.PositionTime; the lower address on a tie), since inside a
-// cylinder a track change costs nothing and a sector passed costs a
-// revolution. It leaves reqs in issue order and stops at the first error.
+// issueByPosition issues reqs, sorted by cylinder, in the order that keeps a
+// home write one sweep and spares it rotation: cylinder by cylinder in the
+// order reqs come in (ascending for a home write sorted by address; toward
+// the log for the held pass, heldOrder), and inside a cylinder next the
+// request the head reaches soonest (disk.PositionTime; the earlier one on a
+// tie), since inside a cylinder a track change costs nothing and a sector
+// passed costs a revolution. It leaves reqs in issue order and stops at the
+// first error.
 func (v *Volume) issueByPosition(reqs []homeReq, issue func(homeReq) error) error {
 	g := v.d.Geometry()
 	for lo := 0; lo < len(reqs); {

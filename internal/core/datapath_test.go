@@ -189,6 +189,10 @@ func TestDamageInvalidatesDataCache(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
+	// Home first: a held frame outlives damage (TestDamageKeepsHeldFrames).
+	if err := v.Force(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.ReadAll(); err != nil {
 		t.Fatalf("ReadAll: %v", err)
 	}

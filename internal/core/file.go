@@ -162,13 +162,16 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 			pages := 1 + (len(data)+disk.SectorSize-1)/disk.SectorSize // leader + data
 			v.vmMu.Lock()
 			e.Runs, err = v.al.Alloc(pages)
+			v.noteFresh(e.Runs)
 			v.vmMu.Unlock()
 			if err != nil {
 				return err
 			}
-			// Nothing refers to the pages until the intent is handed off.
+			// Nothing refers to the pages until the intent is handed off;
+			// what the data write may have held goes with them.
 			defer func() {
 				if err != nil {
+					v.invalidateData(e.Runs)
 					v.freeNow(e.Runs)
 				}
 			}()
@@ -179,9 +182,10 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 			return err
 		}
 		// The data write stays on the caller, ahead of the entry: the pages
-		// are on the platter before the entry's images can stage — the order
-		// the force's data-before-record barrier assumes — and a write that
-		// fails leaves no entry over pages that were never written.
+		// are on the platter, or held for the force's pass, before the
+		// entry's images can stage — the order the force's data-before-record
+		// barrier assumes — and a write that fails leaves no entry over pages
+		// that were never written.
 		if len(data) > 0 {
 			if err := v.writeLeaderAndData(e, encodeLeader(e), data); err != nil {
 				return err
@@ -235,7 +239,8 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 // the leader's with it, is charged ahead of the first request, as a lone
 // chunk's always was; every later chunk is copied while the disk writes the
 // one before it, so its copy is charged behind that request and hides under
-// its transfer (DESIGN §12, "Pipelined chunks").
+// its transfer (DESIGN §12, "Pipelined chunks") — unless that chunk was held
+// (writeChunk), which put no transfer beside it.
 func (v *Volume) writeLeaderAndData(e *Entry, leader, data []byte) error {
 	pages := (len(data) + disk.SectorSize - 1) / disk.SectorSize
 	w := ioWindow{p: data}
@@ -264,12 +269,16 @@ func (v *Volume) writeLeaderAndData(e *Entry, leader, data []byte) error {
 			} else {
 				v.copied(chunk, prev)
 			}
-			if err := v.writeChunk(&w, lead, addr, written, chunk); err != nil {
+			held, err := v.writeChunk(&w, lead, addr, written, chunk)
+			if err != nil {
 				return err
 			}
 			prev = chunk
 			if lead != nil {
 				prev++
+			}
+			if held {
+				prev = 0
 			}
 			written += chunk
 			addr += chunk
@@ -538,6 +547,16 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 		if err != nil {
 			return err
 		}
+		if dc != nil && dc.Holding() {
+			// Held sectors are newer than the platter: a request is all
+			// held, which the cache serves, or all not.
+			if _, k := dc.HeldRun(addr, cnt); k < cnt {
+				addr, cnt, merged, err = f.e.PhysContiguousFrom(cur, k)
+				if err != nil {
+					return err
+				}
+			}
+		}
 		segs[1], segs[2], segs[3] = w.place(cur, cnt)
 		needLeader := !f.leaderVerified && cur == page && addr == leaderAddr+1
 		if needLeader {
@@ -547,6 +566,14 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 			if err := v.waitName(f.e.Name); err != nil {
 				return err
 			}
+		}
+		if needLeader && dc != nil && dc.Holding() {
+			// A held leader, or one home ahead of held data, is checked
+			// on its own: the request cannot carry it.
+			if err := f.verifyLeaderApart(leaderAddr, addr); err != nil {
+				return err
+			}
+			needLeader = !f.leaderVerified
 		}
 		ahead := 0
 		var gen uint64
@@ -680,6 +707,24 @@ func (f *File) verifyLeaderBuf(buf []byte) error {
 	return nil
 }
 
+// verifyLeaderApart verifies the leader at leaderAddr from its held frame,
+// if it is held, or with a read of its own if the data at addr is; else it
+// leaves the check to the request, which piggybacks it. The caller holds
+// what readLocked needs.
+func (f *File) verifyLeaderApart(leaderAddr, addr int) error {
+	v := f.v
+	var leader [disk.SectorSize]byte
+	if !v.dataCache.HeldInto(leaderAddr, leader[:]) {
+		if held, _ := v.dataCache.HeldRun(addr, 1); !held {
+			return nil
+		}
+		if err := v.readSectorsRetryInto(leaderAddr, leader[:]); err != nil {
+			return err
+		}
+	}
+	return f.verifyLeaderBuf(leader[:])
+}
+
 // ReadAll returns the whole file contents, trimmed to its byte size.
 func (f *File) ReadAll() ([]byte, error) {
 	if f.Pages() == 0 {
@@ -733,10 +778,12 @@ func (f *File) writeFrom(p []byte, off int64) (err error) {
 	w := ioWindow{p: p, off: off}
 	f.patchEdges(&w)
 	leaderAddr, _ := f.e.LeaderAddr()
-	// held is the chunk written last, whose copy is charged behind the next
-	// request, as a read's is (DESIGN §12): the last one's in the open.
-	held := 0
-	defer func() { v.copied(held, 0) }()
+	// behind is the chunk written last, whose copy is charged behind the
+	// next request, as a read's is (DESIGN §12): the last one's in the open,
+	// and so is a held chunk's and the one's before it, which have no
+	// transfer beside them.
+	behind := 0
+	defer func() { v.copied(behind, 0) }()
 	for cur, remaining := page, n; remaining > 0; {
 		var addr, cnt, merged int
 		if v.dataCache != nil {
@@ -755,13 +802,20 @@ func (f *File) writeFrom(p []byte, off int64) (err error) {
 			pending = v.pendingLeaders[leaderAddr]
 			v.lmu.Unlock()
 		}
-		if err := v.writeChunk(&w, pending, addr, cur, cnt); err != nil {
+		held, err := v.writeChunk(&w, pending, addr, cur, cnt)
+		if err != nil {
 			return err
 		}
-		v.copied(held, cnt+len(pending)/disk.SectorSize)
-		held = cnt
+		if held {
+			v.copied(behind+cnt, 0)
+			behind = 0
+		} else {
+			v.copied(behind, cnt+len(pending)/disk.SectorSize)
+			behind = cnt
+		}
 		if pending != nil {
-			// A concurrent third-crossing flush may have written the
+			// The leader is home now, or held for the force's pass. A
+			// concurrent third-crossing flush may have written the
 			// same leader bytes home meanwhile — benign; deleting an
 			// already-removed entry is a no-op. A newer image registered
 			// meanwhile (an Extend of this file applying behind the write)
@@ -823,19 +877,41 @@ func (f *File) readEdge(dst []byte, lo int64) {
 // transfer — led, when lead is not nil, by that page at addr-1 — and then
 // refreshes the data cache's resident frames from the same slices (write-
 // through: the disk write has happened, so durability does not depend on the
-// cache at all; frames not resident stay absent).
-func (v *Volume) writeChunk(w *ioWindow, lead []byte, addr, cur, cnt int) error {
+// cache at all; frames not resident stay absent). It and the force's pass
+// over held sectors (writeHeld) are the only ways file data leaves core.
+//
+// On a volume with a data cache, a transfer to fresh pages is held instead
+// (held.go): its sectors go into held frames, which the next force writes
+// ahead of the record that names them, and writeChunk reports held. Past the
+// cache's hold cap it goes out at once, as any other.
+func (v *Volume) writeChunk(w *ioWindow, lead []byte, addr, cur, cnt int) (held bool, err error) {
 	first, whole, last := w.place(cur, cnt)
-	var err error
+	at, n := addr, cnt
 	if lead != nil {
-		err = v.writeSectorsFrom(addr-1, lead, first, whole, last)
-	} else {
-		err = v.writeSectorsFrom(addr, first, whole, last)
+		at, n = addr-1, cnt+1
 	}
-	if err == nil && v.dataCache != nil && cnt > 0 {
-		v.dataCache.Update(addr, first, whole, last)
+	dc := v.dataCache
+	if dc != nil && (v.fresh(at, n) || dc.HeldAny(at, n)) {
+		// Held frames among the sectors are refreshed below under the lock
+		// the force's pass holds, so that the pass writes the new bytes,
+		// not the old over them.
+		v.hmu.Lock()
+		defer v.hmu.Unlock()
+		// Again, now that no pass can end the group under the write.
+		if v.fresh(at, n) {
+			if dc.Hold(at, lead, first, whole, last) {
+				v.noteHeld(at, n)
+				return true, nil
+			}
+			v.heldStats.writeThrough.Add(1)
+		}
 	}
-	return err
+	err = v.writeSectorsFrom(at, lead, first, whole, last)
+	if err == nil && dc != nil {
+		// The leader too: a held one from the create is resident.
+		dc.Update(at, lead, first, whole, last)
+	}
+	return false, err
 }
 
 // Extend grows the file by morePages data pages — in place when the
@@ -846,6 +922,7 @@ func (f *File) Extend(morePages int) error {
 	return v.mutate("extend", f, [2]string{}, func(it *intent) error {
 		v.vmMu.Lock()
 		grown, err := v.al.Extend(f.e.Runs, morePages)
+		v.noteFresh(grown)
 		v.vmMu.Unlock()
 		if err != nil {
 			return err

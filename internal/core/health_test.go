@@ -84,8 +84,9 @@ func TestSpareExhaustionTransitionsReadOnly(t *testing.T) {
 	}
 	d.SetSpares(2)
 	d.InjectFaults(disk.FaultConfig{Seed: faultSeed(t), BadOnWrite: 1})
-	if _, err := v.Create("doomed", payload(700, 4)); err == nil {
-		t.Fatal("create succeeded with every written sector going bad")
+	// The create's data is held in the data cache; the force writes it.
+	if _, err := v.Create("doomed", payload(700, 4)); err == nil && v.Force() == nil {
+		t.Fatal("create and force succeeded with every written sector going bad")
 	}
 	if got := v.Health(); got != HealthReadOnly {
 		t.Fatalf("health = %v after spare exhaustion, want read-only (reason %q)",
@@ -161,10 +162,12 @@ func TestHungIOClassifiedAgainstDeadline(t *testing.T) {
 	}
 	d.InjectFaults(disk.FaultConfig{Seed: faultSeed(t), HungIO: 1})
 	// Every write op now stalls 2 s against the default 1 s deadline.
-	// A create issues several write ops, so the budget (8 per hung op)
-	// blows through 4x8=32 and the volume lands in ReadOnly.
+	// A create and the force that writes its held data issue several write
+	// ops, so the budget (8 per hung op) blows through 4x8=32 and the
+	// volume lands in ReadOnly.
 	for i := 0; i < 8 && v.Health() < HealthReadOnly; i++ {
 		_, _ = v.Create(fmt.Sprintf("h%d", i), payload(500, byte(i)))
+		_ = v.Force()
 	}
 	st := v.Stats()
 	if st.Faults.HungOps == 0 {
@@ -193,9 +196,16 @@ func TestDegradedSchedulesScrub(t *testing.T) {
 	cfg.WriteRetries = 8
 	v, d, _ := newTestVolumeWith(t, cfg)
 	d.InjectFaults(disk.FaultConfig{Seed: faultSeed(t), TransientWrite: 0.3})
+	// Each create is forced on its own, so that its held data is written,
+	// and the budget charged, one create at a time: one force writing
+	// forty creates' data under the faults would blow through the budget
+	// to read-only in one step.
 	for i := 0; i < 40 && v.Health() < HealthDegraded; i++ {
 		if _, err := v.Create(fmt.Sprintf("d%d", i), payload(600, byte(i))); err != nil {
 			t.Fatalf("create %d failed under absorbable faults: %v", i, err)
+		}
+		if err := v.Force(); err != nil {
+			t.Fatalf("force %d failed under absorbable faults: %v", i, err)
 		}
 	}
 	waitHealth(t, v, HealthDegraded)
@@ -217,8 +227,9 @@ func TestHaltedDeviceGoesOffline(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Halt()
-	if _, err := v.Create("b", payload(300, 2)); err == nil {
-		t.Fatal("create succeeded on a halted device")
+	// The create's data is held in the data cache; the force writes it.
+	if _, err := v.Create("b", payload(300, 2)); err == nil && v.Force() == nil {
+		t.Fatal("create and force succeeded on a halted device")
 	}
 	if got := v.Health(); got != HealthOffline {
 		t.Fatalf("health = %v after device halt, want offline", got)

@@ -1,0 +1,177 @@
+package core
+
+import (
+	"cmp"
+	"slices"
+	"sync/atomic"
+
+	"repro/internal/alloc"
+)
+
+// Held writes (DESIGN §12, "Held writes"). On a volume with a data cache, a
+// write to fresh pages — pages the allocator handed out in the current
+// commit group, which no forced commit names yet — is held in data-cache
+// frames instead of going to the platter: a create's leader and data, a
+// stream chunk into pages its Extend just allocated. Reads hit the held
+// frames, and a delete before the force drops them (stepFree), so its data
+// is never written. The next force that writes records writes every held
+// sector (writeHeld, the log's DataHook) after it captures its batch and
+// before its data barrier — so the data still reaches the platter before
+// the record that names it — in one pass toward the log, and ends the
+// commit group. Past the cache's hold cap, and on a volume without a data
+// cache, the write goes out at once.
+
+// span is sectors [addr, addr+n).
+type span struct{ addr, n int }
+
+// heldCounters counts the held writes for Stats().Commit.
+type heldCounters struct {
+	sectors      atomic.Int64 // sectors the force's passes wrote
+	requests     atomic.Int64 // requests they wrote them in
+	writeThrough atomic.Int64 // fresh writes that went out at once: the cap was reached
+}
+
+// fresh reports whether every page of [addr, addr+n) is fresh: handed out
+// by the allocator in the current commit group (freshRuns). A page that is
+// not stays so — a page turns fresh only by being allocated, and a file's
+// pages are not allocated under it — so a write told no needs no held-write
+// lock; one told yes asks again under it.
+func (v *Volume) fresh(addr, n int) bool {
+	v.vmMu.Lock()
+	defer v.vmMu.Unlock()
+	for end := addr + n; addr < end; {
+		// The run that holds addr, if any, is the last one to start at or
+		// below it.
+		i, found := slices.BinarySearchFunc(v.freshRuns, uint32(addr), func(r alloc.Run, p uint32) int { return cmp.Compare(r.Start, p) })
+		if !found {
+			i--
+		}
+		if i < 0 || addr >= int(v.freshRuns[i].Start+v.freshRuns[i].Len) {
+			return false
+		}
+		addr = int(v.freshRuns[i].Start + v.freshRuns[i].Len)
+	}
+	return true
+}
+
+// noteFresh adds runs the allocator just handed out to the commit group's,
+// kept in address order, on a volume that can hold writes. The caller holds
+// vmMu. The list lives only until the group's force (writeHeld).
+func (v *Volume) noteFresh(runs []alloc.Run) {
+	if v.dataCache == nil {
+		return
+	}
+	for _, r := range runs {
+		i, _ := slices.BinarySearchFunc(v.freshRuns, r.Start, func(f alloc.Run, p uint32) int { return cmp.Compare(f.Start, p) })
+		v.freshRuns = slices.Insert(v.freshRuns, i, r)
+	}
+}
+
+// noteHeld records sectors [addr, addr+n) as held, for the pass: in the
+// last span when they meet or overlap it, as a stream's next chunk or a
+// rewrite does.
+func (v *Volume) noteHeld(addr, n int) {
+	if k := len(v.heldSpans) - 1; k >= 0 {
+		if sp := &v.heldSpans[k]; addr <= sp.addr+sp.n && addr+n >= sp.addr {
+			end := max(sp.addr+sp.n, addr+n)
+			sp.addr = min(sp.addr, addr)
+			sp.n = end - sp.addr
+			return
+		}
+	}
+	v.heldSpans = append(v.heldSpans, span{addr, n})
+}
+
+// writeHeld is the log's DataHook: the force's pass over the held sectors.
+// Adjacent sectors merge into requests of at most MaxTransferSectors, which
+// go out cylinder by cylinder toward the log (heldOrder) and, inside a
+// cylinder, the one the head reaches soonest first (issueByPosition), so
+// that the record write starts a short seek away. The frames go free once
+// every request is written; a request that fails leaves them all held for
+// the next force, which writes them again. The commit group is ended —
+// every page it handed out now named by a captured batch, so fresh no more
+// — only by a pass that wrote everything.
+func (v *Volume) writeHeld() error {
+	dc := v.dataCache
+	if dc == nil {
+		return nil
+	}
+	v.hmu.Lock()
+	defer v.hmu.Unlock()
+	// The spans writeChunk held, merged where they meet or overlap, give
+	// the sectors in address order: what is still held of them.
+	spans := v.heldSpans
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.addr, b.addr) })
+	held := v.held[:0]
+	for i := 0; i < len(spans); {
+		lo, hi := spans[i].addr, spans[i].addr+spans[i].n
+		for i++; i < len(spans) && spans[i].addr <= hi; i++ {
+			hi = max(hi, spans[i].addr+spans[i].n)
+		}
+		held = dc.HeldRange(lo, hi-lo, held)
+	}
+	v.held = held
+	reqs := v.heldReqs[:0]
+	for i := 0; i < len(held); {
+		j := i + 1
+		for j < len(held) && held[j].Addr == held[j-1].Addr+1 && j-i < MaxTransferSectors {
+			j++
+		}
+		reqs = append(reqs, homeReq{addr: held[i].Addr, lo: i, hi: j})
+		i = j
+	}
+	v.heldOrder(reqs)
+	v.heldReqs = reqs
+	err := v.issueByPosition(reqs, func(r homeReq) error {
+		bufs := v.heldBufs[:0]
+		for _, h := range held[r.lo:r.hi] {
+			bufs = append(bufs, h.Data)
+		}
+		v.heldBufs = bufs
+		err := v.writeSectorsFrom(r.addr, bufs...)
+		clear(bufs)
+		return err
+	})
+	clear(held)
+	if err != nil {
+		return err
+	}
+	// Only now, with every request on the platter: a reader that found
+	// a sector held and then misses it reads the platter, which must
+	// hold it by then.
+	for _, r := range reqs {
+		dc.Release(r.addr, r.hi-r.lo)
+		v.heldStats.requests.Add(1)
+		v.heldStats.sectors.Add(int64(r.hi - r.lo))
+	}
+	v.heldSpans = spans[:0]
+
+	v.vmMu.Lock()
+	v.freshRuns = v.freshRuns[:0]
+	v.vmMu.Unlock()
+	return nil
+}
+
+// heldOrder puts reqs, sorted by address, in the pass's cylinder order:
+// each side of the log swept from its far end toward it, the side that
+// reaches farther first.
+func (v *Volume) heldOrder(reqs []homeReq) {
+	if len(reqs) == 0 {
+		return
+	}
+	g, logCyl := v.d.Geometry(), v.d.Geometry().Cylinder(v.lay.logBase)
+	k, _ := slices.BinarySearchFunc(reqs, v.lay.logBase, func(r homeReq, a int) int { return r.addr - a })
+	below, above := 0, 0
+	if k > 0 {
+		below = logCyl - g.Cylinder(reqs[0].addr)
+	}
+	if k < len(reqs) {
+		above = g.Cylinder(reqs[len(reqs)-1].addr) - logCyl
+	}
+	if above > below {
+		slices.Reverse(reqs)               // the side above descending, then the one below …
+		slices.Reverse(reqs[len(reqs)-k:]) // … ascending
+	} else {
+		slices.Reverse(reqs[k:])
+	}
+}

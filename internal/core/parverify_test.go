@@ -39,6 +39,11 @@ func TestVerifyProblemsDeterministic(t *testing.T) {
 	eb := mk("g/b") // smashed leader (silent corruption)
 	ec := mk("g/c") // unreadable leader (damaged sector)
 	mk("g/clean")   // no problem: must not appear
+	// The faults are planted on the platter: the leaders must be home, not
+	// held for the force.
+	if err := v.Force(); err != nil {
+		t.Fatal(err)
+	}
 
 	v.VAM().MarkFree(int(ea.Runs[0].Start), 1)
 	addrB, _ := eb.LeaderAddr()
@@ -145,7 +150,11 @@ func TestVerifyUnderDecay(t *testing.T) {
 			}
 		}
 		// Pre-planted damage only: live fault probabilities would consume
-		// PRNG draws in scheduling order and break determinism.
+		// PRNG draws in scheduling order and break determinism. It goes on
+		// the platter, so the leaders must be home, not held for the force.
+		if err := v.Force(); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < len(leaders); i += 5 {
 			d.CorruptSectors(leaders[i], 1)
 		}

@@ -82,7 +82,9 @@ func runMixedWorkload(t *testing.T, v *Volume, d *disk.Disk) map[string][]byte {
 	halt := func(err error) bool {
 		return errors.Is(err, disk.ErrHalted)
 	}
-	for i := 0; i < 40; i++ {
+	// 95 files give the sweeps 48 device writes to crash at: a create's
+	// writes are held until the force, so a file costs about half a write.
+	for i := 0; i < 95; i++ {
 		name := fmt.Sprintf("mix/f%03d", i)
 		data := payload(150+i*31, byte(i))
 		if _, err := v.Create(name, data); err != nil {

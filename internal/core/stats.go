@@ -80,6 +80,13 @@ type CommitStats struct {
 	// 0 in synchronous mode).
 	Adaptive      bool
 	ForceDeadline time.Duration
+	// HeldSectors and HeldRequests count what the forces' passes over held
+	// writes (DESIGN §12, "Held writes") wrote: sectors, and the requests
+	// they went in. HeldWriteThrough counts the writes to fresh pages that
+	// went out at once because the data cache's hold cap was reached.
+	HeldSectors      int
+	HeldRequests     int
+	HeldWriteThrough int
 }
 
 // IntentStats reports the asynchronous metadata pipeline. All zero (and
@@ -489,6 +496,9 @@ func (v *Volume) Stats() Stats {
 			BatchImages:      v.obs.batchImages.Snapshot(),
 			RecordsPerForce:  v.obs.recordsPerForce.Snapshot(),
 			ForceInterval:    v.obs.forceInterval.Snapshot(),
+			HeldSectors:      int(v.heldStats.sectors.Load()),
+			HeldRequests:     int(v.heldStats.requests.Load()),
+			HeldWriteThrough: int(v.heldStats.writeThrough.Load()),
 		}
 		if ws.ImagesLogged > 0 {
 			s.Commit.BatchingFactor = float64(ws.ImagesStaged) / float64(ws.ImagesLogged)

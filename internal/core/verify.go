@@ -171,6 +171,11 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 				img = append(make([]byte, 0, len(img)), img...)
 			}
 			v.lmu.Unlock()
+			if !pending && v.leaderHeld(addr) {
+				// A held leader is not home yet either.
+				img = make([]byte, disk.SectorSize)
+				pending = v.dataCache.HeldInto(addr, img)
+			}
 			if pending {
 				deferred[i] = img
 			} else {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/btree"
 )
 
 func TestVerifyCleanVolume(t *testing.T) {
@@ -15,6 +18,11 @@ func TestVerifyCleanVolume(t *testing.T) {
 	}
 	v.CreateLink("vf/link", "[srv]<d>x!1")
 	if _, err := v.Create("vf/empty", nil); err != nil {
+		t.Fatal(err)
+	}
+	// A leader held for the force counts as not home yet too: force, so
+	// that the empty file's is the one left.
+	if err := v.Force(); err != nil {
 		t.Fatal(err)
 	}
 	st, err := v.Verify()
@@ -36,6 +44,9 @@ func TestVerifyDetectsSmashedLeader(t *testing.T) {
 	v, d, _ := newTestVolume(t)
 	f, err := v.Create("vf/target", payload(800, 1))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Force(); err != nil { // the leader home, not held
 		t.Fatal(err)
 	}
 	e := f.Entry()
@@ -98,5 +109,46 @@ func TestVerifyAfterRecovery(t *testing.T) {
 	}
 	if st.Entries != 60 {
 		t.Fatalf("entries: %d", st.Entries)
+	}
+}
+
+// TestMalformedNTPageIsCorrupt: a name-table leaf a logic bug wrote badly —
+// a slot pointing past the page — under a good checksum, in both copies, is
+// ErrCorrupt where the page enters the tree, for a lookup and for Verify,
+// never a panic in the tree's walk.
+func TestMalformedNTPageIsCorrupt(t *testing.T) {
+	v, d, _ := newTestVolume(t)
+	for i := 0; i < 5; i++ {
+		if _, err := v.Create(fmt.Sprintf("mal/f%d", i), payload(300, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	smashed := false
+	for id := uint32(1); id < 8 && !smashed; id++ {
+		a, b := v.lay.ntPageAddrs(id)
+		page, err := d.ReadSectors(a, NTPageSectors)
+		if err != nil || !btree.IsLeaf(page) {
+			continue
+		}
+		page[16], page[17] = 0xFD, 0x5F // slot 0 points 64863 bytes in
+		stampCRC(page)
+		for _, addr := range []int{a, b} {
+			if err := d.WriteSectors(addr, page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		smashed = true
+	}
+	if !smashed {
+		t.Fatal("no leaf among the first name-table pages")
+	}
+	if _, err := v.Stat("mal/f0", 0); !errors.Is(err, btree.ErrCorrupt) {
+		t.Fatalf("lookup through the malformed leaf = %v, want btree.ErrCorrupt", err)
+	}
+	if st, err := v.Verify(); !errors.Is(err, btree.ErrCorrupt) && len(st.Problems) == 0 {
+		t.Fatalf("Verify over the malformed leaf: %v, no problems", err)
 	}
 }

@@ -182,11 +182,13 @@ type Volume struct {
 	al    *alloc.Allocator
 
 	// dataCache is the file-data buffer cache (nil when disabled by
-	// Config.DataCachePages < 0). It is write-through and its locks are
-	// leaves: sharded per-frame locking under the shared monitor, never a
-	// cache-global mutex on the hit path. Invalidation runs on Delete,
+	// Config.DataCachePages < 0). It is write-through for named pages and
+	// holds writes to fresh ones until the next force (held.go); its locks
+	// are leaves: sharded per-frame locking under the shared monitor, never
+	// a cache-global mutex on the hit path. Invalidation runs on Delete,
 	// Contract, DropCaches, and the disk's damage observer, so scrub and
-	// salvage always see the platter, not the cache.
+	// salvage always see the platter, not the cache — but for a held frame,
+	// which the platter is still to get.
 	dataCache *bufcache.Cache
 
 	// readOnly marks a degraded read-only mount: mutations fail with
@@ -216,12 +218,27 @@ type Volume struct {
 	leaderThird    map[int]int
 	leaderReqs     []homeReq
 
-	// vmMu guards vm, al, vamDirty, and pendingFrees. The VAM's Tracker
-	// callback runs inside vm mutations, so it relies on the caller
-	// already holding vmMu rather than locking itself.
+	// hmu serializes what touches held data-cache frames (held.go): a write
+	// to fresh pages, the force's pass over the held sectors, and a free's
+	// drop of them. heldSpans lists what writeChunk held since the last
+	// pass; held, heldReqs and heldBufs are the pass's scratch. It is taken
+	// before vmMu.
+	hmu       sync.Mutex
+	heldSpans []span
+	held      []bufcache.Sector
+	heldReqs  []homeReq
+	heldBufs  [][]byte
+	heldStats heldCounters
+
+	// vmMu guards vm, al, vamDirty, pendingFrees and freshRuns. The VAM's
+	// Tracker callback runs inside vm mutations, so it relies on the caller
+	// already holding vmMu rather than locking itself. freshRuns lists, in
+	// address order, the runs the allocator handed out in the current
+	// commit group on a volume with a data cache (held.go).
 	vmMu         sync.Mutex
 	vamDirty     map[int]bool
 	pendingFrees []taggedFree
+	freshRuns    []alloc.Run
 
 	// vamSectors is touched only from the WAL's force-serialized
 	// callbacks (OnLogged, FlushHook), so it needs no lock of its own.
@@ -332,24 +349,29 @@ func newVolume(d *disk.Disk, cfg Config, lay layout) *Volume {
 		v.dataCache = bufcache.New(pages)
 		// Fault-injected damage (corruption, wild writes) changes the
 		// platter behind the file system's back: drop any cached copies so
-		// reads surface the damage instead of serving stale frames. The
-		// observer runs under the device mutex and only touches cache
-		// atomics and shard maps — it never calls back into the disk.
+		// reads surface the damage instead of serving stale frames — but
+		// not a held frame, whose write at the next force puts the sector
+		// right. The observer runs under the device mutex and only touches
+		// cache atomics and shard maps — it never calls back into the disk.
 		d.SetDamageObserver(func(addr, n int) {
-			v.dataCache.Invalidate(addr, n)
+			v.dataCache.Damaged(addr, n)
 		})
 	}
 	return v
 }
 
-// invalidateData drops cached frames for freed or rewritten runs. Callers
-// either hold the monitor exclusively (synchronous Delete, Contract) or run
-// on the intent applier; a shared-mode reader mid-fill on these sectors is
-// fenced by the cache's generation-guarded fills.
+// invalidateData drops cached frames for freed or rewritten runs, held ones
+// with them: a file deleted before the force has its data never written.
+// Callers either hold the monitor exclusively (synchronous Delete, Contract)
+// or run on the intent applier; a shared-mode reader mid-fill on these
+// sectors is fenced by the cache's generation-guarded fills, and the force's
+// pass over held frames by hmu.
 func (v *Volume) invalidateData(runs []alloc.Run) {
 	if v.dataCache == nil {
 		return
 	}
+	v.hmu.Lock()
+	defer v.hmu.Unlock()
 	for _, r := range runs {
 		v.dataCache.Invalidate(int(r.Start), int(r.Len))
 	}
@@ -402,6 +424,7 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 	}
 	v.log = lg
 	v.log.OnForce = v.observeForce
+	v.log.DataHook = v.writeHeld
 	// The WAL runs the same bounded-retry + remap policy as core's own
 	// write sites; its outcomes feed the same health FSM.
 	v.log.OnWriteFault = v.noteWriteFault

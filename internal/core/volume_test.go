@@ -90,23 +90,45 @@ func TestEmptyFile(t *testing.T) {
 }
 
 func TestSmallCreateIsOneSynchronousIO(t *testing.T) {
-	v, d, _ := newTestVolume(t)
-	// Warm up: first create may miss name-table pages.
-	if _, err := v.Create("warm", payload(100, 1)); err != nil {
-		t.Fatal(err)
-	}
-	before := d.Stats()
-	if _, err := v.Create("one-byte", []byte{42}); err != nil {
-		t.Fatal(err)
-	}
-	delta := d.Stats().Sub(before)
-	// "A file create typically does one I/O synchronously: the
-	// combination of the write of the leader and data pages."
-	if delta.Writes != 1 {
-		t.Fatalf("small create did %d synchronous writes, want 1", delta.Writes)
-	}
-	if delta.Reads != 0 {
-		t.Fatalf("small create did %d reads, want 0", delta.Reads)
+	for _, cached := range []bool{false, true} {
+		cfg := testConfig()
+		if !cached {
+			cfg.DataCachePages = -1 // the paper's raw path
+		}
+		v, d, _ := newTestVolumeWith(t, cfg)
+		// Warm up: first create may miss name-table pages.
+		if _, err := v.Create("warm", payload(100, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Force(); err != nil {
+			t.Fatal(err)
+		}
+		before := d.Stats()
+		if _, err := v.Create("one-byte", []byte{42}); err != nil {
+			t.Fatal(err)
+		}
+		delta := d.Stats().Sub(before)
+		// "A file create typically does one I/O synchronously: the
+		// combination of the write of the leader and data pages." With a
+		// data cache that one write is held, and the force does it.
+		want := 1
+		if cached {
+			want = 0
+		}
+		if delta.Writes != want {
+			t.Fatalf("cached %v: small create did %d synchronous writes, want %d", cached, delta.Writes, want)
+		}
+		if delta.Reads != 0 {
+			t.Fatalf("cached %v: small create did %d reads, want 0", cached, delta.Reads)
+		}
+		held := v.Stats().Commit
+		if err := v.Force(); err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Stats().Commit; cached && (got.HeldRequests-held.HeldRequests != 1 || got.HeldSectors-held.HeldSectors != 2) {
+			t.Fatalf("the force wrote the held create in %d requests, %d sectors; want 1, 2",
+				got.HeldRequests-held.HeldRequests, got.HeldSectors-held.HeldSectors)
+		}
 	}
 }
 
@@ -358,7 +380,9 @@ func TestExtendContract(t *testing.T) {
 }
 
 func TestEmptyFileDeferredLeaderThenWrite(t *testing.T) {
-	v, d, _ := newTestVolume(t)
+	cfg := testConfig()
+	cfg.DataCachePages = -1 // the raw path: with a data cache the write is held
+	v, d, _ := newTestVolumeWith(t, cfg)
 	f, err := v.Create("deferred", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -584,6 +608,9 @@ func TestLeaderDetectsCrossCheckFailure(t *testing.T) {
 	v, d, _ := newTestVolume(t)
 	f, err := v.Create("checked", payload(1000, 1))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Force(); err != nil { // the leader home, not held
 		t.Fatal(err)
 	}
 	e := f.Entry()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/allocgate"
 	"repro/internal/disk"
@@ -165,6 +166,36 @@ func TestWriteAtAllocs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHeldWriteAtAllocs: a held write allocates nothing, as a write-through
+// one does not (TestWriteAtAllocs).
+func TestHeldWriteAtAllocs(t *testing.T) {
+	cfg := testConfig()
+	cfg.GroupCommitInterval = time.Hour // no force ends the group under the runs
+	v, _, _ := newTestVolumeWith(t, cfg)
+	f, err := v.Create("h/allocs", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Extend(80); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2 * disk.SectorSize, 64 * disk.SectorSize} {
+		p := scrambled(n, 5)
+		write := func() {
+			if got, err := f.WriteAt(p, 8*disk.SectorSize); got != n || err != nil {
+				t.Fatalf("WriteAt: %d, %v", got, err)
+			}
+		}
+		allocs, size := testing.AllocsPerRun(50, write), allocgate.BytesPerRun(50, write)
+		if allocs != 0 || size != 0 {
+			t.Errorf("held WriteAt of %d bytes: %v allocs, %d B; want none", n, allocs, size)
+		}
+	}
+	if v.dataCache.Stats().Held == 0 {
+		t.Fatal("the writes were not held")
 	}
 }
 

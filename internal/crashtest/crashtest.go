@@ -20,7 +20,7 @@ type Config struct {
 	// Seed determines the workload, the enumeration sampling, and any
 	// injected decay. The whole run is a pure function of it.
 	Seed int64
-	// Ops is the scripted workload length. 0 means 200 operations.
+	// Ops is the scripted workload length. 0 means 270 operations.
 	Ops int
 	// MaxStates bounds how many of the enumerated states are executed; an
 	// evenly strided subset is chosen so coverage stays spread across the
@@ -418,7 +418,7 @@ func runState(base *disk.Disk, trace []disk.JournaledWrite, byEpoch [][]int,
 // enumeration, reconstruction + mount + oracle for every selected state.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Ops == 0 {
-		cfg.Ops = 200
+		cfg.Ops = 270
 	}
 	if cfg.Nested {
 		if cfg.Depth != 0 && cfg.Depth != 2 {

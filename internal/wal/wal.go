@@ -144,7 +144,7 @@ type Config struct {
 // execution end-to-end — a force captures the pending batch under l.mu
 // (atomically swapping in an empty one), releases l.mu, and then writes its
 // records while new appends stage freely into the next batch. Every client
-// callback (FlushHook, OnLogged, OnCommit, PreStage) is invoked under
+// callback (FlushHook, OnLogged, OnCommit, PreStage, DataHook) is invoked under
 // forceMu but never under l.mu, so callbacks may call Append.
 //
 // An operation that stages more than one image brackets them with Begin and
@@ -186,6 +186,13 @@ type Log struct {
 	// force, so a commit's VAM deltas ride the same record set as its
 	// name-table images.
 	PreStage func() []PageImage
+	// DataHook, when set, is invoked (under forceMu) by every force that
+	// writes records, once the batch is captured and before the data
+	// barrier: the client writes the file data it has held in memory for
+	// the operations of this batch and others, which the barrier then makes
+	// durable ahead of the records. An error fails the force as a failed
+	// barrier does, with the batch restored.
+	DataHook func() error
 	// OnForce, when set, is invoked (under forceMu) after every force
 	// that wrote records, with the batch's group-commit measurements.
 	// The observability layer feeds its batching histograms from it.
@@ -754,10 +761,17 @@ func (l *Log) forceLocked() error {
 	wrote := len(batch) > 0
 	if wrote {
 		// Barrier: file data and leader pages written for the operations
-		// in this batch were issued before their images were staged, so
-		// they must be durable before the record that commits them — a
-		// reordering drive could otherwise land the record first and
-		// replay would resurrect an entry whose pages never arrived.
+		// in this batch were issued before their images were staged, or
+		// are issued now by DataHook, so they must be durable before the
+		// record that commits them — a reordering drive could otherwise
+		// land the record first and replay would resurrect an entry whose
+		// pages never arrived.
+		if l.DataHook != nil {
+			if err := l.DataHook(); err != nil {
+				l.restoreBatch(batch)
+				return err
+			}
+		}
 		if err := l.d.Sync(); err != nil {
 			l.restoreBatch(batch)
 			return err

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -116,3 +117,52 @@ func TestForceAbsorbsWriteFaults(t *testing.T) {
 
 // faultSeedWAL keeps the probabilistic WAL fault tests deterministic.
 const faultSeedWAL = 42
+
+// TestDataHookRunsBeforeTheBarrier pins where a force hands the client its
+// data writes: only a force that writes records calls DataHook, after the
+// capture — so the hook sees what the batch's operations left it — and
+// before the data barrier and the first record; a hook that fails fails the
+// force with the batch restored, and the next force calls it again.
+func TestDataHookRunsBeforeTheBarrier(t *testing.T) {
+	l, d, _ := newTestLog(t, Config{Interval: time.Second})
+	d.EnableWriteBack()
+	var calls []int // the synced epoch at each call
+	fail := false
+	l.DataHook = func() error {
+		calls = append(calls, d.SyncedEpoch())
+		if l.PendingImages() != 0 {
+			t.Error("DataHook ran before the capture")
+		}
+		if fail {
+			return errHook
+		}
+		return nil
+	}
+	if err := l.Force(); err != nil || len(calls) != 0 {
+		t.Fatalf("an empty force called DataHook %d times (%v)", len(calls), err)
+	}
+	seq, err := l.Append(img(KindNameTable, 1, 0xAA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail = true
+	if err := l.Force(); err != errHook {
+		t.Fatalf("force with a failing DataHook = %v, want its error", err)
+	}
+	if l.Committed() >= seq || l.PendingImages() != 1 {
+		t.Fatalf("the failed force committed %d (batch %d) and kept %d images", l.Committed(), seq, l.PendingImages())
+	}
+	fail = false
+	records := l.Stats().Records
+	if err := l.WaitCommitted(seq); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 2 || calls[1] != calls[0] {
+		t.Fatalf("DataHook calls at synced epochs %v; want two, each before the force's barrier", calls)
+	}
+	if l.Stats().Records != records+1 || d.SyncedEpoch() <= calls[1] {
+		t.Fatal("the retried force wrote no record, or no barrier after its hook")
+	}
+}
+
+var errHook = errors.New("hook failed")

@@ -68,6 +68,19 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 	/CostPerSectorCopy/ && !/^[[:space:]]*\/\// && fn !~ /^func \(v \*Volume\) copied\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
 	|| { echo "verify: CostPerSectorCopy charged outside Volume.copied (charge a data copy through copied)"; exit 1; }
 
+# One way out for file data (DESIGN §12, "Held writes"): a data write leaves
+# core through writeChunk — to the platter, or into held frames — or through
+# the force's pass over the held frames, writeHeld; only there is the gather
+# form writeSectorsFrom called, and the data path's files (file.go, held.go,
+# bytes.go, stream.go) call no other write. A write anywhere else bypasses
+# the fresh-page check, and a held sector could then be overwritten behind
+# the frame that the next force writes over it again.
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/^[[:space:]]*\/\// { next }
+	/(writeSectorsFrom|WriteSectorsRetryFrom|WriteSectorsFrom|\.d\.WriteSectors)\(/ && fn !~ /^func \(v \*Volume\) (writeChunk|writeHeld|writeSectorsFrom|writeSectors)\(/ { print FILENAME ":" FNR ": " $0; next }
+	FILENAME ~ /\/(file|held|bytes|stream)\.go$/ && /writeSectors\(/ && fn !~ /^func \(v \*Volume\) (writeChunk|writeHeld)\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: file data written outside writeChunk and the held pass (write through writeChunk)"; exit 1; }
+
 # And the staging buffers of the data write path: a write lends its caller's
 # buffer to the disk as a gather list (DESIGN §18), and a payload-sized copy
 # on the way down is how it came to allocate 30 KB per operation.
@@ -155,6 +168,10 @@ go test -race ./internal/core -count=5 -run 'TestMountScanSimTimeRepeats'
 # two writers on one handle, staged and async — the size update of a write
 # only grows the file.)
 go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroup|TestAbortStopsForces|TestCut|TestFatalApplyAbortsGroup|TestFailedDataWriteLeavesNoEntry|TestStaleHandleOpsRefused|TestConcurrentWriteAtNeverShrinks'
+# Held writes (DESIGN §12): streams, reads, deletes and forces from several
+# goroutines, staged and async, the held frames' cache and the commit
+# group's fresh runs under them, again and again under the detector.
+go test -race ./internal/core ./internal/bufcache -count=10 -run 'TestHeld|TestHold|TestLiveCheckTreatsHeldLeaderAsPending|TestDamageKeepsHeldFrames|TestFreshUntilForce'
 # Pipelined chunks under eight goroutines, again and again under the
 # detector: every copy still on the CPU, and no copy hidden under a transfer
 # that was not its own call's.
