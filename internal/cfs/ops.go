@@ -31,30 +31,37 @@ func (f *File) Size() int64 { return int64(f.e.ByteSize) }
 // Pages returns the number of data pages.
 func (f *File) Pages() int { return alloc.Pages(f.e.Runs) }
 
-func (v *Volume) highestVersionLocked(name string) (uint32, error) {
-	var highest uint32
-	err := v.nt.Scan(append([]byte(name), 0), func(k, _ []byte) bool {
+// newestLocked finds the newest version of name in one walk of the name
+// table, as FSD's lookup does: one scan over the name's versions, charged
+// one CostBTreeOp, which decodes the newest entry from the value it found.
+// top is 0, and e nil, when the name has no version.
+func (v *Volume) newestLocked(name string) (top uint32, e *Entry, err error) {
+	var last []byte
+	err = v.nt.Scan(append([]byte(name), 0), func(k, val []byte) bool {
 		n, ver, ok := splitKey(k)
 		if !ok || n != name {
 			return false
 		}
-		highest = ver
+		top, last = ver, append(last[:0], val...)
 		return true
 	})
 	v.cpu.Charge(sim.CostBTreeOp)
-	return highest, err
+	if err != nil || top == 0 {
+		return 0, nil, err
+	}
+	e, err = decodeNTEntry(name, top, last)
+	return top, e, err
 }
 
+// lookupLocked fetches an entry; version 0 means newest. Either way it is
+// one lookup, charged one CostBTreeOp.
 func (v *Volume) lookupLocked(name string, version uint32) (*Entry, error) {
 	if version == 0 {
-		var err error
-		version, err = v.highestVersionLocked(name)
-		if err != nil {
-			return nil, err
+		top, e, err := v.newestLocked(name)
+		if err == nil && top == 0 {
+			err = fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
-		if version == 0 {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
+		return e, err
 	}
 	val, err := v.nt.Get(entryKey(name, version))
 	if errors.Is(err, btree.ErrNotFound) {
@@ -111,15 +118,15 @@ func (v *Volume) Create(name string, data []byte) (*File, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
-	highest, err := v.highestVersionLocked(name)
-	if err != nil {
+	// A newest value that does not decode still numbers the new version;
+	// it just lends no keep count.
+	highest, prev, err := v.newestLocked(name)
+	if err != nil && highest == 0 {
 		return nil, err
 	}
 	var keep uint16
-	if highest > 0 {
-		if prev, err := v.lookupLocked(name, highest); err == nil {
-			keep = prev.Keep
-		}
+	if prev != nil {
+		keep = prev.Keep
 	}
 	v.cpu.Charge(sim.CostFileCreate)
 	dataPages := (len(data) + disk.SectorSize - 1) / disk.SectorSize
@@ -266,7 +273,11 @@ func (v *Volume) applyKeepLocked(name string, newest uint32, keep uint16) error 
 		return err
 	}
 	for _, ver := range doomed {
-		if err := v.deleteLocked(name, ver); err != nil {
+		e, err := v.lookupLocked(name, ver)
+		if err == nil {
+			err = v.deleteLocked(e)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -330,24 +341,15 @@ func (v *Volume) Delete(name string, version uint32) error {
 	if err := v.begin(); err != nil {
 		return err
 	}
-	if version == 0 {
-		var err error
-		version, err = v.highestVersionLocked(name)
-		if err != nil {
-			return err
-		}
-		if version == 0 {
-			return fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
-	}
-	return v.deleteLocked(name, version)
-}
-
-func (v *Volume) deleteLocked(name string, version uint32) error {
 	e, err := v.lookupLocked(name, version)
 	if err != nil {
 		return err
 	}
+	return v.deleteLocked(e)
+}
+
+// deleteLocked deletes the version e, which the caller has looked up.
+func (v *Volume) deleteLocked(e *Entry) error {
 	if err := v.readHeaderLocked(e); err != nil {
 		return err
 	}
@@ -364,7 +366,7 @@ func (v *Volume) deleteLocked(name string, version uint32) error {
 		}
 	}
 	v.cpu.Charge(sim.CostBTreeOp)
-	if err := v.nt.Delete(entryKey(name, version)); err != nil {
+	if err := v.nt.Delete(entryKey(e.Name, e.Version)); err != nil {
 		return err
 	}
 	v.vm.MarkFree(e.HeaderAddr, 2)

@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/disk"
+	"repro/internal/sim"
 )
 
 // Byte-granular convenience I/O over the page operations, and rename —
@@ -37,9 +40,10 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	return int(want), nil
 }
 
-// WriteAt writes p at byte offset off within the file's allocated pages,
-// extending the recorded byte size if the write grows the file (but never
-// past the allocation — use Extend first). Whole pages go out straight from
+// WriteAt writes p at byte offset off, extending the recorded byte size if
+// the write grows the file. A write that runs past the allocation grows it
+// in the same call (grow): the new pages, the data and the entry that names
+// them are one operation and one intent. Whole pages go out straight from
 // p, which is the caller's again on return; a partial first or last page is
 // read-modify-written through a scratch sector (see writeFrom).
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
@@ -49,10 +53,17 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
+	end := off + int64(len(p))
+	if end > int64(f.Pages())*disk.SectorSize {
+		if err := f.grow(p, off); err != nil {
+			return 0, err
+		}
+		return len(p), nil
+	}
 	if err := f.writeFrom(p, off); err != nil {
 		return 0, err
 	}
-	if end := off + int64(len(p)); end > f.Size() {
+	if end > f.Size() {
 		if err := f.setByteSize(uint64(end), true); err != nil {
 			return len(p), err
 		}
@@ -68,37 +79,45 @@ func (v *Volume) Rename(oldName, newName string) error {
 		if err := ValidateName(newName); err != nil {
 			return err
 		}
-		if hi, err := v.highestVersionLocked(newName); err != nil {
+		if l, err := v.newestLocked(newName, false); err != nil {
 			return err
-		} else if hi != 0 {
+		} else if l.top != 0 {
 			return fmt.Errorf("%w: %q", ErrExists, newName)
 		}
-		var versions []uint32
-		err := v.nt.Scan(namePrefix(oldName), func(k, _ []byte) bool {
-			n, ver, ok := splitKey(k)
-			if !ok || n != oldName {
+		// One walk lists the versions of oldName and decodes each from the
+		// value it found; it is the rename's one lookup of oldName.
+		var moved []*Entry
+		var derr error
+		err := v.nt.Scan(namePrefix(oldName), func(k, val []byte) bool {
+			ver, ok := versionOf(k, oldName)
+			if !ok {
 				return false
 			}
-			versions = append(versions, ver)
+			var e *Entry
+			if e, derr = decodeEntry(oldName, ver, val); derr != nil {
+				return false
+			}
+			moved = append(moved, e)
 			return true
 		})
+		v.cpu.Charge(sim.CostBTreeOp)
+		if err == nil {
+			err = derr
+		}
 		if err != nil {
 			return err
 		}
-		if len(versions) == 0 {
+		if len(moved) == 0 {
 			return fmt.Errorf("%w: %q", ErrNotFound, oldName)
 		}
-		for _, ver := range versions {
-			e, err := v.statLocked(oldName, ver)
-			if err != nil {
-				return err
-			}
+		for _, e := range moved {
+			ver := e.Version
 			e.Name = newName
 			if err := entryFits(e); err != nil {
 				return err
 			}
-			// A moved version costs its lookup, its put and two page
-			// checksums; the delete of the old key rides free.
+			// A moved version costs its put and two page checksums; the
+			// delete of the old key rides free.
 			it.put(e)
 			it.add(intentStep{op: stepDelete, key: entryKey(oldName, ver)})
 			v.cpu.Charge(2 * csumCost)

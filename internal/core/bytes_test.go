@@ -80,19 +80,17 @@ func TestWriteAtGrowsSizeWithinAllocation(t *testing.T) {
 	if f.Size() != 500 {
 		t.Fatalf("size = %d, want 500", f.Size())
 	}
-	// Beyond the allocation fails with a helpful error.
-	if _, err := f.WriteAt(payload(200, 3), 400); err == nil {
-		t.Fatal("write past allocation accepted")
-	}
-	// After Extend it succeeds.
-	if err := f.Extend(1); err != nil {
-		t.Fatal(err)
-	}
+	// A write beyond the allocation grows it, by the one page it needs.
 	if _, err := f.WriteAt(payload(200, 3), 400); err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != 600 {
-		t.Fatalf("size = %d, want 600", f.Size())
+	if f.Size() != 600 || f.Pages() != 2 {
+		t.Fatalf("size = %d, %d pages; want 600, 2", f.Size(), f.Pages())
+	}
+	want := append(payload(100, 1), make([]byte, 200)...)
+	want = append(append(want[:300], payload(200, 2)[:100]...), payload(200, 3)...)
+	if got, err := f.ReadAll(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back after the growing write: %v", err)
 	}
 }
 

@@ -192,6 +192,15 @@ func splitKey(k []byte) (name string, version uint32, ok bool) {
 	return string(k[:len(k)-5]), binary.BigEndian.Uint32(k[len(k)-4:]), true
 }
 
+// versionOf decodes k as an entryKey of name, without splitKey's copy of
+// the name.
+func versionOf(k []byte, name string) (version uint32, ok bool) {
+	if len(k) != len(name)+5 || k[len(name)] != 0 || string(k[:len(name)]) != name {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(k[len(name)+1:]), true
+}
+
 // Entry wire format (values in the name table):
 //
 //	u8  class | u16 keep | u64 uid | u64 byteSize

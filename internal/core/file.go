@@ -64,35 +64,80 @@ func (f *File) Pages() int {
 	return f.e.Pages()
 }
 
-// highestVersionLocked returns the newest version of name, 0 if none. The
-// caller holds the monitor (either mode).
-func (v *Volume) highestVersionLocked(name string) (uint32, error) {
-	prefix := namePrefix(name)
-	var highest uint32
-	err := v.nt.Scan(prefix, func(k, _ []byte) bool {
-		n, ver, ok := splitKey(k)
-		if !ok || n != name {
+// lookup is what one walk over a name's versions finds (newestLocked).
+type lookup struct {
+	top   uint32   // the newest version; 0 if the name has none
+	e     *Entry   // its entry, decoded from the value the walk found
+	err   error    // why that value does not decode, when e is nil
+	stale []*Entry // with trim: the versions e's keep count drops once a version is added above top
+}
+
+// newestLocked finds the newest version of name in one walk of the name
+// table (DESIGN §13, "One walk per lookup"): a single scan over the name's
+// versions, charged one CostBTreeOp, which decodes the newest entry from the
+// value the scan itself found — no second descent to fetch it. With trim set
+// it also resolves what a create must delete: the versions, decoded from the
+// same walk, that the newest's keep count no longer covers once a version
+// is added above it. The caller holds the monitor (either mode).
+func (v *Volume) newestLocked(name string, trim bool) (l lookup, err error) {
+	type seen struct {
+		ver uint32
+		val []byte
+	}
+	// The values are copied out of the pages, which stay put only while the
+	// scan holds the tree's lock: the last one alone, or, with trim, every
+	// one.
+	var stash [128]byte
+	var seen4 [4]seen
+	buf, all := stash[:0], seen4[:0]
+	err = v.nt.Scan(namePrefix(name), func(k, val []byte) bool {
+		ver, ok := versionOf(k, name)
+		if !ok {
 			return false
 		}
-		highest = ver
+		if !trim {
+			buf, all = buf[:0], all[:0]
+		}
+		at := len(buf)
+		buf = append(buf, val...)
+		all = append(all, seen{ver, buf[at:]})
 		return true
 	})
 	v.cpu.Charge(sim.CostBTreeOp)
-	return highest, err
+	if err != nil || len(all) == 0 {
+		return l, err
+	}
+	last := all[len(all)-1]
+	l.top = last.ver
+	l.e, l.err = decodeEntry(name, last.ver, last.val)
+	if trim && l.e != nil && l.e.Keep > 0 && uint32(l.e.Keep) <= l.top {
+		cutoff := l.top + 1 - uint32(l.e.Keep)
+		for _, s := range all {
+			if s.ver > cutoff {
+				break
+			}
+			if de, derr := decodeEntry(name, s.ver, s.val); derr == nil {
+				l.stale = append(l.stale, de)
+			}
+		}
+	}
+	return l, nil
 }
 
-// statLocked fetches an entry; version 0 means newest. The caller holds the
-// monitor (either mode).
+// statLocked fetches an entry; version 0 means newest. Either way it is one
+// lookup, charged one CostBTreeOp: the newest through newestLocked's walk, a
+// named version through the tree's Get. The caller holds the monitor (either
+// mode).
 func (v *Volume) statLocked(name string, version uint32) (*Entry, error) {
 	if version == 0 {
-		var err error
-		version, err = v.highestVersionLocked(name)
+		l, err := v.newestLocked(name, false)
 		if err != nil {
 			return nil, err
 		}
-		if version == 0 {
+		if l.top == 0 {
 			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
+		return l.e, l.err
 	}
 	val, err := v.nt.Get(entryKey(name, version))
 	if errors.Is(err, btree.ErrNotFound) {
@@ -136,20 +181,20 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 		if err := ValidateName(name); err != nil {
 			return err
 		}
-		highest, err := v.highestVersionLocked(name)
+		// The newest version, its keep count and the versions that count
+		// trims come from one walk.
+		l, err := v.newestLocked(name, true)
 		if err != nil {
 			return err
 		}
 		var keep uint16
-		if highest > 0 {
-			if prev, err := v.statLocked(name, highest); err == nil {
-				keep = prev.Keep
-			}
+		if l.e != nil {
+			keep = l.e.Keep
 		}
 		v.cpu.Charge(sim.CostFileCreate)
 		e := &Entry{
 			Name:       name,
-			Version:    highest + 1,
+			Version:    l.top + 1,
 			Class:      class,
 			Keep:       keep,
 			UID:        v.nextUID(),
@@ -197,26 +242,11 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 			// entry, written home by a later piggyback or third flush.
 			it.leader(e)
 		}
-		if keep > 0 && uint32(keep) < e.Version {
-			// Resolve the versions the keep count no longer covers here,
-			// under the monitor; apply then replays pure redo steps. Trimming
-			// one costs its lookup and its delete.
-			cutoff := e.Version - uint32(keep)
-			err := v.nt.Scan(namePrefix(name), func(k, val []byte) bool {
-				n, ver, ok := splitKey(k)
-				if !ok || n != name {
-					return false
-				}
-				if ver <= cutoff {
-					if de, derr := decodeEntry(n, ver, val); derr == nil {
-						it.remove(de, 2)
-					}
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
+		// Apply replays pure redo steps: the versions the keep count no
+		// longer covers were resolved by the walk above, under the monitor.
+		// Trimming one costs its delete.
+		for _, de := range l.stale {
+			it.remove(de, 1)
 		}
 		v.ops.creates.Add(1)
 		f = &File{v: v, e: *e, leaderVerified: true}
@@ -769,15 +799,24 @@ func (f *File) writeFrom(p []byte, off int64) (err error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.writeLocked(&f.e, p, off)
+}
+
+// writeLocked is writeFrom's body: it writes p at byte offset off inside the
+// pages of e — the handle's entry, or the grown entry a growing write is
+// about to commit (grow). The caller holds the monitor (either mode) and
+// f.mu.
+func (f *File) writeLocked(e *Entry, p []byte, off int64) (err error) {
+	v := f.v
 	page := int(off / disk.SectorSize)
 	n := int((off+int64(len(p))+disk.SectorSize-1)/disk.SectorSize) - page
-	if off < 0 || len(p) == 0 || page+n > f.e.Pages() {
-		return fmt.Errorf("core: write [%d,%d) outside %q!%d (%d pages; Extend first)", page, page+n, f.e.Name, f.e.Version, f.e.Pages())
+	if off < 0 || len(p) == 0 || page+n > e.Pages() {
+		return fmt.Errorf("core: write [%d,%d) outside %q!%d (%d pages)", page, page+n, e.Name, e.Version, e.Pages())
 	}
 	v.ops.writes.Add(1)
 	w := ioWindow{p: p, off: off}
 	f.patchEdges(&w)
-	leaderAddr, _ := f.e.LeaderAddr()
+	leaderAddr, _ := e.LeaderAddr()
 	// behind is the chunk written last, whose copy is charged behind the
 	// next request, as a read's is (DESIGN §12): the last one's in the open,
 	// and so is a held chunk's and the one's before it, which have no
@@ -789,9 +828,9 @@ func (f *File) writeFrom(p []byte, off int64) (err error) {
 		if v.dataCache != nil {
 			// Cluster across physically adjacent runs, as the read path
 			// does, so a fragmented file still writes in few transfers.
-			addr, cnt, merged, err = f.e.PhysContiguousFrom(cur, min(remaining, MaxTransferSectors))
+			addr, cnt, merged, err = e.PhysContiguousFrom(cur, min(remaining, MaxTransferSectors))
 		} else {
-			addr, cnt, err = f.e.ContiguousFrom(cur, min(remaining, MaxTransferSectors))
+			addr, cnt, err = e.ContiguousFrom(cur, min(remaining, MaxTransferSectors))
 		}
 		if err != nil {
 			return err
@@ -938,6 +977,61 @@ func (f *File) Extend(morePages int) error {
 		}
 		it.update(&e)
 		it.leader(&e)
+		return nil
+	})
+}
+
+// grow is WriteAt for a write that runs past the allocation (DESIGN §12,
+// "Growing writes"): one call, one intent. Under the handle's mutation it
+// extends the allocation by what the write needs — in place when the
+// allocator can, see alloc.Extend; nothing, if a concurrent write on the
+// handle has grown it meanwhile — writes p into the grown entry's pages
+// (held or at once, through writeChunk, as any write), and then hands off one
+// intent with the grown run table, the byte size and the leader image that
+// goes with them. The data is written before the intent is, so it is on the
+// platter, or held for the force's pass, before the record that names it;
+// a write that fails frees the new pages and leaves the entry as it was.
+func (f *File) grow(p []byte, off int64) error {
+	v := f.v
+	end := off + int64(len(p))
+	return v.mutate("write", f, [2]string{}, func(it *intent) (err error) {
+		e := f.e
+		var grown []alloc.Run
+		if more := int((end+disk.SectorSize-1)/disk.SectorSize) - e.Pages(); more > 0 {
+			v.vmMu.Lock()
+			grown, err = v.al.Extend(e.Runs, more)
+			v.noteFresh(grown)
+			v.vmMu.Unlock()
+			if err != nil {
+				return err
+			}
+			// Nothing refers to the pages until the intent is handed off;
+			// what the write may have held goes with them.
+			defer func() {
+				if err != nil {
+					v.invalidateData(grown)
+					v.freeNow(grown)
+				}
+			}()
+			e.Runs = alloc.Join(e.Runs, grown)
+			// A run table grown past what a name-table cell holds fails
+			// here, as Extend's does, before anything is written.
+			if err := entryFits(&e); err != nil {
+				return err
+			}
+		}
+		if err := f.writeLocked(&e, p, off); err != nil {
+			return err
+		}
+		if uint64(end) > e.ByteSize {
+			e.ByteSize = uint64(end)
+		} else if grown == nil {
+			return nil // a concurrent write grew the file over this one
+		}
+		it.update(&e)
+		if grown != nil {
+			it.leader(&e)
+		}
 		return nil
 	})
 }

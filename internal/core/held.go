@@ -12,9 +12,9 @@ import (
 // write to fresh pages — pages the allocator handed out in the current
 // commit group, which no forced commit names yet — is held in data-cache
 // frames instead of going to the platter: a create's leader and data, a
-// stream chunk into pages its Extend just allocated. Reads hit the held
-// frames, and a delete before the force drops them (stepFree), so its data
-// is never written. The next force that writes records writes every held
+// stream chunk into pages its growing write just allocated. Reads hit the
+// held frames, and a delete before the force drops them (stepFree), so its
+// data is never written. The next force that writes records writes every held
 // sector (writeHeld, the log's DataHook) after it captures its batch and
 // before its data barrier — so the data still reaches the platter before
 // the record that names it — in one pass toward the log, and ends the

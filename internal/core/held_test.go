@@ -120,7 +120,7 @@ func TestHeldReadHitsFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.dataCache.Stats().Held == 0 {
-		t.Fatal("a chunk into pages its Extend just allocated was not held")
+		t.Fatal("a chunk into pages its growing write just allocated was not held")
 	}
 	before = d.Stats()
 	r, err := v.Open("h/stream", 0)

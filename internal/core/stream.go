@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/disk"
 )
 
 // Stream adapters: Cedar clients consumed files as byte streams; these wrap
@@ -48,8 +46,8 @@ func (r *Reader) Seek(offset int64, whence int) (int64, error) {
 	return abs, nil
 }
 
-// Writer is a sequential io.Writer that appends from a starting offset,
-// extending the file's allocation as needed.
+// Writer is a sequential io.Writer that appends from a starting offset;
+// WriteAt grows the file's allocation as the stream runs past it.
 type Writer struct {
 	f   *File
 	off int64
@@ -60,16 +58,9 @@ var _ io.Writer = (*Writer)(nil)
 // NewWriter returns a writer positioned at offset off.
 func (f *File) NewWriter(off int64) *Writer { return &Writer{f: f, off: off} }
 
-// Write implements io.Writer, growing the allocation in whole pages when
-// the stream runs past it.
+// Write implements io.Writer: one WriteAt, which grows the file in whole
+// pages when the stream runs past its allocation.
 func (w *Writer) Write(p []byte) (int, error) {
-	end := w.off + int64(len(p))
-	if have := int64(w.f.Pages()) * disk.SectorSize; end > have {
-		needPages := int((end - have + disk.SectorSize - 1) / disk.SectorSize)
-		if err := w.f.Extend(needPages); err != nil {
-			return 0, err
-		}
-	}
 	n, err := w.f.WriteAt(p, w.off)
 	w.off += int64(n)
 	return n, err

@@ -29,24 +29,26 @@ type Env struct {
 	HeaderSeekCyl int
 }
 
-// FSDOpen: no I/O at all in the warm case — syscall, version scan, entry
-// fetch and decode. This is the 11.7 ms row of Table 2.
+// FSDOpen: no I/O at all in the warm case — syscall and one lookup: a
+// single descent that scans the name's versions and decodes the newest
+// entry from the value it found. This is the 11.7 ms row of Table 2.
 func FSDOpen(e Env) Mix {
 	return Mix{{Weight: 1, S: Script{
-		CPU(sim.CostSyscall + 2*sim.CostBTreeOp),
+		CPU(sim.CostSyscall + sim.CostBTreeOp),
 	}}}
 }
 
-// FSDDelete: metadata only — the name-table update is buffered and logged;
-// pages move to the shadow VAM. The 15 ms row of Table 2.
+// FSDDelete: metadata only — one lookup, then the name-table delete,
+// buffered and logged; pages move to the shadow VAM. The 15 ms row of
+// Table 2.
 func FSDDelete(e Env) Mix {
 	return Mix{{Weight: 1, S: Script{
-		CPU(sim.CostSyscall + 3*sim.CostBTreeOp + sim.CostChecksumPage),
+		CPU(sim.CostSyscall + 2*sim.CostBTreeOp + sim.CostChecksumPage),
 	}}}
 }
 
-// FSDSmallCreate: one synchronous combined leader+data write, plus the
-// amortized share of the group-commit log write. Consecutive creates write
+// FSDSmallCreate: one lookup and the entry's put, one synchronous combined
+// leader+data write, plus the amortized share of the group-commit log write. Consecutive creates write
 // consecutive sectors, so the rotational wait is whatever remains after the
 // create's CPU time has rotated past.
 func FSDSmallCreate(e Env) Mix {
@@ -72,12 +74,13 @@ func FSDSmallCreate(e Env) Mix {
 	}
 }
 
-// CFSOpen: name-table lookup (cached) plus the mandatory header read.
-// The 51.2 ms row of Table 2 (the paper's measurement seeks an average
-// distance to the header; HeaderSeekCyl carries the benchmark's locality).
+// CFSOpen: name-table lookup (cached, one descent) plus the mandatory
+// header read. The 51.2 ms row of Table 2 (the paper's measurement seeks an
+// average distance to the header; HeaderSeekCyl carries the benchmark's
+// locality).
 func CFSOpen(e Env) Mix {
 	return Mix{{Weight: 1, S: Script{
-		CPU(sim.CostSyscall + 2*sim.CostBTreeOp + 2*sim.CostPerSectorCopy),
+		CPU(sim.CostSyscall + sim.CostBTreeOp + 2*sim.CostPerSectorCopy),
 		Seek(e.HeaderSeekCyl),
 		Latency(),
 		Transfer(2),
@@ -95,9 +98,11 @@ func CFSOpen(e Env) Mix {
 //     verify + write one 4-sector page)
 //  6. write the data page (seek back, verify + write)
 //  7. rewrite the header (verify + write)
+//
+// The name-table lookup ahead of step 1 is one descent.
 func CFSSmallCreate(e Env) Mix {
 	s := Script{
-		CPU(sim.CostSyscall + sim.CostFileCreate + 2*sim.CostBTreeOp),
+		CPU(sim.CostSyscall + sim.CostFileCreate + sim.CostBTreeOp),
 		// (1) verify 3 free-page labels
 		Seek(0),
 		Latency(),
@@ -137,11 +142,11 @@ func CFSSmallCreate(e Env) Mix {
 	return Mix{{Weight: 1, S: s}}
 }
 
-// CFSSmallDelete: lookup, header read, free header + data labels, remove
-// the name-table entry. The 214 ms row of Table 2.
+// CFSSmallDelete: lookup (one descent), header read, free header + data
+// labels, remove the name-table entry. The 214 ms row of Table 2.
 func CFSSmallDelete(e Env) Mix {
 	s := Script{
-		CPU(sim.CostSyscall + 3*sim.CostBTreeOp + 2*sim.CostPerSectorCopy),
+		CPU(sim.CostSyscall + 2*sim.CostBTreeOp + 2*sim.CostPerSectorCopy),
 		// header read
 		Seek(0),
 		Latency(),
@@ -199,7 +204,7 @@ func FSDLargeCreate(e Env, pages, maxXfer int) Mix {
 // rewrite the header.
 func CFSLargeCreate(e Env, pages, maxXfer int) Mix {
 	s := Script{
-		CPU(sim.CostSyscall + sim.CostFileCreate + 3*sim.CostBTreeOp),
+		CPU(sim.CostSyscall + sim.CostFileCreate + 2*sim.CostBTreeOp),
 		CPU(time.Duration(pages) * sim.CostPerSectorCopy),
 		// Verify all 2+pages labels in one streaming pass.
 		Seek(0),

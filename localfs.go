@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/disk"
 )
 
 // NewLocalFS wraps a mounted Volume in the transport-agnostic FS
@@ -174,8 +172,6 @@ type localHandle struct {
 	mu     sync.Mutex
 	f      *File
 	closed bool
-
-	growMu sync.Mutex // serializes WriteAt's size-check-then-Extend
 }
 
 func (h *localHandle) file() (*File, error) {
@@ -214,21 +210,10 @@ func (h *localHandle) WriteAt(ctx context.Context, p []byte, off int64) (int, ui
 		return 0, 0, err
 	}
 	// The streaming contract: a write past the allocation grows it in
-	// whole pages first (the wire protocol's write-stream op is a sequence
-	// of these). Handles are safe for concurrent use, so the size check
-	// and the extension must be one atomic step — two writes racing past
-	// the allocation would otherwise both size their growth off the same
-	// stale page count and over-extend the file.
-	h.growMu.Lock()
-	if end := off + int64(len(p)); end > int64(f.Pages())*disk.SectorSize {
-		have := int64(f.Pages()) * disk.SectorSize
-		needPages := int((end - have + disk.SectorSize - 1) / disk.SectorSize)
-		if err := f.Extend(needPages); err != nil {
-			h.growMu.Unlock()
-			return 0, 0, err
-		}
-	}
-	h.growMu.Unlock()
+	// whole pages (the wire protocol's write-stream op is a sequence of
+	// these). core's WriteAt does that itself, in the one call that writes
+	// the data, under the handle's lock: two writes racing past the
+	// allocation cannot both size their growth off the same page count.
 	n, err := f.WriteAt(p, off)
 	return n, h.fs.v.CommitSeq(), err
 }

@@ -81,6 +81,22 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 	FILENAME ~ /\/(file|held|bytes|stream)\.go$/ && /writeSectors\(/ && fn !~ /^func \(v \*Volume\) (writeChunk|writeHeld)\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
 	|| { echo "verify: file data written outside writeChunk and the held pass (write through writeChunk)"; exit 1; }
 
+# One walk per lookup (DESIGN §13): a call that names the newest version finds
+# it in one scan of the name's versions (newestLocked), which decodes the entry
+# from the value it found. The tree's Get is for a key that names its version:
+# statLocked's explicit-version branch and the apply's read-modify-write of a
+# touch. A Get anywhere else is the second descent coming back.
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/^[[:space:]]*\/\// { next }
+	/\.nt\.Get\(/ && fn !~ /^func \(v \*Volume\) (statLocked|applyStep)\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: a name-table Get outside an explicit-version lookup (find the newest with newestLocked)"; exit 1; }
+# One call per growing write (DESIGN §12, "Growing writes"): File.WriteAt grows
+# the allocation itself, in the call that writes the data, under one intent. An
+# Extend ahead of the write in the FS adapter or the stream writer is the
+# three-call, two-intent grow coming back.
+! grep -nE '\.Extend\(' localfs.go internal/core/stream.go \
+	|| { echo "verify: the FS adapter or the stream writer extends before it writes (WriteAt grows the file)"; exit 1; }
+
 # And the staging buffers of the data write path: a write lends its caller's
 # buffer to the disk as a gather list (DESIGN §18), and a payload-sized copy
 # on the way down is how it came to allocate 30 KB per operation.
@@ -172,6 +188,18 @@ go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroup|TestAbortS
 # goroutines, staged and async, the held frames' cache and the commit
 # group's fresh runs under them, again and again under the detector.
 go test -race ./internal/core ./internal/bufcache -count=10 -run 'TestHeld|TestHold|TestLiveCheckTreatsHeldLeaderAsPending|TestDamageKeepsHeldFrames|TestFreshUntilForce'
+# One walk per lookup and one call per growing write, under the detector:
+# the applier parked and resumed around each call, and handles racing past
+# the allocation.
+go test -race . ./internal/core -count=1 -run 'TestNewestLookupIsOneWalk|TestGrowingWriteIsOneCall|TestConcurrentWriteGrowNoOverExtend'
+# The decoders of what a disk or a socket hands back are total: each fuzz
+# target explores for a fixed time from its seeds and committed corpus
+# (testdata/fuzz), and a malformed input is an error, never a panic.
+go test ./internal/core -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz '^FuzzDecodeLeaderEntry$' -fuzztime 10s
+go test ./internal/btree -run '^$' -fuzz '^FuzzLeafEntries$' -fuzztime 10s
+go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s
+go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeReply$' -fuzztime 10s
 # Pipelined chunks under eight goroutines, again and again under the
 # detector: every copy still on the CPU, and no copy hidden under a transfer
 # that was not its own call's.
