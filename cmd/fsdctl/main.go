@@ -482,8 +482,10 @@ func run(img string, jsonOut bool, args []string) error {
 		}
 		fmt.Printf("commit deadline: %v (%s)\n",
 			st.Commit.ForceDeadline.Round(100*time.Microsecond), mode)
-		fmt.Printf("held writes: %d sectors in %d requests written by forces, %d writes out at once at the hold cap\n",
-			st.Commit.HeldSectors, st.Commit.HeldRequests, st.Commit.HeldWriteThrough)
+		perPass := func(n int) float64 { return float64(n) / float64(max(st.Commit.HeldPasses, 1)) }
+		fmt.Printf("held writes: %d sectors in %d requests written by forces, %d writes out at once at the hold cap; %d passes, %.2f requests on %.2f cylinders per pass; creates placed %d by group, %d by Alloc\n",
+			st.Commit.HeldSectors, st.Commit.HeldRequests, st.Commit.HeldWriteThrough, st.Commit.HeldPasses,
+			perPass(st.Commit.HeldRequests), perPass(st.Commit.HeldCylinders), st.Commit.GroupCreates, st.Commit.AllocCreates)
 		if iq := st.Intent; iq.Enabled {
 			fmt.Printf("intent queue: depth %d (max %d), %d enqueued, %d applied, %d reader waits, applier busy %v\n",
 				iq.Depth, iq.MaxDepth, iq.Enqueued, iq.Applied, iq.ReaderWaits,

@@ -206,7 +206,7 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 		if class != SymLink {
 			pages := 1 + (len(data)+disk.SectorSize-1)/disk.SectorSize // leader + data
 			v.vmMu.Lock()
-			e.Runs, err = v.al.Alloc(pages)
+			e.Runs, err = v.placeCreate(pages, len(data) > 0)
 			v.noteFresh(e.Runs)
 			v.vmMu.Unlock()
 			if err != nil {
@@ -660,8 +660,9 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 		if rerr != nil {
 			return rerr
 		}
-		// The chunk before this one was copied while this request ran.
-		f.release(&w, &held, sectors)
+		// The chunk before this one was copied while this request's demand
+		// part ran.
+		f.release(&w, &held, sectors-ahead)
 		if ahead > 0 {
 			v.traceReadAhead(addr, ahead)
 		}
@@ -670,6 +671,11 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 			v.traceCoalesce("read", addr, cnt+ahead, merged)
 		}
 		held = heldChunk{cur: cur, cnt: cnt, addr: addr, segs: [3][]byte(segs[1:4]), gen: gen}
+		if ahead > 0 {
+			// This chunk's sectors arrived before the read-ahead's: its copy
+			// ran while the disk moved those (DESIGN §12, "Pipelined chunks").
+			f.release(&w, &held, ahead)
+		}
 		cur += cnt
 		remaining -= cnt
 	}

@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/disk"
 )
 
 // The decoders of what the disk hands back — a name-table value, a leader
-// page — are total: any byte string decodes or is refused, never a panic.
+// page, the root page, a salvage checkpoint — are total: any byte string
+// decodes or is refused, never a panic.
 // One-walk lookups (newestLocked) decode the value straight from the page a
 // scan borrowed, and salvage decodes whatever sector carries a leader's
 // magic, so neither may trust its input. The seeds are encodings of entries
@@ -85,6 +89,75 @@ func FuzzDecodeLeaderEntry(f *testing.F) {
 		crcOff, _ := leaderBody(sec)
 		if enc := encodeLeader(e); !bytes.Equal(enc[:crcOff+4], sec[:crcOff+4]) {
 			t.Fatalf("decoded %+v re-encodes to a different leader", e)
+		}
+	})
+}
+
+// restamp writes the checksum of buf[:off] at off, if buf is long enough to
+// hold it: a fuzz input with restamp set passes the checksum, so the
+// structure decode behind it runs — garbage under a good checksum is what a
+// logic bug writes.
+func restamp(buf []byte, off int) {
+	if len(buf) >= off+4 {
+		binary.BigEndian.PutUint32(buf[off:], crc32.ChecksumIEEE(buf[:off]))
+	}
+}
+
+// FuzzDecodeRoot: decodeRoot refuses a buffer shorter than a sector and any
+// page that is not a well-formed root; one it accepts has a valid layout and
+// is, in its checksummed prefix, the page encodeRoot writes for it.
+func FuzzDecodeRoot(f *testing.F) {
+	for _, edge := range []bool{false, true} {
+		cfg := testConfig()
+		cfg.EdgePlacement = edge
+		lay, err := computeLayout(disk.SmallGeometry, disk.DefaultParams, cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeRoot(rootPage{layout: lay, clean: edge, logVAM: !edge, uidChunk: 3, formatted: 1e9}), false)
+	}
+	f.Add([]byte{0xF5}, false)
+	f.Add(make([]byte, disk.SectorSize), true)
+	f.Fuzz(func(t *testing.T, buf []byte, stamp bool) {
+		if stamp {
+			restamp(buf, censorOff)
+		}
+		r, ok := decodeRoot(buf)
+		if !ok {
+			return
+		}
+		if !r.layout.valid() {
+			t.Fatalf("decodeRoot accepted the invalid layout %+v", r.layout)
+		}
+		if enc := encodeRoot(r); !bytes.Equal(enc[:censorOff+4], buf[:censorOff+4]) {
+			t.Fatalf("decoded %+v re-encodes to a different root page", r)
+		}
+	})
+}
+
+// FuzzDecodeSalvageCheckpoint: decodeSalvageCheckpoint refuses a buffer
+// shorter than a sector and any sector that is not a checkpoint of a known
+// phase; one it accepts is, in its checksummed prefix, the sector
+// encodeSalvageCheckpoint writes for it.
+func FuzzDecodeSalvageCheckpoint(f *testing.F) {
+	for ph := salvageSweep; ph <= salvageFinalize; ph++ {
+		f.Add(encodeSalvageCheckpoint(salvageCheckpoint{phase: ph, cursor: 4000, cands: 12, damaged: 1, manifestCRC: 0xDEADBEEF}), false)
+	}
+	f.Add([]byte{0x5A}, false)
+	f.Add(make([]byte, disk.SectorSize), true)
+	f.Fuzz(func(t *testing.T, buf []byte, stamp bool) {
+		if stamp {
+			restamp(buf, salvageCkCRCOff)
+		}
+		ck, ok := decodeSalvageCheckpoint(buf)
+		if !ok {
+			return
+		}
+		if ck.phase < salvageSweep || ck.phase > salvageFinalize {
+			t.Fatalf("decodeSalvageCheckpoint accepted phase %d", ck.phase)
+		}
+		if enc := encodeSalvageCheckpoint(ck); !bytes.Equal(enc[:salvageCkCRCOff+4], buf[:salvageCkCRCOff+4]) {
+			t.Fatalf("decoded %+v re-encodes to a different checkpoint", ck)
 		}
 	})
 }

@@ -29,6 +29,97 @@ type heldCounters struct {
 	sectors      atomic.Int64 // sectors the force's passes wrote
 	requests     atomic.Int64 // requests they wrote them in
 	writeThrough atomic.Int64 // fresh writes that went out at once: the cap was reached
+	passes       atomic.Int64 // passes that wrote a request
+	cylinders    atomic.Int64 // cylinders those passes visited
+	grouped      atomic.Int64 // creates placed by the commit group's rule (placeCreate)
+	allocated    atomic.Int64 // creates placed by Alloc
+}
+
+// groupPlace is where a commit group's small creates go (DESIGN §3.5, "A
+// commit group's creates"): the cylinder they share and the page after the
+// last one placed. It lives beside freshRuns, under vmMu, and writeHeld ends
+// it with the group.
+type groupPlace struct {
+	anchored bool
+	cyl      int // the group's cylinder, once anchored
+	end      int // the page after the group's last small create
+	creates  int // small creates with data placed in the group
+	last     int // creates of the group before: what the next anchor must hold
+	floor    int // lowest allocated small-area page seen; -1: look again
+}
+
+// placeCreate allocates pages for a create (the caller holds vmMu). On a
+// volume that holds writes, a small create with data is one of its commit
+// group's, which the force's pass writes together: the group's first goes to
+// the cylinder nearest the metadata whose holes fit twice as many files as
+// the group before created, and each later one to the hole on that cylinder
+// that comes under the head soonest after the one before it ends — so the
+// pass costs one seek and about one revolution. Neither search goes below
+// the lowest small file already on the volume, so the set of written sectors
+// does not grow. Where it finds no hole, Alloc places the create and its
+// cylinder becomes the group's. Every other create — with nothing held
+// (the raw path, an empty create, whose leader is logged), a big one, or the
+// edge layout — is Alloc's.
+func (v *Volume) placeCreate(pages int, data bool) ([]alloc.Run, error) {
+	if v.dataCache == nil || !data || pages > v.al.Config().SmallThreshold || !v.lay.smallFromBoundary() {
+		v.heldStats.allocated.Add(1)
+		return v.al.Alloc(pages)
+	}
+	g, geo := &v.group, v.d.Geometry()
+	cylSectors := geo.SectorsPerTrack * geo.TracksPerCylinder
+	floor := v.smallFloor()
+	// window is cylinder c's part of the small-file area above the floor.
+	window := func(c int) (int, int) {
+		return max(c*cylSectors, floor), min((c+1)*cylSectors, v.lay.boundary)
+	}
+	start := -1
+	if g.anchored {
+		lo, hi := window(g.cyl)
+		if s, ok := v.vm.FindRunAfter(pages, lo, hi, geo.RotationalSlot(g.end), geo.SectorsPerTrack); ok {
+			start = s
+		}
+	} else {
+		need := max(1, 2*g.last)
+		for c := geo.Cylinder(v.lay.boundary - 1); c >= 0 && (c+1)*cylSectors > floor; c-- {
+			if lo, hi := window(c); v.vm.Fits(pages, lo, hi) >= need {
+				// The first of the group takes Alloc's pages on the
+				// cylinder: the top of its highest hole that holds it.
+				start, _ = v.vm.FindRun(pages, lo, hi, -1)
+				break
+			}
+		}
+	}
+	var runs []alloc.Run
+	if start >= 0 {
+		v.vm.MarkAllocated(start, pages)
+		runs = []alloc.Run{{Start: uint32(start), Len: uint32(pages)}}
+		v.heldStats.grouped.Add(1)
+	} else {
+		var err error
+		if runs, err = v.al.Alloc(pages); err != nil {
+			return nil, err
+		}
+		v.heldStats.allocated.Add(1)
+		g.floor = min(g.floor, int(runs[0].Start))
+	}
+	last := runs[len(runs)-1]
+	g.end = int(last.Start + last.Len)
+	g.anchored, g.cyl = true, geo.Cylinder(g.end-1)
+	g.creates++
+	return runs, nil
+}
+
+// smallFloor returns the lowest page of the small-file area that is not free,
+// or the boundary if none is: the floor no group placement goes below. It is
+// found once a group, then kept while that page stays allocated — a page
+// allocated below it since only makes it the stricter bound. The caller holds
+// vmMu.
+func (v *Volume) smallFloor() int {
+	g := &v.group
+	if g.floor < 0 || g.floor < v.lay.boundary && v.vm.IsFree(g.floor) {
+		g.floor = v.vm.FirstAllocated(v.lay.dataLo, v.lay.boundary)
+	}
+	return g.floor
 }
 
 // fresh reports whether every page of [addr, addr+n) is fresh: handed out
@@ -139,15 +230,24 @@ func (v *Volume) writeHeld() error {
 	// Only now, with every request on the platter: a reader that found
 	// a sector held and then misses it reads the platter, which must
 	// hold it by then.
+	cyl := -1
 	for _, r := range reqs {
 		dc.Release(r.addr, r.hi-r.lo)
 		v.heldStats.requests.Add(1)
 		v.heldStats.sectors.Add(int64(r.hi - r.lo))
+		if c := v.d.Geometry().Cylinder(r.addr); c != cyl {
+			cyl = c
+			v.heldStats.cylinders.Add(1)
+		}
+	}
+	if len(reqs) > 0 {
+		v.heldStats.passes.Add(1)
 	}
 	v.heldSpans = spans[:0]
 
 	v.vmMu.Lock()
 	v.freshRuns = v.freshRuns[:0]
+	v.group = groupPlace{last: v.group.creates, floor: -1}
 	v.vmMu.Unlock()
 	return nil
 }

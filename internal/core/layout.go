@@ -479,9 +479,13 @@ func encodeRoot(r rootPage) []byte {
 
 const censorOff = 66 // offset of the root-page checksum
 
+// decodeRoot decodes a root page. It refuses a buffer shorter than a sector,
+// a bad magic or checksum, a flag byte other than 0 or 1, and a layout whose
+// regions are out of order (layout.valid): bytes under a good checksum can
+// still come from a logic bug.
 func decodeRoot(buf []byte) (rootPage, bool) {
 	be := binary.BigEndian
-	if be.Uint32(buf[0:]) != rootMagic {
+	if len(buf) < disk.SectorSize || be.Uint32(buf[0:]) != rootMagic {
 		return rootPage{}, false
 	}
 	if be.Uint32(buf[censorOff:]) != crc32.ChecksumIEEE(buf[:censorOff]) {
@@ -504,5 +508,17 @@ func decodeRoot(buf []byte) (rootPage, bool) {
 	r.uidChunk = be.Uint64(buf[49:])
 	r.formatted = time.Duration(be.Uint64(buf[57:]))
 	r.logVAM = buf[65] == 1
+	if buf[48] > 1 || buf[65] > 1 || !r.layout.valid() {
+		return rootPage{}, false
+	}
 	return r, true
+}
+
+// valid reports whether l's regions lie in order inside the volume: the log,
+// the name-table copies and the VAM save area one after another behind the
+// boot pages, and the data region around its boundary.
+func (l layout) valid() bool {
+	return 4 <= l.logBase && 0 < l.logSize && l.logBase+l.logSize <= l.ntA && l.ntA <= l.ntB &&
+		0 < l.ntPages && l.ntB+l.ntPages*NTPageSectors <= l.vamBase && l.vamBase+l.vamSectors <= l.total &&
+		4 <= l.dataLo && l.dataLo <= l.boundary && l.boundary <= l.dataHi && l.dataHi <= l.total
 }

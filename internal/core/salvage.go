@@ -149,9 +149,11 @@ func encodeSalvageCheckpoint(ck salvageCheckpoint) []byte {
 	return buf
 }
 
+// decodeSalvageCheckpoint decodes a checkpoint sector; a buffer shorter
+// than a sector is refused like a bad magic or checksum.
 func decodeSalvageCheckpoint(buf []byte) (salvageCheckpoint, bool) {
 	be := binary.BigEndian
-	if be.Uint32(buf[0:]) != salvageMagic {
+	if len(buf) < disk.SectorSize || be.Uint32(buf[0:]) != salvageMagic {
 		return salvageCheckpoint{}, false
 	}
 	if be.Uint32(buf[salvageCkCRCOff:]) != crc32.ChecksumIEEE(buf[:salvageCkCRCOff]) {

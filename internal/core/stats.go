@@ -87,6 +87,14 @@ type CommitStats struct {
 	HeldSectors      int
 	HeldRequests     int
 	HeldWriteThrough int
+	// HeldPasses counts the passes that wrote a request, and HeldCylinders
+	// the cylinders they visited: each pass seeks once per cylinder.
+	// GroupCreates counts the creates a commit group's placement put on its
+	// cylinder in head order (DESIGN §3.5), AllocCreates those Alloc placed.
+	HeldPasses    int
+	HeldCylinders int
+	GroupCreates  int
+	AllocCreates  int
 }
 
 // IntentStats reports the asynchronous metadata pipeline. All zero (and
@@ -499,6 +507,10 @@ func (v *Volume) Stats() Stats {
 			HeldSectors:      int(v.heldStats.sectors.Load()),
 			HeldRequests:     int(v.heldStats.requests.Load()),
 			HeldWriteThrough: int(v.heldStats.writeThrough.Load()),
+			HeldPasses:       int(v.heldStats.passes.Load()),
+			HeldCylinders:    int(v.heldStats.cylinders.Load()),
+			GroupCreates:     int(v.heldStats.grouped.Load()),
+			AllocCreates:     int(v.heldStats.allocated.Load()),
 		}
 		if ws.ImagesLogged > 0 {
 			s.Commit.BatchingFactor = float64(ws.ImagesStaged) / float64(ws.ImagesLogged)

@@ -148,6 +148,60 @@ func TestReadAheadPaysBetweenReaders(t *testing.T) {
 	}
 }
 
+// TestReadAheadHidesItsOwnCopy: a request that carries read-ahead moves the
+// demand chunk first and the window behind it, so the chunk's copy runs while
+// the disk moves the window (DESIGN §12, "Pipelined chunks"). A fresh
+// handle's 32 KB read of a streamed file hides the whole 64-sector copy under
+// a full window; over a file that ends 4 sectors past the chunk, the short
+// window hides only its own 4 sector times. Either way the CPU is as busy as
+// on a volume that reads nothing ahead, where nothing is hidden.
+func TestReadAheadHidesItsOwnCopy(t *testing.T) {
+	read := func(pages, readAhead int) (pipeCost, int) {
+		cfg := testConfig()
+		cfg.ReadAhead = readAhead
+		v, d, clk := newTestVolumeWith(t, cfg)
+		streamFile(t, v, "ahead/f", scrambled(pages*disk.SectorSize, 1), chunk32K)
+		if err := v.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := v.Open("ahead/f", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, chunk32K)
+		c := measure(t, v, d, clk, func() error { _, err := f.ReadAt(buf, 0); return err })
+		if len(c.reqs) != 1 {
+			t.Fatalf("%d-page file: %d data requests, want 1", pages, len(c.reqs))
+		}
+		return c, v.Stats().Cache.Data.ReadAheadSectors
+	}
+	secT := disk.DefaultParams.SectorTime(disk.SmallGeometry)
+	for _, tc := range []struct {
+		name   string
+		pages  int
+		ahead  int // sectors the request reads ahead
+		hidden time.Duration
+	}{
+		{"full window", 8 * MaxTransferSectors, streamWindow, copyTime(MaxTransferSectors)},
+		{"4-sector window", MaxTransferSectors + 4, 4, 4 * secT},
+	} {
+		c, ahead := read(tc.pages, 0)
+		plain, none := read(tc.pages, -1)
+		if none != 0 || plain.hidden() != 0 {
+			t.Fatalf("%s: without read-ahead %d sectors read ahead and %v hidden", tc.name, none, plain.hidden())
+		}
+		if ahead != tc.ahead {
+			t.Fatalf("%s: %d sectors read ahead, want %d", tc.name, ahead, tc.ahead)
+		}
+		if c.hidden() != tc.hidden {
+			t.Errorf("%s: %v of the copy hidden under %d sectors read ahead, want %v", tc.name, c.hidden(), ahead, tc.hidden)
+		}
+		if c.busy != plain.busy {
+			t.Errorf("%s: CPU busy %v with read-ahead, %v without", tc.name, c.busy, plain.busy)
+		}
+	}
+}
+
 // TestRandomReadsDoNotReadAhead: 4 KB reads at random offsets — a fresh
 // handle's read of the first 4 KB among them — are no stream: each costs one
 // request for the sectors it asked for.

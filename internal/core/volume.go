@@ -230,15 +230,17 @@ type Volume struct {
 	heldBufs  [][]byte
 	heldStats heldCounters
 
-	// vmMu guards vm, al, vamDirty, pendingFrees and freshRuns. The VAM's
-	// Tracker callback runs inside vm mutations, so it relies on the caller
-	// already holding vmMu rather than locking itself. freshRuns lists, in
-	// address order, the runs the allocator handed out in the current
-	// commit group on a volume with a data cache (held.go).
+	// vmMu guards vm, al, vamDirty, pendingFrees, freshRuns and group. The
+	// VAM's Tracker callback runs inside vm mutations, so it relies on the
+	// caller already holding vmMu rather than locking itself. freshRuns
+	// lists, in address order, the runs the allocator handed out in the
+	// current commit group on a volume with a data cache, and group is where
+	// that group's small creates go (held.go).
 	vmMu         sync.Mutex
 	vamDirty     map[int]bool
 	pendingFrees []taggedFree
 	freshRuns    []alloc.Run
+	group        groupPlace
 
 	// vamSectors is touched only from the WAL's force-serialized
 	// callbacks (OnLogged, FlushHook), so it needs no lock of its own.
@@ -336,6 +338,7 @@ func newVolume(d *disk.Disk, cfg Config, lay layout) *Volume {
 		pendingLeaders: make(map[int][]byte),
 		leaderThird:    make(map[int]int),
 		obs:            newVolObs(),
+		group:          groupPlace{floor: -1},
 	}
 	v.cache = newNTCache(v, cfg.cacheSize())
 	d.SetClassifier(func(addr int) disk.Class {

@@ -270,18 +270,113 @@ func (v *VAM) findRunDown(want, lo, hi int) (start, length int) {
 	return bestStart, bestLen
 }
 
+// FindRunAfter returns the start of a run of want free pages in [lo, hi)
+// whose first page comes soonest after slot in a cycle of period pages — the
+// one that minimises (start − slot) mod period, the highest on a tie. A hole
+// longer than want offers every start that leaves want pages in it. ok is
+// false when no hole in the window holds want pages. It marks nothing.
+//
+// With period the sectors of a track and slot where a transfer ends, it is
+// the hole a head that has just written there reaches first on the same
+// cylinder. Like FindRun it walks the bitmap a word at a time.
+func (v *VAM) FindRunAfter(want, lo, hi, slot, period int) (start int, ok bool) {
+	best := period // distance of the best start so far; period is none
+	v.freeRuns(lo, hi, func(a, b int) {
+		last := b - want // the highest start the hole offers
+		if last < a {
+			return
+		}
+		p := a + mod(slot-a, period) // the first start on slot
+		d := 0
+		if p <= last {
+			p += (last - p) / period * period // the highest on slot
+		} else {
+			p, d = a, mod(a-slot, period) // every start is late; a least
+		}
+		if d < best || d == best && p > start {
+			start, best = p, d
+		}
+	})
+	return start, best < period
+}
+
+// Fits returns how many runs of want pages the free pages of [lo, hi) hold
+// side by side: the sum over its holes of each hole's length / want.
+func (v *VAM) Fits(want, lo, hi int) int {
+	n := 0
+	v.freeRuns(lo, hi, func(a, b int) { n += (b - a) / want })
+	return n
+}
+
+// FirstAllocated returns the lowest page of [lo, hi) that is not
+// allocatable — in use, or freed by a delete that has not committed — or hi
+// if every page is free. It walks the bitmap a word at a time.
+func (v *VAM) FirstAllocated(lo, hi int) int {
+	lo, hi = max(lo, 0), min(hi, v.n)
+	for wi := lo / 64; lo < hi && wi <= (hi-1)/64; wi++ {
+		if used := ^v.free[wi] & span(wi, lo, hi); used != 0 {
+			return wi*64 + bits.TrailingZeros64(used)
+		}
+	}
+	return hi
+}
+
+// freeRuns calls fn(a, b) for each maximal hole [a, b) of free pages inside
+// [lo, hi), in ascending order, a word of the bitmap at a time.
+func (v *VAM) freeRuns(lo, hi int, fn func(a, b int)) {
+	lo, hi = max(lo, 0), min(hi, v.n)
+	if lo >= hi {
+		return
+	}
+	runStart := -1
+	for wi := lo / 64; wi <= (hi-1)/64; wi++ {
+		word, base := v.window(wi, lo, hi), wi*64
+		for bit := 0; bit < 64; {
+			if runStart < 0 {
+				if word>>bit == 0 {
+					break
+				}
+				bit += bits.TrailingZeros64(word >> bit)
+				runStart = base + bit
+			}
+			ones := bits.TrailingZeros64(^(word >> bit))
+			if bit+ones < 64 {
+				bit += ones
+				fn(runStart, base+bit)
+				runStart = -1
+			} else {
+				bit = 64 // the hole goes on into the next word
+			}
+		}
+	}
+	if runStart >= 0 {
+		fn(runStart, hi)
+	}
+}
+
+// mod is a mod m in [0, m).
+func mod(a, m int) int {
+	if a %= m; a < 0 {
+		a += m
+	}
+	return a
+}
+
 // window returns free-bitmap word wi with the bits outside [lo, hi) cleared.
-func (v *VAM) window(wi, lo, hi int) uint64 {
-	word := v.free[wi]
+func (v *VAM) window(wi, lo, hi int) uint64 { return v.free[wi] & span(wi, lo, hi) }
+
+// span is the mask of the bits of bitmap word wi that lie in [lo, hi).
+func span(wi, lo, hi int) uint64 {
+	m := ^uint64(0)
 	if wi == lo/64 {
-		word &^= 1<<(lo%64) - 1
+		m &^= 1<<(lo%64) - 1
 	}
 	if wi == (hi-1)/64 {
 		if rem := hi % 64; rem != 0 {
-			word &= 1<<rem - 1
+			m &= 1<<rem - 1
 		}
 	}
-	return word
+	return m
 }
 
 // Save layout: one header sector then ceil(n/4096) bitmap sectors.

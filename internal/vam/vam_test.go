@@ -528,3 +528,74 @@ func BenchmarkFindRun(b *testing.B) {
 		})
 	}
 }
+
+// TestPlacementQueriesMatchReference drives the word-level FindRunAfter,
+// Fits and FirstAllocated — a commit group's placement queries — against
+// bit-at-a-time references over randomized bitmaps and windows, with
+// periods below and above a word.
+func TestPlacementQueriesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := 65 + rng.Intn(1000)
+		v := New(n)
+		for k := 0; k < 1+rng.Intn(30); k++ {
+			p := rng.Intn(n)
+			v.MarkFree(p, min(1+rng.Intn(60), n-p))
+		}
+		for q := 0; q < 30; q++ {
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo) + 1
+			want := 1 + rng.Intn(9)
+			period := 1 + rng.Intn(80)
+			slot := rng.Intn(period)
+			ws, wok := -1, false
+			bestD := period
+			fits, first := 0, hi
+			for p := lo; p < hi; p++ {
+				if !v.IsFree(p) {
+					first = min(first, p)
+					continue
+				}
+				if p+want <= hi && (p == lo || !v.IsFree(p-1)) {
+					l := 0
+					for p+l < hi && v.IsFree(p+l) {
+						l++
+					}
+					fits += l / want
+				}
+				ok := p+want <= hi
+				for k := 0; ok && k < want; k++ {
+					ok = v.IsFree(p + k)
+				}
+				if d := ((p-slot)%period + period) % period; ok && d <= bestD {
+					ws, wok, bestD = p, true, d
+				}
+			}
+			gs, gok := v.FindRunAfter(want, lo, hi, slot, period)
+			if gok != wok || gok && gs != ws {
+				t.Fatalf("trial %d: FindRunAfter(%d, %d, %d, %d, %d) = (%d, %v), reference (%d, %v)",
+					trial, want, lo, hi, slot, period, gs, gok, ws, wok)
+			}
+			if got := v.Fits(want, lo, hi); got != fits {
+				t.Fatalf("trial %d: Fits(%d, %d, %d) = %d, reference %d", trial, want, lo, hi, got, fits)
+			}
+			if got := v.FirstAllocated(lo, hi); got != first {
+				t.Fatalf("trial %d: FirstAllocated(%d, %d) = %d, reference %d", trial, lo, hi, got, first)
+			}
+		}
+	}
+}
+
+// TestPlacementQueriesAllocateNothing: the placement queries run under the
+// allocator lock on every small create of a commit group.
+func TestPlacementQueriesAllocateNothing(t *testing.T) {
+	for _, c := range findRunCases() {
+		if a := testing.AllocsPerRun(20, func() {
+			c.v.FindRunAfter(4, c.hi-722, c.hi, 17, 38)
+			c.v.Fits(4, c.hi-722, c.hi)
+			c.v.FirstAllocated(c.lo, c.hi)
+		}); a != 0 {
+			t.Errorf("%s: the placement queries allocate %.0f objects per call", c.name, a)
+		}
+	}
+}

@@ -347,8 +347,10 @@ func encodeAnchor(a anchor) []byte {
 	return buf
 }
 
+// decodeAnchor decodes an anchor sector; a buffer shorter than a sector is
+// refused like a bad magic or checksum.
 func decodeAnchor(buf []byte) (anchor, bool) {
-	if binary.BigEndian.Uint32(buf[0:]) != anchorMagic {
+	if len(buf) < disk.SectorSize || binary.BigEndian.Uint32(buf[0:]) != anchorMagic {
 		return anchor{}, false
 	}
 	if binary.BigEndian.Uint32(buf[20:]) != crc32.ChecksumIEEE(buf[:20]) {
@@ -1035,8 +1037,10 @@ type header struct {
 	crcs       []uint32
 }
 
+// decodeHeader decodes a record's header sector; a buffer shorter than a
+// sector is refused like a bad magic, count or checksum.
 func decodeHeader(buf []byte) (header, bool) {
-	if binary.BigEndian.Uint32(buf[0:]) != recMagic {
+	if len(buf) < disk.SectorSize || binary.BigEndian.Uint32(buf[0:]) != recMagic {
 		return header{}, false
 	}
 	h := header{

@@ -97,6 +97,17 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 ! grep -nE '\.Extend\(' localfs.go internal/core/stream.go \
 	|| { echo "verify: the FS adapter or the stream writer extends before it writes (WriteAt grows the file)"; exit 1; }
 
+# One placement per create (DESIGN §3.5, "A commit group's creates"):
+# createClass takes its pages from placeCreate, which puts a commit group's
+# small creates on one cylinder in the order the head meets them and hands
+# every other create to Alloc. An allocator or VAM call of its own in there is
+# a create that skips the group and lands wherever Alloc's first fit is.
+! awk '/^func \(v \*Volume\) createClass\(/,/^}/' internal/core/file.go \
+	| grep -vE '^[[:space:]]*//' | grep -nE '\.(al|vm)\.[[:alnum:]]+\(' \
+	|| { echo "verify: createClass allocates outside placeCreate (take a create's pages from placeCreate)"; exit 1; }
+awk '/^func \(v \*Volume\) createClass\(/,/^}/' internal/core/file.go | grep -q 'v\.placeCreate(' \
+	|| { echo "verify: createClass no longer places through placeCreate"; exit 1; }
+
 # And the staging buffers of the data write path: a write lends its caller's
 # buffer to the disk as a gather list (DESIGN §18), and a payload-sized copy
 # on the way down is how it came to allocate 30 KB per operation.
@@ -188,6 +199,10 @@ go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroup|TestAbortS
 # goroutines, staged and async, the held frames' cache and the commit
 # group's fresh runs under them, again and again under the detector.
 go test -race ./internal/core ./internal/bufcache -count=10 -run 'TestHeld|TestHold|TestLiveCheckTreatsHeldLeaderAsPending|TestDamageKeepsHeldFrames|TestFreshUntilForce'
+# A commit group's placement under the detector: six creates on one cylinder
+# in head order, the floor of the small files never crossed, and the raw path
+# placed by Alloc alone.
+go test -race ./internal/core -count=1 -run 'TestGroupCreatesShareACylinder|TestGroupPlacementStaysAboveSmallFiles|TestRawPathPlacementIsAlloc'
 # One walk per lookup and one call per growing write, under the detector:
 # the applier parked and resumed around each call, and handles racing past
 # the allocation.
@@ -200,6 +215,10 @@ go test ./internal/core -run '^$' -fuzz '^FuzzDecodeLeaderEntry$' -fuzztime 10s
 go test ./internal/btree -run '^$' -fuzz '^FuzzLeafEntries$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeReply$' -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz '^FuzzDecodeRoot$' -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz '^FuzzDecodeSalvageCheckpoint$' -fuzztime 10s
+go test ./internal/wal -run '^$' -fuzz '^FuzzDecodeAnchor$' -fuzztime 10s
+go test ./internal/wal -run '^$' -fuzz '^FuzzDecodeHeader$' -fuzztime 10s
 # Pipelined chunks under eight goroutines, again and again under the
 # detector: every copy still on the CPU, and no copy hidden under a transfer
 # that was not its own call's.
