@@ -521,10 +521,11 @@ func run(img string, jsonOut bool, args []string) error {
 				how, rc.Records, rc.Images, rc.Repaired, rc.TornRecords,
 				rc.TailDiscarded, rc.GapBreaks, rc.SectorsRead,
 				rc.Elapsed.Round(time.Millisecond))
-			fmt.Printf("recovery phases (simulated): replay %v, redo write-back %v, VAM scan %v (%d pages swept in %d chunk reads, %d per-page fallbacks, %d stale leaves decoded and dropped; %s)\n",
+			fmt.Printf("recovery phases (simulated): replay %v, redo write-back %v, VAM scan %v (%d pages swept in %d chunk reads, %d per-page fallbacks, %d stale leaves decoded and dropped; %s); replay and redo under the decode %v, %d pages decoded again from the log, %d swept after the replay\n",
 				rc.Elapsed.Round(time.Millisecond), rc.RedoElapsed.Round(time.Millisecond),
 				rc.ScanElapsed.Round(time.Millisecond), rc.SweepPages, rc.SweepChunks, rc.SweepFallbacks, rc.SweepStaleLeaves,
-				timelines(rc.ScanArm, rc.ScanCPU, cliWorkers(), rc.ScanHidden, rc.ScanElapsed))
+				timelines(rc.ScanArm, rc.ScanCPU, cliWorkers(), rc.ScanHidden, rc.ScanElapsed),
+				rc.ReplayHidden.Round(time.Millisecond), rc.SweepRedecoded, rc.SweepLate)
 		}
 		fmt.Printf("faults: %d read retries (%d recovered), %d scrub passes, %d copies repaired, %d sectors retired\n",
 			st.Faults.ReadRetries, st.Faults.RetriedOK, st.Faults.Scrubs, st.Faults.Repaired, st.Faults.Retired)

@@ -373,7 +373,7 @@ func TestStatsCommand(t *testing.T) {
 			t.Fatalf("stats: %v", err)
 		}
 	})
-	for _, want := range []string{"ops:", "cache:", "commit:", "sectors written home in", "commit deadline:", "(fixed)", "held writes: ", "disk:", "disk by region (I/Os/sectors/simulated busy and its rotational wait", "nt-a", " rot ", "streams: 0/0 extensions in place/elsewhere; read-ahead", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "stale leaves decoded and dropped; arm ", "· hidden ", "faults:"} {
+	for _, want := range []string{"ops:", "cache:", "commit:", "sectors written home in", "commit deadline:", "(fixed)", "held writes: ", "disk:", "disk by region (I/Os/sectors/simulated busy and its rotational wait", "nt-a", " rot ", "streams: 0/0 extensions in place/elsewhere; read-ahead", "recovery: clean shutdown", "recovery phases (simulated): replay", "pages swept in", "stale leaves decoded and dropped; arm ", "· hidden ", "replay and redo under the decode ", "pages decoded again from the log", "swept after the replay", "faults:"} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
 		}

@@ -164,6 +164,7 @@ func Recovery() (Table, error) {
 		Rows: [][]string{
 			{"FSD (log replay + VAM rebuild)", "1 - 25 s", fmt.Sprintf("%.1f s", rec.fsd.Seconds())},
 			{"  of which VAM reconstruction", "~20 s", fmt.Sprintf("%.1f s", rec.fsdVAM.Seconds())},
+			{"  log replay run under it", "-", fmt.Sprintf("%.1f s", rec.fsdHidden.Seconds())},
 			{"4.3 BSD fsck (VAX-11/785)", "~420 s", fmt.Sprintf("%.0f s (%d inodes)", fst.Elapsed.Seconds(), fst.InodesChecked)},
 			{"CFS scavenge", "3600+ s", fmt.Sprintf("%.0f s", rec.cfsScav.Seconds())},
 		},
@@ -320,7 +321,7 @@ func RecoveryScaling() (Table, error) {
 	t := Table{
 		ID:     "RecoveryScaling",
 		Title:  "FSD recovery time vs volume occupancy (the paper's 1-25 s range)",
-		Header: []string{"Occupancy", "Files", "Recovery (s)", "VAM scan (s)", "Log records"},
+		Header: []string{"Occupancy", "Files", "Recovery (s)", "VAM scan (s)", "Replay under scan (s)", "Log records"},
 	}
 	for _, mb := range []int{5, 40, 110, 170} {
 		fe, err := newFSD(fsdBenchConfig())
@@ -345,9 +346,11 @@ func RecoveryScaling() (Table, error) {
 			fmt.Sprint(len(names)),
 			fmt.Sprintf("%.1f", ms2.Elapsed.Seconds()),
 			fmt.Sprintf("%.1f", ms2.VAMElapsed.Seconds()),
+			fmt.Sprintf("%.1f", ms2.ReplayHidden.Seconds()),
 			fmt.Sprint(ms2.LogRecords),
 		})
 	}
-	t.Notes = append(t.Notes, "paper: 'Recovery rarely takes more than two seconds' for the log alone; the 25 s worst case is the VAM scan on a full volume")
+	t.Notes = append(t.Notes, "paper: 'Recovery rarely takes more than two seconds' for the log alone; the 25 s worst case is the VAM scan on a full volume",
+		"VAM scan is the scan's own cost; the replay runs after the sweep's transfers of what the home copies hold and is hidden as far as the scan's pool is still decoding then (DESIGN §8) — none of it here, since each crash comes before the first home flush and the replay allocates the whole table")
 	return t, nil
 }

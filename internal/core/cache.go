@@ -198,8 +198,8 @@ func (c *ntCache) readCopies(id uint32, addrA, addrB int) (data []byte, errA err
 	if errA != nil {
 		bufA = nil
 	}
-	// A read-only mount overlays the log's replayed sector images (kept in
-	// memory, never written home) before the CRC check: the mix of stale
+	// The mount's overlay of the log's replayed sector images (a read-only
+	// mount's never go home) goes on before the CRC check: the mix of stale
 	// home sectors and replayed sectors is exactly the page applyNTImages
 	// would have produced on disk.
 	bufA = c.v.overlayNT(id, bufA)
@@ -242,18 +242,32 @@ func (c *ntCache) admit(id uint32, data []byte) {
 	c.insert(newNTPage(id, data))
 }
 
-// overlayNT applies the in-memory replayed sector images of page id (set
-// only by a read-only mount) over a home copy. buf may be nil for an unreadable
-// home copy, in which case the page is reconstructed only when the overlay
-// covers all of it. It returns buf unchanged when there is nothing to apply.
+// ntOverlay returns the replayed name-table sector images the mount has
+// published, or nil.
+func (v *Volume) ntOverlay() map[uint64][]byte {
+	if p := v.ntOverride.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// setOverlay publishes imgs as the overlay; nil withdraws it.
+func (v *Volume) setOverlay(imgs map[uint64][]byte) { v.ntOverride.Store(&imgs) }
+
+// overlayNT applies the in-memory replayed sector images of page id (the
+// mount's overlay, ntOverlay) over a home copy. buf may be nil for an
+// unreadable home copy, in which case the page is reconstructed only when the
+// overlay covers all of it. It returns buf unchanged when there is nothing to
+// apply.
 func (v *Volume) overlayNT(id uint32, buf []byte) []byte {
-	if v.ntOverride == nil {
+	over := v.ntOverlay()
+	if over == nil {
 		return buf
 	}
 	var imgs [NTPageSectors][]byte
 	n := 0
 	for j := 0; j < NTPageSectors; j++ {
-		if img, ok := v.ntOverride[uint64(id)*NTPageSectors+uint64(j)]; ok {
+		if img, ok := over[uint64(id)*NTPageSectors+uint64(j)]; ok {
 			imgs[j] = img
 			n++
 		}

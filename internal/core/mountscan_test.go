@@ -174,6 +174,58 @@ func TestMountScanDecodesBehindTheArm(t *testing.T) {
 	}
 }
 
+// TestReplayRunsUnderTheDecode: the crash mount replays the log while its
+// pool is still decoding the swept table (DESIGN §8). On a pool-bound mount —
+// a home table of some twenty chunks, a log of forty forced batches since it
+// went home — replaying first and scanning after costs at least the replay,
+// the redo and the pool's share of the scan one after another; at widths 1
+// and 2 the mount comes in under that by at least 0.8 of the replay, and
+// reports at least 0.8 of the replay as hidden.
+func TestReplayRunsUnderTheDecode(t *testing.T) {
+	cfg := testConfig()
+	cfg.NTPages = 1024
+	v, d, _ := newTestVolumeWith(t, cfg)
+	for i := 0; i < 3000; i++ {
+		if _, err := v.Create(fmt.Sprintf("home/d%02d/f%04d", i%13, i), payload(100, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.DropCaches(); err != nil { // the table so far is home
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := v.Create(fmt.Sprintf("late/l%02d", i), payload(300, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Force(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v.Crash()
+	d.Revive()
+	for _, workers := range []int{1, 2} {
+		cfg.MountWorkers = workers
+		mv, ms, err := Mount(cloneDisk(d), cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		pool := ms.ScanCPU / time.Duration(workers)
+		if pool <= ms.ScanArm+ms.ReplayElapsed+ms.RedoElapsed {
+			t.Fatalf("workers=%d: pool %v, arm %v, replay %v, redo %v: the mount is not pool-bound", workers, pool, ms.ScanArm, ms.ReplayElapsed, ms.RedoElapsed)
+		}
+		serial := ms.ReplayElapsed + ms.RedoElapsed + pool
+		if gain := serial - ms.Elapsed; gain < ms.ReplayElapsed*8/10 {
+			t.Fatalf("workers=%d: mount %v against replay %v + redo %v + pool %v = %v; want it under by at least 0.8 of the replay", workers, ms.Elapsed, ms.ReplayElapsed, ms.RedoElapsed, pool, serial)
+		}
+		if ms.ReplayHidden < ms.ReplayElapsed*8/10 || ms.SweepRedecoded == 0 {
+			t.Fatalf("workers=%d: %v of a %v replay hidden, %d pages decoded again: %+v", workers, ms.ReplayHidden, ms.ReplayElapsed, ms.SweepRedecoded, ms.MountStats)
+		}
+		if rc := mv.Stats().Recovery; rc.ReplayHidden != ms.ReplayHidden || rc.SweepRedecoded != ms.SweepRedecoded || rc.SweepLate != ms.SweepLate {
+			t.Fatalf("workers=%d: Stats().Recovery does not carry the replay's overlap: %+v vs %+v", workers, rc, ms.MountStats)
+		}
+	}
+}
+
 // TestMountScanSimTimeRepeats (run under -race by verify.sh): five crash
 // mounts of clones of one image take exactly the same simulated time, phase by
 // phase, at widths 1, 2 and 8 — the pool's goroutines finish in whatever order
@@ -216,40 +268,46 @@ func cachedPages(v *Volume) []uint32 {
 
 // TestMountRebuildIdenticalAcrossWidths: what the scan rebuilds does not
 // depend on how wide its pool is or on which worker decoded what — the VAM
-// bitmap, the leader-owner map and the pages left in the cache are equal at
-// widths 1, 2 and 8, and the first two equal the chain-walk reference.
+// bitmap, the leader-owner map, the listing and the pages left in the cache
+// are equal at widths 1, 2 and 8, and the first two equal the chain-walk
+// reference — on the churned image and on each of crashStates.
 func TestMountRebuildIdenticalAcrossWidths(t *testing.T) {
-	d := crashedChurn(t)
-	var wantMap []byte
-	var wantOwners map[int]uint64
-	var wantCached []uint32
-	for _, workers := range []int{1, 2, 8} {
-		cfg := testConfig()
-		cfg.MountWorkers = workers
-		v, ms, err := Mount(cloneDisk(d), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ms.SweepPages <= cfg.CacheSize {
-			t.Fatalf("table of %d pages fits the %d-page cache; the test needs the admissions to evict", ms.SweepPages, cfg.CacheSize)
-		}
-		gotMap, gotCached := vamBitmap(v.vm), cachedPages(v)
-		owners, _, err := v.scanForRebuild(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotMap, vamBitmap(v.vm)) {
-			t.Fatalf("workers=%d: a second scan rebuilds a different VAM", workers)
-		}
-		if wantMap == nil {
-			wantMap, wantOwners = chainWalkRebuild(t, v)
-			wantCached = gotCached
-		}
-		if !bytes.Equal(gotMap, wantMap) || !reflect.DeepEqual(owners, wantOwners) {
-			t.Fatalf("workers=%d: rebuilt VAM or leader owners (%d) differ from the chain-walk reference (%d owners)", workers, len(owners), len(wantOwners))
-		}
-		if !slices.Equal(gotCached, wantCached) {
-			t.Fatalf("workers=%d: the mount left pages %v in the cache, width 1 left %v", workers, gotCached, wantCached)
+	states := append([]crashState{{name: "churned", d: crashedChurn(t)}}, crashStates(t)...)
+	for _, cs := range states {
+		var wantMap, wantList []byte
+		var wantOwners map[int]uint64
+		var wantCached []uint32
+		for _, workers := range []int{1, 2, 8} {
+			cfg := testConfig()
+			cfg.MountWorkers = workers
+			v, ms, err := Mount(cloneDisk(cs.d), cfg)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", cs.name, workers, err)
+			}
+			if ms.SweepPages <= cfg.CacheSize {
+				t.Fatalf("%s: table of %d pages fits the %d-page cache; the test needs the admissions to evict", cs.name, ms.SweepPages, cfg.CacheSize)
+			}
+			if cs.check != nil {
+				cs.check(t, ms, v.nt.AllocatedPages())
+			}
+			gotMap, gotCached, gotList := vamBitmap(v.vm), cachedPages(v), listing(t, v)
+			owners, _, err := v.scanForRebuild(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotMap, vamBitmap(v.vm)) {
+				t.Fatalf("%s, workers=%d: a second scan rebuilds a different VAM", cs.name, workers)
+			}
+			if wantMap == nil {
+				wantMap, wantOwners = chainWalkRebuild(t, v)
+				wantCached, wantList = gotCached, gotList
+			}
+			if !bytes.Equal(gotMap, wantMap) || !reflect.DeepEqual(owners, wantOwners) {
+				t.Fatalf("%s, workers=%d: rebuilt VAM or leader owners (%d) differ from the chain-walk reference (%d owners)", cs.name, workers, len(owners), len(wantOwners))
+			}
+			if !slices.Equal(gotCached, wantCached) || !bytes.Equal(gotList, wantList) {
+				t.Fatalf("%s, workers=%d: the mount left pages %v in the cache and a listing of %d bytes, width 1 left %v and %d bytes", cs.name, workers, gotCached, len(gotList), wantCached, len(wantList))
+			}
 		}
 	}
 }

@@ -126,9 +126,120 @@ func cloneDisk(d *disk.Disk) *disk.Disk {
 	return d.Clone(sim.NewVirtualClock())
 }
 
-// TestSweepRebuildMatchesChainWalk: on a churned, crashed volume the VAM
-// bitmap and leader-owner map the region sweep rebuilds are byte-identical
-// to the chain-walk reference, at every mount width.
+// crashState is a crashed image a rebuild test mounts, and what its mount must
+// report of how the image came about.
+type crashState struct {
+	name  string
+	d     *disk.Disk
+	check func(t *testing.T, ms MountReport, pages int)
+}
+
+// crashStates are the crash states the rebuild tests take as inputs beside
+// their own churned image: the home copies' table against what the log holds,
+// at the edges of the replay under the decode (DESIGN §8).
+//
+//   - before the first home flush: the home copies hold the formatted table,
+//     so the replay allocates nearly every page and the sweep reads them late;
+//   - a torn home write on a page the log holds: copy A new, copy B old, both
+//     valid — the overlay makes them one page again, so it is checked and
+//     decoded anew, not sent down the per-page path;
+//   - an unreadable home meta page: the first range is empty, and the replay
+//     (whose redo rewrites the sector) tells the sweep what to read.
+func crashStates(t *testing.T) []crashState {
+	t.Helper()
+	grown := func(seed int64) (*Volume, *disk.Disk) {
+		v, d, _ := newTestVolume(t)
+		churn(t, v, rand.New(rand.NewSource(seed)))
+		for i := 0; i < 120; i++ {
+			if _, err := v.Create(fmt.Sprintf("grow/g%03d", i), payload(200, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return v, d
+	}
+	crash := func(v *Volume, d *disk.Disk) {
+		if err := v.Force(); err != nil {
+			t.Fatal(err)
+		}
+		v.Crash()
+		d.Revive()
+	}
+	var states []crashState
+
+	v, d := grown(19)
+	crash(v, d)
+	states = append(states, crashState{"before the first home flush", d, func(t *testing.T, ms MountReport, pages int) {
+		if ms.SweepLate < pages*9/10 {
+			t.Fatalf("%d of %d pages swept late; want the replay to have allocated nearly all of them: %+v", ms.SweepLate, pages, ms.MountStats)
+		}
+	}})
+
+	v, d = grown(23)
+	if err := v.DropCaches(); err != nil { // the whole table is home
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i += 7 {
+		if _, err := v.Create(fmt.Sprintf("base/d%02d/f%03d", i%9, i), payload(90, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Force(); err != nil {
+		t.Fatal(err)
+	}
+	home := int(readAllocated(t, d, v.lay)) / ntSweepPages * ntSweepPages
+	var torn []byte
+	var tornID uint32
+	for id := uint32(1); id < uint32(home) && torn == nil; id++ {
+		page, err := v.cache.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrA, _ := v.lay.ntPageAddrs(id)
+		if old, err := d.ReadSectors(addrA, NTPageSectors); err != nil {
+			t.Fatal(err)
+		} else if btree.IsLeaf(page) && !bytes.Equal(old, page) {
+			torn, tornID = append([]byte(nil), page...), id
+		}
+	}
+	if torn == nil {
+		t.Fatal("no leaf the home copies hold has a newer image in the log")
+	}
+	addrA, _ := v.lay.ntPageAddrs(tornID)
+	crash(v, d)
+	if err := d.WriteSectors(addrA, torn); err != nil { // the flush got copy A out, not copy B
+		t.Fatal(err)
+	}
+	states = append(states, crashState{"torn home write", d, func(t *testing.T, ms MountReport, _ int) {
+		if ms.SweepRedecoded == 0 || ms.SweepFallbacks != 0 {
+			t.Fatalf("want the torn page checked again under the overlay, not on the per-page path: %+v", ms.MountStats)
+		}
+	}})
+
+	v, d = grown(29)
+	if err := v.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 80; i++ { // new leaves: the meta page's first sector is in the log
+		if _, err := v.Create(fmt.Sprintf("more/m%03d", i), payload(120, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metaA, metaB := v.lay.ntPageAddrs(0)
+	crash(v, d)
+	d.CorruptSectors(metaA, 1)
+	d.CorruptSectors(metaB, 1)
+	states = append(states, crashState{"unreadable home meta page", d, func(t *testing.T, ms MountReport, pages int) {
+		if ms.SweepLate != pages {
+			t.Fatalf("%d of %d pages swept late; want the whole table, the first range being empty: %+v", ms.SweepLate, pages, ms.MountStats)
+		}
+	}})
+	return states
+}
+
+// TestSweepRebuildMatchesChainWalk: on a churned, crashed volume — and on
+// each of crashStates — the VAM bitmap and leader-owner map the region sweep
+// rebuilds are byte-identical to the chain-walk reference, and the listing,
+// bitmap and owners are the same at every mount width.
 func TestSweepRebuildMatchesChainWalk(t *testing.T) {
 	v, d, _ := newTestVolume(t)
 	churn(t, v, rand.New(rand.NewSource(7)))
@@ -140,34 +251,58 @@ func TestSweepRebuildMatchesChainWalk(t *testing.T) {
 	}
 	v.Crash()
 	d.Revive()
-	var first []byte
-	for _, workers := range []int{1, 2, 8} {
-		cfg := testConfig()
-		cfg.MountWorkers = workers
-		v2, ms, err := Mount(cloneDisk(d), cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: Mount: %v", workers, err)
-		}
-		if !ms.VAMReconstructed || ms.SweepFallbacks != 0 || ms.SweepPages != v2.nt.AllocatedPages() {
-			t.Fatalf("workers=%d: mount did not sweep the whole allocated table cleanly: %+v (allocated %d)", workers, ms, v2.nt.AllocatedPages())
-		}
-		if ms.SweepPages <= testConfig().CacheSize {
-			t.Fatalf("table of %d pages does not exceed the %d-page cache; the test needs eviction during the sweep", ms.SweepPages, testConfig().CacheSize)
-		}
-		mounted := vamBitmap(v2.vm)
-		if first == nil {
-			first = mounted
-		} else if !bytes.Equal(first, mounted) {
-			t.Fatalf("workers=%d: mounted VAM differs from the width-1 mount", workers)
-		}
-		checkRebuildMatchesChainWalk(t, v2)
-		if !bytes.Equal(mounted, vamBitmap(v2.vm)) {
-			t.Fatalf("workers=%d: second scan disagrees with the mount's", workers)
-		}
-		if vs, err := v2.Verify(); err != nil || len(vs.Problems) != 0 {
-			t.Fatalf("workers=%d: Verify: %v %v", workers, err, vs.Problems)
+	states := append([]crashState{{name: "churned", d: d}}, crashStates(t)...)
+	for _, cs := range states {
+		var first, firstList []byte
+		var firstOwners map[int]uint64
+		for _, workers := range []int{1, 2, 8} {
+			cfg := testConfig()
+			cfg.MountWorkers = workers
+			v2, ms, err := Mount(cloneDisk(cs.d), cfg)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: Mount: %v", cs.name, workers, err)
+			}
+			if !ms.VAMReconstructed || ms.SweepFallbacks != 0 || ms.SweepPages != v2.nt.AllocatedPages() {
+				t.Fatalf("%s, workers=%d: mount did not sweep the whole allocated table cleanly: %+v (allocated %d)", cs.name, workers, ms, v2.nt.AllocatedPages())
+			}
+			if ms.SweepPages <= testConfig().CacheSize {
+				t.Fatalf("%s: table of %d pages does not exceed the %d-page cache; the test needs eviction during the sweep", cs.name, ms.SweepPages, testConfig().CacheSize)
+			}
+			if cs.check != nil {
+				cs.check(t, ms, v2.nt.AllocatedPages())
+			}
+			mounted, list := vamBitmap(v2.vm), listing(t, v2)
+			owners, _, err := v2.scanForRebuild(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first, firstList, firstOwners = mounted, list, owners
+			} else if !bytes.Equal(first, mounted) || !bytes.Equal(firstList, list) || !reflect.DeepEqual(firstOwners, owners) {
+				t.Fatalf("%s, workers=%d: mounted VAM, listing or leader owners differ from the width-1 mount", cs.name, workers)
+			}
+			checkRebuildMatchesChainWalk(t, v2)
+			if !bytes.Equal(mounted, vamBitmap(v2.vm)) {
+				t.Fatalf("%s, workers=%d: second scan disagrees with the mount's", cs.name, workers)
+			}
+			if vs, err := v2.Verify(); err != nil || len(vs.Problems) != 0 {
+				t.Fatalf("%s, workers=%d: Verify: %v %v", cs.name, workers, err, vs.Problems)
+			}
 		}
 	}
+}
+
+// listing is every version a volume lists, with its uid and runs, as text.
+func listing(t *testing.T, v *Volume) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := v.List("", func(e Entry) bool {
+		fmt.Fprintf(&b, "%s!%d %d %v\n", e.Name, e.Version, e.UID, e.Runs)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // quiesced returns a crashed volume image with an empty log: populated,

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/btree"
 	"repro/internal/disk"
 	"repro/internal/wal"
 )
@@ -36,9 +33,9 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	// in memory only so any internal allocation stays unique this session.
 	v.uidNext.Store((root.uidChunk + 1) << 32)
 
-	// The VAM images go unused: the map is rebuilt by the scan below.
-	imgs := newReplayed()
-	var recovered wal.RecoveryStats
+	// The VAM images go unused: the map is rebuilt by the scan, in memory
+	// only — it is consulted by Verify, never saved — and so is the
+	// leader-ownership map.
 	lg, lerr := wal.Open(d, lay.logBase, lay.logSize, v.clk, wal.Config{
 		Interval:    cfg.interval(),
 		ReadRetries: cfg.ReadRetries,
@@ -47,34 +44,14 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 		// Replay reads feed the health budget even read-only, so a mount
 		// that limps through decayed media reports Degraded in Stats().
 		lg.OnReadFault = v.noteReadFault
-		rs, rerr := imgs.replay(lg)
-		if rerr != nil {
-			ms.LogUnavailable = true
-			imgs = newReplayed()
-		} else {
-			ms.noteReplay(rs)
-			recovered = rs
-		}
 	} else {
-		ms.LogUnavailable = true
+		lg = nil
 	}
-
-	v.ntOverride = imgs.nt
-	v.nt, err = btree.Open(v.cache)
-	if err != nil {
-		return nil, ms, fmt.Errorf("core: name table unreadable in read-only mount: %w", err)
-	}
-
-	// Allocation map and leader ownership are rebuilt in memory; the map is
-	// only consulted by Verify, never saved.
 	ms.VAMReconstructed = true
-	scanStart := v.clk.Now()
-	owners, sw, err := v.scanForRebuild(true)
-	ms.noteSweep(sw)
+	imgs, recovered, owners, err := v.replayScan(lg, true, &ms)
 	if err != nil {
 		return nil, ms, err
 	}
-	ms.VAMElapsed = v.clk.Now() - scanStart
 
 	// Replayed leader images whose file still owns the sector are served
 	// from the pending map, exactly where the read path's leader

@@ -278,7 +278,7 @@ func (v *Volume) scrubNameTable(st *ScrubStats) error {
 		}
 		st.NTPagesChecked += hi - lo
 		st.SectorsChecked += 2 * NTPageSectors * (hi - lo)
-		v.sweepNT(lo, hi, true, v.cfg.scrubWorkers(), &bufs, nil, func(uint32, []byte) {}, func(id uint32) { v.scrubNTPage(id, st) })
+		_, _ = v.sweepNT(lo, hi, true, v.cfg.scrubWorkers(), &bufs, nil, nil, func(uint32, []byte) {}, func(id uint32) { v.scrubNTPage(id, st) })
 	}
 	st.NTElapsed = v.clk.Now() - start
 	return nil

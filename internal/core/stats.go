@@ -145,6 +145,10 @@ type RecoveryStats struct {
 	ScanCPU          time.Duration `json:"scan_pool_sim_ns"`
 	ScanHidden       time.Duration `json:"scan_hidden_sim_ns"`
 	SweepStaleLeaves int           `json:"sweep_stale_leaves"`
+	// The replay under the decode (MountStats' fields of the same names).
+	ReplayHidden   time.Duration `json:"replay_hidden_sim_ns"`
+	SweepRedecoded int           `json:"sweep_redecoded"`
+	SweepLate      int           `json:"sweep_late"`
 }
 type SpanStats struct {
 	Count   int64

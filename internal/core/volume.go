@@ -53,8 +53,13 @@ type MountStats struct {
 	LogTailDiscarded int
 	LogGapBreaks     int
 	VAMReconstructed bool
-	// VAMElapsed is the portion of Elapsed spent scanning the name table
-	// to rebuild the allocation map (the paper's ~20 s on a Dorado).
+	// VAMElapsed is the scan's own cost: what scanning the name table to
+	// rebuild the allocation map (the paper's ~20 s on a Dorado) added to
+	// Elapsed. On a crash mount the scan's window also holds the replay and
+	// redo, which run after the sweep's first transfers (DESIGN §8); their
+	// time is taken out of it again less ReplayHidden, the part of it the
+	// scan's pool was busy through anyway. So Elapsed = ReplayElapsed +
+	// RedoElapsed + VAMElapsed - ReplayHidden and the mount's other steps.
 	VAMElapsed time.Duration
 	Elapsed    time.Duration
 	// The rest of the per-phase split of Elapsed, on the simulated clock:
@@ -81,12 +86,23 @@ type MountStats struct {
 	ScanCPU          time.Duration
 	ScanHidden       time.Duration
 	SweepStaleLeaves int
+	// The replay under the decode (DESIGN §8): ReplayHidden is the replay,
+	// redo and tree-open time that ran while the scan's pool still held
+	// decode work, and cost the mount nothing; SweepRedecoded counts the
+	// swept pages the log covers, checked and decoded again from their
+	// overlaid images on the pool; SweepLate the pages swept after the
+	// replay — what it allocated, and the home table's last part chunk.
+	// ScanArm and ScanHidden leave the replay's share out.
+	ReplayHidden   time.Duration
+	SweepRedecoded int
+	SweepLate      int
 }
 
 // noteSweep records what the VAM scan and its region sweep did.
 func (ms *MountStats) noteSweep(sw ntSweepStats) {
 	ms.SweepPages, ms.SweepChunks, ms.SweepFallbacks = sw.Pages, sw.Chunks, sw.Fallbacks
 	ms.ScanArm, ms.ScanCPU, ms.ScanHidden, ms.SweepStaleLeaves = sw.Arm, sw.CPU, sw.Hidden, sw.StaleLeaves
+	ms.ReplayHidden, ms.SweepRedecoded, ms.SweepLate = sw.ThenHidden, sw.Redecoded, sw.Late
 }
 
 // noteReplay records what the log replay found.
@@ -106,23 +122,6 @@ type replayed struct {
 
 func newReplayed() replayed {
 	return replayed{nt: make(map[uint64][]byte), leaders: make(map[int][]byte), vam: make(map[int][]byte)}
-}
-
-// replay runs lg's replay, copying every image into its kind's map.
-func (r replayed) replay(lg *wal.Log) (wal.RecoveryStats, error) {
-	return lg.Replay(func(kind uint8, target uint64, data []byte) error {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		switch kind {
-		case wal.KindNameTable:
-			r.nt[target] = cp
-		case wal.KindLeader:
-			r.leaders[int(target)] = cp
-		case wal.KindVAM:
-			r.vam[int(target)] = cp
-		}
-		return nil
-	})
 }
 
 // OpStats counts logical file-system operations for the benchmark tables.
@@ -194,10 +193,12 @@ type Volume struct {
 	// readOnly marks a degraded read-only mount: mutations fail with
 	// ErrReadOnly and nothing — log, name table, roots, VAM — is written.
 	readOnly bool
-	// ntOverride holds the log's replayed name-table sector images
-	// (keyed like wal KindNameTable targets) when the volume is mounted
-	// read-only; the cache overlays them on the stale home copies.
-	ntOverride map[uint64][]byte
+	// ntOverride holds the log's replayed name-table sector images (keyed
+	// like wal KindNameTable targets) over stale home copies: for good on a
+	// read-only mount, and on a writable one from the replay to the end of
+	// the mount scan, whose chunks were read before it. The cache and the
+	// scan's pool goroutines read it (ntOverlay); the mount publishes it.
+	ntOverride atomic.Pointer[map[uint64][]byte]
 	// onSweep, when a test sets it, is called by every chunk function of the
 	// name-table sweep with its stretch's index.
 	onSweep func(stretch int)
@@ -677,59 +678,42 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	// crash anywhere inside it leaves the log intact and the next mount
 	// replays the very same images over whatever subset already landed.
 	//
-	// Images are buffered last-writer-wins and only the final image of
-	// each page touches the disk, in ascending address order — the redo
-	// pass is then a short sequential sweep over the hot name-table pages
-	// rather than a write per logged image. Leader images are additionally
-	// validated against the post-replay name table, so a leader image of a
-	// since-deleted file can never stomp a reallocated page.
-	imgs := newReplayed()
-	rs, err := imgs.replay(v.log)
-	if err != nil {
-		return nil, ms, err
-	}
-	redoStart := v.clk.Now()
-	if err := v.applyNTImages(imgs.nt); err != nil {
-		return nil, ms, err
-	}
-	ms.RedoElapsed = v.clk.Now() - redoStart
-	ms.noteReplay(rs)
-
-	v.nt, err = btree.Open(v.cache)
-	if err != nil {
-		return nil, ms, fmt.Errorf("core: name table unreadable after replay: %w", err)
-	}
-
 	// Allocation map: load the saved copy after a clean shutdown,
 	// otherwise reconstruct from the name table (~20 s on a full 300 MB
 	// volume, per the paper) — unless VAM logging is on, in which case
 	// the replayed sector images over the save-area base reproduce the
-	// committed map directly ("about two seconds").
-	needScan := len(imgs.leaders) > 0
-	if wasClean {
-		v.vm, err = vam.Load(d, lay.vamBase, lay.total)
-		if err != nil {
-			ms.VAMReconstructed = true
-		}
-	} else if v.cfg.LogVAM {
-		if vm, ok := v.recoverVAMFromLog(imgs.vam); ok {
+	// committed map directly ("about two seconds"). Only the reconstruction
+	// is known before the replay to need the scan, so only it runs the
+	// replay under the scan's decode (replayScan); the others learn from the
+	// replay whether to scan at all (a leader image to check, a map that
+	// would not load).
+	reconstruct := !wasClean && !v.cfg.LogVAM
+	imgs, rs, leaderOwners, err := v.replayScan(v.log, reconstruct, &ms)
+	if err != nil {
+		return nil, ms, err
+	}
+	ms.VAMReconstructed = reconstruct
+	if !reconstruct {
+		if wasClean {
+			v.vm, err = vam.Load(d, lay.vamBase, lay.total)
+			if err != nil {
+				ms.VAMReconstructed = true
+			}
+		} else if vm, ok := v.recoverVAMFromLog(imgs.vam); ok {
 			v.vm = vm
 		} else {
 			ms.VAMReconstructed = true
 		}
-	} else {
-		ms.VAMReconstructed = true
-	}
-	var leaderOwners map[int]uint64
-	if ms.VAMReconstructed || needScan {
-		scanStart := v.clk.Now()
-		var sw ntSweepStats
-		leaderOwners, sw, err = v.scanForRebuild(ms.VAMReconstructed)
-		ms.noteSweep(sw)
-		if err != nil {
-			return nil, ms, err
+		if ms.VAMReconstructed || len(imgs.leaders) > 0 {
+			scanStart := v.clk.Now()
+			var sw ntSweepStats
+			leaderOwners, sw, err = v.scanForRebuild(ms.VAMReconstructed)
+			ms.noteSweep(sw)
+			if err != nil {
+				return nil, ms, err
+			}
+			ms.VAMElapsed = v.clk.Now() - scanStart
 		}
-		ms.VAMElapsed = v.clk.Now() - scanStart
 	}
 	if v.cfg.LogVAM {
 		// Rebase: a fresh full save becomes the foundation for the next
@@ -742,8 +726,10 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 		return nil, ms, err
 	}
 
-	// Apply surviving leader images whose file still owns the sector.
-	redoStart = v.clk.Now()
+	// Apply surviving leader images whose file still owns the sector:
+	// validated against the post-replay name table, so a leader image of a
+	// since-deleted file can never stomp a reallocated page.
+	redoStart := v.clk.Now()
 	for _, addr := range sortedKeys(imgs.leaders) {
 		img := imgs.leaders[addr]
 		uid, ok := leaderUID(img)
@@ -780,6 +766,155 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	return v, ms, nil
 }
 
+// homeTable opens the pre-replay tree to learn how many pages the home
+// copies allocate, and returns that with the meta page it read. It reads the
+// meta page's home copies itself — copy A, and copy B only if A does not
+// open — once each, without the retries and the cache of a miss: the count
+// only sizes what the sweep reads before the replay, and a page it cannot
+// read there is swept after it. 0 and nil: neither copy opens.
+func (v *Volume) homeTable() (int, []byte) {
+	addrA, addrB := v.lay.ntPageAddrs(0)
+	addrs := []int{addrA}
+	if v.twoCopies() {
+		addrs = append(addrs, addrB)
+	}
+	for _, addr := range addrs {
+		page, err := v.d.ReadSectors(addr, NTPageSectors)
+		if err != nil {
+			continue
+		}
+		v.cpu.Charge(csumCost)
+		if !crcOK(page) {
+			continue
+		}
+		if t, err := btree.Open(homeMeta{page: page, pages: v.lay.ntPages}); err == nil {
+			return t.AllocatedPages(), page
+		}
+	}
+	return 0, nil
+}
+
+// homeMeta is a btree.Pager that holds a meta page and nothing else: enough
+// for btree.Open.
+type homeMeta struct {
+	page  []byte
+	pages int
+}
+
+func (m homeMeta) PageSize() int { return NTPageSize }
+func (m homeMeta) NumPages() int { return m.pages }
+func (m homeMeta) Read(id uint32) ([]byte, error) {
+	if id != 0 {
+		return nil, btree.ErrCorrupt
+	}
+	return m.page, nil
+}
+func (m homeMeta) Write(uint32, []byte) error { return ErrReadOnly }
+
+// replayScan is the crash mount's replay, and with scan set its name-table
+// scan too, in one pass (DESIGN §8, §17) — the one place a mount replays the
+// log. The pre-replay tree is opened only to learn how many pages the home
+// copies allocate (homeTable), without the cache. The sweep then
+// reads the whole chunks of that prefix, both copies, with the pool decoding
+// copy A behind the arm; after the last transfer, while the pool is still
+// decoding, the driver replays lg (nil: no log to replay) — on a writable
+// mount it then writes the replayed name-table images home (applyNTImages) —
+// publishes the replayed sectors as the overlay and opens the replayed tree.
+// Only then do the merges run, so they see post-replay pages: a swept page
+// the log covers is checked and decoded again from its overlaid image by the
+// pool, and the pages past the swept prefix are swept after the replay.
+// Without scan the replay, redo and tree open run alone.
+//
+// Nothing is written before the replay completes but the root stamp, and the
+// redo is written before anything the mount writes after the scan, so a
+// second crash anywhere leaves the log intact. A read-only mount writes
+// nothing: its overlay stays in place for good, and a log it cannot open or
+// replay leaves it serving the home state (LogUnavailable). A writable
+// mount's redo puts the overlay's images home, so the overlay goes once the
+// scan is done.
+func (v *Volume) replayScan(lg *wal.Log, scan bool, ms *MountStats) (replayed, wal.RecoveryStats, map[int]uint64, error) {
+	imgs := newReplayed()
+	var rs wal.RecoveryStats
+	home, meta := 0, []byte(nil)
+	if scan {
+		home, meta = v.homeTable()
+	}
+	replay := func() (int, error) {
+		if lg == nil {
+			ms.LogUnavailable = true
+		} else {
+			var err error
+			rs, err = lg.Replay(func(kind uint8, target uint64, data []byte) error {
+				cp := make([]byte, len(data))
+				copy(cp, data)
+				switch kind {
+				case wal.KindNameTable:
+					imgs.nt[target] = cp
+				case wal.KindLeader:
+					imgs.leaders[int(target)] = cp
+				case wal.KindVAM:
+					imgs.vam[int(target)] = cp
+				}
+				return nil
+			})
+			switch {
+			case err != nil && !v.readOnly:
+				return 0, err
+			case err != nil:
+				ms.LogUnavailable = true
+				imgs, rs = newReplayed(), wal.RecoveryStats{}
+			default:
+				ms.noteReplay(rs)
+			}
+		}
+		if !v.readOnly {
+			// Images are buffered last-writer-wins and only the final image
+			// of each page touches the disk, in ascending address order — a
+			// short sequential sweep over the hot name-table pages rather
+			// than a write per logged image.
+			redoStart := v.clk.Now()
+			if err := v.applyNTImages(imgs.nt); err != nil {
+				return 0, err
+			}
+			ms.RedoElapsed = v.clk.Now() - redoStart
+		}
+		v.setOverlay(imgs.nt)
+		// The copies of the meta page differ only where the log holds the
+		// newer sectors, so the home page read before the replay with the
+		// overlay laid on is the replayed page, without reading it again.
+		if meta = v.overlayNT(0, meta); meta != nil && crcOK(meta) {
+			v.cache.admit(0, meta)
+		}
+		t, err := btree.Open(v.cache)
+		if err != nil {
+			return 0, fmt.Errorf("core: name table unreadable after replay: %w", err)
+		}
+		v.nt = t
+		return t.AllocatedPages(), nil
+	}
+	var owners map[int]uint64
+	if !scan {
+		if _, err := replay(); err != nil {
+			return imgs, rs, nil, err
+		}
+	} else {
+		scanStart := v.clk.Now()
+		var sw ntSweepStats
+		var err error
+		owners, sw, err = v.mountScan(true, home, replay)
+		ms.noteSweep(sw)
+		if err != nil {
+			return imgs, rs, nil, err
+		}
+		// The scan's own cost: its window less what the replay added to it.
+		ms.VAMElapsed = v.clk.Now() - scanStart - sw.Then + sw.ThenHidden
+	}
+	if !v.readOnly {
+		v.setOverlay(nil)
+	}
+	return imgs, rs, owners, nil
+}
+
 // noteRecovery snapshots the replay outcome for Stats().Recovery and emits
 // the EvRecovery trace event (recorded into the ring even while tracing is
 // disabled, so post-mount inspection sees what recovery did).
@@ -806,6 +941,10 @@ func (v *Volume) noteRecovery(rs wal.RecoveryStats, ms MountStats) {
 		ScanCPU:          ms.ScanCPU,
 		ScanHidden:       ms.ScanHidden,
 		SweepStaleLeaves: ms.SweepStaleLeaves,
+
+		ReplayHidden:   ms.ReplayHidden,
+		SweepRedecoded: ms.SweepRedecoded,
+		SweepLate:      ms.SweepLate,
 	}
 	v.obs.tracer.Record(obs.Event{
 		Time: v.clk.Now(), Kind: obs.EvRecovery, Op: v.Health().String(),
@@ -909,18 +1048,32 @@ func decodeLeaf(page []byte, withRuns bool, res *scanResult) time.Duration {
 	return time.Duration(entries) * sim.CostBTreeOp / 4
 }
 
-// scanForRebuild reads the whole name table once, optionally rebuilding the
-// VAM, and always returning the leader-sector ownership map. "Since the
-// file name table is a compact structure with a great deal of locality, it
-// can be processed quickly" — provided it is read the way it is laid out.
-// Following the leaf chain through the page cache reads copy A and then copy
-// B of one page at a time, a long seek each way; instead the allocated
-// prefix of each copy is swept in device order (sweepNT), and while the arm
-// is still streaming the copies in, the sweep's pool — MountWorkers wide —
-// decodes every leaf-kind page whose CRC held into a per-page result, before
-// anyone knows whether the page is reachable or agrees with its other copy.
-// The decode — the bulk of the paper's ~20 s — therefore runs beside the
+// scanForRebuild scans the name table as it stands — a volume with no log to
+// replay, or one whose replay is done — optionally rebuilding the VAM, and
+// returns the leader-sector ownership map: mountScan with no step between.
+func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, error) {
+	return v.mountScan(rebuildVAM, v.nt.AllocatedPages(), nil)
+}
+
+// mountScan reads the whole name table once, optionally rebuilding the VAM,
+// and always returning the leader-sector ownership map. "Since the file name
+// table is a compact structure with a great deal of locality, it can be
+// processed quickly" — provided it is read the way it is laid out. Following
+// the leaf chain through the page cache reads copy A and then copy B of one
+// page at a time, a long seek each way; instead the allocated prefix of each
+// copy is swept in device order (sweepNT), and while the arm is still
+// streaming the copies in, the sweep's pool — MountWorkers wide — decodes
+// every leaf-kind page whose CRC held into a per-page result, before anyone
+// knows whether the page is reachable or agrees with its other copy. The
+// decode — the bulk of the paper's ~20 s — therefore runs beside the
 // transfers, and the scan costs the larger of the two (DESIGN §17).
+//
+// With then set (the crash mount, replayScan), home is what the home copies
+// allocate and the sweep's first range is its whole chunks; then runs the
+// replay after their last transfer, while the pool is still decoding, and
+// returns the replayed table's end. The rest — the home table's last part
+// chunk and what the replay allocated — is swept after it on the same chunk
+// grid, so the transfers are the ones a sweep of the replayed table makes.
 //
 // What the speculation may not do is decide anything. Once both copies are
 // in, the leaves the chain reaches are picked out in memory by following
@@ -931,19 +1084,47 @@ func decodeLeaf(page []byte, withRuns bool, res *scanResult) time.Duration {
 // whichever copy the per-page path served, on the foreground's clock. The
 // rebuilt state is the same at every width. Swept pages enter the page cache
 // as the misses they replace would have.
-func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, error) {
+func (v *Volume) mountScan(rebuildVAM bool, home int, then func() (int, error)) (map[int]uint64, ntSweepStats, error) {
 	if rebuildVAM {
 		v.vm = v.lay.emptyVAM()
 	}
-	n := v.nt.AllocatedPages()
-	pages := make([][]byte, n)
-	parts := make([]scanResult, n)
+	first := home
+	if then != nil {
+		first = home / ntSweepPages * ntSweepPages
+	}
+	// The pool writes a page's result into its slot: those of the first
+	// range exist before it starts, the late range's before it is handed them.
+	n := first
+	parts := make([]scanResult, first)
+	var late []scanResult
+	part := func(id uint32) *scanResult {
+		if int(id) < first {
+			return &parts[id]
+		}
+		return &late[int(id)-first]
+	}
+	pages := make([][]byte, first)
+	var step func() (int, error)
+	if then != nil {
+		step = func() (int, error) {
+			end, err := then()
+			if err != nil {
+				return 0, err
+			}
+			n = max(end, first)
+			late = make([]scanResult, n-first)
+			pages = append(pages, make([][]byte, n-first)...)
+			return n, nil
+		}
+	}
 	var lost error
 	armStart := v.d.Stats().BusyTime()
-	sw := v.sweepNT(0, n, v.twoCopies(), v.cfg.mountWorkers(), nil,
+	sw, err := v.sweepNT(0, first, v.twoCopies(), v.cfg.mountWorkers(), nil, step,
 		func(w *parscan.Worker, id uint32, page []byte) {
 			if btree.IsLeaf(page) {
-				w.Charge(decodeLeaf(page, rebuildVAM, &parts[id]))
+				w.Charge(decodeLeaf(page, rebuildVAM, part(id)))
+			} else {
+				*part(id) = scanResult{}
 			}
 		},
 		func(id uint32, page []byte) {
@@ -956,16 +1137,19 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 			// serves whichever survives. A page lost in both copies fails
 			// the mount only if the leaf walk below needs it. What the pool
 			// made of copy A is not the survivor's to answer for.
-			parts[id] = scanResult{}
+			*part(id) = scanResult{}
 			page, err := v.cache.Read(id)
 			if err != nil && lost == nil {
 				lost = err
 			}
 			pages[id] = page
 		})
+	if err != nil {
+		return nil, sw, err
+	}
 	stale := 0 // pages the pool decoded, less those the chain goes on to reach
-	for i := range parts {
-		if parts[i].decoded {
+	for id := range n {
+		if part(uint32(id)).decoded {
 			stale++
 		}
 	}
@@ -983,7 +1167,7 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 	}
 	owners := make(map[int]uint64)
 	for _, id := range chain {
-		res := &parts[id]
+		res := part(id)
 		if res.decoded {
 			stale--
 		} else {
@@ -997,7 +1181,7 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 		}
 	}
 	sw.StaleLeaves = stale
-	sw.Arm = v.d.Stats().BusyTime() - armStart
+	sw.Arm = v.d.Stats().BusyTime() - armStart - sw.ThenArm
 	return owners, sw, nil
 }
 

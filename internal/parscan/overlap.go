@@ -47,57 +47,85 @@ func Overlap(lane *sim.Lane, workers, stretches, ahead int,
 	read func(i int) (chunks int, err error),
 	check func(i int, w *Worker, chunk int),
 	merge func(i int, ps Stats) error) error {
-	if stretches <= 0 {
-		return nil
+	return OverlapThen(lane, workers, stretches, ahead, read, check, nil, merge)
+}
+
+// OverlapThen is Overlap with a step of the driver's own between the reads
+// and the merges: once the last of the stretches is handed to the pool, and
+// before anything else — a merge still owed included — the driver calls then,
+// and the pass goes on with the more stretches it returns, numbered on from
+// stretches, read, checked and merged like the first. The pool goes on
+// checking what it holds while then runs; what then does on the clock is
+// hidden by as much of the lane's work as was still queued when it began. An
+// error from then ends the pass like a read error. then may be nil, and with
+// no stretches at all it is still called. A pass that gives then something to
+// hide passes an ahead of at least every stretch it will have, so no merge
+// joins the lane before it.
+func OverlapThen(lane *sim.Lane, workers, stretches, ahead int,
+	read func(i int) (chunks int, err error),
+	check func(i int, w *Worker, chunk int),
+	then func() (more int, err error),
+	merge func(i int, ps Stats) error) error {
+	type job struct {
+		i, chunks int
+		handed    time.Duration // the lane's time when read(i) returned
+		ps        Stats
+		done      chan struct{} // closed once the pool has checked the stretch
 	}
-	ahead = min(max(ahead, 1), stretches)
-	type job struct{ i, chunks int }
-	// At most ahead stretches are handed over and not yet merged, so at that
-	// size neither the driver's send nor the pool's ever blocks.
-	jobs := make(chan job, ahead)
-	checked := make(chan Stats, ahead)
+	ahead = max(ahead, 1)
+	// The pool never waits for the driver but to receive, so a send past the
+	// buffer waits only for the pool to take the stretch before.
+	jobs := make(chan *job, max(min(ahead, stretches), 1))
+	stopped := make(chan struct{})
 	go func() {
-		defer close(checked)
+		defer close(stopped)
 		for j := range jobs {
-			ps, _ := Run(workers, j.chunks, func(w *Worker, c int) error {
+			j.ps, _ = Run(workers, j.chunks, func(w *Worker, c int) error {
 				check(j.i, w, c)
 				return nil
 			})
-			checked <- ps
+			close(j.done)
 		}
 	}()
+	var owed []*job // handed over and not yet merged, in order
 	defer func() {
 		close(jobs)
-		for range checked {
-		}
+		<-stopped
 	}()
-	handed := make([]time.Duration, ahead) // of the stretches in flight, i%ahead
-	settle := func(i int) error {
-		ps := <-checked
-		lane.Hand(handed[i%ahead], ps.BalancedCPU())
+	settle := func() error {
+		j := owed[0]
+		owed = owed[1:]
+		<-j.done
+		lane.Hand(j.handed, j.ps.BalancedCPU())
 		lane.Join()
-		return merge(i, ps)
+		return merge(j.i, j.ps)
 	}
-	chunks, err := read(0)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < stretches; i++ {
-		handed[i%ahead] = lane.Now()
-		jobs <- job{i, chunks}
-		if i+1 < stretches {
-			if chunks, err = read(i + 1); err != nil {
+	for i := 0; ; i++ {
+		if i == stretches && then != nil {
+			more, err := then()
+			if err != nil {
+				return err
+			}
+			then, stretches = nil, stretches+more
+		}
+		if i >= stretches {
+			break
+		}
+		chunks, err := read(i)
+		if err != nil {
+			return err
+		}
+		if i >= ahead {
+			if err := settle(); err != nil {
 				return err
 			}
 		}
-		if i+1 >= ahead {
-			if err := settle(i + 1 - ahead); err != nil {
-				return err
-			}
-		}
+		j := &job{i: i, chunks: chunks, handed: lane.Now(), done: make(chan struct{})}
+		owed = append(owed, j)
+		jobs <- j
 	}
-	for i := max(stretches-ahead+1, 0); i < stretches; i++ {
-		if err := settle(i); err != nil {
+	for len(owed) > 0 {
+		if err := settle(); err != nil {
 			return err
 		}
 	}

@@ -51,6 +51,10 @@ func (l *Lane) Hand(t, d time.Duration) {
 	l.cpu.busy.Add(int64(d))
 }
 
+// Free is when the lane finishes the work it holds — a time already past if
+// it has fallen idle.
+func (l *Lane) Free() time.Duration { return l.free }
+
 // Join waits for the lane: the clock moves forward to the lane's finish if
 // the lane is still busy, and not at all if it fell idle earlier. On a
 // detached CPU the clock stays put, as it does for Charge.

@@ -53,12 +53,21 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 # the sweep. Neither file has a pool total to read any more.
 ! grep -nE 'TotalCPU\(' internal/core/scrub.go internal/core/volume.go \
 	|| { echo "verify: scrub or mount reads a pool's TotalCPU() again (the checks ride parscan.Overlap's lane)"; exit 1; }
-# And the decode after the sweep: scanForRebuild hands its per-page work to
-# sweepNT's pool, which runs it behind the arm. A pool run of its own in there,
-# or a pool total put on the clock, is that phase coming back by copy-paste.
-! awk '/^func \(v \*Volume\) scanForRebuild\(/,/^}/' internal/core/volume.go \
+# And the decode after the sweep: mountScan (scanForRebuild's body) hands its
+# per-page work to sweepNT's pool, which runs it behind the arm. A pool run of
+# its own in there, or a pool total put on the clock, is that phase coming
+# back by copy-paste.
+! awk '/^func \(v \*Volume\) (scanForRebuild|mountScan)\(/,/^}/' internal/core/volume.go \
 	| grep -nE 'parscan\.Run\(|Charge\([^)]*(Balanced|Total|Max)CPU' \
-	|| { echo "verify: scanForRebuild runs a pool after the sweep again (pass the per-page work to sweepNT)"; exit 1; }
+	|| { echo "verify: mountScan runs a pool after the sweep again (pass the per-page work to sweepNT)"; exit 1; }
+# One replay per mount (DESIGN §8): the crash mount replays the log in
+# replayScan, after the sweep's first transfers and under its decode. A
+# Replay call anywhere else in core is a mount path replaying before it
+# sweeps again.
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/^[[:space:]]*\/\// { next }
+	/\.[Rr]eplay\(/ && fn !~ /^func \(v \*Volume\) replayScan\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: the log is replayed outside replayScan (replay in the mount scan, under the decode)"; exit 1; }
 
 # One copy charge on the data path (DESIGN §12, "Pipelined chunks"): core
 # charges the CPU's copy of a sector only through Volume.copied, which hides
@@ -188,6 +197,9 @@ go test ./internal/btree ./internal/vam ./internal/alloc ./internal/bufcache ./i
 # under each stretch's decode; TestMountScanSimTimeRepeats, five times over.)
 go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders|TestScrubLeaderSweepUnderChurn|TestCheckPassSimTimeRepeats|TestSalvageCrashWhileDecodeInFlight|TestMountCrashWhileDecodeInFlight'
 go test -race ./internal/core -count=5 -run 'TestMountScanSimTimeRepeats'
+# The replay under the decode (DESIGN §8) publishes its overlay while the
+# mount's pool is still checking: the mount tests again under the detector.
+go test -race ./internal/core -count=3 -run 'TestReplayRunsUnderTheDecode|TestMountScanDecodesBehindTheArm|TestMountRebuildIdenticalAcrossWidths|TestSweepRebuildMatchesChainWalk|TestSweepReadOnlyOverlay|TestNTSweepReadCounts|TestMountReadOnly|TestMountOrSalvageReadOnlyRung|TestParallelMountEquivalence'
 # One atomic group per operation (ISSUE 17), under the detector and uncached:
 # the WAL bracket itself, a force cutting into rename / create under keep /
 # empty create / a split-inducing create run, the group held across the
@@ -219,6 +231,7 @@ go test ./internal/core -run '^$' -fuzz '^FuzzDecodeRoot$' -fuzztime 10s
 go test ./internal/core -run '^$' -fuzz '^FuzzDecodeSalvageCheckpoint$' -fuzztime 10s
 go test ./internal/wal -run '^$' -fuzz '^FuzzDecodeAnchor$' -fuzztime 10s
 go test ./internal/wal -run '^$' -fuzz '^FuzzDecodeHeader$' -fuzztime 10s
+go test ./internal/wal -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s
 # Pipelined chunks under eight goroutines, again and again under the
 # detector: every copy still on the CPU, and no copy hidden under a transfer
 # that was not its own call's.
