@@ -449,13 +449,13 @@ func TestExitCodes(t *testing.T) {
 // TestConfigKnobBudget holds Config at the number of knobs it has. Every
 // field doubles the configurations the tests and benchmarks would have to
 // cover; of the 26 it once had, three had no setter anywhere, two more were
-// set only by a formula benchmark and a test, and Synchronous became a
-// negative GroupCommitInterval (DESIGN.md §13). The benchmark harness sets
-// NTPages, DataCachePages, AsyncApply, AdaptiveCommit, CheckWorkers,
-// ScrubWorkers, MountWorkers and ScrubInterval: those cannot go without a
-// change to benchmarks/ first (TestBenchmarkHarnessBuilds).
+// set only by a formula benchmark and a test, Synchronous became a negative
+// GroupCommitInterval, and LogVAM went with VAM logging (DESIGN.md §13). The
+// benchmark harness sets NTPages, DataCachePages, AsyncApply, AdaptiveCommit,
+// CheckWorkers, ScrubWorkers, MountWorkers and ScrubInterval: those cannot go
+// without a change to benchmarks/ first (TestBenchmarkHarnessBuilds).
 func TestConfigKnobBudget(t *testing.T) {
-	const budget = 20
+	const budget = 19
 	if n := reflect.TypeOf(Config{}).NumField(); n != budget {
 		t.Fatalf("Config has %d fields, the budget is %d: before adding a knob, argue in DESIGN.md (§13, \"Knobs\") "+
 			"which two callers need different values — one value in use is a constant — and what it replaces; "+

@@ -10,7 +10,7 @@
 //	benchtab -table gc        # the group-commit statistics (5.4)
 //	benchtab -table model     # the analytical-model validation (6)
 //	benchtab -table recovery  # recovery comparison (7)
-//	benchtab -table ablations # one record: the seven ablations
+//	benchtab -table ablations # one record: the six ablations
 //	benchtab -json .          # every record, written at the repo root
 package main
 

@@ -38,8 +38,6 @@ func kindName(k uint8) string {
 		return "nametable"
 	case wal.KindLeader:
 		return "leader"
-	case wal.KindVAM:
-		return "vam"
 	default:
 		return fmt.Sprintf("kind%d", k)
 	}

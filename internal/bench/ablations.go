@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/workload"
 )
@@ -234,56 +233,6 @@ func AblationAllocator() (Table, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t, nil
-}
-
-// AblationVAMLogging reproduces the claim behind the paper's rejected
-// extension: "VAM logging would greatly decrease worst case crash recovery
-// time from about twenty five seconds to about two seconds. VAM logging was
-// not done since it was a complicated modification, worst case recovery is
-// rare, and recovery was fast enough anyway." This repository implements it
-// (Config.LogVAM) and measures both paths on identically populated volumes.
-func AblationVAMLogging() (Table, error) {
-	t := Table{
-		ID:     "Ablation/vamlog",
-		Title:  "VAM logging (the paper's rejected extension): crash recovery time",
-		Header: []string{"Mode", "Recovery (s)", "VAM scan (s)", "Log records", "Reconstructed"},
-	}
-	for _, logVAM := range []bool{false, true} {
-		cfg := fsdBenchConfig()
-		cfg.LogVAM = logVAM
-		fe, err := newFSD(cfg)
-		if err != nil {
-			return Table{}, err
-		}
-		if _, err := populate(fe.t, 11); err != nil {
-			return Table{}, err
-		}
-		if err := fe.v.Force(); err != nil {
-			return Table{}, err
-		}
-		if err := fe.v.Force(); err != nil { // carry the shadow-merge deltas
-			return Table{}, err
-		}
-		fe.v.Crash()
-		fe.d.Revive()
-		_, ms2, err := core.Mount(fe.d, cfg)
-		if err != nil {
-			return Table{}, err
-		}
-		mode := "scan on recovery (paper's choice)"
-		if logVAM {
-			mode = "VAM logging (rejected extension)"
-		}
-		t.Rows = append(t.Rows, []string{
-			mode,
-			fmt.Sprintf("%.1f", ms2.Elapsed.Seconds()),
-			fmt.Sprintf("%.1f", ms2.VAMElapsed.Seconds()),
-			fmt.Sprint(ms2.LogRecords),
-			fmt.Sprint(ms2.VAMReconstructed),
-		})
-	}
-	t.Notes = append(t.Notes, "paper's estimate: 25 s worst case -> about 2 s with VAM logging")
 	return t, nil
 }
 

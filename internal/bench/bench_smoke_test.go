@@ -250,21 +250,6 @@ func TestRecoveryShape(t *testing.T) {
 	}
 }
 
-func TestVAMLoggingAblationShape(t *testing.T) {
-	t.Parallel()
-	tab := table(t, "ablations", "Ablation/vamlog")
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows: %v", tab.Rows)
-	}
-	scan, logged := get(t, tab.Rows[0][1]), get(t, tab.Rows[1][1])
-	if logged >= scan {
-		t.Errorf("VAM logging (%.1fs) not faster than scan recovery (%.1fs)", logged, scan)
-	}
-	if vamScan := get(t, tab.Rows[1][2]); vamScan != 0 {
-		t.Errorf("VAM logging still scanned for %.1fs", vamScan)
-	}
-}
-
 func TestRecoveryScalingShape(t *testing.T) {
 	t.Parallel()
 	tab := table(t, "tables", "RecoveryScaling")

@@ -73,7 +73,6 @@ var Records = []Record{
 		Part{"ablations", AblationDoubleWrite},
 		Part{"ablations", AblationPlacement},
 		Part{"ablations", AblationAllocator},
-		Part{"ablations", AblationVAMLogging},
 		Part{"ablations", AblationLogSize},
 	),
 }
@@ -81,7 +80,7 @@ var Records = []Record{
 // TablesRecord is a record that is a list of tables, exactly as benchtab
 // prints them: BENCH_tables.json holds the paper's own (the hardware, Tables
 // 1–5, group commit §5.4, the model §6 and recovery §7), BENCH_ablations.json
-// the seven design ablations.
+// the six design ablations.
 type TablesRecord struct {
 	Clock  string  `json:"clock"`
 	Tables []Table `json:"tables"`
@@ -109,7 +108,7 @@ func tableList(name, clock string, parts ...Part) Record {
 const tablesClock = "our times are simulated on the virtual clock (ms or s, as the header or cell says; Table 5's percentages are shares of simulated elapsed time); Hardware lists the simulated drive's parameters; paper columns are the paper's published figures; everything else is a count or a ratio of counts"
 
 // ablationsClock names the clock of every number in BENCH_ablations.json.
-const ablationsClock = "seek time, elapsed (ms), recovery and VAM scan (s): simulated on the virtual clock; avg usable fraction: the formula (2k-1)/2k for k log divisions; everything else is a count or a label"
+const ablationsClock = "seek time, elapsed (ms): simulated on the virtual clock; avg usable fraction: the formula (2k-1)/2k for k log divisions; everything else is a count or a label"
 
 // writeJSON records a report at path: indented, newline-terminated, so
 // successive runs diff line by line. Each report carries a top-level "clock"

@@ -8,42 +8,46 @@ import (
 	"repro/internal/sim"
 )
 
-// bringUpPath brings a volume up on d, which holds a volume formatted with
-// VAM logging as the row asks and — except on the format path, where d is
-// blank — a few files, left as the path needs them. cfg is the bring-up's
-// Config; its LogVAM is the opposite of the volume's.
+// bringUpPath takes a volume down and brings it up again on d. down leaves
+// the volume v — formatted, with a few files — as the path needs it; up
+// brings it up with cfg. The format path has neither: d is blank but for the
+// root an earlier format left.
 type bringUpPath struct {
 	name     string
 	readOnly bool
-	up       func(t *testing.T, d *disk.Disk, v *Volume, cfg Config) *Volume
+	down     func(t *testing.T, d *disk.Disk, v *Volume)
+	up       func(t *testing.T, d *disk.Disk, cfg Config) *Volume
+}
+
+func crash(t *testing.T, d *disk.Disk, v *Volume) {
+	v.Crash()
+	d.Revive()
+}
+
+func shutdownDestroyed(t *testing.T, d *disk.Disk, v *Volume) {
+	shutdown(t, v)
+	v.DestroyNameTable()
+}
+
+func mountUp(t *testing.T, d *disk.Disk, cfg Config) *Volume { return mustMount(t, d, cfg) }
+
+func salvageUp(t *testing.T, d *disk.Disk, cfg Config) *Volume {
+	sv, _, err := Salvage(d, cfg)
+	if err != nil {
+		t.Fatalf("Salvage: %v", err)
+	}
+	return sv
 }
 
 var bringUpPaths = []bringUpPath{
 	{name: "format"},
-	{name: "mount", up: func(t *testing.T, d *disk.Disk, v *Volume, cfg Config) *Volume {
-		shutdown(t, v)
-		return mustMount(t, d, cfg)
-	}},
-	{name: "mount-after-crash", up: func(t *testing.T, d *disk.Disk, v *Volume, cfg Config) *Volume {
-		v.Crash()
-		d.Revive()
-		return mustMount(t, d, cfg)
-	}},
-	{name: "mount-read-only", readOnly: true, up: func(t *testing.T, d *disk.Disk, v *Volume, cfg Config) *Volume {
-		v.Crash()
-		d.Revive()
+	{name: "mount", down: func(t *testing.T, d *disk.Disk, v *Volume) { shutdown(t, v) }, up: mountUp},
+	{name: "mount-after-crash", down: crash, up: mountUp},
+	{name: "mount-read-only", readOnly: true, down: crash, up: func(t *testing.T, d *disk.Disk, cfg Config) *Volume {
 		return mustMount(t, d, cfg, ReadOnly())
 	}},
-	{name: "salvage", up: func(t *testing.T, d *disk.Disk, v *Volume, cfg Config) *Volume {
-		shutdown(t, v)
-		v.DestroyNameTable()
-		sv, _, err := Salvage(d, cfg)
-		if err != nil {
-			t.Fatalf("Salvage: %v", err)
-		}
-		return sv
-	}},
-	{name: "salvage-resumed-at-finalize", up: func(t *testing.T, d *disk.Disk, v *Volume, cfg Config) *Volume {
+	{name: "salvage", down: shutdownDestroyed, up: salvageUp},
+	{name: "salvage-resumed-at-finalize", down: func(t *testing.T, d *disk.Disk, v *Volume) {
 		// A salvage that crashed after its rebuild leaves the finished tree
 		// in copy A and a finalize checkpoint: a shut-down volume with the
 		// checkpoint written is that state.
@@ -52,6 +56,7 @@ var bringUpPaths = []bringUpPath{
 		if err := d.WriteSectors(v.lay.logBase+salvageCkA, encodeSalvageCheckpoint(ck)); err != nil {
 			t.Fatal(err)
 		}
+	}, up: func(t *testing.T, d *disk.Disk, cfg Config) *Volume {
 		sv, st, err := Salvage(d, cfg)
 		if err != nil {
 			t.Fatalf("Salvage: %v", err)
@@ -61,9 +66,7 @@ var bringUpPaths = []bringUpPath{
 		}
 		return sv
 	}},
-	{name: "mount-allow-salvage", up: func(t *testing.T, d *disk.Disk, v *Volume, cfg Config) *Volume {
-		shutdown(t, v)
-		v.DestroyNameTable()
+	{name: "mount-allow-salvage", down: shutdownDestroyed, up: func(t *testing.T, d *disk.Disk, cfg Config) *Volume {
 		sv, rep, err := Mount(d, cfg, AllowSalvage())
 		if err != nil {
 			t.Fatalf("Mount(AllowSalvage()): %v", err)
@@ -92,26 +95,37 @@ func mustMount(t *testing.T, d *disk.Disk, cfg Config, opts ...MountOption) *Vol
 }
 
 // TestBringUpPaths brings a volume up along each of the seven paths, with
-// AsyncApply off and on, on volumes formatted with and without VAM logging,
-// and holds what the one bring-up promises on every path: the intent queue
-// runs exactly when AsyncApply is set and the volume is writable, VAM logging
-// follows the root page rather than the Config, and the volume is ready.
+// AsyncApply off and on, and with the root's retired VAM-logging flag
+// (logvam, byte 65) clear and set — a volume an older build formatted to log
+// its allocation map carries it — and holds what the one bring-up promises on
+// every path: the intent queue runs exactly when AsyncApply is set and the
+// volume is writable, a flagged volume comes up like any other, a bring-up
+// that writes the root writes the flag as 0, and the volume is ready.
 func TestBringUpPaths(t *testing.T) {
 	for _, p := range bringUpPaths {
 		for _, async := range []bool{false, true} {
-			for _, logVAM := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/async=%v/logvam=%v", p.name, async, logVAM), func(t *testing.T) {
-					fcfg := testConfig()
-					fcfg.AsyncApply, fcfg.LogVAM = async, logVAM
+			for _, flagged := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/async=%v/logvam=%v", p.name, async, flagged), func(t *testing.T) {
+					cfg := testConfig()
+					cfg.AsyncApply = async
 					d, err := disk.New(disk.SmallGeometry, disk.DefaultParams, sim.NewVirtualClock())
 					if err != nil {
 						t.Fatal(err)
 					}
-					v, err := Format(d, fcfg)
+					v, err := Format(d, cfg)
 					if err != nil {
 						t.Fatalf("Format: %v", err)
 					}
-					if p.up != nil {
+					if p.up == nil {
+						v.Crash()
+						d.Revive()
+						if flagged {
+							setRetiredVAMFlag(t, d)
+						}
+						if v, err = Format(d, cfg); err != nil {
+							t.Fatalf("Format: %v", err)
+						}
+					} else {
 						for i := 0; i < 8; i++ {
 							if _, err := v.Create(fmt.Sprintf("up/f%d", i), payload(700*i, byte(i))); err != nil {
 								t.Fatal(err)
@@ -120,9 +134,11 @@ func TestBringUpPaths(t *testing.T) {
 						if err := v.Force(); err != nil {
 							t.Fatal(err)
 						}
-						cfg := fcfg
-						cfg.LogVAM = !logVAM
-						v = p.up(t, d, v, cfg)
+						p.down(t, d, v)
+						if flagged {
+							setRetiredVAMFlag(t, d)
+						}
+						v = p.up(t, d, cfg)
 					}
 					defer v.Crash()
 
@@ -133,14 +149,14 @@ func TestBringUpPaths(t *testing.T) {
 					if queued := v.IntentQueueLimit() > 0; queued != (async && writable) {
 						t.Errorf("intent queue running = %v, want %v", queued, async && writable)
 					}
-					if v.cfg.LogVAM != logVAM {
-						t.Errorf("volume LogVAM = %v, want the root's %v", v.cfg.LogVAM, logVAM)
-					}
-					if logging := v.vamSectors != nil; logging != (logVAM && writable) {
-						t.Errorf("VAM logging on = %v, want %v", logging, logVAM && writable)
-					}
-					if root, err := readRoot(d, 0); err != nil || root.logVAM != logVAM {
-						t.Errorf("root page: logVAM %v (%v), want %v", root.logVAM, err, logVAM)
+					for _, addr := range []int{v.lay.rootA, v.lay.rootB} {
+						buf, err := d.ReadSectors(addr, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := flagged && !writable; (buf[65] == 1) != want {
+							t.Errorf("root copy at %d: byte 65 = %d, want flag %v", addr, buf[65], want)
+						}
 					}
 					if !v.ready.Load() {
 						t.Error("volume not ready")

@@ -114,7 +114,7 @@ func FuzzDecodeRoot(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(encodeRoot(rootPage{layout: lay, clean: edge, logVAM: !edge, uidChunk: 3, formatted: 1e9}), false)
+		f.Add(encodeRoot(rootPage{layout: lay, clean: edge, uidChunk: 3, formatted: 1e9}), false)
 	}
 	f.Add([]byte{0xF5}, false)
 	f.Add(make([]byte, disk.SectorSize), true)
@@ -129,7 +129,12 @@ func FuzzDecodeRoot(f *testing.F) {
 		if !r.layout.valid() {
 			t.Fatalf("decodeRoot accepted the invalid layout %+v", r.layout)
 		}
-		if enc := encodeRoot(r); !bytes.Equal(enc[:censorOff+4], buf[:censorOff+4]) {
+		want := bytes.Clone(buf[:censorOff+4])
+		if want[65] == 1 { // the retired VAM-logging flag decodes, and is written as 0
+			want[65] = 0
+			restamp(want, censorOff)
+		}
+		if enc := encodeRoot(r); !bytes.Equal(enc[:censorOff+4], want) {
 			t.Fatalf("decoded %+v re-encodes to a different root page", r)
 		}
 	})

@@ -66,12 +66,6 @@ type Config struct {
 	// CentrePlacement puts the log and name table at the centre
 	// cylinders (the paper's choice). EdgePlacement is the ablation.
 	EdgePlacement bool
-	// LogVAM enables the extension the paper considered but rejected
-	// (Section 5.3): allocation-map changes are logged alongside the
-	// name-table images, cutting worst-case crash recovery "from about
-	// twenty five seconds to about two seconds" by skipping the
-	// name-table scan.
-	LogVAM bool
 	// MountWorkers sets the width of the pool that checks and decodes the
 	// name table behind the arm in the mount-time scan: checksums, copy
 	// compares and the leaf decode of each chunk run while the transfers
@@ -439,13 +433,15 @@ func (l layout) ntPageAddrs(id uint32) (a, b int) {
 }
 
 // Volume root page: the replicated boot-time page holding the layout and
-// the clean-shutdown flag.
+// the clean-shutdown flag. Byte 65 is retired: it flagged a volume that
+// logged its allocation map, a mode this file system no longer has. It is
+// written as 0; a root holding 1 still decodes, and its volume mounts like
+// any other, rebuilding the map by the name-table scan after a crash.
 const rootMagic = 0xF5D0CEDA
 
 type rootPage struct {
 	layout    layout
 	clean     bool
-	logVAM    bool   // volume operates with VAM logging (see vamlog.go)
 	uidChunk  uint64 // high-order UID allocation chunk
 	formatted time.Duration
 }
@@ -470,9 +466,6 @@ func encodeRoot(r rootPage) []byte {
 	}
 	be.PutUint64(buf[49:], r.uidChunk)
 	be.PutUint64(buf[57:], uint64(r.formatted))
-	if r.logVAM {
-		buf[65] = 1
-	}
 	be.PutUint32(buf[censorOff:], crc32.ChecksumIEEE(buf[:censorOff]))
 	return buf
 }
@@ -507,7 +500,6 @@ func decodeRoot(buf []byte) (rootPage, bool) {
 	r.clean = buf[48] == 1
 	r.uidChunk = be.Uint64(buf[49:])
 	r.formatted = time.Duration(be.Uint64(buf[57:]))
-	r.logVAM = buf[65] == 1
 	if buf[48] > 1 || buf[65] > 1 || !r.layout.valid() {
 		return rootPage{}, false
 	}

@@ -48,8 +48,6 @@ func runModelCheckEpisode(t *testing.T, seed int64) {
 	// elsewhere.
 	cfg := testConfig()
 	cfg.GroupCommitInterval = time.Hour
-	// A third of the episodes exercise the VAM-logging extension.
-	cfg.LogVAM = seed%3 == 0
 	v, err := Format(d, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -291,7 +291,7 @@ func TestMountRebuildIdenticalAcrossWidths(t *testing.T) {
 				cs.check(t, ms, v.nt.AllocatedPages())
 			}
 			gotMap, gotCached, gotList := vamBitmap(v.vm), cachedPages(v), listing(t, v)
-			owners, _, err := v.scanForRebuild(true)
+			owners, _, err := v.mountScan(true, v.nt.AllocatedPages(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -522,7 +522,7 @@ func TestMountScanAllocsBounded(t *testing.T) {
 		}
 		pages := v.nt.AllocatedPages()
 		got := allocgate.BytesPerRun(3, func() {
-			if _, _, err := v.scanForRebuild(true); err != nil {
+			if _, _, err := v.mountScan(true, v.nt.AllocatedPages(), nil); err != nil {
 				t.Fatal(err)
 			}
 		})

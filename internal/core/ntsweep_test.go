@@ -16,12 +16,18 @@ import (
 	"repro/internal/vam"
 )
 
-// vamBitmap serializes the whole allocation bitmap.
+// vamBitmap serializes the whole allocation bitmap: the bitmap sectors a save
+// of vm writes.
 func vamBitmap(vm *vam.VAM) []byte {
-	sectors := vam.BitmapSectorOfPage(vm.Pages()-1) + 1
-	out := make([]byte, sectors*disk.SectorSize)
-	for i := 0; i < sectors; i++ {
-		vm.EncodeBitmapSector(i, out[i*disk.SectorSize:(i+1)*disk.SectorSize])
+	var out []byte
+	err := vm.SaveWith(func(addr int, data []byte) error {
+		if addr == 1 {
+			out = bytes.Clone(data)
+		}
+		return nil
+	}, 0)
+	if err != nil {
+		panic(err)
 	}
 	return out
 }
@@ -62,9 +68,9 @@ func chainWalkRebuild(t *testing.T, v *Volume) ([]byte, map[int]uint64) {
 // and holds its output to the chain-walk reference.
 func checkRebuildMatchesChainWalk(t *testing.T, v *Volume) {
 	t.Helper()
-	owners, _, err := v.scanForRebuild(true)
+	owners, _, err := v.mountScan(true, v.nt.AllocatedPages(), nil)
 	if err != nil {
-		t.Fatalf("scanForRebuild: %v", err)
+		t.Fatalf("mountScan: %v", err)
 	}
 	wantMap, wantOwners := chainWalkRebuild(t, v)
 	if !bytes.Equal(vamBitmap(v.vm), wantMap) {
@@ -272,7 +278,7 @@ func TestSweepRebuildMatchesChainWalk(t *testing.T) {
 				cs.check(t, ms, v2.nt.AllocatedPages())
 			}
 			mounted, list := vamBitmap(v2.vm), listing(t, v2)
-			owners, _, err := v2.scanForRebuild(true)
+			owners, _, err := v2.mountScan(true, v2.nt.AllocatedPages(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -620,7 +626,7 @@ func TestNTSweepReadCounts(t *testing.T) {
 	}
 	// The rebuild phase on its own, cache and all.
 	before = d.Stats()
-	if _, _, err := v2.scanForRebuild(true); err != nil {
+	if _, _, err := v2.mountScan(true, v2.nt.AllocatedPages(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, limit := d.Stats().Sub(before).Reads, 2*runs(allocated)+8; got > limit {

@@ -775,12 +775,12 @@ func (r *salvageRun) rebuild() error {
 	return r.flush(salvageFinalize, lay.total)
 }
 
-// finalize is phase 3: root page, allocation-map save (or invalidation),
+// finalize is phase 3: root page, allocation-map invalidation,
 // mirroring the finished name table over the manifest, and — last of all —
 // clearing the checkpoint. Every step can be redone from the tree in copy A,
 // so a crash anywhere here resumes through resumeFinalize.
 func (r *salvageRun) finalize() error {
-	v, lay, cfg := r.v, r.lay, r.cfg
+	v, lay := r.v, r.lay
 	uidChunk := r.uidChunk
 	if chunk := (r.maxUID >> 32) + 1; chunk > uidChunk {
 		uidChunk = chunk
@@ -788,14 +788,10 @@ func (r *salvageRun) finalize() error {
 		uidChunk++
 	}
 	v.uidNext.Store(uidChunk << 32)
-	if err := v.writeRoot(rootPage{layout: lay, clean: false, logVAM: cfg.LogVAM, uidChunk: uidChunk, formatted: r.formatted}); err != nil {
+	if err := v.writeRoot(rootPage{layout: lay, clean: false, uidChunk: uidChunk, formatted: r.formatted}); err != nil {
 		return err
 	}
-	if cfg.LogVAM {
-		if err := v.vm.SaveWith(v.writeSectors, lay.vamBase); err != nil {
-			return err
-		}
-	} else if err := vam.InvalidateWith(v.writeSectors, lay.vamBase); err != nil {
+	if err := vam.InvalidateWith(v.writeSectors, lay.vamBase); err != nil {
 		return err
 	}
 	if lay.ntB != lay.ntA {
@@ -898,7 +894,7 @@ func newSalvageRun(d *disk.Disk, cfg Config, st *SalvageStats) (*salvageRun, err
 	var lay layout
 	uidChunk := uint64(1)
 	formatted := d.Clock().Now()
-	root, cfg, err := rootConfig(d, cfg)
+	root, err := readRoot(d, cfg.readRetries())
 	if err == nil {
 		lay = root.layout
 		uidChunk = root.uidChunk

@@ -117,11 +117,10 @@ func (ms *MountStats) noteReplay(rs wal.RecoveryStats) {
 type replayed struct {
 	nt      map[uint64][]byte
 	leaders map[int][]byte
-	vam     map[int][]byte
 }
 
 func newReplayed() replayed {
-	return replayed{nt: make(map[uint64][]byte), leaders: make(map[int][]byte), vam: make(map[int][]byte)}
+	return replayed{nt: make(map[uint64][]byte), leaders: make(map[int][]byte)}
 }
 
 // OpStats counts logical file-system operations for the benchmark tables.
@@ -231,21 +230,14 @@ type Volume struct {
 	heldBufs  [][]byte
 	heldStats heldCounters
 
-	// vmMu guards vm, al, vamDirty, pendingFrees, freshRuns and group. The
-	// VAM's Tracker callback runs inside vm mutations, so it relies on the
-	// caller already holding vmMu rather than locking itself. freshRuns
+	// vmMu guards vm, al, pendingFrees, freshRuns and group. freshRuns
 	// lists, in address order, the runs the allocator handed out in the
 	// current commit group on a volume with a data cache, and group is where
 	// that group's small creates go (held.go).
 	vmMu         sync.Mutex
-	vamDirty     map[int]bool
 	pendingFrees []taggedFree
 	freshRuns    []alloc.Run
 	group        groupPlace
-
-	// vamSectors is touched only from the WAL's force-serialized
-	// callbacks (OnLogged, FlushHook), so it needs no lock of its own.
-	vamSectors map[int]*vamSector
 
 	// q is the asynchronous metadata pipeline (Config.AsyncApply): the
 	// per-volume ordered intent queue whose single applier performs the
@@ -381,23 +373,11 @@ func (v *Volume) invalidateData(runs []alloc.Run) {
 	}
 }
 
-// rootConfig reads the volume root page and takes from it, once, what belongs
-// to the volume rather than to the mount: the VAM-logging mode is recorded at
-// format, and a mount honours it whatever its Config says (a non-LogVAM volume
-// has no valid save-area base to apply deltas to).
-func rootConfig(d *disk.Disk, cfg Config) (rootPage, Config, error) {
-	root, err := readRoot(d, cfg.readRetries())
-	if err == nil {
-		cfg.LogVAM = root.logVAM
-	}
-	return root, cfg, err
-}
-
 // openVolume is the prologue of both mounts: it reads the root, refuses a
 // volume whose salvage was interrupted, and builds the volume the root
 // describes.
 func openVolume(d *disk.Disk, cfg Config, o mountOptions, readOnly bool) (*Volume, rootPage, error) {
-	root, cfg, err := rootConfig(d, cfg)
+	root, err := readRoot(d, cfg.readRetries())
 	if err != nil {
 		return nil, root, err
 	}
@@ -447,11 +427,7 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 			return n, err
 		}
 		m, err := v.flushLeaders(third)
-		if err != nil {
-			return n + m, err
-		}
-		k, err := v.flushVAMSectors(third)
-		return n + m + k, err
+		return n + m, err
 	}
 	v.log.OnLogged = func(kind uint8, target uint64, third int, data []byte) {
 		switch kind {
@@ -463,8 +439,6 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 				v.leaderThird[int(target)] = third
 			}
 			v.lmu.Unlock()
-		case wal.KindVAM:
-			v.onVAMLogged(target, third, data)
 		}
 	}
 	v.log.OnCommit = func(seq uint64) {
@@ -625,14 +599,8 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 	}
 
 	v.uidNext.Store(1 << 32)
-	if err := v.writeRoot(rootPage{layout: lay, clean: false, logVAM: cfg.LogVAM, uidChunk: 1, formatted: v.clk.Now()}); err != nil {
+	if err := v.writeRoot(rootPage{layout: lay, clean: false, uidChunk: 1, formatted: v.clk.Now()}); err != nil {
 		return nil, err
-	}
-	if cfg.LogVAM {
-		// Write the full base image the logged deltas will apply over.
-		if err := v.vm.SaveWith(v.writeSectors, lay.vamBase); err != nil {
-			return nil, err
-		}
 	}
 	// Format-time activity should not pollute measurements.
 	v.log.ResetStats()
@@ -678,36 +646,25 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	// crash anywhere inside it leaves the log intact and the next mount
 	// replays the very same images over whatever subset already landed.
 	//
-	// Allocation map: load the saved copy after a clean shutdown,
-	// otherwise reconstruct from the name table (~20 s on a full 300 MB
-	// volume, per the paper) — unless VAM logging is on, in which case
-	// the replayed sector images over the save-area base reproduce the
-	// committed map directly ("about two seconds"). Only the reconstruction
-	// is known before the replay to need the scan, so only it runs the
-	// replay under the scan's decode (replayScan); the others learn from the
-	// replay whether to scan at all (a leader image to check, a map that
-	// would not load).
-	reconstruct := !wasClean && !v.cfg.LogVAM
-	imgs, rs, leaderOwners, err := v.replayScan(v.log, reconstruct, &ms)
+	// Allocation map: after a crash, reconstruct it from the name table
+	// (~20 s on a full 300 MB volume, per the paper); after a clean
+	// shutdown, load the saved copy. Only the crash is known before the
+	// replay to need the scan, so only it runs the replay under the scan's
+	// decode (replayScan); a clean mount learns from the replay whether to
+	// scan at all — a leader image to check, or a map that would not load —
+	// and then scans the replayed table as it stands (DESIGN §8).
+	imgs, rs, leaderOwners, err := v.replayScan(v.log, !wasClean, &ms)
 	if err != nil {
 		return nil, ms, err
 	}
-	ms.VAMReconstructed = reconstruct
-	if !reconstruct {
-		if wasClean {
-			v.vm, err = vam.Load(d, lay.vamBase, lay.total)
-			if err != nil {
-				ms.VAMReconstructed = true
-			}
-		} else if vm, ok := v.recoverVAMFromLog(imgs.vam); ok {
-			v.vm = vm
-		} else {
-			ms.VAMReconstructed = true
-		}
+	ms.VAMReconstructed = !wasClean
+	if wasClean {
+		v.vm, err = vam.Load(d, lay.vamBase, lay.total)
+		ms.VAMReconstructed = err != nil
 		if ms.VAMReconstructed || len(imgs.leaders) > 0 {
 			scanStart := v.clk.Now()
 			var sw ntSweepStats
-			leaderOwners, sw, err = v.scanForRebuild(ms.VAMReconstructed)
+			leaderOwners, sw, err = v.mountScan(ms.VAMReconstructed, v.nt.AllocatedPages(), nil)
 			ms.noteSweep(sw)
 			if err != nil {
 				return nil, ms, err
@@ -715,14 +672,7 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 			ms.VAMElapsed = v.clk.Now() - scanStart
 		}
 	}
-	if v.cfg.LogVAM {
-		// Rebase: a fresh full save becomes the foundation for the next
-		// run's logged deltas; the stamp stays valid because the log
-		// keeps the area consistent from here on.
-		if err := v.vm.SaveWith(v.writeSectors, lay.vamBase); err != nil {
-			return nil, ms, err
-		}
-	} else if err := vam.InvalidateWith(v.writeSectors, lay.vamBase); err != nil {
+	if err := vam.InvalidateWith(v.writeSectors, lay.vamBase); err != nil {
 		return nil, ms, err
 	}
 
@@ -744,10 +694,10 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	}
 	ms.RedoElapsed += v.clk.Now() - redoStart
 
-	// Point of no return: every replayed image (name-table pages, VAM
-	// rebase, leaders) is written home — fence them, then reset the log.
-	// A crash before the reset replays the same log again idempotently; a
-	// crash after it finds the home state complete under an empty log.
+	// Point of no return: every replayed image (name-table pages, leaders)
+	// is written home — fence them, then reset the log. A crash before the
+	// reset replays the same log again idempotently; a crash after it finds
+	// the home state complete under an empty log.
 	if err := v.d.Sync(); err != nil {
 		return nil, ms, err
 	}
@@ -852,8 +802,6 @@ func (v *Volume) replayScan(lg *wal.Log, scan bool, ms *MountStats) (replayed, w
 					imgs.nt[target] = cp
 				case wal.KindLeader:
 					imgs.leaders[int(target)] = cp
-				case wal.KindVAM:
-					imgs.vam[int(target)] = cp
 				}
 				return nil
 			})
@@ -955,17 +903,11 @@ func (v *Volume) noteRecovery(rs wal.RecoveryStats, ms MountStats) {
 }
 
 // goLive is the epilogue of every bring-up — Format, both mounts and Salvage.
-// A writable volume turns VAM logging on if its root records it and, under
-// AsyncApply, starts the intent queue; a read-only one has no log to stage
-// into and starts neither. Then the volume is ready.
+// A writable volume under AsyncApply starts the intent queue; a read-only one
+// has no log to stage into and does not. Then the volume is ready.
 func (v *Volume) goLive() {
-	if !v.readOnly {
-		if v.cfg.LogVAM {
-			v.enableVAMLogging()
-		}
-		if v.cfg.AsyncApply {
-			v.startIntentQueue()
-		}
+	if !v.readOnly && v.cfg.AsyncApply {
+		v.startIntentQueue()
 	}
 	v.finishMount()
 }
@@ -1048,13 +990,6 @@ func decodeLeaf(page []byte, withRuns bool, res *scanResult) time.Duration {
 	return time.Duration(entries) * sim.CostBTreeOp / 4
 }
 
-// scanForRebuild scans the name table as it stands — a volume with no log to
-// replay, or one whose replay is done — optionally rebuilding the VAM, and
-// returns the leader-sector ownership map: mountScan with no step between.
-func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, error) {
-	return v.mountScan(rebuildVAM, v.nt.AllocatedPages(), nil)
-}
-
 // mountScan reads the whole name table once, optionally rebuilding the VAM,
 // and always returning the leader-sector ownership map. "Since the file name
 // table is a compact structure with a great deal of locality, it can be
@@ -1074,6 +1009,8 @@ func (v *Volume) scanForRebuild(rebuildVAM bool) (map[int]uint64, ntSweepStats, 
 // returns the replayed table's end. The rest — the home table's last part
 // chunk and what the replay allocated — is swept after it on the same chunk
 // grid, so the transfers are the ones a sweep of the replayed table makes.
+// With then nil (a clean mount whose replay is done), home is the table's
+// end and the whole of it is swept.
 //
 // What the speculation may not do is decide anything. Once both copies are
 // in, the leaves the chain reaches are picked out in memory by following

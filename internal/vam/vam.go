@@ -36,11 +36,6 @@ type VAM struct {
 	shadow  []uint64 // bit set = freed by an uncommitted delete
 	nfree   int
 	nshadow int
-
-	// Tracker, when set, is invoked with every page range whose free
-	// bits change. The VAM-logging extension uses it to find the dirty
-	// sectors of the save-area image.
-	Tracker func(p, count int)
 }
 
 // New returns a VAM of n pages with every page marked allocated; callers
@@ -73,9 +68,6 @@ func (v *VAM) checkRange(p, count int) {
 // MarkFree marks count pages starting at p as allocatable immediately.
 func (v *VAM) MarkFree(p, count int) {
 	v.checkRange(p, count)
-	if v.Tracker != nil {
-		v.Tracker(p, count)
-	}
 	for i := p; i < p+count; i++ {
 		w, b := i/64, uint64(1)<<(i%64)
 		if v.free[w]&b == 0 {
@@ -88,9 +80,6 @@ func (v *VAM) MarkFree(p, count int) {
 // MarkAllocated marks count pages starting at p as in use.
 func (v *VAM) MarkAllocated(p, count int) {
 	v.checkRange(p, count)
-	if v.Tracker != nil {
-		v.Tracker(p, count)
-	}
 	for i := p; i < p+count; i++ {
 		w, b := i/64, uint64(1)<<(i%64)
 		if v.free[w]&b != 0 {
@@ -121,9 +110,6 @@ func (v *VAM) Commit() {
 		s := v.shadow[w]
 		if s == 0 {
 			continue
-		}
-		if v.Tracker != nil {
-			v.Tracker(w*64, 64)
 		}
 		newlyFree := s &^ v.free[w]
 		v.free[w] |= s
@@ -441,48 +427,6 @@ func Invalidate(d *disk.Disk, base int) error {
 // InvalidateWith is Invalidate with an explicit sector-write primitive.
 func InvalidateWith(w SectorWriter, base int) error {
 	return w(base, make([]byte, disk.SectorSize))
-}
-
-// BitmapSectorOfPage returns the index (within the save area's bitmap
-// sectors) of the sector holding page p's bit.
-func BitmapSectorOfPage(p int) int { return p / (disk.SectorSize * 8) }
-
-// EncodeBitmapSector writes the 512-byte save-area image of bitmap sector
-// idx into buf.
-func (v *VAM) EncodeBitmapSector(idx int, buf []byte) {
-	wordsPerSector := disk.SectorSize / 8
-	for i := 0; i < wordsPerSector; i++ {
-		w := idx*wordsPerSector + i
-		var val uint64
-		if w < len(v.free) {
-			val = v.free[w]
-		}
-		binary.BigEndian.PutUint64(buf[i*8:], val)
-	}
-}
-
-// LoadLoose reads a save area WITHOUT verifying the stamp or checksum. It
-// is used only by the VAM-logging extension, where the save area is kept
-// current by logged sector images and correctness comes from the log; any
-// unreadable sector fails the load so the caller can fall back to
-// reconstruction.
-func LoadLoose(d *disk.Disk, base, n int) (*VAM, error) {
-	bitmapSectors := SaveSectors(n) - 1
-	buf, err := d.ReadSectors(base+1, bitmapSectors)
-	if err != nil {
-		return nil, err
-	}
-	v := New(n)
-	for i := range v.free {
-		v.free[i] = binary.BigEndian.Uint64(buf[i*8:])
-	}
-	if rem := n % 64; rem != 0 {
-		v.free[len(v.free)-1] &= 1<<rem - 1
-	}
-	for _, w := range v.free {
-		v.nfree += bits.OnesCount64(w)
-	}
-	return v, nil
 }
 
 // Load reads a saved map of n pages from base. It returns ErrNotSaved when

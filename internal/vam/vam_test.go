@@ -301,74 +301,6 @@ func TestQuickFindRunSound(t *testing.T) {
 	}
 }
 
-func TestBitmapSectorHelpers(t *testing.T) {
-	if BitmapSectorOfPage(0) != 0 || BitmapSectorOfPage(4095) != 0 || BitmapSectorOfPage(4096) != 1 {
-		t.Fatal("BitmapSectorOfPage wrong")
-	}
-	v := New(10000)
-	v.MarkFree(0, 10)
-	v.MarkFree(5000, 3)
-	buf := make([]byte, 512)
-	v.EncodeBitmapSector(0, buf)
-	// Page 0..9 free: low 10 bits of word 0 set.
-	if buf[7] != 0xFF || buf[6]&0x03 != 0x03 {
-		t.Fatalf("sector 0 encoding: % x", buf[:8])
-	}
-	v.EncodeBitmapSector(1, buf)
-	// Pages 5000..5002 live in sector 1, word (5000-4096)/64 = 14.
-	w := buf[14*8 : 15*8]
-	if w[0] == 0 && w[1] == 0 && w[2] == 0 && w[3] == 0 && w[4] == 0 && w[5] == 0 && w[6] == 0 && w[7] == 0 {
-		t.Fatal("sector 1 missed the 5000..5002 bits")
-	}
-}
-
-func TestLoadLooseRoundTrip(t *testing.T) {
-	clk := sim.NewVirtualClock()
-	d, _ := disk.New(disk.SmallGeometry, disk.DefaultParams, clk)
-	const n = 20000
-	v := New(n)
-	v.MarkFree(100, 5000)
-	if err := v.Save(d, 10); err != nil {
-		t.Fatal(err)
-	}
-	// Invalidate the stamp: strict Load fails, loose load succeeds.
-	if err := Invalidate(d, 10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(d, 10, n); err == nil {
-		t.Fatal("strict load succeeded without stamp")
-	}
-	got, err := LoadLoose(d, 10, n)
-	if err != nil {
-		t.Fatalf("LoadLoose: %v", err)
-	}
-	if got.FreeCount() != v.FreeCount() || got.Pages() != n {
-		t.Fatalf("LoadLoose FreeCount %d != %d", got.FreeCount(), v.FreeCount())
-	}
-	// Damage makes it fail rather than return garbage.
-	d.CorruptSectors(12, 1)
-	if _, err := LoadLoose(d, 10, n); err == nil {
-		t.Fatal("LoadLoose read through damage")
-	}
-}
-
-func TestTrackerFires(t *testing.T) {
-	v := New(10000)
-	var ranges [][2]int
-	v.Tracker = func(p, n int) { ranges = append(ranges, [2]int{p, n}) }
-	v.MarkFree(10, 5)
-	v.MarkAllocated(10, 2)
-	v.ShadowFree(10, 2) // shadow does not change free bits: no tracking
-	before := len(ranges)
-	if before != 2 {
-		t.Fatalf("tracker fired %d times, want 2", before)
-	}
-	v.Commit() // merges the shadowed pages: tracked
-	if len(ranges) <= before {
-		t.Fatal("Commit did not fire the tracker")
-	}
-}
-
 // findRunReference is the original bit-at-a-time FindRun, kept as the
 // executable specification for the word-accelerated scan.
 func findRunReference(v *VAM, want, lo, hi, dir int) (start, length int) {

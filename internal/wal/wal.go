@@ -38,11 +38,13 @@ import (
 )
 
 // Image kinds tag logged pages so recovery knows where home is. The WAL does
-// not interpret them; the client's applier does.
+// not interpret them; the client's applier does, and drops a kind it does not
+// know. Kind 3 is retired — it carried allocation-map sectors, a mode this
+// file system no longer has, and an old log may still hold it — so the value
+// must never be reused.
 const (
 	KindNameTable = 1 // target = name-table page id (written to both copies)
 	KindLeader    = 2 // target = absolute sector address of a leader page
-	KindVAM       = 3 // target = bitmap sector index in the VAM save area
 )
 
 // MaxImagesPerRecord bounds a single record at 5+2*39 = 83 sectors.
@@ -144,7 +146,7 @@ type Config struct {
 // execution end-to-end — a force captures the pending batch under l.mu
 // (atomically swapping in an empty one), releases l.mu, and then writes its
 // records while new appends stage freely into the next batch. Every client
-// callback (FlushHook, OnLogged, OnCommit, PreStage, DataHook) is invoked under
+// callback (FlushHook, OnLogged, OnCommit, DataHook) is invoked under
 // forceMu but never under l.mu, so callbacks may call Append.
 //
 // An operation that stages more than one image brackets them with Begin and
@@ -180,12 +182,6 @@ type Log struct {
 	// staging continues while a force is writing. data is lent for the
 	// call: the log stages a later image in the same buffer.
 	OnLogged func(kind uint8, target uint64, third int, data []byte)
-	// PreStage, when set, is invoked at the start of every Force; the
-	// images it returns join the batch. The VAM-logging extension uses
-	// it to stage the allocation-map sectors dirtied since the last
-	// force, so a commit's VAM deltas ride the same record set as its
-	// name-table images.
-	PreStage func() []PageImage
 	// DataHook, when set, is invoked (under forceMu) by every force that
 	// writes records, once the batch is captured and before the data
 	// barrier: the client writes the file data it has held in memory for
@@ -198,8 +194,8 @@ type Log struct {
 	// The observability layer feeds its batching histograms from it.
 	OnForce func(ForceEvent)
 	// OnAppend, when set, is invoked after images are staged by Append,
-	// with the image count and the commit sequence they joined. Not
-	// invoked for PreStage images. Called without l.mu held.
+	// with the image count and the commit sequence they joined. Called
+	// without l.mu held.
 	OnAppend func(images int, seq uint64)
 	// OnWriteFault, when set, is invoked after any log write that needed
 	// the fault path: retried in-place retries and remapped spare-sector
@@ -719,22 +715,13 @@ type ForceEvent struct {
 
 // forceLocked is the force body; the caller holds forceMu.
 func (l *Log) forceLocked() error {
-	// The capture — PreStage's images and the swap of the pending batch —
-	// waits for the open groups and keeps new ones out, so the batch is cut
-	// between operations, never inside one. The record writes below run with
-	// the bracket released.
+	// The capture of the pending batch waits for the open groups and keeps
+	// new ones out, so the batch is cut between operations, never inside
+	// one. The record writes below run with the bracket released.
 	l.group.Lock()
 	if l.aborted.Load() {
 		l.group.Unlock()
 		return ErrAborted
-	}
-	if l.PreStage != nil {
-		if extra := l.PreStage(); len(extra) > 0 {
-			if _, err := l.stage(extra); err != nil {
-				l.group.Unlock()
-				return err
-			}
-		}
 	}
 	start := l.clk.Now()
 	l.mu.Lock()

@@ -9,60 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestPreStageJoinsEveryForce(t *testing.T) {
-	l, d, clk := newTestLog(t, Config{Interval: time.Second})
-	calls := 0
-	l.PreStage = func() []PageImage {
-		calls++
-		return []PageImage{img(KindVAM, uint64(calls), byte(calls))}
-	}
-	l.Append(img(KindNameTable, 1, 1))
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("PreStage called %d times", calls)
-	}
-	// The record carried both images.
-	if st := l.Stats(); st.ImagesLogged != 2 {
-		t.Fatalf("images logged = %d, want 2", st.ImagesLogged)
-	}
-	// Recovery sees the pre-staged image.
-	_, c, _ := reopen(t, d, clk, Config{})
-	if c.last[imageKey{KindVAM, 1}] == nil {
-		t.Fatal("pre-staged image not recovered")
-	}
-}
-
-func TestPreStageEmptyForceStillSkipsRecord(t *testing.T) {
-	l, _, _ := newTestLog(t, Config{Interval: time.Second})
-	l.PreStage = func() []PageImage { return nil }
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Records != 0 {
-		t.Fatal("empty force with PreStage wrote a record")
-	}
-}
-
-func TestPreStageAloneProducesRecord(t *testing.T) {
-	l, _, _ := newTestLog(t, Config{Interval: time.Second})
-	fired := false
-	l.PreStage = func() []PageImage {
-		if fired {
-			return nil
-		}
-		fired = true
-		return []PageImage{img(KindVAM, 9, 9)}
-	}
-	if err := l.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Records != 1 || st.SectorsWritten != 7 {
-		t.Fatalf("stats: %+v", l.Stats())
-	}
-}
-
 func TestAlternativeDivisionCounts(t *testing.T) {
 	for _, k := range []int{2, 4, 6} {
 		clk := sim.NewVirtualClock()

@@ -53,11 +53,11 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 # the sweep. Neither file has a pool total to read any more.
 ! grep -nE 'TotalCPU\(' internal/core/scrub.go internal/core/volume.go \
 	|| { echo "verify: scrub or mount reads a pool's TotalCPU() again (the checks ride parscan.Overlap's lane)"; exit 1; }
-# And the decode after the sweep: mountScan (scanForRebuild's body) hands its
-# per-page work to sweepNT's pool, which runs it behind the arm. A pool run of
-# its own in there, or a pool total put on the clock, is that phase coming
-# back by copy-paste.
-! awk '/^func \(v \*Volume\) (scanForRebuild|mountScan)\(/,/^}/' internal/core/volume.go \
+# And the decode after the sweep: mountScan hands its per-page work to
+# sweepNT's pool, which runs it behind the arm. A pool run of its own in
+# there, or a pool total put on the clock, is that phase coming back by
+# copy-paste.
+! awk '/^func \(v \*Volume\) mountScan\(/,/^}/' internal/core/volume.go \
 	| grep -nE 'parscan\.Run\(|Charge\([^)]*(Balanced|Total|Max)CPU' \
 	|| { echo "verify: mountScan runs a pool after the sweep again (pass the per-page work to sweepNT)"; exit 1; }
 # One replay per mount (DESIGN §8): the crash mount replays the log in
@@ -221,17 +221,14 @@ go test -race ./internal/core -count=1 -run 'TestGroupCreatesShareACylinder|Test
 go test -race . ./internal/core -count=1 -run 'TestNewestLookupIsOneWalk|TestGrowingWriteIsOneCall|TestConcurrentWriteGrowNoOverExtend'
 # The decoders of what a disk or a socket hands back are total: each fuzz
 # target explores for a fixed time from its seeds and committed corpus
-# (testdata/fuzz), and a malformed input is an error, never a panic.
-go test ./internal/core -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 10s
-go test ./internal/core -run '^$' -fuzz '^FuzzDecodeLeaderEntry$' -fuzztime 10s
-go test ./internal/btree -run '^$' -fuzz '^FuzzLeafEntries$' -fuzztime 10s
-go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s
-go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeReply$' -fuzztime 10s
-go test ./internal/core -run '^$' -fuzz '^FuzzDecodeRoot$' -fuzztime 10s
-go test ./internal/core -run '^$' -fuzz '^FuzzDecodeSalvageCheckpoint$' -fuzztime 10s
-go test ./internal/wal -run '^$' -fuzz '^FuzzDecodeAnchor$' -fuzztime 10s
-go test ./internal/wal -run '^$' -fuzz '^FuzzDecodeHeader$' -fuzztime 10s
-go test ./internal/wal -run '^$' -fuzz '^FuzzReplay$' -fuzztime 10s
+# (testdata/fuzz), and a malformed input is an error, never a panic. The
+# targets are listed from the packages themselves, so a new one is fuzzed
+# without an edit here.
+go test -list '^Fuzz' ./... \
+	| awk '/^Fuzz/ { t[n++] = $1 } /^ok/ { for (i = 0; i < n; i++) print $2, t[i]; n = 0 }' \
+	| while read -r pkg target; do
+		go test "$pkg" -run '^$' -fuzz "^$target\$" -fuzztime 10s || exit 1
+	done
 # Pipelined chunks under eight goroutines, again and again under the
 # detector: every copy still on the CPU, and no copy hidden under a transfer
 # that was not its own call's.
