@@ -256,6 +256,11 @@ func TestAPISurface(t *testing.T) {
 	if !st8.Commit.Adaptive || st8.Commit.ForceDeadline <= 0 {
 		t.Fatalf("async mount commit stats = %+v", st8.Commit)
 	}
+	// The log's own counters are promoted from the embedded wal.Stats: a
+	// home flush happens only at a third crossing.
+	if c := st8.Commit; c.Forces == 0 || c.HomeFlushes > 0 && c.ThirdCrossings == 0 {
+		t.Fatalf("async mount log counters: forces %d, home flushes %d, crossings %d", c.Forces, c.HomeFlushes, c.ThirdCrossings)
+	}
 	if f, err := v8.Open("async.txt", 0); err != nil {
 		t.Fatal(err)
 	} else if got, err := f.ReadAll(); err != nil || !bytes.Equal(got, data) {
@@ -300,6 +305,9 @@ func TestAPISurface(t *testing.T) {
 	if !rc.Ran || rc.Elapsed != rep9.ReplayElapsed || rc.RedoElapsed != rep9.RedoElapsed || rc.ScanElapsed != rep9.VAMElapsed ||
 		rc.SweepPages != rep9.SweepPages || rc.SweepChunks != rep9.SweepChunks || rc.SweepFallbacks != rep9.SweepFallbacks {
 		t.Fatalf("Stats().Recovery = %+v, mount report = %+v", rc, rep9.MountStats)
+	}
+	if rc.Records == 0 || rc.SectorsRead == 0 { // promoted from wal.RecoveryStats
+		t.Fatalf("crash mount replayed %d records from %d sectors", rc.Records, rc.SectorsRead)
 	}
 	var scs ScrubStats
 	if scs, err = v9.Scrub(); err != nil {

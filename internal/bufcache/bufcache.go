@@ -31,7 +31,7 @@
 // for the device to fill, and Commit gives them addresses or sets them free,
 // so no pointer into the slab outlives the disk request it was lent to. A
 // held frame is lent the same way to the holder's own write of it
-// (HeldRange), until Release. Nothing on the hit, fill, reservation, hold
+// (Held), until Release. Nothing on the hit, fill, reservation, hold
 // or eviction path allocates.
 //
 // Replacement is segmented LRU, per shard: a fill enters the probation
@@ -50,6 +50,7 @@
 package bufcache
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -646,30 +647,24 @@ type Sector struct {
 	Data []byte
 }
 
-// HeldRange appends the held sectors among [addr, addr+n) to dst, in
-// address order.
-func (c *Cache) HeldRange(addr, n int, dst []Sector) []Sector {
+// Held appends every held sector to dst, in address order.
+func (c *Cache) Held(dst []Sector) []Sector {
+	if !c.Holding() {
+		return dst
+	}
 	base := len(dst)
-	dst = slices.Grow(dst, n)[:base+n]
-	for k := 0; k < min(n, numShards); k++ {
-		s := c.shardFor(addr + k)
+	for k := range c.shards {
+		s := &c.shards[k]
 		s.mu.Lock()
-		for j := k; j < n; j += numShards {
-			dst[base+j] = Sector{}
-			if i, ok := s.index[addr+j]; ok && s.frames[i].flags&fHeld != 0 {
-				dst[base+j] = Sector{Addr: addr + j, Data: s.frames[i].data[:]}
+		for i := range s.frames {
+			if f := &s.frames[i]; f.flags&fHeld != 0 {
+				dst = append(dst, Sector{Addr: f.addr, Data: f.data[:]})
 			}
 		}
 		s.mu.Unlock()
 	}
-	w := base
-	for _, h := range dst[base:] {
-		if h.Data != nil {
-			dst[w] = h
-			w++
-		}
-	}
-	return dst[:w]
+	slices.SortFunc(dst[base:], func(a, b Sector) int { return cmp.Compare(a.Addr, b.Addr) })
+	return dst
 }
 
 // Release hands back the held frames of sectors [addr, addr+n), which the

@@ -34,18 +34,18 @@ func TestHeldFramesArePinned(t *testing.T) {
 		t.Fatalf("Held = %d, want 2", st.Held)
 	}
 	c.Update(1001, sector(5)) // a write over a held sector refreshes it
-	if held := c.HeldRange(0, 2000, nil); len(held) != 2 || !bytes.Equal(heldData(held, 1001), sector(5)) {
+	if held := c.Held(nil); len(held) != 2 || !bytes.Equal(heldData(held, 1001), sector(5)) {
 		t.Fatal("Update did not refresh the held frame")
 	}
 	c.Release(1000, 1)
-	if heldData(c.HeldRange(0, 2000, nil), 1000) != nil {
+	if heldData(c.Held(nil), 1000) != nil {
 		t.Fatal("a released sector is still held")
 	}
 	if _, ok := c.GetRange(1000, 1); ok {
 		t.Fatal("a released sector stayed resident (no write-allocate)")
 	}
 	c.Invalidate(1001, 1) // a free before the write went out
-	if st := c.Stats(); st.Held != 0 || len(c.HeldRange(0, 2000, nil)) != 0 {
+	if st := c.Stats(); st.Held != 0 || len(c.Held(nil)) != 0 {
 		t.Fatalf("Invalidate left a held frame: %+v", st)
 	}
 }
@@ -71,7 +71,7 @@ func TestHoldCap(t *testing.T) {
 	if c.Hold(100, sector(1)) {
 		t.Fatal("Hold past half the capacity accepted")
 	}
-	if heldData(c.HeldRange(0, 2000, nil), 100) != nil {
+	if heldData(c.Held(nil), 100) != nil {
 		t.Fatal("a refused Hold held its sector")
 	}
 	c.Release(0, 2)
@@ -81,8 +81,8 @@ func TestHoldCap(t *testing.T) {
 	if st := c.Stats(); st.Held != 30 || st.Size != 30 {
 		t.Fatalf("Held %d, Size %d; want 30, 30: the rewrite held in place", st.Held, st.Size)
 	}
-	if got := c.HeldRange(0, 2000, nil); len(got) != 30 {
-		t.Fatalf("HeldRange has %d sectors, want 30", len(got))
+	if got := c.Held(nil); len(got) != 30 {
+		t.Fatalf("Held has %d sectors, want 30", len(got))
 	}
 }
 
@@ -103,8 +103,8 @@ func TestHoldTakesResidentFrame(t *testing.T) {
 	}
 }
 
-// TestHoldAllocs: holding, reading, listing and releasing held frames
-// allocate nothing.
+// TestHoldAllocs: holding, reading, listing (into a scratch sized for it)
+// and releasing held frames allocate nothing.
 func TestHoldAllocs(t *testing.T) {
 	c := New(256)
 	data := make([]byte, 8*SectorSize)
@@ -113,10 +113,42 @@ func TestHoldAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Hold(40, data[:SectorSize], data[SectorSize:])
 		c.GetRangeInto(40, buf)
-		held = c.HeldRange(40, 8, held[:0])
+		held = c.Held(held[:0])
 		c.Release(40, 8)
 	})
 	if allocs != 0 {
 		t.Fatalf("%v allocations per hold/read/release", allocs)
+	}
+}
+
+// TestHeldListsEverySectorInOrder: Held lists the held sectors of every
+// shard in address order, whatever order they were held in and whatever
+// else is resident, and neither a released nor an invalidated sector.
+func TestHeldListsEverySectorInOrder(t *testing.T) {
+	c := New(256)
+	fill(c, 300, 1, 2, 3) // resident, not held
+	want := []int{3, 17, 40, 41, 42, 95, 130, 204}
+	for _, h := range []struct{ addr, n int }{{204, 1}, {40, 3}, {3, 1}, {130, 1}, {95, 1}, {17, 1}} {
+		if !c.Hold(h.addr, make([]byte, h.n*SectorSize)) {
+			t.Fatalf("Hold(%d) refused", h.addr)
+		}
+	}
+	c.Hold(500, sector(1))
+	c.Hold(501, sector(2))
+	c.Release(500, 1)
+	c.Invalidate(501, 1)
+	got := c.Held(nil)
+	shards := map[int]bool{}
+	for i, h := range got {
+		if i >= len(want) || h.Addr != want[i] {
+			t.Fatalf("Held listed %v, want the sectors %v", got, want)
+		}
+		shards[h.Addr%numShards] = true
+	}
+	if len(got) != len(want) || len(shards) < 3 {
+		t.Fatalf("Held listed %d sectors in %d shards, want %d in at least 3", len(got), len(shards), len(want))
+	}
+	if got := c.Held(got[:2]); len(got) != 2+len(want) || got[2].Addr != 3 {
+		t.Fatal("Held did not append after dst's own sectors")
 	}
 }

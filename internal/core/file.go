@@ -945,7 +945,6 @@ func (v *Volume) writeChunk(w *ioWindow, lead []byte, addr, cur, cnt int) (held 
 		// Again, now that no pass can end the group under the write.
 		if v.fresh(at, n) {
 			if dc.Hold(at, lead, first, whole, last) {
-				v.noteHeld(at, n)
 				return true, nil
 			}
 			v.heldStats.writeThrough.Add(1)

@@ -21,9 +21,6 @@ import (
 // commit group. Past the cache's hold cap, and on a volume without a data
 // cache, the write goes out at once.
 
-// span is sectors [addr, addr+n).
-type span struct{ addr, n int }
-
 // heldCounters counts the held writes for Stats().Commit.
 type heldCounters struct {
 	sectors      atomic.Int64 // sectors the force's passes wrote
@@ -35,11 +32,13 @@ type heldCounters struct {
 	allocated    atomic.Int64 // creates placed by Alloc
 }
 
-// groupPlace is where a commit group's small creates go (DESIGN §3.5, "A
-// commit group's creates"): the cylinder they share and the page after the
-// last one placed. It lives beside freshRuns, under vmMu, and writeHeld ends
-// it with the group.
-type groupPlace struct {
+// commitGroup is the current commit group, on a volume with a data cache:
+// the runs the allocator handed out in it, which no forced commit names yet
+// (fresh), and where its small creates go (DESIGN §3.5, "A commit group's
+// creates") — the cylinder they share and the page after the last one
+// placed. It lives under vmMu, and writeHeld ends it.
+type commitGroup struct {
+	runs     []alloc.Run // the group's runs, in address order
 	anchored bool
 	cyl      int // the group's cylinder, once anchored
 	end      int // the page after the group's last small create
@@ -123,24 +122,25 @@ func (v *Volume) smallFloor() int {
 }
 
 // fresh reports whether every page of [addr, addr+n) is fresh: handed out
-// by the allocator in the current commit group (freshRuns). A page that is
+// by the allocator in the current commit group. A page that is
 // not stays so — a page turns fresh only by being allocated, and a file's
 // pages are not allocated under it — so a write told no needs no held-write
 // lock; one told yes asks again under it.
 func (v *Volume) fresh(addr, n int) bool {
 	v.vmMu.Lock()
 	defer v.vmMu.Unlock()
+	runs := v.group.runs
 	for end := addr + n; addr < end; {
 		// The run that holds addr, if any, is the last one to start at or
 		// below it.
-		i, found := slices.BinarySearchFunc(v.freshRuns, uint32(addr), func(r alloc.Run, p uint32) int { return cmp.Compare(r.Start, p) })
+		i, found := slices.BinarySearchFunc(runs, uint32(addr), func(r alloc.Run, p uint32) int { return cmp.Compare(r.Start, p) })
 		if !found {
 			i--
 		}
-		if i < 0 || addr >= int(v.freshRuns[i].Start+v.freshRuns[i].Len) {
+		if i < 0 || addr >= int(runs[i].Start+runs[i].Len) {
 			return false
 		}
-		addr = int(v.freshRuns[i].Start + v.freshRuns[i].Len)
+		addr = int(runs[i].Start + runs[i].Len)
 	}
 	return true
 }
@@ -153,31 +153,18 @@ func (v *Volume) noteFresh(runs []alloc.Run) {
 		return
 	}
 	for _, r := range runs {
-		i, _ := slices.BinarySearchFunc(v.freshRuns, r.Start, func(f alloc.Run, p uint32) int { return cmp.Compare(f.Start, p) })
-		v.freshRuns = slices.Insert(v.freshRuns, i, r)
+		i, _ := slices.BinarySearchFunc(v.group.runs, r.Start, func(f alloc.Run, p uint32) int { return cmp.Compare(f.Start, p) })
+		v.group.runs = slices.Insert(v.group.runs, i, r)
 	}
 }
 
-// noteHeld records sectors [addr, addr+n) as held, for the pass: in the
-// last span when they meet or overlap it, as a stream's next chunk or a
-// rewrite does.
-func (v *Volume) noteHeld(addr, n int) {
-	if k := len(v.heldSpans) - 1; k >= 0 {
-		if sp := &v.heldSpans[k]; addr <= sp.addr+sp.n && addr+n >= sp.addr {
-			end := max(sp.addr+sp.n, addr+n)
-			sp.addr = min(sp.addr, addr)
-			sp.n = end - sp.addr
-			return
-		}
-	}
-	v.heldSpans = append(v.heldSpans, span{addr, n})
-}
-
-// writeHeld is the log's DataHook: the force's pass over the held sectors.
-// Adjacent sectors merge into requests of at most MaxTransferSectors, which
-// go out cylinder by cylinder toward the log (heldOrder) and, inside a
-// cylinder, the one the head reaches soonest first (issueByPosition), so
-// that the record write starts a short seek away. The frames go free once
+// writeHeld is the log's DataHook: the force's pass over the held sectors,
+// every one the data cache holds (a sector is held only while its page is
+// fresh, and the group's fresh runs end only here). Adjacent sectors merge
+// into requests of at most MaxTransferSectors, which go out cylinder by
+// cylinder toward the log (heldOrder) and, inside a cylinder, the one the
+// head reaches soonest first (issueByPosition), so that the record write
+// starts a short seek away. The frames go free once
 // every request is written; a request that fails leaves them all held for
 // the next force, which writes them again. The commit group is ended —
 // every page it handed out now named by a captured batch, so fresh no more
@@ -189,18 +176,7 @@ func (v *Volume) writeHeld() error {
 	}
 	v.hmu.Lock()
 	defer v.hmu.Unlock()
-	// The spans writeChunk held, merged where they meet or overlap, give
-	// the sectors in address order: what is still held of them.
-	spans := v.heldSpans
-	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.addr, b.addr) })
-	held := v.held[:0]
-	for i := 0; i < len(spans); {
-		lo, hi := spans[i].addr, spans[i].addr+spans[i].n
-		for i++; i < len(spans) && spans[i].addr <= hi; i++ {
-			hi = max(hi, spans[i].addr+spans[i].n)
-		}
-		held = dc.HeldRange(lo, hi-lo, held)
-	}
+	held := dc.Held(v.held[:0])
 	v.held = held
 	reqs := v.heldReqs[:0]
 	for i := 0; i < len(held); {
@@ -243,11 +219,8 @@ func (v *Volume) writeHeld() error {
 	if len(reqs) > 0 {
 		v.heldStats.passes.Add(1)
 	}
-	v.heldSpans = spans[:0]
-
 	v.vmMu.Lock()
-	v.freshRuns = v.freshRuns[:0]
-	v.group = groupPlace{last: v.group.creates, floor: -1}
+	v.group = commitGroup{runs: v.group.runs[:0], last: v.group.creates, floor: -1}
 	v.vmMu.Unlock()
 	return nil
 }

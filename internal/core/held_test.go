@@ -76,7 +76,7 @@ func TestFreshUntilForce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(raw.freshRuns); n != 0 {
+	if n := len(raw.group.runs); n != 0 {
 		t.Fatalf("a volume without a data cache lists %d fresh runs", n)
 	}
 }

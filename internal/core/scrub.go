@@ -379,16 +379,13 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 	if err != nil {
 		return err
 	}
-	// Leaders not home yet — pending, or held for the next force — are
-	// verified from memory on access.
+	// Leaders not home yet are verified from memory on access.
 	home := refs[:0]
-	v.lmu.Lock()
 	for _, ref := range refs {
-		if _, pending := v.pendingLeaders[ref.addr]; !pending && !v.leaderHeld(ref.addr) {
+		if _, notHome := v.leaderNotHome(ref.addr); !notHome {
 			home = append(home, ref)
 		}
 	}
-	v.lmu.Unlock()
 	// The scan's decodes, priced as Verify prices them: in the foreground,
 	// because the refs must exist before the arm moves. The checksums run
 	// behind the reads, on the lane.
@@ -415,16 +412,6 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 	return nil
 }
 
-// leaderHeld reports whether the leader at addr is held in the data cache
-// for the next force's pass (held.go): not home yet, like a pending one.
-func (v *Volume) leaderHeld(addr int) bool {
-	if v.dataCache == nil || !v.dataCache.Holding() {
-		return false
-	}
-	held, _ := v.dataCache.HeldRun(addr, 1)
-	return held
-}
-
 // scrubLeader is the leader pass's locked path, for a leader the sweep could
 // not vouch for: a shared hold of the monitor, so Create/Delete (exclusive
 // holders) never race the repair, a fresh lookup, and a re-read with retries.
@@ -439,11 +426,8 @@ func (v *Volume) scrubLeader(name string, ver uint32, st *ScrubStats) error {
 	if !has {
 		return nil
 	}
-	v.lmu.Lock()
-	_, pending := v.pendingLeaders[addr]
-	v.lmu.Unlock()
-	if pending || v.leaderHeld(addr) {
-		return nil // not home yet; verified from memory on access
+	if _, notHome := v.leaderNotHome(addr); notHome {
+		return nil // verified from memory on access
 	}
 	st.LeadersChecked++
 	st.SectorsChecked++

@@ -56,16 +56,7 @@ type AllocStats = alloc.Stats
 // Table 3 ("reduction in file operations") is BatchingFactor on a metadata
 // hot-spot workload.
 type CommitStats struct {
-	Forces           int
-	Records          int
-	ImagesStaged     int
-	ImagesLogged     int
-	ImagesElided     int
-	SectorsWritten   int
-	MinRecordSectors int
-	MaxRecordSectors int
-	ThirdCrossings   int
-	HomeFlushes      int
+	wal.Stats
 	// BatchingFactor is ImagesStaged / ImagesLogged: how many staged page
 	// images each written image absorbed.
 	BatchingFactor float64
@@ -116,20 +107,14 @@ type IntentStats struct {
 }
 
 // RecoveryStats snapshots what the mount-time log replay had to absorb: the
-// wal.RecoveryStats counters captured once when the volume came up. Ran is
-// false on volumes created by Format (nothing to replay) and on read-only
-// mounts that skipped the log entirely (MountStats.LogUnavailable).
+// wal.RecoveryStats counters (Elapsed is the replay's sim time) captured once
+// when the volume came up. Ran is false on volumes created by Format (nothing
+// to replay) and on read-only mounts that skipped the log entirely
+// (MountStats.LogUnavailable).
 type RecoveryStats struct {
 	Ran           bool
 	CleanShutdown bool
-	Records       int // records replayed
-	Images        int // page images applied
-	Repaired      int // images or headers recovered from their copy
-	TornRecords   int // records torn mid-write by the crash
-	TailDiscarded int // images of an incomplete final batch, discarded
-	GapBreaks     int // replay stops at a missing record
-	SectorsRead   int
-	Elapsed       time.Duration // replay sim time
+	wal.RecoveryStats
 	// The mount's other phases on the sim clock, and how the VAM scan read
 	// the name table (see MountStats): redo write-back of the replayed
 	// images, the scan, and its region sweep's verified pages, chunk
@@ -495,16 +480,7 @@ func (v *Volume) Stats() Stats {
 	if v.log != nil {
 		ws := v.log.Stats() // takes the WAL stat lock, never held across I/O
 		s.Commit = CommitStats{
-			Forces:           ws.Forces,
-			Records:          ws.Records,
-			ImagesStaged:     ws.ImagesStaged,
-			ImagesLogged:     ws.ImagesLogged,
-			ImagesElided:     ws.ImagesElided,
-			SectorsWritten:   ws.SectorsWritten,
-			MinRecordSectors: ws.MinRecordSectors,
-			MaxRecordSectors: ws.MaxRecordSectors,
-			ThirdCrossings:   ws.ThirdCrossings,
-			HomeFlushes:      ws.HomeFlushes,
+			Stats:            ws,
 			BatchImages:      v.obs.batchImages.Snapshot(),
 			RecordsPerForce:  v.obs.recordsPerForce.Snapshot(),
 			ForceInterval:    v.obs.forceInterval.Snapshot(),

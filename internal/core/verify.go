@@ -165,18 +165,7 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 			if !has || ve.e.Class == SymLink {
 				continue
 			}
-			v.lmu.Lock()
-			img, pending := v.pendingLeaders[addr]
-			if pending {
-				img = append(make([]byte, 0, len(img)), img...)
-			}
-			v.lmu.Unlock()
-			if !pending && v.leaderHeld(addr) {
-				// A held leader is not home yet either.
-				img = make([]byte, disk.SectorSize)
-				pending = v.dataCache.HeldInto(addr, img)
-			}
-			if pending {
+			if img, notHome := v.leaderNotHome(addr); notHome {
 				deferred[i] = img
 			} else {
 				home[c] = append(home[c], leaderCheck{addr: addr, e: ve.e, idx: i})

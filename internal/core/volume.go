@@ -220,24 +220,19 @@ type Volume struct {
 
 	// hmu serializes what touches held data-cache frames (held.go): a write
 	// to fresh pages, the force's pass over the held sectors, and a free's
-	// drop of them. heldSpans lists what writeChunk held since the last
-	// pass; held, heldReqs and heldBufs are the pass's scratch. It is taken
-	// before vmMu.
+	// drop of them. held, heldReqs and heldBufs are the pass's scratch. It
+	// is taken before vmMu.
 	hmu       sync.Mutex
-	heldSpans []span
 	held      []bufcache.Sector
 	heldReqs  []homeReq
 	heldBufs  [][]byte
 	heldStats heldCounters
 
-	// vmMu guards vm, al, pendingFrees, freshRuns and group. freshRuns
-	// lists, in address order, the runs the allocator handed out in the
-	// current commit group on a volume with a data cache, and group is where
-	// that group's small creates go (held.go).
+	// vmMu guards vm, al, pendingFrees and group, the current commit group
+	// (held.go).
 	vmMu         sync.Mutex
 	pendingFrees []taggedFree
-	freshRuns    []alloc.Run
-	group        groupPlace
+	group        commitGroup
 
 	// q is the asynchronous metadata pipeline (Config.AsyncApply): the
 	// per-volume ordered intent queue whose single applier performs the
@@ -331,7 +326,7 @@ func newVolume(d *disk.Disk, cfg Config, lay layout) *Volume {
 		pendingLeaders: make(map[int][]byte),
 		leaderThird:    make(map[int]int),
 		obs:            newVolObs(),
-		group:          groupPlace{floor: -1},
+		group:          commitGroup{floor: -1},
 	}
 	v.cache = newNTCache(v, cfg.cacheSize())
 	d.SetClassifier(func(addr int) disk.Class {
@@ -870,14 +865,7 @@ func (v *Volume) noteRecovery(rs wal.RecoveryStats, ms MountStats) {
 	v.recovery = RecoveryStats{
 		Ran:           true,
 		CleanShutdown: ms.CleanShutdown,
-		Records:       rs.Records,
-		Images:        rs.Images,
-		Repaired:      rs.Repaired,
-		TornRecords:   rs.TornRecords,
-		TailDiscarded: rs.TailDiscarded,
-		GapBreaks:     rs.GapBreaks,
-		SectorsRead:   rs.SectorsRead,
-		Elapsed:       rs.Elapsed,
+		RecoveryStats: rs,
 
 		RedoElapsed:    ms.RedoElapsed,
 		ScanElapsed:    ms.VAMElapsed,

@@ -93,7 +93,7 @@ type Stats struct {
 	MinRecordSectors int
 	MaxRecordSectors int
 	ThirdCrossings   int
-	HomeFlushes      int // items the FlushHook pushed home at third crossings (core: name-table sectors + leaders + VAM sectors)
+	HomeFlushes      int // items the FlushHook pushed home at third crossings (core: name-table sectors + leaders)
 }
 
 // Config parameterizes the log.

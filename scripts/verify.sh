@@ -129,6 +129,13 @@ awk '/^func \(v \*Volume\) createClass\(/,/^}/' internal/core/file.go | grep -q 
 # identifiers only.)
 ! grep -rnwE --include='*.go' 'SerialMonitor|ReadOneCopy|fscache|ConcurrencyReportRun|AsyncReportRun' . \
 	|| { echo "verify: a deleted knob, package or formula harness resurfaced (publish a measured run, DESIGN §13)"; exit 1; }
+# Said once (DESIGN §12, "Held writes"): the data cache is the only list of
+# held sectors (bufcache.Held), a commit group is one value (commitGroup), and
+# leaderNotHome is the one question whether a leader is home yet. Each name
+# below is a second copy of one of those facts that was kept by hand and
+# retired. (Whole identifiers only.)
+! grep -rnwE --include='*.go' 'heldSpans|noteHeld|HeldRange|freshRuns|groupPlace|leaderHeld' . \
+	|| { echo "verify: a retired ledger resurfaced (take the held set from bufcache.Held, the group from commitGroup, ask leaderNotHome)"; exit 1; }
 # One clock and one bring-up (DESIGN §3.1, §15). The wall-clock Clock and the
 # ticker goroutines it drove (group commit, periodic scrub) were never built
 # by any binary, example or benchmark; group commit runs at operation
