@@ -177,24 +177,9 @@ func run(img string, jsonOut bool, args []string) error {
 		}
 		if jsonOut {
 			if err := emitJSON(struct {
-				SectorsScanned   int           `json:"sectors_scanned"`
-				DamagedSectors   int           `json:"damaged_sectors"`
-				FilesRecovered   int           `json:"files_recovered"`
-				FilesPartial     int           `json:"files_partial"`
-				ConflictsDropped int           `json:"conflicts_dropped"`
-				Workers          int           `json:"workers"`
-				Problems         []string      `json:"problems"`
-				ElapsedSim       time.Duration `json:"elapsed_sim_ns"`
-				SweepSim         time.Duration `json:"sweep_sim_ns"`
-				RebuildSim       time.Duration `json:"rebuild_sim_ns"`
-				FinalizeSim      time.Duration `json:"finalize_sim_ns"`
-				SweepArmSim      time.Duration `json:"sweep_arm_sim_ns"`
-				SweepPoolSim     time.Duration `json:"sweep_pool_sim_ns"`
-				SweepHiddenSim   time.Duration `json:"sweep_hidden_sim_ns"`
-			}{st.SectorsScanned, st.DamagedSectors, st.FilesRecovered,
-				st.FilesPartial, st.ConflictsDropped, st.Workers, jsonProblems(st.Problems),
-				st.Elapsed, st.SweepElapsed, st.RebuildElapsed, st.FinalizeElapsed,
-				st.SweepArm, st.SweepCPU, st.SweepHidden}); err != nil {
+				core.SalvageStats
+				Problems []string `json:"problems"`
+			}{st, jsonProblems(st.Problems)}); err != nil {
 				return err
 			}
 		} else {
@@ -345,24 +330,10 @@ func run(img string, jsonOut bool, args []string) error {
 		}
 		if jsonOut {
 			if err := emitJSON(struct {
-				Entries        int           `json:"entries"`
-				Leaders        int           `json:"leaders"`
-				LeadersPending int           `json:"leaders_pending"`
-				Symlinks       int           `json:"symlinks"`
-				Consistent     bool          `json:"consistent"`
-				Workers        int           `json:"workers"`
-				Problems       []string      `json:"problems"`
-				ElapsedSim     time.Duration `json:"elapsed_sim_ns"`
-				WalkSim        time.Duration `json:"walk_sim_ns"`
-				CheckSim       time.Duration `json:"check_sim_ns"`
-				LeaderSim      time.Duration `json:"leader_sim_ns"`
-				ArmSim         time.Duration `json:"arm_sim_ns"`
-				PoolSim        time.Duration `json:"pool_sim_ns"`
-				HiddenSim      time.Duration `json:"hidden_sim_ns"`
-			}{st.Entries, st.Leaders, st.LeadersPending, st.Symlinks,
-				len(st.Problems) == 0, st.Workers, jsonProblems(st.Problems),
-				st.Elapsed, st.WalkElapsed, st.CheckElapsed, st.LeaderElapsed,
-				st.Arm, st.CheckCPU, st.Hidden}); err != nil {
+				core.VerifyStats
+				Consistent bool     `json:"consistent"`
+				Problems   []string `json:"problems"`
+			}{st, len(st.Problems) == 0, jsonProblems(st.Problems)}); err != nil {
 				return err
 			}
 		} else {
@@ -393,30 +364,10 @@ func run(img string, jsonOut bool, args []string) error {
 		}
 		if jsonOut {
 			if err := emitJSON(struct {
-				NTPagesChecked   int           `json:"nt_pages_checked"`
-				LeadersChecked   int           `json:"leaders_checked"`
-				LogRecords       int           `json:"log_records"`
-				SectorsChecked   int           `json:"sectors_checked"`
-				Repaired         int           `json:"repaired"`
-				NTRepaired       int           `json:"nt_repaired"`
-				LeadersRepaired  int           `json:"leaders_repaired"`
-				RootsRepaired    int           `json:"roots_repaired"`
-				LogRepaired      int           `json:"log_repaired"`
-				Retired          int           `json:"retired"`
-				NTLost           int           `json:"nt_lost"`
-				SpareExhausted   bool          `json:"spare_exhausted"`
-				Problems         []string      `json:"problems"`
-				ElapsedSim       time.Duration `json:"elapsed_sim_ns"`
-				NTElapsedSim     time.Duration `json:"nt_elapsed_sim_ns"`
-				LeaderElapsedSim time.Duration `json:"leader_elapsed_sim_ns"`
-				NTArmSim         time.Duration `json:"nt_arm_sim_ns"`
-				NTPoolSim        time.Duration `json:"nt_pool_sim_ns"`
-				NTHiddenSim      time.Duration `json:"nt_hidden_sim_ns"`
-			}{st.NTPagesChecked, st.LeadersChecked, st.LogRecords, st.SectorsChecked,
-				st.Repaired(), st.NTRepaired, st.LeadersRepaired, st.RootsRepaired,
-				st.LogRepaired, st.Retired, st.NTLost, st.SpareExhausted,
-				jsonProblems(st.Problems), st.Elapsed, st.NTElapsed, st.LeaderElapsed,
-				st.NTArm, st.NTCPU, st.NTHidden}); err != nil {
+				core.ScrubStats
+				Repaired int      `json:"repaired"`
+				Problems []string `json:"problems"`
+			}{st, st.Repaired(), jsonProblems(st.Problems)}); err != nil {
 				return err
 			}
 		} else {

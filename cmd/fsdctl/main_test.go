@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	cedarfs "repro"
@@ -235,6 +237,8 @@ func TestCLIJSONAndExitCodes(t *testing.T) {
 	if !vr.Consistent || vr.Entries == 0 || len(vr.Problems) != 0 {
 		t.Fatalf("unexpected verify report: %+v", vr)
 	}
+	wantKeys(t, "verify", out, "entries leaders leaders_pending symlinks consistent workers problems "+
+		"elapsed_sim_ns walk_sim_ns check_sim_ns leader_sim_ns arm_sim_ns pool_sim_ns hidden_sim_ns")
 
 	// scrub -json on a healthy volume.
 	out = captureStdout(t, func() {
@@ -259,6 +263,22 @@ func TestCLIJSONAndExitCodes(t *testing.T) {
 	if sr.NTPagesChecked == 0 || sr.NTLost != 0 {
 		t.Fatalf("unexpected scrub report: %+v", sr)
 	}
+	wantKeys(t, "scrub", out, "nt_pages_checked leaders_checked log_records sectors_checked repaired "+
+		"nt_repaired leaders_repaired roots_repaired log_repaired retired nt_lost spare_exhausted problems "+
+		"elapsed_sim_ns nt_elapsed_sim_ns leader_elapsed_sim_ns nt_arm_sim_ns nt_pool_sim_ns nt_hidden_sim_ns")
+	var rp struct {
+		Repaired int `json:"repaired"`
+		NT       int `json:"nt_repaired"`
+		Leaders  int `json:"leaders_repaired"`
+		Roots    int `json:"roots_repaired"`
+		Log      int `json:"log_repaired"`
+	}
+	if err := json.Unmarshal(out, &rp); err != nil {
+		t.Fatalf("scrub JSON: %v", err)
+	}
+	if rp.NT+rp.Leaders+rp.Roots+rp.Log != rp.Repaired {
+		t.Fatalf("scrub JSON: repaired %d is not the sum of its parts %+v", rp.Repaired, rp)
+	}
 
 	// salvage -json; a healthy image salvages without problems.
 	out = captureStdout(t, func() {
@@ -273,9 +293,12 @@ func TestCLIJSONAndExitCodes(t *testing.T) {
 	if err := json.Unmarshal(out, &sv); err != nil {
 		t.Fatalf("salvage JSON: %v\n%s", err, out)
 	}
-	if sv.FilesRecovered == 0 || len(sv.Problems) != 0 {
-		t.Fatalf("unexpected salvage report: %+v", sv)
+	if sv.FilesRecovered == 0 || len(sv.Problems) != 0 || !bytes.Contains(out, []byte(`"problems": []`)) {
+		t.Fatalf("unexpected salvage report: %+v\n%s", sv, out)
 	}
+	wantKeys(t, "salvage", out, "sectors_scanned damaged_sectors files_recovered files_partial conflicts_dropped "+
+		"workers problems elapsed_sim_ns sweep_sim_ns rebuild_sim_ns finalize_sim_ns sweep_arm_sim_ns "+
+		"sweep_pool_sim_ns sweep_hidden_sim_ns")
 
 	// Usage errors carry the errUsage sentinel (exit 2).
 	if err := run(img, false, []string{"nonsense"}); !errors.Is(err, errUsage) {
@@ -286,6 +309,73 @@ func TestCLIJSONAndExitCodes(t *testing.T) {
 	}
 	if err := run(img, false, []string{"crashcheck", "-bogus"}); !errors.Is(err, errUsage) {
 		t.Fatalf("bad crashcheck flag: %v", err)
+	}
+}
+
+// jsonKeys lists the key paths of a JSON document, sorted: an object's keys
+// joined to its path by dots, an array's elements under "[]", and a scalar,
+// an empty container or an array of scalars as a leaf.
+func jsonKeys(t *testing.T, doc []byte) []string {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(doc, &v); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, doc)
+	}
+	seen := map[string]bool{}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				if path != "" {
+					k = path + "." + k
+				}
+				walk(k, e)
+			}
+			if len(v) > 0 {
+				return
+			}
+		case []any:
+			nested := false
+			for _, e := range v {
+				switch e.(type) {
+				case map[string]any, []any:
+					nested = true
+					walk(path+"[]", e)
+				}
+			}
+			if nested {
+				return
+			}
+		}
+		seen[path] = true
+	}
+	walk("", v)
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// wantKeys fails unless doc's key paths (jsonKeys) are exactly those of the
+// whitespace-separated list want.
+func wantKeys(t *testing.T, what string, doc []byte, want string) {
+	t.Helper()
+	missing := map[string]bool{}
+	for _, k := range strings.Fields(want) {
+		missing[k] = true
+	}
+	var extra []string
+	for _, k := range jsonKeys(t, doc) {
+		if !missing[k] {
+			extra = append(extra, k)
+		}
+		delete(missing, k)
+	}
+	if len(missing)+len(extra) > 0 {
+		t.Fatalf("%s -json: keys %v missing, %v not expected", what, missing, extra)
 	}
 }
 
@@ -392,6 +482,12 @@ func TestStatsCommand(t *testing.T) {
 	if err := json.Unmarshal(out, &st); err != nil {
 		t.Fatalf("stats -json does not decode into cedarfs.Stats: %v\n%s", err, out)
 	}
+	// Its key paths, one per line, are testdata/stats_keys.txt.
+	keys, err := os.ReadFile(filepath.Join("testdata", "stats_keys.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKeys(t, "stats", out, string(keys))
 	for _, want := range []string{`"Alloc":`, `"ExtendsInPlace":`, `"ReadAheadUsed":`, `"ReadAheadWasted":`, `"Promotions":`,
 		`"scan_arm_sim_ns":`, `"scan_pool_sim_ns":`, `"scan_hidden_sim_ns":`, `"sweep_stale_leaves":`,
 		`"Seek":`, `"Rotation":`, `"Transfer":`,

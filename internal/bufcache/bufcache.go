@@ -77,21 +77,22 @@ const protectedShare = 2
 // miss: the whole range is refetched in one request). The coalesce counters
 // are fed by the caller via NoteCoalescedRead/Write, since run merging
 // happens in the file layer; they count disk requests that spanned at least
-// one run boundary.
+// one run boundary. A ReadAheadWasted share that grows says the caller's
+// stream window is too large for the probation half.
 type Stats struct {
-	Hits             int64 // sectors served from memory
-	Misses           int64 // sectors that went to the disk
-	ReadAheadSectors int64 // sectors read beyond the request, into lent frames (Commit)
-	ReadAheadUsed    int64 // of those, frames a reader then hit
-	ReadAheadWasted  int64 // of those, frames evicted or invalidated unread
-	Promotions       int64 // frames moved to the protected list by a re-reference
-	CoalescedReads   int64 // read requests that merged adjacent runs
-	CoalescedWrites  int64 // write requests that merged adjacent runs
-	Invalidated      int64 // frames dropped by invalidation (frees, damage)
-	Evicted          int64 // frames dropped by replacement
-	Size             int   // frames resident now, held ones included
-	Held             int   // frames held now (Hold … Release)
-	Capacity         int   // frame capacity
+	Hits             int // sectors served from memory
+	Misses           int // sectors that went to the disk
+	ReadAheadSectors int // sectors read beyond the request, into lent frames (Commit)
+	ReadAheadUsed    int // of those, frames a reader then hit
+	ReadAheadWasted  int // of those, frames evicted or invalidated unread
+	Promotions       int // frames moved to the protected list by a re-reference
+	CoalescedReads   int // read requests that merged adjacent runs
+	CoalescedWrites  int // write requests that merged adjacent runs
+	Invalidated      int // frames dropped by invalidation (frees, damage)
+	Evicted          int // frames dropped by replacement
+	Size             int // frames resident now, held ones included
+	Held             int // frames held now (Hold … Release)
+	Capacity         int // frame capacity
 }
 
 // frame is one cached sector: a slab slot, linked into one of its shard's
@@ -698,16 +699,16 @@ func (c *Cache) NoteCoalescedWrite() { c.coalescedW.Add(1) }
 // never blocks a reader or writer.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:             c.hits.Load(),
-		Misses:           c.misses.Load(),
-		ReadAheadSectors: c.readAhead.Load(),
-		ReadAheadUsed:    c.aheadUsed.Load(),
-		ReadAheadWasted:  c.aheadWasted.Load(),
-		Promotions:       c.promotions.Load(),
-		CoalescedReads:   c.coalescedR.Load(),
-		CoalescedWrites:  c.coalescedW.Load(),
-		Invalidated:      c.invalidated.Load(),
-		Evicted:          c.evicted.Load(),
+		Hits:             int(c.hits.Load()),
+		Misses:           int(c.misses.Load()),
+		ReadAheadSectors: int(c.readAhead.Load()),
+		ReadAheadUsed:    int(c.aheadUsed.Load()),
+		ReadAheadWasted:  int(c.aheadWasted.Load()),
+		Promotions:       int(c.promotions.Load()),
+		CoalescedReads:   int(c.coalescedR.Load()),
+		CoalescedWrites:  int(c.coalescedW.Load()),
+		Invalidated:      int(c.invalidated.Load()),
+		Evicted:          int(c.evicted.Load()),
 		Size:             int(c.size.Load()),
 		Held:             int(c.held.Load()),
 		Capacity:         c.capacity,

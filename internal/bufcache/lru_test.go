@@ -20,8 +20,8 @@ type refCache struct {
 	shards                 [numShards]map[int]*refFrame
 	tick                   int64
 	evicted                []int // every address evicted, in order
-	promotions             int64
-	used, wasted           int64
+	promotions             int
+	used, wasted           int
 }
 
 type refFrame struct {
@@ -237,7 +237,7 @@ func TestExactLRUEquivalence(t *testing.T) {
 			before = got
 		}
 		st := c.Stats()
-		if st.Evicted != int64(len(ref.evicted)) || st.Evicted == 0 {
+		if st.Evicted != len(ref.evicted) || st.Evicted == 0 {
 			t.Fatalf("cap %d: %d evictions, reference %d (and want some)", capacity, st.Evicted, len(ref.evicted))
 		}
 		if st.Promotions != ref.promotions || st.ReadAheadUsed != ref.used || st.ReadAheadWasted != ref.wasted {
@@ -273,7 +273,7 @@ func TestScanResistance(t *testing.T) {
 				}
 			}
 		}
-		if got := c.Stats().Promotions; got != int64(hot) {
+		if got := c.Stats().Promotions; got != hot {
 			t.Fatalf("second read of the hot set promoted %d frames, want %d", got, hot)
 		}
 		for a := capacity; a < 11*capacity; a += 64 {
@@ -292,8 +292,8 @@ func TestScanResistance(t *testing.T) {
 			}
 		}
 		st := c.Stats()
-		if st.Promotions != int64(hot) {
-			t.Fatalf("ahead=%v: the scan promoted %d frames", ahead, st.Promotions-int64(hot))
+		if st.Promotions != hot {
+			t.Fatalf("ahead=%v: the scan promoted %d frames", ahead, st.Promotions-hot)
 		}
 		if ahead && (st.ReadAheadUsed != 10*capacity || st.ReadAheadWasted != 0) {
 			t.Fatalf("read-ahead used %d wasted %d, want %d and 0", st.ReadAheadUsed, st.ReadAheadWasted, 10*capacity)

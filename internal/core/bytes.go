@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/disk"
 	"repro/internal/sim"
 )
 
@@ -40,12 +39,12 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	return int(want), nil
 }
 
-// WriteAt writes p at byte offset off, extending the recorded byte size if
-// the write grows the file. A write that runs past the allocation grows it
-// in the same call (grow): the new pages, the data and the entry that names
-// them are one operation and one intent. Whole pages go out straight from
-// p, which is the caller's again on return; a partial first or last page is
-// read-modify-written through a scratch sector (see writeFrom).
+// WriteAt writes p at byte offset off. A write that ends past the byte size
+// grows the file in the same call (grow): the new pages if it needs any, the
+// data and the entry that names them are one operation and one intent. Whole
+// pages go out straight from p, which is the caller's again on return; a
+// partial first or last page is read-modify-written through a scratch sector
+// (see writeFrom).
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("core: negative offset")
@@ -53,20 +52,14 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	end := off + int64(len(p))
-	if end > int64(f.Pages())*disk.SectorSize {
-		if err := f.grow(p, off); err != nil {
-			return 0, err
-		}
-		return len(p), nil
+	var err error
+	if off+int64(len(p)) > f.Size() {
+		err = f.grow(p, off)
+	} else {
+		err = f.writeFrom(p, off)
 	}
-	if err := f.writeFrom(p, off); err != nil {
+	if err != nil {
 		return 0, err
-	}
-	if end > f.Size() {
-		if err := f.setByteSize(uint64(end), true); err != nil {
-			return len(p), err
-		}
 	}
 	return len(p), nil
 }

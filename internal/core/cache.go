@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -152,7 +153,7 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	defer c.mu.Unlock()
 	if p, ok := c.pages[id]; ok {
 		c.hits.Add(1)
-		c.v.traceCache(true, id)
+		c.v.trace(obs.Event{Kind: obs.EvCacheHit, OK: true, A: int64(id)})
 		c.seq++
 		p.lruSeq = c.seq
 		// The tree walks p.cur in place (btree.Pager lends pages), so this
@@ -163,7 +164,7 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 		return p.cur, nil
 	}
 	c.misses.Add(1)
-	c.v.traceCache(false, id)
+	c.v.trace(obs.Event{Kind: obs.EvCacheMiss, OK: true, A: int64(id)})
 	addrA, addrB := c.v.lay.ntPageAddrs(id)
 	// Each copy has its in-place retries. When neither copy checks out and
 	// a read failed, the pair is read once more: a transient fault clears
@@ -238,7 +239,7 @@ func (c *ntCache) admit(id uint32, data []byte) {
 		return
 	}
 	c.misses.Add(1)
-	c.v.traceCache(false, id)
+	c.v.trace(obs.Event{Kind: obs.EvCacheMiss, OK: true, A: int64(id)})
 	c.insert(newNTPage(id, data))
 }
 

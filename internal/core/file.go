@@ -9,6 +9,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/btree"
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -431,8 +432,7 @@ func (v *Volume) List(prefix string, fn func(Entry) bool) (err error) {
 		return err
 	}
 	v.ops.lists.Add(1)
-	stop := errors.New("stop")
-	err = v.nt.Scan([]byte(prefix), func(k, val []byte) bool {
+	return v.nt.Scan([]byte(prefix), func(k, val []byte) bool {
 		name, ver, ok := splitKey(k)
 		if !ok {
 			return true
@@ -447,10 +447,6 @@ func (v *Volume) List(prefix string, fn func(Entry) bool) (err error) {
 		v.cpu.Charge(sim.CostBTreeOp / 8)
 		return fn(*e)
 	})
-	if errors.Is(err, stop) {
-		return nil
-	}
-	return err
 }
 
 // ReadPages reads n data pages starting at logical page `page` into a new
@@ -617,7 +613,7 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 			f.seqNext = cur + cnt
 			if !needLeader {
 				if dc.GetRangeInto(addr, segs[1:4]...) {
-					v.traceData(true, addr, cnt)
+					v.trace(obs.Event{Kind: obs.EvDataHit, OK: true, A: int64(addr), B: int64(cnt)})
 					f.release(&w, &held, 0)
 					w.settle(cur, cnt)
 					v.copied(cnt, 0)
@@ -625,7 +621,7 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 					remaining -= cnt
 					continue
 				}
-				v.traceData(false, addr, cnt)
+				v.trace(obs.Event{Kind: obs.EvDataMiss, OK: true, A: int64(addr), B: int64(cnt)})
 			}
 			// Miss: cluster the fetch. If it is a sequential reader's next
 			// step, the same request goes on through the physically
@@ -664,11 +660,11 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 		// part ran.
 		f.release(&w, &held, sectors-ahead)
 		if ahead > 0 {
-			v.traceReadAhead(addr, ahead)
+			v.trace(obs.Event{Kind: obs.EvReadAhead, OK: true, A: int64(addr), B: int64(ahead)})
 		}
 		if merged > 0 {
 			dc.NoteCoalescedRead()
-			v.traceCoalesce("read", addr, cnt+ahead, merged)
+			v.trace(obs.Event{Kind: obs.EvCoalesce, Op: "read", OK: true, A: int64(addr), B: int64(cnt + ahead), C: int64(merged)})
 		}
 		held = heldChunk{cur: cur, cnt: cnt, addr: addr, segs: [3][]byte(segs[1:4]), gen: gen}
 		if ahead > 0 {
@@ -875,7 +871,7 @@ func (f *File) writeLocked(e *Entry, p []byte, off int64) (err error) {
 		}
 		if merged > 0 {
 			v.dataCache.NoteCoalescedWrite()
-			v.traceCoalesce("write", addr, cnt, merged)
+			v.trace(obs.Event{Kind: obs.EvCoalesce, Op: "write", OK: true, A: int64(addr), B: int64(cnt), C: int64(merged)})
 		}
 		cur += cnt
 		remaining -= cnt
@@ -986,16 +982,19 @@ func (f *File) Extend(morePages int) error {
 	})
 }
 
-// grow is WriteAt for a write that runs past the allocation (DESIGN §12,
+// grow is WriteAt for a write that ends past the byte size (DESIGN §12,
 // "Growing writes"): one call, one intent. Under the handle's mutation it
 // extends the allocation by what the write needs — in place when the
-// allocator can, see alloc.Extend; nothing, if a concurrent write on the
-// handle has grown it meanwhile — writes p into the grown entry's pages
-// (held or at once, through writeChunk, as any write), and then hands off one
-// intent with the grown run table, the byte size and the leader image that
-// goes with them. The data is written before the intent is, so it is on the
-// platter, or held for the force's pass, before the record that names it;
-// a write that fails frees the new pages and leaves the entry as it was.
+// allocator can, see alloc.Extend; nothing, if the pages are there already
+// or a concurrent write on the handle has grown it meanwhile — writes p into
+// the grown entry's pages (held or at once, through writeChunk, as any
+// write), and then hands off one intent with the byte size, and with the
+// grown run table and the leader image that goes with it if it grew. The
+// data is written before the intent is, so it is on the platter, or held for
+// the force's pass, before the record that names it; a write that fails
+// frees the new pages and leaves the entry as it was. Deciding the size here,
+// under the handle lock, is what keeps the lower of two racing writes from
+// landing last and shrinking the file under the other's bytes.
 func (f *File) grow(p []byte, off int64) error {
 	v := f.v
 	end := off + int64(len(p))
@@ -1083,17 +1082,8 @@ func (f *File) Contract(newPages int) error {
 }
 
 // SetByteSize records a new byte size (within the allocated pages).
-func (f *File) SetByteSize(n uint64) error { return f.setByteSize(n, false) }
-
-// setByteSize is SetByteSize; growOnly makes it the size update of a write,
-// which leaves a file that is already that long alone. That is decided here,
-// under the handle lock: of two writes racing on one handle, the one that
-// ends lower must not land last and shrink the file under the other's bytes.
-func (f *File) setByteSize(n uint64, growOnly bool) error {
+func (f *File) SetByteSize(n uint64) error {
 	return f.v.mutate("setbytesize", f, [2]string{}, func(it *intent) error {
-		if growOnly && n <= f.e.ByteSize {
-			return nil
-		}
 		if n > uint64(f.e.Pages())*disk.SectorSize {
 			return fmt.Errorf("core: byte size %d exceeds %d allocated pages", n, f.e.Pages())
 		}

@@ -108,12 +108,7 @@ func (v *Volume) degradeTo(h Health, why string) bool {
 		v.healthMu.Lock()
 		v.healthWhy = why
 		v.healthMu.Unlock()
-		if v.obs.tracer.Enabled() {
-			v.obs.tracer.Emit(obs.Event{
-				Time: v.clk.Now(), Kind: obs.EvHealth, Op: h.String(),
-				OK: h < HealthReadOnly, A: v.faults.budget.Load(),
-			})
-		}
+		v.trace(obs.Event{Kind: obs.EvHealth, Op: h.String(), OK: h < HealthReadOnly, A: v.faults.budget.Load()})
 		if h == HealthDegraded && v.ready.Load() && !v.closed.Load() {
 			// Aggressive scrub: the budget says the media is decaying
 			// faster than the background cadence assumes, so restore

@@ -282,7 +282,6 @@ func (v *Volume) queueConfig() intentq.Config {
 		// intents reach the log, so stop accepting mutations. The queue
 		// has already drained itself; readers keep serving.
 		OnFatal: func(err error) {
-			v.obs.queueDepth.Set(0)
 			why := "intent applier failed: " + err.Error()
 			if v.apGroup {
 				v.apGroup = false
@@ -293,24 +292,14 @@ func (v *Volume) queueConfig() intentq.Config {
 		},
 		OnApplied: func(op any, seq uint64, lag time.Duration, depth int) {
 			v.obs.applyLag.ObserveDuration(lag)
-			v.obs.queueDepth.Set(int64(depth))
-			if v.obs.tracer.Enabled() {
-				name := ""
-				if it, ok := op.(*intent); ok {
-					name = it.op
-				}
-				v.obs.tracer.Emit(obs.Event{
-					Time: v.clk.Now(), Kind: obs.EvIntentApply, Op: name,
-					OK: true, A: int64(seq), B: int64(lag), C: int64(depth),
-				})
+			name := ""
+			if it, ok := op.(*intent); ok {
+				name = it.op
 			}
+			v.trace(obs.Event{Kind: obs.EvIntentApply, Op: name, OK: true, A: int64(seq), B: int64(lag), C: int64(depth)})
 		},
 		OnWait: func(kind, key string) {
-			if v.obs.tracer.Enabled() {
-				v.obs.tracer.Emit(obs.Event{
-					Time: v.clk.Now(), Kind: obs.EvIntentWait, Op: kind, OK: true,
-				})
-			}
+			v.trace(obs.Event{Kind: obs.EvIntentWait, Op: kind, OK: true})
 		},
 	}
 }
@@ -364,14 +353,7 @@ func (v *Volume) enqueueIntent(it *intent) error {
 	if seq == 0 {
 		return ErrClosed
 	}
-	depth := v.q.Depth()
-	v.obs.queueDepth.Set(int64(depth))
-	if v.obs.tracer.Enabled() {
-		v.obs.tracer.Emit(obs.Event{
-			Time: v.clk.Now(), Kind: obs.EvIntentEnqueue, Op: it.op, OK: true,
-			A: int64(seq), B: int64(depth),
-		})
-	}
+	v.trace(obs.Event{Kind: obs.EvIntentEnqueue, Op: it.op, OK: true, A: int64(seq), B: int64(v.q.Depth())})
 	return nil
 }
 

@@ -46,38 +46,39 @@ import (
 var ErrSalvageInProgress = errors.New("salvage in progress")
 
 // SalvageStats reports what a salvage mount scanned and saved.
+// The JSON names are fsdctl's -json keys; a field it does not print is "-".
 type SalvageStats struct {
-	SectorsScanned   int
-	DamagedSectors   int    // unreadable sectors (retired from allocation)
-	CandidateLeaders int    // structurally valid leader pages found
-	FilesRecovered   int    // entries rebuilt into the fresh name table
-	FilesPartial     int    // recovered with a truncated run table (tail lost)
-	ConflictsDropped int    // stale leaders losing a page-ownership conflict
-	Resumed          bool   // a progress checkpoint from a crashed salvage was found
-	ResumedPhase     string // phase recorded in that checkpoint
-	Checkpoints      int    // progress checkpoints written during this run
-	Problems         []string
-	Elapsed          time.Duration
+	SectorsScanned   int           `json:"sectors_scanned"`
+	DamagedSectors   int           `json:"damaged_sectors"`   // unreadable sectors (retired from allocation)
+	CandidateLeaders int           `json:"-"`                 // structurally valid leader pages found
+	FilesRecovered   int           `json:"files_recovered"`   // entries rebuilt into the fresh name table
+	FilesPartial     int           `json:"files_partial"`     // recovered with a truncated run table (tail lost)
+	ConflictsDropped int           `json:"conflicts_dropped"` // stale leaders losing a page-ownership conflict
+	Resumed          bool          `json:"-"`                 // a progress checkpoint from a crashed salvage was found
+	ResumedPhase     string        `json:"-"`                 // phase recorded in that checkpoint
+	Checkpoints      int           `json:"-"`                 // progress checkpoints written during this run
+	Problems         []string      `json:"problems"`
+	Elapsed          time.Duration `json:"elapsed_sim_ns"`
 
 	// Parallel-sweep accounting (ISSUE 10). Workers is the pool width of
 	// the sweep; Steals counts work-stealing migrations (load-balance
 	// diagnostics — nondeterministic, excluded from output equality). The
 	// phase splits let fsdctl and the pfsck bench separate the sweep from
 	// the single-applier rebuild.
-	Workers         int
-	Steals          int
-	SweepElapsed    time.Duration
-	SweepCPU        time.Duration // total worker CPU spent decoding the sweep
-	RebuildElapsed  time.Duration // resolve + rebuild (single applier)
-	FinalizeElapsed time.Duration
+	Workers         int           `json:"workers"`
+	Steals          int           `json:"-"`
+	SweepElapsed    time.Duration `json:"sweep_sim_ns"`
+	SweepCPU        time.Duration `json:"sweep_pool_sim_ns"` // total worker CPU spent decoding the sweep
+	RebuildElapsed  time.Duration `json:"rebuild_sim_ns"`    // resolve + rebuild (single applier)
+	FinalizeElapsed time.Duration `json:"finalize_sim_ns"`
 
 	// The sweep's two timelines (DESIGN §17): SweepArm is the device's busy
 	// time over the sweep (reads and checkpoint writes), SweepCPU / Workers
 	// the pool's, and SweepHidden how much of the pool's share cost no
 	// elapsed time because the arm was reading the next interval meanwhile:
 	// SweepElapsed = SweepArm + SweepCPU/Workers - SweepHidden.
-	SweepArm    time.Duration
-	SweepHidden time.Duration
+	SweepArm    time.Duration `json:"sweep_arm_sim_ns"`
+	SweepHidden time.Duration `json:"sweep_hidden_sim_ns"`
 }
 
 func (st *SalvageStats) addProblem(format string, args ...interface{}) {

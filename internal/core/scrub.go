@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -22,36 +23,37 @@ import (
 // pool after bounded rewrite attempts.
 
 // ScrubStats reports one scrub pass.
+// The JSON names are fsdctl's -json keys; a field it does not print is "-".
 type ScrubStats struct {
-	NTPagesChecked  int
-	NTRepaired      int // name-table home copies rewritten (per copy)
-	NTLost          int // pages with no readable copy anywhere
-	LeadersChecked  int
-	LeadersRepaired int
-	RootsRepaired   int
-	LogRecords      int // valid log records audited
-	LogRepaired     int // log sectors rewritten from their twin
-	Retired         int // sectors remapped to spares
-	SectorsChecked  int
+	NTPagesChecked  int `json:"nt_pages_checked"`
+	NTRepaired      int `json:"nt_repaired"` // name-table home copies rewritten (per copy)
+	NTLost          int `json:"nt_lost"`     // pages with no readable copy anywhere
+	LeadersChecked  int `json:"leaders_checked"`
+	LeadersRepaired int `json:"leaders_repaired"`
+	RootsRepaired   int `json:"roots_repaired"`
+	LogRecords      int `json:"log_records"`  // valid log records audited
+	LogRepaired     int `json:"log_repaired"` // log sectors rewritten from their twin
+	Retired         int `json:"retired"`      // sectors remapped to spares
+	SectorsChecked  int `json:"sectors_checked"`
 	// SpareExhausted is set when a retirement failed because the drive's
 	// spare-sector pool is empty (disk.ErrNoSpares): redundancy can no
 	// longer be restored and the volume transitions to read-only.
-	SpareExhausted bool
-	Problems       []string
-	Elapsed        time.Duration
+	SpareExhausted bool          `json:"spare_exhausted"`
+	Problems       []string      `json:"problems"`
+	Elapsed        time.Duration `json:"elapsed_sim_ns"`
 	// NTElapsed is the part of Elapsed the name-table pass took, and
 	// LeaderElapsed the part the leader pass took.
-	NTElapsed     time.Duration
-	LeaderElapsed time.Duration
+	NTElapsed     time.Duration `json:"nt_elapsed_sim_ns"`
+	LeaderElapsed time.Duration `json:"leader_elapsed_sim_ns"`
 	// The name-table pass's two timelines (DESIGN §17): NTArm is the device's
 	// busy time over the pass, NTCPU the processor's — the checksums of the
 	// pages compared, as the ScrubWorkers pool's balanced share — and NTHidden
 	// how much of NTCPU cost no elapsed time because a transfer was in flight
 	// meanwhile. Taken from the volume's counters around the pass, so
 	// under live traffic NTArm and NTCPU include the foreground's share.
-	NTArm    time.Duration
-	NTCPU    time.Duration
-	NTHidden time.Duration
+	NTArm    time.Duration `json:"nt_arm_sim_ns"`
+	NTCPU    time.Duration `json:"nt_pool_sim_ns"`
+	NTHidden time.Duration `json:"nt_hidden_sim_ns"`
 }
 
 // Repaired sums all copy rewrites of the pass.
@@ -209,7 +211,7 @@ func (v *Volume) Scrub() (_ ScrubStats, err error) {
 	}
 	v.faults.scrubs.Add(1)
 	v.faults.repaired.Add(int64(st.Repaired()))
-	v.traceScrub("pass", st.Repaired())
+	v.trace(obs.Event{Kind: obs.EvScrub, Op: "pass", OK: true, A: int64(st.Repaired())})
 	st.Elapsed = v.clk.Now() - start
 	return st, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/alloc"
+	"repro/internal/bufcache"
 	"repro/internal/disk"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -23,30 +24,8 @@ type CacheStats struct {
 	HomeWriteOps int
 }
 
-// DataCacheStats counts file-data buffer cache activity: per-sector hits and
-// misses, sectors fetched ahead of demand and what became of them, clustered
-// transfers that merged run boundaries, and frame turnover.
-type DataCacheStats struct {
-	Hits             int // sectors served from cache
-	Misses           int // sectors that went to disk
-	ReadAheadSectors int // sectors fetched beyond the demand read
-	CoalescedReads   int // read transfers that crossed run boundaries
-	CoalescedWrites  int // write transfers that crossed run boundaries
-	Invalidated      int // frames dropped by delete/contract/damage
-	Evicted          int // frames evicted by replacement
-	Size             int // frames currently resident
-	Capacity         int // frame capacity
-	// ReadAheadUsed and ReadAheadWasted split the sectors read ahead by their
-	// fate: hit by a reader, or evicted or invalidated before any reader
-	// came (the rest are still resident, unread). A wasted share that grows
-	// says the stream window is too large for the cache's probation half.
-	ReadAheadUsed   int
-	ReadAheadWasted int
-	// Promotions counts frames a second reference moved to the protected
-	// list: the re-read working set the replacement policy shields from
-	// read-once traffic.
-	Promotions int
-}
+// DataCacheStats counts file-data buffer cache activity; see bufcache.Stats.
+type DataCacheStats = bufcache.Stats
 
 // AllocStats counts how the growth of files was placed; see alloc.Stats.
 type AllocStats = alloc.Stats
@@ -115,25 +94,12 @@ type RecoveryStats struct {
 	Ran           bool
 	CleanShutdown bool
 	wal.RecoveryStats
-	// The mount's other phases on the sim clock, and how the VAM scan read
-	// the name table (see MountStats): redo write-back of the replayed
-	// images, the scan, and its region sweep's verified pages, chunk
-	// transfers and per-page fallbacks.
-	RedoElapsed    time.Duration
-	ScanElapsed    time.Duration
-	SweepPages     int
-	SweepChunks    int
-	SweepFallbacks int
-	// The scan's two timelines and what its speculative decode cost
-	// (MountStats' fields of the same names; the JSON keys are fsdctl's).
-	ScanArm          time.Duration `json:"scan_arm_sim_ns"`
-	ScanCPU          time.Duration `json:"scan_pool_sim_ns"`
-	ScanHidden       time.Duration `json:"scan_hidden_sim_ns"`
-	SweepStaleLeaves int           `json:"sweep_stale_leaves"`
-	// The replay under the decode (MountStats' fields of the same names).
-	ReplayHidden   time.Duration `json:"replay_hidden_sim_ns"`
-	SweepRedecoded int           `json:"sweep_redecoded"`
-	SweepLate      int           `json:"sweep_late"`
+	// The mount's other phases on the sim clock — redo write-back of the
+	// replayed images and the VAM scan — and how the scan read the name
+	// table (MountStats' own).
+	RedoElapsed time.Duration
+	ScanElapsed time.Duration
+	ScanStats
 }
 type SpanStats struct {
 	Count   int64
@@ -234,12 +200,10 @@ type volObs struct {
 	diskOpTime      *obs.Histogram
 	lockWait        *obs.Histogram
 
-	// applyLag and queueDepth observe the async metadata pipeline: the
-	// enqueue-to-apply latency distribution and the live unapplied-intent
-	// count. Present on every volume (zero on synchronous ones) so the
-	// hooks need no nil checks.
-	applyLag   *obs.Histogram
-	queueDepth obs.Gauge
+	// applyLag is the async metadata pipeline's enqueue-to-apply latency
+	// distribution. Present on every volume (empty on synchronous ones) so
+	// the hook needs no nil check.
+	applyLag *obs.Histogram
 
 	// regions accumulates disk ops by layout region and direction
 	// (0 read, 1 write); fed by observeDiskOp under the device mutex.
@@ -341,76 +305,26 @@ func (v *Volume) spanEnd(name string, start time.Duration, errp *error) {
 		sm.errs.Inc()
 	}
 	sm.lat.ObserveDuration(d)
+	v.trace(obs.Event{Kind: obs.EvOpSpan, Op: name, OK: ok, A: int64(d)})
+}
+
+// trace emits e, stamped with the sim time now, if tracing is on. It is the
+// one place core emits an event (noteRecovery's Record aside, which records
+// with tracing off): a site builds e from values it has at hand, so with
+// tracing off it costs one atomic load and allocates nothing — several sites
+// run under the cache or device locks.
+func (v *Volume) trace(e obs.Event) {
 	if v.obs.tracer.Enabled() {
-		v.obs.tracer.Emit(obs.Event{
-			Time: v.clk.Now(), Kind: obs.EvOpSpan,
-			Op: name, OK: ok, A: int64(d),
-		})
+		e.Time = v.clk.Now()
+		v.obs.tracer.Emit(e)
 	}
 }
 
-// traceCache emits a cache hit/miss event. Called under the cache lock, so
-// it must stay allocation-free when tracing is off (one atomic load).
-func (v *Volume) traceCache(hit bool, id uint32) {
-	if v.obs == nil || !v.obs.tracer.Enabled() {
-		return
-	}
-	kind := obs.EvCacheMiss
-	if hit {
-		kind = obs.EvCacheHit
-	}
-	v.obs.tracer.Emit(obs.Event{
-		Time: v.clk.Now(), Kind: kind, OK: true, A: int64(id),
-	})
-}
-
-// traceData emits a data-cache hit/miss event (A = first sector, B = count).
-func (v *Volume) traceData(hit bool, addr, n int) {
-	if v.obs == nil || !v.obs.tracer.Enabled() {
-		return
-	}
-	kind := obs.EvDataMiss
-	if hit {
-		kind = obs.EvDataHit
-	}
-	v.obs.tracer.Emit(obs.Event{
-		Time: v.clk.Now(), Kind: kind, OK: true, A: int64(addr), B: int64(n),
-	})
-}
-
-// traceReadAhead emits a read-ahead event (A = first sector, B = extra
-// sectors fetched beyond the demand read).
-func (v *Volume) traceReadAhead(addr, extra int) {
-	if v.obs == nil || !v.obs.tracer.Enabled() {
-		return
-	}
-	v.obs.tracer.Emit(obs.Event{
-		Time: v.clk.Now(), Kind: obs.EvReadAhead, OK: true,
-		A: int64(addr), B: int64(extra),
-	})
-}
-
-// traceCoalesce emits a clustered-transfer event (Op = "read"/"write",
-// A = first sector, B = sectors, C = run boundaries crossed).
-func (v *Volume) traceCoalesce(op string, addr, n, merged int) {
-	if v.obs == nil || !v.obs.tracer.Enabled() {
-		return
-	}
-	v.obs.tracer.Emit(obs.Event{
-		Time: v.clk.Now(), Kind: obs.EvCoalesce, Op: op, OK: true,
-		A: int64(addr), B: int64(n), C: int64(merged),
-	})
-}
-
-// traceScrub emits a scrub/repair action event.
-func (v *Volume) traceScrub(action string, n int) {
-	if v.obs == nil || !v.obs.tracer.Enabled() {
-		return
-	}
-	v.obs.tracer.Emit(obs.Event{
-		Time: v.clk.Now(), Kind: obs.EvScrub, Op: action, OK: true,
-		A: int64(n),
-	})
+// diskOpNames names a disk op in the trace by its class and direction
+// (0 read, 1 write).
+var diskOpNames = [...][2]string{
+	disk.ClassData: {"data-read", "data-write"},
+	disk.ClassMeta: {"meta-read", "meta-write"},
 }
 
 // observeDiskOp is the disk's per-op observer. It runs under the device
@@ -433,17 +347,10 @@ func (v *Volume) observeDiskOp(e disk.OpEvent) {
 	if total >= opTimeout {
 		v.noteHungOp(total)
 	}
-	if v.obs.tracer.Enabled() {
-		op := e.Class.String() + "-read"
-		if e.Write {
-			op = e.Class.String() + "-write"
-		}
-		v.obs.tracer.Emit(obs.Event{
-			Time: v.clk.Now(), Kind: obs.EvDiskOp, Op: op, OK: e.OK,
-			A: int64(e.Sectors), B: int64(e.Seek), C: int64(e.Rot),
-			D: int64(e.Transfer),
-		})
-	}
+	v.trace(obs.Event{
+		Kind: obs.EvDiskOp, Op: diskOpNames[e.Class][dir], OK: e.OK,
+		A: int64(e.Sectors), B: int64(e.Seek), C: int64(e.Rot), D: int64(e.Transfer),
+	})
 }
 
 // observeForce is the WAL's group-commit observer.
@@ -451,13 +358,10 @@ func (v *Volume) observeForce(e wal.ForceEvent) {
 	v.obs.batchImages.Observe(int64(e.Images))
 	v.obs.recordsPerForce.Observe(int64(e.Records))
 	v.obs.forceInterval.ObserveDuration(e.Interval)
-	if v.obs.tracer.Enabled() {
-		v.obs.tracer.Emit(obs.Event{
-			Time: v.clk.Now(), Kind: obs.EvWALForce, OK: true,
-			A: int64(e.Images), B: int64(e.Records),
-			C: int64(e.Sectors), D: int64(e.Interval),
-		})
-	}
+	v.trace(obs.Event{
+		Kind: obs.EvWALForce, OK: true,
+		A: int64(e.Images), B: int64(e.Records), C: int64(e.Sectors), D: int64(e.Interval),
+	})
 }
 
 // Stats returns the full counter snapshot. This is the one way to read
@@ -532,21 +436,7 @@ func (v *Volume) Stats() Stats {
 func (v *Volume) cacheStats() CacheStats {
 	cs := v.cache.stats()
 	if v.dataCache != nil {
-		bs := v.dataCache.Stats()
-		cs.Data = DataCacheStats{
-			Hits:             int(bs.Hits),
-			Misses:           int(bs.Misses),
-			ReadAheadSectors: int(bs.ReadAheadSectors),
-			CoalescedReads:   int(bs.CoalescedReads),
-			CoalescedWrites:  int(bs.CoalescedWrites),
-			Invalidated:      int(bs.Invalidated),
-			Evicted:          int(bs.Evicted),
-			Size:             bs.Size,
-			Capacity:         bs.Capacity,
-			ReadAheadUsed:    int(bs.ReadAheadUsed),
-			ReadAheadWasted:  int(bs.ReadAheadWasted),
-			Promotions:       int(bs.Promotions),
-		}
+		cs.Data = v.dataCache.Stats()
 	}
 	return cs
 }

@@ -11,36 +11,37 @@ import (
 )
 
 // VerifyStats reports what a full-volume verification examined.
+// The JSON names are fsdctl's -json keys; a field it does not print is "-".
 type VerifyStats struct {
-	Entries        int
-	Leaders        int
-	LeadersPending int // deferred leaders verified from memory
-	Symlinks       int
+	Entries        int `json:"entries"`
+	Leaders        int `json:"leaders"`
+	LeadersPending int `json:"leaders_pending"` // deferred leaders verified from memory
+	Symlinks       int `json:"symlinks"`
 	// Problems is in canonical order: grouped by name-table entry in key
 	// order (the B-tree's scan order), and within an entry in check order
 	// (decode, runs, byte size, leader). The order — and every string —
 	// is identical at every CheckWorkers setting.
-	Problems []string
-	Elapsed  time.Duration
+	Problems []string      `json:"problems"`
+	Elapsed  time.Duration `json:"elapsed_sim_ns"`
 
 	// Parallel-scan accounting (ISSUE 10). Workers is the pool width the
 	// pass actually used; Steals counts work-stealing migrations (load
 	// balance diagnostics — nondeterministic, excluded from output
 	// equality). The phase splits let fsdctl and the pfsck bench separate
 	// device time from check CPU.
-	Workers       int
-	Steals        int
-	WalkElapsed   time.Duration // name-table walk + entry snapshot
-	CheckElapsed  time.Duration // claim pass, then cross-check beside the leader reads
-	LeaderElapsed time.Duration // leader images verified, after both have finished
-	CheckCPU      time.Duration // total worker CPU across all phases
+	Workers       int           `json:"workers"`
+	Steals        int           `json:"-"`
+	WalkElapsed   time.Duration `json:"walk_sim_ns"`   // name-table walk + entry snapshot
+	CheckElapsed  time.Duration `json:"check_sim_ns"`  // claim pass, then cross-check beside the leader reads
+	LeaderElapsed time.Duration `json:"leader_sim_ns"` // leader images verified, after both have finished
+	CheckCPU      time.Duration `json:"pool_sim_ns"`   // total worker CPU across all phases
 
 	// The pass's two timelines (DESIGN §17): Arm is the device's busy time
 	// over the pass (the walk's page reads and the leader sweep), CheckCPU /
 	// Workers the pool's, and Hidden how much of the pool's share cost no
 	// elapsed time because the arm was sweeping the leaders meanwhile.
-	Arm    time.Duration
-	Hidden time.Duration
+	Arm    time.Duration `json:"arm_sim_ns"`
+	Hidden time.Duration `json:"hidden_sim_ns"`
 }
 
 // verifyChunk is the per-entry granularity the pool schedules over: big

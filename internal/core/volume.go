@@ -64,12 +64,17 @@ type MountStats struct {
 	Elapsed    time.Duration
 	// The rest of the per-phase split of Elapsed, on the simulated clock:
 	// ReplayElapsed is reading and parsing the log, RedoElapsed writing the
-	// replayed name-table and leader images home (zero read-only). The
-	// Sweep counters say how the VAMElapsed scan read the name table: pages
-	// taken verified from sequential chunk transfers, chunk transfers
+	// replayed name-table and leader images home (zero read-only).
+	ReplayElapsed time.Duration
+	RedoElapsed   time.Duration
+	ScanStats
+}
+
+// ScanStats is how the VAMElapsed scan read the name table; MountStats and
+// Stats().Recovery both carry it, under fsdctl's JSON keys.
+type ScanStats struct {
+	// Pages taken verified from sequential chunk transfers, chunk transfers
 	// issued, and pages that fell back to the per-page dual-copy read.
-	ReplayElapsed  time.Duration
-	RedoElapsed    time.Duration
 	SweepPages     int
 	SweepChunks    int
 	SweepFallbacks int
@@ -82,10 +87,10 @@ type MountStats struct {
 	// ScanHidden. SweepStaleLeaves counts the leaf-kind pages the pool
 	// decoded before their reachability was known and no chain link reached:
 	// what the speculation cost, at a page's decode each.
-	ScanArm          time.Duration
-	ScanCPU          time.Duration
-	ScanHidden       time.Duration
-	SweepStaleLeaves int
+	ScanArm          time.Duration `json:"scan_arm_sim_ns"`
+	ScanCPU          time.Duration `json:"scan_pool_sim_ns"`
+	ScanHidden       time.Duration `json:"scan_hidden_sim_ns"`
+	SweepStaleLeaves int           `json:"sweep_stale_leaves"`
 	// The replay under the decode (DESIGN §8): ReplayHidden is the replay,
 	// redo and tree-open time that ran while the scan's pool still held
 	// decode work, and cost the mount nothing; SweepRedecoded counts the
@@ -93,16 +98,18 @@ type MountStats struct {
 	// overlaid images on the pool; SweepLate the pages swept after the
 	// replay — what it allocated, and the home table's last part chunk.
 	// ScanArm and ScanHidden leave the replay's share out.
-	ReplayHidden   time.Duration
-	SweepRedecoded int
-	SweepLate      int
+	ReplayHidden   time.Duration `json:"replay_hidden_sim_ns"`
+	SweepRedecoded int           `json:"sweep_redecoded"`
+	SweepLate      int           `json:"sweep_late"`
 }
 
 // noteSweep records what the VAM scan and its region sweep did.
 func (ms *MountStats) noteSweep(sw ntSweepStats) {
-	ms.SweepPages, ms.SweepChunks, ms.SweepFallbacks = sw.Pages, sw.Chunks, sw.Fallbacks
-	ms.ScanArm, ms.ScanCPU, ms.ScanHidden, ms.SweepStaleLeaves = sw.Arm, sw.CPU, sw.Hidden, sw.StaleLeaves
-	ms.ReplayHidden, ms.SweepRedecoded, ms.SweepLate = sw.ThenHidden, sw.Redecoded, sw.Late
+	ms.ScanStats = ScanStats{
+		SweepPages: sw.Pages, SweepChunks: sw.Chunks, SweepFallbacks: sw.Fallbacks,
+		ScanArm: sw.Arm, ScanCPU: sw.CPU, ScanHidden: sw.Hidden, SweepStaleLeaves: sw.StaleLeaves,
+		ReplayHidden: sw.ThenHidden, SweepRedecoded: sw.Redecoded, SweepLate: sw.Late,
+	}
 }
 
 // noteReplay records what the log replay found.
@@ -409,12 +416,7 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 	v.log.OnWriteFault = v.noteWriteFault
 	v.log.OnReadFault = v.noteReadFault
 	v.log.OnAppend = func(n int, seq uint64) {
-		if v.obs.tracer.Enabled() {
-			v.obs.tracer.Emit(obs.Event{
-				Time: v.clk.Now(), Kind: obs.EvWALAppend, OK: true,
-				A: int64(n), B: int64(seq),
-			})
-		}
+		v.trace(obs.Event{Kind: obs.EvWALAppend, OK: true, A: int64(n), B: int64(seq)})
 	}
 	v.log.FlushHook = func(third int) (int, error) {
 		n, err := v.cache.flushThird(third)
@@ -866,21 +868,9 @@ func (v *Volume) noteRecovery(rs wal.RecoveryStats, ms MountStats) {
 		Ran:           true,
 		CleanShutdown: ms.CleanShutdown,
 		RecoveryStats: rs,
-
-		RedoElapsed:    ms.RedoElapsed,
-		ScanElapsed:    ms.VAMElapsed,
-		SweepPages:     ms.SweepPages,
-		SweepChunks:    ms.SweepChunks,
-		SweepFallbacks: ms.SweepFallbacks,
-
-		ScanArm:          ms.ScanArm,
-		ScanCPU:          ms.ScanCPU,
-		ScanHidden:       ms.ScanHidden,
-		SweepStaleLeaves: ms.SweepStaleLeaves,
-
-		ReplayHidden:   ms.ReplayHidden,
-		SweepRedecoded: ms.SweepRedecoded,
-		SweepLate:      ms.SweepLate,
+		RedoElapsed:   ms.RedoElapsed,
+		ScanElapsed:   ms.VAMElapsed,
+		ScanStats:     ms.ScanStats,
 	}
 	v.obs.tracer.Record(obs.Event{
 		Time: v.clk.Now(), Kind: obs.EvRecovery, Op: v.Health().String(),
@@ -1121,12 +1111,7 @@ func (v *Volume) Force() (err error) {
 	defer v.mu.RUnlock()
 	wait := v.clk.Now() - before
 	v.obs.lockWait.ObserveDuration(wait)
-	if v.obs.tracer.Enabled() {
-		v.obs.tracer.Emit(obs.Event{
-			Time: v.clk.Now(), Kind: obs.EvLockWait, Op: "force",
-			OK: true, A: int64(wait),
-		})
-	}
+	v.trace(obs.Event{Kind: obs.EvLockWait, Op: "force", OK: true, A: int64(wait)})
 	if v.closed.Load() {
 		return ErrClosed
 	}

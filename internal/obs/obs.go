@@ -1,5 +1,5 @@
-// Package obs is the low-overhead observability layer: atomic counters,
-// gauges, and fixed-bucket histograms over simulated-time values, plus an
+// Package obs is the low-overhead observability layer: atomic counters
+// and fixed-bucket histograms over simulated-time values, plus an
 // optional structured event trace (see trace.go).
 //
 // Everything here is built for the hot path of a file system running on a
@@ -26,18 +26,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram accumulates int64 observations into fixed buckets. Bounds are
 // inclusive upper limits in ascending order; an observation larger than the

@@ -6,18 +6,12 @@ import (
 	"time"
 )
 
-func TestCounterGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
 	c.Add(4)
 	if got := c.Load(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
-	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Load(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
 	}
 }
 

@@ -136,6 +136,18 @@ awk '/^func \(v \*Volume\) createClass\(/,/^}/' internal/core/file.go | grep -q 
 # retired. (Whole identifiers only.)
 ! grep -rnwE --include='*.go' 'heldSpans|noteHeld|HeldRange|freshRuns|groupPlace|leaderHeld' . \
 	|| { echo "verify: a retired ledger resurfaced (take the held set from bufcache.Held, the group from commitGroup, ask leaderNotHome)"; exit 1; }
+# Each counter and each trace event said once (DESIGN §11): core emits every
+# event through Volume.trace, which checks, stamps and emits; the data cache's
+# counters are bufcache.Stats; no gauge is kept that nothing reads; and a write
+# that moves the end of file is one call (grow). Each name below is a per-kind
+# emitter, a write-only gauge or the size update a write once made on its own.
+# (Whole identifiers only.)
+! grep -rnwE --include='*.go' 'traceCache|traceData|traceReadAhead|traceCoalesce|traceScrub|queueDepth|growOnly|Gauge' . \
+	|| { echo "verify: a retired emitter, gauge or growOnly resurfaced (emit through Volume.trace, grow through WriteAt)"; exit 1; }
+! awk 'FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/^[[:space:]]*\/\// { next }
+	/tracer\.Emit\(/ && fn !~ /^func \(v \*Volume\) trace\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: a trace event emitted outside Volume.trace (build the event and pass it to v.trace)"; exit 1; }
 # One clock and one bring-up (DESIGN §3.1, §15). The wall-clock Clock and the
 # ticker goroutines it drove (group commit, periodic scrub) were never built
 # by any binary, example or benchmark; group commit runs at operation
