@@ -420,9 +420,9 @@ func run(img string, jsonOut bool, args []string) error {
 		fmt.Printf("cache: %d hits, %d misses, %d sectors written home in %d I/Os\n",
 			st.Cache.Hits, st.Cache.Misses, st.Cache.HomeWrites, st.Cache.HomeWriteOps)
 		if dc := st.Cache.Data; dc.Capacity > 0 {
-			fmt.Printf("data cache: %d/%d frames, %d hits, %d misses, %d read-ahead sectors, %d/%d coalesced reads/writes, %d invalidated, %d evicted\n",
+			fmt.Printf("data cache: %d/%d frames, %d hits, %d misses, %d read-ahead sectors, %d invalidated, %d evicted\n",
 				dc.Size, dc.Capacity, dc.Hits, dc.Misses, dc.ReadAheadSectors,
-				dc.CoalescedReads, dc.CoalescedWrites, dc.Invalidated, dc.Evicted)
+				dc.Invalidated, dc.Evicted)
 		}
 		fmt.Printf("commit: %d forces, %d records, %d/%d images logged/staged (batching %.2fx), %d sectors\n",
 			st.Commit.Forces, st.Commit.Records, st.Commit.ImagesLogged,

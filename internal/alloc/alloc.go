@@ -25,6 +25,7 @@
 package alloc
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -36,6 +37,10 @@ type Run struct {
 	Start uint32
 	Len   uint32
 }
+
+// ErrFragmented reports free space that holds the pages asked for only in
+// more runs than Config.MaxRuns allows.
+var ErrFragmented = errors.New("alloc: free space too fragmented")
 
 // Config describes the data region served by an allocator.
 type Config struct {
@@ -130,7 +135,9 @@ func (a *Allocator) Config() Config { return a.cfg }
 
 // Alloc returns runs covering exactly pages disk pages, preferring a single
 // contiguous run in the area suited to the allocation's size. The pages are
-// marked allocated in the VAM. On failure nothing is allocated.
+// marked allocated in the VAM. The runs come through Join, so two pieces
+// that meet on the disk — the two sides of the area boundary — are one run.
+// On failure nothing is allocated.
 func (a *Allocator) Alloc(pages int) ([]Run, error) {
 	if pages <= 0 {
 		return nil, fmt.Errorf("alloc: request for %d pages", pages)
@@ -153,7 +160,7 @@ func (a *Allocator) Alloc(pages int) ([]Run, error) {
 	for remaining > 0 {
 		if len(runs) >= a.cfg.maxRuns() {
 			a.release(runs)
-			return nil, fmt.Errorf("alloc: allocation of %d pages needs more than %d runs (fragmentation)", pages, a.cfg.maxRuns())
+			return nil, fmt.Errorf("%w: allocation of %d pages needs more than %d runs", ErrFragmented, pages, a.cfg.maxRuns())
 		}
 		got := false
 		for _, w := range order {
@@ -188,7 +195,7 @@ func (a *Allocator) Alloc(pages int) ([]Run, error) {
 			remaining -= bestL
 		}
 	}
-	return runs, nil
+	return Join(nil, runs), nil
 }
 
 // Extend returns runs covering exactly more further pages for the file whose
@@ -239,7 +246,9 @@ func (a *Allocator) Extend(runs []Run, more int) ([]Run, error) {
 
 // Join returns the run table runs followed by grown, as a new slice, with
 // runs that are adjacent on the disk merged into one — which is how a file
-// extended in place keeps a table of two runs however often it grows.
+// extended in place keeps a table of two runs however often it grows. Every
+// run table Alloc and Extend's callers make goes through it, so no table
+// holds a run that ends where the next begins.
 func Join(runs, grown []Run) []Run {
 	out := make([]Run, 0, len(runs)+len(grown))
 	out = append(out, runs...)

@@ -3,6 +3,7 @@ package alloc
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -104,6 +105,26 @@ func TestAllocFragmented(t *testing.T) {
 	}
 }
 
+// TestAllocJoinsAcrossBoundary holds the run-table invariant where Alloc
+// makes a table: free space that straddles the area boundary is found as two
+// pieces, one per area, and the pieces meet on the disk, so they come back as
+// one run.
+func TestAllocJoinsAcrossBoundary(t *testing.T) {
+	v := vam.New(1000)
+	v.MarkFree(497, 6)
+	a, err := New(v, Config{Lo: 0, Hi: 1000, Boundary: 500, SmallThreshold: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := a.Alloc(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Run{{Start: 497, Len: 6}}; !slices.Equal(runs, want) {
+		t.Fatalf("Alloc(6) across the boundary = %v, want %v", runs, want)
+	}
+}
+
 func TestAllocNoSpace(t *testing.T) {
 	a, v := newTestAllocator(t, 100)
 	v.MarkAllocated(0, 100)
@@ -123,8 +144,8 @@ func TestAllocTooFragmentedForMaxRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := v.FreeCount()
-	if _, err := a.Alloc(100); err == nil {
-		t.Fatal("alloc needing 100 runs succeeded with MaxRuns=4")
+	if _, err := a.Alloc(100); !errors.Is(err, ErrFragmented) {
+		t.Fatalf("alloc needing 100 runs with MaxRuns=4: %v, want ErrFragmented", err)
 	}
 	if v.FreeCount() != before {
 		t.Fatal("failed alloc leaked pages")

@@ -154,14 +154,7 @@ func newUnix(cfg unixfs.Config) (unixEnv, error) {
 	return unixEnv{fs: fs, d: d, clk: clk, t: workload.UnixTarget{FS: fs}}, nil
 }
 
-// timeOp measures the virtual-clock duration of fn.
-func timeOp(clk *sim.VirtualClock, fn func() error) (time.Duration, error) {
-	start := clk.Now()
-	err := fn()
-	return clk.Now() - start, err
-}
-
-// avigate runs fn n times and returns the mean duration.
+// meanOp runs fn n times and returns the mean virtual-clock duration.
 func meanOp(clk *sim.VirtualClock, n int, fn func(i int) error) (time.Duration, error) {
 	start := clk.Now()
 	for i := 0; i < n; i++ {

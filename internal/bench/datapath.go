@@ -10,11 +10,12 @@ import (
 )
 
 // The data-path experiment: the file-data buffer cache with sequential
-// read-ahead and clustered transfers (internal/bufcache), ablated against
-// the paper's raw per-run path. Three configurations —
+// read-ahead (internal/bufcache), ablated against the paper's raw path. Every
+// configuration walks the run table the same way, one request per run.
+// Three configurations —
 //
-//	no-cache   the paper's FSD: every read goes to disk, one request per run
-//	cache      buffer cache on, read-ahead off (demand clustering only)
+//	no-cache   the paper's FSD: every read goes to disk
+//	cache      buffer cache on, read-ahead off
 //	cache+ra   buffer cache with sequential read-ahead (the full design)
 //
 // — each run three workloads on an identical volume: a sequential scan of a
@@ -38,7 +39,6 @@ type DataPathResult struct {
 	CacheMisses      int     `json:"cache_misses"`
 	HitRate          float64 `json:"hit_rate"`
 	ReadAheadSectors int     `json:"read_ahead_sectors"`
-	CoalescedReads   int     `json:"coalesced_reads"`
 }
 
 // DataPathReport is what BENCH_datapath.json holds.
@@ -141,7 +141,6 @@ func dpMeasure(fe fsdEnv, cfgName, wl string, run func() error) (DataPathResult,
 		CacheHits:        hits,
 		CacheMisses:      misses,
 		ReadAheadSectors: ds1.Cache.Data.ReadAheadSectors - ds0.Cache.Data.ReadAheadSectors,
-		CoalescedReads:   ds1.Cache.Data.CoalescedReads - ds0.Cache.Data.CoalescedReads,
 	}
 	if hits+misses > 0 {
 		r.HitRate = float64(hits) / float64(hits+misses)
@@ -247,15 +246,15 @@ func DataPathReportRun() (DataPathReport, error) {
 func (rep DataPathReport) Render() []Table {
 	t := Table{
 		ID:     "DataPath",
-		Title:  "File-data buffer cache: clustered transfers + sequential read-ahead vs the raw per-run path",
-		Header: []string{"Config", "Workload", "Disk reads", "Sectors", "Mergeable", "Disk (ms)", "Hit rate", "Read-ahead", "Coalesced"},
+		Title:  "File-data buffer cache: sequential read-ahead vs the raw per-run path",
+		Header: []string{"Config", "Workload", "Disk reads", "Sectors", "Mergeable", "Disk (ms)", "Hit rate", "Read-ahead"},
 	}
 	for _, r := range rep.Results {
 		t.Rows = append(t.Rows, []string{
 			r.Config, r.Workload, fmt.Sprint(r.Reads), fmt.Sprint(r.SectorsRead),
 			fmt.Sprint(r.MergeableOps), fmt.Sprintf("%.1f", r.DiskTimeMS),
 			fmt.Sprintf("%.0f%%", r.HitRate*100),
-			fmt.Sprint(r.ReadAheadSectors), fmt.Sprint(r.CoalescedReads),
+			fmt.Sprint(r.ReadAheadSectors),
 		})
 	}
 	t.Notes = append(t.Notes,

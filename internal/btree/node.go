@@ -100,12 +100,6 @@ func (n node) child(i int) uint32 {
 	return binary.BigEndian.Uint32(n.data[off+2:])
 }
 
-// setChild rewrites the child pointer of internal slot i in place.
-func (n node) setChild(i int, id uint32) {
-	off := n.slotOffset(i)
-	binary.BigEndian.PutUint32(n.data[off+2:], id)
-}
-
 // cellSize returns the total byte size of slot i's cell.
 func (n node) cellSize(i int) int {
 	off := n.slotOffset(i)

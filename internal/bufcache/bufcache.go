@@ -74,11 +74,9 @@ const protectedShare = 2
 
 // Stats is a snapshot of the cache counters. Hits and Misses count sectors
 // requested through GetRange (a partially cached range counts entirely as a
-// miss: the whole range is refetched in one request). The coalesce counters
-// are fed by the caller via NoteCoalescedRead/Write, since run merging
-// happens in the file layer; they count disk requests that spanned at least
-// one run boundary. A ReadAheadWasted share that grows says the caller's
-// stream window is too large for the probation half.
+// miss: the whole range is refetched in one request). A ReadAheadWasted
+// share that grows says the caller's stream window is too large for the
+// probation half.
 type Stats struct {
 	Hits             int // sectors served from memory
 	Misses           int // sectors that went to the disk
@@ -86,13 +84,15 @@ type Stats struct {
 	ReadAheadUsed    int // of those, frames a reader then hit
 	ReadAheadWasted  int // of those, frames evicted or invalidated unread
 	Promotions       int // frames moved to the protected list by a re-reference
-	CoalescedReads   int // read requests that merged adjacent runs
-	CoalescedWrites  int // write requests that merged adjacent runs
-	Invalidated      int // frames dropped by invalidation (frees, damage)
-	Evicted          int // frames dropped by replacement
-	Size             int // frames resident now, held ones included
-	Held             int // frames held now (Hold … Release)
-	Capacity         int // frame capacity
+	// Deprecated: always 0. No request spans two runs: no run table holds
+	// two runs that meet on the disk. The field stays for readers compiled
+	// against it.
+	CoalescedReads int
+	Invalidated    int // frames dropped by invalidation (frees, damage)
+	Evicted        int // frames dropped by replacement
+	Size           int // frames resident now, held ones included
+	Held           int // frames held now (Hold … Release)
+	Capacity       int // frame capacity
 }
 
 // frame is one cached sector: a slab slot, linked into one of its shard's
@@ -310,8 +310,6 @@ type Cache struct {
 	aheadUsed   atomic.Int64
 	aheadWasted atomic.Int64
 	promotions  atomic.Int64
-	coalescedR  atomic.Int64
-	coalescedW  atomic.Int64
 	invalidated atomic.Int64
 	evicted     atomic.Int64
 }
@@ -689,12 +687,6 @@ func (c *Cache) Release(addr, n int) {
 	c.size.Add(-released)
 }
 
-// NoteCoalescedRead records a read request that merged adjacent runs.
-func (c *Cache) NoteCoalescedRead() { c.coalescedR.Add(1) }
-
-// NoteCoalescedWrite records a write request that merged adjacent runs.
-func (c *Cache) NoteCoalescedWrite() { c.coalescedW.Add(1) }
-
 // Stats returns a snapshot of the counters. All sources are atomics, so it
 // never blocks a reader or writer.
 func (c *Cache) Stats() Stats {
@@ -705,8 +697,6 @@ func (c *Cache) Stats() Stats {
 		ReadAheadUsed:    int(c.aheadUsed.Load()),
 		ReadAheadWasted:  int(c.aheadWasted.Load()),
 		Promotions:       int(c.promotions.Load()),
-		CoalescedReads:   int(c.coalescedR.Load()),
-		CoalescedWrites:  int(c.coalescedW.Load()),
 		Invalidated:      int(c.invalidated.Load()),
 		Evicted:          int(c.evicted.Load()),
 		Size:             int(c.size.Load()),

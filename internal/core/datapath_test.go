@@ -197,7 +197,7 @@ func TestDamageInvalidatesDataCache(t *testing.T) {
 		t.Fatalf("ReadAll: %v", err)
 	}
 	e := f.Entry()
-	addr, err := e.DataAddr(2)
+	addr, _, err := e.ContiguousFrom(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,75 +82,22 @@ func (e *Entry) LeaderAddr() (int, bool) {
 	return int(e.Runs[0].Start), true
 }
 
-// DataAddr maps a logical data page number to its disk sector. Logical page
-// 0 is the sector after the leader.
-func (e *Entry) DataAddr(page int) (int, error) {
-	off := page + 1 // skip the leader
-	for _, r := range e.Runs {
-		if off < int(r.Len) {
-			return int(r.Start) + off, nil
-		}
-		off -= int(r.Len)
-	}
-	return 0, fmt.Errorf("core: page %d beyond %q!%d", page, e.Name, e.Version)
-}
-
-// ContiguousFrom returns the disk sector of logical page `page` and the
-// number of pages contiguous on disk starting there, capped at want.
+// ContiguousFrom returns the disk sector of logical page `page` — page 0 is
+// the sector after the leader — and the number of pages contiguous on disk
+// starting there, capped at want. It is
+// the one walk from page to sector: the rest of the page's run is all that is
+// contiguous, because no run table holds a run that ends where the next one
+// begins (alloc.Join makes every table), so a transfer plan is this walk, one
+// request per run.
 func (e *Entry) ContiguousFrom(page, want int) (addr, n int, err error) {
 	off := page + 1
 	for _, r := range e.Runs {
 		if off < int(r.Len) {
-			n = int(r.Len) - off
-			if n > want {
-				n = want
-			}
-			return int(r.Start) + off, n, nil
+			return int(r.Start) + off, min(int(r.Len)-off, want), nil
 		}
 		off -= int(r.Len)
 	}
 	return 0, 0, fmt.Errorf("core: page %d beyond %q!%d", page, e.Name, e.Version)
-}
-
-// PhysContiguousFrom is ContiguousFrom with cross-run clustering: runs that
-// are merely separate entries in the run table but physically adjacent on
-// disk (one run ends exactly where the next begins — the common result of
-// growing a file with successive Extends) are merged into one stretch, so
-// the caller can issue a single clustered transfer where the per-run walk
-// would issue one request per run. merged counts the run boundaries crossed
-// within the returned stretch; n is capped at want.
-func (e *Entry) PhysContiguousFrom(page, want int) (addr, n, merged int, err error) {
-	off := page + 1
-	for i, r := range e.Runs {
-		if off >= int(r.Len) {
-			off -= int(r.Len)
-			continue
-		}
-		addr = int(r.Start) + off
-		n = int(r.Len) - off
-		end := int(r.Start) + int(r.Len)
-		for j := i + 1; n < want && j < len(e.Runs); j++ {
-			next := e.Runs[j]
-			if int(next.Start) != end {
-				break
-			}
-			n += int(next.Len)
-			end += int(next.Len)
-			merged++
-		}
-		if n > want {
-			n = want
-			// Recount boundaries actually inside the capped stretch.
-			merged = 0
-			covered := int(r.Len) - off
-			for j := i + 1; covered < n; j++ {
-				merged++
-				covered += int(e.Runs[j].Len)
-			}
-		}
-		return addr, n, merged, nil
-	}
-	return 0, 0, 0, fmt.Errorf("core: page %d beyond %q!%d", page, e.Name, e.Version)
 }
 
 // ErrBadName reports a file name that cannot be encoded as a name-table

@@ -98,13 +98,13 @@ func TestDataAddrAndContiguity(t *testing.T) {
 	}
 	wantAddrs := []int{101, 102, 103, 500, 501, 502}
 	for p, want := range wantAddrs {
-		got, err := e.DataAddr(p)
+		got, _, err := e.ContiguousFrom(p, 1)
 		if err != nil || got != want {
-			t.Fatalf("DataAddr(%d) = %d, %v; want %d", p, got, err, want)
+			t.Fatalf("ContiguousFrom(%d,1) = %d, %v; want %d", p, got, err, want)
 		}
 	}
-	if _, err := e.DataAddr(6); err == nil {
-		t.Fatal("DataAddr past end accepted")
+	if _, _, err := e.ContiguousFrom(6, 1); err == nil {
+		t.Fatal("ContiguousFrom past end accepted")
 	}
 	addr, n, err := e.ContiguousFrom(1, 10)
 	if err != nil || addr != 102 || n != 2 {
@@ -113,43 +113,6 @@ func TestDataAddrAndContiguity(t *testing.T) {
 	addr, n, err = e.ContiguousFrom(3, 2)
 	if err != nil || addr != 500 || n != 2 {
 		t.Fatalf("ContiguousFrom(3,2) = %d,%d,%v", addr, n, err)
-	}
-}
-
-func TestPhysContiguousFrom(t *testing.T) {
-	// Leader at 100; runs 1 and 2 are physically adjacent (103+5 = 108),
-	// run 3 is not.
-	e := &Entry{
-		Name: "m", Version: 1,
-		Runs: []alloc.Run{{Start: 100, Len: 3}, {Start: 103, Len: 5}, {Start: 108, Len: 2}, {Start: 500, Len: 4}},
-	}
-	check := func(page, want, wAddr, wN, wMerged int) {
-		t.Helper()
-		addr, n, merged, err := e.PhysContiguousFrom(page, want)
-		if err != nil || addr != wAddr || n != wN || merged != wMerged {
-			t.Fatalf("PhysContiguousFrom(%d,%d) = %d,%d,%d,%v; want %d,%d,%d",
-				page, want, addr, n, merged, err, wAddr, wN, wMerged)
-		}
-	}
-	// Page 0 is sector 101: the adjacent stretch 101..109 covers runs
-	// 0-2 (9 sectors, 2 boundaries crossed).
-	check(0, 64, 101, 9, 2)
-	// Capped below the second boundary: only one boundary inside.
-	check(0, 5, 101, 5, 1)
-	// Capped within the first run: no boundary crossed.
-	check(0, 2, 101, 2, 0)
-	// Page 8 is sector 109, last of the adjacent stretch.
-	check(8, 64, 109, 1, 0)
-	// Page 9 starts the detached run.
-	check(9, 64, 500, 4, 0)
-	if _, _, _, err := e.PhysContiguousFrom(13, 1); err == nil {
-		t.Fatal("PhysContiguousFrom past end accepted")
-	}
-	// Agreement with ContiguousFrom when nothing is adjacent.
-	e2 := &Entry{Name: "x", Version: 1, Runs: []alloc.Run{{Start: 100, Len: 4}, {Start: 500, Len: 3}}}
-	addr, n, merged, err := e2.PhysContiguousFrom(1, 10)
-	if err != nil || addr != 102 || n != 2 || merged != 0 {
-		t.Fatalf("PhysContiguousFrom(1,10) = %d,%d,%d,%v", addr, n, merged, err)
 	}
 }
 

@@ -260,11 +260,11 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 // the first data chunk go out as one clustered transfer — the paper's "a
 // file create typically does one I/O synchronously" — with the chunk no
 // longer truncated at the leader boundary: a full MaxTransferSectors of data
-// rides along with the leader, matching writeFrom's piggybacked write.
-// Physically adjacent runs of a fragmented allocation are merged into single
-// stretches, so the request count depends on the physical layout, not the
-// run-table shape. Like writeFrom it lends data: whole sectors go out
-// straight from it, the zero-padded last one through the window's scratch.
+// rides along with the leader, matching writeFrom's piggybacked write. Each
+// run gets its own requests — no run table holds two runs that meet on the
+// disk (alloc.Join), so the runs are the transfer plan. Like writeFrom it
+// lends data: whole sectors go out straight from it, the zero-padded last
+// one through the window's scratch.
 //
 // The CPU copies a chunk before its request goes out. The first chunk's copy,
 // the leader's with it, is charged ahead of the first request, as a lone
@@ -278,17 +278,12 @@ func (v *Volume) writeLeaderAndData(e *Entry, leader, data []byte) error {
 	copy(w.edge[1][:], data[len(data)/disk.SectorSize*disk.SectorSize:])
 	written := 0 // data sectors written so far
 	prev := -1   // sectors of the request last issued; -1 before the first
-	for i := 0; i < len(e.Runs) && written < pages; {
-		// One stretch: runs i..j-1, each beginning where the last ended.
-		addr, n := int(e.Runs[i].Start), int(e.Runs[i].Len)
-		j := i + 1
-		for ; j < len(e.Runs) && int(e.Runs[j].Start) == addr+n; j++ {
-			n += int(e.Runs[j].Len)
-		}
+	for i, r := range e.Runs {
+		addr, n := int(r.Start), int(r.Len)
 		var lead []byte
 		if i == 0 {
-			// The stretch begins with the leader page, which rides ahead of
-			// the first data chunk (or alone, if the stretch ends with it).
+			// The run begins with the leader page, which rides ahead of the
+			// first data chunk (or alone, if the run ends with it).
 			lead = leader
 			addr++
 			n--
@@ -315,7 +310,6 @@ func (v *Volume) writeLeaderAndData(e *Entry, leader, data []byte) error {
 			addr += chunk
 			n -= chunk
 		}
-		i = j
 	}
 	v.ops.writes.Add(1)
 	return nil
@@ -514,13 +508,12 @@ func (w *ioWindow) settle(cur, cnt int) {
 // onto the data transfer: "the leader page is the previous physical page on
 // the disk... it usually costs only the transfer time for a page".
 //
-// With the data cache on, each chunk is looked up there first; misses are
-// filled by a single clustered transfer that merges physically adjacent runs
-// (Entry.PhysContiguousFrom) and, when the handle is reading sequentially,
-// goes on through the contiguous stretch by up to the read-ahead budget,
-// platter → frame. Fills are write-through partners of WritePages' Update
-// calls and are guarded against concurrent invalidation by the cache
-// generation counter.
+// Each chunk is one request inside one run (Entry.ContiguousFrom). With the
+// data cache on, it is looked up there first; a miss is filled by that
+// request and, when the handle is reading sequentially, the request goes on
+// through the run by up to the read-ahead budget, platter → frame. Fills are
+// write-through partners of WritePages' Update calls and are guarded against
+// concurrent invalidation by the cache generation counter.
 //
 // A chunk read from the platter is settled, filled into the cache and copied
 // only once the next chunk's request has gone out: the CPU moves one chunk's
@@ -563,25 +556,14 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 	var held heldChunk
 	defer f.release(&w, &held, 0)
 	for cur, remaining := page, n; remaining > 0; {
-		var addr, cnt, merged int
-		if dc != nil {
-			addr, cnt, merged, err = f.e.PhysContiguousFrom(cur, min(remaining, MaxTransferSectors))
-		} else {
-			addr, cnt, err = f.e.ContiguousFrom(cur, remaining)
-			cnt = min(cnt, MaxTransferSectors)
-		}
+		addr, cnt, err := f.e.ContiguousFrom(cur, min(remaining, MaxTransferSectors))
 		if err != nil {
 			return err
 		}
 		if dc != nil && dc.Holding() {
 			// Held sectors are newer than the platter: a request is all
 			// held, which the cache serves, or all not.
-			if _, k := dc.HeldRun(addr, cnt); k < cnt {
-				addr, cnt, merged, err = f.e.PhysContiguousFrom(cur, k)
-				if err != nil {
-					return err
-				}
-			}
+			_, cnt = dc.HeldRun(addr, cnt)
 		}
 		segs[1], segs[2], segs[3] = w.place(cur, cnt)
 		needLeader := !f.leaderVerified && cur == page && addr == leaderAddr+1
@@ -623,16 +605,14 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 				}
 				v.trace(obs.Event{Kind: obs.EvDataMiss, OK: true, A: int64(addr), B: int64(cnt)})
 			}
-			// Miss: cluster the fetch. If it is a sequential reader's next
-			// step, the same request goes on through the physically
-			// contiguous stretch by up to the read-ahead budget — never
-			// past the end of the file — into frames the cache lends, so
-			// that the reader's next chunks are hits, not requests that
-			// each wait for the platter to come round again.
+			// Miss. If it is a sequential reader's next step, the same
+			// request goes on through the run by up to the read-ahead
+			// budget — never past the end of the file — into frames the
+			// cache lends, so that the reader's next chunks are hits, not
+			// requests that each wait for the platter to come round again.
 			if ra := v.cfg.readAhead(); ra > 0 && stream && pages-cur > cnt {
-				if _, stretch, m, err := f.e.PhysContiguousFrom(cur, min(cnt+ra, pages-cur)); err == nil && stretch > cnt {
+				if _, stretch, err := f.e.ContiguousFrom(cur, min(cnt+ra, pages-cur)); err == nil && stretch > cnt {
 					ahead = dc.Reserve(addr+cnt, segs[4:4+stretch-cnt], slots[:])
-					merged = m
 				}
 			}
 			gen = dc.Gen()
@@ -661,10 +641,6 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 		f.release(&w, &held, sectors-ahead)
 		if ahead > 0 {
 			v.trace(obs.Event{Kind: obs.EvReadAhead, OK: true, A: int64(addr), B: int64(ahead)})
-		}
-		if merged > 0 {
-			dc.NoteCoalescedRead()
-			v.trace(obs.Event{Kind: obs.EvCoalesce, Op: "read", OK: true, A: int64(addr), B: int64(cnt + ahead), C: int64(merged)})
 		}
 		held = heldChunk{cur: cur, cnt: cnt, addr: addr, segs: [3][]byte(segs[1:4]), gen: gen}
 		if ahead > 0 {
@@ -826,14 +802,7 @@ func (f *File) writeLocked(e *Entry, p []byte, off int64) (err error) {
 	behind := 0
 	defer func() { v.copied(behind, 0) }()
 	for cur, remaining := page, n; remaining > 0; {
-		var addr, cnt, merged int
-		if v.dataCache != nil {
-			// Cluster across physically adjacent runs, as the read path
-			// does, so a fragmented file still writes in few transfers.
-			addr, cnt, merged, err = e.PhysContiguousFrom(cur, min(remaining, MaxTransferSectors))
-		} else {
-			addr, cnt, err = e.ContiguousFrom(cur, min(remaining, MaxTransferSectors))
-		}
+		addr, cnt, err := e.ContiguousFrom(cur, min(remaining, MaxTransferSectors))
 		if err != nil {
 			return err
 		}
@@ -868,10 +837,6 @@ func (f *File) writeLocked(e *Entry, p []byte, off int64) (err error) {
 			}
 			v.lmu.Unlock()
 			f.leaderVerified = true
-		}
-		if merged > 0 {
-			v.dataCache.NoteCoalescedWrite()
-			v.trace(obs.Event{Kind: obs.EvCoalesce, Op: "write", OK: true, A: int64(addr), B: int64(cnt), C: int64(merged)})
 		}
 		cur += cnt
 		remaining -= cnt

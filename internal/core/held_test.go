@@ -20,7 +20,7 @@ func dataSectors(t *testing.T, d *disk.Disk, e Entry) []byte {
 	t.Helper()
 	var out []byte
 	for p := 0; p < e.Pages(); p++ {
-		addr, err := e.DataAddr(p)
+		addr, _, err := e.ContiguousFrom(p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func TestDamageKeepsHeldFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := f.Entry()
-	addr, err := e.DataAddr(2)
+	addr, _, err := e.ContiguousFrom(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,11 +349,11 @@ func (v *Volume) IntentQueueLimit() int {
 // enqueueIntent hands a validated mutation to the applier under its intent
 // sequence — the volume's commit sequence in async mode.
 func (v *Volume) enqueueIntent(it *intent) error {
-	seq := v.q.Enqueue(it, it.touched()...)
+	seq, depth := v.q.Enqueue(it, it.touched()...)
 	if seq == 0 {
 		return ErrClosed
 	}
-	v.trace(obs.Event{Kind: obs.EvIntentEnqueue, Op: it.op, OK: true, A: int64(seq), B: int64(v.q.Depth())})
+	v.trace(obs.Event{Kind: obs.EvIntentEnqueue, Op: it.op, OK: true, A: int64(seq), B: int64(depth)})
 	return nil
 }
 

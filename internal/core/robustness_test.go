@@ -229,7 +229,7 @@ func TestSingleSectorDamageCampaign(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := f.Entry()
-		addr, err := e.DataAddr(0)
+		addr, _, err := e.ContiguousFrom(0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

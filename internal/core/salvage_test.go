@@ -138,7 +138,7 @@ func TestSalvagePartialPreamble(t *testing.T) {
 	e := &Entry{Name: "partial", Version: 1, UID: 5<<32 + 7, ByteSize: 11 * disk.SectorSize, Runs: runs}
 	want := payload(11*disk.SectorSize, 42)
 	for p := 0; p < 11; p++ {
-		addr, err := e.DataAddr(p)
+		addr, _, err := e.ContiguousFrom(p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

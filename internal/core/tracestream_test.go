@@ -6,22 +6,21 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/alloc"
 	"repro/internal/disk"
 	"repro/internal/obs"
 )
 
 // TestTraceStreamPinned pins the trace stream core emits. One scripted
-// sequence — a create, a sequential read that reads ahead and coalesces, a
-// write that coalesces, a cached open, a force, a scrub, on the async volume
-// a reader's wait on a pending intent, and a health transition — runs
-// with tracing on, staged and async. Every event kind core emits must appear,
-// and each kind's Op and A–D payload must add up to the counters that count
-// the same thing over the same window: the spans, the disk's ops, sectors and
-// time split, the log's staged and logged images, the name-table and data
-// caches, the read-ahead and the coalesced transfers, the intent queue, the
-// lock-wait histogram and the error budget. The replay of the crash mount
-// that follows must leave its EvRecovery in the ring with tracing off.
+// sequence — a create, a sequential read that reads ahead, a write, a cached
+// open, a force, a scrub, on the async volume a reader's wait on a pending
+// intent, and a health transition — runs with tracing on, staged and async.
+// Every event kind core emits must appear, and each kind's Op and A–D
+// payload must add up to the counters that count the same thing over the
+// same window: the spans, the disk's ops, sectors and time split, the log's
+// staged and logged images, the name-table and data caches, the read-ahead,
+// the intent queue's enqueues, applies and reader waits, the lock-wait
+// histogram and the error budget. The replay of the crash mount that follows
+// must leave its EvRecovery in the ring with tracing off.
 func TestTraceStreamPinned(t *testing.T) { bothModes(t, traceStream) }
 
 func traceStream(t *testing.T, cfg Config) {
@@ -39,16 +38,12 @@ func traceStream(t *testing.T, cfg Config) {
 	if _, err := v.Create("trace/small", payload(1000, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh handle on the big file with its one data run cut into
-	// physically adjacent 16-page runs: every transfer over it crosses run
-	// boundaries, which is what the coalescing path merges. The leader check
-	// compares the run table, so the handle counts it as done.
+	// A fresh handle on the big file, read from its start in whole
+	// transfers: a sequential reader, whose misses read ahead.
 	f, err := v.Open("trace/big", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.e.Runs = splitRuns(f.e.Runs, 16)
-	f.leaderVerified = true
 	var got []byte
 	for page := 0; page < pages; page += MaxTransferSectors {
 		b, err := f.ReadPages(page, MaxTransferSectors)
@@ -58,7 +53,7 @@ func traceStream(t *testing.T, cfg Config) {
 		got = append(got, b...)
 	}
 	if !bytes.Equal(got, payload(pages*disk.SectorSize, 5)) {
-		t.Fatal("sequential read over the split runs returned other bytes")
+		t.Fatal("sequential read returned other bytes")
 	}
 	if err := f.WritePages(0, payload(MaxTransferSectors*disk.SectorSize, 9)); err != nil {
 		t.Fatal(err)
@@ -76,8 +71,9 @@ func traceStream(t *testing.T, cfg Config) {
 	if v.q != nil {
 		// The queue reports a reader that waited on a pending intent through
 		// its OnWait hook, once the wait is over. The test calls the hook as
-		// the queue would: whether a real reader parks before the applier
-		// gets to its intent is up to the scheduler.
+		// the queue would, past the queue's count: whether a real reader
+		// parks before the applier gets to its intent is up to the
+		// scheduler, and each one that does fires the hook too.
 		v.queueConfig().OnWait("name", "trace/small")
 		if err := v.DrainIntents(); err != nil {
 			t.Fatal(err)
@@ -113,20 +109,6 @@ func traceStream(t *testing.T, cfg Config) {
 	}
 }
 
-// splitRuns cuts each run longer than n into physically adjacent runs of at
-// most n sectors.
-func splitRuns(runs []alloc.Run, n uint32) []alloc.Run {
-	var out []alloc.Run
-	for _, r := range runs {
-		for r.Len > n {
-			out = append(out, alloc.Run{Start: r.Start, Len: n})
-			r.Start, r.Len = r.Start+n, r.Len-n
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // checkTraceStream compares the events of one traced window with the
 // counters' movement over it.
 func checkTraceStream(t *testing.T, v *Volume, evs []obs.Event, before, after Stats, sst ScrubStats, now time.Duration) {
@@ -143,7 +125,7 @@ func checkTraceStream(t *testing.T, v *Volume, evs []obs.Event, before, after St
 	}
 	kinds := []obs.EventKind{obs.EvDiskOp, obs.EvWALAppend, obs.EvWALForce, obs.EvCacheHit,
 		obs.EvCacheMiss, obs.EvLockWait, obs.EvScrub, obs.EvOpSpan, obs.EvDataHit, obs.EvDataMiss,
-		obs.EvReadAhead, obs.EvCoalesce, obs.EvHealth}
+		obs.EvReadAhead, obs.EvHealth}
 	if v.q != nil {
 		kinds = append(kinds, obs.EvIntentEnqueue, obs.EvIntentApply, obs.EvIntentWait)
 	}
@@ -251,8 +233,7 @@ func checkTraceStream(t *testing.T, v *Volume, evs []obs.Event, before, after St
 	}
 
 	// The data cache: A the first sector, B the sectors; read-ahead B the
-	// sectors beyond the demand; coalesced transfers one each, C the run
-	// boundaries crossed.
+	// sectors beyond the demand.
 	dc, dc0 := after.Cache.Data, before.Cache.Data
 	_, s = sum(obs.EvDataHit, nil, b)
 	want("data hits", s, int64(dc.Hits-dc0.Hits))
@@ -260,13 +241,9 @@ func checkTraceStream(t *testing.T, v *Volume, evs []obs.Event, before, after St
 	want("data misses", s, int64(dc.Misses-dc0.Misses))
 	_, s = sum(obs.EvReadAhead, nil, b)
 	want("read-ahead sectors", s, int64(dc.ReadAheadSectors-dc0.ReadAheadSectors))
-	n, _ = sum(obs.EvCoalesce, op("read"), a)
-	want("coalesced reads", n, int64(dc.CoalescedReads-dc0.CoalescedReads))
-	n, _ = sum(obs.EvCoalesce, op("write"), a)
-	want("coalesced writes", n, int64(dc.CoalescedWrites-dc0.CoalescedWrites))
-	for _, k := range []obs.EventKind{obs.EvDataHit, obs.EvDataMiss, obs.EvReadAhead, obs.EvCoalesce} {
+	for _, k := range []obs.EventKind{obs.EvDataHit, obs.EvDataMiss, obs.EvReadAhead} {
 		for _, e := range byKind[k] {
-			if v.lay.region(int(e.A)) != regionData || e.B <= 0 || k == obs.EvCoalesce && e.C <= 0 {
+			if v.lay.region(int(e.A)) != regionData || e.B <= 0 {
 				t.Errorf("%v outside the data region or empty: %v", k, e)
 			}
 		}
@@ -293,7 +270,8 @@ func checkTraceStream(t *testing.T, v *Volume, evs []obs.Event, before, after St
 	}
 	// The intent queue: enqueue A the sequence, B the depth; apply A the
 	// sequence, B its lag, C the depth left, under the enqueue's Op; a wait
-	// Op its kind.
+	// Op its kind. Every wait the queue counts fires one event, and the
+	// test's own hook call one more.
 	is, is0 := after.Intent, before.Intent
 	n, _ = sum(obs.EvIntentEnqueue, nil, a)
 	want("intents enqueued", n, int64(is.Enqueued-is0.Enqueued))
@@ -312,6 +290,11 @@ func checkTraceStream(t *testing.T, v *Volume, evs []obs.Event, before, after St
 			t.Errorf("apply %v; its enqueue was %q", e, opOf[e.A])
 		}
 	}
-	n, _ = sum(obs.EvIntentWait, op("name"), a)
-	want("reader waits", n, 1)
+	for _, e := range byKind[obs.EvIntentWait] {
+		if e.Op != "name" && e.Op != "prefix" && e.Op != "applied" {
+			t.Errorf("reader wait of kind %q", e.Op)
+		}
+	}
+	n, _ = sum(obs.EvIntentWait, nil, a)
+	want("reader waits", n, is.ReaderWaits-is0.ReaderWaits+1)
 }

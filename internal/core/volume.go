@@ -1276,11 +1276,6 @@ func (v *Volume) DropCaches() error {
 	return nil
 }
 
-// LogRegion reports the log's sector region for diagnostic tooling.
-func (v *Volume) LogRegion() (base, size int) {
-	return v.lay.logBase, v.lay.logSize
-}
-
 // LogRegionOf reads a volume's root page and returns its log region without
 // mounting (cmd/logdump uses it on crashed images).
 func LogRegionOf(d *disk.Disk) (base, size int, err error) {

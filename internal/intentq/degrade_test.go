@@ -33,7 +33,7 @@ func TestRetryableErrorAbsorbed(t *testing.T) {
 	})
 	defer q.Close()
 
-	seq := q.Enqueue(0, "a")
+	seq, _ := q.Enqueue(0, "a")
 	if err := q.WaitApplied(seq); err != nil {
 		t.Fatalf("WaitApplied = %v after absorbed retries", err)
 	}
@@ -73,9 +73,9 @@ func TestFatalErrorDrainsWithoutPoisoning(t *testing.T) {
 	defer q.Close()
 
 	q.Suspend()
-	s0 := q.Enqueue(0, "ok")
-	s1 := q.Enqueue(1, "bad")
-	s2 := q.Enqueue(2, "dropped")
+	s0, _ := q.Enqueue(0, "ok")
+	s1, _ := q.Enqueue(1, "bad")
+	s2, _ := q.Enqueue(2, "dropped")
 	q.Resume()
 
 	if err := q.WaitApplied(s0); err != nil {
@@ -107,7 +107,7 @@ func TestFatalErrorDrainsWithoutPoisoning(t *testing.T) {
 		t.Fatalf("Depth = %d after fatal drain, want 0", d)
 	}
 	// New work is refused, not silently dropped into a dead queue.
-	if seq := q.Enqueue(3, "late"); seq != 0 {
+	if seq, _ := q.Enqueue(3, "late"); seq != 0 {
 		t.Fatalf("Enqueue after fatal = %d, want 0", seq)
 	}
 }
@@ -125,7 +125,7 @@ func TestRetryBudgetExhaustedIsFatal(t *testing.T) {
 	})
 	defer q.Close()
 
-	seq := q.Enqueue(0, "a")
+	seq, _ := q.Enqueue(0, "a")
 	if err := q.WaitApplied(seq); !errors.Is(err, errFlaky) {
 		t.Fatalf("WaitApplied = %v, want %v", err, errFlaky)
 	}
@@ -157,7 +157,8 @@ func TestFatalReleasesBackpressuredEnqueue(t *testing.T) {
 	q.Enqueue(1, "b")
 	got := make(chan uint64, 1)
 	go func() {
-		got <- q.Enqueue(2, "c") // blocks at the cap
+		seq, _ := q.Enqueue(2, "c") // blocks at the cap
+		got <- seq
 	}()
 	select {
 	case seq := <-got:

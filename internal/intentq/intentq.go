@@ -200,17 +200,18 @@ func (q *Queue) LockNames(names ...string) func() {
 }
 
 // Enqueue appends one intent touching the given names and returns its
-// sequence number. It blocks while the queue is at MaxDepth. After Close —
-// or after a fatal apply error drained the queue — it returns 0 (the
-// intent is dropped; callers check Err/closed state first).
-func (q *Queue) Enqueue(op any, names ...string) uint64 {
+// sequence number and the queue's depth with it in. It blocks while the
+// queue is at MaxDepth. After Close — or after a fatal apply error drained
+// the queue — it returns sequence 0 (the intent is dropped; callers check
+// Err/closed state first).
+func (q *Queue) Enqueue(op any, names ...string) (seq uint64, depth int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items)-q.head >= q.cfg.MaxDepth && !q.closed && q.err == nil {
 		q.cond.Wait()
 	}
 	if q.closed || q.err != nil {
-		return 0
+		return 0, 0
 	}
 	q.enqSeq++
 	q.items = append(q.items, item{op: op, names: names, at: q.clk.Now()})
@@ -220,11 +221,10 @@ func (q *Queue) Enqueue(op any, names ...string) uint64 {
 			q.dirCnt[k]++
 		}
 	}
-	if d := len(q.items) - q.head; d > q.maxDepth {
-		q.maxDepth = d
-	}
+	depth = len(q.items) - q.head
+	q.maxDepth = max(q.maxDepth, depth)
 	q.cond.Broadcast()
-	return q.enqSeq
+	return q.enqSeq, depth
 }
 
 // applier is the single background goroutine draining the queue in order.

@@ -25,7 +25,7 @@ func TestOrderedApply(t *testing.T) {
 
 	const n = 200
 	for i := 0; i < n; i++ {
-		if seq := q.Enqueue(i, fmt.Sprintf("f%03d", i%7)); seq != uint64(i+1) {
+		if seq, _ := q.Enqueue(i, fmt.Sprintf("f%03d", i%7)); seq != uint64(i+1) {
 			t.Fatalf("seq = %d, want %d", seq, i+1)
 		}
 	}
@@ -175,7 +175,10 @@ func TestSuspendFreezesQueue(t *testing.T) {
 	}
 	q.Suspend()
 	for i := 0; i < 10; i++ {
-		q.Enqueue(i, "b")
+		// Enqueue reports the depth it saw, the new intent counted.
+		if _, d := q.Enqueue(i, "b"); d != i+1 {
+			t.Fatalf("Enqueue %d saw depth %d while suspended, want %d", i, d, i+1)
+		}
 	}
 	time.Sleep(20 * time.Millisecond)
 	if got := applied.Load(); got != 1 {
@@ -215,7 +218,7 @@ func TestCloseReleasesWaiters(t *testing.T) {
 		}
 	}
 	// Enqueue after close is rejected.
-	if seq := q.Enqueue(9, "z"); seq != 0 {
+	if seq, _ := q.Enqueue(9, "z"); seq != 0 {
 		t.Fatalf("Enqueue after Close = %d, want 0", seq)
 	}
 }

@@ -39,10 +39,6 @@ const (
 	// EvReadAhead is a sequential read-ahead fetch; A=first sector address,
 	// B=sectors fetched beyond the request.
 	EvReadAhead
-	// EvCoalesce is a data transfer that merged physically adjacent
-	// allocation runs; Op is "read" or "write", A=first sector address,
-	// B=sectors, C=run boundaries crossed.
-	EvCoalesce
 	// EvIntentEnqueue is one intent entering the async metadata queue;
 	// Op is the operation name, A=intent seq, B=queue depth after.
 	EvIntentEnqueue
@@ -86,8 +82,6 @@ func (k EventKind) String() string {
 		return "data-miss"
 	case EvReadAhead:
 		return "read-ahead"
-	case EvCoalesce:
-		return "coalesce"
 	case EvIntentEnqueue:
 		return "intent-enq"
 	case EvIntentApply:

@@ -148,6 +148,12 @@ awk '/^func \(v \*Volume\) createClass\(/,/^}/' internal/core/file.go | grep -q 
 	/^[[:space:]]*\/\// { next }
 	/tracer\.Emit\(/ && fn !~ /^func \(v \*Volume\) trace\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
 	|| { echo "verify: a trace event emitted outside Volume.trace (build the event and pass it to v.trace)"; exit 1; }
+# One run walk (DESIGN §12): no run table holds two runs that meet on the
+# disk — Alloc and Join make every table — so Entry.ContiguousFrom's per-run
+# walk is the transfer plan, and nothing merges runs again or counts merged
+# transfers. (Whole identifiers only.)
+! grep -rnwE --include='*.go' 'PhysContiguousFrom|NoteCoalescedRead|NoteCoalescedWrite|EvCoalesce|CoalescedWrites' . \
+	|| { echo "verify: a cross-run merge resurfaced (walk the run table with Entry.ContiguousFrom; alloc.Join keeps it merged)"; exit 1; }
 # One clock and one bring-up (DESIGN §3.1, §15). The wall-clock Clock and the
 # ticker goroutines it drove (group commit, periodic scrub) were never built
 # by any binary, example or benchmark; group commit runs at operation
