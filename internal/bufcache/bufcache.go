@@ -4,17 +4,18 @@
 // platter, one request per allocation run, and the disk model (§6) shows
 // short back-to-back requests losing most of their time to re-seeks and
 // missed revolutions. This cache sits between core's file data path and the
-// simulated disk and recovers that time three ways:
+// simulated disk and recovers that time two ways:
 //
 //   - caching: recently read (and written-through) sectors are served from
 //     memory with no disk request at all;
 //   - read-ahead: the request that serves a sequential reader's miss goes on
-//     through the physically contiguous stretch, straight into frames the
+//     through the rest of its allocation run, straight into frames the
 //     reader's next chunks then hit (the reader is detected per file handle,
-//     in core; the cache supplies the frames, Reserve and Commit);
-//   - clustering: callers use the cache's presence as the signal to merge
-//     physically adjacent allocation runs into single transfers (the
-//     cross-run coalescing in core/file.go).
+//     in core; the cache supplies the frames, Reserve and Commit).
+//
+// There is no cross-run merging to do: no run table holds two runs that
+// meet on the disk (alloc.Join keeps them merged), so one run is already
+// the longest transfer a request can make.
 //
 // Durability: the cache is write-through for every page a forced commit
 // already names — such a write reaches the disk before (and regardless of)

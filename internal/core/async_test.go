@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/wal"
 )
 
 // asyncConfig is testConfig with the asynchronous metadata pipeline and the
@@ -366,8 +367,8 @@ func TestAsyncStatsExposure(t *testing.T) {
 	}
 	// Format-time staging already trained the controller; the deadline
 	// must be inside [floor, ceiling].
-	if d := st.Commit.ForceDeadline; d < commitFloor || d > 500*time.Millisecond {
-		t.Fatalf("ForceDeadline = %v, want within [%v, 500ms]", d, commitFloor)
+	if d := st.Commit.ForceDeadline; d < wal.Floor || d > 500*time.Millisecond {
+		t.Fatalf("ForceDeadline = %v, want within [%v, 500ms]", d, wal.Floor)
 	}
 	for i := 0; i < 20; i++ {
 		if _, err := v.Create(fmt.Sprintf("s/f%02d", i), payload(64, byte(i))); err != nil {

@@ -171,24 +171,33 @@ func (v *Volume) noteWriteFault(retried, remapped int, err error) {
 	}
 }
 
-// noteReadFault records the outcome of one recovery read's bounded-retry
-// policy (the WAL's OnReadFault callback): absorbed retries charge the
-// budget like write retries do, so a mount whose replay limped through
-// decayed media lands Degraded — with the aggressive scrub pass that
-// implies — instead of silently Healthy. A read that stays failed is not
-// escalated here: replay absorbs it through copy repair, and only the
-// replay's own verdict (a failed mount) says whether the volume is lost.
-func (v *Volume) noteReadFault(retried int, err error) {
+// noteReadFault records the outcome of one read's bounded retries, the read
+// side's counterpart of noteWriteFault: every retried read in core and the
+// WAL (OnReadFault) reports here. It counts the retries, and the read once
+// if they saved it; charge says whether the retries also burn the error
+// budget, which is the caller's policy — a mount whose replay limped
+// through decayed media lands Degraded, with the aggressive scrub pass that
+// implies, while a scrub retrying damage it is about to repair only counts.
+// A read that stays damaged is not escalated here: the caller repairs from
+// a copy or reports the loss. A halted device takes the volume Offline.
+func (v *Volume) noteReadFault(retried int, err error, charge bool) {
 	if retried > 0 {
 		v.faults.retries.Add(int64(retried))
 		if err == nil {
-			v.faults.retriedOK.Add(int64(retried))
+			v.faults.retriedOK.Add(1)
 		}
-		v.chargeBudget(int64(retried)*weightRetry, "recovery read retries")
+		if charge {
+			v.chargeBudget(int64(retried)*weightRetry, "read retries")
+		}
 	}
-	if err != nil && errors.Is(err, disk.ErrHalted) {
+	if errors.Is(err, disk.ErrHalted) {
 		v.degradeTo(HealthOffline, "device halted")
 	}
+}
+
+// noteLogReadFault is noteReadFault for the WAL's reads, which charge.
+func (v *Volume) noteLogReadFault(retried int, err error) {
+	v.noteReadFault(retried, err, true)
 }
 
 // noteHungOp classifies one disk operation that exceeded opTimeout:

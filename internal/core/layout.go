@@ -143,10 +143,6 @@ func (c Config) interval() time.Duration {
 	return c.GroupCommitInterval
 }
 
-// commitFloor is the shortest deadline the adaptive commit controller may
-// pick.
-const commitFloor = 5 * time.Millisecond
-
 // opTimeout is the per-operation I/O deadline: a disk operation that
 // consumes more simulated time than this (a hung-I/O latency spike) is
 // classified as a fault and charged to the health error budget, rather than
@@ -161,7 +157,6 @@ func (c Config) walConfig() wal.Config {
 		Interval:     c.interval(),
 		Thirds:       c.Thirds,
 		Adaptive:     c.AdaptiveCommit,
-		Floor:        commitFloor,
 		WriteRetries: c.WriteRetries,
 		ReadRetries:  c.ReadRetries,
 	}

@@ -345,7 +345,7 @@ func TestSalvageCrashWhileDecodeInFlight(t *testing.T) {
 				t.Fatalf("workers=%d interval %d: %d chunk functions started after the sweep had returned", workers, i, strays.Load())
 			}
 			dc.Revive()
-			ck, ok := readSalvageCheckpoint(dc, lay)
+			ck, ok := readSalvageCheckpoint(dc, lay, testConfig().readRetries())
 			if !ok || ck.phase != salvageSweep || ck.cursor > starts[i] {
 				t.Fatalf("workers=%d interval %d: checkpoint %+v (found=%v) covers sectors from %d on, which were never merged", workers, i, ck, ok, starts[i])
 			}

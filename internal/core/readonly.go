@@ -43,7 +43,7 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	if lerr == nil {
 		// Replay reads feed the health budget even read-only, so a mount
 		// that limps through decayed media reports Degraded in Stats().
-		lg.OnReadFault = v.noteReadFault
+		lg.OnReadFault = v.noteLogReadFault
 	} else {
 		lg = nil
 	}

@@ -173,11 +173,12 @@ func decodeSalvageCheckpoint(buf []byte) (salvageCheckpoint, bool) {
 	return ck, true
 }
 
-// readSalvageCheckpoint looks for a valid checkpoint in either copy. Mounts
-// call it right after reading the root page, before touching anything.
-func readSalvageCheckpoint(d *disk.Disk, lay layout) (salvageCheckpoint, bool) {
+// readSalvageCheckpoint looks for a valid checkpoint in either copy, each
+// read with up to retries in-place retries, as readRoot reads the root page.
+// Mounts call it right after reading the root page, before touching anything.
+func readSalvageCheckpoint(d *disk.Disk, lay layout, retries int) (salvageCheckpoint, bool) {
 	for _, addr := range []int{lay.logBase + salvageCkA, lay.logBase + salvageCkB} {
-		buf, _, err := disk.ReadSectorsRetry(d, addr, 1, 2)
+		buf, _, err := disk.ReadSectorsRetry(d, addr, 1, retries)
 		if err != nil {
 			continue
 		}
@@ -262,16 +263,34 @@ func (r *salvageRun) read(addr, n int) ([]byte, error) {
 // the buffer is partly overwritten.
 func (r *salvageRun) readInto(addr int, dst []byte) error {
 	retried, err := disk.ReadSectorsRetryInto(r.d, addr, r.cfg.readRetries(), dst)
-	if err != nil {
-		if errors.Is(err, disk.ErrHalted) {
-			r.v.degradeTo(HealthOffline, "device halted")
+	if retried > 0 || err != nil {
+		r.v.noteReadFault(retried, err, err == nil)
+	}
+	return err
+}
+
+// readPast reads buf's sectors from addr on past damage — a sweep chunk, or
+// a stretch of copy A that finalize mirrors: a sector that stays unreadable
+// through its retries is zeroed (the buffer may have held something else a
+// moment ago), appended to dead, and the read resumes behind it, so each
+// sector is read once plus its own retries. Only a halted device, or
+// another error that is not damage, is an error.
+func (r *salvageRun) readPast(addr int, buf []byte, dead []int) ([]int, error) {
+	for done := 0; done < len(buf)/disk.SectorSize; {
+		err := r.readInto(addr+done, buf[done*disk.SectorSize:])
+		if err == nil {
+			break
 		}
-		return err
+		var de *disk.DamagedError
+		if !errors.As(err, &de) {
+			return dead, err
+		}
+		at := de.Addr - addr
+		clear(buf[at*disk.SectorSize : (at+1)*disk.SectorSize])
+		dead = append(dead, de.Addr)
+		done = at + 1
 	}
-	if retried > 0 {
-		r.v.noteReadFault(retried, nil)
-	}
-	return nil
+	return dead, nil
 }
 
 func (r *salvageRun) manifestCapacity() int {
@@ -476,32 +495,10 @@ func (s *sweepSet) chunkBuf(c int) []byte {
 	return s.buf[off : off+s.part[c].n*disk.SectorSize]
 }
 
-// readChunk reads one sweep chunk into buf. A bulk transfer that damage
-// aborts is re-read a sector at a time into the same buffer, so one bad sector
-// costs one sector; a sector that stays unreadable is zeroed (the buffer held
-// another interval a moment ago) and listed in res. Only a halted device is an
-// error.
-func (r *salvageRun) readChunk(ch sweepChunk, buf []byte, res *sweepChunkResult) error {
-	err := r.readInto(ch.addr, buf)
-	if err == nil || errors.Is(err, disk.ErrHalted) {
-		return err
-	}
-	for i := 0; i < ch.n; i++ {
-		sec := buf[i*disk.SectorSize : (i+1)*disk.SectorSize]
-		if err := r.readInto(ch.addr+i, sec); err != nil {
-			if errors.Is(err, disk.ErrHalted) {
-				return err
-			}
-			res.damaged = append(res.damaged, ch.addr+i)
-			clear(sec)
-		}
-	}
-	return nil
-}
-
 // readInterval is the driver's half of an interval: the next
-// sweepCheckpointChunks chunks from the cursor, read in ascending order into
-// the set, whose result slots it empties for the pool.
+// sweepCheckpointChunks chunks from the cursor, read in ascending order and
+// past damage into the set, whose result slots it empties for the pool and
+// fills with the damaged sectors.
 func (r *salvageRun) readInterval(cur *sweepCursor, s *sweepSet) (chunks int, err error) {
 	s.part = s.part[:0]
 	for len(s.part) < sweepCheckpointChunks {
@@ -512,8 +509,8 @@ func (r *salvageRun) readInterval(cur *sweepCursor, s *sweepSet) (chunks int, er
 		c := len(s.part)
 		s.part = append(s.part, ch)
 		res := &s.results[c]
-		res.damaged, res.cands = res.damaged[:0], res.cands[:0]
-		if err := r.readChunk(ch, s.chunkBuf(c), res); err != nil {
+		res.cands = res.cands[:0]
+		if res.damaged, err = r.readPast(ch.addr, s.chunkBuf(c), res.damaged[:0]); err != nil {
 			return 0, err
 		}
 	}
@@ -800,30 +797,13 @@ func (r *salvageRun) finalize() error {
 		// again, then restore two-copy operation.
 		v.copyAOnly = false
 		ntSectors := lay.ntPages * NTPageSectors
+		chunk := make([]byte, MaxTransferSectors*disk.SectorSize)
 		for off := 0; off < ntSectors; off += MaxTransferSectors {
-			n := MaxTransferSectors
-			if off+n > ntSectors {
-				n = ntSectors - off
-			}
-			buf, err := r.read(lay.ntA+off, n)
-			if err != nil {
-				if errors.Is(err, disk.ErrHalted) {
-					return err
-				}
-				// A damaged source sector mirrors as a virgin page; the
-				// cache serves the surviving copy and the scrub pass
-				// re-duplicates it.
-				buf = make([]byte, 0, n*disk.SectorSize)
-				for i := 0; i < n; i++ {
-					one, rerr := r.read(lay.ntA+off+i, 1)
-					if rerr != nil {
-						if errors.Is(rerr, disk.ErrHalted) {
-							return rerr
-						}
-						one = make([]byte, disk.SectorSize)
-					}
-					buf = append(buf, one...)
-				}
+			buf := chunk[:min(MaxTransferSectors, ntSectors-off)*disk.SectorSize]
+			// A damaged source sector mirrors as a virgin page; the cache
+			// serves the surviving copy and the scrub pass re-duplicates it.
+			if _, err := r.readPast(lay.ntA+off, buf, nil); err != nil {
+				return err
 			}
 			if err := v.writeSectors(lay.ntB+off, buf); err != nil {
 				return err
@@ -946,7 +926,7 @@ func Salvage(d *disk.Disk, cfg Config) (*Volume, SalvageStats, error) {
 
 	entry := salvageSweep
 	sweepFrom := lay.dataLo
-	if ck, ok := readSalvageCheckpoint(d, lay); ok {
+	if ck, ok := readSalvageCheckpoint(d, lay, cfg.readRetries()); ok {
 		st.Resumed = true
 		st.ResumedPhase = ck.phase.String()
 		switch ck.phase {

@@ -36,7 +36,7 @@ func TestSalvageCheckpointRoundTrip(t *testing.T) {
 	if err := d.WriteSectors(lay.logBase+salvageCkA, encodeSalvageCheckpoint(ck)); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := readSalvageCheckpoint(d, lay); !ok || got != ck {
+	if got, ok := readSalvageCheckpoint(d, lay, testConfig().readRetries()); !ok || got != ck {
 		t.Fatalf("readSalvageCheckpoint = %+v ok=%v", got, ok)
 	}
 	// Copy A lost: copy B still serves the checkpoint.
@@ -44,14 +44,14 @@ func TestSalvageCheckpointRoundTrip(t *testing.T) {
 	if err := d.WriteSectors(lay.logBase+salvageCkB, encodeSalvageCheckpoint(ck)); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := readSalvageCheckpoint(d, lay); !ok || got != ck {
+	if got, ok := readSalvageCheckpoint(d, lay, testConfig().readRetries()); !ok || got != ck {
 		t.Fatalf("checkpoint lost with copy A damaged: %+v ok=%v", got, ok)
 	}
 	write := func(addr int, data []byte) error { return d.WriteSectors(addr, data) }
 	if err := clearSalvageCheckpoint(write, lay); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := readSalvageCheckpoint(d, lay); ok {
+	if _, ok := readSalvageCheckpoint(d, lay, testConfig().readRetries()); ok {
 		t.Fatal("checkpoint survived clearSalvageCheckpoint")
 	}
 }

@@ -68,7 +68,7 @@ func (st *ScrubStats) addProblem(format string, args ...interface{}) {
 // FaultStats aggregates the volume's media-fault handling activity.
 type FaultStats struct {
 	ReadRetries  int // reads retried after a damaged-sector error
-	RetriedOK    int // retries that then succeeded (transient faults absorbed)
+	RetriedOK    int // reads that failed and then succeeded on a retry (transient faults absorbed)
 	Scrubs       int // scrub passes completed
 	Repaired     int // copies rewritten by scrubbing (cumulative)
 	Retired      int // sectors remapped to spares (cumulative)
@@ -106,10 +106,6 @@ func (v *Volume) faultStats() FaultStats {
 // readSectorsRetry reads with bounded in-place retries: a transient fault
 // clears on another revolution; a genuine latent error keeps failing and
 // surfaces to the caller, who repairs from a duplicate or reports loss.
-// During the mount recovery window the retries also charge the error
-// budget — recovery limping through decayed media is a health event — but
-// in steady state they only count: a scrub retrying damage it is about to
-// repair must not demote the volume for doing its job.
 func (v *Volume) readSectorsRetry(addr, n int) ([]byte, error) {
 	buf := make([]byte, n*disk.SectorSize)
 	if err := v.readSectorsRetryInto(addr, buf); err != nil {
@@ -119,24 +115,15 @@ func (v *Volume) readSectorsRetry(addr, n int) ([]byte, error) {
 }
 
 // readSectorsRetryInto is readSectorsRetry into the caller's buffers (see
-// disk.ReadSectorsInto); on an error they are partly overwritten.
+// disk.ReadSectorsRetryInto); on an error they are partly overwritten. The
+// retries charge the error budget only during the mount recovery window —
+// recovery limping through decayed media is a health event — and in steady
+// state only count: a scrub retrying damage it is about to repair must not
+// demote the volume for doing its job.
 func (v *Volume) readSectorsRetryInto(addr int, dst ...[]byte) error {
-	err := v.d.ReadSectorsInto(addr, dst...)
-	if err == nil {
-		return nil
-	}
-	var de *disk.DamagedError
-	retried := 0
-	for tries := 0; err != nil && errors.As(err, &de) && tries < v.cfg.readRetries(); tries++ {
-		v.faults.retries.Add(1)
-		retried++
-		err = v.d.ReadSectorsInto(addr, dst...)
-		if err == nil {
-			v.faults.retriedOK.Add(1)
-		}
-	}
-	if retried > 0 && v.recovering.Load() {
-		v.chargeBudget(int64(retried)*weightRetry, "recovery read retries")
+	retried, err := disk.ReadSectorsRetryInto(v.d, addr, v.cfg.readRetries(), dst...)
+	if retried > 0 || err != nil {
+		v.noteReadFault(retried, err, v.recovering.Load())
 	}
 	return err
 }

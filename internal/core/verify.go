@@ -258,7 +258,7 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 		images, errs = make([][]byte, len(refs)), make([]error, len(refs))
 		readLeaders(refs, images, errs, func(addr int) ([]byte, error) {
 			buf, retried, rerr := disk.ReadSectorsRetry(v.d, addr, 1, v.cfg.readRetries())
-			v.noteReadFault(retried, rerr)
+			v.noteReadFault(retried, rerr, true)
 			return buf, rerr
 		})
 	}

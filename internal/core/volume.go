@@ -389,7 +389,7 @@ func openVolume(d *disk.Disk, cfg Config, o mountOptions, readOnly bool) (*Volum
 	// may hold the salvage manifest and copy A a partial tree). Only resuming
 	// the salvage (Mount with AllowSalvage, or Salvage directly) makes the
 	// volume whole.
-	if ck, ok := readSalvageCheckpoint(d, root.layout); ok {
+	if ck, ok := readSalvageCheckpoint(d, root.layout, cfg.readRetries()); ok {
 		return nil, root, fmt.Errorf("core: interrupted salvage (phase %s): %w",
 			ck.phase, ErrSalvageInProgress)
 	}
@@ -414,7 +414,7 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 	// The WAL runs the same bounded-retry + remap policy as core's own
 	// write sites; its outcomes feed the same health FSM.
 	v.log.OnWriteFault = v.noteWriteFault
-	v.log.OnReadFault = v.noteReadFault
+	v.log.OnReadFault = v.noteLogReadFault
 	v.log.OnAppend = func(n int, seq uint64) {
 		v.trace(obs.Event{Kind: obs.EvWALAppend, OK: true, A: int64(n), B: int64(seq)})
 	}

@@ -618,19 +618,29 @@ func (d *Disk) writeSector(addr int, buf []byte) {
 // the middle of a transfer in one place and its edges in another still pays
 // for a single request. Label fields are ignored — this is the path a
 // label-free (FSD-style) system uses. On an error dst is partly overwritten.
-func (d *Disk) ReadSectorsInto(addr int, dst ...[]byte) (err error) {
+func (d *Disk) ReadSectorsInto(addr int, dst ...[]byte) error {
+	return d.readCommon(addr, dst, 0)
+}
+
+// readCommon is the shared full-operation read path: the sectors of the
+// scatter list dst after its first skip (a retry resuming at the sector an
+// interrupted read failed on) come from addr on.
+func (d *Disk) readCommon(addr int, dst [][]byte, skip int) (err error) {
 	n, err := countSectors(dst)
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err = d.beginOp(addr, n, false); err != nil {
+	if err = d.beginOp(addr, n-skip, false); err != nil {
 		return err
 	}
 	defer d.endOp(&err)
 	d.motion(addr)
 	for _, b := range dst {
+		if k := min(skip, len(b)/SectorSize); k > 0 {
+			b, skip = b[k*SectorSize:], skip-k
+		}
 		for ; len(b) > 0; b, addr = b[SectorSize:], addr+1 {
 			d.transferOne(addr)
 			d.cnt.sectorsRead.Add(1)

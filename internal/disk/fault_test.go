@@ -177,15 +177,15 @@ func TestRemapExhaustsSpares(t *testing.T) {
 	}
 }
 
-// TestReadRetryPerSector pins ReadSectorsRetry's per-sector fallback: after
-// a bulk transfer fails, each sector gets its own in-place retry budget, so
-// a long run over a transiently faulty surface needs only per-sector luck.
-// The whole-run retry it replaces needed every sector to pass in one
+// TestReadRetryPerSector pins ReadSectorsRetry's per-sector budget: a retry
+// resumes at the sector that failed and progress restores the in-place
+// budget, so a long run over a transiently faulty surface needs only
+// per-sector luck. A whole-run retry needs every sector to pass in one
 // attempt — at this fault rate a 32-sector run would essentially never
-// survive — and, worse, each extra pass rolled the fault model again for
+// survive — and, worse, each extra pass rolls the fault model again for
 // sectors that had already read fine, so under a latent-decay model the
-// retries themselves decayed the surface (the amplification that broke
-// crash recovery at scale).
+// retries themselves decay the surface (the amplification that broke crash
+// recovery at scale).
 func TestReadRetryPerSector(t *testing.T) {
 	d := newFaultDisk(t)
 	want := make([]byte, 32*SectorSize)
@@ -201,19 +201,79 @@ func TestReadRetryPerSector(t *testing.T) {
 		t.Fatalf("ReadSectorsRetry: %v after %d retries", err, retried)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("per-sector reassembly returned wrong data")
+		t.Fatal("resumed read returned wrong data")
 	}
 	if retried == 0 {
 		t.Fatal("fault rate 0.3 over 32 sectors spent no retries — injector inactive?")
 	}
 
 	// A persistently damaged sector still fails the run with its own
-	// DamagedError: the fallback retries around damage, not through it.
+	// DamagedError: the retries resume at damage, they do not skip it.
 	d.InjectFaults(FaultConfig{})
 	d.CorruptSectors(110, 1)
 	_, _, err = ReadSectorsRetry(d, 100, 32, 4)
 	var de *DamagedError
 	if !errors.As(err, &de) || de.Addr != 110 {
 		t.Fatalf("read over damaged sector = %v, want DamagedError{110}", err)
+	}
+}
+
+// failReads makes addr fail its next n reads, as a transient fault would,
+// and read its old contents again after that. (The op observer runs under
+// d.mu, so it may clear the damage itself.)
+func failReads(d *Disk, addr, n int) {
+	d.mu.Lock()
+	d.damaged[addr] = true
+	d.mu.Unlock()
+	d.SetOpObserver(func(e OpEvent) {
+		if !e.Write && !e.OK && e.Addr <= addr && addr < e.Addr+e.Sectors {
+			if n--; n == 0 {
+				delete(d.damaged, addr)
+			}
+		}
+	})
+}
+
+// TestReadRetryResumesInGatherList: a scatter read that fails at a sector of
+// the middle buffer resumes at that sector, so the sectors before it — in
+// the first buffer and in its own — are read once, and only the failing
+// sector is read again; a sector that stays damaged fails the read with its
+// own DamagedError after exactly retries retries, each a read of that
+// sector alone.
+func TestReadRetryResumesInGatherList(t *testing.T) {
+	d := newFaultDisk(t)
+	want := make([]byte, 12*SectorSize)
+	for i := range want {
+		want[i] = byte(i*7 + i/SectorSize)
+	}
+	if err := d.WriteSectors(100, want); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	dst := gatherOf(got, 4, 4, 4)
+
+	failReads(d, 106, 2)
+	d.ResetStats()
+	retried, err := ReadSectorsRetryInto(d, 100, 3, dst...)
+	if err != nil || retried != 2 {
+		t.Fatalf("ReadSectorsRetryInto = %d retries, %v; want 2, nil", retried, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("resumed scatter read returned wrong data")
+	}
+	if st := d.Stats(); st.SectorsRead != 12+2 || st.Reads != 3 {
+		t.Fatalf("%d sectors in %d reads, want 14 in 3 (each healthy sector once, the failing one 3 times)", st.SectorsRead, st.Reads)
+	}
+
+	d.SetOpObserver(nil)
+	d.CorruptSectors(105, 1)
+	d.ResetStats()
+	retried, err = ReadSectorsRetryInto(d, 100, 3, dst...)
+	var de *DamagedError
+	if !errors.As(err, &de) || de.Addr != 105 || retried != 3 {
+		t.Fatalf("read over a dead sector = %d retries, %v; want 3, DamagedError{105}", retried, err)
+	}
+	if st := d.Stats(); st.SectorsRead != 6+3 {
+		t.Fatalf("%d sectors read, want 9 (the 6 up to the dead one, then it alone 3 times)", st.SectorsRead)
 	}
 }

@@ -2,13 +2,8 @@ package disk
 
 import "errors"
 
-// ReadSectorsRetry reads a run of sectors like ReadSectors, but retries a
-// media-damage failure in place up to retries times — the read-side analogue
-// of WriteSectorsRetry, for transient faults that clear on a re-read. It
-// returns the data, how many retries were spent (so callers can charge an
-// error budget), and the final error: nil on success, the last DamagedError
-// when the budget ran out, or the original error for non-media failures
-// (ErrHalted, out of range), which are never retried.
+// ReadSectorsRetry is ReadSectorsRetryInto a new buffer of n sectors,
+// returning the data.
 func ReadSectorsRetry(d *Disk, addr, n, retries int) (data []byte, retried int, err error) {
 	if n < 0 {
 		return nil, 0, ErrOutOfRange
@@ -20,36 +15,48 @@ func ReadSectorsRetry(d *Disk, addr, n, retries int) (data []byte, retried int, 
 	return data, retried, nil
 }
 
-// ReadSectorsRetryInto is ReadSectorsRetry into the caller's buffer of whole
-// sectors, for a sweep that reads a volume through two buffers instead of
-// allocating the volume. On an error dst is partly overwritten.
-func ReadSectorsRetryInto(d *Disk, addr, retries int, dst []byte) (retried int, err error) {
-	err = d.ReadSectorsInto(addr, dst)
-	var de *DamagedError
-	if err == nil || !errors.As(err, &de) {
-		return 0, err
+// ReadSectorsRetryInto reads consecutive sectors at addr into the scatter
+// list dst like ReadSectorsInto, but retries a media-damage failure in place
+// — the read-side twin of WriteSectorsRetryFrom, for transient faults that
+// clear on a re-read. A transfer that fails at a sector already holds the
+// sectors before it, so the retry resumes at the failing sector rather than
+// re-reading the run: no healthy sector faces the fault model twice (under
+// latent decay, every extra pass over a good sector could kill it), a long
+// run needs only per-sector luck, and progress restores the in-place budget
+// (retries is per sector, not per run).
+//
+// It returns how many retries were spent, so callers can charge an error
+// budget, and the final error: nil on success, the failing sector's
+// DamagedError when its budget ran out, or the original error for non-media
+// failures (ErrHalted, out of range), which are never retried. On an error
+// dst is partly overwritten.
+func ReadSectorsRetryInto(d *Disk, addr, retries int, dst ...[]byte) (retried int, err error) {
+	n, err := countSectors(dst)
+	if err != nil {
+		return
 	}
-	// One damaged sector fails the whole bulk transfer, and re-running the
-	// full run makes every healthy sector face the fault model again just
-	// to reach the one that failed — under latent decay, each pass can
-	// permanently kill sectors the previous pass read fine. Retry per
-	// sector instead, the read-side analogue of the write path's prefix
-	// resume: each sector is read once plus its own in-place budget, so a
-	// long run needs only per-sector luck, not end-to-end luck.
-	for i := 0; i < len(dst)/SectorSize; i++ {
-		sec := dst[i*SectorSize : (i+1)*SectorSize]
-		for tries := 0; ; tries++ {
-			rerr := d.ReadSectorsInto(addr+i, sec)
-			if rerr == nil {
-				break
-			}
-			if !errors.As(rerr, &de) || tries >= retries {
-				return retried, rerr
-			}
-			retried++
+	done := 0 // sectors of dst already read
+	tries := 0
+	for {
+		err = d.readCommon(addr+done, dst, done)
+		if err == nil {
+			return
 		}
+		// Declared past the success check: the target escapes, and a read
+		// that succeeds must not pay for it.
+		var de *DamagedError
+		if !errors.As(err, &de) {
+			return
+		}
+		if at := de.Addr - addr; at > done && at < n {
+			done, tries = at, 0
+		}
+		if tries >= retries {
+			return
+		}
+		tries++
+		retried++
 	}
-	return retried, nil
 }
 
 // WriteSectorsRetryFrom writes the gather list src at addr like

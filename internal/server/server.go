@@ -66,9 +66,6 @@ type Config struct {
 	// the FS (or no backpressure when the FS reports none); negative
 	// disables backpressure.
 	BackpressureDepth int
-	// StallPoll is how often a stalled session re-checks the queue depth
-	// (0 = 200µs).
-	StallPoll time.Duration
 }
 
 // Stats is the server's own counter snapshot (the volume's counters live
@@ -379,6 +376,9 @@ func mutates(op wire.Op) bool {
 	return false
 }
 
+// stallPoll is how often a stalled session re-checks the queue depth.
+const stallPoll = 200 * time.Microsecond
+
 // stallForBackpressure blocks while the intent queue is above the
 // threshold. TCP flow control propagates the stall to the client.
 func (sess *session) stallForBackpressure() {
@@ -388,12 +388,8 @@ func (sess *session) stallForBackpressure() {
 		return
 	}
 	s.stalls.Add(1)
-	poll := s.cfg.StallPoll
-	if poll <= 0 {
-		poll = 200 * time.Microsecond
-	}
 	for s.depth.IntentDepth() > limit {
-		time.Sleep(poll)
+		time.Sleep(stallPoll)
 	}
 }
 

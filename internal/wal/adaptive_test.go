@@ -6,10 +6,10 @@ import (
 )
 
 // TestAdaptiveDeadlineTracksLoad drives the controller through its three
-// regimes: cold (ceiling), busy (short deadline), idle again (decay back
-// toward the ceiling).
+// regimes: cold (ceiling), busy (short deadline, never under Floor), idle
+// again (decay back toward the ceiling).
 func TestAdaptiveDeadlineTracksLoad(t *testing.T) {
-	cfg := Config{Interval: 500 * time.Millisecond, Adaptive: true, Floor: 2 * time.Millisecond, TargetImages: 8}
+	cfg := Config{Interval: 500 * time.Millisecond, Adaptive: true}
 	l, _, clk := newTestLog(t, cfg)
 
 	// Cold log: no staging samples yet, deadline sits at the ceiling.
@@ -18,7 +18,7 @@ func TestAdaptiveDeadlineTracksLoad(t *testing.T) {
 	}
 
 	// Busy: one image per simulated millisecond. The deadline should fall
-	// to ~ targetImages * gap = 8ms, far below the ceiling.
+	// to ~ TargetImages * gap = 16ms, far below the ceiling.
 	for i := 0; i < 64; i++ {
 		clk.Advance(time.Millisecond)
 		if _, err := l.Append(img(KindNameTable, uint64(i%5), byte(i))); err != nil {
@@ -34,8 +34,8 @@ func TestAdaptiveDeadlineTracksLoad(t *testing.T) {
 	if busy >= cfg.Interval/4 {
 		t.Fatalf("busy deadline = %v, want well below ceiling %v", busy, cfg.Interval)
 	}
-	if busy < cfg.Floor {
-		t.Fatalf("busy deadline = %v below floor %v", busy, cfg.Floor)
+	if busy < Floor {
+		t.Fatalf("busy deadline = %v below floor %v", busy, Floor)
 	}
 
 	// Idle: images arrive a full second apart; the EWMA pulls the deadline
@@ -56,10 +56,10 @@ func TestAdaptiveDeadlineTracksLoad(t *testing.T) {
 // interval would have, and that a full record's worth of pending images
 // forces immediately regardless of elapsed time.
 func TestAdaptiveMaybeForceFiresEarly(t *testing.T) {
-	cfg := Config{Interval: 500 * time.Millisecond, Adaptive: true, TargetImages: 4}
+	cfg := Config{Interval: 500 * time.Millisecond, Adaptive: true}
 	l, _, clk := newTestLog(t, cfg)
 
-	// Train the rate estimate: one image per ms → deadline ≈ 4 ms.
+	// Train the rate estimate: one image per ms → deadline ≈ TargetImages ms.
 	for i := 0; i < 32; i++ {
 		clk.Advance(time.Millisecond)
 		if _, err := l.Append(img(KindNameTable, uint64(i%3), byte(i))); err != nil {

@@ -110,20 +110,14 @@ type Config struct {
 	// Adaptive enables the load-aware force deadline: instead of forcing
 	// on a fixed Interval, the log tracks the per-image staging rate and
 	// its own force latency (EWMAs over live signals) and sets the
-	// deadline to the time needed to accumulate TargetImages — clamped
-	// between Floor and Interval. An idle log drifts to the Interval
+	// deadline to the time needed to accumulate TargetImages images —
+	// clamped between Floor and Interval. An idle log drifts to the Interval
 	// ceiling (the paper's batching behaviour); a busy one forces as soon
 	// as a record's worth of images is ready, but never so often that
 	// force I/O exceeds a quarter of the duty cycle (the deadline is held
 	// above four times the smoothed force latency). Ignored when Interval
 	// is 0.
 	Adaptive bool
-	// Floor is the shortest deadline the adaptive controller may choose.
-	// Zero means 1ms. Ignored unless Adaptive.
-	Floor time.Duration
-	// TargetImages is the batch size the adaptive deadline aims to
-	// accumulate per force. Zero means 16. Ignored unless Adaptive.
-	TargetImages int
 	// WriteRetries bounds the in-place retries of a failed log-sector
 	// write before the error escalates; independently of the retry
 	// budget, a sector that stays damaged after a failed write is remapped
@@ -609,25 +603,16 @@ func (l *Log) WaitCommitted(seq uint64) error {
 	return nil
 }
 
-// floor returns the adaptive deadline floor.
-func (l *Log) floor() time.Duration {
-	if l.cfg.Floor > 0 {
-		return l.cfg.Floor
-	}
-	return time.Millisecond
-}
+// Floor is the shortest deadline the adaptive controller may choose.
+const Floor = 5 * time.Millisecond
 
-// targetImages returns the batch size the adaptive deadline aims for.
-func (l *Log) targetImages() int {
-	if l.cfg.TargetImages > 0 {
-		return l.cfg.TargetImages
-	}
-	return 16
-}
+// TargetImages is the batch size the adaptive deadline aims to accumulate
+// per force.
+const TargetImages = 16
 
 // deadlineLocked returns the current force deadline: the fixed Interval, or
-// — in adaptive mode — the estimated time to accumulate targetImages at the
-// observed staging rate, held above both the floor and four times the
+// — in adaptive mode — the estimated time to accumulate TargetImages at the
+// observed staging rate, held above both Floor and four times the
 // smoothed force latency (so force I/O never exceeds a quarter of the duty
 // cycle — under sustained load the controller backs off toward bigger
 // batches instead of thrashing the disk with forces) and below the Interval
@@ -641,12 +626,12 @@ func (l *Log) deadlineLocked() time.Duration {
 	if l.ewmaGap == 0 {
 		return l.cfg.Interval
 	}
-	d := l.ewmaGap * time.Duration(l.targetImages())
+	d := l.ewmaGap * TargetImages
 	if min := 4 * l.ewmaForce; d < min {
 		d = min
 	}
-	if f := l.floor(); d < f {
-		d = f
+	if d < Floor {
+		d = Floor
 	}
 	if d > l.cfg.Interval {
 		d = l.cfg.Interval

@@ -154,6 +154,22 @@ awk '/^func \(v \*Volume\) createClass\(/,/^}/' internal/core/file.go | grep -q 
 # transfers. (Whole identifiers only.)
 ! grep -rnwE --include='*.go' 'PhysContiguousFrom|NoteCoalescedRead|NoteCoalescedWrite|EvCoalesce|CoalescedWrites' . \
 	|| { echo "verify: a cross-run merge resurfaced (walk the run table with Entry.ContiguousFrom; alloc.Join keeps it merged)"; exit 1; }
+# One retried read (DESIGN §14): disk.ReadSectorsRetryInto is the one loop
+# that re-issues a read, resuming at the failing sector, and every retried
+# read in core and the WAL reports through noteReadFault, the one place that
+# counts retries and the reads they saved. A bump of either counter anywhere
+# else is a second retry loop keeping its own books; a bare device read
+# outside the single-pass optimistic readers (the name-table sweep, the
+# meta-page probe, scrub's leader sweep, the decay injector) is a read that
+# gets no retries at all, or builds its own.
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/^[[:space:]]*\/\// { next }
+	/faults\.(retries|retriedOK)\.(Add|Store|Swap|CompareAndSwap)\(/ && fn !~ /^func \(v \*Volume\) noteReadFault\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: a read-retry counter bumped outside noteReadFault (report the read through noteReadFault)"; exit 1; }
+! awk 'FILENAME ~ /_test\.go$/ || FILENAME ~ /\/faultexp\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/^[[:space:]]*\/\// { next }
+	/\.ReadSectors(Into)?\(/ && fn !~ /^func \(v \*Volume\) (sweepNT|homeTable|scrubLeaders)\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: a device read outside the single-pass readers (read through readSectorsRetryInto)"; exit 1; }
 # One clock and one bring-up (DESIGN §3.1, §15). The wall-clock Clock and the
 # ticker goroutines it drove (group commit, periodic scrub) were never built
 # by any binary, example or benchmark; group commit runs at operation
