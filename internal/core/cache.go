@@ -147,7 +147,10 @@ func crcOK(p []byte) bool {
 // checked, per the paper ("when a page is read, both copies are read and
 // checked"): copy A, then at once copy B, whose skew (copyBSkew) has its
 // first sector arrive under the head as the seek from copy A ends. A
-// single-copy volume reads its one copy.
+// single-copy volume reads its one copy. Each copy is read once, with its
+// in-place retries: a sector that stays unreadable has had its chance, and
+// reading the pair again would put every healthy sector of it through the
+// fault model a second time (DESIGN §14).
 func (c *ntCache) Read(id uint32) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -166,12 +169,23 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	c.misses.Add(1)
 	c.v.trace(obs.Event{Kind: obs.EvCacheMiss, OK: true, A: int64(id)})
 	addrA, addrB := c.v.lay.ntPageAddrs(id)
-	// Each copy has its in-place retries. When neither copy checks out and
-	// a read failed, the pair is read once more: a transient fault clears
-	// on a later pass, and copy A may read fine after copy B's attempts.
-	data, errA, failed := c.readCopies(id, addrA, addrB)
-	if data == nil && failed {
-		data, errA, _ = c.readCopies(id, addrA, addrB)
+	bufA, errA := c.v.readSectorsRetry(addrA, NTPageSectors)
+	// The mount's overlay of the log's replayed sector images (a read-only
+	// mount's never go home) goes on before the CRC check: the mix of stale
+	// home sectors and replayed sectors is exactly the page applyNTImages
+	// would have produced on disk.
+	data := c.v.overlayNT(id, bufA)
+	if data != nil && !crcOK(data) && !isVirgin(data) {
+		data = nil
+	}
+	if c.v.twoCopies() {
+		bufB, _ := c.v.readSectorsRetry(addrB, NTPageSectors)
+		if bufB = c.v.overlayNT(id, bufB); data == nil && bufB != nil && (crcOK(bufB) || isVirgin(bufB)) {
+			data = bufB
+		}
+		c.v.cpu.Charge(2 * csumCost)
+	} else {
+		c.v.cpu.Charge(csumCost)
 	}
 	if data == nil {
 		// %w: a device fault on copy A stays visible to errors.As, which is
@@ -189,43 +203,6 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	p := newNTPage(id, data)
 	c.insert(p)
 	return p.cur, nil
-}
-
-// readCopies reads both home copies of page id, each with its in-place
-// retries, and returns the first that checks out — nil if neither does —
-// with copy A's read error, and whether a read of either copy failed.
-func (c *ntCache) readCopies(id uint32, addrA, addrB int) (data []byte, errA error, failed bool) {
-	bufA, errA := c.v.readSectorsRetry(addrA, NTPageSectors)
-	if errA != nil {
-		bufA = nil
-	}
-	// The mount's overlay of the log's replayed sector images (a read-only
-	// mount's never go home) goes on before the CRC check: the mix of stale
-	// home sectors and replayed sectors is exactly the page applyNTImages
-	// would have produced on disk.
-	bufA = c.v.overlayNT(id, bufA)
-	okA := bufA != nil && (crcOK(bufA) || isVirgin(bufA))
-	var bufB []byte
-	var errB error
-	okB := false
-	if c.v.twoCopies() {
-		bufB, errB = c.v.readSectorsRetry(addrB, NTPageSectors)
-		if errB != nil {
-			bufB = nil
-		}
-		bufB = c.v.overlayNT(id, bufB)
-		okB = bufB != nil && (crcOK(bufB) || isVirgin(bufB))
-		c.v.cpu.Charge(2 * csumCost)
-	} else {
-		c.v.cpu.Charge(csumCost)
-	}
-	switch {
-	case okA:
-		data = bufA
-	case okB:
-		data = bufB
-	}
-	return data, errA, errA != nil || errB != nil
 }
 
 // admit caches a page the mount-time region sweep read and verified, exactly

@@ -164,45 +164,26 @@ func TestScrubRepairDoesNotCharge(t *testing.T) {
 	}
 }
 
-// TestSweepChunkReadsPastDamage: a salvage sweep chunk with two dead
-// sectors lists both and zeroes them, keeps their neighbours, and reads
-// every healthy sector once — each dead sector costs its own read and its
-// retries, nothing more.
-func TestSweepChunkReadsPastDamage(t *testing.T) {
+// TestNameTableMissReadsEachCopyOnce: a miss whose page has one dead sector
+// in each copy reads each copy once — up to its dead sector, then that sector
+// alone by its retries — and reports the page lost: 10 sectors in 6 reads,
+// where reading the pair a second time took 20 in 12.
+func TestNameTableMissReadsEachCopyOnce(t *testing.T) {
 	cfg := testConfig()
 	v, d, _ := newTestVolumeWith(t, cfg)
-	lay := v.lay
-	if err := v.Shutdown(); err != nil {
+	if err := v.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	const n = 16
-	addr := lay.dataHi - 4*n
-	want := scrambled(n*disk.SectorSize, 9)
-	if err := d.WriteSectors(addr, want); err != nil {
-		t.Fatal(err)
-	}
-	dead := []int{addr + 3, addr + 9}
-	for _, a := range dead {
-		d.CorruptSectors(a, 1)
-		clear(want[(a-addr)*disk.SectorSize : (a-addr+1)*disk.SectorSize])
-	}
-	r, err := newSalvageRun(d, cfg, &SalvageStats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := bytes.Repeat([]byte{0xEE}, n*disk.SectorSize) // another interval's bytes
+	a, b := v.lay.ntPageAddrs(0)
+	d.CorruptSectors(a+2, 1)
+	d.CorruptSectors(b+2, 1)
 	disk0 := d.Stats()
-	listed, err := r.readPast(addr, buf, nil)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := v.cache.Read(0); err == nil {
+		t.Fatal("page 0 read with a dead sector in each copy")
 	}
-	if len(listed) != 2 || listed[0] != dead[0] || listed[1] != dead[1] {
-		t.Fatalf("listed %v, want %v", listed, dead)
-	}
-	if !bytes.Equal(buf, want) {
-		t.Fatal("chunk read past damage: dead sectors not zeroed or neighbours not intact")
-	}
-	if got, w := d.Stats().Sub(disk0).SectorsRead, n+2*cfg.readRetries(); got != w {
-		t.Fatalf("%d sectors read, want %d (each once, each dead one %d times more)", got, w, cfg.readRetries())
+	r := cfg.readRetries()
+	ds := d.Stats().Sub(disk0)
+	if sectors, reads := 2*(3+r), 2*(1+r); ds.SectorsRead != sectors || ds.Reads != reads {
+		t.Fatalf("the miss read %d sectors in %d reads, want %d in %d (each copy once)", ds.SectorsRead, ds.Reads, sectors, reads)
 	}
 }

@@ -259,38 +259,15 @@ func (r *salvageRun) read(addr, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// readInto is read into the caller's buffer of whole sectors; on an error
-// the buffer is partly overwritten.
-func (r *salvageRun) readInto(addr int, dst []byte) error {
-	retried, err := disk.ReadSectorsRetryInto(r.d, addr, r.cfg.readRetries(), dst)
+// readInto is read into the caller's buffers of whole sectors; on an error
+// they are partly overwritten. The sweep and finalize's mirror of copy A
+// read through it past damage (disk.ReadPast).
+func (r *salvageRun) readInto(addr int, dst ...[]byte) error {
+	retried, err := disk.ReadSectorsRetryInto(r.d, addr, r.cfg.readRetries(), dst...)
 	if retried > 0 || err != nil {
 		r.v.noteReadFault(retried, err, err == nil)
 	}
 	return err
-}
-
-// readPast reads buf's sectors from addr on past damage — a sweep chunk, or
-// a stretch of copy A that finalize mirrors: a sector that stays unreadable
-// through its retries is zeroed (the buffer may have held something else a
-// moment ago), appended to dead, and the read resumes behind it, so each
-// sector is read once plus its own retries. Only a halted device, or
-// another error that is not damage, is an error.
-func (r *salvageRun) readPast(addr int, buf []byte, dead []int) ([]int, error) {
-	for done := 0; done < len(buf)/disk.SectorSize; {
-		err := r.readInto(addr+done, buf[done*disk.SectorSize:])
-		if err == nil {
-			break
-		}
-		var de *disk.DamagedError
-		if !errors.As(err, &de) {
-			return dead, err
-		}
-		at := de.Addr - addr
-		clear(buf[at*disk.SectorSize : (at+1)*disk.SectorSize])
-		dead = append(dead, de.Addr)
-		done = at + 1
-	}
-	return dead, nil
 }
 
 func (r *salvageRun) manifestCapacity() int {
@@ -510,7 +487,7 @@ func (r *salvageRun) readInterval(cur *sweepCursor, s *sweepSet) (chunks int, er
 		s.part = append(s.part, ch)
 		res := &s.results[c]
 		res.cands = res.cands[:0]
-		if res.damaged, err = r.readPast(ch.addr, s.chunkBuf(c), res.damaged[:0]); err != nil {
+		if res.damaged, err = disk.ReadPast(ch.addr, s.chunkBuf(c), res.damaged[:0], r.readInto); err != nil {
 			return 0, err
 		}
 	}
@@ -802,7 +779,7 @@ func (r *salvageRun) finalize() error {
 			buf := chunk[:min(MaxTransferSectors, ntSectors-off)*disk.SectorSize]
 			// A damaged source sector mirrors as a virgin page; the cache
 			// serves the surviving copy and the scrub pass re-duplicates it.
-			if _, err := r.readPast(lay.ntA+off, buf, nil); err != nil {
+			if _, err := disk.ReadPast(lay.ntA+off, buf, nil, r.readInto); err != nil {
 				return err
 			}
 			if err := v.writeSectors(lay.ntB+off, buf); err != nil {

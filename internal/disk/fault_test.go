@@ -277,3 +277,51 @@ func TestReadRetryResumesInGatherList(t *testing.T) {
 		t.Fatalf("%d sectors read, want 9 (the 6 up to the dead one, then it alone 3 times)", st.SectorsRead)
 	}
 }
+
+// TestReadPastDamage: a read past damage — a salvage sweep chunk, a replayed
+// log record — with two dead sectors lists both and zeroes them, keeps their
+// neighbours, and reads every healthy sector once: each dead sector costs its
+// own read and its retries, nothing more. On a halted device it returns
+// ErrHalted and the dead list it was given, unchanged.
+func TestReadPastDamage(t *testing.T) {
+	d := newFaultDisk(t)
+	const addr, n, retries = 100, 16, 2
+	want := make([]byte, n*SectorSize)
+	for i := range want {
+		want[i] = byte(i*13 + i/SectorSize)
+	}
+	if err := d.WriteSectors(addr, want); err != nil {
+		t.Fatal(err)
+	}
+	dead := []int{addr + 3, addr + 9}
+	for _, a := range dead {
+		d.CorruptSectors(a, 1)
+		clear(want[(a-addr)*SectorSize : (a-addr+1)*SectorSize])
+	}
+	read := func(addr int, dst ...[]byte) error {
+		_, err := ReadSectorsRetryInto(d, addr, retries, dst...)
+		return err
+	}
+	buf := bytes.Repeat([]byte{0xEE}, n*SectorSize) // another stretch's bytes
+	d.ResetStats()
+	listed, err := ReadPast(addr, buf, nil, read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(listed) != 2 || listed[0] != dead[0] || listed[1] != dead[1] {
+		t.Fatalf("listed %v, want %v", listed, dead)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("read past damage: dead sectors not zeroed or neighbours not intact")
+	}
+	if got, w := d.Stats().SectorsRead, n+2*retries; got != w {
+		t.Fatalf("%d sectors read, want %d (each once, each dead one %d times more)", got, w, retries)
+	}
+
+	d.Halt()
+	given := []int{7}
+	listed, err = ReadPast(addr, buf, given, read)
+	if !errors.Is(err, ErrHalted) || len(listed) != 1 || listed[0] != 7 {
+		t.Fatalf("read past damage on a halted device = %v, %v; want %v, ErrHalted", listed, err, given)
+	}
+}

@@ -29,7 +29,9 @@ func ReadSectorsRetry(d *Disk, addr, n, retries int) (data []byte, retried int, 
 // budget, and the final error: nil on success, the failing sector's
 // DamagedError when its budget ran out, or the original error for non-media
 // failures (ErrHalted, out of range), which are never retried. On an error
-// dst is partly overwritten.
+// dst is partly overwritten — but after a DamagedError at address a, the
+// sectors of dst before a hold their data, which is what lets ReadPast
+// resume behind a.
 func ReadSectorsRetryInto(d *Disk, addr, retries int, dst ...[]byte) (retried int, err error) {
 	n, err := countSectors(dst)
 	if err != nil {
@@ -57,6 +59,31 @@ func ReadSectorsRetryInto(d *Disk, addr, retries int, dst ...[]byte) (retried in
 		tries++
 		retried++
 	}
+}
+
+// ReadPast reads buf's sectors from addr on past damage, through read — the
+// caller's retried read (ReadSectorsRetryInto with the caller's budget and
+// fault reporting). A sector that stays unreadable is zeroed (buf may hold
+// another stretch's bytes), appended to dead, and the read resumes behind
+// it, so each sector is read once plus its own retries. Only a halted
+// device, or another error that is not damage, is an error; dead is
+// returned as it stands then.
+func ReadPast(addr int, buf []byte, dead []int, read func(addr int, dst ...[]byte) error) ([]int, error) {
+	for done := 0; done < len(buf)/SectorSize; {
+		err := read(addr+done, buf[done*SectorSize:])
+		if err == nil {
+			break
+		}
+		var de *DamagedError
+		if !errors.As(err, &de) {
+			return dead, err
+		}
+		at := de.Addr - addr
+		clear(buf[at*SectorSize : (at+1)*SectorSize])
+		dead = append(dead, de.Addr)
+		done = at + 1
+	}
+	return dead, nil
 }
 
 // WriteSectorsRetryFrom writes the gather list src at addr like

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/disk"
@@ -145,33 +146,40 @@ func (l *Log) CompleteRecovery() error {
 
 // bodyReader is how replay — and Inspect, which lists what replay applies —
 // reads a record: the header sector alone (its copy only if it fails), then
-// everything after the header pair in one transfer. A sector of that span is
-// read again on its own only if the transfer failed. It counts the sectors it
-// asked for.
+// everything after the header pair in one transfer, read past damage
+// (disk.ReadPast), so no sector is read twice. A sector that stayed
+// unreadable is never served: its zeroed bytes would pass the CRC of an
+// all-zero image, so the dead list decides, not the bytes. It counts the
+// sectors it asked for.
 type bodyReader struct {
 	l       *Log
 	lo, hi  int    // the span of the last load
-	body    []byte // its sectors; nil if the transfer failed
+	body    []byte // its sectors; nil if the read failed on more than damage
+	dead    []int  // the span's sectors that stayed unreadable, by device address
 	sectors int
 }
 
 func (r *bodyReader) load(lo, hi int) {
 	r.lo, r.hi, r.sectors = lo, hi, r.sectors+hi-lo
+	r.body = make([]byte, (hi-lo)*disk.SectorSize)
 	var err error
-	if r.body, err = r.l.readData(r.l.base+anchorSectors+lo, hi-lo); err != nil {
+	if r.dead, err = disk.ReadPast(r.l.base+anchorSectors+lo, r.body, r.dead[:0], r.l.readData); err != nil {
 		r.body = nil
 	}
 }
 
 func (r *bodyReader) get(off int, ok func([]byte) bool, need bool) []byte {
 	var buf []byte
+	addr := r.l.base + anchorSectors + off
 	switch {
-	case r.body != nil && off >= r.lo && off < r.hi:
-		buf = r.body[(off-r.lo)*disk.SectorSize:][:disk.SectorSize]
+	case off >= r.lo && off < r.hi:
+		if r.body != nil && !slices.Contains(r.dead, addr) {
+			buf = r.body[(off-r.lo)*disk.SectorSize:][:disk.SectorSize]
+		}
 	case need:
 		r.sectors++
-		var err error
-		if buf, err = r.l.readData(r.l.base+anchorSectors+off, 1); err != nil {
+		buf = make([]byte, disk.SectorSize)
+		if r.l.readData(addr, buf) != nil {
 			return nil
 		}
 	}

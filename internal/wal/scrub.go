@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/disk"
 )
@@ -18,13 +19,21 @@ type LogScrubStats struct {
 // logRuns is the audit's view of the record area: aligned runs of
 // transferSectors, each read from the device once, whole, as the walk reaches
 // it. The walk is ascending, so the reads are; only the runs under the record
-// in hand are kept. A run that failed to read is remembered as such, and its
-// sectors are then read one at a time, as every sector used to be.
+// in hand are kept. A run is read past damage (disk.ReadPast) with one retry
+// per sector, the second try that clears a transient fault, and each sector
+// is judged as it was delivered: a second read of a rotted sector returns the
+// same bytes, and one that stayed unreadable is dead.
 type logRuns struct {
 	d    *disk.Disk
 	base int            // device address of area offset 0
 	area int            // sectors in the record area
-	runs map[int][]byte // by run index; nil: the read failed
+	runs map[int]logRun // by run index
+}
+
+// logRun is one run's sectors and those among them that stayed unreadable.
+type logRun struct {
+	buf  []byte // nil if the read failed on more than damage
+	dead []int  // by device address
 }
 
 // load makes the runs covering area offsets [lo, hi) present, reading the
@@ -36,44 +45,37 @@ func (r *logRuns) load(lo, hi int) {
 			delete(r.runs, w)
 		}
 	}
+	read := func(addr int, dst ...[]byte) error {
+		_, err := disk.ReadSectorsRetryInto(r.d, addr, 1, dst...)
+		return err
+	}
 	for w := first; w*transferSectors < hi && w*transferSectors < r.area; w++ {
 		if _, ok := r.runs[w]; ok {
 			continue
 		}
-		n := min(transferSectors, r.area-w*transferSectors)
-		buf, err := r.d.ReadSectors(r.base+w*transferSectors, n)
-		if err != nil {
-			buf = nil
+		run := logRun{buf: make([]byte, min(transferSectors, r.area-w*transferSectors)*disk.SectorSize)}
+		var err error
+		if run.dead, err = disk.ReadPast(r.base+w*transferSectors, run.buf, nil, read); err != nil {
+			run.buf = nil
 		}
-		r.runs[w] = buf
+		r.runs[w] = run
 	}
-}
-
-// sector returns the loaded image of the sector at device address addr, or
-// nil if its run is not loaded or failed to read.
-func (r *logRuns) sector(addr int) []byte {
-	off := addr - r.base
-	buf := r.runs[off/transferSectors]
-	i := off % transferSectors
-	if (i+1)*disk.SectorSize > len(buf) { // not loaded, failed, or past the area's end
-		return nil
-	}
-	return buf[i*disk.SectorSize : (i+1)*disk.SectorSize]
 }
 
 // get serves the copy audit's walk: a sector comes from its run, which is read
-// when the walk first reaches it; one that does not check out there — its run
-// failed to read, or its image is bad — is read again on its own. Every copy
-// is read, needed or not: the audit owes each twin a verdict.
+// when the walk first reaches it, and is nil past the area's end, if it stayed
+// unreadable, or if it does not check out. Every copy is read, needed or not:
+// the audit owes each twin a verdict.
 func (r *logRuns) get(off int, ok func([]byte) bool, _ bool) []byte {
-	if _, reached := r.runs[off/transferSectors]; !reached {
+	w, i := off/transferSectors, off%transferSectors
+	if _, reached := r.runs[w]; !reached {
 		r.load(off, off+1)
 	}
-	addr := r.base + off
-	if buf := r.sector(addr); buf != nil && ok(buf) {
-		return buf
+	run := r.runs[w]
+	if (i+1)*disk.SectorSize > len(run.buf) || slices.Contains(run.dead, r.base+off) {
+		return nil
 	}
-	if buf, err := r.d.ReadSectors(addr, 1); err == nil && ok(buf) {
+	if buf := run.buf[i*disk.SectorSize : (i+1)*disk.SectorSize]; ok(buf) {
 		return buf
 	}
 	return nil
@@ -102,7 +104,7 @@ func (l *Log) ScrubCopies(write func(addr int, data []byte) error) (LogScrubStat
 	if err := l.scrubAnchor(&st, write); err != nil {
 		return st, err
 	}
-	runs := &logRuns{d: l.d, base: l.base + anchorSectors, area: l.thirdLen() * l.divs, runs: make(map[int][]byte)}
+	runs := &logRuns{d: l.d, base: l.base + anchorSectors, area: l.thirdLen() * l.divs, runs: make(map[int]logRun)}
 	a, why, err := l.walk(runs, l.recordNum, func(rec *record) bool {
 		for i, p := range rec.pairs {
 			st.SectorsChecked += 2

@@ -127,8 +127,9 @@ type Config struct {
 	// ReadRetries bounds the in-place retries of a failed log-sector read
 	// (anchor reads, recovery replay) before the failure is taken at face
 	// value; a transient fault that clears on a re-read then never costs a
-	// repair-from-copy or a replay break. Zero means 2; negative disables
-	// retries.
+	// repair-from-copy or a replay break. A sector that stays unreadable is
+	// not read again: replay takes its twin. Zero means 2; negative
+	// disables retries.
 	ReadRetries int
 }
 
@@ -275,16 +276,16 @@ func retries(n int) int {
 	return n
 }
 
-// readData reads a run of log sectors with the bounded-retry policy,
-// reporting any fault-path activity to OnReadFault. Every recovery read
-// (anchors, headers, record bodies, image copies) goes through here, so a
-// transient fault never breaks a replay that a re-read could save.
-func (l *Log) readData(addr, n int) ([]byte, error) {
-	buf, retried, err := disk.ReadSectorsRetry(l.d, addr, n, retries(l.cfg.ReadRetries))
+// readData reads a run of log sectors into dst with the bounded-retry
+// policy, reporting any fault-path activity to OnReadFault. Every recovery
+// read (anchors, headers, record bodies read past damage) goes through here,
+// so a transient fault never breaks a replay that a re-read could save.
+func (l *Log) readData(addr int, dst ...[]byte) error {
+	retried, err := disk.ReadSectorsRetryInto(l.d, addr, retries(l.cfg.ReadRetries), dst...)
 	if (retried > 0 || err != nil) && l.OnReadFault != nil {
 		l.OnReadFault(retried, err)
 	}
-	return buf, err
+	return err
 }
 
 // writeData writes a run of log sectors with the bounded-retry and
@@ -382,8 +383,8 @@ func (l *Log) writeAnchor(a anchor) error {
 // readAnchor returns the first readable, valid anchor copy.
 func (l *Log) readAnchor() (anchor, error) {
 	for _, off := range []int{0, 2} {
-		buf, err := l.readData(l.base+off, 1)
-		if err != nil {
+		buf := make([]byte, disk.SectorSize)
+		if err := l.readData(l.base+off, buf); err != nil {
 			continue
 		}
 		if a, ok := decodeAnchor(buf); ok {

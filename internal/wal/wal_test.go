@@ -351,6 +351,73 @@ func TestDamagedImageRepairedFromCopy(t *testing.T) {
 	}
 }
 
+// TestDeadLogSectorChargedOnce: a replay over a record whose first copy of
+// one image stays unreadable reads the body past it and takes the twin. The
+// dead sector's retries are reported once — ReadRetries of them — and no
+// sector of the record area is read twice but the dead one, by its retries:
+// not the prefix the failed transfer had delivered, not the dead sector again.
+func TestDeadLogSectorChargedOnce(t *testing.T) {
+	const retries = 2
+	l, d, clk := newTestLog(t, Config{Interval: time.Second})
+	var imgs []PageImage
+	for i := 0; i < 6; i++ {
+		imgs = append(imgs, img(KindNameTable, uint64(i), byte(0x40+i)))
+	}
+	l.Append(imgs...)
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	recBase := logBase + anchorSectors
+	dead := recBase + 3 + 2 // first copy of image 2
+	d.CorruptSectors(dead, 1)
+
+	lr, err := Open(d, logBase, logSize, clk, Config{ReadRetries: retries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged := 0
+	lr.OnReadFault = func(retried int, _ error) { charged += retried }
+	reads := map[int]int{} // record-area sector → times transferred
+	d.SetOpObserver(func(e disk.OpEvent) {
+		if e.Write {
+			return
+		}
+		end := e.Addr + e.Sectors
+		if !e.OK { // the transfer stopped at the dead sector
+			end = min(end, dead+1)
+		}
+		for a := max(e.Addr, recBase); a < end; a++ {
+			reads[a]++
+		}
+	})
+	c := newCollect()
+	rs, err := lr.Replay(c.apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetOpObserver(nil)
+	if charged != retries {
+		t.Fatalf("OnReadFault reported %d retries, want %d (the dead sector's, once)", charged, retries)
+	}
+	for a, k := range reads {
+		want := 1
+		if a == dead {
+			want += retries
+		}
+		if k != want {
+			t.Fatalf("sector %d read %d times, want %d (dead sector %d)", a, k, want, dead)
+		}
+	}
+	if rs.Records != 1 || rs.Images != len(imgs) || rs.Repaired != 1 {
+		t.Fatalf("replay: %+v, want 1 record, %d images, 1 repaired", rs, len(imgs))
+	}
+	for i, im := range imgs {
+		if got := c.last[imageKey{KindNameTable, uint64(i)}]; !bytes.Equal(got, im.Data) {
+			t.Fatalf("image %d not applied intact", i)
+		}
+	}
+}
+
 func TestDamagedHeaderRepairedFromCopy(t *testing.T) {
 	l, d, clk := newTestLog(t, Config{Interval: time.Second})
 	l.Append(img(KindLeader, 9, 0x77))

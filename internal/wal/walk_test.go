@@ -9,22 +9,30 @@ import (
 	"repro/internal/disk"
 )
 
-// TestInspectStopsWhereReplayStops: with both copies of one image of record 2
-// lost, replay applies record 1 and stops; Inspect, which shares replay's walk,
-// lists exactly the records replay applied, image for image.
+// TestInspectStopsWhereReplayStops: with the first copy of one image of
+// record 1 dead and both copies of record 2's image lost, replay applies
+// record 1 — reading past the dead sector and taking its twin — and stops;
+// Inspect, which shares replay's walk and reader, lists exactly the records
+// replay applied, image for image.
 func TestInspectStopsWhereReplayStops(t *testing.T) {
 	l, d, clk := newTestLog(t, Config{Interval: time.Second})
-	for i := 0; i < 3; i++ {
-		if _, err := l.Append(img(KindNameTable, uint64(i), byte(i))); err != nil {
+	var first []PageImage
+	for i := 0; i < 6; i++ {
+		first = append(first, img(KindNameTable, uint64(i), byte(i)))
+	}
+	for _, batch := range [][]PageImage{first, {img(KindNameTable, 6, 6)}, {img(KindNameTable, 7, 7)}} {
+		if _, err := l.Append(batch...); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Force(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Single-image records are 7 sectors: record 2 starts at area offset 7,
-	// its image at +3 and the image's copy at +5.
-	rec2 := logBase + anchorSectors + 7
+	// Record 1 is 17 sectors, its images from +3; record 2 starts at area
+	// offset 17, its one image at +3 and the image's copy at +5.
+	rec1 := logBase + anchorSectors
+	d.CorruptSectors(rec1+3+2, 1)
+	rec2 := rec1 + 17
 	d.CorruptSectors(rec2+3, 1)
 	d.CorruptSectors(rec2+5, 1)
 
@@ -41,8 +49,8 @@ func TestInspectStopsWhereReplayStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Records != 1 || len(info.Records) != rs.Records {
-		t.Fatalf("Inspect lists %d records, replay applied %d (want 1 each)", len(info.Records), rs.Records)
+	if rs.Records != 1 || rs.Repaired != 1 || len(info.Records) != rs.Records {
+		t.Fatalf("Inspect lists %d records, replay applied %d with %d repaired (want 1 each)", len(info.Records), rs.Records, rs.Repaired)
 	}
 	var listed []imageKey
 	for _, r := range info.Records {

@@ -170,6 +170,25 @@ awk '/^func \(v \*Volume\) createClass\(/,/^}/' internal/core/file.go | grep -q 
 	/^[[:space:]]*\/\// { next }
 	/\.ReadSectors(Into)?\(/ && fn !~ /^func \(v \*Volume\) (sweepNT|homeTable|scrubLeaders)\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
 	|| { echo "verify: a device read outside the single-pass readers (read through readSectorsRetryInto)"; exit 1; }
+# One read past damage (DESIGN §14): disk.ReadPast is the one loop that
+# resumes behind a sector that stayed unreadable — the salvage sweep,
+# finalize's mirror of copy A, replay's reader and the log audit read through
+# it, and take a dead sector's twin instead of reading it again. readPast was
+# salvage's private copy of the loop (whole identifier). A DamagedError caught
+# in core outside the write classifier (noteWriteFault) and the intent
+# queue's Retryable (queueConfig) is a second resume loop; a device read in
+# the WAL outside readData, the audit's run read (logRuns.load) and the
+# anchor audit is a sector read again on its own.
+! grep -rnwE --include='*.go' 'readPast' . \
+	|| { echo "verify: salvage's readPast resurfaced (read past damage with disk.ReadPast)"; exit 1; }
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/^[[:space:]]*\/\// { next }
+	/\*disk\.DamagedError/ && fn !~ /^func \(v \*Volume\) (noteWriteFault|queueConfig)\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: a DamagedError caught in core outside the write classifier and Retryable (read past damage with disk.ReadPast)"; exit 1; }
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/^[[:space:]]*\/\// { next }
+	/(\.ReadSectors(Into)?|ReadSectorsRetry(Into)?|\.VerifyRead)\(/ && fn !~ /^func \((l \*Log\) (readData|scrubAnchor)|r \*logRuns\) load)\(/ { print FILENAME ":" FNR ": " $0 }' internal/wal/*.go | grep . \
+	|| { echo "verify: a WAL device read outside readData, the audit's run read and scrubAnchor (read a span past damage, once)"; exit 1; }
 # One clock and one bring-up (DESIGN §3.1, §15). The wall-clock Clock and the
 # ticker goroutines it drove (group commit, periodic scrub) were never built
 # by any binary, example or benchmark; group commit runs at operation
