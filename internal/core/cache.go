@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/btree"
 	"repro/internal/disk"
@@ -481,10 +482,14 @@ type ntImage struct {
 	data  []byte
 }
 
-// homeReq is one home-write request: sectors from addr on, carrying the
-// images [lo, hi) of its sweep (writeNTHome) or the pending leader at addr
-// (flushLeaders).
-type homeReq struct{ addr, lo, hi int }
+// homeReq is one request issueByPosition orders: a home write of sectors
+// from addr on, carrying the images [lo, hi) of its sweep (writeNTHome) or the
+// pending leader at addr (flushLeaders), or the read of the leader refs[lo]
+// (readLeaders). slot is issueByPosition's own: the request's disk.SlotAngle.
+type homeReq struct {
+	addr, lo, hi int
+	slot         time.Duration
+}
 
 // writeNTHome is the one name-table home-write path: third-crossing flushes,
 // whole-cache flushes and the recovery redo all come through it, holding
@@ -542,31 +547,41 @@ func (c *ntCache) writeNTHome(imgs []ntImage) (ios, sectors int, err error) {
 }
 
 // issueByPosition issues reqs, sorted by cylinder, in the order that keeps a
-// home write one sweep and spares it rotation: cylinder by cylinder in the
-// order reqs come in (ascending for a home write sorted by address; toward
-// the log for the held pass, heldOrder), and inside a cylinder next the
-// request the head reaches soonest (disk.PositionTime; the earlier one on a
+// pass over them one sweep and spares it rotation: cylinder by cylinder in the
+// order reqs come in (ascending for home writes and leader reads sorted by
+// address; toward the log for the held pass, heldOrder), and inside a
+// cylinder next the request the head reaches soonest (the earlier one on a
 // tie), since inside a cylinder a track change costs nothing and a sector
-// passed costs a revolution. It leaves reqs in issue order and stops at the
-// first error.
+// passed costs a revolution. Every request of a cylinder pays the same seek,
+// so soonest is the least rotational wait: each request's slot angle is
+// computed once, and each choice asks the disk once where the head will be
+// (disk.ArrivalAngle) — the order disk.PositionTime gives, without a query
+// per candidate. It is the one order for home writes and for a check pass's
+// leader reads. It leaves reqs in issue order and stops at the first error.
 func (v *Volume) issueByPosition(reqs []homeReq, issue func(homeReq) error) error {
-	g := v.d.Geometry()
+	g, p := v.d.Geometry(), v.d.Params()
+	for i := range reqs {
+		reqs[i].slot = p.SlotAngle(g, reqs[i].addr)
+	}
 	for lo := 0; lo < len(reqs); {
 		cyl, hi := g.Cylinder(reqs[lo].addr), lo+1
 		for hi < len(reqs) && g.Cylinder(reqs[hi].addr) == cyl {
 			hi++
 		}
 		for k := lo; k < hi; k++ {
-			best, soonest := k, v.d.PositionTime(reqs[k].addr)
-			for j := k + 1; j < hi; j++ {
-				if t := v.d.PositionTime(reqs[j].addr); t < soonest {
-					best, soonest = j, t
+			if k+1 < hi {
+				at := v.d.ArrivalAngle(cyl)
+				best, soonest := k, p.RotWait(at, reqs[k].slot)
+				for j := k + 1; j < hi; j++ {
+					if w := p.RotWait(at, reqs[j].slot); w < soonest {
+						best, soonest = j, w
+					}
 				}
+				r := reqs[best]
+				copy(reqs[k+1:best+1], reqs[k:best])
+				reqs[k] = r
 			}
-			r := reqs[best]
-			copy(reqs[k+1:best+1], reqs[k:best])
-			reqs[k] = r
-			if err := issue(r); err != nil {
+			if err := issue(reqs[k]); err != nil {
 				return err
 			}
 		}

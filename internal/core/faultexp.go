@@ -17,10 +17,12 @@ import (
 // read fails), silent bit rot (the read returns garbage), and the
 // occasional stuck physical defect that only remapping can retire — plus
 // the root replica and one log anchor copy. Every page keeps one good
-// copy, so a single Scrub pass repairs all of it. Returns the number of
-// sectors decayed and how many of those are stuck defects.
+// copy, so a single Scrub pass repairs all of it. It walks the pages the
+// scrub sweeps, [0, AllocatedPages()); a page past them was never written.
+// Returns the number of sectors decayed and how many of those are stuck
+// defects.
 func (v *Volume) InjectLatentDecay(rng *rand.Rand) (decayed, stuck int) {
-	for id := 0; id < v.lay.ntPages; id++ {
+	for id := 0; id < v.nt.AllocatedPages(); id++ {
 		addrA, addrB := v.lay.ntPageAddrs(uint32(id))
 		buf, err := v.d.ReadSectors(addrA, NTPageSectors)
 		if err != nil || isVirgin(buf) {

@@ -37,8 +37,9 @@ func newSmallLogVolume(t *testing.T) (*Volume, *disk.Disk) {
 	return v, d
 }
 
-// ntWrite is one observed write request to a name-table copy, with what the
-// head's positioning depended on when it was issued.
+// ntWrite is one observed write request to a name-table copy — or a leader
+// read (recordDataReads) — with what the head's positioning depended on when
+// it was issued.
 type ntWrite struct {
 	copyB   bool
 	first   int // sector offset into the copy
@@ -46,6 +47,7 @@ type ntWrite struct {
 	addr    int
 	start   time.Duration // clock when the request was issued
 	seek    time.Duration // its seek to its first sector's cylinder
+	elapsed time.Duration // its device time
 }
 
 // recordNTWrites chains a recorder in front of the volume's disk observer;
@@ -65,7 +67,7 @@ func recordNTWrites(v *Volume, d *disk.Disk, on *bool, out *[]ntWrite) {
 		crossed := g.Cylinder(e.Addr+e.Sectors-1) - g.Cylinder(e.Addr)
 		w := ntWrite{
 			first: e.Addr - v.lay.ntA, sectors: e.Sectors, addr: e.Addr,
-			start: v.clk.Now() - e.Elapsed(), seek: e.Seek - time.Duration(crossed)*settle,
+			start: v.clk.Now() - e.Elapsed(), seek: e.Seek - time.Duration(crossed)*settle, elapsed: e.Elapsed(),
 		}
 		if e.Addr >= v.lay.ntB {
 			w.copyB, w.first = true, e.Addr-v.lay.ntB

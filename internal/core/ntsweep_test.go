@@ -510,10 +510,10 @@ func TestSweepIgnoresUnreachableLeaf(t *testing.T) {
 	}
 }
 
-// scrubNameTablePerPage is the reference scrubNameTable replaced: every page
-// examined on its own, both copies read page by page.
+// scrubNameTablePerPage is the reference scrubNameTable replaced: every
+// allocated page examined on its own, both copies read page by page.
 func scrubNameTablePerPage(v *Volume, st *ScrubStats) {
-	for id := 0; id < v.lay.ntPages; id++ {
+	for id := 0; id < v.nt.AllocatedPages(); id++ {
 		st.NTPagesChecked++
 		st.SectorsChecked += 2 * NTPageSectors
 		v.scrubNTPage(uint32(id), st)
@@ -601,7 +601,7 @@ func TestScrubSweepMatchesPerPage(t *testing.T) {
 // sequential: on an undamaged volume a crash mount's VAM rebuild may issue
 // at most two reads per 16-page run of the allocated table (plus slack for
 // the tree open), and a clean scrub's name-table pass at most two per run of
-// the whole table. A per-page reader costs two reads per page.
+// the allocated table too. A per-page reader costs two reads per page.
 func TestNTSweepReadCounts(t *testing.T) {
 	v, d, _ := newTestVolume(t)
 	churn(t, v, rand.New(rand.NewSource(3)))
@@ -637,8 +637,8 @@ func TestNTSweepReadCounts(t *testing.T) {
 	if err := v2.scrubNameTable(&st); err != nil {
 		t.Fatal(err)
 	}
-	if got, limit := d.Stats().Sub(before).Reads, 2*runs(v2.lay.ntPages); got > limit || st.Repaired() != 0 {
-		t.Fatalf("clean name-table scrub of %d pages issued %d reads (%d repairs), want at most %d and none",
-			v2.lay.ntPages, got, st.Repaired(), limit)
+	if got, limit := d.Stats().Sub(before).Reads, 2*runs(allocated); got > limit || st.Repaired() != 0 || st.NTPagesChecked != allocated {
+		t.Fatalf("clean name-table scrub of %d pages checked %d and issued %d reads (%d repairs), want all of them in at most %d reads and none",
+			allocated, st.NTPagesChecked, got, st.Repaired(), limit)
 	}
 }

@@ -197,7 +197,8 @@ func TestSweepOverlapsDecode(t *testing.T) {
 
 // TestVerifyOverlapsLeaderSweep: Verify's cross-check runs beside the leader
 // sweep, so the pass costs walk + claim + max(check, sweep) + image verify,
-// not their sum — and reports the same problems at widths 1, 2 and 8.
+// not their sum — and reports the same problems at widths 1, 2 and 8, while
+// the sweep reads every leader once, in head order.
 func TestVerifyOverlapsLeaderSweep(t *testing.T) {
 	const files = 3*verifyChunk - 100 // three chunks: widths 1, 2 and 3 differ
 	var want []string
@@ -227,16 +228,8 @@ func TestVerifyOverlapsLeaderSweep(t *testing.T) {
 				d.SmashSector(addr, payload(disk.SectorSize, 0x3C), nil)
 			}
 		}
-		var sweep time.Duration
-		ascending, last := true, -1
-		d.SetOpObserver(func(e disk.OpEvent) {
-			v.observeDiskOp(e)
-			if !e.Write && v.lay.region(e.Addr) == regionData {
-				sweep += e.Elapsed()
-				ascending = ascending && e.Addr >= last // a damaged leader is retried in place
-				last = e.Addr
-			}
-		})
+		var reads []ntWrite
+		recordDataReads(v, d, &reads)
 		st, err := v.Verify()
 		if err != nil {
 			t.Fatal(err)
@@ -249,8 +242,14 @@ func TestVerifyOverlapsLeaderSweep(t *testing.T) {
 		} else if !reflect.DeepEqual(st.Problems, want) {
 			t.Fatalf("workers=%d: problems\n%v\nwant\n%v", workers, st.Problems, want)
 		}
-		if !ascending || st.Leaders != files || st.LeadersPending != 0 {
-			t.Fatalf("workers=%d: leader sweep ascending=%v over %d leaders, %d of them pending", workers, ascending, st.Leaders, st.LeadersPending)
+		// Every leader read once, in head order; the decayed one is retried
+		// in place.
+		if read := checkHeadOrder(t, fmt.Sprintf("workers=%d", workers), d, reads); len(read) != files || st.Leaders != files || st.LeadersPending != 0 {
+			t.Fatalf("workers=%d: leader sweep read %d sectors for %d leaders, %d of them pending", workers, len(read), st.Leaders, st.LeadersPending)
+		}
+		var sweep time.Duration
+		for _, r := range reads {
+			sweep += r.elapsed
 		}
 		// A pool is no wider than its chunks are many.
 		k := time.Duration(min(workers, verifyChunks(files)))

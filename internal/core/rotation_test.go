@@ -75,6 +75,66 @@ func TestHomeWriteRotationalOrder(t *testing.T) {
 	}
 }
 
+// TestLeaderPassRotationalOrder is TestHomeWriteRotationalOrder's read-side
+// twin: leaders spread over the tracks of one cylinder — one per track, each
+// two sectors behind the last in angle — cost a check pass's leader reads
+// (readLeaders) at most one revolution of rotation, where the same reads in
+// ascending address order from the same clock wait most of a revolution per
+// track. The images land at the refs' own indices whatever the read order.
+func TestLeaderPassRotationalOrder(t *testing.T) {
+	v, d, _ := newTestVolumeWith(t, testConfig())
+	ref, dref, _ := newTestVolumeWith(t, testConfig())
+	if v.clk.Now() != ref.clk.Now() || v.lay != ref.lay {
+		t.Fatal("two formats of one config differ; the comparison needs the same clock and head")
+	}
+	g, p := d.Geometry(), d.Params()
+	cylSectors := g.SectorsPerTrack * g.TracksPerCylinder
+	cyl := g.Cylinders - 1
+	var refs []leaderCheck
+	for tr := 0; tr < g.TracksPerCylinder; tr++ {
+		addr := cyl*cylSectors + tr*g.SectorsPerTrack + (g.SectorsPerTrack-2*tr%g.SectorsPerTrack)%g.SectorsPerTrack
+		if v.lay.region(addr) != regionData {
+			t.Fatalf("sector %d is not in the data region", addr)
+		}
+		img := make([]byte, disk.SectorSize)
+		img[0] = byte(tr)
+		for _, dd := range []*disk.Disk{d, dref} {
+			if err := dd.WriteSectors(addr, img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refs = append(refs, leaderCheck{addr: addr, e: &Entry{Name: "rot"}, idx: tr})
+	}
+	rotation := func(v *Volume, d *disk.Disk, read func()) (rot time.Duration) {
+		d.SetOpObserver(func(e disk.OpEvent) { rot += e.Rot })
+		defer d.SetOpObserver(v.observeDiskOp)
+		read()
+		return rot
+	}
+	images, errs := make([][]byte, len(refs)), make([]error, len(refs))
+	headOrder := rotation(v, d, func() {
+		v.readLeaders(refs, images, errs, func(addr int) ([]byte, error) { return d.ReadSectors(addr, 1) })
+	})
+	addressOrder := rotation(ref, dref, func() {
+		for _, r := range refs {
+			if _, err := dref.ReadSectors(r.addr, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("rotation over %d leaders on one cylinder: head order %v, address order %v (one revolution is %v)",
+		len(refs), headOrder, addressOrder, p.Revolution())
+	for j := range refs {
+		if errs[j] != nil || images[j][0] != byte(refs[j].idx) {
+			t.Fatalf("ref %d: image for the wrong leader or none (%v)", j, errs[j])
+		}
+	}
+	if headOrder > p.Revolution() || addressOrder < 4*p.Revolution() {
+		t.Fatalf("head order waited %v for rotation, address order %v; want at most one revolution (%v) against several",
+			headOrder, addressOrder, p.Revolution())
+	}
+}
+
 // TestNTMissSecondCopyNoWait: on a single-threaded volume whose table is
 // larger than its cache, every miss reads a page's copy A and at once its
 // copy B, and copy B's skew has its first sector arrive as the seek from copy

@@ -25,6 +25,9 @@ import (
 // ScrubStats reports one scrub pass.
 // The JSON names are fsdctl's -json keys; a field it does not print is "-".
 type ScrubStats struct {
+	// NTPagesChecked is the name table's allocated pages (AllocatedPages at
+	// the start of the pass), each checked in both copies; the pages past
+	// them were never written and are not read.
 	NTPagesChecked  int `json:"nt_pages_checked"`
 	NTRepaired      int `json:"nt_repaired"` // name-table home copies rewritten (per copy)
 	NTLost          int `json:"nt_lost"`     // pages with no readable copy anywhere
@@ -241,30 +244,34 @@ func (v *Volume) scrubRoots(st *ScrubStats) {
 // before it turns to copy B. The copies sit a long seek apart, and sweepNT
 // holds both copies of a stretch in memory until its last transfer is in.
 // At 512 pages that is 2 MB of buffers, and the two long seeks (≈ 0.14 s with
-// their rotational waits) add 8 % to the stretch's 1.8 s of transfer; at one
-// 16-page request — what the pass used to issue — they add half, and the
-// whole table in one stretch would buffer 16 MB to save the last 5 %.
+// their rotational waits) add 8 % to a whole stretch's 1.8 s of transfer; at
+// one 16-page request — what the pass used to issue — they add half, and the
+// whole table in one stretch would buffer 16 MB to save the last 5 %. The
+// pass sweeps only the allocated prefix, so a table of fewer pages than a
+// stretch is one stretch, cut at its allocated end.
 const ntScrubStretch = 32 * ntSweepPages
 
-// scrubNameTable cross-checks both home copies of every name-table page, a
-// stretch at a time: sweepNT reads the stretch's copy A and then its copy B
-// in sequential 16-page transfers and the ScrubWorkers pool checks and
-// compares them in memory behind the transfers; only a page that reads
-// damaged or whose copies disagree is re-examined and repaired on its own
-// (scrubNTPage), once the stretch is in. One goroutine drives the pass in page
-// order, so the problem report is the same at every ScrubWorkers setting.
-// Single-copy volumes have nothing to cross-check.
+// scrubNameTable cross-checks both home copies of every allocated name-table
+// page — [0, AllocatedPages()), the bound the mount's sweep takes: a page past
+// it was never written, so it holds no state to lose — a stretch at a time:
+// sweepNT reads the stretch's copy A and then its copy B in sequential
+// 16-page transfers and the ScrubWorkers pool checks and compares them in
+// memory behind the transfers; only a page that reads damaged or whose copies
+// disagree is re-examined and repaired on its own (scrubNTPage), once the
+// stretch is in. The bound is read once, at the start: a page the table
+// allocates during the pass was just written in both copies, and the next
+// pass sweeps it. One goroutine drives the pass in page order, so the
+// problem report is the same at every ScrubWorkers setting. Single-copy
+// volumes have nothing to cross-check.
 func (v *Volume) scrubNameTable(st *ScrubStats) error {
 	if !v.twoCopies() {
 		return nil
 	}
 	start := v.clk.Now()
+	pages := v.nt.AllocatedPages()
 	var bufs [][]byte // the pass keeps no page: one stretch's buffers serve the next
-	for lo := 0; lo < v.lay.ntPages; lo += ntScrubStretch {
-		hi := lo + ntScrubStretch
-		if hi > v.lay.ntPages {
-			hi = v.lay.ntPages
-		}
+	for lo := 0; lo < pages; lo += ntScrubStretch {
+		hi := min(lo+ntScrubStretch, pages)
 		st.NTPagesChecked += hi - lo
 		st.SectorsChecked += 2 * NTPageSectors * (hi - lo)
 		_, _ = v.sweepNT(lo, hi, true, v.cfg.scrubWorkers(), &bufs, nil, nil, func(uint32, []byte) {}, func(id uint32) { v.scrubNTPage(id, st) })
@@ -334,8 +341,9 @@ func (v *Volume) scrubNTPage(id uint32, st *ScrubStats) {
 // name table is authoritative: doubly stored and logged). Like the
 // name-table pass it is optimistic first and locked only where it must be.
 // One scan under a shared hold of the monitor snapshots every entry with a
-// home leader; sweepLeaders reads those leaders in address order with no
-// lock held and checks them against the snapshot on the ScrubWorkers pool.
+// home leader; sweepLeaders reads those leaders in head order (readLeaders)
+// with no lock held and checks them against the snapshot on the ScrubWorkers
+// pool.
 // A leader that verifies is done: agreeing with an entry the table held a
 // moment ago calls for no repair, whatever has happened to the file since.
 // One that fails to read or to verify — damaged, or its file rewritten,
@@ -379,7 +387,7 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 	// because the refs must exist before the arm moves. The checksums run
 	// behind the reads, on the lane.
 	v.cpu.Charge(time.Duration(decoded) * sim.CostBTreeOp / 4)
-	errs := sweepLeaders(v.cpu.NewLane(), home, v.cfg.scrubWorkers(), func(addr int) ([]byte, error) {
+	errs := v.sweepLeaders(v.cpu.NewLane(), home, v.cfg.scrubWorkers(), func(addr int) ([]byte, error) {
 		if v.closed.Load() {
 			return nil, ErrClosed
 		}

@@ -159,6 +159,62 @@ func TestScrubRepairsLatentDecay(t *testing.T) {
 	}
 }
 
+// TestScrubSweepsAllocatedPrefix: the name-table pass sweeps [0,
+// AllocatedPages()) and not a page past it. On a table whose allocated count
+// is not a multiple of the sweep's 16-page run, a decayed copy of the last
+// allocated page is repaired, a decayed copy of a page past the prefix is
+// left as it is (nothing lives there), no read in either copy reaches the
+// prefix's end, and NTPagesChecked is the prefix.
+func TestScrubSweepsAllocatedPrefix(t *testing.T) {
+	v, d, _ := newTestVolumeWith(t, testConfig())
+	for i := 0; v.nt.AllocatedPages() <= ntSweepPages || v.nt.AllocatedPages()%ntSweepPages == 0; i++ {
+		if i == 5000 {
+			t.Fatalf("%d creates and the table has %d pages", i, v.nt.AllocatedPages())
+		}
+		if _, err := v.Create(fmt.Sprintf("prefix/d%02d/a-longish-file-name-%05d", i%7, i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	pages := v.nt.AllocatedPages()
+	if pages+3 >= v.lay.ntPages {
+		t.Fatalf("the table's %d allocated pages leave no page past them of %d", pages, v.lay.ntPages)
+	}
+	lastA, _ := v.lay.ntPageAddrs(uint32(pages - 1))
+	_, pastB := v.lay.ntPageAddrs(uint32(pages + 2))
+	d.CorruptSectors(lastA+NTPageSectors-1, 1)
+	d.CorruptSectors(pastB, 1)
+	endA, endB := v.lay.ntPageAddrs(uint32(pages))
+	var beyond []int
+	d.SetOpObserver(func(e disk.OpEvent) {
+		v.observeDiskOp(e)
+		if e.Write {
+			return
+		}
+		switch r := v.lay.region(e.Addr + e.Sectors - 1); {
+		case r == regionNTA && e.Addr+e.Sectors > endA, r == regionNTB && e.Addr+e.Sectors > endB:
+			beyond = append(beyond, e.Addr)
+		}
+	})
+	st, err := v.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NTPagesChecked != pages || st.NTRepaired != 1 || st.NTLost != 0 || len(st.Problems) != 0 {
+		t.Fatalf("scrub of a %d-page table: checked %d pages, repaired %d, lost %d, problems %v; want %d, 1, 0, none",
+			pages, st.NTPagesChecked, st.NTRepaired, st.NTLost, st.Problems, pages)
+	}
+	if len(beyond) != 0 {
+		t.Fatalf("scrub read name-table sectors at or past the allocated prefix (copy A ends at %d, copy B at %d): reads at %v", endA, endB, beyond)
+	}
+	if d.IsDamaged(lastA+NTPageSectors-1) || !d.IsDamaged(pastB) {
+		t.Fatalf("after the scrub: last allocated page's copy A damaged %v (want repaired), page past the prefix damaged %v (want untouched)",
+			d.IsDamaged(lastA+NTPageSectors-1), d.IsDamaged(pastB))
+	}
+}
+
 // TestScrubRetiresStuckSectors drives the bounded-retry → remap path: a
 // sector that stays damaged through rewrites is retired to the spare pool.
 func TestScrubRetiresStuckSectors(t *testing.T) {

@@ -75,8 +75,9 @@ type vEntry struct {
 //     metadata range, the owner table, and the VAM, byte sizes against
 //     page counts and deferred leaders against their images — while this
 //     goroutine, the pass's one reader, reads every home leader page in
-//     ascending disk order: one sequential sweep instead of per-worker
-//     seek thrash, and media faults charge the health budget exactly once.
+//     cylinder order, soonest first: one sweep of the arm instead of
+//     per-worker seek thrash, and media faults charge the health budget
+//     exactly once.
 //  4. Leaders: the pool checks the images read against their entries.
 //
 // Phases 2 to 4 run on parscan.Overlap, the pool's share on the clock's
@@ -245,7 +246,7 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 	}
 
 	// Phase 3, the driver's half: every home leader read by this goroutine
-	// in ascending address order, so a damaged sector's retries charge the
+	// in head order (readLeaders), so a damaged sector's retries charge the
 	// health budget exactly once however many workers are checking.
 	var refs []leaderCheck
 	var images [][]byte
@@ -256,7 +257,7 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 		}
 		sortLeaders(refs)
 		images, errs = make([][]byte, len(refs)), make([]error, len(refs))
-		readLeaders(refs, images, errs, func(addr int) ([]byte, error) {
+		v.readLeaders(refs, images, errs, func(addr int) ([]byte, error) {
 			buf, retried, rerr := disk.ReadSectorsRetry(v.d, addr, 1, v.cfg.readRetries())
 			v.noteReadFault(retried, rerr, true)
 			return buf, rerr
@@ -323,24 +324,35 @@ type leaderCheck struct {
 }
 
 // The one way a check pass reads leader pages (Verify's phases 3 and 4,
-// Scrub's leader pass). The disk has one arm, so the pass has one reader:
-// the calling goroutine sorts refs by address (sortLeaders) and readLeaders
-// reads them — all, or a stretch of them — in that order with no processor
-// time charged in between: the head crosses the disk once, where a reader in
-// name order, or workers sharing the arm, pay a long seek per leader. errs[j]
-// says what is wrong with (the sorted) refs[j], nil if it read. read is the
-// caller's fault policy: Verify retries in place and charges the health
-// budget, Scrub reads once and leaves the rest to its locked repair path.
+// Scrub's leader pass). The disk has one arm, so the pass has one reader: the
+// calling goroutine sorts refs by address (sortLeaders), which fixes the
+// pass's report order, and readLeaders reads them — all, or a stretch of them
+// — in head order with no processor time charged in between: through
+// issueByPosition, cylinders ascending and inside a cylinder the leader the
+// head reaches soonest, so the head crosses the disk once and a cylinder's
+// leaders cost about a revolution of rotation, where a reader in name order,
+// or workers sharing the arm, pay a long seek per leader, and one in address
+// order most of a revolution per track. images[j] and errs[j] belong to (the
+// sorted) refs[j] whatever order the reads went in; errs[j] says what is
+// wrong with it, nil if it read. read is the caller's fault policy: Verify
+// retries in place and charges the health budget, Scrub reads once and leaves
+// the rest to its locked repair path.
 func sortLeaders(refs []leaderCheck) {
 	sort.Slice(refs, func(a, b int) bool { return refs[a].addr < refs[b].addr })
 }
 
-func readLeaders(refs []leaderCheck, images [][]byte, errs []error, read func(addr int) ([]byte, error)) {
+func (v *Volume) readLeaders(refs []leaderCheck, images [][]byte, errs []error, read func(addr int) ([]byte, error)) {
+	reqs := make([]homeReq, len(refs))
 	for j, ref := range refs {
-		if images[j], errs[j] = read(ref.addr); errs[j] != nil {
-			errs[j] = fmt.Errorf("%s!%d: leader unreadable: %w", ref.e.Name, ref.e.Version, errs[j])
-		}
+		reqs[j] = homeReq{addr: ref.addr, lo: j}
 	}
+	_ = v.issueByPosition(reqs, func(r homeReq) error {
+		ref := refs[r.lo]
+		if images[r.lo], errs[r.lo] = read(ref.addr); errs[r.lo] != nil {
+			errs[r.lo] = fmt.Errorf("%s!%d: leader unreadable: %w", ref.e.Name, ref.e.Version, errs[r.lo])
+		}
+		return nil
+	})
 }
 
 // verifyChunks is how many pool chunks n entries (or leader images) make,
@@ -367,15 +379,16 @@ func checkLeaders(w *parscan.Worker, c int, refs []leaderCheck, images [][]byte,
 
 // sweepLeaders is the two as one overlapped pass, for a pass with nothing
 // else to do beside the reads (parscan.Overlap): the sorted refs go by in
-// stretches of one chunk, and while the pool checks stretch i the caller is
-// reading stretch i+1 — the checksums ride the lane.
-func sweepLeaders(lane *sim.Lane, refs []leaderCheck, workers int, read func(addr int) ([]byte, error)) (errs []error) {
+// stretches of one chunk, each read in head order, and while the pool checks
+// stretch i the caller is reading stretch i+1 — the checksums ride the lane.
+// (A cylinder a stretch boundary cuts is ordered on each side of the cut.)
+func (v *Volume) sweepLeaders(lane *sim.Lane, refs []leaderCheck, workers int, read func(addr int) ([]byte, error)) (errs []error) {
 	sortLeaders(refs)
 	images, errs := make([][]byte, len(refs)), make([]error, len(refs))
 	_ = parscan.Overlap(lane, workers, verifyChunks(len(refs)), 1,
 		func(i int) (int, error) {
 			lo, hi := verifyChunkRange(i, len(refs))
-			readLeaders(refs[lo:hi], images[lo:hi], errs[lo:hi], read)
+			v.readLeaders(refs[lo:hi], images[lo:hi], errs[lo:hi], read)
 			return 1, nil
 		},
 		func(i int, w *parscan.Worker, _ int) { checkLeaders(w, i, refs, images, errs) },

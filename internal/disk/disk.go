@@ -421,19 +421,19 @@ func (d *Disk) PositionTime(addr int) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.par.SeekTime(d.geom.Cylinder(addr) - d.curCyl)
-	return st + d.rotWait(d.clk.Now()+st, addr)
+	return st + d.par.RotWait(d.clk.Now()+st, d.par.SlotAngle(d.geom, addr))
 }
 
-// rotWait is how long a head that is ready at time at waits for the slot of
-// addr to come under it.
-func (d *Disk) rotWait(at time.Duration, addr int) time.Duration {
-	rev := d.par.Revolution()
-	pos := at % rev // angular position expressed as time into the revolution
-	wait := time.Duration(d.geom.RotationalSlot(addr))*d.par.SectorTime(d.geom) - pos
-	if wait < 0 {
-		wait += rev
-	}
-	return wait
+// ArrivalAngle returns the platter's angle, as time into the revolution, at
+// the moment a head sent to cylinder cyl now would end its seek there. It is
+// PositionTime split at the seek, for a caller choosing among several
+// requests on one cylinder: they all pay that seek, so the one the head
+// reaches soonest has the least RotWait from this angle to its SlotAngle, and
+// one query serves every candidate. Like PositionTime it moves nothing.
+func (d *Disk) ArrivalAngle(cyl int) time.Duration {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return (d.clk.Now() + d.par.SeekTime(cyl-d.curCyl)) % d.par.Revolution()
 }
 
 // motion charges seek and rotational time to position the head at addr.
@@ -488,7 +488,7 @@ func (d *Disk) transferOne(addr int) {
 
 // realign waits for the rotational slot of addr. Must hold d.mu.
 func (d *Disk) realign(addr int) {
-	if wait := d.rotWait(d.clk.Now(), addr); wait > 0 {
+	if wait := d.par.RotWait(d.clk.Now(), d.par.SlotAngle(d.geom, addr)); wait > 0 {
 		d.cnt.rotTime.Add(int64(wait))
 		if wait >= d.par.Revolution()*3/4 {
 			d.cnt.lostRevs.Add(1)

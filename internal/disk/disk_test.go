@@ -516,7 +516,8 @@ func TestQuickRotationalWaitBounded(t *testing.T) {
 
 // TestPositionTimeIsTheNextOpsPositioning: PositionTime is a pure query — no
 // clock, arm or counter moves — and it is exactly the seek plus rotational
-// wait the next operation at that address then pays.
+// wait the next operation at that address then pays; the rotational wait is
+// also RotWait from ArrivalAngle, the same query split at the seek.
 func TestPositionTimeIsTheNextOpsPositioning(t *testing.T) {
 	f := func(from, to uint16, pre uint16) bool {
 		d, clk := newTestDisk(t)
@@ -527,6 +528,7 @@ func TestPositionTimeIsTheNextOpsPositioning(t *testing.T) {
 		addr := int(to) % SmallGeometry.Sectors()
 		now, st := clk.Now(), d.Stats()
 		got := d.PositionTime(addr)
+		angle := d.ArrivalAngle(SmallGeometry.Cylinder(addr))
 		if clk.Now() != now || d.Stats() != st || d.PositionTime(addr) != got {
 			return false
 		}
@@ -534,7 +536,9 @@ func TestPositionTimeIsTheNextOpsPositioning(t *testing.T) {
 			return false
 		}
 		paid := d.Stats().Sub(st)
-		return got == paid.SeekTime+paid.RotTime && got < DefaultParams.SeekTime(SmallGeometry.Cylinders)+DefaultParams.Revolution()
+		rot := DefaultParams.RotWait(angle, DefaultParams.SlotAngle(SmallGeometry, addr))
+		return got == paid.SeekTime+paid.RotTime && rot == paid.RotTime &&
+			got < DefaultParams.SeekTime(SmallGeometry.Cylinders)+DefaultParams.Revolution()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -77,6 +77,23 @@ func (p Params) SectorTime(g Geometry) time.Duration {
 	return p.Revolution() / time.Duration(g.SectorsPerTrack)
 }
 
+// SlotAngle returns the angle at which addr's slot comes under the head, as
+// time into the revolution.
+func (p Params) SlotAngle(g Geometry, addr int) time.Duration {
+	return time.Duration(g.RotationalSlot(addr)) * p.SectorTime(g)
+}
+
+// RotWait returns how long a head at angle at (time into the revolution;
+// whole revolutions in it are ignored) waits for the slot at angle slot.
+func (p Params) RotWait(at, slot time.Duration) time.Duration {
+	rev := p.Revolution()
+	wait := slot - at%rev
+	if wait < 0 {
+		wait += rev
+	}
+	return wait
+}
+
 // SeekTime returns the arm travel time for a move of dist cylinders.
 func (p Params) SeekTime(dist int) time.Duration {
 	if dist < 0 {

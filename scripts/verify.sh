@@ -189,6 +189,29 @@ awk '/^func \(v \*Volume\) createClass\(/,/^}/' internal/core/file.go | grep -q 
 	/^[[:space:]]*\/\// { next }
 	/(\.ReadSectors(Into)?|ReadSectorsRetry(Into)?|\.VerifyRead)\(/ && fn !~ /^func \((l \*Log\) (readData|scrubAnchor)|r \*logRuns\) load)\(/ { print FILENAME ":" FNR ": " $0 }' internal/wal/*.go | grep . \
 	|| { echo "verify: a WAL device read outside readData, the audit's run read and scrubAnchor (read a span past damage, once)"; exit 1; }
+# One head order (DESIGN §17): a check pass's leader reads go out through
+# issueByPosition — cylinders ascending, inside a cylinder the leader the head
+# reaches soonest — from readLeaders, the one helper Verify and scrub share.
+# In verify.go and scrub.go a read (the pass's read callback, or a device
+# read) is issued only inside a closure handed to issueByPosition, readLeaders
+# or sweepLeaders, or on the per-page and per-suspect paths (scrubRoots,
+# scrubNTPage, scrubLeader, the retried read itself); readLeaders issues
+# through issueByPosition; and core asks the disk where the head will be
+# (ArrivalAngle, PositionTime) only in issueByPosition. A read loop over the
+# sorted refs is address order coming back, and another caller of the
+# position queries is a second ordering routine.
+! awk 'FNR == 1 { fn = ""; end = "" } /^func / { fn = $0; end = "" }
+	/^[[:space:]]*\/\// { next }
+	end != "" { if ($0 == end) end = ""; next }
+	/(issueByPosition|readLeaders|sweepLeaders)\(.*func\(/ && !/^func / { match($0, /^\t*/); end = substr($0, 1, RLENGTH) "})"; next }
+	/(^|[^[:alnum:]_.])read\(|ReadSectors(Into)?\(|ReadSectorsRetry(Into)?\(|readSectorsRetry(Into)?\(/ && fn !~ /^func \(v \*Volume\) (scrubRoots|scrubNTPage|scrubLeader|readSectorsRetry|readSectorsRetryInto)\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/verify.go internal/core/scrub.go | grep . \
+	|| { echo "verify: a check pass reads outside issueByPosition's order (read leaders through readLeaders)"; exit 1; }
+awk '/^func \(v \*Volume\) readLeaders\(/,/^}/' internal/core/verify.go | grep -q 'v\.issueByPosition(' \
+	|| { echo "verify: readLeaders no longer issues its reads through issueByPosition"; exit 1; }
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/^[[:space:]]*\/\// { next }
+	/\.(ArrivalAngle|PositionTime)\(/ && fn !~ /^func \(v \*Volume\) issueByPosition\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: core asks where the head will be outside issueByPosition (order requests through issueByPosition)"; exit 1; }
 # One clock and one bring-up (DESIGN §3.1, §15). The wall-clock Clock and the
 # ticker goroutines it drove (group commit, periodic scrub) were never built
 # by any binary, example or benchmark; group commit runs at operation
