@@ -434,9 +434,10 @@ func run(img string, jsonOut bool, args []string) error {
 		fmt.Printf("commit deadline: %v (%s)\n",
 			st.Commit.ForceDeadline.Round(100*time.Microsecond), mode)
 		perPass := func(n int) float64 { return float64(n) / float64(max(st.Commit.HeldPasses, 1)) }
-		fmt.Printf("held writes: %d sectors in %d requests written by forces, %d writes out at once at the hold cap; %d passes, %.2f requests on %.2f cylinders per pass; creates placed %d by group, %d by Alloc\n",
+		fmt.Printf("held writes: %d sectors in %d requests written by forces, %d writes out at once at the hold cap; %d passes, %.2f requests on %.2f cylinders per pass; creates placed %d by group, %d by Alloc (+%d no room for an anchor, +%d group cylinder full)\n",
 			st.Commit.HeldSectors, st.Commit.HeldRequests, st.Commit.HeldWriteThrough, st.Commit.HeldPasses,
-			perPass(st.Commit.HeldRequests), perPass(st.Commit.HeldCylinders), st.Commit.GroupCreates, st.Commit.AllocCreates)
+			perPass(st.Commit.HeldRequests), perPass(st.Commit.HeldCylinders), st.Commit.GroupCreates, st.Commit.AllocCreates,
+			st.Commit.NoRoomCreates, st.Commit.FullCylinderCreates)
 		if iq := st.Intent; iq.Enabled {
 			fmt.Printf("intent queue: depth %d (max %d), %d enqueued, %d applied, %d reader waits, applier busy %v\n",
 				iq.Depth, iq.MaxDepth, iq.Enqueued, iq.Applied, iq.ReaderWaits,
@@ -459,10 +460,13 @@ func run(img string, jsonOut bool, args []string) error {
 		fmt.Println()
 		// How growing files were placed and what became of the sectors read
 		// ahead: concurrent streams interleaving show as extensions
-		// elsewhere, a window too large for the cache as read-ahead wasted.
-		fmt.Printf("streams: %d/%d extensions in place/elsewhere; read-ahead %d sectors, %d used, %d wasted; %d promotions\n",
+		// elsewhere, a window too large for the cache as read-ahead wasted,
+		// and rewritten files' reservations (DESIGN §3.5) larger than what
+		// their streams wrote as reserved pages released.
+		fmt.Printf("streams: %d/%d extensions in place/elsewhere; read-ahead %d sectors, %d used, %d wasted; %d promotions; %d reservations, %d reserved pages released\n",
 			st.Alloc.ExtendsInPlace, st.Alloc.ExtendsElsewhere, st.Cache.Data.ReadAheadSectors,
-			st.Cache.Data.ReadAheadUsed, st.Cache.Data.ReadAheadWasted, st.Cache.Data.Promotions)
+			st.Cache.Data.ReadAheadUsed, st.Cache.Data.ReadAheadWasted, st.Cache.Data.Promotions,
+			st.Alloc.Reserved, st.Alloc.ReservedReleased)
 		if rc := st.Recovery; rc.Ran {
 			how := "log replayed"
 			if rc.CleanShutdown {

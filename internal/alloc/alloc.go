@@ -22,6 +22,17 @@
 // the big-file area. Applying the top-down rule to every increment of a
 // growing file would lay it out as reversed pieces, each one behind the head
 // that just finished the piece before.
+//
+// A growing file whose size can be guessed — a new version of a file, which
+// is likely to grow to its predecessor's size — can reserve that much at its
+// first growth (Reserve): one run, the first free stretch of the big-file
+// area upward from the boundary that holds it, marked allocated in the VAM
+// alone. Its growths then take their pages from the front of the run (Take),
+// so that two files streamed by turns each still grow in place, instead of
+// taking turns at the pages behind each other. What is not taken goes back
+// with Release. Nothing durable ever names a reserved page, so the caller
+// must release every reservation before the VAM is saved; a crash needs
+// nothing, since the mount rebuilds the VAM from the name table.
 package alloc
 
 import (
@@ -98,16 +109,23 @@ type Allocator struct {
 
 	extendsInPlace   atomic.Int64
 	extendsElsewhere atomic.Int64
+	reserved         atomic.Int64
+	reservedReleased atomic.Int64
 }
 
-// Stats counts how growth was placed. ExtendsElsewhere counts every
-// extension that could not lengthen the file's last run: one per file
-// created empty and streamed, its first growth out of the small-file area,
-// and every time the pages behind the file were not free — taken by another
-// growing file, or the end of the hole the file had started in.
+// Stats counts how growth was placed. An extension is an Extend call or a
+// Take: one that lengthened the file's last run counts in place, any other
+// elsewhere. ExtendsElsewhere counts one per file created empty and
+// streamed, its first growth out of the small-file area, and every time the
+// pages behind the file were not free — taken by another growing file, or
+// the end of the hole the file had started in. ExtendsElsewhere ÷
+// (ExtendsInPlace + ExtendsElsewhere) is the share of growth that lands
+// away from the file's last run.
 type Stats struct {
-	ExtendsInPlace   int64 // Extend calls that lengthened the file's last run
-	ExtendsElsewhere int64 // Extend calls that had to start a new run
+	ExtendsInPlace   int64 // extensions that lengthened the file's last run
+	ExtendsElsewhere int64 // extensions that had to start a new run
+	Reserved         int64 // reservations taken (Reserve)
+	ReservedReleased int64 // reserved pages given back untaken (Release)
 }
 
 // Stats returns the placement counters; safe to call concurrently with
@@ -116,6 +134,8 @@ func (a *Allocator) Stats() Stats {
 	return Stats{
 		ExtendsInPlace:   a.extendsInPlace.Load(),
 		ExtendsElsewhere: a.extendsElsewhere.Load(),
+		Reserved:         a.reserved.Load(),
+		ReservedReleased: a.reservedReleased.Load(),
 	}
 }
 
@@ -242,6 +262,54 @@ func (a *Allocator) Extend(runs []Run, more int) ([]Run, error) {
 		}
 	}
 	return a.Alloc(more)
+}
+
+// Reserve marks pages allocated as one run and returns it, for a growing
+// file to take its growth from (Take): the first free stretch of the
+// big-file area, upward from the boundary, that holds them — the order in
+// which Extend reuses the holes committed deletes leave. ok is false, and
+// nothing is allocated, when no stretch there holds pages.
+func (a *Allocator) Reserve(pages int) (r Run, ok bool) {
+	if pages <= 0 {
+		return Run{}, false
+	}
+	s, l := a.v.FindRun(pages, a.cfg.boundary(), a.cfg.Hi, 1)
+	if l != pages {
+		return Run{}, false
+	}
+	a.v.MarkAllocated(s, l)
+	a.reserved.Add(1)
+	return Run{Start: uint32(s), Len: uint32(l)}, true
+}
+
+// Take hands the first more pages of the reservation *r — all of it, if it
+// holds fewer — to the file whose run table is runs, and shortens *r by
+// them. The pages are allocated already. It counts as an extension: in
+// place when it lengthens the table's last run, which every hand-out but a
+// file's first does.
+func (a *Allocator) Take(r *Run, runs []Run, more int) []Run {
+	n := uint32(min(max(more, 0), int(r.Len)))
+	if n == 0 {
+		return nil
+	}
+	got := Run{Start: r.Start, Len: n}
+	r.Start, r.Len = r.Start+n, r.Len-n
+	if k := len(runs) - 1; k >= 0 && runs[k].Start+runs[k].Len == got.Start {
+		a.extendsInPlace.Add(1)
+	} else {
+		a.extendsElsewhere.Add(1)
+	}
+	return []Run{got}
+}
+
+// Release frees what the reservation *r still holds — nothing durable names
+// those pages — counts them, and empties *r.
+func (a *Allocator) Release(r *Run) {
+	if r.Len > 0 {
+		a.v.MarkFree(int(r.Start), int(r.Len))
+		a.reservedReleased.Add(int64(r.Len))
+	}
+	*r = Run{}
 }
 
 // Join returns the run table runs followed by grown, as a new slice, with

@@ -142,6 +142,55 @@ func TestExtendNoSpace(t *testing.T) {
 	}
 }
 
+// TestReserve: a reservation is the first stretch of the big-file area above
+// the boundary that holds it; hand-outs come from its front, the first one
+// away from the file's leader and each later one in place; what is left goes
+// back free. A reservation that fits nowhere takes nothing.
+func TestReserve(t *testing.T) {
+	a, v := newTestAllocator(t, 10000)
+	v.MarkAllocated(10, 1)     // the file's leader
+	v.MarkAllocated(2500, 100) // a hole of 50 pages above the boundary …
+	v.MarkFree(2540, 50)       // … too short for the reservation
+	free := v.FreeCount()
+	r, ok := a.Reserve(300)
+	if !ok || r != (Run{2600, 300}) {
+		t.Fatalf("reserved %v (%v), want {2600 300}", r, ok)
+	}
+	if v.FreeCount() != free-300 {
+		t.Fatalf("%d pages left the free map, want 300", free-v.FreeCount())
+	}
+	runs := []Run{{10, 1}}
+	for _, more := range []int{64, 64} {
+		got := a.Take(&r, runs, more)
+		if len(got) != 1 || got[0].Start != uint32(2600+Pages(runs)-1) || got[0].Len != uint32(more) {
+			t.Fatalf("took %v after %v, want %d pages from the reservation's front", got, runs, more)
+		}
+		runs = Join(runs, got)
+	}
+	if got := a.Take(&r, runs, 500); !reflect.DeepEqual(got, []Run{{2728, 172}}) || r.Len != 0 {
+		t.Fatalf("took %v, leaving %v; want the last 172 pages and an empty reservation", got, r)
+	}
+	if got := a.Take(&r, runs, 8); got != nil {
+		t.Fatalf("an empty reservation handed out %v", got)
+	}
+	r, ok = a.Reserve(100)
+	if !ok || r != (Run{2900, 100}) {
+		t.Fatalf("second reservation %v (%v), want {2900 100}", r, ok)
+	}
+	a.Take(&r, []Run{{11, 1}}, 30)
+	a.Release(&r)
+	if r != (Run{}) || !v.IsFree(2930) || !v.IsFree(2999) || v.IsFree(2929) {
+		t.Fatalf("release left %v and the map wrong around [2930,3000)", r)
+	}
+	if _, ok := a.Reserve(10000); ok {
+		t.Fatal("a reservation larger than any free stretch succeeded")
+	}
+	want := Stats{ExtendsInPlace: 2, ExtendsElsewhere: 2, Reserved: 2, ReservedReleased: 70}
+	if st := a.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}
+
 func BenchmarkExtend(b *testing.B) {
 	const pages = 600000
 	v := vam.New(pages)

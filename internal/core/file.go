@@ -39,6 +39,12 @@ type File struct {
 	mu             sync.Mutex
 	e              Entry
 	leaderVerified bool
+	// hint is the data pages of the version below the one this handle's
+	// create made, on a volume that holds writes and for an empty create; 0
+	// once the handle's first growth has used it (allocGrowth). It is
+	// guarded by vmMu, and sits in leaderVerified's padding: every open
+	// allocates a handle, which stays in its 128-byte size class.
+	hint int32
 	// seqNext is the logical page after the last one read through this
 	// handle (0 on a fresh one); readInto detects a sequential reader by it.
 	seqNext int
@@ -251,6 +257,11 @@ func (v *Volume) createClass(name string, data []byte, class Class, linkTarget s
 		}
 		v.ops.creates.Add(1)
 		f = &File{v: v, e: *e, leaderVerified: true}
+		if class != SymLink && len(data) == 0 && v.dataCache != nil && l.e != nil {
+			// An empty version is streamed next, likely to its
+			// predecessor's size: its first growth reserves that much.
+			f.hint = int32(l.e.Pages())
+		}
 		return nil
 	})
 	return f, err
@@ -920,15 +931,12 @@ func (v *Volume) writeChunk(w *ioWindow, lead []byte, addr, cur, cnt int) (held 
 }
 
 // Extend grows the file by morePages data pages — in place when the
-// allocator can, see alloc.Extend — and updates the name-table entry (a
+// allocator can, see allocGrowth — and updates the name-table entry (a
 // logged metadata operation, no synchronous I/O).
 func (f *File) Extend(morePages int) error {
 	v := f.v
 	return v.mutate("extend", f, [2]string{}, func(it *intent) error {
-		v.vmMu.Lock()
-		grown, err := v.al.Extend(f.e.Runs, morePages)
-		v.noteFresh(grown)
-		v.vmMu.Unlock()
+		grown, err := f.allocGrowth(&f.e, morePages)
 		if err != nil {
 			return err
 		}
@@ -950,7 +958,7 @@ func (f *File) Extend(morePages int) error {
 // grow is WriteAt for a write that ends past the byte size (DESIGN §12,
 // "Growing writes"): one call, one intent. Under the handle's mutation it
 // extends the allocation by what the write needs — in place when the
-// allocator can, see alloc.Extend; nothing, if the pages are there already
+// allocator can, see allocGrowth; nothing, if the pages are there already
 // or a concurrent write on the handle has grown it meanwhile — writes p into
 // the grown entry's pages (held or at once, through writeChunk, as any
 // write), and then hands off one intent with the byte size, and with the
@@ -967,11 +975,7 @@ func (f *File) grow(p []byte, off int64) error {
 		e := f.e
 		var grown []alloc.Run
 		if more := int((end+disk.SectorSize-1)/disk.SectorSize) - e.Pages(); more > 0 {
-			v.vmMu.Lock()
-			grown, err = v.al.Extend(e.Runs, more)
-			v.noteFresh(grown)
-			v.vmMu.Unlock()
-			if err != nil {
+			if grown, err = f.allocGrowth(&e, more); err != nil {
 				return err
 			}
 			// Nothing refers to the pages until the intent is handed off;

@@ -29,14 +29,17 @@ type heldCounters struct {
 	passes       atomic.Int64 // passes that wrote a request
 	cylinders    atomic.Int64 // cylinders those passes visited
 	grouped      atomic.Int64 // creates placed by the commit group's rule (placeCreate)
-	allocated    atomic.Int64 // creates placed by Alloc
+	allocated    atomic.Int64 // creates placed by Alloc: the group rule does not apply
+	noRoom       atomic.Int64 // group creates placed by Alloc: no cylinder had room for an anchor
+	fullCyl      atomic.Int64 // group creates placed by Alloc: no hole after the group's last one
 }
 
 // commitGroup is the current commit group, on a volume with a data cache:
 // the runs the allocator handed out in it, which no forced commit names yet
 // (fresh), and where its small creates go (DESIGN §3.5, "A commit group's
 // creates") — the cylinder they share and the page after the last one
-// placed. It lives under vmMu, and writeHeld ends it.
+// placed — and the streams' reservations. It lives under vmMu, and
+// writeHeld ends it.
 type commitGroup struct {
 	runs     []alloc.Run // the group's runs, in address order
 	anchored bool
@@ -45,6 +48,79 @@ type commitGroup struct {
 	creates  int // small creates with data placed in the group
 	last     int // creates of the group before: what the next anchor must hold
 	floor    int // lowest allocated small-area page seen; -1: look again
+	// reserved are the streams' reservations, at most one per handle. They
+	// outlive the group: writeHeld carries over those a growth used since
+	// the pass before and that still hold pages, and releases the rest.
+	reserved []*reservation
+}
+
+// reservation is the run a stream's first growth reserved (DESIGN §3.5,
+// "A stream's reservation"): pages allocated in the in-memory VAM alone,
+// which the growths through handle f take from the front. used says a
+// growth took some since the last pass.
+type reservation struct {
+	f    *File
+	run  alloc.Run
+	used bool
+}
+
+// allocGrowth allocates more pages for the growth of f's file, whose entry
+// is e, and notes them fresh. The handle's first growth, on a version whose
+// predecessor had f.hint data pages, reserves one run for the whole of the
+// rest — max(more, hint − pages so far) — unless the file stays small with
+// it, and so grows among the small files by Extend's rule. Every growth
+// takes from the front of the handle's reservation while it holds pages;
+// alloc.Extend places what that leaves. On failure nothing is allocated. It
+// is the one caller of alloc.Extend.
+func (f *File) allocGrowth(e *Entry, more int) ([]alloc.Run, error) {
+	v := f.v
+	v.vmMu.Lock()
+	defer v.vmMu.Unlock()
+	if f.hint > 0 {
+		if n := max(more, int(f.hint)-e.Pages()); alloc.Pages(e.Runs)+n > v.al.Config().SmallThreshold {
+			if r, ok := v.al.Reserve(n); ok {
+				v.group.reserved = append(v.group.reserved, &reservation{f: f, run: r})
+			}
+		}
+		f.hint = 0
+	}
+	var grown []alloc.Run
+	for _, res := range v.group.reserved {
+		if res.f == f && res.run.Len > 0 {
+			grown = v.al.Take(&res.run, e.Runs, more)
+			res.used = true
+			more -= alloc.Pages(grown)
+			break
+		}
+	}
+	if more > 0 {
+		rest, err := v.al.Extend(alloc.Join(e.Runs, grown), more)
+		if err != nil {
+			v.al.FreeNow(grown)
+			return nil, err
+		}
+		grown = append(grown, rest...)
+	}
+	v.noteFresh(grown)
+	return grown, nil
+}
+
+// releaseReserved gives back what every reservation still holds that no
+// growth used since the pass before — all of them, with all set — and
+// keeps the rest, marked unused, for the next pass to look at. The caller
+// holds vmMu.
+func (v *Volume) releaseReserved(all bool) {
+	kept := v.group.reserved[:0]
+	for _, res := range v.group.reserved {
+		if res.used && res.run.Len > 0 && !all {
+			res.used = false
+			kept = append(kept, res)
+			continue
+		}
+		v.al.Release(&res.run)
+	}
+	clear(v.group.reserved[len(kept):])
+	v.group.reserved = kept
 }
 
 // placeCreate allocates pages for a create (the caller holds vmMu). On a
@@ -56,7 +132,9 @@ type commitGroup struct {
 // pass costs one seek and about one revolution. Neither search goes below
 // the lowest small file already on the volume, so the set of written sectors
 // does not grow. Where it finds no hole, Alloc places the create and its
-// cylinder becomes the group's. Every other create — with nothing held
+// cylinder becomes the group's; the two misses are counted apart (no
+// cylinder had room for an anchor; the group's cylinder had no hole after
+// its last create). Every other create — with nothing held
 // (the raw path, an empty create, whose leader is logged), a big one, or the
 // edge layout — is Alloc's.
 func (v *Volume) placeCreate(pages int, data bool) ([]alloc.Run, error) {
@@ -71,8 +149,9 @@ func (v *Volume) placeCreate(pages int, data bool) ([]alloc.Run, error) {
 	window := func(c int) (int, int) {
 		return max(c*cylSectors, floor), min((c+1)*cylSectors, v.lay.boundary)
 	}
-	start := -1
+	start, fellBack := -1, &v.heldStats.noRoom
 	if g.anchored {
+		fellBack = &v.heldStats.fullCyl
 		lo, hi := window(g.cyl)
 		if s, ok := v.vm.FindRunAfter(pages, lo, hi, geo.RotationalSlot(g.end), geo.SectorsPerTrack); ok {
 			start = s
@@ -98,7 +177,7 @@ func (v *Volume) placeCreate(pages int, data bool) ([]alloc.Run, error) {
 		if runs, err = v.al.Alloc(pages); err != nil {
 			return nil, err
 		}
-		v.heldStats.allocated.Add(1)
+		fellBack.Add(1)
 		g.floor = min(g.floor, int(runs[0].Start))
 	}
 	last := runs[len(runs)-1]
@@ -220,7 +299,8 @@ func (v *Volume) writeHeld() error {
 		v.heldStats.passes.Add(1)
 	}
 	v.vmMu.Lock()
-	v.group = commitGroup{runs: v.group.runs[:0], last: v.group.creates, floor: -1}
+	v.releaseReserved(false)
+	v.group = commitGroup{runs: v.group.runs[:0], last: v.group.creates, floor: -1, reserved: v.group.reserved}
 	v.vmMu.Unlock()
 	return nil
 }

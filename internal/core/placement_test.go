@@ -229,6 +229,12 @@ func TestGroupPlacementStaysAboveSmallFiles(t *testing.T) {
 	if grouped < 500 {
 		t.Fatalf("only %d creates placed by the group rule; the churn no longer tests it", grouped)
 	}
+	// Every create is counted once, by the rule or by why Alloc placed it.
+	st := v.Stats().Commit
+	if n := st.GroupCreates + st.AllocCreates + st.NoRoomCreates + st.FullCylinderCreates; n != v.Stats().Ops.Creates {
+		t.Fatalf("%d creates counted by placement (%d grouped, %d Alloc's, %d no room, %d cylinder full), %d made",
+			n, st.GroupCreates, st.AllocCreates, st.NoRoomCreates, st.FullCylinderCreates, v.Stats().Ops.Creates)
+	}
 }
 
 // TestRawPathPlacementIsAlloc: on the paper's raw path (no data cache,
@@ -283,5 +289,30 @@ func TestRawPathPlacementIsAlloc(t *testing.T) {
 	}
 	if st := v.Stats().Commit; st.GroupCreates != 0 || st.AllocCreates != creates {
 		t.Fatalf("raw path: %d creates placed by the group rule, %d by Alloc; want 0 and %d", st.GroupCreates, st.AllocCreates, creates)
+	}
+}
+
+// TestAllocCreatesByCause: the creates that fall to Alloc are counted by
+// cause. On a fresh volume no small file sets a floor, so the group's first
+// create finds no cylinder with room for an anchor, and each later one finds
+// no hole after the one before on the cylinder Alloc chose; an empty create
+// and a big one are Alloc's because the group rule does not apply to them.
+func TestAllocCreatesByCause(t *testing.T) {
+	v, _ := groupVolume(t, 0)
+	for i := 0; i < 5; i++ {
+		if _, err := v.Create(fmt.Sprintf("cause/f%d", i), payload(700, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := v.Create("cause/empty", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Create("cause/big", payload(64*disk.SectorSize, 9)); err != nil {
+		t.Fatal(err)
+	}
+	st := v.Stats().Commit
+	if st.NoRoomCreates != 1 || st.FullCylinderCreates != 4 || st.AllocCreates != 2 || st.GroupCreates != 0 {
+		t.Fatalf("creates by cause: %d no room, %d cylinder full, %d Alloc's, %d grouped; want 1, 4, 2, 0",
+			st.NoRoomCreates, st.FullCylinderCreates, st.AllocCreates, st.GroupCreates)
 	}
 }

@@ -60,11 +60,18 @@ type CommitStats struct {
 	// HeldPasses counts the passes that wrote a request, and HeldCylinders
 	// the cylinders they visited: each pass seeks once per cylinder.
 	// GroupCreates counts the creates a commit group's placement put on its
-	// cylinder in head order (DESIGN §3.5), AllocCreates those Alloc placed.
-	HeldPasses    int
-	HeldCylinders int
-	GroupCreates  int
-	AllocCreates  int
+	// cylinder in head order (DESIGN §3.5), AllocCreates those Alloc placed
+	// because the group rule does not apply (the raw path, an empty create,
+	// a big one, the edge layout). NoRoomCreates and FullCylinderCreates
+	// count the creates the rule applied to that still fell to Alloc: no
+	// cylinder above the floor had room for the group's anchor, or the
+	// group's cylinder had no hole after its last create.
+	HeldPasses          int
+	HeldCylinders       int
+	GroupCreates        int
+	AllocCreates        int
+	NoRoomCreates       int
+	FullCylinderCreates int
 }
 
 // IntentStats reports the asynchronous metadata pipeline. All zero (and
@@ -384,17 +391,19 @@ func (v *Volume) Stats() Stats {
 	if v.log != nil {
 		ws := v.log.Stats() // takes the WAL stat lock, never held across I/O
 		s.Commit = CommitStats{
-			Stats:            ws,
-			BatchImages:      v.obs.batchImages.Snapshot(),
-			RecordsPerForce:  v.obs.recordsPerForce.Snapshot(),
-			ForceInterval:    v.obs.forceInterval.Snapshot(),
-			HeldSectors:      int(v.heldStats.sectors.Load()),
-			HeldRequests:     int(v.heldStats.requests.Load()),
-			HeldWriteThrough: int(v.heldStats.writeThrough.Load()),
-			HeldPasses:       int(v.heldStats.passes.Load()),
-			HeldCylinders:    int(v.heldStats.cylinders.Load()),
-			GroupCreates:     int(v.heldStats.grouped.Load()),
-			AllocCreates:     int(v.heldStats.allocated.Load()),
+			Stats:               ws,
+			BatchImages:         v.obs.batchImages.Snapshot(),
+			RecordsPerForce:     v.obs.recordsPerForce.Snapshot(),
+			ForceInterval:       v.obs.forceInterval.Snapshot(),
+			HeldSectors:         int(v.heldStats.sectors.Load()),
+			HeldRequests:        int(v.heldStats.requests.Load()),
+			HeldWriteThrough:    int(v.heldStats.writeThrough.Load()),
+			HeldPasses:          int(v.heldStats.passes.Load()),
+			HeldCylinders:       int(v.heldStats.cylinders.Load()),
+			GroupCreates:        int(v.heldStats.grouped.Load()),
+			AllocCreates:        int(v.heldStats.allocated.Load()),
+			NoRoomCreates:       int(v.heldStats.noRoom.Load()),
+			FullCylinderCreates: int(v.heldStats.fullCyl.Load()),
 		}
 		if ws.ImagesLogged > 0 {
 			s.Commit.BatchingFactor = float64(ws.ImagesStaged) / float64(ws.ImagesLogged)

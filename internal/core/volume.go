@@ -1214,6 +1214,11 @@ func (v *Volume) Shutdown() error {
 	if _, err := v.flushLeaders(allThirds); err != nil {
 		return err
 	}
+	// A reserved page is allocated in memory alone: the saved map must not
+	// hold it, or the next mount would never hand it out.
+	v.vmMu.Lock()
+	v.releaseReserved(true)
+	v.vmMu.Unlock()
 	if err := v.vm.SaveWith(v.writeSectors, v.lay.vamBase); err != nil {
 		return err
 	}

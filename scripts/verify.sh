@@ -105,6 +105,15 @@ test -z "$(gofmt -l . | tee /dev/stderr)"
 # three-call, two-intent grow coming back.
 ! grep -nE '\.Extend\(' localfs.go internal/core/stream.go \
 	|| { echo "verify: the FS adapter or the stream writer extends before it writes (WriteAt grows the file)"; exit 1; }
+# One growth path (DESIGN §3.5, "A stream's reservation"): grow and
+# File.Extend take their pages from File.allocGrowth, which hands out a
+# rewritten file's reservation before it asks alloc.Extend. An al.Extend call
+# anywhere else in core is a growth that skips the reservation and lands in the
+# lowest hole another stream is filling.
+! awk 'FILENAME ~ /_test\.go$/ { next } FNR == 1 { fn = "" } /^func / { fn = $0 }
+	/^[[:space:]]*\/\// { next }
+	/al\.Extend\(/ && fn !~ /^func \(f \*File\) allocGrowth\(/ { print FILENAME ":" FNR ": " $0 }' internal/core/*.go | grep . \
+	|| { echo "verify: al.Extend called outside File.allocGrowth (grow through allocGrowth)"; exit 1; }
 
 # One placement per create (DESIGN §3.5, "A commit group's creates"):
 # createClass takes its pages from placeCreate, which puts a commit group's
