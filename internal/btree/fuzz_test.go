@@ -1,8 +1,10 @@
 package btree
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -52,4 +54,106 @@ func sampleLeaf(tb testing.TB) []byte {
 	}
 	tb.Fatal("no leaf written")
 	return nil
+}
+
+// FuzzTreeOps drives the tree through Put, Delete, Get and Scan on small
+// pages, so that leaves fill, share with a sibling and split within a few
+// dozen steps, and holds every result against a map, with Check after every
+// step and a reopened tree's full scan at the end. An input is a list of
+// 3-byte steps: the operation (byte mod 4: Put, Delete, Get, Scan), the key
+// (its byte as four decimal digits) and, for a Put, the value length (mod
+// 64). The seeds are the share tests' three sequences: one that shares
+// left, one that shares right, one that must split. `go test -fuzz
+// FuzzTreeOps ./internal/btree` explores.
+func FuzzTreeOps(f *testing.F) {
+	for _, seq := range [][]int{shareLeftSeq, shareRightSeq, mustSplitSeq} {
+		var in []byte
+		for _, k := range seq {
+			in = append(in, opPut, byte(k), 40)
+		}
+		in = append(in, opGet, byte(seq[len(seq)-1]), 0, opScan, 0, 0, opDelete, byte(seq[0]), 0)
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		steps := len(in) / 3
+		// A Put allocates at most one page per level; a tree of a few
+		// hundred keys on 256-byte pages is well under eight levels.
+		p := NewMemPager(sharePageSize, 8*steps+8)
+		tr, err := Create(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string][]byte{}
+		for i := 0; i < steps; i++ {
+			op, k := in[3*i]%4, shareKey(int(in[3*i+1]))
+			switch op {
+			case opPut:
+				v := bytes.Repeat([]byte{byte(i)}, int(in[3*i+2]%64))
+				if err := tr.Put(k, v); err != nil {
+					t.Fatalf("step %d: Put %s: %v", i, k, err)
+				}
+				want[string(k)] = v
+			case opDelete:
+				err := tr.Delete(k)
+				if _, ok := want[string(k)]; ok != (err == nil) || err != nil && !errors.Is(err, ErrNotFound) {
+					t.Fatalf("step %d: Delete %s: %v, present %v", i, k, err, ok)
+				}
+				delete(want, string(k))
+			case opGet:
+				v, err := tr.Get(k)
+				if w, ok := want[string(k)]; ok != (err == nil) || !bytes.Equal(v, w) || err != nil && !errors.Is(err, ErrNotFound) {
+					t.Fatalf("step %d: Get %s = %q, %v; want %q, present %v", i, k, v, err, w, ok)
+				}
+			case opScan:
+				// At most eight entries from k: the map's keys >= k, in order.
+				var got []string
+				if err := tr.Scan(k, func(key, v []byte) bool {
+					if !bytes.Equal(v, want[string(key)]) {
+						t.Errorf("step %d: Scan gave %s = %q, want %q", i, key, v, want[string(key)])
+					}
+					got = append(got, string(key))
+					return len(got) < 8
+				}); err != nil {
+					t.Fatalf("step %d: Scan %s: %v", i, k, err)
+				}
+				if exp := sortedFrom(want, string(k), 8); fmt.Sprint(got) != fmt.Sprint(exp) {
+					t.Fatalf("step %d: Scan %s = %v, want %v", i, k, got, exp)
+				}
+			}
+			if err := tr.Check(); err != nil {
+				t.Fatalf("step %d: Check: %v", i, err)
+			}
+		}
+		re, err := Open(p)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		var got []string
+		if err := re.Scan(nil, func(key, _ []byte) bool { got = append(got, string(key)); return true }); err != nil {
+			t.Fatal(err)
+		}
+		if exp := sortedFrom(want, "", len(want)); fmt.Sprint(got) != fmt.Sprint(exp) {
+			t.Fatalf("reopened tree holds %v, want %v", got, exp)
+		}
+	})
+}
+
+// FuzzTreeOps' operations.
+const (
+	opPut = iota
+	opDelete
+	opGet
+	opScan
+)
+
+// sortedFrom returns up to n of m's keys >= from, ascending.
+func sortedFrom(m map[string][]byte, from string, n int) []string {
+	var keys []string
+	for k := range m {
+		if k >= from {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys[:min(n, len(keys))]
 }

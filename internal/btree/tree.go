@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -281,17 +282,24 @@ func (t *Tree) Put(key, value []byte) error {
 		leaf.insertLeafCell(idx, key, value)
 		return t.store(leaf)
 	}
-	return t.splitLeafAndInsert(path, leaf, idx, key, value)
+	cells := leafCells(leaf, idx, key, value)
+	if len(path) > 0 {
+		shared, err := t.shareLeaf(path[len(path)-1], leaf, cells)
+		if shared || err != nil {
+			return err
+		}
+	}
+	return t.splitLeaf(path, leaf, cells)
 }
 
-// kvPair is a leaf cell gathered for a split; k and v alias the page (or
-// the caller's arguments) they came from.
+// kvPair is a leaf cell gathered for a share or a split; k and v alias the
+// page (or the caller's arguments) they came from.
 type kvPair struct{ k, v []byte }
 
-// splitLeafAndInsert repacks the leaf plus the new cell into two pages and
-// propagates the new separator up the path. leaf is the caller's private
-// copy and is only read here, so the gathered cells alias it.
-func (t *Tree) splitLeafAndInsert(path []pathEl, leaf node, idx int, key, value []byte) error {
+// leafCells gathers leaf's cells in key order with (key, value) inserted at
+// slot idx. leaf is the caller's private copy and is only read, so the
+// gathered cells alias it.
+func leafCells(leaf node, idx int, key, value []byte) []kvPair {
 	cells := make([]kvPair, 0, leaf.nslots()+1)
 	for i := 0; i < leaf.nslots(); i++ {
 		if i == idx {
@@ -302,6 +310,130 @@ func (t *Tree) splitLeafAndInsert(path []pathEl, leaf node, idx int, key, value 
 	if idx == leaf.nslots() {
 		cells = append(cells, kvPair{k: key, v: value})
 	}
+	return cells
+}
+
+// shareNum/shareDen is the share rule's bound (B*-style, Comer 1979): a
+// full leaf spreads its cells over itself and a sibling instead of splitting
+// when the two pages hold them within 7/8 of their space, so each is left
+// with room for about an eighth of a page more before the next overflow.
+const shareNum, shareDen = 7, 8
+
+// shareLeaf spreads cells — a full leaf's, the new one among them — over
+// the leaf and a sibling under the same parent, the right sibling first,
+// then the left, and replaces the parent's separator between the two with
+// the right page's first key. It allocates no page. It reports false, having
+// written nothing, when neither sibling passes the share rule or the parent
+// has no room for the new separator; the caller then splits.
+func (t *Tree) shareLeaf(up pathEl, leaf node, cells []kvPair) (bool, error) {
+	parent, err := t.view(up.id)
+	if err != nil {
+		return false, err
+	}
+	space := t.p.PageSize() - hdrSize
+	// The separator between children i and i+1 is slot i+1; child -1 is
+	// the parent's link.
+	childAt := func(i int) uint32 {
+		if i < 0 {
+			return parent.link()
+		}
+		return parent.child(i)
+	}
+	for _, right := range []bool{true, false} {
+		sepSlot, sibIdx := up.idx+1, up.idx+1
+		if !right {
+			sepSlot, sibIdx = up.idx, up.idx-1
+		}
+		if sepSlot < 0 || sepSlot >= parent.nslots() {
+			continue
+		}
+		sib, err := t.view(childAt(sibIdx))
+		if err != nil {
+			return false, err
+		}
+		if sib.kind() != kindLeaf {
+			return false, fmt.Errorf("%w: page %d expected leaf", ErrCorrupt, sib.id)
+		}
+		sibCells := make([]kvPair, sib.nslots())
+		for i := range sibCells {
+			sibCells[i] = kvPair{k: sib.key(i), v: sib.value(i)}
+		}
+		all, leftID, rightID, rightLink := slices.Concat(cells, sibCells), leaf.id, sib.id, sib.link()
+		if !right {
+			all, leftID, rightID, rightLink = slices.Concat(sibCells, cells), sib.id, leaf.id, leaf.link()
+		}
+		at, ok := shareSplit(all, space)
+		if !ok {
+			continue
+		}
+		p := parent.clone()
+		p.deleteSlot(sepSlot)
+		if !p.ensureSpace(internalCellSize(all[at].k)) {
+			continue
+		}
+		p.insertInternalCell(sepSlot, all[at].k, rightID)
+		left := newNode(leftID, t.p.PageSize(), kindLeaf)
+		rn := newNode(rightID, t.p.PageSize(), kindLeaf)
+		for i, c := range all[:at] {
+			left.insertLeafCell(i, c.k, c.v)
+		}
+		for i, c := range all[at:] {
+			rn.insertLeafCell(i, c.k, c.v)
+		}
+		left.setLink(rightID)
+		rn.setLink(rightLink)
+		// Every page is built before the first store, which may reuse the
+		// memory the sibling's cells alias; the stores keep a split's order:
+		// right page, left page, parent.
+		if err := t.store(rn); err != nil {
+			return false, err
+		}
+		if err := t.store(left); err != nil {
+			return false, err
+		}
+		return true, t.store(p)
+	}
+	return false, nil
+}
+
+// shareSplit divides cells between two pages of space bytes each, by bytes:
+// the left page takes cells[:at]. It reports false when the cells (with
+// their slots) exceed the share rule's bound, or no division fits both
+// pages.
+func shareSplit(cells []kvPair, space int) (at int, ok bool) {
+	total := 0
+	for _, c := range cells {
+		total += leafCellSize(c.k, c.v) + slotSize
+	}
+	if total*shareDen > shareNum*2*space {
+		return 0, false
+	}
+	left := 0
+	for i, c := range cells {
+		size := leafCellSize(c.k, c.v) + slotSize
+		if 2*(left+size) < total {
+			left += size
+			continue
+		}
+		// cells[i] straddles the middle. It goes to whichever page that
+		// leaves the emptier fuller page, provided both pages hold their
+		// share.
+		best := 0
+		for _, cut := range [2][2]int{{i, left}, {i + 1, left + size}} {
+			fuller := max(cut[1], total-cut[1])
+			if cut[0] >= 1 && cut[0] < len(cells) && fuller <= space && (best == 0 || fuller < best) {
+				at, best = cut[0], fuller
+			}
+		}
+		return at, best > 0
+	}
+	return 0, false
+}
+
+// splitLeaf repacks cells — a full leaf's, the new one among them — into
+// the leaf and a fresh right page, and propagates the new separator up the
+// path.
+func (t *Tree) splitLeaf(path []pathEl, leaf node, cells []kvPair) error {
 	total := 0
 	for _, c := range cells {
 		total += leafCellSize(c.k, c.v)

@@ -21,7 +21,7 @@ func TestBorrowedPagesUnderMutation(t *testing.T) {
 			cfg.CacheSize = 4
 			cfg.AsyncApply = async
 			v, _, _ := newTestVolumeCfg(t, cfg)
-			const dirs, stable = 6, 38
+			const dirs, stable = 24, 38
 			name := func(d, f int) string { return fmt.Sprintf("dir%02d/file-%02d", d, f) }
 			for d := 0; d < dirs; d++ {
 				for f := 0; f < stable; f++ {

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"time"
 
@@ -148,54 +149,68 @@ func versionOf(k []byte, name string) (version uint32, ok bool) {
 	return binary.BigEndian.Uint32(k[len(name)+1:]), true
 }
 
-// Entry wire format (values in the name table):
+// Entry wire format (values in the name table), every integer a varint
+// (encoding/binary's, in its shortest form):
 //
-//	u8  class | u16 keep | u64 uid | u64 byteSize
-//	u64 createTime | u64 lastUsed
-//	u16 nruns | nruns * (u32 start, u32 len)
-//	u16 linkLen | linkTarget bytes
+//	class | keep | uid | byteSize | createTime
+//	lastUsed − createTime (signed) | nruns | nruns × (start, len)
+//	linkLen | linkTarget bytes
 //
-// Name and version live in the key, not the value.
+// Name and version live in the key, not the value. A small file's value is
+// about 23 bytes where fixed-width fields took 47, so a name-table page holds
+// about twice the entries. The root page's magic records the format
+// (rootMagic).
 func encodeEntry(e *Entry) []byte {
 	buf := make([]byte, 0, entrySize(e))
-	var tmp [8]byte
-	put16 := func(v uint16) {
-		binary.BigEndian.PutUint16(tmp[:2], v)
-		buf = append(buf, tmp[:2]...)
-	}
-	put32 := func(v uint32) {
-		binary.BigEndian.PutUint32(tmp[:4], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.BigEndian.PutUint64(tmp[:8], v)
-		buf = append(buf, tmp[:8]...)
-	}
-	buf = append(buf, byte(e.Class))
-	put16(e.Keep)
-	put64(e.UID)
-	put64(e.ByteSize)
-	put64(uint64(e.CreateTime))
-	put64(uint64(e.LastUsed))
-	put16(uint16(len(e.Runs)))
+	buf = binary.AppendUvarint(buf, uint64(e.Class))
+	buf = binary.AppendUvarint(buf, uint64(e.Keep))
+	buf = binary.AppendUvarint(buf, e.UID)
+	buf = binary.AppendUvarint(buf, e.ByteSize)
+	buf = binary.AppendUvarint(buf, uint64(e.CreateTime))
+	buf = binary.AppendVarint(buf, int64(e.LastUsed-e.CreateTime))
+	buf = binary.AppendUvarint(buf, uint64(len(e.Runs)))
 	for _, r := range e.Runs {
-		put32(r.Start)
-		put32(r.Len)
+		buf = binary.AppendUvarint(buf, uint64(r.Start))
+		buf = binary.AppendUvarint(buf, uint64(r.Len))
 	}
-	put16(uint16(len(e.LinkTarget)))
-	buf = append(buf, e.LinkTarget...)
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(len(e.LinkTarget)))
+	return append(buf, e.LinkTarget...)
 }
 
-// entrySize is len(encodeEntry(e)).
-func entrySize(e *Entry) int { return 39 + 8*len(e.Runs) + len(e.LinkTarget) }
+// entrySize is len(encodeEntry(e)), counted without encoding.
+func entrySize(e *Entry) int {
+	n := uvarintLen(uint64(e.Class)) + uvarintLen(uint64(e.Keep)) + uvarintLen(e.UID) +
+		uvarintLen(e.ByteSize) + uvarintLen(uint64(e.CreateTime)) +
+		varintLen(int64(e.LastUsed-e.CreateTime)) + uvarintLen(uint64(len(e.Runs)))
+	for _, r := range e.Runs {
+		n += uvarintLen(uint64(r.Start)) + uvarintLen(uint64(r.Len))
+	}
+	return n + uvarintLen(uint64(len(e.LinkTarget))) + len(e.LinkTarget)
+}
+
+// maxScalarWidths is the longest encoding of the byte size, the keep count
+// and the last-used delta together: two 64-bit varints and a 16-bit one.
+const maxScalarWidths = 2*binary.MaxVarintLen64 + 3
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint's encoding of x: its
+// zig-zag form's.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
 // entryFits reports, as btree.ErrTooLarge, an entry the name table would
 // refuse. Whatever lengthens a run table checks it while it can still fail
 // the one call that asked: on an asynchronous volume a Put refused in the
-// applier takes the whole volume read-only.
+// applier takes the whole volume read-only. The fields that later updates
+// change unchecked — the byte size (SetByteSize, a write past the end), the
+// keep count (SetKeep) and the last-used time (Touch, a cached file's open)
+// — count at their widest, so no such update can lengthen an entry that
+// passed past what a cell holds.
 func entryFits(e *Entry) error {
-	if !btree.Fits(NTPageSize, len(e.Name)+5, entrySize(e)) {
+	widest := entrySize(e) - uvarintLen(e.ByteSize) - uvarintLen(uint64(e.Keep)) -
+		varintLen(int64(e.LastUsed-e.CreateTime)) + maxScalarWidths
+	if !btree.Fits(NTPageSize, len(e.Name)+5, widest) {
 		return fmt.Errorf("core: %q!%d with %d runs: %w", e.Name, e.Version, len(e.Runs), btree.ErrTooLarge)
 	}
 	return nil
@@ -204,43 +219,67 @@ func entryFits(e *Entry) error {
 // entryUID is the uid of an encoded entry, 0 (no file's) if buf is too short
 // to hold one.
 func entryUID(buf []byte) uint64 {
-	if len(buf) < 11 {
+	d := valueDecoder{buf: buf}
+	d.uvarint(0xFF)
+	d.uvarint(0xFFFF)
+	uid := d.uvarint(^uint64(0))
+	if d.bad {
 		return 0
 	}
-	return binary.BigEndian.Uint64(buf[3:])
+	return uid
 }
 
+// valueDecoder reads an entry value's varints in order. A value that ends
+// early, a varint longer than its shortest form, or one above its field's
+// maximum sets bad; the reads after that return 0.
+type valueDecoder struct {
+	buf []byte
+	bad bool
+}
+
+func (d *valueDecoder) uvarint(max uint64) uint64 {
+	x, n := binary.Uvarint(d.buf)
+	if d.bad || n <= 0 || n != uvarintLen(x) || x > max {
+		d.bad = true
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return x
+}
+
+func (d *valueDecoder) varint() int64 {
+	x, n := binary.Varint(d.buf)
+	if d.bad || n <= 0 || n != varintLen(x) {
+		d.bad = true
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return x
+}
+
+// decodeEntry decodes a name-table value: exactly one encodeEntry output,
+// nothing after it.
 func decodeEntry(name string, version uint32, buf []byte) (*Entry, error) {
-	fail := func() (*Entry, error) {
+	d := valueDecoder{buf: buf}
+	e := &Entry{Name: name, Version: version}
+	e.Class = Class(d.uvarint(0xFF))
+	e.Keep = uint16(d.uvarint(0xFFFF))
+	e.UID = d.uvarint(^uint64(0))
+	e.ByteSize = d.uvarint(^uint64(0))
+	e.CreateTime = time.Duration(d.uvarint(^uint64(0)))
+	e.LastUsed = e.CreateTime + time.Duration(d.varint())
+	// Each run takes at least two bytes: a count beyond that is refused
+	// before anything is allocated for it.
+	if n := d.uvarint(uint64(len(d.buf) / 2)); n > 0 {
+		e.Runs = make([]alloc.Run, n)
+		for i := range e.Runs {
+			e.Runs[i] = alloc.Run{Start: uint32(d.uvarint(0xFFFFFFFF)), Len: uint32(d.uvarint(0xFFFFFFFF))}
+		}
+	}
+	ll := d.uvarint(uint64(len(d.buf)))
+	if d.bad || ll != uint64(len(d.buf)) {
 		return nil, fmt.Errorf("core: corrupt name table value for %q!%d", name, version)
 	}
-	if len(buf) < 37 {
-		return fail()
-	}
-	e := &Entry{Name: name, Version: version}
-	e.Class = Class(buf[0])
-	e.Keep = binary.BigEndian.Uint16(buf[1:])
-	e.UID = binary.BigEndian.Uint64(buf[3:])
-	e.ByteSize = binary.BigEndian.Uint64(buf[11:])
-	e.CreateTime = time.Duration(binary.BigEndian.Uint64(buf[19:]))
-	e.LastUsed = time.Duration(binary.BigEndian.Uint64(buf[27:]))
-	n := int(binary.BigEndian.Uint16(buf[35:]))
-	off := 37
-	if len(buf) < off+8*n+2 {
-		return fail()
-	}
-	for i := 0; i < n; i++ {
-		e.Runs = append(e.Runs, alloc.Run{
-			Start: binary.BigEndian.Uint32(buf[off:]),
-			Len:   binary.BigEndian.Uint32(buf[off+4:]),
-		})
-		off += 8
-	}
-	ll := int(binary.BigEndian.Uint16(buf[off:]))
-	off += 2
-	if len(buf) < off+ll {
-		return fail()
-	}
-	e.LinkTarget = string(buf[off : off+ll])
+	e.LinkTarget = string(d.buf)
 	return e, nil
 }

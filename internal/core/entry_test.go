@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -37,13 +38,62 @@ func TestEntryEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEntryDecodeRejectsTruncation: a value is exactly one encoding. Every
+// proper prefix of one is refused, and so is one with bytes after it.
 func TestEntryDecodeRejectsTruncation(t *testing.T) {
-	e := sampleEntry()
-	buf := encodeEntry(e)
-	for _, cut := range []int{0, 1, 10, 36, len(buf) - 1} {
-		if _, err := decodeEntry(e.Name, e.Version, buf[:cut]); err == nil {
-			t.Fatalf("truncated value of %d bytes accepted", cut)
+	for _, e := range append(sampleEntries(), sampleEntry(), extremeEntry()) {
+		buf := encodeEntry(e)
+		for cut := 0; cut < len(buf); cut++ {
+			if _, err := decodeEntry(e.Name, e.Version, buf[:cut]); err == nil {
+				t.Fatalf("%s: the first %d of %d bytes decoded", e.Name, cut, len(buf))
+			}
 		}
+		if _, err := decodeEntry(e.Name, e.Version, append(buf, 0)); err == nil {
+			t.Fatalf("%s: a value with a trailing byte decoded", e.Name)
+		}
+	}
+}
+
+// extremeEntry is an entry at the edges of every field: the largest uid and
+// size, a last-used time before the creation time, 64 runs of the largest
+// start and length, and a long link target.
+func extremeEntry() *Entry {
+	e := &Entry{
+		Name: "edge/extreme", Version: ^uint32(0), Class: SymLink, Keep: ^uint16(0),
+		UID: ^uint64(0), ByteSize: ^uint64(0),
+		CreateTime: time.Duration(1<<63 - 1), LastUsed: -time.Duration(1 << 62),
+		LinkTarget: strings.Repeat("[server]<far/away>", 14),
+	}
+	for i := 0; i < 64; i++ {
+		e.Runs = append(e.Runs, alloc.Run{Start: ^uint32(0) - uint32(i), Len: ^uint32(0)})
+	}
+	return e
+}
+
+// TestEntryExtremesRoundTrip: the edges of every field survive the codec.
+func TestEntryExtremesRoundTrip(t *testing.T) {
+	for _, e := range []*Entry{extremeEntry(), {Name: "edge/zero", LastUsed: -1}} {
+		got, err := decodeEntry(e.Name, e.Version, encodeEntry(e))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if !reflect.DeepEqual(e, got) {
+			t.Fatalf("%s: round trip mismatch:\n%+v\n%+v", e.Name, e, got)
+		}
+	}
+}
+
+// TestEntrySizeIsEncodedLength: entrySize, which entryFits asks before an
+// update, is the encoding's length, counted without allocating.
+func TestEntrySizeIsEncodedLength(t *testing.T) {
+	for _, e := range append(sampleEntries(), sampleEntry(), extremeEntry(), &Entry{Name: "edge/zero"}) {
+		if got, want := entrySize(e), len(encodeEntry(e)); got != want {
+			t.Errorf("%s: entrySize %d, encoding %d bytes", e.Name, got, want)
+		}
+	}
+	e := extremeEntry()
+	if n := testing.AllocsPerRun(100, func() { _ = entrySize(e) }); n != 0 {
+		t.Errorf("entrySize allocates %.0f times", n)
 	}
 }
 

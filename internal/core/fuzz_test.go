@@ -33,13 +33,16 @@ func sampleEntries() []*Entry {
 }
 
 // FuzzDecodeEntry: decodeEntry refuses a value it cannot decode, and a value
-// it decodes begins with the canonical encoding of what it decoded.
+// it decodes is exactly the encoding of what it decoded — nothing after it,
+// no varint longer than its shortest form — with entryUID reading its uid.
+// The seeds are the sample entries, the extreme one and the empty value; the
+// corpus holds a run count and a link length past the value, trailing bytes,
+// an overlong varint and a class above a byte, each refused.
 func FuzzDecodeEntry(f *testing.F) {
-	for _, e := range sampleEntries() {
+	for _, e := range append(sampleEntries(), extremeEntry()) {
 		f.Add(encodeEntry(e))
 	}
 	f.Add([]byte{})
-	f.Add(make([]byte, 37))
 	f.Fuzz(func(t *testing.T, val []byte) {
 		e, err := decodeEntry("fuzz/name", 5, val)
 		if err != nil {
@@ -48,8 +51,11 @@ func FuzzDecodeEntry(f *testing.F) {
 			}
 			return
 		}
-		if enc := encodeEntry(e); !bytes.HasPrefix(val, enc) {
-			t.Fatalf("decoded %+v re-encodes to %x, not a prefix of %x", e, enc, val)
+		if enc := encodeEntry(e); !bytes.Equal(val, enc) {
+			t.Fatalf("decoded %+v re-encodes to %x, not %x", e, enc, val)
+		}
+		if entrySize(e) != len(val) {
+			t.Fatalf("entrySize %d of a %d-byte value", entrySize(e), len(val))
 		}
 		if entryUID(val) != e.UID {
 			t.Fatalf("entryUID %d, decoded uid %d", entryUID(val), e.UID)
@@ -105,7 +111,10 @@ func restamp(buf []byte, off int) {
 
 // FuzzDecodeRoot: decodeRoot refuses a buffer shorter than a sector and any
 // page that is not a well-formed root; one it accepts has a valid layout and
-// is, in its checksummed prefix, the page encodeRoot writes for it.
+// is, in its checksummed prefix, the page encodeRoot writes for it but for
+// the magic. A root under the fixed-width entry format's magic decodes as
+// such (fixedEntries, which readRoot turns into ErrVolumeFormat;
+// TestOldFormatVolumeRefused mounts one), and no other root does.
 func FuzzDecodeRoot(f *testing.F) {
 	for _, edge := range []bool{false, true} {
 		cfg := testConfig()
@@ -114,7 +123,9 @@ func FuzzDecodeRoot(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(encodeRoot(rootPage{layout: lay, clean: edge, uidChunk: 3, formatted: 1e9}), false)
+		root := encodeRoot(rootPage{layout: lay, clean: edge, uidChunk: 3, formatted: 1e9})
+		f.Add(root, false)
+		f.Add(fixedEntryRoot(root), false)
 	}
 	f.Add([]byte{0xF5}, false)
 	f.Add(make([]byte, disk.SectorSize), true)
@@ -129,7 +140,14 @@ func FuzzDecodeRoot(f *testing.F) {
 		if !r.layout.valid() {
 			t.Fatalf("decodeRoot accepted the invalid layout %+v", r.layout)
 		}
+		if fixed := binary.BigEndian.Uint32(buf) == rootMagicFixed; r.fixedEntries != fixed {
+			t.Fatalf("fixedEntries %v for magic %#x", r.fixedEntries, binary.BigEndian.Uint32(buf))
+		}
 		want := bytes.Clone(buf[:censorOff+4])
+		if r.fixedEntries { // decodes, and is written under rootMagic
+			binary.BigEndian.PutUint32(want, rootMagic)
+			restamp(want, censorOff)
+		}
 		if want[65] == 1 { // the retired VAM-logging flag decodes, and is written as 0
 			want[65] = 0
 			restamp(want, censorOff)

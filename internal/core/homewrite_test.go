@@ -271,10 +271,12 @@ func TestHomeWriteSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%d crossings flushed %d sectors in %d runs per copy", crossings, sectors, runs)
-	// Measured on the per-sector loop this replaced, same seed: 74 crossings
-	// wrote 502 sectors to each copy. Nothing extra may ride along.
-	if crossings != 74 || sectors != 502 {
-		t.Fatalf("%d crossings flushed %d sectors, the per-sector flush wrote 502 in 74", crossings, sectors)
+	// The per-sector loop this replaced wrote exactly the due sectors: on
+	// the same seed, 502 to each copy in 74 crossings under the fixed-width
+	// entry values, and under the varint ones the due sets of these 64
+	// crossings add up to 288. Nothing extra may ride along.
+	if crossings != 64 || sectors != 288 {
+		t.Fatalf("%d crossings flushed %d sectors, the due sets hold 288 in 64", crossings, sectors)
 	}
 	if merged < 3 {
 		t.Fatalf("only %d crossings had adjacent due sectors to merge; the workload no longer tests coalescing", merged)

@@ -54,10 +54,10 @@ const (
 	// frames (the sectors may go to another file after the commit, and a
 	// stale hit would serve the old bytes). It must follow the steps that
 	// stage the covering name-table images, so the commit tag read from
-	// the log names their batch.
+	// the log names their batch. A deleted file's step carries its leader
+	// in addr (0, the root's sector, for none), whose deferred write the
+	// same commit drops.
 	stepFree
-	// stepCancelLeader drops the deferred leader write of a deleted file.
-	stepCancelLeader
 	// stepLeader makes data the pending leader image of sector addr — what
 	// reads verify against and third-crossing flushes write home — and
 	// stages it into the log.
@@ -127,8 +127,7 @@ func (it *intent) put(e *Entry) {
 func (it *intent) remove(e *Entry, cost uint8) {
 	it.add(intentStep{op: stepDelete, cost: cost, key: entryKey(e.Name, e.Version)})
 	if addr, ok := e.LeaderAddr(); ok {
-		it.add(intentStep{op: stepCancelLeader, addr: addr})
-		it.add(intentStep{op: stepFree, runs: e.Runs})
+		it.add(intentStep{op: stepFree, runs: e.Runs, addr: addr})
 	}
 }
 
@@ -447,14 +446,8 @@ func (v *Volume) applyStep(st *intentStep, cpu *sim.CPU) (bool, error) {
 		}
 		return true, nil
 	case stepFree:
-		v.freeOnCommit(st.runs)
+		v.freeOnCommit(st.runs, st.addr)
 		v.invalidateData(st.runs)
-		return true, nil
-	case stepCancelLeader:
-		v.lmu.Lock()
-		delete(v.pendingLeaders, st.addr)
-		delete(v.leaderThird, st.addr)
-		v.lmu.Unlock()
 		return true, nil
 	case stepLeader:
 		v.lmu.Lock()

@@ -432,13 +432,23 @@ func (l layout) ntPageAddrs(id uint32) (a, b int) {
 // logged its allocation map, a mode this file system no longer has. It is
 // written as 0; a root holding 1 still decodes, and its volume mounts like
 // any other, rebuilding the map by the name-table scan after a crash.
-const rootMagic = 0xF5D0CEDA
+//
+// The magic records the name-table entry format. rootMagic marks the varint
+// values encodeEntry writes; rootMagicFixed the fixed-width values of the
+// volumes formatted before them. encodeRoot writes only the first; a root
+// under the second still decodes (fixedEntries) so that a mount can refuse
+// it with ErrVolumeFormat rather than take it for a lost root.
+const (
+	rootMagic      = 0xF5D0CEDB
+	rootMagicFixed = 0xF5D0CEDA
+)
 
 type rootPage struct {
-	layout    layout
-	clean     bool
-	uidChunk  uint64 // high-order UID allocation chunk
-	formatted time.Duration
+	layout       layout
+	clean        bool
+	uidChunk     uint64 // high-order UID allocation chunk
+	formatted    time.Duration
+	fixedEntries bool // decoded from a fixed-width-entry root: not mountable
 }
 
 func encodeRoot(r rootPage) []byte {
@@ -473,7 +483,11 @@ const censorOff = 66 // offset of the root-page checksum
 // still come from a logic bug.
 func decodeRoot(buf []byte) (rootPage, bool) {
 	be := binary.BigEndian
-	if len(buf) < disk.SectorSize || be.Uint32(buf[0:]) != rootMagic {
+	if len(buf) < disk.SectorSize {
+		return rootPage{}, false
+	}
+	magic := be.Uint32(buf[0:])
+	if magic != rootMagic && magic != rootMagicFixed {
 		return rootPage{}, false
 	}
 	if be.Uint32(buf[censorOff:]) != crc32.ChecksumIEEE(buf[:censorOff]) {
@@ -495,6 +509,7 @@ func decodeRoot(buf []byte) (rootPage, bool) {
 	r.clean = buf[48] == 1
 	r.uidChunk = be.Uint64(buf[49:])
 	r.formatted = time.Duration(be.Uint64(buf[57:]))
+	r.fixedEntries = magic == rootMagicFixed
 	if buf[48] > 1 || buf[65] > 1 || !r.layout.valid() {
 		return rootPage{}, false
 	}

@@ -62,7 +62,9 @@ func Mount(d *disk.Disk, cfg Config, opts ...MountOption) (*Volume, MountReport,
 	}
 	v, ms, err := mountWritable(d, cfg, o)
 	rep.MountStats = ms
-	if err == nil || !o.allowSalvage {
+	// A volume of another entry format is no damage for the lower rungs to
+	// work round: salvage would rebuild it in the new format from leaders.
+	if err == nil || !o.allowSalvage || errors.Is(err, ErrVolumeFormat) {
 		return v, rep, err
 	}
 	// A volume mid-salvage skips the read-only rung (which would refuse it

@@ -185,7 +185,7 @@ func TestReplayRunsUnderTheDecode(t *testing.T) {
 	cfg := testConfig()
 	cfg.NTPages = 1024
 	v, d, _ := newTestVolumeWith(t, cfg)
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < 6000; i++ {
 		if _, err := v.Create(fmt.Sprintf("home/d%02d/f%04d", i%13, i), payload(100, byte(i))); err != nil {
 			t.Fatal(err)
 		}

@@ -81,21 +81,26 @@ func checkRebuildMatchesChainWalk(t *testing.T, v *Volume) {
 	}
 }
 
+// churnBase is how many base files churn creates.
+const churnBase = 750
+
 // churn fills a volume the way that leaves the name table in its worst
 // shape: a base population, then waves of never-reused temporary names that
 // are deleted again (emptied and half-empty leaves stay in the chain), plus
-// versions and deletes spread over the base names.
+// versions and deletes spread over the base names. It is sized for a table
+// larger than testConfig's 64-page cache.
 func churn(t *testing.T, v *Volume, rng *rand.Rand) {
 	t.Helper()
-	for i := 0; i < 300; i++ {
-		if _, err := v.Create(fmt.Sprintf("base/d%02d/f%03d", i%9, i), payload(100+rng.Intn(1500), byte(i))); err != nil {
+	const base, waveSize = churnBase, 300
+	for i := 0; i < base; i++ {
+		if _, err := v.Create(fmt.Sprintf("base/d%02d/f%04d", i%9, i), payload(100+rng.Intn(1500), byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	seq := 0
 	for wave := 0; wave < 6; wave++ {
 		var tmp []string
-		for i := 0; i < 120; i++ {
+		for i := 0; i < waveSize; i++ {
 			name := fmt.Sprintf("tmp/t%06d", seq)
 			seq++
 			if _, err := v.Create(name, payload(50+rng.Intn(400), byte(seq))); err != nil {
@@ -110,9 +115,9 @@ func churn(t *testing.T, v *Volume, rng *rand.Rand) {
 				}
 			}
 		}
-		for i := 0; i < 40; i++ {
-			n := rng.Intn(300)
-			name := fmt.Sprintf("base/d%02d/f%03d", n%9, n)
+		for i := 0; i < waveSize/3; i++ {
+			n := rng.Intn(base)
+			name := fmt.Sprintf("base/d%02d/f%04d", n%9, n)
 			if rng.Intn(3) == 0 {
 				if err := v.Delete(name, 0); err != nil && !errors.Is(err, ErrNotFound) {
 					t.Fatal(err)
@@ -153,8 +158,8 @@ type crashState struct {
 //     (whose redo rewrites the sector) tells the sweep what to read.
 func crashStates(t *testing.T) []crashState {
 	t.Helper()
-	grown := func(seed int64) (*Volume, *disk.Disk) {
-		v, d, _ := newTestVolume(t)
+	grown := func(seed int64, cfg Config) (*Volume, *disk.Disk) {
+		v, d, _ := newTestVolumeWith(t, cfg)
 		churn(t, v, rand.New(rand.NewSource(seed)))
 		for i := 0; i < 120; i++ {
 			if _, err := v.Create(fmt.Sprintf("grow/g%03d", i), payload(200, byte(i))); err != nil {
@@ -172,7 +177,14 @@ func crashStates(t *testing.T) []crashState {
 	}
 	var states []crashState
 
-	v, d := grown(19)
+	// A log no lap of the churn fills: no third crossing, and so no home
+	// flush, comes before the crash.
+	unwrapped := testConfig()
+	unwrapped.LogSectors = 4 + 3*2500
+	v, d := grown(19, unwrapped)
+	if n := v.Stats().Commit.ThirdCrossings; n > 2 {
+		t.Fatalf("%d third crossings before the crash: the log wrapped", n)
+	}
 	crash(v, d)
 	states = append(states, crashState{"before the first home flush", d, func(t *testing.T, ms MountReport, pages int) {
 		if ms.SweepLate < pages*9/10 {
@@ -180,12 +192,12 @@ func crashStates(t *testing.T) []crashState {
 		}
 	}})
 
-	v, d = grown(23)
+	v, d = grown(23, testConfig())
 	if err := v.DropCaches(); err != nil { // the whole table is home
 		t.Fatal(err)
 	}
-	for i := 0; i < 300; i += 7 {
-		if _, err := v.Create(fmt.Sprintf("base/d%02d/f%03d", i%9, i), payload(90, byte(i))); err != nil {
+	for i := 0; i < churnBase; i += 7 {
+		if _, err := v.Create(fmt.Sprintf("base/d%02d/f%04d", i%9, i), payload(90, byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +233,7 @@ func crashStates(t *testing.T) []crashState {
 		}
 	}})
 
-	v, d = grown(29)
+	v, d = grown(29, testConfig())
 	if err := v.DropCaches(); err != nil {
 		t.Fatal(err)
 	}

@@ -853,11 +853,14 @@ func newSalvageRun(d *disk.Disk, cfg Config, st *SalvageStats) (*salvageRun, err
 	uidChunk := uint64(1)
 	formatted := d.Clock().Now()
 	root, err := readRoot(d, cfg.readRetries())
-	if err == nil {
+	switch {
+	case errors.Is(err, ErrVolumeFormat):
+		return nil, err
+	case err == nil:
 		lay = root.layout
 		uidChunk = root.uidChunk
 		formatted = root.formatted
-	} else {
+	default:
 		lay, err = computeLayout(d.Geometry(), d.Params(), cfg)
 		if err != nil {
 			return nil, err

@@ -31,6 +31,11 @@ var (
 	ErrRootLost  = errors.New("core: both volume root pages unreadable")
 	ErrIsSymlink = errors.New("core: entry is a symbolic link")
 	ErrReadOnly  = errors.New("core: volume mounted read-only")
+	// ErrVolumeFormat reports a volume whose root records a name-table
+	// entry format this build does not read: one formatted with the
+	// fixed-width values that preceded the varint ones. Mount refuses it,
+	// with any option, before it writes anything; Salvage refuses it too.
+	ErrVolumeFormat = errors.New("core: volume formatted with fixed-width name-table entries; reformat it")
 )
 
 // MountStats reports what mounting had to do.
@@ -145,9 +150,12 @@ type opCounters struct {
 // file whose name-table images were staged into batch seq, so they may be
 // reallocated only once Committed() >= seq — reallocating earlier would let
 // new data land on pages a crash's replay would hand back to the old file.
+// leader is a deleted file's leader sector (0 for none), whose deferred
+// write is dropped at the same commit, before the runs are freed.
 type taggedFree struct {
-	seq  uint64
-	runs []alloc.Run
+	seq    uint64
+	runs   []alloc.Run
+	leader int
 }
 
 // Volume is a mounted FSD volume. All public methods are safe for concurrent
@@ -219,7 +227,7 @@ type Volume struct {
 	// holds leader pages created but not yet written to their home sector;
 	// the write piggybacks on the file's next data write, or happens when
 	// the leader's log third is overwritten. leaderReqs is flushLeaders'
-	// scratch.
+	// scratch. A holder of vmMu may take lmu, never the reverse.
 	lmu            sync.Mutex
 	pendingLeaders map[int][]byte
 	leaderThird    map[int]int
@@ -441,11 +449,20 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 	v.log.OnCommit = func(seq uint64) {
 		// Pages of deleted files become allocatable once the batch
 		// carrying the deletion is durable. With the pipelined commit,
-		// frees staged into a batch newer than seq stay deferred.
+		// frees staged into a batch newer than seq stay deferred. A
+		// deleted file's pending leader is dropped first: once its sector
+		// is allocatable, no third crossing may write the old leader over
+		// what a new owner puts there.
 		v.vmMu.Lock()
 		kept := v.pendingFrees[:0]
 		for _, pf := range v.pendingFrees {
 			if pf.seq <= seq {
+				if pf.leader != 0 {
+					v.lmu.Lock()
+					delete(v.pendingLeaders, pf.leader)
+					delete(v.leaderThird, pf.leader)
+					v.lmu.Unlock()
+				}
 				v.al.FreeNow(pf.runs)
 			} else {
 				kept = append(kept, pf)
@@ -457,17 +474,23 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 	return nil
 }
 
-// freeOnCommit defers runs until the log batch holding the caller's staged
-// name-table images is durable. The tag is read after staging, so it can
-// only name the images' batch or a later one — conservative: a free is
-// never applied before its deletion commits, at worst one force late.
-func (v *Volume) freeOnCommit(runs []alloc.Run) {
+// freeOnCommit defers runs, and the pending leader write of a deleted file
+// whose leader is at sector leader (0 for none), until the log batch holding
+// the caller's staged name-table images is durable. The tag is read after
+// staging, so it can only name the images' batch or a later one —
+// conservative: a free is never applied before its deletion commits, at
+// worst one force late. Until then the leader stays pending, and a third
+// crossing still writes it home: a crash before the deletion commits keeps
+// the file, and the leader's only logged image may lie in the third being
+// overwritten. That write cannot land on another file's page, because the
+// sector is allocatable only after the same commit.
+func (v *Volume) freeOnCommit(runs []alloc.Run, leader int) {
 	if len(runs) == 0 {
 		return
 	}
 	seq := v.log.Seq()
 	v.vmMu.Lock()
-	v.pendingFrees = append(v.pendingFrees, taggedFree{seq: seq, runs: runs})
+	v.pendingFrees = append(v.pendingFrees, taggedFree{seq: seq, runs: runs, leader: leader})
 	v.vmMu.Unlock()
 }
 
@@ -532,7 +555,7 @@ func (v *Volume) writeRoot(r rootPage) error {
 
 // readRoot returns the first of the root page's two copies that reads —
 // after up to retries in-place retries of a transient fault each — and
-// decodes.
+// decodes. A root of the fixed-width entry format is ErrVolumeFormat.
 func readRoot(d *disk.Disk, retries int) (rootPage, error) {
 	for _, addr := range []int{0, 2} {
 		buf, _, err := disk.ReadSectorsRetry(d, addr, 1, retries)
@@ -540,6 +563,9 @@ func readRoot(d *disk.Disk, retries int) (rootPage, error) {
 			continue
 		}
 		if r, ok := decodeRoot(buf); ok {
+			if r.fixedEntries {
+				return r, ErrVolumeFormat
+			}
 			return r, nil
 		}
 	}

@@ -71,11 +71,12 @@ type Config struct {
 	// calls are refused. The host uses it to fail the volume over to
 	// read-only instead of letting the error poison every future wait.
 	OnFatal func(error)
-	// OnApplied, when set, is invoked after each intent is applied (or
-	// skipped on a sticky error) with the intent value, its sequence, the
-	// enqueue-to-apply lag, and the depth remaining. It runs on the applier
-	// goroutine without the queue lock; the observability layer feeds its
-	// gauge, histogram, and trace events from it.
+	// OnApplied, when set, is invoked after each intent is applied with
+	// the intent value, its sequence, the enqueue-to-apply lag, and the
+	// depth remaining. It runs on the applier goroutine without the queue
+	// lock, before the intent counts as applied: WaitApplied on its
+	// sequence returns only after the callback has. The observability
+	// layer feeds its gauge, histogram, and trace events from it.
 	OnApplied func(op any, seq uint64, lag time.Duration, depth int)
 	// OnWait, when set, is invoked once per Wait* call that actually
 	// blocked, after the wait resolves. Used for the reader-wait counter
@@ -245,6 +246,14 @@ func (q *Queue) applier() {
 
 		err := q.applyWithRetry(it.op)
 		lag := q.clk.Now() - it.at
+		// The callback runs before the sequence is published: a waiter
+		// released by this intent finds its sample already recorded.
+		if err == nil && q.cfg.OnApplied != nil {
+			q.mu.Lock()
+			seq, depth := q.appSeq+1, len(q.items)-q.head-1
+			q.mu.Unlock()
+			q.cfg.OnApplied(it.op, seq, lag, depth)
+		}
 
 		q.mu.Lock()
 		if err != nil {
@@ -262,7 +271,6 @@ func (q *Queue) applier() {
 		}
 		q.head++
 		q.appSeq++
-		seq := q.appSeq
 		for _, n := range it.names {
 			q.dec(q.nameCnt, nameKey(n))
 			for _, k := range dirKeys(n) {
@@ -274,14 +282,9 @@ func (q *Queue) applier() {
 			q.items = append([]item(nil), q.items[q.head:]...)
 			q.head = 0
 		}
-		depth := len(q.items) - q.head
 		q.inApply = false
 		q.cond.Broadcast()
 		q.mu.Unlock()
-
-		if q.cfg.OnApplied != nil {
-			q.cfg.OnApplied(it.op, seq, lag, depth)
-		}
 	}
 }
 

@@ -413,3 +413,48 @@ func TestFatalDrainReleasesParkedWaiters(t *testing.T) {
 		t.Fatalf("Err = %v, want %v", err, boom)
 	}
 }
+
+// TestWaitAppliedFollowsOnApplied: an intent counts as applied only after
+// its OnApplied callback has returned, so a waiter released by it (core's
+// DrainIntents) reads the callback's sample. The callback blocks; the waiter
+// must stay blocked with it, and the callback sees the sequence and depth
+// the queue will publish.
+func TestWaitAppliedFollowsOnApplied(t *testing.T) {
+	clk := sim.NewVirtualClock()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var gotSeq uint64
+	gotDepth := -1
+	q := New(clk, Config{
+		Apply: func(op any) error { return nil },
+		OnApplied: func(op any, seq uint64, lag time.Duration, depth int) {
+			gotSeq, gotDepth = seq, depth
+			close(entered)
+			<-release
+		},
+	})
+	defer q.Close()
+	var unblock sync.Once
+	free := func() { unblock.Do(func() { close(release) }) }
+	defer free() // before Close, which waits for the applier
+
+	seq, _ := q.Enqueue("op", "f")
+	done := make(chan error, 1)
+	go func() { done <- q.WaitApplied(seq) }()
+	<-entered
+	select {
+	case <-done:
+		t.Fatal("WaitApplied returned while OnApplied was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if q.Applied() != 0 {
+		t.Fatalf("Applied = %d while OnApplied runs, want 0", q.Applied())
+	}
+	free()
+	if err := <-done; err != nil {
+		t.Fatalf("WaitApplied: %v", err)
+	}
+	if gotSeq != seq || gotDepth != 0 {
+		t.Fatalf("OnApplied saw seq %d depth %d, want %d and 0", gotSeq, gotDepth, seq)
+	}
+}
