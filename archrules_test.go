@@ -75,6 +75,9 @@ var archRules = []archRule{
 	{design: "§11", msg: "a per-record Write<Name>JSON resurfaced in internal/bench (Record.Write writes every record)",
 		use: `(^|\.)Write[[:alnum:]]+JSON$`, in: []string{"internal/bench"}, tests: true,
 		plant: [2]string{"internal/bench/plant.go", "package bench; func WriteTablesJSON() {}"}},
+	{design: "§6", msg: "core keeps per-third state again (the log keeps the thirds table: write home what Log.Due lists, ask Log.Logged)",
+		use: `(^|\.)(lastThird|leaderThird|OnLogged|allThirds|flushAll)$`, in: inCore, tests: true,
+		plant: [2]string{"internal/core/plant.go", "package core; type ntPage struct{ lastThird [4]int }"}},
 	{design: "§18", msg: "a joined/padded staging buffer resurfaced in internal/core (pass a gather list to writeSectorsFrom)",
 		use: `(^|\.)(joined|padded)$`, in: inCore, tests: true,
 		plant: [2]string{"internal/core/plant.go", "package core; func f(a, b []byte) { joined := append(a, b...); _ = joined }"}},

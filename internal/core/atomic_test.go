@@ -305,10 +305,7 @@ func retryVolume(t *testing.T, backoff func(v *Volume, d *disk.Disk, attempt int
 	if err := v.Rename("a/x", "z/x"); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.log.Force(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.cache.flushAll(); err != nil {
+	if err := v.log.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	v.cache.dropAll()

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -22,45 +23,19 @@ import (
 // B-tree reserves bytes 10..15 of its header for the storage layer.
 const ntCRCOff = 12
 
-// ntPage is one cached name-table page and its logging state.
+// ntPage is one cached name-table page and its logging state. What the
+// page's sectors have in the log is the log's own record (its thirds table,
+// Log.Logged), not the cache's.
 type ntPage struct {
 	id  uint32
 	cur []byte // current contents (what the B-tree sees)
-	// logged is the snapshot equal to what log replay would reproduce
-	// for this page (its content at the last force); it is what a
-	// third-crossing flush writes home, so home copies never get ahead
-	// of the log (see DESIGN.md).
-	logged []byte
-	dirty  bool // cur differs from the home copies
 	// pendingSeq is the newest log batch holding images staged from this
 	// page; the page has undurable staged updates while pendingSeq
 	// exceeds the log's committed sequence. (A boolean cannot express
 	// this under the pipelined commit: images stage into a batch while
 	// an older batch's force is still writing.)
 	pendingSeq uint64
-	// lastThird tracks, per 512-byte sector, the log division holding
-	// that sector's newest image; -1 if none. Logging is sector-granular,
-	// so different sectors of one page can live in different thirds.
-	lastThird [NTPageSectors]int
-	lruSeq    uint64
-}
-
-func newNTPage(id uint32, cur []byte) *ntPage {
-	p := &ntPage{id: id, cur: cur}
-	for j := range p.lastThird {
-		p.lastThird[j] = -1
-	}
-	return p
-}
-
-// inLog reports whether any sector of the page has a live logged image.
-func (p *ntPage) inLog() bool {
-	for _, t := range p.lastThird {
-		if t >= 0 {
-			return true
-		}
-	}
-	return false
+	lruSeq     uint64
 }
 
 // pendingLog reports whether the page has staged images not yet durable,
@@ -76,10 +51,10 @@ func (p *ntPage) pendingLog(committed uint64) bool {
 // ("this is to catch wild stores").
 //
 // The cache locks internally: B-tree readers sharing the tree's read lock
-// hit it concurrently, and the WAL's force callbacks (onLogged, flushThird)
-// enter from the force path while operations run. Page contents stay safe
-// without copying because cur is replaced copy-on-write (only under the
-// tree's write lock) and never mutated in place.
+// hit it concurrently, and the WAL's FlushHook (flushThird) enters from the
+// force path while operations run. Page contents stay safe without copying
+// because cur is replaced copy-on-write (only under the tree's write lock)
+// and never mutated in place.
 type ntCache struct {
 	v   *Volume
 	cap int
@@ -89,8 +64,8 @@ type ntCache struct {
 	seq   uint64
 
 	// Counters for the benchmarks. Atomic because c.mu is held across the
-	// home-write disk I/O (flushThird, flushAll): a Stats snapshot must
-	// never block behind a flush in flight.
+	// home-write disk I/O (flushThird): a Stats snapshot must never block
+	// behind a flush in flight.
 	hits, misses atomic.Int64
 	homeWrites   atomic.Int64 // sectors, both copies counted
 	homeWriteOps atomic.Int64 // disk requests that carried them
@@ -201,7 +176,7 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	if err := btree.CheckPage(id, data); err != nil {
 		return nil, fmt.Errorf("core: name-table page %d: %w", id, err)
 	}
-	p := newNTPage(id, data)
+	p := &ntPage{id: id, cur: data}
 	c.insert(p)
 	return p.cur, nil
 }
@@ -218,7 +193,7 @@ func (c *ntCache) admit(id uint32, data []byte) {
 	}
 	c.misses.Add(1)
 	c.v.trace(obs.Event{Kind: obs.EvCacheMiss, OK: true, A: int64(id)})
-	c.insert(newNTPage(id, data))
+	c.insert(&ntPage{id: id, cur: data})
 }
 
 // ntOverlay returns the replayed name-table sector images the mount has
@@ -306,7 +281,7 @@ func (c *ntCache) Write(id uint32, fresh []byte) error {
 		// sectors under the new CRC — unreadable in both copies. So on
 		// a miss every sector is staged unconditionally (ok==false
 		// disables the equal-sector skip below).
-		p = newNTPage(id, make([]byte, NTPageSize))
+		p = &ntPage{id: id, cur: make([]byte, NTPageSize)}
 		c.insert(p)
 	}
 	stampCRC(fresh)
@@ -328,27 +303,47 @@ func (c *ntCache) Write(id uint32, fresh []byte) error {
 		c.mu.Unlock()
 		return nil
 	}
-	p.dirty = true
+	// The page is pending from the moment cur holds bytes the log has not
+	// got: until Append names the batch, no clean test may pass.
+	p.pendingSeq = math.MaxUint64
 	c.mu.Unlock()
-	// Append outside c.mu: in synchronous mode it forces immediately, and
-	// the force's FlushHook re-enters the cache. Callers are serialized by
-	// the B-tree's write lock, so releasing here admits no second writer.
+	// Append outside c.mu: it may force (the synchronous mode, or a batch
+	// grown longer than a third), and the force's FlushHook re-enters the
+	// cache. Callers are serialized by the B-tree's write lock, so releasing
+	// here admits no second writer.
 	seq, err := c.v.log.Append(images...)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	if seq > p.pendingSeq {
+	if seq != 0 {
+		// Also when the force Append made failed: that put the batch
+		// back, for a later force to commit.
+		c.mu.Lock()
 		p.pendingSeq = seq
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
-	return nil
+	return err
 }
 
-// insert adds a page, evicting a clean page if over capacity. Dirty or
-// pending pages are never evicted ("the 'dirty but logged' pages are kept
-// in the cache"); if everything is dirty the cache grows past cap. The
-// caller holds c.mu.
+// clean reports whether p's home copies hold p.cur: nothing staged from it
+// is still to commit, and the log's table holds none of its sectors (each
+// committed image has gone home). A read-only mount has no log, and every
+// page is clean. The caller holds c.mu.
+func (c *ntCache) clean(p *ntPage, committed uint64) bool {
+	if c.v.log == nil {
+		return true
+	}
+	if p.pendingLog(committed) {
+		return false
+	}
+	for j := range uint64(NTPageSectors) {
+		if c.v.log.Logged(wal.KindNameTable, uint64(p.id)*NTPageSectors+j) {
+			return false
+		}
+	}
+	return true
+}
+
+// insert adds a page, evicting a clean page if over capacity. Pages that are
+// not clean are never evicted ("the 'dirty but logged' pages are kept in the
+// cache"); if none is clean the cache grows past cap. The caller holds c.mu.
 func (c *ntCache) insert(p *ntPage) {
 	c.seq++
 	p.lruSeq = c.seq
@@ -363,10 +358,9 @@ func (c *ntCache) insert(p *ntPage) {
 	}
 	var victim *ntPage
 	for _, q := range c.pages {
-		if q.dirty || q.pendingLog(committed) || q.inLog() || q == p {
-			continue
-		}
-		if victim == nil || q.lruSeq < victim.lruSeq {
+		// Only a page older than the best so far is asked whether it is
+		// clean: the test may ask the log about each of its sectors.
+		if q != p && (victim == nil || q.lruSeq < victim.lruSeq) && c.clean(q, committed) {
 			victim = q
 		}
 	}
@@ -375,93 +369,25 @@ func (c *ntCache) insert(p *ntPage) {
 	}
 }
 
-// onLogged records that a page image made it into the log (called from the
-// WAL once per sector image, on the force path).
-func (c *ntCache) onLogged(target uint64, third int, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := uint32(target / NTPageSectors)
-	p, ok := c.pages[id]
-	if !ok {
-		return
-	}
-	// Snapshot the bytes the log actually wrote — not p.cur, which under
-	// the pipelined commit may already hold newer updates staged while
-	// this force was writing (and, within one force, sectors whose images
-	// ride a later record of the same batch). The snapshot must track the
-	// log exactly: it is what a third-crossing flush writes home.
-	if p.logged == nil {
-		p.logged = make([]byte, NTPageSize)
-	}
-	sub := int(target % NTPageSectors)
-	copy(p.logged[sub*disk.SectorSize:(sub+1)*disk.SectorSize], data)
-	p.lastThird[sub] = third
-}
-
-// flushThird writes home every sector whose newest logged image is in the
-// division about to be overwritten. It writes from the logged snapshot, not
-// the possibly newer cache contents, so the home copies never reflect
-// updates the log has not yet committed. The due sectors go out as one
-// writeNTHome sweep; their marks clear only once both copies are written, so
-// a failed flush is redone whole by the next crossing.
-func (c *ntCache) flushThird(third int) (int, error) {
+// flushThird writes home the name-table sectors among due, the committed
+// images the log hands its FlushHook at a third crossing or a checkpoint
+// (Log.Due) — never the possibly newer cache contents, so the home copies
+// never reflect updates the log has not yet committed. They go out as one
+// writeNTHome sweep; the log keeps them in its table until the sweep has
+// succeeded, so a failed flush is redone whole by the next crossing.
+func (c *ntCache) flushThird(due []wal.PageImage) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.due = c.due[:0]
-	for _, p := range c.pages {
-		for j, t := range p.lastThird {
-			if t == third {
-				c.due = append(c.due, ntImage{
-					first: uint64(p.id)*NTPageSectors + uint64(j),
-					data:  p.logged[j*disk.SectorSize : (j+1)*disk.SectorSize],
-				})
-			}
+	for _, im := range due {
+		if im.Kind == wal.KindNameTable {
+			c.due = append(c.due, ntImage{first: im.Target, data: im.Data})
 		}
 	}
 	if err := c.writeDue(); err != nil {
 		return 0, err
 	}
-	committed := c.v.log.Committed()
-	for _, p := range c.pages {
-		for j, t := range p.lastThird {
-			if t == third {
-				p.lastThird[j] = -1
-			}
-		}
-		if !p.pendingLog(committed) && !p.inLog() && p.logged != nil && bytes.Equal(p.logged, p.cur) {
-			p.dirty = false
-			p.logged = nil
-		}
-	}
 	return len(c.due), nil
-}
-
-// flushAll writes home every dirty page; the caller must have forced the
-// log first so cur is committed. Used by clean shutdown.
-func (c *ntCache) flushAll() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.due = c.due[:0]
-	for _, p := range c.pages {
-		if p.dirty {
-			c.due = append(c.due, ntImage{first: uint64(p.id) * NTPageSectors, data: p.cur})
-		}
-	}
-	if err := c.writeDue(); err != nil {
-		return err
-	}
-	for _, p := range c.pages {
-		if !p.dirty {
-			continue
-		}
-		p.dirty = false
-		p.pendingSeq = 0
-		for j := range p.lastThird {
-			p.lastThird[j] = -1
-		}
-		p.logged = nil
-	}
-	return nil
 }
 
 // writeDue sweeps c.due home and counts what went out. The caller holds
@@ -484,7 +410,7 @@ type ntImage struct {
 
 // homeReq is one request issueByPosition orders: a home write of sectors
 // from addr on, carrying the images [lo, hi) of its sweep (writeNTHome) or the
-// pending leader at addr (flushLeaders), or the read of the leader refs[lo]
+// leader image due[lo] (flushLeaders), or the read of the leader refs[lo]
 // (readLeaders). slot is issueByPosition's own: the request's disk.SlotAngle.
 type homeReq struct {
 	addr, lo, hi int
@@ -492,13 +418,12 @@ type homeReq struct {
 }
 
 // writeNTHome is the one name-table home-write path: third-crossing flushes,
-// whole-cache flushes and the recovery redo all come through it, holding
-// c.mu. imgs must be sorted by first and must not overlap. Physically
-// adjacent images merge into requests of at most MaxTransferSectors, and
-// every request goes to copy A before any goes to copy B, so the arm crosses
-// the gap between the copies once per flush instead of once per sector; copy
-// A of a sector still lands before its copy B (scrub's "A is the newer
-// image" rule). Within a copy issueByPosition orders the requests: cylinders
+// checkpoints and the recovery redo all come through it, holding c.mu. imgs
+// must be sorted by first and must not overlap. Physically adjacent images
+// merge into requests of at most MaxTransferSectors, and every request goes
+// to copy A before any goes to copy B, so the arm crosses the gap between
+// the copies once per flush instead of once per sector; copy A of a sector
+// still lands before its copy B (scrub's "A is the newer image" rule). Within a copy issueByPosition orders the requests: cylinders
 // ascending, and inside one the request the head reaches soonest next. A
 // merged request is assembled in runBuf just before it is issued. It returns
 // the requests and sectors written; on an error the caller must treat every

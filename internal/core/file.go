@@ -835,16 +835,15 @@ func (f *File) writeLocked(e *Entry, p []byte, off int64) (err error) {
 			behind = cnt
 		}
 		if pending != nil {
-			// The leader is home now, or held for the force's pass. A
-			// concurrent third-crossing flush may have written the
-			// same leader bytes home meanwhile — benign; deleting an
-			// already-removed entry is a no-op. A newer image registered
-			// meanwhile (an Extend of this file applying behind the write)
-			// is not the one that went home, and stays.
+			// The leader is home now, or held for the force's pass. The
+			// entry is dropped only if it is still the slice that went
+			// home. A newer image registered meanwhile (an Extend of this
+			// file applying behind the write) stays, and so does one a
+			// concurrent third crossing re-registered when it wrote an
+			// older committed image over this one (flushLeaders).
 			v.lmu.Lock()
 			if now := v.pendingLeaders[leaderAddr]; len(now) > 0 && &now[0] == &pending[0] {
 				delete(v.pendingLeaders, leaderAddr)
-				delete(v.leaderThird, leaderAddr)
 			}
 			v.lmu.Unlock()
 			f.leaderVerified = true

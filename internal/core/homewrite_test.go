@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/sim"
+	"repro/internal/wal"
 )
 
 // smallLogConfig is testConfig with the smallest legal log (one maximal
@@ -91,22 +93,15 @@ func (w ntWrite) positionAt(d *disk.Disk, addr int) time.Duration {
 	return w.seek + wait
 }
 
-// dueImages lists, in target order, what a flush of third must write home:
-// every sector whose newest logged image lives in third, from the logged
-// snapshot. This is exactly the set the per-sector loop this sweep replaced
-// wrote, so holding the sweep to it is holding it to the old sector count.
-func dueImages(c *ntCache, third int) []ntImage {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// dueImages lists, in target order, the name-table images the log hands the
+// flush hook being called (Log.Due): every sector whose newest committed
+// image lives only in the third about to be overwritten, or, from a
+// checkpoint, anywhere in the log. Call it from inside the hook.
+func dueImages(v *Volume) []ntImage {
 	var due []ntImage
-	for _, p := range c.pages {
-		for j, t := range p.lastThird {
-			if t == third {
-				due = append(due, ntImage{
-					first: uint64(p.id)*NTPageSectors + uint64(j),
-					data:  bytes.Clone(p.logged[j*disk.SectorSize : (j+1)*disk.SectorSize]),
-				})
-			}
+	for _, im := range v.log.Due() {
+		if im.Kind == wal.KindNameTable {
+			due = append(due, ntImage{first: im.Target, data: bytes.Clone(im.Data)})
 		}
 	}
 	slices.SortFunc(due, func(a, b ntImage) int { return cmp.Compare(a.first, b.first) })
@@ -231,7 +226,7 @@ func (m *crashModel) run(t *testing.T, v *Volume, maxSteps int) error {
 // A in one pass of coalesced requests — cylinders ascending, and inside a
 // cylinder the request the head reaches soonest next — and then to copy B,
 // never A,B,A,B one sector at a time, and nothing but the due sectors goes.
-// The same holds for flushAll at page granularity.
+// The same holds for a checkpoint, which hands over the whole table.
 func TestHomeWriteSweep(t *testing.T) {
 	v, d := newSmallLogVolume(t)
 	var on bool
@@ -241,7 +236,7 @@ func TestHomeWriteSweep(t *testing.T) {
 	crossings, sectors, runs, merged := 0, 0, 0, 0
 	inner := v.log.FlushHook
 	v.log.FlushHook = func(third int) (int, error) {
-		want := dueImages(v.cache, third)
+		want := dueImages(v)
 		before := v.Stats().Cache
 		on, got = true, got[:0]
 		n, err := inner(third)
@@ -255,9 +250,6 @@ func TestHomeWriteSweep(t *testing.T) {
 		if after := v.Stats().Cache; after.HomeWrites-before.HomeWrites != 2*len(want) || after.HomeWriteOps-before.HomeWriteOps != 2*r {
 			t.Fatalf("%s: counters moved by %d sectors in %d I/Os, want %d in %d", what,
 				after.HomeWrites-before.HomeWrites, after.HomeWriteOps-before.HomeWriteOps, 2*len(want), 2*r)
-		}
-		if len(dueImages(v.cache, third)) != 0 {
-			t.Fatalf("%s: marks left set after a successful flush", what)
 		}
 		crossings++
 		sectors += len(want)
@@ -282,26 +274,26 @@ func TestHomeWriteSweep(t *testing.T) {
 		t.Fatalf("only %d crossings had adjacent due sectors to merge; the workload no longer tests coalescing", merged)
 	}
 
-	// flushAll: whole dirty pages, neighbouring pages in one request.
-	v.log.FlushHook = inner
-	if err := v.Force(); err != nil {
-		t.Fatal(err)
-	}
+	// A checkpoint: every committed image not yet home, neighbours in one
+	// request.
 	var want []ntImage
-	for _, id := range sortedKeys(v.cache.pages) {
-		if p := v.cache.pages[id]; p.dirty {
-			want = append(want, ntImage{first: uint64(id) * NTPageSectors, data: p.cur})
+	v.log.FlushHook = func(third int) (int, error) {
+		if third >= 0 {
+			return inner(third)
 		}
+		want = dueImages(v)
+		on, got = true, got[:0]
+		n, err := inner(third)
+		on = false
+		return n, err
 	}
-	on, got = true, got[:0]
-	if err := v.cache.flushAll(); err != nil {
+	if err := v.log.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	on = false
-	if r := checkSweep(t, "flushAll", d, want, got); len(want) < 8 || r >= len(want) {
-		t.Fatalf("flushAll wrote %d dirty pages in %d runs per copy; want several pages, some of them neighbours", len(want), r)
+	if r := checkSweep(t, "checkpoint", d, want, got); len(want) < 8 || r >= len(want) {
+		t.Fatalf("the checkpoint wrote %d sectors in %d runs per copy; want several, some of them neighbours", len(want), r)
 	}
-	checkHome(t, "flushAll", v, d, want)
+	checkHome(t, "checkpoint", v, d, want)
 }
 
 // checkRecovered mounts the revived disk and holds it to the model: every
@@ -348,7 +340,7 @@ func atCrossing(v *Volume, k int, fn func(third int, want []ntImage) (int, error
 	inner := v.log.FlushHook
 	seen := 0
 	v.log.FlushHook = func(third int) (int, error) {
-		want := dueImages(v.cache, third)
+		want := dueImages(v)
 		if len(want) < 2 || want[len(want)-1].first-want[0].first < uint64(len(want)) {
 			return inner(third)
 		}
@@ -377,7 +369,7 @@ func TestCrashBetweenHomeSweeps(t *testing.T) {
 			}
 			return nil
 		})
-		return v.cache.flushThird(third)
+		return v.cache.flushThird(v.log.Due())
 	})
 	if err := m.run(t, v, 4000); err == nil {
 		t.Fatal("the device never halted: no qualifying third crossing")
@@ -403,10 +395,11 @@ func TestCrashBetweenHomeSweeps(t *testing.T) {
 }
 
 // TestHomeWriteFaultRedo fails one write in the middle of a sweep — in the
-// copy-A pass and in the copy-B pass. The flush must report the error with
-// every mark still set, sectors already written included, and the flush that
-// follows must write the same sectors again as one complete sweep. The
-// volume, demoted by the fault, still recovers everything acked.
+// copy-A pass and in the copy-B pass. The force must report the error with
+// every due image still in the log's table, sectors already written
+// included; the retried force crosses again, is handed the same images, and
+// writes them as one complete sweep. The volume, demoted by the fault, still
+// recovers everything acked.
 func TestHomeWriteFaultRedo(t *testing.T) {
 	for _, pass := range []string{"A", "B"} {
 		t.Run("mid-"+pass, func(t *testing.T) {
@@ -415,7 +408,10 @@ func TestHomeWriteFaultRedo(t *testing.T) {
 			var got []ntWrite
 			recordNTWrites(v, d, &on, &got)
 			m := newCrashModel(32)
-			atCrossing(v, 6, func(third int, want []ntImage) (int, error) {
+			inner := v.log.FlushHook
+			var want []ntImage
+			atCrossing(v, 6, func(third int, due []ntImage) (int, error) {
+				want = due
 				writes := 0
 				d.SetWriteFault(func(addr, n int) *disk.WriteFault {
 					inB := addr >= v.lay.ntB && addr < v.lay.vamBase
@@ -427,33 +423,72 @@ func TestHomeWriteFaultRedo(t *testing.T) {
 					}
 					return nil
 				})
-				n, err := v.cache.flushThird(third)
+				n, err := inner(third)
 				d.SetWriteFault(nil)
 				if err == nil {
 					t.Fatalf("flush survived the injected fault (%d sectors)", n)
 				}
-				if still := dueImages(v.cache, third); len(still) != len(want) {
-					t.Fatalf("failed flush left %d of %d marks set", len(still), len(want))
-				}
-				on, got = true, got[:0]
-				n, rerr := v.cache.flushThird(third)
-				on = false
-				if rerr != nil || n != len(want) {
-					t.Fatalf("redo flushed %d of %d sectors: %v", n, len(want), rerr)
-				}
-				checkSweep(t, "redo", d, want, got)
-				checkHome(t, "redo", v, d, want)
-				if len(dueImages(v.cache, third)) != 0 {
-					t.Fatal("redo left marks set")
-				}
-				return 0, err
+				return n, err
 			})
 			if err := m.run(t, v, 4000); err == nil {
 				t.Fatal("the fault never fired: no qualifying third crossing")
 			}
+			for _, im := range want {
+				if !v.log.Logged(wal.KindNameTable, im.first) {
+					t.Fatalf("the failed flush dropped sector %d from the log's table", im.first)
+				}
+			}
+			var redo []ntImage
+			v.log.FlushHook = func(third int) (int, error) {
+				redo = dueImages(v)
+				on, got = true, got[:0]
+				n, err := inner(third)
+				on = false
+				return n, err
+			}
+			// The fault took the volume offline; the log itself retries.
+			if err := v.log.Force(); err != nil {
+				t.Fatalf("the retried force: %v", err)
+			}
+			if !slices.EqualFunc(redo, want, func(a, b ntImage) bool { return a.first == b.first && bytes.Equal(a.data, b.data) }) {
+				t.Fatalf("the retried crossing was handed %d images, want the failed one's %d", len(redo), len(want))
+			}
+			checkSweep(t, "redo", d, want, got)
+			checkHome(t, "redo", v, d, want)
+			m.acked = maps.Clone(m.live)
 			v.Crash()
 			d.Revive()
 			m.checkRecovered(t, d)
 		})
+	}
+}
+
+// TestFailedForceLeavesPageCleanable: a name-table write whose Append forces
+// (here the synchronous log) and fails still records its batch on the page.
+// The failed force put the batch back, a later force commits it and a
+// checkpoint takes it home, and then the page is clean — evictable — again.
+func TestFailedForceLeavesPageCleanable(t *testing.T) {
+	cfg := testConfig()
+	cfg.GroupCommitInterval = -1 // every Append forces
+	v, d, _ := newTestVolumeWith(t, cfg)
+	lo, hi := v.lay.logBase, v.lay.logBase+v.lay.logSize
+	d.SetWriteFault(func(addr, n int) *disk.WriteFault {
+		if addr >= lo && addr < hi {
+			return &disk.WriteFault{}
+		}
+		return nil
+	})
+	const id = 3
+	if err := v.cache.Write(id, bytes.Repeat([]byte{0x5A}, NTPageSize)); err == nil {
+		t.Fatal("the write's force survived the log's write fault")
+	}
+	d.SetWriteFault(nil)
+	if err := v.log.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	v.cache.mu.Lock()
+	defer v.cache.mu.Unlock()
+	if !v.cache.clean(v.cache.pages[id], v.log.Committed()) {
+		t.Fatal("the page is not clean after its batch committed and went home")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/allocgate"
 	"repro/internal/disk"
+	"repro/internal/wal"
 )
 
 // TestHomeWriteRotationalOrder: due sectors spread over the tracks of one
@@ -206,44 +207,23 @@ func TestNTMissSecondCopyNoWait(t *testing.T) {
 }
 
 // homeWriteSweep sets up a third-crossing flush of n due sectors scattered
-// over pages a fresh table does not use, and returns the call that marks
-// them due in a third and flushes it. The pages stay dirty (their logged
-// image differs from cur), so every call flushes the same n sectors.
+// over pages a fresh table does not use, as the log would list them
+// (Log.Due), and returns the call that flushes them.
 func homeWriteSweep(tb testing.TB, n int) (*Volume, func() error) {
 	v, _, _ := newTestVolumeWith(tb, testConfig())
-	c := v.cache
-	type mark struct {
-		p *ntPage
-		j int
-	}
-	var marks []mark
+	img := bytes.Repeat([]byte{0xA5}, disk.SectorSize)
+	var due []wal.PageImage
 	seen := map[uint64]bool{}
 	rng := rand.New(rand.NewSource(27))
-	c.mu.Lock()
-	for len(marks) < n {
-		id := uint32(16 + rng.Intn(v.lay.ntPages-16))
-		j := rng.Intn(NTPageSectors)
-		if seen[uint64(id)*NTPageSectors+uint64(j)] {
-			continue
+	for len(due) < n {
+		target := uint64(16+rng.Intn(v.lay.ntPages-16))*NTPageSectors + uint64(rng.Intn(NTPageSectors))
+		if !seen[target] {
+			seen[target] = true
+			due = append(due, wal.PageImage{Kind: wal.KindNameTable, Target: target, Data: img})
 		}
-		seen[uint64(id)*NTPageSectors+uint64(j)] = true
-		p, ok := c.pages[id]
-		if !ok {
-			p = newNTPage(id, make([]byte, NTPageSize))
-			p.logged, p.dirty = bytes.Repeat([]byte{0xA5}, NTPageSize), true
-			c.pages[id] = p
-		}
-		marks = append(marks, mark{p, j})
 	}
-	c.mu.Unlock()
-	const third = 1
 	return v, func() error {
-		c.mu.Lock()
-		for _, m := range marks {
-			m.p.lastThird[m.j] = third
-		}
-		c.mu.Unlock()
-		_, err := c.flushThird(third)
+		_, err := v.cache.flushThird(due)
 		return err
 	}
 }

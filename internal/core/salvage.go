@@ -723,23 +723,13 @@ func (r *salvageRun) rebuild() error {
 		return string(entryKey(r.entries[i].e.Name, r.entries[i].e.Version)) <
 			string(entryKey(r.entries[j].e.Name, r.entries[j].e.Version))
 	})
-	for i, c := range r.entries {
+	for _, c := range r.entries {
 		v.cpu.Charge(sim.CostBTreeOp)
 		if err := v.nt.Put(entryKey(c.e.Name, c.e.Version), encodeEntry(c.e)); err != nil {
 			return fmt.Errorf("core: salvage rebuild: %w", err)
 		}
-		if (i+1)%64 == 0 {
-			// Bound the staged-image batch so no single force overruns
-			// a log third.
-			if err := v.log.Force(); err != nil {
-				return err
-			}
-		}
 	}
-	if err := v.log.Force(); err != nil {
-		return err
-	}
-	if err := v.cache.flushAll(); err != nil {
+	if err := v.log.Checkpoint(); err != nil {
 		return err
 	}
 	if err := d.Sync(); err != nil {

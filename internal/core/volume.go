@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -223,14 +224,14 @@ type Volume struct {
 
 	uidNext atomic.Uint64
 
-	// lmu guards pendingLeaders, leaderThird and leaderReqs. pendingLeaders
-	// holds leader pages created but not yet written to their home sector;
-	// the write piggybacks on the file's next data write, or happens when
-	// the leader's log third is overwritten. leaderReqs is flushLeaders'
-	// scratch. A holder of vmMu may take lmu, never the reverse.
+	// lmu guards pendingLeaders and leaderReqs. pendingLeaders holds leader
+	// pages created but not yet written to their home sector; the write
+	// piggybacks on the file's next data write, or happens when the log
+	// hands the leader's committed image home (flushLeaders). leaderReqs is
+	// flushLeaders' scratch. A holder of vmMu may take lmu, never the
+	// reverse.
 	lmu            sync.Mutex
 	pendingLeaders map[int][]byte
-	leaderThird    map[int]int
 	leaderReqs     []homeReq
 
 	// hmu serializes what touches held data-cache frames (held.go): a write
@@ -339,7 +340,6 @@ func newVolume(d *disk.Disk, cfg Config, lay layout) *Volume {
 		cfg:            cfg,
 		lay:            lay,
 		pendingLeaders: make(map[int][]byte),
-		leaderThird:    make(map[int]int),
 		obs:            newVolObs(),
 		group:          commitGroup{floor: -1},
 	}
@@ -426,25 +426,14 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 	v.log.OnAppend = func(n int, seq uint64) {
 		v.trace(obs.Event{Kind: obs.EvWALAppend, OK: true, A: int64(n), B: int64(seq)})
 	}
-	v.log.FlushHook = func(third int) (int, error) {
-		n, err := v.cache.flushThird(third)
+	v.log.FlushHook = func(int) (int, error) {
+		due := v.log.Due()
+		n, err := v.cache.flushThird(due)
 		if err != nil {
 			return n, err
 		}
-		m, err := v.flushLeaders(third)
+		m, err := v.flushLeaders(due)
 		return n + m, err
-	}
-	v.log.OnLogged = func(kind uint8, target uint64, third int, data []byte) {
-		switch kind {
-		case wal.KindNameTable:
-			v.cache.onLogged(target, third, data)
-		case wal.KindLeader:
-			v.lmu.Lock()
-			if _, ok := v.pendingLeaders[int(target)]; ok {
-				v.leaderThird[int(target)] = third
-			}
-			v.lmu.Unlock()
-		}
 	}
 	v.log.OnCommit = func(seq uint64) {
 		// Pages of deleted files become allocatable once the batch
@@ -460,7 +449,6 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 				if pf.leader != 0 {
 					v.lmu.Lock()
 					delete(v.pendingLeaders, pf.leader)
-					delete(v.leaderThird, pf.leader)
 					v.lmu.Unlock()
 				}
 				v.al.FreeNow(pf.runs)
@@ -494,42 +482,36 @@ func (v *Volume) freeOnCommit(runs []alloc.Run, leader int) {
 	v.vmMu.Unlock()
 }
 
-// allThirds makes flushLeaders write every pending leader.
-const allThirds = -1
-
-// flushLeaders writes home the pending leader pages last logged in third
-// (allThirds: every pending leader, logged or not) and forgets them, in the
-// name table's home-write order (issueByPosition). It returns how many it
-// wrote.
-func (v *Volume) flushLeaders(third int) (int, error) {
+// flushLeaders writes home the leader images among due (Log.Due) whose
+// leader is still pending — one already written with its file's data, or
+// dropped with its file's deletion, is not — in the name table's home-write
+// order (issueByPosition), and returns how many it wrote. A pending leader
+// is forgotten only if what went home is its pending image. One staged
+// since the due image committed stays pending, under a new slice: a data
+// write that read the old slice may have put it home before this image
+// went over it, and its same-slice check (writeLocked) must not drop it.
+func (v *Volume) flushLeaders(due []wal.PageImage) (int, error) {
 	v.lmu.Lock()
 	defer v.lmu.Unlock()
 	reqs := v.leaderReqs[:0]
-	if third == allThirds {
-		for addr := range v.pendingLeaders {
-			reqs = append(reqs, homeReq{addr: addr})
-		}
-	} else {
-		for addr, t := range v.leaderThird {
-			if t != third {
-				continue
-			}
-			if _, ok := v.pendingLeaders[addr]; ok {
-				reqs = append(reqs, homeReq{addr: addr})
-			} else {
-				delete(v.leaderThird, addr)
-			}
+	for i, im := range due {
+		if _, ok := v.pendingLeaders[int(im.Target)]; im.Kind == wal.KindLeader && ok {
+			reqs = append(reqs, homeReq{addr: int(im.Target), lo: i})
 		}
 	}
 	slices.SortFunc(reqs, func(a, b homeReq) int { return cmp.Compare(a.addr, b.addr) })
 	v.leaderReqs = reqs
 	n := 0
 	err := v.issueByPosition(reqs, func(r homeReq) error {
-		if err := v.writeSectors(r.addr, v.pendingLeaders[r.addr]); err != nil {
+		img := due[r.lo].Data
+		if err := v.writeSectors(r.addr, img); err != nil {
 			return err
 		}
-		delete(v.pendingLeaders, r.addr)
-		delete(v.leaderThird, r.addr)
+		if p := v.pendingLeaders[r.addr]; bytes.Equal(p, img) {
+			delete(v.pendingLeaders, r.addr)
+		} else {
+			v.pendingLeaders[r.addr] = bytes.Clone(p)
+		}
 		n++
 		return nil
 	})
@@ -608,16 +590,13 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 		return nil, err
 	}
 
-	// Build the empty name table through the logged cache, then force
-	// and flush so the home copies exist.
+	// Build the empty name table through the logged cache, then
+	// checkpoint so the home copies exist.
 	v.nt, err = btree.Create(v.cache)
 	if err != nil {
 		return nil, err
 	}
-	if err := v.log.Force(); err != nil {
-		return nil, err
-	}
-	if err := v.cache.flushAll(); err != nil {
+	if err := v.log.Checkpoint(); err != nil {
 		return nil, err
 	}
 
@@ -1231,13 +1210,7 @@ func (v *Volume) Shutdown() error {
 	if err := v.stopIntentQueue(true); err != nil {
 		return err
 	}
-	if err := v.log.Force(); err != nil {
-		return err
-	}
-	if err := v.cache.flushAll(); err != nil {
-		return err
-	}
-	if _, err := v.flushLeaders(allThirds); err != nil {
+	if err := v.log.Checkpoint(); err != nil {
 		return err
 	}
 	// A reserved page is allocated in memory alone: the saved map must not
@@ -1291,13 +1264,7 @@ func (v *Volume) DropCaches() error {
 	if err := v.DrainIntents(); err != nil {
 		return err
 	}
-	if err := v.log.Force(); err != nil {
-		return err
-	}
-	if err := v.cache.flushAll(); err != nil {
-		return err
-	}
-	if _, err := v.flushLeaders(allThirds); err != nil {
+	if err := v.log.Checkpoint(); err != nil {
 		return err
 	}
 	v.cache.dropAll()

@@ -336,6 +336,9 @@ func runState(base *disk.Disk, trace []disk.JournaledWrite, byEpoch [][]int,
 		fail(fmt.Sprintf("mount failed: %v", err))
 		return res
 	}
+	// Whichever way the state ends, its volume goes: an async one's applier
+	// would otherwise outlive the state, holding the volume and its disk.
+	defer v.Crash()
 	res.recovery = ms.Elapsed
 	res.torn = ms.LogTornRecords
 	res.tail = ms.LogTailDiscarded

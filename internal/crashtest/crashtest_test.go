@@ -1,6 +1,8 @@
 package crashtest
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -101,10 +103,7 @@ func TestAsyncPipelineDurability(t *testing.T) {
 // operations, so the trace is full of third-crossing home-write sweeps and
 // the enumerated prefixes, reorderings and torn writes fall inside the
 // copy-A pass, between the passes, and inside the copy-B pass. Every state
-// must mount and the durability oracle must hold in all of them. (The seed
-// matters: at this log size some seeds fail the oracle at the force of the
-// 40-create uncommitted stretch, with or without the sweep — ROADMAP, open
-// items. Seed 17 is clean over its full enumeration.)
+// must mount and the durability oracle must hold in all of them.
 func TestSmallLogSweepBoundaries(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		res, err := Run(Config{Seed: 17, Ops: 400, StateID: -1, MaxStates: 600, Async: async, LogSectors: 4 + 3*83})
@@ -122,6 +121,57 @@ func TestSmallLogSweepBoundaries(t *testing.T) {
 		for _, v := range res.Violations {
 			t.Errorf("violation (repro: seed=%d state=%d async=%v small log): %s [%s]", v.Seed, v.StateID, async, v.Desc, v.State)
 		}
+	}
+}
+
+// TestSmallLogSample is the small-log sweep: seeds 17, 18, 19 and 21 on the
+// three smallest logs of three divisions, staged and through the intent
+// queue, 200 evenly strided crash states each — all but seed 17 on the
+// smallest log, which TestSmallLogSweepBoundaries explores more deeply.
+// Every state must mount and hold the oracle. (Before the log kept its own
+// table of committed images, a batch that re-logged a name-table sector and
+// then crossed, mid-batch, into the third holding that sector's committed
+// image skipped it there, and a crash before the batch's end left the page
+// with no good copy: 10 of these 24 configurations had a state that failed
+// to mount.) -short runs the staged runs of seeds 18, 19 and 21 on the two
+// smallest logs.
+func TestSmallLogSample(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		for _, seed := range []int64{17, 18, 19, 21} {
+			for _, n := range []int{83, 100, 130} {
+				if seed == 17 && n == 83 || testing.Short() && (async || seed == 17 || n == 130) {
+					continue
+				}
+				t.Run(fmt.Sprintf("async=%v/seed=%d/log=4+3*%d", async, seed, n), func(t *testing.T) {
+					res, err := Run(Config{Seed: seed, Ops: 400, StateID: -1, MaxStates: 200, Async: async, LogSectors: 4 + 3*n})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, v := range res.Violations {
+						t.Errorf("state %d: %s [%s]", v.StateID, v.Desc, v.State)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestAsyncRunLeavesNoGoroutine: every recovered volume of an async run is
+// crashed when its state is done, so its applier goroutine does not outlive
+// the run, nor keep the volume and its disk alive.
+func TestAsyncRunLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := Run(Config{Seed: 5, Ops: 60, MaxStates: 40, StateID: -1, Async: true}); err != nil {
+		t.Fatal(err)
+	}
+	// A closed queue's applier returns on its own time: give it a moment.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 100 && after > before; i++ {
+		time.Sleep(10 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Fatalf("%d goroutines before the run, %d after", before, after)
 	}
 }
 

@@ -41,10 +41,13 @@ func newForceLoop(tb testing.TB) (*Log, func()) {
 // none of them a sector.
 func TestForceAllocs(t *testing.T) {
 	l, appendForce := newForceLoop(t)
-	l.OnLogged = func(_ uint8, target uint64, _ int, data []byte) {
-		if want := byte(16 + target); target < 4 && data[1] != want {
-			t.Errorf("target %d logged with fill %d, want the replacing image's %d", target, data[1], want)
+	l.FlushHook = func(int) (int, error) {
+		for _, im := range l.Due() {
+			if want := byte(16 + im.Target); im.Target < 4 && im.Data[1] != want {
+				t.Errorf("target %d logged with fill %d, want the replacing image's %d", im.Target, im.Data[1], want)
+			}
 		}
+		return len(l.Due()), nil
 	}
 	for i := 0; i < 10; i++ {
 		appendForce()

@@ -11,40 +11,23 @@ import (
 // TestConcurrentAppendersAcrossThirds hammers Append/WaitCommitted from many
 // goroutines with a log small enough that the write path crosses thirds
 // (and wraps) many times mid-run. It models a home store exactly the way
-// internal/core does — OnLogged tracks the newest logged image and third
-// per target, FlushHook "writes home" the targets of the overwritten third
-// — and then checks the invariant the flush hook depends on: every target's
-// newest logged bytes survive, either still replayable from the log or
-// flushed home. All hook state is touched without extra locking, which is
-// itself an assertion (under -race) that the WAL serializes its callbacks
-// behind the force path.
+// internal/core does — FlushHook "writes home" what Due lists for the
+// overwritten third — and then checks the invariant the flush hook depends
+// on: every target's newest logged bytes survive, either still replayable
+// from the log or flushed home. All hook state is touched without extra
+// locking, which is itself an assertion (under -race) that the WAL
+// serializes its callbacks behind the force path.
 func TestConcurrentAppendersAcrossThirds(t *testing.T) {
 	l, d, clk := newTestLog(t, Config{Interval: time.Millisecond})
 
-	type loggedImage struct {
-		data  []byte
-		third int
-	}
-	logged := make(map[uint64]*loggedImage) // newest logged image per target
-	home := make(map[uint64][]byte)         // images flushed home at crossings
+	home := make(map[uint64][]byte) // images flushed home at crossings
 	crossings := 0
-	l.OnLogged = func(kind uint8, target uint64, third int, data []byte) {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		logged[target] = &loggedImage{data: cp, third: third}
-	}
-	l.FlushHook = func(third int) (int, error) {
+	l.FlushHook = func(int) (int, error) {
 		crossings++
-		n := 0
-		for tgt, li := range logged {
-			if li.third != third {
-				continue
-			}
-			home[tgt] = li.data
-			delete(logged, tgt)
-			n++
+		for _, im := range l.Due() {
+			home[im.Target] = bytes.Clone(im.Data)
 		}
-		return n, nil
+		return len(l.Due()), nil
 	}
 
 	const workers = 8

@@ -23,6 +23,7 @@ func Open(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, error)
 	}
 	l.bootCount, l.divs = a.bootCount, a.thirds
 	l.pendingIdx = make(map[imageKey]int)
+	l.table = make(map[imageKey]entry)
 	l.lastForce = clk.Now()
 	l.openSeq = 1
 	return l, nil

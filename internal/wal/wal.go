@@ -17,11 +17,17 @@
 // image (the paper's "hot spot" effect). Force writes the batch as one or
 // more records in a single synchronous disk operation each.
 //
-// When a write is about to enter a new third, any cached pages whose only
-// durable copy lives in that third are first written to their home
-// locations (via the FlushHook), the anchor in log pages 0 and 2 is advanced
-// to the start of the new oldest third, and only then is the third
-// overwritten. On average 5/6 of the log holds live history.
+// The log keeps the thirds table: for each (kind, target), the newest
+// committed image that is still only in the log, and the division holding
+// it. An image enters the table once its force has passed the final barrier,
+// never before, so the table holds only what a commit promised. When a write
+// is about to enter a new third, the table's entries for that third are
+// handed to the FlushHook (Due lists them) to be written home, the anchor in
+// log pages 0 and 2 is advanced to the start of the new oldest third, and
+// only then is the third overwritten. A batch's own records are not in the
+// table until it commits, so no batch may reach a third that holds them:
+// a batch that grows longer than one third is forced at once (Append, End).
+// On average 5/6 of the log holds live history.
 package wal
 
 import (
@@ -80,6 +86,13 @@ type PageImage struct {
 type imageKey struct {
 	kind   uint8
 	target uint64
+}
+
+// entry is one image of the thirds table: the staged sector itself, and the
+// division its record landed in.
+type entry struct {
+	PageImage
+	third int
 }
 
 // Stats describes log activity since Open.
@@ -141,8 +154,8 @@ type Config struct {
 // execution end-to-end — a force captures the pending batch under l.mu
 // (atomically swapping in an empty one), releases l.mu, and then writes its
 // records while new appends stage freely into the next batch. Every client
-// callback (FlushHook, OnLogged, OnCommit, DataHook) is invoked under
-// forceMu but never under l.mu, so callbacks may call Append.
+// callback (FlushHook, OnCommit, DataHook) is invoked under forceMu but
+// never under l.mu, so callbacks may call Append.
 //
 // An operation that stages more than one image brackets them with Begin and
 // End (the group, see Begin): the capture waits for every open group to end,
@@ -161,22 +174,16 @@ type Log struct {
 	clk  sim.Clock
 	cfg  Config
 
-	// FlushHook is invoked with the third index about to be overwritten;
-	// the client must write home every cached page whose newest logged
-	// image lives in that third, and report how many pages it wrote.
+	// FlushHook is invoked with the third index about to be overwritten
+	// (-1 from Checkpoint): the client must write home every image Due
+	// lists, and report how many it wrote. The images leave the table once
+	// the hook returns nil; after an error they stay, and the next
+	// crossing hands them over again.
 	FlushHook func(third int) (int, error)
 	// OnCommit is invoked after every successful force with the commit
 	// sequence number that just became durable; FSD uses it to make the
 	// pending deletions of batches <= seq final.
 	OnCommit func(seq uint64)
-	// OnLogged is invoked for every image written, with the division its
-	// record landed in and the image bytes that went to disk. The page
-	// cache uses it to tag dirty pages so the FlushHook can find "pages
-	// most recently logged into this third", and snapshots exactly the
-	// logged bytes — the cache contents may already be newer, because
-	// staging continues while a force is writing. data is lent for the
-	// call: the log stages a later image in the same buffer.
-	OnLogged func(kind uint8, target uint64, third int, data []byte)
 	// DataHook, when set, is invoked (under forceMu) by every force that
 	// writes records, once the batch is captured and before the data
 	// barrier: the client writes the file data it has held in memory for
@@ -212,16 +219,18 @@ type Log struct {
 	//
 	// The Data of a pending image is a sector the log owns: stage copies the
 	// caller's bytes into one drawn from free (or, for an image that replaces
-	// one of the same batch, into that image's own), and a force puts the
-	// sectors of a record back once the record's OnLogged calls have
-	// returned. spare is the emptied slice of the last batch forced, which
-	// the next capture makes the pending one.
+	// one of the same batch, into that image's own). The sector moves into
+	// the table when its batch commits, and goes back to free when a newer
+	// commit of its key replaces it or once it is home. spare is the emptied
+	// slice of the last batch forced, which the next capture makes the
+	// pending one.
 	mu         sync.Mutex
 	pending    []PageImage
 	pendingIdx map[imageKey]int
 	free       [][]byte
 	spare      []PageImage
-	openSeq    uint64 // sequence number of the batch currently staging
+	table      map[imageKey]entry // the thirds table (package doc)
+	openSeq    uint64             // sequence number of the batch currently staging
 	lastForce  time.Duration
 	stats      Stats
 
@@ -257,6 +266,11 @@ type Log struct {
 	// record: the disk (its write-back journal included) copies what it is
 	// given, and forceMu admits one writeRecord at a time.
 	recBuf []byte
+	// landed lists the images the force in progress has written, each with
+	// its record's division: the table entries its commit makes. due is what
+	// the FlushHook being called may write home (Due).
+	landed []entry
+	due    []PageImage
 }
 
 // freeImagesMax bounds the free list (at 512 KB): more than a steady load
@@ -430,6 +444,7 @@ func Format(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, erro
 	}
 	l.lastForce = clk.Now()
 	l.pendingIdx = make(map[imageKey]int)
+	l.table = make(map[imageKey]entry)
 	l.openSeq = 1
 	return l, nil
 }
@@ -459,8 +474,9 @@ func (l *Log) PendingImages() int {
 // sequence number of the batch they joined: once Committed() reaches that
 // number the images are durable. Within a batch, a later image of the same
 // (kind, target) replaces the earlier one — this is where group commit
-// absorbs hot-spot writes. If the configured interval is zero the batch is
-// forced before returning (the synchronous ablation) — unless a group is
+// absorbs hot-spot writes. The batch is forced before returning if the
+// configured interval is zero (the synchronous ablation) or if it has grown
+// longer than one third (the batch bound, package doc) — unless a group is
 // open, whose End forces instead: a force waits for the groups to end, so
 // one from inside a group would wait for itself. (Whose group is immaterial:
 // an Append made outside any, while another goroutine's is open, rides that
@@ -474,7 +490,7 @@ func (l *Log) Append(images ...PageImage) (uint64, error) {
 	if l.OnAppend != nil {
 		l.OnAppend(len(images), seq)
 	}
-	if l.cfg.Interval == 0 && l.open.Load() == 0 {
+	if l.open.Load() == 0 && (l.cfg.Interval == 0 || l.long()) {
 		return seq, l.Force()
 	}
 	return seq, nil
@@ -492,10 +508,11 @@ func (l *Log) Begin() {
 }
 
 // End closes the group. With Interval == 0 it pays the force the group's
-// Appends left to it, so a synchronous log forces once per operation.
+// Appends left to it, so a synchronous log forces once per operation; it
+// also forces a batch the group has left longer than one third.
 func (l *Log) End() error {
 	l.leave()
-	if l.cfg.Interval == 0 {
+	if l.cfg.Interval == 0 || l.long() {
 		return l.Force()
 	}
 	return nil
@@ -519,6 +536,15 @@ func (l *Log) leave() {
 // ewmaShift is the smoothing factor of the controller's moving averages:
 // new = old + (sample-old)/2^ewmaShift.
 const ewmaShift = 3
+
+// long reports whether the pending batch, laid out as records, is longer
+// than one third.
+func (l *Log) long() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.pending)
+	return 5*((n+MaxImagesPerRecord-1)/MaxImagesPerRecord)+2*n > l.thirdLen()
+}
 
 // stage adds images to the pending batch without triggering a force and
 // returns the batch's sequence number.
@@ -726,13 +752,25 @@ func (l *Log) forceLocked() error {
 
 	// Record writing happens outside l.mu: new appends stage into the
 	// next batch while these records hit the disk. Whichever way the force
-	// ends, what is left of the batch has by then been copied back into the
-	// pending one (restoreBatch) or written, and its slice is free.
+	// ends, the batch has by then been copied back into the pending one
+	// (restoreBatch) or committed into the table, and its slice is free.
 	defer func(whole []PageImage) {
 		l.mu.Lock()
 		l.spare = whole[:0]
 		l.mu.Unlock()
 	}(batch)
+	// A failed force must not lose staged updates, and none of its batch
+	// committed: the whole batch goes back into the pending one, so a later
+	// Force retries it and commits the same images under a newer sequence
+	// (which also satisfies waiters of this one). committedSeq stays put, so
+	// no waiter observes a phantom commit. Records already written this
+	// force are harmless: they lack the end-of-batch flag (or their flagged
+	// record's barrier failed), so recovery either discards them or groups
+	// them with the retry's, whose images are the same or newer.
+	fail := func(err error) error {
+		l.restoreBatch(batch)
+		return err
+	}
 	wrote := len(batch) > 0
 	if wrote {
 		// Barrier: file data and leader pages written for the operations
@@ -743,43 +781,48 @@ func (l *Log) forceLocked() error {
 		// pages never arrived.
 		if l.DataHook != nil {
 			if err := l.DataHook(); err != nil {
-				l.restoreBatch(batch)
-				return err
+				return fail(err)
 			}
 		}
 		if err := l.d.Sync(); err != nil {
-			l.restoreBatch(batch)
-			return err
+			return fail(err)
 		}
 	}
-	var imgs, recs, secs int
-	for len(batch) > 0 {
-		consumed, err := l.writeRecord(batch)
+	var recs, secs int
+	l.landed = l.landed[:0]
+	for rest := batch; len(rest) > 0; {
+		consumed, err := l.writeRecord(rest)
 		if err != nil {
-			// A failed force must not lose staged updates: the unwritten
-			// tail — including the record that just failed — goes back
-			// into the pending batch, so a later Force retries it and
-			// commits the same images under a newer sequence (which also
-			// satisfies waiters of this one). committedSeq stays put, so
-			// no waiter observes a phantom commit. Records already written
-			// this force are harmless: they lack the end-of-batch flag, so
-			// recovery either discards them or groups them with the
-			// retry's flagged record, whose images are the same or newer.
-			l.restoreBatch(batch)
-			return err
+			return fail(err)
 		}
-		imgs += consumed
+		for _, im := range rest[:consumed] {
+			l.landed = append(l.landed, entry{im, l.curThird})
+		}
 		recs++
 		secs += 5 + 2*consumed
-		batch = batch[consumed:]
+		rest = rest[consumed:]
 	}
 	if wrote {
 		// Barrier: the records themselves must be durable before the
 		// commit is acknowledged to waiting clients.
 		if err := l.d.Sync(); err != nil {
-			return err
+			return fail(err)
 		}
 	}
+	// The batch has committed: its images enter the table, each replacing
+	// (and freeing the sector of) its key's older committed image, before
+	// anyone can see the commit — a page whose images are neither pending
+	// nor in the table is home (Logged).
+	l.mu.Lock()
+	for _, e := range l.landed {
+		k := imageKey{e.Kind, e.Target}
+		if old, ok := l.table[k]; ok {
+			l.recycle(old.Data)
+		}
+		l.table[k] = e
+	}
+	l.mu.Unlock()
+	clear(l.landed) // drops the sectors it pinned
 	l.committedSeq.Store(seq)
 	dur := l.clk.Now() - start
 	if wrote && l.Adaptive() {
@@ -797,7 +840,7 @@ func (l *Log) forceLocked() error {
 	if wrote && l.OnForce != nil {
 		l.OnForce(ForceEvent{
 			Seq:      seq,
-			Images:   imgs,
+			Images:   len(batch),
 			Records:  recs,
 			Sectors:  secs,
 			Interval: start - prevForce,
@@ -895,24 +938,14 @@ func (l *Log) writeRecord(batch []PageImage) (int, error) {
 	l.mu.Unlock()
 	l.writeOff += recLen
 	l.recordNum++
-	if l.OnLogged != nil {
-		for _, im := range images {
-			l.OnLogged(im.Kind, im.Target, l.curThird, im.Data)
-		}
-	}
-	l.mu.Lock()
-	for _, im := range images {
-		l.recycle(im.Data)
-	}
-	l.mu.Unlock()
 	return n, nil
 }
 
-// restoreBatch returns the images a failed force could not write to the
-// pending batch, so a write fault never drops a staged update. An image
-// whose key has been re-staged since the batch was captured is discarded —
-// the pending copy is newer — and its sector goes back to the free list; the
-// sectors of the images put back stay theirs.
+// restoreBatch returns the batch of a failed force to the pending one, so a
+// write fault never drops a staged update. An image whose key has been
+// re-staged since the batch was captured is discarded — the pending copy is
+// newer — and its sector goes back to the free list; the sectors of the
+// images put back stay theirs.
 func (l *Log) restoreBatch(batch []PageImage) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -927,26 +960,20 @@ func (l *Log) restoreBatch(batch []PageImage) {
 	}
 }
 
-// enterThird prepares third t for overwriting: flush pages homed only
-// there, then advance the anchor to the following third. Caller holds
-// forceMu, so the hook sees a frozen "newest logged image per third" view
-// even while other goroutines stage new updates.
+// enterThird prepares third t for overwriting: hand the table's images in
+// t home, then advance the anchor to the following third. Caller holds
+// forceMu, so no commit changes the table while the hook runs.
 func (l *Log) enterThird(t int) error {
 	l.mu.Lock()
 	l.stats.ThirdCrossings++
 	l.mu.Unlock()
-	if l.FlushHook != nil {
-		// The hook calls back into the page cache, which may not
-		// re-enter the log; release is unnecessary because the cache
-		// writes home pages directly to disk.
-		n, err := l.FlushHook(t)
-		if err != nil {
-			return err
-		}
-		l.mu.Lock()
-		l.stats.HomeFlushes += n
-		l.mu.Unlock()
+	n, err := l.handHome(t)
+	if err != nil {
+		return err
 	}
+	l.mu.Lock()
+	l.stats.HomeFlushes += n
+	l.mu.Unlock()
 	// Third t's content has been flushed home, so its records are no
 	// longer needed. The new oldest valid record is the earliest
 	// (lowest-numbered) first record among the remaining thirds; if no
@@ -971,6 +998,67 @@ func (l *Log) enterThird(t int) error {
 		a.recordNum = l.thirdFirst[best]
 	}
 	return l.writeAnchor(a)
+}
+
+// handHome lists the table's images in division t (every image, for t = -1)
+// as Due, calls FlushHook to write them home, and drops them from the table
+// once it has; a failed hook leaves them there, so the next crossing redoes
+// the flush whole. Caller holds forceMu.
+func (l *Log) handHome(t int) (int, error) {
+	l.mu.Lock()
+	for _, e := range l.table {
+		if t < 0 || e.third == t {
+			l.due = append(l.due, e.PageImage)
+		}
+	}
+	l.mu.Unlock()
+	defer func() {
+		clear(l.due) // drops the sectors it pinned
+		l.due = l.due[:0]
+	}()
+	n := 0
+	if l.FlushHook != nil {
+		var err error
+		if n, err = l.FlushHook(t); err != nil {
+			return 0, err
+		}
+	}
+	l.mu.Lock()
+	for _, im := range l.due {
+		delete(l.table, imageKey{im.Kind, im.Target})
+		l.recycle(im.Data)
+	}
+	l.mu.Unlock()
+	return n, nil
+}
+
+// Due lists the images FlushHook must write home: the committed images of
+// the third being entered, or every committed image not yet home when
+// Checkpoint calls it. It may be called only from inside the hook, and the
+// images are lent for the hook's call.
+func (l *Log) Due() []PageImage { return l.due }
+
+// Logged reports whether the table holds a committed image of (kind,
+// target): one whose only durable copy is in the log.
+func (l *Log) Logged(kind uint8, target uint64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	_, ok := l.table[imageKey{kind, target}]
+	return ok
+}
+
+// Checkpoint forces the log, then hands every image in the table to
+// FlushHook (with third -1), so that once it returns nil everything the log
+// has committed is home. Format, clean shutdown and salvage's rebuild end
+// with it.
+func (l *Log) Checkpoint() error {
+	l.forceMu.Lock()
+	defer l.forceMu.Unlock()
+	if err := l.forceLocked(); err != nil {
+		return err
+	}
+	_, err := l.handHome(-1)
+	return err
 }
 
 // encodeHeader makes the sector buf the header page of the next record.

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -86,25 +87,16 @@ func TestCrashBetweenFlushAndAnchor(t *testing.T) {
 	l, d, clk := newTestLog(t, Config{Interval: time.Second})
 	flushed := map[imageKey][]byte{}
 	cache := map[imageKey][]byte{}
-	third := map[imageKey]int{}
-	l.OnLogged = func(kind uint8, target uint64, th int, _ []byte) {
-		third[imageKey{kind, target}] = th
-	}
 	armKill := false
-	l.FlushHook = func(th int) (int, error) {
-		n := 0
-		for k, t3 := range third {
-			if t3 == th {
-				flushed[k] = cache[k]
-				delete(third, k)
-				n++
-			}
+	l.FlushHook = func(int) (int, error) {
+		for _, im := range l.Due() {
+			flushed[imageKey{im.Kind, im.Target}] = bytes.Clone(im.Data)
 		}
 		if armKill {
 			// Halt the device so the anchor write that follows fails.
 			d.SetWriteFault(FailNextWrite())
 		}
-		return n, nil
+		return len(l.Due()), nil
 	}
 	// Fill two thirds.
 	id := 0

@@ -534,32 +534,20 @@ func TestQuickRecoveryMatchesLastCommitted(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Miniature page cache implementing the thirds protocol.
-		cache := map[imageKey][]byte{} // current page contents
-		third := map[imageKey]int{}    // division each page was last logged in
-		home := map[imageKey][]byte{}  // simulated home locations on disk
-		l.OnLogged = func(kind uint8, target uint64, th int, _ []byte) {
-			third[imageKey{kind, target}] = th
-		}
-		l.FlushHook = func(th int) (int, error) {
-			n := 0
-			for k, t3 := range third {
-				if t3 == th {
-					cp := make([]byte, len(cache[k]))
-					copy(cp, cache[k])
-					home[k] = cp
-					delete(third, k)
-					n++
-				}
+		// The home locations on disk: the hook writes there what the
+		// log's table hands it.
+		home := map[imageKey][]byte{}
+		l.FlushHook = func(int) (int, error) {
+			for _, im := range l.Due() {
+				home[imageKey{im.Kind, im.Target}] = bytes.Clone(im.Data)
 			}
-			return n, nil
+			return len(l.Due()), nil
 		}
 		committed := map[imageKey][]byte{}
 		staged := map[imageKey][]byte{}
 		for _, o := range ops {
 			im := img(KindNameTable, uint64(o.Target%16), o.Fill)
 			k := imageKey{KindNameTable, uint64(o.Target % 16)}
-			cache[k] = im.Data
 			staged[k] = im.Data
 			if _, err := l.Append(im); err != nil {
 				return false

@@ -47,8 +47,9 @@ func TestForceRetryAfterTransientWriteFault(t *testing.T) {
 }
 
 // TestForceRetryAfterMidBatchFailure fails the second record of a
-// multi-record batch: the already-written unflagged record must compose with
-// the retry so that every image of the batch recovers exactly once.
+// multi-record batch: none of the batch committed, so all of it goes back to
+// pending, and the already-written unflagged record must compose with the
+// retry so that every image of the batch recovers exactly once.
 func TestForceRetryAfterMidBatchFailure(t *testing.T) {
 	l, d, _ := newTestLog(t, Config{Interval: time.Second})
 	const n = MaxImagesPerRecord + 21
@@ -66,8 +67,8 @@ func TestForceRetryAfterMidBatchFailure(t *testing.T) {
 	if err := l.Force(); err == nil {
 		t.Fatal("force succeeded with the second record broken")
 	}
-	if got := l.PendingImages(); got != n-MaxImagesPerRecord {
-		t.Fatalf("restored %d images, want %d", got, n-MaxImagesPerRecord)
+	if got := l.PendingImages(); got != n {
+		t.Fatalf("restored %d images, want %d", got, n)
 	}
 	d.SetWriteFault(nil)
 	d.Revive()

@@ -61,7 +61,7 @@ go test -race ./internal/core -count=5 -run 'TestMountScanSimTimeRepeats|TestPip
 # applier's in-place retry, and its abort on a fatal one. (...NeverShrinks:
 # two writers on one handle, staged and async — the size update of a write
 # only grows the file.)
-go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroup|TestAbortStopsForces|TestCut|TestFatalApplyAbortsGroup|TestFailedDataWriteLeavesNoEntry|TestStaleHandleOpsRefused|TestConcurrentWriteAtNeverShrinks'
+go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroupForceSeesAllOrNone|TestGroupCutByCrashLeavesNothing|TestGroupSynchronousForcesOnceAtEnd|TestGroupsSideBySide|TestGroupHeldAcrossApplierRetry|TestAbortStopsForces|TestCut|TestFatalApplyAbortsGroup|TestFailedDataWriteLeavesNoEntry|TestStaleHandleOpsRefused|TestConcurrentWriteAtNeverShrinks'
 # Held writes (DESIGN §12): streams, reads, deletes and forces from several
 # goroutines, staged and async, the held frames' cache and the commit
 # group's fresh runs under them, again and again under the detector.
