@@ -301,13 +301,12 @@ func TestAPISurface(t *testing.T) {
 		t.Fatalf("crash mount phases = replay %v, redo %v, scan %v of %v",
 			rep9.ReplayElapsed, rep9.RedoElapsed, rep9.VAMElapsed, rep9.Elapsed)
 	}
-	var rc RecoveryStats = v9.Stats().Recovery
-	if !rc.Ran || rc.Elapsed != rep9.ReplayElapsed || rc.RedoElapsed != rep9.RedoElapsed || rc.ScanElapsed != rep9.VAMElapsed ||
-		rc.SweepPages != rep9.SweepPages || rc.SweepChunks != rep9.SweepChunks || rc.SweepFallbacks != rep9.SweepFallbacks {
+	var rc MountStats = v9.Stats().Recovery
+	if rc != rep9.MountStats {
 		t.Fatalf("Stats().Recovery = %+v, mount report = %+v", rc, rep9.MountStats)
 	}
-	if rc.Records == 0 || rc.SectorsRead == 0 { // promoted from wal.RecoveryStats
-		t.Fatalf("crash mount replayed %d records from %d sectors", rc.Records, rc.SectorsRead)
+	if rc.LogRecords == 0 || rc.LogSectorsRead == 0 {
+		t.Fatalf("crash mount replayed %d records from %d sectors", rc.LogRecords, rc.LogSectorsRead)
 	}
 	var scs ScrubStats
 	if scs, err = v9.Scrub(); err != nil {

@@ -91,9 +91,6 @@ type (
 	// SalvageStats reports a salvage mount (files recovered vs lost,
 	// progress-checkpoint resume state).
 	SalvageStats = core.SalvageStats
-	// RecoveryStats reports what the mount-time log replay did; see
-	// Stats.Recovery.
-	RecoveryStats = core.RecoveryStats
 	// VolumeFaultStats aggregates a volume's media-fault handling
 	// (retries, scrub repairs, retirements).
 	VolumeFaultStats = core.FaultStats

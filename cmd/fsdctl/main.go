@@ -467,21 +467,20 @@ func run(img string, jsonOut bool, args []string) error {
 			st.Alloc.ExtendsInPlace, st.Alloc.ExtendsElsewhere, st.Cache.Data.ReadAheadSectors,
 			st.Cache.Data.ReadAheadUsed, st.Cache.Data.ReadAheadWasted, st.Cache.Data.Promotions,
 			st.Alloc.Reserved, st.Alloc.ReservedReleased)
-		if rc := st.Recovery; rc.Ran {
-			how := "log replayed"
-			if rc.CleanShutdown {
-				how = "clean shutdown"
-			}
-			fmt.Printf("recovery: %s — %d records, %d images applied, %d repaired, %d torn, %d tail discarded, %d gap breaks, %d sectors read, %v simulated\n",
-				how, rc.Records, rc.Images, rc.Repaired, rc.TornRecords,
-				rc.TailDiscarded, rc.GapBreaks, rc.SectorsRead,
-				rc.Elapsed.Round(time.Millisecond))
-			fmt.Printf("recovery phases (simulated): replay %v, redo write-back %v, VAM scan %v (%d pages swept in %d chunk reads, %d per-page fallbacks, %d stale leaves decoded and dropped; %s); replay and redo under the decode %v, %d pages decoded again from the log, %d swept after the replay\n",
-				rc.Elapsed.Round(time.Millisecond), rc.RedoElapsed.Round(time.Millisecond),
-				rc.ScanElapsed.Round(time.Millisecond), rc.SweepPages, rc.SweepChunks, rc.SweepFallbacks, rc.SweepStaleLeaves,
-				timelines(rc.ScanArm, rc.ScanCPU, cliWorkers(), rc.ScanHidden, rc.ScanElapsed),
-				rc.ReplayHidden.Round(time.Millisecond), rc.SweepRedecoded, rc.SweepLate)
+		rc := st.Recovery
+		how := "log replayed"
+		if rc.CleanShutdown {
+			how = "clean shutdown"
 		}
+		fmt.Printf("recovery: %s — %d records, %d images applied, %d repaired, %d torn, %d tail discarded, %d gap breaks, %d sectors read, mount %v simulated\n",
+			how, rc.LogRecords, rc.LogImagesApplied, rc.LogRepaired, rc.LogTornRecords,
+			rc.LogTailDiscarded, rc.LogGapBreaks, rc.LogSectorsRead,
+			rc.Elapsed.Round(time.Millisecond))
+		fmt.Printf("recovery phases (simulated): replay %v, redo write-back %v, VAM scan %v (%d pages swept in %d chunk reads, %d per-page fallbacks, %d stale leaves decoded and dropped; %s); replay and redo under the decode %v, %d pages decoded again from the log, %d swept after the replay\n",
+			rc.ReplayElapsed.Round(time.Millisecond), rc.RedoElapsed.Round(time.Millisecond),
+			rc.VAMElapsed.Round(time.Millisecond), rc.SweepPages, rc.SweepChunks, rc.SweepFallbacks, rc.SweepStaleLeaves,
+			timelines(rc.ScanArm, rc.ScanCPU, cliWorkers(), rc.ScanHidden, rc.VAMElapsed),
+			rc.ReplayHidden.Round(time.Millisecond), rc.SweepRedecoded, rc.SweepLate)
 		fmt.Printf("faults: %d read retries (%d recovered), %d scrub passes, %d copies repaired, %d sectors retired\n",
 			st.Faults.ReadRetries, st.Faults.RetriedOK, st.Faults.Scrubs, st.Faults.Repaired, st.Faults.Retired)
 		fmt.Printf("write path: %d retries, %d remaps, %d hung ops, error budget %d\n",

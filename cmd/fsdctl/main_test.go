@@ -491,7 +491,7 @@ func TestStatsCommand(t *testing.T) {
 	for _, want := range []string{`"Alloc":`, `"ExtendsInPlace":`, `"ReadAheadUsed":`, `"ReadAheadWasted":`, `"Promotions":`,
 		`"scan_arm_sim_ns":`, `"scan_pool_sim_ns":`, `"scan_hidden_sim_ns":`, `"sweep_stale_leaves":`,
 		`"Seek":`, `"Rotation":`, `"Transfer":`,
-		`"Forces":`, `"HomeFlushes":`, `"TornRecords":`, `"SectorsRead":`} {
+		`"Forces":`, `"HomeFlushes":`, `"LogTornRecords":`, `"SectorsRead":`} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Fatalf("stats -json missing %s:\n%s", want, out)
 		}

@@ -17,9 +17,9 @@ type mountOptions struct {
 	onVolume     func(v *Volume) // a test's way in: called with the volume as soon as it exists
 }
 
-// ReadOnly mounts the volume in the degraded read-only mode: the log is
-// replayed entirely in memory, mutations fail with ErrReadOnly, and nothing
-// is written anywhere — the platters stay exactly as found.
+// ReadOnly mounts the volume in the degraded read-only mode: after a crash
+// the log is replayed entirely in memory, mutations fail with ErrReadOnly,
+// and nothing is written anywhere — the platters stay exactly as found.
 func ReadOnly() MountOption {
 	return func(o *mountOptions) { o.readOnly = true }
 }
@@ -44,8 +44,9 @@ type MountReport struct {
 }
 
 // Mount attaches to a previously formatted volume. With no options it is
-// the normal writable mount: the log is replayed, the allocation map
-// loaded or reconstructed, and the volume root stamped in-use. Options
+// the normal writable mount: the volume root is stamped in-use, and after a
+// crash the log is replayed and the allocation map reconstructed, after a
+// clean shutdown the saved map loaded. Options
 // select the degraded modes (ReadOnly, AllowSalvage); see MountReport for
 // what the mount did. Behavioural Config fields (commit interval, cache
 // size, mount workers) apply; layout fields come from the volume root page.

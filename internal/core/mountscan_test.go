@@ -168,7 +168,7 @@ func TestMountScanDecodesBehindTheArm(t *testing.T) {
 		if diff := ms.ScanHidden - min(ms.ScanArm, pool); diff > longest || diff < -longest {
 			t.Fatalf("workers=%d: %v hidden; arm %v, pool %v: want the smaller give or take one chunk (%v)", workers, ms.ScanHidden, ms.ScanArm, pool, longest)
 		}
-		if rc := v.Stats().Recovery; rc.ScanArm != ms.ScanArm || rc.ScanCPU != ms.ScanCPU || rc.ScanHidden != ms.ScanHidden || rc.SweepStaleLeaves != ms.SweepStaleLeaves {
+		if rc := v.Stats().Recovery; rc != ms.MountStats {
 			t.Fatalf("workers=%d: Stats().Recovery does not carry the scan's timelines: %+v vs %+v", workers, rc, ms.MountStats)
 		}
 	}
@@ -220,7 +220,7 @@ func TestReplayRunsUnderTheDecode(t *testing.T) {
 		if ms.ReplayHidden < ms.ReplayElapsed*8/10 || ms.SweepRedecoded == 0 {
 			t.Fatalf("workers=%d: %v of a %v replay hidden, %d pages decoded again: %+v", workers, ms.ReplayHidden, ms.ReplayElapsed, ms.SweepRedecoded, ms.MountStats)
 		}
-		if rc := mv.Stats().Recovery; rc.ReplayHidden != ms.ReplayHidden || rc.SweepRedecoded != ms.SweepRedecoded || rc.SweepLate != ms.SweepLate {
+		if rc := mv.Stats().Recovery; rc != ms.MountStats {
 			t.Fatalf("workers=%d: Stats().Recovery does not carry the replay's overlap: %+v vs %+v", workers, rc, ms.MountStats)
 		}
 	}
@@ -291,7 +291,7 @@ func TestMountRebuildIdenticalAcrossWidths(t *testing.T) {
 				cs.check(t, ms, v.nt.AllocatedPages())
 			}
 			gotMap, gotCached, gotList := vamBitmap(v.vm), cachedPages(v), listing(t, v)
-			owners, _, err := v.mountScan(true, v.nt.AllocatedPages(), nil)
+			owners, _, err := v.mountScan(v.nt.AllocatedPages(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -522,7 +522,7 @@ func TestMountScanAllocsBounded(t *testing.T) {
 		}
 		pages := v.nt.AllocatedPages()
 		got := allocgate.BytesPerRun(3, func() {
-			if _, _, err := v.mountScan(true, v.nt.AllocatedPages(), nil); err != nil {
+			if _, _, err := v.mountScan(v.nt.AllocatedPages(), nil); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -68,7 +68,7 @@ func chainWalkRebuild(t *testing.T, v *Volume) ([]byte, map[int]uint64) {
 // and holds its output to the chain-walk reference.
 func checkRebuildMatchesChainWalk(t *testing.T, v *Volume) {
 	t.Helper()
-	owners, _, err := v.mountScan(true, v.nt.AllocatedPages(), nil)
+	owners, _, err := v.mountScan(v.nt.AllocatedPages(), nil)
 	if err != nil {
 		t.Fatalf("mountScan: %v", err)
 	}
@@ -290,7 +290,7 @@ func TestSweepRebuildMatchesChainWalk(t *testing.T) {
 				cs.check(t, ms, v2.nt.AllocatedPages())
 			}
 			mounted, list := vamBitmap(v2.vm), listing(t, v2)
-			owners, _, err := v2.mountScan(true, v2.nt.AllocatedPages(), nil)
+			owners, _, err := v2.mountScan(v2.nt.AllocatedPages(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -633,12 +633,12 @@ func TestNTSweepReadCounts(t *testing.T) {
 	// The whole crash mount: root, log replay, and the rebuild. The replay's
 	// share is its sector count at worst (it reads whole records).
 	mountReads := d.Stats().Sub(before).Reads
-	if limit := 2*runs(allocated) + 8 + v2.Stats().Recovery.SectorsRead; mountReads > limit {
+	if limit := 2*runs(allocated) + 8 + v2.Stats().Recovery.LogSectorsRead; mountReads > limit {
 		t.Fatalf("crash mount of a %d-page table issued %d reads, want at most %d", allocated, mountReads, limit)
 	}
 	// The rebuild phase on its own, cache and all.
 	before = d.Stats()
-	if _, _, err := v2.mountScan(true, v2.nt.AllocatedPages(), nil); err != nil {
+	if _, _, err := v2.mountScan(v2.nt.AllocatedPages(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, limit := d.Stats().Sub(before).Reads, 2*runs(allocated)+8; got > limit {

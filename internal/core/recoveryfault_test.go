@@ -44,17 +44,11 @@ func TestRecoveryStatsSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := v.Stats().Recovery
-	if !rs.Ran || rs.CleanShutdown {
-		t.Fatalf("Recovery = %+v, want Ran && !CleanShutdown after a crash", rs)
-	}
-	if rs.Records == 0 || rs.Images == 0 {
-		t.Fatalf("replay did nothing: %+v (mount %+v)", rs, ms.MountStats)
-	}
-	if rs.Records != ms.LogRecords || rs.Images != ms.LogImagesApplied {
+	if rs != ms.MountStats {
 		t.Fatalf("Stats().Recovery %+v disagrees with MountStats %+v", rs, ms.MountStats)
 	}
-	if rs.Elapsed <= 0 {
-		t.Fatalf("recovery elapsed not recorded: %+v", rs)
+	if rs.CleanShutdown || rs.LogRecords == 0 || rs.LogImagesApplied == 0 || rs.ReplayElapsed <= 0 {
+		t.Fatalf("replay after a crash did nothing: %+v", rs)
 	}
 	found := false
 	for _, ev := range v.TraceEvents() {
@@ -70,14 +64,13 @@ func TestRecoveryStatsSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v2, _, err := Mount(d, testConfig())
+	v2, ms2, err := Mount(d, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v2.Crash()
-	rs2 := v2.Stats().Recovery
-	if !rs2.Ran || !rs2.CleanShutdown {
-		t.Fatalf("Recovery after clean shutdown = %+v, want Ran && CleanShutdown", rs2)
+	if rs2 := v2.Stats().Recovery; rs2 != ms2.MountStats || !rs2.CleanShutdown {
+		t.Fatalf("Recovery after clean shutdown = %+v, want the mount's %+v, clean", rs2, ms2.MountStats)
 	}
 }
 

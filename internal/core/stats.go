@@ -92,22 +92,6 @@ type IntentStats struct {
 	ApplierBusy time.Duration
 }
 
-// RecoveryStats snapshots what the mount-time log replay had to absorb: the
-// wal.RecoveryStats counters (Elapsed is the replay's sim time) captured once
-// when the volume came up. Ran is false on volumes created by Format (nothing
-// to replay) and on read-only mounts that skipped the log entirely
-// (MountStats.LogUnavailable).
-type RecoveryStats struct {
-	Ran           bool
-	CleanShutdown bool
-	wal.RecoveryStats
-	// The mount's other phases on the sim clock — redo write-back of the
-	// replayed images and the VAM scan — and how the scan read the name
-	// table (MountStats' own).
-	RedoElapsed time.Duration
-	ScanElapsed time.Duration
-	ScanStats
-}
 type SpanStats struct {
 	Count   int64
 	Errors  int64
@@ -131,10 +115,10 @@ type Stats struct {
 	// the last downward transition (empty while healthy).
 	Health       Health
 	HealthReason string
-	// Recovery reports what the mount-time log replay did (torn records,
-	// discarded tails, gap breaks); zero with Ran false on freshly
-	// formatted volumes.
-	Recovery RecoveryStats
+	// Recovery is what the mount returned: the log replay (torn records,
+	// discarded tails, gap breaks), the redo and the scan. Zero on a volume
+	// Format or Salvage brought up.
+	Recovery MountStats
 	// Spans maps operation name ("open", "create", ...) to its span
 	// summary. Only operations invoked at least once appear.
 	Spans map[string]SpanStats

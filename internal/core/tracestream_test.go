@@ -102,10 +102,10 @@ func traceStream(t *testing.T, cfg Config) {
 	if len(rec) != 1 {
 		t.Fatalf("%d EvRecovery events in the ring after the crash mount, want 1", len(rec))
 	}
-	if e := rec[0]; e.Op != v2.Health().String() || !e.OK || e.A != int64(rs.Records) || e.B != int64(rs.Images) ||
-		e.C != int64(rs.TornRecords+rs.GapBreaks) || e.D != int64(rs.Elapsed) || rs.Records == 0 {
+	if e := rec[0]; e.Op != v2.Health().String() || !e.OK || e.A != int64(rs.LogRecords) || e.B != int64(rs.LogImagesApplied) ||
+		e.C != int64(rs.LogTornRecords+rs.LogGapBreaks) || e.D != int64(rs.ReplayElapsed) || rs.LogRecords == 0 {
 		t.Errorf("EvRecovery %+v; want op %q, records %d, images %d, torn+gaps %d, replay %v",
-			e, v2.Health(), rs.Records, rs.Images, rs.TornRecords+rs.GapBreaks, rs.Elapsed)
+			e, v2.Health(), rs.LogRecords, rs.LogImagesApplied, rs.LogTornRecords+rs.LogGapBreaks, rs.ReplayElapsed)
 	}
 }
 

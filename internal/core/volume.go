@@ -42,8 +42,9 @@ var (
 // MountStats reports what mounting had to do.
 type MountStats struct {
 	CleanShutdown bool
-	// ReadOnly marks a degraded read-only mount: the log was replayed in
-	// memory (or skipped, see LogUnavailable) and nothing was written.
+	// ReadOnly marks a degraded read-only mount: nothing was written, and
+	// after a crash the log was replayed in memory (or skipped, see
+	// LogUnavailable).
 	ReadOnly bool
 	// LogUnavailable is set by a read-only mount when the log could not be
 	// opened or replayed; the volume serves the last flushed home state.
@@ -58,6 +59,8 @@ type MountStats struct {
 	LogTornRecords   int
 	LogTailDiscarded int
 	LogGapBreaks     int
+	// LogSectorsRead is how many log sectors the replay asked the device for.
+	LogSectorsRead   int
 	VAMReconstructed bool
 	// VAMElapsed is the scan's own cost: what scanning the name table to
 	// rebuild the allocation map (the paper's ~20 s on a Dorado) added to
@@ -122,18 +125,7 @@ func (ms *MountStats) noteSweep(sw ntSweepStats) {
 func (ms *MountStats) noteReplay(rs wal.RecoveryStats) {
 	ms.LogRecords, ms.LogImagesApplied, ms.LogRepaired = rs.Records, rs.Images, rs.Repaired
 	ms.LogTornRecords, ms.LogTailDiscarded, ms.LogGapBreaks = rs.TornRecords, rs.TailDiscarded, rs.GapBreaks
-	ms.ReplayElapsed = rs.Elapsed
-}
-
-// replayed holds the newest image of every target a log replay returned, by
-// kind: last writer wins, so only each page's final image is used.
-type replayed struct {
-	nt      map[uint64][]byte
-	leaders map[int][]byte
-}
-
-func newReplayed() replayed {
-	return replayed{nt: make(map[uint64][]byte), leaders: make(map[int][]byte)}
+	ms.LogSectorsRead, ms.ReplayElapsed = rs.SectorsRead, rs.Elapsed
 }
 
 // OpStats counts logical file-system operations for the benchmark tables.
@@ -281,9 +273,9 @@ type Volume struct {
 	recovering atomic.Bool
 	ops        opCounters
 
-	// recovery snapshots what the mount-time replay had to absorb; filled
-	// once before the volume is returned, surfaced as Stats().Recovery.
-	recovery RecoveryStats
+	// recovery is what the mount returned, surfaced as Stats().Recovery;
+	// zero on a volume Format or Salvage brought up.
+	recovery MountStats
 
 	// obs holds the tracing ring and the histograms behind Stats();
 	// always non-nil (newVolume), so hot paths skip nil checks.
@@ -611,11 +603,12 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 	return v, nil
 }
 
-// mountWritable attaches to a previously formatted volume read-write,
-// replaying the log and reconstructing the allocation map as needed.
-// Behavioural Config fields (commit interval, cache size, mount workers)
-// apply; layout fields come from the volume root page. This is the default
-// path of Mount.
+// mountWritable attaches to a previously formatted volume read-write: after a
+// crash it replays the log under the name-table scan that rebuilds the
+// allocation map (replayScan); after a clean shutdown it replays nothing and
+// loads the saved map (mountClean). Behavioural Config fields (commit
+// interval, cache size, mount workers) apply; layout fields come from the
+// volume root page. This is the default path of Mount.
 func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStats, error) {
 	var ms MountStats
 	start := d.Clock().Now()
@@ -625,8 +618,7 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	}
 	lay := root.layout
 	v.recovering.Store(true)
-	wasClean := root.clean
-	ms.CleanShutdown = wasClean
+	ms.CleanShutdown = root.clean
 
 	// From this moment the volume is in use: a crash must recover.
 	root.clean = false
@@ -642,56 +634,28 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 		return nil, ms, err
 	}
 
-	// Replay — without resetting the log. The reset (CompleteRecovery) is
-	// deferred until every replayed image is durably home: the whole
-	// sequence from here to the barrier below is pure redo, so a second
-	// crash anywhere inside it leaves the log intact and the next mount
-	// replays the very same images over whatever subset already landed.
-	//
-	// Allocation map: after a crash, reconstruct it from the name table
-	// (~20 s on a full 300 MB volume, per the paper); after a clean
-	// shutdown, load the saved copy. Only the crash is known before the
-	// replay to need the scan, so only it runs the replay under the scan's
-	// decode (replayScan); a clean mount learns from the replay whether to
-	// scan at all — a leader image to check, or a map that would not load —
-	// and then scans the replayed table as it stands (DESIGN §8).
-	imgs, rs, leaderOwners, err := v.replayScan(v.log, !wasClean, &ms)
+	// A crash mount replays — without resetting the log. The reset
+	// (CompleteRecovery) is deferred until every replayed image is durably
+	// home: the whole sequence from here to the barrier below is pure redo,
+	// so a second crash anywhere inside it leaves the log intact and the
+	// next mount replays the very same images over whatever subset already
+	// landed. Its leader redo writes the images replayScan returns.
+	var leaders []wal.PageImage
+	if ms.CleanShutdown {
+		err = v.mountClean(&ms)
+	} else {
+		leaders, err = v.replayScan(v.log, &ms)
+	}
 	if err != nil {
 		return nil, ms, err
-	}
-	ms.VAMReconstructed = !wasClean
-	if wasClean {
-		v.vm, err = vam.Load(d, lay.vamBase, lay.total)
-		ms.VAMReconstructed = err != nil
-		if ms.VAMReconstructed || len(imgs.leaders) > 0 {
-			scanStart := v.clk.Now()
-			var sw ntSweepStats
-			leaderOwners, sw, err = v.mountScan(ms.VAMReconstructed, v.nt.AllocatedPages(), nil)
-			ms.noteSweep(sw)
-			if err != nil {
-				return nil, ms, err
-			}
-			ms.VAMElapsed = v.clk.Now() - scanStart
-		}
 	}
 	if err := vam.InvalidateWith(v.writeSectors, lay.vamBase); err != nil {
 		return nil, ms, err
 	}
-
-	// Apply surviving leader images whose file still owns the sector:
-	// validated against the post-replay name table, so a leader image of a
-	// since-deleted file can never stomp a reallocated page.
 	redoStart := v.clk.Now()
-	for _, addr := range sortedKeys(imgs.leaders) {
-		img := imgs.leaders[addr]
-		uid, ok := leaderUID(img)
-		if !ok {
-			continue
-		}
-		if owner, present := leaderOwners[addr]; present && owner == uid {
-			if err := v.writeSectors(addr, img); err != nil {
-				return nil, ms, err
-			}
+	for _, im := range leaders {
+		if err := v.writeSectors(int(im.Target), im.Data); err != nil {
+			return nil, ms, err
 		}
 	}
 	ms.RedoElapsed += v.clk.Now() - redoStart
@@ -699,7 +663,8 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	// Point of no return: every replayed image (name-table pages, leaders)
 	// is written home — fence them, then reset the log. A crash before the
 	// reset replays the same log again idempotently; a crash after it finds
-	// the home state complete under an empty log.
+	// the home state complete under an empty log. A clean mount resets it
+	// too, so the records Shutdown left can never replay after a later crash.
 	if err := v.d.Sync(); err != nil {
 		return nil, ms, err
 	}
@@ -712,10 +677,33 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 		return nil, ms, err
 	}
 	ms.Elapsed = v.clk.Now() - start
-	v.noteRecovery(rs, ms)
+	v.noteRecovery(ms)
 	v.recovering.Store(false)
 	v.goLive()
 	return v, ms, nil
+}
+
+// mountClean is both mounts' order after a clean shutdown. Shutdown stamps
+// the root only after Checkpoint has put every logged image home, behind a
+// barrier (writeRoot), so the log holds nothing the home copies lack and
+// nothing is replayed: the tree opens on the home copies and the saved
+// allocation map loads. Only a map that will not load is rebuilt, by the
+// name-table scan.
+func (v *Volume) mountClean(ms *MountStats) error {
+	t, err := btree.Open(v.cache)
+	if err != nil {
+		return fmt.Errorf("core: name table unreadable: %w", err)
+	}
+	v.nt = t
+	if v.vm, err = vam.Load(v.d, v.lay.vamBase, v.lay.total); err == nil {
+		return nil
+	}
+	ms.VAMReconstructed = true
+	scanStart := v.clk.Now()
+	_, sw, err := v.mountScan(t.AllocatedPages(), nil)
+	ms.noteSweep(sw)
+	ms.VAMElapsed = v.clk.Now() - scanStart
+	return err
 }
 
 // homeTable opens the pre-replay tree to learn how many pages the home
@@ -763,19 +751,20 @@ func (m homeMeta) Read(id uint32) ([]byte, error) {
 }
 func (m homeMeta) Write(uint32, []byte) error { return ErrReadOnly }
 
-// replayScan is the crash mount's replay, and with scan set its name-table
-// scan too, in one pass (DESIGN §8, §17) — the one place a mount replays the
-// log. The pre-replay tree is opened only to learn how many pages the home
-// copies allocate (homeTable), without the cache. The sweep then
-// reads the whole chunks of that prefix, both copies, with the pool decoding
-// copy A behind the arm; after the last transfer, while the pool is still
-// decoding, the driver replays lg (nil: no log to replay) — on a writable
-// mount it then writes the replayed name-table images home (applyNTImages) —
-// publishes the replayed sectors as the overlay and opens the replayed tree.
-// Only then do the merges run, so they see post-replay pages: a swept page
-// the log covers is checked and decoded again from its overlaid image by the
-// pool, and the pages past the swept prefix are swept after the replay.
-// Without scan the replay, redo and tree open run alone.
+// replayScan is the crash mount's replay and its name-table scan, in one pass
+// (DESIGN §8, §17) — the one place a mount replays the log. The pre-replay
+// tree is opened only to learn how many pages the home copies allocate
+// (homeTable), without the cache. The sweep then reads the whole chunks of
+// that prefix, both copies, with the pool decoding copy A behind the arm;
+// after the last transfer, while the pool is still decoding, the driver
+// replays lg (nil: no log to replay) — on a writable mount it then writes the
+// replayed name-table images home (applyNTImages) — publishes the replayed
+// sectors as the overlay and opens the replayed tree. Only then do the merges
+// run, so they see post-replay pages: a swept page the log covers is checked
+// and decoded again from its overlaid image by the pool, and the pages past
+// the swept prefix are swept after the replay. The scan rebuilds the
+// allocation map; replayScan returns the replayed leader images whose file
+// still owns the sector (ownedLeaders).
 //
 // Nothing is written before the replay completes but the root stamp, and the
 // redo is written before anything the mount writes after the scan, so a
@@ -784,51 +773,45 @@ func (m homeMeta) Write(uint32, []byte) error { return ErrReadOnly }
 // replay leaves it serving the home state (LogUnavailable). A writable
 // mount's redo puts the overlay's images home, so the overlay goes once the
 // scan is done.
-func (v *Volume) replayScan(lg *wal.Log, scan bool, ms *MountStats) (replayed, wal.RecoveryStats, map[int]uint64, error) {
-	imgs := newReplayed()
-	var rs wal.RecoveryStats
-	home, meta := 0, []byte(nil)
-	if scan {
-		home, meta = v.homeTable()
-	}
+func (v *Volume) replayScan(lg *wal.Log, ms *MountStats) ([]wal.PageImage, error) {
+	var ims []wal.PageImage
+	home, meta := v.homeTable()
 	replay := func() (int, error) {
 		if lg == nil {
 			ms.LogUnavailable = true
 		} else {
+			var rs wal.RecoveryStats
 			var err error
-			rs, err = lg.Replay(func(kind uint8, target uint64, data []byte) error {
-				cp := make([]byte, len(data))
-				copy(cp, data)
-				switch kind {
-				case wal.KindNameTable:
-					imgs.nt[target] = cp
-				case wal.KindLeader:
-					imgs.leaders[int(target)] = cp
-				}
-				return nil
-			})
+			ims, rs, err = lg.Replay()
 			switch {
 			case err != nil && !v.readOnly:
 				return 0, err
 			case err != nil:
 				ms.LogUnavailable = true
-				imgs, rs = newReplayed(), wal.RecoveryStats{}
+				ims = nil
 			default:
 				ms.noteReplay(rs)
 			}
 		}
+		var nt []ntImage
+		overlay := make(map[uint64][]byte)
+		for _, im := range ims {
+			if im.Kind == wal.KindNameTable {
+				nt = append(nt, ntImage{first: im.Target, data: im.Data})
+				overlay[im.Target] = im.Data
+			}
+		}
 		if !v.readOnly {
-			// Images are buffered last-writer-wins and only the final image
-			// of each page touches the disk, in ascending address order — a
-			// short sequential sweep over the hot name-table pages rather
-			// than a write per logged image.
+			// Only the final image of each page touches the disk, in
+			// ascending address order — a short sequential sweep over the
+			// hot name-table pages rather than a write per logged image.
 			redoStart := v.clk.Now()
-			if err := v.applyNTImages(imgs.nt); err != nil {
+			if err := v.applyNTImages(nt); err != nil {
 				return 0, err
 			}
 			ms.RedoElapsed = v.clk.Now() - redoStart
 		}
-		v.setOverlay(imgs.nt)
+		v.setOverlay(overlay)
 		// The copies of the meta page differ only where the log holds the
 		// newer sectors, so the home page read before the replay with the
 		// overlay laid on is the replayed page, without reading it again.
@@ -842,46 +825,49 @@ func (v *Volume) replayScan(lg *wal.Log, scan bool, ms *MountStats) (replayed, w
 		v.nt = t
 		return t.AllocatedPages(), nil
 	}
-	var owners map[int]uint64
-	if !scan {
-		if _, err := replay(); err != nil {
-			return imgs, rs, nil, err
-		}
-	} else {
-		scanStart := v.clk.Now()
-		var sw ntSweepStats
-		var err error
-		owners, sw, err = v.mountScan(true, home, replay)
-		ms.noteSweep(sw)
-		if err != nil {
-			return imgs, rs, nil, err
-		}
-		// The scan's own cost: its window less what the replay added to it.
-		ms.VAMElapsed = v.clk.Now() - scanStart - sw.Then + sw.ThenHidden
+	scanStart := v.clk.Now()
+	owners, sw, err := v.mountScan(home, replay)
+	ms.noteSweep(sw)
+	if err != nil {
+		return nil, err
 	}
+	ms.VAMReconstructed = true
+	// The scan's own cost: its window less what the replay added to it.
+	ms.VAMElapsed = v.clk.Now() - scanStart - sw.Then + sw.ThenHidden
 	if !v.readOnly {
 		v.setOverlay(nil)
 	}
-	return imgs, rs, owners, nil
+	return ownedLeaders(ims, owners), nil
 }
 
-// noteRecovery snapshots the replay outcome for Stats().Recovery and emits
-// the EvRecovery trace event (recorded into the ring even while tracing is
-// disabled, so post-mount inspection sees what recovery did).
-func (v *Volume) noteRecovery(rs wal.RecoveryStats, ms MountStats) {
-	v.recovery = RecoveryStats{
-		Ran:           true,
-		CleanShutdown: ms.CleanShutdown,
-		RecoveryStats: rs,
-		RedoElapsed:   ms.RedoElapsed,
-		ScanElapsed:   ms.VAMElapsed,
-		ScanStats:     ms.ScanStats,
+// ownedLeaders picks out of the replayed images ims the leader images whose
+// file still owns the sector by the post-replay name table (owners, from the
+// scan), in ascending address order: a leader image of a since-deleted file
+// can never stomp a reallocated page.
+func ownedLeaders(ims []wal.PageImage, owners map[int]uint64) []wal.PageImage {
+	var out []wal.PageImage
+	for _, im := range ims {
+		if im.Kind != wal.KindLeader {
+			continue
+		}
+		uid, ok := leaderUID(im.Data)
+		if owner, present := owners[int(im.Target)]; ok && present && owner == uid {
+			out = append(out, im)
+		}
 	}
+	return out
+}
+
+// noteRecovery keeps what the mount did for Stats().Recovery and emits the
+// EvRecovery trace event (recorded into the ring even while tracing is
+// disabled, so post-mount inspection sees what recovery did).
+func (v *Volume) noteRecovery(ms MountStats) {
+	v.recovery = ms
 	v.obs.tracer.Record(obs.Event{
 		Time: v.clk.Now(), Kind: obs.EvRecovery, Op: v.Health().String(),
 		OK: v.Health() < HealthReadOnly,
-		A:  int64(rs.Records), B: int64(rs.Images),
-		C: int64(rs.TornRecords + rs.GapBreaks), D: int64(rs.Elapsed),
+		A:  int64(ms.LogRecords), B: int64(ms.LogImagesApplied),
+		C: int64(ms.LogTornRecords + ms.LogGapBreaks), D: int64(ms.ReplayElapsed),
 	})
 }
 
@@ -906,27 +892,11 @@ func (v *Volume) finishMount() {
 	}
 }
 
-// sortedKeys lists m's keys in ascending order. Home writes driven from a
-// map go out in address order through it, not in Go's randomized map order,
-// so the same run costs the same simulated time every time.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// applyNTImages writes the surviving name-table sector images home through
-// writeNTHome, the steady-state flushes' sweep. The whole pass is pure redo:
-// a crash anywhere in it leaves the log intact and the next mount writes the
-// same images over whatever subset landed.
-func (v *Volume) applyNTImages(ntImages map[uint64][]byte) error {
-	imgs := make([]ntImage, 0, len(ntImages))
-	for _, tgt := range sortedKeys(ntImages) {
-		imgs = append(imgs, ntImage{first: tgt, data: ntImages[tgt]})
-	}
+// applyNTImages writes the surviving name-table sector images, in ascending
+// target order, home through writeNTHome, the steady-state flushes' sweep.
+// The whole pass is pure redo: a crash anywhere in it leaves the log intact
+// and the next mount writes the same images over whatever subset landed.
+func (v *Volume) applyNTImages(imgs []ntImage) error {
 	v.cache.mu.Lock()
 	defer v.cache.mu.Unlock()
 	_, _, err := v.cache.writeNTHome(imgs)
@@ -949,7 +919,7 @@ type leaderRef struct {
 // decodeLeaf fills res from the entries of one leaf page and returns the
 // decode's modelled processor cost, for the caller to charge where it runs.
 // It touches nothing but the page and res.
-func decodeLeaf(page []byte, withRuns bool, res *scanResult) time.Duration {
+func decodeLeaf(page []byte, res *scanResult) time.Duration {
 	entries := 0
 	*res = scanResult{decoded: true}
 	_ = btree.LeafEntries(page, func(k, val []byte) bool { // page is leaf-kind: no error to have
@@ -965,16 +935,14 @@ func decodeLeaf(page []byte, withRuns bool, res *scanResult) time.Duration {
 		if len(e.Runs) > 0 {
 			res.leaders = append(res.leaders, leaderRef{int(e.Runs[0].Start), e.UID})
 		}
-		if withRuns {
-			res.runs = append(res.runs, e.Runs...)
-		}
+		res.runs = append(res.runs, e.Runs...)
 		return true
 	})
 	return time.Duration(entries) * sim.CostBTreeOp / 4
 }
 
-// mountScan reads the whole name table once, optionally rebuilding the VAM,
-// and always returning the leader-sector ownership map. "Since the file name
+// mountScan reads the whole name table once, rebuilding the VAM and
+// returning the leader-sector ownership map. "Since the file name
 // table is a compact structure with a great deal of locality, it can be
 // processed quickly" — provided it is read the way it is laid out. Following
 // the leaf chain through the page cache reads copy A and then copy B of one
@@ -992,8 +960,8 @@ func decodeLeaf(page []byte, withRuns bool, res *scanResult) time.Duration {
 // returns the replayed table's end. The rest — the home table's last part
 // chunk and what the replay allocated — is swept after it on the same chunk
 // grid, so the transfers are the ones a sweep of the replayed table makes.
-// With then nil (a clean mount whose replay is done), home is the table's
-// end and the whole of it is swept.
+// With then nil (a clean mount whose saved map will not load, mountClean),
+// home is the table's end and the whole of it is swept.
 //
 // What the speculation may not do is decide anything. Once both copies are
 // in, the leaves the chain reaches are picked out in memory by following
@@ -1004,10 +972,8 @@ func decodeLeaf(page []byte, withRuns bool, res *scanResult) time.Duration {
 // whichever copy the per-page path served, on the foreground's clock. The
 // rebuilt state is the same at every width. Swept pages enter the page cache
 // as the misses they replace would have.
-func (v *Volume) mountScan(rebuildVAM bool, home int, then func() (int, error)) (map[int]uint64, ntSweepStats, error) {
-	if rebuildVAM {
-		v.vm = v.lay.emptyVAM()
-	}
+func (v *Volume) mountScan(home int, then func() (int, error)) (map[int]uint64, ntSweepStats, error) {
+	v.vm = v.lay.emptyVAM()
 	first := home
 	if then != nil {
 		first = home / ntSweepPages * ntSweepPages
@@ -1042,7 +1008,7 @@ func (v *Volume) mountScan(rebuildVAM bool, home int, then func() (int, error)) 
 	sw, err := v.sweepNT(0, first, v.twoCopies(), v.cfg.mountWorkers(), nil, step,
 		func(w *parscan.Worker, id uint32, page []byte) {
 			if btree.IsLeaf(page) {
-				w.Charge(decodeLeaf(page, rebuildVAM, part(id)))
+				w.Charge(decodeLeaf(page, part(id)))
 			} else {
 				*part(id) = scanResult{}
 			}
@@ -1091,7 +1057,7 @@ func (v *Volume) mountScan(rebuildVAM bool, home int, then func() (int, error)) 
 		if res.decoded {
 			stale--
 		} else {
-			v.cpu.Charge(decodeLeaf(pages[id], rebuildVAM, res))
+			v.cpu.Charge(decodeLeaf(pages[id], res))
 		}
 		for _, l := range res.leaders {
 			owners[l.addr] = l.uid

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/sim"
+	"repro/internal/wal"
 )
 
 // testConfig is sized for the 19 MB SmallGeometry test volume.
@@ -460,6 +461,62 @@ func TestCleanShutdownMountLoadsVAM(t *testing.T) {
 		got, err := f.ReadAll()
 		if err != nil || !bytes.Equal(got, payload(300, byte(i))) {
 			t.Fatalf("f%d corrupted: %v", i, err)
+		}
+	}
+}
+
+// TestCleanMountReplaysNothing: Shutdown stamps the root clean only after
+// its checkpoint has put every logged image home, so a clean mount, read-only
+// or writable, replays, redoes and sweeps nothing and writes no name-table
+// page and no leader — though the log still holds committed records, leader
+// images among them, as it does here.
+func TestCleanMountReplaysNothing(t *testing.T) {
+	v, d, _ := newTestVolume(t)
+	const files = 600
+	for i := 0; i < files; i++ {
+		if _, err := v.Create(fmt.Sprintf("e%03d", i), nil); err != nil { // empty: a leader logged, none written home
+			t.Fatal(err)
+		}
+	}
+	if err := v.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := wal.Inspect(d, v.lay.logBase, v.lay.logSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaders := 0
+	for _, r := range info.Records {
+		for _, ref := range r.Targets {
+			if ref.Kind == wal.KindLeader {
+				leaders++
+			}
+		}
+	}
+	if leaders == 0 {
+		t.Fatalf("the shut-down log holds %d records and no leader image", len(info.Records))
+	}
+	// Read-only first: it writes nothing, so the writable mount after it
+	// finds the same log.
+	for _, opts := range [][]MountOption{{ReadOnly()}, nil} {
+		mv, ms, err := Mount(d, testConfig(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ms.CleanShutdown || ms.LogRecords != 0 || ms.RedoElapsed != 0 || ms.SweepPages != 0 || ms.VAMReconstructed {
+			t.Fatalf("read-only=%v clean mount: %d records, redo %v, %d pages swept, map rebuilt %v",
+				ms.ReadOnly, ms.LogRecords, ms.RedoElapsed, ms.SweepPages, ms.VAMReconstructed)
+		}
+		for _, r := range mv.Stats().DiskRegions {
+			if r.Write.Ops > 0 && (ms.ReadOnly || r.Region != "log" && r.Region != "vam+root") {
+				t.Errorf("read-only=%v clean mount wrote %d sectors to %s", ms.ReadOnly, r.Write.Sectors, r.Region)
+			}
+		}
+		if _, err := mv.Open(fmt.Sprintf("e%03d", files-1), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := mv.Shutdown(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -205,15 +205,29 @@ func wlPayload(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// buildWorkload runs the scripted op sequence against a write-back disk and
-// returns the frozen base image, the journal trace, the final open epoch,
-// the oracle plan, and how many third crossings the log made.
-func buildWorkload(seed int64, nops int, async bool, logSectors int) (*disk.Disk, []disk.JournaledWrite, int, []fileExp, int, error) {
+// workload is what a scripted run leaves for the explorer: the frozen base
+// image, the journal trace, the final open epoch, the oracle plan, and how
+// many third crossings the log made. A run that ends in Shutdown also names
+// the epoch open when Shutdown began (shutdownFrom) and the one holding its
+// clean root stamp (stamp); both are 0 for a run that ends in a crash.
+type workload struct {
+	base                *disk.Disk
+	trace               []disk.JournaledWrite
+	epochs              int
+	plan                []fileExp
+	crossings           int
+	shutdownFrom, stamp int
+}
+
+// buildWorkload runs the scripted op sequence against a write-back disk. Its
+// last step is a crash, or with shutdown set a Shutdown, whose return
+// acknowledges every operation.
+func buildWorkload(seed int64, nops int, async bool, logSectors int, shutdown bool) (*workload, error) {
 	rng := rand.New(rand.NewSource(seed))
 	clk := sim.NewVirtualClock()
 	d, err := disk.New(disk.SmallGeometry, disk.DefaultParams, clk)
 	if err != nil {
-		return nil, nil, 0, nil, 0, err
+		return nil, err
 	}
 	cfg := explorerConfig(async)
 	if logSectors > 0 {
@@ -222,7 +236,7 @@ func buildWorkload(seed int64, nops int, async bool, logSectors int) (*disk.Disk
 	}
 	v, err := core.Format(d, cfg)
 	if err != nil {
-		return nil, nil, 0, nil, 0, err
+		return nil, err
 	}
 	// Freeze the platter at the freshly formatted state; everything the
 	// workload writes stays in the window.
@@ -230,6 +244,18 @@ func buildWorkload(seed int64, nops int, async bool, logSectors int) (*disk.Disk
 
 	var plan []fileExp
 	var live []int // indices into plan of not-yet-deleted files
+	// ackAll acknowledges, from the open epoch on, every operation so far.
+	ackAll := func() {
+		ack := d.SyncedEpoch()
+		for k := range plan {
+			if plan[k].deleted && plan[k].deleteAck == 0 {
+				plan[k].deleteAck = ack
+			}
+			if plan[k].createAck == 0 {
+				plan[k].createAck = ack
+			}
+		}
+	}
 	for i := 0; i < nops; i++ {
 		// One long stretch goes uncommitted, and its creates are empty
 		// files: each stages a distinct leader image (staging dedups
@@ -243,7 +269,7 @@ func buildWorkload(seed int64, nops int, async bool, logSectors int) (*disk.Disk
 			pi := live[j]
 			live = append(live[:j], live[j+1:]...)
 			if err := v.Delete(plan[pi].name, 1); err != nil {
-				return nil, nil, 0, nil, 0, fmt.Errorf("workload delete %s: %w", plan[pi].name, err)
+				return nil, fmt.Errorf("workload delete %s: %w", plan[pi].name, err)
 			}
 			plan[pi].deleted = true
 		} else {
@@ -255,7 +281,7 @@ func buildWorkload(seed int64, nops int, async bool, logSectors int) (*disk.Disk
 				data = wlPayload(rng, 200+rng.Intn(3300))
 			}
 			if _, err := v.Create(name, data); err != nil {
-				return nil, nil, 0, nil, 0, fmt.Errorf("workload create %s: %w", name, err)
+				return nil, fmt.Errorf("workload create %s: %w", name, err)
 			}
 			plan = append(plan, fileExp{name: name, data: data})
 			live = append(live, len(plan)-1)
@@ -265,36 +291,38 @@ func buildWorkload(seed int64, nops int, async bool, logSectors int) (*disk.Disk
 		// journal — is a deterministic function of the seed (see
 		// Config.Async; TestAsyncTraceDeterministic fails without it).
 		if err := v.DrainIntents(); err != nil {
-			return nil, nil, 0, nil, 0, fmt.Errorf("workload drain: %w", err)
+			return nil, fmt.Errorf("workload drain: %w", err)
 		}
 		// Acknowledge every few ops, but leave an unacknowledged tail so
 		// the may-exist arm of the oracle is exercised too.
 		if i%4 == 3 && i < nops-6 && !longStretch {
 			if err := v.WaitCommitted(v.CommitSeq()); err != nil {
-				return nil, nil, 0, nil, 0, fmt.Errorf("workload commit: %w", err)
+				return nil, fmt.Errorf("workload commit: %w", err)
 			}
-			ack := d.SyncedEpoch()
-			for k := range plan {
-				if plan[k].deleted && plan[k].deleteAck == 0 {
-					plan[k].deleteAck = ack
-				}
-				if plan[k].createAck == 0 {
-					plan[k].createAck = ack
-				}
-			}
+			ackAll()
 		}
 	}
-	trace := d.Trace()
-	epochs := d.SyncedEpoch()
-	crossings := v.Stats().Commit.ThirdCrossings
+	w := &workload{base: d, plan: plan, crossings: v.Stats().Commit.ThirdCrossings}
+	if shutdown {
+		w.shutdownFrom = d.SyncedEpoch()
+		if err := v.Shutdown(); err != nil {
+			return nil, fmt.Errorf("workload shutdown: %w", err)
+		}
+		// The stamp is the root pair between writeRoot's two barriers.
+		w.stamp = d.SyncedEpoch() - 1
+		ackAll()
+	}
+	w.trace, w.epochs = d.Trace(), d.SyncedEpoch()
 	// Crash (not Halt directly): it also closes the intent queue so no
 	// applier goroutine outlives the frozen base image.
 	v.Crash()
-	return d, trace, epochs, plan, crossings, nil
+	return w, nil
 }
 
 type stateResult struct {
 	mountFail  bool
+	clean      bool // the mount found the root stamped clean
+	records    int  // log records it replayed
 	violations []Violation
 	mediaLoss  int
 	recovery   time.Duration
@@ -339,7 +367,7 @@ func runState(base *disk.Disk, trace []disk.JournaledWrite, byEpoch [][]int,
 	// Whichever way the state ends, its volume goes: an async one's applier
 	// would otherwise outlive the state, holding the volume and its disk.
 	defer v.Crash()
-	res.recovery = ms.Elapsed
+	res.recovery, res.clean, res.records = ms.Elapsed, ms.CleanShutdown, ms.LogRecords
 	res.torn = ms.LogTornRecords
 	res.tail = ms.LogTailDiscarded
 	res.gaps = ms.LogGapBreaks
@@ -435,10 +463,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	wallStart := time.Now()
-	base, trace, epochs, plan, crossings, err := buildWorkload(cfg.Seed, cfg.Ops, cfg.Async, cfg.LogSectors)
+	w, err := buildWorkload(cfg.Seed, cfg.Ops, cfg.Async, cfg.LogSectors, false)
 	if err != nil {
 		return nil, err
 	}
+	base, trace, epochs, plan := w.base, w.trace, w.epochs, w.plan
 	states := Enumerate(trace, epochs, cfg.Seed)
 	res := &Result{
 		Seed:         cfg.Seed,
@@ -447,7 +476,7 @@ func Run(cfg Config) (*Result, error) {
 		TracedWrites: len(trace),
 		StatesTotal:  len(states),
 
-		ThirdCrossings: crossings,
+		ThirdCrossings: w.crossings,
 	}
 	for i := range plan {
 		acked := plan[i].createAck > 0 && !plan[i].deleted ||

@@ -156,6 +156,55 @@ func TestSmallLogSample(t *testing.T) {
 	}
 }
 
+// TestShutdownCrashStates crashes a run whose last step is Shutdown in every
+// state the explorer enumerates from the epoch Shutdown began on: inside the
+// checkpoint's home sweeps, the allocation map's save and the clean stamp. A
+// cut before the stamp's epoch mounts unclean and replays the log; a cut
+// after it mounts clean and replays nothing, and so does a cut inside it
+// whose landed root copy reads clean. Every state mounts and holds the
+// durability oracle, which takes Shutdown's return as acknowledging every
+// operation.
+func TestShutdownCrashStates(t *testing.T) {
+	const seed = 1
+	for _, async := range []bool{false, true} {
+		w, err := buildWorkload(seed, 120, async, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byEpoch := groupByEpoch(w.trace, w.epochs)
+		states, clean, replayed := 0, 0, 0
+		for _, st := range Enumerate(w.trace, w.epochs, seed) {
+			if st.Cut < w.shutdownFrom {
+				continue
+			}
+			states++
+			sr := runState(w.base, w.trace, byEpoch, st, w.plan, seed, 0, 0, async)
+			for _, v := range sr.violations {
+				t.Errorf("async=%v: %s [%s]", async, v.Desc, v.State)
+			}
+			switch {
+			case sr.mountFail:
+			case st.Cut < w.stamp && sr.clean, st.Cut > w.stamp && !sr.clean:
+				t.Errorf("async=%v: %s mounted clean=%v; the stamp is epoch %d", async, st, sr.clean, w.stamp)
+			case sr.clean && sr.records != 0:
+				t.Errorf("async=%v: %s mounted clean and replayed %d records", async, st, sr.records)
+			case !sr.clean && sr.records == 0:
+				t.Errorf("async=%v: %s mounted unclean and replayed nothing", async, st)
+			case sr.clean:
+				clean++
+			default:
+				replayed++
+			}
+		}
+		t.Logf("async=%v: %d states over epochs %d-%d (stamp %d): %d mounted clean, %d replayed",
+			async, states, w.shutdownFrom, w.epochs, w.stamp, clean, replayed)
+		if w.stamp-w.shutdownFrom < 3 || clean == 0 || replayed == 0 {
+			t.Fatalf("async=%v: Shutdown spans epochs %d-%d, stamp %d; %d states mounted clean, %d replayed",
+				async, w.shutdownFrom, w.epochs, w.stamp, clean, replayed)
+		}
+	}
+}
+
 // TestAsyncRunLeavesNoGoroutine: every recovered volume of an async run is
 // crashed when its state is done, so its applier goroutine does not outlive
 // the run, nor keep the volume and its disk alive.
@@ -183,14 +232,15 @@ func TestAsyncRunLeavesNoGoroutine(t *testing.T) {
 // drain hides nothing from the oracle that it could otherwise see — the
 // explorer's forces sit between operations either way.
 func TestAsyncTraceDeterministic(t *testing.T) {
-	_, ta, ea, _, _, err := buildWorkload(11, 60, true, 0)
+	wa, err := buildWorkload(11, 60, true, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tb, eb, _, _, err := buildWorkload(11, 60, true, 0)
+	wb, err := buildWorkload(11, 60, true, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ta, ea, tb, eb := wa.trace, wa.epochs, wb.trace, wb.epochs
 	if ea != eb || len(ta) != len(tb) {
 		t.Fatalf("async trace shape differs: %d/%d epochs, %d/%d writes", ea, eb, len(ta), len(tb))
 	}
@@ -216,12 +266,12 @@ func bytesEqual(a, b []byte) bool {
 // TestEnumerationDeterministic: same (trace, seed) must yield the identical
 // state list — IDs are stable, so (seed, state-id) reproduces an image.
 func TestEnumerationDeterministic(t *testing.T) {
-	_, trace, epochs, _, _, err := buildWorkload(7, 60, false, 0)
+	w, err := buildWorkload(7, 60, false, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Enumerate(trace, epochs, 7)
-	b := Enumerate(trace, epochs, 7)
+	a := Enumerate(w.trace, w.epochs, 7)
+	b := Enumerate(w.trace, w.epochs, 7)
 	if len(a) != len(b) {
 		t.Fatalf("enumeration size differs: %d vs %d", len(a), len(b))
 	}

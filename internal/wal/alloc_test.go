@@ -102,7 +102,7 @@ func TestStagedImagesSurviveReuse(t *testing.T) {
 	}
 	_, ap, _ := reopen(t, d, clk, Config{})
 	for target, fill := range want {
-		got := ap.last[imageKey{KindNameTable, target}]
+		got := ap[imageKey{KindNameTable, target}]
 		if !bytes.Equal(got, bytes.Repeat([]byte{fill}, disk.SectorSize)) {
 			t.Errorf("target %d replays as fill %d, want %d", target, got[0], fill)
 		}

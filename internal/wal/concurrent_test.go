@@ -95,7 +95,7 @@ func TestConcurrentAppendersAcrossThirds(t *testing.T) {
 	// maintained.
 	_, c, _ := reopen(t, d, clk, Config{Interval: time.Millisecond})
 	for tgt, data := range want {
-		got, ok := c.last[imageKey{KindNameTable, tgt}]
+		got, ok := c[imageKey{KindNameTable, tgt}]
 		where := "log"
 		if !ok {
 			got, ok = home[tgt]

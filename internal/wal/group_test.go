@@ -34,7 +34,7 @@ func replayed(t *testing.T, l *Log, targets ...uint64) map[uint64]bool {
 	_, c, _ := reopen(t, l.d, l.clk, l.cfg)
 	got := make(map[uint64]bool)
 	for _, tg := range targets {
-		if _, ok := c.last[imageKey{KindNameTable, tg}]; ok {
+		if _, ok := c[imageKey{KindNameTable, tg}]; ok {
 			got[tg] = true
 		}
 	}

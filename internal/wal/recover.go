@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -12,9 +13,12 @@ import (
 
 // Open attaches to an existing log region for recovery and subsequent use.
 // It reads the anchor (either copy) to learn the boot count and the division
-// count Format recorded (cfg.Thirds is not read); it does not replay anything
-// — call Replay for that, which every mount should do (replaying a cleanly
-// shut-down log is a no-op), and CompleteRecovery once the images are home.
+// count Format recorded (cfg.Thirds is not read); it does not replay anything.
+// After a crash, call Replay and, once the images are home, CompleteRecovery.
+// After a clean shutdown there is nothing to replay: the volume's clean stamp
+// is written only after a Checkpoint has put every logged image home, so the
+// records hold nothing the home copies lack. A writable mount still calls
+// CompleteRecovery, so those records can never replay after a later crash.
 func Open(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, error) {
 	l := &Log{d: d, base: base, size: size, clk: clk, cfg: cfg}
 	a, err := l.readAnchor()
@@ -49,16 +53,14 @@ type RecoveryStats struct {
 	SectorsRead int // sectors replay asked the device for
 }
 
-// Applier receives each replayed page image in log order; applying the
-// images in order reproduces the newest logged state of every page.
-type Applier func(kind uint8, target uint64, data []byte) error
-
-// Replay replays the log through apply without resetting it: no sector is
-// written, and the log remains exactly as the crash left it, so replay can
-// run again after a second crash and reproduce the same images. Writable
-// mounts call it, write every replayed image home, issue a disk barrier,
-// and only then call CompleteRecovery; a read-only mount calls it alone.
-func (l *Log) Replay(apply Applier) (RecoveryStats, error) {
+// Replay reads the log without resetting it and returns the newest image of
+// every (kind, target) its complete batches hold, sorted by kind and then
+// target. No sector is written, and the log remains exactly as the crash left
+// it, so replay can run again after a second crash and return the same
+// images. Writable mounts call it, write every returned image home, issue a
+// disk barrier, and only then call CompleteRecovery; a read-only mount calls
+// it alone.
+func (l *Log) Replay() ([]PageImage, RecoveryStats, error) {
 	// Replay owns the write path (forceMu) — nothing may force while the
 	// log is being read. Recovery runs before the volume admits
 	// operations, so there are no concurrent stagers either.
@@ -70,8 +72,9 @@ func (l *Log) Replay(apply Applier) (RecoveryStats, error) {
 	// A force that splits into several records is applied all-or-nothing:
 	// images wait here until the record carrying the end-of-batch flag
 	// validates, and an incomplete tail batch at the crash point is dropped.
+	// A later batch's image of a target replaces an earlier one's.
 	var batch []PageImage
-	var applyErr error
+	newest := make(map[imageKey][]byte)
 	a, why, err := l.walk(r, math.MaxUint64, func(rec *record) bool {
 		if !rec.complete() {
 			return false
@@ -88,20 +91,15 @@ func (l *Log) Replay(apply Applier) (RecoveryStats, error) {
 		rs.Records++
 		if rec.h.endOfBatch {
 			for _, im := range batch {
-				if applyErr = apply(im.Kind, im.Target, im.Data); applyErr != nil {
-					return false
-				}
-				rs.Images++
+				newest[imageKey{im.Kind, im.Target}] = im.Data
 			}
+			rs.Images += len(batch)
 			batch = batch[:0]
 		}
 		return true
 	})
-	if err == nil {
-		err = applyErr
-	}
 	if err != nil {
-		return rs, err
+		return nil, rs, err
 	}
 	switch {
 	case why == stopGap && rs.Records > 0:
@@ -113,7 +111,14 @@ func (l *Log) Replay(apply Applier) (RecoveryStats, error) {
 	rs.SectorsRead = r.sectors
 	l.bootCount = a.bootCount
 	rs.Elapsed = l.clk.Now() - start
-	return rs, nil
+	out := make([]PageImage, 0, len(newest))
+	for k, data := range newest {
+		out = append(out, PageImage{Kind: k.kind, Target: k.target, Data: data})
+	}
+	slices.SortFunc(out, func(a, b PageImage) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Target, b.Target))
+	})
+	return out, rs, nil
 }
 
 // CompleteRecovery restarts the log empty under a new boot count, so stale

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/crc32"
 	"slices"
@@ -114,12 +115,39 @@ func editArea(area, edits []byte) {
 	}
 }
 
+// completeBatches is what Replay must make of the records info lists: each
+// (kind, target) their complete batches log, once, sorted by kind and then
+// target; how many images those batches hold; and how many the unterminated
+// tail holds.
+func completeBatches(info LogInfo) (refs []ImageRef, images, tail int) {
+	var pending []ImageRef
+	for _, r := range info.Records {
+		pending = append(pending, r.Targets...)
+		if r.EndOfBatch {
+			refs, images, pending = append(refs, pending...), images+len(pending), nil
+		}
+	}
+	slices.SortFunc(refs, func(a, b ImageRef) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Target, b.Target))
+	})
+	return slices.Compact(refs), images, len(pending)
+}
+
+// refsOf names the images ims holds, in order.
+func refsOf(ims []PageImage) []ImageRef {
+	refs := make([]ImageRef, len(ims))
+	for i, im := range ims {
+		refs[i] = ImageRef{Kind: im.Kind, Target: im.Target}
+	}
+	return refs
+}
+
 // FuzzReplay: the log walk is total over whatever the record area holds —
 // torn writes, lost and stale records, garbage with valid checksums. Replay
-// never panics; it applies the images of complete, end-flagged batches and
-// nothing else, in log order, and discards the images of an unterminated
-// tail; and Inspect, the read-only walk, lists exactly the records Replay
-// walked. The area is a real log of several multi-record batches (replaySeed)
+// never panics; it returns one image of each target the complete,
+// end-flagged batches log and nothing else, and discards the images of an
+// unterminated tail; and Inspect, the read-only walk, lists exactly the
+// records Replay walked. The area is a real log of several multi-record batches (replaySeed)
 // under the fuzzer's edits (editArea; testdata/fuzz holds a torn tail, a lost
 // record, a stale record and a flipped image byte); with the bool set,
 // restampRecords repairs the checksums and twins after the edits, so the
@@ -142,16 +170,14 @@ func FuzzReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var applied []ImageRef
-		rs, err := l.Replay(func(kind uint8, target uint64, data []byte) error {
-			if len(data) != disk.SectorSize {
-				t.Fatalf("replay applied a %d-byte image", len(data))
-			}
-			applied = append(applied, ImageRef{Kind: kind, Target: target})
-			return nil
-		})
+		ims, rs, err := l.Replay()
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, im := range ims {
+			if len(im.Data) != disk.SectorSize {
+				t.Fatalf("replay returned a %d-byte image", len(im.Data))
+			}
 		}
 		info, err := Inspect(d, logBase, fuzzLogSize)
 		if err != nil {
@@ -160,16 +186,10 @@ func FuzzReplay(f *testing.F) {
 		if len(info.Records) != rs.Records {
 			t.Fatalf("Inspect lists %d records, replay walked %d", len(info.Records), rs.Records)
 		}
-		var want, tail []ImageRef
-		for _, r := range info.Records {
-			tail = append(tail, r.Targets...)
-			if r.EndOfBatch {
-				want, tail = append(want, tail...), nil
-			}
-		}
-		if !slices.Equal(applied, want) || rs.Images != len(want) || rs.TailDiscarded != len(tail) {
-			t.Fatalf("replay applied %d images (%d counted, %d discarded); the complete batches Inspect lists hold %d, the tail %d",
-				len(applied), rs.Images, rs.TailDiscarded, len(want), len(tail))
+		want, images, tail := completeBatches(info)
+		if got := refsOf(ims); !slices.Equal(got, want) || rs.Images != images || rs.TailDiscarded != tail {
+			t.Fatalf("replay returned %d targets (%d images counted, %d discarded); the complete batches Inspect lists log %d targets in %d images, the tail %d",
+				len(got), rs.Images, rs.TailDiscarded, len(want), images, tail)
 		}
 	})
 }

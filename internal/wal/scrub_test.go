@@ -49,8 +49,8 @@ func TestScrubCopiesRepairsDecayedTwins(t *testing.T) {
 	if rs.Records != 3 || rs.Repaired != 0 {
 		t.Fatalf("recovery after scrub: %+v", rs)
 	}
-	if len(c.last) != 6 {
-		t.Fatalf("replayed %d images, want 6", len(c.last))
+	if len(c) != 6 {
+		t.Fatalf("replayed %d images, want 6", len(c))
 	}
 }
 

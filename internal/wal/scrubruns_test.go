@@ -99,8 +99,8 @@ func TestScrubCopiesReadsInRuns(t *testing.T) {
 	if st := audit(); st.Repaired != 0 {
 		t.Fatalf("second audit repaired %d", st.Repaired)
 	}
-	if _, c, rs := reopen(t, d, d.Clock(), Config{Interval: 1}); rs.Records != records || rs.Repaired != 0 || len(c.last) != records*images {
-		t.Fatalf("recovery after the audit: %+v, %d images", rs, len(c.last))
+	if _, c, rs := reopen(t, d, d.Clock(), Config{Interval: 1}); rs.Records != records || rs.Repaired != 0 || len(c) != records*images {
+		t.Fatalf("recovery after the audit: %+v, %d images", rs, len(c))
 	}
 }
 

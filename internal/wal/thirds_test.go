@@ -109,14 +109,14 @@ func TestCrossingMidBatchHandsHomeCommittedImage(t *testing.T) {
 	d.SetWriteFault(nil)
 	d.Revive()
 	_, c, _ := reopen(t, d, clk, Config{})
-	got := c.last[imageKey{KindNameTable, 1}]
+	got := c[imageKey{KindNameTable, 1}]
 	if got == nil {
 		got = home.pages[imageKey{KindNameTable, 1}]
 	}
 	if want := bytes.Repeat([]byte{0xA1}, disk.SectorSize); !bytes.Equal(got, want) {
 		t.Fatalf("target 1 recovers as %x…, want its committed image a1…", got[:min(len(got), 4)])
 	}
-	if _, ok := c.last[imageKey{KindNameTable, 1000}]; ok {
+	if _, ok := c[imageKey{KindNameTable, 1000}]; ok {
 		t.Fatal("the uncommitted batch replayed")
 	}
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"testing"
 	"time"
 
@@ -36,8 +37,7 @@ func TestAlternativeDivisionCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newCollect()
-		rs, err := recoverLog(lr, c.apply)
+		c, rs, err := recoverLog(lr)
 		if err != nil {
 			t.Fatalf("thirds=%d recover: %v", k, err)
 		}
@@ -45,7 +45,7 @@ func TestAlternativeDivisionCounts(t *testing.T) {
 			t.Fatalf("thirds=%d: nothing recovered", k)
 		}
 		last := imageKey{KindNameTable, uint64((8*k-1)*100 + 19)}
-		if c.last[last] == nil {
+		if c[last] == nil {
 			t.Fatalf("thirds=%d: newest record lost", k)
 		}
 	}
@@ -75,7 +75,7 @@ func TestRecordExactlyFillsThird(t *testing.T) {
 	if rs.Records != len(sizes) {
 		t.Fatalf("recovered %d records, want %d", rs.Records, len(sizes))
 	}
-	if c.last[imageKey{KindLeader, uint64(id)}] == nil {
+	if c[imageKey{KindLeader, uint64(id)}] == nil {
 		t.Fatal("final image lost across the third boundary")
 	}
 }
@@ -132,14 +132,11 @@ func TestCrashBetweenFlushAndAnchor(t *testing.T) {
 	for k, v := range flushed {
 		recon[k] = v
 	}
-	if _, err := recoverLog(lr, func(kind uint8, target uint64, data []byte) error {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		recon[imageKey{kind, target}] = cp
-		return nil
-	}); err != nil {
+	replayed, _, err := recoverLog(lr)
+	if err != nil {
 		t.Fatal(err)
 	}
+	maps.Copy(recon, replayed)
 	for i := 1; i <= 80; i++ { // the four committed forces
 		k := imageKey{KindNameTable, uint64(i)}
 		if recon[k] == nil {
@@ -171,8 +168,8 @@ func TestBatchBiggerThanThird(t *testing.T) {
 		t.Fatalf("records = %d, want 3", st.Records)
 	}
 	_, c, _ := reopen(t, d, clk, Config{})
-	if len(c.last) != 3*MaxImagesPerRecord {
-		t.Fatalf("recovered %d images", len(c.last))
+	if len(c) != 3*MaxImagesPerRecord {
+		t.Fatalf("recovered %d images", len(c))
 	}
 }
 
@@ -216,7 +213,7 @@ func TestHeaderCopyMirageAtThirdBoundary(t *testing.T) {
 	if rs.Repaired != 0 {
 		t.Fatalf("%d spurious copy repairs on an undamaged log (mirage accepted)", rs.Repaired)
 	}
-	if c.last[imageKey{KindLeader, uint64(id)}] == nil {
+	if c[imageKey{KindLeader, uint64(id)}] == nil {
 		t.Fatal("newest record lost to the boundary mirage")
 	}
 }
@@ -278,11 +275,11 @@ func TestTornMultiRecordBatchDiscarded(t *testing.T) {
 	}
 	d.Revive()
 	_, c, rs := reopen(t, d, clk, Config{})
-	if c.last[imageKey{KindNameTable, 1}] == nil {
+	if c[imageKey{KindNameTable, 1}] == nil {
 		t.Fatal("committed record lost")
 	}
 	for j := 0; j < 45; j++ {
-		if c.last[imageKey{KindNameTable, uint64(100 + j)}] != nil {
+		if c[imageKey{KindNameTable, uint64(100 + j)}] != nil {
 			t.Fatalf("image %d of the torn batch was applied (batch atomicity violated)", j)
 		}
 	}
@@ -317,10 +314,10 @@ func TestGapBreakCounted(t *testing.T) {
 	if rs.GapBreaks != 1 {
 		t.Fatalf("GapBreaks = %d, want 1", rs.GapBreaks)
 	}
-	if c.last[imageKey{KindNameTable, 0}] == nil {
+	if c[imageKey{KindNameTable, 0}] == nil {
 		t.Fatal("record before the gap lost")
 	}
-	if c.last[imageKey{KindNameTable, 2}] != nil {
+	if c[imageKey{KindNameTable, 2}] != nil {
 		t.Fatal("record beyond the gap must not replay")
 	}
 }
@@ -351,11 +348,11 @@ func tornAnchorEpisode(t *testing.T, target int) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	c1 := newCollect()
-	if _, err := recoverLog(lr, c1.apply); !errors.Is(err, disk.ErrHalted) {
+	c1, _, err := recoverLog(lr)
+	if !errors.Is(err, disk.ErrHalted) {
 		t.Fatalf("recovery with torn anchor write: %v, want ErrHalted", err)
 	}
-	if c1.last[imageKey{KindLeader, 5}] == nil {
+	if c1[imageKey{KindLeader, 5}] == nil {
 		t.Fatal("replay before the anchor tear lost the record")
 	}
 	d.Revive()
@@ -374,7 +371,7 @@ func tornAnchorEpisode(t *testing.T, target int) {
 		if rs.Records != 1 {
 			t.Fatalf("records after torn primary = %d, want 1 (old anchor pair)", rs.Records)
 		}
-		got := c2.last[imageKey{KindLeader, 5}]
+		got := c2[imageKey{KindLeader, 5}]
 		if got == nil || got[0] != 0x55 {
 			t.Fatal("record lost after torn primary anchor write")
 		}
@@ -391,7 +388,7 @@ func tornAnchorEpisode(t *testing.T, target int) {
 		t.Fatalf("force after healed anchor: %v", err)
 	}
 	_, c3, rs3 := reopen(t, d, clk, Config{})
-	if rs3.Records != 1 || c3.last[imageKey{KindLeader, 6}] == nil {
+	if rs3.Records != 1 || c3[imageKey{KindLeader, 6}] == nil {
 		t.Fatalf("log unusable after anchor tear: %+v", rs3)
 	}
 }

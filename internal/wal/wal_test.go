@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 	"testing/quick"
 	"time"
@@ -39,45 +40,31 @@ func img(kind uint8, target uint64, fill byte) PageImage {
 	return PageImage{Kind: kind, Target: target, Data: data}
 }
 
-// collectApplier records replayed images, last-writer-wins per target.
-type collectApplier struct {
-	last  map[imageKey][]byte
-	order []imageKey
-}
-
-func newCollect() *collectApplier { return &collectApplier{last: map[imageKey][]byte{}} }
-
-func (c *collectApplier) apply(kind uint8, target uint64, data []byte) error {
-	k := imageKey{kind, target}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.last[k] = cp
-	c.order = append(c.order, k)
-	return nil
-}
-
-// recoverLog replays l through apply and then resets it, as a writable mount
-// does once the replayed images are home.
-func recoverLog(l *Log, apply Applier) (RecoveryStats, error) {
-	rs, err := l.Replay(apply)
+// recoverLog replays l and then resets it, as a writable mount does once the
+// replayed images are home, and returns the replayed images by target.
+func recoverLog(l *Log) (map[imageKey][]byte, RecoveryStats, error) {
+	ims, rs, err := l.Replay()
 	if err != nil {
-		return rs, err
+		return nil, rs, err
 	}
-	return rs, l.CompleteRecovery()
+	got := make(map[imageKey][]byte, len(ims))
+	for _, im := range ims {
+		got[imageKey{im.Kind, im.Target}] = im.Data
+	}
+	return got, rs, l.CompleteRecovery()
 }
 
-func reopen(t *testing.T, d *disk.Disk, clk sim.Clock, cfg Config) (*Log, *collectApplier, RecoveryStats) {
+func reopen(t *testing.T, d *disk.Disk, clk sim.Clock, cfg Config) (*Log, map[imageKey][]byte, RecoveryStats) {
 	t.Helper()
 	l, err := Open(d, logBase, logSize, clk, cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	c := newCollect()
-	rs, err := recoverLog(l, c.apply)
+	got, rs, err := recoverLog(l)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	return l, c, rs
+	return l, got, rs
 }
 
 func TestFormatTooSmall(t *testing.T) {
@@ -91,7 +78,7 @@ func TestFormatTooSmall(t *testing.T) {
 func TestEmptyLogRecoversNothing(t *testing.T) {
 	_, d, clk := newTestLog(t, Config{Interval: time.Second})
 	_, c, rs := reopen(t, d, clk, Config{})
-	if rs.Records != 0 || len(c.last) != 0 {
+	if rs.Records != 0 || len(c) != 0 {
 		t.Fatalf("empty log replayed %d records", rs.Records)
 	}
 }
@@ -112,7 +99,7 @@ func TestForceAndRecoverSingleImage(t *testing.T) {
 	if rs.Records != 1 || rs.Images != 1 {
 		t.Fatalf("recovery: %+v", rs)
 	}
-	got := c.last[imageKey{KindLeader, 42}]
+	got := c[imageKey{KindLeader, 42}]
 	if got == nil || got[0] != 0xAA {
 		t.Fatal("image not recovered")
 	}
@@ -157,8 +144,8 @@ func TestOversizedBatchSplitsIntoRecords(t *testing.T) {
 		t.Fatalf("records = %d, want 2", st.Records)
 	}
 	_, c, rs := reopen(t, d, clk, Config{})
-	if rs.Records != 2 || len(c.last) != MaxImagesPerRecord+5 {
-		t.Fatalf("recovery: %+v, images %d", rs, len(c.last))
+	if rs.Records != 2 || len(c) != MaxImagesPerRecord+5 {
+		t.Fatalf("recovery: %+v, images %d", rs, len(c))
 	}
 }
 
@@ -296,7 +283,7 @@ func TestRecoveryAfterWrapSeesRecentRecords(t *testing.T) {
 	}
 	// The newest record's images must be present.
 	k := imageKey{KindNameTable, uint64(59*10 + 9)}
-	if got := c.last[k]; got == nil || got[0] != 59 {
+	if got := c[k]; got == nil || got[0] != 59 {
 		t.Fatal("newest record's images missing after wrapped recovery")
 	}
 }
@@ -318,10 +305,10 @@ func TestTornRecordDiscarded(t *testing.T) {
 	if rs.Records != 1 {
 		t.Fatalf("recovered %d records, want 1 (torn one discarded)", rs.Records)
 	}
-	if c.last[imageKey{KindLeader, 1}] == nil {
+	if c[imageKey{KindLeader, 1}] == nil {
 		t.Fatal("intact record lost")
 	}
-	if c.last[imageKey{KindLeader, 2}] != nil {
+	if c[imageKey{KindLeader, 2}] != nil {
 		t.Fatal("torn record replayed")
 	}
 	if rs.TornRecords != 1 {
@@ -345,7 +332,7 @@ func TestDamagedImageRepairedFromCopy(t *testing.T) {
 	if rs.Records != 1 || rs.Repaired == 0 {
 		t.Fatalf("recovery: %+v, want repair from copy", rs)
 	}
-	got := c.last[imageKey{KindLeader, 9}]
+	got := c[imageKey{KindLeader, 9}]
 	if got == nil || got[0] != 0x77 {
 		t.Fatal("image not repaired from copy")
 	}
@@ -390,8 +377,7 @@ func TestDeadLogSectorChargedOnce(t *testing.T) {
 			reads[a]++
 		}
 	})
-	c := newCollect()
-	rs, err := lr.Replay(c.apply)
+	ims, rs, err := lr.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,12 +394,12 @@ func TestDeadLogSectorChargedOnce(t *testing.T) {
 			t.Fatalf("sector %d read %d times, want %d (dead sector %d)", a, k, want, dead)
 		}
 	}
-	if rs.Records != 1 || rs.Images != len(imgs) || rs.Repaired != 1 {
-		t.Fatalf("replay: %+v, want 1 record, %d images, 1 repaired", rs, len(imgs))
+	if rs.Records != 1 || rs.Images != len(imgs) || len(ims) != len(imgs) || rs.Repaired != 1 {
+		t.Fatalf("replay: %+v and %d images returned, want 1 record, %d images, 1 repaired", rs, len(ims), len(imgs))
 	}
 	for i, im := range imgs {
-		if got := c.last[imageKey{KindNameTable, uint64(i)}]; !bytes.Equal(got, im.Data) {
-			t.Fatalf("image %d not applied intact", i)
+		if got := ims[i]; got.Target != im.Target || !bytes.Equal(got.Data, im.Data) {
+			t.Fatalf("image %d not returned intact", i)
 		}
 	}
 }
@@ -429,7 +415,7 @@ func TestDamagedHeaderRepairedFromCopy(t *testing.T) {
 	if rs.Records != 1 {
 		t.Fatalf("recovery after header damage: %+v", rs)
 	}
-	if c.last[imageKey{KindLeader, 9}] == nil {
+	if c[imageKey{KindLeader, 9}] == nil {
 		t.Fatal("record lost to single header damage")
 	}
 }
@@ -440,7 +426,7 @@ func TestAnchorCopyUsedWhenPrimaryDamaged(t *testing.T) {
 	l.Force()
 	d.CorruptSectors(logBase+0, 1)
 	_, c, _ := reopen(t, d, clk, Config{})
-	if c.last[imageKey{KindLeader, 3}] == nil {
+	if c[imageKey{KindLeader, 3}] == nil {
 		t.Fatal("recovery failed with damaged primary anchor")
 	}
 }
@@ -469,10 +455,10 @@ func TestLogResetAfterRecovery(t *testing.T) {
 	if rs.Records != 1 {
 		t.Fatalf("recovered %d records, want only the post-reset one", rs.Records)
 	}
-	if c.last[imageKey{KindLeader, 1}] != nil {
+	if c[imageKey{KindLeader, 1}] != nil {
 		t.Fatal("pre-reset record replayed after reset")
 	}
-	if c.last[imageKey{KindLeader, 2}] == nil {
+	if c[imageKey{KindLeader, 2}] == nil {
 		t.Fatal("post-reset record missing")
 	}
 }
@@ -484,7 +470,7 @@ func TestUnforcedAppendLostAtCrash(t *testing.T) {
 	d.Halt()
 	d.Revive()
 	_, c, _ := reopen(t, d, clk, Config{})
-	if c.last[imageKey{KindLeader, 5}] != nil {
+	if c[imageKey{KindLeader, 5}] != nil {
 		t.Fatal("unforced append survived crash")
 	}
 }
@@ -501,7 +487,7 @@ func TestReplayOrderIsLogOrder(t *testing.T) {
 	if rs.Records != 2 {
 		t.Fatalf("records = %d", rs.Records)
 	}
-	if got := c.last[imageKey{KindNameTable, 1}]; got[0] != 0x02 {
+	if got := c[imageKey{KindNameTable, 1}]; got[0] != 0x02 {
 		t.Fatalf("final value %x, want 02", got[0])
 	}
 }
@@ -571,14 +557,11 @@ func TestQuickRecoveryMatchesLastCommitted(t *testing.T) {
 		for k, v := range home {
 			recon[k] = v
 		}
-		if _, err := recoverLog(lr, func(kind uint8, target uint64, data []byte) error {
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			recon[imageKey{kind, target}] = cp
-			return nil
-		}); err != nil {
+		replayed, _, err := recoverLog(lr)
+		if err != nil {
 			return false
 		}
+		maps.Copy(recon, replayed)
 		for k, v := range committed {
 			if got := recon[k]; got == nil || !bytes.Equal(got, v) {
 				return false

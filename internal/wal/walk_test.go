@@ -3,6 +3,7 @@ package wal
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 // record 1 dead and both copies of record 2's image lost, replay applies
 // record 1 — reading past the dead sector and taking its twin — and stops;
 // Inspect, which shares replay's walk and reader, lists exactly the records
-// replay applied, image for image.
+// replay walked, and their images are the ones it returns.
 func TestInspectStopsWhereReplayStops(t *testing.T) {
 	l, d, clk := newTestLog(t, Config{Interval: time.Second})
 	var first []PageImage
@@ -44,27 +45,15 @@ func TestInspectStopsWhereReplayStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCollect()
-	rs, err := lr.Replay(c.apply)
+	ims, rs, err := lr.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Records != 1 || rs.Repaired != 1 || len(info.Records) != rs.Records {
-		t.Fatalf("Inspect lists %d records, replay applied %d with %d repaired (want 1 each)", len(info.Records), rs.Records, rs.Repaired)
+		t.Fatalf("Inspect lists %d records, replay walked %d with %d repaired (want 1 each)", len(info.Records), rs.Records, rs.Repaired)
 	}
-	var listed []imageKey
-	for _, r := range info.Records {
-		for _, ref := range r.Targets {
-			listed = append(listed, imageKey{ref.Kind, ref.Target})
-		}
-	}
-	if len(listed) != len(c.order) {
-		t.Fatalf("Inspect lists images %v, replay applied %v", listed, c.order)
-	}
-	for i := range listed {
-		if listed[i] != c.order[i] {
-			t.Fatalf("Inspect lists images %v, replay applied %v", listed, c.order)
-		}
+	if listed, _, _ := completeBatches(info); len(listed) != len(first) || !slices.Equal(listed, refsOf(ims)) {
+		t.Fatalf("Inspect lists images %v, replay returned %v", listed, refsOf(ims))
 	}
 }
 
@@ -93,7 +82,7 @@ func TestLogRecordsItsDivisions(t *testing.T) {
 		t.Fatalf("Inspect walks %d divisions of %d sectors, want 4 of 150", info.Thirds, info.ThirdLen)
 	}
 	_, c, rs := reopen(t, d, clk, Config{Thirds: 3})
-	if len(info.Records) != rs.Records || c.last[imageKey{KindNameTable, 399}] == nil {
+	if len(info.Records) != rs.Records || c[imageKey{KindNameTable, 399}] == nil {
 		t.Fatalf("replay under a three-division Config: %+v (Inspect lists %d records); newest image lost", rs, len(info.Records))
 	}
 

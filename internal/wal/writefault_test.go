@@ -39,7 +39,7 @@ func TestForceRetryAfterTransientWriteFault(t *testing.T) {
 	// The retried batch must replay on recovery.
 	_, c, _ := reopen(t, d, d.Clock(), Config{})
 	for target, fill := range map[uint64]byte{1: 0xAA, 2: 0xBB} {
-		got := c.last[imageKey{KindNameTable, target}]
+		got := c[imageKey{KindNameTable, target}]
 		if got == nil || !bytes.Equal(got, bytes.Repeat([]byte{fill}, disk.SectorSize)) {
 			t.Fatalf("image %d not recovered after retried force", target)
 		}
@@ -77,7 +77,7 @@ func TestForceRetryAfterMidBatchFailure(t *testing.T) {
 	}
 	_, c, _ := reopen(t, d, d.Clock(), Config{})
 	for i := 0; i < n; i++ {
-		got := c.last[imageKey{KindNameTable, uint64(i + 1)}]
+		got := c[imageKey{KindNameTable, uint64(i + 1)}]
 		if got == nil || got[0] != byte(i) {
 			t.Fatalf("image %d lost or stale after mid-batch retry", i+1)
 		}
@@ -111,7 +111,7 @@ func TestForceAbsorbsWriteFaults(t *testing.T) {
 	}
 	d.ClearFaults()
 	_, c, _ := reopen(t, d, d.Clock(), Config{})
-	if len(c.last) == 0 {
+	if len(c) == 0 {
 		t.Fatal("nothing recovered after faulted workload")
 	}
 }
