@@ -64,6 +64,9 @@ var archRules = []archRule{
 	{design: "§3.1", msg: "the wall-clock ticker resurfaced (drive group commit with MaybeForce/Tick on the virtual clock)",
 		use: `(^|\.)(RealClock|NewRealClock|RealTimeScale|startTicker|startScrubber|stopTicker)$`, in: everywhere, tests: true,
 		plant: [2]string{"internal/sim/plant.go", "package sim; type RealClock struct{}"}},
+	{design: "§3.5", msg: "a second deferred free resurfaced (hold a delete's pages in core's pendingFrees; the name table allocates by its high-water mark)",
+		use: `(^|\.)(ShadowFree|ShadowCount|FreeOnCommit|freePage|freeHead|kindFree)$`, in: everywhere, tests: true,
+		plant: [2]string{"internal/vam/plant.go", "package vam; func (v *VAM) ShadowFree(p, n int) {}"}},
 	{design: "§13", msg: "a Synchronous config field resurfaced (use a negative GroupCommitInterval)",
 		use: `(^|\.)Synchronous$`, in: everywhere, tests: true, plant: [2]string{"internal/core/plant.go", "package core; var _ = Config{Synchronous: true}"}},
 	{design: "§13", msg: "SetDetached outside the intent applier and Table 5 (measure on the clock instead)",

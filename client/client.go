@@ -128,7 +128,7 @@ func (c *Client) pick() *conn {
 const frameSlack = 64
 
 // maxData returns the largest payload one request frame may carry under
-// the configured frame limit. Sending a frame the server's ReadFrame
+// the configured frame limit. Sending a frame the server's frame reader
 // rejects would not fail one call — it would desync and drop the whole
 // session — so the client never builds one.
 func (c *Client) maxData() int {

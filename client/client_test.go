@@ -31,11 +31,11 @@ func TestCtxCancelKeepsConnection(t *testing.T) {
 	}
 	go func() {
 		for {
-			body, err := wire.ReadFrame(ss, 0)
+			f, err := wire.ReadFramePooled(ss, 0)
 			if err != nil {
 				return
 			}
-			q, err := wire.DecodeRequest(body)
+			q, err := wire.DecodeRequest(f.B)
 			if err != nil {
 				t.Error(err)
 				return

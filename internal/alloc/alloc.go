@@ -343,14 +343,6 @@ func (a *Allocator) FreeNow(runs []Run) {
 	a.release(runs)
 }
 
-// FreeOnCommit moves runs to the shadow bitmap; they become allocatable at
-// the next commit.
-func (a *Allocator) FreeOnCommit(runs []Run) {
-	for _, r := range runs {
-		a.v.ShadowFree(int(r.Start), int(r.Len))
-	}
-}
-
 // Pages sums the lengths of runs.
 func Pages(runs []Run) int {
 	n := 0

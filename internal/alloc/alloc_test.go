@@ -152,23 +152,6 @@ func TestAllocTooFragmentedForMaxRuns(t *testing.T) {
 	}
 }
 
-func TestFreeOnCommitLifecycle(t *testing.T) {
-	a, v := newTestAllocator(t, 1000)
-	runs, err := a.Alloc(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	free0 := v.FreeCount()
-	a.FreeOnCommit(runs)
-	if v.FreeCount() != free0 {
-		t.Fatal("FreeOnCommit freed immediately")
-	}
-	v.Commit()
-	if v.FreeCount() != free0+20 {
-		t.Fatalf("FreeCount after commit = %d, want %d", v.FreeCount(), free0+20)
-	}
-}
-
 func TestFreeNow(t *testing.T) {
 	a, v := newTestAllocator(t, 1000)
 	runs, _ := a.Alloc(20)
@@ -210,9 +193,8 @@ func TestSmallBigSeparationReducesFragmentation(t *testing.T) {
 	}
 	// Delete all big files.
 	for _, f := range bigs {
-		a.FreeOnCommit(f.runs)
+		a.FreeNow(f.runs)
 	}
-	v.Commit()
 	// The largest free run should be big-file sized, not shredded by
 	// small files.
 	if _, lr := v.FindRun(pages+1, 0, pages, 1); lr < 100 { // no fit: the largest run
@@ -278,16 +260,21 @@ func TestChurnSoak(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	type alloced struct{ runs []Run }
 	var live []alloced
+	var pending []Run // freed by a delete whose commit is still to come
+	commit := func() {
+		a.FreeNow(pending)
+		pending = nil
+	}
 	liveBytes := 0
 	for i := 0; i < 6000; i++ {
 		if len(live) > 0 && (rng.Intn(3) == 0 || liveBytes > pages*3/4) {
 			k := rng.Intn(len(live))
-			a.FreeOnCommit(live[k].runs)
+			pending = append(pending, live[k].runs...)
 			liveBytes -= Pages(live[k].runs)
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 			if i%7 == 0 {
-				v.Commit()
+				commit()
 			}
 			continue
 		}
@@ -314,7 +301,7 @@ func TestChurnSoak(t *testing.T) {
 	for _, l := range live {
 		a.FreeNow(l.runs)
 	}
-	v.Commit()
+	commit()
 	if v.FreeCount() != pages {
 		t.Fatalf("leak: %d free of %d after full teardown", v.FreeCount(), pages)
 	}

@@ -34,8 +34,10 @@ func TestExtend(t *testing.T) {
 		want:      []Run{{5074, 64}},
 		wantTable: []Run{{10, 1}, {5000, 64}, {5074, 64}},
 	}, {
+		// An uncommitted delete's pages stay allocated in the VAM until its
+		// commit lands.
 		name:      "blocked by a page freed by an uncommitted delete",
-		prepare:   func(a *Allocator) { a.v.MarkAllocated(5064, 1); a.FreeOnCommit([]Run{{5064, 1}}) },
+		prepare:   func(a *Allocator) { a.v.MarkAllocated(5064, 1) },
 		runs:      []Run{{10, 1}, {5000, 64}},
 		more:      64,
 		want:      []Run{{5065, 64}},

@@ -54,7 +54,7 @@ func TestSmallAllocFillsDownFromBoundary(t *testing.T) {
 // TestSmallAllocReusesHoleNearBoundary: of two freed holes, the next small
 // file takes the top of the one nearest the boundary.
 func TestSmallAllocReusesHoleNearBoundary(t *testing.T) {
-	a, v := newCentreAllocator(t, 10000)
+	a, _ := newCentreAllocator(t, 10000)
 	var files [][]Run
 	for i := 0; i < 20; i++ {
 		runs, err := a.Alloc(3)
@@ -66,9 +66,8 @@ func TestSmallAllocReusesHoleNearBoundary(t *testing.T) {
 	// Free the second file from the boundary and one far below it: the
 	// next small file goes into the hole nearest the metadata.
 	near, far := files[1], files[15]
-	a.FreeOnCommit(near)
-	a.FreeOnCommit(far)
-	v.Commit()
+	a.FreeNow(near)
+	a.FreeNow(far)
 	runs, err := a.Alloc(2)
 	if err != nil {
 		t.Fatal(err)
@@ -110,14 +109,16 @@ func TestSmallFirstFitOrigin(t *testing.T) {
 		b := a.Config().boundary()
 		rng := rand.New(rand.NewSource(3))
 		var live [][]Run
+		var pending []Run // freed by a delete whose commit is still to come
 		for i := 0; i < 3000; i++ {
 			if len(live) > 0 && rng.Intn(3) == 0 {
 				k := rng.Intn(len(live))
-				a.FreeOnCommit(live[k])
+				pending = append(pending, live[k]...)
 				live[k] = live[len(live)-1]
 				live = live[:len(live)-1]
 				if i%5 == 0 {
-					v.Commit()
+					a.FreeNow(pending)
+					pending = nil
 				}
 				continue
 			}

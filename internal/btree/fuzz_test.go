@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -54,6 +55,65 @@ func sampleLeaf(tb testing.TB) []byte {
 	}
 	tb.Fatal("no leaf written")
 	return nil
+}
+
+// FuzzOpen: Open is total over any meta page — it refuses it with
+// ErrCorrupt, or accepts a page the tree could have written: the kind, magic,
+// root, height and high-water mark read back through writeMeta as they were,
+// and the reserved word is zero. A tree it accepts over a real tree's pages
+// runs Check and a Get without a panic. The seeds are the real meta page, that
+// page with a live page id in its reserved word, and a zero page. `go test
+// -fuzz FuzzOpen ./internal/btree` explores.
+func FuzzOpen(f *testing.F) {
+	written := func() []byte {
+		p := metaFixture(f)
+		page, _ := p.Read(0)
+		return append([]byte(nil), page...)
+	}
+	f.Add(written())
+	named := written()
+	binary.BigEndian.PutUint32(named[offReserved:], 1)
+	f.Add(named)
+	f.Add(make([]byte, sharePageSize))
+	f.Fuzz(func(t *testing.T, meta []byte) {
+		p := metaFixture(t)
+		page := make([]byte, sharePageSize)
+		copy(page, meta)
+		if err := p.Write(0, page); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Open(p)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		if err := tr.writeMeta(); err != nil {
+			t.Fatal(err)
+		}
+		back, _ := p.Read(0)
+		if back[offKind] != page[offKind] || !bytes.Equal(back[offMagic:offReserved+4], page[offMagic:offReserved+4]) {
+			t.Fatalf("accepted meta page reads back as % x, was % x", back[:offReserved+4], page[:offReserved+4])
+		}
+		tr.Check()
+		tr.Get(shareKey(7))
+	})
+}
+
+// metaFixture returns the pages of a tree of a few leaves on 256-byte pages.
+func metaFixture(tb testing.TB) *MemPager {
+	p := NewMemPager(sharePageSize, 64)
+	tr, err := Create(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for k := 0; k < 40; k++ {
+		if err := tr.Put(shareKey(k), bytes.Repeat([]byte{byte(k)}, 20)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p
 }
 
 // FuzzTreeOps drives the tree through Put, Delete, Get and Scan on small

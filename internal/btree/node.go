@@ -8,7 +8,7 @@ import (
 
 // Page layout. All integers are big-endian.
 //
-//	0      kind (1 = leaf, 2 = internal, 3 = meta, 0 = free)
+//	0      kind (1 = leaf, 2 = internal, 3 = meta)
 //	1      unused
 //	2..3   nslots
 //	4..5   cellStart: lowest byte offset occupied by cell data
@@ -21,7 +21,6 @@ import (
 //	leaf cell:     klen u16 | vlen u16 | key | value
 //	internal cell: klen u16 | child u32 | key
 const (
-	kindFree     = 0
 	kindLeaf     = 1
 	kindInternal = 2
 	kindMeta     = 3

@@ -21,9 +21,9 @@ import (
 )
 
 // Pager provides a flat space of fixed-size pages addressed by index. Page 0
-// is reserved for the tree's meta page; the tree allocates the rest itself
-// via a free list threaded through the meta page, so page allocation is
-// captured by whatever mechanism the Pager uses to persist writes.
+// is reserved for the tree's meta page; the tree allocates the rest itself,
+// by a high-water mark kept in the meta page, so page allocation is captured
+// by whatever mechanism the Pager uses to persist writes.
 //
 // Buffer ownership — a read borrows, only a mutation copies:
 //

@@ -17,7 +17,10 @@ import (
 //	20..23  root page id
 //	24..27  height (1 = root is a leaf)
 //	28..31  nextFresh: first never-allocated page id
-//	32..35  freeHead: head of the free-page list (0 = empty)
+//	32..35  reserved, written as zero; Open refuses a page where they are not
+//
+// The tree frees no page (Delete leaves an emptied leaf in the chain), so
+// pages are allocated by the high-water mark nextFresh alone.
 const (
 	metaMagic = 0xCEDA12F5
 
@@ -25,18 +28,14 @@ const (
 	offRoot      = 20
 	offHeight    = 24
 	offNextFresh = 28
-	offFreeHead  = 32
-
-	// offFreeNext is where a free page stores the next free page id
-	// (bytes 4..7, clear of the reserved window).
-	offFreeNext = 4
+	offReserved  = 32
 )
 
 // Tree is a B+tree over a Pager. Keys and values are arbitrary byte strings;
 // keys are ordered lexicographically. The zero Tree is not usable; obtain
 // one from Create or Open.
 //
-// Concurrency: readers (Get, Has, Scan, Len, Check, LeafChain) take mu
+// Concurrency: readers (Get, Scan, Len, Check, LeafChain) take mu
 // for reading and may run in parallel; mutators (Put, Delete) take it
 // exclusively. The lock also covers the Pager calls the tree makes, so a
 // Pager shared only through its Tree needs no locking of its own.
@@ -47,7 +46,6 @@ type Tree struct {
 	root      uint32
 	height    uint32
 	nextFresh uint32
-	freeHead  uint32
 }
 
 // MaxCell returns the largest key+value payload a tree over pages of size ps
@@ -76,7 +74,8 @@ func Create(p Pager) (*Tree, error) {
 }
 
 // Open attaches to an existing tree. It fails with ErrCorrupt if the meta
-// page does not carry the expected magic — the cue for a scavenge.
+// page does not carry the expected magic or its fields are implausible —
+// the cue for a scavenge.
 func Open(p Pager) (*Tree, error) {
 	buf, err := p.Read(0)
 	if err != nil {
@@ -90,9 +89,9 @@ func Open(p Pager) (*Tree, error) {
 		root:      binary.BigEndian.Uint32(buf[offRoot:]),
 		height:    binary.BigEndian.Uint32(buf[offHeight:]),
 		nextFresh: binary.BigEndian.Uint32(buf[offNextFresh:]),
-		freeHead:  binary.BigEndian.Uint32(buf[offFreeHead:]),
 	}
-	if t.root == 0 || t.height == 0 || int(t.nextFresh) > p.NumPages() {
+	if t.root == 0 || t.height == 0 || int(t.nextFresh) > p.NumPages() ||
+		binary.BigEndian.Uint32(buf[offReserved:]) != 0 {
 		return nil, fmt.Errorf("%w: implausible meta page", ErrCorrupt)
 	}
 	return t, nil
@@ -108,8 +107,8 @@ func (t *Tree) Height() int {
 // Pager returns the underlying pager.
 func (t *Tree) Pager() Pager { return t.p }
 
-// AllocatedPages returns the number of pages ever allocated (a capacity
-// metric; freed pages are not subtracted).
+// AllocatedPages returns the number of pages the tree uses, the meta page
+// included: every page below the high-water mark, since the tree frees none.
 func (t *Tree) AllocatedPages() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -123,7 +122,6 @@ func (t *Tree) writeMeta() error {
 	binary.BigEndian.PutUint32(buf[offRoot:], t.root)
 	binary.BigEndian.PutUint32(buf[offHeight:], t.height)
 	binary.BigEndian.PutUint32(buf[offNextFresh:], t.nextFresh)
-	binary.BigEndian.PutUint32(buf[offFreeHead:], t.freeHead)
 	return t.p.Write(0, buf)
 }
 
@@ -152,35 +150,14 @@ func (t *Tree) load(id uint32) (node, error) {
 // n must not be touched afterwards.
 func (t *Tree) store(n node) error { return t.p.Write(n.id, n.data) }
 
-// alloc returns a fresh page id, popping the free list first.
+// alloc returns a fresh page id: the high-water mark.
 func (t *Tree) alloc() (uint32, error) {
-	if t.freeHead != 0 {
-		id := t.freeHead
-		buf, err := t.p.Read(id)
-		if err != nil {
-			return 0, err
-		}
-		t.freeHead = binary.BigEndian.Uint32(buf[offFreeNext:])
-		return id, nil
-	}
 	if int(t.nextFresh) >= t.p.NumPages() {
 		return 0, ErrFull
 	}
 	id := t.nextFresh
 	t.nextFresh++
 	return id, nil
-}
-
-// freePage pushes id onto the free list.
-func (t *Tree) freePage(id uint32) error {
-	buf := make([]byte, t.p.PageSize())
-	buf[offKind] = kindFree
-	binary.BigEndian.PutUint32(buf[offFreeNext:], t.freeHead)
-	if err := t.p.Write(id, buf); err != nil {
-		return err
-	}
-	t.freeHead = id
-	return nil
 }
 
 // pathEl records one step of a root-to-leaf descent: the page visited and
@@ -240,18 +217,6 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	}
 	// The leaf is the pager's page: the value is the one thing copied out.
 	return append([]byte(nil), leaf.value(idx)...), nil
-}
-
-// Has reports whether key is present.
-func (t *Tree) Has(key []byte) (bool, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	leaf, err := t.descend(key, nil)
-	if err != nil {
-		return false, err
-	}
-	_, found := leaf.search(key)
-	return found, nil
 }
 
 // Put inserts or replaces the value under key.

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -269,18 +270,31 @@ func TestPageSpaceExhaustion(t *testing.T) {
 	}
 }
 
-func TestFreeListReuse(t *testing.T) {
-	tr := newTestTree(t, 64)
-	if _, err := tr.alloc(); err != nil {
+// TestOpenRefusesReservedMetaBytes: bytes 32..35 of the meta page are
+// reserved and written as zero. A meta page with anything there is not one
+// the tree wrote, and Open refuses it.
+func TestOpenRefusesReservedMetaBytes(t *testing.T) {
+	p := NewMemPager(testPageSize, 64)
+	tr, err := Create(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	id2, _ := tr.alloc()
-	if err := tr.freePage(id2); err != nil {
+	for i := 0; i < 200; i++ {
+		if err := tr.Put(key(i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Open(p); err != nil {
+		t.Fatalf("Open of the tree's own meta page: %v", err)
+	}
+	meta, _ := p.Read(0)
+	meta = append([]byte(nil), meta...)
+	binary.BigEndian.PutUint32(meta[offReserved:], tr.root) // a live page
+	if err := p.Write(0, meta); err != nil {
 		t.Fatal(err)
 	}
-	id3, _ := tr.alloc()
-	if id3 != id2 {
-		t.Fatalf("alloc after free = %d, want reused %d", id3, id2)
+	if _, err := Open(p); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open with a nonzero reserved word: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -275,10 +275,13 @@ func TestCutSweepCreateRun(t *testing.T) {
 // read the old name's leaf from the platter in its second step — the cache is
 // emptied with the intent already queued — and makes that read fail. backoff
 // runs on the applier between a failed attempt and intentq's in-place retry.
-// It returns with the applier suspended; the caller resumes it.
-func retryVolume(t *testing.T, backoff func(v *Volume, d *disk.Disk, attempt int)) (*Volume, *disk.Disk, Config) {
+// writeRetries is the volume's Config.WriteRetries, which also bounds those
+// in-place retries. It returns with the applier suspended; the caller
+// resumes it.
+func retryVolume(t *testing.T, writeRetries int, backoff func(v *Volume, d *disk.Disk, attempt int)) (*Volume, *disk.Disk, Config) {
 	t.Helper()
 	cfg := testConfig()
+	cfg.WriteRetries = writeRetries
 	cfg.AsyncApply = true
 	cfg.ReadRetries = -1 // a fault reaches the applier instead of clearing inside the cache
 	v, d, _ := newTestVolumeWith(t, cfg)
@@ -326,7 +329,7 @@ func retryVolume(t *testing.T, backoff func(v *Volume, d *disk.Disk, attempt int
 func TestGroupHeldAcrossApplierRetry(t *testing.T) {
 	var before, during uint64
 	var forced <-chan error
-	v, d, cfg := retryVolume(t, func(v *Volume, d *disk.Disk, attempt int) {
+	v, d, cfg := retryVolume(t, 0, func(v *Volume, d *disk.Disk, attempt int) {
 		if attempt > 1 {
 			return
 		}
@@ -362,7 +365,7 @@ func TestGroupHeldAcrossApplierRetry(t *testing.T) {
 // rename is ever forced.
 func TestFatalApplyAbortsGroup(t *testing.T) {
 	var forced <-chan error
-	v, d, cfg := retryVolume(t, func(v *Volume, d *disk.Disk, attempt int) {
+	v, d, cfg := retryVolume(t, 0, func(v *Volume, d *disk.Disk, attempt int) {
 		if attempt == 1 {
 			forced = forceAside(v.log)
 		}
@@ -386,6 +389,24 @@ func TestFatalApplyAbortsGroup(t *testing.T) {
 	if a, z := versions(t, v2, "a/x"), versions(t, v2, "z/x"); len(a) != 1 || len(z) != 0 {
 		t.Fatalf("failed rename left a/x %v and z/x %v", a, z)
 	}
+}
+
+// TestNoRetriesMeansNone: with WriteRetries < 0 the applier re-applies no
+// intent — the volume's retry count is the queue's, with no default of its
+// own — so the fault that one retry would have survived is final: the rename
+// fails and the volume goes read-only.
+func TestNoRetriesMeansNone(t *testing.T) {
+	v, _, _ := retryVolume(t, -1, func(v *Volume, d *disk.Disk, attempt int) {
+		d.ClearFaults()
+	})
+	v.q.Resume()
+	if err := v.DrainIntents(); err == nil {
+		t.Fatal("rename survived the fault with retries disabled")
+	}
+	if got := v.q.ApplyRetries(); got != 0 {
+		t.Fatalf("ApplyRetries = %d with WriteRetries -1, want 0", got)
+	}
+	waitHealth(t, v, HealthReadOnly)
 }
 
 // TestFailedDataWriteLeavesNoEntry: a create whose data write fails puts

@@ -787,10 +787,12 @@ func (r *salvageRun) finalize() error {
 }
 
 // resumeFinalize handles a crash after the rebuilt tree was complete in
-// copy A but before the checkpoint was cleared: re-open the tree, rescan it
-// for the allocation map and the UID horizon, and redo the idempotent
-// finalize steps. The interrupted run's damaged-sector list is not
-// recoverable here, so those sectors return to the free pool; reusing one
+// copy A but before the checkpoint was cleared: re-open the tree, rebuild the
+// allocation map and the UID horizon with the mount's scan of copy A, and
+// redo the idempotent finalize steps. Every recovered entry has a leader
+// page of its own (resolve gave each page one owner), so the scan's leader
+// map holds one UID per file. The interrupted run's damaged-sector list is
+// not recoverable here, so those sectors return to the free pool; reusing one
 // is absorbed by the write path's retry/remap policy.
 func (r *salvageRun) resumeFinalize() error {
 	v, d, lay, cfg, st := r.v, r.d, r.lay, r.cfg, r.st
@@ -805,29 +807,14 @@ func (r *salvageRun) resumeFinalize() error {
 	if err != nil {
 		return fmt.Errorf("core: salvage resume: rebuilt name table unreadable: %w", err)
 	}
-	v.vm = lay.emptyVAM()
-	err = v.nt.Scan(nil, func(k, val []byte) bool {
-		name, ver, ok := splitKey(k)
-		if !ok {
-			return true
-		}
-		e, derr := decodeEntry(name, ver, val)
-		if derr != nil {
-			return true
-		}
-		v.cpu.Charge(sim.CostBTreeOp / 4)
-		for _, run := range e.Runs {
-			v.vm.MarkAllocated(int(run.Start), int(run.Len))
-		}
-		if e.UID > r.maxUID {
-			r.maxUID = e.UID
-		}
-		st.FilesRecovered++
-		return true
-	})
+	owners, _, err := v.mountScan(v.nt.AllocatedPages(), nil)
 	if err != nil {
 		return err
 	}
+	for _, uid := range owners {
+		r.maxUID = max(r.maxUID, uid)
+	}
+	st.FilesRecovered = len(owners)
 	v.al, err = newAllocator(v.vm, lay, cfg)
 	if err != nil {
 		return err

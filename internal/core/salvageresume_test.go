@@ -243,3 +243,87 @@ func TestSalvageResumeWithWriteFaults(t *testing.T) {
 	}
 	v3.Crash()
 }
+
+// TestSalvageFinalizeResumeMatches: a salvage cut just after its finalize
+// checkpoint lands, and resumed from it, ends where the uninterrupted salvage
+// of the same image ends — the same allocation map page for page, the same
+// FilesRecovered and the same next UID chunk — at pool widths 1 and 8. The
+// image has lost both root replicas as well as the name table, and its files
+// were created after a remount, so the next UID chunk follows from the
+// recovered entries' UIDs alone.
+func TestSalvageFinalizeResumeMatches(t *testing.T) {
+	for _, width := range []int{1, 8} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.MountWorkers, cfg.CheckWorkers = width, width
+			v, d, _ := newTestVolumeWith(t, cfg)
+			populate(t, v, 12)
+			if err := v.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			v, _, err := Mount(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			populate(t, v, 24)
+			if err := v.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			destroyNameTable(d, v)
+			lay := v.lay
+			d.CorruptSectors(lay.rootA, 1)
+			d.CorruptSectors(lay.rootB, 1)
+
+			d.EnableWriteBack()
+			whole, st, err := Salvage(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace := d.Trace()
+			whole.Crash()
+			cut := -1 // the first epoch whose cut holds the finalize checkpoint
+			var dc *disk.Disk
+			for e := 1; cut < 0 && e <= len(trace)+1; e++ {
+				dc = d.Clone(sim.NewVirtualClock())
+				for _, w := range trace {
+					if w.Epoch < e {
+						dc.ApplyJournaled(w)
+					}
+				}
+				if ck, ok := readSalvageCheckpoint(dc, lay, cfg.readRetries()); ok && ck.phase == salvageFinalize {
+					cut = e
+				}
+			}
+			if cut < 0 {
+				t.Fatal("no cut holds the finalize checkpoint")
+			}
+
+			resumed, rst, err := Salvage(dc, cfg)
+			if err != nil {
+				t.Fatalf("resumed salvage from epoch %d: %v", cut, err)
+			}
+			defer resumed.Crash()
+			if !rst.Resumed || rst.ResumedPhase != "finalize" {
+				t.Fatalf("salvage from epoch %d resumed=%v phase %q, want finalize", cut, rst.Resumed, rst.ResumedPhase)
+			}
+			if rst.FilesRecovered != st.FilesRecovered {
+				t.Errorf("FilesRecovered %d, uninterrupted %d", rst.FilesRecovered, st.FilesRecovered)
+			}
+			if got, want := resumed.uidNext.Load(), whole.uidNext.Load(); got != want {
+				t.Errorf("next UID %#x, uninterrupted %#x", got, want)
+			}
+			if resumed.vm.Pages() != whole.vm.Pages() {
+				t.Fatalf("map of %d pages, uninterrupted %d", resumed.vm.Pages(), whole.vm.Pages())
+			}
+			diff := 0
+			for p := range whole.vm.Pages() {
+				if resumed.vm.IsFree(p) != whole.vm.IsFree(p) {
+					diff++
+				}
+			}
+			if diff != 0 || resumed.vm.FreeCount() != whole.vm.FreeCount() {
+				t.Errorf("allocation maps differ on %d pages (free %d, uninterrupted %d)", diff, resumed.vm.FreeCount(), whole.vm.FreeCount())
+			}
+		})
+	}
+}

@@ -960,8 +960,9 @@ func decodeLeaf(page []byte, res *scanResult) time.Duration {
 // returns the replayed table's end. The rest — the home table's last part
 // chunk and what the replay allocated — is swept after it on the same chunk
 // grid, so the transfers are the ones a sweep of the replayed table makes.
-// With then nil (a clean mount whose saved map will not load, mountClean),
-// home is the table's end and the whole of it is swept.
+// With then nil (a clean mount whose saved map will not load, mountClean,
+// and a salvage resumed at finalize), home is the table's end and the whole
+// of it is swept.
 //
 // What the speculation may not do is decide anything. Once both copies are
 // in, the leaves the chain reaches are picked out in memory by following

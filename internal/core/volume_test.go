@@ -230,7 +230,7 @@ func TestDeletedPagesNotReusedUntilCommit(t *testing.T) {
 	if err := v.Delete("victim", 0); err != nil {
 		t.Fatal(err)
 	}
-	// Before commit the pages are shadowed.
+	// Before commit the pages stay allocated, held in pendingFrees.
 	for _, r := range runs {
 		for p := r.Start; p < r.Start+r.Len; p++ {
 			if v.VAM().IsFree(int(p)) {

@@ -39,8 +39,8 @@ func FSDOpen(e Env) Mix {
 }
 
 // FSDDelete: metadata only — one lookup, then the name-table delete,
-// buffered and logged; pages move to the shadow VAM. The 15 ms row of
-// Table 2.
+// buffered and logged; the pages wait for the commit to free them. The 15 ms
+// row of Table 2.
 func FSDDelete(e Env) Mix {
 	return Mix{{Weight: 1, S: Script{
 		CPU(sim.CostSyscall + 2*sim.CostBTreeOp + sim.CostChecksumPage),

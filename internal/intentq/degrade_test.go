@@ -27,9 +27,10 @@ func TestRetryableErrorAbsorbed(t *testing.T) {
 			}
 			return nil
 		},
-		Retryable: func(err error) bool { return errors.Is(err, errFlaky) },
-		Backoff:   func(attempt int) { backoffs.Add(1) },
-		OnFatal:   func(error) { t.Error("OnFatal fired for an absorbed error") },
+		Retryable:   func(err error) bool { return errors.Is(err, errFlaky) },
+		RetryBudget: 3,
+		Backoff:     func(attempt int) { backoffs.Add(1) },
+		OnFatal:     func(error) { t.Error("OnFatal fired for an absorbed error") },
 	})
 	defer q.Close()
 

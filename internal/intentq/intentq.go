@@ -56,8 +56,8 @@ type Config struct {
 	// RetryBudget times, before treating the error as fatal. Nil means no
 	// error is retryable.
 	Retryable func(error) bool
-	// RetryBudget bounds the in-place retries of one intent. Zero means
-	// 3; negative disables retries.
+	// RetryBudget bounds the in-place retries of one intent, as given: zero
+	// (or negative) disables retries.
 	RetryBudget int
 	// Backoff, when set, runs between retry attempts (attempt starts at
 	// 1), on the applier goroutine without the queue lock — typically it
@@ -288,18 +288,6 @@ func (q *Queue) applier() {
 	}
 }
 
-// retryBudget resolves Config.RetryBudget (zero means 3, negative disables).
-func (q *Queue) retryBudget() int {
-	switch {
-	case q.cfg.RetryBudget < 0:
-		return 0
-	case q.cfg.RetryBudget == 0:
-		return 3
-	default:
-		return q.cfg.RetryBudget
-	}
-}
-
 // applyWithRetry runs one intent through Apply, absorbing retryable errors
 // with bounded in-place retries. No queue lock is held; a Close during the
 // backoff ends the attempt early (the error is then fatal, but the closed
@@ -309,7 +297,7 @@ func (q *Queue) applyWithRetry(op any) error {
 	if err == nil || q.cfg.Retryable == nil {
 		return err
 	}
-	for attempt := 1; attempt <= q.retryBudget() && q.cfg.Retryable(err); attempt++ {
+	for attempt := 1; attempt <= q.cfg.RetryBudget && q.cfg.Retryable(err); attempt++ {
 		if q.cfg.Backoff != nil {
 			q.cfg.Backoff(attempt)
 		}

@@ -5,9 +5,9 @@
 // No disk writes happen during normal operation. On a controlled shutdown
 // the map is written to a save area with a validity stamp; at boot it is
 // loaded if properly saved and otherwise reconstructed from the file name
-// table. Pages of deleted-but-uncommitted files live in a shadow bitmap and
-// only become allocatable when the next group commit makes the deletion
-// durable.
+// table. The map holds no pending frees: the file system keeps a deleted
+// file's runs aside and marks them free only once the group commit that made
+// the deletion durable has landed.
 package vam
 
 import (
@@ -27,32 +27,26 @@ var ErrNoSpace = errors.New("vam: no free pages")
 // stamped map, signalling the mount path to reconstruct instead.
 var ErrNotSaved = errors.New("vam: allocation map was not properly saved")
 
-// VAM is the in-memory free-page bitmap plus the shadow bitmap of pending
-// frees. It is not safe for concurrent use; the file system serializes
-// access.
+// VAM is the in-memory free-page bitmap. It is not safe for concurrent use;
+// the file system serializes access.
 type VAM struct {
-	n       int
-	free    []uint64 // bit set = page free
-	shadow  []uint64 // bit set = freed by an uncommitted delete
-	nfree   int
-	nshadow int
+	n     int
+	free  []uint64 // bit set = page free
+	nfree int
 }
 
 // New returns a VAM of n pages with every page marked allocated; callers
 // free the regions that are actually available.
 func New(n int) *VAM {
 	words := (n + 63) / 64
-	return &VAM{n: n, free: make([]uint64, words), shadow: make([]uint64, words)}
+	return &VAM{n: n, free: make([]uint64, words)}
 }
 
 // Pages returns the total number of pages tracked.
 func (v *VAM) Pages() int { return v.n }
 
-// FreeCount returns the number of allocatable pages (excluding shadowed).
+// FreeCount returns the number of allocatable pages.
 func (v *VAM) FreeCount() int { return v.nfree }
-
-// ShadowCount returns the number of pages awaiting commit before they free.
-func (v *VAM) ShadowCount() int { return v.nshadow }
 
 // IsFree reports whether page p is allocatable.
 func (v *VAM) IsFree(p int) bool {
@@ -87,36 +81,6 @@ func (v *VAM) MarkAllocated(p, count int) {
 			v.nfree--
 		}
 	}
-}
-
-// ShadowFree records count pages starting at p as freed by a delete that has
-// not yet committed. They cannot be allocated — a new file written there
-// would be destroyed if the delete never commits.
-func (v *VAM) ShadowFree(p, count int) {
-	v.checkRange(p, count)
-	for i := p; i < p+count; i++ {
-		w, b := i/64, uint64(1)<<(i%64)
-		if v.shadow[w]&b == 0 {
-			v.shadow[w] |= b
-			v.nshadow++
-		}
-	}
-}
-
-// Commit merges the shadow bitmap into the free bitmap: all pending deletes
-// are now durable, so their pages become allocatable.
-func (v *VAM) Commit() {
-	for w := range v.shadow {
-		s := v.shadow[w]
-		if s == 0 {
-			continue
-		}
-		newlyFree := s &^ v.free[w]
-		v.free[w] |= s
-		v.nfree += bits.OnesCount64(newlyFree)
-		v.shadow[w] = 0
-	}
-	v.nshadow = 0
 }
 
 // FindRun returns the first run of exactly want contiguous free pages within
@@ -295,8 +259,8 @@ func (v *VAM) Fits(want, lo, hi int) int {
 }
 
 // FirstAllocated returns the lowest page of [lo, hi) that is not
-// allocatable — in use, or freed by a delete that has not committed — or hi
-// if every page is free. It walks the bitmap a word at a time.
+// allocatable, or hi if every page is free. It walks the bitmap a word at a
+// time.
 func (v *VAM) FirstAllocated(lo, hi int) int {
 	lo, hi = max(lo, 0), min(hi, v.n)
 	for wi := lo / 64; lo < hi && wi <= (hi-1)/64; wi++ {
@@ -389,17 +353,13 @@ func defaultWriter(d *disk.Disk) SectorWriter {
 	}
 }
 
-// Save writes the map and a validity stamp to the save area at base. Only
-// the free bitmap is saved; shadow pages must have been committed first.
+// Save writes the map and a validity stamp to the save area at base.
 func (v *VAM) Save(d *disk.Disk, base int) error {
 	return v.SaveWith(defaultWriter(d), base)
 }
 
 // SaveWith is Save with an explicit sector-write primitive.
 func (v *VAM) SaveWith(w SectorWriter, base int) error {
-	if v.nshadow != 0 {
-		return fmt.Errorf("vam: %d shadow pages pending at save", v.nshadow)
-	}
 	bitmapSectors := SaveSectors(v.n) - 1
 	buf := make([]byte, bitmapSectors*disk.SectorSize)
 	for i, word := range v.free {

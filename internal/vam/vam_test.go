@@ -54,44 +54,6 @@ func TestRangePanics(t *testing.T) {
 	v.MarkFree(90, 20)
 }
 
-func TestShadowNotAllocatable(t *testing.T) {
-	v := New(1000)
-	v.MarkFree(0, 100)
-	v.MarkAllocated(10, 20) // a file's pages
-	v.ShadowFree(10, 20)    // delete the file, uncommitted
-	if v.IsFree(15) {
-		t.Fatal("shadowed page allocatable before commit")
-	}
-	if v.ShadowCount() != 20 {
-		t.Fatalf("ShadowCount = %d", v.ShadowCount())
-	}
-	if s, l := v.FindRun(100, 0, 1000, 1); l != 0 || s != 0 {
-		if l >= 100 {
-			t.Fatal("FindRun satisfied through shadowed pages")
-		}
-	}
-	v.Commit()
-	if !v.IsFree(15) {
-		t.Fatal("shadowed page not freed by commit")
-	}
-	if v.ShadowCount() != 0 {
-		t.Fatal("shadow not cleared by commit")
-	}
-	if v.FreeCount() != 100 {
-		t.Fatalf("FreeCount after commit = %d", v.FreeCount())
-	}
-}
-
-func TestCommitIdempotent(t *testing.T) {
-	v := New(100)
-	v.ShadowFree(0, 10)
-	v.Commit()
-	v.Commit()
-	if v.FreeCount() != 10 {
-		t.Fatalf("FreeCount = %d", v.FreeCount())
-	}
-}
-
 func TestFindRunUpward(t *testing.T) {
 	v := New(1000)
 	v.MarkFree(10, 5)
@@ -157,16 +119,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if got.IsFree(p) != v.IsFree(p) {
 			t.Fatalf("page %d differs after reload", p)
 		}
-	}
-}
-
-func TestSaveRefusesPendingShadow(t *testing.T) {
-	clk := sim.NewVirtualClock()
-	d, _ := disk.New(disk.SmallGeometry, disk.DefaultParams, clk)
-	v := New(100)
-	v.ShadowFree(0, 1)
-	if err := v.Save(d, 0); err == nil {
-		t.Fatal("Save with pending shadow succeeded")
 	}
 }
 
@@ -238,15 +190,10 @@ func TestQuickCountsConsistent(t *testing.T) {
 		for _, o := range ops {
 			p := int(o.P) % n
 			c := int(o.C) % (n - p)
-			switch o.Action % 4 {
-			case 0:
+			if o.Action%2 == 0 {
 				v.MarkFree(p, c)
-			case 1:
+			} else {
 				v.MarkAllocated(p, c)
-			case 2:
-				v.ShadowFree(p, c)
-			case 3:
-				v.Commit()
 			}
 		}
 		count := 0

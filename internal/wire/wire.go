@@ -121,7 +121,7 @@ func (o Op) String() string {
 	}
 }
 
-// Frame and payload limits. MaxFrame bounds what ReadFrame will accept
+// Frame and payload limits. MaxFrame bounds what ReadFramePooled will accept
 // (default; callers may lower it), and implies the payload caps: a write's
 // data or a read's requested length can never exceed the frame that must
 // carry it.
@@ -556,15 +556,4 @@ func DecodeReply(body []byte) (Reply, error) {
 func WriteFrame(w io.Writer, frame []byte) error {
 	_, err := w.Write(frame)
 	return err
-}
-
-// ReadFrame reads one frame body from r, enforcing max (0 means MaxFrame),
-// into a buffer that is the caller's to keep: a pooled frame that is never
-// released.
-func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	f, err := ReadFramePooled(r, max)
-	if err != nil {
-		return nil, err
-	}
-	return f.B, nil
 }

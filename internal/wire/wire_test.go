@@ -77,11 +77,11 @@ func normalizeRep(p *Reply) {
 func TestRequestRoundTrip(t *testing.T) {
 	for _, q := range sampleRequests() {
 		frame := AppendRequest(nil, &q)
-		body, err := ReadFrame(bytes.NewReader(frame), 0)
+		f, err := ReadFramePooled(bytes.NewReader(frame), 0)
 		if err != nil {
-			t.Fatalf("%v: ReadFrame: %v", q.Op, err)
+			t.Fatalf("%v: ReadFramePooled: %v", q.Op, err)
 		}
-		got, err := DecodeRequest(body)
+		got, err := DecodeRequest(f.B)
 		if err != nil {
 			t.Fatalf("%v: DecodeRequest: %v", q.Op, err)
 		}
@@ -96,11 +96,11 @@ func TestRequestRoundTrip(t *testing.T) {
 func TestReplyRoundTrip(t *testing.T) {
 	for _, p := range sampleReplies() {
 		frame := AppendReply(nil, &p)
-		body, err := ReadFrame(bytes.NewReader(frame), 0)
+		f, err := ReadFramePooled(bytes.NewReader(frame), 0)
 		if err != nil {
-			t.Fatalf("%v: ReadFrame: %v", p.Op, err)
+			t.Fatalf("%v: ReadFramePooled: %v", p.Op, err)
 		}
-		got, err := DecodeReply(body)
+		got, err := DecodeReply(f.B)
 		if err != nil {
 			t.Fatalf("%v: DecodeReply: %v", p.Op, err)
 		}
@@ -159,10 +159,10 @@ func TestDecodeRejectsBadOp(t *testing.T) {
 func TestReadFrameEnforcesLimit(t *testing.T) {
 	q := Request{ID: 1, Op: OpWrite, Handle: 1, Data: make([]byte, 1024)}
 	frame := AppendRequest(nil, &q)
-	if _, err := ReadFrame(bytes.NewReader(frame), 128); err == nil {
+	if _, err := ReadFramePooled(bytes.NewReader(frame), 128); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	if _, err := ReadFrame(bytes.NewReader(frame), len(frame)); err != nil {
+	if _, err := ReadFramePooled(bytes.NewReader(frame), len(frame)); err != nil {
 		t.Fatalf("fitting frame rejected: %v", err)
 	}
 }
