@@ -67,6 +67,9 @@ var archRules = []archRule{
 	{design: "§3.5", msg: "a second deferred free resurfaced (hold a delete's pages in core's pendingFrees; the name table allocates by its high-water mark)",
 		use: `(^|\.)(ShadowFree|ShadowCount|FreeOnCommit|freePage|freeHead|kindFree)$`, in: everywhere, tests: true,
 		plant: [2]string{"internal/vam/plant.go", "package vam; func (v *VAM) ShadowFree(p, n int) {}"}},
+	{design: "§13", msg: "the applier's in-place retry resurfaced (an intent applies once, through apply; the device and the cache have retried)",
+		use: `(^|\.)(Retryable|RetryBudget|Backoff|applyWithRetry|ApplyRetries|apGroup|applyQueued)$`, in: []string{"internal/intentq", "internal/core"}, tests: true,
+		plant: [2]string{"internal/intentq/plant.go", "package intentq; func (q *Queue) applyWithRetry(op any) error { return q.cfg.Apply(op) }"}},
 	{design: "§13", msg: "a Synchronous config field resurfaced (use a negative GroupCommitInterval)",
 		use: `(^|\.)Synchronous$`, in: everywhere, tests: true, plant: [2]string{"internal/core/plant.go", "package core; var _ = Config{Synchronous: true}"}},
 	{design: "§13", msg: "SetDetached outside the intent applier and Table 5 (measure on the clock instead)",
@@ -126,14 +129,14 @@ var archRules = []archRule{
 		allow: []string{"(*Volume).writeChunk", "(*Volume).writeHeld", "(*Volume).writeSectorsFrom", "(*Volume).writeSectors"},
 		plant: [2]string{"internal/core/plant.go", "package core; func (v *Volume) writeFrom() { v.d.WriteSectors(0, nil) }"}},
 	{design: "§12", msg: "file data written outside writeChunk and the held pass (write through writeChunk)",
-		use: `writeSectors$`, in: []string{"internal/core/file.go", "internal/core/held.go", "internal/core/bytes.go", "internal/core/stream.go"},
+		use: `writeSectors$`, in: []string{"internal/core/file.go", "internal/core/held.go", "internal/core/bytes.go"},
 		allow: []string{"(*Volume).writeChunk", "(*Volume).writeHeld"},
-		plant: [2]string{"internal/core/stream.go", "package core; func (v *Volume) writeFrom() { v.writeSectors(0, nil) }"}},
+		plant: [2]string{"internal/core/bytes.go", "package core; func (v *Volume) writeFrom() { v.writeSectors(0, nil) }"}},
 	{design: "§13", msg: "a name-table Get outside an explicit-version lookup (find the newest with newestLocked)",
 		use: `\.nt\.Get$`, in: inCore, allow: []string{"(*Volume).statLocked", "(*Volume).applyStep"},
 		plant: [2]string{"internal/core/plant.go", "package core; func (v *Volume) Stat(k []byte) { v.nt.Get(k) }"}},
-	{design: "§12", msg: "the FS adapter or the stream writer extends before it writes (WriteAt grows the file)",
-		use: `\.Extend$`, in: []string{"localfs.go", "internal/core/stream.go"},
+	{design: "§12", msg: "the FS adapter extends before it writes (WriteAt grows the file)",
+		use: `\.Extend$`, in: []string{"localfs.go"},
 		plant: [2]string{"localfs.go", "package cedarfs; func (h *localHandle) WriteAt() { h.f.Extend(1) }"}},
 	{design: "§3.5", msg: "al.Extend called outside File.allocGrowth (grow through allocGrowth)",
 		use: `al\.Extend$`, in: inCore, allow: []string{"(*File).allocGrowth"},
@@ -152,8 +155,8 @@ var archRules = []archRule{
 	{design: "§15", msg: "a device read outside the single-pass readers (read through readSectorsRetryInto)",
 		use: `\.ReadSectors(Into)?$`, in: inCore, allow: []string{"(*Volume).sweepNT", "(*Volume).homeTable", "(*Volume).scrubLeaders", "internal/core/faultexp.go"},
 		plant: [2]string{"internal/core/plant.go", "package core; func (v *Volume) readCopies() { v.d.ReadSectors(0, 1) }"}},
-	{design: "§15", msg: "a DamagedError caught in core outside the write classifier and Retryable (read past damage with disk.ReadPast)",
-		use: `disk\.DamagedError$`, in: inCore, allow: []string{"(*Volume).noteWriteFault", "(*Volume).queueConfig"},
+	{design: "§15", msg: "a DamagedError caught in core outside the write classifier (read past damage with disk.ReadPast)",
+		use: `disk\.DamagedError$`, in: inCore, allow: []string{"(*Volume).noteWriteFault"},
 		plant: [2]string{"internal/core/plant.go", "package core; func f(err error) bool { var de *disk.DamagedError; return errors.As(err, &de) }"}},
 	{design: "§15", msg: "a WAL device read outside readData, the audit's run read and scrubAnchor (read a span past damage, once)",
 		use: `(\.ReadSectors(Into)?|ReadSectorsRetry(Into)?|\.VerifyRead)$`, in: []string{"internal/wal"}, allow: []string{"(*Log).readData", "(*Log).scrubAnchor", "(*logRuns).load"},

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/allocgate"
 	"repro/internal/disk"
-	"repro/internal/intentq"
 	"repro/internal/wal"
 )
 
@@ -271,19 +270,16 @@ func TestCutSweepCreateRun(t *testing.T) {
 	})
 }
 
-// retryVolume builds an asynchronous volume whose rename of a/x to z/x has to
-// read the old name's leaf from the platter in its second step — the cache is
-// emptied with the intent already queued — and makes that read fail. backoff
-// runs on the applier between a failed attempt and intentq's in-place retry.
-// writeRetries is the volume's Config.WriteRetries, which also bounds those
-// in-place retries. It returns with the applier suspended; the caller
-// resumes it.
-func retryVolume(t *testing.T, writeRetries int, backoff func(v *Volume, d *disk.Disk, attempt int)) (*Volume, *disk.Disk, Config) {
+// retryVolume builds a volume whose rename of a/x to z/x has to read the old
+// name's leaf from the platter in its second step: the name-table cache holds
+// two pages and starts empty, so the first step's pages push the leaf out. From
+// the first step's append on every read fails once, and with ReadRetries -1 a
+// fault reaches the apply instead of clearing inside the cache. onFault, when
+// set, runs in that append hook, on the goroutine applying the rename.
+func retryVolume(t *testing.T, cfg Config, onFault func(v *Volume)) (*Volume, *disk.Disk, Config) {
 	t.Helper()
-	cfg := testConfig()
-	cfg.WriteRetries = writeRetries
-	cfg.AsyncApply = true
-	cfg.ReadRetries = -1 // a fault reaches the applier instead of clearing inside the cache
+	cfg.ReadRetries = -1
+	cfg.CacheSize = 2
 	v, d, _ := newTestVolumeWith(t, cfg)
 	if _, err := v.Create("a/x", payload(300, 1)); err != nil {
 		t.Fatal(err)
@@ -293,89 +289,75 @@ func retryVolume(t *testing.T, writeRetries int, backoff func(v *Volume, d *disk
 			t.Fatal(err)
 		}
 	}
-	if err := v.Force(); err != nil {
+	if err := v.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
 	if v.nt.Height() < 2 {
 		t.Fatal("name table is a single leaf; the rename's steps would share a page")
 	}
-	// The same queue, with a hook between the attempts.
-	v.q.Close()
-	qc := v.queueConfig()
-	qc.Backoff = func(attempt int) { backoff(v, d, attempt) }
-	v.q = intentq.New(v.clk, qc)
-	v.q.Suspend()
-	if err := v.Rename("a/x", "z/x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.log.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	v.cache.dropAll()
 	var appends atomic.Int64
 	prev := v.log.OnAppend
 	v.log.OnAppend = func(images int, seq uint64) {
 		prev(images, seq)
 		if appends.Add(1) == 1 { // the first step has staged; fail what the second reads
 			d.InjectFaults(disk.FaultConfig{Seed: 1, TransientRead: 1})
+			if onFault != nil {
+				onFault(v)
+			}
 		}
 	}
 	return v, d, cfg
 }
 
-// TestGroupHeldAcrossApplierRetry: a transient read fault between the two
-// steps of a rename sends the intent through intentq's in-place retry; a force
-// that arrives between the attempts must not commit the first step alone.
-func TestGroupHeldAcrossApplierRetry(t *testing.T) {
-	var before, during uint64
-	var forced <-chan error
-	v, d, cfg := retryVolume(t, 0, func(v *Volume, d *disk.Disk, attempt int) {
-		if attempt > 1 {
-			return
+// TestFailedIntentReadsEachCopyOnce: a rename whose second step meets a
+// transient read fault fails once, staged or queued. The name-table cache
+// reads each copy of the page once (2 failed reads), the volume goes
+// read-only, and nothing applies the intent again to read the pair a second
+// time. A remount finds the rename undone.
+func TestFailedIntentReadsEachCopyOnce(t *testing.T) {
+	bothModes(t, func(t *testing.T, cfg Config) {
+		v, d, cfg := retryVolume(t, cfg, nil)
+		before := d.FaultStats().TransientErrors
+		err := v.Rename("a/x", "z/x")
+		if err == nil {
+			err = v.DrainIntents()
 		}
-		forced, during = forceAside(v.log), v.log.Committed()
+		if err == nil {
+			t.Fatal("rename succeeded with the name table unreadable")
+		}
+		waitHealth(t, v, HealthReadOnly)
+		if got := d.FaultStats().TransientErrors - before; got != 2 {
+			t.Fatalf("the failed rename met %d failed reads, want 2: each copy once", got)
+		}
 		d.ClearFaults()
+		v2, err := remount(v, d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, z := versions(t, v2, "a/x"), versions(t, v2, "z/x"); len(a) != 1 || len(z) != 0 {
+			t.Fatalf("failed rename left a/x %v and z/x %v", a, z)
+		}
 	})
-	before = v.log.Committed()
-	v.q.Resume()
-	if err := v.DrainIntents(); err != nil {
-		t.Fatalf("rename did not survive a transient fault: %v", err)
-	}
-	if v.q.ApplyRetries() == 0 {
-		t.Fatal("no retry happened: the fault missed the gap between the steps")
-	}
-	if during != before {
-		t.Fatalf("a force committed seq %d between the attempts (was %d): the first step was exposed", during, before)
-	}
-	if err := <-forced; err != nil {
-		t.Fatal(err)
-	}
-	v2, err := remount(v, d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, z := versions(t, v2, "a/x"), versions(t, v2, "z/x"); len(a) != 0 || len(z) != 1 {
-		t.Fatalf("retried rename left a/x %v and z/x %v", a, z)
-	}
 }
 
-// TestFatalApplyAbortsGroup: the same fault, never cleared, exhausts the retry
-// budget. The group ends early — by Abort: the volume goes read-only, the
-// force waiting for the group is refused, and nothing of the half-applied
-// rename is ever forced.
+// TestFatalApplyAbortsGroup: a force parked behind the queued rename's open
+// group, started once the first step has staged, meets the failed second
+// step. The group ends by Abort: the volume goes read-only, the parked force
+// and every later one are refused, and nothing of the half-applied rename is
+// ever forced.
 func TestFatalApplyAbortsGroup(t *testing.T) {
-	var forced <-chan error
-	v, d, cfg := retryVolume(t, 0, func(v *Volume, d *disk.Disk, attempt int) {
-		if attempt == 1 {
-			forced = forceAside(v.log)
-		}
-	})
-	v.q.Resume()
+	cfg := testConfig()
+	cfg.AsyncApply = true
+	forced := make(chan (<-chan error), 1)
+	v, d, cfg := retryVolume(t, cfg, func(v *Volume) { forced <- forceAside(v.log) })
+	if err := v.Rename("a/x", "z/x"); err != nil {
+		t.Fatal(err)
+	}
 	if err := v.DrainIntents(); err == nil {
 		t.Fatal("drain succeeded with the name table unreadable")
 	}
 	waitHealth(t, v, HealthReadOnly)
-	if err := <-forced; !errors.Is(err, wal.ErrAborted) {
+	if err := <-<-forced; !errors.Is(err, wal.ErrAborted) {
 		t.Fatalf("force that waited for the failed intent = %v, want wal.ErrAborted", err)
 	}
 	if err := v.log.Force(); !errors.Is(err, wal.ErrAborted) {
@@ -389,24 +371,6 @@ func TestFatalApplyAbortsGroup(t *testing.T) {
 	if a, z := versions(t, v2, "a/x"), versions(t, v2, "z/x"); len(a) != 1 || len(z) != 0 {
 		t.Fatalf("failed rename left a/x %v and z/x %v", a, z)
 	}
-}
-
-// TestNoRetriesMeansNone: with WriteRetries < 0 the applier re-applies no
-// intent — the volume's retry count is the queue's, with no default of its
-// own — so the fault that one retry would have survived is final: the rename
-// fails and the volume goes read-only.
-func TestNoRetriesMeansNone(t *testing.T) {
-	v, _, _ := retryVolume(t, -1, func(v *Volume, d *disk.Disk, attempt int) {
-		d.ClearFaults()
-	})
-	v.q.Resume()
-	if err := v.DrainIntents(); err == nil {
-		t.Fatal("rename survived the fault with retries disabled")
-	}
-	if got := v.q.ApplyRetries(); got != 0 {
-		t.Fatalf("ApplyRetries = %d with WriteRetries -1, want 0", got)
-	}
-	waitHealth(t, v, HealthReadOnly)
 }
 
 // TestFailedDataWriteLeavesNoEntry: a create whose data write fails puts

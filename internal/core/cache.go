@@ -164,8 +164,8 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 		c.v.cpu.Charge(csumCost)
 	}
 	if data == nil {
-		// %w: a device fault on copy A stays visible to errors.As, which is
-		// how the intent applier tells a fault worth retrying from a bug.
+		// %w: a device fault on copy A stays visible to errors.Is and
+		// errors.As.
 		if errA == nil {
 			errA = errors.New("checksum mismatch")
 		}

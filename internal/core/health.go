@@ -229,14 +229,14 @@ func (v *Volume) writeSectors(addr int, data []byte) error {
 }
 
 // healthErr translates the current state into the error a mutation (or,
-// for Offline, any operation) must return, or nil when operations may
-// proceed. The mount-time readOnly flag is checked separately by callers:
-// health-ReadOnly and mount-ReadOnly deliberately share ErrReadOnly.
+// for Offline, any operation) must return, or nil when the volume may
+// write. A volume the health FSM demoted and one mounted read-only
+// deliberately share ErrReadOnly: either way nothing new is written.
 func (v *Volume) healthErr() error {
-	switch v.Health() {
-	case HealthOffline:
+	switch h := v.Health(); {
+	case h == HealthOffline:
 		return ErrOffline
-	case HealthReadOnly:
+	case h == HealthReadOnly || v.readOnly:
 		return ErrReadOnly
 	default:
 		return nil

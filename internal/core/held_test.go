@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func TestHeldReadHitsFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	head, tail := scrambled(64*disk.SectorSize, 1), scrambled(20*disk.SectorSize+100, 2)
-	w := s.NewWriter(0)
+	w := io.NewOffsetWriter(s, 0)
 	if _, err := w.Write(head); err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,10 @@ func TestHeldWritesUnderConcurrency(t *testing.T) {
 				for i := 0; i < files; i++ {
 					name := fmt.Sprintf("c%d/f%d", w, i)
 					data := scrambled(1000+w*3000+i*4100, int64(w*100+i))
-					f, err := v.WriteStream(name, bytes.NewReader(data))
+					f, err := v.Create(name, nil)
+					if err == nil {
+						_, err = io.Copy(io.NewOffsetWriter(f, 0), bytes.NewReader(data))
+					}
 					if err == nil {
 						var got []byte
 						if got, err = f.ReadAll(); err == nil && !bytes.Equal(got, data) {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/btree"
-	"repro/internal/disk"
 	"repro/internal/intentq"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -21,8 +20,8 @@ import (
 // pipeline (Config.AsyncApply) enqueues it for the intent queue's single
 // applier and returns with its commit sequence; any other applies it on the
 // spot, which is the same pipeline at queue depth 0. Either way the same
-// applyStep does the work, inside one WAL group, so a force — and therefore
-// a crash — sees all of an intent or none of it.
+// apply does the work, once, inside one WAL group, so a force — and
+// therefore a crash — sees all of an intent or none of it.
 //
 // On the queue, intents apply strictly in enqueue order. Readers consult the
 // queue's dependency counts (per-file and per-directory key hashes) and wait
@@ -82,11 +81,6 @@ type intentStep struct {
 // intent is one mutation: the operation name (for tracing), the names it
 // touches (the queue's dependency keys; the second is rename's), and the redo
 // steps applied in order.
-//
-// done and abandoned are the progress cursors: the queue may re-invoke Apply
-// on the same intent after a retryable error, and steps with side effects
-// (stepFree, stepDelete) must not re-run. Only the goroutine applying the
-// intent touches them.
 type intent struct {
 	op    string
 	names [2]string
@@ -96,9 +90,6 @@ type intent struct {
 	// fe, set by the handle operations, is the entry the handle holds once
 	// the intent has been accepted.
 	fe *Entry
-
-	done      int  // steps[:done] have completed
-	abandoned bool // a conditional step found its target gone
 }
 
 func newIntent(op string, names [2]string) *intent {
@@ -228,19 +219,12 @@ func (v *Volume) current(e *Entry) error {
 }
 
 // submit hands a built intent off: to the queue, or — depth 0 — to apply,
-// here and now. The caller holds the monitor. Inline, a step that fails
-// leaves the intent half applied, which is handled as the queue handles a
-// fatal apply error: see failApply.
+// here and now on the caller's CPU. The caller holds the monitor.
 func (v *Volume) submit(it *intent) error {
 	if v.async() {
 		return v.enqueueIntent(it)
 	}
-	v.log.Begin()
-	if err := v.apply(it, v.cpu); err != nil {
-		v.failApply("mutation failed part-way: " + err.Error())
-		return err
-	}
-	return v.log.End()
+	return v.apply(it, v.cpu)
 }
 
 // failApply ends the WAL group of an intent that can not be completed. The
@@ -268,26 +252,16 @@ func (v *Volume) startIntentQueue() {
 func (v *Volume) queueConfig() intentq.Config {
 	return intentq.Config{
 		MaxDepth: intentQueueDepth,
-		Apply:    v.applyQueued,
-		// A damaged-sector error can clear on another revolution (the
-		// transient classes of the fault model); anything else — layout
-		// bugs, a halted device — retrying cannot fix.
-		Retryable: func(err error) bool {
-			var de *disk.DamagedError
-			return errors.As(err, &de)
-		},
-		RetryBudget: v.cfg.writeRetries(),
+		// One intent, on the applier goroutine, charged to the detached
+		// applier CPU.
+		Apply: func(op any) error { return v.apply(op.(*intent), v.apCPU) },
 		// Fatal: the pipeline can no longer promise that acknowledged
 		// intents reach the log, so stop accepting mutations. The queue
-		// has already drained itself; readers keep serving.
+		// has already drained itself; readers keep serving. A failed step
+		// has demoted the volume already (failApply); this covers a
+		// failed End.
 		OnFatal: func(err error) {
-			why := "intent applier failed: " + err.Error()
-			if v.apGroup {
-				v.apGroup = false
-				v.failApply(why)
-			} else {
-				v.degradeTo(HealthReadOnly, why)
-			}
+			v.degradeTo(HealthReadOnly, "intent applier failed: "+err.Error())
 		},
 		OnApplied: func(op any, seq uint64, lag time.Duration, depth int) {
 			v.obs.applyLag.ObserveDuration(lag)
@@ -374,38 +348,27 @@ func (v *Volume) waitPrefix(prefix string) error {
 	return v.q.WaitPrefix(prefix)
 }
 
-// applyQueued is the queue's apply callback: one intent, on the applier
-// goroutine, charged to the detached applier CPU. Real errors propagate to
-// the queue, which retries retryable ones in place — apply resumes at the
-// failed step, and the WAL group stays open across the attempts (apGroup), so
-// that no force sees the steps already done without the rest — and fails the
-// volume over to read-only on fatal ones (OnFatal, which aborts the group).
-func (v *Volume) applyQueued(op any) error {
-	if !v.apGroup {
-		v.log.Begin()
-		v.apGroup = true
-	}
-	if err := v.apply(op.(*intent), v.apCPU); err != nil {
-		return err
-	}
-	v.apGroup = false
-	return v.log.End()
-}
-
-// apply executes an intent's steps in order, from where an earlier attempt
-// stopped, charging cpu. B-tree updates go straight to the tree, which stages
-// WAL images through the name-table cache. A conditional step whose target is
-// gone abandons the rest of the intent. The caller holds the WAL group.
+// apply runs an intent's steps in order inside one WAL group, charging cpu:
+// the caller's, inline from submit, or the applier's, from the queue. B-tree
+// updates go straight to the tree, which stages WAL images through the
+// name-table cache. A conditional step whose target is gone abandons the rest
+// of the intent. A step that fails leaves the intent half applied: failApply
+// ends the group, and the error goes back to the caller or to the queue,
+// whose fatal drain drops the intents behind it. Nothing applies an intent a
+// second time; the device and the name-table cache have retried already.
 func (v *Volume) apply(it *intent, cpu *sim.CPU) error {
-	for !it.abandoned && it.done < len(it.steps) {
-		ok, err := v.applyStep(&it.steps[it.done], cpu)
+	v.log.Begin()
+	for i := range it.steps {
+		ok, err := v.applyStep(&it.steps[i], cpu)
 		if err != nil {
+			v.failApply("mutation failed part-way: " + err.Error())
 			return err
 		}
-		it.done++
-		it.abandoned = !ok
+		if !ok {
+			break
+		}
 	}
-	return nil
+	return v.log.End()
 }
 
 // ignoreAbsent drops the tree's not-found: a conditional step reports its

@@ -39,10 +39,7 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	if root.clean {
 		err = v.mountClean(&ms)
 	} else {
-		lg, lerr := wal.Open(d, lay.logBase, lay.logSize, v.clk, wal.Config{
-			Interval:    cfg.interval(),
-			ReadRetries: cfg.ReadRetries,
-		})
+		lg, lerr := wal.Open(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())
 		if lerr == nil {
 			// Replay reads feed the health budget even read-only, so a
 			// mount that limps through decayed media reports Degraded in

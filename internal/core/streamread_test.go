@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -11,14 +12,14 @@ import (
 )
 
 // streamFile writes data as a new file the streaming way — Create(nil), then
-// the stream Writer chunk by chunk, extending as it goes — and forces it.
+// an offset writer chunk by chunk, extending as it goes — and forces it.
 func streamFile(tb testing.TB, v *Volume, name string, data []byte, chunk int) *File {
 	tb.Helper()
 	f, err := v.Create(name, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w := f.NewWriter(0)
+	w := io.NewOffsetWriter(f, 0)
 	for off := 0; off < len(data); off += chunk {
 		if _, err := w.Write(data[off:min(off+chunk, len(data))]); err != nil {
 			tb.Fatalf("stream %s at %d: %v", name, off, err)
@@ -248,13 +249,13 @@ func TestReadAheadStaysInsideItsStretch(t *testing.T) {
 	v, d, _ := newTestVolume(t)
 	data := [2][]byte{scrambled(6*chunk32K, 4), scrambled(6*chunk32K, 5)}
 	var files [2]*File
-	var writers [2]*Writer
+	var writers [2]*io.OffsetWriter
 	for i := range files {
 		f, err := v.Create(fmt.Sprintf("turns/f%d", i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		files[i], writers[i] = f, f.NewWriter(0)
+		files[i], writers[i] = f, io.NewOffsetWriter(f, 0)
 	}
 	for off := 0; off < len(data[0]); off += chunk32K {
 		for i, w := range writers {

@@ -250,11 +250,8 @@ type Volume struct {
 	// applier is quiescent whenever exclusive holders inspect the tree.
 	// apCPU is the applier's detached CPU: its work accumulates in
 	// Stats().Intent.ApplierBusy without advancing the simulated clock.
-	// apGroup, the applier goroutine's own, says it holds the WAL group of
-	// an intent it has yet to finish.
-	q       *intentq.Queue
-	apCPU   *sim.CPU
-	apGroup bool
+	q     *intentq.Queue
+	apCPU *sim.CPU
 
 	closed atomic.Bool
 	// ready marks the volume fully wired (set at the end of Format, mount,
@@ -1087,9 +1084,6 @@ func (v *Volume) Force() (err error) {
 	if v.closed.Load() {
 		return ErrClosed
 	}
-	if v.readOnly {
-		return ErrReadOnly
-	}
 	if err := v.healthErr(); err != nil {
 		return err
 	}
@@ -1127,9 +1121,6 @@ func (v *Volume) WaitCommitted(seq uint64) error {
 	if v.closed.Load() {
 		return ErrClosed
 	}
-	if v.readOnly {
-		return ErrReadOnly
-	}
 	if err := v.healthErr(); err != nil {
 		return err
 	}
@@ -1150,7 +1141,7 @@ func (v *Volume) Tick() error {
 	if v.closed.Load() {
 		return ErrClosed
 	}
-	if v.readOnly || v.Health() >= HealthReadOnly {
+	if v.healthErr() != nil {
 		return nil
 	}
 	return v.log.MaybeForce()
@@ -1164,7 +1155,7 @@ func (v *Volume) Shutdown() error {
 	if v.closed.Load() {
 		return ErrClosed
 	}
-	if v.readOnly || v.Health() >= HealthReadOnly {
+	if v.healthErr() != nil {
 		// A degraded mount wrote nothing and must leave the volume
 		// exactly as found — including the unclean root stamp, so the
 		// next writable mount still runs recovery. A volume the health
@@ -1221,9 +1212,6 @@ func (v *Volume) DropCaches() error {
 	defer v.mu.Unlock()
 	if v.closed.Load() {
 		return ErrClosed
-	}
-	if v.readOnly {
-		return ErrReadOnly
 	}
 	if err := v.healthErr(); err != nil {
 		return err
@@ -1284,7 +1272,7 @@ func (v *Volume) begin() error {
 		return ErrOffline
 	}
 	v.cpu.Charge(sim.CostSyscall)
-	if v.readOnly || v.Health() >= HealthReadOnly {
+	if v.healthErr() != nil {
 		// Read-only (by mount or by health) volumes never force: reads
 		// keep serving, nothing new is written.
 		return nil
@@ -1297,9 +1285,6 @@ func (v *Volume) begin() error {
 // volume whose applier hit a sticky error every further mutation reports it
 // rather than enqueueing work that would be skipped.
 func (v *Volume) beginMutate() error {
-	if v.readOnly {
-		return ErrReadOnly
-	}
 	if err := v.healthErr(); err != nil {
 		return err
 	}

@@ -10,45 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-var errFlaky = errors.New("flaky")
-
-// TestRetryableErrorAbsorbed pins the in-place retry path: a transient
-// apply error is retried (with backoff) until it clears, no waiter sees it,
-// and the queue stays healthy.
-func TestRetryableErrorAbsorbed(t *testing.T) {
-	clk := sim.NewVirtualClock()
-	var fails atomic.Int64
-	fails.Store(2)
-	var backoffs atomic.Int64
-	q := New(clk, Config{
-		Apply: func(op any) error {
-			if fails.Add(-1) >= 0 {
-				return errFlaky
-			}
-			return nil
-		},
-		Retryable:   func(err error) bool { return errors.Is(err, errFlaky) },
-		RetryBudget: 3,
-		Backoff:     func(attempt int) { backoffs.Add(1) },
-		OnFatal:     func(error) { t.Error("OnFatal fired for an absorbed error") },
-	})
-	defer q.Close()
-
-	seq, _ := q.Enqueue(0, "a")
-	if err := q.WaitApplied(seq); err != nil {
-		t.Fatalf("WaitApplied = %v after absorbed retries", err)
-	}
-	if err := q.Err(); err != nil {
-		t.Fatalf("Err = %v, want nil", err)
-	}
-	if got := q.ApplyRetries(); got != 2 {
-		t.Fatalf("ApplyRetries = %d, want 2", got)
-	}
-	if got := backoffs.Load(); got != 2 {
-		t.Fatalf("backoff ran %d times, want 2", got)
-	}
-}
-
 // TestFatalErrorDrainsWithoutPoisoning pins the graceful-degradation
 // contract: a fatal apply error fails the in-flight waiters for the dropped
 // sequences, drains the queue deterministically, refuses further Enqueue —
@@ -65,7 +26,6 @@ func TestFatalErrorDrainsWithoutPoisoning(t *testing.T) {
 			}
 			return nil
 		},
-		Retryable: func(error) bool { return false },
 		OnFatal: func(err error) {
 			fatal.Add(1)
 			fatalErr = err
@@ -113,31 +73,6 @@ func TestFatalErrorDrainsWithoutPoisoning(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetExhaustedIsFatal: an error that stays retryable but never
-// clears must escalate after the budget, not loop forever.
-func TestRetryBudgetExhaustedIsFatal(t *testing.T) {
-	clk := sim.NewVirtualClock()
-	var fatal atomic.Int64
-	q := New(clk, Config{
-		Apply:       func(op any) error { return errFlaky },
-		Retryable:   func(err error) bool { return errors.Is(err, errFlaky) },
-		RetryBudget: 5,
-		OnFatal:     func(error) { fatal.Add(1) },
-	})
-	defer q.Close()
-
-	seq, _ := q.Enqueue(0, "a")
-	if err := q.WaitApplied(seq); !errors.Is(err, errFlaky) {
-		t.Fatalf("WaitApplied = %v, want %v", err, errFlaky)
-	}
-	if got := q.ApplyRetries(); got != 5 {
-		t.Fatalf("ApplyRetries = %d, want the budget of 5", got)
-	}
-	if got := fatal.Load(); got != 1 {
-		t.Fatalf("OnFatal fired %d times, want 1", got)
-	}
-}
-
 // TestFatalReleasesBackpressuredEnqueue: a writer blocked at MaxDepth must
 // wake (and be refused) when a fatal drain empties the queue, instead of
 // deadlocking on a parked applier.
@@ -150,7 +85,6 @@ func TestFatalReleasesBackpressuredEnqueue(t *testing.T) {
 			<-gate
 			return errors.New("boom")
 		},
-		Retryable: func(error) bool { return false },
 	})
 	defer q.Close()
 

@@ -7,7 +7,9 @@
 // the deferred work (B-tree updates, WAL staging). Because there is exactly
 // one applier and it consumes strictly in enqueue order, the applied state
 // is always a prefix of the enqueued history — the consistency the readers'
-// dependency waits build on.
+// dependency waits build on. The applier runs each intent once: a failed
+// apply is fatal, and the queue drains itself and refuses further work, so
+// the applied prefix is all that ever applies.
 //
 // Dependency tracking is by key hashing: every intent is tagged with the
 // file names it touches. The queue keeps a pending-intent count per file
@@ -41,35 +43,18 @@ type Config struct {
 	// Zero means 512.
 	MaxDepth int
 	// Apply executes one intent. It runs on the applier goroutine, in
-	// strict enqueue order, with no queue lock held. A retryable error
-	// (see Retryable) is retried in place; a fatal one drains the queue
-	// deterministically (see OnFatal) and is reported by Err and by
-	// WaitApplied for every dropped sequence.
-	//
-	// Apply may be invoked again with the same intent after returning a
-	// retryable error, so it must be resume-safe: completed side effects
-	// must not re-run (track per-intent progress in the op value — the
-	// applier is the only goroutine touching it).
+	// strict enqueue order, with no queue lock held. Apply runs each intent
+	// once: an error is fatal, drains the queue deterministically (see
+	// OnFatal), and is reported by Err and by WaitApplied for every
+	// dropped sequence. What a retry can clear (a device read, say) the
+	// host retries below Apply, before the error reaches it.
 	Apply func(op any) error
-	// Retryable classifies an apply error as transient: the applier backs
-	// off (Backoff) and retries the same intent in place, up to
-	// RetryBudget times, before treating the error as fatal. Nil means no
-	// error is retryable.
-	Retryable func(error) bool
-	// RetryBudget bounds the in-place retries of one intent, as given: zero
-	// (or negative) disables retries.
-	RetryBudget int
-	// Backoff, when set, runs between retry attempts (attempt starts at
-	// 1), on the applier goroutine without the queue lock — typically it
-	// advances a simulated clock or sleeps.
-	Backoff func(attempt int)
 	// OnFatal, when set, is invoked exactly once, on the applier
-	// goroutine without the queue lock, when an apply error is fatal
-	// (non-retryable, or still failing past the retry budget). By the
-	// time it fires the queue has been drained: every unapplied intent
-	// was dropped, blocked waiters were released, and further Enqueue
-	// calls are refused. The host uses it to fail the volume over to
-	// read-only instead of letting the error poison every future wait.
+	// goroutine without the queue lock, when an apply fails. By the time
+	// it fires the queue has been drained: every unapplied intent was
+	// dropped, blocked waiters were released, and further Enqueue calls
+	// are refused. The host uses it to fail the volume over to read-only
+	// instead of letting the error poison every future wait.
 	OnFatal func(error)
 	// OnApplied, when set, is invoked after each intent is applied with
 	// the intent value, its sequence, the enqueue-to-apply lag, and the
@@ -116,9 +101,8 @@ type Queue struct {
 	suspend    bool
 	inApply    bool // applier is executing an intent right now
 
-	readerWaits  atomic.Int64
-	applyRetries atomic.Int64
-	maxDepth     int // high-water mark, under mu
+	readerWaits atomic.Int64
+	maxDepth    int // high-water mark, under mu
 
 	// stripes are the validation locks handed out by LockNames. They are
 	// per-queue so independent volumes never contend with each other.
@@ -244,7 +228,7 @@ func (q *Queue) applier() {
 		q.inApply = true
 		q.mu.Unlock()
 
-		err := q.applyWithRetry(it.op)
+		err := q.cfg.Apply(it.op)
 		lag := q.clk.Now() - it.at
 		// The callback runs before the sequence is published: a waiter
 		// released by this intent finds its sample already recorded.
@@ -286,33 +270,6 @@ func (q *Queue) applier() {
 		q.cond.Broadcast()
 		q.mu.Unlock()
 	}
-}
-
-// applyWithRetry runs one intent through Apply, absorbing retryable errors
-// with bounded in-place retries. No queue lock is held; a Close during the
-// backoff ends the attempt early (the error is then fatal, but the closed
-// queue has already released its waiters).
-func (q *Queue) applyWithRetry(op any) error {
-	err := q.cfg.Apply(op)
-	if err == nil || q.cfg.Retryable == nil {
-		return err
-	}
-	for attempt := 1; attempt <= q.cfg.RetryBudget && q.cfg.Retryable(err); attempt++ {
-		if q.cfg.Backoff != nil {
-			q.cfg.Backoff(attempt)
-		}
-		q.mu.Lock()
-		closed := q.closed
-		q.mu.Unlock()
-		if closed {
-			return err
-		}
-		q.applyRetries.Add(1)
-		if err = q.cfg.Apply(op); err == nil {
-			return nil
-		}
-	}
-	return err
 }
 
 // failLocked records the fatal apply error and drains the queue
@@ -489,9 +446,6 @@ func (q *Queue) FailedFrom() uint64 {
 	defer q.mu.Unlock()
 	return q.failedFrom
 }
-
-// ApplyRetries returns how many in-place retries the applier has performed.
-func (q *Queue) ApplyRetries() int64 { return q.applyRetries.Load() }
 
 // Depth returns the number of enqueued-but-unapplied intents (including the
 // one being applied right now).

@@ -57,11 +57,11 @@ go test -race ./internal/core -count=3 -run 'TestReplayRunsUnderTheDecode|TestMo
 go test -race ./internal/core -count=5 -run 'TestMountScanSimTimeRepeats|TestPipelinedCopiesUnderConcurrency'
 # One atomic group per operation, under the detector and uncached: the WAL
 # bracket itself, a force cutting into rename / create under keep /
-# empty create / a split-inducing create run, the group held across the
-# applier's in-place retry, and its abort on a fatal one. (...NeverShrinks:
+# empty create / a split-inducing create run, an intent that fails part-way
+# applied once on either path, and the abort of its group. (...NeverShrinks:
 # two writers on one handle, staged and async — the size update of a write
 # only grows the file.)
-go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroupForceSeesAllOrNone|TestGroupCutByCrashLeavesNothing|TestGroupSynchronousForcesOnceAtEnd|TestGroupsSideBySide|TestGroupHeldAcrossApplierRetry|TestAbortStopsForces|TestCut|TestFatalApplyAbortsGroup|TestFailedDataWriteLeavesNoEntry|TestStaleHandleOpsRefused|TestConcurrentWriteAtNeverShrinks'
+go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroupForceSeesAllOrNone|TestGroupCutByCrashLeavesNothing|TestGroupSynchronousForcesOnceAtEnd|TestGroupsSideBySide|TestFailedIntentReadsEachCopyOnce|TestAbortStopsForces|TestCut|TestFatalApplyAbortsGroup|TestFailedDataWriteLeavesNoEntry|TestStaleHandleOpsRefused|TestConcurrentWriteAtNeverShrinks'
 # Held writes (DESIGN §12): streams, reads, deletes and forces from several
 # goroutines, staged and async, the held frames' cache and the commit
 # group's fresh runs under them, again and again under the detector.
