@@ -88,6 +88,11 @@ var archRules = []archRule{
 		use: `(^|\.)(joined|padded)$`, in: inCore, tests: true,
 		plant: [2]string{"internal/core/plant.go", "package core; func f(a, b []byte) { joined := append(a, b...); _ = joined }"}},
 
+	// One oracle.
+	{design: "§10", msg: "the plan is read outside check (hold every mounted crash image to the one check)",
+		use: `statusAt$`, call: true, in: []string{"internal/crashtest"}, tests: true, allow: []string{"check"},
+		plant: [2]string{"internal/crashtest/plant.go", "package crashtest; func runNested(plan []fileExp) { plan[0].statusAt(1) }"}},
+
 	// One log walker, one replay.
 	{design: "§3.3", msg: "a record header or end page is decoded outside wal's walk (read the log through walk)",
 		use: `(decodeHeader|validEnd)$`, in: []string{"internal/wal"}, allow: []string{"(*Log).walk", "decodeHeader", "validEnd"},
@@ -158,9 +163,15 @@ var archRules = []archRule{
 	{design: "§15", msg: "a DamagedError caught in core outside the write classifier (read past damage with disk.ReadPast)",
 		use: `disk\.DamagedError$`, in: inCore, allow: []string{"(*Volume).noteWriteFault"},
 		plant: [2]string{"internal/core/plant.go", "package core; func f(err error) bool { var de *disk.DamagedError; return errors.As(err, &de) }"}},
-	{design: "§15", msg: "a WAL device read outside readData, the audit's run read and scrubAnchor (read a span past damage, once)",
-		use: `(\.ReadSectors(Into)?|ReadSectorsRetry(Into)?|\.VerifyRead)$`, in: []string{"internal/wal"}, allow: []string{"(*Log).readData", "(*Log).scrubAnchor", "(*logRuns).load"},
+	{design: "§15", msg: "a WAL device read outside Config.Read's default, the audit's run read and scrubAnchor (read through Config.Read, a span past damage, once)",
+		use: `(\.ReadSectors(Into)?|ReadSectorsRetry(Into)?|\.VerifyRead)$`, in: []string{"internal/wal"}, allow: []string{"(*Config).deviceIO", "(*Log).scrubAnchor", "(*logRuns).load"},
 		plant: [2]string{"internal/wal/plant.go", "package wal; func (l *Log) readRecord() { l.d.ReadSectors(0, 1) }"}},
+	{design: "§15", msg: "a WAL device write outside Config.Write's default (write through Config.Write, the volume's write path)",
+		use: `(\.WriteSectors(From)?|WriteSectorsRetry(From)?)$`, in: []string{"internal/wal"}, allow: []string{"(*Config).deviceIO"},
+		plant: [2]string{"internal/wal/plant.go", "package wal; func (l *Log) writeRecord() { disk.WriteSectorsRetry(l.d, 0, nil, 2) }"}},
+	{design: "§15", msg: "the log keeps a fault policy of its own again (it reads and writes through the Config.Read and Config.Write a volume hands it)",
+		use: `(^|\.)(ReadRetries|WriteRetries|OnReadFault|OnWriteFault)$`, in: []string{"internal/wal"}, tests: true,
+		plant: [2]string{"internal/wal/plant_test.go", "package wal; var _ = Config{ReadRetries: 2}"}},
 	{design: "§15", msg: "startIntentQueue or finishMount called outside goLive (end the bring-up in goLive)",
 		use: `(startIntentQueue|finishMount)$`, in: inCore, allow: []string{"(*Volume).goLive", "(*Volume).startIntentQueue", "(*Volume).finishMount"},
 		plant: [2]string{"internal/core/plant.go", "package core; func Salvage(v *Volume) {\n\tv.startIntentQueue()\n}"}},

@@ -19,7 +19,7 @@
 //	fsdctl -img vol.img info                       # volume statistics
 //	fsdctl -img vol.img stats                      # full observability snapshot
 //	fsdctl crashcheck [-seed N] [-states N] ...    # crash-state exploration sweep
-//	fsdctl crashcheck -nested [-depth 2] ...       # depth-2: crash the recovery too
+//	fsdctl crashcheck -nested ...                  # depth-2: crash the recovery too
 //
 // The -json flag switches verify/fsck, scrub, salvage, stats, and crashcheck
 // to machine-readable JSON on stdout. The -workers flag sets the pool width
@@ -517,7 +517,6 @@ func crashcheck(jsonOut bool, args []string) error {
 	workers := fs.Int("workers", 0, "parallel state executors (0 = GOMAXPROCS)")
 	async := fs.Bool("async", false, "run the workload through the asynchronous intent queue")
 	nested := fs.Bool("nested", false, "depth-2 exploration: crash each state's recovery at its barrier epochs and recover again")
-	depth := fs.Int("depth", 0, "nested exploration depth (only 2 is supported; 0 = 2 with -nested)")
 	inner := fs.Int("inner", 0, "with -nested, inner crash states sampled per outer state (0 = default 8)")
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("crashcheck: %w", errUsage)
@@ -532,7 +531,6 @@ func crashcheck(jsonOut bool, args []string) error {
 		WriteDecay:  *writeDecay,
 		Async:       *async,
 		Nested:      *nested,
-		Depth:       *depth,
 		InnerStates: *inner,
 	})
 	if err != nil {

@@ -426,7 +426,7 @@ func TestCLICrashcheckNested(t *testing.T) {
 	// contract unchanged: PASS is exit 0.
 	out := captureStdout(t, func() {
 		if err := run("unused.img", false, []string{"crashcheck", "-nested",
-			"-depth", "2", "-seed", "4", "-ops", "40", "-states", "8", "-inner", "3"}); err != nil {
+			"-seed", "4", "-ops", "40", "-states", "8", "-inner", "3"}); err != nil {
 			t.Fatalf("nested crashcheck: %v", err)
 		}
 	})
@@ -435,10 +435,7 @@ func TestCLICrashcheckNested(t *testing.T) {
 			t.Fatalf("nested output missing %q:\n%s", want, out)
 		}
 	}
-	// Unsupported depth and fault composition are usage-level errors.
-	if err := run("unused.img", false, []string{"crashcheck", "-nested", "-depth", "3"}); err == nil {
-		t.Fatal("depth 3 accepted")
-	}
+	// Fault composition is refused.
 	if err := run("unused.img", false, []string{"crashcheck", "-nested", "-decay", "0.01"}); err == nil {
 		t.Fatal("nested with decay accepted")
 	}

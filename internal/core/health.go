@@ -10,9 +10,10 @@ import (
 
 // The volume health state machine: the write-path fault model's answer to
 // "what does the file system do when retries stop working". Every write
-// site funnels through writeSectors (bounded retries + spare-sector remap,
-// mirroring the WAL's own policy), and every absorbed fault charges a
-// weighted error budget. The budget drives a monotonic four-state FSM:
+// site, the log's included, funnels through writeSectors (bounded retries +
+// spare-sector remap), every retried read through readRetried, and every
+// absorbed fault charges a weighted error budget. The budget drives a
+// monotonic four-state FSM:
 //
 //	Healthy  —— budget exceeded ——▶  Degraded   (scrub scheduled aggressively)
 //	Degraded —— budget 4× / write fails outright / spares gone ——▶ ReadOnly
@@ -28,7 +29,7 @@ import (
 // Transitions are one-way (a volume never self-promotes back to Healthy;
 // remount after repair for that), so the FSM is a simple monotonic
 // max-exchange over an atomic — callable from the disk's op observer and
-// the WAL's write-fault callback, both of which run under component locks.
+// from the log's writes, both of which run under component locks.
 
 // Health is the volume health state. States are ordered: transitions only
 // ever increase, so Health() >= HealthReadOnly means "mutations refused".
@@ -143,8 +144,7 @@ func (v *Volume) chargeBudget(weight int64, why string) {
 
 // noteWriteFault records the outcome of one write site's retry/remap
 // policy: absorbed faults charge the budget, unabsorbed errors transition
-// the FSM directly. Shared by the volume's own writeSectors and the WAL's
-// OnWriteFault callback.
+// the FSM directly. writeSectorsFrom, the one write path, reports here.
 func (v *Volume) noteWriteFault(retried, remapped int, err error) {
 	if retried > 0 {
 		v.faults.writeRetries.Add(int64(retried))
@@ -173,7 +173,7 @@ func (v *Volume) noteWriteFault(retried, remapped int, err error) {
 
 // noteReadFault records the outcome of one read's bounded retries, the read
 // side's counterpart of noteWriteFault: every retried read in core and the
-// WAL (OnReadFault) reports here. It counts the retries, and the read once
+// log's (readRetried) reports here. It counts the retries, and the read once
 // if they saved it; charge says whether the retries also burn the error
 // budget, which is the caller's policy — a mount whose replay limped
 // through decayed media lands Degraded, with the aggressive scrub pass that
@@ -195,11 +195,6 @@ func (v *Volume) noteReadFault(retried int, err error, charge bool) {
 	}
 }
 
-// noteLogReadFault is noteReadFault for the WAL's reads, which charge.
-func (v *Volume) noteLogReadFault(retried int, err error) {
-	v.noteReadFault(retried, err, true)
-}
-
 // noteHungOp classifies one disk operation that exceeded opTimeout:
 // the op did complete (the simulated device never wedges forever), but a
 // real stalled drive would have held the commit pipeline for this long, so
@@ -212,9 +207,9 @@ func (v *Volume) noteHungOp(elapsed time.Duration) {
 // writeSectorsFrom is the volume's one write path to the device: bounded
 // in-place retries absorb transient write faults, persistent bad-on-write
 // sectors are retired to spares via Remap, and whatever happens is fed to
-// the health FSM. Every metadata/data write site in core goes through it
-// (the WAL applies the same policy internally and reports through
-// OnWriteFault). src is a gather list, as disk.WriteSectorsFrom takes.
+// the health FSM. Every metadata, data and log write goes through it (the
+// log is handed writeSectors, walConfig). src is a gather list, as
+// disk.WriteSectorsFrom takes.
 func (v *Volume) writeSectorsFrom(addr int, src ...[]byte) error {
 	retried, remapped, err := disk.WriteSectorsRetryFrom(v.d, addr, v.cfg.writeRetries(), src...)
 	if retried > 0 || remapped > 0 || err != nil {
@@ -226,6 +221,23 @@ func (v *Volume) writeSectorsFrom(addr int, src ...[]byte) error {
 // writeSectors is writeSectorsFrom one buffer.
 func (v *Volume) writeSectors(addr int, data []byte) error {
 	return v.writeSectorsFrom(addr, data)
+}
+
+// readLog is the read the volume hands its log (walConfig). Its retries
+// always charge the error budget: the log is read by a mount's replay, and a
+// read-only mount limping through decayed media must report Degraded too.
+func (v *Volume) readLog(addr int, dst ...[]byte) error {
+	return v.readRetried(true, addr, dst...)
+}
+
+// readRetried is the volume's one retried read: disk.ReadSectorsRetryInto at
+// the configured budget, its outcome reported to noteReadFault.
+func (v *Volume) readRetried(charge bool, addr int, dst ...[]byte) error {
+	retried, err := disk.ReadSectorsRetryInto(v.d, addr, v.cfg.readRetries(), dst...)
+	if retried > 0 || err != nil {
+		v.noteReadFault(retried, err, charge)
+	}
+	return err
 }
 
 // healthErr translates the current state into the error a mutation (or,

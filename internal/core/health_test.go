@@ -343,3 +343,37 @@ func TestHealthTransitionHammer(t *testing.T) {
 		}
 	}
 }
+
+// TestLogOpenRetriesCharged: the log reads through the volume's own retried
+// read from its first I/O. On a crash mount over a dead anchor copy A, the
+// dead sector is read twice — by wal.Open and again by the replay's walk —
+// and each read spends the whole retry budget on the volume's books: both
+// are counted in Faults.ReadRetries and charged to the error budget, Open's
+// as well as the replay's.
+func TestLogOpenRetriesCharged(t *testing.T) {
+	const retries = 3
+	cfg := testConfig()
+	cfg.ReadRetries = retries
+	v, d, _ := newTestVolumeWith(t, cfg)
+	if _, err := v.Create("f", payload(900, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.WaitCommitted(v.CommitSeq()); err != nil {
+		t.Fatal(err)
+	}
+	v.Crash()
+	d.Revive()
+	d.CorruptSectors(v.lay.logBase, 1)
+	v2, ms, err := Mount(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Crash()
+	if ms.CleanShutdown || ms.LogRecords == 0 {
+		t.Fatalf("mount clean=%v replayed %d records; want a crash mount that replays", ms.CleanShutdown, ms.LogRecords)
+	}
+	if f := v2.Stats().Faults; f.ReadRetries != 2*retries || f.ErrorBudget != 2*retries || f.RetriedOK != 0 {
+		t.Fatalf("faults %+v: want %d read retries charged (two reads of the dead anchor, %d each), none saving a read",
+			f, 2*retries, retries)
+	}
+}

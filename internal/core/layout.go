@@ -151,14 +151,16 @@ func (c Config) interval() time.Duration {
 // the deadline; the classification is what drives the health FSM.
 const opTimeout = time.Second
 
-// walConfig translates the volume config into the log's.
-func (c Config) walConfig() wal.Config {
+// walConfig translates the volume config into the log's and hands the log
+// the volume's own read and write (readLog, writeSectors), so the log's
+// faults meet the volume's retry policy and health FSM from its first I/O.
+func (v *Volume) walConfig() wal.Config {
 	return wal.Config{
-		Interval:     c.interval(),
-		Thirds:       c.Thirds,
-		Adaptive:     c.AdaptiveCommit,
-		WriteRetries: c.WriteRetries,
-		ReadRetries:  c.ReadRetries,
+		Interval: v.cfg.interval(),
+		Thirds:   v.cfg.Thirds,
+		Adaptive: v.cfg.AdaptiveCommit,
+		Read:     v.readLog,
+		Write:    v.writeSectors,
 	}
 }
 
@@ -214,25 +216,9 @@ func (c Config) readAhead() int {
 	return min(ra, c.dataCachePages()/2/8)
 }
 
-func (c Config) readRetries() int {
-	if c.ReadRetries < 0 {
-		return 0
-	}
-	if c.ReadRetries == 0 {
-		return 2
-	}
-	return c.ReadRetries
-}
+func (c Config) readRetries() int { return disk.Retries(c.ReadRetries) }
 
-func (c Config) writeRetries() int {
-	if c.WriteRetries < 0 {
-		return 0
-	}
-	if c.WriteRetries == 0 {
-		return 2
-	}
-	return c.WriteRetries
-}
+func (c Config) writeRetries() int { return disk.Retries(c.WriteRetries) }
 
 func (c Config) errorBudget() int {
 	if c.ErrorBudget < 0 {

@@ -39,13 +39,11 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	if root.clean {
 		err = v.mountClean(&ms)
 	} else {
-		lg, lerr := wal.Open(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())
-		if lerr == nil {
-			// Replay reads feed the health budget even read-only, so a
-			// mount that limps through decayed media reports Degraded in
-			// Stats().
-			lg.OnReadFault = v.noteLogReadFault
-		} else {
+		// Replay reads feed the health budget even read-only (readLog), so
+		// a mount that limps through decayed media reports Degraded in
+		// Stats().
+		lg, lerr := wal.Open(d, lay.logBase, lay.logSize, v.clk, v.walConfig())
+		if lerr != nil {
 			lg = nil
 		}
 		var leaders []wal.PageImage

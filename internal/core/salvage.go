@@ -677,7 +677,7 @@ func (r *salvageRun) rebuild() error {
 	if err := r.flush(salvageRebuild, lay.total); err != nil {
 		return err
 	}
-	if err := v.useLog(wal.Format(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())); err != nil {
+	if err := v.useLog(wal.Format(d, lay.logBase, lay.logSize, v.clk, v.walConfig())); err != nil {
 		return err
 	}
 	v.copyAOnly = r.hasMan
@@ -796,7 +796,7 @@ func (r *salvageRun) finalize() error {
 // is absorbed by the write path's retry/remap policy.
 func (r *salvageRun) resumeFinalize() error {
 	v, d, lay, cfg, st := r.v, r.d, r.lay, r.cfg, r.st
-	if err := v.useLog(wal.Format(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())); err != nil {
+	if err := v.useLog(wal.Format(d, lay.logBase, lay.logSize, v.clk, v.walConfig())); err != nil {
 		return err
 	}
 	// Copy B still holds the manifest (or a torn mirror); trust copy A alone

@@ -124,11 +124,7 @@ func (v *Volume) readSectorsRetry(addr, n int) ([]byte, error) {
 // state only count: a scrub retrying damage it is about to repair must not
 // demote the volume for doing its job.
 func (v *Volume) readSectorsRetryInto(addr int, dst ...[]byte) error {
-	retried, err := disk.ReadSectorsRetryInto(v.d, addr, v.cfg.readRetries(), dst...)
-	if retried > 0 || err != nil {
-		v.noteReadFault(retried, err, v.recovering.Load())
-	}
-	return err
+	return v.readRetried(v.recovering.Load(), addr, dst...)
 }
 
 // repairSectors rewrites sectors from a known-good image, retiring to a

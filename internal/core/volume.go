@@ -399,8 +399,8 @@ func openVolume(d *disk.Disk, cfg Config, o mountOptions, readOnly bool) (*Volum
 }
 
 // useLog makes lg, as returned with err by wal.Format or wal.Open, the
-// volume's log and installs its callbacks, so the log's own faults reach the
-// health FSM like any runtime fault.
+// volume's log and installs its callbacks. (Its faults need none: the log
+// reads and writes through the volume's own I/O, walConfig.)
 func (v *Volume) useLog(lg *wal.Log, err error) error {
 	if err != nil {
 		return err
@@ -408,10 +408,6 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 	v.log = lg
 	v.log.OnForce = v.observeForce
 	v.log.DataHook = v.writeHeld
-	// The WAL runs the same bounded-retry + remap policy as core's own
-	// write sites; its outcomes feed the same health FSM.
-	v.log.OnWriteFault = v.noteWriteFault
-	v.log.OnReadFault = v.noteLogReadFault
 	v.log.OnAppend = func(n int, seq uint64) {
 		v.trace(obs.Event{Kind: obs.EvWALAppend, OK: true, A: int64(n), B: int64(seq)})
 	}
@@ -564,7 +560,7 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 		return nil, err
 	}
 	v := newVolume(d, cfg, lay)
-	if err := v.useLog(wal.Format(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())); err != nil {
+	if err := v.useLog(wal.Format(d, lay.logBase, lay.logSize, v.clk, v.walConfig())); err != nil {
 		return nil, err
 	}
 	// A format over a previously salvaged-then-interrupted volume must not
@@ -625,9 +621,7 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	}
 	v.uidNext.Store(root.uidChunk << 32)
 
-	// Callbacks go in before replay: a retried replay read or a faulted
-	// anchor write must charge the health budget too.
-	if err := v.useLog(wal.Open(d, lay.logBase, lay.logSize, v.clk, cfg.walConfig())); err != nil {
+	if err := v.useLog(wal.Open(d, lay.logBase, lay.logSize, v.clk, v.walConfig())); err != nil {
 		return nil, ms, err
 	}
 

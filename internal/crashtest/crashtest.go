@@ -73,10 +73,6 @@ type Config struct {
 	// nested.go for the double-crash oracle). Does not compose with Decay
 	// or WriteDecay — the window bypasses the write-fault injector.
 	Nested bool
-	// Depth selects the nesting depth when Nested is set. 0 and 2 both mean
-	// the supported depth-2 exploration; anything else is rejected (the
-	// field exists so drivers can state their intent explicitly).
-	Depth int
 	// InnerStates caps the inner crash states executed per outer state (an
 	// evenly strided sample of the inner enumeration, like MaxStates).
 	// 0 means 8.
@@ -319,6 +315,8 @@ func buildWorkload(seed int64, nops int, async bool, logSectors int, shutdown bo
 	return w, nil
 }
 
+// stateResult is what one executed state produced: its recovery's counters
+// and verdicts and, at depth 2, the inner states explored from it.
 type stateResult struct {
 	mountFail  bool
 	clean      bool // the mount found the root stamped clean
@@ -329,120 +327,203 @@ type stateResult struct {
 	torn       int
 	tail       int
 	gaps       int
+
+	innerTotal      int // full inner enumeration size
+	innerStates     int // inner states executed
+	innerMountFail  int
+	innerViolations int
+	rrTimes         []time.Duration // recovery-of-recovery virtual mount times
 }
 
-// runState reconstructs one crash image, mounts it, and checks the oracle.
-func runState(base *disk.Disk, trace []disk.JournaledWrite, byEpoch [][]int,
-	st State, plan []fileExp, seed int64, decay, writeDecay float64, async bool) stateResult {
+// fail records each of descs as a violation of st; inner names the inner
+// state at depth 2 ("" otherwise) and by names the recovery that failed.
+func (r *stateResult) fail(seed int64, st State, inner, by string, descs ...string) {
+	where := st.String()
+	if inner != "" {
+		where += " / " + inner
+	}
+	for _, desc := range descs {
+		r.violations = append(r.violations, Violation{Seed: seed, StateID: st.ID, State: where, Desc: by + desc})
+	}
+}
 
+// check holds a mounted crash image to the plan at cut: an acknowledged
+// create is present and byte-exact, an acknowledged delete stays deleted, and
+// an unacknowledged file is absent or intact. Given the view an earlier
+// recovery of the same crash left (prev, nil at depth 1), it also holds the
+// image to that view: what the first recovery served survives the second with
+// the same bytes, and nothing it did not serve comes back. Under faulty, an
+// open or read that fails is media loss, not a violation. It returns the view
+// it saw — every file it found intact, with its bytes — its violations and
+// its media losses.
+func check(v *core.Volume, plan []fileExp, cut int, prev map[string][]byte, faulty bool) (seen map[string][]byte, fails []string, lost int) {
+	seen = make(map[string][]byte)
+	for i := range plan {
+		e := &plan[i]
+		status := e.statusAt(cut)
+		want, served := e.data, true
+		if prev != nil {
+			want, served = prev[e.name]
+		}
+		f, err := v.Open(e.name, 1)
+		if errors.Is(err, core.ErrNotFound) {
+			if status == mustExist {
+				fails = append(fails, fmt.Sprintf("acknowledged file %s lost", e.name))
+			} else if prev != nil && served {
+				fails = append(fails, fmt.Sprintf("file %s survived the first recovery but not the second", e.name))
+			}
+			continue
+		}
+		if err != nil {
+			if faulty {
+				lost++
+			} else {
+				fails = append(fails, fmt.Sprintf("open %s: %v", e.name, err))
+			}
+			continue
+		}
+		if status == mustNotExist {
+			fails = append(fails, fmt.Sprintf("acknowledged delete of %s undone", e.name))
+			continue
+		}
+		if !served {
+			fails = append(fails, fmt.Sprintf("file %s absent after the first recovery, resurrected by the second", e.name))
+			continue
+		}
+		got, err := f.ReadAll()
+		switch {
+		case err != nil && faulty:
+			lost++
+		case err != nil:
+			fails = append(fails, fmt.Sprintf("read %s: %v", e.name, err))
+		case !bytes.Equal(got, want) && prev != nil:
+			fails = append(fails, fmt.Sprintf("content of %s diverged between recoveries", e.name))
+		case !bytes.Equal(got, want):
+			fails = append(fails, fmt.Sprintf("file %s present but content torn (%d bytes, want %d)",
+				e.name, len(got), len(want)))
+		default:
+			seen[e.name] = got
+		}
+	}
+	return seen, fails, lost
+}
+
+// probe holds a recovered volume to its structural invariants (Verify) and
+// to immediate use: a create that commits and reads back. Under faulty,
+// Verify's problems are expected and a refused create or a failed read is
+// media loss.
+func probe(v *core.Volume, faulty bool) (fails []string, lost int) {
+	if vs, err := v.Verify(); err != nil {
+		fails = append(fails, fmt.Sprintf("verify: %v", err))
+	} else if len(vs.Problems) > 0 && !faulty {
+		fails = append(fails, fmt.Sprintf("verify found %d problems: %s", len(vs.Problems), vs.Problems[0]))
+	}
+	alive := []byte("recovered")
+	if _, err := v.Create("post/alive", alive); err != nil {
+		if faulty {
+			return fails, 1
+		}
+		return append(fails, fmt.Sprintf("post-recovery create: %v", err)), 0
+	}
+	if err := v.WaitCommitted(v.CommitSeq()); err != nil {
+		return append(fails, fmt.Sprintf("post-recovery commit: %v", err)), 0
+	}
+	if f, err := v.Open("post/alive", 1); err != nil {
+		fails = append(fails, fmt.Sprintf("post-recovery open: %v", err))
+	} else if got, err := f.ReadAll(); err != nil && faulty {
+		lost++ // the fresh page can decay too
+	} else if err != nil {
+		fails = append(fails, fmt.Sprintf("post-recovery read: %v", err))
+	} else if !bytes.Equal(got, alive) {
+		fails = append(fails, "post-recovery read returned wrong content")
+	}
+	return fails, lost
+}
+
+// explorer executes states of one workload under one Config.
+type explorer struct {
+	cfg     Config
+	w       *workload
+	byEpoch [][]int
+}
+
+func newExplorer(cfg Config, w *workload) *explorer {
+	return &explorer{cfg: cfg, w: w, byEpoch: groupByEpoch(w.trace, w.epochs)}
+}
+
+// run reconstructs one crash image and recovers it. Depth 1 is mount →
+// check → probe. With Nested, the mount runs under a write-back window and is
+// held to check alone (the probe's writes would enter the inner trace), and
+// the states of that recovery's own trace are explored from the view it left
+// (nested.go).
+func (x *explorer) run(st State) stateResult {
 	var res stateResult
-	d := reconstruct(base, trace, byEpoch, st)
-
-	cfg := explorerConfig(async)
-	if decay > 0 || writeDecay > 0 {
+	d := reconstruct(x.w.base, x.w.trace, x.byEpoch, st)
+	cfg := explorerConfig(x.cfg.Async)
+	faulty := x.cfg.Decay > 0 || x.cfg.WriteDecay > 0
+	if faulty {
 		d.InjectFaults(disk.FaultConfig{
-			Seed:           seed ^ int64(st.ID)*0x9E3779B9,
-			LatentError:    decay,
-			TransientRead:  decay / 2,
-			TransientWrite: writeDecay,
-			BadOnWrite:     writeDecay / 4,
+			Seed:           x.cfg.Seed ^ int64(st.ID)*0x9E3779B9,
+			LatentError:    x.cfg.Decay,
+			TransientRead:  x.cfg.Decay / 2,
+			TransientWrite: x.cfg.WriteDecay,
+			BadOnWrite:     x.cfg.WriteDecay / 4,
 		})
 		cfg.ReadRetries = 4
 		cfg.WriteRetries = 4
 	}
-	faulty := decay > 0 || writeDecay > 0
-
-	fail := func(desc string) {
-		res.violations = append(res.violations, Violation{
-			Seed: seed, StateID: st.ID, State: st.String(), Desc: desc,
-		})
+	by := ""
+	if x.cfg.Nested {
+		// Recovery under the window: its writes are journaled, the platter
+		// stays frozen at the outer crash image.
+		d.EnableWriteBack()
+		by = "first recovery: "
 	}
-
 	v, ms, err := core.Mount(d, cfg)
 	if err != nil {
 		res.mountFail = true
-		fail(fmt.Sprintf("mount failed: %v", err))
+		res.fail(x.cfg.Seed, st, "", by, fmt.Sprintf("mount failed: %v", err))
 		return res
 	}
-	// Whichever way the state ends, its volume goes: an async one's applier
-	// would otherwise outlive the state, holding the volume and its disk.
-	defer v.Crash()
 	res.recovery, res.clean, res.records = ms.Elapsed, ms.CleanShutdown, ms.LogRecords
 	res.torn = ms.LogTornRecords
 	res.tail = ms.LogTailDiscarded
 	res.gaps = ms.LogGapBreaks
 
-	// Durability oracle.
-	for i := range plan {
-		e := &plan[i]
-		status := e.statusAt(st.Cut)
-		f, err := v.Open(e.name, 1)
-		if errors.Is(err, core.ErrNotFound) {
-			if status == mustExist {
-				fail(fmt.Sprintf("acknowledged file %s lost", e.name))
-			}
-			continue
+	seen, fails, lost := check(v, x.w.plan, st.Cut, nil, faulty)
+	res.fail(x.cfg.Seed, st, "", by, fails...)
+	res.mediaLoss += lost
+	// Whichever way the state ends, its volume is crashed: an async one's
+	// applier would otherwise outlive the state, holding the volume and its
+	// disk.
+	if x.cfg.Nested {
+		trace, epochs := d.Trace(), d.SyncedEpoch()
+		v.Crash()
+		// A failed first recovery already broke the contract; inner states
+		// would only repeat the noise.
+		if len(res.violations) == 0 {
+			x.inner(&res, st, d, trace, epochs, seen)
 		}
-		if err != nil {
-			if faulty {
-				res.mediaLoss++
-				continue
-			}
-			fail(fmt.Sprintf("open %s: %v", e.name, err))
-			continue
-		}
-		if status == mustNotExist {
-			fail(fmt.Sprintf("acknowledged delete of %s undone", e.name))
-			continue
-		}
-		got, err := f.ReadAll()
-		if err != nil {
-			if faulty {
-				res.mediaLoss++
-				continue
-			}
-			fail(fmt.Sprintf("read %s: %v", e.name, err))
-			continue
-		}
-		if !bytes.Equal(got, e.data) {
-			fail(fmt.Sprintf("file %s present but content torn (%d bytes, want %d)",
-				e.name, len(got), len(e.data)))
-		}
-	}
-
-	// Structural invariants must hold in every crash state.
-	vs, err := v.Verify()
-	if err != nil {
-		fail(fmt.Sprintf("verify: %v", err))
-	} else if len(vs.Problems) > 0 && !faulty {
-		fail(fmt.Sprintf("verify found %d problems: %s", len(vs.Problems), vs.Problems[0]))
-	}
-
-	// The recovered volume must be immediately usable: create, commit, read.
-	if _, err := v.Create("post/alive", []byte("recovered")); err != nil {
-		if faulty {
-			res.mediaLoss++
-			return res
-		}
-		fail(fmt.Sprintf("post-recovery create: %v", err))
 		return res
 	}
-	if err := v.WaitCommitted(v.CommitSeq()); err != nil {
-		fail(fmt.Sprintf("post-recovery commit: %v", err))
-		return res
-	}
-	if f, err := v.Open("post/alive", 1); err != nil {
-		fail(fmt.Sprintf("post-recovery open: %v", err))
-	} else if got, err := f.ReadAll(); err != nil {
-		if faulty {
-			res.mediaLoss++ // the fresh page can decay too
-		} else {
-			fail(fmt.Sprintf("post-recovery read: %v", err))
-		}
-	} else if !bytes.Equal(got, []byte("recovered")) {
-		fail("post-recovery read returned wrong content")
-	}
+	fails, lost = probe(v, faulty)
+	v.Crash()
+	res.fail(x.cfg.Seed, st, "", by, fails...)
+	res.mediaLoss += lost
 	return res
+}
+
+// stride returns n states evenly strided over states, so coverage stays
+// spread across the trace, or all of them when n is 0 or covers them.
+func stride(states []State, n int) []State {
+	if n <= 0 || len(states) <= n {
+		return states
+	}
+	out := make([]State, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, states[i*len(states)/n])
+	}
+	return out
 }
 
 // Run executes a full exploration: scripted workload, deterministic state
@@ -452,9 +533,6 @@ func Run(cfg Config) (*Result, error) {
 		cfg.Ops = 270
 	}
 	if cfg.Nested {
-		if cfg.Depth != 0 && cfg.Depth != 2 {
-			return nil, fmt.Errorf("crashtest: nested depth %d unsupported (only 2)", cfg.Depth)
-		}
 		if cfg.Decay > 0 || cfg.WriteDecay > 0 {
 			return nil, errors.New("crashtest: nested exploration does not compose with decay/write-decay (the write-back window bypasses the fault injector)")
 		}
@@ -467,20 +545,19 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, trace, epochs, plan := w.base, w.trace, w.epochs, w.plan
-	states := Enumerate(trace, epochs, cfg.Seed)
+	states := Enumerate(w.trace, w.epochs, cfg.Seed)
 	res := &Result{
 		Seed:         cfg.Seed,
 		Ops:          cfg.Ops,
-		Epochs:       epochs,
-		TracedWrites: len(trace),
+		Epochs:       w.epochs,
+		TracedWrites: len(w.trace),
 		StatesTotal:  len(states),
 
 		ThirdCrossings: w.crossings,
 	}
-	for i := range plan {
-		acked := plan[i].createAck > 0 && !plan[i].deleted ||
-			plan[i].deleted && plan[i].deleteAck > 0
+	for i := range w.plan {
+		acked := w.plan[i].createAck > 0 && !w.plan[i].deleted ||
+			w.plan[i].deleted && w.plan[i].deleteAck > 0
 		if acked {
 			res.AckedOps++
 		} else {
@@ -488,21 +565,15 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	sel := states
+	sel := stride(states, cfg.MaxStates)
 	if cfg.StateID >= 0 {
 		if cfg.StateID >= len(states) {
 			return nil, fmt.Errorf("crashtest: state %d out of range (have %d)", cfg.StateID, len(states))
 		}
 		sel = states[cfg.StateID : cfg.StateID+1]
-	} else if cfg.MaxStates > 0 && len(states) > cfg.MaxStates {
-		stride := make([]State, 0, cfg.MaxStates)
-		for i := 0; i < cfg.MaxStates; i++ {
-			stride = append(stride, states[i*len(states)/cfg.MaxStates])
-		}
-		sel = stride
 	}
 
-	byEpoch := groupByEpoch(trace, epochs)
+	x := newExplorer(cfg, w)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -514,41 +585,12 @@ func Run(cfg Config) (*Result, error) {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	work := make(chan State)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for st := range work {
-				if cfg.Nested {
-					nr := runNested(base, trace, byEpoch, st, plan, cfg.Seed, cfg.Async, cfg.InnerStates)
-					mu.Lock()
-					res.States++
-					switch st.Kind {
-					case 'p':
-						res.PrefixStates++
-					case 'r':
-						res.ReorderStates++
-					case 't':
-						res.TornStates++
-					}
-					if nr.outerMountFail {
-						res.MountFailures++
-					} else {
-						res.RecoveryTimes = append(res.RecoveryTimes, nr.outerRecovery)
-					}
-					res.Violations = append(res.Violations, nr.violations...)
-					res.TornRecords += nr.torn
-					res.TailDiscarded += nr.tail
-					res.GapBreaks += nr.gaps
-					res.InnerStatesTotal += nr.innerTotal
-					res.InnerStates += nr.innerStates
-					res.InnerMountFailures += nr.innerMountFail
-					res.InnerViolations += nr.innerViolations
-					res.RecoveryOfRecovery = append(res.RecoveryOfRecovery, nr.rrTimes...)
-					mu.Unlock()
-					continue
-				}
-				sr := runState(base, trace, byEpoch, st, plan, cfg.Seed, cfg.Decay, cfg.WriteDecay, cfg.Async)
+				sr := x.run(st)
 				mu.Lock()
 				res.States++
 				switch st.Kind {
@@ -561,15 +603,19 @@ func Run(cfg Config) (*Result, error) {
 				}
 				if sr.mountFail {
 					res.MountFailures++
+				} else {
+					res.RecoveryTimes = append(res.RecoveryTimes, sr.recovery)
 				}
 				res.Violations = append(res.Violations, sr.violations...)
 				res.MediaLosses += sr.mediaLoss
 				res.TornRecords += sr.torn
 				res.TailDiscarded += sr.tail
 				res.GapBreaks += sr.gaps
-				if !sr.mountFail {
-					res.RecoveryTimes = append(res.RecoveryTimes, sr.recovery)
-				}
+				res.InnerStatesTotal += sr.innerTotal
+				res.InnerStates += sr.innerStates
+				res.InnerMountFailures += sr.innerMountFail
+				res.InnerViolations += sr.innerViolations
+				res.RecoveryOfRecovery = append(res.RecoveryOfRecovery, sr.rrTimes...)
 				mu.Unlock()
 			}
 		}()
@@ -580,7 +626,9 @@ func Run(cfg Config) (*Result, error) {
 	close(work)
 	wg.Wait()
 
-	sort.Slice(res.Violations, func(i, j int) bool {
+	// Stable: a state's violations arrive together, in check order, from
+	// whichever worker ran it.
+	sort.SliceStable(res.Violations, func(i, j int) bool {
 		return res.Violations[i].StateID < res.Violations[j].StateID
 	})
 	res.Elapsed = time.Since(wallStart)

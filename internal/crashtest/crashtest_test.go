@@ -1,10 +1,16 @@
 package crashtest
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/disk"
+	"repro/internal/sim"
 )
 
 // TestExploreAllStates is the tentpole acceptance check: the full
@@ -171,14 +177,14 @@ func TestShutdownCrashStates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		byEpoch := groupByEpoch(w.trace, w.epochs)
+		x := newExplorer(Config{Seed: seed, Async: async}, w)
 		states, clean, replayed := 0, 0, 0
 		for _, st := range Enumerate(w.trace, w.epochs, seed) {
 			if st.Cut < w.shutdownFrom {
 				continue
 			}
 			states++
-			sr := runState(w.base, w.trace, byEpoch, st, w.plan, seed, 0, 0, async)
+			sr := x.run(st)
 			for _, v := range sr.violations {
 				t.Errorf("async=%v: %s [%s]", async, v.Desc, v.State)
 			}
@@ -359,6 +365,79 @@ func TestWriteDecayComposition(t *testing.T) {
 	}
 	for _, v := range res.Violations {
 		t.Errorf("write-decay violation (seed=%d state=%d): %s", v.Seed, v.StateID, v.Desc)
+	}
+}
+
+// TestCheckVerdicts makes each of the oracle's verdicts fire, once, on a
+// small mounted volume held to a fabricated plan and, for the depth-2
+// verdicts, a fabricated view of an earlier recovery: no sweep of working
+// code reports a violation, so only this test shows that each check can.
+func TestCheckVerdicts(t *testing.T) {
+	d, err := disk.New(disk.SmallGeometry, disk.DefaultParams, sim.NewVirtualClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := core.Format(d, explorerConfig(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("cedar"), 300)
+	other := bytes.Repeat([]byte("alder"), 300)
+	for _, name := range []string{"t/undone", "t/torn", "t/back", "t/div", "t/decayed"} {
+		if _, err := v.Create(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	d.Revive()
+	// A cold mount, so the decayed page is read from the platter.
+	v, _, err = core.Mount(d, explorerConfig(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Crash()
+	f, err := v.Open("t/decayed", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := f.Entry()
+	addr, _, err := e.ContiguousFrom(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.CorruptSectors(addr, 1)
+
+	const cut = 1
+	for _, c := range []struct {
+		exp    fileExp
+		prev   map[string][]byte
+		faulty bool
+		want   string // the one violation; "" for none
+		lost   int
+	}{
+		{exp: fileExp{name: "t/div", data: data, createAck: cut}},
+		{exp: fileExp{name: "t/lost", data: data, createAck: cut}, want: "acknowledged file t/lost lost"},
+		{exp: fileExp{name: "t/undone", data: data, createAck: cut, deleted: true, deleteAck: cut}, want: "acknowledged delete of t/undone undone"},
+		{exp: fileExp{name: "t/torn", data: other}, want: "file t/torn present but content torn"},
+		{exp: fileExp{name: "t/gone", data: data}, prev: map[string][]byte{"t/gone": data}, want: "file t/gone survived the first recovery but not the second"},
+		{exp: fileExp{name: "t/back", data: data}, prev: map[string][]byte{}, want: "file t/back absent after the first recovery, resurrected by the second"},
+		{exp: fileExp{name: "t/div", data: data}, prev: map[string][]byte{"t/div": other}, want: "content of t/div diverged between recoveries"},
+		{exp: fileExp{name: "t/decayed", data: data, createAck: cut}, want: "read t/decayed: "},
+		{exp: fileExp{name: "t/decayed", data: data, createAck: cut}, faulty: true, lost: 1},
+	} {
+		seen, fails, lost := check(v, []fileExp{c.exp}, cut, c.prev, c.faulty)
+		switch {
+		case c.want == "" && len(fails) != 0, c.want != "" && (len(fails) != 1 || !strings.HasPrefix(fails[0], c.want)):
+			t.Errorf("%s (prev %v, faulty %v): violations %q, want one %q", c.exp.name, c.prev != nil, c.faulty, fails, c.want)
+		case lost != c.lost:
+			t.Errorf("%s (faulty %v): %d media losses, want %d", c.exp.name, c.faulty, lost, c.lost)
+		case c.want == "" && c.lost == 0 && !bytes.Equal(seen[c.exp.name], data):
+			t.Errorf("%s: an intact file is missing from the view", c.exp.name)
+		case (c.want != "" || c.lost > 0) && len(seen) != 0:
+			t.Errorf("%s: a failed file is in the view %v", c.exp.name, seen)
+		}
 	}
 }
 

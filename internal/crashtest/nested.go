@@ -1,10 +1,7 @@
 package crashtest
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/disk"
@@ -16,44 +13,20 @@ import (
 // window, so every write recovery makes — replayed images going home, the
 // allocation-map rebase, the anchor reset — is journaled with its barrier
 // epoch exactly like workload writes are. The explorer then crashes the
-// recovery at every (sampled) barrier state, mounts the result, and demands
-// the durability oracle still hold: acknowledged operations survive the
-// double crash, unacknowledged ones stay atomic, and every state mounts.
+// recovery at every (sampled) barrier state, mounts the result, and holds it
+// to the same check as depth 1: acknowledged operations survive the double
+// crash, unacknowledged ones stay atomic, and every state mounts.
 //
-// A second, stronger check rides along: the first recovery's verdict on
-// every planned file (present with exactly these bytes, or absent) must be
-// reproduced by the second recovery, whatever the inner cut. That is the
-// observable form of the replay-idempotence contract — before the log reset
-// the second recovery replays the same log to the same decisions, and after
-// it the home state is already complete — so any divergence means a
+// The check carries a stronger test at this depth: the first recovery's
+// verdict on every planned file (present with exactly these bytes, or absent)
+// must be reproduced by the second recovery, whatever the inner cut. That is
+// the observable form of the replay-idempotence contract — before the log
+// reset the second recovery replays the same log to the same decisions, and
+// after it the home state is already complete — so any divergence means a
 // recovery write skipped its barrier.
 //
 // Fault injection does not compose with nesting (the write-back window
 // bypasses the write-fault injector by design); Run rejects the combination.
-
-// nestedResult is what one outer state's depth-2 exploration produced.
-type nestedResult struct {
-	outerMountFail   bool
-	outerRecovery    time.Duration
-	torn, tail, gaps int
-
-	innerTotal      int // full inner enumeration size
-	innerStates     int // inner states executed
-	innerMountFail  int
-	innerViolations int
-	rrTimes         []time.Duration // recovery-of-recovery virtual mount times
-	violations      []Violation
-}
-
-func (nr *nestedResult) fail(seed int64, outer State, inner string, desc string) {
-	st := outer.String()
-	if inner != "" {
-		st += " / " + inner
-	}
-	nr.violations = append(nr.violations, Violation{
-		Seed: seed, StateID: outer.ID, State: st, Desc: desc,
-	})
-}
 
 // reconstruct builds the crash image for st from a frozen base and its
 // journal trace (shared by the depth-1 and depth-2 paths).
@@ -74,154 +47,29 @@ func reconstruct(base *disk.Disk, trace []disk.JournaledWrite, byEpoch [][]int, 
 	return d
 }
 
-// runNested explores depth 2 for one outer crash state.
-func runNested(base *disk.Disk, trace []disk.JournaledWrite, byEpoch [][]int,
-	st State, plan []fileExp, seed int64, async bool, innerMax int) nestedResult {
-
-	var res nestedResult
-	d2 := reconstruct(base, trace, byEpoch, st)
-
-	// Recovery under the window: its writes are journaled, the platter
-	// stays frozen at the outer crash image.
-	d2.EnableWriteBack()
-	cfg := explorerConfig(async)
-	v2, ms, err := core.Mount(d2, cfg)
-	if err != nil {
-		res.outerMountFail = true
-		res.fail(seed, st, "", fmt.Sprintf("outer mount failed: %v", err))
-		return res
-	}
-	res.outerRecovery = ms.Elapsed
-	res.torn = ms.LogTornRecords
-	res.tail = ms.LogTailDiscarded
-	res.gaps = ms.LogGapBreaks
-
-	// Snapshot the first recovery's verdict on every planned file (checking
-	// the depth-1 oracle on the way); the second recovery must reproduce it.
-	outerState := make(map[string][]byte)
-	outerOK := true
-	for i := range plan {
-		e := &plan[i]
-		status := e.statusAt(st.Cut)
-		f, err := v2.Open(e.name, 1)
-		if errors.Is(err, core.ErrNotFound) {
-			if status == mustExist {
-				res.fail(seed, st, "", fmt.Sprintf("outer recovery lost acked file %s", e.name))
-				outerOK = false
-			}
-			continue
-		}
-		if err != nil {
-			res.fail(seed, st, "", fmt.Sprintf("outer open %s: %v", e.name, err))
-			outerOK = false
-			continue
-		}
-		if status == mustNotExist {
-			res.fail(seed, st, "", fmt.Sprintf("outer recovery undid acked delete of %s", e.name))
-			outerOK = false
-			continue
-		}
-		got, err := f.ReadAll()
-		if err != nil {
-			res.fail(seed, st, "", fmt.Sprintf("outer read %s: %v", e.name, err))
-			outerOK = false
-			continue
-		}
-		if !bytes.Equal(got, e.data) {
-			res.fail(seed, st, "", fmt.Sprintf("outer recovery tore %s", e.name))
-			outerOK = false
-			continue
-		}
-		outerState[e.name] = got
-	}
-	trace2 := d2.Trace()
-	epochs2 := d2.SyncedEpoch()
-	v2.Crash()
-	if !outerOK {
-		// The depth-1 contract already failed; inner states would only
-		// repeat the noise.
-		return res
-	}
-
-	// Enumerate crash states of the recovery itself and sample them.
-	innerSeed := seed ^ int64(st.ID)*0x1000193 ^ 0x7EEDFACE
-	inner := Enumerate(trace2, epochs2, innerSeed)
-	res.innerTotal = len(inner)
-	sel := inner
-	if innerMax > 0 && len(inner) > innerMax {
-		stride := make([]State, 0, innerMax)
-		for i := 0; i < innerMax; i++ {
-			stride = append(stride, inner[i*len(inner)/innerMax])
-		}
-		sel = stride
-	}
-	byEpoch2 := groupByEpoch(trace2, epochs2)
-
-	for _, ist := range sel {
+// inner explores the crash states of the first recovery of st, whose
+// write-back window over the outer image base journaled trace: each is
+// mount → check against the view the first recovery left → probe.
+func (x *explorer) inner(res *stateResult, st State, base *disk.Disk, trace []disk.JournaledWrite, epochs int, view map[string][]byte) {
+	states := Enumerate(trace, epochs, x.cfg.Seed^int64(st.ID)*0x1000193^0x7EEDFACE)
+	res.innerTotal = len(states)
+	byEpoch := groupByEpoch(trace, epochs)
+	for _, ist := range stride(states, x.cfg.InnerStates) {
 		res.innerStates++
-		d3 := reconstruct(d2, trace2, byEpoch2, ist)
 		before := len(res.violations)
-		ifail := func(desc string) {
-			res.fail(seed, st, ist.String(), "depth2: "+desc)
-		}
-		v3, ms3, err := core.Mount(d3, explorerConfig(async))
+		fail := func(descs ...string) { res.fail(x.cfg.Seed, st, ist.String(), "second recovery: ", descs...) }
+		v, ms, err := core.Mount(reconstruct(base, trace, byEpoch, ist), explorerConfig(x.cfg.Async))
 		if err != nil {
 			res.innerMountFail++
-			ifail(fmt.Sprintf("mount failed: %v", err))
-			res.innerViolations += len(res.violations) - before
-			continue
+			fail(fmt.Sprintf("mount failed: %v", err))
+		} else {
+			res.rrTimes = append(res.rrTimes, ms.Elapsed)
+			_, fails, _ := check(v, x.w.plan, st.Cut, view, false)
+			fail(fails...)
+			fails, _ = probe(v, false)
+			fail(fails...)
+			v.Crash()
 		}
-		res.rrTimes = append(res.rrTimes, ms3.Elapsed)
-
-		// Oracle at the outer cut, plus determinism against the first
-		// recovery's decisions.
-		for i := range plan {
-			e := &plan[i]
-			want, present := outerState[e.name]
-			f, err := v3.Open(e.name, 1)
-			if errors.Is(err, core.ErrNotFound) {
-				if e.statusAt(st.Cut) == mustExist {
-					ifail(fmt.Sprintf("acked file %s lost by recovery-of-recovery", e.name))
-				} else if present {
-					ifail(fmt.Sprintf("file %s survived the first recovery but not the second", e.name))
-				}
-				continue
-			}
-			if err != nil {
-				ifail(fmt.Sprintf("open %s: %v", e.name, err))
-				continue
-			}
-			if !present {
-				ifail(fmt.Sprintf("file %s absent after the first recovery, resurrected by the second", e.name))
-				continue
-			}
-			got, err := f.ReadAll()
-			if err != nil {
-				ifail(fmt.Sprintf("read %s: %v", e.name, err))
-				continue
-			}
-			if !bytes.Equal(got, want) {
-				ifail(fmt.Sprintf("content of %s diverged between recoveries", e.name))
-			}
-		}
-
-		// Structural invariants and immediate usability, same as depth 1.
-		if vs, err := v3.Verify(); err != nil {
-			ifail(fmt.Sprintf("verify: %v", err))
-		} else if len(vs.Problems) > 0 {
-			ifail(fmt.Sprintf("verify found %d problems: %s", len(vs.Problems), vs.Problems[0]))
-		}
-		if _, err := v3.Create("post/alive2", []byte("recovered twice")); err != nil {
-			ifail(fmt.Sprintf("post-recovery create: %v", err))
-		} else if err := v3.WaitCommitted(v3.CommitSeq()); err != nil {
-			ifail(fmt.Sprintf("post-recovery commit: %v", err))
-		} else if f, err := v3.Open("post/alive2", 1); err != nil {
-			ifail(fmt.Sprintf("post-recovery open: %v", err))
-		} else if got, err := f.ReadAll(); err != nil || !bytes.Equal(got, []byte("recovered twice")) {
-			ifail("post-recovery read returned wrong content")
-		}
-		v3.Crash()
 		res.innerViolations += len(res.violations) - before
 	}
-	return res
 }

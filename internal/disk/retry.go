@@ -2,6 +2,22 @@ package disk
 
 import "errors"
 
+// DefaultRetries is the in-place retry budget of a read or write whose
+// caller sets none.
+const DefaultRetries = 2
+
+// Retries maps a configured in-place retry budget to the one spent: zero
+// means DefaultRetries, negative none.
+func Retries(n int) int {
+	switch {
+	case n < 0:
+		return 0
+	case n == 0:
+		return DefaultRetries
+	}
+	return n
+}
+
 // ReadSectorsRetry is ReadSectorsRetryInto a new buffer of n sectors,
 // returning the data.
 func ReadSectorsRetry(d *Disk, addr, n, retries int) (data []byte, retried int, err error) {

@@ -348,7 +348,7 @@ type SectorWriter func(addr int, data []byte) error
 // defaultWriter wraps a raw device in the bounded-retry/remap policy.
 func defaultWriter(d *disk.Disk) SectorWriter {
 	return func(addr int, data []byte) error {
-		_, _, err := disk.WriteSectorsRetry(d, addr, data, 2)
+		_, _, err := disk.WriteSectorsRetry(d, addr, data, disk.DefaultRetries)
 		return err
 	}
 }

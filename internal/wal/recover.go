@@ -20,6 +20,7 @@ import (
 // records hold nothing the home copies lack. A writable mount still calls
 // CompleteRecovery, so those records can never replay after a later crash.
 func Open(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, error) {
+	cfg.deviceIO(d)
 	l := &Log{d: d, base: base, size: size, clk: clk, cfg: cfg}
 	a, err := l.readAnchor()
 	if err != nil {
@@ -141,7 +142,7 @@ func (l *Log) CompleteRecovery() error {
 	if err := l.writeAnchor(anchor{bootCount: l.bootCount, offset: 0, recordNum: 1}); err != nil {
 		return err
 	}
-	if err := l.writeData(l.base+anchorSectors, make([]byte, disk.SectorSize)); err != nil {
+	if err := l.cfg.Write(l.base+anchorSectors, make([]byte, disk.SectorSize)); err != nil {
 		return err
 	}
 	l.mu.Lock()
@@ -169,7 +170,7 @@ func (r *bodyReader) load(lo, hi int) {
 	r.lo, r.hi, r.sectors = lo, hi, r.sectors+hi-lo
 	r.body = make([]byte, (hi-lo)*disk.SectorSize)
 	var err error
-	if r.dead, err = disk.ReadPast(r.l.base+anchorSectors+lo, r.body, r.dead[:0], r.l.readData); err != nil {
+	if r.dead, err = disk.ReadPast(r.l.base+anchorSectors+lo, r.body, r.dead[:0], r.l.cfg.Read); err != nil {
 		r.body = nil
 	}
 }
@@ -185,7 +186,7 @@ func (r *bodyReader) get(off int, ok func([]byte) bool, need bool) []byte {
 	case need:
 		r.sectors++
 		buf = make([]byte, disk.SectorSize)
-		if r.l.readData(addr, buf) != nil {
+		if r.l.cfg.Read(addr, buf) != nil {
 			return nil
 		}
 	}

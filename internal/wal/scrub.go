@@ -91,7 +91,8 @@ func (r *logRuns) get(off int, ok func([]byte) bool, _ bool) []byte {
 // of a full transfer, the copies compared in memory (logRuns).
 //
 // write overrides the sector-write primitive (the file system passes its
-// retry/remap repair path); nil means a plain device write. The force lock
+// repair path, which retires a stuck sector); nil means the log's own
+// Config.Write. The force lock
 // is held end-to-end, so the audited record set is frozen while staging
 // continues in other goroutines.
 func (l *Log) ScrubCopies(write func(addr int, data []byte) error) (LogScrubStats, error) {
@@ -99,7 +100,7 @@ func (l *Log) ScrubCopies(write func(addr int, data []byte) error) (LogScrubStat
 	defer l.forceMu.Unlock()
 	var st LogScrubStats
 	if write == nil {
-		write = l.writeData
+		write = l.cfg.Write
 	}
 	if err := l.scrubAnchor(&st, write); err != nil {
 		return st, err

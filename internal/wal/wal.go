@@ -131,19 +131,17 @@ type Config struct {
 	// above four times the smoothed force latency). Ignored when Interval
 	// is 0.
 	Adaptive bool
-	// WriteRetries bounds the in-place retries of a failed log-sector
-	// write before the error escalates; independently of the retry
-	// budget, a sector that stays damaged after a failed write is remapped
-	// to a spare and the write repeated. Zero means 2; negative disables
-	// retries (remapping still happens).
-	WriteRetries int
-	// ReadRetries bounds the in-place retries of a failed log-sector read
-	// (anchor reads, recovery replay) before the failure is taken at face
-	// value; a transient fault that clears on a re-read then never costs a
-	// repair-from-copy or a replay break. A sector that stays unreadable is
-	// not read again: replay takes its twin. Zero means 2; negative
-	// disables retries.
-	ReadRetries int
+	// Read and Write are the log's I/O: every log read (the anchors, replay's
+	// headers and bodies read past damage) and every log write (anchors,
+	// records, Format's erase, the recovery reset) goes through them, so a
+	// transient fault never breaks a replay a re-read could save, nor fails a
+	// commit a retry or a spare could. A volume hands the log its own retried
+	// read and write, so the log's faults are retried and reported by the
+	// volume's policy, like any other. Nil means the device's retried read
+	// and write (disk.ReadSectorsRetryInto, disk.WriteSectorsRetry) at
+	// disk.DefaultRetries, reporting to no one.
+	Read  func(addr int, dst ...[]byte) error
+	Write func(addr int, data []byte) error
 }
 
 // Log is the redo log over a contiguous sector region of a disk.
@@ -199,19 +197,6 @@ type Log struct {
 	// with the image count and the commit sequence they joined. Called
 	// without l.mu held.
 	OnAppend func(images int, seq uint64)
-	// OnWriteFault, when set, is invoked after any log write that needed
-	// the fault path: retried in-place retries and remapped spare-sector
-	// retirements were spent, and err is the final outcome (nil when the
-	// write eventually succeeded). The volume charges its health error
-	// budget from it. Called without l.mu held.
-	OnWriteFault func(retried, remapped int, err error)
-	// OnReadFault, when set, is invoked after any log read that needed the
-	// fault path: retried in-place retries were spent, and err is the final
-	// outcome (nil when the read eventually succeeded). Recovery wires it to
-	// the volume's health error budget, so a replay that barely limps
-	// through decayed media mounts Degraded instead of silently Healthy.
-	// Called without l.mu held.
-	OnReadFault func(retried int, err error)
 
 	// mu guards the staging state only: pending, pendingIdx, free, spare,
 	// openSeq, lastForce, stats, and the adaptive-controller EWMAs. It is
@@ -278,40 +263,21 @@ type Log struct {
 // for ever after.
 const freeImagesMax = 1024
 
-// retries returns an in-place retry budget as Config sets it: zero means 2,
-// negative none.
-func retries(n int) int {
-	switch {
-	case n < 0:
-		return 0
-	case n == 0:
-		return 2
+// deviceIO fills in the I/O of a log no volume handed its own (Config.Read,
+// Config.Write): the device's retried read and write at the default budget.
+func (c *Config) deviceIO(d *disk.Disk) {
+	if c.Read == nil {
+		c.Read = func(addr int, dst ...[]byte) error {
+			_, err := disk.ReadSectorsRetryInto(d, addr, disk.DefaultRetries, dst...)
+			return err
+		}
 	}
-	return n
-}
-
-// readData reads a run of log sectors into dst with the bounded-retry
-// policy, reporting any fault-path activity to OnReadFault. Every recovery
-// read (anchors, headers, record bodies read past damage) goes through here,
-// so a transient fault never breaks a replay that a re-read could save.
-func (l *Log) readData(addr int, dst ...[]byte) error {
-	retried, err := disk.ReadSectorsRetryInto(l.d, addr, retries(l.cfg.ReadRetries), dst...)
-	if (retried > 0 || err != nil) && l.OnReadFault != nil {
-		l.OnReadFault(retried, err)
+	if c.Write == nil {
+		c.Write = func(addr int, data []byte) error {
+			_, _, err := disk.WriteSectorsRetry(d, addr, data, disk.DefaultRetries)
+			return err
+		}
 	}
-	return err
-}
-
-// writeData writes a run of log sectors with the bounded-retry and
-// automatic-remap policy, reporting any fault-path activity to OnWriteFault.
-// Every log write (anchors, record area, format erase) goes through here, so
-// a marginal sector never fails a commit that a retry or a spare could save.
-func (l *Log) writeData(addr int, data []byte) error {
-	retried, remapped, err := disk.WriteSectorsRetry(l.d, addr, data, retries(l.cfg.WriteRetries))
-	if (retried > 0 || remapped > 0 || err != nil) && l.OnWriteFault != nil {
-		l.OnWriteFault(retried, remapped, err)
-	}
-	return err
 }
 
 // recArea returns the sector count of the record area.
@@ -385,10 +351,10 @@ func (l *Log) writeAnchor(a anchor) error {
 	if err := l.d.Sync(); err != nil {
 		return err
 	}
-	if err := l.writeData(l.base+0, buf); err != nil {
+	if err := l.cfg.Write(l.base+0, buf); err != nil {
 		return err
 	}
-	if err := l.writeData(l.base+2, buf); err != nil {
+	if err := l.cfg.Write(l.base+2, buf); err != nil {
 		return err
 	}
 	return l.d.Sync()
@@ -398,7 +364,7 @@ func (l *Log) writeAnchor(a anchor) error {
 func (l *Log) readAnchor() (anchor, error) {
 	for _, off := range []int{0, 2} {
 		buf := make([]byte, disk.SectorSize)
-		if err := l.readData(l.base+off, buf); err != nil {
+		if err := l.cfg.Read(l.base+off, buf); err != nil {
 			continue
 		}
 		if a, ok := decodeAnchor(buf); ok {
@@ -411,6 +377,7 @@ func (l *Log) readAnchor() (anchor, error) {
 // Format initializes an empty log in [base, base+size) with boot count 1,
 // divided into cfg.Thirds divisions; the anchor records the count.
 func Format(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, error) {
+	cfg.deviceIO(d)
 	l := &Log{d: d, base: base, size: size, divs: cfg.Thirds, clk: clk, cfg: cfg}
 	if l.divs == 0 {
 		l.divs = 3
@@ -438,7 +405,7 @@ func Format(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, erro
 		if off+n > area {
 			n = area - off
 		}
-		if err := l.writeData(l.base+anchorSectors+off, zero[:n*disk.SectorSize]); err != nil {
+		if err := l.cfg.Write(l.base+anchorSectors+off, zero[:n*disk.SectorSize]); err != nil {
 			return nil, err
 		}
 	}
@@ -922,7 +889,7 @@ func (l *Log) writeRecord(batch []PageImage) (int, error) {
 	}
 
 	addr := l.base + anchorSectors + l.writeOff
-	if err := l.writeData(addr, buf); err != nil {
+	if err := l.cfg.Write(addr, buf); err != nil {
 		return 0, err
 	}
 	l.mu.Lock()

@@ -19,17 +19,55 @@ const (
 )
 
 func newTestLog(tb testing.TB, cfg Config) (*Log, *disk.Disk, *sim.VirtualClock) {
+	return newTestLogIO(tb, cfg, nil)
+}
+
+// newTestLogIO is newTestLog whose log reads and writes through io over the
+// new disk, as a volume hands the log its own I/O; nil leaves the log's
+// default.
+func newTestLogIO(tb testing.TB, cfg Config, io *volumeIO) (*Log, *disk.Disk, *sim.VirtualClock) {
 	tb.Helper()
 	clk := sim.NewVirtualClock()
 	d, err := disk.New(disk.SmallGeometry, disk.DefaultParams, clk)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	if io != nil {
+		io.d = d
+		cfg.Read, cfg.Write = io.read, io.write
+	}
 	l, err := Format(d, logBase, logSize, clk, cfg)
 	if err != nil {
 		tb.Fatalf("Format: %v", err)
 	}
 	return l, d, clk
+}
+
+// volumeIO is the I/O a volume hands its log, over a test disk: the
+// device's retried read and write at one budget (as disk.Retries maps it),
+// counting what each spent on the fault path, as a volume's health does.
+type volumeIO struct {
+	d                    *disk.Disk
+	budget               int
+	readRetries          int
+	writeRetries, remaps int
+	writeErrs            []error // writes that failed past retries and remap
+}
+
+func (io *volumeIO) read(addr int, dst ...[]byte) error {
+	retried, err := disk.ReadSectorsRetryInto(io.d, addr, disk.Retries(io.budget), dst...)
+	io.readRetries += retried
+	return err
+}
+
+func (io *volumeIO) write(addr int, data []byte) error {
+	retried, remapped, err := disk.WriteSectorsRetry(io.d, addr, data, disk.Retries(io.budget))
+	io.writeRetries += retried
+	io.remaps += remapped
+	if err != nil {
+		io.writeErrs = append(io.writeErrs, err)
+	}
+	return err
 }
 
 func img(kind uint8, target uint64, fill byte) PageImage {
@@ -340,9 +378,10 @@ func TestDamagedImageRepairedFromCopy(t *testing.T) {
 
 // TestDeadLogSectorChargedOnce: a replay over a record whose first copy of
 // one image stays unreadable reads the body past it and takes the twin. The
-// dead sector's retries are reported once — ReadRetries of them — and no
-// sector of the record area is read twice but the dead one, by its retries:
-// not the prefix the failed transfer had delivered, not the dead sector again.
+// dead sector's retries are spent once — the read's whole budget of them —
+// and no sector of the record area is read twice but the dead one, by its
+// retries: not the prefix the failed transfer had delivered, not the dead
+// sector again.
 func TestDeadLogSectorChargedOnce(t *testing.T) {
 	const retries = 2
 	l, d, clk := newTestLog(t, Config{Interval: time.Second})
@@ -358,12 +397,11 @@ func TestDeadLogSectorChargedOnce(t *testing.T) {
 	dead := recBase + 3 + 2 // first copy of image 2
 	d.CorruptSectors(dead, 1)
 
-	lr, err := Open(d, logBase, logSize, clk, Config{ReadRetries: retries})
+	io := &volumeIO{d: d, budget: retries}
+	lr, err := Open(d, logBase, logSize, clk, Config{Read: io.read, Write: io.write})
 	if err != nil {
 		t.Fatal(err)
 	}
-	charged := 0
-	lr.OnReadFault = func(retried int, _ error) { charged += retried }
 	reads := map[int]int{} // record-area sector → times transferred
 	d.SetOpObserver(func(e disk.OpEvent) {
 		if e.Write {
@@ -382,8 +420,8 @@ func TestDeadLogSectorChargedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetOpObserver(nil)
-	if charged != retries {
-		t.Fatalf("OnReadFault reported %d retries, want %d (the dead sector's, once)", charged, retries)
+	if io.readRetries != retries {
+		t.Fatalf("the log's read spent %d retries, want %d (the dead sector's, once)", io.readRetries, retries)
 	}
 	for a, k := range reads {
 		want := 1

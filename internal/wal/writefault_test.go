@@ -14,7 +14,7 @@ import (
 // intact, so a subsequent Force succeeds and acks the same commit sequence.
 func TestForceRetryAfterTransientWriteFault(t *testing.T) {
 	// Retries disabled so the transient fault surfaces out of Force.
-	l, d, _ := newTestLog(t, Config{Interval: time.Second, WriteRetries: -1})
+	l, d, _ := newTestLogIO(t, Config{Interval: time.Second}, &volumeIO{budget: -1})
 	seq, err := l.Append(img(KindNameTable, 1, 0xAA), img(KindNameTable, 2, 0xBB))
 	if err != nil {
 		t.Fatal(err)
@@ -88,15 +88,8 @@ func TestForceRetryAfterMidBatchFailure(t *testing.T) {
 // transient and bad-on-write probabilities: the bounded retry + remap policy
 // must hide every fault from the caller, and the history must recover.
 func TestForceAbsorbsWriteFaults(t *testing.T) {
-	l, d, _ := newTestLog(t, Config{Interval: time.Second, WriteRetries: 16})
-	var retriedTotal, remappedTotal int
-	l.OnWriteFault = func(retried, remapped int, err error) {
-		retriedTotal += retried
-		remappedTotal += remapped
-		if err != nil {
-			t.Errorf("log write escalated: %v", err)
-		}
-	}
+	io := &volumeIO{budget: 16}
+	l, d, _ := newTestLogIO(t, Config{Interval: time.Second}, io)
 	d.InjectFaults(disk.FaultConfig{Seed: faultSeedWAL, TransientWrite: 0.05, BadOnWrite: 0.01})
 	for pass := 0; pass < 30; pass++ {
 		if _, err := l.Append(img(KindNameTable, uint64(pass%7+1), byte(pass))); err != nil {
@@ -106,7 +99,10 @@ func TestForceAbsorbsWriteFaults(t *testing.T) {
 			t.Fatalf("force %d under fault injection: %v", pass, err)
 		}
 	}
-	if retriedTotal == 0 && remappedTotal == 0 {
+	if len(io.writeErrs) != 0 {
+		t.Fatalf("log writes escalated: %v", io.writeErrs)
+	}
+	if io.writeRetries == 0 && io.remaps == 0 {
 		t.Fatal("fault path never exercised at these probabilities")
 	}
 	d.ClearFaults()

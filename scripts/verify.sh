@@ -93,7 +93,7 @@ go run ./cmd/fsdctl crashcheck -seed 13 -states 60 -decay 0.001 -writedecay 0.01
 # Bounded nested (depth-2) sweep: crash each state's recovery at its own
 # barrier epochs and recover again; the full 300-outer-state run is
 # BENCH_nestedcrash.json, which go test ./internal/bench regenerates.
-go run ./cmd/fsdctl crashcheck -nested -depth 2 -seed 1 -states 30 -inner 4
+go run ./cmd/fsdctl crashcheck -nested -seed 1 -states 30 -inner 4
 # The composed-fault mount on a hundred fresh seeds: with a fifth of all
 # reads failing once, both copies of the root page fault on about one mount
 # in thirty, and the root read has to retry like every other read.
