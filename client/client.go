@@ -18,6 +18,12 @@
 // the frame, ReadAt copies the data out — the one copy on this side — and
 // then recycles it. A reply nobody collects (its caller gave up) keeps its
 // frame until the collector takes both.
+//
+// Waiters: a request waits for its reply on a waiter — a 1-buffered channel
+// and the reply the reader goroutine decodes into — which each connection
+// recycles once its caller has taken the reply out, so a round trip
+// allocates none. A waiter whose caller gave up on its context is never
+// recycled: the late reply may still land in it, and the collector takes it.
 package client
 
 import (
@@ -90,7 +96,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		if tc, ok := nc.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		cn := &conn{cl: c, nc: nc, pending: map[uint32]chan *reply{}}
+		cn := &conn{cl: c, nc: nc, pending: map[uint32]*waiter{}}
 		c.conns = append(c.conns, cn)
 		go cn.readLoop()
 	}
@@ -158,7 +164,8 @@ type conn struct {
 	wmu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
-	pending map[uint32]chan *reply
+	pending map[uint32]*waiter
+	free    []*waiter // waiters whose callers took their replies out
 	nextID  uint32
 	err     error // set once the connection is dead
 }
@@ -171,6 +178,13 @@ type reply struct {
 	frame *wire.Frame
 }
 
+// waiter is where one request's reply arrives: the reader goroutine fills
+// rep and then signals done, or closes done if the connection dies first.
+type waiter struct {
+	done chan struct{} // 1-buffered: the reader never blocks on it
+	rep  reply
+}
+
 // close fails the connection: every pending waiter gets err.
 func (cn *conn) close(err error) {
 	cn.mu.Lock()
@@ -178,12 +192,40 @@ func (cn *conn) close(err error) {
 		cn.err = err
 	}
 	waiters := cn.pending
-	cn.pending = map[uint32]chan *reply{}
+	cn.pending = map[uint32]*waiter{}
 	cn.mu.Unlock()
 	cn.nc.Close()
-	for _, ch := range waiters {
-		close(ch) // receivers translate a closed channel into cn.err
+	for _, w := range waiters {
+		close(w.done) // receivers translate a closed channel into cn.err
 	}
+}
+
+// register registers a waiter for a request on cn, recycled if cn has one,
+// and returns it with the request's id.
+func (cn *conn) register() (*waiter, uint32, error) {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if cn.err != nil {
+		return nil, 0, cn.err
+	}
+	var w *waiter
+	if n := len(cn.free); n > 0 {
+		w, cn.free[n-1] = cn.free[n-1], nil
+		cn.free = cn.free[:n-1]
+	} else {
+		w = &waiter{done: make(chan struct{}, 1)}
+	}
+	cn.nextID++
+	cn.pending[cn.nextID] = w
+	return w, cn.nextID, nil
+}
+
+// recycle hands back a waiter whose reply its caller has taken out.
+func (cn *conn) recycle(w *waiter) {
+	w.rep = reply{}
+	cn.mu.Lock()
+	cn.free = append(cn.free, w)
+	cn.mu.Unlock()
 }
 
 func (cn *conn) readLoop() {
@@ -197,20 +239,20 @@ func (cn *conn) readLoop() {
 			cn.close(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
-		p := new(reply)
-		p.Reply, err = wire.DecodeReply(f.B)
+		p, err := wire.DecodeReply(f.B)
 		if err != nil {
 			cn.cl.proto.Add(1)
 			cn.close(fmt.Errorf("client: undecodable reply: %w", err))
 			return
 		}
+		var frame *wire.Frame
 		if len(p.Data) > 0 {
-			p.frame = f
+			frame = f
 		} else {
 			f.Release() // nothing else of a reply aliases its frame
 		}
 		cn.mu.Lock()
-		ch, ok := cn.pending[p.ID]
+		w, ok := cn.pending[p.ID]
 		delete(cn.pending, p.ID)
 		cn.mu.Unlock()
 		if !ok {
@@ -219,44 +261,40 @@ func (cn *conn) readLoop() {
 			cn.close(fmt.Errorf("client: reply for unknown request %d", p.ID))
 			return
 		}
-		ch <- p
+		w.rep = reply{Reply: p, frame: frame}
+		w.done <- struct{}{}
 	}
 }
 
 // roundTrip sends q on cn and waits for its reply, honoring ctx. The
-// request id is assigned here.
-func (cn *conn) roundTrip(ctx context.Context, q *wire.Request) (*reply, error) {
+// request id is assigned here. The reply comes back by value: its waiter
+// goes back to cn once the reply is out of it.
+func (cn *conn) roundTrip(ctx context.Context, q *wire.Request) (reply, error) {
 	if cn.cl.closed.Load() {
-		return nil, cedarfs.ErrClosed
+		return reply{}, cedarfs.ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return reply{}, err
 	}
-	ch := make(chan *reply, 1)
-	cn.mu.Lock()
-	if cn.err != nil {
-		err := cn.err
-		cn.mu.Unlock()
-		return nil, err
+	w, id, err := cn.register()
+	if err != nil {
+		return reply{}, err
 	}
-	cn.nextID++
-	q.ID = cn.nextID
-	cn.pending[q.ID] = ch
-	cn.mu.Unlock()
+	q.ID = id
 
 	f := wire.NewFrame(len(q.Data) + len(q.Name) + len(q.Name2) + frameSlack)
 	f.B = wire.AppendRequest(f.B, q)
 	cn.wmu.Lock()
-	err := wire.WriteFrame(cn.nc, f.B)
+	err = wire.WriteFrame(cn.nc, f.B)
 	cn.wmu.Unlock()
 	f.Release()
 	if err != nil {
 		cn.close(fmt.Errorf("client: write failed: %w", err))
-		return nil, err
+		return reply{}, err
 	}
 
 	select {
-	case p, ok := <-ch:
+	case _, ok := <-w.done:
 		if !ok {
 			cn.mu.Lock()
 			err := cn.err
@@ -264,10 +302,12 @@ func (cn *conn) roundTrip(ctx context.Context, q *wire.Request) (*reply, error) 
 			if err == nil {
 				err = cedarfs.ErrClosed
 			}
-			return nil, err
+			return reply{}, err
 		}
+		p := w.rep
+		cn.recycle(w)
 		if p.Code != 0 {
-			return nil, &cedarfs.RemoteError{Code: cedarfs.ErrCode(p.Code), Msg: p.Msg}
+			return reply{}, &cedarfs.RemoteError{Code: cedarfs.ErrCode(p.Code), Msg: p.Msg}
 		}
 		cn.cl.noteSeq(p.CommitSeq)
 		return p, nil
@@ -278,8 +318,9 @@ func (cn *conn) roundTrip(ctx context.Context, q *wire.Request) (*reply, error) 
 		// make readLoop see the reply as one nobody asked for — a protocol
 		// desync — and close the connection under every other in-flight
 		// request. The entry lingers only until the server replies or the
-		// connection dies.
-		return nil, ctx.Err()
+		// connection dies; the waiter is never recycled, since the late
+		// reply may still be written into it.
+		return reply{}, ctx.Err()
 	}
 }
 

@@ -20,7 +20,10 @@
 // (At 10,000 clients for 10 s the in-process volume's default name table
 // fills up, and the run ends read-only: see EXPERIMENTS.md "10k-client soak".)
 //
-// The run fails (exit 1) if any protocol error is observed on either side.
+// The run fails (exit 1) if any protocol error is observed on either side,
+// or if any operation fails with cedarfs.CodeInternal — an error with no
+// canonical meaning, such as a leader checksum mismatch, which no load may
+// cause; it prints the first few of those.
 package main
 
 import (
@@ -206,6 +209,11 @@ type result struct {
 	ServerSessions uint64              `json:"server_sessions_total,omitempty"`
 	ServerStalls   uint64              `json:"server_stalls,omitempty"`
 
+	// InternalErrors counts the operations that failed with
+	// cedarfs.CodeInternal; InternalSamples holds the first distinct ones.
+	InternalErrors  uint64   `json:"internal_errors,omitempty"`
+	InternalSamples []string `json:"internal_samples,omitempty"`
+
 	// In-process server mode only: final volume health, and the reason for
 	// the last downward transition if any. A soak that ends anything but
 	// "healthy" hit a fatal apply error worth investigating.
@@ -284,6 +292,8 @@ func run(addr string, clients, conns int, duration time.Duration, rate float64, 
 		perOp    [opCount]hist
 		opErrs   [opCount]atomic.Uint64
 		sampler  errSampler
+		internal atomic.Uint64
+		internS  errSampler
 		started  = make(chan struct{})
 		deadline = time.Now().Add(duration)
 		wg       sync.WaitGroup
@@ -317,6 +327,10 @@ func run(addr string, clients, conns int, duration time.Duration, rate float64, 
 				if err != nil {
 					opErrs[op].Add(1)
 					sampler.add(opNames[op], err)
+					if cedarfs.Code(err) == cedarfs.CodeInternal {
+						internal.Add(1)
+						internS.add(opNames[op], err)
+					}
 				}
 			}
 		}(id)
@@ -344,6 +358,7 @@ func run(addr string, clients, conns int, duration time.Duration, rate float64, 
 	res.Throughput = float64(res.Ops) / elapsed.Seconds()
 	res.ProtocolErrors = cl.ProtocolErrors()
 	res.ErrorSamples = sampler.samples
+	res.InternalErrors, res.InternalSamples = internal.Load(), internS.samples
 	for i := range perOp {
 		if n := perOp[i].count.Load(); n > 0 {
 			res.Errors += opErrs[i].Load()
@@ -389,6 +404,10 @@ func run(addr string, clients, conns int, duration time.Duration, rate float64, 
 	}
 	if res.ProtocolErrors > 0 {
 		return fmt.Errorf("%d protocol errors", res.ProtocolErrors)
+	}
+	if res.InternalErrors > 0 {
+		return fmt.Errorf("%d operations failed with an internal error, first: %s",
+			res.InternalErrors, strings.Join(res.InternalSamples, "; "))
 	}
 	if res.VolumeHealth != "" && res.VolumeHealth != "healthy" {
 		return fmt.Errorf("volume degraded to %s: %s", res.VolumeHealth, res.VolumeHealthReason)

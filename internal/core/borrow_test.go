@@ -112,3 +112,48 @@ func TestBorrowedPagesUnderMutation(t *testing.T) {
 		})
 	}
 }
+
+// TestListAllocsPerEntry is List's allocation gate: a listing of n files
+// and the links among them allocates a name string per entry, a target string
+// per link and a constant — the decode goes into one Entry whose run table is
+// reused from entry to entry, across the links' empty ones too, not a heap
+// Entry and a run table per listed name.
+func TestListAllocsPerEntry(t *testing.T) {
+	v, _, _ := newTestVolume(t)
+	const n, links, slack = 64, 16, 12
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("dir/file-%02d", i)
+		if _, err := v.Create(name, payload(300+i, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		if i%(n/links) == 0 {
+			if _, err := v.CreateLink(name+"-link", name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := v.Create("dis/after", payload(300, 1)); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	list := func() {
+		seen = 0
+		if err := v.List("dir/", func(e Entry) bool {
+			if link := e.LinkTarget != ""; link != (len(e.Runs) == 0) || !link && e.Pages() != 1 {
+				t.Fatalf("%s has runs %v, link target %q", e.Name, e.Runs, e.LinkTarget)
+			}
+			seen++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, list)
+	if seen != n+links {
+		t.Fatalf("listed %d entries, want %d", seen, n+links)
+	}
+	t.Logf("List of %d files and %d links: %v allocs", n, links, allocs)
+	if allocs > n+2*links+slack {
+		t.Errorf("List of %d files and %d links allocates %v times; want at most %d names, %d targets and %d more", n, links, allocs, n+links, links, slack)
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -260,8 +261,21 @@ func (d *valueDecoder) varint() int64 {
 // decodeEntry decodes a name-table value: exactly one encodeEntry output,
 // nothing after it.
 func decodeEntry(name string, version uint32, buf []byte) (*Entry, error) {
+	e := new(Entry)
+	if err := decodeEntryInto(e, name, version, buf); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// decodeEntryInto is decodeEntry into *e, which it overwrites whole: e's run
+// table keeps its backing array if that has room, so a caller decoding entry
+// after entry into one Entry allocates for none of them. On an error *e is
+// left partly overwritten.
+func decodeEntryInto(e *Entry, name string, version uint32, buf []byte) error {
 	d := valueDecoder{buf: buf}
-	e := &Entry{Name: name, Version: version}
+	runs := e.Runs[:0]
+	*e = Entry{Name: name, Version: version}
 	e.Class = Class(d.uvarint(0xFF))
 	e.Keep = uint16(d.uvarint(0xFFFF))
 	e.UID = d.uvarint(^uint64(0))
@@ -270,16 +284,15 @@ func decodeEntry(name string, version uint32, buf []byte) (*Entry, error) {
 	e.LastUsed = e.CreateTime + time.Duration(d.varint())
 	// Each run takes at least two bytes: a count beyond that is refused
 	// before anything is allocated for it.
-	if n := d.uvarint(uint64(len(d.buf) / 2)); n > 0 {
-		e.Runs = make([]alloc.Run, n)
-		for i := range e.Runs {
-			e.Runs[i] = alloc.Run{Start: uint32(d.uvarint(0xFFFFFFFF)), Len: uint32(d.uvarint(0xFFFFFFFF))}
-		}
+	n := int(d.uvarint(uint64(len(d.buf) / 2)))
+	e.Runs = slices.Grow(runs, n)[:n]
+	for i := range e.Runs {
+		e.Runs[i] = alloc.Run{Start: uint32(d.uvarint(0xFFFFFFFF)), Len: uint32(d.uvarint(0xFFFFFFFF))}
 	}
 	ll := d.uvarint(uint64(len(d.buf)))
 	if d.bad || ll != uint64(len(d.buf)) {
-		return nil, fmt.Errorf("core: corrupt name table value for %q!%d", name, version)
+		return fmt.Errorf("core: corrupt name table value for %q!%d", name, version)
 	}
 	e.LinkTarget = string(d.buf)
-	return e, nil
+	return nil
 }

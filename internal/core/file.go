@@ -423,7 +423,9 @@ func (v *Volume) Delete(name string, version uint32) error {
 // List calls fn for every entry whose name starts with prefix, in name then
 // version order, until fn returns false. Properties need no extra I/O:
 // "there is no need for a disk read for the properties since they are
-// already available in the file name table."
+// already available in the file name table." Every entry is decoded into
+// one Entry, so fn's run table is valid only until fn returns: fn must
+// copy Runs to keep them.
 func (v *Volume) List(prefix string, fn func(Entry) bool) (err error) {
 	defer v.span("list")(&err)
 	v.mu.RLock()
@@ -437,6 +439,7 @@ func (v *Volume) List(prefix string, fn func(Entry) bool) (err error) {
 		return err
 	}
 	v.ops.lists.Add(1)
+	var e Entry
 	return v.nt.Scan([]byte(prefix), func(k, val []byte) bool {
 		name, ver, ok := splitKey(k)
 		if !ok {
@@ -445,12 +448,11 @@ func (v *Volume) List(prefix string, fn func(Entry) bool) (err error) {
 		if len(name) < len(prefix) || name[:len(prefix)] != prefix {
 			return false
 		}
-		e, err := decodeEntry(name, ver, val)
-		if err != nil {
+		if decodeEntryInto(&e, name, ver, val) != nil {
 			return true
 		}
 		v.cpu.Charge(sim.CostBTreeOp / 8)
-		return fn(*e)
+		return fn(e)
 	})
 }
 
@@ -578,6 +580,7 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 		}
 		segs[1], segs[2], segs[3] = w.place(cur, cnt)
 		needLeader := !f.leaderVerified && cur == page && addr == leaderAddr+1
+		var seen uint64 // the leader-home generation before the read
 		if needLeader {
 			// The check sets the leader against this handle's entry, and an
 			// intent of the handle's own that has yet to apply (an Extend)
@@ -585,11 +588,12 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 			if err := v.waitName(f.e.Name); err != nil {
 				return err
 			}
+			seen = v.leaderGeneration()
 		}
 		if needLeader && dc != nil && dc.Holding() {
 			// A held leader, or one home ahead of held data, is checked
 			// on its own: the request cannot carry it.
-			if err := f.verifyLeaderApart(leaderAddr, addr); err != nil {
+			if err := f.verifyLeaderApart(leaderAddr, addr, seen); err != nil {
 				return err
 			}
 			needLeader = !f.leaderVerified
@@ -636,7 +640,7 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 			segs[0] = leader[:]
 			sectors++
 			if rerr = v.readSectorsRetryInto(addr-1, segs[:4+ahead]...); rerr == nil {
-				rerr = f.verifyLeaderBuf(leader[:])
+				rerr = f.verifyLeaderBuf(leader[:], seen)
 			}
 		} else {
 			rerr = v.readSectorsRetryInto(addr, segs[1:4+ahead]...)
@@ -709,17 +713,42 @@ func (v *Volume) copied(n, under int) {
 	v.cpu.ChargeOverlapped(time.Duration(n)*sim.CostPerSectorCopy, time.Duration(under)*secT)
 }
 
-// verifyLeaderBuf checks a freshly read leader page; the caller holds the
-// monitor (either mode) and f.mu. A pending (not yet home-written) leader
-// is verified from memory instead.
-func (f *File) verifyLeaderBuf(buf []byte) error {
+// leaderGeneration is the volume's leader-home generation: a reader takes it
+// before it reads a leader sector, and verifyLeaderBuf compares.
+func (v *Volume) leaderGeneration() uint64 {
+	v.lmu.Lock()
+	defer v.lmu.Unlock()
+	return v.leaderGen
+}
+
+// verifyLeaderBuf checks a leader page read, into buf, after the generation
+// seen was taken; the caller holds the monitor (either mode) and f.mu. A
+// pending (not yet home-written) leader is verified from memory instead. The
+// read is trusted only if no leader went home since: a home write that landed
+// between the read and this look, and dropped or replaced its pending entry,
+// can leave buf older than the entry, and every such write moves the
+// generation. Then a buf that fails the check is read again, once — from its
+// held frame, if the write held it.
+func (f *File) verifyLeaderBuf(buf []byte, seen uint64) error {
+	v := f.v
 	addr, _ := f.e.LeaderAddr()
-	f.v.lmu.Lock()
-	if pending, ok := f.v.pendingLeaders[addr]; ok {
+	v.lmu.Lock()
+	pending, ok := v.pendingLeaders[addr]
+	moved := v.leaderGen != seen
+	v.lmu.Unlock()
+	if ok {
 		buf = pending
 	}
-	f.v.lmu.Unlock()
-	if err := verifyLeader(buf, &f.e); err != nil {
+	err := verifyLeader(buf, &f.e)
+	if err != nil && !ok && moved {
+		if dc := v.dataCache; dc == nil || !dc.HeldInto(addr, buf) {
+			if err := v.readSectorsRetryInto(addr, buf); err != nil {
+				return err
+			}
+		}
+		err = verifyLeader(buf, &f.e)
+	}
+	if err != nil {
 		return err
 	}
 	f.leaderVerified = true
@@ -729,8 +758,8 @@ func (f *File) verifyLeaderBuf(buf []byte) error {
 // verifyLeaderApart verifies the leader at leaderAddr from its held frame,
 // if it is held, or with a read of its own if the data at addr is; else it
 // leaves the check to the request, which piggybacks it. The caller holds
-// what readLocked needs.
-func (f *File) verifyLeaderApart(leaderAddr, addr int) error {
+// what readLocked needs, and took the generation seen before looking.
+func (f *File) verifyLeaderApart(leaderAddr, addr int, seen uint64) error {
 	v := f.v
 	var leader [disk.SectorSize]byte
 	if !v.dataCache.HeldInto(leaderAddr, leader[:]) {
@@ -741,7 +770,7 @@ func (f *File) verifyLeaderApart(leaderAddr, addr int) error {
 			return err
 		}
 	}
-	return f.verifyLeaderBuf(leader[:])
+	return f.verifyLeaderBuf(leader[:], seen)
 }
 
 // ReadAll returns the whole file contents, trimmed to its byte size.
@@ -845,6 +874,7 @@ func (f *File) writeLocked(e *Entry, p []byte, off int64) (err error) {
 			if now := v.pendingLeaders[leaderAddr]; len(now) > 0 && &now[0] == &pending[0] {
 				delete(v.pendingLeaders, leaderAddr)
 			}
+			v.leaderGen++
 			v.lmu.Unlock()
 			f.leaderVerified = true
 		}

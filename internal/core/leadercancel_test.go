@@ -241,3 +241,80 @@ func TestCrossingOlderLeaderKeepsPendingOne(t *testing.T) {
 		t.Fatalf("the leader at %d is stale after L2 committed and went home: %v", addr, err)
 	}
 }
+
+// TestHomeWriteCrossingLeaderRead: a file's committed leader L2 is pending
+// (its Extend is forced, the image not yet home), and a fresh handle reads
+// page 0, which reads the old leader L1 from the platter with it. A third
+// crossing that writes L2 home, and drops its pending entry, lands between
+// that read and the handle's check — the order a disk-op hook forces here:
+// the crossing takes the leader table's lock while the read still holds
+// the device. The check must not then hold L1 against the grown entry: it
+// sees that a leader went home across its read and reads the sector again.
+func TestHomeWriteCrossingLeaderRead(t *testing.T) {
+	cfg := testConfig()
+	cfg.GroupCommitInterval = time.Hour // only the explicit forces commit
+	v, d, _ := newTestVolumeWith(t, cfg)
+	f, err := v.Create("f", bytes.Repeat([]byte{1}, disk.SectorSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Force(); err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := f.e.LeaderAddr()
+	if err := f.Extend(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Force(); err != nil {
+		t.Fatal(err)
+	}
+	v.lmu.Lock()
+	l2 := v.pendingLeaders[addr]
+	v.lmu.Unlock()
+	if l1, _ := d.ReadSectors(addr, 1); l2 == nil || bytes.Equal(l1, l2) {
+		t.Fatal("the Extend left no new leader image pending")
+	}
+
+	g, err := v.Open("f", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossed := make(chan error, 1)
+	fired := false
+	d.SetOpObserver(func(e disk.OpEvent) {
+		v.observeDiskOp(e)
+		if fired || e.Write || e.Addr != addr || e.Sectors < 2 {
+			return
+		}
+		fired = true
+		go func() {
+			_, err := v.flushLeaders([]wal.PageImage{{Kind: wal.KindLeader, Target: uint64(addr), Data: l2}})
+			crossed <- err
+		}()
+		// Let the read finish only once the crossing holds the table's
+		// lock: its write of L2 then waits for the device, and the
+		// reader's check waits for the crossing.
+		for deadline := time.Now().Add(5 * time.Second); v.lmu.TryLock(); {
+			v.lmu.Unlock()
+			if time.Now().After(deadline) {
+				t.Error("the crossing never took the table's lock")
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	_, rerr := g.ReadPages(0, 1)
+	d.SetOpObserver(v.observeDiskOp)
+	if !fired {
+		t.Fatal("the read did not carry the leader")
+	}
+	if err := <-crossed; err != nil {
+		t.Fatal(err)
+	}
+	if home, _ := d.ReadSectors(addr, 1); !bytes.Equal(home, l2) {
+		t.Fatal("the crossing did not put L2 home")
+	}
+	if rerr != nil {
+		t.Fatalf("a read crossed by the leader's home write failed: %v", rerr)
+	}
+}

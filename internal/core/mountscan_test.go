@@ -177,10 +177,11 @@ func TestMountScanDecodesBehindTheArm(t *testing.T) {
 // TestReplayRunsUnderTheDecode: the crash mount replays the log while its
 // pool is still decoding the swept table (DESIGN §8). On a pool-bound mount —
 // a home table of some twenty chunks, a log of forty forced batches since it
-// went home — replaying first and scanning after costs at least the replay,
-// the redo and the pool's share of the scan one after another; at widths 1
-// and 2 the mount comes in under that by at least 0.8 of the replay, and
-// reports at least 0.8 of the replay as hidden.
+// went home — replaying first and scanning after costs at least the mount's
+// own steps (what a mount of the same table with no log to replay spends
+// beyond its pool), the replay, the redo and the pool's share of the scan one
+// after another; at widths 1 and 2 the mount comes in under that by at least
+// 0.8 of the replay, and reports at least 0.8 of the replay as hidden.
 func TestReplayRunsUnderTheDecode(t *testing.T) {
 	cfg := testConfig()
 	cfg.NTPages = 1024
@@ -205,22 +206,38 @@ func TestReplayRunsUnderTheDecode(t *testing.T) {
 	d.Revive()
 	for _, workers := range []int{1, 2} {
 		cfg.MountWorkers = workers
-		mv, ms, err := Mount(cloneDisk(d), cfg)
+		dc := cloneDisk(d)
+		mv, ms, err := Mount(dc, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		rc := mv.Stats().Recovery
+		mv.Crash()
+		dc.Revive()
+		// The same table, crashed again just after its recovery: a mount with
+		// next to no log to replay, whose time beyond its pool is the mount's
+		// own steps — reading and stamping the root, opening the log, the
+		// arm's lead before the pool has work, the log's reset.
+		_, qs, err := Mount(cloneDisk(dc), cfg)
+		if err != nil {
+			t.Fatalf("workers=%d, re-crashed: %v", workers, err)
+		}
+		if qs.LogRecords != 0 || qs.RedoElapsed != 0 {
+			t.Fatalf("workers=%d: the re-crashed mount replayed %d records and redid %v", workers, qs.LogRecords, qs.RedoElapsed)
+		}
 		pool := ms.ScanCPU / time.Duration(workers)
+		steps := qs.Elapsed - qs.ScanCPU/time.Duration(workers)
 		if pool <= ms.ScanArm+ms.ReplayElapsed+ms.RedoElapsed {
 			t.Fatalf("workers=%d: pool %v, arm %v, replay %v, redo %v: the mount is not pool-bound", workers, pool, ms.ScanArm, ms.ReplayElapsed, ms.RedoElapsed)
 		}
-		serial := ms.ReplayElapsed + ms.RedoElapsed + pool
+		serial := steps + ms.ReplayElapsed + ms.RedoElapsed + pool
 		if gain := serial - ms.Elapsed; gain < ms.ReplayElapsed*8/10 {
-			t.Fatalf("workers=%d: mount %v against replay %v + redo %v + pool %v = %v; want it under by at least 0.8 of the replay", workers, ms.Elapsed, ms.ReplayElapsed, ms.RedoElapsed, pool, serial)
+			t.Fatalf("workers=%d: mount %v against steps %v + replay %v + redo %v + pool %v = %v; want it under by at least 0.8 of the replay", workers, ms.Elapsed, steps, ms.ReplayElapsed, ms.RedoElapsed, pool, serial)
 		}
 		if ms.ReplayHidden < ms.ReplayElapsed*8/10 || ms.SweepRedecoded == 0 {
 			t.Fatalf("workers=%d: %v of a %v replay hidden, %d pages decoded again: %+v", workers, ms.ReplayHidden, ms.ReplayElapsed, ms.SweepRedecoded, ms.MountStats)
 		}
-		if rc := mv.Stats().Recovery; rc != ms.MountStats {
+		if rc != ms.MountStats {
 			t.Fatalf("workers=%d: Stats().Recovery does not carry the replay's overlap: %+v vs %+v", workers, rc, ms.MountStats)
 		}
 	}

@@ -216,14 +216,19 @@ type Volume struct {
 
 	uidNext atomic.Uint64
 
-	// lmu guards pendingLeaders and leaderReqs. pendingLeaders holds leader
-	// pages created but not yet written to their home sector; the write
-	// piggybacks on the file's next data write, or happens when the log
-	// hands the leader's committed image home (flushLeaders). leaderReqs is
-	// flushLeaders' scratch. A holder of vmMu may take lmu, never the
-	// reverse.
+	// lmu guards pendingLeaders, leaderGen and leaderReqs. pendingLeaders
+	// holds leader pages created but not yet written to their home sector;
+	// the write piggybacks on the file's next data write, or happens when
+	// the log hands the leader's committed image home (flushLeaders).
+	// leaderGen counts the writes that put leaders home, or into held
+	// frames, and then drop or replace their pending entries — the data
+	// write's piggyback, flushLeaders and the force's held pass — so that a
+	// reader can tell whether one crossed its read (verifyLeaderBuf).
+	// leaderReqs is flushLeaders' scratch. A holder of vmMu or hmu may take
+	// lmu, never the reverse.
 	lmu            sync.Mutex
 	pendingLeaders map[int][]byte
+	leaderGen      uint64
 	leaderReqs     []homeReq
 
 	// hmu serializes what touches held data-cache frames (held.go): a write
@@ -497,6 +502,7 @@ func (v *Volume) flushLeaders(due []wal.PageImage) (int, error) {
 		} else {
 			v.pendingLeaders[r.addr] = bytes.Clone(p)
 		}
+		v.leaderGen++
 		n++
 		return nil
 	})

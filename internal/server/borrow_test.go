@@ -3,13 +3,16 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	cedarfs "repro"
 	"repro/client"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/server"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // patternFS serves files whose bytes are a function of (name, offset), so
@@ -420,6 +424,78 @@ func TestWriteRoundTripAllocs(t *testing.T) {
 	}
 	if smallB > maxBytes || largeB > maxBytes {
 		t.Errorf("bytes allocated per write round trip: %d (1 KB), %d (64 KB); want <= %d whatever the payload", smallB, largeB, maxBytes)
+	}
+}
+
+// listFS answers Stat with a fixed info and List with a fixed listing, both
+// built once: what a round trip allocates against it is the server's own.
+type listFS struct {
+	stubFS
+	infos []cedarfs.FileInfo
+}
+
+func (l listFS) Stat(context.Context, string, uint32) (cedarfs.FileInfo, error) {
+	return l.infos[0], nil
+}
+func (l listFS) List(context.Context, string) ([]cedarfs.FileInfo, error) { return l.infos, nil }
+
+// TestMetaRoundTripAllocs is the server's allocation gate for the metadata
+// path: a Stat and a 20-entry List, each sent as a raw frame over a
+// net.Pipe and its reply read into a fixed buffer, so that the test's side
+// allocates nothing. The server decodes the request's name and frames the
+// reply from the stack into a recycled frame sized for it: what it
+// allocates per request is a few bytes, less than one wire.Reply.
+func TestMetaRoundTripAllocs(t *testing.T) {
+	if allocgate.RaceEnabled {
+		t.Skip("the race detector makes sync.Pool drop frames")
+	}
+	infos := make([]cedarfs.FileInfo, 20)
+	for i := range infos {
+		infos[i] = cedarfs.FileInfo{Name: fmt.Sprintf("gate/file-%02d", i), Version: 1, ByteSize: 4096, Pages: 8}
+	}
+	srv := server.New(listFS{infos: infos}, server.Config{})
+	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, sc := net.Pipe()
+	ln.conns <- sc
+	defer c.Close()
+	buf := make([]byte, 4096)
+	roundTrip := func(req []byte) {
+		if _, err := c.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, buf[:wire.HeaderLen]); err != nil {
+			t.Fatal(err)
+		}
+		n := int(binary.BigEndian.Uint32(buf))
+		if _, err := io.ReadFull(c, buf[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if code := binary.BigEndian.Uint16(buf[5:]); code != 0 {
+			t.Fatalf("request failed with code %d", code)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		req  *wire.Request
+	}{
+		{"stat", &wire.Request{ID: 1, Op: wire.OpStat, Name: "gate/file-00"}},
+		{"list", &wire.Request{ID: 2, Op: wire.OpList, Name: "gate/"}},
+	} {
+		req := wire.AppendRequest(nil, tc.req)
+		f := func() { roundTrip(req) }
+		for i := 0; i < 20; i++ {
+			f() // warm the frame pools
+		}
+		allocs, bytes := testing.AllocsPerRun(200, f), allocgate.BytesPerRun(200, f)
+		t.Logf("%s round trip: %v allocs, %d B", tc.name, allocs, bytes)
+		if max := unsafe.Sizeof(wire.Reply{}); bytes >= uint64(max) {
+			t.Errorf("a %s round trip allocates %d B on the server; a wire.Reply alone is %d", tc.name, bytes, max)
+		}
+		if allocs > 1 {
+			t.Errorf("a %s round trip allocates %v times on the server; want only the request's name", tc.name, allocs)
+		}
 	}
 }
 

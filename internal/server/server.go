@@ -346,7 +346,7 @@ func (sess *session) dispatch(q *wire.Request) {
 		// this server and can never commit; parking on it would hold
 		// the wait (and session teardown) forever. Reject it up front.
 		if q.Seq > s.commitSeq() {
-			sess.send(sess.reply(q, fmt.Errorf("%w: wait for unissued commit seq %d", cedarfs.ErrBadRequest, q.Seq), nil))
+			sess.send(sess.fail(q, fmt.Errorf("%w: wait for unissued commit seq %d", cedarfs.ErrBadRequest, q.Seq)))
 			return
 		}
 		// Park the durability wait off the pipeline: requests behind
@@ -357,7 +357,7 @@ func (sess *session) dispatch(q *wire.Request) {
 		go func(q wire.Request) {
 			defer sess.wg.Done()
 			err := s.fs.WaitCommitted(sess.ctx, q.Seq)
-			sess.send(sess.reply(&q, err, func(*wire.Reply) {}))
+			sess.send(sess.reply(&q, err, wire.Reply{}))
 		}(*q)
 		return
 	}
@@ -402,25 +402,49 @@ func (sess *session) send(frame *wire.Frame) {
 	sess.replies <- frame
 }
 
-// reply frames a success or error reply for q; fill populates the
-// op-specific payload on success.
-func (sess *session) reply(q *wire.Request, err error, fill func(*wire.Reply)) *wire.Frame {
-	return sess.replyIn(wire.NewFrame(0), q, err, fill)
+// reply frames q's reply: err's, if it is not nil, else the op-specific
+// payload p, stamped with the ack watermark. The payload travels by value
+// and is framed from the stack: a request allocates no reply object.
+func (sess *session) reply(q *wire.Request, err error, p wire.Reply) *wire.Frame {
+	if err != nil {
+		return sess.fail(q, err)
+	}
+	p.CommitSeq = sess.srv.commitSeq()
+	return sess.frame(wire.NewFrame(0), q, p)
 }
 
-// replyIn is reply into a frame the caller already holds.
-func (sess *session) replyIn(f *wire.Frame, q *wire.Request, err error, fill func(*wire.Reply)) *wire.Frame {
-	p := wire.Reply{ID: q.ID, Op: q.Op}
+// replySeq is reply for a payload that carries its own commit sequence.
+func (sess *session) replySeq(q *wire.Request, err error, p wire.Reply) *wire.Frame {
 	if err != nil {
-		sess.srv.errorsN.Add(1)
-		p.Code = uint16(cedarfs.Code(err))
-		p.Msg = err.Error()
-	} else {
-		p.CommitSeq = sess.srv.commitSeq()
-		fill(&p)
+		return sess.fail(q, err)
 	}
+	return sess.frame(wire.NewFrame(0), q, p)
+}
+
+// fail frames the error reply err for q.
+func (sess *session) fail(q *wire.Request, err error) *wire.Frame {
+	return sess.failIn(wire.NewFrame(0), q, err)
+}
+
+// failIn is fail into a frame the caller already holds.
+func (sess *session) failIn(f *wire.Frame, q *wire.Request, err error) *wire.Frame {
+	sess.srv.errorsN.Add(1)
+	return sess.frame(f, q, wire.Reply{Code: uint16(cedarfs.Code(err)), Msg: err.Error()})
+}
+
+// frame frames p, stamped with q's id and op, into f.
+func (sess *session) frame(f *wire.Frame, q *wire.Request, p wire.Reply) *wire.Frame {
+	p.ID, p.Op = q.ID, q.Op
 	f.B = wire.AppendReply(f.B[:0], &p)
 	return f
+}
+
+// opened frames the reply to an Open or a Create that returned h, err.
+func (sess *session) opened(q *wire.Request, h cedarfs.Handle, err error) *wire.Frame {
+	if err != nil {
+		return sess.fail(q, err)
+	}
+	return sess.reply(q, nil, wire.Reply{Handle: sess.addHandle(h), Info: h.Info()})
 }
 
 // commitSeq samples the ack watermark carried on every success reply.
@@ -442,23 +466,17 @@ func (sess *session) execute(q *wire.Request) *wire.Frame {
 	switch q.Op {
 	case wire.OpOpen:
 		h, err := s.fs.Open(ctx, q.Name, q.Version)
-		return sess.reply(q, err, func(p *wire.Reply) {
-			p.Handle = sess.addHandle(h)
-			p.Info = h.Info()
-		})
+		return sess.opened(q, h, err)
 	case wire.OpCreate:
 		h, err := s.fs.Create(ctx, q.Name, q.Data)
-		return sess.reply(q, err, func(p *wire.Reply) {
-			p.Handle = sess.addHandle(h)
-			p.Info = h.Info()
-		})
+		return sess.opened(q, h, err)
 	case wire.OpRead:
 		h, err := sess.handle(q.Handle)
 		if err != nil {
-			return sess.reply(q, err, nil)
+			return sess.fail(q, err)
 		}
 		if int(q.N) > s.maxFrame()-64 {
-			return sess.reply(q, fmt.Errorf("%w: read of %d bytes exceeds frame limit", cedarfs.ErrBadRequest, q.N), nil)
+			return sess.fail(q, fmt.Errorf("%w: read of %d bytes exceeds frame limit", cedarfs.ErrBadRequest, q.N))
 		}
 		// The reply frame comes first and ReadAt fills its payload region:
 		// the bytes are produced where they will be sent from.
@@ -475,56 +493,49 @@ func (sess *session) execute(q *wire.Request) *wire.Frame {
 			n = 0
 		}
 		if err != nil {
-			return sess.replyIn(f, q, err, nil)
+			return sess.failIn(f, q, err)
 		}
 		f.B = wire.FinishReadReply(frame, s.commitSeq(), int(q.N), n)
 		return f
 	case wire.OpWrite:
 		h, err := sess.handle(q.Handle)
 		if err != nil {
-			return sess.reply(q, err, nil)
+			return sess.fail(q, err)
 		}
 		n, seq, err := h.WriteAt(ctx, q.Data, int64(q.Off))
-		return sess.reply(q, err, func(p *wire.Reply) {
-			p.N = uint32(n)
-			p.CommitSeq = seq // the ack rides the write's own sequence
-		})
+		// The ack rides the write's own sequence.
+		return sess.replySeq(q, err, wire.Reply{N: uint32(n), CommitSeq: seq})
 	case wire.OpCloseHandle:
 		sess.mu.Lock()
 		h, ok := sess.handles[q.Handle]
 		delete(sess.handles, q.Handle)
 		sess.mu.Unlock()
 		if !ok {
-			return sess.reply(q, fmt.Errorf("%w: unknown handle %d", cedarfs.ErrBadRequest, q.Handle), nil)
+			return sess.fail(q, fmt.Errorf("%w: unknown handle %d", cedarfs.ErrBadRequest, q.Handle))
 		}
 		s.openHandles.Add(-1)
-		return sess.reply(q, h.Close(), func(*wire.Reply) {})
+		return sess.reply(q, h.Close(), wire.Reply{})
 	case wire.OpStat:
 		fi, err := s.fs.Stat(ctx, q.Name, q.Version)
-		return sess.reply(q, err, func(p *wire.Reply) { p.Info = fi })
+		return sess.reply(q, err, wire.Reply{Info: fi})
 	case wire.OpList:
 		fis, err := s.fs.List(ctx, q.Name)
-		return sess.reply(q, err, func(p *wire.Reply) { p.Infos = fis })
+		return sess.reply(q, err, wire.Reply{Infos: fis})
 	case wire.OpRename:
-		return sess.reply(q, s.fs.Rename(ctx, q.Name, q.Name2), func(*wire.Reply) {})
+		return sess.reply(q, s.fs.Rename(ctx, q.Name, q.Name2), wire.Reply{})
 	case wire.OpDelete:
-		return sess.reply(q, s.fs.Delete(ctx, q.Name, q.Version), func(*wire.Reply) {})
+		return sess.reply(q, s.fs.Delete(ctx, q.Name, q.Version), wire.Reply{})
 	case wire.OpSetKeep:
-		return sess.reply(q, s.fs.SetKeep(ctx, q.Name, q.Keep), func(*wire.Reply) {})
+		return sess.reply(q, s.fs.SetKeep(ctx, q.Name, q.Keep), wire.Reply{})
 	case wire.OpForce:
 		seq, err := s.fs.Force(ctx)
-		return sess.reply(q, err, func(p *wire.Reply) {
-			p.Seq = seq
-			p.CommitSeq = seq
-		})
+		return sess.replySeq(q, err, wire.Reply{Seq: seq, CommitSeq: seq})
 	case wire.OpStats:
 		st, err := s.fs.Stats(ctx)
-		return sess.reply(q, err, func(p *wire.Reply) {
-			st.Sessions = uint32(s.sessions.Load())
-			p.Stats = st
-		})
+		st.Sessions = uint32(s.sessions.Load())
+		return sess.reply(q, err, wire.Reply{Stats: st})
 	default:
-		return sess.reply(q, fmt.Errorf("%w: op %d", cedarfs.ErrBadRequest, q.Op), nil)
+		return sess.fail(q, fmt.Errorf("%w: op %d", cedarfs.ErrBadRequest, q.Op))
 	}
 }
 

@@ -49,7 +49,8 @@ func Inspect(d *disk.Disk, base, size int) (LogInfo, error) {
 		return LogInfo{}, err
 	}
 	var info LogInfo
-	a, _, err := l.walk(&bodyReader{l: l}, math.MaxUint64, func(rec *record) bool {
+	a := l.opened // the current anchor: Open has just read it
+	_, err = l.walk(a, &bodyReader{l: l}, math.MaxUint64, func(rec *record) bool {
 		if !rec.complete() {
 			return false
 		}

@@ -26,7 +26,7 @@ func Open(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, error)
 	if err != nil {
 		return nil, err
 	}
-	l.bootCount, l.divs = a.bootCount, a.thirds
+	l.bootCount, l.divs, l.opened = a.bootCount, a.thirds, a
 	l.pendingIdx = make(map[imageKey]int)
 	l.table = make(map[imageKey]entry)
 	l.lastForce = clk.Now()
@@ -56,11 +56,12 @@ type RecoveryStats struct {
 
 // Replay reads the log without resetting it and returns the newest image of
 // every (kind, target) its complete batches hold, sorted by kind and then
-// target. No sector is written, and the log remains exactly as the crash left
-// it, so replay can run again after a second crash and return the same
-// images. Writable mounts call it, write every returned image home, issue a
-// disk barrier, and only then call CompleteRecovery; a read-only mount calls
-// it alone.
+// target. It starts from the anchor Open read, which it does not read again.
+// No sector is written, and the log remains exactly as the crash left it, so
+// replay can run again after a second crash and return the same images.
+// Writable mounts call it, write every returned image home, issue a disk
+// barrier, and only then call CompleteRecovery; a read-only mount calls it
+// alone.
 func (l *Log) Replay() ([]PageImage, RecoveryStats, error) {
 	// Replay owns the write path (forceMu) — nothing may force while the
 	// log is being read. Recovery runs before the volume admits
@@ -76,7 +77,7 @@ func (l *Log) Replay() ([]PageImage, RecoveryStats, error) {
 	// A later batch's image of a target replaces an earlier one's.
 	var batch []PageImage
 	newest := make(map[imageKey][]byte)
-	a, why, err := l.walk(r, math.MaxUint64, func(rec *record) bool {
+	why, err := l.walk(l.opened, r, math.MaxUint64, func(rec *record) bool {
 		if !rec.complete() {
 			return false
 		}
@@ -110,7 +111,6 @@ func (l *Log) Replay() ([]PageImage, RecoveryStats, error) {
 	}
 	rs.TailDiscarded = len(batch)
 	rs.SectorsRead = r.sectors
-	l.bootCount = a.bootCount
 	rs.Elapsed = l.clk.Now() - start
 	out := make([]PageImage, 0, len(newest))
 	for k, data := range newest {

@@ -105,8 +105,14 @@ func (l *Log) ScrubCopies(write func(addr int, data []byte) error) (LogScrubStat
 	if err := l.scrubAnchor(&st, write); err != nil {
 		return st, err
 	}
+	// The live log's anchor has moved since Open: the walk starts from the
+	// current one.
+	a, err := l.readAnchor()
+	if err != nil {
+		return st, err
+	}
 	runs := &logRuns{d: l.d, base: l.base + anchorSectors, area: l.thirdLen() * l.divs, runs: make(map[int]logRun)}
-	a, why, err := l.walk(runs, l.recordNum, func(rec *record) bool {
+	why, err := l.walk(a, runs, l.recordNum, func(rec *record) bool {
 		for i, p := range rec.pairs {
 			st.SectorsChecked += 2
 			good := p.good()

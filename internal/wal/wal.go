@@ -172,6 +172,9 @@ type Log struct {
 	clk  sim.Clock
 	cfg  Config
 
+	// opened is the anchor Open read, or Format wrote: where Replay starts.
+	opened anchor
+
 	// FlushHook is invoked with the third index about to be overwritten
 	// (-1 from Checkpoint): the client must write home every image Due
 	// lists, and report how many it wrote. The images leave the table once
@@ -390,7 +393,8 @@ func Format(d *disk.Disk, base, size int, clk sim.Clock, cfg Config) (*Log, erro
 	}
 	l.bootCount = 1
 	l.recordNum = 1
-	if err := l.writeAnchor(anchor{bootCount: 1, offset: 0, recordNum: 1}); err != nil {
+	l.opened = anchor{bootCount: 1, offset: 0, recordNum: 1, thirds: l.divs}
+	if err := l.writeAnchor(l.opened); err != nil {
 		return nil, err
 	}
 	// Erase the whole record area. A format over a previously used region

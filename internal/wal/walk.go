@@ -80,12 +80,8 @@ const (
 // two sectors short of a division boundary puts the next division's first
 // header there — so a copy-only header without an end page gets the same one
 // jump before the record counts as torn. A header's record must fit in the
-// record area. walk returns the anchor it started from and why it stopped.
-func (l *Log) walk(r sectorReader, limit uint64, visit func(*record) bool) (anchor, stopReason, error) {
-	a, err := l.readAnchor()
-	if err != nil {
-		return a, stopDone, err
-	}
+// record area. walk starts from the anchor a and returns why it stopped.
+func (l *Log) walk(a anchor, r sectorReader, limit uint64, visit func(*record) bool) (stopReason, error) {
 	tl := l.thirdLen()
 	area := tl * l.divs
 	off, rec := int(a.offset), a.recordNum
@@ -120,7 +116,7 @@ func (l *Log) walk(r sectorReader, limit uint64, visit func(*record) bool) (anch
 			if jump() {
 				continue
 			}
-			return a, stopGap, nil
+			return stopGap, nil
 		}
 		n := h.n
 		r.load(off+3, off+5+2*n)
@@ -129,7 +125,7 @@ func (l *Log) walk(r sectorReader, limit uint64, visit func(*record) bool) (anch
 			if hdr.data[0] == nil && jump() {
 				continue
 			}
-			return a, stopTorn, nil
+			return stopTorn, nil
 		}
 		skipped = false
 		rd = record{h: h, off: off, pairs: append(rd.pairs[:0], hdr, end)}
@@ -137,7 +133,7 @@ func (l *Log) walk(r sectorReader, limit uint64, visit func(*record) bool) (anch
 			rd.pairs = append(rd.pairs, pairAt(off+3+i, off+4+n+i, func(buf []byte) bool { return crc32.ChecksumIEEE(buf) == crc }))
 		}
 		if !visit(&rd) {
-			return a, stopDone, nil
+			return stopDone, nil
 		}
 		budget -= 3 + 2*n
 		rec++
@@ -145,5 +141,5 @@ func (l *Log) walk(r sectorReader, limit uint64, visit func(*record) bool) (anch
 			off = 0
 		}
 	}
-	return a, stopDone, nil
+	return stopDone, nil
 }

@@ -537,8 +537,11 @@ func DecodeReply(body []byte) (Reply, error) {
 		if r.err == nil && n > (len(body)-r.off)/16+1 {
 			return p, ErrTruncated
 		}
+		if n > 0 {
+			p.Infos = make([]cedarfs.FileInfo, n)
+		}
 		for i := 0; i < n && r.err == nil; i++ {
-			p.Infos = append(p.Infos, r.info())
+			p.Infos[i] = r.info()
 		}
 	case OpForce:
 		p.Seq = r.u64()

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -195,5 +196,35 @@ func TestListCountBomb(t *testing.T) {
 	}
 	if _, err := DecodeReply(body); err == nil {
 		t.Fatal("count bomb accepted")
+	}
+}
+
+// TestDecodeListAllocatesSliceOnce is the list decode's allocation gate: an
+// N-entry list reply allocates its Infos slice once, at its final length,
+// and one name string per entry — not a slice regrown by append.
+func TestDecodeListAllocatesSliceOnce(t *testing.T) {
+	const n = 100
+	infos := make([]cedarfs.FileInfo, n)
+	for i := range infos {
+		infos[i] = cedarfs.FileInfo{Name: fmt.Sprintf("dir/file-%03d", i), Version: 1, ByteSize: 512}
+	}
+	frame := AppendReply(nil, &Reply{ID: 1, Op: OpList, CommitSeq: 5, Infos: infos})
+	body := frame[HeaderLen:]
+	var got Reply
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if got, err = DecodeReply(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(got.Infos, infos) {
+		t.Fatal("list reply did not round-trip")
+	}
+	t.Logf("decoding a %d-entry list: %v allocs", n, allocs)
+	if cap(got.Infos) != n {
+		t.Errorf("Infos has capacity %d for %d entries: want it sized once", cap(got.Infos), n)
+	}
+	if allocs > n+1 {
+		t.Errorf("decoding a %d-entry list allocates %v times; want %d names and one slice", n, allocs, n)
 	}
 }

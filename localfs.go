@@ -2,6 +2,7 @@ package cedarfs
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -67,16 +68,26 @@ func (l *localFS) List(ctx context.Context, prefix string) ([]FileInfo, error) {
 	if err := l.ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	var out []FileInfo
+	sp := listScratch.Get().(*[]FileInfo)
+	defer func() {
+		clear(*sp) // the pool keeps no names alive
+		*sp = (*sp)[:0]
+		listScratch.Put(sp)
+	}()
 	err := l.v.List(prefix, func(e Entry) bool {
-		out = append(out, Info(&e))
+		*sp = append(*sp, Info(&e))
 		return true
 	})
-	if err != nil {
+	if err != nil || len(*sp) == 0 {
 		return nil, err
 	}
-	return out, nil
+	return slices.Clone(*sp), nil
 }
+
+// listScratch holds the slices List collects a listing in before it copies
+// it out at its final length: a listing regrown by append on every call
+// would allocate about twice what it returns.
+var listScratch = sync.Pool{New: func() any { return new([]FileInfo) }}
 
 func (l *localFS) Rename(ctx context.Context, oldName, newName string) error {
 	if err := l.ctxErr(ctx); err != nil {

@@ -99,6 +99,7 @@ go run ./cmd/fsdctl crashcheck -nested -seed 1 -states 30 -inner 4
 # in thirty, and the root read has to retry like every other read.
 go test ./internal/core -count=100 -run 'TestMountUnderComposedFaults$'
 # Mini-soak: 2000 concurrent simulated clients for 5 seconds against an
-# in-process server; exits nonzero on any protocol error or if the volume
-# leaves the healthy state.
+# in-process server; exits nonzero on any protocol error, on any operation
+# that fails with an internal (untyped) error, or if the volume leaves the
+# healthy state.
 go run ./cmd/soak -clients 2000 -conns 16 -duration 5s -rate 5 -json /dev/null
