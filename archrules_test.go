@@ -88,6 +88,14 @@ var archRules = []archRule{
 		use: `(^|\.)(joined|padded)$`, in: inCore, tests: true,
 		plant: [2]string{"internal/core/plant.go", "package core; func f(a, b []byte) { joined := append(a, b...); _ = joined }"}},
 
+	// One record of a leader not home.
+	{design: "§3.6", msg: "the leader set's state touched outside leaders.go (use stage, staged, wentHome, drop, leaderNotHome)",
+		use: `leaders\.(imgs|mu|gen|reqs)$`, in: inCore, allow: []string{"internal/core/leaders.go"},
+		plant: [2]string{"internal/core/plant.go", "package core; func (v *Volume) readLocked() { v.leaders.mu.Lock() }"}},
+	{design: "§3.6", msg: "a second record of a leader not home resurfaced (the leader set owns every staged image; readers look it up before they read)",
+		use: `(^|\.)(pendingLeaders|leaderGen|leaderGeneration|verifyLeaderApart|lmu)$`, in: inCore, tests: true,
+		plant: [2]string{"internal/core/plant.go", "package core; func (v *Volume) flushLeaders() { v.leaderGen++ }"}},
+
 	// One oracle.
 	{design: "§10", msg: "the plan is read outside check (hold every mounted crash image to the one check)",
 		use: `statusAt$`, call: true, in: []string{"internal/crashtest"}, tests: true, allow: []string{"check"},

@@ -20,17 +20,24 @@
 // (At 10,000 clients for 10 s the in-process volume's default name table
 // fills up, and the run ends read-only: see EXPERIMENTS.md "10k-client soak".)
 //
-// The run fails (exit 1) if any protocol error is observed on either side,
-// or if any operation fails with cedarfs.CodeInternal — an error with no
-// canonical meaning, such as a leader checksum mismatch, which no load may
-// cause; it prints the first few of those.
+// Each client owns its namespace and issues its operations in order, and it
+// keeps the size and CRC-32 of each file it wrote, so no operation may fail
+// and every read and stat must show what the client wrote. The run fails
+// (exit 1) if any protocol error is observed on either side, if any
+// operation fails — a read whose bytes differ counts as failed — or if the
+// volume leaves the healthy state; it prints the first few failures. Reads
+// and stats that differ, and operations that failed with
+// cedarfs.CodeInternal (an error with no canonical meaning, such as a leader
+// checksum mismatch), are also counted apart.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"math/rand"
 	"net"
@@ -209,8 +216,11 @@ type result struct {
 	ServerSessions uint64              `json:"server_sessions_total,omitempty"`
 	ServerStalls   uint64              `json:"server_stalls,omitempty"`
 
-	// InternalErrors counts the operations that failed with
-	// cedarfs.CodeInternal; InternalSamples holds the first distinct ones.
+	// Mismatches counts the reads and stats that differ from what their
+	// client wrote. InternalErrors counts the other operations that failed
+	// with cedarfs.CodeInternal; InternalSamples holds the first distinct
+	// ones.
+	Mismatches      uint64   `json:"mismatches,omitempty"`
 	InternalErrors  uint64   `json:"internal_errors,omitempty"`
 	InternalSamples []string `json:"internal_samples,omitempty"`
 
@@ -292,6 +302,7 @@ func run(addr string, clients, conns int, duration time.Duration, rate float64, 
 		perOp    [opCount]hist
 		opErrs   [opCount]atomic.Uint64
 		sampler  errSampler
+		differs  atomic.Uint64
 		internal atomic.Uint64
 		internS  errSampler
 		started  = make(chan struct{})
@@ -327,7 +338,9 @@ func run(addr string, clients, conns int, duration time.Duration, rate float64, 
 				if err != nil {
 					opErrs[op].Add(1)
 					sampler.add(opNames[op], err)
-					if cedarfs.Code(err) == cedarfs.CodeInternal {
+					if errors.Is(err, errDiffers) {
+						differs.Add(1)
+					} else if cedarfs.Code(err) == cedarfs.CodeInternal {
 						internal.Add(1)
 						internS.add(opNames[op], err)
 					}
@@ -358,6 +371,7 @@ func run(addr string, clients, conns int, duration time.Duration, rate float64, 
 	res.Throughput = float64(res.Ops) / elapsed.Seconds()
 	res.ProtocolErrors = cl.ProtocolErrors()
 	res.ErrorSamples = sampler.samples
+	res.Mismatches = differs.Load()
 	res.InternalErrors, res.InternalSamples = internal.Load(), internS.samples
 	for i := range perOp {
 		if n := perOp[i].count.Load(); n > 0 {
@@ -405,9 +419,9 @@ func run(addr string, clients, conns int, duration time.Duration, rate float64, 
 	if res.ProtocolErrors > 0 {
 		return fmt.Errorf("%d protocol errors", res.ProtocolErrors)
 	}
-	if res.InternalErrors > 0 {
-		return fmt.Errorf("%d operations failed with an internal error, first: %s",
-			res.InternalErrors, strings.Join(res.InternalSamples, "; "))
+	if res.Errors > 0 {
+		return fmt.Errorf("%d operations failed (%d differ from what was written, %d others with an internal error), first: %s",
+			res.Errors, res.Mismatches, res.InternalErrors, strings.Join(res.ErrorSamples, "; "))
 	}
 	if res.VolumeHealth != "" && res.VolumeHealth != "healthy" {
 		return fmt.Errorf("volume degraded to %s: %s", res.VolumeHealth, res.VolumeHealthReason)
@@ -416,13 +430,36 @@ func run(addr string, clients, conns int, duration time.Duration, rate float64, 
 }
 
 // soakClient is one simulated client: a private namespace of files and a
-// working set of the names it has created.
+// working set of the files it has created, with what it wrote to each.
 type soakClient struct {
 	id    int
 	rng   *rand.Rand
 	cl    *client.Client
-	files []string
+	files []soakFile
 	n     int
+}
+
+// errDiffers marks a read or stat that differs from what its client wrote.
+var errDiffers = errors.New("differs from what was written")
+
+// soakFile is a file of a client's working set: its size and the CRC-32 of
+// its bytes, as the client wrote them.
+type soakFile struct {
+	name string
+	size uint64
+	crc  uint32
+}
+
+// check fails if a file of size bytes, whose bytes are buf if buf is not
+// nil, is not what the client wrote to f.
+func (f *soakFile) check(size uint64, buf []byte) error {
+	if size != f.size {
+		return fmt.Errorf("%s: %w (%d bytes, want %d)", f.name, errDiffers, size, f.size)
+	}
+	if crc := crc32.ChecksumIEEE(buf); buf != nil && crc != f.crc {
+		return fmt.Errorf("%s: %w (crc %08x, want %08x)", f.name, errDiffers, crc, f.crc)
+	}
+	return nil
 }
 
 func (c *soakClient) pickOp(weights [opCount]int, total int) int {
@@ -441,27 +478,36 @@ func (c *soakClient) pickOp(weights [opCount]int, total int) int {
 	return opCreate
 }
 
-func (c *soakClient) randFile() string { return c.files[c.rng.Intn(len(c.files))] }
+func (c *soakClient) randFile() *soakFile { return &c.files[c.rng.Intn(len(c.files))] }
+
+// payload returns 256 to 2047 bytes of the client's random stream.
+func (c *soakClient) payload() []byte {
+	p := make([]byte, 256+c.rng.Intn(1792))
+	c.rng.Read(p)
+	return p
+}
 
 func (c *soakClient) do(op int) error {
 	ctx := ctxTODO
 	switch op {
 	case opCreate:
-		name := fmt.Sprintf("soak/c%d/f%d", c.id, c.n)
+		f := soakFile{name: fmt.Sprintf("soak/c%d/f%d", c.id, c.n)}
 		c.n++
-		payload := make([]byte, 256+c.rng.Intn(1792))
-		h, err := c.cl.Create(ctx, name, payload)
+		payload := c.payload()
+		h, err := c.cl.Create(ctx, f.name, payload)
 		if err != nil {
 			return err
 		}
+		f.size, f.crc = uint64(len(payload)), crc32.ChecksumIEEE(payload)
 		if len(c.files) < 8 {
-			c.files = append(c.files, name)
+			c.files = append(c.files, f)
 		} else {
-			c.files[c.rng.Intn(len(c.files))] = name
+			c.files[c.rng.Intn(len(c.files))] = f
 		}
 		return h.Close()
 	case opRead:
-		h, err := c.cl.Open(ctx, c.randFile(), 0)
+		f := c.randFile()
+		h, err := c.cl.Open(ctx, f.name, 0)
 		if err != nil {
 			return err
 		}
@@ -470,27 +516,43 @@ func (c *soakClient) do(op int) error {
 		if cerr := h.Close(); err == nil {
 			err = cerr
 		}
+		if err == nil {
+			err = f.check(uint64(len(buf)), buf)
+		}
 		return err
 	case opWrite:
-		h, err := c.cl.Open(ctx, c.randFile(), 0)
+		f := c.randFile()
+		h, err := c.cl.Open(ctx, f.name, 0)
 		if err != nil {
 			return err
 		}
-		chunk := make([]byte, 256+c.rng.Intn(1792))
-		_, _, err = h.WriteAt(ctx, chunk, int64(h.Info().ByteSize))
+		if err := f.check(h.Info().ByteSize, nil); err != nil {
+			h.Close()
+			return err
+		}
+		chunk := c.payload()
+		_, _, err = h.WriteAt(ctx, chunk, int64(f.size))
 		if cerr := h.Close(); err == nil {
 			err = cerr
 		}
+		if err == nil {
+			f.size += uint64(len(chunk))
+			f.crc = crc32.Update(f.crc, crc32.IEEETable, chunk)
+		}
 		return err
 	case opStat:
-		_, err := c.cl.Stat(ctx, c.randFile(), 0)
+		f := c.randFile()
+		info, err := c.cl.Stat(ctx, f.name, 0)
+		if err == nil {
+			err = f.check(info.ByteSize, nil)
+		}
 		return err
 	case opList:
 		_, err := c.cl.List(ctx, fmt.Sprintf("soak/c%d/", c.id))
 		return err
 	case opDelete:
 		i := c.rng.Intn(len(c.files))
-		name := c.files[i]
+		name := c.files[i].name
 		c.files = append(c.files[:i], c.files[i+1:]...)
 		return c.cl.Delete(ctxTODO, name, 0)
 	case opForce:

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -40,5 +42,22 @@ func TestSoakInProcess(t *testing.T) {
 	}
 	if res.Clock == "" {
 		t.Fatalf("report has no clock key: %s", raw)
+	}
+}
+
+// TestSoakFileCheck: a client's record of a file fails a read of other
+// bytes or another size, and passes what it wrote.
+func TestSoakFileCheck(t *testing.T) {
+	f := soakFile{name: "soak/c0/f0", size: 3, crc: crc32.ChecksumIEEE([]byte("abc"))}
+	if err := f.check(3, []byte("abc")); err != nil {
+		t.Fatalf("what was written: %v", err)
+	}
+	if err := f.check(3, nil); err != nil {
+		t.Fatalf("the size alone: %v", err)
+	}
+	for _, err := range []error{f.check(3, []byte("abd")), f.check(2, []byte("ab")), f.check(4, nil)} {
+		if !errors.Is(err, errDiffers) {
+			t.Fatalf("a file that differs from what was written: %v", err)
+		}
 	}
 }

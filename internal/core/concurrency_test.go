@@ -30,8 +30,8 @@ func newTestVolumeCfg(t *testing.T, cfg Config) (*Volume, *disk.Disk, *sim.Virtu
 // lists, creates, writes, deletes, touches, forces, commit waits — from
 // many goroutines, and then audits the volume. Under
 // `go test -race ./internal/core` this is the main proof that the split
-// monitor (shared read path, per-handle locks, lmu/vmMu side locks) has no
-// data races.
+// monitor (shared read path, per-handle locks, leaderSet.mu/vmMu side
+// locks) has no data races.
 func TestConcurrentMixedOps(t *testing.T) {
 	t.Run("SplitMonitor", func(t *testing.T) {
 		v, _, _ := newTestVolumeCfg(t, testConfig())

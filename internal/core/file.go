@@ -568,6 +568,7 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 	var slots [streamWindow]int32
 	var held heldChunk
 	defer f.release(&w, &held, 0)
+	var leader []byte // the leader's image for its check, on the first chunk
 	for cur, remaining := page, n; remaining > 0; {
 		addr, cnt, err := f.e.ContiguousFrom(cur, min(remaining, MaxTransferSectors))
 		if err != nil {
@@ -580,7 +581,6 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 		}
 		segs[1], segs[2], segs[3] = w.place(cur, cnt)
 		needLeader := !f.leaderVerified && cur == page && addr == leaderAddr+1
-		var seen uint64 // the leader-home generation before the read
 		if needLeader {
 			// The check sets the leader against this handle's entry, and an
 			// intent of the handle's own that has yet to apply (an Extend)
@@ -588,15 +588,24 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 			if err := v.waitName(f.e.Name); err != nil {
 				return err
 			}
-			seen = v.leaderGeneration()
-		}
-		if needLeader && dc != nil && dc.Holding() {
-			// A held leader, or one home ahead of held data, is checked
-			// on its own: the request cannot carry it.
-			if err := f.verifyLeaderApart(leaderAddr, addr, seen); err != nil {
-				return err
+			// A leader not home is checked from its image, and one home
+			// ahead of held data — which the cache serves — with a read of
+			// its own: the request carries neither. Else it reads the
+			// leader with the data; nothing moves a home leader's image.
+			leader = make([]byte, disk.SectorSize)
+			apart := v.leaderNotHome(leaderAddr, leader)
+			if !apart && dc != nil && dc.HeldAny(addr, 1) {
+				if err := v.readSectorsRetryInto(leaderAddr, leader); err != nil {
+					return err
+				}
+				apart = true
 			}
-			needLeader = !f.leaderVerified
+			if apart {
+				if err := verifyLeader(leader, &f.e); err != nil {
+					return err
+				}
+				f.leaderVerified, needLeader = true, false
+			}
 		}
 		ahead := 0
 		var gen uint64
@@ -636,11 +645,11 @@ func (f *File) readLocked(p []byte, off int64) (err error) {
 		sectors := cnt + ahead // the request's transfer
 		if needLeader {
 			// Piggyback the leader read on the first data access.
-			var leader [disk.SectorSize]byte
-			segs[0] = leader[:]
+			segs[0] = leader
 			sectors++
 			if rerr = v.readSectorsRetryInto(addr-1, segs[:4+ahead]...); rerr == nil {
-				rerr = f.verifyLeaderBuf(leader[:], seen)
+				rerr = verifyLeader(leader, &f.e)
+				f.leaderVerified = rerr == nil
 			}
 		} else {
 			rerr = v.readSectorsRetryInto(addr, segs[1:4+ahead]...)
@@ -711,66 +720,6 @@ func (f *File) release(w *ioWindow, h *heldChunk, under int) {
 func (v *Volume) copied(n, under int) {
 	secT := v.d.Params().SectorTime(v.d.Geometry())
 	v.cpu.ChargeOverlapped(time.Duration(n)*sim.CostPerSectorCopy, time.Duration(under)*secT)
-}
-
-// leaderGeneration is the volume's leader-home generation: a reader takes it
-// before it reads a leader sector, and verifyLeaderBuf compares.
-func (v *Volume) leaderGeneration() uint64 {
-	v.lmu.Lock()
-	defer v.lmu.Unlock()
-	return v.leaderGen
-}
-
-// verifyLeaderBuf checks a leader page read, into buf, after the generation
-// seen was taken; the caller holds the monitor (either mode) and f.mu. A
-// pending (not yet home-written) leader is verified from memory instead. The
-// read is trusted only if no leader went home since: a home write that landed
-// between the read and this look, and dropped or replaced its pending entry,
-// can leave buf older than the entry, and every such write moves the
-// generation. Then a buf that fails the check is read again, once — from its
-// held frame, if the write held it.
-func (f *File) verifyLeaderBuf(buf []byte, seen uint64) error {
-	v := f.v
-	addr, _ := f.e.LeaderAddr()
-	v.lmu.Lock()
-	pending, ok := v.pendingLeaders[addr]
-	moved := v.leaderGen != seen
-	v.lmu.Unlock()
-	if ok {
-		buf = pending
-	}
-	err := verifyLeader(buf, &f.e)
-	if err != nil && !ok && moved {
-		if dc := v.dataCache; dc == nil || !dc.HeldInto(addr, buf) {
-			if err := v.readSectorsRetryInto(addr, buf); err != nil {
-				return err
-			}
-		}
-		err = verifyLeader(buf, &f.e)
-	}
-	if err != nil {
-		return err
-	}
-	f.leaderVerified = true
-	return nil
-}
-
-// verifyLeaderApart verifies the leader at leaderAddr from its held frame,
-// if it is held, or with a read of its own if the data at addr is; else it
-// leaves the check to the request, which piggybacks it. The caller holds
-// what readLocked needs, and took the generation seen before looking.
-func (f *File) verifyLeaderApart(leaderAddr, addr int, seen uint64) error {
-	v := f.v
-	var leader [disk.SectorSize]byte
-	if !v.dataCache.HeldInto(leaderAddr, leader[:]) {
-		if held, _ := v.dataCache.HeldRun(addr, 1); !held {
-			return nil
-		}
-		if err := v.readSectorsRetryInto(leaderAddr, leader[:]); err != nil {
-			return err
-		}
-	}
-	return f.verifyLeaderBuf(leader[:], seen)
 }
 
 // ReadAll returns the whole file contents, trimmed to its byte size.
@@ -847,10 +796,9 @@ func (f *File) writeLocked(e *Entry, p []byte, off int64) (err error) {
 			return err
 		}
 		var pending []byte
+		var gen uint64
 		if cur == page && addr == leaderAddr+1 {
-			v.lmu.Lock()
-			pending = v.pendingLeaders[leaderAddr]
-			v.lmu.Unlock()
+			pending, gen = v.leaders.staged(leaderAddr)
 		}
 		held, err := v.writeChunk(&w, pending, addr, cur, cnt)
 		if err != nil {
@@ -864,18 +812,11 @@ func (f *File) writeLocked(e *Entry, p []byte, off int64) (err error) {
 			behind = cnt
 		}
 		if pending != nil {
-			// The leader is home now, or held for the force's pass. The
-			// entry is dropped only if it is still the slice that went
-			// home. A newer image registered meanwhile (an Extend of this
-			// file applying behind the write) stays, and so does one a
-			// concurrent third crossing re-registered when it wrote an
-			// older committed image over this one (flushLeaders).
-			v.lmu.Lock()
-			if now := v.pendingLeaders[leaderAddr]; len(now) > 0 && &now[0] == &pending[0] {
-				delete(v.pendingLeaders, leaderAddr)
-			}
-			v.leaderGen++
-			v.lmu.Unlock()
+			// The leader is home now, or held for the force's pass. A newer
+			// image staged meanwhile (an Extend of this file applying behind
+			// the write) stays staged, and so does this one if a concurrent
+			// third crossing wrote an older committed image over it.
+			v.leaders.wentHome(leaderAddr, gen)
 			f.leaderVerified = true
 		}
 		cur += cnt

@@ -297,11 +297,6 @@ func (v *Volume) writeHeld() error {
 	}
 	if len(reqs) > 0 {
 		v.heldStats.passes.Add(1)
-		// Held leaders are home now: a reader that read one's sector
-		// before the pass reads it again (verifyLeaderBuf).
-		v.lmu.Lock()
-		v.leaderGen++
-		v.lmu.Unlock()
 	}
 	v.vmMu.Lock()
 	v.releaseReserved(false)

@@ -413,9 +413,7 @@ func (v *Volume) applyStep(st *intentStep, cpu *sim.CPU) (bool, error) {
 		v.invalidateData(st.runs)
 		return true, nil
 	case stepLeader:
-		v.lmu.Lock()
-		v.pendingLeaders[st.addr] = st.data
-		v.lmu.Unlock()
+		v.leaders.stage(st.addr, st.data)
 		_, err := v.log.Append(wal.PageImage{Kind: wal.KindLeader, Target: uint64(st.addr), Data: st.data})
 		return true, err
 	default:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -169,18 +168,4 @@ func verifyLeader(buf []byte, e *Entry) error {
 		return fmt.Errorf("core: %q!%d: leader run-table checksum mismatch", e.Name, e.Version)
 	}
 	return nil
-}
-
-// leaderNotHome returns a copy of the leader at addr if it is not home yet:
-// pending in the log, whose image is the newer, or held in the data cache for
-// the next force's pass (held.go). It allocates only for an image it returns.
-func (v *Volume) leaderNotHome(addr int) ([]byte, bool) {
-	v.lmu.Lock()
-	img := bytes.Clone(v.pendingLeaders[addr])
-	v.lmu.Unlock()
-	var frame [disk.SectorSize]byte
-	if dc := v.dataCache; img == nil && dc != nil && dc.Holding() && dc.HeldInto(addr, frame[:]) {
-		img = bytes.Clone(frame[:])
-	}
-	return img, img != nil
 }

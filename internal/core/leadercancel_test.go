@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,10 +45,8 @@ func deleteLeaderAcrossThird(t *testing.T, async bool) {
 		t.Fatal(err)
 	}
 	addr, _ := f.e.LeaderAddr()
-	v.lmu.Lock()
-	_, pending := v.pendingLeaders[addr]
-	v.lmu.Unlock()
-	if !pending || !v.log.Logged(wal.KindLeader, uint64(addr)) {
+	img, _ := v.leaders.staged(addr)
+	if img == nil || !v.log.Logged(wal.KindLeader, uint64(addr)) {
 		t.Fatal("the empty file's leader went home at its create")
 	}
 	third := recordThird(t, v, addr)
@@ -60,10 +59,7 @@ func deleteLeaderAcrossThird(t *testing.T, async bool) {
 			t.Fatal(err)
 		}
 	}
-	v.lmu.Lock()
-	_, pending = v.pendingLeaders[addr]
-	v.lmu.Unlock()
-	if !pending {
+	if img, _ = v.leaders.staged(addr); img == nil {
 		t.Fatal("the leader went home before its third was reached again")
 	}
 
@@ -166,12 +162,12 @@ func recordThird(t *testing.T, v *Volume, addr int) int {
 
 // TestCrossingOlderLeaderKeepsPendingOne: a file's committed leader L1 is in
 // the log, and an Extend has staged L2, pending and not yet committed. A
-// write of page 0 reads L2 from the pending table and puts it home with the
-// page; a third crossing, which took the table's lock meanwhile, then writes
+// write of page 0 takes L2 from the leader set and puts it home with the
+// page; a third crossing, which took the set's lock meanwhile, then writes
 // L1 over it — the order a write-fault hook forces here. The write must not
-// then drop L2 from the pending table: home holds L1, and once L2 commits,
-// the crossing that hands it over must still find it pending and write it
-// home, or the leader stays stale with no crash at all.
+// then drop L2 from the set: home holds L1, and once L2 commits, the
+// crossing that hands it over must still find it staged and write it home,
+// or the leader stays stale with no crash at all.
 func TestCrossingOlderLeaderKeepsPendingOne(t *testing.T) {
 	cfg := testConfig()
 	cfg.GroupCommitInterval = time.Hour // only the explicit forces commit
@@ -191,9 +187,7 @@ func TestCrossingOlderLeaderKeepsPendingOne(t *testing.T) {
 	if err := f.Extend(1); err != nil {
 		t.Fatal(err)
 	}
-	v.lmu.Lock()
-	l2 := v.pendingLeaders[addr]
-	v.lmu.Unlock()
+	l2, _ := v.leaders.staged(addr)
 	if l2 == nil || bytes.Equal(l1, l2) {
 		t.Fatal("the Extend staged no new leader image")
 	}
@@ -210,8 +204,8 @@ func TestCrossingOlderLeaderKeepsPendingOne(t *testing.T) {
 		// Let the write land only once the crossing holds the table's
 		// lock: its write of L1 then waits for this one, and the writer's
 		// look at the pending table waits for the crossing.
-		for deadline := time.Now().Add(5 * time.Second); v.lmu.TryLock(); {
-			v.lmu.Unlock()
+		for deadline := time.Now().Add(5 * time.Second); v.leaders.mu.TryLock(); {
+			v.leaders.mu.Unlock()
 			if time.Now().After(deadline) {
 				t.Error("the crossing never took the table's lock")
 				break
@@ -242,22 +236,130 @@ func TestCrossingOlderLeaderKeepsPendingOne(t *testing.T) {
 	}
 }
 
-// TestHomeWriteCrossingLeaderRead: a file's committed leader L2 is pending
-// (its Extend is forced, the image not yet home), and a fresh handle reads
-// page 0, which reads the old leader L1 from the platter with it. A third
-// crossing that writes L2 home, and drops its pending entry, lands between
-// that read and the handle's check — the order a disk-op hook forces here:
-// the crossing takes the leader table's lock while the read still holds
-// the device. The check must not then hold L1 against the grown entry: it
-// sees that a leader went home across its read and reads the sector again.
+// TestHomeWriteCrossingLeaderRead: a fresh handle reads the start of a file
+// whose leader is not home — staged, or held by the create — while one of
+// the three writers that move a leader out of the leader set crosses the
+// read: a third crossing that writes the committed image home, a second
+// handle's page-0 write that carries the staged image, and the force's pass
+// over the held sectors. A disk-op hook starts the writer when the read's
+// data request ends, and lets the request go only once the writer holds its
+// lock, so that its write waits for the device and lands after the read. The
+// handle checks its leader before the request, from the image not home, so
+// the request carries no leader and the read must succeed; afterwards the
+// leader is home and out of the set.
 func TestHomeWriteCrossingLeaderRead(t *testing.T) {
-	cfg := testConfig()
-	cfg.GroupCommitInterval = time.Hour // only the explicit forces commit
-	v, d, _ := newTestVolumeWith(t, cfg)
-	f, err := v.Create("f", bytes.Repeat([]byte{1}, disk.SectorSize))
-	if err != nil {
-		t.Fatal(err)
+	holds := func(mu *sync.Mutex) bool {
+		if mu.TryLock() {
+			mu.Unlock()
+			return false
+		}
+		return true
 	}
+	old := bytes.Repeat([]byte{1}, disk.SectorSize)
+	for _, c := range []struct {
+		name string
+		// setup leaves the file "f" with its leader not home and returns
+		// the writer and the lock that shows it is under way.
+		setup func(t *testing.T, v *Volume, f *File) (move func() error, lock *sync.Mutex)
+		cache int // Config.DataCachePages
+		pages int // the file's size
+	}{
+		{name: "third-crossing", pages: 1, setup: func(t *testing.T, v *Volume, f *File) (func() error, *sync.Mutex) {
+			addr, _ := f.e.LeaderAddr()
+			l2 := extendStaged(t, v, f)
+			return func() error {
+				_, err := v.flushLeaders([]wal.PageImage{{Kind: wal.KindLeader, Target: uint64(addr), Data: l2}})
+				return err
+			}, &v.leaders.mu
+		}},
+		{name: "page-0-write", pages: 1, setup: func(t *testing.T, v *Volume, f *File) (func() error, *sync.Mutex) {
+			extendStaged(t, v, f)
+			h, err := v.Open("f", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() error { return h.WritePages(0, bytes.Repeat([]byte{2}, disk.SectorSize)) }, &h.mu
+		}},
+		// 160 cache pages hold 80 sectors: the leader and the first 64
+		// pages are held, and the rest is written at once.
+		{name: "held-pass", pages: 100, cache: 160, setup: func(t *testing.T, v *Volume, f *File) (func() error, *sync.Mutex) {
+			addr, _ := f.e.LeaderAddr()
+			if img, _ := v.leaders.staged(addr); img != nil || !v.leaderNotHome(addr, nil) {
+				t.Fatal("the create's leader is not held")
+			}
+			return v.Force, &v.hmu
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.GroupCommitInterval = time.Hour // only the explicit forces commit
+			cfg.DataCachePages = c.cache
+			v, d, _ := newTestVolumeWith(t, cfg)
+			data := bytes.Repeat(old, c.pages)
+			f, err := v.Create("f", data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, _ := f.e.LeaderAddr()
+			move, lock := c.setup(t, v, f)
+			g, err := v.Open("f", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			crossed := make(chan error, 1)
+			fired, carried := false, false
+			d.SetOpObserver(func(e disk.OpEvent) {
+				v.observeDiskOp(e)
+				if e.Write || e.Addr+e.Sectors <= addr || e.Addr > addr+c.pages {
+					return
+				}
+				carried = carried || e.Addr <= addr
+				if fired {
+					return
+				}
+				fired = true
+				go func() { crossed <- move() }()
+				for deadline := time.Now().Add(5 * time.Second); !holds(lock); {
+					if time.Now().After(deadline) {
+						t.Error("the writer never took its lock")
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+			got, rerr := g.ReadPages(0, c.pages)
+			d.SetOpObserver(v.observeDiskOp)
+			if !fired {
+				t.Fatal("the read went to the disk for none of the file's data")
+			}
+			if carried {
+				t.Error("the read carried a leader that was not home")
+			}
+			if err := <-crossed; err != nil {
+				t.Fatal(err)
+			}
+			if rerr != nil || !bytes.Equal(got, data[:len(got)]) || len(got) != len(data) {
+				t.Fatalf("a read crossed by the leader's move failed: %v", rerr)
+			}
+			if v.leaderNotHome(addr, nil) {
+				t.Fatal("the writer left the leader out of home")
+			}
+			home, err := d.ReadSectors(addr, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := verifyLeader(home, &g.e); err != nil {
+				t.Fatalf("the leader went home stale: %v", err)
+			}
+		})
+	}
+}
+
+// extendStaged forces the create of f, extends f by a page and forces the
+// Extend, and returns the leader image the Extend staged — committed, and
+// not home yet.
+func extendStaged(t *testing.T, v *Volume, f *File) []byte {
+	t.Helper()
 	if err := v.Force(); err != nil {
 		t.Fatal(err)
 	}
@@ -268,53 +370,72 @@ func TestHomeWriteCrossingLeaderRead(t *testing.T) {
 	if err := v.Force(); err != nil {
 		t.Fatal(err)
 	}
-	v.lmu.Lock()
-	l2 := v.pendingLeaders[addr]
-	v.lmu.Unlock()
-	if l1, _ := d.ReadSectors(addr, 1); l2 == nil || bytes.Equal(l1, l2) {
-		t.Fatal("the Extend left no new leader image pending")
+	l2, _ := v.leaders.staged(addr)
+	if l1, _ := v.d.ReadSectors(addr, 1); l2 == nil || bytes.Equal(l1, l2) {
+		t.Fatal("the Extend left no new leader image staged")
+	}
+	return l2
+}
+
+// TestLeaderSetClearRules: a writer that put the image staged returned home
+// clears the entry only while its generation is what staged returned — not
+// after a newer image was staged, nor after a crossing wrote an older
+// committed image over the one that went home — and drop clears it always.
+func TestLeaderSetClearRules(t *testing.T) {
+	v, _, _ := newTestVolume(t)
+	const addr = 7 // the set never touches the sector but in flushLeaders
+	l1, l2 := bytes.Repeat([]byte{1}, disk.SectorSize), bytes.Repeat([]byte{2}, disk.SectorSize)
+	s := &v.leaders
+	staged := func() bool { img, _ := s.staged(addr); return img != nil }
+
+	s.stage(addr, l1)
+	img, gen := s.staged(addr)
+	if !bytes.Equal(img, l1) {
+		t.Fatal("staged returned another image")
+	}
+	s.wentHome(addr, gen)
+	if staged() {
+		t.Fatal("wentHome with an unchanged generation kept the entry")
 	}
 
-	g, err := v.Open("f", 0)
+	s.stage(addr, l1)
+	_, gen = s.staged(addr)
+	s.stage(addr, l2)
+	s.wentHome(addr, gen)
+	if img, _ := s.staged(addr); !bytes.Equal(img, l2) {
+		t.Fatal("wentHome after a re-stage cleared the newer image")
+	}
+
+	// A data sector for the crossing's write to land on: the set decides
+	// by the images alone.
+	a, err := v.Create("x", bytes.Repeat([]byte{9}, disk.SectorSize))
 	if err != nil {
 		t.Fatal(err)
 	}
-	crossed := make(chan error, 1)
-	fired := false
-	d.SetOpObserver(func(e disk.OpEvent) {
-		v.observeDiskOp(e)
-		if fired || e.Write || e.Addr != addr || e.Sectors < 2 {
-			return
-		}
-		fired = true
-		go func() {
-			_, err := v.flushLeaders([]wal.PageImage{{Kind: wal.KindLeader, Target: uint64(addr), Data: l2}})
-			crossed <- err
-		}()
-		// Let the read finish only once the crossing holds the table's
-		// lock: its write of L2 then waits for the device, and the
-		// reader's check waits for the crossing.
-		for deadline := time.Now().Add(5 * time.Second); v.lmu.TryLock(); {
-			v.lmu.Unlock()
-			if time.Now().After(deadline) {
-				t.Error("the crossing never took the table's lock")
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-	})
-	_, rerr := g.ReadPages(0, 1)
-	d.SetOpObserver(v.observeDiskOp)
-	if !fired {
-		t.Fatal("the read did not carry the leader")
-	}
-	if err := <-crossed; err != nil {
+	if err := v.Force(); err != nil {
 		t.Fatal(err)
 	}
-	if home, _ := d.ReadSectors(addr, 1); !bytes.Equal(home, l2) {
-		t.Fatal("the crossing did not put L2 home")
+	home, _ := a.e.LeaderAddr()
+	s.drop(addr)
+	s.stage(home, l2)
+	_, gen = s.staged(home)
+	if _, err := v.flushLeaders([]wal.PageImage{{Kind: wal.KindLeader, Target: uint64(home), Data: l1}}); err != nil {
+		t.Fatal(err)
 	}
-	if rerr != nil {
-		t.Fatalf("a read crossed by the leader's home write failed: %v", rerr)
+	s.wentHome(home, gen)
+	if img, _ := s.staged(home); !bytes.Equal(img, l2) {
+		t.Fatal("wentHome after an older image was flushed over the entry cleared it")
+	}
+	if _, err := v.flushLeaders([]wal.PageImage{{Kind: wal.KindLeader, Target: uint64(home), Data: l2}}); err != nil {
+		t.Fatal(err)
+	}
+	if img, _ := s.staged(home); img != nil {
+		t.Fatal("flushing the staged image kept the entry")
+	}
+
+	s.stage(addr, l1)
+	s.drop(addr)
+	if staged() {
+		t.Fatal("drop kept the entry")
 	}
 }

@@ -48,10 +48,9 @@ func mountReadOnly(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 		}
 		var leaders []wal.PageImage
 		leaders, err = v.replayScan(lg, &ms)
-		// Served from the pending map, exactly where the read path's leader
-		// verification looks first.
+		// Staged, where the read path's leader check looks first.
 		for _, im := range leaders {
-			v.pendingLeaders[int(im.Target)] = im.Data
+			v.leaders.stage(int(im.Target), im.Data)
 		}
 	}
 	if err != nil {

@@ -375,7 +375,7 @@ func (v *Volume) scrubLeaders(st *ScrubStats) error {
 	// Leaders not home yet are verified from memory on access.
 	home := refs[:0]
 	for _, ref := range refs {
-		if _, notHome := v.leaderNotHome(ref.addr); !notHome {
+		if !v.leaderNotHome(ref.addr, nil) {
 			home = append(home, ref)
 		}
 	}
@@ -419,7 +419,7 @@ func (v *Volume) scrubLeader(name string, ver uint32, st *ScrubStats) error {
 	if !has {
 		return nil
 	}
-	if _, notHome := v.leaderNotHome(addr); notHome {
+	if v.leaderNotHome(addr, nil) {
 		return nil // verified from memory on access
 	}
 	st.LeadersChecked++

@@ -167,11 +167,15 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 			if !has || ve.e.Class == SymLink {
 				continue
 			}
-			if img, notHome := v.leaderNotHome(addr); notHome {
-				deferred[i] = img
-			} else {
-				home[c] = append(home[c], leaderCheck{addr: addr, e: ve.e, idx: i})
+			// Only a leader not home gets a buffer; one that went home
+			// between the two looks is read from the disk.
+			if v.leaderNotHome(addr, nil) {
+				if img := make([]byte, disk.SectorSize); v.leaderNotHome(addr, img) {
+					deferred[i] = img
+					continue
+				}
 			}
+			home[c] = append(home[c], leaderCheck{addr: addr, e: ve.e, idx: i})
 		}
 	}
 

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,17 +159,18 @@ type taggedFree struct {
 //     with Config.AsyncApply the mutations share it too and serialize per
 //     name instead (see mutate).
 //   - each File handle has its own lock for its entry snapshot.
-//   - lmu guards the deferred-leader maps, which the read path (leader
-//     verification) shares with the force path (third flushes).
+//   - leaderSet.mu guards the staged leader images, which the read path
+//     (leader verification) shares with the write path and the force path
+//     (third flushes).
 //   - vmMu guards the allocation map, the allocator, and the deferred
 //     frees, shared between operations and the commit callback.
 //
 // Lock order: mu → File.mu → name stripes → WAL group (shared) → (B-tree →
-// cache) → lmu/vmMu → the log's staging lock. The log's force path (forceMu
-// inside the WAL) takes the group exclusively while it cuts the batch, then
-// acquires cache/lmu/vmMu through its callbacks and never mu, so a force in
-// flight blocks neither readers nor staging writers — it waits only for the
-// operations that are mid-apply.
+// cache) → vmMu → leaderSet.mu → the log's staging lock. The log's force
+// path (forceMu inside the WAL) takes the group exclusively while it cuts the
+// batch, then acquires cache/vmMu/leaderSet.mu through its callbacks and
+// never mu, so a force in flight blocks neither readers nor staging writers —
+// it waits only for the operations that are mid-apply.
 type Volume struct {
 	d   *disk.Disk
 	clk sim.Clock
@@ -216,20 +214,9 @@ type Volume struct {
 
 	uidNext atomic.Uint64
 
-	// lmu guards pendingLeaders, leaderGen and leaderReqs. pendingLeaders
-	// holds leader pages created but not yet written to their home sector;
-	// the write piggybacks on the file's next data write, or happens when
-	// the log hands the leader's committed image home (flushLeaders).
-	// leaderGen counts the writes that put leaders home, or into held
-	// frames, and then drop or replace their pending entries — the data
-	// write's piggyback, flushLeaders and the force's held pass — so that a
-	// reader can tell whether one crossed its read (verifyLeaderBuf).
-	// leaderReqs is flushLeaders' scratch. A holder of vmMu or hmu may take
-	// lmu, never the reverse.
-	lmu            sync.Mutex
-	pendingLeaders map[int][]byte
-	leaderGen      uint64
-	leaderReqs     []homeReq
+	// leaders owns the staged leader images not yet home (leaders.go). A
+	// holder of vmMu may take its lock, never the reverse.
+	leaders leaderSet
 
 	// hmu serializes what touches held data-cache frames (held.go): a write
 	// to fresh pages, the force's pass over the held sectors, and a free's
@@ -328,14 +315,14 @@ func (v *Volume) twoCopies() bool { return v.lay.ntB != v.lay.ntA && !v.copyAOnl
 // newVolume wires up the common structure, the name-table cache included.
 func newVolume(d *disk.Disk, cfg Config, lay layout) *Volume {
 	v := &Volume{
-		d:              d,
-		clk:            d.Clock(),
-		cpu:            sim.NewCPU(d.Clock()),
-		cfg:            cfg,
-		lay:            lay,
-		pendingLeaders: make(map[int][]byte),
-		obs:            newVolObs(),
-		group:          commitGroup{floor: -1},
+		d:       d,
+		clk:     d.Clock(),
+		cpu:     sim.NewCPU(d.Clock()),
+		cfg:     cfg,
+		lay:     lay,
+		obs:     newVolObs(),
+		leaders: leaderSet{imgs: make(map[int]stagedLeader)},
+		group:   commitGroup{floor: -1},
 	}
 	v.cache = newNTCache(v, cfg.cacheSize())
 	d.SetClassifier(func(addr int) disk.Class {
@@ -437,9 +424,7 @@ func (v *Volume) useLog(lg *wal.Log, err error) error {
 		for _, pf := range v.pendingFrees {
 			if pf.seq <= seq {
 				if pf.leader != 0 {
-					v.lmu.Lock()
-					delete(v.pendingLeaders, pf.leader)
-					v.lmu.Unlock()
+					v.leaders.drop(pf.leader)
 				}
 				v.al.FreeNow(pf.runs)
 			} else {
@@ -470,43 +455,6 @@ func (v *Volume) freeOnCommit(runs []alloc.Run, leader int) {
 	v.vmMu.Lock()
 	v.pendingFrees = append(v.pendingFrees, taggedFree{seq: seq, runs: runs, leader: leader})
 	v.vmMu.Unlock()
-}
-
-// flushLeaders writes home the leader images among due (Log.Due) whose
-// leader is still pending — one already written with its file's data, or
-// dropped with its file's deletion, is not — in the name table's home-write
-// order (issueByPosition), and returns how many it wrote. A pending leader
-// is forgotten only if what went home is its pending image. One staged
-// since the due image committed stays pending, under a new slice: a data
-// write that read the old slice may have put it home before this image
-// went over it, and its same-slice check (writeLocked) must not drop it.
-func (v *Volume) flushLeaders(due []wal.PageImage) (int, error) {
-	v.lmu.Lock()
-	defer v.lmu.Unlock()
-	reqs := v.leaderReqs[:0]
-	for i, im := range due {
-		if _, ok := v.pendingLeaders[int(im.Target)]; im.Kind == wal.KindLeader && ok {
-			reqs = append(reqs, homeReq{addr: int(im.Target), lo: i})
-		}
-	}
-	slices.SortFunc(reqs, func(a, b homeReq) int { return cmp.Compare(a.addr, b.addr) })
-	v.leaderReqs = reqs
-	n := 0
-	err := v.issueByPosition(reqs, func(r homeReq) error {
-		img := due[r.lo].Data
-		if err := v.writeSectors(r.addr, img); err != nil {
-			return err
-		}
-		if p := v.pendingLeaders[r.addr]; bytes.Equal(p, img) {
-			delete(v.pendingLeaders, r.addr)
-		} else {
-			v.pendingLeaders[r.addr] = bytes.Clone(p)
-		}
-		v.leaderGen++
-		n++
-		return nil
-	})
-	return n, err
 }
 
 func (v *Volume) writeRoot(r rootPage) error {

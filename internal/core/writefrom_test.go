@@ -142,9 +142,7 @@ func TestWriteAtAllocs(t *testing.T) {
 				p := scrambled(n, 5)
 				write := func() {
 					if c.piggyback {
-						v.lmu.Lock()
-						v.pendingLeaders[leaderAddr] = leader
-						v.lmu.Unlock()
+						v.leaders.stage(leaderAddr, leader)
 					}
 					if got, err := f.WriteAt(p, c.off); got != n || err != nil {
 						t.Fatalf("WriteAt: %d, %v", got, err)

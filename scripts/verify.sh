@@ -66,6 +66,12 @@ go test -race ./internal/wal ./internal/core -count=1 -run 'TestGroupForceSeesAl
 # goroutines, staged and async, the held frames' cache and the commit
 # group's fresh runs under them, again and again under the detector.
 go test -race ./internal/core ./internal/bufcache -count=10 -run 'TestHeld|TestHold|TestLiveCheckTreatsHeldLeaderAsPending|TestDamageKeepsHeldFrames|TestFreshUntilForce'
+# One record of a leader not home (DESIGN §3.6), under the detector: the
+# three writers that move a leader out of the set crossing a reader's data
+# read, a crossing's older image over a staged one, a deleted file's leader
+# until its deletion commits, the set's clear rules, and a live check of a
+# held leader.
+go test -race ./internal/core -count=10 -run 'TestHomeWriteCrossingLeaderRead|TestCrossingOlderLeaderKeepsPendingOne|TestDeletedLeaderWrittenHomeUntilCommit|TestLeaderSetClearRules|TestLiveCheckTreatsHeldLeaderAsPending'
 # One walk per lookup and one call per growing write, under the detector:
 # the applier parked and resumed around each call, and handles racing past
 # the allocation.
@@ -99,7 +105,8 @@ go run ./cmd/fsdctl crashcheck -nested -seed 1 -states 30 -inner 4
 # in thirty, and the root read has to retry like every other read.
 go test ./internal/core -count=100 -run 'TestMountUnderComposedFaults$'
 # Mini-soak: 2000 concurrent simulated clients for 5 seconds against an
-# in-process server; exits nonzero on any protocol error, on any operation
-# that fails with an internal (untyped) error, or if the volume leaves the
-# healthy state.
+# in-process server; exits nonzero on any protocol error, on any failed
+# operation (each client owns its files, so none may fail, and a read or
+# stat that differs from what the client wrote counts as failed), or if the
+# volume leaves the healthy state.
 go run ./cmd/soak -clients 2000 -conns 16 -duration 5s -rate 5 -json /dev/null
