@@ -180,9 +180,18 @@ var archRules = []archRule{
 	{design: "§15", msg: "the log keeps a fault policy of its own again (it reads and writes through the Config.Read and Config.Write a volume hands it)",
 		use: `(^|\.)(ReadRetries|WriteRetries|OnReadFault|OnWriteFault)$`, in: []string{"internal/wal"}, tests: true,
 		plant: [2]string{"internal/wal/plant_test.go", "package wal; var _ = Config{ReadRetries: 2}"}},
-	{design: "§15", msg: "startIntentQueue or finishMount called outside goLive (end the bring-up in goLive)",
-		use: `(startIntentQueue|finishMount)$`, in: inCore, allow: []string{"(*Volume).goLive", "(*Volume).startIntentQueue", "(*Volume).finishMount"},
+	{design: "§15", msg: "startIntentQueue called outside goLive (end the bring-up in goLive)",
+		use: `startIntentQueue$`, in: inCore, allow: []string{"(*Volume).goLive", "(*Volume).startIntentQueue"},
 		plant: [2]string{"internal/core/plant.go", "package core; func Salvage(v *Volume) {\n\tv.startIntentQueue()\n}"}},
+	{design: "§9", msg: "the VAM does device I/O of its own (Save, Invalidate and Load read and write through the functions the caller hands them)",
+		use: `(\.(ReadSectors|WriteSectors)(Into|From)?|disk\.Disk)$|Retry`, in: []string{"internal/vam"},
+		plant: [2]string{"internal/vam/plant.go", "package vam; func Load(d *disk.Disk, base int) { d.ReadSectors(base, 1) }"}},
+	{design: "§9", msg: "the root page read again outside a bring-up (a mounted volume keeps the root it wrote in v.root)",
+		use: `^readRoot$`, call: true, in: inCore, allow: []string{"openVolume", "newSalvageRun", "LogRegionOf"},
+		plant: [2]string{"internal/core/plant.go", "package core; func (v *Volume) Shutdown() { readRoot(v.d, 0) }"}},
+	{design: "§9", msg: "the log anchor read outside wal.Open (a live log walks from l.opened, the audit from the anchor scrubAnchor kept)",
+		use: `readAnchor$`, call: true, in: []string{"internal/wal"}, allow: []string{"Open"},
+		plant: [2]string{"internal/wal/plant.go", "package wal; func (l *Log) ScrubCopies() { l.readAnchor() }"}},
 	{design: "§11", msg: "a trace event emitted outside Volume.trace (build the event and pass it to v.trace)",
 		use: `tracer\.Emit$`, in: inCore, tests: true, allow: []string{"(*Volume).trace"},
 		plant: [2]string{"internal/core/plant_test.go", "package core; func f(v *Volume) { v.tracer.Emit(obs.Event{}) }"}},

@@ -18,6 +18,7 @@
 //	fsdctl -img vol.img salvage                    # rebuild the name table from leaders
 //	fsdctl -img vol.img info                       # volume statistics
 //	fsdctl -img vol.img stats                      # full observability snapshot
+//	fsdctl -img vol.img log [-v]                   # list the log's records, without mounting
 //	fsdctl crashcheck [-seed N] [-states N] ...    # crash-state exploration sweep
 //	fsdctl crashcheck -nested ...                  # depth-2: crash the recovery too
 //
@@ -29,9 +30,12 @@
 // (operational error), 2 (usage error), and 3 (the volume mounted but
 // inconsistencies, losses, or oracle violations were found).
 //
-// Every command except "crash" shuts the volume down cleanly and saves the
-// image; "crash" saves the image mid-flight, so the next command exercises
-// log recovery exactly as a power failure would.
+// Every command except "crash", "burst" and "log" shuts the volume down
+// cleanly and saves the image; "crash" saves the image mid-flight, so the next
+// command exercises log recovery exactly as a power failure would. "log"
+// never mounts: it reads the image's metadata log and lists its records, their
+// batch boundaries and (-v) each image's target, with replay's own walker and
+// stopping rule, so on a crashed image the listing ends where replay ends.
 package main
 
 import (
@@ -48,6 +52,7 @@ import (
 	"repro/internal/crashtest"
 	"repro/internal/disk"
 	"repro/internal/sim"
+	"repro/internal/wal"
 )
 
 // Exit codes derive from the cedarfs error registry via cedarfs.ExitCode:
@@ -99,7 +104,7 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "fsdctl: need a command (format, put, get, ls, rm, stat, burst, crash, fsck, verify, scrub, salvage, info, stats, crashcheck)")
+		fmt.Fprintln(os.Stderr, "fsdctl: need a command (format, put, get, ls, rm, stat, burst, crash, fsck, verify, scrub, salvage, info, stats, log, crashcheck)")
 		os.Exit(2)
 	}
 	if err := run(*img, *jsonOut, args); err != nil {
@@ -165,6 +170,10 @@ func run(img string, jsonOut bool, args []string) error {
 	d, err := disk.LoadImage(img, disk.DefaultParams, clk)
 	if err != nil {
 		return fmt.Errorf("open image (run 'format' first?): %w", err)
+	}
+
+	if cmd == "log" {
+		return logList(os.Stdout, d, len(args) > 1 && args[1] == "-v")
 	}
 
 	if cmd == "salvage" {
@@ -287,8 +296,8 @@ func run(img string, jsonOut bool, args []string) error {
 		return finish()
 	case "burst":
 		// Create n files with committed prefixes, then pull the plug:
-		// the saved image carries a live log for the next command (or
-		// logdump) to recover.
+		// the saved image carries a live log for the next command to
+		// recover (or "log" to list).
 		n := 20
 		if len(args) > 1 {
 			fmt.Sscanf(args[1], "%d", &n)
@@ -309,7 +318,7 @@ func run(img string, jsonOut bool, args []string) error {
 		if err := d.SaveImage(img); err != nil {
 			return err
 		}
-		fmt.Printf("created %d files and crashed; run 'ls' to recover or logdump to inspect\n", n)
+		fmt.Printf("created %d files and crashed; run 'ls' to recover or 'fsdctl log' to inspect\n", n)
 		return nil
 	case "crash":
 		// Write some unforced activity, then pull the plug: the image is
@@ -598,3 +607,53 @@ func version(args []string) uint32 {
 }
 
 var _ = core.Config{}
+
+func kindName(k uint8) string {
+	switch k {
+	case wal.KindNameTable:
+		return "nametable"
+	case wal.KindLeader:
+		return "leader"
+	default:
+		return fmt.Sprintf("kind%d", k)
+	}
+}
+
+// logList prints the records of d's metadata log as wal.Inspect finds them,
+// each image's target too if verbose. It reads the root for the log region
+// and writes nothing.
+func logList(w io.Writer, d *disk.Disk, verbose bool) error {
+	base, size, err := core.LogRegionOf(d)
+	if err != nil {
+		return err
+	}
+	info, err := wal.Inspect(d, base, size)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "log region: sectors [%d, %d), %d divisions of %d sectors\n",
+		base, base+size, info.Thirds, info.ThirdLen)
+	fmt.Fprintf(w, "anchor: boot %d, oldest record %d at offset %d\n",
+		info.BootCount, info.AnchorRecord, info.AnchorOffset)
+	fmt.Fprintf(w, "%d valid records:\n", len(info.Records))
+	totalImages := 0
+	for _, r := range info.Records {
+		mark := " "
+		if r.EndOfBatch {
+			mark = "*"
+		}
+		fmt.Fprintf(w, "  rec %4d @%5d  %2d images, %2d sectors %s\n",
+			r.RecordNum, r.Offset, r.Images, r.Sectors, mark)
+		totalImages += r.Images
+		if verbose {
+			for _, t := range r.Targets {
+				fmt.Fprintf(w, "        %s %d\n", kindName(t.Kind), t.Target)
+			}
+		}
+	}
+	fmt.Fprintf(w, "total: %d images; * marks batch (force) boundaries\n", totalImages)
+	if info.PartialTail > 0 {
+		fmt.Fprintf(w, "WARNING: %d trailing records belong to an unterminated batch and will be discarded by recovery\n", info.PartialTail)
+	}
+	return nil
+}

@@ -250,7 +250,7 @@ func Mount(d *disk.Disk, cfg Config) (*Volume, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cfs: name table corrupt: %w (scavenge required)", err)
 	}
-	v.vm, err = vam.Load(d, lay.vamBase, lay.total)
+	v.vm, err = vam.Load(d.ReadSectorsInto, lay.vamBase, lay.total)
 	if err != nil {
 		// The VAM is only a hint; rebuild it from the name table by
 		// reading every file's header (slow, but not a scavenge).
@@ -265,7 +265,7 @@ func Mount(d *disk.Disk, cfg Config) (*Volume, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := vam.Invalidate(d, lay.vamBase); err != nil {
+	if err := vam.Invalidate(d.WriteSectors, lay.vamBase); err != nil {
 		return nil, err
 	}
 	return v, nil
@@ -309,7 +309,7 @@ func (v *Volume) Shutdown() error {
 	if v.closed {
 		return ErrClosed
 	}
-	if err := v.vm.Save(v.d, v.lay.vamBase); err != nil {
+	if err := v.vm.Save(v.d.WriteSectors, v.lay.vamBase); err != nil {
 		return err
 	}
 	if err := v.writeRoot(true); err != nil {

@@ -77,7 +77,7 @@ func TestMountRebuildsVAMFromHeadersWhenUnsaved(t *testing.T) {
 	}
 	// Destroy the saved VAM stamp; the volume is still clean, so mount
 	// succeeds but must rebuild the hint map from the headers.
-	if err := vam.Invalidate(d, v.lay.vamBase); err != nil {
+	if err := vam.Invalidate(d.WriteSectors, v.lay.vamBase); err != nil {
 		t.Fatal(err)
 	}
 	v2, err := Mount(d, testConfig())

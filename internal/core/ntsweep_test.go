@@ -20,7 +20,7 @@ import (
 // of vm writes.
 func vamBitmap(vm *vam.VAM) []byte {
 	var out []byte
-	err := vm.SaveWith(func(addr int, data []byte) error {
+	err := vm.Save(func(addr int, data []byte) error {
 		if addr == 1 {
 			out = bytes.Clone(data)
 		}

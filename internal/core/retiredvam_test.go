@@ -106,7 +106,7 @@ func TestRetiredVAMLoggingVolumeMounts(t *testing.T) {
 		d, v := newVolumeWithFiles(t)
 		lay := v.lay
 		shutdown(t, v)
-		saved, err := vam.Load(d, lay.vamBase, lay.total)
+		saved, err := vam.Load(d.ReadSectorsInto, lay.vamBase, lay.total)
 		if err != nil {
 			t.Fatalf("no saved map after Shutdown: %v", err)
 		}

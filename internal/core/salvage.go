@@ -756,7 +756,7 @@ func (r *salvageRun) finalize() error {
 	if err := v.writeRoot(rootPage{layout: lay, clean: false, uidChunk: uidChunk, formatted: r.formatted}); err != nil {
 		return err
 	}
-	if err := vam.InvalidateWith(v.writeSectors, lay.vamBase); err != nil {
+	if err := vam.Invalidate(v.writeSectors, lay.vamBase); err != nil {
 		return err
 	}
 	if lay.ntB != lay.ntA {

@@ -202,7 +202,9 @@ func (v *Volume) Scrub() (_ ScrubStats, err error) {
 	return st, nil
 }
 
-// scrubRoots cross-checks the replicated volume root page.
+// scrubRoots cross-checks the replicated volume root page. A pair with no
+// readable copy is rewritten from the root the volume wrote (v.root), as
+// scrubNTPage rewrites a page from its cached image.
 func (v *Volume) scrubRoots(st *ScrubStats) {
 	read := func(addr int) ([]byte, bool) {
 		buf, err := v.readSectorsRetry(addr, 1)
@@ -232,7 +234,11 @@ func (v *Volume) scrubRoots(st *ScrubStats) {
 	case okB:
 		repair(v.lay.rootA, b)
 	default:
-		st.addProblem("both volume root pages unreadable")
+		v.mu.RLock() // Shutdown writes v.root under mu
+		good := encodeRoot(v.root)
+		v.mu.RUnlock()
+		repair(v.lay.rootA, good)
+		repair(v.lay.rootB, good)
 	}
 }
 

@@ -262,9 +262,8 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 		sortLeaders(refs)
 		images, errs = make([][]byte, len(refs)), make([]error, len(refs))
 		v.readLeaders(refs, images, errs, func(addr int) ([]byte, error) {
-			buf, retried, rerr := disk.ReadSectorsRetry(v.d, addr, 1, v.cfg.readRetries())
-			v.noteReadFault(retried, rerr, true)
-			return buf, rerr
+			buf := make([]byte, disk.SectorSize)
+			return buf, v.readRetried(true, addr, buf)
 		})
 	}
 

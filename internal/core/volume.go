@@ -177,6 +177,9 @@ type Volume struct {
 	cpu *sim.CPU
 	cfg Config
 	lay layout
+	// root is the root page writeRoot last wrote: Shutdown stamps it clean
+	// (under mu), and a scrub that reads neither copy rewrites both from it.
+	root rootPage
 
 	mu    sync.RWMutex
 	log   *wal.Log
@@ -253,9 +256,9 @@ type Volume struct {
 	ready atomic.Bool
 	// recovering marks the writable mount's recovery window — from wiring
 	// the volume to goLive. Non-log reads that needed in-place retries
-	// inside it (name-table cache fills, the VAM/leader rebuild scan)
-	// charge the error budget like the WAL's own replay reads do, so a
-	// mount that limped through decayed media lands Degraded instead of
+	// inside it (name-table cache fills, the saved map's load, the rebuild
+	// scan) charge the error budget like the WAL's own replay reads do, so
+	// a mount that limped through decayed media lands Degraded instead of
 	// silently Healthy. Outside the window readSectorsRetry only counts:
 	// a scrub retrying latent decay it is about to repair is routine work,
 	// not a health event.
@@ -457,7 +460,9 @@ func (v *Volume) freeOnCommit(runs []alloc.Run, leader int) {
 	v.vmMu.Unlock()
 }
 
+// writeRoot writes r to both root copies and records it as v.root.
 func (v *Volume) writeRoot(r rootPage) error {
+	v.root = r
 	buf := encodeRoot(r)
 	// Barriers on both sides: what the root attests (a clean-shutdown
 	// stamp covers every flush before it) must be durable first, and the
@@ -594,7 +599,7 @@ func mountWritable(d *disk.Disk, cfg Config, o mountOptions) (*Volume, MountStat
 	if err != nil {
 		return nil, ms, err
 	}
-	if err := vam.InvalidateWith(v.writeSectors, lay.vamBase); err != nil {
+	if err := vam.Invalidate(v.writeSectors, lay.vamBase); err != nil {
 		return nil, ms, err
 	}
 	redoStart := v.clk.Now()
@@ -640,7 +645,7 @@ func (v *Volume) mountClean(ms *MountStats) error {
 		return fmt.Errorf("core: name table unreadable: %w", err)
 	}
 	v.nt = t
-	if v.vm, err = vam.Load(v.d, v.lay.vamBase, v.lay.total); err == nil {
+	if v.vm, err = vam.Load(v.readSectorsRetryInto, v.lay.vamBase, v.lay.total); err == nil {
 		return nil
 	}
 	ms.VAMReconstructed = true
@@ -818,19 +823,14 @@ func (v *Volume) noteRecovery(ms MountStats) {
 
 // goLive is the epilogue of every bring-up — Format, both mounts and Salvage.
 // A writable volume under AsyncApply starts the intent queue; a read-only one
-// has no log to stage into and does not. Then the volume is ready.
+// has no log to stage into and does not. Then the volume is marked fully
+// wired, and repair work deferred while mounting runs: a volume whose
+// recovery burned through the error budget comes up Degraded with its
+// aggressive scrub pass starting now, not silently Healthy.
 func (v *Volume) goLive() {
 	if !v.readOnly && v.cfg.AsyncApply {
 		v.startIntentQueue()
 	}
-	v.finishMount()
-}
-
-// finishMount marks the volume fully wired and runs any repair work that was
-// deferred while mounting: a volume whose recovery burned through the error
-// budget comes up Degraded with its aggressive scrub pass starting now, not
-// silently Healthy.
-func (v *Volume) finishMount() {
 	v.ready.Store(true)
 	if v.Health() == HealthDegraded && !v.readOnly && !v.closed.Load() {
 		go func() { _, _ = v.Scrub() }()
@@ -1096,7 +1096,8 @@ func (v *Volume) Tick() error {
 }
 
 // Shutdown performs a controlled shutdown: force the log, write all dirty
-// metadata home, save the allocation map, and stamp the volume clean.
+// metadata home, save the allocation map, and stamp the volume clean: the
+// root it wrote at bring-up, rewritten clean without reading the pair back.
 func (v *Volume) Shutdown() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -1124,13 +1125,10 @@ func (v *Volume) Shutdown() error {
 	v.vmMu.Lock()
 	v.releaseReserved(true)
 	v.vmMu.Unlock()
-	if err := v.vm.SaveWith(v.writeSectors, v.lay.vamBase); err != nil {
+	if err := v.vm.Save(v.writeSectors, v.lay.vamBase); err != nil {
 		return err
 	}
-	root, err := readRoot(v.d, v.cfg.readRetries())
-	if err != nil {
-		return err
-	}
+	root := v.root
 	root.clean = true
 	if err := v.writeRoot(root); err != nil {
 		return err
@@ -1178,7 +1176,8 @@ func (v *Volume) DropCaches() error {
 }
 
 // LogRegionOf reads a volume's root page and returns its log region without
-// mounting (cmd/logdump uses it on crashed images).
+// mounting or writing anything (fsdctl log lists the log of a crashed image
+// with it and wal.Inspect).
 func LogRegionOf(d *disk.Disk) (base, size int, err error) {
 	root, err := readRoot(d, Config{}.readRetries())
 	if err != nil {

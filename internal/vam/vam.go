@@ -5,9 +5,11 @@
 // No disk writes happen during normal operation. On a controlled shutdown
 // the map is written to a save area with a validity stamp; at boot it is
 // loaded if properly saved and otherwise reconstructed from the file name
-// table. The map holds no pending frees: the file system keeps a deleted
-// file's runs aside and marks them free only once the group commit that made
-// the deletion durable has landed.
+// table. The package does no I/O of its own: Save, Invalidate and Load take
+// the caller's sector read or write, so the save area is read and written
+// under the caller's fault policy. The map holds no pending frees: the file
+// system keeps a deleted file's runs aside and marks them free only once the
+// group commit that made the deletion durable has landed.
 package vam
 
 import (
@@ -339,27 +341,9 @@ func SaveSectors(n int) int {
 	return 1 + (n+disk.SectorSize*8-1)/(disk.SectorSize*8)
 }
 
-// SectorWriter is the sector-write primitive Save and Invalidate go
-// through. The file system passes its bounded-retry/remap repair path so a
-// marginal save-area sector is retried or retired instead of failing the
-// save; plain *disk.Disk callers get the same policy via defaultWriter.
-type SectorWriter func(addr int, data []byte) error
-
-// defaultWriter wraps a raw device in the bounded-retry/remap policy.
-func defaultWriter(d *disk.Disk) SectorWriter {
-	return func(addr int, data []byte) error {
-		_, _, err := disk.WriteSectorsRetry(d, addr, data, disk.DefaultRetries)
-		return err
-	}
-}
-
-// Save writes the map and a validity stamp to the save area at base.
-func (v *VAM) Save(d *disk.Disk, base int) error {
-	return v.SaveWith(defaultWriter(d), base)
-}
-
-// SaveWith is Save with an explicit sector-write primitive.
-func (v *VAM) SaveWith(w SectorWriter, base int) error {
+// Save writes the map and a validity stamp to the save area at base through
+// write, the caller's sector write.
+func (v *VAM) Save(write func(addr int, data []byte) error, base int) error {
 	bitmapSectors := SaveSectors(v.n) - 1
 	buf := make([]byte, bitmapSectors*disk.SectorSize)
 	for i, word := range v.free {
@@ -371,37 +355,32 @@ func (v *VAM) SaveWith(w SectorWriter, base int) error {
 	binary.BigEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(buf))
 	// Write the bitmap first, the validity header last: a crash between
 	// the two leaves an unstamped save that Load rejects.
-	if err := w(base+1, buf); err != nil {
+	if err := write(base+1, buf); err != nil {
 		return err
 	}
-	return w(base, hdr)
+	return write(base, hdr)
 }
 
-// Invalidate destroys the validity stamp. Mount calls it right after a
-// successful Load: from that moment the on-disk copy is stale, and a crash
-// must trigger reconstruction.
-func Invalidate(d *disk.Disk, base int) error {
-	return InvalidateWith(defaultWriter(d), base)
+// Invalidate destroys the validity stamp through write. Mount calls it right
+// after a successful Load: from that moment the on-disk copy is stale, and a
+// crash must trigger reconstruction.
+func Invalidate(write func(addr int, data []byte) error, base int) error {
+	return write(base, make([]byte, disk.SectorSize))
 }
 
-// InvalidateWith is Invalidate with an explicit sector-write primitive.
-func InvalidateWith(w SectorWriter, base int) error {
-	return w(base, make([]byte, disk.SectorSize))
-}
-
-// Load reads a saved map of n pages from base. It returns ErrNotSaved when
-// the stamp is missing or the checksum fails.
-func Load(d *disk.Disk, base, n int) (*VAM, error) {
-	hdr, err := d.ReadSectors(base, 1)
-	if err != nil {
+// Load reads a saved map of n pages from base through read, the caller's
+// sector read into dst. It returns ErrNotSaved when a read fails, the stamp
+// is missing or the checksum fails.
+func Load(read func(addr int, dst ...[]byte) error, base, n int) (*VAM, error) {
+	hdr := make([]byte, disk.SectorSize)
+	if err := read(base, hdr); err != nil {
 		return nil, ErrNotSaved
 	}
 	if binary.BigEndian.Uint32(hdr[0:]) != saveMagic || binary.BigEndian.Uint32(hdr[4:]) != uint32(n) {
 		return nil, ErrNotSaved
 	}
-	bitmapSectors := SaveSectors(n) - 1
-	buf, err := d.ReadSectors(base+1, bitmapSectors)
-	if err != nil {
+	buf := make([]byte, (SaveSectors(n)-1)*disk.SectorSize)
+	if err := read(base+1, buf); err != nil {
 		return nil, ErrNotSaved
 	}
 	if crc32.ChecksumIEEE(buf) != binary.BigEndian.Uint32(hdr[8:]) {
@@ -411,9 +390,8 @@ func Load(d *disk.Disk, base, n int) (*VAM, error) {
 	for i := range v.free {
 		v.free[i] = binary.BigEndian.Uint64(buf[i*8:])
 	}
-	for w, bitsW := range v.free {
-		_ = w
-		v.nfree += bits.OnesCount64(bitsW)
+	for _, w := range v.free {
+		v.nfree += bits.OnesCount64(w)
 	}
 	// Clear any bits beyond n (defensive; Save never sets them).
 	if rem := n % 64; rem != 0 {

@@ -105,10 +105,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	v.MarkFree(5, 100)
 	v.MarkFree(9000, 500)
 	base := 100
-	if err := v.Save(d, base); err != nil {
+	if err := v.Save(d.WriteSectors, base); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, err := Load(d, base, n)
+	got, err := Load(d.ReadSectorsInto, base, n)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsUnsaved(t *testing.T) {
 	clk := sim.NewVirtualClock()
 	d, _ := disk.New(disk.SmallGeometry, disk.DefaultParams, clk)
-	if _, err := Load(d, 100, 1000); !errors.Is(err, ErrNotSaved) {
+	if _, err := Load(d.ReadSectorsInto, 100, 1000); !errors.Is(err, ErrNotSaved) {
 		t.Fatalf("Load of unsaved area: %v", err)
 	}
 }
@@ -136,16 +136,16 @@ func TestInvalidateForcesReconstruction(t *testing.T) {
 	const n = 1000
 	v := New(n)
 	v.MarkFree(0, n)
-	if err := v.Save(d, 50); err != nil {
+	if err := v.Save(d.WriteSectors, 50); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(d, 50, n); err != nil {
+	if _, err := Load(d.ReadSectorsInto, 50, n); err != nil {
 		t.Fatal(err)
 	}
-	if err := Invalidate(d, 50); err != nil {
+	if err := Invalidate(d.WriteSectors, 50); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(d, 50, n); !errors.Is(err, ErrNotSaved) {
+	if _, err := Load(d.ReadSectorsInto, 50, n); !errors.Is(err, ErrNotSaved) {
 		t.Fatalf("Load after Invalidate: %v", err)
 	}
 }
@@ -156,12 +156,12 @@ func TestLoadRejectsCorruptBitmap(t *testing.T) {
 	const n = 100000 // several bitmap sectors
 	v := New(n)
 	v.MarkFree(0, n)
-	if err := v.Save(d, 50); err != nil {
+	if err := v.Save(d.WriteSectors, 50); err != nil {
 		t.Fatal(err)
 	}
 	// Smash one bitmap sector silently; the checksum must catch it.
 	d.SmashSector(52, make([]byte, disk.SectorSize), nil)
-	if _, err := Load(d, 50, n); !errors.Is(err, ErrNotSaved) {
+	if _, err := Load(d.ReadSectorsInto, 50, n); !errors.Is(err, ErrNotSaved) {
 		t.Fatalf("Load of corrupt bitmap: %v", err)
 	}
 }
@@ -170,10 +170,10 @@ func TestLoadRejectsWrongSize(t *testing.T) {
 	clk := sim.NewVirtualClock()
 	d, _ := disk.New(disk.SmallGeometry, disk.DefaultParams, clk)
 	v := New(1000)
-	if err := v.Save(d, 0); err != nil {
+	if err := v.Save(d.WriteSectors, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(d, 0, 2000); !errors.Is(err, ErrNotSaved) {
+	if _, err := Load(d.ReadSectorsInto, 0, 2000); !errors.Is(err, ErrNotSaved) {
 		t.Fatalf("Load with wrong size: %v", err)
 	}
 }

@@ -1,6 +1,6 @@
 package wal
 
-// Read-only log inspection for diagnostics (cmd/logdump). It applies nothing
+// Read-only log inspection for diagnostics (fsdctl log). It applies nothing
 // and resets nothing, so it can be run against a live image without consuming
 // the log.
 

@@ -102,12 +102,9 @@ func (l *Log) ScrubCopies(write func(addr int, data []byte) error) (LogScrubStat
 	if write == nil {
 		write = l.cfg.Write
 	}
-	if err := l.scrubAnchor(&st, write); err != nil {
-		return st, err
-	}
 	// The live log's anchor has moved since Open: the walk starts from the
-	// current one.
-	a, err := l.readAnchor()
+	// current one, the copy the pair check kept.
+	a, err := l.scrubAnchor(&st, write)
 	if err != nil {
 		return st, err
 	}
@@ -139,16 +136,19 @@ func (l *Log) ScrubCopies(write func(addr int, data []byte) error) (LogScrubStat
 }
 
 // scrubAnchor cross-checks the replicated anchor pair (log pages 0 and 2),
-// rewriting a bad copy from the good one. Copies that both decode but differ
-// were torn apart by a crash between the two anchor writes: the primary is
-// written first, so it is the newer image.
-func (l *Log) scrubAnchor(st *LogScrubStats, write func(addr int, data []byte) error) error {
+// rewriting a bad copy from the good one, and returns the anchor it kept:
+// copy 0 if it is good, else copy 1 — the copy readAnchor chooses. Copies that
+// both decode but differ were torn apart by a crash between the two anchor
+// writes: the primary is written first, so it is the newer image.
+func (l *Log) scrubAnchor(st *LogScrubStats, write func(addr int, data []byte) error) (anchor, error) {
 	var bufs [2][]byte
+	var as [2]anchor
 	for i := range bufs {
 		buf, err := l.d.ReadSectors(l.base+2*i, 1)
 		st.SectorsChecked++
 		if err == nil {
-			if _, ok := decodeAnchor(buf); ok {
+			var ok bool
+			if as[i], ok = decodeAnchor(buf); ok {
 				bufs[i] = buf
 			}
 		}
@@ -156,15 +156,15 @@ func (l *Log) scrubAnchor(st *LogScrubStats, write func(addr int, data []byte) e
 	from, to := 0, 1
 	switch {
 	case bufs[0] == nil && bufs[1] == nil:
-		return ErrAnchorLost
+		return anchor{}, ErrAnchorLost
 	case bufs[0] == nil:
 		from, to = 1, 0
 	case bufs[1] != nil && bytes.Equal(bufs[0], bufs[1]):
-		return nil
+		return as[0], nil
 	}
 	if err := write(l.base+2*to, bufs[from]); err != nil {
-		return err
+		return anchor{}, err
 	}
 	st.Repaired++
-	return nil
+	return as[from], nil
 }
